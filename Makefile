@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build test race vet lint lint-json suppress-check fmt-check bench bench-gate bench-json fuzz fuzz-regress
+.PHONY: ci build test race vet lint lint-json suppress-check fmt-check bench bench-e2e bench-compare bench-gate bench-json fuzz fuzz-regress
 
 ## ci: the standard verification gate — vet, build, race-enabled tests,
 ## the project linter, a gofmt cleanliness check, the suppression audit,
@@ -64,6 +64,26 @@ fmt-check:
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./...
 
+## bench-e2e: one end-to-end run of the repository's benchmark (bench/,
+## BENCHMARK.json) per workload, tracing off. Set OUT=<file.jsonl> to
+## append each run as a record for bench-compare, SEED=<n> for another
+## seed. The parent/change procedure of bench/README.md is this target
+## run in each checkout, then bench-compare.
+BENCH_WORKLOADS = warm-exact warm-ltm cold-churn nat-conn
+SEED ?= 1
+bench-e2e:
+	@for w in $(BENCH_WORKLOADS); do \
+		bash bench/run.sh --workload $$w --seed $(SEED) --seconds 8 --trace 0 $(if $(OUT),--out $(OUT)) || exit 1; \
+	done
+
+## bench-compare: compare two files of run records, A the parent's and B
+## the change's: per workload and end-to-end metric both medians, how
+## much worse B is, each side's spread, and ok / exceeds / unresolved
+## against BENCHMARK.json's bounds. Exits non-zero on any `exceeds`.
+bench-compare:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-compare A=parent.jsonl B=change.jsonl"; exit 2; }
+	@bash bench/run.sh -compare $(A) $(B)
+
 ## bench-gate: wall-clock performance floors, opt-in (not part of `test`),
 ## gated by GF_BENCH_GATE=1:
 ##   - SubmitBatch at the default batch size must stay at least 2x faster
@@ -116,13 +136,17 @@ bench-json:
 	$(GO) run ./cmd/gigabench -exp dnslb -json BENCH_dnslb.json
 	$(GO) run ./cmd/gigabench -exp shards -json BENCH_shards.json
 
-## fuzz-regress: replay the checked-in seed corpora (testdata/fuzz)
-## through the decoder and RSS-extractor fuzz targets in plain-test mode
-## — fast, deterministic, part of ci. FuzzRSSHash doubles as the
-## differential oracle: extractor output must agree with the full decoder
-## on every corpus input.
+## fuzz-regress: replay the checked-in seed corpora (testdata/fuzz and
+## the f.Add seeds) through the fuzz targets in plain-test mode — fast,
+## deterministic, part of ci. FuzzRSSHash doubles as the differential
+## oracle: extractor output must agree with the full decoder on every
+## corpus input. FuzzMicroflowOps and FuzzOpsDifferential replay op tapes
+## through the Microflow tier and the flow table against their map-backed
+## reference models.
 fuzz-regress:
 	$(GO) test -run 'FuzzDecode|FuzzRSSHash' ./internal/packet
+	$(GO) test -run 'FuzzMicroflowOps' ./internal/microflow
+	$(GO) test -run 'FuzzOpsDifferential' ./internal/flowtable
 
 ## fuzz: actively fuzz the frame decoder for a short burst. New crashers
 ## land in internal/packet/testdata/fuzz/FuzzDecode — check them in.

@@ -108,3 +108,47 @@ func TestProcessBatchVisibility(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 }
+
+// TestProcessBatchThrashZeroAlloc: a working set eight times the
+// Microflow tier, every packet served by the main cache and memoized over
+// the tier's least recently used entry — the paper's operating point —
+// must run allocation-free on both backends. Memoizing into a full tier
+// reuses the evicted entry's storage.
+func TestProcessBatchThrashZeroAlloc(t *testing.T) {
+	const ufCap = 16
+	for _, backend := range []string{"gigaflow", "megaflow"} {
+		t.Run(backend, func(t *testing.T) {
+			opts := []VSwitchOption{WithMicroflow(ufCap)}
+			if backend == "megaflow" {
+				opts = append(opts, WithMegaflowBackend(128))
+			}
+			vs := NewVSwitch(buildDemoPipeline(), CacheConfig{NumTables: 3, TableCapacity: 64}, opts...)
+			keys := make([]Key, 8*ufCap)
+			for i := range keys {
+				keys[i] = demoKey(uint64(i), 80)
+			}
+			out := make([]ProcessResult, len(keys))
+			errs := make([]error, len(keys))
+			vs.ProcessBatch(keys, out, errs, 0) // install, fill the tier
+			before := vs.Stats()
+			evicted := vs.Microflow().Stats().EvictLRU
+
+			const runs = 20
+			if allocs := testing.AllocsPerRun(runs, func() {
+				vs.ProcessBatch(keys, out, errs, 1)
+			}); allocs != 0 {
+				t.Errorf("ProcessBatch over %d keys on a %d-entry tier allocates %.1f/batch, want 0",
+					len(keys), ufCap, allocs)
+			}
+			// AllocsPerRun calls the function once more, to warm up.
+			pkts := uint64((runs + 1) * len(keys))
+			after := vs.Stats()
+			if after.CacheHits-before.CacheHits != pkts || after.MicroflowHits != before.MicroflowHits {
+				t.Errorf("not every packet was a main-cache hit: before %+v, after %+v", before, after)
+			}
+			if got := vs.Microflow().Stats().EvictLRU - evicted; got != pkts {
+				t.Errorf("%d evictions over %d memoized packets", got, pkts)
+			}
+		})
+	}
+}

@@ -267,6 +267,80 @@ func hotRingFold(r *flightRing, span int64) int64 {
 	return per
 }
 
+// slabEntry / slabSlot / slabCache mirror internal/microflow's storage:
+// entries in a chunked slab named by index-plus-one refs, an
+// open-addressing index of {hash, ref} slots, and an LRU list threaded
+// through the entries by ref.
+type slabEntry struct {
+	key        [4]uint64
+	val        int
+	hash       uint64
+	prev, next uint32
+}
+
+type slabSlot struct {
+	hash uint64
+	ref  uint32
+}
+
+type slabCache struct {
+	index      []slabSlot
+	chunks     [][]slabEntry
+	head, tail uint32
+}
+
+// hotSlabRecycle is the microflow insert-into-a-full-tier idiom: resolve
+// the LRU tail's ref to its slab entry, backshift-delete its slot from
+// the index by stored hash, overwrite the entry field by field with the
+// new flow, write one slot, relink at the head. The entry's storage is
+// reused where it stands; nothing escapes, nothing allocates; the
+// analyzer must stay silent.
+//
+//gf:hotpath
+func hotSlabRecycle(c *slabCache, k *[4]uint64, h uint64, v int) *slabEntry {
+	ref := c.tail
+	e := &c.chunks[(ref-1)>>8][(ref-1)&255]
+	m := uint64(len(c.index) - 1)
+	i := e.hash & m
+	for c.index[i].ref != ref {
+		i = (i + 1) & m
+	}
+	for j := i; ; {
+		j = (j + 1) & m
+		s := c.index[j]
+		if s.hash == 0 {
+			break
+		}
+		if home := s.hash & m; (j-home)&m >= (j-i)&m {
+			c.index[i] = s
+			i = j
+		}
+	}
+	c.index[i] = slabSlot{}
+	c.tail = e.prev
+	c.chunks[(e.prev-1)>>8][(e.prev-1)&255].next = 0
+	e.key, e.val, e.hash = *k, v, h
+	i = h & m
+	for c.index[i].hash != 0 {
+		i = (i + 1) & m
+	}
+	c.index[i] = slabSlot{hash: h, ref: ref}
+	e.prev, e.next = 0, c.head
+	c.chunks[(c.head-1)>>8][(c.head-1)&255].prev = ref
+	c.head = ref
+	return e
+}
+
+// hotSlabGrow grows the slab from inside a hot function. Appending the
+// chunk to the field-backed chunk list is the sanctioned buffer idiom,
+// but the chunk itself is a fresh allocation: growth belongs behind a
+// //gf:hotpath-safe boundary, and the analyzer must flag it here.
+//
+//gf:hotpath
+func hotSlabGrow(c *slabCache) {
+	c.chunks = append(c.chunks, make([]slabEntry, 256)) // want "make in hot function hotSlabGrow"
+}
+
 // coldAlloc allocates freely but carries no annotation: silent.
 func coldAlloc() []int {
 	s := fmt.Sprint("cold")

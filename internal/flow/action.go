@@ -133,17 +133,28 @@ func (v Verdict) String() string {
 //
 //gf:hotpath
 func Apply(k Key, actions []Action) (Key, Verdict) {
-	for _, a := range actions {
+	v := ApplyTo(&k, actions)
+	return k, v
+}
+
+// ApplyTo is Apply rewriting *k in place: the form the cache hit paths
+// use, where one key is threaded through several commit lists and a
+// fresh copy per action would be waste.
+//
+//gf:hotpath
+func ApplyTo(k *Key, actions []Action) Verdict {
+	for i := range actions {
+		a := &actions[i]
 		switch a.Type {
 		case ActionSetField:
-			k = k.WithMasked(a.Field, a.Value, a.Mask)
+			k.SetMasked(a.Field, a.Value, a.Mask)
 		case ActionOutput:
-			return k, Verdict{Kind: VerdictOutput, Port: uint16(a.Value)}
+			return Verdict{Kind: VerdictOutput, Port: uint16(a.Value)}
 		case ActionDrop:
-			return k, Verdict{Kind: VerdictDrop}
+			return Verdict{Kind: VerdictDrop}
 		}
 	}
-	return k, Verdict{}
+	return Verdict{}
 }
 
 // Commit computes the set-field actions that transform `from` into `to`:

@@ -89,9 +89,16 @@ func SymHash5(srcIP, dstIP, proto, srcPort, dstPort uint64) uint64 {
 // WithMasked returns a copy of k where the bits of f selected by mask are
 // replaced by the corresponding bits of v.
 func (k Key) WithMasked(f FieldID, v, mask uint64) Key {
+	k.SetMasked(f, v, mask)
+	return k
+}
+
+// SetMasked is WithMasked in place.
+//
+//gf:hotpath
+func (k *Key) SetMasked(f FieldID, v, mask uint64) {
 	mask &= f.MaxValue()
 	k[f] = (k[f] &^ mask) | (v & mask)
-	return k
 }
 
 // Apply returns k with every field ANDed against the mask, i.e. the

@@ -2,11 +2,12 @@
 // matching tier: a stdlib-only, open-addressing store keyed by flow.Key
 // under a fixed per-table wildcard mask.
 //
-// Every tier of the cache hierarchy — the Microflow exact-match cache, the
-// Megaflow TSS classifier, and the Gigaflow LTM's per-tag classifiers —
-// ultimately answers the same question: "which stored key equals this
-// packet's key on the bits my mask cares about?" A Go map answers it the
-// expensive way: copy the 80-byte key through Key.Apply(mask), then hash
+// Every wildcard tier of the cache hierarchy — the Megaflow TSS
+// classifier, the Gigaflow LTM's per-tag classifiers, the pipeline's own
+// tables — ultimately answers the same question: "which stored key equals
+// this packet's key on the bits my mask cares about?" (The exact-match
+// Microflow tier keeps its own hash-only index and borrows only HashKey.)
+// A Go map answers it the expensive way: copy the 80-byte key through Key.Apply(mask), then hash
 // all ten words again inside the map runtime. This table answers it with a
 // fused mask+hash probe: the indices of the mask's non-zero words are
 // precomputed at construction, and one pass over only those words masks
@@ -56,15 +57,18 @@ const (
 	minSlots = 8
 )
 
-// slot is one open-addressing cell. hash==0 means empty.
+// slot is one open-addressing cell. hash==0 means empty. The value sits
+// next to the hash, ahead of the key, so a small V (a pointer, a tss
+// bucket head) shares the cache line the stored-hash reject already
+// loaded.
 type slot[V any] struct {
 	hash uint64
-	key  flow.Key // normalized: zero outside the table mask
 	val  V
+	key  flow.Key // normalized: zero outside the table mask
 }
 
 // Table maps flow keys, compared under a fixed mask, to values of type V.
-// The zero value is not usable; construct with New or NewExact.
+// The zero value is not usable; construct with New.
 type Table[V any] struct {
 	mask flow.Mask
 	// words holds the indices of the mask's non-zero words; the fused
@@ -74,12 +78,7 @@ type Table[V any] struct {
 	// probe is the scratch buffer the fused hash pass fills with the
 	// masked words of the key being looked up; candidate comparison reads
 	// it back instead of re-masking.
-	probe [flow.NumFields]uint64
-	// lastHash is the fused hash of the most recent probe, exposed via
-	// LastHash so latency attribution can identify the flow without
-	// hashing the key a second time.
-	lastHash uint64
-
+	probe  [flow.NumFields]uint64
 	slots  []slot[V]
 	count  int
 	growAt int // count threshold that triggers doubling (3/4 load)
@@ -101,12 +100,6 @@ func New[V any](mask flow.Mask, sizeHint int) *Table[V] {
 	}
 	t.init(n)
 	return t
-}
-
-// NewExact builds a full-mask (exact-match) table: every key word is
-// significant, as the Microflow tier requires.
-func NewExact[V any](sizeHint int) *Table[V] {
-	return New[V](flow.FullMask(), sizeHint)
 }
 
 func (t *Table[V]) init(n int) {
@@ -142,16 +135,26 @@ func (t *Table[V]) probeHash(k *flow.Key) uint64 {
 	if h == 0 {
 		h = hashInit // 0 is the empty-slot sentinel
 	}
-	t.lastHash = h
 	return h
 }
 
-// LastHash returns the fused probe hash computed by the most recent
-// Lookup/Put/Delete on this table. Latency attribution reuses it as the
-// flow identifier for hit records instead of hashing the key a second
-// time; like the probe scratch it is only meaningful immediately after
-// the operation, on the goroutine driving the table.
-func (t *Table[V]) LastHash() uint64 { return t.lastHash }
+// HashKey is probeHash for a full-mask table, without the table: the fold
+// over every word of *k. An exact-match store that keeps its own index
+// (internal/microflow) hashes with it, so its flow identifiers equal the
+// ones a full-mask Table computes for in-width keys.
+//
+//gf:hotpath
+func HashKey(k *flow.Key) uint64 {
+	h := uint64(hashInit)
+	for _, w := range k {
+		hi, lo := bits.Mul64(w^hashMul, h)
+		h = hi ^ lo
+	}
+	if h == 0 {
+		h = hashInit
+	}
+	return h
+}
 
 // probeEqual reports whether a stored (normalized) key equals the masked
 // words captured by the last probeHash call.
@@ -166,32 +169,43 @@ func (t *Table[V]) probeEqual(sk *flow.Key) bool {
 	return true
 }
 
-// Lookup finds the value stored for k under the table mask. It is the hot
-// probe shared by every tier: fused mask+hash, then a linear scan with
-// stored-hash early reject.
+// Find returns a pointer to the value stored for *k under the table mask,
+// or nil. It is the hot probe shared by every tier: fused mask+hash, then
+// a linear scan with stored-hash early reject. The key travels by pointer
+// and the value is handed back in place, so a probe copies neither; the
+// pointer is valid until the next Put, Delete or Reset.
 //
 //gf:hotpath
-func (t *Table[V]) Lookup(k flow.Key) (V, bool) {
-	h := t.probeHash(&k)
+func (t *Table[V]) Find(k *flow.Key) *V {
+	h := t.probeHash(k)
 	m := uint64(len(t.slots) - 1)
 	for i := h & m; ; i = (i + 1) & m {
 		s := &t.slots[i]
 		if s.hash == 0 {
-			var zero V
-			return zero, false
+			return nil
 		}
 		if s.hash == h && t.probeEqual(&s.key) {
-			return s.val, true
+			return &s.val
 		}
 	}
+}
+
+// Lookup is Find with the key and the value passed by value.
+//
+//gf:hotpath
+func (t *Table[V]) Lookup(k flow.Key) (V, bool) {
+	if v := t.Find(&k); v != nil {
+		return *v, true
+	}
+	var zero V
+	return zero, false
 }
 
 // Contains reports whether a value is stored for k.
 //
 //gf:hotpath
 func (t *Table[V]) Contains(k flow.Key) bool {
-	_, ok := t.Lookup(k)
-	return ok
+	return t.Find(&k) != nil
 }
 
 // Put stores v for k (masked), replacing any existing value; it reports
@@ -232,7 +246,8 @@ func (t *Table[V]) normalizedProbeKey() flow.Key {
 // Delete removes the entry for k, reporting whether one existed. Removal
 // backshifts the probe chain: every displaced entry after the hole is
 // moved back unless that would skip past its home slot, so no tombstones
-// are left behind.
+// are left behind. microflow.Cache.unindex carries a copy of the backshift
+// loop over its own slot type; keep the two in step.
 func (t *Table[V]) Delete(k flow.Key) bool {
 	h := t.probeHash(&k)
 	m := uint64(len(t.slots) - 1)

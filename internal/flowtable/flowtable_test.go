@@ -76,7 +76,7 @@ func TestEmptyMaskSingleBucket(t *testing.T) {
 }
 
 func TestGrowthPreservesEntries(t *testing.T) {
-	tb := NewExact[uint64](0)
+	tb := New[uint64](flow.FullMask(), 0)
 	const n = 10000
 	for i := uint64(0); i < n; i++ {
 		tb.Put(exactKey(i, i%7), i)
@@ -92,7 +92,7 @@ func TestGrowthPreservesEntries(t *testing.T) {
 }
 
 func TestSizeHintAvoidsGrowth(t *testing.T) {
-	tb := NewExact[int](1000)
+	tb := New[int](flow.FullMask(), 1000)
 	c := tb.Cap()
 	for i := 0; i < 1000; i++ {
 		tb.Put(exactKey(uint64(i), 0), i)
@@ -106,7 +106,7 @@ func TestBackshiftDeletionKeepsChainsReachable(t *testing.T) {
 	// Heavy insert/delete churn at high load exercises backshift across
 	// wrapped probe chains; every surviving key must remain reachable.
 	rng := rand.New(rand.NewSource(42))
-	tb := NewExact[int](0)
+	tb := New[int](flow.FullMask(), 0)
 	live := map[uint64]int{}
 	for step := 0; step < 30000; step++ {
 		id := uint64(rng.Intn(600))
@@ -131,7 +131,7 @@ func TestBackshiftDeletionKeepsChainsReachable(t *testing.T) {
 }
 
 func TestResetKeepsAllocation(t *testing.T) {
-	tb := NewExact[int](0)
+	tb := New[int](flow.FullMask(), 0)
 	for i := 0; i < 100; i++ {
 		tb.Put(exactKey(uint64(i), 0), i)
 	}
@@ -150,7 +150,7 @@ func TestResetKeepsAllocation(t *testing.T) {
 }
 
 func TestIterCoversAllEntriesOnce(t *testing.T) {
-	tb := NewExact[int](0)
+	tb := New[int](flow.FullMask(), 0)
 	want := map[flow.Key]int{}
 	for i := 0; i < 500; i++ {
 		k := exactKey(uint64(i), uint64(i%13))
@@ -179,7 +179,7 @@ func TestZeroIterAndRangeEarlyStop(t *testing.T) {
 	if it.Next() {
 		t.Fatal("zero iterator advanced")
 	}
-	tb := NewExact[int](0)
+	tb := New[int](flow.FullMask(), 0)
 	for i := 0; i < 10; i++ {
 		tb.Put(exactKey(uint64(i), 0), i)
 	}
@@ -191,7 +191,7 @@ func TestZeroIterAndRangeEarlyStop(t *testing.T) {
 }
 
 func TestLookupZeroAllocs(t *testing.T) {
-	tb := NewExact[int](0)
+	tb := New[int](flow.FullMask(), 0)
 	for i := 0; i < 1024; i++ {
 		tb.Put(exactKey(uint64(i), 0), i)
 	}

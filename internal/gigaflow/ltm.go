@@ -17,28 +17,43 @@ const TagDone = -2
 // match is ternary over the flow fields; the table tag τ is matched
 // exactly; the priority ρ equals the sub-traversal's span in pipeline
 // tables (Longest Traversal Matching).
+//
+// Field order is layout: everything a hit reads or writes — the action α,
+// the counters, the LRU links — leads the struct, so it occupies the
+// entry's first two cache lines; the ~400 bytes only installation,
+// revalidation and introspection read follow.
 type Entry struct {
-	// Tag is τ: the vSwitch pipeline table ID at which this sub-traversal
-	// starts. A packet matches the entry only while its metadata tag equals
-	// Tag.
-	Tag int
-	// Match is M_k over ω_k: the flow-state predicate at sub-traversal
-	// entry.
-	Match flow.Match
-	// Priority is ρ: the number of pipeline tables spanned; LTM picks the
-	// longest span among matching entries in a table.
-	Priority int
 	// Commit is the set-field part of α: the header rewrites accumulated
 	// across the sub-traversal.
 	Commit []flow.Action
-	// NextTag is the tag update in α: the pipeline table expected after
-	// this sub-traversal, or TagDone when Terminal.
-	NextTag int
+	// nextSlot and slot are NextTag and Tag in the owning cache's dense
+	// tag numbering (tagSlots), resolved once at install: the hit path
+	// follows nextSlot and never reads the tags themselves.
+	nextSlot, slot int32
+	// Priority is ρ: the number of pipeline tables spanned; LTM picks the
+	// longest span among matching entries in a table.
+	Priority int
 	// Terminal marks the traversal-ending sub-traversal; Verdict is its
 	// output/drop decision.
 	Terminal bool
 	Verdict  flow.Verdict
 
+	Hits    uint64
+	LastHit int64
+
+	table      *ltmTable
+	prev, next *Entry // per-table LRU
+
+	// Tag is τ: the vSwitch pipeline table ID at which this sub-traversal
+	// starts. A packet matches the entry only while its metadata tag equals
+	// Tag.
+	Tag int
+	// NextTag is the tag update in α: the pipeline table expected after
+	// this sub-traversal, or TagDone when Terminal.
+	NextTag int
+	// Match is M_k over ω_k: the flow-state predicate at sub-traversal
+	// entry.
+	Match flow.Match
 	// Parent is the flow state entering the sub-traversal when it was
 	// created; revalidation replays it from Tag for Priority steps.
 	Parent flow.Key
@@ -56,12 +71,7 @@ type Entry struct {
 	CtConn  flow.Key
 	CtEpoch uint64
 
-	Hits    uint64
-	LastHit int64
 	Created int64
-
-	table      *ltmTable
-	prev, next *Entry // per-table LRU
 }
 
 // String renders the entry compactly.
@@ -98,36 +108,71 @@ type TableStats struct {
 	Revoked  uint64 `json:"revoked"`
 }
 
+// tagSlots numbers the tags one cache has seen 0, 1, 2, … in order of
+// first sight. Tags are pipeline table IDs — any int, sparse, huge or
+// negative — so the tables index their classifier groups by slot, never by
+// the raw tag; only installation consults the map. A cache sees at most one
+// tag per pipeline table, so the numbering stays as small as the pipeline.
+type tagSlots map[int]int32
+
+// assign returns tag's slot, numbering the tag if it is new.
+func (s tagSlots) assign(tag int) int32 {
+	slot, ok := s[tag]
+	if !ok {
+		slot = int32(len(s))
+		s[tag] = slot
+	}
+	return slot
+}
+
 // ltmTable is one hardware cache table GF_k: ternary entries grouped by
 // exact tag, with per-table capacity and LRU order.
 type ltmTable struct {
 	idx      int
 	capacity int
-	byTag    map[int]*tss.Classifier[*Entry]
-	count    int
-	lruHead  *Entry
-	lruTail  *Entry
-	stats    TableStats
+	// slots is the owning cache's tag numbering, shared by its tables.
+	slots tagSlots
+	// bySlot holds one classifier per resident tag, indexed by the tag's
+	// slot, so the lookup is a bounds check and a load. Nil where no entry
+	// carries the tag.
+	bySlot  []*tss.Classifier[*Entry]
+	tags    int // non-nil bySlot elements
+	count   int
+	lruHead *Entry
+	lruTail *Entry
+	stats   TableStats
 }
 
-// lookup probes the classifier group for tag, returning the best match
-// and the number of tuple probes spent.
+// classifier returns the classifier group for the tag numbered slot, or
+// nil.
 //
 //gf:hotpath
-func (t *ltmTable) lookup(tag int, k flow.Key) (*Entry, int) {
-	cls := t.byTag[tag]
+func (t *ltmTable) classifier(slot int32) *tss.Classifier[*Entry] {
+	if uint(slot) >= uint(len(t.bySlot)) {
+		return nil
+	}
+	return t.bySlot[slot]
+}
+
+// lookup probes the classifier group for the tag numbered slot, returning
+// the best match and the number of tuple probes spent.
+//
+//gf:hotpath
+func (t *ltmTable) lookup(slot int32, k *flow.Key) (*Entry, int) {
+	cls := t.classifier(slot)
 	if cls == nil {
 		return nil, 0
 	}
-	e, probes := cls.Lookup(k)
-	if e == nil {
-		return nil, probes
-	}
-	return e.Value, probes
+	e, probes, _ := cls.LookupValue(k)
+	return e, probes
 }
 
 func (t *ltmTable) get(tag int, m flow.Match, prio int) *Entry {
-	cls := t.byTag[tag]
+	slot, ok := t.slots[tag]
+	if !ok {
+		return nil
+	}
+	cls := t.classifier(slot)
 	if cls == nil {
 		return nil
 	}
@@ -139,10 +184,18 @@ func (t *ltmTable) get(tag int, m flow.Match, prio int) *Entry {
 }
 
 func (t *ltmTable) insert(e *Entry) {
-	cls := t.byTag[e.Tag]
+	e.slot, e.nextSlot = t.slots.assign(e.Tag), -1
+	if !e.Terminal {
+		e.nextSlot = t.slots.assign(e.NextTag)
+	}
+	cls := t.classifier(e.slot)
 	if cls == nil {
 		cls = tss.New[*Entry]()
-		t.byTag[e.Tag] = cls
+		for len(t.bySlot) <= int(e.slot) {
+			t.bySlot = append(t.bySlot, nil)
+		}
+		t.bySlot[e.slot] = cls
+		t.tags++
 	}
 	cls.Insert(&tss.Entry[*Entry]{Match: e.Match, Priority: e.Priority, Value: e})
 	e.table = t
@@ -151,7 +204,7 @@ func (t *ltmTable) insert(e *Entry) {
 }
 
 func (t *ltmTable) remove(e *Entry) {
-	cls := t.byTag[e.Tag]
+	cls := t.classifier(e.slot)
 	if cls == nil {
 		return
 	}
@@ -159,7 +212,8 @@ func (t *ltmTable) remove(e *Entry) {
 		t.count--
 		t.unlink(e)
 		if cls.Len() == 0 {
-			delete(t.byTag, e.Tag)
+			t.bySlot[e.slot] = nil
+			t.tags--
 		}
 	}
 }
@@ -200,7 +254,10 @@ func (t *ltmTable) touch(e *Entry) {
 
 func (t *ltmTable) entries() []*Entry {
 	out := make([]*Entry, 0, t.count)
-	for _, cls := range t.byTag {
+	for _, cls := range t.bySlot {
+		if cls == nil {
+			continue
+		}
 		cls.Range(func(e *tss.Entry[*Entry]) bool {
 			out = append(out, e.Value)
 			return true
@@ -275,10 +332,12 @@ type Cache struct {
 	cfg      Config
 	pipe     *pipeline.Pipeline
 	startTag int
-	tables   []*ltmTable
-	rng      *rand.Rand
-	stats    Stats
-	adapt    *adaptState
+	// startSlot is startTag in the cache's tag numbering (see tagSlots).
+	startSlot int32
+	tables    []*ltmTable
+	rng       *rand.Rand
+	stats     Stats
+	adapt     *adaptState
 	// path is the reusable match-path buffer handed out as Result.Path.
 	// Sized to K at construction so the hot-path Lookup never grows it.
 	path []*Entry
@@ -301,8 +360,10 @@ func New(p *pipeline.Pipeline, cfg Config) *Cache {
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		path:     make([]*Entry, 0, cfg.NumTables),
 	}
+	slots := tagSlots{}
+	c.startSlot = slots.assign(p.Start)
 	for i := range c.tables {
-		c.tables[i] = &ltmTable{idx: i, capacity: cfg.TableCapacity, byTag: make(map[int]*tss.Classifier[*Entry])}
+		c.tables[i] = &ltmTable{idx: i, capacity: cfg.TableCapacity, slots: slots}
 	}
 	if cfg.Adaptive {
 		c.adapt = &adaptState{cfg: cfg.AdaptiveTuning.withDefaults()}
@@ -350,7 +411,7 @@ type TableSnapshot struct {
 func (c *Cache) TableSnapshot(i int) TableSnapshot {
 	t := c.tables[i]
 	return TableSnapshot{Index: i, Len: t.count, Capacity: t.capacity,
-		Tags: len(t.byTag), TableStats: t.stats}
+		Tags: t.tags, TableStats: t.stats}
 }
 
 // Snapshot bundles cache-wide counters, occupancy, and the per-table view
@@ -393,30 +454,33 @@ type Result struct {
 // slowpath), so the shared buffer is safe.
 //
 //gf:hotpath
-func (c *Cache) Lookup(k flow.Key, now int64) Result {
-	return c.lookupStats(k, now, &c.stats)
+func (c *Cache) Lookup(k flow.Key, now int64) (r Result) {
+	c.lookupStats(&k, now, &c.stats, &r)
+	return r
 }
 
 // lookupStats is the Lookup body with its counter destination injected:
 // &c.stats for single lookups, a batch-local accumulator for BatchLookup.
 // Per-table hit counts, entry hit counts, and LRU positions always update
-// per packet; only the cache-wide counters are redirected.
+// per packet; only the cache-wide counters are redirected. The result is
+// built in *r, which must be zero on entry: the key is copied once, into
+// r.Final, and every matched commit rewrites it there.
 //
 //gf:hotpath
-func (c *Cache) lookupStats(k flow.Key, now int64, s *Stats) Result {
-	tag := c.startTag
-	cur := k
+func (c *Cache) lookupStats(k *flow.Key, now int64, s *Stats, r *Result) {
+	slot := c.startSlot
+	r.Final = *k
 	c.path = c.path[:0]
 	for _, t := range c.tables {
 		s.TablesProbed++
-		e, probes := t.lookup(tag, cur)
+		e, probes := t.lookup(slot, &r.Final)
 		s.TupleProbes += uint64(probes)
 		if e == nil {
 			continue
 		}
 		t.stats.Hits++
 		c.path = append(c.path, e)
-		cur, _ = flow.Apply(cur, e.Commit)
+		flow.ApplyTo(&r.Final, e.Commit)
 		if e.Terminal {
 			for _, pe := range c.path {
 				pe.Hits++
@@ -424,15 +488,16 @@ func (c *Cache) lookupStats(k flow.Key, now int64, s *Stats) Result {
 				pe.table.touch(pe)
 			}
 			s.Hits++
-			return Result{Hit: true, Verdict: e.Verdict, Final: cur, Path: c.path}
+			r.Hit, r.Verdict, r.Path = true, e.Verdict, c.path
+			return
 		}
-		tag = e.NextTag
+		slot = e.nextSlot
 	}
 	s.Misses++
 	if len(c.path) > 0 {
 		s.Stalls++
 	}
-	return Result{Path: c.path}
+	r.Final, r.Path = flow.Key{}, c.path
 }
 
 // BatchLookup accumulates the cache-wide lookup counters (hits, misses,
@@ -451,8 +516,9 @@ func (c *Cache) BatchLookup() BatchLookup { return BatchLookup{c: c} }
 // Lookup is Cache.Lookup with counters deferred to Flush.
 //
 //gf:hotpath
-func (b *BatchLookup) Lookup(k flow.Key, now int64) Result {
-	return b.c.lookupStats(k, now, &b.delta)
+func (b *BatchLookup) Lookup(k flow.Key, now int64) (r Result) {
+	b.c.lookupStats(&k, now, &b.delta, &r)
+	return r
 }
 
 // Flush folds the accumulated counters into the cache's Stats — the one
@@ -472,20 +538,19 @@ func (b *BatchLookup) Flush() {
 
 // Peek is Lookup without statistics or LRU side effects.
 func (c *Cache) Peek(k flow.Key) Result {
-	tag := c.startTag
-	cur := k
+	slot := c.startSlot
 	var path []*Entry
 	for _, t := range c.tables {
-		e, _ := t.lookup(tag, cur)
+		e, _ := t.lookup(slot, &k)
 		if e == nil {
 			continue
 		}
 		path = append(path, e)
-		cur, _ = flow.Apply(cur, e.Commit)
+		flow.ApplyTo(&k, e.Commit)
 		if e.Terminal {
-			return Result{Hit: true, Verdict: e.Verdict, Final: cur, Path: path}
+			return Result{Hit: true, Verdict: e.Verdict, Final: k, Path: path}
 		}
-		tag = e.NextTag
+		slot = e.nextSlot
 	}
 	return Result{Path: path}
 }

@@ -2,6 +2,7 @@ package gigaflow
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"gigaflow/internal/flow"
@@ -493,5 +494,84 @@ func TestEntryString(t *testing.T) {
 	}
 	if c.Config().TableCapacity != 16 {
 		t.Error("Config() wrong")
+	}
+}
+
+// chainPipelineWithIDs is buildChainPipeline with the three tables
+// registered under arbitrary IDs.
+func chainPipelineWithIDs(l2, l3, l4 int) *pipeline.Pipeline {
+	p := pipeline.New("chain")
+	p.AddTable(l2, "l2", flow.NewFieldSet(flow.FieldEthDst))
+	p.AddTable(l3, "l3", flow.NewFieldSet(flow.FieldIPDst))
+	p.AddTable(l4, "l4", flow.NewFieldSet(flow.FieldTpSrc))
+	p.MustAddRule(l2, flow.MustParseMatch("eth_dst=00:00:00:00:00:01"), 10, nil, l3)
+	p.MustAddRule(l2, flow.MustParseMatch("eth_dst=00:00:00:00:00:02"), 10, nil, l3)
+	p.MustAddRule(l3, flow.MustParseMatch("ip_dst=10.0.0.0/24"), 10, nil, l4)
+	p.MustAddRule(l3, flow.MustParseMatch("ip_dst=10.1.0.0/24"), 10, nil, l4)
+	p.MustAddRule(l4, flow.MustParseMatch("tp_src=1000"), 10, []flow.Action{flow.Output(1)}, pipeline.NoTable)
+	p.MustAddRule(l4, flow.MustParseMatch("tp_src=2000"), 10, []flow.Action{flow.Output(2)}, pipeline.NoTable)
+	return p
+}
+
+// Table IDs are arbitrary ints (AddTable and ofp.Load accept any), so the
+// cache must behave the same whatever they are: a negative, a huge and a
+// beyond-32-bit ID give exactly the results, counters and occupancy of
+// 0/1/2, through install, hit, miss, expiry and revalidation — and in no
+// more memory (a tag-indexed slice would need 50M slots here).
+func TestArbitraryTableIDs(t *testing.T) {
+	type outcome struct {
+		results  []Result
+		stats    Stats
+		tables   []TableSnapshot
+		coverage uint64
+		expired  int
+		revoked  int
+	}
+	run := func(l2, l3, l4 int) outcome {
+		p := chainPipelineWithIDs(l2, l3, l4)
+		c := New(p, Config{NumTables: 3, TableCapacity: 4})
+		var o outcome
+		now := int64(0)
+		for _, mac := range []uint64{1, 2, 3} {
+			for _, ip := range []uint64{5, 0x10005} {
+				for _, sport := range []uint64{1000, 2000} {
+					now++
+					k := chainKey(mac, ip, sport)
+					r := c.Lookup(k, now)
+					if tr := p.MustProcess(k); !r.Hit && tr.Verdict.Terminal() {
+						if _, err := c.Insert(tr, now); err != nil {
+							t.Fatalf("ids %d/%d/%d: insert: %v", l2, l3, l4, err)
+						}
+					}
+					if pk := c.Peek(k); pk.Hit != c.Lookup(k, now).Hit {
+						t.Fatalf("ids %d/%d/%d: Peek and Lookup disagree", l2, l3, l4)
+					}
+					r.Path = nil // entry pointers differ between runs
+					o.results = append(o.results, r)
+				}
+			}
+		}
+		o.coverage = c.Coverage()
+		o.expired = c.ExpireIdle(now, 6)
+		p.MustAddRule(l3, flow.MustParseMatch("ip_dst=10.0.0.0/25"), 20, nil, l4)
+		o.revoked, _ = c.Revalidate()
+		o.stats = c.Stats()
+		for i := 0; i < c.NumTables(); i++ {
+			o.tables = append(o.tables, c.TableSnapshot(i))
+			if n := len(c.tables[i].bySlot); n > 3 {
+				t.Errorf("ids %d/%d/%d: table %d holds %d classifier slots for 3 tags", l2, l3, l4, i, n)
+			}
+		}
+		return o
+	}
+	want := run(0, 1, 2)
+	if want.stats.Hits == 0 || want.expired == 0 || want.revoked == 0 {
+		t.Fatalf("baseline exercises too little: %+v expired %d revoked %d", want.stats, want.expired, want.revoked)
+	}
+	for _, ids := range [][3]int{{-5, 50_000_000, 1 << 40}, {7, -1 << 40, 3}} {
+		got := run(ids[0], ids[1], ids[2])
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("ids %v:\n got %+v\nwant %+v", ids, got, want)
+		}
 	}
 }

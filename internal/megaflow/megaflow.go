@@ -148,12 +148,11 @@ func (c *Cache) Lookup(k flow.Key, now int64) (*Entry, bool) {
 //
 //gf:hotpath
 func (c *Cache) lookupStats(k flow.Key, now int64, s *Stats) (*Entry, bool) {
-	e, _ := c.cls.Lookup(k)
-	if e == nil {
+	ent, _, ok := c.cls.LookupValue(&k)
+	if !ok {
 		s.Misses++
 		return nil, false
 	}
-	ent := e.Value
 	ent.Hits++
 	ent.LastHit = now
 	c.touch(ent)

@@ -7,29 +7,36 @@ import (
 	"gigaflow/internal/flow"
 )
 
-func benchCache(n int) (*Cache, []flow.Key, []flow.Key) {
-	rng := rand.New(rand.NewSource(1))
-	c := New(n)
-	hits := make([]flow.Key, n)
-	misses := make([]flow.Key, n)
-	for i := range hits {
-		hits[i] = flow.Key{}.
+// benchCap is the tier capacity the service runs with: the slab and the
+// index are then several times a core's private caches, as they are under
+// the end-to-end benchmark.
+const benchCap = 32768
+
+func benchKeys(n int, seed int64) []flow.Key {
+	rng := rand.New(rand.NewSource(seed))
+	keys := make([]flow.Key, n)
+	for i := range keys {
+		keys[i] = flow.Key{}.
 			With(flow.FieldIPSrc, rng.Uint64()).
 			With(flow.FieldIPDst, rng.Uint64()).
 			With(flow.FieldTpSrc, uint64(i))
-		misses[i] = flow.Key{}.
-			With(flow.FieldIPSrc, rng.Uint64()).
-			With(flow.FieldIPDst, rng.Uint64()).
-			With(flow.FieldTpDst, uint64(i))
-		c.Insert(hits[i], hits[i], flow.Verdict{Kind: flow.VerdictOutput, Port: 1}, 0)
 	}
-	return c, hits, misses
+	return keys
 }
 
-// BenchmarkCacheLookupHit is the exact-match first-tier hit path: one
-// fused probe on the full-mask flow table plus LRU touch.
-func BenchmarkCacheLookupHit(b *testing.B) {
-	c, hits, _ := benchCache(4096)
+func benchCache() (*Cache, []flow.Key) {
+	c := New(benchCap)
+	hits := benchKeys(benchCap, 1)
+	for _, k := range hits {
+		c.Insert(k, k, flow.Verdict{Kind: flow.VerdictOutput, Port: 1}, 0)
+	}
+	return c, hits
+}
+
+// BenchmarkLookupHit is the exact-match first-tier hit path: one index
+// probe, one key compare, LRU touch.
+func BenchmarkLookupHit(b *testing.B) {
+	c, hits := benchCache()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -39,15 +46,35 @@ func BenchmarkCacheLookupHit(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheLookupMiss is the exact-match miss path — what every
-// packet pays before falling through to the main cache.
-func BenchmarkCacheLookupMiss(b *testing.B) {
-	c, _, misses := benchCache(4096)
+// BenchmarkLookupMiss is the exact-match miss path — what every packet
+// pays before falling through to the main cache.
+func BenchmarkLookupMiss(b *testing.B) {
+	c, _ := benchCache()
+	misses := benchKeys(benchCap, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := c.Lookup(misses[i%len(misses)], int64(i)); ok {
 			b.Fatal("unexpected hit")
 		}
+	}
+}
+
+// BenchmarkInsertThrash memoizes a round-robin key set six times the
+// capacity into a full tier, so every insert evicts the LRU tail and
+// reuses its storage — what the tier does on every packet when the
+// working set outgrows it.
+func BenchmarkInsertThrash(b *testing.B) {
+	c, _ := benchCache()
+	keys := benchKeys(6*benchCap, 3)
+	v := flow.Verdict{Kind: flow.VerdictOutput, Port: 2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := &keys[i%len(keys)]
+		c.Insert(*k, *k, v, int64(i))
+	}
+	if got := c.Stats().EvictLRU; got != uint64(b.N) {
+		b.Fatalf("%d evictions in %d inserts", got, b.N)
 	}
 }

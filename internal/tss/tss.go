@@ -4,14 +4,16 @@
 //
 // Rules are grouped into "tuples" by identical wildcard mask; each tuple is
 // a fused mask+hash flow table (internal/flowtable) keyed by the masked
-// flow key: probing a tuple masks and hashes the packet key in one pass
-// over the mask's non-zero words — no 80-byte Apply copy, no second
-// full-key hash, no Go map overhead. A lookup probes tuples in decreasing
-// order of their maximum rule priority and stops as soon as the best match
-// found so far outranks every remaining tuple — the same staged-lookup
-// optimisation OVS applies. The per-lookup cost is O(M) hash probes in the
-// worst case, M being the number of distinct masks; the classifier reports
-// probe counts so the simulator can charge CPU cycles accordingly.
+// flow key, whose slots hold the winning entry's priority and payload
+// beside the chain of entries with that predicate. Probing a tuple masks
+// and hashes the packet key in one pass over the mask's non-zero words —
+// no 80-byte Apply copy, no second full-key hash, no Go map overhead. A
+// lookup probes tuples in decreasing order of their maximum rule priority
+// and stops as soon as the best match found so far outranks every
+// remaining tuple — the same staged-lookup optimisation OVS applies. The
+// per-lookup cost is O(M) hash probes in the worst case, M being the
+// number of distinct masks; the classifier reports probe counts so the
+// simulator can charge CPU cycles accordingly.
 package tss
 
 import (
@@ -23,19 +25,38 @@ import (
 )
 
 // Entry is one classifier rule: a ternary match with a priority and an
-// opaque payload.
+// opaque payload. Priority and Value must not change while the entry is
+// in a classifier.
 type Entry[T any] struct {
 	Match    flow.Match
 	Priority int
 	Value    T
+
+	// next chains the entries sharing this exact predicate, by priority
+	// descending.
+	next *Entry[T]
+}
+
+// bucket is what a tuple's table stores per distinct predicate: the chain
+// of entries with that predicate, and a copy of the winning (head)
+// entry's priority and payload. A lookup that only wants the payload
+// reads it from the slot the probe already loaded instead of chasing
+// bucket → entry → Value.
+type bucket[T any] struct {
+	val  T
+	prio int
+	head *Entry[T]
+}
+
+func (b *bucket[T]) setHead(e *Entry[T]) {
+	b.val, b.prio, b.head = e.Value, e.Priority, e
 }
 
 // tuple is the set of rules sharing one mask: a fused-probe table from
-// masked key to the bucket of entries with that exact predicate, sorted
-// by priority descending.
+// masked key to the bucket of entries with that exact predicate.
 type tuple[T any] struct {
 	mask    flow.Mask
-	table   *flowtable.Table[[]*Entry[T]]
+	table   *flowtable.Table[bucket[T]]
 	count   int
 	maxPrio int
 }
@@ -75,23 +96,32 @@ func (c *Classifier[T]) Insert(e *Entry[T]) (replaced bool) {
 	e.Match = e.Match.Normalize()
 	tp := c.tuples[e.Match.Mask]
 	if tp == nil {
-		tp = &tuple[T]{mask: e.Match.Mask, table: flowtable.New[[]*Entry[T]](e.Match.Mask, 0)}
+		tp = &tuple[T]{mask: e.Match.Mask, table: flowtable.New[bucket[T]](e.Match.Mask, 0)}
 		c.tuples[e.Match.Mask] = tp
 		c.dirty = true
 	}
-	bucket, _ := tp.table.Lookup(e.Match.Key)
-	for i, old := range bucket {
-		if old.Priority == e.Priority {
-			bucket[i] = e
+	if b := tp.table.Find(&e.Match.Key); b == nil {
+		e.next = nil
+		tp.table.Put(e.Match.Key, bucket[T]{val: e.Value, prio: e.Priority, head: e})
+	} else {
+		// The chain is sorted by priority descending.
+		link := &b.head
+		for *link != nil && (*link).Priority > e.Priority {
+			link = &(*link).next
+		}
+		if old := *link; old != nil && old.Priority == e.Priority {
+			e.next, old.next, replaced = old.next, nil, true
+		} else {
+			e.next = old
+		}
+		*link = e
+		if link == &b.head {
+			b.setHead(e)
+		}
+		if replaced {
 			return true
 		}
 	}
-	// Insert keeping the bucket sorted by priority descending.
-	pos := sort.Search(len(bucket), func(i int) bool { return bucket[i].Priority < e.Priority })
-	bucket = append(bucket, nil)
-	copy(bucket[pos+1:], bucket[pos:])
-	bucket[pos] = e
-	tp.table.Put(e.Match.Key, bucket)
 	tp.count++
 	c.count++
 	if e.Priority > tp.maxPrio || tp.count == 1 {
@@ -109,31 +139,36 @@ func (c *Classifier[T]) Delete(m flow.Match, priority int) bool {
 	if tp == nil {
 		return false
 	}
-	bucket, _ := tp.table.Lookup(m.Key)
-	for i, e := range bucket {
-		if e.Priority == priority {
-			bucket = append(bucket[:i], bucket[i+1:]...)
-			if len(bucket) == 0 {
-				tp.table.Delete(m.Key)
-			} else {
-				tp.table.Put(m.Key, bucket)
-			}
-			tp.count--
-			c.count--
-			if tp.count == 0 {
-				delete(c.tuples, m.Mask)
-				c.dirty = true
-			}
-			// tp.maxPrio is left as an upper bound: recomputing it on
-			// every delete is O(tuple size) and caches with uniform
-			// priorities (e.g. megaflow, where every entry has priority
-			// 0) delete constantly under LRU churn. A stale-high maxPrio
-			// only makes the staged lookup probe a tuple it could have
-			// skipped — sound, marginally less aggressive.
-			return true
-		}
+	b := tp.table.Find(&m.Key)
+	if b == nil {
+		return false
 	}
-	return false
+	link := &b.head
+	for *link != nil && (*link).Priority != priority {
+		link = &(*link).next
+	}
+	e := *link
+	if e == nil {
+		return false
+	}
+	*link, e.next = e.next, nil
+	if b.head == nil {
+		tp.table.Delete(m.Key)
+	} else if link == &b.head {
+		b.setHead(b.head)
+	}
+	tp.count--
+	c.count--
+	if tp.count == 0 {
+		delete(c.tuples, m.Mask)
+		c.dirty = true
+	}
+	// tp.maxPrio is left as an upper bound: recomputing it on every delete
+	// is O(tuple size) and caches with uniform priorities (e.g. megaflow,
+	// where every entry has priority 0) delete constantly under LRU churn.
+	// A stale-high maxPrio only makes the staged lookup probe a tuple it
+	// could have skipped — sound, marginally less aggressive.
+	return true
 }
 
 // rebuildOrder refreshes the priority-descending tuple ordering.
@@ -163,30 +198,56 @@ func maskLess(a, b flow.Mask) bool {
 	return false
 }
 
+// find is the staged lookup every payload-or-entry lookup shares: the
+// bucket of the highest-priority predicate matching *k, and the number of
+// tuples probed. The bucket pointer aims into a tuple's table and is
+// valid until the classifier is next mutated.
+//
+//gf:hotpath
+func (c *Classifier[T]) find(k *flow.Key) (*bucket[T], int) {
+	if c.dirty {
+		c.rebuildOrder()
+	}
+	c.Lookups++
+	var best *bucket[T]
+	probes := 0
+	for _, tp := range c.order {
+		if best != nil && best.prio >= tp.maxPrio {
+			break // staged lookup: no remaining tuple can win
+		}
+		probes++
+		if b := tp.table.Find(k); b != nil && (best == nil || b.prio > best.prio) {
+			best = b
+		}
+	}
+	c.Probes += uint64(probes)
+	return best, probes
+}
+
 // Lookup returns the highest-priority entry matching k, along with the
 // number of tuples probed. Returns nil when nothing matches.
 //
 //gf:hotpath
 func (c *Classifier[T]) Lookup(k flow.Key) (*Entry[T], int) {
-	if c.dirty {
-		c.rebuildOrder()
+	b, probes := c.find(&k)
+	if b == nil {
+		return nil, probes
 	}
-	c.Lookups++
-	var best *Entry[T]
-	probes := 0
-	for _, tp := range c.order {
-		if best != nil && best.Priority >= tp.maxPrio {
-			break // staged lookup: no remaining tuple can win
-		}
-		probes++
-		if bucket, ok := tp.table.Lookup(k); ok && len(bucket) > 0 {
-			if e := bucket[0]; best == nil || e.Priority > best.Priority {
-				best = e
-			}
-		}
+	return b.head, probes
+}
+
+// LookupValue is Lookup for callers that want only the winning entry's
+// payload: the key travels by pointer and the payload comes from the
+// table slot the probe loaded, so no Entry is touched. ok is false when
+// nothing matches.
+//
+//gf:hotpath
+func (c *Classifier[T]) LookupValue(k *flow.Key) (v T, probes int, ok bool) {
+	b, probes := c.find(k)
+	if b == nil {
+		return v, probes, false
 	}
-	c.Probes += uint64(probes)
-	return best, probes
+	return b.val, probes, true
 }
 
 // LookupWild is Lookup plus megaflow-style wildcard tracking: it returns
@@ -211,10 +272,8 @@ func (c *Classifier[T]) LookupWild(k flow.Key) (*Entry[T], flow.Mask, int) {
 		}
 		probes++
 		wild = wild.Union(tp.mask)
-		if bucket, ok := tp.table.Lookup(k); ok && len(bucket) > 0 {
-			if e := bucket[0]; best == nil || e.Priority > best.Priority {
-				best = e
-			}
+		if b := tp.table.Find(&k); b != nil && (best == nil || b.prio > best.Priority) {
+			best = b.head
 		}
 	}
 	c.Probes += uint64(probes)
@@ -256,10 +315,8 @@ func (c *Classifier[T]) LookupWildPrecise(k flow.Key) (*Entry[T], flow.Mask, int
 		}
 		probes++
 		c.probed = append(c.probed, tp)
-		if bucket, ok := tp.table.Lookup(k); ok && len(bucket) > 0 {
-			if e := bucket[0]; best == nil || e.Priority > best.Priority {
-				best = e
-			}
+		if b := tp.table.Find(&k); b != nil && (best == nil || b.prio > best.Priority) {
+			best = b.head
 		}
 	}
 	c.Probes += uint64(probes)
@@ -282,10 +339,9 @@ func (c *Classifier[T]) LookupWildPrecise(k flow.Key) (*Entry[T], flow.Mask, int
 			continue
 		}
 		for it := tp.table.Iter(); it.Next(); {
-			bucket := it.Value()
-			for _, e := range bucket {
+			for e := it.Value().head; e != nil; e = e.next {
 				if e.Priority < bestPrio {
-					break // buckets are sorted by priority descending
+					break // chains are sorted by priority descending
 				}
 				if e == best {
 					continue
@@ -325,10 +381,11 @@ func (c *Classifier[T]) Get(m flow.Match, priority int) (*Entry[T], bool) {
 	if tp == nil {
 		return nil, false
 	}
-	bucket, _ := tp.table.Lookup(m.Key)
-	for _, e := range bucket {
-		if e.Priority == priority {
-			return e, true
+	if b := tp.table.Find(&m.Key); b != nil {
+		for e := b.head; e != nil; e = e.next {
+			if e.Priority == priority {
+				return e, true
+			}
 		}
 	}
 	return nil, false
@@ -346,7 +403,7 @@ func (c *Classifier[T]) Range(fn func(*Entry[T]) bool) {
 	}
 	for _, tp := range c.order {
 		for it := tp.table.Iter(); it.Next(); {
-			for _, e := range it.Value() {
+			for e := it.Value().head; e != nil; e = e.next {
 				if !fn(e) {
 					return
 				}

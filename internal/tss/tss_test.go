@@ -291,3 +291,71 @@ func BenchmarkLookupHit(b *testing.B) {
 		c.Lookup(keys[i%len(keys)])
 	}
 }
+
+// checkBuckets asserts the invariant the payload-in-slot lookup rests on:
+// every bucket's cached val/prio are its head entry's, and its chain is
+// strictly priority-descending.
+func checkBuckets(t *testing.T, c *Classifier[int], when string) {
+	t.Helper()
+	for _, tp := range c.tuples {
+		tp.table.Range(func(_ flow.Key, b bucket[int]) bool {
+			if b.head == nil {
+				t.Fatalf("%s: empty bucket left in the table", when)
+			}
+			if b.val != b.head.Value || b.prio != b.head.Priority {
+				t.Fatalf("%s: bucket caches {val %d prio %d}, head is {val %d prio %d}",
+					when, b.val, b.prio, b.head.Value, b.head.Priority)
+			}
+			for e := b.head; e.next != nil; e = e.next {
+				if e.Priority <= e.next.Priority {
+					t.Fatalf("%s: chain not descending: %d then %d", when, e.Priority, e.next.Priority)
+				}
+			}
+			return true
+		})
+	}
+}
+
+// The bucket's cached head copy must track the chain through every
+// mutation: replace at the head, insert above and below it, delete the
+// head, a middle entry, the tail, and the last entry.
+func TestBucketHeadCopyTracksChain(t *testing.T) {
+	c := New[int]()
+	m := flow.MustParseMatch("ip_dst=10.0.0.0/8")
+	k := flow.MustParseKey("ip_dst=10.1.2.3")
+	want := func(when string, val int, ok bool) {
+		t.Helper()
+		checkBuckets(t, c, when)
+		v, _, hit := c.LookupValue(&k)
+		if e, _ := c.Lookup(k); hit != ok || (e != nil) != ok || (ok && (v != val || e.Value != val)) {
+			t.Fatalf("%s: LookupValue = %d,%v; Lookup = %v; want %d,%v", when, v, hit, e, val, ok)
+		}
+	}
+	ins := func(prio, val int) { c.Insert(&Entry[int]{Match: m, Priority: prio, Value: val}) }
+
+	ins(5, 50)
+	want("first insert", 50, true)
+	ins(5, 51)
+	want("replace sole head", 51, true)
+	ins(3, 30)
+	want("insert below head", 51, true)
+	ins(9, 90)
+	want("insert above head", 90, true)
+	ins(7, 70)
+	want("insert in the middle", 90, true)
+	ins(9, 91)
+	want("replace head of a chain", 91, true)
+	ins(7, 71)
+	want("replace a middle entry", 91, true)
+	c.Delete(m, 7)
+	want("delete a middle entry", 91, true)
+	c.Delete(m, 9)
+	want("delete the head", 51, true)
+	c.Delete(m, 3)
+	want("delete the tail", 51, true)
+	c.Delete(m, 5)
+	want("delete the last entry", 0, false)
+	if c.Len() != 0 || c.NumTuples() != 0 {
+		t.Fatalf("classifier not empty: %d entries, %d tuples", c.Len(), c.NumTuples())
+	}
+}

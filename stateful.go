@@ -102,7 +102,7 @@ func (v *VSwitch) ctInvalidatePath(path []*gfcache.Entry) {
 // host pairs come and go, and an exact entry has no way to revalidate
 // that.
 //
-//gf:hotpath-safe Microflow insert allocates only on first sight of a flow
+//gf:hotpath
 func (v *VSwitch) memoizeCt(k, final Key, verdict Verdict, now int64,
 	conn *conntrack.Conn, dir conntrack.Dir) {
 	if v.uf == nil {

@@ -287,6 +287,53 @@ func TestTransitionInvalidatesImmediately(t *testing.T) {
 	}
 }
 
+// TestRecycledMemoServesWithoutGuard: the Microflow tier reuses an evicted
+// entry's storage in place, so a connection-bound memo's storage can come
+// back holding a connection-independent flow. That flow's hits must serve
+// unguarded — a connection pointer surviving the reuse would subject them
+// to another flow's epoch guard and, once that connection moved on, drop
+// a perfectly good memo.
+func TestRecycledMemoServesWithoutGuard(t *testing.T) {
+	vs := NewVSwitch(statefulPipeline(), CacheConfig{NumTables: 4, TableCapacity: 1024},
+		WithMicroflow(1), WithConntrack(0))
+	tcp := ctKey(1, packet.IPProtoTCP)
+	gre := ctKey(2, 47) // untracked protocol: no connection, ordinary memo
+
+	if _, err := vs.ProcessMeta(tcp, packet.TCPSyn, 1); err != nil {
+		t.Fatal(err)
+	}
+	bound, ok := vs.Microflow().Lookup(tcp, 1)
+	if !ok || bound.Ct == nil {
+		t.Fatalf("SYN left no connection-bound memo: %+v, %v", bound, ok)
+	}
+	if _, err := vs.ProcessMeta(gre, 0, 2); err != nil { // evicts the TCP memo
+		t.Fatal(err)
+	}
+	if e, ok := vs.Microflow().Lookup(gre, 2); !ok || e != bound || e.Ct != nil || e.CtEpoch != 0 || e.CtDir != 0 {
+		t.Fatalf("memo in reused storage = %+v, %v (bound entry was %p)", e, ok, bound)
+	}
+	// Move the TCP connection on: its epoch changes, so a leaked pointer
+	// would now fail the guard.
+	if _, err := vs.ProcessMeta(tcp, packet.TCPRst, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vs.ProcessMeta(gre, 0, 4); err != nil {
+		t.Fatal(err)
+	}
+	before := vs.Stats()
+	r, err := vs.ProcessMeta(gre, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := vs.Stats()
+	if !r.MicroflowHit {
+		t.Fatalf("connection-independent memo did not serve: %+v", r)
+	}
+	if after.CtFastpath != before.CtFastpath || after.CtGuardFails != before.CtGuardFails {
+		t.Errorf("hit went through the conntrack guard: before %+v, after %+v", before, after)
+	}
+}
+
 // TestConntrackOffBitIdentical: with conntrack disabled the stateful
 // entry points must be the stateless datapath, bit for bit — same
 // results AND same counters, TCP flags ignored.

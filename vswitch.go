@@ -590,8 +590,11 @@ func (v *VSwitch) processMissCt(k, kt Key, conn *conntrack.Conn, dir conntrack.D
 }
 
 // memoize records a processed flow in the Microflow tier, when enabled.
+// The insert is part of the certified hot path: a full tier recycles its
+// LRU entry in place, and a filling one grows its slab behind the
+// microflow package's own audited boundary.
 //
-//gf:hotpath-safe Microflow insert allocates only on first sight of a flow; steady-state hits overwrite in place
+//gf:hotpath
 func (v *VSwitch) memoize(k, final Key, verdict Verdict, now int64) {
 	if v.uf != nil {
 		v.uf.Insert(k, final, verdict, now)
