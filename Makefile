@@ -142,11 +142,13 @@ bench-json:
 ## oracle: extractor output must agree with the full decoder on every
 ## corpus input. FuzzMicroflowOps and FuzzOpsDifferential replay op tapes
 ## through the Microflow tier and the flow table against their map-backed
-## reference models.
+## reference models, FuzzInsertOps through the LTM cache's
+## probe-before-build install against the build-then-dedupe original.
 fuzz-regress:
 	$(GO) test -run 'FuzzDecode|FuzzRSSHash' ./internal/packet
 	$(GO) test -run 'FuzzMicroflowOps' ./internal/microflow
 	$(GO) test -run 'FuzzOpsDifferential' ./internal/flowtable
+	$(GO) test -run 'FuzzInsertOps' ./internal/gigaflow
 
 ## fuzz: actively fuzz the frame decoder for a short burst. New crashers
 ## land in internal/packet/testdata/fuzz/FuzzDecode — check them in.

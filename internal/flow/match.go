@@ -34,6 +34,14 @@ func (m Match) Matches(k Key) bool {
 // Normalize returns m with its key canonicalized under its mask.
 func (m Match) Normalize() Match { return NewMatch(m.Key, m.Mask) }
 
+// NormalizeInPlace is Normalize on the match itself: the form the install
+// paths use, where a 176-byte predicate travels by pointer.
+func (m *Match) NormalizeInPlace() {
+	for i := range m.Key {
+		m.Key[i] &= m.Mask[i]
+	}
+}
+
 // Fields returns the set of fields the match constrains.
 func (m Match) Fields() FieldSet { return m.Mask.Fields() }
 
@@ -78,10 +86,18 @@ func (m Match) Overlaps(o Match) bool {
 	return true
 }
 
-// Equal reports whether the two (normalized) matches are identical
-// predicates.
-func (m Match) Equal(o Match) bool {
-	return m.Mask == o.Mask && m.Key.Apply(m.Mask) == o.Key.Apply(o.Mask)
+// Equal reports whether the two matches are identical predicates; neither
+// needs to be normalized.
+func (m Match) Equal(o Match) bool { return m.EqualTo(&o) }
+
+// EqualTo is Equal with both predicates by pointer.
+func (m *Match) EqualTo(o *Match) bool {
+	for i := range m.Mask {
+		if m.Mask[i] != o.Mask[i] || (m.Key[i]^o.Key[i])&m.Mask[i] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // String renders the match as "field=value[/mask]" pairs, or "*" when it

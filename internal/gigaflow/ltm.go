@@ -20,7 +20,7 @@ const TagDone = -2
 //
 // Field order is layout: everything a hit reads or writes — the action α,
 // the counters, the LRU links — leads the struct, so it occupies the
-// entry's first two cache lines; the ~400 bytes only installation,
+// entry's first two cache lines; the ~450 bytes only installation,
 // revalidation and introspection read follow.
 type Entry struct {
 	// Commit is the set-field part of α: the header rewrites accumulated
@@ -30,9 +30,6 @@ type Entry struct {
 	// tag numbering (tagSlots), resolved once at install: the hit path
 	// follows nextSlot and never reads the tags themselves.
 	nextSlot, slot int32
-	// Priority is ρ: the number of pipeline tables spanned; LTM picks the
-	// longest span among matching entries in a table.
-	Priority int
 	// Terminal marks the traversal-ending sub-traversal; Verdict is its
 	// output/drop decision.
 	Terminal bool
@@ -51,16 +48,19 @@ type Entry struct {
 	// NextTag is the tag update in α: the pipeline table expected after
 	// this sub-traversal, or TagDone when Terminal.
 	NextTag int
-	// Match is M_k over ω_k: the flow-state predicate at sub-traversal
-	// entry.
-	Match flow.Match
+	// The embedded classifier node carries Match — M_k over ω_k, the
+	// flow-state predicate at sub-traversal entry — and Priority — ρ, the
+	// number of pipeline tables spanned; LTM picks the longest span among
+	// matching entries in a table. Embedding it makes a resident entry one
+	// object holding one copy of its predicate; Value points back at the
+	// entry and neither it nor Match nor Priority may change while the
+	// entry is installed.
+	tss.Entry[*Entry]
 	// Parent is the flow state entering the sub-traversal when it was
 	// created; revalidation replays it from Tag for Priority steps.
 	Parent flow.Key
 	// Version is the pipeline version last validated against.
 	Version uint64
-	// Sig is the sub-traversal's path signature (table:rule sequence).
-	Sig string
 	// Installs counts how many slowpath traversals produced this entry —
 	// the sub-traversal sharing frequency of Fig. 11.
 	Installs uint64
@@ -84,7 +84,8 @@ func (e *Entry) String() string {
 }
 
 // TableIndex reports which LTM cache table (GF_k) holds the entry, or -1
-// for an entry not currently installed.
+// for an entry not currently installed — never installed, or since
+// evicted, expired, revoked or replaced.
 func (e *Entry) TableIndex() int {
 	if e.table == nil {
 		return -1
@@ -167,7 +168,11 @@ func (t *ltmTable) lookup(slot int32, k *flow.Key) (*Entry, int) {
 	return e, probes
 }
 
-func (t *ltmTable) get(tag int, m flow.Match, prio int) *Entry {
+// get returns the entry with exactly tag, predicate *m and priority, or
+// nil.
+//
+//gf:hotpath
+func (t *ltmTable) get(tag int, m *flow.Match, prio int) *Entry {
 	slot, ok := t.slots[tag]
 	if !ok {
 		return nil
@@ -176,11 +181,11 @@ func (t *ltmTable) get(tag int, m flow.Match, prio int) *Entry {
 	if cls == nil {
 		return nil
 	}
-	e, ok := cls.Get(m, prio)
-	if !ok {
+	n := cls.GetMatch(m, prio)
+	if n == nil {
 		return nil
 	}
-	return e.Value
+	return n.Value
 }
 
 func (t *ltmTable) insert(e *Entry) {
@@ -197,25 +202,33 @@ func (t *ltmTable) insert(e *Entry) {
 		t.bySlot[e.slot] = cls
 		t.tags++
 	}
-	cls.Insert(&tss.Entry[*Entry]{Match: e.Match, Priority: e.Priority, Value: e})
+	e.Value = e
+	cls.Insert(&e.Entry)
 	e.table = t
 	t.count++
 	t.pushFront(e)
 }
 
-func (t *ltmTable) remove(e *Entry) {
+// remove takes e out of the table, reporting whether it was resident: an
+// entry that already left — evicted, expired, revoked or replaced, whoever
+// still holds the pointer — is left alone, and so is whatever entry has
+// taken over its predicate since.
+func (t *ltmTable) remove(e *Entry) bool {
+	if e == nil || e.table != t {
+		return false
+	}
 	cls := t.classifier(e.slot)
-	if cls == nil {
-		return
+	if cls == nil || !cls.Remove(&e.Entry) {
+		return false
 	}
-	if cls.Delete(e.Match, e.Priority) {
-		t.count--
-		t.unlink(e)
-		if cls.Len() == 0 {
-			t.bySlot[e.slot] = nil
-			t.tags--
-		}
+	e.table = nil
+	t.count--
+	t.unlink(e)
+	if cls.Len() == 0 {
+		t.bySlot[e.slot] = nil
+		t.tags--
 	}
+	return true
 }
 
 func (t *ltmTable) pushFront(e *Entry) {
@@ -252,14 +265,23 @@ func (t *ltmTable) touch(e *Entry) {
 	t.pushFront(e)
 }
 
+// entries returns the table's entries in the deterministic classifier
+// order.
 func (t *ltmTable) entries() []*Entry {
-	out := make([]*Entry, 0, t.count)
+	return t.appendEntries(make([]*Entry, 0, t.count), nil)
+}
+
+// appendEntries appends to out the entries keep accepts (all of them when
+// keep is nil), in entries' order.
+func (t *ltmTable) appendEntries(out []*Entry, keep func(*Entry) bool) []*Entry {
 	for _, cls := range t.bySlot {
 		if cls == nil {
 			continue
 		}
-		cls.Range(func(e *tss.Entry[*Entry]) bool {
-			out = append(out, e.Value)
+		cls.Range(func(n *tss.Entry[*Entry]) bool {
+			if keep == nil || keep(n.Value) {
+				out = append(out, n.Value)
+			}
 			return true
 		})
 	}
@@ -344,6 +366,20 @@ type Cache struct {
 	// observeInsert marks whether the in-flight InsertPartition should
 	// feed the adaptive estimator (partitioned inserts only).
 	observeInsert bool
+
+	// Install scratch. The cache is single-goroutine and installs one
+	// traversal at a time, so one of each serves every miss: the
+	// partitioner's DP table, one composed candidate per table, the probe
+	// candidate SchemeProfile's residency check composes into, and the
+	// buffer handed out as Insert's result.
+	dp        partitioner
+	cands     []candidate
+	probe     candidate
+	installed []*Entry
+	// replay is the traversal Revalidate re-derives each entry into, and
+	// victims the buffer a sweep collects its removals in.
+	replay  pipeline.Traversal
+	victims []*Entry
 }
 
 // New creates a Gigaflow cache bound to a pipeline (the pipeline defines
@@ -359,6 +395,9 @@ func New(p *pipeline.Pipeline, cfg Config) *Cache {
 		tables:   make([]*ltmTable, cfg.NumTables),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		path:     make([]*Entry, 0, cfg.NumTables),
+
+		cands:     make([]candidate, cfg.NumTables),
+		installed: make([]*Entry, 0, cfg.NumTables),
 	}
 	slots := tagSlots{}
 	c.startSlot = slots.assign(p.Start)
@@ -555,42 +594,87 @@ func (c *Cache) Peek(k flow.Key) Result {
 	return Result{Path: path}
 }
 
-// buildEntry compiles Steps[seg] of tr into an LTM entry.
-func buildEntry(tr *pipeline.Traversal, seg Segment, now int64) *Entry {
-	match, commit := tr.Compose(seg.Start, seg.End)
-	e := &Entry{
-		Tag:      tr.Steps[seg.Start].TableID,
-		Match:    match,
-		Priority: seg.Len(),
-		Commit:   commit,
-		Parent:   tr.Steps[seg.Start].Pre,
-		Version:  tr.Version,
-		Sig:      tr.SegmentSignature(seg.Start, seg.End),
-		Installs: 1,
-		LastHit:  now,
-		Created:  now,
-	}
-	if tr.SegmentCtDep(seg.Start, seg.End) {
-		e.CtConn, e.CtEpoch = tr.CtConn, tr.CtEpoch
-	}
-	if seg.End == tr.Len() && tr.Verdict.Terminal() {
-		e.Terminal = true
-		e.Verdict = tr.Verdict
-		e.NextTag = TagDone
-	} else {
-		e.NextTag = tr.Steps[seg.End].TableID
-	}
-	return e
+// candidate is one sub-traversal compiled to rule form in scratch: what
+// installation probes the target table with before it decides whether an
+// Entry has to exist, and what revalidation compares a resident entry
+// against. Match and Commit are the composed predicate and rewrites;
+// Commit's backing array is reused from one traversal to the next.
+type candidate struct {
+	pipeline.Composed
+	tag, nextTag int
+	prio         int
+	terminal     bool
+	verdict      flow.Verdict
+	ctConn       flow.Key
+	ctEpoch      uint64
+
+	// old is the resident entry holding this predicate in the target table
+	// (nil when none) and shared whether it is behaviourally identical, so
+	// that nothing needs installing; the probe half of InsertPartition
+	// fills them.
+	old    *Entry
+	shared bool
 }
 
-// sameSemantics reports whether an existing entry is behaviourally
-// identical to a candidate (so installation can be deduplicated — the
-// sharing that gives Gigaflow its coverage).
-func sameSemantics(a, b *Entry) bool {
-	return a.Tag == b.Tag && a.Priority == b.Priority && a.Match.Equal(b.Match) &&
-		a.NextTag == b.NextTag && a.Terminal == b.Terminal && a.Verdict == b.Verdict &&
-		a.CtConn == b.CtConn && a.CtEpoch == b.CtEpoch &&
-		flow.ActionsEqual(a.Commit, b.Commit)
+// compose compiles Steps[seg] of tr into the candidate. tr may be a
+// partial traversal (ProcessPartial): a range ending where it stopped
+// continues at its NextTable.
+//
+//gf:hotpath
+func (cd *candidate) compose(tr *pipeline.Traversal, seg Segment) {
+	tr.ComposeInto(seg.Start, seg.End, &cd.Composed)
+	cd.tag, cd.prio = tr.Steps[seg.Start].TableID, seg.Len()
+	cd.ctConn, cd.ctEpoch = flow.Key{}, 0
+	if tr.SegmentCtDep(seg.Start, seg.End) {
+		cd.ctConn, cd.ctEpoch = tr.CtConn, tr.CtEpoch
+	}
+	cd.terminal, cd.verdict = false, flow.Verdict{}
+	switch {
+	case seg.End < tr.Len():
+		cd.nextTag = tr.Steps[seg.End].TableID
+	case tr.Verdict.Terminal():
+		cd.terminal, cd.verdict, cd.nextTag = true, tr.Verdict, TagDone
+	default:
+		cd.nextTag = tr.NextTable
+	}
+}
+
+// same reports whether a resident entry is behaviourally identical to the
+// candidate, so installation can be deduplicated — the sharing that gives
+// Gigaflow its coverage — and revalidation can keep it.
+//
+//gf:hotpath
+func (cd *candidate) same(e *Entry) bool {
+	return e.Tag == cd.tag && e.Priority == cd.prio &&
+		e.NextTag == cd.nextTag && e.Terminal == cd.terminal && e.Verdict == cd.verdict &&
+		e.CtEpoch == cd.ctEpoch && e.CtConn == cd.ctConn &&
+		flow.ActionsEqual(e.Commit, cd.Commit) && e.Match.EqualTo(&cd.Match)
+}
+
+// materialise builds the Entry for a candidate that has to be installed:
+// the one point of the install path that allocates — the entry, and its
+// own copy of the commit when there is one.
+//
+//gf:hotpath-safe fresh-entry materialisation: a miss allocates here, for the entries it adds to the cache and nothing else
+func (cd *candidate) materialise(tr *pipeline.Traversal, seg Segment, now int64) *Entry {
+	e := &Entry{
+		Terminal: cd.terminal,
+		Verdict:  cd.verdict,
+		LastHit:  now,
+		Tag:      cd.tag,
+		NextTag:  cd.nextTag,
+		Parent:   tr.Steps[seg.Start].Pre,
+		Version:  tr.Version,
+		Installs: 1,
+		CtConn:   cd.ctConn,
+		CtEpoch:  cd.ctEpoch,
+		Created:  now,
+	}
+	e.Match, e.Priority = cd.Match, cd.prio
+	if len(cd.Commit) > 0 {
+		e.Commit = append(make([]flow.Action, 0, len(cd.Commit)), cd.Commit...)
+	}
+	return e
 }
 
 // Insert partitions a traversal per the configured scheme and installs the
@@ -598,35 +682,35 @@ func sameSemantics(a, b *Entry) bool {
 // Sub-traversals already present are reused rather than duplicated.
 // Returns the entries now backing the traversal, or an error when the
 // traversal cannot be installed (partitioning failure, or a full table
-// with eviction disabled).
+// with eviction disabled). The returned slice aliases a buffer the cache
+// owns and, like Result.Path, is valid only until the next Insert or
+// InsertPartition; the traversal is only read, and may be refilled as
+// soon as Insert returns.
 //
 // With Config.Adaptive set and the recent sharing rate degraded, the
 // traversal is instead installed whole — a single Megaflow-style entry in
 // GF₁ — per §7's profile-guided fallback.
 func (c *Cache) Insert(tr *pipeline.Traversal, now int64) ([]*Entry, error) {
-	var part Partition
 	partitioned := true
 	if c.adapt != nil {
 		c.adapt.installs++
-		if c.adapt.degraded() && !c.adapt.sampleNow() {
-			part = Partition{{Start: 0, End: tr.Len()}}
-			partitioned = false
-		}
+		partitioned = !c.adapt.degraded() || c.adapt.sampleNow()
 	}
-	if partitioned {
-		if c.cfg.Scheme == SchemeProfile {
-			part = c.profilePartition(tr)
-			if err := part.Validate(tr.Len(), len(c.tables)); err != nil {
-				c.stats.Rejected++
-				return nil, err
-			}
-		} else {
-			var err error
-			part, err = PartitionTraversal(tr, len(c.tables), c.cfg.Scheme, c.rng)
-			if err != nil {
-				c.stats.Rejected++
-				return nil, err
-			}
+	var part Partition
+	switch {
+	case !partitioned:
+		c.dp.part = append(c.dp.part[:0], Segment{Start: 0, End: tr.Len()})
+		part = c.dp.part
+	case c.cfg.Scheme == SchemeProfile:
+		part = c.profilePartition(tr)
+	case c.cfg.Scheme == SchemeDisjoint:
+		part = c.dp.partition(c.dp.stepFields(tr), len(c.tables), nil, nil)
+	default:
+		var err error
+		part, err = PartitionTraversal(tr, len(c.tables), c.cfg.Scheme, c.rng)
+		if err != nil {
+			c.stats.Rejected++
+			return nil, err
 		}
 	}
 	c.observeInsert = partitioned
@@ -635,83 +719,89 @@ func (c *Cache) Insert(tr *pipeline.Traversal, now int64) ([]*Entry, error) {
 
 // InsertPartition installs a traversal under an explicit partition
 // (segment j goes to table j). Exposed for the Fig. 16 scheme comparison
-// and for tests.
+// and for tests. The result aliases the same cache-owned buffer as
+// Insert's.
+//
+// Installation probes before it builds: every segment is composed into
+// scratch and looked up in its table, and an Entry is allocated only for
+// a segment whose predicate is absent or resident with different
+// behaviour — most segments of a missed traversal are shared, and they
+// cost a composition and a probe, nothing more.
 func (c *Cache) InsertPartition(tr *pipeline.Traversal, part Partition, now int64) ([]*Entry, error) {
 	if err := part.Validate(tr.Len(), len(c.tables)); err != nil {
 		c.stats.Rejected++
 		return nil, err
 	}
-	entries := make([]*Entry, len(part))
-	fresh := make([]bool, len(part))
-	// First pass: dedupe against existing entries.
-	for i, seg := range part {
-		cand := buildEntry(tr, seg, now)
-		if old := c.tables[i].get(cand.Tag, cand.Match, cand.Priority); old != nil {
-			if sameSemantics(old, cand) {
-				entries[i] = old
-				continue
-			}
-			// Same predicate, different behaviour: stale sibling from an
-			// earlier pipeline version; it will be replaced below.
-			c.stats.Conflicts++
-		}
-		entries[i] = cand
-		fresh[i] = true
-	}
+	c.probeSegments(tr, part)
 	if c.cfg.NoLRUEviction {
 		// All-or-nothing capacity precheck (LRU eviction otherwise
 		// guarantees room).
 		for i := range part {
-			if fresh[i] && c.tables[i].count >= c.tables[i].capacity &&
-				c.tables[i].get(entries[i].Tag, entries[i].Match, entries[i].Priority) == nil {
+			if t := c.tables[i]; c.cands[i].old == nil && t.count >= t.capacity {
 				c.stats.Rejected++
-				return nil, fmt.Errorf("gigaflow: table %d full (%d entries)", i, c.tables[i].count)
+				return nil, fmt.Errorf("gigaflow: table %d full (%d entries)", i, t.count)
 			}
 		}
 	}
-	// Second pass: install.
+	c.installed = c.installed[:0]
 	reused := 0
-	for i := range part {
-		e := entries[i]
-		if !fresh[i] {
-			e.Installs++
+	for i, seg := range part {
+		cd, t := &c.cands[i], c.tables[i]
+		if cd.shared {
+			cd.old.Installs++
 			c.stats.SharedReuse++
 			reused++
+			c.installed = append(c.installed, cd.old)
 			continue
 		}
-		t := c.tables[i]
-		if old := t.get(e.Tag, e.Match, e.Priority); old != nil {
-			t.remove(old) // conflict replacement
-		} else if t.count >= t.capacity {
-			if t.lruTail == nil {
-				c.stats.Rejected++
-				return nil, fmt.Errorf("gigaflow: table %d has zero capacity", i)
-			}
-			t.remove(t.lruTail)
+		if cd.old != nil {
+			t.remove(cd.old) // conflict replacement
+		} else if t.count >= t.capacity && t.remove(t.lruTail) {
 			c.stats.EvictLRU++
 			t.stats.EvictLRU++
 		}
+		e := cd.materialise(tr, seg, now)
 		t.insert(e)
 		c.stats.EntriesCreated++
 		t.stats.Inserts++
+		c.installed = append(c.installed, e)
 	}
 	c.stats.InsertedTraversals++
 	if c.adapt != nil && c.observeInsert {
 		c.adapt.observe(reused, len(part))
 	}
 	c.observeInsert = false // consumed; direct InsertPartition calls never observe
-	return entries, nil
+	return c.installed, nil
+}
+
+// probeSegments is the probe half of InsertPartition: it composes segment
+// i of part into candidate i and looks its predicate up in table i,
+// recording the resident entry and whether it already does what the
+// candidate would. It allocates nothing and changes nothing but the
+// Conflicts counter.
+//
+//gf:hotpath
+func (c *Cache) probeSegments(tr *pipeline.Traversal, part Partition) {
+	for i, seg := range part {
+		cd := &c.cands[i]
+		cd.compose(tr, seg)
+		cd.old = c.tables[i].get(cd.tag, &cd.Match, cd.prio)
+		cd.shared = cd.old != nil && cd.same(cd.old)
+		if cd.old != nil && !cd.shared {
+			// Same predicate, different behaviour: stale sibling from an
+			// earlier pipeline version; installation replaces it.
+			c.stats.Conflicts++
+		}
+	}
 }
 
 // Remove evicts a connection-dependent entry whose epoch check failed —
 // the conntrack invalidation hook. No-op for an entry not currently
-// installed.
+// installed, however the caller came by it.
 func (c *Cache) Remove(e *Entry) {
-	if e.table == nil {
-		return
+	if e.table != nil && e.table.remove(e) {
+		c.stats.CtInvalid++
 	}
-	e.table.remove(e)
-	c.stats.CtInvalid++
 }
 
 // Entries returns every entry of table i in unspecified order.
@@ -719,9 +809,9 @@ func (c *Cache) Entries(i int) []*Entry { return c.tables[i].entries() }
 
 // AllEntries returns every entry across tables.
 func (c *Cache) AllEntries() []*Entry {
-	var out []*Entry
+	out := make([]*Entry, 0, c.Len())
 	for _, t := range c.tables {
-		out = append(out, t.entries()...)
+		out = t.appendEntries(out, nil)
 	}
 	return out
 }
@@ -729,22 +819,8 @@ func (c *Cache) AllEntries() []*Entry {
 // ExpireIdle removes entries idle for longer than maxIdle (§4.3.2: stale
 // sub-traversals are evicted individually, not whole parent traversals).
 func (c *Cache) ExpireIdle(now, maxIdle int64) int {
-	n := 0
-	for _, t := range c.tables {
-		var stale []*Entry
-		for _, e := range t.entries() {
-			if now-e.LastHit > maxIdle {
-				stale = append(stale, e)
-			}
-		}
-		for _, e := range stale {
-			t.remove(e)
-			c.stats.Expired++
-			t.stats.Expired++
-			n++
-		}
-	}
-	return n
+	return c.sweep(func(e *Entry) bool { return now-e.LastHit > maxIdle },
+		&c.stats.Expired, func(s *TableStats) *uint64 { return &s.Expired })
 }
 
 // Revalidate checks every entry against the current pipeline rules
@@ -752,54 +828,46 @@ func (c *Cache) ExpireIdle(now, maxIdle int64) int {
 // length of its sub-traversal, and the entry is evicted when its match,
 // rewrites, tag update, or verdict changed. Work is proportional to
 // sub-traversal lengths — the reason Gigaflow revalidates ~2× faster than
-// Megaflow (§6.3.6).
+// Megaflow (§6.3.6). Every replay refills one cache-owned traversal and is
+// composed into one scratch candidate, compared with the entry in place.
 func (c *Cache) Revalidate() (evicted, work int) {
-	for _, t := range c.tables {
-		var bad []*Entry
-		for _, e := range t.entries() {
-			if e.Version == c.pipe.Version {
-				continue
-			}
-			ptr, err := c.pipe.ProcessPartial(e.Tag, e.Parent, e.Priority)
-			if err != nil || ptr.Len() != e.Priority {
-				bad = append(bad, e)
-				continue
-			}
-			work += ptr.Len()
-			cand := buildPartialEntry(ptr, e.Priority)
-			if !sameSemantics(cand, e) {
-				bad = append(bad, e)
-			} else {
-				e.Version = c.pipe.Version
-			}
+	version := c.pipe.Version
+	evicted = c.sweep(func(e *Entry) bool {
+		if e.Version == version {
+			return false
 		}
-		for _, e := range bad {
-			t.remove(e)
-			c.stats.Revoked++
-			t.stats.Revoked++
-			evicted++
+		tr := &c.replay
+		if err := c.pipe.ProcessPartialInto(tr, e.Tag, &e.Parent, e.Priority); err != nil || tr.Len() != e.Priority {
+			return true
 		}
-	}
+		work += tr.Len()
+		c.probe.compose(tr, Segment{Start: 0, End: e.Priority})
+		if !c.probe.same(e) {
+			return true
+		}
+		e.Version = version
+		return false
+	}, &c.stats.Revoked, func(s *TableStats) *uint64 { return &s.Revoked })
 	c.stats.RevalWork += uint64(work)
 	return evicted, work
 }
 
-// buildPartialEntry compiles the first span steps of a partial traversal
-// into an entry for revalidation comparison.
-func buildPartialEntry(tr *pipeline.Traversal, span int) *Entry {
-	match, commit := tr.Compose(0, span)
-	e := &Entry{
-		Tag:      tr.Steps[0].TableID,
-		Match:    match,
-		Priority: span,
-		Commit:   commit,
+// sweep removes every entry stale accepts, counting each removal in *total
+// and in the counter perTable picks from its table's stats. Each table is
+// scanned whole before anything leaves it — a classifier must not change
+// under its own Range — with the victims collected in one cache-owned
+// buffer, emptied afterwards so it keeps no removed entry alive.
+func (c *Cache) sweep(stale func(*Entry) bool, total *uint64, perTable func(*TableStats) *uint64) (removed int) {
+	for _, t := range c.tables {
+		c.victims = t.appendEntries(c.victims[:0], stale)
+		for _, e := range c.victims {
+			if t.remove(e) {
+				*total++
+				*perTable(&t.stats)++
+				removed++
+			}
+		}
 	}
-	if tr.Verdict.Terminal() && span == tr.Len() {
-		e.Terminal = true
-		e.Verdict = tr.Verdict
-		e.NextTag = TagDone
-	} else {
-		e.NextTag = tr.NextTable
-	}
-	return e
+	clear(c.victims[:cap(c.victims)])
+	return removed
 }

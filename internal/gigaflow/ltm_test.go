@@ -575,3 +575,89 @@ func TestArbitraryTableIDs(t *testing.T) {
 		}
 	}
 }
+
+// A holder of an entry pointer — a hit path that is about to be
+// invalidated, a trace — may outlive the entry's residency. Removing such
+// a stale entry must touch nothing: not the live entry that has since
+// taken over its predicate, not the LRU list, not the counters. Before
+// remove checked identity, the stale Remove deleted the replacement from
+// the classifier but left it on the LRU list as a ghost; every later
+// eviction then "removed" the ghost without effect, and a 2-entry table
+// grew without bound.
+func TestStaleRemoveLeavesReplacementAlone(t *testing.T) {
+	p := buildChainPipeline()
+	c := New(p, Config{NumTables: 1, TableCapacity: 2})
+	insert := func(k flow.Key, now int64) *Entry {
+		t.Helper()
+		es, err := c.Insert(p.MustProcess(k), now)
+		if err != nil || len(es) != 1 {
+			t.Fatalf("Insert(%s) = %v, %v", k, es, err)
+		}
+		return es[0]
+	}
+	a, b, d := chainKey(1, 5, 1000), chainKey(2, 5, 1000), chainKey(1, 0x10005, 2000)
+	stale := insert(a, 1)
+	if stale.TableIndex() != 0 {
+		t.Fatalf("resident entry reports table %d", stale.TableIndex())
+	}
+	insert(b, 2)
+	insert(d, 3) // table full: evicts a's entry, the LRU tail
+	if stale.TableIndex() != -1 {
+		t.Fatalf("evicted entry still reports table %d, want -1", stale.TableIndex())
+	}
+	if c.Lookup(a, 4).Hit {
+		t.Fatal("a's entry should be gone")
+	}
+	live := insert(a, 5) // the same predicate again, a fresh entry (evicts b's)
+	if live == stale {
+		t.Fatal("test needs a fresh entry for the re-installed predicate")
+	}
+	before := c.Stats()
+
+	c.Remove(stale)
+
+	if got := c.Stats(); got != before {
+		t.Errorf("stale Remove moved the counters:\n got %+v\nwant %+v", got, before)
+	}
+	if live.TableIndex() != 0 || !c.Lookup(a, 6).Hit {
+		t.Error("stale Remove took the live replacement out of the table")
+	}
+	// The table must keep evicting for real.
+	for i := int64(0); i < 8; i++ {
+		insert(chainKey(1+uint64(i%2), 5+uint64(i%3)<<16, 1000+1000*uint64(i%2)), 10+i)
+		if c.Len() > 2 {
+			t.Fatalf("after %d more installs the 2-entry table holds %d entries", i+1, c.Len())
+		}
+	}
+	s := c.Stats()
+	if resident := s.EntriesCreated - s.EvictLRU - s.CtInvalid; resident != uint64(c.Len()) {
+		t.Errorf("%d created − %d evicted − %d invalidated ≠ %d resident", s.EntriesCreated, s.EvictLRU, s.CtInvalid, c.Len())
+	}
+
+	// The same holds for an entry that left through Remove itself, through
+	// expiry and through revalidation.
+	live = insert(a, 50)
+	c.Remove(live)
+	c.Remove(live)
+	if c.Stats().CtInvalid != 1 || live.TableIndex() != -1 {
+		t.Errorf("double Remove: CtInvalid %d, table %d", c.Stats().CtInvalid, live.TableIndex())
+	}
+	gone := c.AllEntries()
+	if n := c.ExpireIdle(1000, 1); n != len(gone) {
+		t.Fatalf("ExpireIdle removed %d of %d", n, len(gone))
+	}
+	for _, e := range gone {
+		if e.TableIndex() != -1 {
+			t.Errorf("expired entry reports table %d", e.TableIndex())
+		}
+		c.Remove(e)
+	}
+	if c.Stats().CtInvalid != 1 || c.Len() != 0 {
+		t.Errorf("Remove of expired entries: CtInvalid %d, Len %d", c.Stats().CtInvalid, c.Len())
+	}
+	revoked := insert(a, 2000)
+	p.MustAddRule(0, flow.MustParseMatch("eth_dst=00:00:00:00:00:01"), 20, []flow.Action{flow.Drop()}, pipeline.NoTable)
+	if n, _ := c.Revalidate(); n != 1 || revoked.TableIndex() != -1 {
+		t.Errorf("Revalidate revoked %d, entry reports table %d", n, revoked.TableIndex())
+	}
+}

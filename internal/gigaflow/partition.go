@@ -138,6 +138,49 @@ func PartitionScore(fields []flow.FieldSet, p Partition) int {
 // sub-traversals need fewer cache entries, §4.2.2). Dynamic program over
 // (steps consumed, segments used); O(N²·K) worst case with N ≤ MaxSteps.
 func DisjointPartition(fields []flow.FieldSet, maxSegments int) Partition {
+	var dp partitioner
+	return dp.partition(fields, maxSegments, nil, nil)
+}
+
+// partitioner is the scratch the partition dynamic program runs on: the
+// per-step field sets, the DP table, and the partition it hands back. A
+// cache owns one and partitions every miss on it; DisjointPartition and
+// PartitionTraversal run on a throw-away one.
+type partitioner struct {
+	fields []flow.FieldSet
+	// cells is the (maxSegments+1)×(n+1) table, row k holding the best
+	// split of the first j steps into exactly k segments.
+	cells []dpCell
+	part  Partition
+}
+
+type dpCell struct {
+	score int32
+	prev  int32 // split point: the last segment is [prev, j)
+	set   bool
+}
+
+// stepFields fills the scratch with the analysis field set of each step
+// of tr and returns it.
+//
+//gf:hotpath
+func (dp *partitioner) stepFields(tr *pipeline.Traversal) []flow.FieldSet {
+	dp.fields = dp.fields[:0]
+	for i := range tr.Steps {
+		dp.fields = append(dp.fields, tr.StepFields(i).Intersect(AnalysisFields))
+	}
+	return dp.fields
+}
+
+// partition is the dynamic program behind DisjointPartition and, with a
+// cache and the traversal supplied, SchemeProfile: there a segment whose
+// LTM entry is already resident in its target table of c earns
+// reuseBonusWeight on top of its disjointness score (profile.go), at the
+// price of one composition per candidate segment. The returned partition
+// aliases the scratch and is valid until its next use.
+//
+//gf:hotpath
+func (dp *partitioner) partition(fields []flow.FieldSet, maxSegments int, c *Cache, tr *pipeline.Traversal) Partition {
 	n := len(fields)
 	if n == 0 || maxSegments <= 0 {
 		return nil
@@ -145,25 +188,21 @@ func DisjointPartition(fields []flow.FieldSet, maxSegments int) Partition {
 	if maxSegments > n {
 		maxSegments = n
 	}
-	// score[i][j] for segment [i,j) computed on demand via extension:
-	// iterate i, grow j, track cohesion incrementally.
-	type cell struct {
-		score int
-		segs  int
-		prev  int // split point: segment [prev, j)
-		set   bool
+	row := n + 1
+	if (maxSegments+1)*row > cap(dp.cells) || maxSegments > cap(dp.part) {
+		dp.grow((maxSegments+1)*row, maxSegments)
 	}
-	// best[k][j]: best over partitions of fields[0:j] into exactly k segments.
-	best := make([][]cell, maxSegments+1)
-	for k := range best {
-		best[k] = make([]cell, n+1)
-	}
-	best[0][0] = cell{set: true}
+	best := dp.cells[:(maxSegments+1)*row]
+	clear(best)
+	best[0] = dpCell{set: true}
 	for k := 1; k <= maxSegments; k++ {
 		for i := 0; i < n; i++ {
-			if !best[k-1][i].set {
+			from := best[(k-1)*row+i]
+			if !from.set {
 				continue
 			}
+			// Grow the segment [i, j) one step at a time, tracking its
+			// cohesion incrementally.
 			acc := flow.FieldSet(0)
 			ok := true
 			for j := i + 1; j <= n; j++ {
@@ -176,14 +215,15 @@ func DisjointPartition(fields []flow.FieldSet, maxSegments int) Partition {
 					}
 					acc = acc.Union(step)
 				}
-				segScore := 0
+				score := from.score
 				if ok {
-					segScore = j - i
+					score += int32(j - i)
 				}
-				cand := cell{score: best[k-1][i].score + segScore, segs: k, prev: i, set: true}
-				cur := &best[k][j]
-				if !cur.set || cand.score > cur.score {
-					*cur = cand
+				if c != nil && c.segmentResident(tr, Segment{i, j}, k-1) {
+					score += reuseBonusWeight
+				}
+				if cur := &best[k*row+j]; !cur.set || score > cur.score {
+					*cur = dpCell{score: score, prev: int32(i), set: true}
 				}
 			}
 		}
@@ -191,10 +231,7 @@ func DisjointPartition(fields []flow.FieldSet, maxSegments int) Partition {
 	// Pick the best k for full coverage; ties prefer fewer segments.
 	bestK := -1
 	for k := 1; k <= maxSegments; k++ {
-		if !best[k][n].set {
-			continue
-		}
-		if bestK == -1 || best[k][n].score > best[bestK][n].score {
+		if cur := best[k*row+n]; cur.set && (bestK == -1 || cur.score > best[bestK*row+n].score) {
 			bestK = k
 		}
 	}
@@ -202,14 +239,27 @@ func DisjointPartition(fields []flow.FieldSet, maxSegments int) Partition {
 		return nil
 	}
 	// Reconstruct.
-	out := make(Partition, bestK)
+	dp.part = dp.part[:bestK]
 	j := n
 	for k := bestK; k >= 1; k-- {
-		i := best[k][j].prev
-		out[k-1] = Segment{Start: i, End: j}
+		i := int(best[k*row+j].prev)
+		dp.part[k-1] = Segment{Start: i, End: j}
 		j = i
 	}
-	return out
+	return dp.part
+}
+
+// grow sizes the DP table for at least cells cells and the partition for
+// segs segments.
+//
+//gf:hotpath-safe scratch growth: a cache's partitioner comes here only until its table fits the longest traversal it has seen
+func (dp *partitioner) grow(cells, segs int) {
+	if cap(dp.cells) < cells {
+		dp.cells = make([]dpCell, cells)
+	}
+	if cap(dp.part) < segs {
+		dp.part = make(Partition, segs)
+	}
 }
 
 // RandomPartition cuts the traversal at up to maxSegments-1 random distinct
@@ -263,11 +313,8 @@ func PartitionTraversal(tr *pipeline.Traversal, maxSegments int, scheme Scheme, 
 	var p Partition
 	switch scheme {
 	case SchemeDisjoint:
-		fields := make([]flow.FieldSet, n)
-		for i := 0; i < n; i++ {
-			fields[i] = tr.StepFields(i).Intersect(AnalysisFields)
-		}
-		p = DisjointPartition(fields, maxSegments)
+		var dp partitioner
+		p = dp.partition(dp.stepFields(tr), maxSegments, nil, nil)
 	case SchemeRandom:
 		if rng == nil {
 			return nil, fmt.Errorf("gigaflow: SchemeRandom requires an rng")

@@ -1,9 +1,6 @@
 package gigaflow
 
-import (
-	"gigaflow/internal/flow"
-	"gigaflow/internal/pipeline"
-)
+import "gigaflow/internal/pipeline"
 
 // Profile-guided partitioning (§7, "Alternative Methods for Sub-Traversal
 // Partitioning"): the paper suggests optimising traversal partitioning
@@ -20,93 +17,19 @@ import (
 const reuseBonusWeight = pipeline.DefaultMaxSteps + 1
 
 // profilePartition computes the reuse-aware optimal partition of tr into
-// at most len(c.tables) segments. It extends the DisjointPartition dynamic
-// program with a per-(segment, target-table) reuse bonus, so its
-// complexity gains a Compose per candidate segment: O(N²·K) compositions.
+// at most len(c.tables) segments: the DisjointPartition dynamic program
+// with a per-(segment, target-table) reuse bonus, so its complexity gains
+// a composition per candidate segment — O(N²·K) compositions.
 func (c *Cache) profilePartition(tr *pipeline.Traversal) Partition {
-	n := tr.Len()
-	maxSegments := len(c.tables)
-	if n == 0 || maxSegments <= 0 {
-		return nil
-	}
-	if maxSegments > n {
-		maxSegments = n
-	}
-	fields := make([]flow.FieldSet, n)
-	for i := 0; i < n; i++ {
-		fields[i] = tr.StepFields(i).Intersect(AnalysisFields)
-	}
-
-	// segScore[i][j] caches the disjointness score of segment [i, j).
-	// reused[k][i][j] would be large; compute reuse lazily per DP cell
-	// instead (the Compose dominates anyway).
-	type cell struct {
-		score int
-		prev  int
-		set   bool
-	}
-	best := make([][]cell, maxSegments+1)
-	for k := range best {
-		best[k] = make([]cell, n+1)
-	}
-	best[0][0] = cell{set: true}
-
-	for k := 1; k <= maxSegments; k++ {
-		table := c.tables[k-1]
-		for i := 0; i < n; i++ {
-			if !best[k-1][i].set {
-				continue
-			}
-			acc := flow.FieldSet(0)
-			cohesiveRun := true
-			for j := i + 1; j <= n; j++ {
-				step := fields[j-1]
-				if j == i+1 {
-					acc = step
-				} else {
-					if cohesiveRun && !cohesive(acc, step) {
-						cohesiveRun = false
-					}
-					acc = acc.Union(step)
-				}
-				segScore := 0
-				if cohesiveRun {
-					segScore = j - i
-				}
-				if segmentResident(tr, Segment{i, j}, table) {
-					segScore += reuseBonusWeight
-				}
-				cand := cell{score: best[k-1][i].score + segScore, prev: i, set: true}
-				if cur := &best[k][j]; !cur.set || cand.score > cur.score {
-					*cur = cand
-				}
-			}
-		}
-	}
-
-	bestK := -1
-	for k := 1; k <= maxSegments; k++ {
-		if best[k][n].set && (bestK == -1 || best[k][n].score > best[bestK][n].score) {
-			bestK = k
-		}
-	}
-	if bestK == -1 {
-		return nil
-	}
-	out := make(Partition, bestK)
-	j := n
-	for k := bestK; k >= 1; k-- {
-		i := best[k][j].prev
-		out[k-1] = Segment{Start: i, End: j}
-		j = i
-	}
-	return out
+	return c.dp.partition(c.dp.stepFields(tr), len(c.tables), c, tr)
 }
 
 // segmentResident reports whether the LTM entry this segment would compile
-// to already exists (with identical semantics) in the target table.
-func segmentResident(tr *pipeline.Traversal, seg Segment, t *ltmTable) bool {
-	cand := buildEntry(tr, seg, 0)
-	old := t.get(cand.Tag, cand.Match, cand.Priority)
-	return old != nil && sameSemantics(old, cand)
+// to already exists (with identical semantics) in table ti.
+//
+//gf:hotpath
+func (c *Cache) segmentResident(tr *pipeline.Traversal, seg Segment, ti int) bool {
+	c.probe.compose(tr, seg)
+	old := c.tables[ti].get(c.probe.tag, &c.probe.Match, c.probe.prio)
+	return old != nil && c.probe.same(old)
 }

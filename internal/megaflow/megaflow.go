@@ -75,6 +75,9 @@ type Cache struct {
 	lruHead     *Entry
 	lruTail     *Entry
 	stats       Stats
+	// rule is the scratch Insert and Revalidate compose a traversal into
+	// before deciding whether an entry has to be built or removed.
+	rule pipeline.Composed
 }
 
 // Option configures a Cache.
@@ -207,26 +210,16 @@ func (e *Entry) Apply(k flow.Key) (flow.Key, flow.Verdict) {
 
 // Insert compiles a traversal into a megaflow entry and installs it.
 // Returns the entry, or nil when the cache is full and eviction is
-// disabled.
+// disabled. The traversal is only read, and composed into scratch first:
+// a refused install builds nothing.
 func (c *Cache) Insert(tr *pipeline.Traversal, now int64) *Entry {
-	match, commit := tr.Compose(0, tr.Len())
-	ent := &Entry{
-		Match:        match,
-		Commit:       commit,
-		Verdict:      tr.Verdict,
-		Parent:       tr.Input,
-		TraversalLen: tr.Len(),
-		Version:      tr.Version,
-		CtConn:       tr.CtConn,
-		CtEpoch:      tr.CtEpoch,
-		LastHit:      now,
-		Created:      now,
-	}
-	if old, ok := c.cls.Get(match, 0); ok {
+	tr.ComposeInto(0, tr.Len(), &c.rule)
+	match := &c.rule.Match
+	if old := c.cls.GetMatch(match, 0); old != nil {
 		// Same predicate already cached (another packet of the same
 		// megaflow raced through the slowpath): refresh it.
 		c.unlink(old.Value)
-		c.cls.Delete(match, 0)
+		c.cls.DeleteMatch(match, 0)
 		c.stats.Replaced++
 	} else if c.cls.Len() >= c.capacity {
 		if !c.evictOnFull || c.lruTail == nil {
@@ -236,7 +229,21 @@ func (c *Cache) Insert(tr *pipeline.Traversal, now int64) *Entry {
 		c.removeEntry(c.lruTail)
 		c.stats.EvictLRU++
 	}
-	c.cls.Insert(&tss.Entry[*Entry]{Match: match, Priority: 0, Value: ent})
+	ent := &Entry{
+		Match:        *match,
+		Verdict:      tr.Verdict,
+		Parent:       tr.Input,
+		TraversalLen: tr.Len(),
+		Version:      tr.Version,
+		CtConn:       tr.CtConn,
+		CtEpoch:      tr.CtEpoch,
+		LastHit:      now,
+		Created:      now,
+	}
+	if len(c.rule.Commit) > 0 {
+		ent.Commit = append(make([]flow.Action, 0, len(c.rule.Commit)), c.rule.Commit...)
+	}
+	c.cls.Insert(&tss.Entry[*Entry]{Match: *match, Priority: 0, Value: ent})
 	c.pushFront(ent)
 	c.stats.Inserts++
 	return ent
@@ -245,7 +252,7 @@ func (c *Cache) Insert(tr *pipeline.Traversal, now int64) *Entry {
 // removeEntry unlinks and deletes an entry from both structures.
 func (c *Cache) removeEntry(ent *Entry) {
 	c.unlink(ent)
-	c.cls.Delete(ent.Match, 0)
+	c.cls.DeleteMatch(&ent.Match, 0)
 }
 
 // Remove evicts a connection-dependent entry whose epoch check failed —
@@ -283,19 +290,19 @@ func (c *Cache) ExpireIdle(now, maxIdle int64) int {
 // the work performed (pipeline table lookups).
 func (c *Cache) Revalidate(p *pipeline.Pipeline) (evicted int, work int) {
 	var bad []*Entry
+	var tr pipeline.Traversal // refilled per entry, its storage reused
 	c.cls.Range(func(e *tss.Entry[*Entry]) bool {
 		ent := e.Value
 		if ent.Version == p.Version {
 			return true
 		}
-		tr, err := p.Process(ent.Parent)
-		if err != nil {
+		if err := p.ProcessInto(&tr, &ent.Parent, nil); err != nil {
 			bad = append(bad, ent)
 			return true
 		}
 		work += tr.Len()
-		match, commit := tr.Compose(0, tr.Len())
-		if !match.Equal(ent.Match) || !flow.ActionsEqual(commit, ent.Commit) || tr.Verdict != ent.Verdict {
+		tr.ComposeInto(0, tr.Len(), &c.rule)
+		if !c.rule.Match.EqualTo(&ent.Match) || !flow.ActionsEqual(c.rule.Commit, ent.Commit) || tr.Verdict != ent.Verdict {
 			bad = append(bad, ent)
 		} else {
 			ent.Version = p.Version

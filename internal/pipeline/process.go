@@ -22,7 +22,9 @@ type Resolver interface {
 	// Resolve maps action a into concrete actions for the current packet
 	// and reports the connection tuple and epoch the resolution depended
 	// on. ok=false means the action cannot be resolved (no connection,
-	// unknown pool) and is skipped.
+	// unknown pool) and is skipped. The traversal copies resolved before
+	// it calls Resolve again, so an implementation may hand back the same
+	// buffer every time.
 	Resolve(a flow.Action) (resolved []flow.Action, conn flow.Key, epoch uint64, ok bool)
 }
 
@@ -38,31 +40,41 @@ func isStateful(a flow.Action) bool {
 	return a.Type == flow.ActionDNAT || a.Type == flow.ActionSNAT || a.Type == flow.ActionCtNAT
 }
 
-// resolveActs rewrites acts replacing stateful actions with their
-// per-connection resolutions. Returns acts unchanged (and dep=false)
-// when nothing needed resolving.
-func resolveActs(acts []flow.Action, res Resolver, tr *Traversal) (out []flow.Action, dep bool) {
-	stateful := false
-	for _, a := range acts {
-		if isStateful(a) {
-			stateful = true
-			break
+// hasStateful reports whether any of acts is resolved against connection
+// state.
+func hasStateful(acts []flow.Action) bool {
+	for i := range acts {
+		if isStateful(acts[i]) {
+			return true
 		}
 	}
-	if !stateful || res == nil {
-		return acts, false
+	return false
+}
+
+// resolveActs rewrites acts — which carry at least one stateful action —
+// replacing each stateful action with its per-connection resolution. The
+// result is appended to the traversal's action arena and aliases it: valid
+// until the traversal is next refilled. dep reports whether anything
+// resolved.
+//
+//gf:hotpath-safe dispatches through the Resolver interface, whose implementations may allocate; only a step carrying a dnat/snat/ct_nat action comes here
+func resolveActs(acts []flow.Action, res Resolver, tr *Traversal) (out []flow.Action, dep bool) {
+	if tr.acts == nil {
+		// Room for a dnat and a ct_nat step beside a few plain actions, so
+		// a fresh traversal's arena is one allocation, not a 1-2-4-8 climb.
+		tr.acts = make([]flow.Action, 0, 8)
 	}
-	out = make([]flow.Action, 0, len(acts)+2)
+	start := len(tr.acts)
 	for _, a := range acts {
 		if !isStateful(a) {
-			out = append(out, a)
+			tr.acts = append(tr.acts, a)
 			continue
 		}
 		r, conn, epoch, ok := res.Resolve(a)
 		if !ok {
 			continue // unresolvable: no-op, like flow.Apply would
 		}
-		out = append(out, r...)
+		tr.acts = append(tr.acts, r...)
 		dep = true
 		if tr.CtEpoch == 0 {
 			// Record the FIRST resolution's epoch. If a later resolution
@@ -74,7 +86,10 @@ func resolveActs(acts []flow.Action, res Resolver, tr *Traversal) (out []flow.Ac
 			tr.CtConn, tr.CtEpoch = conn, epoch
 		}
 	}
-	return out, dep
+	// Cap the slice so a later step's append cannot write into this one.
+	// If the arena grew under an earlier step, that step keeps the old
+	// backing array, whose contents nothing rewrites.
+	return tr.acts[start:len(tr.acts):len(tr.acts)], dep
 }
 
 // Process runs key through the pipeline, producing its traversal. The
@@ -87,15 +102,30 @@ func (p *Pipeline) Process(key flow.Key) (*Traversal, error) {
 
 // ProcessResolve is Process with a Resolver supplied for stateful
 // actions; the datapath's slow path uses it when conntrack is enabled.
+// Like Process it returns a fresh traversal the caller may keep.
 func (p *Pipeline) ProcessResolve(key flow.Key, res Resolver) (*Traversal, error) {
-	tr, err := p.processPartial(p.Start, key, p.MaxSteps, res)
-	if err != nil {
+	tr := new(Traversal)
+	if err := p.ProcessInto(tr, &key, res); err != nil {
 		return nil, err
 	}
-	if !tr.Verdict.Terminal() {
-		return nil, ErrTooManySteps
-	}
 	return tr, nil
+}
+
+// ProcessInto is ProcessResolve refilling a caller-owned traversal: *tr is
+// reset and rebuilt in place, its step and action storage reused, so a
+// caller that keeps one traversal per datapath walks the pipeline without
+// allocating. Everything *tr held before — steps, their Acts — is
+// overwritten; on error its contents are unspecified.
+//
+//gf:hotpath
+func (p *Pipeline) ProcessInto(tr *Traversal, key *flow.Key, res Resolver) error {
+	if err := p.processInto(tr, p.Start, key, p.MaxSteps, res); err != nil {
+		return err
+	}
+	if !tr.Verdict.Terminal() {
+		return ErrTooManySteps
+	}
+	return nil
 }
 
 // ProcessPartial runs key through the pipeline starting at table `start`
@@ -105,63 +135,91 @@ func (p *Pipeline) ProcessResolve(key flow.Key, res Resolver) (*Traversal, error
 // revalidator uses this to re-derive a sub-traversal from its table tag
 // (§4.3.1) without replaying the whole pipeline.
 func (p *Pipeline) ProcessPartial(start int, key flow.Key, maxSteps int) (*Traversal, error) {
-	return p.processPartial(start, key, maxSteps, nil)
+	tr := new(Traversal)
+	if err := p.ProcessPartialInto(tr, start, &key, maxSteps); err != nil {
+		return nil, err
+	}
+	return tr, nil
 }
 
-func (p *Pipeline) processPartial(start int, key flow.Key, maxSteps int, res Resolver) (*Traversal, error) {
+// ProcessPartialInto is ProcessPartial refilling a caller-owned traversal,
+// under ProcessInto's ownership rules.
+//
+//gf:hotpath
+func (p *Pipeline) ProcessPartialInto(tr *Traversal, start int, key *flow.Key, maxSteps int) error {
+	return p.processInto(tr, start, key, maxSteps, nil)
+}
+
+// processInto is the one pipeline walk. Each step is built in place in
+// tr.Steps' backing array: the classifier writes the wildcard straight
+// into the step, the flow state is rewritten in the step's Post, and the
+// next step reads its Pre from there.
+//
+//gf:hotpath
+func (p *Pipeline) processInto(tr *Traversal, start int, key *flow.Key, maxSteps int, res Resolver) error {
 	if start == NoTable || p.tables[start] == nil {
-		return nil, fmt.Errorf("pipeline %s: no start table %d", p.Name, start)
+		return p.errNoTable("no start table", start)
 	}
-	tr := &Traversal{Pipeline: p, Version: p.Version, Input: key, NextTable: NoTable}
+	tr.reset(p, key)
 	cur := start
-	k := key
+	k := &tr.Input
 	for len(tr.Steps) < maxSteps {
 		t := p.tables[cur]
 		if t == nil {
-			return nil, fmt.Errorf("pipeline %s: goto unknown table %d", p.Name, cur)
+			return p.errNoTable("goto unknown table", cur)
 		}
+		step := tr.nextStep()
+		step.TableID, step.Pre = cur, *k
 		var entry *tss.Entry[*Rule]
-		var wild flow.Mask
 		var probes int
 		if p.PreciseWildcards {
-			entry, wild, probes = t.cls.LookupWildPrecise(k)
+			entry, probes = t.cls.LookupWildPreciseInto(k, &step.Wildcard)
 		} else {
-			entry, wild, probes = t.cls.LookupWild(k)
+			entry, probes = t.cls.LookupWildInto(k, &step.Wildcard)
 		}
 		tr.TuplesProbed += probes
-		step := Step{TableID: cur, Pre: k, Wildcard: wild}
 
-		var next int
+		acts, next := t.MissActions, t.MissNext
+		step.Rule = nil
 		if entry != nil {
-			rule := entry.Value
-			step.Rule = rule
-			step.Acts, step.CtDep = resolveActs(rule.Actions, res, tr)
-			next = rule.Next
-		} else {
-			step.Acts, step.CtDep = resolveActs(t.MissActions, res, tr)
-			next = t.MissNext
+			step.Rule = entry.Value
+			acts, next = step.Rule.Actions, step.Rule.Next
 		}
-		k, step.Verdict = flow.Apply(k, step.Acts)
+		step.CtDep = false
+		if res != nil && hasStateful(acts) {
+			acts, step.CtDep = resolveActs(acts, res, tr)
+		}
+		step.Acts = acts
+		step.Post = *k
+		step.Verdict = flow.ApplyTo(&step.Post, acts)
 		if step.CtDep {
 			// The resolved rewrite is per-connection: force the composed
 			// entry exact on the connection's identifying fields.
-			step.Wildcard = step.Wildcard.Union(natTupleMask)
+			for f := range step.Wildcard {
+				step.Wildcard[f] |= natTupleMask[f]
+			}
 		}
-		step.Post = k
+		k = &step.Post
 
 		if !step.Verdict.Terminal() && next == NoTable {
 			// Fell off the pipeline without an explicit verdict: drop.
 			step.Verdict = flow.Verdict{Kind: flow.VerdictDrop}
 		}
-		tr.Steps = append(tr.Steps, step)
 		if step.Verdict.Terminal() {
 			tr.Verdict = step.Verdict
-			return tr, nil
+			return nil
 		}
 		cur = next
 	}
 	tr.NextTable = cur
-	return tr, nil
+	return nil
+}
+
+// errNoTable reports a traversal that named a table the pipeline lacks.
+//
+//gf:hotpath-safe formats the error for a walk naming a table the pipeline lacks (an empty pipeline, or a miss continuation SetMiss did not check); a well-formed pipeline never comes here
+func (p *Pipeline) errNoTable(what string, id int) error {
+	return fmt.Errorf("pipeline %s: %s %d", p.Name, what, id)
 }
 
 // MustProcess is Process that panics on error; for tests and examples

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"gigaflow/internal/flow"
@@ -24,7 +25,8 @@ type Step struct {
 	// Acts are the actions executed at this step: the matched rule's
 	// actions, or the table's miss actions on a miss step. When a
 	// stateful action was resolved at this step, Acts holds the resolved
-	// concrete actions, not the rule's originals.
+	// concrete actions, not the rule's originals, and aliases storage the
+	// traversal owns.
 	Acts []flow.Action
 	// Verdict is the terminal decision made at this step, if any.
 	Verdict flow.Verdict
@@ -48,6 +50,13 @@ func (s *Step) RuleID() int64 {
 // Traversal is the paper's ⟨T, F, W⟩ vector: the complete record of one
 // packet's walk through the pipeline. It is the unit both cache compilers
 // consume.
+//
+// A traversal owns its storage. Process, ProcessResolve and ProcessPartial
+// return a fresh one the caller may keep for as long as it likes;
+// ProcessInto and ProcessPartialInto refill one the caller owns, reusing
+// its Steps array and action arena, so everything read from it — Steps,
+// a step's resolved Acts — is valid only until it is refilled. The zero
+// value is ready to be filled.
 type Traversal struct {
 	Pipeline *Pipeline
 	// Version is the pipeline version the traversal was computed against.
@@ -69,6 +78,44 @@ type Traversal struct {
 	// resolution time. Zero-valued when no step is connection-dependent.
 	CtConn  flow.Key
 	CtEpoch uint64
+
+	// acts is the arena the resolved actions of CtDep steps are appended
+	// to; their Acts slices alias it.
+	acts []flow.Action
+}
+
+// reset readies tr for a walk of p from key, keeping its storage.
+func (tr *Traversal) reset(p *Pipeline, key *flow.Key) {
+	tr.Pipeline, tr.Version, tr.Input = p, p.Version, *key
+	tr.Steps, tr.acts = tr.Steps[:0], tr.acts[:0]
+	tr.Verdict, tr.NextTable, tr.TuplesProbed = flow.Verdict{}, NoTable, 0
+	tr.CtConn, tr.CtEpoch = flow.Key{}, 0
+}
+
+// nextStep extends Steps by one and returns the new step. It may hold a
+// previous walk's values: the walk overwrites every field.
+func (tr *Traversal) nextStep() *Step {
+	n := len(tr.Steps)
+	if n == cap(tr.Steps) {
+		tr.growSteps()
+	}
+	tr.Steps = tr.Steps[:n+1]
+	return &tr.Steps[n]
+}
+
+// growSteps doubles the Steps array, from room for 8 — more than the
+// evaluation pipelines' typical walk — so a fresh traversal is filled with
+// one array allocation and a reused one with none.
+//
+//gf:hotpath-safe scratch growth: a reused traversal comes here only until its Steps array has reached its longest walk
+func (tr *Traversal) growSteps() {
+	n := 2 * cap(tr.Steps)
+	if n < 8 {
+		n = 8
+	}
+	steps := make([]Step, len(tr.Steps), n)
+	copy(steps, tr.Steps)
+	tr.Steps = steps
 }
 
 // Len reports the traversal length N (number of table lookups).
@@ -96,27 +143,23 @@ func (tr *Traversal) FinalKey() flow.Key {
 // structure exactly when their signatures are equal; Fig. 11's sharing
 // statistic counts flows per signature.
 func (tr *Traversal) PathSignature() string {
-	var b strings.Builder
-	for i := range tr.Steps {
-		if i > 0 {
-			b.WriteByte('>')
-		}
-		fmt.Fprintf(&b, "t%d:r%d", tr.Steps[i].TableID, tr.Steps[i].RuleID())
-	}
-	return b.String()
+	return tr.SegmentSignature(0, len(tr.Steps))
 }
 
 // SegmentSignature is PathSignature restricted to Steps[i:j] (j exclusive);
 // it identifies a sub-traversal's path.
 func (tr *Traversal) SegmentSignature(i, j int) string {
-	var b strings.Builder
+	b := make([]byte, 0, 12*(j-i))
 	for s := i; s < j; s++ {
 		if s > i {
-			b.WriteByte('>')
+			b = append(b, '>')
 		}
-		fmt.Fprintf(&b, "t%d:r%d", tr.Steps[s].TableID, tr.Steps[s].RuleID())
+		b = append(b, 't')
+		b = strconv.AppendInt(b, int64(tr.Steps[s].TableID), 10)
+		b = append(b, ":r"...)
+		b = strconv.AppendInt(b, tr.Steps[s].RuleID(), 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // StepFields returns the FieldSet examined at step i (the fields with
@@ -162,28 +205,57 @@ func (tr *Traversal) SegmentCtDep(i, j int) bool {
 // Compose over the full range is precisely Megaflow-rule generation;
 // sub-ranges are Gigaflow's sub-traversal rules (ω_k, M_k, α_k of §4.2.3).
 func (tr *Traversal) Compose(i, j int) (match flow.Match, commit []flow.Action) {
+	var c Composed
+	tr.ComposeInto(i, j, &c)
+	return c.Match, c.Commit
+}
+
+// Composed is one flattened range of a traversal, as Compose describes it:
+// the match predicate and the set-field commit. It is the scratch the
+// install paths compose every candidate rule into, copying out only what
+// they decide to keep; Commit's backing array is reused from one
+// ComposeInto to the next.
+type Composed struct {
+	Match  flow.Match
+	Commit []flow.Action
+}
+
+// ComposeInto is Compose writing into caller-owned scratch.
+//
+//gf:hotpath
+func (tr *Traversal) ComposeInto(i, j int, c *Composed) {
 	if i < 0 || j > len(tr.Steps) || i >= j {
-		panic(fmt.Sprintf("pipeline: bad compose range [%d,%d) of %d steps", i, j, len(tr.Steps)))
+		tr.badRange(i, j)
 	}
-	entry := tr.Steps[i].Pre
-	var omega flow.Mask
+	omega := &c.Match.Mask
+	*omega = flow.Mask{}
 	var written flow.Mask
 	for s := i; s < j; s++ {
-		omega = omega.Union(tr.Steps[s].Wildcard.Without(written))
-		for _, a := range tr.Steps[s].Actions() {
-			if a.Type == flow.ActionSetField {
-				written[a.Field] |= a.Mask
+		st := &tr.Steps[s]
+		for f := range omega {
+			omega[f] |= st.Wildcard[f] &^ written[f]
+		}
+		for a := range st.Acts {
+			if act := &st.Acts[a]; act.Type == flow.ActionSetField {
+				written[act.Field] |= act.Mask
 			}
 		}
 	}
-	match = flow.NewMatch(entry, omega)
-	post := tr.Steps[j-1].Post
+	entry, post := &tr.Steps[i].Pre, &tr.Steps[j-1].Post
+	c.Commit = c.Commit[:0]
 	for f := flow.FieldID(0); f < flow.NumFields; f++ {
+		c.Match.Key[f] = entry[f] & omega[f]
 		if written[f] != 0 {
-			commit = append(commit, flow.SetFieldMasked(f, post[f], written[f]))
+			c.Commit = append(c.Commit, flow.SetFieldMasked(f, post[f], written[f]))
 		}
 	}
-	return match, commit
+}
+
+// badRange panics on a compose range outside the traversal.
+//
+//gf:hotpath-safe a compose range outside the traversal is a caller bug; the panic message is formatted here, off the compose path
+func (tr *Traversal) badRange(i, j int) {
+	panic(fmt.Sprintf("pipeline: bad compose range [%d,%d) of %d steps", i, j, len(tr.Steps)))
 }
 
 // String renders the traversal for debugging.

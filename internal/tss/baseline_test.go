@@ -192,11 +192,20 @@ func (c *mapRef[T]) LookupWildPrecise(k flow.Key) (*Entry[T], flow.Mask, int) {
 				if e == best {
 					continue
 				}
-				if diffBit, ok := distinguishingBit(k, e.Match); ok {
+				if diffBit, ok := distinguishingBit(&k, &e.Match); ok {
 					wild[diffBit.field] |= diffBit.mask
 				}
 			}
 		}
 	}
 	return best, wild, probes
+}
+
+func maskLess(a, b flow.Mask) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return false
 }

@@ -17,8 +17,9 @@
 package tss
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"gigaflow/internal/flow"
 	"gigaflow/internal/flowtable"
@@ -93,7 +94,7 @@ func (c *Classifier[T]) NumTuples() int { return len(c.tuples) }
 // Insert adds an entry. If an entry with an identical match predicate and
 // priority already exists, it is replaced and Insert reports true.
 func (c *Classifier[T]) Insert(e *Entry[T]) (replaced bool) {
-	e.Match = e.Match.Normalize()
+	e.Match.NormalizeInPlace()
 	tp := c.tuples[e.Match.Mask]
 	if tp == nil {
 		tp = &tuple[T]{mask: e.Match.Mask, table: flowtable.New[bucket[T]](e.Match.Mask, 0)}
@@ -134,11 +135,32 @@ func (c *Classifier[T]) Insert(e *Entry[T]) (replaced bool) {
 // Delete removes the entry with the given match and priority, reporting
 // whether one was found.
 func (c *Classifier[T]) Delete(m flow.Match, priority int) bool {
-	m = m.Normalize()
+	return c.unlink(&m, priority, nil)
+}
+
+// DeleteMatch is Delete with the predicate by pointer; *m need not be
+// normalized and is not modified.
+func (c *Classifier[T]) DeleteMatch(m *flow.Match, priority int) bool {
+	return c.unlink(m, priority, nil)
+}
+
+// Remove removes e itself, reporting whether it was resident. An entry
+// that was already deleted or replaced is left alone even when another
+// entry now holds its predicate and priority — the identity check an
+// owner that embeds its nodes needs before it recycles one.
+func (c *Classifier[T]) Remove(e *Entry[T]) bool {
+	return c.unlink(&e.Match, e.Priority, e)
+}
+
+// unlink removes the entry with predicate *m and the given priority —
+// only if it is `only`, when only is non-nil.
+func (c *Classifier[T]) unlink(m *flow.Match, priority int, only *Entry[T]) bool {
 	tp := c.tuples[m.Mask]
 	if tp == nil {
 		return false
 	}
+	// Find masks the probe key itself, so an un-normalized *m lands on
+	// the slot of its normalized form.
 	b := tp.table.Find(&m.Key)
 	if b == nil {
 		return false
@@ -148,12 +170,12 @@ func (c *Classifier[T]) Delete(m flow.Match, priority int) bool {
 		link = &(*link).next
 	}
 	e := *link
-	if e == nil {
+	if e == nil || (only != nil && e != only) {
 		return false
 	}
 	*link, e.next = e.next, nil
 	if b.head == nil {
-		tp.table.Delete(m.Key)
+		tp.table.Delete(e.Match.Key)
 	} else if link == &b.head {
 		b.setHead(b.head)
 	}
@@ -179,23 +201,17 @@ func (c *Classifier[T]) rebuildOrder() {
 	for _, tp := range c.tuples {
 		c.order = append(c.order, tp)
 	}
-	sort.Slice(c.order, func(i, j int) bool {
-		if c.order[i].maxPrio != c.order[j].maxPrio {
-			return c.order[i].maxPrio > c.order[j].maxPrio
+	// A total order (masks are distinct per tuple), sorted without
+	// sort.Slice's reflection swapper: a cache under churn gains and loses
+	// tuples in steady state, and each change lands here.
+	slices.SortFunc(c.order, func(a, b *tuple[T]) int {
+		if a.maxPrio != b.maxPrio {
+			return cmp.Compare(b.maxPrio, a.maxPrio)
 		}
 		// Deterministic tie-break on mask bits for reproducible probe counts.
-		return maskLess(c.order[i].mask, c.order[j].mask)
+		return slices.Compare(a.mask[:], b.mask[:])
 	})
 	c.dirty = false
-}
-
-func maskLess(a, b flow.Mask) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }
 
 // find is the staged lookup every payload-or-entry lookup shares: the
@@ -258,26 +274,38 @@ func (c *Classifier[T]) LookupValue(k *flow.Key) (v T, probes int, ok bool) {
 // §4.2.3 since every higher-priority rule lives in a visited tuple).
 //
 //gf:hotpath
-func (c *Classifier[T]) LookupWild(k flow.Key) (*Entry[T], flow.Mask, int) {
+func (c *Classifier[T]) LookupWild(k flow.Key) (e *Entry[T], wild flow.Mask, probes int) {
+	e, probes = c.LookupWildInto(&k, &wild)
+	return e, wild, probes
+}
+
+// LookupWildInto is LookupWild with the key by pointer and the wildcard
+// written into *wild (whatever it held is overwritten): the form the
+// pipeline walk uses to build a traversal step in place.
+//
+//gf:hotpath
+func (c *Classifier[T]) LookupWildInto(k *flow.Key, wild *flow.Mask) (*Entry[T], int) {
 	if c.dirty {
 		c.rebuildOrder()
 	}
 	c.Lookups++
 	var best *Entry[T]
-	var wild flow.Mask
+	*wild = flow.Mask{}
 	probes := 0
 	for _, tp := range c.order {
 		if best != nil && best.Priority >= tp.maxPrio {
 			break
 		}
 		probes++
-		wild = wild.Union(tp.mask)
-		if b := tp.table.Find(&k); b != nil && (best == nil || b.prio > best.Priority) {
+		for i := range wild {
+			wild[i] |= tp.mask[i]
+		}
+		if b := tp.table.Find(k); b != nil && (best == nil || b.prio > best.Priority) {
 			best = b.head
 		}
 	}
 	c.Probes += uint64(probes)
-	return best, wild, probes
+	return best, probes
 }
 
 // LookupWildPrecise is LookupWild with minimal-bit dependency
@@ -300,7 +328,16 @@ func (c *Classifier[T]) LookupWild(k flow.Key) (*Entry[T], flow.Mask, int) {
 // the whole lookup is allocation-free.
 //
 //gf:hotpath
-func (c *Classifier[T]) LookupWildPrecise(k flow.Key) (*Entry[T], flow.Mask, int) {
+func (c *Classifier[T]) LookupWildPrecise(k flow.Key) (e *Entry[T], wild flow.Mask, probes int) {
+	e, probes = c.LookupWildPreciseInto(&k, &wild)
+	return e, wild, probes
+}
+
+// LookupWildPreciseInto is LookupWildPrecise with the key by pointer and
+// the wildcard written into *wild, like LookupWildInto.
+//
+//gf:hotpath
+func (c *Classifier[T]) LookupWildPreciseInto(k *flow.Key, wild *flow.Mask) (*Entry[T], int) {
 	if c.dirty {
 		c.rebuildOrder()
 	}
@@ -315,16 +352,16 @@ func (c *Classifier[T]) LookupWildPrecise(k flow.Key) (*Entry[T], flow.Mask, int
 		}
 		probes++
 		c.probed = append(c.probed, tp)
-		if b := tp.table.Find(&k); b != nil && (best == nil || b.prio > best.Priority) {
+		if b := tp.table.Find(k); b != nil && (best == nil || b.prio > best.Priority) {
 			best = b.head
 		}
 	}
 	c.Probes += uint64(probes)
 
-	var wild flow.Mask
+	*wild = flow.Mask{}
 	bestPrio := -1 << 62
 	if best != nil {
-		wild = wild.Union(best.Match.Mask)
+		*wild = best.Match.Mask
 		bestPrio = best.Priority
 	}
 	// Pass 2: one distinguishing bit against every rule that ranks at or
@@ -346,13 +383,13 @@ func (c *Classifier[T]) LookupWildPrecise(k flow.Key) (*Entry[T], flow.Mask, int
 				if e == best {
 					continue
 				}
-				if diffBit, ok := distinguishingBit(k, e.Match); ok {
+				if diffBit, ok := distinguishingBit(k, &e.Match); ok {
 					wild[diffBit.field] |= diffBit.mask
 				}
 			}
 		}
 	}
-	return best, wild, probes
+	return best, probes
 }
 
 // bitRef names one bit of one field.
@@ -365,7 +402,7 @@ type bitRef struct {
 // with m's key. It exists whenever k does not match m.
 //
 //gf:hotpath
-func distinguishingBit(k flow.Key, m flow.Match) (bitRef, bool) {
+func distinguishingBit(k *flow.Key, m *flow.Match) (bitRef, bool) {
 	for f := flow.FieldID(0); f < flow.NumFields; f++ {
 		if diff := (k[f] ^ m.Key[f]) & m.Mask[f]; diff != 0 {
 			return bitRef{field: f, mask: diff & -diff}, true
@@ -376,19 +413,25 @@ func distinguishingBit(k flow.Key, m flow.Match) (bitRef, bool) {
 
 // Get returns the entry with exactly the given match and priority, if any.
 func (c *Classifier[T]) Get(m flow.Match, priority int) (*Entry[T], bool) {
-	m = m.Normalize()
+	e := c.GetMatch(&m, priority)
+	return e, e != nil
+}
+
+// GetMatch is Get with the predicate by pointer, nil when absent; *m need
+// not be normalized and is not modified.
+func (c *Classifier[T]) GetMatch(m *flow.Match, priority int) *Entry[T] {
 	tp := c.tuples[m.Mask]
 	if tp == nil {
-		return nil, false
+		return nil
 	}
 	if b := tp.table.Find(&m.Key); b != nil {
 		for e := b.head; e != nil; e = e.next {
 			if e.Priority == priority {
-				return e, true
+				return e
 			}
 		}
 	}
-	return nil, false
+	return nil
 }
 
 // Range calls fn for every entry until fn returns false. Iteration order

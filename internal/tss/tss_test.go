@@ -359,3 +359,109 @@ func TestBucketHeadCopyTracksChain(t *testing.T) {
 		t.Fatalf("classifier not empty: %d entries, %d tuples", c.Len(), c.NumTuples())
 	}
 }
+
+// The install paths hand predicates over by pointer and un-normalized (a
+// composed key still carries bits outside its mask until Insert strips
+// them). GetMatch and DeleteMatch must find exactly what Get and Delete
+// find for the same predicate by value, must not modify it, and the
+// wildcard-tracking lookups must agree with their by-value forms.
+func TestByPointerAgreesWithByValue(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	masks := []flow.Mask{
+		flow.ExactFields(flow.FieldIPDst),
+		flow.ExactFields(flow.FieldIPDst, flow.FieldTpDst),
+		flow.EmptyMask.With(flow.FieldIPDst, flow.PrefixMask(flow.FieldIPDst, 16)),
+		flow.ExactFields(flow.FieldEthDst),
+	}
+	dirty := func() flow.Match { // key bits set well outside the mask
+		m := flow.Match{Mask: masks[rng.Intn(len(masks))]}
+		for f := range m.Key {
+			m.Key[f] = uint64(rng.Intn(4)) | uint64(rng.Intn(3))<<16 | uint64(rng.Intn(2))<<40
+		}
+		return m
+	}
+	byPtr, byVal := New[int](), New[int]()
+	for step := 0; step < 4000; step++ {
+		m, prio := dirty(), rng.Intn(3)
+		switch rng.Intn(4) {
+		case 0, 1:
+			rp := byPtr.Insert(&Entry[int]{Match: m, Priority: prio, Value: step})
+			rv := byVal.Insert(&Entry[int]{Match: m, Priority: prio, Value: step})
+			if rp != rv {
+				t.Fatalf("step %d: Insert replaced %v vs %v", step, rp, rv)
+			}
+		case 2:
+			keep := m
+			gp := byPtr.GetMatch(&m, prio)
+			gv, ok := byVal.Get(m, prio)
+			if (gp != nil) != ok || ok && (gp.Value != gv.Value || gp.Priority != gv.Priority || gp.Match != gv.Match) {
+				t.Fatalf("step %d: GetMatch(%v, %d) = %+v, Get = %+v, %v", step, m, prio, gp, gv, ok)
+			}
+			if ok && gp.Match != m.Normalize() {
+				t.Fatalf("step %d: found %v for predicate %v", step, gp.Match, m.Normalize())
+			}
+			if m != keep {
+				t.Fatalf("step %d: GetMatch modified its argument", step)
+			}
+		default:
+			keep := m
+			if dp, dv := byPtr.DeleteMatch(&m, prio), byVal.Delete(m, prio); dp != dv {
+				t.Fatalf("step %d: DeleteMatch(%v, %d) = %v, Delete = %v", step, m, prio, dp, dv)
+			}
+			if m != keep {
+				t.Fatalf("step %d: DeleteMatch modified its argument", step)
+			}
+		}
+		if byPtr.Len() != byVal.Len() || byPtr.NumTuples() != byVal.NumTuples() {
+			t.Fatalf("step %d: %v vs %v", step, byPtr, byVal)
+		}
+		k := dirty().Key
+		var wild flow.Mask
+		wild[0] = ^uint64(0) // LookupWildInto must overwrite, not accumulate
+		ep, pp := byPtr.LookupWildInto(&k, &wild)
+		ev, wv, pv := byVal.LookupWild(k)
+		if (ep == nil) != (ev == nil) || ep != nil && ep.Value != ev.Value || wild != wv || pp != pv {
+			t.Fatalf("step %d: LookupWildInto = %v, %v, %d; LookupWild = %v, %v, %d", step, ep, wild, pp, ev, wv, pv)
+		}
+		wild[1] = ^uint64(0)
+		ep, pp = byPtr.LookupWildPreciseInto(&k, &wild)
+		ev, wv, pv = byVal.LookupWildPrecise(k)
+		if (ep == nil) != (ev == nil) || ep != nil && ep.Value != ev.Value || wild != wv || pp != pv {
+			t.Fatalf("step %d: LookupWildPreciseInto = %v, %v, %d; LookupWildPrecise = %v, %v, %d", step, ep, wild, pp, ev, wv, pv)
+		}
+	}
+	if byPtr.Len() == 0 {
+		t.Fatal("degenerate run: classifier ended empty")
+	}
+}
+
+// Remove deletes the entry it is given and only that entry: a node that
+// has been replaced or already removed stays out, and whatever now holds
+// its predicate and priority stays in.
+func TestRemoveChecksIdentity(t *testing.T) {
+	c := New[int]()
+	a := entry("ip_dst=10.0.0.0/8", 5, 1)
+	lower := entry("ip_dst=10.0.0.0/8", 3, 2)
+	c.Insert(a)
+	c.Insert(lower)
+	b := entry("ip_dst=10.0.0.0/8", 5, 3)
+	if !c.Insert(b) {
+		t.Fatal("same predicate and priority must replace")
+	}
+	if c.Remove(a) {
+		t.Fatal("Remove took out the entry that replaced its argument")
+	}
+	k := flow.MustParseKey("ip_dst=10.1.2.3")
+	if e, _ := c.Lookup(k); e != b || c.Len() != 2 {
+		t.Fatalf("after a refused Remove: Lookup = %v, Len = %d", e, c.Len())
+	}
+	if !c.Remove(b) || c.Remove(b) {
+		t.Fatal("Remove of the resident entry must succeed exactly once")
+	}
+	if e, _ := c.Lookup(k); e != lower || c.Len() != 1 {
+		t.Fatalf("after Remove: Lookup = %v, Len = %d", e, c.Len())
+	}
+	if !c.Remove(lower) || c.Len() != 0 || c.NumTuples() != 0 {
+		t.Fatalf("last Remove: Len = %d, tuples = %d", c.Len(), c.NumTuples())
+	}
+}

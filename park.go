@@ -1,6 +1,7 @@
 package gigaflow
 
 import (
+	"gigaflow/internal/conntrack"
 	gfcache "gigaflow/internal/gigaflow"
 	"gigaflow/internal/megaflow"
 	"gigaflow/internal/microflow"
@@ -19,7 +20,7 @@ import (
 // a parked packet is counted NOWHERE at park time, not even in
 // Stats.Packets. The flow's one traversal is accounted once, by
 // CompleteMiss (Packets, CacheMisses, Slowpath, Installs/InstallErrs),
-// exactly as processMiss would have; every other packet that parked
+// exactly as processMissCt would have; every other packet that parked
 // behind the same pending flow is replayed through Process after the
 // install and counts as the cache hit it would have been inline, where
 // the first packet's miss installs before later packets of the flow are
@@ -178,13 +179,13 @@ func (v *VSwitch) ProcessMissInline(k Key, now int64) (ProcessResult, error) {
 	if v.rec != nil {
 		v.rec.BeginBatch(now)
 	}
-	return v.processMiss(k, now, nil)
+	return v.processMissCt(k, k, nil, conntrack.DirForward, telemetry.TierSlowpath, now, nil)
 }
 
 // CompleteMiss finishes a parked miss whose traversal the upcall engine
 // already ran: it installs the traversal's rules, memoizes the flow, and
 // counts the packet and its one slow-path traversal — the deferred twin
-// of processMiss's install half. tr must be a successful traversal of k
+// of processMissCt's install half. tr must be a successful traversal of k
 // computed against the current pipeline version; the caller is
 // responsible for replaying the packet through Process instead when the
 // traversal failed or a rule update made it stale (Traversal.Version !=

@@ -9,10 +9,9 @@ import (
 )
 
 // frameMetrics pre-resolves the byte-level ingestion counters into
-// arrays indexed by the codec's dense Proto and ErrCode enums, so the
-// per-frame accounting is two pointer-chases and two atomic adds — no
-// label lookup on the packet path. Every series is materialised up
-// front so /metrics shows the full schema at zero.
+// arrays indexed by the codec's dense Proto and ErrCode enums, so
+// accounting never looks a label up on the packet path. Every series is
+// materialised up front so /metrics shows the full schema at zero.
 type frameMetrics struct {
 	decoded [wire.NumProtos]*telemetry.Counter
 	errs    [wire.NumErrCodes]*telemetry.Counter
@@ -46,33 +45,76 @@ func newFrameMetrics(reg *telemetry.Registry) *frameMetrics {
 	return m
 }
 
-// observe accounts one decoded frame of n wire bytes.
+// frameTally is frame accounting held in plain words by whoever decodes
+// a run of frames — a shard worker for one job, a submitter for one
+// batch's fallback decodes — so the process-shared atomic counters are
+// touched once per run and counter, not three or more times per frame.
+type frameTally struct {
+	frames, bytes, vlan, frags uint64
+	decoded                    [wire.NumProtos]uint64
+	errs                       [wire.NumErrCodes]uint64
+}
+
+// add accounts one decoded frame of n wire bytes.
 //
 //gf:hotpath
-func (m *frameMetrics) observe(info wire.Info, n int) {
-	m.frames.Inc()
-	m.bytes.Add(uint64(n))
-	m.decoded[info.Proto].Inc()
+func (t *frameTally) add(info wire.Info, n int) {
+	t.frames++
+	t.bytes += uint64(n)
+	t.decoded[info.Proto]++
 	if info.Err != wire.ErrOK {
-		m.errs[info.Err].Inc()
+		t.errs[info.Err]++
 	}
 	if info.VLAN != 0 {
-		m.vlan.Inc()
+		t.vlan++
 	}
 	if info.Fragment {
-		m.frags.Inc()
+		t.frags++
 	}
 }
 
+// flush folds a tally into the shared counters and empties it. Callers
+// flush before the submission the frames belong to completes, so /metrics
+// reads the same totals after every completed submission as per-frame
+// accounting would give.
+//
+//gf:hotpath
+func (m *frameMetrics) flush(t *frameTally) {
+	if t.frames == 0 {
+		return
+	}
+	m.frames.Add(t.frames)
+	m.bytes.Add(t.bytes)
+	for p, n := range t.decoded {
+		if n != 0 {
+			m.decoded[p].Add(n)
+		}
+	}
+	for e, n := range t.errs {
+		if n != 0 { // never ErrOK, whose slot has no counter
+			m.errs[e].Add(n)
+		}
+	}
+	if t.vlan != 0 {
+		m.vlan.Add(t.vlan)
+	}
+	if t.frags != 0 {
+		m.frags.Add(t.frags)
+	}
+	*t = frameTally{}
+}
+
 // DecodeFrame runs the wire-format decoder and the service's frame
-// accounting without submitting the result — the building block
-// SubmitFrame and SubmitFrameBatch share, exposed for callers (the
-// replay engine, tests) that need the key or decode Info themselves.
+// accounting without submitting the result — SubmitFrame's first half,
+// exposed for callers (the replay engine, tests) that need the key or
+// decode Info themselves.
 //
 //gf:hotpath
 func (s *Service) DecodeFrame(inPort uint16, frame []byte) (gigaflow.Key, wire.Info) {
 	k, info := wire.Decode(frame, inPort)
-	s.frames.observe(info, len(frame))
+	var t frameTally // a run of one; the batch paths tally a whole job
+	t.add(info, len(frame))
+	s.frames.flush(&t)
 	return k, info
 }
 
@@ -132,17 +174,20 @@ type Frame struct {
 // zero (the decode happens later, on the shard).
 func (s *Service) SubmitFrameBatch(ctx context.Context, frames []Frame, b *Batch, opts ...SubmitOption) error {
 	b.Reset()
+	var tally frameTally // the fallback decodes of this batch
 	for _, f := range frames {
 		if t, ok := wire.RSSTuple(f.Data); ok {
 			b.addFrame(f.InPort, f.Data, s.shardOfTuple(t))
 			continue
 		}
-		k, info := s.DecodeFrame(f.InPort, f.Data)
+		k, info := wire.Decode(f.Data, f.InPort)
+		tally.add(info, len(f.Data))
 		if info.Err == wire.ErrShortFrame {
 			b.addRejected(&FrameError{Code: info.Err})
 			continue
 		}
 		b.AddMeta(k, info.TCPFlags)
 	}
+	s.frames.flush(&tally)
 	return s.SubmitBatch(ctx, b, opts...)
 }

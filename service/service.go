@@ -373,6 +373,7 @@ type worker struct {
 	vs    *gigaflow.VSwitch
 	rec   *telemetry.LatencyRecorder // nil when Config.Latency.Disable
 	fm    *frameMetrics              // shared frame accounting (atomic counters)
+	tally frameTally                 // this worker's share of one job's frames, flushed to fm per job
 	in    chan packet
 	label string // worker index, precomputed for metric labels
 
@@ -676,10 +677,13 @@ func (w *worker) runJob(j *batchJob, now int64) {
 				continue // key-routed entry, already decoded
 			}
 			k, info := wire.Decode(j.wire[fr.off:fr.off+fr.n], fr.inPort)
-			w.fm.observe(info, fr.n)
+			w.tally.add(info, fr.n)
 			j.keys[i] = k
 			j.metas[i] = info.TCPFlags
 		}
+		// Once per job, and before its results go back: a submitter that
+		// has its verdicts reads its frames in /metrics.
+		w.fm.flush(&w.tally)
 	}
 	n := len(j.keys)
 	if cap(w.procOut) < n {

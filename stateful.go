@@ -133,13 +133,17 @@ type ctResolver struct {
 	pipe *Pipeline
 	conn *conntrack.Conn
 	dir  conntrack.Dir
+	// buf backs every returned resolution (at most ct_nat's four
+	// rewrites); the traversal copies it out before resolving again.
+	buf [4]Action
 }
 
 // Resolve implements pipeline.Resolver. Forward-direction dnat/snat pick
 // (and then reuse) the connection's binding from the action's pool;
 // reply-direction dnat/snat and ct_nat apply the inverse rewrite. All
 // resolutions report the connection's original tuple and current epoch,
-// tying the resulting cache entries to this connection generation.
+// tying the resulting cache entries to this connection generation. The
+// returned actions alias the resolver's buffer.
 func (r *ctResolver) Resolve(a Action) ([]Action, Key, uint64, bool) {
 	c := r.conn
 	if c == nil {
@@ -155,17 +159,12 @@ func (r *ctResolver) Resolve(a Action) ([]Action, Key, uint64, bool) {
 				}
 				r.ct.SetDNAT(c, tgt.IP, tgt.Port)
 			}
-			return []Action{
-				flow.SetField(flow.FieldIPDst, c.DNAT.IP),
-				flow.SetField(flow.FieldTpDst, c.DNAT.Port),
-			}, c.Orig, c.Epoch, true
+			return r.rewrite2(flow.FieldIPDst, c.DNAT.IP, flow.FieldTpDst, c.DNAT.Port), c.Orig, c.Epoch, true
 		}
 		// Reply direction: un-DNAT — the source reads as the original
 		// destination (the virtual IP the client spoke to).
-		return []Action{
-			flow.SetField(flow.FieldIPSrc, c.Orig.Get(flow.FieldIPDst)),
-			flow.SetField(flow.FieldTpSrc, c.Orig.Get(flow.FieldTpDst)),
-		}, c.Orig, c.Epoch, true
+		return r.rewrite2(flow.FieldIPSrc, c.Orig.Get(flow.FieldIPDst),
+			flow.FieldTpSrc, c.Orig.Get(flow.FieldTpDst)), c.Orig, c.Epoch, true
 	case flow.ActionSNAT:
 		if r.dir == conntrack.DirForward {
 			if !c.SNAT.Set {
@@ -175,29 +174,32 @@ func (r *ctResolver) Resolve(a Action) ([]Action, Key, uint64, bool) {
 				}
 				r.ct.SetSNAT(c, tgt.IP, tgt.Port)
 			}
-			return []Action{
-				flow.SetField(flow.FieldIPSrc, c.SNAT.IP),
-				flow.SetField(flow.FieldTpSrc, c.SNAT.Port),
-			}, c.Orig, c.Epoch, true
+			return r.rewrite2(flow.FieldIPSrc, c.SNAT.IP, flow.FieldTpSrc, c.SNAT.Port), c.Orig, c.Epoch, true
 		}
 		// Reply direction: un-SNAT — restore the original source as the
 		// destination.
-		return []Action{
-			flow.SetField(flow.FieldIPDst, c.Orig.Get(flow.FieldIPSrc)),
-			flow.SetField(flow.FieldTpDst, c.Orig.Get(flow.FieldTpSrc)),
-		}, c.Orig, c.Epoch, true
+		return r.rewrite2(flow.FieldIPDst, c.Orig.Get(flow.FieldIPSrc),
+			flow.FieldTpDst, c.Orig.Get(flow.FieldTpSrc)), c.Orig, c.Epoch, true
 	case flow.ActionCtNAT:
 		// Apply the connection's recorded bindings in the packet's
 		// direction: the identity rewrite when no binding exists.
 		nk := c.NATKey(r.dir)
-		return []Action{
+		r.buf = [4]Action{
 			flow.SetField(flow.FieldIPSrc, nk.Get(flow.FieldIPSrc)),
 			flow.SetField(flow.FieldIPDst, nk.Get(flow.FieldIPDst)),
 			flow.SetField(flow.FieldTpSrc, nk.Get(flow.FieldTpSrc)),
 			flow.SetField(flow.FieldTpDst, nk.Get(flow.FieldTpDst)),
-		}, c.Orig, c.Epoch, true
+		}
+		return r.buf[:], c.Orig, c.Epoch, true
 	}
 	return nil, Key{}, 0, false
+}
+
+// rewrite2 returns the address-and-port pair of set-field rewrites a dnat
+// or snat resolves to, in the resolver's buffer.
+func (r *ctResolver) rewrite2(ipField FieldID, ip uint64, portField FieldID, port uint64) []Action {
+	r.buf[0], r.buf[1] = flow.SetField(ipField, ip), flow.SetField(portField, port)
+	return r.buf[:2]
 }
 
 // pick selects this connection's backend from a NAT pool: deterministic

@@ -34,6 +34,15 @@ type VSwitch struct {
 	rec       *telemetry.LatencyRecorder // optional latency attribution + flight ring
 	slowMu    *sync.Mutex                // optional slow-path traversal lock (async upcall mode)
 	stats     VSwitchStats
+
+	// trav is the one traversal every inline miss refills and res the
+	// resolver it walks with under conntrack: the switch is
+	// single-goroutine and a miss is done with its traversal — installed,
+	// memoized — before the next packet is looked at, so neither is ever
+	// allocated per packet. Traversals that outlive a call (the upcall
+	// engine's, handed to CompleteMiss) come from Pipeline.Process.
+	trav Traversal
+	res  ctResolver
 }
 
 // VSwitchStats counts end-to-end events.
@@ -186,7 +195,7 @@ type ProcessResult struct {
 // installation. This function is the packet fast path — the body below is
 // the entire per-packet cost for cache hits, and gflint's hotalloc check
 // holds it to zero heap allocations. Everything cold lives in unannotated
-// callees: sampled packets divert to processTraced, misses to processMiss.
+// callees: sampled packets divert to processTraced, misses to processMissCt.
 //
 //gf:hotpath
 func (v *VSwitch) Process(k Key, now int64) (ProcessResult, error) {
@@ -280,7 +289,7 @@ func (v *VSwitch) ProcessMeta(k Key, tcpFlags uint8, now int64) (ProcessResult, 
 // each cache tier's counters are accumulated in locals and flushed once
 // per batch instead of once per packet. Like Process, the loop body is
 // allocation-free; sampled packets divert to processTraced and misses to
-// processMiss, which update their counters directly (flushing local
+// processMissCt, which update their counters directly (flushing local
 // deltas on top keeps the totals exact — the two never count the same
 // packet).
 //
@@ -482,22 +491,21 @@ func (v *VSwitch) processTraced(k Key, tcpFlags uint8, now int64, tb *telemetry.
 	return v.processMissCt(k, kt, conn, dir, tier, now, tb)
 }
 
-// processMiss punts a main-cache miss to the slowpath: full pipeline
-// traversal, partitioning, and rule installation. tb is nil unless the
-// packet is being traced.
+// processMissCt punts a main-cache miss to the slowpath: full pipeline
+// traversal, partitioning, and rule installation. kt is the lookup key
+// with ct_state folded in (equal to k when tracking is off), conn/dir the
+// packet's tracked connection (nil when tracking is off or the packet is
+// untracked), tier the latency tier the miss is attributed to
+// (TierConntrack when a stale connection-dependent entry forced the
+// replay), and tb nil unless the packet is being traced.
 //
-//gf:hotpath-safe slowpath traversal and rule install; misses are µs-scale and allocate by design
-func (v *VSwitch) processMiss(k Key, now int64, tb *telemetry.TraceBuilder) (ProcessResult, error) {
-	return v.processMissCt(k, k, nil, conntrack.DirForward, telemetry.TierSlowpath, now, tb)
-}
-
-// processMissCt is processMiss with the conntrack context threaded
-// through: kt is the lookup key with ct_state folded in (equal to k when
-// tracking is off), conn/dir the packet's tracked connection, and tier
-// the latency tier the miss is attributed to (TierConntrack when a stale
-// connection-dependent entry forced the replay).
+// The traversal refills v.trav and the install probes the cache before it
+// builds anything, so a miss allocates for the entries it adds and
+// nothing else; the walk, the partitioner, the composition and the probe
+// are certified on their own (Pipeline.ProcessInto and the gfcache
+// functions it feeds).
 //
-//gf:hotpath-safe slowpath traversal and rule install; misses are µs-scale and allocate by design
+//gf:hotpath-safe the slow-path boundary: takes the upcall engine's traversal lock, wraps a pipeline error and drives the sampled trace builder, none of which a hit may do
 func (v *VSwitch) processMissCt(k, kt Key, conn *conntrack.Conn, dir conntrack.Dir,
 	tier telemetry.Tier, now int64, tb *telemetry.TraceBuilder) (ProcessResult, error) {
 	if v.rec != nil {
@@ -515,13 +523,13 @@ func (v *VSwitch) processMissCt(k, kt Key, conn *conntrack.Conn, dir conntrack.D
 	if v.slowMu != nil {
 		v.slowMu.Lock() // exclude concurrent upcall-engine traversals
 	}
-	var tr *Traversal
+	tr := &v.trav
 	var err error
 	if v.ct != nil {
-		res := ctResolver{ct: v.ct, pipe: v.pipe, conn: conn, dir: dir}
-		tr, err = v.pipe.ProcessResolve(kt, &res)
+		v.res.ct, v.res.pipe, v.res.conn, v.res.dir = v.ct, v.pipe, conn, dir
+		err = v.pipe.ProcessInto(tr, &kt, &v.res)
 	} else {
-		tr, err = v.pipe.Process(kt)
+		err = v.pipe.ProcessInto(tr, &kt, nil)
 	}
 	if v.slowMu != nil {
 		v.slowMu.Unlock()
