@@ -8,11 +8,13 @@ import (
 	"strings"
 )
 
-// LockDiscipline enforces the service's worker control-packet design: the
-// fast path never takes a lock, and the few locks that exist (registry
-// families, tracer ring, service lifecycle) are held briefly and released
-// on every path. Two rules, checked per function over sync.Mutex /
-// sync.RWMutex (including embedded) lock sites:
+// LockDiscipline enforces the service's shard-ownership design: the fast
+// path takes one uncontended lock per job (the shard's owner lock, by
+// TryLock from a submitter or Lock from the shard's worker) and none per
+// packet, and the few other locks that exist (registry families, tracer
+// ring, service lifecycle) are held briefly and released on every path.
+// Two rules, checked per function over sync.Mutex / sync.RWMutex
+// (including embedded) lock sites:
 //
 //  1. A lock acquired in a function must be released on all paths: either
 //     a defer of the matching unlock, or an unlock reachable on every
@@ -21,9 +23,14 @@ import (
 //
 //  2. No channel send, receive, or select while a lock is held. Blocking
 //     on a channel under a lock couples the lock's critical section to
-//     another goroutine's progress — the deadlock shape the control-packet
-//     design exists to avoid (workers mirror state via queued control ops,
-//     never by locking shared structures).
+//     another goroutine's progress — the deadlock shape the ownership
+//     design exists to avoid: what a job must tell another goroutine
+//     (results, completion) is collected under the owner lock and sent
+//     after it is released.
+//
+// A conditional acquisition counts where its success is known: inside
+// `if mu.TryLock() { ... }`, and after `if !mu.TryLock() { return }`
+// (also as one operand of an && / || chain in the condition).
 //
 // The analysis is intra-procedural and branch-local: a branch that
 // unlocks before returning is fine; effects of one branch do not leak
@@ -202,9 +209,16 @@ func (c *lockChecker) scanStmt(stmt ast.Stmt, state *lockState) {
 			c.scanStmt(s.Init, state)
 		}
 		c.checkChanOps(s.Cond, state)
-		c.scanStmts(s.Body.List, state.clone())
+		body := state.clone()
+		if key, call, ok := c.tryLockIn(s.Cond, token.LAND, false); ok {
+			body.held[key] = call // the body runs only if TryLock succeeded
+		}
+		c.scanStmts(s.Body.List, body)
 		if s.Else != nil {
 			c.scanStmt(s.Else, state.clone())
+		}
+		if key, call, ok := c.tryLockIn(s.Cond, token.LOR, true); ok {
+			state.held[key] = call // falling through means TryLock succeeded
 		}
 	case *ast.ForStmt:
 		if s.Init != nil {
@@ -266,6 +280,43 @@ func firstHeld(m map[string]ast.Node) (string, ast.Node, bool) {
 		return k, n, true
 	}
 	return "", nil, false
+}
+
+// tryLockIn finds a TryLock / TryRLock call among the operands of cond's
+// top-level op chain (&& or ||), negated or not as asked: `a && mu.TryLock()`
+// guarantees the lock inside the if body, `a || !mu.TryLock()` guarantees
+// it on the path that skips the body.
+func (c *lockChecker) tryLockIn(cond ast.Expr, op token.Token, negated bool) (string, ast.Node, bool) {
+	cond = ast.Unparen(cond)
+	if b, ok := cond.(*ast.BinaryExpr); ok && b.Op == op {
+		if key, n, ok := c.tryLockIn(b.X, op, negated); ok {
+			return key, n, true
+		}
+		return c.tryLockIn(b.Y, op, negated)
+	}
+	if u, ok := cond.(*ast.UnaryExpr); ok && u.Op == token.NOT {
+		if !negated {
+			return "", nil, false
+		}
+		cond, negated = ast.Unparen(u.X), false
+	}
+	call, ok := cond.(*ast.CallExpr)
+	if negated || !ok {
+		return "", nil, false
+	}
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || (sel.Sel.Name != "TryLock" && sel.Sel.Name != "TryRLock") {
+		return "", nil, false
+	}
+	obj, isFn := c.info.Uses[sel.Sel].(*types.Func)
+	if !isFn || obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
+		return "", nil, false
+	}
+	key := exprText(sel.X)
+	if sel.Sel.Name == "TryRLock" {
+		key += " (read)"
+	}
+	return key, call, true
 }
 
 // lockCall classifies a call as a lock or unlock on a sync.Mutex or

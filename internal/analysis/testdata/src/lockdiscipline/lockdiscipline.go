@@ -94,3 +94,41 @@ func (g *guarded) selectHeld() {
 	}
 	g.mu.Unlock()
 }
+
+// tryOwner is the shard-ownership shape: a conditional acquisition whose
+// failure returns early holds the lock on the fall-through path.
+func (g *guarded) tryOwner(busy bool) bool {
+	if busy || !g.mu.TryLock() {
+		return false
+	}
+	g.n++
+	g.mu.Unlock()
+	return true
+}
+
+// tryBody holds the lock only inside the if body.
+func (g *guarded) tryBody() {
+	if g.mu.TryLock() {
+		g.n++
+		g.mu.Unlock()
+	}
+	g.ch <- 1
+}
+
+// trySendHeld signals completion before releasing the owner lock.
+func (g *guarded) trySendHeld() bool {
+	if !g.mu.TryLock() {
+		return false
+	}
+	g.ch <- g.n // want "channel send while holding g.mu"
+	g.mu.Unlock()
+	return true
+}
+
+// tryLeak returns on the success path without releasing.
+func (g *guarded) tryLeak() bool {
+	if g.mu.TryLock() {
+		return true // want "return while holding g.mu"
+	}
+	return false
+}

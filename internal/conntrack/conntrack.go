@@ -273,6 +273,15 @@ func MayTransition(s State, dir Dir, proto uint64, tcpFlags uint8) bool {
 //
 //gf:hotpath
 func (t *Table) Track(k flow.Key, tcpFlags uint8, now int64) (uint64, *Conn, Dir) {
+	return t.TrackKey(&k, tcpFlags, now)
+}
+
+// TrackKey is the body of Track, reading the key in place: an existing
+// connection's packet — every packet but a connection's first — is
+// probed by pointer and copies nothing.
+//
+//gf:hotpath
+func (t *Table) TrackKey(k *flow.Key, tcpFlags uint8, now int64) (uint64, *Conn, Dir) {
 	proto := k.Get(flow.FieldIPProto)
 	if k.Get(flow.FieldEthType) != packet.EtherTypeIPv4 {
 		return 0, nil, DirForward // not IP: untracked
@@ -280,7 +289,7 @@ func (t *Table) Track(k flow.Key, tcpFlags uint8, now int64) (uint64, *Conn, Dir
 	if !tracked(proto) {
 		bits := flow.CtTrk
 		if proto == packet.IPProtoICMP { // related iff a tracked pair exists
-			if _, ok := t.pairs.Lookup(pairKey(k)); ok {
+			if _, ok := t.pairs.Lookup(pairKey(*k)); ok {
 				bits |= flow.CtRel
 			}
 		}
@@ -288,9 +297,9 @@ func (t *Table) Track(k flow.Key, tcpFlags uint8, now int64) (uint64, *Conn, Dir
 	}
 
 	t.stats.Lookups++
-	ref, ok := t.conns.Lookup(k)
-	if !ok {
-		c := t.create(k, now)
+	ref := t.conns.Find(k)
+	if ref == nil {
+		c := t.create(*k, now)
 		return stateBits(c.State, DirForward), c, DirForward
 	}
 	t.stats.Hits++
@@ -312,7 +321,7 @@ func (t *Table) Track(k flow.Key, tcpFlags uint8, now int64) (uint64, *Conn, Dir
 		if tcpFlags&packet.TCPSyn != 0 && tcpFlags&packet.TCPRst == 0 {
 			// A fresh handshake reuses the tuple: replace the dead
 			// connection with a new one whose initiator is this packet.
-			c = t.reopen(c, k, now)
+			c = t.reopen(c, *k, now)
 			return stateBits(c.State, DirForward), c, DirForward
 		}
 	}
@@ -492,8 +501,16 @@ func (t *Table) touchLazy(c *Conn, now int64) {
 //
 //gf:hotpath
 func (t *Table) EpochValid(tuple flow.Key, epoch uint64) bool {
-	ref, ok := t.conns.Lookup(tuple)
-	return ok && ref.c.Epoch == epoch
+	return t.EpochValidKey(&tuple, epoch)
+}
+
+// EpochValidKey is EpochValid reading the tuple in place (a cache
+// entry's own field).
+//
+//gf:hotpath
+func (t *Table) EpochValidKey(tuple *flow.Key, epoch uint64) bool {
+	ref := t.conns.Find(tuple)
+	return ref != nil && ref.c.Epoch == epoch
 }
 
 // Lookup resolves a tuple to its connection and direction without

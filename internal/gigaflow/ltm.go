@@ -502,8 +502,9 @@ func (c *Cache) Lookup(k flow.Key, now int64) (r Result) {
 // &c.stats for single lookups, a batch-local accumulator for BatchLookup.
 // Per-table hit counts, entry hit counts, and LRU positions always update
 // per packet; only the cache-wide counters are redirected. The result is
-// built in *r, which must be zero on entry: the key is copied once, into
-// r.Final, and every matched commit rewrites it there.
+// built in *r, whose Hit and Verdict must be zero on entry (Final and Path
+// are assigned on every path): the key is copied once, into r.Final, and
+// every matched commit rewrites it there.
 //
 //gf:hotpath
 func (c *Cache) lookupStats(k *flow.Key, now int64, s *Stats, r *Result) {
@@ -558,6 +559,17 @@ func (c *Cache) BatchLookup() BatchLookup { return BatchLookup{c: c} }
 func (b *BatchLookup) Lookup(k flow.Key, now int64) (r Result) {
 	b.c.lookupStats(&k, now, &b.delta, &r)
 	return r
+}
+
+// LookupInto is Lookup reading the key in place and building the result
+// in *r: the datapath's form, one Result reused across a batch. Only the
+// fields a miss leaves alone are reset; Final and Path are assigned on
+// every path.
+//
+//gf:hotpath
+func (b *BatchLookup) LookupInto(k *flow.Key, now int64, r *Result) {
+	r.Hit, r.Verdict = false, flow.Verdict{}
+	b.c.lookupStats(k, now, &b.delta, r)
 }
 
 // Flush folds the accumulated counters into the cache's Stats — the one

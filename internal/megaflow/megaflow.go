@@ -141,7 +141,7 @@ func (c *Cache) Snapshot() Snapshot {
 //
 //gf:hotpath
 func (c *Cache) Lookup(k flow.Key, now int64) (*Entry, bool) {
-	return c.lookupStats(k, now, &c.stats)
+	return c.lookupStats(&k, now, &c.stats)
 }
 
 // lookupStats is the Lookup body with its counter destination injected:
@@ -150,8 +150,8 @@ func (c *Cache) Lookup(k flow.Key, now int64) (*Entry, bool) {
 // cache-wide counters are redirected.
 //
 //gf:hotpath
-func (c *Cache) lookupStats(k flow.Key, now int64, s *Stats) (*Entry, bool) {
-	ent, _, ok := c.cls.LookupValue(&k)
+func (c *Cache) lookupStats(k *flow.Key, now int64, s *Stats) (*Entry, bool) {
+	ent, _, ok := c.cls.LookupValue(k)
 	if !ok {
 		s.Misses++
 		return nil, false
@@ -179,6 +179,13 @@ func (c *Cache) BatchLookup() BatchLookup { return BatchLookup{c: c} }
 //
 //gf:hotpath
 func (b *BatchLookup) Lookup(k flow.Key, now int64) (*Entry, bool) {
+	return b.c.lookupStats(&k, now, &b.delta)
+}
+
+// Find is Lookup reading the key in place.
+//
+//gf:hotpath
+func (b *BatchLookup) Find(k *flow.Key, now int64) (*Entry, bool) {
 	return b.c.lookupStats(k, now, &b.delta)
 }
 

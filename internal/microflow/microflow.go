@@ -162,6 +162,14 @@ func (c *Cache) Lookup(k flow.Key, now int64) (*Entry, bool) {
 	return c.lookupStats(&k, now, &c.stats)
 }
 
+// Find is Lookup reading the key in place: the form the datapath uses,
+// whose keys already sit in a batch it owns.
+//
+//gf:hotpath
+func (c *Cache) Find(k *flow.Key, now int64) (*Entry, bool) {
+	return c.lookupStats(k, now, &c.stats)
+}
+
 // lookupStats is the Lookup body with its counter destination injected:
 // &c.stats for single lookups, a batch-local accumulator for BatchLookup.
 // Entry hit counts and LRU position are per-entry state and always update
@@ -201,6 +209,13 @@ func (b *BatchLookup) Lookup(k flow.Key, now int64) (*Entry, bool) {
 	return b.c.lookupStats(&k, now, &b.delta)
 }
 
+// Find is Cache.Find with counters deferred to Flush.
+//
+//gf:hotpath
+func (b *BatchLookup) Find(k *flow.Key, now int64) (*Entry, bool) {
+	return b.c.lookupStats(k, now, &b.delta)
+}
+
 // Flush folds the accumulated counters into the cache's Stats — the one
 // stats update the whole batch pays. Safe on the zero value.
 func (b *BatchLookup) Flush() {
@@ -218,7 +233,7 @@ func (b *BatchLookup) Flush() {
 //
 //gf:hotpath
 func (c *Cache) Insert(k, final flow.Key, v flow.Verdict, now int64) *Entry {
-	return c.insert(&k, &final, v, now)
+	return c.Memoize(&k, &final, v, now)
 }
 
 // InsertCt memoizes a conntrack-mode result bound to connection state:
@@ -229,16 +244,24 @@ func (c *Cache) Insert(k, final flow.Key, v flow.Verdict, now int64) *Entry {
 //gf:hotpath
 func (c *Cache) InsertCt(k, final flow.Key, v flow.Verdict, now int64,
 	conn *conntrack.Conn, epoch uint64, dir conntrack.Dir) *Entry {
-	e := c.insert(&k, &final, v, now)
+	return c.MemoizeCt(&k, &final, v, now, conn, epoch, dir)
+}
+
+// MemoizeCt is InsertCt reading both keys in place.
+//
+//gf:hotpath
+func (c *Cache) MemoizeCt(k, final *flow.Key, v flow.Verdict, now int64,
+	conn *conntrack.Conn, epoch uint64, dir conntrack.Dir) *Entry {
+	e := c.Memoize(k, final, v, now)
 	e.Ct, e.CtEpoch, e.CtDir = conn, epoch, dir
 	return e
 }
 
-// insert is the body of Insert and InsertCt. Either way the entry comes
-// back bound to no connection.
+// Memoize is the body of Insert and InsertCt, reading both keys in
+// place. The entry comes back bound to no connection.
 //
 //gf:hotpath
-func (c *Cache) insert(k, final *flow.Key, v flow.Verdict, now int64) *Entry {
+func (c *Cache) Memoize(k, final *flow.Key, v flow.Verdict, now int64) *Entry {
 	h := flowtable.HashKey(k)
 	if old, ref := c.find(k, h); old != nil {
 		old.Final, old.Verdict, old.LastHit = *final, v, now
@@ -283,8 +306,13 @@ func (c *Cache) insert(k, final *flow.Key, v flow.Verdict, now int64) *Entry {
 // invalidation. Reports whether an entry was present.
 //
 //gf:hotpath
-func (c *Cache) Remove(k flow.Key) bool {
-	e, ref := c.find(&k, flowtable.HashKey(&k))
+func (c *Cache) Remove(k flow.Key) bool { return c.Drop(&k) }
+
+// Drop is the body of Remove, reading the key in place.
+//
+//gf:hotpath
+func (c *Cache) Drop(k *flow.Key) bool {
+	e, ref := c.find(k, flowtable.HashKey(k))
 	if e == nil {
 		return false
 	}

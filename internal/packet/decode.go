@@ -11,15 +11,28 @@ import "gigaflow/internal/flow"
 // in Info.Err. See the package comment for the degradation rules.
 //
 //gf:hotpath
-func Decode(frame []byte, inPort uint16) (flow.Key, Info) {
-	var k flow.Key
-	var info Info
+func Decode(frame []byte, inPort uint16) (k flow.Key, info Info) {
+	DecodeInto(frame, inPort, &k, &info)
+	return k, info
+}
+
+// DecodeInto is the decoder body: Decode writing through pointers, so a
+// caller that already owns the key's final resting place (a batch slot
+// the cache lookup will read) pays one write per field and no copy.
+//
+// *k and *info may hold a previous packet: DecodeInto overwrites both
+// completely — every key field and every Info field is assigned on every
+// path, whatever the frame — so storage is reused without being cleared.
+//
+//gf:hotpath
+func DecodeInto(frame []byte, inPort uint16, k *flow.Key, info *Info) {
+	*k = flow.Key{}
+	*info = Info{Proto: ProtoNonIPv4}
 	k.Set(flow.FieldInPort, uint64(inPort))
 
 	if len(frame) < ethHeaderLen {
-		info.Proto = ProtoNonIPv4
 		info.Err = ErrShortFrame
-		return k, info
+		return
 	}
 	k.Set(flow.FieldEthDst, be48(frame[0:]))
 	k.Set(flow.FieldEthSrc, be48(frame[6:]))
@@ -32,10 +45,9 @@ func Decode(frame []byte, inPort uint16) (flow.Key, Info) {
 	for tags := 0; tags < maxVLANTags && (ethType == EtherTypeVLAN || ethType == EtherTypeQinQ); tags++ {
 		if len(frame) < off+vlanTagLen {
 			k.Set(flow.FieldEthType, uint64(ethType))
-			info.Proto = ProtoNonIPv4
 			info.Err = ErrVLANTruncated
 			info.HeaderLen = off
-			return k, info
+			return
 		}
 		if tags == 0 {
 			info.VLAN = be16(frame[off:]) & 0x0fff
@@ -50,42 +62,40 @@ func Decode(frame []byte, inPort uint16) (flow.Key, Info) {
 		// Tags beyond the stack budget stay undecoded: an L2-only key
 		// with the residual TPID as its ethertype, flagged so the
 		// degradation is countable.
-		info.Proto = ProtoNonIPv4
 		info.Err = ErrVLANTooDeep
-		return k, info
+		return
 	}
 	if ethType != EtherTypeIPv4 {
 		// Non-IPv4 traffic degrades to an L2-only key by design: the
 		// Figure 6 LTM field set has no fields for it. Not an error.
-		info.Proto = ProtoNonIPv4
-		return k, info
+		return
 	}
-	return decodeIPv4(frame, off, k, info)
+	decodeIPv4(frame, off, k, info)
 }
 
 // decodeIPv4 continues a decode past an IPv4 ethertype at offset off.
 //
 //gf:hotpath
-func decodeIPv4(frame []byte, off int, k flow.Key, info Info) (flow.Key, Info) {
+func decodeIPv4(frame []byte, off int, k *flow.Key, info *Info) {
 	info.Proto = ProtoOtherIPv4
 	if len(frame) < off+ipv4MinHeader {
 		info.Err = ErrIPv4Truncated
-		return k, info
+		return
 	}
 	verIHL := frame[off]
 	if verIHL>>4 != 4 {
 		info.Err = ErrIPv4BadVersion
-		return k, info
+		return
 	}
 	ihl := int(verIHL&0x0f) * 4
 	if ihl < ipv4MinHeader {
 		info.Err = ErrIPv4BadIHL
-		return k, info
+		return
 	}
 	if len(frame) < off+ihl {
 		// The IHL claims options the frame does not carry.
 		info.Err = ErrIPv4Truncated
-		return k, info
+		return
 	}
 	proto := frame[off+9]
 	k.Set(flow.FieldIPSrc, be32(frame[off+12:]))
@@ -105,27 +115,27 @@ func decodeIPv4(frame []byte, off int, k flow.Key, info Info) (flow.Key, Info) {
 		info.Proto = ProtoICMP
 	default:
 		// Other transports have no port concept; the key is complete.
-		return k, info
+		return
 	}
 	if info.Fragment {
 		// Non-first fragment: the transport header is in the first
 		// fragment of the datagram. Ports stay zero, as OVS leaves them.
-		return k, info
+		return
 	}
-	return decodeL4(frame, off, proto, k, info)
+	decodeL4(frame, off, proto, k, info)
 }
 
 // decodeL4 extracts the transport ports (or ICMP type/code) at offset off.
 //
 //gf:hotpath
-func decodeL4(frame []byte, off int, proto byte, k flow.Key, info Info) (flow.Key, Info) {
+func decodeL4(frame []byte, off int, proto byte, k *flow.Key, info *Info) {
 	switch proto {
 	case IPProtoTCP, IPProtoUDP:
 		// Only the port words are extracted; 4 bytes suffice even
 		// though a full header is longer.
 		if len(frame) < off+4 {
 			info.Err = ErrL4Truncated
-			return k, info
+			return
 		}
 		k.Set(flow.FieldTpSrc, uint64(be16(frame[off:])))
 		k.Set(flow.FieldTpDst, uint64(be16(frame[off+2:])))
@@ -141,13 +151,12 @@ func decodeL4(frame []byte, off int, proto byte, k flow.Key, info Info) (flow.Ke
 		// ICMP type and code ride in the port fields, OVS-style.
 		if len(frame) < off+2 {
 			info.Err = ErrL4Truncated
-			return k, info
+			return
 		}
 		k.Set(flow.FieldTpSrc, uint64(frame[off]))
 		k.Set(flow.FieldTpDst, uint64(frame[off+1]))
 		info.HeaderLen = off + 2
 	}
-	return k, info
 }
 
 // be16 reads a big-endian 16-bit word. The explicit length check keeps

@@ -11,7 +11,9 @@ import (
 // contracts: it never panics (the fuzz engine catches that for free),
 // and on cleanly decoded frames, decode → encode → decode is a fixed
 // point — re-encoding the extracted key and decoding the result yields
-// the identical key. The seed corpus under testdata/fuzz/FuzzDecode
+// the identical key — and DecodeInto's: decoding into storage that holds
+// another packet overwrites it completely, so the result equals a decode
+// into fresh storage. The seed corpus under testdata/fuzz/FuzzDecode
 // pins valid TCP/UDP/ICMP/VLAN frames plus truncated and garbage
 // inputs, and `make ci` replays it in regression mode.
 func FuzzDecode(f *testing.F) {
@@ -36,6 +38,18 @@ func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		const inPort = 9
 		k1, info1 := Decode(frame, inPort)
+
+		// Full overwrite: every field of a poisoned key and Info is
+		// replaced, whatever path the frame takes through the decoder.
+		var kp flow.Key
+		for i := range kp {
+			kp[i] = ^uint64(0)
+		}
+		ip := Info{Proto: ProtoICMP, Err: ErrL4Truncated, VLAN: 0xfff, Fragment: true, HeaderLen: 1 << 20, TCPFlags: 0xff}
+		DecodeInto(frame, inPort, &kp, &ip)
+		if kp != k1 || ip != info1 {
+			t.Fatalf("DecodeInto over a previous packet left residue:\n got %s %+v\nwant %s %+v", kp, ip, k1, info1)
+		}
 
 		// Structural invariants that hold for every input.
 		if k1.Get(flow.FieldInPort) != inPort {

@@ -40,12 +40,12 @@ func (v *VSwitch) ProcessPark(k Key, now int64) (res ProcessResult, parked bool,
 	if v.tracer != nil {
 		if tb := v.tracer.Start(); tb != nil {
 			v.stats.Packets++
-			r, err := v.processTraced(k, 0, now, tb)
+			r, err := v.processTraced(&k, 0, now, tb)
 			return r, false, err
 		}
 	}
 	if v.uf != nil {
-		if e, ok := v.uf.Lookup(k, now); ok {
+		if e, ok := v.uf.Find(&k, now); ok {
 			v.stats.Packets++
 			v.stats.MicroflowHits++
 			if v.rec != nil {
@@ -60,7 +60,7 @@ func (v *VSwitch) ProcessPark(k Key, now int64) (res ProcessResult, parked bool,
 		if lr.Hit {
 			v.stats.Packets++
 			v.stats.CacheHits++
-			v.memoize(k, lr.Final, lr.Verdict, now)
+			v.memoize(&k, &lr.Final, lr.Verdict, now)
 			if v.rec != nil {
 				v.rec.Hit(telemetry.TierGigaflow, k.FlowHash())
 				v.rec.EndBatch()
@@ -71,7 +71,7 @@ func (v *VSwitch) ProcessPark(k Key, now int64) (res ProcessResult, parked bool,
 		v.stats.Packets++
 		v.stats.CacheHits++
 		final, verdict := e.Apply(k)
-		v.memoize(k, final, verdict, now)
+		v.memoize(&k, &final, verdict, now)
 		if v.rec != nil {
 			v.rec.Hit(telemetry.TierMegaflow, k.FlowHash())
 			v.rec.EndBatch()
@@ -110,53 +110,54 @@ func (v *VSwitch) ProcessBatchPark(keys []Key, out []ProcessResult, errs []error
 	if v.rec != nil {
 		v.rec.BeginBatch(now)
 	}
+	var lr gfcache.Result
 	for i := range keys {
-		k := keys[i]
+		k, o := &keys[i], &out[i]
 		packets++
 		errs[i] = nil
 		parked[i] = false
 		if v.tracer != nil {
 			if tb := v.tracer.Start(); tb != nil {
-				out[i], errs[i] = v.processTraced(k, 0, now, tb)
+				*o, errs[i] = v.processTraced(k, 0, now, tb)
 				continue
 			}
 		}
 		if v.uf != nil {
-			if e, ok := ufb.Lookup(k, now); ok {
+			if e, ok := ufb.Find(k, now); ok {
 				ufHits++
 				if v.rec != nil {
 					v.rec.Hit(telemetry.TierMicroflow, v.uf.LastHash())
 				}
-				out[i] = ProcessResult{Verdict: e.Verdict, Final: e.Final, CacheHit: true, MicroflowHit: true}
+				o.Verdict, o.Final, o.CacheHit, o.MicroflowHit = e.Verdict, e.Final, true, true
 				continue
 			}
 		}
 		if v.gf != nil {
-			lr := gfb.Lookup(k, now)
+			gfb.LookupInto(k, now, &lr)
 			if lr.Hit {
 				mainHits++
-				v.memoize(k, lr.Final, lr.Verdict, now)
+				v.memoize(k, &lr.Final, lr.Verdict, now)
 				if v.rec != nil {
 					v.rec.Hit(telemetry.TierGigaflow, k.FlowHash())
 				}
-				out[i] = ProcessResult{Verdict: lr.Verdict, Final: lr.Final, CacheHit: true}
+				o.Verdict, o.Final, o.CacheHit, o.MicroflowHit = lr.Verdict, lr.Final, true, false
 				continue
 			}
-		} else if e, ok := mfb.Lookup(k, now); ok {
+		} else if e, ok := mfb.Find(k, now); ok {
 			mainHits++
-			final, verdict := e.Apply(k)
-			v.memoize(k, final, verdict, now)
+			final, verdict := e.Apply(*k)
+			v.memoize(k, &final, verdict, now)
 			if v.rec != nil {
 				v.rec.Hit(telemetry.TierMegaflow, k.FlowHash())
 			}
-			out[i] = ProcessResult{Verdict: verdict, Final: final, CacheHit: true}
+			o.Verdict, o.Final, o.CacheHit, o.MicroflowHit = verdict, final, true, false
 			continue
 		}
 		// Main-cache miss: park it. The packet's accounting is deferred to
 		// CompleteMiss (initiator) or its replay through Process (follower).
 		packets--
 		parked[i] = true
-		out[i] = ProcessResult{}
+		*o = ProcessResult{}
 	}
 	if v.rec != nil {
 		v.rec.EndBatch()
@@ -179,7 +180,7 @@ func (v *VSwitch) ProcessMissInline(k Key, now int64) (ProcessResult, error) {
 	if v.rec != nil {
 		v.rec.BeginBatch(now)
 	}
-	return v.processMissCt(k, k, nil, conntrack.DirForward, telemetry.TierSlowpath, now, nil)
+	return v.processMissCt(&k, &k, nil, conntrack.DirForward, telemetry.TierSlowpath, now, nil)
 }
 
 // CompleteMiss finishes a parked miss whose traversal the upcall engine
@@ -244,9 +245,10 @@ func (v *VSwitch) CompleteMiss(k Key, tr *Traversal, now, travNs, parkNs int64) 
 			flightFlags |= telemetry.FlightEvict
 		}
 	}
-	v.memoize(k, tr.FinalKey(), tr.Verdict, now)
+	final := tr.FinalKey()
+	v.memoize(&k, &final, tr.Verdict, now)
 	if v.rec != nil {
 		v.rec.Deferred(telemetry.TierSlowpath, k.FlowHash(), flightFlags, travNs, parkNs)
 	}
-	return ProcessResult{Verdict: tr.Verdict, Final: tr.FinalKey()}, nil
+	return ProcessResult{Verdict: tr.Verdict, Final: final}, nil
 }

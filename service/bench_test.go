@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gigaflow"
+	wire "gigaflow/internal/packet"
 )
 
 // benchService builds a warmed 1-worker service over the test pipeline:
@@ -86,11 +87,58 @@ func BenchmarkSubmit(b *testing.B) { benchSubmit(b) }
 // are amortized over DefaultBatchSize packets.
 func BenchmarkSubmitBatch(b *testing.B) { benchSubmitBatch(b) }
 
+// BenchmarkSubmitFrameBatch measures the wire path the repository's
+// benchmark drives: blocking 64-frame SubmitFrameBatch over flows that
+// are all resident in the microflow tier. At one worker the submitter
+// runs the whole batch in place; at two, one share crosses a worker
+// queue and the other runs in place. One op is one frame.
+func BenchmarkSubmitFrameBatch(b *testing.B) {
+	const flows = 64
+	frames := make([]Frame, flows)
+	for i := range frames {
+		frames[i] = Frame{Data: wire.Encode(perFlowKey(i))}
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			s, err := New(perFlowPipeline(flows), Config{
+				Workers:           workers,
+				Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 1024},
+				MicroflowCapacity: 8 * flows,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			if err := s.Start(ctx); err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			batch := NewBatch(flows)
+			if err := s.SubmitFrameBatch(ctx, frames, batch); err != nil { // warm
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for sent := 0; sent < b.N; sent += flows {
+				if err := s.SubmitFrameBatch(ctx, frames, batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestBatchThroughputGate is the regression gate behind `make bench-gate`:
 // batched submission must stay at least 2x faster per packet than
-// per-packet submission on the same warmed service. Skipped unless
-// GF_BENCH_GATE=1 — wall-clock benchmarks have no place in the default
-// unit-test run.
+// per-packet submission on the same warmed service. What a batch
+// amortises is no longer a channel round trip — an idle shard's
+// submitter runs its own packets either way — but the fixed cost of one
+// submission (two clock reads, the submit-latency histogram, grouping,
+// one owner-lock acquisition, the VSwitch and cache-tier counter
+// flushes): about 400 ns against about 70 ns of per-packet work, which
+// measured 4.4x at 32 packets when the floor was re-derived (PR 15).
+// Skipped unless GF_BENCH_GATE=1 — wall-clock benchmarks have no place
+// in the default unit-test run.
 func TestBatchThroughputGate(t *testing.T) {
 	if os.Getenv("GF_BENCH_GATE") != "1" {
 		t.Skip("set GF_BENCH_GATE=1 to run the batch throughput gate")
@@ -109,6 +157,18 @@ func TestBatchThroughputGate(t *testing.T) {
 			speedup, bNs, sNs)
 	}
 }
+
+// instrumentBudgetNs is what an always-on instrument (latency
+// attribution, connection tracking of stateless traffic) may add to a
+// batched microflow hit, per packet. The two gates below used to allow
+// 5% of that path when it cost about 250 ns/pkt — 12.5 ns — and PR 15
+// took the queue hop out of the denominator (now about 75 ns/pkt)
+// without touching what the instruments do; a ratio of the new
+// denominator would fail unchanged work, so the allowance is restated
+// in the unit the cost is paid in, slightly tighter than before. It
+// still trips on what the gates exist to catch: a per-packet clock read
+// costs 25 ns or more on this class of machine and an allocation 20.
+const instrumentBudgetNs = 12.0
 
 // benchServiceCt builds a warmed 1-worker service over the test
 // pipeline with or without connection tracking, submitting full
@@ -152,8 +212,9 @@ func benchServiceCt(b testing.TB, flows int, ct bool) (*Service, []gigaflow.Key)
 
 // TestConntrackOverheadGate is the stateless-traffic conntrack floor
 // behind `make bench-gate`: a conntrack-enabled service pushing plain
-// TCP flows through a stateless pipeline must stay within 5% of the
-// identical service with tracking disabled, at 0 allocs/op — the
+// TCP flows through a stateless pipeline must stay within
+// instrumentBudgetNs per packet of the identical service with tracking
+// disabled, at 0 allocs/op — the
 // per-hit cost of the ctServe guard (one epoch compare, one
 // MayTransition check, one LRU touch) must stay noise-level for users
 // who never write a stateful rule. Same interleaved-slice measurement
@@ -218,12 +279,11 @@ func TestConntrackOverheadGate(t *testing.T) {
 	if st.CtFastpath == 0 {
 		t.Fatal("conntrack side never hit the ctServe fast path — gate measured nothing")
 	}
-	overhead := best - 1
-	fmt.Printf("bench-gate: conntrack %.1f -> %.1f ns/pkt (%+.1f%%, ceiling +5.0%%), 0 allocs/op\n",
-		bestBase, bestCt, overhead*100)
-	if overhead > 0.05 {
-		t.Fatalf("conntrack costs %.1f%% on stateless traffic (ceiling 5%%): %.1f vs %.1f ns/pkt",
-			overhead*100, bestCt, bestBase)
+	fmt.Printf("bench-gate: conntrack %.1f -> %.1f ns/pkt (%+.1f ns, %+.1f%%; ceiling +%.0f ns), 0 allocs/op\n",
+		bestBase, bestCt, bestCt-bestBase, (best-1)*100, instrumentBudgetNs)
+	if bestCt-bestBase > instrumentBudgetNs {
+		t.Fatalf("conntrack costs %.1f ns/pkt on stateless traffic (ceiling %.0f): %.1f vs %.1f ns/pkt",
+			bestCt-bestBase, instrumentBudgetNs, bestCt, bestBase)
 	}
 }
 
@@ -248,8 +308,9 @@ func submitSlice(t *testing.T, s *Service, keys []gigaflow.Key, batch *Batch, n 
 
 // TestLatencyOverheadGate is the attribution overhead floor behind
 // `make bench-gate`: with latency attribution on (the default), the
-// batched datapath must stay within 5% of the same path built with
-// Config.Latency.Disable, at 0 allocs/op. Shared-box drift (frequency
+// batched datapath must stay within instrumentBudgetNs per packet of the
+// same path built with Config.Latency.Disable, at 0 allocs/op.
+// Shared-box drift (frequency
 // scaling, noisy neighbors) swings this path by ±15% on second
 // timescales — far more than the few-ns true overhead — so two
 // sequential `testing.Benchmark` blocks cannot resolve it. Instead the
@@ -308,11 +369,10 @@ func TestLatencyOverheadGate(t *testing.T) {
 			best, bestBase, bestInst = ratio, bNs, iNs
 		}
 	}
-	overhead := best - 1
-	fmt.Printf("bench-gate: latency attribution %.1f -> %.1f ns/pkt (%+.1f%%, ceiling +5.0%%), 0 allocs/op\n",
-		bestBase, bestInst, overhead*100)
-	if overhead > 0.05 {
-		t.Fatalf("latency attribution costs %.1f%% over the Latency.Disable baseline (ceiling 5%%): %.1f vs %.1f ns/pkt",
-			overhead*100, bestInst, bestBase)
+	fmt.Printf("bench-gate: latency attribution %.1f -> %.1f ns/pkt (%+.1f ns, %+.1f%%; ceiling +%.0f ns), 0 allocs/op\n",
+		bestBase, bestInst, bestInst-bestBase, (best-1)*100, instrumentBudgetNs)
+	if bestInst-bestBase > instrumentBudgetNs {
+		t.Fatalf("latency attribution costs %.1f ns/pkt over the Latency.Disable baseline (ceiling %.0f): %.1f vs %.1f ns/pkt",
+			bestInst-bestBase, instrumentBudgetNs, bestInst, bestBase)
 	}
 }

@@ -58,7 +58,7 @@ type frameTally struct {
 // add accounts one decoded frame of n wire bytes.
 //
 //gf:hotpath
-func (t *frameTally) add(info wire.Info, n int) {
+func (t *frameTally) add(info *wire.Info, n int) {
 	t.frames++
 	t.bytes += uint64(n)
 	t.decoded[info.Proto]++
@@ -113,7 +113,7 @@ func (m *frameMetrics) flush(t *frameTally) {
 func (s *Service) DecodeFrame(inPort uint16, frame []byte) (gigaflow.Key, wire.Info) {
 	k, info := wire.Decode(frame, inPort)
 	var t frameTally // a run of one; the batch paths tally a whole job
-	t.add(info, len(frame))
+	t.add(&info, len(frame))
 	s.frames.flush(&t)
 	return k, info
 }
@@ -149,45 +149,30 @@ type Frame struct {
 
 // SubmitFrameBatch ingests raw frames into b — which it Resets first —
 // and submits them as a single batch with SubmitBatch's semantics. The
-// batch is index-aligned with frames: request i holds frame i's key and
-// Result.
+// batch is index-aligned with frames: request i holds frame i's Result
+// (and, after a blocking submission, its decoded Key).
 //
 // Ingestion is RSS-style: each frame's 5-tuple is extracted straight
-// from its L3/L4 header words (wire.RSSTuple) and the frame's bytes are
-// routed — still undecoded — to the shard worker the symmetric hash
-// picks, where the full decode runs in parallel with every other
-// shard's. Frames the extractor refuses (non-IPv4, truncated headers,
-// over-deep VLAN stacks) fall back to submitter-side decode plus
-// key-hash routing, which lands on the same shard the wire hash would
-// have and preserves the degraded-frame semantics bit for bit; of
-// those, frames too short for an Ethernet header are never submitted and
-// carry the *FrameError in Result.Err (matching ErrBadFrame and the
-// specific sentinel, e.g. ErrShortFrame), so a mixed batch reports
-// per-index outcomes.
+// from its L3/L4 header words (wire.RSSTuple) and the frame is filed —
+// still undecoded — under the shard the symmetric hash picks, so a
+// shard's share is one contiguous block of the batch and the full decode
+// runs on the shard, into the slot the cache lookup reads, in parallel
+// with every other shard's. A one-shard service skips the hash (the
+// extractor still validates the headers). Frames the extractor refuses
+// (non-IPv4, truncated headers, over-deep VLAN stacks) fall back to
+// submitter-side decode plus key-hash routing, which lands on the same
+// shard the wire hash would have and preserves the degraded-frame
+// semantics bit for bit; of those, frames too short for an Ethernet
+// header are never submitted and carry the *FrameError in Result.Err
+// (matching ErrBadFrame and the specific sentinel, e.g. ErrShortFrame),
+// so a mixed batch reports per-index outcomes.
 //
-// Every frame's bytes are captured (copied into the batch's arena or
-// decoded) before the next entry is read, so the caller may back every
-// entry's Data with one reused buffer per record (the pcap reader's
-// streaming contract). After a blocking submission each request's Key
-// and Meta hold the decoded values regardless of which side ran the
-// decoder; a nonblocking submission leaves wire-routed requests' Key
-// zero (the decode happens later, on the shard).
+// A blocking submission reads each frame's bytes in place until it
+// returns; a nonblocking one copies them before returning. Either way
+// the caller may reuse its buffers as soon as the call is back.
 func (s *Service) SubmitFrameBatch(ctx context.Context, frames []Frame, b *Batch, opts ...SubmitOption) error {
 	b.Reset()
-	var tally frameTally // the fallback decodes of this batch
-	for _, f := range frames {
-		if t, ok := wire.RSSTuple(f.Data); ok {
-			b.addFrame(f.InPort, f.Data, s.shardOfTuple(t))
-			continue
-		}
-		k, info := wire.Decode(f.Data, f.InPort)
-		tally.add(info, len(f.Data))
-		if info.Err == wire.ErrShortFrame {
-			b.addRejected(&FrameError{Code: info.Err})
-			continue
-		}
-		b.AddMeta(k, info.TCPFlags)
-	}
-	s.frames.flush(&tally)
-	return s.SubmitBatch(ctx, b, opts...)
+	b.shape(len(s.workers))
+	b.ingest(s, frames)
+	return s.submit(ctx, b, applyOpts(opts))
 }

@@ -345,7 +345,7 @@ func TestSubmitFrameBatchPerFramePorts(t *testing.T) {
 		if err := b.Result(i).Err; err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if got := b.Request(i).Key.Get(gigaflow.FieldInPort); got != uint64(f.InPort) {
+		if got := b.Key(i).Get(gigaflow.FieldInPort); got != uint64(f.InPort) {
 			t.Errorf("frame %d: decoded in_port %d, want %d", i, got, f.InPort)
 		}
 		if b.Result(i).Verdict.Port != 1 {

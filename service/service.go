@@ -1,17 +1,26 @@
 // Package service wraps gigaflow.VSwitch in the runtime scaffolding a
-// deployment needs: a pool of forwarding workers fed by RSS-sharded
-// queues (OVS's PMD-thread architecture), rule updates with immediate
-// revalidation (§4.3.1), periodic idle-entry expiry (§4.3.2), and graceful
-// shutdown.
+// deployment needs: RSS-sharded forwarding state (OVS's PMD-thread
+// architecture), rule updates with immediate revalidation (§4.3.1),
+// periodic idle-entry expiry (§4.3.2), and graceful shutdown.
 //
 // The underlying pipeline and caches are deliberately single-threaded (as
 // in the paper, where one CPU core runs the slowpath), so the service is
-// shared-nothing: each worker owns a full replica of the pipeline and its
-// own cache shard, and every flow is RSS-hashed to exactly one worker —
+// shared-nothing: each shard owns a full replica of the pipeline and its
+// own cache shard, and every flow is RSS-hashed to exactly one shard —
 // the same spreading a NIC performs before delivering to per-core queues.
-// Rule updates are deterministic functions applied to every replica on its
-// own goroutine, so replicas never diverge and the fast path never takes a
-// lock.
+//
+// What makes a shard single-threaded is ownership, not a goroutine: every
+// shard has an owner lock, and whoever holds it may touch the shard's
+// VSwitch, recorder, frame tally and upcall table — nobody else, ever. It
+// is taken once per message and never per packet. Each shard has a worker
+// goroutine serving its input queue under that lock, but a blocking
+// submitter whose shard is idle — nothing queued or running, lock free —
+// takes the lock and runs its share itself, on its own goroutine, like
+// the run-to-completion datapath thread the paper patches: the thread
+// holding the burst classifies it, and no packet pays a queue hop or a
+// wake-up. A busy shard's share is queued as before. Rule updates are
+// deterministic functions applied to every replica under its owner lock,
+// so replicas never diverge.
 package service
 
 import (
@@ -354,44 +363,69 @@ type Result struct {
 	Err      error
 }
 
-// packet is one queued unit of work: a flow key to forward, a batch job
-// (many keys crossing the channel as one message), a control function
-// (rule update / revalidation / expiry) executed inline on the worker
-// goroutine so its pipeline and cache are never touched concurrently, or
-// a group of engine-completed upcalls to apply (async offload mode).
+// packet is one queued unit of work for a shard's worker goroutine: a
+// flow key to forward, a batch job (a whole share crossing the channel as
+// one message), a control function (rule update / snapshot / expiry) run
+// under the shard's owner lock, or a group of engine-completed upcalls to
+// apply (async offload mode).
 type packet struct {
 	key     gigaflow.Key
 	meta    uint8 // TCP flag byte for the conntrack state machine
 	resp    chan<- Result
 	job     *batchJob
-	control func()
+	control func(i int, w *worker)
+	ack     chan<- struct{} // control ops: signalled once the function has run
 	comp    []*upcall.Miss[parked]
 }
 
-// worker owns one pipeline replica and one cache shard.
+// respMsg is one Result bound for a WithResponse channel.
+type respMsg struct {
+	ch chan<- Result
+	r  Result
+}
+
+// worker is one shard: a pipeline replica, a cache shard, and the
+// goroutine that serves its input queue.
 type worker struct {
+	// own is the shard's owner lock: vs, rec, tally, procPark, stopped and
+	// the async offload state below are touched only while holding it. The
+	// worker goroutine takes it around every queued message; a blocking
+	// submitter takes it — TryLock, never waiting — to run its own share.
+	own sync.Mutex
+	// inflight counts messages sent to in whose run has not finished:
+	// incremented before the send, decremented after the message has run
+	// and its signals are out. A submitter may run its share itself only
+	// at zero: len(in) would miss a message already dequeued but not yet
+	// run, and with it the rule that nothing a goroutine submitted
+	// earlier — a nonblocking packet, a control op — is overtaken.
+	inflight atomic.Int64
+
 	vs    *gigaflow.VSwitch
 	rec   *telemetry.LatencyRecorder // nil when Config.Latency.Disable
 	fm    *frameMetrics              // shared frame accounting (atomic counters)
-	tally frameTally                 // this worker's share of one job's frames, flushed to fm per job
+	tally frameTally                 // this shard's share of one job's frames, flushed to fm per job
 	in    chan packet
-	label string // worker index, precomputed for metric labels
+	idx   int    // shard index = upcall.Miss.Shard
+	label string // shard index, precomputed for metric labels
 
-	// Scratch for ProcessBatch output, grown to the largest job seen so
-	// the steady-state batch path allocates nothing.
-	procOut  []gigaflow.ProcessResult
-	procErr  []error
-	procPark []bool
+	procPark []bool // ProcessBatchPark's parked flags, grown to the largest job seen
+	stopped  bool   // drain has begun: a share run from here on fails with ErrClosed
+
+	// What the message being served must tell other goroutines, collected
+	// under the owner lock and sent once it is released. Only the worker
+	// goroutine fills and flushes these: a submitter running its own share
+	// has no response channel and learns of completion by return value.
+	resps []respMsg
+	fin   []*batchJob
 
 	drops atomic.Uint64 // nonblocking rejections due to a full queue
 	skips atomic.Uint64 // expiry sweeps skipped due to a full queue
 
 	// Asynchronous offload state (Config.Upcall.Workers > 0). pending and
-	// the counters below belong to the worker goroutine; slowMu is the
-	// one lock shared with the engine, taken only around pipeline
-	// traversals and rule mutations — never on the cache-hit path.
+	// the counters below are owner-lock state; slowMu is the one lock
+	// shared with the engine, taken only around pipeline traversals and
+	// rule mutations — never on the cache-hit path.
 	async    bool
-	idx      int // worker index = upcall.Miss.Shard
 	overflow OverflowPolicy
 	slowMu   sync.Mutex
 	pending  *upcall.Table[parked]
@@ -538,15 +572,15 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 			rec:   rec,
 			fm:    s.frames,
 			in:    make(chan packet, cfg.QueueDepth),
+			idx:   i,
 			label: fmt.Sprintf("%d", i),
 		}
 		if cfg.Upcall.Workers > 0 {
 			w.async = true
-			w.idx = i
 			w.overflow = cfg.Upcall.Overflow
 			w.pending = upcall.NewTable[parked]()
-			// The engine traverses this worker's pipeline replica from its
-			// own goroutine; the worker's inline traversals (overflow
+			// The engine traverses this shard's pipeline replica from its
+			// own goroutine; the shard's inline traversals (overflow
 			// fallback, follower replays, rule updates) take the same lock.
 			opts = append(opts, gigaflow.WithSlowpathLock(&w.slowMu))
 		}
@@ -613,167 +647,275 @@ func (s *Service) runWorker(ctx context.Context, w *worker) {
 		case <-ctx.Done():
 			w.drain()
 			return
-		case pkt := <-w.in:
-			w.run(pkt)
+		case m := <-w.in:
+			w.serve(m, false)
 		}
 	}
 }
 
-// run executes one queued message on the worker goroutine. The wall
-// clock is read once per message and threaded through both the
-// single-packet and batch paths, so the two age caches identically and
-// the latency recorder anchors its flight timestamps on the same stamp
-// that touched the cache entries.
-func (w *worker) run(pkt packet) {
-	switch {
-	case pkt.control != nil:
-		pkt.control()
-	case pkt.comp != nil:
-		now := time.Now().UnixNano()
-		for _, m := range pkt.comp {
-			w.complete(m, now)
+// running reports why blocking work cannot be accepted, if it cannot.
+func (s *Service) running() error {
+	switch s.state.Load() {
+	case stateNew:
+		return ErrNotStarted
+	case stateClosed:
+		return ErrClosed
+	}
+	return nil
+}
+
+// post queues m for w's worker goroutine, waiting for room; it gives up
+// when ctx is done or the workers have exited. With offer it is the only
+// place a message enters a worker queue, and so the only place the
+// in-flight count goes up.
+//
+//gf:hotpath-safe the queued path: a busy shard's message crosses the worker channel
+func (s *Service) post(ctx context.Context, w *worker, m packet) error {
+	w.inflight.Add(1)
+	select {
+	case w.in <- m:
+		return nil
+	case <-ctx.Done():
+		w.inflight.Add(-1)
+		return ctx.Err()
+	case <-s.term:
+		w.inflight.Add(-1)
+		return ErrClosed
+	}
+}
+
+// offer is post that never waits: it reports false when the queue is
+// full.
+func (w *worker) offer(m packet) bool {
+	w.inflight.Add(1)
+	select {
+	case w.in <- m:
+		return true
+	default:
+		w.inflight.Add(-1)
+		return false
+	}
+}
+
+// tryRun runs j on the calling goroutine if the shard is idle — every
+// message ever queued to it has been served, and nobody holds the owner
+// lock — and reports whether it did. It never waits: a busy shard's
+// share is queued instead. j.finished is set unless packets were parked
+// behind upcalls, whose completions will signal j.done. now stamps every
+// packet of the share, as a queued message's dequeue time would.
+//
+//gf:hotpath-safe the one uncontended owner-lock acquisition a share pays; never per packet
+func (w *worker) tryRun(j *batchJob, now int64) bool {
+	if w.inflight.Load() != 0 || !w.own.TryLock() {
+		return false
+	}
+	if w.stopped {
+		j.blk.settle(ErrClosed)
+		j.finished = true
+	} else {
+		j.finished = w.runJob(j, now)
+	}
+	w.own.Unlock()
+	return true
+}
+
+// serve runs one queued message under the owner lock and then — lock
+// released — sends what it produced: results to response channels,
+// finished jobs to their submitters, the control acknowledgement. The
+// in-flight count drops last, so a submitter that sees the shard idle
+// sees everything it queued earlier fully delivered. closing is drain's
+// mode: work fails with ErrClosed and no send may wait.
+func (w *worker) serve(m packet, closing bool) {
+	w.own.Lock()
+	if closing {
+		w.stopped = true
+		w.refuse(m)
+	} else {
+		w.run(m)
+	}
+	w.own.Unlock()
+	w.flush(closing)
+	if m.ack != nil {
+		m.ack <- struct{}{} // buffered for every shard by eachShard
+	}
+	w.inflight.Add(-1)
+}
+
+// flush sends the collected results and completion signals, in the order
+// they were produced. try makes response sends give up on a full channel
+// (shutdown: a fire-and-forget submitter may be gone); done channels are
+// buffered for every share of their batch and never block.
+func (w *worker) flush(try bool) {
+	for i := range w.resps {
+		m := &w.resps[i]
+		if !try {
+			m.ch <- m.r
+			continue
 		}
-	case pkt.job != nil:
-		w.runJob(pkt.job, time.Now().UnixNano())
+		select {
+		case m.ch <- m.r:
+		default:
+		}
+	}
+	for _, j := range w.fin {
+		j.done <- j
+	}
+	w.resps, w.fin = w.resps[:0], w.fin[:0]
+}
+
+// reply queues one packet's result for its response channel, if it has
+// one.
+func (w *worker) reply(ch chan<- Result, res *gigaflow.ProcessResult, err error) {
+	if ch != nil {
+		w.resps = append(w.resps, respMsg{ch, Result{Verdict: res.Verdict, Final: res.Final, CacheHit: res.CacheHit, Err: err}})
+	}
+}
+
+// run executes one queued message under the owner lock. The wall clock
+// is read once per message and threaded through both the single-packet
+// and batch paths, so the two age caches identically and the latency
+// recorder anchors its flight timestamps on the same stamp that touched
+// the cache entries.
+func (w *worker) run(m packet) {
+	switch {
+	case m.control != nil:
+		m.control(w.idx, w)
+	case m.comp != nil:
+		now := time.Now().UnixNano()
+		for _, c := range m.comp {
+			w.complete(c, now)
+		}
+	case m.job != nil:
+		if w.runJob(m.job, time.Now().UnixNano()) && m.job.done != nil {
+			w.fin = append(w.fin, m.job)
+		}
 	default:
 		now := time.Now().UnixNano()
 		if w.async {
-			res, wasParked, err := w.vs.ProcessPark(pkt.key, now)
+			res, wasParked, err := w.vs.ProcessPark(m.key, now)
 			if wasParked {
-				if w.parkOne(pkt.key, parked{idx: -1, resp: pkt.resp}, now) {
+				if w.parkOne(m.key, parked{idx: -1, resp: m.resp}, now) {
 					return // answered later, by complete or sweepParked
 				}
-				r := w.parkFallback(pkt.key, now)
-				if pkt.resp != nil {
-					pkt.resp <- r
-				}
-				return
+				res, err = w.parkFallback(m.key, now)
 			}
-			if pkt.resp != nil {
-				pkt.resp <- Result{Verdict: res.Verdict, Final: res.Final, CacheHit: res.CacheHit, Err: err}
-			}
+			w.reply(m.resp, &res, err)
 			return
 		}
-		res, err := w.vs.ProcessMeta(pkt.key, pkt.meta, now)
-		if pkt.resp != nil {
-			pkt.resp <- Result{Verdict: res.Verdict, Final: res.Final, CacheHit: res.CacheHit, Err: err}
-		}
+		res, err := w.vs.ProcessMeta(m.key, m.meta, now)
+		w.reply(m.resp, &res, err)
 	}
 }
 
-// runJob processes one batch job: a single ProcessBatch call covers every
-// key — one VSwitch stats flush and one counter flush per cache tier for
-// the whole job — then results fan back to the submitter, who paid one
-// channel message for all of them. now is the message's single wall-clock
-// stamp, shared by every packet in the job.
-func (w *worker) runJob(j *batchJob, now int64) {
-	// Wire-path entries arrive as raw frame bytes: the submitter routed
-	// them by the RSS hash alone, so the full decode runs here, on the
-	// owning shard — in parallel across workers — before the batch scan.
-	if j.wire != nil {
-		for i := range j.frames {
-			fr := j.frames[i]
-			if fr.n == 0 {
-				continue // key-routed entry, already decoded
-			}
-			k, info := wire.Decode(j.wire[fr.off:fr.off+fr.n], fr.inPort)
-			w.tally.add(info, fr.n)
-			j.keys[i] = k
-			j.metas[i] = info.TCPFlags
+// refuse is run for a message found queued at shutdown: control ops run
+// normally (they only touch shard state), upcall completions already
+// delivered by the engine are applied normally (their submitters get
+// real results), while packets and jobs fail with ErrClosed.
+func (w *worker) refuse(m packet) {
+	switch {
+	case m.control != nil, m.comp != nil:
+		w.run(m)
+	case m.job != nil:
+		m.job.blk.settle(ErrClosed)
+		if m.job.done != nil {
+			w.fin = append(w.fin, m.job)
 		}
-		// Once per job, and before its results go back: a submitter that
-		// has its verdicts reads its frames in /metrics.
+	default:
+		w.reply(m.resp, &gigaflow.ProcessResult{}, ErrClosed)
+	}
+}
+
+// runJob processes one share on the shard that owns it, under the owner
+// lock, on whichever goroutine holds it — the worker's for a queued job,
+// the submitter's for one run in place; there is no other body. Entries
+// that arrived as raw frames are decoded first, straight into the key
+// slots the batch scan reads; then a single ProcessBatch call covers
+// every key — one VSwitch stats flush and one counter flush per cache
+// tier for the whole share — writing each result into the slot
+// Batch.Result reads. now is the message's single wall-clock stamp,
+// shared by every packet of the share. It reports whether the job is
+// finished; an async job that parked packets finishes later, in deliver.
+//
+//gf:hotpath
+func (w *worker) runJob(j *batchJob, now int64) (finished bool) {
+	blk := j.blk
+	if len(blk.frames) != 0 {
+		var info wire.Info
+		for i := range blk.frames {
+			fr := &blk.frames[i]
+			if fr.data == nil {
+				continue // decoded by the submitter (RSS extractor refused it)
+			}
+			wire.DecodeInto(fr.data, fr.inPort, &blk.keys[i], &info)
+			w.tally.add(&info, len(fr.data))
+			blk.metas[i] = info.TCPFlags
+		}
+		// Once per job, and before its results are visible: a submitter
+		// that has its verdicts reads its frames in /metrics.
 		w.fm.flush(&w.tally)
 	}
-	n := len(j.keys)
-	if cap(w.procOut) < n {
-		w.procOut = make([]gigaflow.ProcessResult, n)
-		w.procErr = make([]error, n)
+	if w.async {
+		return w.parkJob(j, now)
+	}
+	w.vs.ProcessBatchMeta(blk.keys, blk.metas, blk.out, blk.errs, now)
+	if j.resp != nil {
+		for i := range blk.out {
+			w.reply(j.resp, &blk.out[i], blk.errs[i])
+		}
+	}
+	return true
+}
+
+// parkJob is runJob's scan in async offload mode: hits resolve in the
+// batch scan; misses park behind their flows and answer later via
+// complete. j.pending starts at 1 for the scan itself so a completion
+// can never finish the job mid-scan (impossible today — completions need
+// the owner lock this scan holds — but cheap to make structural); the
+// scan's own unit is released at the end, finishing the job if nothing
+// parked.
+//
+//gf:hotpath-safe async offload: parking a miss allocates its pending-flow entry and feeds the upcall queue by design
+func (w *worker) parkJob(j *batchJob, now int64) (finished bool) {
+	blk := j.blk
+	n := len(blk.keys)
+	if cap(w.procPark) < n {
 		w.procPark = make([]bool, n)
 	}
-	out := w.procOut[:n]
-	errs := w.procErr[:n]
-	if !w.async {
-		w.vs.ProcessBatchMeta(j.keys, j.metas, out, errs, now)
-		for i := 0; i < n; i++ {
-			j.res[i] = Result{Verdict: out[i].Verdict, Final: out[i].Final, CacheHit: out[i].CacheHit, Err: errs[i]}
-			if j.resp != nil {
-				j.resp <- j.res[i]
-			}
-		}
-		if j.done != nil {
-			j.done <- j
-		}
-		return
-	}
-	// Async offload: hits resolve in the batch scan; misses park behind
-	// their flows and answer later via complete. j.pending starts at 1 for
-	// the scan itself so a completion racing in mid-scan (impossible
-	// today — completions arrive on this same goroutine — but cheap to
-	// make structural) can never fire done early; the scan's own unit is
-	// released at the end, signalling done if nothing parked.
 	parks := w.procPark[:n]
-	w.vs.ProcessBatchPark(j.keys, out, errs, parks, now)
+	w.vs.ProcessBatchPark(blk.keys, blk.out, blk.errs, parks, now)
 	j.pending = 1
 	for i := 0; i < n; i++ {
 		if parks[i] {
-			if w.parkOne(j.keys[i], parked{job: j, idx: i}, now) {
+			if w.parkOne(blk.keys[i], parked{job: j, idx: i}, now) {
 				j.pending++
 				continue
 			}
-			j.res[i] = w.parkFallback(j.keys[i], now)
-		} else {
-			j.res[i] = Result{Verdict: out[i].Verdict, Final: out[i].Final, CacheHit: out[i].CacheHit, Err: errs[i]}
+			blk.out[i], blk.errs[i] = w.parkFallback(blk.keys[i], now)
 		}
-		if j.resp != nil {
-			j.resp <- j.res[i]
-		}
+		w.reply(j.resp, &blk.out[i], blk.errs[i])
 	}
 	j.pending--
-	if j.pending == 0 && j.done != nil {
-		j.done <- j
-	}
+	return j.pending == 0
 }
 
 // drain completes work still queued at shutdown so blocking submitters
-// are never stranded: control ops run normally (they only touch
-// worker-owned state and buffered channels), upcall completions already
-// delivered by the engine are applied normally (their submitters get
-// real results), while packets and jobs fail with ErrClosed. The loop
-// stops as soon as the queue is momentarily empty — late nonblocking
-// submissions after that point are dropped with the queue, exactly like
-// packets lost in a NIC ring at teardown — and then the pending-flow
-// table is swept so parked packets whose completions never arrived fail
-// with ErrClosed too.
+// are never stranded (see refuse). The loop stops as soon as the queue
+// is momentarily empty — late nonblocking submissions after that point
+// are dropped with the queue, exactly like packets lost in a NIC ring at
+// teardown — and then the pending-flow table is swept so parked packets
+// whose completions never arrived fail with ErrClosed too. The owner
+// lock is taken per message, never across the receive.
 func (w *worker) drain() {
 	for {
 		select {
-		case pkt := <-w.in:
-			switch {
-			case pkt.control != nil:
-				pkt.control()
-			case pkt.comp != nil:
-				now := time.Now().UnixNano()
-				for _, m := range pkt.comp {
-					w.complete(m, now)
-				}
-			case pkt.job != nil:
-				for i := range pkt.job.res {
-					pkt.job.res[i] = Result{Err: ErrClosed}
-				}
-				if pkt.job.done != nil {
-					pkt.job.done <- pkt.job
-				}
-			default:
-				if pkt.resp != nil {
-					select {
-					case pkt.resp <- Result{Err: ErrClosed}:
-					default:
-					}
-				}
-			}
+		case m := <-w.in:
+			w.serve(m, true)
 		default:
+			w.own.Lock()
+			w.stopped = true
 			w.sweepParked()
+			w.own.Unlock()
+			w.flush(true)
 			return
 		}
 	}
@@ -789,12 +931,10 @@ func (s *Service) runExpiry(ctx context.Context) {
 			return
 		case <-ticker.C:
 			now := time.Now().UnixNano()
+			expire := func(_ int, w *worker) { w.vs.ExpireIdle(now) }
 			for _, w := range s.workers {
-				w := w
 				// A full queue skips this sweep; the next tick retries.
-				select {
-				case w.in <- packet{control: func() { w.vs.ExpireIdle(now) }}:
-				default:
+				if !w.offer(packet{control: expire}) {
 					w.skips.Add(1)
 				}
 			}
@@ -802,109 +942,100 @@ func (s *Service) runExpiry(ctx context.Context) {
 	}
 }
 
-// UpdateRules applies a deterministic mutation to every worker's pipeline
-// replica (on the worker's own goroutine) and revalidates its cache
+// eachShard runs fn once per shard, under that shard's owner lock and
+// behind everything already queued to it, and returns when every shard
+// has run it. It is how every control operation — rule updates, stats
+// and telemetry snapshots — reaches shard state. On a service that is
+// not running it fails at once with ErrNotStarted or ErrClosed rather
+// than queue to workers that will never serve it; when it returns an
+// error (also ctx.Err()) some shards may still run fn later, so callers
+// discard what fn collected.
+func (s *Service) eachShard(ctx context.Context, fn func(i int, w *worker)) error {
+	if err := s.running(); err != nil {
+		return err
+	}
+	ack := make(chan struct{}, len(s.workers))
+	for _, w := range s.workers {
+		if err := s.post(ctx, w, packet{control: fn, ack: ack}); err != nil {
+			return err
+		}
+	}
+	for range s.workers {
+		select {
+		case <-ack:
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-s.term:
+			return ErrClosed
+		}
+	}
+	return nil
+}
+
+// UpdateRules applies a deterministic mutation to every shard's pipeline
+// replica (under the shard's owner lock) and revalidates its cache
 // immediately. The function is called once per replica and must perform
 // the same logical change each time; an error from any replica is
 // returned (replicas that already applied it keep the change and a
 // consistent revalidated cache).
 func (s *Service) UpdateRules(ctx context.Context, fn func(p *gigaflow.Pipeline) error) error {
-	errs := make(chan error, len(s.workers))
-	for _, w := range s.workers {
-		w := w
-		op := packet{control: func() {
-			// Rule mutation and revalidation race the upcall engine's
-			// traversals of this replica; slowMu excludes them. (Held
-			// uncontended in synchronous mode.) The error send stays
-			// outside the critical section.
-			w.slowMu.Lock()
-			err := fn(w.vs.Pipeline())
-			if err == nil {
-				w.vs.Revalidate()
-			}
-			w.slowMu.Unlock()
-			errs <- err
-		}}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case w.in <- op:
+	errs := make([]error, len(s.workers))
+	err := s.eachShard(ctx, func(i int, w *worker) {
+		// Rule mutation and revalidation race the upcall engine's
+		// traversals of this replica; slowMu excludes them. (Held
+		// uncontended in synchronous mode.)
+		w.slowMu.Lock()
+		errs[i] = fn(w.vs.Pipeline())
+		if errs[i] == nil {
+			w.vs.Revalidate()
+		}
+		w.slowMu.Unlock()
+	})
+	if err != nil {
+		return err
+	}
+	for _, e := range errs {
+		if e != nil {
+			return e
 		}
 	}
-	var first error
-	for range s.workers {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case err := <-errs:
-			if err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	return first
+	return nil
 }
 
-// Stats aggregates all workers' counters. It runs on the workers' own
-// goroutines for a coherent snapshot.
+// Stats aggregates all shards' counters, each snapshotted under its
+// owner lock for a coherent view.
 func (s *Service) Stats(ctx context.Context) (gigaflow.VSwitchStats, error) {
-	var mu sync.Mutex
-	var out gigaflow.VSwitchStats
-	done := make(chan struct{}, len(s.workers))
-	for _, w := range s.workers {
-		w := w
-		op := packet{control: func() {
-			st := w.vs.Stats()
-			mu.Lock()
-			out.Packets += st.Packets
-			out.MicroflowHits += st.MicroflowHits
-			out.CacheHits += st.CacheHits
-			out.CacheMisses += st.CacheMisses
-			out.Slowpath += st.Slowpath
-			out.Installs += st.Installs
-			out.InstallErrs += st.InstallErrs
-			out.CtFastpath += st.CtFastpath
-			out.CtGuardFails += st.CtGuardFails
-			out.CtInvalidated += st.CtInvalidated
-			mu.Unlock()
-			done <- struct{}{}
-		}}
-		select {
-		case <-ctx.Done():
-			return out, ctx.Err()
-		case w.in <- op:
-		}
+	per := make([]gigaflow.VSwitchStats, len(s.workers))
+	if err := s.eachShard(ctx, func(i int, w *worker) { per[i] = w.vs.Stats() }); err != nil {
+		return gigaflow.VSwitchStats{}, err
 	}
-	for range s.workers {
-		select {
-		case <-ctx.Done():
-			return out, ctx.Err()
-		case <-done:
-		}
+	var out gigaflow.VSwitchStats
+	for _, st := range per {
+		out.Packets += st.Packets
+		out.MicroflowHits += st.MicroflowHits
+		out.CacheHits += st.CacheHits
+		out.CacheMisses += st.CacheMisses
+		out.Slowpath += st.Slowpath
+		out.Installs += st.Installs
+		out.InstallErrs += st.InstallErrs
+		out.CtFastpath += st.CtFastpath
+		out.CtGuardFails += st.CtGuardFails
+		out.CtInvalidated += st.CtInvalidated
 	}
 	return out, nil
 }
 
-// CacheEntries sums cache entries across worker shards, snapshotted on
-// the workers' own goroutines.
+// CacheEntries sums cache entries across shards, each counted under its
+// owner lock; 0 on a service that is not running.
 func (s *Service) CacheEntries() int {
-	var mu sync.Mutex
+	per := make([]int, len(s.workers))
+	if err := s.eachShard(context.Background(), func(i int, w *worker) { per[i] = w.vs.CacheEntries() }); err != nil {
+		return 0
+	}
 	total := 0
-	done := make(chan struct{}, len(s.workers))
-	for _, w := range s.workers {
-		w := w
-		w.in <- packet{control: func() {
-			mu.Lock()
-			total += w.vs.CacheEntries()
-			mu.Unlock()
-			done <- struct{}{}
-		}}
+	for _, n := range per {
+		total += n
 	}
-	for range s.workers {
-		<-done
-	}
-	mu.Lock()
-	defer mu.Unlock()
 	return total
 }
 
@@ -1003,6 +1134,9 @@ func partitionNATPools(p *gigaflow.Pipeline, cfg Config) (map[uint16][][]gigaflo
 //
 //gf:hotpath
 func (s *Service) shardOfKey(k *gigaflow.Key) int {
+	if len(s.workers) == 1 {
+		return 0 // nothing to choose: no hash, no modulo
+	}
 	if s.natOwner != nil {
 		if w, ok := s.natOwner[natEndpoint{k.Get(gigaflow.FieldIPSrc), k.Get(gigaflow.FieldTpSrc)}]; ok {
 			return w
@@ -1019,7 +1153,10 @@ func (s *Service) shardOfKey(k *gigaflow.Key) int {
 // lands exactly where its decoded key would have.
 //
 //gf:hotpath
-func (s *Service) shardOfTuple(t wire.Tuple) int {
+func (s *Service) shardOfTuple(t *wire.Tuple) int {
+	if len(s.workers) == 1 {
+		return 0
+	}
 	if s.natOwner != nil {
 		if w, ok := s.natOwner[natEndpoint{t.SrcIP, t.SrcPort}]; ok {
 			return w
@@ -1046,41 +1183,27 @@ type ShardStat struct {
 	CtEvicted    uint64 `json:"ct_evicted"`
 }
 
-// ShardStats snapshots every worker shard on its own goroutine (the same
+// ShardStats snapshots every shard under its owner lock (the same
 // control-op discipline as Stats, so the counters are coherent per
 // shard). The slice is indexed by worker.
 func (s *Service) ShardStats(ctx context.Context) ([]ShardStat, error) {
 	out := make([]ShardStat, len(s.workers))
-	done := make(chan struct{}, len(s.workers))
-	for i, w := range s.workers {
-		i, w := i, w
-		op := packet{control: func() {
-			st := ShardStat{Worker: i, Packets: w.vs.Stats().Packets, CacheEntries: w.vs.CacheEntries()}
-			if mf := w.vs.Microflow(); mf != nil {
-				st.Microflow = mf.Len()
-			}
-			if ct := w.vs.Conntrack(); ct != nil {
-				cs := ct.Stats()
-				st.CtLive = ct.Len()
-				st.CtCreated = cs.Created
-				st.CtExpired = cs.Expired
-				st.CtEvicted = cs.EvictLRU
-			}
-			out[i] = st
-			done <- struct{}{}
-		}}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case w.in <- op:
+	err := s.eachShard(ctx, func(i int, w *worker) {
+		st := ShardStat{Worker: i, Packets: w.vs.Stats().Packets, CacheEntries: w.vs.CacheEntries()}
+		if mf := w.vs.Microflow(); mf != nil {
+			st.Microflow = mf.Len()
 		}
-	}
-	for range s.workers {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-done:
+		if ct := w.vs.Conntrack(); ct != nil {
+			cs := ct.Stats()
+			st.CtLive = ct.Len()
+			st.CtCreated = cs.Created
+			st.CtExpired = cs.Expired
+			st.CtEvicted = cs.EvictLRU
 		}
+		out[i] = st
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

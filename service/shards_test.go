@@ -82,7 +82,7 @@ func runStatelessMix(t *testing.T, workers, flows, rounds int) ([]Result, gigafl
 			t.Fatalf("workers=%d round %d: %v", workers, r, err)
 		}
 		for i := 0; i < b.Len(); i++ {
-			if got, want := b.Request(i).Key, perFlowKey(i); got != want {
+			if got, want := b.Key(i), perFlowKey(i); got != want {
 				t.Fatalf("workers=%d round %d: frame %d gathered key %v, want %v",
 					workers, r, i, got, want)
 			}
@@ -483,17 +483,23 @@ func TestSubmitFrameBatchConcurrent(t *testing.T) {
 // The scaling claim is checked in the mode the machine can support. With
 // 4+ CPUs it is measured directly: wall-clock SubmitFrameBatch
 // throughput at Workers=2 vs Workers=1. On smaller boxes (this project's
-// CI container has one CPU, where parallel wall-clock speedup is
-// physically unmeasurable) the gate measures the two REAL pipeline stage
-// costs — t_submit, the serial per-frame ingestion work (RSS extraction,
-// shard routing, arena copy), and t_worker, everything the shard does
-// (full decode plus cache processing), derived from the measured 1-shard
-// end-to-end cost — and applies the pipeline bound: throughput at N
-// shards is 1/max(t_submit, t_worker/N). The modeled 2-shard speedup,
-// max(ts,tw)/max(ts,tw/2), reaches 1.5x only if moving decode onto the
-// shards actually left the serial stage ≤ 2/3 of the per-frame work, so
-// the floor still fails if the ingestion refactor regresses. Skipped
-// unless GF_BENCH_GATE=1.
+// CI container has two CPUs, shared with the benchmark loop itself) the
+// gate measures the two REAL stage costs — t_submit, the serial
+// per-frame ingestion work (RSS extraction, shard routing, filing the
+// frame under its shard), and t_worker, everything a shard does (full
+// decode plus cache processing), derived from the measured 1-shard
+// end-to-end cost — and applies the bound of the run-to-completion
+// design: one submitter ingests the whole batch, then the N shares run
+// side by side (N-1 on worker goroutines, the last on the submitter
+// itself), so a batch costs t_submit + t_worker/N per frame and the
+// modeled 2-shard speedup is (ts+tw)/(ts+tw/2). It reaches 1.5x only
+// while the serial stage stays at or under half the shard's work — the
+// same condition the old pipeline bound max(ts,tw)/max(ts,tw/2) put on
+// it — so the floor still fails if ingestion regresses. (Measured when
+// the model was re-derived, PR 15: t_submit 30 ns, t_worker 76 ns.) The
+// model leaves out the wake-up a queued share pays, which on a 2-CPU
+// box dominates a 64-frame batch; that is why it is only the fallback.
+// Skipped unless GF_BENCH_GATE=1.
 func TestShardScalingGate(t *testing.T) {
 	if os.Getenv("GF_BENCH_GATE") != "1" {
 		t.Skip("set GF_BENCH_GATE=1 to run the shard scaling gate")
@@ -550,34 +556,23 @@ func TestShardScalingGate(t *testing.T) {
 	s1 := startShards(1)
 	t1 := perFrameNs(s1)
 
-	// The serial ingestion stage in isolation: extract, route, copy into
-	// the arena — everything SubmitFrameBatch does per frame before the
-	// bytes leave the submitter. Also held to 0 allocs/op at steady state
-	// (the arena is warm after the first fill).
+	// The serial ingestion stage in isolation: extract, route, file the
+	// frame under its shard — everything SubmitFrameBatch does per frame
+	// before a shard sees it. Also held to 0 allocs/op at steady state
+	// (the shares are warm after the first fill).
 	scratch := NewBatch(flows)
-	sub := testing.Benchmark(func(bb *testing.B) {
+	fill := func() {
 		scratch.Reset()
-		for i := 0; i < bb.N; i++ {
-			if scratch.Len() == flows {
-				scratch.Reset()
-			}
-			f := frames[i%flows]
-			tup, ok := wire.RSSTuple(f.Data)
-			if !ok {
-				bb.Fatal("extraction failed")
-			}
-			scratch.addFrame(f.InPort, f.Data, s1.shardOfTuple(tup))
+		scratch.shape(len(s1.workers))
+		scratch.ingest(s1, frames)
+	}
+	sub := testing.Benchmark(func(bb *testing.B) {
+		for sent := 0; sent < bb.N; sent += flows {
+			fill()
 		}
 	})
 	tSubmit := float64(sub.NsPerOp())
-	if n := testing.AllocsPerRun(200, func() {
-		if scratch.Len() == flows {
-			scratch.Reset()
-		}
-		f := frames[3]
-		tup, _ := wire.RSSTuple(f.Data)
-		scratch.addFrame(f.InPort, f.Data, s1.shardOfTuple(tup))
-	}); n != 0 {
+	if n := testing.AllocsPerRun(200, fill); n != 0 {
 		t.Fatalf("warm ingestion path allocates %.1f/op, want 0", n)
 	}
 
@@ -585,13 +580,7 @@ func TestShardScalingGate(t *testing.T) {
 	if tWorker <= 0 {
 		t.Fatalf("stage decomposition degenerate: total %.1f ns <= submit %.1f ns", t1, tSubmit)
 	}
-	bound := func(n float64) float64 {
-		if tWorker/n > tSubmit {
-			return tWorker / n
-		}
-		return tSubmit
-	}
-	modeled := bound(1) / bound(2)
+	modeled := (tSubmit + tWorker) / (tSubmit + tWorker/2)
 
 	cpus := runtime.NumCPU()
 	if cpus >= 4 {
@@ -606,10 +595,10 @@ func TestShardScalingGate(t *testing.T) {
 		}
 		return
 	}
-	fmt.Printf("bench-gate: shards modeled (%d cpu): t_submit %.0f ns, t_worker %.0f ns, pipeline-bound 2-shard speedup %.2fx (floor 1.50x); extractor 0 allocs/op\n",
+	fmt.Printf("bench-gate: shards modeled (%d cpu): t_submit %.0f ns, t_worker %.0f ns, run-to-completion 2-shard speedup %.2fx (floor 1.50x); extractor 0 allocs/op\n",
 		cpus, tSubmit, tWorker, modeled)
 	if modeled < 1.5 {
-		t.Fatalf("pipeline-bound 2-shard speedup is only %.2fx (floor 1.5x): t_submit %.0f ns vs t_worker %.0f ns — the serial ingestion stage is too heavy",
+		t.Fatalf("modeled 2-shard speedup is only %.2fx (floor 1.5x): t_submit %.0f ns vs t_worker %.0f ns — the serial ingestion stage is too heavy",
 			modeled, tSubmit, tWorker)
 	}
 }

@@ -29,33 +29,17 @@ func (s *Service) Registry() *telemetry.Registry { return s.reg }
 // Sampling can be retuned at runtime with Tracer().SetSampling.
 func (s *Service) Tracer() *telemetry.Tracer { return s.tracer }
 
-// Collect refreshes the registry from every worker's cache state, on the
-// workers' own goroutines (cache internals are single-threaded). The
+// Collect refreshes the registry from every shard's cache state, under
+// each shard's owner lock (cache internals are single-threaded). The
 // HTTP handlers call this before rendering; expose it for embedders that
 // scrape the registry directly.
 func (s *Service) Collect(ctx context.Context) error {
-	done := make(chan struct{}, len(s.workers))
-	submitted := 0
-	for _, w := range s.workers {
-		w := w
-		op := packet{control: func() {
-			w.vs.CollectMetrics(s.reg, w.label)
-			w.collectUpcallMetrics(s.reg)
-			done <- struct{}{}
-		}}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case w.in <- op:
-			submitted++
-		}
-	}
-	for i := 0; i < submitted; i++ {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-done:
-		}
+	err := s.eachShard(ctx, func(_ int, w *worker) {
+		w.vs.CollectMetrics(s.reg, w.label)
+		w.collectUpcallMetrics(s.reg)
+	})
+	if err != nil {
+		return err
 	}
 	s.collectServiceMetrics()
 	return nil
@@ -111,37 +95,21 @@ type workerTelemetry struct {
 	gigaflow.VSwitchTelemetry
 }
 
-// cacheTelemetry snapshots every worker's cache hierarchy on the workers'
-// own goroutines.
+// cacheTelemetry snapshots every shard's cache hierarchy under its owner
+// lock.
 func (s *Service) cacheTelemetry(ctx context.Context) ([]workerTelemetry, error) {
 	out := make([]workerTelemetry, len(s.workers))
-	done := make(chan struct{}, len(s.workers))
-	submitted := 0
-	for i, w := range s.workers {
-		i, w := i, w
-		op := packet{control: func() {
-			out[i] = workerTelemetry{
-				Worker:           w.label,
-				QueueDepth:       len(w.in),
-				QueueCap:         cap(w.in),
-				Drops:            w.drops.Load(),
-				VSwitchTelemetry: w.vs.Telemetry(),
-			}
-			done <- struct{}{}
-		}}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case w.in <- op:
-			submitted++
+	err := s.eachShard(ctx, func(i int, w *worker) {
+		out[i] = workerTelemetry{
+			Worker:           w.label,
+			QueueDepth:       len(w.in),
+			QueueCap:         cap(w.in),
+			Drops:            w.drops.Load(),
+			VSwitchTelemetry: w.vs.Telemetry(),
 		}
-	}
-	for i := 0; i < submitted; i++ {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-done:
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -162,39 +130,22 @@ type latencyDoc struct {
 	Total   map[string]telemetry.LatencySnapshot `json:"total,omitempty"`
 }
 
-// latencyTelemetry snapshots every worker's latency histograms on the
-// workers' own goroutines and merges them into an aggregate ladder.
+// latencyTelemetry snapshots every shard's latency histograms under its
+// owner lock and merges them into an aggregate ladder.
 func (s *Service) latencyTelemetry(ctx context.Context) (latencyDoc, error) {
-	doc := latencyDoc{}
 	if s.cfg.Latency.Disable {
-		return doc, nil
+		return latencyDoc{}, nil
 	}
-	doc.Enabled = true
 	hists := make([][telemetry.NumTiers]telemetry.LatencyHistogram, len(s.workers))
-	done := make(chan struct{}, len(s.workers))
-	submitted := 0
-	for i, w := range s.workers {
-		i, w := i, w
-		op := packet{control: func() {
-			for t := telemetry.Tier(0); t < telemetry.NumTiers; t++ {
-				hists[i][t] = *w.rec.Histogram(t)
-			}
-			done <- struct{}{}
-		}}
-		select {
-		case <-ctx.Done():
-			return doc, ctx.Err()
-		case w.in <- op:
-			submitted++
+	err := s.eachShard(ctx, func(i int, w *worker) {
+		for t := telemetry.Tier(0); t < telemetry.NumTiers; t++ {
+			hists[i][t] = *w.rec.Histogram(t)
 		}
+	})
+	if err != nil {
+		return latencyDoc{}, err
 	}
-	for i := 0; i < submitted; i++ {
-		select {
-		case <-ctx.Done():
-			return doc, ctx.Err()
-		case <-done:
-		}
-	}
+	doc := latencyDoc{Enabled: true}
 	var total [telemetry.NumTiers]telemetry.LatencyHistogram
 	for i, w := range s.workers {
 		wl := workerLatency{Worker: w.label, Tiers: make(map[string]telemetry.LatencySnapshot, telemetry.NumTiers)}
@@ -223,44 +174,28 @@ type workerFlight struct {
 	Captures []telemetry.FlightCapture `json:"captures,omitempty"`
 }
 
-// flightTelemetry dumps up to n recent flight records per worker (n <= 0
-// means the whole ring), plus any retained spike captures, snapshotted on
-// the workers' own goroutines.
+// flightTelemetry dumps up to n recent flight records per shard (n <= 0
+// means the whole ring), plus any retained spike captures, snapshotted
+// under each shard's owner lock.
 func (s *Service) flightTelemetry(ctx context.Context, n int) ([]workerFlight, error) {
 	if s.cfg.Latency.Disable {
 		return nil, nil
 	}
 	out := make([]workerFlight, len(s.workers))
-	done := make(chan struct{}, len(s.workers))
-	submitted := 0
-	for i, w := range s.workers {
-		i, w := i, w
-		op := packet{control: func() {
-			out[i] = workerFlight{
-				Worker:   w.label,
-				Seq:      w.rec.Seq(),
-				RingSize: w.rec.RingSize(),
-				Batches:  w.rec.Batches(),
-				SpikeNs:  w.rec.SpikeThreshold(),
-				Spikes:   w.rec.Spikes(),
-				Records:  w.rec.Recent(n),
-				Captures: w.rec.Captures(),
-			}
-			done <- struct{}{}
-		}}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case w.in <- op:
-			submitted++
+	err := s.eachShard(ctx, func(i int, w *worker) {
+		out[i] = workerFlight{
+			Worker:   w.label,
+			Seq:      w.rec.Seq(),
+			RingSize: w.rec.RingSize(),
+			Batches:  w.rec.Batches(),
+			SpikeNs:  w.rec.SpikeThreshold(),
+			Spikes:   w.rec.Spikes(),
+			Records:  w.rec.Recent(n),
+			Captures: w.rec.Captures(),
 		}
-	}
-	for i := 0; i < submitted; i++ {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-done:
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

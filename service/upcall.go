@@ -32,7 +32,6 @@ package service
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"gigaflow"
@@ -64,14 +63,14 @@ func (p OverflowPolicy) String() string {
 	return "inline"
 }
 
-// parked is one parked packet's delivery context: where its Result goes
+// parked is one parked packet's delivery context: where its result goes
 // once the flow's traversal completes. Exactly one of job/resp styles is
 // used — batch packets carry their job and slot, single-packet
 // submissions their response channel (which may be nil for
 // fire-and-forget).
 type parked struct {
 	job  *batchJob
-	idx  int // slot in job.res; meaningless when job is nil
+	idx  int // entry of job.blk; meaningless when job is nil
 	resp chan<- Result
 }
 
@@ -92,18 +91,17 @@ func (w *worker) parkOne(k gigaflow.Key, p parked, now int64) bool {
 }
 
 // parkFallback finishes a missed packet the upcall queue refused,
-// according to the worker's overflow policy.
-func (w *worker) parkFallback(k gigaflow.Key, now int64) Result {
+// according to the shard's overflow policy.
+func (w *worker) parkFallback(k gigaflow.Key, now int64) (gigaflow.ProcessResult, error) {
 	if w.overflow == OverflowDrop {
 		w.ovDrop++
-		return Result{Err: ErrUpcallOverflow}
+		return gigaflow.ProcessResult{}, ErrUpcallOverflow
 	}
 	w.ovInline++
-	res, err := w.vs.ProcessMissInline(k, now)
-	return Result{Verdict: res.Verdict, Final: res.Final, CacheHit: res.CacheHit, Err: err}
+	return w.vs.ProcessMissInline(k, now)
 }
 
-// complete applies one engine-completed miss on the worker goroutine:
+// complete applies one engine-completed miss under the owner lock:
 // detach the pending entry, finish the initiator (install via
 // CompleteMiss, or inline replay when the traversal failed, went stale,
 // or lost the race to a covering install), replay the followers through
@@ -130,7 +128,7 @@ func (w *worker) complete(m *upcall.Miss[parked], now int64) {
 		}
 		for _, p := range pp {
 			res, err := w.vs.Process(m.Key, now)
-			w.deliver(p, Result{Verdict: res.Verdict, Final: res.Final, CacheHit: res.CacheHit, Err: err})
+			w.deliver(p, res, err)
 		}
 		return
 	}
@@ -145,55 +143,42 @@ func (w *worker) complete(m *upcall.Miss[parked], now int64) {
 	} else {
 		w.stale++
 	}
-	w.deliver(pp[0], Result{Verdict: res.Verdict, Final: res.Final, CacheHit: res.CacheHit, Err: err})
+	w.deliver(pp[0], res, err)
 	for _, p := range pp[1:] {
-		r, rerr := w.vs.Process(m.Key, now)
-		w.deliver(p, Result{Verdict: r.Verdict, Final: r.Final, CacheHit: r.CacheHit, Err: rerr})
+		res, err := w.vs.Process(m.Key, now)
+		w.deliver(p, res, err)
 	}
 }
 
-// deliver routes a completed packet's result back to its submitter: into
-// its job slot (signalling the job's completion channel when it was the
-// last outstanding packet) or down its response channel.
-func (w *worker) deliver(p parked, r Result) {
-	if p.job != nil {
-		j := p.job
-		j.res[p.idx] = r
-		if j.resp != nil {
-			j.resp <- r
-		}
-		j.pending--
-		if j.pending == 0 && j.done != nil {
-			j.done <- j
-		}
-	} else if p.resp != nil {
-		p.resp <- r
+// deliver routes a parked packet's result back to its submitter: into
+// its job's slot (finishing the job when it was the last outstanding
+// packet) and down the response channel, if there is one. The sends
+// themselves happen in flush, once the owner lock is released.
+func (w *worker) deliver(p parked, res gigaflow.ProcessResult, err error) {
+	j := p.job
+	if j == nil {
+		w.reply(p.resp, &res, err)
+		return
+	}
+	j.blk.out[p.idx], j.blk.errs[p.idx] = res, err
+	w.reply(j.resp, &res, err)
+	j.pending--
+	if j.pending == 0 && j.done != nil {
+		w.fin = append(w.fin, j)
 	}
 }
 
 // sweepParked fails every packet still parked at shutdown with
-// ErrClosed, mirroring drain's treatment of queued jobs, so blocking
+// ErrClosed, mirroring refuse's treatment of queued jobs, so blocking
 // submitters waiting on parked packets always unblock before the
-// service's term channel closes. Single-packet response sends are
-// nonblocking, like drain's — a fire-and-forget submitter may be gone.
+// service's term channel closes.
 func (w *worker) sweepParked() {
 	if w.pending == nil {
 		return
 	}
 	w.pending.Drain(func(m *upcall.Miss[parked]) {
 		for _, p := range m.Payloads {
-			if p.job != nil {
-				p.job.res[p.idx] = Result{Err: ErrClosed}
-				p.job.pending--
-				if p.job.pending == 0 && p.job.done != nil {
-					p.job.done <- p.job
-				}
-			} else if p.resp != nil {
-				select {
-				case p.resp <- Result{Err: ErrClosed}:
-				default:
-				}
-			}
+			w.deliver(p, gigaflow.ProcessResult{}, ErrClosed)
 		}
 	})
 }
@@ -228,9 +213,7 @@ func (s *Service) handleUpcalls(ctx context.Context, batch []*upcall.Miss[parked
 				batch[j] = nil
 			}
 		}
-		select {
-		case s.workers[m.Shard].in <- packet{comp: group}:
-		case <-ctx.Done():
+		if s.post(ctx, s.workers[m.Shard], packet{comp: group}) != nil {
 			return
 		}
 	}
@@ -271,42 +254,33 @@ type UpcallStats struct {
 
 // UpcallStats gathers the offload counters; see the UpcallStats type.
 func (s *Service) UpcallStats(ctx context.Context) (UpcallStats, error) {
-	var out UpcallStats
 	if s.upq == nil {
-		return out, nil
+		return UpcallStats{}, nil
 	}
-	out.Enabled = true
-	var mu sync.Mutex
-	done := make(chan struct{}, len(s.workers))
-	for _, w := range s.workers {
-		w := w
-		op := packet{control: func() {
-			st := w.pending.Stats()
-			mu.Lock()
-			out.PendingFlows += w.pending.Len()
-			out.ParkedPackets += w.pending.Parked()
-			out.Flows += st.Upcalls
-			out.Deduped += st.Deduped
-			out.Released += st.Released
-			out.OverflowInline += w.ovInline
-			out.OverflowDrops += w.ovDrop
-			out.Stale += w.stale
-			out.Completed += w.completed
-			mu.Unlock()
-			done <- struct{}{}
-		}}
-		select {
-		case <-ctx.Done():
-			return out, ctx.Err()
-		case w.in <- op:
+	per := make([]UpcallStats, len(s.workers))
+	err := s.eachShard(ctx, func(i int, w *worker) {
+		st := w.pending.Stats()
+		per[i] = UpcallStats{
+			PendingFlows: w.pending.Len(), ParkedPackets: w.pending.Parked(),
+			Flows: st.Upcalls, Deduped: st.Deduped, Released: st.Released,
+			OverflowInline: w.ovInline, OverflowDrops: w.ovDrop,
+			Stale: w.stale, Completed: w.completed,
 		}
+	})
+	if err != nil {
+		return UpcallStats{}, err
 	}
-	for range s.workers {
-		select {
-		case <-ctx.Done():
-			return out, ctx.Err()
-		case <-done:
-		}
+	out := UpcallStats{Enabled: true}
+	for _, st := range per {
+		out.PendingFlows += st.PendingFlows
+		out.ParkedPackets += st.ParkedPackets
+		out.Flows += st.Flows
+		out.Deduped += st.Deduped
+		out.Released += st.Released
+		out.OverflowInline += st.OverflowInline
+		out.OverflowDrops += st.OverflowDrops
+		out.Stale += st.Stale
+		out.Completed += st.Completed
 	}
 	out.QueueDepth = s.upq.Depth()
 	out.QueueCap = s.upq.Cap()
@@ -317,9 +291,9 @@ func (s *Service) UpcallStats(ctx context.Context) (UpcallStats, error) {
 	return out, nil
 }
 
-// collectUpcallMetrics mirrors the worker's offload counters into the
-// registry; called from Collect's per-worker control op, on the worker
-// goroutine. No-op for synchronous workers.
+// collectUpcallMetrics mirrors the shard's offload counters into the
+// registry; called from Collect's control op, under the owner lock.
+// No-op for synchronous shards.
 func (w *worker) collectUpcallMetrics(reg *telemetry.Registry) {
 	if w.pending == nil {
 		return

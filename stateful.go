@@ -50,7 +50,7 @@ func (v *VSwitch) Conntrack() *conntrack.Table { return v.ct }
 // state-change; the caller drops the entry and takes the full path.
 //
 //gf:hotpath
-func (v *VSwitch) ctServe(e *microflow.Entry, k Key, tcpFlags uint8, now int64) bool {
+func (v *VSwitch) ctServe(e *microflow.Entry, k *Key, tcpFlags uint8, now int64) bool {
 	c := e.Ct
 	if c == nil {
 		return true
@@ -73,7 +73,7 @@ func (v *VSwitch) ctServe(e *microflow.Entry, k Key, tcpFlags uint8, now int64) 
 //gf:hotpath
 func (v *VSwitch) ctPathValid(path []*gfcache.Entry) bool {
 	for _, e := range path {
-		if e.CtEpoch != 0 && !v.ct.EpochValid(e.CtConn, e.CtEpoch) {
+		if e.CtEpoch != 0 && !v.ct.EpochValidKey(&e.CtConn, e.CtEpoch) {
 			v.ctInvalidatePath(path)
 			return false
 		}
@@ -88,7 +88,7 @@ func (v *VSwitch) ctPathValid(path []*gfcache.Entry) bool {
 //gf:hotpath-safe stale-epoch invalidation is a rare cold event
 func (v *VSwitch) ctInvalidatePath(path []*gfcache.Entry) {
 	for _, e := range path {
-		if e.CtEpoch != 0 && !v.ct.EpochValid(e.CtConn, e.CtEpoch) {
+		if e.CtEpoch != 0 && !v.ct.EpochValidKey(&e.CtConn, e.CtEpoch) {
 			v.gf.Remove(e)
 			v.stats.CtInvalidated++
 		}
@@ -103,24 +103,24 @@ func (v *VSwitch) ctInvalidatePath(path []*gfcache.Entry) {
 // that.
 //
 //gf:hotpath
-func (v *VSwitch) memoizeCt(k, final Key, verdict Verdict, now int64,
+func (v *VSwitch) memoizeCt(k, final *Key, verdict Verdict, now int64,
 	conn *conntrack.Conn, dir conntrack.Dir) {
 	if v.uf == nil {
 		return
 	}
 	if v.ct == nil {
-		v.uf.Insert(k, final, verdict, now)
+		v.uf.Memoize(k, final, verdict, now)
 		return
 	}
 	if conn != nil {
-		v.uf.InsertCt(k, final, verdict, now, conn, conn.Epoch, dir)
+		v.uf.MemoizeCt(k, final, verdict, now, conn, conn.Epoch, dir)
 		return
 	}
 	if k.Get(flow.FieldEthType) == packet.EtherTypeIPv4 &&
 		k.Get(flow.FieldIPProto) == packet.IPProtoICMP {
 		return
 	}
-	v.uf.Insert(k, final, verdict, now)
+	v.uf.Memoize(k, final, verdict, now)
 }
 
 // ctResolver resolves stateful NAT actions during a slow-path traversal

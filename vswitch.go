@@ -220,12 +220,12 @@ func (v *VSwitch) ProcessMeta(k Key, tcpFlags uint8, now int64) (ProcessResult, 
 	}
 	if v.tracer != nil {
 		if tb := v.tracer.Start(); tb != nil {
-			return v.processTraced(k, tcpFlags, now, tb)
+			return v.processTraced(&k, tcpFlags, now, tb)
 		}
 	}
 	if v.uf != nil {
-		if e, ok := v.uf.Lookup(k, now); ok {
-			if v.ct == nil || v.ctServe(e, k, tcpFlags, now) {
+		if e, ok := v.uf.Find(&k, now); ok {
+			if v.ct == nil || v.ctServe(e, &k, tcpFlags, now) {
 				v.stats.MicroflowHits++
 				if v.rec != nil {
 					v.rec.Hit(telemetry.TierMicroflow, v.uf.LastHash())
@@ -234,23 +234,26 @@ func (v *VSwitch) ProcessMeta(k Key, tcpFlags uint8, now int64) (ProcessResult, 
 				return ProcessResult{Verdict: e.Verdict, Final: e.Final, CacheHit: true, MicroflowHit: true}, nil
 			}
 			// Stale or transition-capable: drop the memo, take the full path.
-			v.uf.Remove(k)
+			v.uf.Drop(&k)
 			v.stats.CtGuardFails++
 		}
 	}
-	kt, conn, dir := k, (*conntrack.Conn)(nil), conntrack.DirForward
+	kt, conn, dir := &k, (*conntrack.Conn)(nil), conntrack.DirForward
+	var ktBuf Key
 	tier := telemetry.TierSlowpath
 	if v.ct != nil {
 		var bits uint64
-		bits, conn, dir = v.ct.Track(k, tcpFlags, now)
-		kt = k.With(flow.FieldCtState, bits)
+		bits, conn, dir = v.ct.TrackKey(&k, tcpFlags, now)
+		ktBuf = k
+		ktBuf.Set(flow.FieldCtState, bits)
+		kt = &ktBuf
 	}
 	if v.gf != nil {
-		res := v.gf.Lookup(kt, now)
+		res := v.gf.Lookup(*kt, now)
 		if res.Hit {
 			if v.ct == nil || v.ctPathValid(res.Path) {
 				v.stats.CacheHits++
-				v.memoizeCt(k, res.Final, res.Verdict, now, conn, dir)
+				v.memoizeCt(&k, &res.Final, res.Verdict, now, conn, dir)
 				if v.rec != nil {
 					v.rec.Hit(telemetry.TierGigaflow, kt.FlowHash())
 					v.rec.EndBatch()
@@ -259,11 +262,11 @@ func (v *VSwitch) ProcessMeta(k Key, tcpFlags uint8, now int64) (ProcessResult, 
 			}
 			tier = telemetry.TierConntrack // stale entries revoked: replay
 		}
-	} else if e, ok := v.mf.Lookup(kt, now); ok {
-		if v.ct == nil || e.CtEpoch == 0 || v.ct.EpochValid(e.CtConn, e.CtEpoch) {
+	} else if e, ok := v.mf.Lookup(*kt, now); ok {
+		if v.ct == nil || e.CtEpoch == 0 || v.ct.EpochValidKey(&e.CtConn, e.CtEpoch) {
 			v.stats.CacheHits++
-			final, verdict := e.Apply(kt)
-			v.memoizeCt(k, final, verdict, now, conn, dir)
+			final, verdict := e.Apply(*kt)
+			v.memoizeCt(&k, &final, verdict, now, conn, dir)
 			if v.rec != nil {
 				v.rec.Hit(telemetry.TierMegaflow, kt.FlowHash())
 				v.rec.EndBatch()
@@ -274,7 +277,7 @@ func (v *VSwitch) ProcessMeta(k Key, tcpFlags uint8, now int64) (ProcessResult, 
 		v.stats.CtInvalidated++
 		tier = telemetry.TierConntrack
 	}
-	return v.processMissCt(k, kt, conn, dir, tier, now, nil)
+	return v.processMissCt(&k, kt, conn, dir, tier, now, nil)
 }
 
 // ProcessBatch handles len(keys) packets at virtual time now, writing
@@ -329,8 +332,13 @@ func (v *VSwitch) ProcessBatchMeta(keys []Key, flags []uint8, out []ProcessResul
 	if v.rec != nil {
 		v.rec.BeginBatch(now)
 	}
+	// Keys are read where the caller put them and results written where
+	// the caller will read them: k and o point into keys and out, res and
+	// ktBuf are the loop's only key-sized locals and are reused.
+	var res gfcache.Result
+	var ktBuf Key
 	for i := range keys {
-		k := keys[i]
+		k, o := &keys[i], &out[i]
 		var fl uint8
 		if flags != nil {
 			fl = flags[i]
@@ -339,21 +347,21 @@ func (v *VSwitch) ProcessBatchMeta(keys []Key, flags []uint8, out []ProcessResul
 		errs[i] = nil
 		if v.tracer != nil {
 			if tb := v.tracer.Start(); tb != nil {
-				out[i], errs[i] = v.processTraced(k, fl, now, tb)
+				*o, errs[i] = v.processTraced(k, fl, now, tb)
 				continue
 			}
 		}
 		if v.uf != nil {
-			if e, ok := ufb.Lookup(k, now); ok {
+			if e, ok := ufb.Find(k, now); ok {
 				if v.ct == nil || v.ctServe(e, k, fl, now) {
 					ufHits++
 					if v.rec != nil {
 						v.rec.Hit(telemetry.TierMicroflow, v.uf.LastHash())
 					}
-					out[i] = ProcessResult{Verdict: e.Verdict, Final: e.Final, CacheHit: true, MicroflowHit: true}
+					o.Verdict, o.Final, o.CacheHit, o.MicroflowHit = e.Verdict, e.Final, true, true
 					continue
 				}
-				v.uf.Remove(k)
+				v.uf.Drop(k)
 				v.stats.CtGuardFails++
 			}
 		}
@@ -361,39 +369,41 @@ func (v *VSwitch) ProcessBatchMeta(keys []Key, flags []uint8, out []ProcessResul
 		tier := telemetry.TierSlowpath
 		if v.ct != nil {
 			var bits uint64
-			bits, conn, dir = v.ct.Track(k, fl, now)
-			kt = k.With(flow.FieldCtState, bits)
+			bits, conn, dir = v.ct.TrackKey(k, fl, now)
+			ktBuf = *k
+			ktBuf.Set(flow.FieldCtState, bits)
+			kt = &ktBuf
 		}
 		if v.gf != nil {
-			res := gfb.Lookup(kt, now)
+			gfb.LookupInto(kt, now, &res)
 			if res.Hit {
 				if v.ct == nil || v.ctPathValid(res.Path) {
 					mainHits++
-					v.memoizeCt(k, res.Final, res.Verdict, now, conn, dir)
+					v.memoizeCt(k, &res.Final, res.Verdict, now, conn, dir)
 					if v.rec != nil {
 						v.rec.Hit(telemetry.TierGigaflow, kt.FlowHash())
 					}
-					out[i] = ProcessResult{Verdict: res.Verdict, Final: res.Final, CacheHit: true}
+					o.Verdict, o.Final, o.CacheHit, o.MicroflowHit = res.Verdict, res.Final, true, false
 					continue
 				}
 				tier = telemetry.TierConntrack
 			}
-		} else if e, ok := mfb.Lookup(kt, now); ok {
-			if v.ct == nil || e.CtEpoch == 0 || v.ct.EpochValid(e.CtConn, e.CtEpoch) {
+		} else if e, ok := mfb.Find(kt, now); ok {
+			if v.ct == nil || e.CtEpoch == 0 || v.ct.EpochValidKey(&e.CtConn, e.CtEpoch) {
 				mainHits++
-				final, verdict := e.Apply(kt)
-				v.memoizeCt(k, final, verdict, now, conn, dir)
+				final, verdict := e.Apply(*kt)
+				v.memoizeCt(k, &final, verdict, now, conn, dir)
 				if v.rec != nil {
 					v.rec.Hit(telemetry.TierMegaflow, kt.FlowHash())
 				}
-				out[i] = ProcessResult{Verdict: verdict, Final: final, CacheHit: true}
+				o.Verdict, o.Final, o.CacheHit, o.MicroflowHit = verdict, final, true, false
 				continue
 			}
 			v.mf.Remove(e)
 			v.stats.CtInvalidated++
 			tier = telemetry.TierConntrack
 		}
-		out[i], errs[i] = v.processMissCt(k, kt, conn, dir, tier, now, nil)
+		*o, errs[i] = v.processMissCt(k, kt, conn, dir, tier, now, nil)
 	}
 	if v.rec != nil {
 		v.rec.EndBatch()
@@ -415,14 +425,14 @@ func (v *VSwitch) ProcessBatchMeta(keys []Key, flags []uint8, out []ProcessResul
 // report the observer as the tail.
 //
 //gf:hotpath-safe sampled 1-in-N diversion; tracing allocates and reads the clock by contract
-func (v *VSwitch) processTraced(k Key, tcpFlags uint8, now int64, tb *telemetry.TraceBuilder) (ProcessResult, error) {
+func (v *VSwitch) processTraced(k *Key, tcpFlags uint8, now int64, tb *telemetry.TraceBuilder) (ProcessResult, error) {
 	if v.rec != nil {
 		v.rec.ColdBegin()
 	}
 	tb.SetKey(k.String())
 	if v.uf != nil {
 		tb.Begin("microflow")
-		e, ok := v.uf.Lookup(k, now)
+		e, ok := v.uf.Find(k, now)
 		served := ok && (v.ct == nil || v.ctServe(e, k, tcpFlags, now))
 		tb.End(served)
 		if served {
@@ -434,7 +444,7 @@ func (v *VSwitch) processTraced(k Key, tcpFlags uint8, now int64, tb *telemetry.
 			return ProcessResult{Verdict: e.Verdict, Final: e.Final, CacheHit: true, MicroflowHit: true}, nil
 		}
 		if ok {
-			v.uf.Remove(k)
+			v.uf.Drop(k)
 			v.stats.CtGuardFails++
 		}
 	}
@@ -443,13 +453,14 @@ func (v *VSwitch) processTraced(k Key, tcpFlags uint8, now int64, tb *telemetry.
 	if v.ct != nil {
 		tb.Begin("conntrack")
 		var bits uint64
-		bits, conn, dir = v.ct.Track(k, tcpFlags, now)
-		kt = k.With(flow.FieldCtState, bits)
+		bits, conn, dir = v.ct.TrackKey(k, tcpFlags, now)
+		ktBuf := k.With(flow.FieldCtState, bits)
+		kt = &ktBuf
 		tb.End(conn != nil)
 	}
 	if v.gf != nil {
 		tb.Begin("gigaflow")
-		res := v.gf.Lookup(kt, now)
+		res := v.gf.Lookup(*kt, now)
 		valid := res.Hit && (v.ct == nil || v.ctPathValid(res.Path))
 		tb.End(valid)
 		for _, e := range res.Path {
@@ -457,7 +468,7 @@ func (v *VSwitch) processTraced(k Key, tcpFlags uint8, now int64, tb *telemetry.
 		}
 		if valid {
 			v.stats.CacheHits++
-			v.memoizeCt(k, res.Final, res.Verdict, now, conn, dir)
+			v.memoizeCt(k, &res.Final, res.Verdict, now, conn, dir)
 			tb.Finish(res.Verdict.String(), true, false, nil)
 			if v.rec != nil {
 				v.rec.Cold(telemetry.TierGigaflow, kt.FlowHash(), telemetry.FlightTraced)
@@ -469,13 +480,13 @@ func (v *VSwitch) processTraced(k Key, tcpFlags uint8, now int64, tb *telemetry.
 		}
 	} else {
 		tb.Begin("megaflow")
-		e, ok := v.mf.Lookup(kt, now)
-		valid := ok && (v.ct == nil || e.CtEpoch == 0 || v.ct.EpochValid(e.CtConn, e.CtEpoch))
+		e, ok := v.mf.Lookup(*kt, now)
+		valid := ok && (v.ct == nil || e.CtEpoch == 0 || v.ct.EpochValidKey(&e.CtConn, e.CtEpoch))
 		tb.End(valid)
 		if valid {
 			v.stats.CacheHits++
-			final, verdict := e.Apply(kt)
-			v.memoizeCt(k, final, verdict, now, conn, dir)
+			final, verdict := e.Apply(*kt)
+			v.memoizeCt(k, &final, verdict, now, conn, dir)
 			tb.Finish(verdict.String(), true, false, nil)
 			if v.rec != nil {
 				v.rec.Cold(telemetry.TierMegaflow, kt.FlowHash(), telemetry.FlightTraced)
@@ -506,7 +517,7 @@ func (v *VSwitch) processTraced(k Key, tcpFlags uint8, now int64, tb *telemetry.
 // functions it feeds).
 //
 //gf:hotpath-safe the slow-path boundary: takes the upcall engine's traversal lock, wraps a pipeline error and drives the sampled trace builder, none of which a hit may do
-func (v *VSwitch) processMissCt(k, kt Key, conn *conntrack.Conn, dir conntrack.Dir,
+func (v *VSwitch) processMissCt(k, kt *Key, conn *conntrack.Conn, dir conntrack.Dir,
 	tier telemetry.Tier, now int64, tb *telemetry.TraceBuilder) (ProcessResult, error) {
 	if v.rec != nil {
 		v.rec.ColdBegin() // no-op when arriving via processTraced
@@ -527,9 +538,9 @@ func (v *VSwitch) processMissCt(k, kt Key, conn *conntrack.Conn, dir conntrack.D
 	var err error
 	if v.ct != nil {
 		v.res.ct, v.res.pipe, v.res.conn, v.res.dir = v.ct, v.pipe, conn, dir
-		err = v.pipe.ProcessInto(tr, &kt, &v.res)
+		err = v.pipe.ProcessInto(tr, kt, &v.res)
 	} else {
-		err = v.pipe.ProcessInto(tr, &kt, nil)
+		err = v.pipe.ProcessInto(tr, kt, nil)
 	}
 	if v.slowMu != nil {
 		v.slowMu.Unlock()
@@ -587,14 +598,15 @@ func (v *VSwitch) processMissCt(k, kt Key, conn *conntrack.Conn, dir conntrack.D
 	if tb != nil {
 		tb.End(installed)
 	}
-	v.memoizeCt(k, tr.FinalKey(), tr.Verdict, now, conn, dir)
+	final := tr.FinalKey()
+	v.memoizeCt(k, &final, tr.Verdict, now, conn, dir)
 	if tb != nil {
 		tb.Finish(tr.Verdict.String(), false, false, nil)
 	}
 	if v.rec != nil {
 		v.rec.Cold(tier, kt.FlowHash(), flightFlags)
 	}
-	return ProcessResult{Verdict: tr.Verdict, Final: tr.FinalKey()}, nil
+	return ProcessResult{Verdict: tr.Verdict, Final: final}, nil
 }
 
 // memoize records a processed flow in the Microflow tier, when enabled.
@@ -603,9 +615,9 @@ func (v *VSwitch) processMissCt(k, kt Key, conn *conntrack.Conn, dir conntrack.D
 // microflow package's own audited boundary.
 //
 //gf:hotpath
-func (v *VSwitch) memoize(k, final Key, verdict Verdict, now int64) {
+func (v *VSwitch) memoize(k, final *Key, verdict Verdict, now int64) {
 	if v.uf != nil {
-		v.uf.Insert(k, final, verdict, now)
+		v.uf.Memoize(k, final, verdict, now)
 	}
 }
 
