@@ -1,77 +1,188 @@
 package gigaflow
 
-import "testing"
+import (
+	"fmt"
+	"testing"
 
-// TestProcessBatchMatchesSequential drives the same key sequence through
-// Process one packet at a time and through ProcessBatch in mixed-size
-// chunks, on both backends with a Microflow tier: results, errors, and
-// every counter (VSwitch, main cache, microflow) must be identical —
-// batching amortizes bookkeeping, it must never change behaviour.
+	gfcache "gigaflow/internal/gigaflow"
+	"gigaflow/internal/megaflow"
+	"gigaflow/internal/telemetry"
+)
+
+// Both main caches are drop-ins behind the datapath's one interface.
+var (
+	_ backend = (*gfcache.Cache)(nil)
+	_ backend = (*megaflow.Cache)(nil)
+)
+
+// replayOutcome is everything one replay of a tape leaves behind that
+// another replay of the same tape must reproduce.
+type replayOutcome struct {
+	results []ProcessResult
+	stats   VSwitchStats
+	main    any // the backend's Stats
+	uf      any // microflow Stats, nil without the tier
+	ct      any // conntrack Stats, nil without tracking
+	seq     uint64
+	hist    [telemetry.NumTiers]uint64
+	flight  []telemetry.FlightRecord // newest first; identity fields only
+}
+
+// TestProcessBatchMatchesSequential drives the same tape through the
+// switch one packet at a time (ProcessMeta) and in mixed-size batches
+// (ProcessBatchMeta), each with the tracer off and with every packet
+// traced, across backend × microflow tier × conntrack (the stateful tape,
+// TCP flags and idle sweeps included) × latency recorder. Per-packet
+// results, errors, and every counter — VSwitch, main cache, microflow,
+// conntrack — must be identical on all four replays: batching amortizes
+// bookkeeping and tracing observes, neither may change behaviour. So must
+// what the recorder logs: the same number of flight records, carrying the
+// same tier, flow id and outcome flags packet for packet whether or not
+// the sampler picked them, and the same per-tier histogram counts (traced
+// packets are kept out of the histograms by design, so the every-packet
+// replays must leave them empty).
 func TestProcessBatchMatchesSequential(t *testing.T) {
-	for _, backend := range []string{"gigaflow", "megaflow"} {
-		t.Run(backend, func(t *testing.T) {
-			cfg := CacheConfig{NumTables: 3, TableCapacity: 64}
-			opts := []VSwitchOption{WithMicroflow(32)}
+	// Mixed stateless traffic: flows revisited at once (microflow hits),
+	// fresh flows of cached megaflows (main-cache hits), and cold flows
+	// (slowpath). More flows than the microflow tier holds, visited in a
+	// cycle, force LRU churn too.
+	var demoTape []ctEvent
+	for i, ports := 0, []uint64{80, 22}; i < 300; i++ {
+		demoTape = append(demoTape, ctEvent{k: demoKey(uint64(i/2*7%41), ports[i/2%2]), now: int64(i)})
+	}
+	const maxIdle = 500_000
+	ctTape := statefulTape(t, 24, 3000, maxIdle)
+	sizes := []int{1, 7, 32, 3, 64, 5, 2, 100}
+
+	run := func(t *testing.T, backend string, uf int, ct, recorded bool) {
+		tape, pipe := demoTape, buildDemoPipeline
+		if ct {
+			tape, pipe = ctTape, statefulPipeline
+		}
+		replay := func(batched, traced bool) replayOutcome {
+			opts := []VSwitchOption{WithMaxIdle(maxIdle)}
+			if uf > 0 {
+				opts = append(opts, WithMicroflow(uf))
+			}
 			if backend == "megaflow" {
 				opts = append(opts, WithMegaflowBackend(128))
 			}
-			seqVS := NewVSwitch(buildDemoPipeline(), cfg, opts...)
-			batVS := NewVSwitch(buildDemoPipeline(), cfg, opts...)
-
-			// Mixed traffic: revisited flows (microflow hits), fresh flows
-			// of cached megaflows (main-cache hits), and cold flows
-			// (slowpath). Small microflow capacity forces LRU churn too.
-			ports := []uint64{80, 22}
-			var keys []Key
-			for i := 0; i < 300; i++ {
-				keys = append(keys, demoKey(uint64(i*7%41), ports[i%2]))
+			if ct {
+				opts = append(opts, WithConntrack(0), WithConntrackMaxIdle(maxIdle))
 			}
-
-			seqRes := make([]ProcessResult, len(keys))
-			for i, k := range keys {
-				r, err := seqVS.Process(k, int64(i))
+			if traced {
+				opts = append(opts, WithTracer(telemetry.NewTracer(1, 16)))
+			}
+			if recorded {
+				opts = append(opts, WithLatencyRecorder(telemetry.NewLatencyRecorder(len(tape), 0)))
+			}
+			vs := NewVSwitch(pipe(), CacheConfig{NumTables: 4, TableCapacity: 64}, opts...)
+			keys := make([]Key, len(tape))
+			flags := make([]uint8, len(tape))
+			for i, ev := range tape {
+				keys[i], flags[i] = ev.k, ev.flags
+			}
+			out := make([]ProcessResult, len(tape))
+			errs := make([]error, len(tape))
+			vs.ProcessBatchMeta(nil, nil, nil, nil, 0) // empty batch: no-op
+			eachBatch(tape, sizes, func(lo, hi int, now int64, sweep bool) {
+				if sweep {
+					vs.ExpireIdle(now)
+				}
+				if batched {
+					vs.ProcessBatchMeta(keys[lo:hi], flags[lo:hi], out[lo:hi], errs[lo:hi], now)
+					return
+				}
+				for i := lo; i < hi; i++ {
+					out[i], errs[i] = vs.ProcessMeta(keys[i], flags[i], now)
+				}
+			})
+			for i, err := range errs {
 				if err != nil {
-					t.Fatal(err)
-				}
-				seqRes[i] = r
-			}
-
-			out := make([]ProcessResult, len(keys))
-			errs := make([]error, len(keys))
-			batVS.ProcessBatch(nil, nil, nil, 0) // empty batch: no-op
-			chunks := []int{1, 7, 32, 3, 64, 5, 2, 100}
-			for lo, c := 0, 0; lo < len(keys); c++ {
-				n := chunks[c%len(chunks)]
-				if lo+n > len(keys) {
-					n = len(keys) - lo
-				}
-				// A chunk shares one virtual timestamp; LRU order within
-				// it is still submission order, so behaviour matches.
-				batVS.ProcessBatch(keys[lo:lo+n], out[lo:lo+n], errs[lo:lo+n], int64(lo))
-				lo += n
-			}
-
-			for i := range keys {
-				if errs[i] != nil {
-					t.Fatalf("packet %d: batch error %v", i, errs[i])
-				}
-				if out[i] != seqRes[i] {
-					t.Fatalf("packet %d: batch %+v != sequential %+v", i, out[i], seqRes[i])
+					t.Fatalf("packet %d: %v", i, err)
 				}
 			}
-			if bs, ss := batVS.Stats(), seqVS.Stats(); bs != ss {
-				t.Errorf("VSwitchStats diverge: batch %+v, sequential %+v", bs, ss)
-			}
-			if bs, ss := batVS.Microflow().Stats(), seqVS.Microflow().Stats(); bs != ss {
-				t.Errorf("microflow stats diverge: batch %+v, sequential %+v", bs, ss)
-			}
-			if backend == "gigaflow" {
-				if bs, ss := batVS.Cache().Stats(), seqVS.Cache().Stats(); bs != ss {
-					t.Errorf("gigaflow stats diverge: batch %+v, sequential %+v", bs, ss)
-				}
+			o := replayOutcome{results: out, stats: vs.Stats()}
+			if c := vs.Cache(); c != nil {
+				o.main = c.Stats()
 			} else {
-				if bs, ss := batVS.Megaflow().Stats(), seqVS.Megaflow().Stats(); bs != ss {
-					t.Errorf("megaflow stats diverge: batch %+v, sequential %+v", bs, ss)
+				o.main = vs.Megaflow().Stats()
+			}
+			if vs.Microflow() != nil {
+				o.uf = vs.Microflow().Stats()
+			}
+			if ct {
+				o.ct = vs.Conntrack().Stats()
+			}
+			if rec := vs.Recorder(); rec != nil {
+				o.seq = rec.Seq()
+				for tier := range o.hist {
+					o.hist[tier] = rec.Histogram(telemetry.Tier(tier)).Count()
+				}
+				// A record's identity: which tier resolved which
+				// flow and how. When it was stamped, and whether
+				// exactly or as a run estimate, is the replay's own.
+				for _, r := range rec.Recent(0) {
+					o.flight = append(o.flight, telemetry.FlightRecord{Tier: r.Tier, KeyHash: r.KeyHash,
+						Flags: r.Flags &^ (telemetry.FlightTraced | telemetry.FlightEstimated)})
+				}
+			}
+			return o
+		}
+
+		want := replay(false, false)
+		if want.stats.MicroflowHits == 0 && uf > 0 || want.stats.CacheHits == 0 || want.stats.CacheMisses == 0 {
+			t.Fatalf("tape does not reach every tier: %+v", want.stats)
+		}
+		if recorded && want.seq != uint64(len(tape)) {
+			t.Fatalf("%d flight records for %d packets", want.seq, len(tape))
+		}
+		for _, mode := range []struct{ batched, traced bool }{{true, false}, {false, true}, {true, true}} {
+			got := replay(mode.batched, mode.traced)
+			label := fmt.Sprintf("batched=%v traced=%v", mode.batched, mode.traced)
+			for i := range want.results {
+				if got.results[i] != want.results[i] {
+					t.Fatalf("%s: packet %d: %+v != sequential %+v", label, i, got.results[i], want.results[i])
+				}
+			}
+			if got.stats != want.stats {
+				t.Errorf("%s: VSwitchStats diverge: %+v, sequential %+v", label, got.stats, want.stats)
+			}
+			if got.main != want.main {
+				t.Errorf("%s: %s stats diverge: %+v, sequential %+v", label, backend, got.main, want.main)
+			}
+			if got.uf != want.uf {
+				t.Errorf("%s: microflow stats diverge: %+v, sequential %+v", label, got.uf, want.uf)
+			}
+			if got.ct != want.ct {
+				t.Errorf("%s: conntrack stats diverge: %+v, sequential %+v", label, got.ct, want.ct)
+			}
+			if got.seq != want.seq {
+				t.Errorf("%s: %d flight records, sequential %d", label, got.seq, want.seq)
+			}
+			wantHist := want.hist
+			if mode.traced {
+				wantHist = [telemetry.NumTiers]uint64{}
+			}
+			if got.hist != wantHist {
+				t.Errorf("%s: per-tier histogram counts %v, want %v", label, got.hist, wantHist)
+			}
+			for i := range want.flight {
+				if got.flight[i] != want.flight[i] {
+					t.Fatalf("%s: flight record %d from newest: %+v, sequential %+v", label, i, got.flight[i], want.flight[i])
+				}
+			}
+		}
+	}
+	for _, backend := range []string{"gigaflow", "megaflow"} {
+		t.Run(backend, func(t *testing.T) {
+			for _, uf := range []int{0, 32} {
+				for _, ct := range []bool{false, true} {
+					for _, recorded := range []bool{false, true} {
+						t.Run(fmt.Sprintf("uf=%d/ct=%v/rec=%v", uf, ct, recorded), func(t *testing.T) {
+							run(t, backend, uf, ct, recorded)
+						})
+					}
 				}
 			}
 		})
@@ -113,7 +224,8 @@ func TestProcessBatchVisibility(t *testing.T) {
 // Microflow tier, every packet served by the main cache and memoized over
 // the tier's least recently used entry — the paper's operating point —
 // must run allocation-free on both backends. Memoizing into a full tier
-// reuses the evicted entry's storage.
+// reuses the evicted entry's storage. The single-packet entry points are
+// held to the same: main-cache hit and microflow hit, inline and park.
 func TestProcessBatchThrashZeroAlloc(t *testing.T) {
 	const ufCap = 16
 	for _, backend := range []string{"gigaflow", "megaflow"} {
@@ -148,6 +260,21 @@ func TestProcessBatchThrashZeroAlloc(t *testing.T) {
 			}
 			if got := vs.Microflow().Stats().EvictLRU - evicted; got != pkts {
 				t.Errorf("%d evictions over %d memoized packets", got, pkts)
+			}
+
+			// A single packet is a batch of one through the same loop: it
+			// must not pay an allocation for the wrapping, inline or parked.
+			if allocs := testing.AllocsPerRun(runs, func() {
+				for _, k := range keys {
+					if r, err := vs.ProcessMeta(k, 0, 2); err != nil || !r.CacheHit || r.MicroflowHit {
+						t.Fatalf("ProcessMeta: %+v, %v", r, err)
+					}
+					if r, parked, err := vs.ProcessPark(k, 2); err != nil || parked || !r.MicroflowHit {
+						t.Fatalf("ProcessPark: %+v, parked %v, %v", r, parked, err)
+					}
+				}
+			}); allocs != 0 {
+				t.Errorf("ProcessMeta + ProcessPark over %d keys allocate %.1f, want 0", len(keys), allocs)
 			}
 		})
 	}

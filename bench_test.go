@@ -323,9 +323,8 @@ func BenchmarkVSwitchCacheHit(b *testing.B) {
 }
 
 // BenchmarkVSwitchProcessBatch measures the batched hot path on warm
-// cache hits (ns/op is per 32-packet batch). Like Process it must stay at
-// 0 allocs/op: the batch accumulators live on the stack and the counter
-// flush touches only existing fields.
+// cache hits (ns/op is per 32-packet batch). Like Process, which runs the
+// same loop over a batch of one, it must stay at 0 allocs/op.
 func BenchmarkVSwitchProcessBatch(b *testing.B) {
 	vs := NewVSwitch(buildDemoPipeline(), CacheConfig{NumTables: 3, TableCapacity: 64})
 	const batch = 32

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 
+	"gigaflow/internal/conntrack"
 	"gigaflow/internal/flow"
 	"gigaflow/internal/pipeline"
+	"gigaflow/internal/telemetry"
 	"gigaflow/internal/tss"
 )
 
@@ -473,6 +475,51 @@ func (c *Cache) Snapshot() Snapshot {
 	return s
 }
 
+// CollectMetrics mirrors the cache's counters and per-table statistics into
+// reg under the given worker label: the Gigaflow block of the metric names
+// README's Observability section documents. Like Snapshot, call it from
+// the goroutine driving the cache.
+func (c *Cache) CollectMetrics(reg *telemetry.Registry, worker string) {
+	counter := func(name, help string, val uint64) {
+		reg.CounterVec(name, help, "worker").With(worker).Set(val)
+	}
+	churn := reg.CounterVec("gigaflow_cache_evictions_total",
+		"Main-cache entries removed, by cause.", "worker", "reason")
+	gs := c.stats
+	counter("gigaflow_cache_inserts_total", "Entries created in the main cache.", gs.EntriesCreated)
+	churn.With(worker, "lru").Set(gs.EvictLRU)
+	churn.With(worker, "expired").Set(gs.Expired)
+	churn.With(worker, "revoked").Set(gs.Revoked)
+	counter("gigaflow_cache_stalls_total", "Misses that matched a partial entry chain.", gs.Stalls)
+	counter("gigaflow_shared_reuse_total", "Sub-traversal installs deduplicated against resident entries.", gs.SharedReuse)
+	counter("gigaflow_conflicts_total", "Entries replaced due to same-predicate conflicts.", gs.Conflicts)
+	counter("gigaflow_tables_probed_total", "LTM table consultations across lookups.", gs.TablesProbed)
+	counter("gigaflow_tuple_probes_total", "TSS tuple probes across lookups.", gs.TupleProbes)
+	counter("gigaflow_reval_work_total", "Pipeline table lookups spent revalidating.", gs.RevalWork)
+	reg.GaugeVec("gigaflow_cache_capacity", "Total main-cache entry capacity.", "worker").
+		With(worker).Set(float64(c.Capacity()))
+	tc := func(name, help string, table string, val uint64) {
+		reg.CounterVec(name, help, "worker", "table").With(worker, table).Set(val)
+	}
+	tg := func(name, help string, table string, val float64) {
+		reg.GaugeVec(name, help, "worker", "table").With(worker, table).Set(val)
+	}
+	te := reg.CounterVec("gigaflow_table_evictions_total",
+		"Entries removed from this LTM table, by cause.", "worker", "table", "reason")
+	for i := range c.tables {
+		ts := c.TableSnapshot(i)
+		tl := fmt.Sprintf("%d", i)
+		tc("gigaflow_table_hits_total", "Entry matches in this LTM table.", tl, ts.Hits)
+		tc("gigaflow_table_inserts_total", "Entries created in this LTM table.", tl, ts.Inserts)
+		tg("gigaflow_table_occupancy", "Resident entries in this LTM table.", tl, float64(ts.Len))
+		tg("gigaflow_table_capacity", "Entry capacity of this LTM table.", tl, float64(ts.Capacity))
+		tg("gigaflow_table_tags", "Distinct pipeline-table tags resident in this LTM table.", tl, float64(ts.Tags))
+		te.With(worker, tl, "lru").Set(ts.EvictLRU)
+		te.With(worker, tl, "expired").Set(ts.Expired)
+		te.With(worker, tl, "revoked").Set(ts.Revoked)
+	}
+}
+
 // Result is the outcome of one LTM cache lookup.
 type Result struct {
 	Hit     bool
@@ -494,33 +541,53 @@ type Result struct {
 //
 //gf:hotpath
 func (c *Cache) Lookup(k flow.Key, now int64) (r Result) {
-	c.lookupStats(&k, now, &c.stats, &r)
+	c.result(&k, now, &c.stats, &r)
 	return r
 }
 
-// lookupStats is the Lookup body with its counter destination injected:
-// &c.stats for single lookups, a batch-local accumulator for BatchLookup.
-// Per-table hit counts, entry hit counts, and LRU positions always update
-// per packet; only the cache-wide counters are redirected. The result is
-// built in *r, whose Hit and Verdict must be zero on entry (Final and Path
-// are assigned on every path): the key is copied once, into r.Final, and
-// every matched commit rewrites it there.
+// result runs one lookup and reports it in *r, built in place, for the
+// callers that want the by-value form.
 //
 //gf:hotpath
-func (c *Cache) lookupStats(k *flow.Key, now int64, s *Stats, r *Result) {
+func (c *Cache) result(k *flow.Key, now int64, s *Stats, r *Result) {
+	r.Verdict, r.Hit = c.find(k, now, s, &r.Final)
+	if !r.Hit {
+		r.Final = flow.Key{}
+	}
+	r.Path = c.path
+}
+
+// Find is Lookup in the datapath's form: the key is read in place and
+// copied once, into *final, where every matched commit rewrites it. On a
+// hit *final is the flow state after all matched commits; on a miss it is
+// unspecified. The matched entries stay in the cache-owned hit path until
+// the next lookup, for DropStale and TraceHit.
+//
+//gf:hotpath
+func (c *Cache) Find(k *flow.Key, now int64, final *flow.Key) (flow.Verdict, bool) {
+	return c.find(k, now, &c.stats, final)
+}
+
+// find is the lookup body with its counter destination injected: &c.stats
+// for single lookups, a batch-local accumulator for BatchLookup. Per-table
+// hit counts, entry hit counts, and LRU positions always update per
+// packet; only the cache-wide counters are redirected.
+//
+//gf:hotpath
+func (c *Cache) find(k *flow.Key, now int64, s *Stats, final *flow.Key) (flow.Verdict, bool) {
 	slot := c.startSlot
-	r.Final = *k
+	*final = *k
 	c.path = c.path[:0]
 	for _, t := range c.tables {
 		s.TablesProbed++
-		e, probes := t.lookup(slot, &r.Final)
+		e, probes := t.lookup(slot, final)
 		s.TupleProbes += uint64(probes)
 		if e == nil {
 			continue
 		}
 		t.stats.Hits++
 		c.path = append(c.path, e)
-		flow.ApplyTo(&r.Final, e.Commit)
+		flow.ApplyTo(final, e.Commit)
 		if e.Terminal {
 			for _, pe := range c.path {
 				pe.Hits++
@@ -528,8 +595,7 @@ func (c *Cache) lookupStats(k *flow.Key, now int64, s *Stats, r *Result) {
 				pe.table.touch(pe)
 			}
 			s.Hits++
-			r.Hit, r.Verdict, r.Path = true, e.Verdict, c.path
-			return
+			return e.Verdict, true
 		}
 		slot = e.nextSlot
 	}
@@ -537,8 +603,40 @@ func (c *Cache) lookupStats(k *flow.Key, now int64, s *Stats, r *Result) {
 	if len(c.path) > 0 {
 		s.Stalls++
 	}
-	r.Final, r.Path = flow.Key{}, c.path
+	return flow.Verdict{}, false
 }
+
+// DropStale validates the last Find's hit path against the conntrack
+// table: every connection-dependent entry on it must still resolve to a
+// live connection carrying exactly the epoch it was built under. Stale
+// entries are removed — the invalidation protocol's eager half (the lazy
+// half is epoch poisoning; see internal/conntrack) — and counted in the
+// result; a non-zero result means the hit must not be used. Only entries
+// on the hit path are ever touched.
+//
+//gf:hotpath
+func (c *Cache) DropStale(ct *conntrack.Table) (removed int) {
+	for _, e := range c.path {
+		if e.CtEpoch != 0 && !ct.EpochValidKey(&e.CtConn, e.CtEpoch) {
+			c.Remove(e)
+			removed++
+		}
+	}
+	return removed
+}
+
+// TraceHit annotates a sampled packet's trace with the entries the last
+// Find matched, one ltm-table stage each.
+//
+//gf:hotpath-safe sampled packets only: appends one stage per matched table to the trace
+func (c *Cache) TraceHit(tb *telemetry.TraceBuilder) {
+	for _, e := range c.path {
+		tb.Note("ltm-table", e.TableIndex(), e.Tag, e.Priority)
+	}
+}
+
+// Tier names the cache in latency attribution, traces and telemetry.
+func (c *Cache) Tier() telemetry.Tier { return telemetry.TierGigaflow }
 
 // BatchLookup accumulates the cache-wide lookup counters (hits, misses,
 // stalls, probe totals) locally so a packet batch updates Stats once, in
@@ -557,19 +655,8 @@ func (c *Cache) BatchLookup() BatchLookup { return BatchLookup{c: c} }
 //
 //gf:hotpath
 func (b *BatchLookup) Lookup(k flow.Key, now int64) (r Result) {
-	b.c.lookupStats(&k, now, &b.delta, &r)
+	b.c.result(&k, now, &b.delta, &r)
 	return r
-}
-
-// LookupInto is Lookup reading the key in place and building the result
-// in *r: the datapath's form, one Result reused across a batch. Only the
-// fields a miss leaves alone are reset; Final and Path are assigned on
-// every path.
-//
-//gf:hotpath
-func (b *BatchLookup) LookupInto(k *flow.Key, now int64, r *Result) {
-	r.Hit, r.Verdict = false, flow.Verdict{}
-	b.c.lookupStats(k, now, &b.delta, r)
 }
 
 // Flush folds the accumulated counters into the cache's Stats — the one
@@ -729,6 +816,15 @@ func (c *Cache) Insert(tr *pipeline.Traversal, now int64) ([]*Entry, error) {
 	return c.InsertPartition(tr, part, now)
 }
 
+// Install is Insert as the datapath calls it: it reports whether the
+// traversal was installed and whether installing it evicted a resident
+// entry by LRU.
+func (c *Cache) Install(tr *pipeline.Traversal, now int64) (ok, evicted bool) {
+	lru := c.stats.EvictLRU
+	_, err := c.Insert(tr, now)
+	return err == nil, c.stats.EvictLRU > lru
+}
+
 // InsertPartition installs a traversal under an explicit partition
 // (segment j goes to table j). Exposed for the Fig. 16 scheme comparison
 // and for tests. The result aliases the same cache-owned buffer as
@@ -810,6 +906,8 @@ func (c *Cache) probeSegments(tr *pipeline.Traversal, part Partition) {
 // Remove evicts a connection-dependent entry whose epoch check failed —
 // the conntrack invalidation hook. No-op for an entry not currently
 // installed, however the caller came by it.
+//
+//gf:hotpath-safe conntrack invalidation is a rare cold event on the hit path
 func (c *Cache) Remove(e *Entry) {
 	if e.table != nil && e.table.remove(e) {
 		c.stats.CtInvalid++
@@ -862,6 +960,12 @@ func (c *Cache) Revalidate() (evicted, work int) {
 	}, &c.stats.Revoked, func(s *TableStats) *uint64 { return &s.Revoked })
 	c.stats.RevalWork += uint64(work)
 	return evicted, work
+}
+
+// RevalidateAgainst is Revalidate behind the datapath's backend interface.
+// The cache replays the pipeline it was built over, so p is not consulted.
+func (c *Cache) RevalidateAgainst(*pipeline.Pipeline) (evicted, work int) {
+	return c.Revalidate()
 }
 
 // sweep removes every entry stale accepts, counting each removal in *total

@@ -12,8 +12,10 @@ package megaflow
 import (
 	"fmt"
 
+	"gigaflow/internal/conntrack"
 	"gigaflow/internal/flow"
 	"gigaflow/internal/pipeline"
+	"gigaflow/internal/telemetry"
 	"gigaflow/internal/tss"
 )
 
@@ -75,6 +77,9 @@ type Cache struct {
 	lruHead     *Entry
 	lruTail     *Entry
 	stats       Stats
+	// hit is the entry the last Find matched (nil after a miss): the
+	// one-entry hit path DropStale validates.
+	hit *Entry
 	// rule is the scratch Insert and Revalidate compose a traversal into
 	// before deciding whether an entry has to be built or removed.
 	rule pipeline.Composed
@@ -136,6 +141,39 @@ func (c *Cache) Snapshot() Snapshot {
 		Masks: c.NumMasks(), TupleProbes: c.TupleProbes()}
 }
 
+// CollectMetrics mirrors the cache's counters and occupancy into reg under
+// the given worker label: the Megaflow block of the metric names README's
+// Observability section documents. Like Snapshot, call it from the
+// goroutine driving the cache.
+func (c *Cache) CollectMetrics(reg *telemetry.Registry, worker string) {
+	counter := func(name, help string, val uint64) {
+		reg.CounterVec(name, help, "worker").With(worker).Set(val)
+	}
+	gauge := func(name, help string, val float64) {
+		reg.GaugeVec(name, help, "worker").With(worker).Set(val)
+	}
+	churn := reg.CounterVec("gigaflow_cache_evictions_total",
+		"Main-cache entries removed, by cause.", "worker", "reason")
+	ms := c.Snapshot()
+	counter("gigaflow_cache_inserts_total", "Entries created in the main cache.", ms.Inserts)
+	churn.With(worker, "lru").Set(ms.EvictLRU)
+	churn.With(worker, "expired").Set(ms.Expired)
+	churn.With(worker, "revoked").Set(ms.Revoked)
+	counter("gigaflow_megaflow_replaced_total", "Entries replaced by an equal-mask reinstall.", ms.Replaced)
+	counter("gigaflow_megaflow_rejected_total", "Installs rejected by the Megaflow cache.", ms.Rejected)
+	gauge("gigaflow_cache_capacity", "Total main-cache entry capacity.", float64(ms.Capacity))
+	gauge("gigaflow_megaflow_masks", "Distinct TSS tuples in the Megaflow cache.", float64(ms.Masks))
+	counter("gigaflow_tuple_probes_total", "TSS tuple probes across lookups.", ms.TupleProbes)
+	counter("gigaflow_reval_work_total", "Pipeline table lookups spent revalidating.", ms.RevalWork)
+}
+
+// Tier names the cache in latency attribution, traces and telemetry.
+func (c *Cache) Tier() telemetry.Tier { return telemetry.TierMegaflow }
+
+// Coverage reports the cache's rule-space coverage (Table 2): one complete
+// traversal per entry, so the entry count.
+func (c *Cache) Coverage() uint64 { return uint64(c.Len()) }
+
 // Lookup finds the entry matching k, updating hit/miss statistics and LRU
 // position. The second result reports whether the lookup hit.
 //
@@ -163,6 +201,43 @@ func (c *Cache) lookupStats(k *flow.Key, now int64, s *Stats) (*Entry, bool) {
 	return ent, true
 }
 
+// Find is Lookup in the datapath's form: the key is read in place and, on
+// a hit, the matched entry applied to a copy of it in *final; on a miss
+// *final is left alone. The matched entry is remembered until the next
+// Find, for DropStale.
+//
+//gf:hotpath
+func (c *Cache) Find(k *flow.Key, now int64, final *flow.Key) (flow.Verdict, bool) {
+	ent, ok := c.lookupStats(k, now, &c.stats)
+	c.hit = ent
+	if !ok {
+		return flow.Verdict{}, false
+	}
+	*final = *k
+	flow.ApplyTo(final, ent.Commit)
+	return ent.Verdict, true
+}
+
+// DropStale validates the entry the last Find matched against the
+// conntrack table: a connection-dependent entry must still resolve to a
+// live connection carrying exactly the epoch it was built under. A stale
+// entry is removed and reported as 1, meaning the hit must not be used.
+//
+//gf:hotpath
+func (c *Cache) DropStale(ct *conntrack.Table) (removed int) {
+	ent := c.hit
+	if ent == nil || ent.CtEpoch == 0 || ct.EpochValidKey(&ent.CtConn, ent.CtEpoch) {
+		return 0
+	}
+	c.hit = nil
+	c.Remove(ent)
+	return 1
+}
+
+// TraceHit adds nothing to a sampled packet's trace: a Megaflow hit is one
+// entry, and the lookup stage already says whether it matched.
+func (c *Cache) TraceHit(*telemetry.TraceBuilder) {}
+
 // BatchLookup accumulates lookup counters locally so a packet batch
 // updates the cache-wide Stats once, in Flush, instead of once per
 // packet. The zero value is a no-op accumulator whose Lookup must not be
@@ -180,13 +255,6 @@ func (c *Cache) BatchLookup() BatchLookup { return BatchLookup{c: c} }
 //gf:hotpath
 func (b *BatchLookup) Lookup(k flow.Key, now int64) (*Entry, bool) {
 	return b.c.lookupStats(&k, now, &b.delta)
-}
-
-// Find is Lookup reading the key in place.
-//
-//gf:hotpath
-func (b *BatchLookup) Find(k *flow.Key, now int64) (*Entry, bool) {
-	return b.c.lookupStats(k, now, &b.delta)
 }
 
 // Flush folds the accumulated counters into the cache's Stats — the one
@@ -256,6 +324,15 @@ func (c *Cache) Insert(tr *pipeline.Traversal, now int64) *Entry {
 	return ent
 }
 
+// Install is Insert as the datapath calls it: it reports whether the
+// traversal was installed and whether installing it evicted a resident
+// entry by LRU.
+func (c *Cache) Install(tr *pipeline.Traversal, now int64) (ok, evicted bool) {
+	lru := c.stats.EvictLRU
+	ent := c.Insert(tr, now)
+	return ent != nil, c.stats.EvictLRU > lru
+}
+
 // removeEntry unlinks and deletes an entry from both structures.
 func (c *Cache) removeEntry(ent *Entry) {
 	c.unlink(ent)
@@ -322,6 +399,12 @@ func (c *Cache) Revalidate(p *pipeline.Pipeline) (evicted int, work int) {
 	}
 	c.stats.RevalWork += uint64(work)
 	return len(bad), work
+}
+
+// RevalidateAgainst is Revalidate under the name the datapath's backend
+// interface gives it (the Gigaflow cache's Revalidate takes no pipeline).
+func (c *Cache) RevalidateAgainst(p *pipeline.Pipeline) (evicted, work int) {
+	return c.Revalidate(p)
 }
 
 // Entries returns all cached entries in unspecified order.

@@ -209,13 +209,6 @@ func (b *BatchLookup) Lookup(k flow.Key, now int64) (*Entry, bool) {
 	return b.c.lookupStats(&k, now, &b.delta)
 }
 
-// Find is Cache.Find with counters deferred to Flush.
-//
-//gf:hotpath
-func (b *BatchLookup) Find(k *flow.Key, now int64) (*Entry, bool) {
-	return b.c.lookupStats(k, now, &b.delta)
-}
-
 // Flush folds the accumulated counters into the cache's Stats — the one
 // stats update the whole batch pays. Safe on the zero value.
 func (b *BatchLookup) Flush() {

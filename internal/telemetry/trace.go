@@ -88,8 +88,8 @@ func (t *Tracer) SampleEvery() int { return int(t.every.Load()) }
 func (t *Tracer) Sampled() uint64 { return t.sampled.Load() }
 
 // Start returns a builder when this packet is sampled and nil otherwise.
-// The caller guards every recording call on the returned pointer, so an
-// unsampled packet pays one atomic increment and no allocation; only
+// Begin and End accept the nil builder and the caller guards the rest, so
+// an unsampled packet pays one atomic increment and no allocation; only
 // sampled packets reach the allocating newBuilder.
 //
 //gf:hotpath
@@ -161,8 +161,20 @@ func (b *TraceBuilder) SetKey(k string) { b.tr.Key = k }
 // SetWorker records the worker that processed the packet.
 func (b *TraceBuilder) SetWorker(w string) { b.tr.Worker = w }
 
-// Begin opens a timed stage.
+// Begin opens a timed stage. Begin and End are safe on a nil builder — an
+// unsampled packet — where they cost the inlined nil compare and nothing
+// else, so the datapath runs the same statements for every packet.
 func (b *TraceBuilder) Begin(name string) {
+	if b != nil {
+		b.begin(name)
+	}
+}
+
+// begin stays out of line so that Begin, the nil compare, inlines.
+//
+//gf:hotpath-safe sampled packets only: appends the stage and reads the clock
+//go:noinline
+func (b *TraceBuilder) begin(name string) {
 	b.tr.Stages = append(b.tr.Stages, Stage{Name: name, Table: -1, Tag: -1, Priority: -1})
 	b.stageStart = time.Now()
 }
@@ -170,6 +182,13 @@ func (b *TraceBuilder) Begin(name string) {
 // End closes the most recently opened stage, recording its duration and
 // hit flag.
 func (b *TraceBuilder) End(hit bool) {
+	if b != nil {
+		b.end(hit)
+	}
+}
+
+//gf:hotpath-safe sampled packets only: reads the clock
+func (b *TraceBuilder) end(hit bool) {
 	s := &b.tr.Stages[len(b.tr.Stages)-1]
 	s.DurNs = time.Since(b.stageStart).Nanoseconds()
 	s.Hit = hit

@@ -302,7 +302,7 @@ func (c Config) validate() error {
 		return errors.New("service: Expiry.Every set but MaxIdle is 0 (expiry would never evict)")
 	}
 	if c.Conntrack.Enable && c.Upcall.Workers > 0 {
-		return errors.New("service: Conntrack and the Upcall offload are mutually exclusive (the parked slowpath is stateless)")
+		return errors.New("service: Conntrack and the Upcall offload are mutually exclusive: a conntrack switch resolves every miss inline, so the upcall workers would never receive work (lifting this takes a parked record that carries the tracked key, the connection's epoch and the direction)")
 	}
 	switch c.Backend {
 	case BackendGigaflow:

@@ -3,7 +3,6 @@ package gigaflow
 import (
 	"gigaflow/internal/conntrack"
 	"gigaflow/internal/flow"
-	gfcache "gigaflow/internal/gigaflow"
 	"gigaflow/internal/microflow"
 	"gigaflow/internal/packet"
 )
@@ -64,43 +63,14 @@ func (v *VSwitch) ctServe(e *microflow.Entry, k *Key, tcpFlags uint8, now int64)
 	return true
 }
 
-// ctPathValid checks every connection-dependent entry on a main-cache
-// hit path against the conntrack table: each must still resolve to a
-// live connection carrying exactly the epoch it was built under. On the
-// first stale entry it diverts to the cold invalidation sweep and
-// reports the hit unusable.
-//
-//gf:hotpath
-func (v *VSwitch) ctPathValid(path []*gfcache.Entry) bool {
-	for _, e := range path {
-		if e.CtEpoch != 0 && !v.ct.EpochValidKey(&e.CtConn, e.CtEpoch) {
-			v.ctInvalidatePath(path)
-			return false
-		}
-	}
-	return true
-}
-
-// ctInvalidatePath removes every stale connection-dependent entry on a
-// hit path — the conntrack cache-invalidation protocol's eager half
-// (the lazy half is epoch poisoning; see internal/conntrack).
-//
-//gf:hotpath-safe stale-epoch invalidation is a rare cold event
-func (v *VSwitch) ctInvalidatePath(path []*gfcache.Entry) {
-	for _, e := range path {
-		if e.CtEpoch != 0 && !v.ct.EpochValidKey(&e.CtConn, e.CtEpoch) {
-			v.gf.Remove(e)
-			v.stats.CtInvalidated++
-		}
-	}
-}
-
-// memoizeCt records a processed flow in the Microflow tier under
-// conntrack rules: results for tracked connections are bound to the
-// connection's current epoch (served only under the ctServe guard), and
-// ICMP results are never memoized — their ct_rel bit flips as tracked
-// host pairs come and go, and an exact entry has no way to revalidate
-// that.
+// memoizeCt records a processed flow in the Microflow tier, when enabled;
+// with tracking off that is all it does. Under conntrack, results for
+// tracked connections are bound to the connection's current epoch (served
+// only under the ctServe guard), and ICMP results are never memoized —
+// their ct_rel bit flips as tracked host pairs come and go, and an exact
+// entry has no way to revalidate that. The insert is part of the certified
+// hot path: a full tier recycles its LRU entry in place, and a filling one
+// grows its slab behind the microflow package's own audited boundary.
 //
 //gf:hotpath
 func (v *VSwitch) memoizeCt(k, final *Key, verdict Verdict, now int64,

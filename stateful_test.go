@@ -6,6 +6,7 @@ import (
 
 	"gigaflow/internal/conntrack"
 	"gigaflow/internal/packet"
+	"gigaflow/internal/telemetry"
 )
 
 // statefulPipeline is the dnslb shape in miniature: classify on
@@ -66,10 +67,14 @@ func ctKey(client int, proto uint64) Key {
 		With(FieldTpDst, 443)
 }
 
-// ctEvent is one packet of the differential trace.
+// ctEvent is one packet of a differential tape: its key and TCP flags,
+// the virtual time it arrives at, and whether the idle-expiry sweep runs
+// just before it.
 type ctEvent struct {
 	k     Key
 	flags uint8
+	now   int64
+	sweep bool
 }
 
 // invertTuple swaps a key's endpoints (the raw reply as seen pre-NAT —
@@ -109,115 +114,256 @@ func replyKeyFor(ct *conntrack.Table, fwd Key) (Key, bool) {
 		With(FieldTpDst, nk.Get(FieldTpSrc)), true
 }
 
-// TestStatefulDifferential is the cache-invalidation proof: a randomized
+// statefulTape generates the stateful differential tape: a randomized
 // interleaving of handshakes, data, closes, tuple reuse, and idle expiry
-// across many connections runs through a conntrack-enabled VSwitch on
-// BOTH cache backends and through the cache-free Reference walk. Every
-// packet's verdict and final key must be bit-identical on all three —
-// if any ct_state-dependent cache entry ever survived a transition it
-// depended on, the cached result would diverge from the oracle here.
+// across many connections. What the next packet is depends on connection
+// state (is there a connection to reply on, which backend was it bound
+// to), so the tape is generated against a Reference that processes it as
+// it grows; replays then run it against fresh ones.
+func statefulTape(t *testing.T, clients, packets int, maxIdle int64) []ctEvent {
+	ref := NewReference(statefulPipeline(), true, 0)
+	tape := make([]ctEvent, 0, packets)
+	rng := xorshift(0x9e3779b97f4a7c15)
+	now := int64(0)
+	for i := 0; i < packets; i++ {
+		now += int64(rng.next()%20_000) + 1
+		client := int(rng.next() % uint64(clients))
+		proto := uint64(packet.IPProtoTCP)
+		if client%3 == 0 {
+			proto = packet.IPProtoUDP
+		}
+		fwd := ctKey(client, proto)
+
+		var ev ctEvent
+		switch roll := rng.next() % 10; {
+		case roll < 4: // forward data (or first packet: SYN)
+			ev = ctEvent{k: fwd, flags: packet.TCPAck}
+			if proto == packet.IPProtoTCP {
+				if _, _, ok := ref.Conntrack().Lookup(fwd); !ok {
+					ev.flags = packet.TCPSyn
+				}
+			} else {
+				ev.flags = 0
+			}
+		case roll < 8: // reply (post-NAT tuple when bound)
+			rk, ok := replyKeyFor(ref.Conntrack(), fwd)
+			if !ok {
+				rk = invertTuple(fwd)
+			}
+			ev = ctEvent{k: rk, flags: packet.TCPAck}
+		case roll < 9 && proto == packet.IPProtoTCP: // close
+			if rng.next()%2 == 0 {
+				ev = ctEvent{k: fwd, flags: packet.TCPFin | packet.TCPAck}
+			} else {
+				ev = ctEvent{k: fwd, flags: packet.TCPRst}
+			}
+		default: // fresh SYN: reopen after close, dup-SYN otherwise
+			ev = ctEvent{k: fwd, flags: packet.TCPSyn}
+			if proto == packet.IPProtoUDP {
+				ev.flags = 0
+			}
+		}
+		// The idle sweep, exactly as the service's expiry ticker would
+		// run it.
+		ev.now, ev.sweep = now, i%500 == 499
+		if ev.sweep {
+			ref.ExpireIdle(now, maxIdle)
+		}
+		if _, err := ref.ProcessMeta(ev.k, ev.flags, now); err != nil {
+			t.Fatalf("tape pkt %d: %v", i, err)
+		}
+		tape = append(tape, ev)
+	}
+	return tape
+}
+
+// eachBatch cuts tape into batches of the cycling sizes, never across a
+// sweep, and calls fn for each with the half-open packet range, the
+// virtual time the whole batch is stamped with (its last packet's) and
+// whether the sweep runs before it. Every replay of a tape — packet by
+// packet or batched — takes its timestamps from here, so all see the same
+// clock.
+func eachBatch(tape []ctEvent, sizes []int, fn func(lo, hi int, now int64, sweep bool)) {
+	for lo, c := 0, 0; lo < len(tape); c++ {
+		hi := lo + 1
+		for hi < len(tape) && hi-lo < sizes[c%len(sizes)] && !tape[hi].sweep {
+			hi++
+		}
+		fn(lo, hi, tape[hi-1].now, tape[lo].sweep)
+		lo = hi
+	}
+}
+
+// TestStatefulDifferential is the cache-invalidation proof: the stateful
+// tape runs through a conntrack-enabled VSwitch on BOTH cache backends
+// and through the cache-free Reference walk. Every packet's verdict and
+// final key must be bit-identical — if any ct_state-dependent cache entry
+// ever survived a transition it depended on, the cached result would
+// diverge from the oracle here.
+//
+// The inline leg feeds each packet with its TCP flags through ProcessMeta.
+// The park leg replays the same tape through the park-mode entry points,
+// which carry no flags (like Process), in mixed batches, with the
+// second-chance lookup and CompleteMiss driver of TestProcessBatchParkFollowers
+// and the overflow fallback, against a Reference fed the same flagless
+// packets: on a conntrack switch the stateful stages are not optional, so
+// park mode must track, guard and validate exactly as the inline path does.
+// It also pins what ProcessMissInline and CompleteMiss document for such a
+// switch: nothing is ever reported parked, and a call made anyway is
+// Process — it may come back a cache hit, and its flight record is an
+// ordinary one (not Deferred, no park time) whatever travNs/parkNs said.
 func TestStatefulDifferential(t *testing.T) {
 	const (
 		clients = 48
 		packets = 12000
 		maxIdle = 500_000 // virtual ns
 	)
-	for _, backend := range []string{"gigaflow", "megaflow"} {
-		t.Run(backend, func(t *testing.T) {
-			opts := []VSwitchOption{
-				WithMicroflow(4 * clients),
-				WithConntrack(0),
-				WithConntrackMaxIdle(maxIdle),
-			}
-			if backend == "megaflow" {
-				opts = append(opts, WithMegaflowBackend(4096))
-			}
-			vs := NewVSwitch(statefulPipeline(), CacheConfig{NumTables: 4, TableCapacity: 4 * 1024}, opts...)
-			ref := NewReference(statefulPipeline(), true, 0)
+	tape := statefulTape(t, clients, packets, maxIdle)
+	run := func(t *testing.T, backend, leg string) {
+		opts := []VSwitchOption{
+			WithMicroflow(4 * clients),
+			WithConntrack(0),
+			WithConntrackMaxIdle(maxIdle),
+		}
+		if backend == "megaflow" {
+			opts = append(opts, WithMegaflowBackend(4096))
+		}
+		sizes := []int{1}
+		if leg == "park" {
+			sizes = []int{1, 1, 1, 7, 32, 3}
+			opts = append(opts, WithLatencyRecorder(telemetry.NewLatencyRecorder(64, 0)))
+		}
+		vs := NewVSwitch(statefulPipeline(), CacheConfig{NumTables: 4, TableCapacity: 4 * 1024}, opts...)
+		ref := NewReference(statefulPipeline(), true, 0)
 
-			rng := xorshift(0x9e3779b97f4a7c15)
-			now := int64(0)
-			for i := 0; i < packets; i++ {
-				now += int64(rng.next()%20_000) + 1
-				client := int(rng.next() % clients)
-				proto := uint64(packet.IPProtoTCP)
-				if client%3 == 0 {
-					proto = packet.IPProtoUDP
-				}
-				fwd := ctKey(client, proto)
-
-				var ev ctEvent
-				switch roll := rng.next() % 10; {
-				case roll < 4: // forward data (or first packet: SYN)
-					ev = ctEvent{fwd, packet.TCPAck}
-					if proto == packet.IPProtoTCP {
-						if _, _, ok := ref.Conntrack().Lookup(fwd); !ok {
-							ev.flags = packet.TCPSyn
+		out := make([]ProcessResult, 32)
+		errs := make([]error, 32)
+		parked := make([]bool, 32)
+		keys := make([]Key, 32)
+		singles, everParked, fallbackHits, completeHits := 0, 0, 0, 0
+		// replayed wraps one out-of-protocol ProcessMissInline/CompleteMiss
+		// call: it must have been Process, so its flight record is an
+		// ordinary one; it reports whether the packet came back a hit.
+		replayed := func(call func()) bool {
+			misses := vs.Stats().CacheMisses
+			call()
+			if r := vs.Recorder().Recent(1)[0]; r.Flags&telemetry.FlightDeferred != 0 || r.ParkNs != 0 {
+				t.Fatalf("a conntrack switch logged a deferred completion: %+v", r)
+			}
+			return vs.Stats().CacheMisses == misses
+		}
+		eachBatch(tape, sizes, func(lo, hi int, now int64, sweep bool) {
+			if sweep {
+				vs.ExpireIdle(now)
+				ref.ExpireIdle(now, maxIdle)
+			}
+			n := hi - lo
+			for i, ev := range tape[lo:hi] {
+				keys[i] = ev.k
+			}
+			switch {
+			case leg == "inline":
+				out[0], errs[0] = vs.ProcessMeta(keys[0], tape[lo].flags, now)
+			case n > 1:
+				vs.ProcessBatchPark(keys[:n], out, errs, parked, now)
+				for i := 0; i < n; i++ {
+					if !parked[i] {
+						continue
+					}
+					everParked++
+					// Second-chance lookup, then the engine's traversal.
+					var still bool
+					if out[i], still, errs[i] = vs.ProcessPark(keys[i], now); still {
+						tr, err := vs.Pipeline().Process(keys[i])
+						if err != nil {
+							t.Fatal(err)
 						}
-					} else {
-						ev.flags = 0
-					}
-				case roll < 8: // reply (post-NAT tuple when bound)
-					rk, ok := replyKeyFor(ref.Conntrack(), fwd)
-					if !ok {
-						rk = invertTuple(fwd)
-					}
-					ev = ctEvent{rk, packet.TCPAck}
-				case roll < 9 && proto == packet.IPProtoTCP: // close
-					if rng.next()%2 == 0 {
-						ev = ctEvent{fwd, packet.TCPFin | packet.TCPAck}
-					} else {
-						ev = ctEvent{fwd, packet.TCPRst}
-					}
-				default: // fresh SYN: reopen after close, dup-SYN otherwise
-					ev = ctEvent{fwd, packet.TCPSyn}
-					if proto == packet.IPProtoUDP {
-						ev.flags = 0
+						out[i], errs[i] = vs.CompleteMiss(keys[i], tr, now, 100, 50)
 					}
 				}
-
-				// Lockstep idle sweep, exactly as the service's expiry
-				// ticker would run it.
-				if i%500 == 499 {
-					vs.ExpireIdle(now)
-					ref.ExpireIdle(now, maxIdle)
+			default:
+				// One packet at a time, through each park-mode entry
+				// point in turn: on a conntrack switch the fallback
+				// and the completion must take the full path too.
+				switch singles++; singles % 3 {
+				case 0:
+					var still bool
+					if out[0], still, errs[0] = vs.ProcessPark(keys[0], now); still {
+						everParked++
+						out[0], errs[0] = vs.ProcessMissInline(keys[0], now)
+					}
+				case 1:
+					if replayed(func() { out[0], errs[0] = vs.ProcessMissInline(keys[0], now) }) {
+						fallbackHits++
+					}
+				default:
+					tr, err := vs.Pipeline().Process(keys[0])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if replayed(func() { out[0], errs[0] = vs.CompleteMiss(keys[0], tr, now, 100, 50) }) {
+						completeHits++
+					}
 				}
-
-				want, errW := ref.ProcessMeta(ev.k, ev.flags, now)
-				got, errG := vs.ProcessMeta(ev.k, ev.flags, now)
+			}
+			for i, ev := range tape[lo:hi] {
+				flags := ev.flags
+				if leg == "park" {
+					flags = 0
+				}
+				want, errW := ref.ProcessMeta(ev.k, flags, now)
+				got, errG := out[i], errs[i]
 				if (errW != nil) != (errG != nil) {
-					t.Fatalf("pkt %d: error divergence: ref=%v vs=%v", i, errW, errG)
-				}
-				cs, rs := vs.Conntrack().Stats(), ref.Conntrack().Stats()
-				if cs.Created != rs.Created || cs.Transitions != rs.Transitions ||
-					cs.Reopened != rs.Reopened || cs.Expired != rs.Expired || cs.Active != rs.Active {
-					t.Fatalf("pkt %d (flags %#x): table divergence:\n  cached: %+v\n  oracle: %+v", i, ev.flags, cs, rs)
+					t.Fatalf("pkt %d: error divergence: ref=%v vs=%v", lo+i, errW, errG)
 				}
 				if got.Verdict != want.Verdict || got.Final != want.Final {
-					t.Fatalf("pkt %d (client %d flags %#x key %s):\n  cached: %+v %s\n  oracle: %+v %s\n  stats: %+v",
-						i, client, ev.flags, ev.k,
+					t.Fatalf("pkt %d (flags %#x key %s):\n  cached: %+v %s\n  oracle: %+v %s\n  stats: %+v",
+						lo+i, flags, ev.k,
 						got.Verdict, got.Final, want.Verdict, want.Final, vs.Stats())
 				}
 			}
+			cs, rs := vs.Conntrack().Stats(), ref.Conntrack().Stats()
+			if cs.Created != rs.Created || cs.Transitions != rs.Transitions ||
+				cs.Reopened != rs.Reopened || cs.Expired != rs.Expired || cs.Active != rs.Active {
+				t.Fatalf("pkts %d–%d: table divergence:\n  cached: %+v\n  oracle: %+v", lo, hi-1, cs, rs)
+			}
+		})
 
-			st := vs.Stats()
-			if st.Packets != packets {
-				t.Fatalf("processed %d packets, want %d", st.Packets, packets)
-			}
-			// The trace must actually exercise the protocol: caches hit,
-			// guards fire, entries die.
-			if st.MicroflowHits == 0 || st.CtFastpath == 0 {
-				t.Errorf("fast path never engaged: %+v", st)
-			}
+		st := vs.Stats()
+		if st.Packets != packets {
+			t.Fatalf("processed %d packets, want %d", st.Packets, packets)
+		}
+		// The trace must actually exercise the protocol: caches hit,
+		// guards fire, entries die.
+		if st.MicroflowHits == 0 || st.CtFastpath == 0 {
+			t.Errorf("fast path never engaged: %+v", st)
+		}
+		ctStats := vs.Conntrack().Stats()
+		if ctStats.Expired == 0 {
+			t.Errorf("trace too tame: %+v", ctStats)
+		}
+		if everParked != 0 {
+			t.Errorf("a conntrack switch reported %d packets parked; it must resolve every miss inline", everParked)
+		}
+		if leg == "park" && (fallbackHits == 0 || completeHits == 0) {
+			t.Errorf("no out-of-protocol call came back a hit: ProcessMissInline %d, CompleteMiss %d", fallbackHits, completeHits)
+		}
+		if leg == "inline" {
 			if st.CtGuardFails == 0 {
 				t.Errorf("microflow ct guard never fired: %+v", st)
 			}
-			ctStats := vs.Conntrack().Stats()
-			if ctStats.Transitions == 0 || ctStats.Reopened == 0 || ctStats.Expired == 0 {
+			if ctStats.Transitions == 0 || ctStats.Reopened == 0 {
 				t.Errorf("trace too tame: %+v", ctStats)
 			}
-			t.Logf("stats: %+v", st)
-			t.Logf("conntrack: %+v", ctStats)
+		}
+		t.Logf("stats: %+v", st)
+		t.Logf("conntrack: %+v", ctStats)
+	}
+	for _, backend := range []string{"gigaflow", "megaflow"} {
+		t.Run(backend, func(t *testing.T) {
+			for _, leg := range []string{"inline", "park"} {
+				t.Run(leg, func(t *testing.T) { run(t, backend, leg) })
+			}
 		})
 	}
 }
@@ -271,8 +417,8 @@ func TestTransitionInvalidatesImmediately(t *testing.T) {
 	// the reply direction (its own cached entries) must observe closed →
 	// drop, with zero grace period.
 	for name, probe := range map[string]ctEvent{
-		"forward": {fwd, packet.TCPAck},
-		"reply":   {rk, packet.TCPAck},
+		"forward": {k: fwd, flags: packet.TCPAck},
+		"reply":   {k: rk, flags: packet.TCPAck},
 	} {
 		r, err := vs.ProcessMeta(probe.k, probe.flags, 11)
 		if err != nil {

@@ -12,6 +12,39 @@ import (
 	"gigaflow/internal/telemetry"
 )
 
+// backend is the main flow cache behind the datapath loop: the one
+// interface the Gigaflow LTM cache and the Megaflow cache both satisfy,
+// which is what makes either a drop-in for the other (PAPER.md §1). The
+// switch drives it from one goroutine and knows nothing of what is behind
+// it — paths or single entries, partitions, how a commit is applied. See
+// DESIGN.md "The datapath core" for the contract.
+type backend interface {
+	// Tier names the cache in latency attribution, traces and telemetry.
+	Tier() telemetry.Tier
+	// Find looks *k up at virtual time now, counting the lookup and
+	// refreshing what it matched. On a hit it leaves the rewritten key in
+	// *final and returns the verdict; on a miss *final is unspecified.
+	Find(k *Key, now int64, final *Key) (Verdict, bool)
+	// DropStale validates what the last Find matched against ct and
+	// removes the entries whose connection moved on, reporting how many:
+	// non-zero means the hit must not be used.
+	DropStale(ct *conntrack.Table) int
+	// TraceHit annotates a sampled packet's trace with what the last Find
+	// matched.
+	TraceHit(tb *telemetry.TraceBuilder)
+	// Install compiles a successful traversal into the cache, reporting
+	// whether it went in and whether it evicted a resident entry by LRU.
+	Install(tr *Traversal, now int64) (ok, evicted bool)
+	// RevalidateAgainst re-checks every entry against p's current rules,
+	// reporting entries evicted and pipeline lookups replayed.
+	RevalidateAgainst(p *Pipeline) (evicted, work int)
+	ExpireIdle(now, maxIdle int64) int
+	Len() int
+	Coverage() uint64
+	// CollectMetrics mirrors the cache's own counters into reg.
+	CollectMetrics(reg *telemetry.Registry, worker string)
+}
+
 // VSwitch couples a hardware flow cache with the software slowpath: the
 // complete Figure 5 workflow. Packets are first classified by the cache;
 // on a miss the flow signature runs through the userspace pipeline, the
@@ -23,10 +56,14 @@ import (
 // paper's configurations dedicate a single CPU core to the slowpath).
 type VSwitch struct {
 	pipe *Pipeline
-	gf   *gfcache.Cache
-	mf   *megaflow.Cache  // optional alternative backend
+	main backend          // the main cache: Gigaflow, or the Megaflow baseline
 	uf   *microflow.Cache // optional exact-match first level
 	ct   *conntrack.Table // optional connection tracking (stateful datapath)
+
+	// tier and tierName are main.Tier() and its name, read once at
+	// construction: the loop attributes every main-cache hit to them.
+	tier     telemetry.Tier
+	tierName string
 
 	maxIdle   int64
 	ctMaxIdle int64                      // conntrack idle expiry, independent of the cache tiers'
@@ -43,6 +80,19 @@ type VSwitch struct {
 	// engine's, handed to CompleteMiss) come from Pipeline.Process.
 	trav Traversal
 	res  ctResolver
+	// kt holds the packet's key with ct_state folded in while the loop looks
+	// it up, and one the batch of one the single-packet entry points run.
+	// Both live here rather than in a frame because the backend is reached
+	// through an interface, and what an interface call is handed lives on
+	// the heap.
+	kt  Key
+	one struct {
+		key    [1]Key
+		flag   [1]uint8
+		out    [1]ProcessResult
+		err    [1]error
+		parked [1]bool
+	}
 }
 
 // VSwitchStats counts end-to-end events.
@@ -101,10 +151,7 @@ func WithMaxIdle(ns int64) VSwitchOption {
 // WithMegaflowBackend replaces the Gigaflow cache with a Megaflow cache of
 // the given capacity — the baseline configuration, useful for comparisons.
 func WithMegaflowBackend(capacity int) VSwitchOption {
-	return func(v *VSwitch) {
-		v.gf = nil
-		v.mf = megaflow.New(capacity)
-	}
+	return func(v *VSwitch) { v.main = megaflow.New(capacity) }
 }
 
 // WithMicroflow fronts the main cache with an exact-match Microflow tier
@@ -150,10 +197,12 @@ func WithSlowpathLock(mu *sync.Mutex) VSwitchOption {
 // NewVSwitch builds a vSwitch around a pipeline with a Gigaflow cache of
 // the given configuration.
 func NewVSwitch(p *Pipeline, cfg CacheConfig, opts ...VSwitchOption) *VSwitch {
-	v := &VSwitch{pipe: p, gf: gfcache.New(p, cfg)}
+	v := &VSwitch{pipe: p, main: gfcache.New(p, cfg)}
 	for _, o := range opts {
 		o(v)
 	}
+	v.tier = v.main.Tier()
+	v.tierName = v.tier.String()
 	return v
 }
 
@@ -162,11 +211,17 @@ func (v *VSwitch) Pipeline() *Pipeline { return v.pipe }
 
 // Cache returns the Gigaflow cache, or nil when running with the Megaflow
 // backend.
-func (v *VSwitch) Cache() *gfcache.Cache { return v.gf }
+func (v *VSwitch) Cache() *gfcache.Cache {
+	c, _ := v.main.(*gfcache.Cache)
+	return c
+}
 
 // Megaflow returns the Megaflow cache, or nil when running with the
 // Gigaflow backend.
-func (v *VSwitch) Megaflow() *megaflow.Cache { return v.mf }
+func (v *VSwitch) Megaflow() *megaflow.Cache {
+	c, _ := v.main.(*megaflow.Cache)
+	return c
+}
 
 // Microflow returns the exact-match first-level cache, or nil when the
 // tier is disabled.
@@ -192,10 +247,8 @@ type ProcessResult struct {
 
 // Process handles one packet at virtual time now (nanoseconds): Microflow
 // exact-match (if enabled), main cache lookup, slowpath on miss, rule
-// installation. This function is the packet fast path — the body below is
-// the entire per-packet cost for cache hits, and gflint's hotalloc check
-// holds it to zero heap allocations. Everything cold lives in unannotated
-// callees: sampled packets divert to processTraced, misses to processMissCt.
+// installation. Like every entry point it is a wrapper: the packet is a
+// batch of one through run, the one datapath loop.
 //
 //gf:hotpath
 func (v *VSwitch) Process(k Key, now int64) (ProcessResult, error) {
@@ -209,75 +262,15 @@ func (v *VSwitch) Process(k Key, now int64) (ProcessResult, error) {
 // the key the main cache and slowpath see, connection-dependent cache
 // entries are validated against the connection's current epoch on every
 // hit, and memoized microflow results serve only under the ctServe
-// guard. With conntrack off the body reduces exactly to the stateless
+// guard. With conntrack off the loop reduces exactly to the stateless
 // datapath.
 //
 //gf:hotpath
 func (v *VSwitch) ProcessMeta(k Key, tcpFlags uint8, now int64) (ProcessResult, error) {
-	v.stats.Packets++
-	if v.rec != nil {
-		v.rec.BeginBatch(now)
-	}
-	if v.tracer != nil {
-		if tb := v.tracer.Start(); tb != nil {
-			return v.processTraced(&k, tcpFlags, now, tb)
-		}
-	}
-	if v.uf != nil {
-		if e, ok := v.uf.Find(&k, now); ok {
-			if v.ct == nil || v.ctServe(e, &k, tcpFlags, now) {
-				v.stats.MicroflowHits++
-				if v.rec != nil {
-					v.rec.Hit(telemetry.TierMicroflow, v.uf.LastHash())
-					v.rec.EndBatch()
-				}
-				return ProcessResult{Verdict: e.Verdict, Final: e.Final, CacheHit: true, MicroflowHit: true}, nil
-			}
-			// Stale or transition-capable: drop the memo, take the full path.
-			v.uf.Drop(&k)
-			v.stats.CtGuardFails++
-		}
-	}
-	kt, conn, dir := &k, (*conntrack.Conn)(nil), conntrack.DirForward
-	var ktBuf Key
-	tier := telemetry.TierSlowpath
-	if v.ct != nil {
-		var bits uint64
-		bits, conn, dir = v.ct.TrackKey(&k, tcpFlags, now)
-		ktBuf = k
-		ktBuf.Set(flow.FieldCtState, bits)
-		kt = &ktBuf
-	}
-	if v.gf != nil {
-		res := v.gf.Lookup(*kt, now)
-		if res.Hit {
-			if v.ct == nil || v.ctPathValid(res.Path) {
-				v.stats.CacheHits++
-				v.memoizeCt(&k, &res.Final, res.Verdict, now, conn, dir)
-				if v.rec != nil {
-					v.rec.Hit(telemetry.TierGigaflow, kt.FlowHash())
-					v.rec.EndBatch()
-				}
-				return ProcessResult{Verdict: res.Verdict, Final: res.Final, CacheHit: true}, nil
-			}
-			tier = telemetry.TierConntrack // stale entries revoked: replay
-		}
-	} else if e, ok := v.mf.Lookup(*kt, now); ok {
-		if v.ct == nil || e.CtEpoch == 0 || v.ct.EpochValidKey(&e.CtConn, e.CtEpoch) {
-			v.stats.CacheHits++
-			final, verdict := e.Apply(*kt)
-			v.memoizeCt(&k, &final, verdict, now, conn, dir)
-			if v.rec != nil {
-				v.rec.Hit(telemetry.TierMegaflow, kt.FlowHash())
-				v.rec.EndBatch()
-			}
-			return ProcessResult{Verdict: verdict, Final: final, CacheHit: true}, nil
-		}
-		v.mf.Remove(e)
-		v.stats.CtInvalidated++
-		tier = telemetry.TierConntrack
-	}
-	return v.processMissCt(&k, kt, conn, dir, tier, now, nil)
+	o := &v.one
+	o.key[0], o.flag[0] = k, tcpFlags
+	v.run(o.key[:], o.flag[:], o.out[:], o.err[:], nil, now)
+	return o.out[0], o.err[0]
 }
 
 // ProcessBatch handles len(keys) packets at virtual time now, writing
@@ -286,29 +279,47 @@ func (v *VSwitch) ProcessMeta(k Key, tcpFlags uint8, now int64) (ProcessResult, 
 // Process(keys[i], now) in order — packets are processed strictly
 // in sequence through the full hierarchy, so a miss's installed rules and
 // Microflow memoization are visible to later packets in the same batch and
-// the resulting VSwitchStats match a sequential replay exactly.
-//
-// What batching buys is amortized bookkeeping: the VSwitch counters and
-// each cache tier's counters are accumulated in locals and flushed once
-// per batch instead of once per packet. Like Process, the loop body is
-// allocation-free; sampled packets divert to processTraced and misses to
-// processMissCt, which update their counters directly (flushing local
-// deltas on top keeps the totals exact — the two never count the same
-// packet).
+// every counter matches a sequential replay exactly. What a batch saves is
+// the per-call cost: one recorder batch, one clock read for its hit runs.
 //
 //gf:hotpath
 func (v *VSwitch) ProcessBatch(keys []Key, out []ProcessResult, errs []error, now int64) {
-	v.ProcessBatchMeta(keys, nil, out, errs, now)
+	v.run(keys, nil, out, errs, nil, now)
 }
 
 // ProcessBatchMeta is ProcessBatch with per-packet TCP flag bytes for the
 // conntrack state machine; flags may be nil (all packets read as
 // flagless) and is otherwise indexed in step with keys. See ProcessMeta
-// for the conntrack semantics; with tracking disabled the body reduces
-// exactly to the stateless batch path.
+// for the conntrack semantics.
 //
 //gf:hotpath
 func (v *VSwitch) ProcessBatchMeta(keys []Key, flags []uint8, out []ProcessResult, errs []error, now int64) {
+	v.run(keys, flags, out, errs, nil, now)
+}
+
+// run is the datapath: the one body every entry point wraps. Each packet
+// crosses the same stages in order — microflow probe under the conntrack
+// guard, connection tracking, main-cache lookup, epoch validation of what
+// it matched, memoization — and a packet no cache serves takes the miss
+// policy the caller chose: parked == nil resolves it inline (processMiss),
+// a non-nil parked reports it in parked[i], uncounted, for the caller to
+// finish through CompleteMiss. The stateful stages are not optional, so on
+// a conntrack switch a miss is always resolved inline: it needs its
+// connection, which only this goroutine may touch. So is a sampled
+// packet's, because a trace wants the whole traversal.
+//
+// Keys are read where the caller put them and results written where the
+// caller will read them: k and o point into keys and out, and the backend
+// rewrites the key straight into o.Final. The 1-in-N sampled packet runs
+// the same statements with a non-nil trace builder, whose Begin and End
+// are no-ops on nil; it is stamped exactly and carries FlightTraced, and
+// is excluded from the tier latency histograms, where its own tracing
+// work would read as the tail. The body is allocation-free on every hit;
+// everything cold is behind a boundary (openTrace, closeCold,
+// processMiss).
+//
+//gf:hotpath
+func (v *VSwitch) run(keys []Key, flags []uint8, out []ProcessResult, errs []error, parked []bool, now int64) {
 	if len(keys) == 0 {
 		return
 	}
@@ -317,198 +328,137 @@ func (v *VSwitch) ProcessBatchMeta(keys []Key, flags []uint8, out []ProcessResul
 	if flags != nil {
 		_ = flags[len(keys)-1]
 	}
-	var packets, ufHits, mainHits uint64
-	var ufb microflow.BatchLookup
-	var gfb gfcache.BatchLookup
-	var mfb megaflow.BatchLookup
-	if v.uf != nil {
-		ufb = v.uf.BatchLookup()
-	}
-	if v.gf != nil {
-		gfb = v.gf.BatchLookup()
-	} else {
-		mfb = v.mf.BatchLookup()
-	}
 	if v.rec != nil {
 		v.rec.BeginBatch(now)
 	}
-	// Keys are read where the caller put them and results written where
-	// the caller will read them: k and o point into keys and out, res and
-	// ktBuf are the loop's only key-sized locals and are reused.
-	var res gfcache.Result
-	var ktBuf Key
 	for i := range keys {
 		k, o := &keys[i], &out[i]
 		var fl uint8
 		if flags != nil {
 			fl = flags[i]
 		}
-		packets++
 		errs[i] = nil
+		if parked != nil {
+			parked[i] = false
+		}
+		v.stats.Packets++
+		var tb *telemetry.TraceBuilder
 		if v.tracer != nil {
-			if tb := v.tracer.Start(); tb != nil {
-				*o, errs[i] = v.processTraced(k, fl, now, tb)
-				continue
+			if tb = v.tracer.Start(); tb != nil {
+				v.openTrace(tb, k)
 			}
 		}
+		tier, served := telemetry.TierMicroflow, false
+		var hash uint64
 		if v.uf != nil {
-			if e, ok := ufb.Find(k, now); ok {
-				if v.ct == nil || v.ctServe(e, k, fl, now) {
-					ufHits++
-					if v.rec != nil {
-						v.rec.Hit(telemetry.TierMicroflow, v.uf.LastHash())
-					}
-					o.Verdict, o.Final, o.CacheHit, o.MicroflowHit = e.Verdict, e.Final, true, true
-					continue
-				}
+			tb.Begin("microflow")
+			e, ok := v.uf.Find(k, now)
+			served = ok && (v.ct == nil || v.ctServe(e, k, fl, now))
+			tb.End(served)
+			if served {
+				v.stats.MicroflowHits++
+				o.Final = e.Final // on its own: a tuple assignment copies the key twice
+				o.Verdict, o.CacheHit, o.MicroflowHit = e.Verdict, true, true
+				hash = v.uf.LastHash()
+			} else if ok {
+				// Stale or transition-capable: drop the memo, take the full path.
 				v.uf.Drop(k)
 				v.stats.CtGuardFails++
 			}
 		}
-		kt, conn, dir := k, (*conntrack.Conn)(nil), conntrack.DirForward
-		tier := telemetry.TierSlowpath
-		if v.ct != nil {
-			var bits uint64
-			bits, conn, dir = v.ct.TrackKey(k, fl, now)
-			ktBuf = *k
-			ktBuf.Set(flow.FieldCtState, bits)
-			kt = &ktBuf
-		}
-		if v.gf != nil {
-			gfb.LookupInto(kt, now, &res)
-			if res.Hit {
-				if v.ct == nil || v.ctPathValid(res.Path) {
-					mainHits++
-					v.memoizeCt(k, &res.Final, res.Verdict, now, conn, dir)
-					if v.rec != nil {
-						v.rec.Hit(telemetry.TierGigaflow, kt.FlowHash())
-					}
-					o.Verdict, o.Final, o.CacheHit, o.MicroflowHit = res.Verdict, res.Final, true, false
-					continue
-				}
-				tier = telemetry.TierConntrack
+		if !served {
+			kt, conn, dir := k, (*conntrack.Conn)(nil), conntrack.DirForward
+			if v.ct != nil {
+				tb.Begin("conntrack")
+				var bits uint64
+				bits, conn, dir = v.ct.TrackKey(k, fl, now)
+				v.kt = *k
+				v.kt.Set(flow.FieldCtState, bits)
+				kt = &v.kt
+				tb.End(conn != nil)
 			}
-		} else if e, ok := mfb.Find(kt, now); ok {
-			if v.ct == nil || e.CtEpoch == 0 || v.ct.EpochValidKey(&e.CtConn, e.CtEpoch) {
-				mainHits++
-				final, verdict := e.Apply(*kt)
-				v.memoizeCt(k, &final, verdict, now, conn, dir)
-				if v.rec != nil {
-					v.rec.Hit(telemetry.TierMegaflow, kt.FlowHash())
+			tb.Begin(v.tierName)
+			verdict, hit := v.main.Find(kt, now, &o.Final)
+			missTier := telemetry.TierSlowpath
+			if hit && v.ct != nil {
+				if n := v.main.DropStale(v.ct); n != 0 {
+					v.stats.CtInvalidated += uint64(n)
+					hit, missTier = false, telemetry.TierConntrack // stale entries revoked: replay
 				}
-				o.Verdict, o.Final, o.CacheHit, o.MicroflowHit = verdict, final, true, false
+			}
+			tb.End(hit)
+			if tb != nil {
+				v.main.TraceHit(tb)
+			}
+			if !hit {
+				if parked != nil && v.ct == nil && tb == nil {
+					// Park it. The packet's accounting is deferred to
+					// CompleteMiss (initiator) or its replay through Process
+					// (follower).
+					v.stats.Packets--
+					parked[i] = true
+					*o = ProcessResult{}
+				} else {
+					errs[i] = v.processMiss(k, kt, conn, dir, missTier, now, tb, o)
+				}
 				continue
 			}
-			v.mf.Remove(e)
-			v.stats.CtInvalidated++
-			tier = telemetry.TierConntrack
+			v.stats.CacheHits++
+			o.Verdict, o.CacheHit, o.MicroflowHit = verdict, true, false
+			v.memoizeCt(k, &o.Final, verdict, now, conn, dir)
+			tier, hash = v.tier, kt.FlowHash()
 		}
-		*o, errs[i] = v.processMissCt(k, kt, conn, dir, tier, now, nil)
+		// A cache served it: a provisional flight record, timed with the hit
+		// run it belongs to — or, for a sampled packet, the cold close.
+		if tb != nil {
+			v.closeCold(tb, tier, hash, 0, o, nil)
+		} else if v.rec != nil {
+			v.rec.Hit(tier, hash)
+		}
 	}
 	if v.rec != nil {
 		v.rec.EndBatch()
 	}
-	v.stats.Packets += packets
-	v.stats.MicroflowHits += ufHits
-	v.stats.CacheHits += mainHits
-	ufb.Flush()
-	gfb.Flush()
-	mfb.Flush()
 }
 
-// processTraced is Process for the 1-in-N sampled packets: the same
-// lookup chain with every stage timed and recorded into tb. Sampled
-// packets are allowed to allocate — that is the sampling contract. Their
-// flight records are stamped exactly and carry FlightTraced, but they
-// are excluded from the tier latency histograms: a traced packet's
-// latency includes the tracing work itself, and folding that in would
-// report the observer as the tail.
+// openTrace starts a sampled packet's trace: the packet leaves the hit
+// path here, so any open hit run closes and its flight record will be
+// stamped exactly.
 //
-//gf:hotpath-safe sampled 1-in-N diversion; tracing allocates and reads the clock by contract
-func (v *VSwitch) processTraced(k *Key, tcpFlags uint8, now int64, tb *telemetry.TraceBuilder) (ProcessResult, error) {
+//gf:hotpath-safe the sampled packet's open, once per 1-in-N packets: renders the key and reads the clock
+func (v *VSwitch) openTrace(tb *telemetry.TraceBuilder, k *Key) {
 	if v.rec != nil {
 		v.rec.ColdBegin()
 	}
 	tb.SetKey(k.String())
-	if v.uf != nil {
-		tb.Begin("microflow")
-		e, ok := v.uf.Find(k, now)
-		served := ok && (v.ct == nil || v.ctServe(e, k, tcpFlags, now))
-		tb.End(served)
-		if served {
-			v.stats.MicroflowHits++
-			tb.Finish(e.Verdict.String(), true, true, nil)
-			if v.rec != nil {
-				v.rec.Cold(telemetry.TierMicroflow, k.FlowHash(), telemetry.FlightTraced)
-			}
-			return ProcessResult{Verdict: e.Verdict, Final: e.Final, CacheHit: true, MicroflowHit: true}, nil
-		}
-		if ok {
-			v.uf.Drop(k)
-			v.stats.CtGuardFails++
-		}
-	}
-	kt, conn, dir := k, (*conntrack.Conn)(nil), conntrack.DirForward
-	tier := telemetry.TierSlowpath
-	if v.ct != nil {
-		tb.Begin("conntrack")
-		var bits uint64
-		bits, conn, dir = v.ct.TrackKey(k, tcpFlags, now)
-		ktBuf := k.With(flow.FieldCtState, bits)
-		kt = &ktBuf
-		tb.End(conn != nil)
-	}
-	if v.gf != nil {
-		tb.Begin("gigaflow")
-		res := v.gf.Lookup(*kt, now)
-		valid := res.Hit && (v.ct == nil || v.ctPathValid(res.Path))
-		tb.End(valid)
-		for _, e := range res.Path {
-			tb.Note("ltm-table", e.TableIndex(), e.Tag, e.Priority)
-		}
-		if valid {
-			v.stats.CacheHits++
-			v.memoizeCt(k, &res.Final, res.Verdict, now, conn, dir)
-			tb.Finish(res.Verdict.String(), true, false, nil)
-			if v.rec != nil {
-				v.rec.Cold(telemetry.TierGigaflow, kt.FlowHash(), telemetry.FlightTraced)
-			}
-			return ProcessResult{Verdict: res.Verdict, Final: res.Final, CacheHit: true}, nil
-		}
-		if res.Hit {
-			tier = telemetry.TierConntrack
-		}
-	} else {
-		tb.Begin("megaflow")
-		e, ok := v.mf.Lookup(*kt, now)
-		valid := ok && (v.ct == nil || e.CtEpoch == 0 || v.ct.EpochValidKey(&e.CtConn, e.CtEpoch))
-		tb.End(valid)
-		if valid {
-			v.stats.CacheHits++
-			final, verdict := e.Apply(*kt)
-			v.memoizeCt(k, &final, verdict, now, conn, dir)
-			tb.Finish(verdict.String(), true, false, nil)
-			if v.rec != nil {
-				v.rec.Cold(telemetry.TierMegaflow, kt.FlowHash(), telemetry.FlightTraced)
-			}
-			return ProcessResult{Verdict: verdict, Final: final, CacheHit: true}, nil
-		}
-		if ok {
-			v.mf.Remove(e)
-			v.stats.CtInvalidated++
-			tier = telemetry.TierConntrack
-		}
-	}
-	return v.processMissCt(k, kt, conn, dir, tier, now, tb)
 }
 
-// processMissCt punts a main-cache miss to the slowpath: full pipeline
-// traversal, partitioning, and rule installation. kt is the lookup key
-// with ct_state folded in (equal to k when tracking is off), conn/dir the
-// packet's tracked connection (nil when tracking is off or the packet is
-// untracked), tier the latency tier the miss is attributed to
-// (TierConntrack when a stale connection-dependent entry forced the
-// replay), and tb nil unless the packet is being traced.
+// closeCold closes a packet that left the hit path — a miss, or a sampled
+// packet wherever it was served: the trace, if there is one, is finished
+// and pushed, and the flight record stamped exactly.
+//
+//gf:hotpath-safe misses and sampled packets only: renders the verdict into the trace and reads the clock for the exact flight stamp
+func (v *VSwitch) closeCold(tb *telemetry.TraceBuilder, tier telemetry.Tier, hash uint64, flags uint8, o *ProcessResult, err error) {
+	if tb != nil {
+		flags |= telemetry.FlightTraced
+		verdict := ""
+		if err == nil {
+			verdict = o.Verdict.String()
+		}
+		tb.Finish(verdict, o.CacheHit, o.MicroflowHit, err)
+	}
+	if v.rec != nil {
+		v.rec.Cold(tier, hash, flags)
+	}
+}
+
+// processMiss is the inline miss policy: it punts a main-cache miss to the
+// slowpath — full pipeline traversal, then install — and writes the result
+// to *o. kt is the lookup key with ct_state folded in (k itself when
+// tracking is off), conn/dir the packet's tracked connection (nil when
+// tracking is off or the packet is untracked), tier the latency tier the
+// miss is attributed to (TierConntrack when a stale connection-dependent
+// entry forced the replay), and tb nil unless the packet is being traced.
 //
 // The traversal refills v.trav and the install probes the cache before it
 // builds anything, so a miss allocates for the entries it adds and
@@ -516,21 +466,15 @@ func (v *VSwitch) processTraced(k *Key, tcpFlags uint8, now int64, tb *telemetry
 // are certified on their own (Pipeline.ProcessInto and the gfcache
 // functions it feeds).
 //
-//gf:hotpath-safe the slow-path boundary: takes the upcall engine's traversal lock, wraps a pipeline error and drives the sampled trace builder, none of which a hit may do
-func (v *VSwitch) processMissCt(k, kt *Key, conn *conntrack.Conn, dir conntrack.Dir,
-	tier telemetry.Tier, now int64, tb *telemetry.TraceBuilder) (ProcessResult, error) {
+//gf:hotpath-safe the slow-path boundary: takes the upcall engine's traversal lock and wraps a pipeline error, neither of which a hit may do
+func (v *VSwitch) processMiss(k, kt *Key, conn *conntrack.Conn, dir conntrack.Dir,
+	tier telemetry.Tier, now int64, tb *telemetry.TraceBuilder, o *ProcessResult) error {
 	if v.rec != nil {
-		v.rec.ColdBegin() // no-op when arriving via processTraced
-	}
-	flightFlags := telemetry.FlightMiss
-	if tb != nil {
-		flightFlags |= telemetry.FlightTraced
+		v.rec.ColdBegin() // no-op for a sampled packet, cold since openTrace
 	}
 	v.stats.CacheMisses++
 	v.stats.Slowpath++
-	if tb != nil {
-		tb.Begin("slowpath")
-	}
+	tb.Begin("slowpath")
 	if v.slowMu != nil {
 		v.slowMu.Lock() // exclude concurrent upcall-engine traversals
 	}
@@ -545,80 +489,40 @@ func (v *VSwitch) processMissCt(k, kt *Key, conn *conntrack.Conn, dir conntrack.
 	if v.slowMu != nil {
 		v.slowMu.Unlock()
 	}
-	if tb != nil {
-		tb.End(err == nil)
-	}
+	tb.End(err == nil)
+	flags := telemetry.FlightMiss
 	if err != nil {
 		err = fmt.Errorf("gigaflow: slowpath: %w", err)
-		if tb != nil {
-			tb.Finish("", false, false, err)
-		}
-		if v.rec != nil {
-			v.rec.Cold(tier, kt.FlowHash(), flightFlags)
-		}
-		return ProcessResult{}, err
-	}
-	if tb != nil {
-		tb.Begin("partition+install")
-	}
-	installed := true
-	if v.gf != nil {
-		var ev0 uint64
-		if v.rec != nil {
-			ev0 = v.gf.Stats().EvictLRU
-		}
-		if _, err := v.gf.Insert(tr, now); err != nil {
-			v.stats.InstallErrs++
-			installed = false
-			flightFlags |= telemetry.FlightInstallErr
-		} else {
-			v.stats.Installs++
-			flightFlags |= telemetry.FlightInstall
-		}
-		if v.rec != nil && v.gf.Stats().EvictLRU > ev0 {
-			flightFlags |= telemetry.FlightEvict
-		}
+		*o = ProcessResult{}
 	} else {
-		var ev0 uint64
-		if v.rec != nil {
-			ev0 = v.mf.Stats().EvictLRU
-		}
-		if e := v.mf.Insert(tr, now); e == nil {
-			v.stats.InstallErrs++
-			installed = false
-			flightFlags |= telemetry.FlightInstallErr
-		} else {
-			v.stats.Installs++
-			flightFlags |= telemetry.FlightInstall
-		}
-		if v.rec != nil && v.mf.Stats().EvictLRU > ev0 {
-			flightFlags |= telemetry.FlightEvict
-		}
+		flags |= v.install(k, tr, now, conn, dir, tb, o)
 	}
-	if tb != nil {
-		tb.End(installed)
-	}
-	final := tr.FinalKey()
-	v.memoizeCt(k, &final, tr.Verdict, now, conn, dir)
-	if tb != nil {
-		tb.Finish(tr.Verdict.String(), false, false, nil)
-	}
-	if v.rec != nil {
-		v.rec.Cold(tier, kt.FlowHash(), flightFlags)
-	}
-	return ProcessResult{Verdict: tr.Verdict, Final: final}, nil
+	v.closeCold(tb, tier, kt.FlowHash(), flags, o, err)
+	return err
 }
 
-// memoize records a processed flow in the Microflow tier, when enabled.
-// The insert is part of the certified hot path: a full tier recycles its
-// LRU entry in place, and a filling one grows its slab behind the
-// microflow package's own audited boundary.
-//
-//gf:hotpath
-func (v *VSwitch) memoize(k, final *Key, verdict Verdict, now int64) {
-	if v.uf != nil {
-		v.uf.Memoize(k, final, verdict, now)
+// install is the second half of a miss, the one body the inline miss and a
+// completed parked one share: the traversal's rules go into the main
+// cache, the install is counted, the flow is memoized and the result
+// written to *o. It returns the flight-record flags the install earned.
+func (v *VSwitch) install(k *Key, tr *Traversal, now int64, conn *conntrack.Conn, dir conntrack.Dir,
+	tb *telemetry.TraceBuilder, o *ProcessResult) (flags uint8) {
+	tb.Begin("partition+install")
+	ok, evicted := v.main.Install(tr, now)
+	tb.End(ok)
+	if ok {
+		v.stats.Installs++
+		flags = telemetry.FlightInstall
+	} else {
+		v.stats.InstallErrs++
+		flags = telemetry.FlightInstallErr
 	}
+	if evicted {
+		flags |= telemetry.FlightEvict
+	}
+	o.Verdict, o.Final, o.CacheHit, o.MicroflowHit = tr.Verdict, tr.FinalKey(), false, false
+	v.memoizeCt(k, &o.Final, tr.Verdict, now, conn, dir)
+	return flags
 }
 
 // Revalidate re-checks every cached entry against the current pipeline
@@ -630,10 +534,7 @@ func (v *VSwitch) Revalidate() (evicted, work int) {
 	if v.uf != nil {
 		v.uf.Invalidate()
 	}
-	if v.gf != nil {
-		return v.gf.Revalidate()
-	}
-	return v.mf.Revalidate(v.pipe)
+	return v.main.RevalidateAgainst(v.pipe)
 }
 
 // ExpireIdle evicts entries idle longer than the configured max-idle
@@ -652,28 +553,15 @@ func (v *VSwitch) ExpireIdle(now int64) int {
 	if v.uf != nil {
 		v.uf.ExpireIdle(now, v.maxIdle)
 	}
-	if v.gf != nil {
-		return v.gf.ExpireIdle(now, v.maxIdle)
-	}
-	return v.mf.ExpireIdle(now, v.maxIdle)
+	return v.main.ExpireIdle(now, v.maxIdle)
 }
 
 // CacheEntries reports the number of installed cache entries.
-func (v *VSwitch) CacheEntries() int {
-	if v.gf != nil {
-		return v.gf.Len()
-	}
-	return v.mf.Len()
-}
+func (v *VSwitch) CacheEntries() int { return v.main.Len() }
 
 // Coverage reports the cache's rule-space coverage (Table 2); for the
 // Megaflow backend this equals the entry count.
-func (v *VSwitch) Coverage() uint64 {
-	if v.gf != nil {
-		return v.gf.Coverage()
-	}
-	return uint64(v.mf.Len())
-}
+func (v *VSwitch) Coverage() uint64 { return v.main.Coverage() }
 
 // VSwitchTelemetry describes the vSwitch's counters and cache hierarchy
 // for the introspection endpoint: end-to-end stats plus a snapshot of
@@ -691,14 +579,14 @@ type VSwitchTelemetry struct {
 // Telemetry captures the vSwitch's current introspection view. Like every
 // VSwitch method it must run on the goroutine driving the switch.
 func (v *VSwitch) Telemetry() VSwitchTelemetry {
-	t := VSwitchTelemetry{Stats: v.stats, Coverage: v.Coverage()}
-	if v.gf != nil {
-		t.Backend = "gigaflow"
-		s := v.gf.Snapshot()
+	t := VSwitchTelemetry{Backend: v.tierName, Stats: v.stats, Coverage: v.Coverage()}
+	// The document has one typed slot per backend, so this is the one place
+	// that asks which it is.
+	if c := v.Cache(); c != nil {
+		s := c.Snapshot()
 		t.Gigaflow = &s
 	} else {
-		t.Backend = "megaflow"
-		s := v.mf.Snapshot()
+		s := v.Megaflow().Snapshot()
 		t.Megaflow = &s
 	}
 	if v.uf != nil {
@@ -737,63 +625,8 @@ func (v *VSwitch) CollectMetrics(reg *telemetry.Registry, worker string) {
 	g("gigaflow_cache_entries", "Installed main-cache entries.", float64(v.CacheEntries()))
 	g("gigaflow_cache_coverage", "Rule-space coverage of the installed entries.", float64(v.Coverage()))
 
-	// Cache-churn rates, uniform across backends: inserts and removals by
-	// cause, so expiry/eviction behavior under load is visible per tier.
-	churn := func(reason string, val uint64) {
-		reg.CounterVec("gigaflow_cache_evictions_total",
-			"Main-cache entries removed, by cause.",
-			"worker", "reason").With(worker, reason).Set(val)
-	}
-
-	if v.gf != nil {
-		gs := v.gf.Stats()
-		c("gigaflow_cache_inserts_total", "Entries created in the main cache.", gs.EntriesCreated)
-		churn("lru", gs.EvictLRU)
-		churn("expired", gs.Expired)
-		churn("revoked", gs.Revoked)
-		c("gigaflow_cache_stalls_total", "Misses that matched a partial entry chain.", gs.Stalls)
-		c("gigaflow_shared_reuse_total", "Sub-traversal installs deduplicated against resident entries.", gs.SharedReuse)
-		c("gigaflow_conflicts_total", "Entries replaced due to same-predicate conflicts.", gs.Conflicts)
-		c("gigaflow_tables_probed_total", "LTM table consultations across lookups.", gs.TablesProbed)
-		c("gigaflow_tuple_probes_total", "TSS tuple probes across lookups.", gs.TupleProbes)
-		c("gigaflow_reval_work_total", "Pipeline table lookups spent revalidating.", gs.RevalWork)
-		g("gigaflow_cache_capacity", "Total main-cache entry capacity.", float64(v.gf.Capacity()))
-		tc := func(name, help string, table string, val uint64) {
-			reg.CounterVec(name, help, "worker", "table").With(worker, table).Set(val)
-		}
-		tg := func(name, help string, table string, val float64) {
-			reg.GaugeVec(name, help, "worker", "table").With(worker, table).Set(val)
-		}
-		for i := 0; i < v.gf.NumTables(); i++ {
-			ts := v.gf.TableSnapshot(i)
-			tl := fmt.Sprintf("%d", i)
-			tc("gigaflow_table_hits_total", "Entry matches in this LTM table.", tl, ts.Hits)
-			tc("gigaflow_table_inserts_total", "Entries created in this LTM table.", tl, ts.Inserts)
-			tg("gigaflow_table_occupancy", "Resident entries in this LTM table.", tl, float64(ts.Len))
-			tg("gigaflow_table_capacity", "Entry capacity of this LTM table.", tl, float64(ts.Capacity))
-			tg("gigaflow_table_tags", "Distinct pipeline-table tags resident in this LTM table.", tl, float64(ts.Tags))
-			te := func(reason string, val uint64) {
-				reg.CounterVec("gigaflow_table_evictions_total",
-					"Entries removed from this LTM table, by cause.",
-					"worker", "table", "reason").With(worker, tl, reason).Set(val)
-			}
-			te("lru", ts.EvictLRU)
-			te("expired", ts.Expired)
-			te("revoked", ts.Revoked)
-		}
-	} else {
-		ms := v.mf.Snapshot()
-		c("gigaflow_cache_inserts_total", "Entries created in the main cache.", ms.Inserts)
-		churn("lru", ms.EvictLRU)
-		churn("expired", ms.Expired)
-		churn("revoked", ms.Revoked)
-		c("gigaflow_megaflow_replaced_total", "Entries replaced by an equal-mask reinstall.", ms.Replaced)
-		c("gigaflow_megaflow_rejected_total", "Installs rejected by the Megaflow cache.", ms.Rejected)
-		g("gigaflow_cache_capacity", "Total main-cache entry capacity.", float64(ms.Capacity))
-		g("gigaflow_megaflow_masks", "Distinct TSS tuples in the Megaflow cache.", float64(ms.Masks))
-		c("gigaflow_tuple_probes_total", "TSS tuple probes across lookups.", ms.TupleProbes)
-		c("gigaflow_reval_work_total", "Pipeline table lookups spent revalidating.", ms.RevalWork)
-	}
+	// Cache-churn rates by cause, capacity and the backend's own counters.
+	v.main.CollectMetrics(reg, worker)
 
 	if v.uf != nil {
 		us := v.uf.Snapshot()
