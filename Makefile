@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build test race vet lint lint-json suppress-check fmt-check bench bench-e2e bench-compare bench-gate bench-json fuzz fuzz-regress
+.PHONY: ci build test race vet lint lint-json suppress-check fmt-check bench bench-e2e bench-compare bench-pairs bench-gate bench-json fuzz fuzz-regress
 
 ## ci: the standard verification gate — vet, build, race-enabled tests,
 ## the project linter, a gofmt cleanliness check, the suppression audit,
@@ -84,6 +84,50 @@ bench-compare:
 	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-compare A=parent.jsonl B=change.jsonl"; exit 2; }
 	@bash bench/run.sh -compare $(A) $(B)
 
+## bench-pairs: the alternating parent/change campaign behind a perf claim
+## (bench/README.md "Comparing two commits"), as every perf PR since 13
+## ran it by hand. PARENT is a checkout of the parent commit (a clone or
+## an archive, not a worktree); this tree is the change. Each side is
+## built once by its own bench/run.sh (asked to -check an empty file: it
+## builds, and has nothing to run), then for every seed the two built
+## binaries run back to back from their own roots, odd pairs change first
+## and even pairs parent first (with SEEDS=1-10 that is seed parity), the
+## workloads interleaved per seed, and every run is appended to
+## OUT/parent-NAME.jsonl or OUT/change-NAME.jsonl. It ends with the
+## bench-compare table of the two files (the rows of W alone when W is
+## set) and fails on an `exceeds`. Run nothing else on the box meanwhile.
+##   make bench-pairs PARENT=<checkout> OUT=results/prN [W=<workload>] [SEEDS=1-10]
+## SEEDS is a range a-b or a list ("1 1 1" repeats a seed); TRACE=1 takes
+## the per-layer runs instead (no table: bench-compare's is end-to-end
+## only); NAME names the pair of files, by default after the rest.
+SEEDS ?= 1-10
+TRACE ?= 0
+NAME ?= $(if $(filter 1,$(TRACE)),traced-)$(if $(W),$(W)-)seeds-$(SEEDS)
+bench-pairs:
+	@test -n "$(PARENT)" -a -n "$(OUT)" || { echo "usage: make bench-pairs PARENT=<checkout> OUT=results/prN [W=<workload>] [SEEDS=1-10] [TRACE=1] [NAME=<files>]"; exit 2; }
+	@test -f "$(PARENT)/bench/run.sh" || { echo "bench-pairs: $(PARENT) is not a checkout with bench/run.sh"; exit 2; }
+	@set -e; mkdir -p "$(OUT)"; out=$$(cd "$(OUT)" && pwd); change=$$PWD; parent=$$(cd "$(PARENT)" && pwd); \
+	name=$$(printf %s "$(NAME)" | tr ' ' '_'); \
+	for dir in $$parent $$change; do \
+		(cd $$dir && bash bench/run.sh -check /dev/null >/dev/null 2>&1) || true; \
+		test -x $$dir/.bench_build/gfbench || { echo "bench-pairs: $$dir did not build"; exit 1; }; \
+	done; \
+	case "$(SEEDS)" in *-*) seeds=$$(seq $(subst -, ,$(SEEDS)));; *) seeds="$(SEEDS)";; esac; \
+	n=0; for seed in $$seeds; do n=$$((n+1)); \
+		if [ $$((n % 2)) = 1 ]; then order="change parent"; else order="parent change"; fi; \
+		for w in $(or $(W),$(BENCH_WORKLOADS)); do \
+			for side in $$order; do \
+				if [ $$side = parent ]; then dir=$$parent; else dir=$$change; fi; \
+				(cd $$dir && ./.bench_build/gfbench --workload $$w --seed $$seed --seconds 8 --trace $(TRACE) \
+					--out $$out/$$side-$$name.jsonl >/dev/null) || exit 1; \
+			done; \
+		done; \
+	done; \
+	if [ "$(TRACE)" = 1 ]; then exit 0; fi; \
+	table=$$(./.bench_build/gfbench -compare $$out/parent-$$name.jsonl $$out/change-$$name.jsonl) || true; \
+	echo "$$table" | grep -E 'verdict|$(or $(W),.)'; \
+	! echo "$$table" | grep -E '$(or $(W),.)' | grep -qE 'exceeds|missing'
+
 ## bench-gate: wall-clock performance floors, opt-in (not part of `test`),
 ## gated by GF_BENCH_GATE=1:
 ##   - SubmitBatch at the default batch size must stay at least 2x faster
@@ -147,9 +191,12 @@ bench-json:
 ## corpus input. FuzzMicroflowOps and FuzzOpsDifferential replay op tapes
 ## through the Microflow tier and the flow table against their map-backed
 ## reference models, FuzzInsertOps through the LTM cache's
-## probe-before-build install against the build-then-dedupe original.
+## probe-before-build install against the build-then-dedupe original, and
+## FuzzEpochValid through the connection table against a model of which
+## stamps a connection's death, tuple reuse or NAT binding has outdated.
 fuzz-regress:
 	$(GO) test -run 'FuzzDecode|FuzzRSSHash' ./internal/packet
+	$(GO) test -run 'FuzzEpochValid' ./internal/conntrack
 	$(GO) test -run 'FuzzMicroflowOps' ./internal/microflow
 	$(GO) test -run 'FuzzOpsDifferential' ./internal/flowtable
 	$(GO) test -run 'FuzzInsertOps' ./internal/gigaflow

@@ -23,8 +23,9 @@ import (
 // by ct_nat before egressing toward the client — the client only ever
 // sees the VIP. The scenario exercises every stateful-datapath feature
 // at once: ct_state matching, per-connection NAT bindings, matching on
-// NAT-rewritten fields in a later table, and the epoch invalidation
-// that fires when the first reply establishes each connection.
+// NAT-rewritten fields in a later table, and the epoch protocol — the
+// first reply establishes each connection, which retires the query's
+// exact-match memo but none of the main-cache entries behind it.
 const (
 	dnslbVIP     = 0x0a090001 // 10.9.0.1
 	dnslbPort    = 53

@@ -2,8 +2,8 @@
 // connection table with a TCP-flag-driven state machine, OVS-style
 // ct_state bits folded into the flow key for the pipeline and caches to
 // match on, per-connection NAT bindings, and the epoch protocol the
-// cache tiers use to invalidate entries whose match or action depended
-// on connection state that has since changed.
+// cache tiers use to retire cached results that depended on something
+// about a connection that has since changed.
 //
 // The table is built on internal/flowtable with a 5-tuple mask; every
 // connection registers its forward and reply tuples (plus the translated
@@ -13,16 +13,34 @@
 //
 // # Epoch protocol
 //
-// The table keeps one monotonic epoch counter. Every connection creation
-// and every state transition stamps the connection with a fresh epoch.
-// Cached entries that depended on connection state record the (tuple,
-// epoch) pair they were built under; validity is a single lookup — the
-// tuple still resolves to a live connection carrying exactly that epoch.
-// Removing a connection re-stamps it with a fresh epoch ("poisoning"),
-// so even cache entries holding a dangling *Conn pointer fail the
-// comparison. Because the counter is global and monotonic, an epoch
-// recorded from one connection generation can never collide with a later
-// generation on the same tuple.
+// The table keeps one monotonic epoch counter and stamps a connection
+// from it whenever something a cached result could depend on changes.
+// A connection carries two stamps, because the two cache tiers depend on
+// different things:
+//
+//   - Conn.Epoch answers "same state?". It moves on creation, on every
+//     state transition, on a new NAT binding and on removal. The
+//     microflow memo is keyed without ct_state, so nothing in its match
+//     tells a New packet from an Established one: it records the epoch it
+//     was built under and serves only while the connection still carries
+//     exactly that epoch (compared through the memo's *Conn pointer).
+//   - Conn.bound answers "same connection and bindings?". It moves on
+//     creation, on a new NAT binding and on removal — not on a
+//     transition. A main-cache entry matches on the key with ct_state
+//     folded in, so a packet whose state bits matter to the rules the
+//     entry crossed misses by match; what the match cannot see is which
+//     connection the tuple now names and what it is bound to, and that
+//     is all a resolved NAT rewrite depends on. Such an entry records
+//     the (tuple, epoch) pair it was resolved under, and EpochValid is a
+//     single lookup: the tuple still resolves to a live connection whose
+//     bound stamp is no newer than the recorded epoch.
+//
+// Because the counter is global and monotonic, a stamp taken from an
+// earlier connection generation on a reused tuple, or before a binding
+// made later in the same pipeline walk, is older than the bound stamp it
+// is checked against and is rejected. Removing a connection re-stamps
+// both ("poisoning"), so even a memo holding a dangling *Conn pointer
+// fails its comparison.
 package conntrack
 
 import (
@@ -84,9 +102,15 @@ type Conn struct {
 	reply flow.Key
 	// State is the current lifecycle state.
 	State State
-	// Epoch is the stamp of the connection's last creation or transition;
-	// see the package comment for the invalidation protocol.
+	// Epoch is the stamp of the connection's last creation, transition,
+	// NAT binding or removal — "same state?", what a microflow memo is
+	// guarded by. See the package comment for the invalidation protocol.
 	Epoch uint64
+	// bound is the stamp of the connection's creation, last NAT binding
+	// or removal — "same connection and bindings?", what EpochValid holds
+	// a main-cache entry's recorded epoch against. Transitions leave it
+	// alone; bound <= Epoch always.
+	bound uint64
 	// DNAT / SNAT are the connection's NAT bindings, if any.
 	DNAT NATBinding
 	SNAT NATBinding
@@ -329,7 +353,8 @@ func (t *Table) TrackKey(k *flow.Key, tcpFlags uint8, now int64) (uint64, *Conn,
 }
 
 // transition moves c to state s and stamps a fresh epoch, invalidating
-// every cached entry built against the old state.
+// every microflow memo built against the old state. The bound stamp does
+// not move: main-cache entries tell the states apart by match.
 //
 //gf:hotpath
 func (t *Table) transition(c *Conn, s State) {
@@ -350,11 +375,13 @@ func (t *Table) create(k flow.Key, now int64) *Conn {
 			t.stats.EvictLRU++
 		}
 	}
+	epoch := t.newEpoch()
 	c := &Conn{
 		Orig:      k,
 		reply:     invert(k),
 		State:     StateNew,
-		Epoch:     t.newEpoch(),
+		Epoch:     epoch,
+		bound:     epoch,
 		LastSeen:  now,
 		Created:   now,
 		lastMoved: now,
@@ -380,14 +407,22 @@ func (t *Table) reopen(old *Conn, k flow.Key, now int64) *Conn {
 }
 
 // remove unregisters c's tuples, drops it from the LRU, and poisons its
-// epoch so cached entries that still point at it fail validation.
+// stamps so cached entries that still point at it fail validation.
 func (t *Table) remove(c *Conn) {
 	t.conns.Delete(c.Orig)
 	t.conns.Delete(c.reply)
 	t.dropPair(c.Orig)
 	t.unlink(c)
 	t.count--
+	t.restamp(c)
+}
+
+// restamp moves both of c's stamps past every epoch handed out so far:
+// the connection's identity or bindings changed, so nothing cached
+// against it — memo or main-cache entry — may serve again.
+func (t *Table) restamp(c *Conn) {
 	c.Epoch = t.newEpoch()
+	c.bound = c.Epoch
 }
 
 // SetDNAT records c's destination rewrite and re-registers the reply
@@ -399,7 +434,7 @@ func (t *Table) SetDNAT(c *Conn, ip, port uint64) {
 		return
 	}
 	c.DNAT = NATBinding{IP: ip, Port: port, Set: true}
-	c.Epoch = t.newEpoch() // a new binding changes NAT semantics: invalidate pre-binding entries
+	t.restamp(c) // a new binding changes NAT semantics: invalidate pre-binding entries
 	t.conns.Delete(c.reply)
 	c.reply = invert(c.NATKey(DirForward))
 	t.register(c.reply, connRef{c, DirReply})
@@ -412,7 +447,7 @@ func (t *Table) SetSNAT(c *Conn, ip, port uint64) {
 		return
 	}
 	c.SNAT = NATBinding{IP: ip, Port: port, Set: true}
-	c.Epoch = t.newEpoch() // see SetDNAT
+	t.restamp(c) // see SetDNAT
 	t.conns.Delete(c.reply)
 	c.reply = invert(c.NATKey(DirForward))
 	t.register(c.reply, connRef{c, DirReply})
@@ -495,9 +530,12 @@ func (t *Table) touchLazy(c *Conn, now int64) {
 	t.touch(c)
 }
 
-// EpochValid reports whether tuple still resolves to a live connection
-// carrying exactly epoch — the validity check for cached entries whose
-// action depended on connection state. One masked probe.
+// EpochValid reports whether tuple still resolves to the live connection
+// epoch was taken from, with the NAT bindings it had then — the validity
+// check for main-cache entries whose action was resolved against a
+// connection. State transitions since do not matter (the entry's match
+// carries its ct_state dependency); a removal, a tuple reuse or a later
+// binding does. One masked probe and a compare against the bound stamp.
 //
 //gf:hotpath
 func (t *Table) EpochValid(tuple flow.Key, epoch uint64) bool {
@@ -510,7 +548,7 @@ func (t *Table) EpochValid(tuple flow.Key, epoch uint64) bool {
 //gf:hotpath
 func (t *Table) EpochValidKey(tuple *flow.Key, epoch uint64) bool {
 	ref := t.conns.Find(tuple)
-	return ref != nil && ref.c.Epoch == epoch
+	return ref != nil && epoch >= ref.c.bound
 }
 
 // Lookup resolves a tuple to its connection and direction without

@@ -67,9 +67,10 @@ type Entry struct {
 	// the sub-traversal sharing frequency of Fig. 11.
 	Installs uint64
 	// CtConn and CtEpoch tie a connection-dependent entry (one whose
-	// sub-traversal resolved a NAT action) to the connection state it was
-	// built under; CtEpoch zero means connection-independent. The
-	// datapath validates the pair against the conntrack table on hit.
+	// sub-traversal resolved a NAT action) to the connection and NAT
+	// bindings it was resolved against; CtEpoch zero means
+	// connection-independent. The datapath validates the pair against the
+	// conntrack table on hit.
 	CtConn  flow.Key
 	CtEpoch uint64
 
@@ -607,12 +608,15 @@ func (c *Cache) find(k *flow.Key, now int64, s *Stats, final *flow.Key) (flow.Ve
 }
 
 // DropStale validates the last Find's hit path against the conntrack
-// table: every connection-dependent entry on it must still resolve to a
-// live connection carrying exactly the epoch it was built under. Stale
-// entries are removed — the invalidation protocol's eager half (the lazy
-// half is epoch poisoning; see internal/conntrack) — and counted in the
-// result; a non-zero result means the hit must not be used. Only entries
-// on the hit path are ever touched.
+// table: the tuple of every connection-dependent entry on it must still
+// resolve to the live connection the entry was resolved against, bound as
+// it was then (conntrack.Table.EpochValid). A state transition since is
+// not staleness: each entry matched the packet's ct_state bits wherever a
+// rule it crossed read them. Stale entries are removed — the invalidation
+// protocol's eager half (the lazy half is epoch poisoning; see
+// internal/conntrack) — and counted in the result; a non-zero result
+// means the hit must not be used. Only entries on the hit path are ever
+// touched.
 //
 //gf:hotpath
 func (c *Cache) DropStale(ct *conntrack.Table) (removed int) {

@@ -33,9 +33,9 @@ type Entry struct {
 	// Version is the pipeline version the entry was validated against.
 	Version uint64
 	// CtConn and CtEpoch tie a connection-dependent entry (one whose
-	// traversal resolved a NAT action) to the connection state it was
-	// built under; CtEpoch zero means connection-independent. The
-	// datapath validates the pair against the conntrack table on hit.
+	// traversal resolved a NAT action) to the connection and NAT bindings
+	// it was resolved against; CtEpoch zero means connection-independent.
+	// The datapath validates the pair against the conntrack table on hit.
 	CtConn  flow.Key
 	CtEpoch uint64
 
@@ -219,9 +219,12 @@ func (c *Cache) Find(k *flow.Key, now int64, final *flow.Key) (flow.Verdict, boo
 }
 
 // DropStale validates the entry the last Find matched against the
-// conntrack table: a connection-dependent entry must still resolve to a
-// live connection carrying exactly the epoch it was built under. A stale
-// entry is removed and reported as 1, meaning the hit must not be used.
+// conntrack table: a connection-dependent entry's tuple must still
+// resolve to the live connection it was resolved against, bound as it
+// was then (conntrack.Table.EpochValid). A state transition since is not
+// staleness: the entry matched the packet's ct_state bits wherever a
+// rule it crossed read them. A stale entry is removed and reported as 1,
+// meaning the hit must not be used.
 //
 //gf:hotpath
 func (c *Cache) DropStale(ct *conntrack.Table) (removed int) {

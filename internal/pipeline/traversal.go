@@ -30,9 +30,9 @@ type Step struct {
 	Acts []flow.Action
 	// Verdict is the terminal decision made at this step, if any.
 	Verdict flow.Verdict
-	// CtDep marks a step whose actions were resolved against connection
-	// state (a NAT binding): cache entries composed over it are only
-	// valid while that state holds its epoch.
+	// CtDep marks a step whose actions were resolved against a connection
+	// (a NAT binding): cache entries composed over it are only valid for
+	// that connection while its bindings stand.
 	CtDep bool
 }
 
@@ -169,8 +169,9 @@ func (tr *Traversal) StepFields(i int) flow.FieldSet {
 }
 
 // SegmentCtDep reports whether any step in [i,j) resolved actions
-// against connection state; entries composed over such a range must
-// record (CtConn, CtEpoch) and be invalidated when the epoch moves.
+// against a connection; entries composed over such a range must record
+// (CtConn, CtEpoch) and are invalidated when the connection dies, its
+// tuple is reused or it is bound anew (conntrack.Table.EpochValid).
 func (tr *Traversal) SegmentCtDep(i, j int) bool {
 	for s := i; s < j; s++ {
 		if tr.Steps[s].CtDep {

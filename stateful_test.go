@@ -18,8 +18,8 @@ func statefulPipeline() *Pipeline {
 	p.AddTable(0, "classify", NewFieldSet(FieldEthType, FieldIPProto,
 		FieldIPDst, FieldTpDst, FieldCtState))
 	p.AddTable(1, "lb", NewFieldSet(FieldIPDst))
-	p.AddTable(2, "egress", NewFieldSet(FieldIPDst))
 	p.AddTable(3, "reverse", NewFieldSet(FieldIPSrc))
+	addPool(p, 2)
 
 	// Replies take the reverse path; closed connections are dropped at
 	// classify so a stale "established" entry is observable the moment a
@@ -33,20 +33,8 @@ func statefulPipeline() *Pipeline {
 
 	p.MustAddRule(1, MustParseMatch("*"), 10, []Action{DNAT(1)}, 2)
 
-	for i := 0; i < poolN; i++ {
-		p.MustAddRule(2, MustParseMatch(fmt.Sprintf("ip_dst=%d", backendIP(i))), 10,
-			[]Action{Output(uint16(100 + i))}, NoTable)
-	}
-	p.MustAddRule(2, MustParseMatch("*"), 1, []Action{Drop()}, NoTable)
-
 	p.MustAddRule(3, MustParseMatch("*"), 10,
 		[]Action{CtNAT(), Output(1)}, NoTable)
-
-	targets := make([]NATTarget, poolN)
-	for i := range targets {
-		targets[i] = NATTarget{IP: backendIP(i), Port: 8000 + uint64(i)}
-	}
-	p.SetNATPool(1, targets)
 	return p
 }
 
@@ -54,6 +42,101 @@ const (
 	vipIP = 0x0a090001
 	poolN = 3
 )
+
+// addPool gives p the test backend pool as NAT pool 1 and an egress
+// table `id` with one output port per backend.
+func addPool(p *Pipeline, id int) {
+	p.AddTable(id, "egress", NewFieldSet(FieldIPDst))
+	targets := make([]NATTarget, poolN)
+	for i := range targets {
+		targets[i] = NATTarget{IP: backendIP(i), Port: 8000 + uint64(i)}
+		p.MustAddRule(id, MustParseMatch(fmt.Sprintf("ip_dst=%d", backendIP(i))), 10,
+			[]Action{Output(uint16(100 + i))}, NoTable)
+	}
+	p.MustAddRule(id, MustParseMatch("*"), 1, []Action{Drop()}, NoTable)
+	p.SetNATPool(1, targets)
+}
+
+// stateNATPipeline puts the state dependency and the NAT action in the
+// same rules: the lb and reverse tables each carry one rule per
+// ct_state, every one of them rewriting through the connection and each
+// sending the packet somewhere else. A cached entry built from such a
+// rule is connection-dependent AND state-dependent, and only its match
+// says which state: conntrack's validity check lets it live through every
+// transition, so a packet in another state must miss it by its ct_state
+// bits alone.
+func stateNATPipeline() *Pipeline {
+	p := NewPipeline("state-nat")
+	p.AddTable(0, "classify", NewFieldSet(FieldEthType, FieldIPDst, FieldCtState))
+	p.AddTable(1, "lb", NewFieldSet(FieldCtState))
+	p.AddTable(3, "reverse", NewFieldSet(FieldCtState))
+	addPool(p, 2)
+
+	p.MustAddRule(0, MustParseMatch("eth_type=0x0800,ct_state=0x11/0x11"), 20, nil, 3)
+	p.MustAddRule(0, MustParseMatch(fmt.Sprintf(
+		"eth_type=0x0800,ip_dst=%d,ct_state=0x01/0x11", vipIP)), 10, nil, 1)
+	p.MustAddRule(0, MustParseMatch("*"), 1, []Action{Output(99)}, NoTable)
+
+	// Forward: new connections go on to the per-backend egress, established
+	// ones leave on one trunk port, closed ones on a drain port — all
+	// three after the dnat rewrite.
+	p.MustAddRule(1, MustParseMatch("ct_state=0x02/0x02"), 10, []Action{DNAT(1)}, 2)
+	p.MustAddRule(1, MustParseMatch("ct_state=0x04/0x04"), 10, []Action{DNAT(1), Output(50)}, NoTable)
+	p.MustAddRule(1, MustParseMatch("ct_state=0x20/0x20"), 10, []Action{DNAT(1), Output(66)}, NoTable)
+	p.MustAddRule(1, MustParseMatch("*"), 1, []Action{Drop()}, NoTable)
+
+	// Reply: un-NAT, then by state.
+	p.MustAddRule(3, MustParseMatch("ct_state=0x04/0x04"), 10, []Action{CtNAT(), Output(1)}, NoTable)
+	p.MustAddRule(3, MustParseMatch("ct_state=0x20/0x20"), 10, []Action{CtNAT(), Output(2)}, NoTable)
+	p.MustAddRule(3, MustParseMatch("*"), 1, []Action{CtNAT(), Drop()}, NoTable)
+	return p
+}
+
+// lateBindPipeline makes the NAT binding late: a connection's first
+// packets leave unrewritten through a SYN-proxy port and only an
+// established one is load-balanced, so the dnat binding lands after a
+// transition — and after the prenat table's ct_nat has already resolved
+// (to the identity rewrite) for that very connection, both in earlier
+// walks and, on the packet that binds, earlier in the same walk. What
+// prenat resolved to decides the path: a destination still reading as
+// the VIP goes to lb, which binds and sends the packet out of the slow
+// port 20; once the binding exists prenat rewrites to the backend and
+// classify sends the packet straight to egress. A result computed before
+// the binding — a cache entry stamped before it, or the binding walk's
+// own — is therefore visibly wrong for the next packet, and it keeps
+// matching: nothing but the validity check can retire it.
+func lateBindPipeline() *Pipeline {
+	p := NewPipeline("late-bind")
+	p.AddTable(0, "prenat", NewFieldSet(FieldEthType))
+	p.AddTable(1, "classify", NewFieldSet(FieldEthType, FieldIPDst, FieldCtState))
+	p.AddTable(2, "lb", NewFieldSet(FieldIPDst))
+	addPool(p, 3)
+
+	p.MustAddRule(0, MustParseMatch("eth_type=0x0800"), 10, []Action{CtNAT()}, 1)
+	p.MustAddRule(0, MustParseMatch("*"), 1, []Action{Output(99)}, NoTable)
+
+	p.MustAddRule(1, MustParseMatch("ct_state=0x20/0x20"), 30, []Action{Drop()}, NoTable)
+	p.MustAddRule(1, MustParseMatch("ct_state=0x11/0x11"), 20, []Action{Output(1)}, NoTable)
+	p.MustAddRule(1, MustParseMatch("ct_state=0x03/0x13"), 10, []Action{Output(10)}, NoTable)
+	p.MustAddRule(1, MustParseMatch(fmt.Sprintf("ip_dst=%d,ct_state=0x05/0x15", vipIP)), 10, nil, 2)
+	p.MustAddRule(1, MustParseMatch("ct_state=0x05/0x15"), 5, nil, 3)
+	p.MustAddRule(1, MustParseMatch("*"), 1, []Action{Output(99)}, NoTable)
+
+	p.MustAddRule(2, MustParseMatch("*"), 10, []Action{DNAT(1), Output(20)}, NoTable)
+	return p
+}
+
+// statefulPipelines are the pipelines the stateful differential runs
+// over.
+var statefulPipelines = []struct {
+	name      string
+	mk        func() *Pipeline
+	lateBinds bool // its tape must bind connections that are already established
+}{
+	{"lb", statefulPipeline, false},
+	{"state-nat", stateNATPipeline, false},
+	{"late-bind", lateBindPipeline, true},
+}
 
 func backendIP(i int) uint64 { return 0x0a140001 + uint64(i) }
 
@@ -114,15 +197,31 @@ func replyKeyFor(ct *conntrack.Table, fwd Key) (Key, bool) {
 		With(FieldTpDst, nk.Get(FieldTpSrc)), true
 }
 
-// statefulTape generates the stateful differential tape: a randomized
-// interleaving of handshakes, data, closes, tuple reuse, and idle expiry
+// tapeCoverage counts the events a stateful tape was built to contain
+// and a tamer one might not.
+type tapeCoverage struct {
+	rstInNew        int // an RST on a connection still in New
+	responderReopen int // a closed connection reopened by its old responder
+	lateBind        int // a NAT binding made on an already-established connection
+}
+
+// statefulTape is statefulTapeFor over statefulPipeline.
+func statefulTape(t *testing.T, clients, packets int, maxIdle int64) []ctEvent {
+	tape, _ := statefulTapeFor(t, statefulPipeline, clients, packets, maxIdle)
+	return tape
+}
+
+// statefulTapeFor generates the stateful differential tape for a
+// pipeline: a randomized interleaving of handshakes, data, closes and
+// resets from either side, tuple reuse by either side, and idle expiry
 // across many connections. What the next packet is depends on connection
 // state (is there a connection to reply on, which backend was it bound
 // to), so the tape is generated against a Reference that processes it as
 // it grows; replays then run it against fresh ones.
-func statefulTape(t *testing.T, clients, packets int, maxIdle int64) []ctEvent {
-	ref := NewReference(statefulPipeline(), true, 0)
+func statefulTapeFor(t *testing.T, mk func() *Pipeline, clients, packets int, maxIdle int64) ([]ctEvent, tapeCoverage) {
+	ref := NewReference(mk(), true, 0)
 	tape := make([]ctEvent, 0, packets)
+	var cov tapeCoverage
 	rng := xorshift(0x9e3779b97f4a7c15)
 	now := int64(0)
 	for i := 0; i < packets; i++ {
@@ -132,49 +231,68 @@ func statefulTape(t *testing.T, clients, packets int, maxIdle int64) []ctEvent {
 		if client%3 == 0 {
 			proto = packet.IPProtoUDP
 		}
+		tcp := proto == packet.IPProtoTCP
 		fwd := ctKey(client, proto)
+		// The reply tuple: post-NAT when bound.
+		rpl, ok := replyKeyFor(ref.Conntrack(), fwd)
+		if !ok {
+			rpl = invertTuple(fwd)
+		}
+		conn, _, _ := ref.Conntrack().Lookup(fwd)
 
 		var ev ctEvent
-		switch roll := rng.next() % 10; {
+		switch roll := rng.next() % 12; {
 		case roll < 4: // forward data (or first packet: SYN)
 			ev = ctEvent{k: fwd, flags: packet.TCPAck}
-			if proto == packet.IPProtoTCP {
-				if _, _, ok := ref.Conntrack().Lookup(fwd); !ok {
-					ev.flags = packet.TCPSyn
-				}
-			} else {
-				ev.flags = 0
+			if conn == nil {
+				ev.flags = packet.TCPSyn
 			}
-		case roll < 8: // reply (post-NAT tuple when bound)
-			rk, ok := replyKeyFor(ref.Conntrack(), fwd)
-			if !ok {
-				rk = invertTuple(fwd)
-			}
-			ev = ctEvent{k: rk, flags: packet.TCPAck}
-		case roll < 9 && proto == packet.IPProtoTCP: // close
+		case roll < 8: // reply
+			ev = ctEvent{k: rpl, flags: packet.TCPAck}
+		case roll < 9 && tcp: // close, from either side
+			ev = ctEvent{k: fwd, flags: packet.TCPFin | packet.TCPAck}
 			if rng.next()%2 == 0 {
-				ev = ctEvent{k: fwd, flags: packet.TCPFin | packet.TCPAck}
-			} else {
-				ev = ctEvent{k: fwd, flags: packet.TCPRst}
+				ev.flags = packet.TCPRst
 			}
+			if rng.next()%2 == 0 {
+				ev.k = rpl
+			}
+		case roll < 10 && tcp && conn != nil && conn.State == conntrack.StateNew:
+			// Connection refused: the responder resets a half-open
+			// connection.
+			ev = ctEvent{k: rpl, flags: packet.TCPRst | packet.TCPAck}
+		case roll < 11 && tcp: // the old responder opens the tuple itself
+			ev = ctEvent{k: rpl, flags: packet.TCPSyn}
 		default: // fresh SYN: reopen after close, dup-SYN otherwise
 			ev = ctEvent{k: fwd, flags: packet.TCPSyn}
-			if proto == packet.IPProtoUDP {
-				ev.flags = 0
-			}
+		}
+		if !tcp {
+			ev.flags = 0
 		}
 		// The idle sweep, exactly as the service's expiry ticker would
 		// run it.
 		ev.now, ev.sweep = now, i%500 == 499
 		if ev.sweep {
 			ref.ExpireIdle(now, maxIdle)
+			conn, _, _ = ref.Conntrack().Lookup(fwd)
 		}
+		if conn != nil && conn.State == conntrack.StateNew && ev.flags&packet.TCPRst != 0 {
+			cov.rstInNew++
+		}
+		lateBindable := conn != nil && conn.State == conntrack.StateEstablished && !conn.DNAT.Set
+		reopened := ref.Conntrack().Stats().Reopened
 		if _, err := ref.ProcessMeta(ev.k, ev.flags, now); err != nil {
 			t.Fatalf("tape pkt %d: %v", i, err)
 		}
+		if lateBindable && conn.DNAT.Set {
+			cov.lateBind++
+		}
+		if ev.k == rpl && ref.Conntrack().Stats().Reopened != reopened {
+			cov.responderReopen++
+		}
 		tape = append(tape, ev)
 	}
-	return tape
+	return tape, cov
 }
 
 // eachBatch cuts tape into batches of the cycling sizes, never across a
@@ -194,12 +312,24 @@ func eachBatch(tape []ctEvent, sizes []int, fn func(lo, hi int, now int64, sweep
 	}
 }
 
-// TestStatefulDifferential is the cache-invalidation proof: the stateful
+// TestStatefulDifferential is the cache-invalidation proof: a stateful
 // tape runs through a conntrack-enabled VSwitch on BOTH cache backends
 // and through the cache-free Reference walk. Every packet's verdict and
-// final key must be bit-identical — if any ct_state-dependent cache entry
-// ever survived a transition it depended on, the cached result would
-// diverge from the oracle here.
+// final key must be bit-identical — if a cached entry ever served a packet
+// in a connection state, of a connection generation or under a NAT binding
+// other than the one it was built for, the cached result would diverge
+// from the oracle here.
+//
+// It runs over three pipelines, because a main-cache entry outlives its
+// connection's transitions and each pipeline leans on a different part of
+// what keeps that safe: statefulPipeline classifies on ct_state ahead of
+// the NAT tables; stateNATPipeline discriminates new/established/closed
+// in the very rules that rewrite, so the entry's match bits alone carry
+// the state dependency; lateBindPipeline binds only once established, so
+// entries resolved before the binding — in earlier walks and earlier in
+// the binding walk — keep matching and only the validity check retires
+// them. Every tape has resets of half-open connections and closed tuples
+// reopened by either side.
 //
 // The inline leg feeds each packet with its TCP flags through ProcessMeta.
 // The park leg replays the same tape through the park-mode entry points,
@@ -218,8 +348,7 @@ func TestStatefulDifferential(t *testing.T) {
 		packets = 12000
 		maxIdle = 500_000 // virtual ns
 	)
-	tape := statefulTape(t, clients, packets, maxIdle)
-	run := func(t *testing.T, backend, leg string) {
+	run := func(t *testing.T, mk func() *Pipeline, tape []ctEvent, backend, leg string) {
 		opts := []VSwitchOption{
 			WithMicroflow(4 * clients),
 			WithConntrack(0),
@@ -233,8 +362,8 @@ func TestStatefulDifferential(t *testing.T) {
 			sizes = []int{1, 1, 1, 7, 32, 3}
 			opts = append(opts, WithLatencyRecorder(telemetry.NewLatencyRecorder(64, 0)))
 		}
-		vs := NewVSwitch(statefulPipeline(), CacheConfig{NumTables: 4, TableCapacity: 4 * 1024}, opts...)
-		ref := NewReference(statefulPipeline(), true, 0)
+		vs := NewVSwitch(mk(), CacheConfig{NumTables: 4, TableCapacity: 4 * 1024}, opts...)
+		ref := NewReference(mk(), true, 0)
 
 		out := make([]ProcessResult, 32)
 		errs := make([]error, 32)
@@ -359,10 +488,23 @@ func TestStatefulDifferential(t *testing.T) {
 		t.Logf("stats: %+v", st)
 		t.Logf("conntrack: %+v", ctStats)
 	}
+	tapes := make([][]ctEvent, len(statefulPipelines))
+	for i, pl := range statefulPipelines {
+		var cov tapeCoverage
+		tapes[i], cov = statefulTapeFor(t, pl.mk, clients, packets, maxIdle)
+		t.Logf("%s tape: %+v", pl.name, cov)
+		if cov.rstInNew == 0 || cov.responderReopen == 0 || pl.lateBinds && cov.lateBind == 0 {
+			t.Errorf("%s tape too tame: %+v", pl.name, cov)
+		}
+	}
 	for _, backend := range []string{"gigaflow", "megaflow"} {
 		t.Run(backend, func(t *testing.T) {
 			for _, leg := range []string{"inline", "park"} {
-				t.Run(leg, func(t *testing.T) { run(t, backend, leg) })
+				t.Run(leg, func(t *testing.T) {
+					for i, pl := range statefulPipelines {
+						t.Run(pl.name, func(t *testing.T) { run(t, pl.mk, tapes[i], backend, leg) })
+					}
+				})
 			}
 		})
 	}
@@ -515,5 +657,102 @@ func TestConntrackOffBitIdentical(t *testing.T) {
 	}
 	if plain.CacheEntries() != meta.CacheEntries() {
 		t.Fatalf("cache population diverged: %d vs %d", plain.CacheEntries(), meta.CacheEntries())
+	}
+}
+
+// natLBPipeline is the load balancer the benchmark's nat-conn workload and
+// gigabench's dnslb scenario both run (bench/natconn.go,
+// cmd/gigabench/dnslb.go): replies (+trk+rpl) take the reverse path and
+// are un-NATed by ct_nat, forward packets to the VIP's service port are
+// pinned to a backend by dnat and leave on that backend's port. No rule
+// looks at new/established/closed.
+func natLBPipeline(proto uint64) *Pipeline {
+	p := NewPipeline("natlb")
+	p.AddTable(0, "classify", NewFieldSet(FieldEthType, FieldIPProto, FieldIPDst,
+		FieldTpDst, FieldCtState))
+	p.AddTable(1, "lb", NewFieldSet(FieldIPDst))
+	p.AddTable(3, "reverse", NewFieldSet(FieldIPSrc))
+	addPool(p, 2)
+
+	p.MustAddRule(0, MustParseMatch(fmt.Sprintf(
+		"eth_type=0x0800,ip_proto=%d,ct_state=0x11/0x11", proto)), 20, nil, 3)
+	p.MustAddRule(0, MustParseMatch(fmt.Sprintf(
+		"eth_type=0x0800,ip_proto=%d,ip_dst=%d,tp_dst=443,ct_state=0x01/0x11", proto, vipIP)), 10, nil, 1)
+	p.MustAddRule(0, MustParseMatch("*"), 1, []Action{Drop()}, NoTable)
+	p.MustAddRule(1, MustParseMatch("*"), 10, []Action{DNAT(1)}, 2)
+	p.MustAddRule(3, MustParseMatch("*"), 10, []Action{CtNAT(), Output(1)}, NoTable)
+	return p
+}
+
+// TestConnectionWalksOncePerDirection is the ledger of one connection
+// through the load balancer, on both backends behind a microflow tier: the
+// pipeline is walked once for the first packet each way and never again.
+// The ACK that follows the handshake and the FIN find the entries their
+// direction's first packet installed — still valid, because the
+// connection is the same one with the same binding, and still matching,
+// because no rule they crossed reads the state bits that moved. (When
+// every transition retired the connection's entries these cost a third
+// and a fourth walk per TCP connection, a third per UDP exchange.) The
+// microflow guard is as strict as ever: a memo is keyed without ct_state,
+// so the first packet after each transition still fails it and is served
+// one tier down.
+func TestConnectionWalksOncePerDirection(t *testing.T) {
+	const fwd, rpl = false, true
+	type pkt struct {
+		reply bool
+		flags uint8
+	}
+	// The benchmark's 12-packet connection (bench/natconn.go natPacketAt):
+	// handshake, eight data packets alternating direction, FIN.
+	tcp := []pkt{{fwd, packet.TCPSyn}, {rpl, packet.TCPSyn | packet.TCPAck}, {fwd, packet.TCPAck}}
+	for i := 3; i < 11; i++ {
+		tcp = append(tcp, pkt{i%2 == 0, packet.TCPAck})
+	}
+	tcp = append(tcp, pkt{fwd, packet.TCPFin | packet.TCPAck})
+	// dnslb's exchange: four query/reply rounds.
+	udp := []pkt{{fwd, 0}, {rpl, 0}, {fwd, 0}, {rpl, 0}, {fwd, 0}, {rpl, 0}, {fwd, 0}, {rpl, 0}}
+
+	for _, tc := range []struct {
+		name  string
+		proto uint64
+		pkts  []pkt
+		want  VSwitchStats
+	}{
+		{"tcp", packet.IPProtoTCP, tcp, VSwitchStats{Packets: 12, MicroflowHits: 8, CacheHits: 2,
+			CacheMisses: 2, Slowpath: 2, Installs: 2, CtFastpath: 8, CtGuardFails: 2}},
+		{"udp", packet.IPProtoUDP, udp, VSwitchStats{Packets: 8, MicroflowHits: 5, CacheHits: 1,
+			CacheMisses: 2, Slowpath: 2, Installs: 2, CtFastpath: 5, CtGuardFails: 1}},
+	} {
+		for _, backend := range []string{"gigaflow", "megaflow"} {
+			t.Run(tc.name+"/"+backend, func(t *testing.T) {
+				opts := []VSwitchOption{WithMicroflow(64), WithConntrack(0)}
+				if backend == "megaflow" {
+					opts = append(opts, WithMegaflowBackend(1024))
+				}
+				vs := NewVSwitch(natLBPipeline(tc.proto), CacheConfig{NumTables: 4, TableCapacity: 1024}, opts...)
+				ref := NewReference(natLBPipeline(tc.proto), true, 0)
+				client := ctKey(1, tc.proto)
+				for i, p := range tc.pkts {
+					k := client
+					if p.reply {
+						var ok bool
+						if k, ok = replyKeyFor(ref.Conntrack(), client); !ok {
+							t.Fatalf("packet %d: no connection to reply on", i)
+						}
+					}
+					got, err := vs.ProcessMeta(k, p.flags, int64(i))
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, _ := ref.ProcessMeta(k, p.flags, int64(i))
+					if got.Verdict != want.Verdict || got.Final != want.Final || got.Verdict.Kind != VerdictOutput {
+						t.Fatalf("packet %d: %v %s, oracle %v %s", i, got.Verdict, got.Final, want.Verdict, want.Final)
+					}
+				}
+				if got := vs.Stats(); got != tc.want {
+					t.Errorf("ledger:\n  got  %+v\n  want %+v", got, tc.want)
+				}
+			})
+		}
 	}
 }

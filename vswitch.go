@@ -113,7 +113,7 @@ type VSwitchStats struct {
 	// Conntrack-mode counters; always zero when tracking is disabled.
 	CtFastpath    uint64 `json:"ct_fastpath,omitempty"`    // microflow hits served under the epoch guard
 	CtGuardFails  uint64 `json:"ct_guard_fails,omitempty"` // microflow entries dropped by the guard
-	CtInvalidated uint64 `json:"ct_invalidated,omitempty"` // main-cache entries removed on stale epoch
+	CtInvalidated uint64 `json:"ct_invalidated,omitempty"` // main-cache entries removed because their connection died, was replaced on its tuple, or was bound since
 }
 
 // HitRate reports the main cache's hit rate over the packets that reached
@@ -260,10 +260,10 @@ func (v *VSwitch) Process(k Key, now int64) (ProcessResult, error) {
 // when connection tracking is enabled (and is ignored otherwise). With
 // conntrack on, the packet is tracked, its ct_state bits are folded into
 // the key the main cache and slowpath see, connection-dependent cache
-// entries are validated against the connection's current epoch on every
-// hit, and memoized microflow results serve only under the ctServe
-// guard. With conntrack off the loop reduces exactly to the stateless
-// datapath.
+// entries are validated on every hit against the connection their tuple
+// now names and its NAT bindings, and memoized microflow results serve
+// only under the ctServe guard. With conntrack off the loop reduces
+// exactly to the stateless datapath.
 //
 //gf:hotpath
 func (v *VSwitch) ProcessMeta(k Key, tcpFlags uint8, now int64) (ProcessResult, error) {
@@ -521,7 +521,16 @@ func (v *VSwitch) install(k *Key, tr *Traversal, now int64, conn *conntrack.Conn
 		flags |= telemetry.FlightEvict
 	}
 	o.Verdict, o.Final, o.CacheHit, o.MicroflowHit = tr.Verdict, tr.FinalKey(), false, false
-	v.memoizeCt(k, &o.Final, tr.Verdict, now, conn, dir)
+	// A walk that made a NAT binding after an earlier step had already
+	// resolved against the connection carries a stamp from before the
+	// binding (pipeline's first-resolution rule): the entries just
+	// installed fail validation on their first use, and the result is
+	// this packet's alone — the next walk resolves every step under the
+	// binding — so it is not memoized under the connection's new epoch
+	// either.
+	if conn == nil || tr.CtEpoch == 0 || tr.CtEpoch == conn.Epoch {
+		v.memoizeCt(k, &o.Final, tr.Verdict, now, conn, dir)
+	}
 	return flags
 }
 
@@ -651,7 +660,7 @@ func (v *VSwitch) CollectMetrics(reg *telemetry.Registry, worker string) {
 		g("gigaflow_ct_connections", "Live tracked connections.", float64(v.ct.Len()))
 		c("gigaflow_ct_fastpath_total", "Microflow hits served under the conntrack epoch guard.", s.CtFastpath)
 		c("gigaflow_ct_guard_fails_total", "Microflow entries dropped by the conntrack guard.", s.CtGuardFails)
-		c("gigaflow_ct_invalidated_total", "Main-cache entries removed on a stale conntrack epoch.", s.CtInvalidated)
+		c("gigaflow_ct_invalidated_total", "Main-cache entries removed because their connection died, was replaced on its tuple, or was bound since.", s.CtInvalidated)
 	}
 
 	if v.rec != nil {
