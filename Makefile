@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: ci build test race vet lint lint-json suppress-check fmt-check bench bench-e2e bench-compare bench-pairs bench-gate bench-json fuzz fuzz-regress
+.PHONY: ci build test race vet lint lint-json suppress-check fmt-check docs-check bench bench-e2e bench-compare bench-pairs fuzz fuzz-regress
 
 ## ci: the standard verification gate — vet, build, race-enabled tests,
 ## the project linter, a gofmt cleanliness check, the suppression audit,
-## and the checked-in fuzz corpus replayed as regression tests. Run
-## before every commit.
-ci: vet build race lint suppress-check fmt-check fuzz-regress
+## the documents checked against the tree, and the checked-in fuzz corpus
+## replayed as regression tests. Run before every commit.
+ci: vet build race lint suppress-check fmt-check docs-check fuzz-regress
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,13 @@ fmt-check:
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+## docs-check: README.md, EXPERIMENTS.md, DESIGN.md and the verify skill
+## may only name make targets, gigabench experiments and files that exist.
+docs-check:
+	@sh scripts/docs-check.sh "$(GO)"
+
+## bench: every micro-benchmark in the module (micro-costs and allocs/op;
+## end-to-end and per-layer wall-clock numbers come from bench-e2e).
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./...
 
@@ -127,62 +134,6 @@ bench-pairs:
 	table=$$(./.bench_build/gfbench -compare $$out/parent-$$name.jsonl $$out/change-$$name.jsonl) || true; \
 	echo "$$table" | grep -E 'verdict|$(or $(W),.)'; \
 	! echo "$$table" | grep -E '$(or $(W),.)' | grep -qE 'exceeds|missing'
-
-## bench-gate: wall-clock performance floors, opt-in (not part of `test`),
-## gated by GF_BENCH_GATE=1:
-##   - SubmitBatch at the default batch size must stay at least 2x faster
-##     per packet than per-packet Submit on the warmed service pipeline
-##     (what a batch amortises is the fixed cost of one submission; an
-##     idle shard's submitter runs its own packets either way).
-##   - latency attribution (histograms + flight recorder, the default
-##     config) must cost at most 12 ns/pkt over a NoLatency service on the
-##     same batched datapath, at 0 allocs/op (what 5% was worth when the
-##     path still paid a queue hop; see instrumentBudgetNs).
-##   - the fused-probe classifier must beat the map-backed baseline by at
-##     least 1.4x on the cold high-mask-diversity slow-path sweep, at zero
-##     allocations.
-##   - during a cold-flow storm, a warm flow's p99 blocking-submit latency
-##     with the async upcall offload must be at least 2x better than the
-##     same workload processed inline (head-of-line blocking floor).
-##   - connection tracking must cost at most 12 ns/pkt on stateless
-##     traffic: a conntrack-enabled service pushing plain TCP flows
-##     through a stateless pipeline vs the identical service with
-##     tracking off, at 0 allocs/op.
-##   - RSS wire-hash sharding must scale: 2 shards must deliver at least
-##     1.5x single-shard throughput (measured wall clock on >=4 cpus,
-##     t_submit + t_worker/N from measured stage costs otherwise), and
-##     the RSS 5-tuple extractor and the ingestion stage must run at
-##     0 allocs/op.
-bench-gate:
-	GF_BENCH_GATE=1 $(GO) test -run TestBatchThroughputGate -count=1 -v ./service
-	GF_BENCH_GATE=1 $(GO) test -run TestLatencyOverheadGate -count=1 -v ./service
-	GF_BENCH_GATE=1 $(GO) test -run TestSlowpathProbeGate -count=1 -v ./internal/tss
-	GF_BENCH_GATE=1 $(GO) test -run TestUpcallHOLGate -count=1 -v ./service
-	GF_BENCH_GATE=1 $(GO) test -run TestConntrackOverheadGate -count=1 -v ./service
-	GF_BENCH_GATE=1 $(GO) test -run TestShardScalingGate -count=1 -v ./service
-
-## bench-json: regenerate the checked-in benchmark reports:
-##   - BENCH_slowpath.json — wall-clock slow-path (cold caches, low
-##     locality, high mask diversity) and hit-path (warm) per-packet cost
-##     on both backends, with allocs/op and hit rates.
-##   - BENCH_latency.json — per-tier latency percentile ladders
-##     (p50/p90/p99/p999) from the attribution layer under a warm steady
-##     state and a cold-start storm, with flight-recorder counters.
-##   - BENCH_upcall.json — warm-flow latency ladder under a cold-flow
-##     storm, inline vs async upcall offload, with upcall counters.
-##   - BENCH_dnslb.json — the stateful DNS load-balancer scenario
-##     (conntrack, DNAT pool pinning, ct_state pipeline, epoch
-##     invalidation) on both cache backends, with conntrack counters.
-##   - BENCH_shards.json — RSS wire-hash sharding at 1/2/4/8 shards on
-##     stateless and NAT-stateful wire mixes: measured ns/pkt, per-shard
-##     packet spread, stage costs (t_submit/t_worker), and the modeled
-##     throughput ladder 1/(t_submit + t_worker/N).
-bench-json:
-	$(GO) run ./cmd/gigabench -exp slowpath -flows 20000 -json BENCH_slowpath.json
-	$(GO) run ./cmd/gigabench -exp latency -flows 20000 -json BENCH_latency.json
-	$(GO) run ./cmd/gigabench -exp upcall -json BENCH_upcall.json
-	$(GO) run ./cmd/gigabench -exp dnslb -json BENCH_dnslb.json
-	$(GO) run ./cmd/gigabench -exp shards -json BENCH_shards.json
 
 ## fuzz-regress: replay the checked-in seed corpora (testdata/fuzz and
 ## the f.Add seeds) through the fuzz targets in plain-test mode — fast,

@@ -359,8 +359,8 @@ func BenchmarkVSwitchMicroflowHit(b *testing.B) {
 }
 
 // benchProcessBatchRec is the batched warm hot path with an optional
-// latency recorder attached: the parametrized body behind the latency
-// overhead gate. ns/op is per 32-packet batch.
+// latency recorder attached: the parametrized body behind the pair
+// below. ns/op is per 32-packet batch.
 func benchProcessBatchRec(b *testing.B, rec *telemetry.LatencyRecorder) {
 	opts := []VSwitchOption{WithMicroflow(256)}
 	if rec != nil {
@@ -382,13 +382,15 @@ func benchProcessBatchRec(b *testing.B, rec *telemetry.LatencyRecorder) {
 	}
 }
 
-// BenchmarkVSwitchProcessBatchRecorded is BenchmarkVSwitchProcessBatch
-// with latency attribution on: the cost visible over the plain variant is
-// the whole per-packet price of the flight recorder and tier histograms.
-// (The enforced overhead gate lives in the service package, against the
-// deployed datapath; this benchmark is the raw per-batch view.)
+// BenchmarkVSwitchProcessBatchRecorded runs one batch loop of microflow
+// hits without and with latency attribution: the difference between the
+// two is the whole per-packet price of the flight recorder and tier
+// histograms.
 func BenchmarkVSwitchProcessBatchRecorded(b *testing.B) {
-	benchProcessBatchRec(b, telemetry.NewLatencyRecorder(0, 0))
+	b.Run("recorder=off", func(b *testing.B) { benchProcessBatchRec(b, nil) })
+	b.Run("recorder=on", func(b *testing.B) {
+		benchProcessBatchRec(b, telemetry.NewLatencyRecorder(0, 0))
+	})
 }
 
 // BenchmarkVSwitchCacheHitTraced attaches a tracer with sampling disabled:

@@ -19,6 +19,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 
 	"gigaflow"
@@ -26,7 +27,6 @@ import (
 	"gigaflow/internal/pcap"
 	"gigaflow/internal/stats"
 	"gigaflow/internal/traffic"
-	"gigaflow/internal/wiredemo"
 	"gigaflow/service"
 )
 
@@ -185,7 +185,7 @@ func report(rep service.ReplayReport) {
 // built-in wire-demo pipeline that pairs with -gen traces.
 func loadPipeline(path string) (*gigaflow.Pipeline, error) {
 	if path == "" {
-		return wiredemo.Pipeline(), nil
+		return demoPipeline(), nil
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -195,9 +195,60 @@ func loadPipeline(path string) (*gigaflow.Pipeline, error) {
 	return gigaflow.LoadPipeline(f)
 }
 
+// The built-in demo: an L2 admission table, an L3 routing table of /32
+// destinations, and an L4 policy table. Every match field is carried in
+// frame bytes, so a decoded frame reproduces the synthesized key exactly.
+const (
+	demoDsts     = 16 // /32 destinations in the L3 table
+	demoServices = 4  // L4 service classes: demoTCPPorts plus DNS-over-UDP
+)
+
+var demoTCPPorts = [...]uint64{80, 443, 22}
+
+func demoPipeline() *gigaflow.Pipeline {
+	p := gigaflow.NewPipeline("wire-demo")
+	p.AddTable(0, "l2", gigaflow.NewFieldSet(gigaflow.FieldEthDst))
+	p.AddTable(1, "l3", gigaflow.NewFieldSet(gigaflow.FieldIPDst))
+	p.AddTable(2, "l4", gigaflow.NewFieldSet(gigaflow.FieldIPProto, gigaflow.FieldTpDst))
+	p.MustAddRule(0, gigaflow.MustParseMatch("eth_dst=02:00:00:00:00:01"), 10, nil, 1)
+	for i := 0; i < demoDsts; i++ {
+		m := gigaflow.MustParseMatch(fmt.Sprintf("ip_dst=10.1.0.%d", i))
+		p.MustAddRule(1, m, 10, nil, 2)
+	}
+	for i, port := range demoTCPPorts {
+		m := gigaflow.MustParseMatch(fmt.Sprintf("ip_proto=6,tp_dst=%d", port))
+		p.MustAddRule(2, m, 10, []gigaflow.Action{gigaflow.Output(uint16(i + 1))}, gigaflow.NoTable)
+	}
+	p.MustAddRule(2, gigaflow.MustParseMatch("ip_proto=17,tp_dst=53"), 10,
+		[]gigaflow.Action{gigaflow.Output(9)}, gigaflow.NoTable)
+	return p
+}
+
+// demoKey synthesizes one wire-faithful flow key for rule combination
+// ruleIdx: in_port and metadata stay zero (neither is a wire field),
+// everything else round-trips through encode→decode losslessly. The rng
+// varies the source fields, so distinct draws are distinct flows.
+func demoKey(ruleIdx int, rng *rand.Rand) gigaflow.Key {
+	var k gigaflow.Key
+	k.Set(gigaflow.FieldEthSrc, 0x020000000000|uint64(rng.Intn(1<<24)))
+	k.Set(gigaflow.FieldEthDst, 0x020000000001)
+	k.Set(gigaflow.FieldEthType, wire.EtherTypeIPv4)
+	k.Set(gigaflow.FieldIPSrc, uint64(0x0a000000+rng.Intn(1<<16)))
+	k.Set(gigaflow.FieldIPDst, uint64(0x0a010000+ruleIdx%demoDsts))
+	k.Set(gigaflow.FieldTpSrc, uint64(1024+rng.Intn(60000)))
+	if pick := ruleIdx % demoServices; pick < len(demoTCPPorts) {
+		k.Set(gigaflow.FieldIPProto, wire.IPProtoTCP)
+		k.Set(gigaflow.FieldTpDst, demoTCPPorts[pick])
+	} else {
+		k.Set(gigaflow.FieldIPProto, wire.IPProtoUDP)
+		k.Set(gigaflow.FieldTpDst, 53)
+	}
+	return k
+}
+
 func generate(path string, flows int, seed int64) error {
 	cfg := traffic.Config{Seed: seed, NumFlows: flows}
-	fl := traffic.GenerateFlows(cfg, traffic.UniformPicker(wiredemo.NumFlowsUnique), wiredemo.Key)
+	fl := traffic.GenerateFlows(cfg, traffic.UniformPicker(demoDsts*demoServices), demoKey)
 	pkts := traffic.Expand(cfg, fl)
 
 	f, err := os.Create(path)

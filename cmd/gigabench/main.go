@@ -26,16 +26,8 @@ import (
 var experimentOrder = []string{
 	"tab1", "fig3", "fig4", "fig8", "fig9", "fig10", "fig11", "fig12",
 	"fig13", "fig14", "fig15", "tab2", "fig16", "fig17", "fig18",
-	"sec636", "fig19", "svcbatch", "slowpath", "latency", "upcall",
-	"dnslb", "shards",
+	"sec636", "fig19",
 }
-
-// jsonOut is the -json flag: when the slowpath, latency, or upcall
-// experiment runs, it writes its machine-readable report
-// (BENCH_slowpath.json / BENCH_latency.json / BENCH_upcall.json) to
-// this path. Run those experiments individually when using -json —
-// under -exp all they would overwrite each other.
-var jsonOut string
 
 func main() {
 	var (
@@ -50,7 +42,6 @@ func main() {
 		pipeNames = flag.String("pipelines", "", "comma-separated pipeline subset (e.g. PSC,OLS)")
 		telem     = flag.Bool("telemetry", false, "dump a per-experiment metrics registry (Prometheus text) at exit")
 	)
-	flag.StringVar(&jsonOut, "json", "", "write the slowpath/latency experiment's report to this JSON file")
 	flag.Parse()
 
 	if *list {
@@ -207,42 +198,6 @@ func run(id string, p experiments.Params) error {
 		emit(reval)
 	case "fig19":
 		t, err := experiments.Fig19(p)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "svcbatch":
-		t, err := runSvcBatch(p)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "slowpath":
-		t, err := runSlowpath(p, jsonOut)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "latency":
-		t, err := runLatency(p, jsonOut)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "upcall":
-		t, err := runUpcall(p, jsonOut)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "dnslb":
-		t, err := runDNSLB(p, jsonOut)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	case "shards":
-		t, err := runShards(p, jsonOut)
 		if err != nil {
 			return err
 		}

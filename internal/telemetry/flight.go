@@ -409,15 +409,6 @@ func clampLat(ns int64) int32 {
 // Histogram returns the per-tier histogram. Owner-goroutine only.
 func (r *LatencyRecorder) Histogram(t Tier) *LatencyHistogram { return &r.hist[t] }
 
-// TierSnapshots computes the percentile ladder for every tier.
-func (r *LatencyRecorder) TierSnapshots() [NumTiers]LatencySnapshot {
-	var out [NumTiers]LatencySnapshot
-	for t := range r.hist {
-		out[t] = r.hist[t].Snapshot()
-	}
-	return out
-}
-
 // Seq reports the total number of records ever written.
 func (r *LatencyRecorder) Seq() uint64 { return r.seq }
 
@@ -460,26 +451,4 @@ func (r *LatencyRecorder) Captures() []FlightCapture {
 	out := make([]FlightCapture, len(r.captures))
 	copy(out, r.captures)
 	return out
-}
-
-// Reset clears histograms, ring, captures, and counters; used between
-// experiment phases so each phase reports its own ladder.
-func (r *LatencyRecorder) Reset() {
-	for t := range r.hist {
-		r.hist[t].Reset()
-	}
-	for i := range r.ring {
-		r.ring[i] = FlightRecord{}
-	}
-	for i := range r.runs {
-		r.runs[i] = runInfo{}
-	}
-	r.seq, r.batch, r.spikes = 0, 0, 0
-	r.runCount = 0
-	r.pending = [NumTiers]uint32{}
-	r.inCold = false
-	r.captures = nil
-	r.base = time.Now()
-	r.anchor = r.base.UnixNano()
-	r.anchorOff, r.runStart = 0, 0
 }

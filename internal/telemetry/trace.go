@@ -34,7 +34,6 @@ type Trace struct {
 	Seq          uint64  `json:"seq"`
 	StartUnixNs  int64   `json:"start_unix_ns"`
 	Key          string  `json:"key"`
-	Worker       string  `json:"worker,omitempty"`
 	CacheHit     bool    `json:"cache_hit"`
 	MicroflowHit bool    `json:"microflow_hit,omitempty"`
 	Verdict      string  `json:"verdict,omitempty"`
@@ -157,9 +156,6 @@ type TraceBuilder struct {
 // SetKey records the packet's flow key (rendered lazily by the caller so
 // unsampled packets never pay for the string).
 func (b *TraceBuilder) SetKey(k string) { b.tr.Key = k }
-
-// SetWorker records the worker that processed the packet.
-func (b *TraceBuilder) SetWorker(w string) { b.tr.Worker = w }
 
 // Begin opens a timed stage. Begin and End are safe on a nil builder — an
 // unsampled packet — where they cost the inlined nil compare and nothing

@@ -57,7 +57,6 @@ func TestTraceBuilderStages(t *testing.T) {
 		t.Fatal("expected sample")
 	}
 	b.SetKey("ip_src=10.0.0.1")
-	b.SetWorker("3")
 	b.Begin("microflow")
 	b.End(false)
 	b.Begin("gigaflow")
@@ -70,7 +69,7 @@ func TestTraceBuilderStages(t *testing.T) {
 		t.Fatalf("recent = %d traces", len(got))
 	}
 	trace := got[0]
-	if trace.Key != "ip_src=10.0.0.1" || trace.Worker != "3" || !trace.CacheHit {
+	if trace.Key != "ip_src=10.0.0.1" || !trace.CacheHit {
 		t.Errorf("trace = %+v", trace)
 	}
 	if trace.Seq != 1 {

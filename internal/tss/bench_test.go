@@ -2,7 +2,6 @@ package tss
 
 import (
 	"math/rand"
-	"os"
 	"testing"
 
 	"gigaflow/internal/flow"
@@ -120,29 +119,5 @@ func BenchmarkMapBaselineLookupHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Lookup(keys[i%len(keys)])
-	}
-}
-
-// TestSlowpathProbeGate is an opt-in performance regression gate
-// (GF_BENCH_GATE=1): the fused-probe classifier must beat the map-backed
-// baseline by at least slowpathFloor on the cold full-sweep workload and
-// must not allocate. The floor is set well under the ~2x measured on dev
-// hardware to absorb CI noise while still catching a probe-path
-// regression that forfeits the fused-probe win.
-func TestSlowpathProbeGate(t *testing.T) {
-	if os.Getenv("GF_BENCH_GATE") == "" {
-		t.Skip("set GF_BENCH_GATE=1 to run the slow-path probe gate")
-	}
-	const slowpathFloor = 1.4
-	fused := testing.Benchmark(BenchmarkSlowpathColdSweep)
-	base := testing.Benchmark(BenchmarkMapBaselineSlowpathColdSweep)
-	if fused.AllocsPerOp() != 0 {
-		t.Fatalf("fused slow-path sweep allocates %d allocs/op, want 0", fused.AllocsPerOp())
-	}
-	ratio := float64(base.NsPerOp()) / float64(fused.NsPerOp())
-	t.Logf("slow-path cold sweep: fused %d ns/op, map baseline %d ns/op, speedup %.2fx (floor %.1fx)",
-		fused.NsPerOp(), base.NsPerOp(), ratio, slowpathFloor)
-	if ratio < slowpathFloor {
-		t.Fatalf("slow-path speedup %.2fx below floor %.1fx", ratio, slowpathFloor)
 	}
 }

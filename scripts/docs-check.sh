@@ -1,0 +1,41 @@
+#!/bin/sh
+# docs-check: the living documents may only name what exists. Every
+# `make <target>` is a Makefile target, every `gigabench -exp <id>` is an
+# id `gigabench -list` prints, and every backticked root-relative *.json /
+# *.md / cmd/… / examples/… / results/… path is in the tree (or is a
+# generated file .gitignore names). CHANGES.md and ROADMAP.md are history
+# and are not read. Run from the repository root: make docs-check (the
+# one argument is the go command to use).
+docs="README.md EXPERIMENTS.md DESIGN.md .claude/skills/verify/SKILL.md"
+status=0
+bad() {
+	echo "docs-check: $1"
+	status=1
+}
+
+# A make invocation is inline code that starts with it, or a line of a
+# fenced block that does; "we make the" in prose is neither.
+targets=$(awk '
+	FNR == 1 { fence = 0 }
+	/^[ \t]*```/ { fence = !fence; next }
+	fence { if (match($0, /^[ \t]*(\$ )?make [a-z][a-z0-9-]*/)) { s = substr($0, RSTART, RLENGTH); sub(/.*make /, "", s); print s }; next }
+	{ while (match($0, /`make [a-z][a-z0-9-]*/)) { print substr($0, RSTART + 6, RLENGTH - 6); $0 = substr($0, RSTART + RLENGTH) } }
+' $docs | sort -u)
+for t in $targets; do
+	grep -q "^$t:" Makefile || bad "\`make $t\`: no such Makefile target"
+done
+
+ids=$(${1:-go} run ./cmd/gigabench -list) || bad "gigabench -list failed"
+for id in $(grep -ohE 'gigabench -exp [a-z0-9]+' $docs | awk '{print $3}' | sort -u); do
+	[ "$id" = all ] || echo "$ids" | grep -qx "$id" || bad "\`gigabench -exp $id\`: not an experiment gigabench -list prints"
+done
+
+# Words of single-line inline code; globs, brace lists and the prN
+# placeholder name no one file.
+paths=$(grep -ohE '`[^`]+`' $docs | tr -d '`' | tr ' \t' '\n\n' | sed -e 's|^\./||' -e 's|[,.;:)]*$||' |
+	grep -E '^([A-Za-z0-9_-]+\.(json|md)|(cmd|examples|results)/[^ ]*)$' | grep -vE '[*{}<>]|prN' | sort -u)
+for p in $paths; do
+	[ -e "$p" ] || grep -qxF "$p" .gitignore || bad "\`$p\`: no such file"
+done
+
+exit $status

@@ -32,66 +32,89 @@ func within(t *testing.T, d time.Duration, what string, fn func()) {
 
 // TestControlOpsOnStoppedService: every control operation on a service
 // that is not running returns at once with the lifecycle error — before
-// Start and after Close — where it used to queue a closure to a worker
-// that would never run it (CacheEntries, which takes no context, blocked
-// forever).
+// Start, after Close, and after the context Start was given is cancelled
+// — where it used to queue a closure to a worker that would never run it
+// (CacheEntries, which takes no context, blocked forever). The cancelled
+// leg serves telemetry: that server outlives the workers until Close, and
+// must not keep the service looking alive to callers meanwhile.
 func TestControlOpsOnStoppedService(t *testing.T) {
-	s, err := New(buildPipeline(), Config{
-		Workers: 2,
-		Cache:   gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	check := func(want error) {
-		t.Helper()
-		within(t, 5*time.Second, "control ops", func() {
-			if n := s.CacheEntries(); n != 0 {
-				t.Errorf("CacheEntries = %d, want 0 (%v)", n, want)
+	for _, tc := range []struct {
+		name, telemetryAddr string
+		cancel              bool
+	}{
+		{"Close", "", false},
+		{"cancelled ctx, telemetry on", "127.0.0.1:0", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(buildPipeline(), Config{
+				Workers:       2,
+				Cache:         gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256},
+				TelemetryAddr: tc.telemetryAddr,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if _, err := s.Stats(ctx); !errors.Is(err, want) {
-				t.Errorf("Stats: %v, want %v", err, want)
+			ctx := context.Background()
+			check := func(want error) {
+				t.Helper()
+				within(t, 5*time.Second, "control ops", func() {
+					if n := s.CacheEntries(); n != 0 {
+						t.Errorf("CacheEntries = %d, want 0 (%v)", n, want)
+					}
+					if _, err := s.Stats(ctx); !errors.Is(err, want) {
+						t.Errorf("Stats: %v, want %v", err, want)
+					}
+					if _, err := s.ShardStats(ctx); !errors.Is(err, want) {
+						t.Errorf("ShardStats: %v, want %v", err, want)
+					}
+					if err := s.Collect(ctx); !errors.Is(err, want) {
+						t.Errorf("Collect: %v, want %v", err, want)
+					}
+					if err := s.UpdateRules(ctx, func(*gigaflow.Pipeline) error { return nil }); !errors.Is(err, want) {
+						t.Errorf("UpdateRules: %v, want %v", err, want)
+					}
+					h := s.TelemetryHandler()
+					for _, path := range []string{"/cache", "/latency", "/shards", "/debug/flight"} {
+						rec := httptest.NewRecorder()
+						h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+						if rec.Code != http.StatusServiceUnavailable {
+							t.Errorf("GET %s: status %d, want 503", path, rec.Code)
+						}
+					}
+					// A scrape still serves the registry's last values.
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+					if rec.Code != http.StatusOK {
+						t.Errorf("GET /metrics: status %d, want 200", rec.Code)
+					}
+				})
 			}
-			if _, err := s.ShardStats(ctx); !errors.Is(err, want) {
-				t.Errorf("ShardStats: %v, want %v", err, want)
+			check(ErrNotStarted)
+			startCtx, cancel := context.WithCancel(ctx)
+			defer cancel()
+			if err := s.Start(startCtx); err != nil {
+				t.Fatal(err)
 			}
-			if err := s.Collect(ctx); !errors.Is(err, want) {
-				t.Errorf("Collect: %v, want %v", err, want)
+			if _, err := s.Submit(ctx, key(1, 80)); err != nil {
+				t.Fatal(err)
 			}
-			if err := s.UpdateRules(ctx, func(*gigaflow.Pipeline) error { return nil }); !errors.Is(err, want) {
-				t.Errorf("UpdateRules: %v, want %v", err, want)
+			if n := s.CacheEntries(); n == 0 {
+				t.Error("running service reports no cache entries after a miss")
 			}
-			h := s.TelemetryHandler()
-			for _, path := range []string{"/cache", "/latency", "/shards", "/debug/flight"} {
-				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-				if rec.Code != http.StatusServiceUnavailable {
-					t.Errorf("GET %s: status %d, want 503", path, rec.Code)
+			if tc.cancel {
+				cancel()
+				// Until the workers have drained, an op may still be served.
+				within(t, 5*time.Second, "workers exiting after cancellation", func() { <-s.term })
+				check(ErrClosed)
+			}
+			within(t, 5*time.Second, "Close", func() {
+				if err := s.Close(); err != nil {
+					t.Error(err)
 				}
-			}
-			// A scrape still serves the registry's last values.
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-			if rec.Code != http.StatusOK {
-				t.Errorf("GET /metrics: status %d, want 200", rec.Code)
-			}
+			})
+			check(ErrClosed)
 		})
 	}
-	check(ErrNotStarted)
-	if err := s.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Submit(ctx, key(1, 80)); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.CacheEntries(); n == 0 {
-		t.Error("running service reports no cache entries after a miss")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	check(ErrClosed)
 }
 
 // TestUpcallStatsOnStoppedService is the same contract for the offload
@@ -470,19 +493,26 @@ func TestShardOwnershipUnderRace(t *testing.T) {
 
 // TestSubmitFrameBatchZeroAlloc: at steady state a blocking frame batch
 // allocates nothing — not at one shard, where the submitter runs the
-// whole batch in place, and not at two, where one share crosses a worker
-// queue and the other runs in place.
+// whole batch in place, not at two, where one share crosses a worker
+// queue and the other runs in place, and not with connection tracking
+// on, where every hit of these TCP flows runs the conntrack guard (the
+// pipeline is stateless: this is what tracking costs a user who never
+// writes a stateful rule).
 func TestSubmitFrameBatchZeroAlloc(t *testing.T) {
 	const flows = 64
 	frames := make([]Frame, flows)
 	for i := range frames {
 		frames[i] = Frame{Data: wire.Encode(perFlowKey(i))}
 	}
-	for _, workers := range []int{1, 2} {
+	for _, tc := range []struct {
+		workers int
+		ct      bool
+	}{{1, false}, {2, false}, {1, true}} {
 		s, err := New(perFlowPipeline(flows), Config{
-			Workers:           workers,
+			Workers:           tc.workers,
 			Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 1024},
 			MicroflowCapacity: 8 * flows,
+			Conntrack:         ConntrackConfig{Enable: tc.ct},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -501,12 +531,15 @@ func TestSubmitFrameBatchZeroAlloc(t *testing.T) {
 			submit() // install, memoise, size the shares
 		}
 		if n := testing.AllocsPerRun(200, submit); n != 0 {
-			t.Errorf("workers=%d: %.2f allocs per steady-state SubmitFrameBatch, want 0", workers, n)
+			t.Errorf("%+v: %.2f allocs per steady-state SubmitFrameBatch, want 0", tc, n)
 		}
 		for i := 0; i < flows; i++ {
 			if r := b.Result(i); r.Err != nil || !r.CacheHit {
-				t.Fatalf("workers=%d: frame %d: %+v", workers, i, r)
+				t.Fatalf("%+v: frame %d: %+v", tc, i, r)
 			}
+		}
+		if st, err := s.Stats(ctx); err != nil || (st.CtFastpath > 0) != tc.ct {
+			t.Errorf("%+v: CtFastpath = %d, %v; the guard must run exactly when tracking is on", tc, st.CtFastpath, err)
 		}
 		s.Close()
 	}

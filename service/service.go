@@ -99,10 +99,6 @@ type UpcallConfig struct {
 	// that finds it full is handled per Overflow; packets of
 	// already-pending flows never touch the queue.
 	Queue int
-	// Batch bounds how many queued misses an engine goroutine drains per
-	// wakeup, batching traversals and rule installs (default
-	// DefaultBatchSize).
-	Batch int
 	// Overflow selects the full-queue policy: OverflowInline (default)
 	// traverses on the worker, OverflowDrop fails the packet with
 	// ErrUpcallOverflow.
@@ -116,29 +112,20 @@ func (c UpcallConfig) validate() error {
 	if c.Queue < 0 {
 		return fmt.Errorf("service: negative Upcall.Queue (%d)", c.Queue)
 	}
-	if c.Batch < 0 {
-		return fmt.Errorf("service: negative Upcall.Batch (%d)", c.Batch)
-	}
 	switch c.Overflow {
 	case OverflowInline, OverflowDrop:
 	default:
 		return fmt.Errorf("service: unknown Upcall.Overflow (%d)", c.Overflow)
 	}
-	if c.Workers == 0 &&
-		(c.Queue != 0 || c.Batch != 0 || c.Overflow != OverflowInline) {
+	if c.Workers == 0 && (c.Queue != 0 || c.Overflow != OverflowInline) {
 		return errors.New("service: upcall knobs set but Upcall.Workers is 0 (offload disabled)")
 	}
 	return nil
 }
 
 func (c UpcallConfig) withDefaults() UpcallConfig {
-	if c.Workers > 0 {
-		if c.Queue <= 0 {
-			c.Queue = 1024
-		}
-		if c.Batch <= 0 {
-			c.Batch = DefaultBatchSize
-		}
+	if c.Workers > 0 && c.Queue <= 0 {
+		c.Queue = 1024
 	}
 	return c
 }
@@ -152,7 +139,7 @@ type LatencyConfig struct {
 	// per batch and plain stores per packet.
 	Disable bool
 	// FlightRecords sizes each worker's flight-recorder ring, rounded up
-	// to a power of two (default 4096).
+	// to a power of two (default telemetry.DefaultFlightRecords, 1024).
 	FlightRecords int
 	// Spike, when set, snapshots a worker's flight ring whenever a
 	// packet's latency meets or exceeds it, so a tail spike comes with
@@ -258,9 +245,13 @@ type Config struct {
 	Conntrack ConntrackConfig
 
 	// TelemetryAddr, when non-empty, serves the introspection endpoints
-	// (/metrics, /traces, /cache, /debug/pprof, /debug/vars) on this
-	// address for the service's lifetime (e.g. "127.0.0.1:9090"; use
-	// port 0 to pick a free port, readable via Service.TelemetryAddr).
+	// (/metrics, /traces, /cache, /shards, /latency, /debug/flight,
+	// /debug/pprof, /debug/vars; see TelemetryHandler) on this address
+	// from Start until Close (e.g. "127.0.0.1:9090"; use port 0 to pick
+	// a free port, readable via Service.TelemetryAddr). Cancelling
+	// Start's context stops the workers but not this server: until Close
+	// it keeps serving the registry's last values and answers the
+	// per-shard endpoints with 503.
 	TelemetryAddr string
 	// TraceSample records a full traversal trace for one in N processed
 	// packets (0 disables tracing; the packet path then carries a single
@@ -589,7 +580,9 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 	}
 	if cfg.Upcall.Workers > 0 {
 		s.upq = upcall.NewQueue[parked](cfg.Upcall.Queue)
-		s.eng = upcall.NewEngine(s.upq, cfg.Upcall.Workers, cfg.Upcall.Batch, s.handleUpcalls)
+		// An engine goroutine drains up to DefaultBatchSize queued misses
+		// per wakeup, batching their traversals and completions.
+		s.eng = upcall.NewEngine(s.upq, cfg.Upcall.Workers, DefaultBatchSize, s.handleUpcalls)
 		for _, w := range s.workers {
 			w.upq = s.upq
 		}

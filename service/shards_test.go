@@ -7,8 +7,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -473,132 +471,5 @@ func TestSubmitFrameBatchConcurrent(t *testing.T) {
 	// submitter-side and shard-side decodes.
 	if got, want := s.frames.frames.Value(), uint64(submitters*perBatch*batches); got != want {
 		t.Errorf("frames counter = %d, want %d", got, want)
-	}
-}
-
-// TestShardScalingGate is the sharding floor behind `make bench-gate`:
-// at 2 shards the stateless wire mix must sustain at least 1.5x the
-// 1-shard throughput, and the extractor path must stay at 0 allocs/op.
-//
-// The scaling claim is checked in the mode the machine can support. With
-// 4+ CPUs it is measured directly: wall-clock SubmitFrameBatch
-// throughput at Workers=2 vs Workers=1. On smaller boxes (this project's
-// CI container has two CPUs, shared with the benchmark loop itself) the
-// gate measures the two REAL stage costs — t_submit, the serial
-// per-frame ingestion work (RSS extraction, shard routing, filing the
-// frame under its shard), and t_worker, everything a shard does (full
-// decode plus cache processing), derived from the measured 1-shard
-// end-to-end cost — and applies the bound of the run-to-completion
-// design: one submitter ingests the whole batch, then the N shares run
-// side by side (N-1 on worker goroutines, the last on the submitter
-// itself), so a batch costs t_submit + t_worker/N per frame and the
-// modeled 2-shard speedup is (ts+tw)/(ts+tw/2). It reaches 1.5x only
-// while the serial stage stays at or under half the shard's work — the
-// same condition the old pipeline bound max(ts,tw)/max(ts,tw/2) put on
-// it — so the floor still fails if ingestion regresses. (Measured when
-// the model was re-derived, PR 15: t_submit 30 ns, t_worker 76 ns.) The
-// model leaves out the wake-up a queued share pays, which on a 2-CPU
-// box dominates a 64-frame batch; that is why it is only the fallback.
-// Skipped unless GF_BENCH_GATE=1.
-func TestShardScalingGate(t *testing.T) {
-	if os.Getenv("GF_BENCH_GATE") != "1" {
-		t.Skip("set GF_BENCH_GATE=1 to run the shard scaling gate")
-	}
-	const flows = 256
-	frames := make([]Frame, flows)
-	for i := range frames {
-		frames[i] = Frame{Data: wire.Encode(perFlowKey(i))}
-	}
-
-	// Floor 1: the extractor path allocates nothing.
-	if n := testing.AllocsPerRun(500, func() {
-		if _, ok := wire.RSSHash(frames[7].Data); !ok {
-			t.Fatal("extraction failed")
-		}
-	}); n != 0 {
-		t.Fatalf("RSSHash allocates %.1f/op, want 0", n)
-	}
-
-	ctx := context.Background()
-	startShards := func(workers int) *Service {
-		s, err := New(perFlowPipeline(flows), Config{
-			Workers:           workers,
-			Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 4096},
-			MicroflowCapacity: 8 * flows,
-			Latency:           LatencyConfig{Disable: true},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Start(ctx); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
-		// Warm every flow so the measurement is the steady-state hit path.
-		warm := NewBatch(flows)
-		if err := s.SubmitFrameBatch(ctx, frames, warm); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	perFrameNs := func(s *Service) float64 {
-		r := testing.Benchmark(func(bb *testing.B) {
-			batch := NewBatch(flows)
-			for sent := 0; sent < bb.N; sent += flows {
-				if err := s.SubmitFrameBatch(ctx, frames, batch); err != nil {
-					bb.Fatal(err)
-				}
-			}
-		})
-		return float64(r.NsPerOp())
-	}
-
-	s1 := startShards(1)
-	t1 := perFrameNs(s1)
-
-	// The serial ingestion stage in isolation: extract, route, file the
-	// frame under its shard — everything SubmitFrameBatch does per frame
-	// before a shard sees it. Also held to 0 allocs/op at steady state
-	// (the shares are warm after the first fill).
-	scratch := NewBatch(flows)
-	fill := func() {
-		scratch.Reset()
-		scratch.shape(len(s1.workers))
-		scratch.ingest(s1, frames)
-	}
-	sub := testing.Benchmark(func(bb *testing.B) {
-		for sent := 0; sent < bb.N; sent += flows {
-			fill()
-		}
-	})
-	tSubmit := float64(sub.NsPerOp())
-	if n := testing.AllocsPerRun(200, fill); n != 0 {
-		t.Fatalf("warm ingestion path allocates %.1f/op, want 0", n)
-	}
-
-	tWorker := t1 - tSubmit
-	if tWorker <= 0 {
-		t.Fatalf("stage decomposition degenerate: total %.1f ns <= submit %.1f ns", t1, tSubmit)
-	}
-	modeled := (tSubmit + tWorker) / (tSubmit + tWorker/2)
-
-	cpus := runtime.NumCPU()
-	if cpus >= 4 {
-		s2 := startShards(2)
-		t2 := perFrameNs(s2)
-		speedup := t1 / t2
-		fmt.Printf("bench-gate: shards measured (%d cpus): 1-shard %.0f ns/pkt, 2-shard %.0f ns/pkt, speedup %.2fx (floor 1.50x); modeled %.2fx; extractor 0 allocs/op\n",
-			cpus, t1, t2, speedup, modeled)
-		if speedup < 1.5 {
-			t.Fatalf("2-shard throughput is only %.2fx of 1-shard (floor 1.5x): %.0f vs %.0f ns/pkt",
-				speedup, t2, t1)
-		}
-		return
-	}
-	fmt.Printf("bench-gate: shards modeled (%d cpu): t_submit %.0f ns, t_worker %.0f ns, run-to-completion 2-shard speedup %.2fx (floor 1.50x); extractor 0 allocs/op\n",
-		cpus, tSubmit, tWorker, modeled)
-	if modeled < 1.5 {
-		t.Fatalf("modeled 2-shard speedup is only %.2fx (floor 1.5x): t_submit %.0f ns vs t_worker %.0f ns — the serial ingestion stage is too heavy",
-			modeled, tSubmit, tWorker)
 	}
 }

@@ -331,26 +331,35 @@ func (s *Service) TelemetryHandler() http.Handler {
 type telemetryServer struct {
 	ln  net.Listener
 	srv *http.Server
+	// served is closed when startTelemetry's goroutine exits; nil under
+	// ServeTelemetry, where the goroutine is the caller's.
+	served chan struct{}
 }
 
 func (t *telemetryServer) stop() {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	_ = t.srv.Shutdown(ctx)
+	if t.served != nil {
+		<-t.served
+	}
 }
 
 // startTelemetry begins serving the introspection endpoints on addr;
-// called from Start when Config.TelemetryAddr is set.
+// called from Start when Config.TelemetryAddr is set. The server's
+// goroutine is joined by Close and is not one of those term waits on:
+// cancelling Start's ctx stops the workers, and control ops must then see
+// term close whether or not telemetry is still being served.
 func (s *Service) startTelemetry(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("service: telemetry listener: %w", err)
 	}
 	srv := &http.Server{Handler: s.TelemetryHandler()}
-	s.tsrv = &telemetryServer{ln: ln, srv: srv}
-	s.done.Add(1)
+	served := make(chan struct{})
+	s.tsrv = &telemetryServer{ln: ln, srv: srv, served: served}
 	go func() {
-		defer s.done.Done()
+		defer close(served)
 		_ = srv.Serve(ln) // ErrServerClosed on shutdown
 	}()
 	return nil

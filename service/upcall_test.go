@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"sort"
 	"testing"
 	"time"
 
@@ -201,7 +199,6 @@ func TestUpcallOrdering(t *testing.T) {
 func TestUpcallOverflowDrop(t *testing.T) {
 	cfg := upcallConfig(BackendGigaflow, 1, 1)
 	cfg.Upcall.Queue = 1
-	cfg.Upcall.Batch = 1
 	cfg.Upcall.Overflow = OverflowDrop
 	s := startCfg(t, cfg)
 	ctx := context.Background()
@@ -268,7 +265,6 @@ func TestUpcallOverflowDrop(t *testing.T) {
 func TestUpcallOverflowInline(t *testing.T) {
 	cfg := upcallConfig(BackendGigaflow, 1, 1)
 	cfg.Upcall.Queue = 1
-	cfg.Upcall.Batch = 1
 	s := startCfg(t, cfg)
 	ctx := context.Background()
 
@@ -299,7 +295,6 @@ func TestUpcallOverflowInline(t *testing.T) {
 // once the engine is released.
 func TestUpcallShutdownParked(t *testing.T) {
 	cfg := upcallConfig(BackendGigaflow, 1, 1)
-	cfg.Upcall.Batch = 1
 	s, err := New(buildPipeline(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -385,109 +380,66 @@ func holPipeline(hosts int) *gigaflow.Pipeline {
 	return p
 }
 
-// holProbe measures the warm flow's blocking-submit latency while cold
-// storms of stormSize never-before-seen flows are dumped on the same
-// worker ahead of each probe. Returns the probe p50/p99 in nanoseconds.
-func holProbe(t *testing.T, s *Service, hot gigaflow.Key, rounds, stormSize int) (p50, p99 float64) {
-	t.Helper()
+// TestUpcallWarmFlowNotBlocked is head-of-line blocking as a property:
+// with the engine wedged mid-traversal (the test holds the shard's
+// slow-path lock) and a cold flow parked behind it, a warm flow's
+// blocking Submit is still served from the cache — parking a miss must
+// never stall the datapath behind it. Releasing the lock completes the
+// cold flow as the miss it was.
+func TestUpcallWarmFlowNotBlocked(t *testing.T) {
+	s, err := New(holPipeline(2), upcallConfig(BackendGigaflow, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
-	// Warm the hot flow.
-	for i := 0; i < 4; i++ {
-		if r, err := s.Submit(ctx, hot); err != nil || r.Err != nil {
-			t.Fatalf("warming: %v %v", err, r.Err)
-		}
+	if err := s.Start(ctx); err != nil {
+		t.Fatal(err)
 	}
-	storm := NewBatch(stormSize)
-	lats := make([]float64, 0, rounds)
-	host := 0
-	for r := 0; r < rounds; r++ {
-		storm.Reset()
-		for j := 0; j < stormSize; j++ {
-			storm.Add(key(uint64(host), 80))
-			host++
-		}
-		if err := s.SubmitBatch(ctx, storm, Nonblocking()); err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		res, err := s.Submit(ctx, hot)
-		lat := float64(time.Since(start).Nanoseconds())
-		if err != nil || res.Err != nil {
-			t.Fatalf("probe: %v %v", err, res.Err)
-		}
-		lats = append(lats, lat)
-		// Off the clock, let the engine drain this round's storm so the
-		// gate measures per-storm head-of-line blocking, not cumulative
-		// engine lag. Inline rounds are self-pacing: the blocking probe
-		// already waited behind the whole storm. No-op when the service
-		// has no offload (UpcallStats reports zero either way).
-		for {
-			us, err := s.UpcallStats(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if us.ParkedPackets == 0 && us.QueueDepth == 0 {
-				break
-			}
-		}
-	}
-	sort.Float64s(lats)
-	return lats[len(lats)/2], lats[(len(lats)*99)/100]
-}
-
-// TestUpcallHOLGate is the head-of-line-blocking regression gate behind
-// `make bench-gate`: during a cold-flow storm, a warm flow's p99
-// blocking-submit latency with the async offload must be at least 2x
-// better than the same workload processed inline — the whole point of
-// parking misses instead of traversing them on the datapath goroutine.
-// Skipped unless GF_BENCH_GATE=1.
-func TestUpcallHOLGate(t *testing.T) {
-	if os.Getenv("GF_BENCH_GATE") != "1" {
-		t.Skip("set GF_BENCH_GATE=1 to run the upcall HOL gate")
-	}
-	const (
-		rounds    = 200
-		stormSize = 32
-		hosts     = rounds*stormSize + 1
-	)
-	mkCfg := func(engineWorkers int) Config {
-		cfg := Config{
-			Workers:           1,
-			Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 4096},
-			MicroflowCapacity: 1024,
-			QueueDepth:        4096,
-		}
-		if engineWorkers > 0 {
-			cfg.Upcall = UpcallConfig{Workers: engineWorkers, Queue: 8192}
-		}
-		return cfg
-	}
-	hot := key(uint64(hosts-1), 80)
-
-	mk := func(engineWorkers int) *Service {
-		s, err := New(holPipeline(hosts), mkCfg(engineWorkers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Start(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
-		return s
+	t.Cleanup(func() { s.Close() })
+	warm, cold := key(0, 80), key(1, 80)
+	if _, err := s.Submit(ctx, warm); err != nil {
+		t.Fatal(err)
 	}
 
-	inline := mk(0)
-	async := mk(2)
-	inP50, inP99 := holProbe(t, inline, hot, rounds, stormSize)
-	asP50, asP99 := holProbe(t, async, hot, rounds, stormSize)
+	w := s.workers[0]
+	w.slowMu.Lock()
+	wedged := true
+	release := func() {
+		if wedged {
+			wedged = false
+			w.slowMu.Unlock()
+		}
+	}
+	defer release() // a failed assertion must not leave Close waiting on the engine
 
-	speedup := inP99 / asP99
-	t.Logf("inline p50/p99 %.0f/%.0f ns, async p50/p99 %.0f/%.0f ns, p99 speedup %.1fx",
-		inP50, inP99, asP50, asP99, speedup)
-	fmt.Printf("bench-gate: warm-flow p99 under cold storm: inline %.0f ns, async %.0f ns, speedup %.1fx (floor 2.0x)\n",
-		inP99, asP99, speedup)
-	if speedup < 2 {
-		t.Fatalf("async offload p99 is only %.1fx better than inline (floor 2x): %.0f vs %.0f ns",
-			speedup, asP99, inP99)
+	resp := make(chan Result, 1)
+	if _, err := s.Submit(ctx, cold, Nonblocking(), WithResponse(resp)); err != nil {
+		t.Fatal(err)
+	}
+	// A shard with a message in flight runs nothing in place, so this
+	// Submit queues behind the cold packet: it is served after the worker
+	// has handled — parked — that miss, or not at all.
+	within(t, 5*time.Second, "warm flow's Submit behind a parked miss", func() {
+		if res, err := s.Submit(ctx, warm); err != nil || res.Err != nil || !res.CacheHit {
+			t.Errorf("warm flow behind a parked miss: %+v, %v; want a cache hit", res, err)
+		}
+	})
+	if us, err := s.UpcallStats(ctx); err != nil || us.ParkedPackets != 1 {
+		t.Errorf("upcall stats %+v, %v; want the cold packet parked", us, err)
+	}
+	select {
+	case r := <-resp:
+		t.Errorf("cold flow completed with the engine wedged: %+v", r)
+	default:
+	}
+
+	release()
+	select {
+	case r := <-resp:
+		if r.Err != nil || r.CacheHit || r.Verdict.Port != 1 {
+			t.Errorf("cold flow: %+v; want a miss forwarded to port 1", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cold flow never completed after the engine was released")
 	}
 }
