@@ -3,9 +3,11 @@
 # `make <target>` is a Makefile target, every `gigabench -exp <id>` is an
 # id `gigabench -list` prints, and every backticked root-relative *.json /
 # *.md / cmd/… / examples/… / results/… path is in the tree (or is a
-# generated file .gitignore names). CHANGES.md and ROADMAP.md are history
-# and are not read. Run from the repository root: make docs-check (the
-# one argument is the go command to use).
+# generated file .gitignore names), and every gigaflow_… metric name — in
+# the documents or in a Go comment of the service or root package — is one
+# the code registers. CHANGES.md and ROADMAP.md are history and are not
+# read. Run from the repository root: make docs-check (the one argument is
+# the go command to use).
 docs="README.md EXPERIMENTS.md DESIGN.md .claude/skills/verify/SKILL.md"
 status=0
 bad() {
@@ -36,6 +38,21 @@ paths=$(grep -ohE '`[^`]+`' $docs | tr -d '`' | tr ' \t' '\n\n' | sed -e 's|^\./
 	grep -E '^([A-Za-z0-9_-]+\.(json|md)|(cmd|examples|results)/[^ ]*)$' | grep -vE '[*{}<>]|prN' | sort -u)
 for p in $paths; do
 	[ -e "$p" ] || grep -qxF "$p" .gitignore || bad "\`$p\`: no such file"
+done
+
+# A metric is registered under a string literal in non-test Go. A token
+# ending in _ is a family prefix (gigaflow_ct_*) and names no one metric;
+# a histogram's _count / _sum / _bucket series stand for their family.
+gosrc=$(ls ./*.go service/*.go)
+registered=$(grep -rhoE --include='*.go' --exclude='*_test.go' '"gigaflow_[a-z0-9_]+"' . | tr -d '"' | sort -u)
+metrics=$({
+	grep -ohE 'gigaflow_[a-z0-9_]+(\.go)?' README.md DESIGN.md EXPERIMENTS.md
+	grep -ohE '//.*' $gosrc | grep -oE 'gigaflow_[a-z0-9_]+(\.go)?'
+} | grep -vE '(_|\.go)$' | sort -u)
+for m in $metrics; do
+	echo "$registered" | grep -qx -e "$m" -e "$(echo "$m" | sed -E 's/_(count|sum|bucket)$//')" && continue
+	at=$(grep -nE "(^|[^a-z0-9_])$m([^a-z0-9_]|\$)" README.md DESIGN.md EXPERIMENTS.md $gosrc | cut -d: -f1,2 | tr '\n' ' ')
+	bad "\`$m\`: no such metric (${at% })"
 done
 
 exit $status

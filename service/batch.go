@@ -310,7 +310,6 @@ func (b *Batch) fail(err error) {
 type submitOpts struct {
 	nonblocking bool
 	resp        chan<- Result
-	meta        uint8
 }
 
 // SubmitOption configures a single submission call. Options transform
@@ -347,41 +346,32 @@ func WithResponse(resp chan<- Result) SubmitOption {
 	return func(o submitOpts) submitOpts { o.resp = resp; return o }
 }
 
-// WithTCPFlags attaches the packet's TCP flag byte to a single-key
-// Submit, feeding the conntrack state machine when Config.Conntrack is
-// enabled (ignored otherwise). SubmitFrame fills it from the decoder
-// automatically; batch submitters use Batch.AddMeta instead.
-func WithTCPFlags(flags uint8) SubmitOption {
-	return func(o submitOpts) submitOpts { o.meta = flags; return o }
-}
-
-// batchPool recycles single-request batches so the Submit wrapper stays
-// allocation-free at steady state.
+// batchPool recycles single-request batches so the Submit and SubmitFrame
+// wrappers stay allocation-free at steady state.
 var batchPool = sync.Pool{New: func() any { return NewBatch(1) }}
 
-// Submit processes one packet. By default it blocks until the verdict is
-// available and returns it; with Nonblocking it only enqueues (the
-// returned Result is zero; pair with WithResponse to receive the verdict
-// asynchronously). Flows with the same 5-tuple always reach the same
-// worker. Errors: ErrNotStarted, ErrClosed, ErrQueueFull (nonblocking),
-// ctx.Err(), or the packet's own pipeline error.
+// Submit processes one packet: a pooled batch of one through SubmitBatch.
+// By default it blocks until the verdict is available and returns it; with
+// Nonblocking it only enqueues (the returned Result carries no verdict;
+// pair with WithResponse to receive it asynchronously). Flows with the
+// same 5-tuple always reach the same worker. Errors: ErrNotStarted,
+// ErrClosed, ErrQueueFull (nonblocking), ctx.Err(), or the packet's own
+// pipeline error.
 func (s *Service) Submit(ctx context.Context, k gigaflow.Key, opts ...SubmitOption) (Result, error) {
-	return s.submitKey(ctx, k, applyOpts(opts))
-}
-
-// submitKey is the single-key body shared by Submit and SubmitFrame
-// (which injects the decoded TCP flags into o.meta itself).
-func (s *Service) submitKey(ctx context.Context, k gigaflow.Key, o submitOpts) (Result, error) {
-	if o.nonblocking {
-		return Result{}, s.enqueueOne(k, o.meta, o.resp)
-	}
 	b := batchPool.Get().(*Batch)
 	b.Reset()
-	b.AddMeta(k, o.meta)
-	err := s.submit(ctx, b, o)
+	b.Add(k)
+	return only(b, s.submit(ctx, b, applyOpts(opts)))
+}
+
+// only returns a submitted pooled batch's one result, and the batch to
+// the pool. The request's own error comes first: one that never ran
+// carries the call-level error already, and a refused frame — never
+// submitted, whatever state the service is in — its ErrShortFrame.
+func only(b *Batch, err error) (Result, error) {
 	r := b.Result(0)
 	batchPool.Put(b)
-	if err != nil {
+	if r.Err == nil && err != nil {
 		return Result{}, err
 	}
 	return r, r.Err
@@ -536,15 +526,4 @@ func (s *Service) submitNonblocking(b *Batch, resp chan<- Result) {
 			blk.settle(ErrQueueFull)
 		}
 	}
-}
-
-// enqueueOne is the single-packet nonblocking path: one packet message,
-// no job bookkeeping.
-func (s *Service) enqueueOne(k gigaflow.Key, meta uint8, resp chan<- Result) error {
-	w := s.workers[s.shardOfKey(&k)]
-	if !w.offer(packet{key: k, meta: meta, resp: resp}) {
-		w.drops.Add(1)
-		return ErrQueueFull
-	}
-	return nil
 }

@@ -27,7 +27,7 @@ var (
 	// ErrQueueFull reports a nonblocking submission dropped because the
 	// target worker's queue was full — the overload behaviour of a real
 	// NIC rx ring. Each drop is also counted against the worker in the
-	// gigaflow_queue_drops_total metric.
+	// gigaflow_queue_full_drops_total metric.
 	ErrQueueFull = errors.New("service: worker queue full")
 
 	// ErrUpcallOverflow reports a main-cache miss dropped because the

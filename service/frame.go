@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 
-	"gigaflow"
 	wire "gigaflow/internal/packet"
 	"gigaflow/internal/telemetry"
 )
@@ -104,38 +103,21 @@ func (m *frameMetrics) flush(t *frameTally) {
 	*t = frameTally{}
 }
 
-// DecodeFrame runs the wire-format decoder and the service's frame
-// accounting without submitting the result — SubmitFrame's first half,
-// exposed for callers (the replay engine, tests) that need the key or
-// decode Info themselves.
-//
-//gf:hotpath
-func (s *Service) DecodeFrame(inPort uint16, frame []byte) (gigaflow.Key, wire.Info) {
-	k, info := wire.Decode(frame, inPort)
-	var t frameTally // a run of one; the batch paths tally a whole job
-	t.add(&info, len(frame))
-	s.frames.flush(&t)
-	return k, info
-}
-
-// SubmitFrame decodes a raw Ethernet frame received on inPort and
-// submits the resulting key with Submit's semantics (blocking by
-// default; the Nonblocking and WithResponse options apply). The decoded
-// TCP flag byte rides along as the packet's metadata, so a
-// conntrack-enabled service sees handshakes and closes. Frames with
-// decode defects degrade to the longest well-formed prefix of the key
-// and are still forwarded (the pipeline decides their fate); only a
-// frame too short to carry an Ethernet header is rejected, with
-// ErrShortFrame (a *FrameError matching ErrBadFrame). Decode outcomes
-// are counted in the metrics registry either way.
-func (s *Service) SubmitFrame(ctx context.Context, inPort uint16, frame []byte, opts ...SubmitOption) (Result, error) {
-	k, info := s.DecodeFrame(inPort, frame)
-	if info.Err == wire.ErrShortFrame {
-		return Result{}, ErrShortFrame
+// decodeCounts reads what Replay reports as deltas: frames decoded per
+// protocol class, and how many of them decoded with a defect yet were
+// forwarded. A refused frame is tallied as a non-IPv4 short_frame defect;
+// it was never forwarded, so both figures leave it out.
+func (m *frameMetrics) decodeCounts() (perProto [wire.NumProtos]int, degraded int) {
+	for p := range perProto {
+		perProto[p] = int(m.decoded[p].Value())
 	}
-	o := applyOpts(opts)
-	o.meta = info.TCPFlags
-	return s.submitKey(ctx, k, o)
+	perProto[wire.ProtoNonIPv4] -= int(m.errs[wire.ErrShortFrame].Value())
+	for e := 1; e < wire.NumErrCodes; e++ { // 0 is ErrOK, which has no counter
+		if wire.ErrCode(e) != wire.ErrShortFrame {
+			degraded += int(m.errs[e].Value())
+		}
+	}
+	return perProto, degraded
 }
 
 // Frame is one entry of a frame batch: a raw Ethernet frame and the
@@ -175,4 +157,20 @@ func (s *Service) SubmitFrameBatch(ctx context.Context, frames []Frame, b *Batch
 	b.shape(len(s.workers))
 	b.ingest(s, frames)
 	return s.submit(ctx, b, applyOpts(opts))
+}
+
+// SubmitFrame submits one raw Ethernet frame received on inPort: a pooled
+// batch of one through SubmitFrameBatch, with Submit's semantics (blocking
+// by default; the Nonblocking and WithResponse options apply). The frame
+// is decoded on its shard and its TCP flag byte rides along as the
+// packet's metadata, so a conntrack-enabled service sees handshakes and
+// closes. Frames with decode defects degrade to the longest well-formed
+// prefix of the key and are still forwarded (the pipeline decides their
+// fate); only a frame too short to carry an Ethernet header is rejected,
+// with ErrShortFrame (a *FrameError matching ErrBadFrame). Decode
+// outcomes are counted in the metrics registry either way.
+func (s *Service) SubmitFrame(ctx context.Context, inPort uint16, frame []byte, opts ...SubmitOption) (Result, error) {
+	b := batchPool.Get().(*Batch)
+	one := [1]Frame{{InPort: inPort, Data: frame}}
+	return only(b, s.SubmitFrameBatch(ctx, one[:], b, opts...))
 }

@@ -356,8 +356,8 @@ func TestSubmitFrameBatchPerFramePorts(t *testing.T) {
 
 // TestFrameBatchAccountingMatchesPerFrame is the per-job flush's contract:
 // after a completed SubmitFrameBatch every frame counter reads exactly
-// what per-frame accounting (DecodeFrame, one frame at a time, on a
-// second service) reads for the same frames — through both the shard
+// what per-frame accounting (wire.Decode, one frame at a time, tallied
+// into a second service) reads for the same frames — through both the shard
 // workers' decode and the submitter-side fallback, on several shards.
 func TestFrameBatchAccountingMatchesPerFrame(t *testing.T) {
 	tcp := wire.Encode(wireKey(1, 80))
@@ -390,7 +390,10 @@ func TestFrameBatchAccountingMatchesPerFrame(t *testing.T) {
 		perFrame, _ := startService(t, 1)
 		for r := 0; r < n; r++ {
 			for _, f := range frames {
-				perFrame.DecodeFrame(f.InPort, f.Data)
+				_, info := wire.Decode(f.Data, f.InPort)
+				var one frameTally
+				one.add(&info, len(f.Data))
+				perFrame.frames.flush(&one)
 			}
 		}
 		got, want := batched.frames, perFrame.frames

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"gigaflow"
 	wire "gigaflow/internal/packet"
@@ -214,11 +215,15 @@ func TestBlockingSeesOwnEarlierNonblocking(t *testing.T) {
 }
 
 // TestQueuedMatchesInline runs one frame tape — cold flows, repeats,
-// degraded and refused frames, several shards — through two identical
-// services: one idle, so the single submitter runs its own shares, and
-// one whose shards are all marked busy, so every share crosses a worker
-// queue. Same runJob either way: per-packet results, decoded keys and
-// aggregate stats must be identical.
+// degraded and refused frames, several shards — through identical
+// services by every way in: each of the four entry points, blocking on an
+// idle service (the single submitter runs its own shares), blocking with
+// every shard marked busy (every share crosses a worker queue), and
+// Nonblocking with the results streamed back. Same runJob under all of
+// them: per-packet results, decoded keys and aggregate stats must be
+// identical, in synchronous and in upcall mode. A last leg sends a TCP
+// handshake and close as single nonblocking frames through a conntrack
+// service: the flag bytes arrive with them.
 func TestQueuedMatchesInline(t *testing.T) {
 	const flows = 96
 	var tape []Frame
@@ -234,15 +239,29 @@ func TestQueuedMatchesInline(t *testing.T) {
 			tape = append(tape, Frame{InPort: uint16(i % 3), Data: data})
 		}
 	}
+	// What the key entry points are handed: the key and flags a frame
+	// decodes to. They have no way to refuse a frame, so the test answers a
+	// short one with the ErrShortFrame the frame entry points give it.
+	keys, flags, short := make([]gigaflow.Key, len(tape)), make([]uint8, len(tape)), make([]bool, len(tape))
+	for i, f := range tape {
+		var info wire.Info
+		keys[i], info = wire.Decode(f.Data, f.InPort)
+		flags[i], short[i] = info.TCPFlags, info.Err == wire.ErrShortFrame
+	}
+
+	type way struct {
+		entry       string // the entry point the tape goes through
+		nonblocking bool   // Nonblocking() + WithResponse, else blocking
+		busy        bool   // blocking only: no share is run in place
+	}
 	type outcome struct {
 		res   []Result
-		keys  []gigaflow.Key
+		keys  []gigaflow.Key // blocking SubmitFrameBatch only: what the shards decoded
 		stats gigaflow.VSwitchStats
 		n     int
 	}
-	run := func(mode string, workers int, cfg Config, busy bool) outcome {
+	run := func(cfg Config, v way) outcome {
 		t.Helper()
-		cfg.Workers = workers
 		s, err := New(perFlowPipeline(flows), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -252,25 +271,95 @@ func TestQueuedMatchesInline(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		if busy {
+		if v.busy {
 			// A phantom in-flight message per shard: tryRun never finds the
 			// shard idle, the worker serves its queue as usual.
 			for _, w := range s.workers {
 				w.inflight.Add(1)
 			}
 		}
+		var opts []SubmitOption
+		resp := make(chan Result, 32)
+		if v.nonblocking {
+			opts = []SubmitOption{Nonblocking(), WithResponse(resp)}
+		}
 		var out outcome
 		b := NewBatch(32)
-		for off := 0; off < len(tape); off += 32 {
-			if err := s.SubmitFrameBatch(ctx, tape[off:off+32], b); err != nil {
-				t.Fatalf("%s workers=%d busy=%v: %v", mode, workers, busy, err)
+		// send puts tape[lo:hi] through the entry point in one call (the
+		// single entry points are handed one frame at a time) and returns
+		// what the call itself reported per frame.
+		send := func(lo, hi int) []Result {
+			res := make([]Result, hi-lo)
+			switch v.entry {
+			case "Submit":
+				if res[0].Err = ErrShortFrame; !short[lo] {
+					res[0], _ = s.Submit(ctx, keys[lo], opts...)
+				}
+			case "SubmitFrame":
+				res[0], _ = s.SubmitFrame(ctx, tape[lo].InPort, tape[lo].Data, opts...)
+			case "SubmitBatch":
+				b.Reset()
+				for i := lo; i < hi; i++ {
+					if !short[i] {
+						b.AddMeta(keys[i], flags[i])
+					}
+				}
+				if err := s.SubmitBatch(ctx, b, opts...); err != nil {
+					t.Fatalf("%+v: %v", v, err)
+				}
+				for i, n := lo, 0; i < hi; i++ {
+					if res[i-lo].Err = ErrShortFrame; !short[i] {
+						res[i-lo] = b.Result(n)
+						n++
+					}
+				}
+			case "SubmitFrameBatch":
+				if err := s.SubmitFrameBatch(ctx, tape[lo:hi], b, opts...); err != nil {
+					t.Fatalf("%+v: %v", v, err)
+				}
+				for i := range res {
+					res[i] = b.Result(i)
+					if !v.nonblocking {
+						out.keys = append(out.keys, b.Key(i))
+					}
+				}
 			}
-			for i := 0; i < b.Len(); i++ {
-				out.res = append(out.res, b.Result(i))
-				out.keys = append(out.keys, b.Key(i))
-			}
+			return res
 		}
-		// And the key path, one request per call.
+		chunk := 32
+		if v.entry == "Submit" || v.entry == "SubmitFrame" {
+			chunk = 1
+		}
+		for lo := 0; lo < len(tape); lo += chunk {
+			res := send(lo, lo+chunk)
+			// A nonblocking call reported only what it enqueued; the verdicts
+			// are on resp, one shard's in order, the shards' interleaved. No
+			// rule rewrites a field, so a result's Final names its flow: it
+			// answers the earliest unanswered request of that flow.
+			for i := range res {
+				if !v.nonblocking || res[i].Err != nil {
+					continue
+				}
+				select {
+				case r := <-resp:
+					at := -1
+					for j := range res {
+						if res[j] == (Result{}) && keys[lo+j] == r.Final {
+							at = j
+							break
+						}
+					}
+					if at < 0 {
+						t.Fatalf("%+v: frames %d-%d: a result nobody asked for: %+v", v, lo, lo+chunk, r)
+					}
+					res[at] = r
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%+v: frames %d-%d: %d results never arrived", v, lo, lo+chunk, len(res)-i)
+				}
+			}
+			out.res = append(out.res, res...)
+		}
+		// And the key path, one blocking request per call.
 		for i := 0; i < flows; i++ {
 			r, err := s.Submit(ctx, perFlowKey(i))
 			if err != nil {
@@ -297,28 +386,96 @@ func TestQueuedMatchesInline(t *testing.T) {
 	}
 	for mode, cfg := range modes {
 		for _, workers := range []int{1, 3} {
-			inline, queued := run(mode, workers, cfg, false), run(mode, workers, cfg, true)
-			if len(inline.res) != len(queued.res) {
-				t.Fatalf("%s workers=%d: %d vs %d results", mode, workers, len(inline.res), len(queued.res))
+			cfg.Workers = workers
+			want := run(cfg, way{entry: "SubmitFrameBatch"})
+			if want.stats.Packets == 0 || want.stats.CacheMisses == 0 || want.stats.MicroflowHits == 0 {
+				t.Fatalf("%s workers=%d: the tape does not exercise misses and hits: %+v", mode, workers, want.stats)
 			}
-			for i := range inline.res {
-				if inline.res[i] != queued.res[i] {
-					t.Fatalf("%s workers=%d: packet %d: inline %+v, queued %+v", mode, workers, i, inline.res[i], queued.res[i])
+			for _, entry := range []string{"Submit", "SubmitFrame", "SubmitBatch", "SubmitFrameBatch"} {
+				for _, v := range []way{{entry, false, false}, {entry, false, true}, {entry, true, false}} {
+					got := run(cfg, v)
+					if len(got.res) != len(want.res) {
+						t.Fatalf("%s workers=%d %+v: %d results, want %d", mode, workers, v, len(got.res), len(want.res))
+					}
+					for i := range want.res {
+						if got.res[i] != want.res[i] {
+							t.Fatalf("%s workers=%d %+v: packet %d: %+v, want %+v", mode, workers, v, i, got.res[i], want.res[i])
+						}
+					}
+					for i := range got.keys {
+						if got.keys[i] != want.keys[i] {
+							t.Fatalf("%s workers=%d %+v: frame %d decoded to %v, want %v", mode, workers, v, i, got.keys[i], want.keys[i])
+						}
+					}
+					if got.stats != want.stats || got.n != want.n {
+						t.Errorf("%s workers=%d %+v: stats diverge:\n got  %+v (%d entries)\n want %+v (%d entries)",
+							mode, workers, v, got.stats, got.n, want.stats, want.n)
+					}
 				}
-			}
-			for i := range inline.keys {
-				if inline.keys[i] != queued.keys[i] {
-					t.Fatalf("%s workers=%d: frame %d decoded to %v inline, %v queued", mode, workers, i, inline.keys[i], queued.keys[i])
-				}
-			}
-			if inline.stats != queued.stats || inline.n != queued.n {
-				t.Errorf("%s workers=%d: stats diverge:\n inline %+v (%d entries)\n queued %+v (%d entries)",
-					mode, workers, inline.stats, inline.n, queued.stats, queued.n)
-			}
-			if inline.stats.Packets == 0 || inline.stats.CacheMisses == 0 || inline.stats.MicroflowHits == 0 {
-				t.Fatalf("%s workers=%d: the tape does not exercise misses and hits: %+v", mode, workers, inline.stats)
 			}
 		}
+	}
+
+	// The conntrack leg. Only a frame's flag byte can close a connection or
+	// reopen its tuple: were it lost on the way in, the FIN would leave the
+	// connection established and the second SYN would find it there.
+	s, err := New(perFlowPipeline(flows), Config{
+		Workers:           3,
+		Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 1024},
+		MicroflowCapacity: 64,
+		Conntrack:         ConntrackConfig{Enable: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := s.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	fwd := perFlowKey(1)
+	rpl := fwd.With(gigaflow.FieldIPSrc, fwd.Get(gigaflow.FieldIPDst)).With(gigaflow.FieldIPDst, fwd.Get(gigaflow.FieldIPSrc)).
+		With(gigaflow.FieldTpSrc, fwd.Get(gigaflow.FieldTpDst)).With(gigaflow.FieldTpDst, fwd.Get(gigaflow.FieldTpSrc))
+	resp := make(chan Result, 1)
+	sendTCP := func(k gigaflow.Key, tcpFlags uint8) {
+		t.Helper()
+		frame := wire.Encode(k)
+		frame[47] = tcpFlags // Ethernet 14 + IPv4 20 + 13 bytes into the TCP header
+		if _, err := s.SubmitFrame(ctx, 0, frame, Nonblocking(), WithResponse(resp)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-resp:
+		case <-time.After(5 * time.Second):
+			t.Fatal("a nonblocking SubmitFrame was never answered")
+		}
+	}
+	conns := func() (live int, created uint64) {
+		t.Helper()
+		shards, err := s.ShardStats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range shards {
+			live, created = live+sh.CtLive, created+sh.CtCreated
+		}
+		return live, created
+	}
+	sendTCP(fwd, wire.TCPSyn)
+	sendTCP(rpl, wire.TCPSyn|wire.TCPAck)
+	for i := 0; i < 4; i++ {
+		sendTCP(fwd, wire.TCPAck)
+	}
+	if st, err := s.Stats(ctx); err != nil || st.CtFastpath == 0 {
+		t.Errorf("established segment: CtFastpath = %d, %v; want memoised hits under the guard", st.CtFastpath, err)
+	}
+	if live, created := conns(); live != 1 || created != 1 {
+		t.Errorf("after the handshake: %d live, %d created; want 1 and 1", live, created)
+	}
+	sendTCP(fwd, wire.TCPFin|wire.TCPAck)
+	sendTCP(fwd, wire.TCPSyn)
+	if live, created := conns(); live != 1 || created != 2 {
+		t.Errorf("after FIN and a second SYN: %d live, %d created; want the tuple reopened as a second connection (1 and 2)", live, created)
 	}
 }
 
@@ -497,8 +654,23 @@ func TestShardOwnershipUnderRace(t *testing.T) {
 // queue and the other runs in place, and not with connection tracking
 // on, where every hit of these TCP flows runs the conntrack guard (the
 // pipeline is stateless: this is what tracking costs a user who never
-// writes a stateful rule).
+// writes a stateful rule). Nor do the single-packet wrappers, blocking
+// Submit and SubmitFrame, which are that batch path on a pooled batch of
+// one. And the message a busy shard's share crosses its queue in is
+// three words, whatever the share holds.
 func TestSubmitFrameBatchZeroAlloc(t *testing.T) {
+	if n := unsafe.Sizeof(packet{}); n > 24 {
+		t.Errorf("a queued message is %d bytes, want at most 24 (a job pointer, a control function, its ack channel)", n)
+	}
+	// The wrappers' batch comes from a sync.Pool, and under the race
+	// detector a Pool drops a quarter of what it is handed, on purpose: their
+	// rows are read only where a Pool keeps what it is given.
+	news := 0
+	probe := sync.Pool{New: func() any { news++; return new(int) }}
+	for i := 0; i < 200; i++ {
+		probe.Put(probe.Get())
+	}
+	poolKeeps := news < 10 // about 50 under the race detector, 1 without (a GC may add one)
 	const flows = 64
 	frames := make([]Frame, flows)
 	for i := range frames {
@@ -532,6 +704,13 @@ func TestSubmitFrameBatchZeroAlloc(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(200, submit); n != 0 {
 			t.Errorf("%+v: %.2f allocs per steady-state SubmitFrameBatch, want 0", tc, n)
+		}
+		k := perFlowKey(0)
+		if n := testing.AllocsPerRun(200, func() { s.Submit(ctx, k) }); n != 0 && poolKeeps {
+			t.Errorf("%+v: %.2f allocs per steady-state Submit, want 0", tc, n)
+		}
+		if n := testing.AllocsPerRun(200, func() { s.SubmitFrame(ctx, 0, frames[0].Data) }); n != 0 && poolKeeps {
+			t.Errorf("%+v: %.2f allocs per steady-state SubmitFrame, want 0", tc, n)
 		}
 		for i := 0; i < flows; i++ {
 			if r := b.Result(i); r.Err != nil || !r.CacheHit {

@@ -32,12 +32,12 @@ type ReplayConfig struct {
 	Blocking bool
 	// Limit stops after this many records (0 replays everything).
 	Limit int
-	// BatchSize groups decoded frames into batches of this many before
-	// submission (default DefaultBatchSize); each batch crosses a worker
-	// channel at most once per worker. 1 reproduces per-packet
-	// submission exactly. Batching never reorders frames bound for the
-	// same worker, so cache behaviour and final stats are identical at
-	// any batch size (in Blocking mode, where nothing is dropped).
+	// BatchSize is how many frames go into one SubmitFrameBatch call
+	// (default DefaultBatchSize); each batch crosses a worker channel at
+	// most once per worker. 1 reproduces per-packet submission exactly.
+	// Batching never reorders frames bound for the same worker, so cache
+	// behaviour and final stats are identical at any batch size (in
+	// Blocking mode, where nothing is dropped).
 	BatchSize int
 }
 
@@ -57,17 +57,20 @@ type ReplayReport struct {
 	// QueueDrops counts frames rejected by a full worker queue
 	// (non-blocking mode only).
 	QueueDrops int
-	// Rejected counts frames the decoder refused outright (shorter
-	// than an Ethernet header).
+	// Rejected counts frames refused outright (shorter than an Ethernet
+	// header: their Result carries ErrShortFrame), never submitted.
 	Rejected int
 	// DecodeErrors counts frames that decoded with a defect but were
-	// still forwarded on a degraded key.
+	// still forwarded on a degraded key. Like PerProto it is the change
+	// in the service's frame counters over the replay: a frame a full
+	// queue dropped before its shard decoded it is in QueueDrops only,
+	// and frames other goroutines submit meanwhile count as in Stats.
 	DecodeErrors int
 	// PipelineErrs counts blocking-mode frames whose processing
 	// returned a pipeline error (misconfigured table graph).
 	PipelineErrs int
 	// PerProto counts decoded frames by protocol class, indexed by
-	// wire.Proto.
+	// wire.Proto (Rejected frames excluded; see DecodeErrors).
 	PerProto [wire.NumProtos]int
 	// Truncated reports that the capture ended mid-record; the replay
 	// covers everything before the cut.
@@ -79,15 +82,15 @@ type ReplayReport struct {
 	Elapsed time.Duration
 }
 
-// Replay streams a pcap capture through the service frame frontend in
-// batches of cfg.BatchSize and reports what happened. The service must
-// be started. In non-blocking mode the report's Stats are still
-// complete: the final stats snapshot runs as a control op behind every
-// submitted frame on each worker's FIFO queue, so it observes all of
-// them.
+// Replay streams a pcap capture through SubmitFrameBatch, cfg.BatchSize
+// records a call — frames, not keys: each is decoded on its shard — and
+// reports what happened. The service must be started. In non-blocking
+// mode the report's Stats and decode counts are still complete: the
+// final stats snapshot runs as a control op behind every submitted frame
+// on each worker's FIFO queue, so it observes all of them.
 //
 // On context cancellation every batch already handed to the workers is
-// drained before Replay returns (SubmitBatch gathers its in-flight
+// drained before Replay returns (SubmitFrameBatch gathers its in-flight
 // results even on failure), so a cancelled replay leaks no goroutine
 // and no pending result.
 func (s *Service) Replay(ctx context.Context, r *pcap.Reader, cfg ReplayConfig) (ReplayReport, error) {
@@ -102,27 +105,33 @@ func (s *Service) Replay(ctx context.Context, r *pcap.Reader, cfg ReplayConfig) 
 	if err != nil {
 		return rep, err
 	}
+	protoBefore, degradedBefore := s.frames.decodeCounts()
 
+	// r reuses its record buffer, so each frame's bytes are copied into an
+	// arena that lives until the flush (when it grows, the frames already
+	// in it keep the array they point into).
 	batch := NewBatch(cfg.BatchSize)
+	frames := make([]Frame, 0, cfg.BatchSize)
+	var arena []byte
+	var mode []SubmitOption
+	if !cfg.Blocking {
+		mode = []SubmitOption{Nonblocking()}
+	}
 	flush := func() error {
-		if batch.Len() == 0 {
+		if len(frames) == 0 {
 			return nil
 		}
-		var err error
-		if cfg.Blocking {
-			err = s.SubmitBatch(ctx, batch)
-		} else {
-			err = s.SubmitBatch(ctx, batch, Nonblocking())
-		}
-		if err != nil {
+		if err := s.SubmitFrameBatch(ctx, frames, batch, mode...); err != nil {
 			return err
 		}
-		for i := 0; i < batch.Len(); i++ {
+		for i := range frames {
 			switch e := batch.Result(i).Err; {
 			case e == nil:
 				rep.Submitted++
 			case errors.Is(e, ErrQueueFull):
 				rep.QueueDrops++
+			case errors.Is(e, ErrShortFrame):
+				rep.Rejected++
 			default:
 				// A per-packet pipeline error is a property of the
 				// ruleset, not the replay; count it and keep going.
@@ -130,7 +139,7 @@ func (s *Service) Replay(ctx context.Context, r *pcap.Reader, cfg ReplayConfig) 
 				rep.PipelineErrs++
 			}
 		}
-		batch.Reset()
+		frames, arena = frames[:0], arena[:0]
 		return nil
 	}
 
@@ -156,7 +165,7 @@ func (s *Service) Replay(ctx context.Context, r *pcap.Reader, cfg ReplayConfig) 
 			}
 			offset := time.Duration(float64(rec.TimeNs-traceStart) / cfg.Speedup)
 			if wait := time.Until(start.Add(offset)); wait > 0 {
-				// Flush before pacing so frames already decoded are not
+				// Flush before pacing so frames already read are not
 				// held past their trace slots by later ones.
 				if err := flush(); err != nil {
 					return rep, err
@@ -170,17 +179,10 @@ func (s *Service) Replay(ctx context.Context, r *pcap.Reader, cfg ReplayConfig) 
 		}
 		rep.Frames++
 		rep.Bytes += len(rec.Frame)
-		k, info := s.DecodeFrame(cfg.InPort, rec.Frame)
-		if info.Err == wire.ErrShortFrame {
-			rep.Rejected++
-			continue
-		}
-		rep.PerProto[info.Proto]++
-		if info.Err != wire.ErrOK {
-			rep.DecodeErrors++
-		}
-		batch.AddMeta(k, info.TCPFlags)
-		if batch.Len() >= cfg.BatchSize {
+		off := len(arena)
+		arena = append(arena, rec.Frame...)
+		frames = append(frames, Frame{InPort: cfg.InPort, Data: arena[off:len(arena):len(arena)]})
+		if len(frames) >= cfg.BatchSize {
 			if err := flush(); err != nil {
 				return rep, err
 			}
@@ -195,6 +197,13 @@ func (s *Service) Replay(ctx context.Context, r *pcap.Reader, cfg ReplayConfig) 
 		return rep, err
 	}
 	rep.Stats = statsDelta(before, after)
+	// Every job flushed its decode tally before its results, and the
+	// closing Stats ran behind every job: the counters are complete.
+	proto, degraded := s.frames.decodeCounts()
+	for p := range proto {
+		rep.PerProto[p] = proto[p] - protoBefore[p]
+	}
+	rep.DecodeErrors = degraded - degradedBefore
 	return rep, nil
 }
 

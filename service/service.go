@@ -354,19 +354,15 @@ type Result struct {
 	Err      error
 }
 
-// packet is one queued unit of work for a shard's worker goroutine: a
-// flow key to forward, a batch job (a whole share crossing the channel as
-// one message), a control function (rule update / snapshot / expiry) run
-// under the shard's owner lock, or a group of engine-completed upcalls to
-// apply (async offload mode).
+// packet is one queued message for a shard's worker goroutine, and there
+// are two kinds: a job — one share of a batch, the only form in which
+// packets reach a shard, a single packet being a share of one — or a
+// control function run under the shard's owner lock (rule update,
+// snapshot, expiry, a group of engine-completed upcalls to apply).
 type packet struct {
-	key     gigaflow.Key
-	meta    uint8 // TCP flag byte for the conntrack state machine
-	resp    chan<- Result
 	job     *batchJob
 	control func(i int, w *worker)
 	ack     chan<- struct{} // control ops: signalled once the function has run
-	comp    []*upcall.Miss[parked]
 }
 
 // respMsg is one Result bound for a WithResponse channel.
@@ -426,7 +422,6 @@ type worker struct {
 	ovDrop    uint64 // full-queue misses dropped (OverflowDrop)
 	stale     uint64 // engine traversals discarded
 	completed uint64 // flow completions applied
-	released  uint64 // parked packets answered
 }
 
 // Lifecycle states, tracked in Service.state so the submission hot path
@@ -545,9 +540,6 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 		perWorker.TableCapacity = shareOf(cfg.Cache.TableCapacity, cfg.Workers, i)
 		if cfg.Backend == BackendMegaflow {
 			opts = append(opts, gigaflow.WithMegaflowBackend(shareOf(cfg.MegaflowCapacity, cfg.Workers, i)))
-			// NewVSwitch still wants a valid Gigaflow shape before the
-			// option swaps the backend out.
-			perWorker = gigaflow.CacheConfig{NumTables: 1, TableCapacity: 1}
 		}
 		if cfg.MicroflowCapacity > 0 {
 			opts = append(opts, gigaflow.WithMicroflow(shareOf(cfg.MicroflowCapacity, cfg.Workers, i)))
@@ -764,57 +756,30 @@ func (w *worker) reply(ch chan<- Result, res *gigaflow.ProcessResult, err error)
 	}
 }
 
-// run executes one queued message under the owner lock. The wall clock
-// is read once per message and threaded through both the single-packet
-// and batch paths, so the two age caches identically and the latency
-// recorder anchors its flight timestamps on the same stamp that touched
-// the cache entries.
+// run executes one queued message under the owner lock. A job's wall
+// clock is read once and stamps every packet of the share, so the share
+// ages caches identically and the latency recorder anchors its flight
+// timestamps on the same stamp that touched the cache entries.
 func (w *worker) run(m packet) {
-	switch {
-	case m.control != nil:
+	if m.control != nil {
 		m.control(w.idx, w)
-	case m.comp != nil:
-		now := time.Now().UnixNano()
-		for _, c := range m.comp {
-			w.complete(c, now)
-		}
-	case m.job != nil:
-		if w.runJob(m.job, time.Now().UnixNano()) && m.job.done != nil {
-			w.fin = append(w.fin, m.job)
-		}
-	default:
-		now := time.Now().UnixNano()
-		if w.async {
-			res, wasParked, err := w.vs.ProcessPark(m.key, now)
-			if wasParked {
-				if w.parkOne(m.key, parked{idx: -1, resp: m.resp}, now) {
-					return // answered later, by complete or sweepParked
-				}
-				res, err = w.parkFallback(m.key, now)
-			}
-			w.reply(m.resp, &res, err)
-			return
-		}
-		res, err := w.vs.ProcessMeta(m.key, m.meta, now)
-		w.reply(m.resp, &res, err)
+	} else if w.runJob(m.job, time.Now().UnixNano()) && m.job.done != nil {
+		w.fin = append(w.fin, m.job)
 	}
 }
 
 // refuse is run for a message found queued at shutdown: control ops run
-// normally (they only touch shard state), upcall completions already
-// delivered by the engine are applied normally (their submitters get
-// real results), while packets and jobs fail with ErrClosed.
+// normally (they only touch shard state — and upcall completions the
+// engine already delivered give their submitters real results), while
+// jobs fail with ErrClosed.
 func (w *worker) refuse(m packet) {
-	switch {
-	case m.control != nil, m.comp != nil:
-		w.run(m)
-	case m.job != nil:
-		m.job.blk.settle(ErrClosed)
-		if m.job.done != nil {
-			w.fin = append(w.fin, m.job)
-		}
-	default:
-		w.reply(m.resp, &gigaflow.ProcessResult{}, ErrClosed)
+	if m.control != nil {
+		m.control(w.idx, w)
+		return
+	}
+	m.job.blk.settle(ErrClosed)
+	if m.job.done != nil {
+		w.fin = append(w.fin, m.job)
 	}
 }
 

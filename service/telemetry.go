@@ -95,9 +95,9 @@ type workerTelemetry struct {
 	gigaflow.VSwitchTelemetry
 }
 
-// cacheTelemetry snapshots every shard's cache hierarchy under its owner
-// lock.
-func (s *Service) cacheTelemetry(ctx context.Context) ([]workerTelemetry, error) {
+// cacheTelemetry is the /cache document: every shard's cache hierarchy,
+// snapshotted under its owner lock (it lists no records, so no cap).
+func (s *Service) cacheTelemetry(ctx context.Context, _ int) (any, error) {
 	out := make([]workerTelemetry, len(s.workers))
 	err := s.eachShard(ctx, func(i int, w *worker) {
 		out[i] = workerTelemetry{
@@ -108,10 +108,10 @@ func (s *Service) cacheTelemetry(ctx context.Context) ([]workerTelemetry, error)
 			VSwitchTelemetry: w.vs.Telemetry(),
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return struct {
+		Backend string            `json:"backend"`
+		Workers []workerTelemetry `json:"workers"`
+	}{s.cfg.Backend.String(), out}, err
 }
 
 // workerLatency is one worker's slice of the /latency document: the
@@ -132,7 +132,7 @@ type latencyDoc struct {
 
 // latencyTelemetry snapshots every shard's latency histograms under its
 // owner lock and merges them into an aggregate ladder.
-func (s *Service) latencyTelemetry(ctx context.Context) (latencyDoc, error) {
+func (s *Service) latencyTelemetry(ctx context.Context, _ int) (any, error) {
 	if s.cfg.Latency.Disable {
 		return latencyDoc{}, nil
 	}
@@ -143,7 +143,7 @@ func (s *Service) latencyTelemetry(ctx context.Context) (latencyDoc, error) {
 		}
 	})
 	if err != nil {
-		return latencyDoc{}, err
+		return nil, err
 	}
 	doc := latencyDoc{Enabled: true}
 	var total [telemetry.NumTiers]telemetry.LatencyHistogram
@@ -174,12 +174,19 @@ type workerFlight struct {
 	Captures []telemetry.FlightCapture `json:"captures,omitempty"`
 }
 
+// flightDoc is the /debug/flight response. Enabled is false (and Workers
+// empty) when the service was built with Config.Latency.Disable.
+type flightDoc struct {
+	Enabled bool           `json:"enabled"`
+	Workers []workerFlight `json:"workers,omitempty"`
+}
+
 // flightTelemetry dumps up to n recent flight records per shard (n <= 0
 // means the whole ring), plus any retained spike captures, snapshotted
 // under each shard's owner lock.
-func (s *Service) flightTelemetry(ctx context.Context, n int) ([]workerFlight, error) {
+func (s *Service) flightTelemetry(ctx context.Context, n int) (any, error) {
 	if s.cfg.Latency.Disable {
-		return nil, nil
+		return flightDoc{}, nil
 	}
 	out := make([]workerFlight, len(s.workers))
 	err := s.eachShard(ctx, func(i int, w *worker) {
@@ -194,10 +201,7 @@ func (s *Service) flightTelemetry(ctx context.Context, n int) ([]workerFlight, e
 			Captures: w.rec.Captures(),
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return flightDoc{Enabled: true, Workers: out}, err
 }
 
 // TelemetryHandler returns the introspection mux:
@@ -237,58 +241,51 @@ func (s *Service) TelemetryHandler() http.Handler {
 		_ = s.Collect(ctx)
 		s.reg.Handler().ServeHTTP(w, r)
 	})
-	mux.HandleFunc("/traces", func(w http.ResponseWriter, r *http.Request) {
-		n := 0
-		if q := r.URL.Query().Get("n"); q != "" {
-			n, _ = strconv.Atoi(q)
-		}
-		traces := s.tracer.Recent(n)
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(struct {
+	mux.HandleFunc("/traces", serveJSON(0, func(_ context.Context, n int) (any, error) {
+		return struct {
 			SampleEvery int               `json:"sample_every"`
 			Sampled     uint64            `json:"sampled_total"`
 			Traces      []telemetry.Trace `json:"traces"`
-		}{s.tracer.SampleEvery(), s.tracer.Sampled(), traces})
-	})
-	mux.HandleFunc("/cache", func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), collectTimeout)
-		defer cancel()
-		workers, err := s.cacheTelemetry(ctx)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(struct {
-			Backend string            `json:"backend"`
-			Workers []workerTelemetry `json:"workers"`
-		}{s.cfg.Backend.String(), workers})
-	})
-	mux.HandleFunc("/shards", func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), collectTimeout)
-		defer cancel()
+		}{s.tracer.SampleEvery(), s.tracer.Sampled(), s.tracer.Recent(n)}, nil
+	}))
+	mux.HandleFunc("/cache", serveJSON(0, s.cacheTelemetry))
+	mux.HandleFunc("/shards", serveJSON(0, func(ctx context.Context, _ int) (any, error) {
 		shards, err := s.ShardStats(ctx)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(struct {
+		return struct {
 			Workers   int         `json:"workers"`
 			Conntrack bool        `json:"conntrack"`
 			Shards    []ShardStat `json:"shards"`
-		}{len(s.workers), s.cfg.Conntrack.Enable, shards})
-	})
-	mux.HandleFunc("/latency", func(w http.ResponseWriter, r *http.Request) {
+		}{len(s.workers), s.cfg.Conntrack.Enable, shards}, err
+	}))
+	mux.HandleFunc("/latency", serveJSON(0, s.latencyTelemetry))
+	mux.HandleFunc("/debug/flight", serveJSON(256, s.flightTelemetry))
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/debug/vars", expvar.Handler())
+	return mux
+}
+
+// serveJSON makes the handler of one JSON introspection endpoint: it
+// reads ?n= (the record cap of the endpoints that list records: def when
+// absent, 400 when not a number), takes the snapshot under collectTimeout,
+// and writes it indented — or answers 503 when the shards cannot be
+// reached (wedged queue, service not running).
+func serveJSON(def int, snapshot func(ctx context.Context, n int) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		n := def
+		if q := r.URL.Query().Get("n"); q != "" {
+			var err error
+			if n, err = strconv.Atoi(q); err != nil {
+				http.Error(w, fmt.Sprintf("n=%q: not a number", q), http.StatusBadRequest)
+				return
+			}
+		}
 		ctx, cancel := context.WithTimeout(r.Context(), collectTimeout)
 		defer cancel()
-		doc, err := s.latencyTelemetry(ctx)
+		doc, err := snapshot(ctx, n)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			return
@@ -297,34 +294,7 @@ func (s *Service) TelemetryHandler() http.Handler {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		enc.Encode(doc)
-	})
-	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
-		n := 256
-		if q := r.URL.Query().Get("n"); q != "" {
-			n, _ = strconv.Atoi(q)
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), collectTimeout)
-		defer cancel()
-		workers, err := s.flightTelemetry(ctx, n)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(struct {
-			Enabled bool           `json:"enabled"`
-			Workers []workerFlight `json:"workers,omitempty"`
-		}{!s.cfg.Latency.Disable, workers})
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
-	return mux
+	}
 }
 
 // telemetryServer owns the HTTP listener started from Config.TelemetryAddr.

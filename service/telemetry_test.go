@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -343,6 +344,53 @@ func TestDebugEndpointsServed(t *testing.T) {
 	}
 	if out := httpGet(t, base+"/"); !strings.Contains(out, "/metrics") {
 		t.Error("index page missing /metrics link")
+	}
+}
+
+// TestJSONEndpoints is the shared handler's contract, one row per endpoint
+// it serves: 200 with an indented JSON document of that endpoint's shape —
+// and, where the endpoint lists records, a ?n= that is not a number is a
+// 400, not "n = 0, the whole ring".
+func TestJSONEndpoints(t *testing.T) {
+	s, ctx := startService(t, 2)
+	for i := 0; i < 10; i++ {
+		if _, err := s.Submit(ctx, key(uint64(i%4), 80)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := s.TelemetryHandler()
+	for _, tc := range []struct {
+		path   string
+		status int
+		field  string // a top-level field of the endpoint's document
+	}{
+		{"/traces", http.StatusOK, "sampled_total"},
+		{"/traces?n=abc", http.StatusBadRequest, ""},
+		{"/cache", http.StatusOK, "backend"},
+		{"/shards", http.StatusOK, "shards"},
+		{"/latency", http.StatusOK, "total"},
+		{"/debug/flight", http.StatusOK, "workers"},
+		{"/debug/flight?n=abc", http.StatusBadRequest, ""},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", tc.path, nil))
+		if rec.Code != tc.status {
+			t.Errorf("GET %s: %d, want %d", tc.path, rec.Code, tc.status)
+			continue
+		}
+		if tc.status != http.StatusOK {
+			continue
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("GET %s: Content-Type %q", tc.path, ct)
+		}
+		body := rec.Body.String()
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal([]byte(body), &doc); err != nil {
+			t.Errorf("GET %s: not a JSON object: %v\n%s", tc.path, err, body)
+		} else if _, ok := doc[tc.field]; !ok || !strings.HasPrefix(body, "{\n  \"") {
+			t.Errorf("GET %s: want an indented document with a %q field:\n%s", tc.path, tc.field, body)
+		}
 	}
 }
 

@@ -4,16 +4,17 @@
 //
 // With Config.Upcall.Workers set, a worker no longer runs the pipeline
 // traversal for a main-cache miss inline. The packet is parked: its
-// delivery context (job slot or response channel) is appended to the
-// flow's pending-table entry, and — for the first packet of the flow
-// only — the entry is enqueued on the shared upcall queue. Engine
-// goroutines drain the queue in batches, run each flow's traversal
-// against the owning worker's pipeline replica (serialized with that
-// worker's own inline slow path through worker.slowMu), and post the
-// completed misses back onto the worker's input queue. The worker then
-// installs the rules, releases every packet parked behind the flow in
-// arrival order, and answers the submitters — so a warm flow behind a
-// cold storm is never head-of-line blocked by another flow's traversal.
+// delivery context (its job and its slot in the job's share — every
+// packet arrives in a job) is appended to the flow's pending-table entry,
+// and — for the first packet of the flow only — the entry is enqueued on
+// the shared upcall queue. Engine goroutines drain the queue in batches,
+// run each flow's traversal against the owning worker's pipeline replica
+// (serialized with that worker's own inline slow path through
+// worker.slowMu), and post the completed misses back onto the worker's
+// input queue as a control op. The worker then installs the rules,
+// releases every packet parked behind the flow in arrival order, and
+// answers the submitters — so a warm flow behind a cold storm is never
+// head-of-line blocked by another flow's traversal.
 //
 // Equivalence with inline processing is a hard invariant: a parked
 // packet is counted nowhere at park time; the completion counts the
@@ -64,14 +65,10 @@ func (p OverflowPolicy) String() string {
 }
 
 // parked is one parked packet's delivery context: where its result goes
-// once the flow's traversal completes. Exactly one of job/resp styles is
-// used — batch packets carry their job and slot, single-packet
-// submissions their response channel (which may be nil for
-// fire-and-forget).
+// once the flow's traversal completes — entry idx of its job's share.
 type parked struct {
-	job  *batchJob
-	idx  int // entry of job.blk; meaningless when job is nil
-	resp chan<- Result
+	job *batchJob
+	idx int
 }
 
 // parkOne parks a missed packet behind its flow's pending entry,
@@ -115,7 +112,6 @@ func (w *worker) complete(m *upcall.Miss[parked], now int64) {
 	}
 	pp := m.Payloads
 	w.completed++
-	w.released += uint64(len(pp))
 
 	fresh := m.Err == nil && m.Traversal != nil &&
 		m.Traversal.Version == w.vs.Pipeline().Version
@@ -139,7 +135,7 @@ func (w *worker) complete(m *upcall.Miss[parked], now int64) {
 	// still-missing flow consumes its traversal.
 	res, still, err := w.vs.ProcessPark(m.Key, now)
 	if still {
-		res, err = w.vs.CompleteMiss(m.Key, m.Traversal, now, m.TraverseNs, now-m.EnqueuedNs)
+		res, err = w.vs.CompleteMiss(m.Key, m.Traversal, now, m.TraverseNs, m.DequeuedNs-m.EnqueuedNs)
 	} else {
 		w.stale++
 	}
@@ -152,14 +148,10 @@ func (w *worker) complete(m *upcall.Miss[parked], now int64) {
 
 // deliver routes a parked packet's result back to its submitter: into
 // its job's slot (finishing the job when it was the last outstanding
-// packet) and down the response channel, if there is one. The sends
+// packet) and down the job's response channel, if there is one. The sends
 // themselves happen in flush, once the owner lock is released.
 func (w *worker) deliver(p parked, res gigaflow.ProcessResult, err error) {
 	j := p.job
-	if j == nil {
-		w.reply(p.resp, &res, err)
-		return
-	}
 	j.blk.out[p.idx], j.blk.errs[p.idx] = res, err
 	w.reply(j.resp, &res, err)
 	j.pending--
@@ -186,10 +178,10 @@ func (w *worker) sweepParked() {
 // handleUpcalls is the engine handler: it runs each miss's pipeline
 // traversal against the owning worker's replica — under that worker's
 // slow-path lock, excluding the worker's own inline traversals and rule
-// updates — then posts the completed misses back to their workers,
-// grouped so each worker receives one message per batch. A send that
-// would block past shutdown is abandoned; the worker's drain sweeps the
-// corresponding pending entries.
+// updates — then posts the completed misses back to their workers as
+// control ops, grouped so each worker receives one message per batch. A
+// send that would block past shutdown is abandoned; the worker's drain
+// sweeps the corresponding pending entries.
 func (s *Service) handleUpcalls(ctx context.Context, batch []*upcall.Miss[parked]) {
 	for _, m := range batch {
 		w := s.workers[m.Shard]
@@ -213,7 +205,13 @@ func (s *Service) handleUpcalls(ctx context.Context, batch []*upcall.Miss[parked
 				batch[j] = nil
 			}
 		}
-		if s.post(ctx, s.workers[m.Shard], packet{comp: group}) != nil {
+		apply := func(_ int, w *worker) {
+			now := time.Now().UnixNano()
+			for _, c := range group {
+				w.complete(c, now)
+			}
+		}
+		if s.post(ctx, s.workers[m.Shard], packet{control: apply}) != nil {
 			return
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gigaflow"
+	"gigaflow/internal/telemetry"
 )
 
 // upcallConfig is the async twin of a plain config: identical datapath,
@@ -442,4 +443,70 @@ func TestUpcallWarmFlowNotBlocked(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("cold flow never completed after the engine was released")
 	}
+}
+
+// TestUpcallParkNsExcludesTraversal: a deferred completion's flight record
+// keeps its two components apart — ParkNs the wait from enqueue to the
+// engine's dequeue, LatNs the traversal span — as /debug/flight promises.
+// The engine dequeues the miss at once and is then held inside the
+// traversal span (the test holds the shard's slow-path lock, as
+// TestUpcallShutdownParked does) for at least 20 ms: that wait belongs to
+// LatNs, and ParkNs must fit in the window from submission to the moment
+// the engine was seen to have dequeued.
+func TestUpcallParkNsExcludesTraversal(t *testing.T) {
+	s, err := New(holPipeline(2), upcallConfig(BackendGigaflow, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := s.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+
+	w := s.workers[0]
+	w.slowMu.Lock()
+	resp := make(chan Result, 1)
+	submitted := time.Now()
+	if _, err := s.Submit(ctx, key(1, 80), Nonblocking(), WithResponse(resp)); err != nil {
+		w.slowMu.Unlock()
+		t.Fatal(err)
+	}
+	for deadline := submitted.Add(5 * time.Second); s.eng.Drained() == 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			w.slowMu.Unlock()
+			t.Fatal("the engine never dequeued the miss")
+		}
+	}
+	window := time.Since(submitted) // enqueue and dequeue both happened inside it
+	hold := 20*time.Millisecond + window
+	time.Sleep(hold)
+	w.slowMu.Unlock()
+	select {
+	case r := <-resp:
+		if r.Err != nil || r.CacheHit {
+			t.Fatalf("cold flow: %+v; want a completed miss", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cold flow never completed after the engine was released")
+	}
+
+	var recs []telemetry.FlightRecord
+	if err := s.eachShard(ctx, func(_ int, w *worker) { recs = w.rec.Recent(0) }); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if r.Flags&telemetry.FlightDeferred == 0 {
+			continue
+		}
+		if lat := time.Duration(r.LatNs); lat < hold {
+			t.Errorf("LatNs = %v, want the %v the engine waited inside the traversal span", lat, hold)
+		}
+		if park := time.Duration(r.ParkNs); park > window {
+			t.Errorf("ParkNs = %v, want at most the %v between submission and dequeue: it contains the traversal (LatNs %v)",
+				park, window, time.Duration(r.LatNs))
+		}
+		return
+	}
+	t.Fatalf("no Deferred flight record among %d", len(recs))
 }

@@ -148,8 +148,9 @@ func WithMaxIdle(ns int64) VSwitchOption {
 	return func(v *VSwitch) { v.maxIdle = ns }
 }
 
-// WithMegaflowBackend replaces the Gigaflow cache with a Megaflow cache of
-// the given capacity — the baseline configuration, useful for comparisons.
+// WithMegaflowBackend makes the main cache a Megaflow cache of the given
+// capacity, in place of the Gigaflow cache — the baseline configuration,
+// useful for comparisons.
 func WithMegaflowBackend(capacity int) VSwitchOption {
 	return func(v *VSwitch) { v.main = megaflow.New(capacity) }
 }
@@ -195,11 +196,15 @@ func WithSlowpathLock(mu *sync.Mutex) VSwitchOption {
 }
 
 // NewVSwitch builds a vSwitch around a pipeline with a Gigaflow cache of
-// the given configuration.
+// the given configuration — unless an option supplies another main cache
+// (WithMegaflowBackend), in which case cfg is not looked at.
 func NewVSwitch(p *Pipeline, cfg CacheConfig, opts ...VSwitchOption) *VSwitch {
-	v := &VSwitch{pipe: p, main: gfcache.New(p, cfg)}
+	v := &VSwitch{pipe: p}
 	for _, o := range opts {
 		o(v)
+	}
+	if v.main == nil {
+		v.main = gfcache.New(p, cfg)
 	}
 	v.tier = v.main.Tier()
 	v.tierName = v.tier.String()
