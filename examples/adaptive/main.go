@@ -41,11 +41,17 @@ func buildPipeline(n uint64) *gigaflow.Pipeline {
 func main() {
 	const uniqueFlows = 2000
 	p := buildPipeline(uniqueFlows)
-	cache := gigaflow.NewCache(p, gigaflow.CacheConfig{
+	vs := gigaflow.NewVSwitch(p, gigaflow.CacheConfig{
 		NumTables: 3, TableCapacity: 8192,
 		Adaptive:       true,
 		AdaptiveTuning: gigaflow.AdaptiveTuning{Alpha: 0.05},
 	})
+	cache := vs.Cache()
+	process := func(k gigaflow.Key, now int64) {
+		if _, err := vs.Process(k, now); err != nil {
+			panic(err)
+		}
+	}
 
 	unique := func(i uint64) gigaflow.Key {
 		return gigaflow.Key{}.
@@ -73,12 +79,7 @@ func main() {
 	now := int64(0)
 	for i := uint64(0); i < uniqueFlows; i++ {
 		now++
-		if res := cache.Lookup(unique(i), now); !res.Hit {
-			tr := p.MustProcess(unique(i))
-			if _, err := cache.Insert(tr, now); err != nil {
-				panic(err)
-			}
-		}
+		process(unique(i), now)
 		if i == 400 || i == uniqueFlows-1 {
 			report(fmt.Sprintf("  after %d unique flows", i+1))
 		}
@@ -88,13 +89,7 @@ func main() {
 	fmt.Println("samples (§7's traffic sampling) notice the returning locality")
 	for i := uint64(0); i < 3000; i++ {
 		now++
-		k := shared(i%97, i%200)
-		if res := cache.Lookup(k, now); !res.Hit {
-			tr := p.MustProcess(k)
-			if _, err := cache.Insert(tr, now); err != nil {
-				panic(err)
-			}
-		}
+		process(shared(i%97, i%200), now)
 		if i == 500 || i == 2999 {
 			report(fmt.Sprintf("  after %d shared-service flows", i+1))
 		}

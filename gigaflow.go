@@ -2,7 +2,7 @@
 // pipeline-aware sub-traversal caching for SmartNICs (Zulfiqar et al.,
 // ASPLOS 2025) — together with every substrate the system needs: a
 // programmable vSwitch pipeline engine, Microflow/Megaflow caches, TSS and
-// NuevoMatch-style classifiers, a SmartNIC device model, ClassBench-style
+// NuevoMatch-style classifiers, a SmartNIC resource model, ClassBench-style
 // ruleset and CAIDA-style traffic generators, the Pipebench workload tool,
 // five real-world pipeline models, and an end-to-end simulator
 // reproducing the paper's evaluation.
@@ -180,17 +180,6 @@ type MicroflowCache = microflow.Cache
 func NewMicroflowCache(capacity int) *MicroflowCache { return microflow.New(capacity) }
 
 // SmartNIC model ---------------------------------------------------------
-
-// Device is the SmartNIC hosting a hardware cache.
-type Device = nic.Device
-
-// DeviceConfig is the device envelope (hit latency, line rate).
-type DeviceConfig = nic.Config
-
-// NewDevice creates a SmartNIC hosting the given Gigaflow cache.
-func NewDevice(cfg DeviceConfig, cache *Cache) *Device {
-	return nic.New(cfg, nic.GigaflowBackend{Cache: cache})
-}
 
 // EstimateResources models the FPGA cost of an LTM configuration (§5).
 var EstimateResources = nic.EstimateResources

@@ -1,6 +1,7 @@
 package gigaflow
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -178,24 +179,6 @@ func TestResourceEstimateExposed(t *testing.T) {
 	}
 }
 
-func TestDeviceFacade(t *testing.T) {
-	p := buildDemoPipeline()
-	cache := NewCache(p, CacheConfig{NumTables: 3, TableCapacity: 64})
-	dev := NewDevice(DeviceConfig{}, cache)
-	res := dev.Receive(demoKey(1, 80), 100, 0)
-	if res.Hit {
-		t.Error("cold device cannot hit")
-	}
-	tr := p.MustProcess(demoKey(1, 80))
-	if _, err := cache.Insert(tr, 0); err != nil {
-		t.Fatal(err)
-	}
-	res = dev.Receive(demoKey(2, 80), 100, 1)
-	if !res.Hit || res.Verdict.Port != 1 {
-		t.Errorf("res = %+v", res)
-	}
-}
-
 func TestVSwitchMicroflowTier(t *testing.T) {
 	vs := NewVSwitch(buildDemoPipeline(), CacheConfig{NumTables: 3, TableCapacity: 64},
 		WithMicroflow(128))
@@ -250,5 +233,34 @@ func TestVSwitchMicroflowTier(t *testing.T) {
 	}
 	if r.Verdict.Port != 7 {
 		t.Errorf("new rule not in effect: %v", r.Verdict)
+	}
+}
+
+// TestVSwitchStatsAddSub sets every counter to a distinct value through
+// reflection: a counter added to the struct but not to its field list is
+// silently zero in the service's per-shard sum, a replay's delta and the
+// simulator's per-packet charge, and fails here.
+func TestVSwitchStatsAddSub(t *testing.T) {
+	var a, b VSwitchStats
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		if k := av.Field(i).Kind(); k != reflect.Uint64 {
+			t.Fatalf("%s is a %s: Add and Sub carry uint64 counters only", av.Type().Field(i).Name, k)
+		}
+		av.Field(i).SetUint(uint64(100 * (i + 1)))
+		bv.Field(i).SetUint(uint64(i + 1))
+	}
+	sum, diff := reflect.ValueOf(a.Add(b)), reflect.ValueOf(a.Sub(b))
+	for i := 0; i < av.NumField(); i++ {
+		name := av.Type().Field(i).Name
+		if got, want := sum.Field(i).Uint(), uint64(101*(i+1)); got != want {
+			t.Errorf("Add leaves %s at %d, want %d", name, got, want)
+		}
+		if got, want := diff.Field(i).Uint(), uint64(99*(i+1)); got != want {
+			t.Errorf("Sub leaves %s at %d, want %d", name, got, want)
+		}
+	}
+	if a.Packets != 100 || b.Packets != 1 {
+		t.Errorf("Add or Sub wrote through to an operand: %+v, %+v", a, b)
 	}
 }

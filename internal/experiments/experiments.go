@@ -1,8 +1,8 @@
 // Package experiments contains the reproduction harness for every table
 // and figure in the paper's evaluation (§6). Each experiment builds its
 // workload via Pipebench, drives the simulator, and renders the same rows
-// or series the paper reports. The gigabench command and the repository's
-// top-level benchmarks are thin wrappers over this package.
+// or series the paper reports. The gigabench command is a thin wrapper
+// over Runner; TestGolden pins every experiment's output at reduced scale.
 package experiments
 
 import (

@@ -1,164 +1,9 @@
-// Package nic models the P4-programmable SmartNIC that hosts the hardware
-// flow cache: an RMT-style feed-forward pipeline of ternary match-action
-// tables (the paper's Alveo U250 / OpenNIC prototype), with the capacity,
-// latency, and resource envelope of §5 and §6.
-//
-// The device is cache-agnostic: a Backend adapter wraps either a Gigaflow
-// LTM cache (K tables) or a Megaflow cache (K=1), so the simulator drives
-// both configurations through one interface. Latency constants default to
-// the paper's measurements (§6.3.6): a hardware cache hit costs ~8.6 µs
-// end-to-end through the FPGA datapath regardless of which tables matched
-// (the pipeline is feed-forward at line rate).
+// Package nic models the resource envelope of the P4-programmable SmartNIC
+// that hosts the hardware flow cache: an RMT-style feed-forward pipeline of
+// ternary match-action tables (the paper's Alveo U250 / OpenNIC prototype,
+// §5). The cache it hosts is the VSwitch's main cache; its latency
+// constants live with the simulator's cost model.
 package nic
-
-import (
-	"fmt"
-
-	"gigaflow/internal/flow"
-	"gigaflow/internal/gigaflow"
-	"gigaflow/internal/megaflow"
-)
-
-// Backend is the hardware cache abstraction the device hosts.
-type Backend interface {
-	// Lookup classifies a packet, returning its fate on a hit.
-	Lookup(k flow.Key, now int64) (v flow.Verdict, final flow.Key, hit bool)
-	// Len and Capacity report entry usage.
-	Len() int
-	Capacity() int
-	// Name identifies the cache type for reports.
-	Name() string
-}
-
-// GigaflowBackend adapts a gigaflow.Cache to the device.
-type GigaflowBackend struct{ Cache *gigaflow.Cache }
-
-// Lookup implements Backend.
-func (b GigaflowBackend) Lookup(k flow.Key, now int64) (flow.Verdict, flow.Key, bool) {
-	res := b.Cache.Lookup(k, now)
-	return res.Verdict, res.Final, res.Hit
-}
-
-// Len implements Backend.
-func (b GigaflowBackend) Len() int { return b.Cache.Len() }
-
-// Capacity implements Backend.
-func (b GigaflowBackend) Capacity() int { return b.Cache.Capacity() }
-
-// Name implements Backend.
-func (b GigaflowBackend) Name() string {
-	return fmt.Sprintf("gigaflow(%dx%d)", b.Cache.NumTables(), b.Cache.Capacity()/b.Cache.NumTables())
-}
-
-// MegaflowBackend adapts a megaflow.Cache to the device.
-type MegaflowBackend struct{ Cache *megaflow.Cache }
-
-// Lookup implements Backend.
-func (b MegaflowBackend) Lookup(k flow.Key, now int64) (flow.Verdict, flow.Key, bool) {
-	e, ok := b.Cache.Lookup(k, now)
-	if !ok {
-		return flow.Verdict{}, k, false
-	}
-	final, v := e.Apply(k)
-	return v, final, true
-}
-
-// Len implements Backend.
-func (b MegaflowBackend) Len() int { return b.Cache.Len() }
-
-// Capacity implements Backend.
-func (b MegaflowBackend) Capacity() int { return b.Cache.Capacity() }
-
-// Name implements Backend.
-func (b MegaflowBackend) Name() string {
-	return fmt.Sprintf("megaflow(%d)", b.Cache.Capacity())
-}
-
-// Config describes the device envelope.
-type Config struct {
-	// HitLatencyNs is the end-to-end hardware-cache hit latency (paper:
-	// 8.62 µs on the Alveo U250 prototype).
-	HitLatencyNs int64
-	// LineRateGbps is the synthesised port speed (paper: 100 G).
-	LineRateGbps float64
-}
-
-// DefaultConfig returns the paper's prototype envelope.
-func DefaultConfig() Config {
-	return Config{HitLatencyNs: 8620, LineRateGbps: 100}
-}
-
-// Stats counts device-level events.
-type Stats struct {
-	RxPackets uint64
-	RxBytes   uint64
-	HWHits    uint64
-	HWMisses  uint64
-	TxPackets uint64 // forwarded by the HW cache
-	Dropped   uint64 // dropped by the HW cache (cached deny rules)
-	ToSlow    uint64 // punted to the software slowpath
-}
-
-// HitRate reports HWHits / RxPackets.
-func (s *Stats) HitRate() float64 {
-	if s.RxPackets == 0 {
-		return 0
-	}
-	return float64(s.HWHits) / float64(s.RxPackets)
-}
-
-// Device is one SmartNIC with a hardware cache.
-type Device struct {
-	cfg     Config
-	backend Backend
-	stats   Stats
-}
-
-// New creates a device hosting the given cache backend.
-func New(cfg Config, backend Backend) *Device {
-	if cfg.HitLatencyNs <= 0 {
-		cfg = DefaultConfig()
-	}
-	return &Device{cfg: cfg, backend: backend}
-}
-
-// Backend returns the hosted cache.
-func (d *Device) Backend() Backend { return d.backend }
-
-// Config returns the device envelope.
-func (d *Device) Config() Config { return d.cfg }
-
-// Stats returns a snapshot of the counters.
-func (d *Device) Stats() Stats { return d.stats }
-
-// RxResult is the outcome of receiving one packet.
-type RxResult struct {
-	Hit       bool
-	Verdict   flow.Verdict
-	Final     flow.Key
-	LatencyNs int64 // hardware portion of the packet's latency
-}
-
-// Receive runs one packet through the hardware cache. On a miss the packet
-// is punted to the slowpath (the caller invokes the vSwitch); the hardware
-// still spent its pipeline latency on it.
-func (d *Device) Receive(k flow.Key, sizeBytes int, now int64) RxResult {
-	d.stats.RxPackets++
-	d.stats.RxBytes += uint64(sizeBytes)
-	v, final, hit := d.backend.Lookup(k, now)
-	if !hit {
-		d.stats.HWMisses++
-		d.stats.ToSlow++
-		return RxResult{LatencyNs: d.cfg.HitLatencyNs}
-	}
-	d.stats.HWHits++
-	if v.Kind == flow.VerdictDrop {
-		d.stats.Dropped++
-	} else {
-		d.stats.TxPackets++
-	}
-	return RxResult{Hit: true, Verdict: v, Final: final, LatencyNs: d.cfg.HitLatencyNs}
-}
 
 // Resources estimates the FPGA resource envelope for an LTM cache
 // configuration, scaled linearly from the paper's measured prototype

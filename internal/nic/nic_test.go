@@ -1,91 +1,6 @@
 package nic
 
-import (
-	"strings"
-	"testing"
-
-	"gigaflow/internal/flow"
-	"gigaflow/internal/gigaflow"
-	"gigaflow/internal/megaflow"
-	"gigaflow/internal/pipeline"
-)
-
-func testPipeline() *pipeline.Pipeline {
-	p := pipeline.New("nic-test")
-	p.AddTable(0, "l3", flow.NewFieldSet(flow.FieldIPDst))
-	p.AddTable(1, "l4", flow.NewFieldSet(flow.FieldTpDst))
-	p.MustAddRule(0, flow.MustParseMatch("ip_dst=10.0.0.0/24"), 10, nil, 1)
-	p.MustAddRule(1, flow.MustParseMatch("tp_dst=80"), 10, []flow.Action{flow.Output(1)}, pipeline.NoTable)
-	p.MustAddRule(1, flow.MustParseMatch("tp_dst=23"), 20, []flow.Action{flow.Drop()}, pipeline.NoTable)
-	return p
-}
-
-func key(ipLow, port uint64) flow.Key {
-	return flow.Key{}.With(flow.FieldIPDst, 0x0a000000|ipLow).With(flow.FieldTpDst, port)
-}
-
-func TestDeviceWithGigaflowBackend(t *testing.T) {
-	p := testPipeline()
-	gf := gigaflow.New(p, gigaflow.Config{NumTables: 2, TableCapacity: 8})
-	d := New(DefaultConfig(), GigaflowBackend{Cache: gf})
-
-	// Cold: miss, punted to slowpath.
-	res := d.Receive(key(1, 80), 100, 0)
-	if res.Hit {
-		t.Fatal("cold cache must miss")
-	}
-	if res.LatencyNs != 8620 {
-		t.Errorf("latency = %d", res.LatencyNs)
-	}
-	tr := p.MustProcess(key(1, 80))
-	if _, err := gf.Insert(tr, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	// Warm: hit with the slowpath's verdict.
-	res = d.Receive(key(2, 80), 100, 1)
-	if !res.Hit || res.Verdict != tr.Verdict {
-		t.Fatalf("res = %+v", res)
-	}
-	st := d.Stats()
-	if st.RxPackets != 2 || st.HWHits != 1 || st.HWMisses != 1 || st.ToSlow != 1 || st.TxPackets != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-	if st.HitRate() != 0.5 {
-		t.Errorf("hit rate %v", st.HitRate())
-	}
-	if !strings.HasPrefix(d.Backend().Name(), "gigaflow(2x8)") {
-		t.Errorf("backend name %q", d.Backend().Name())
-	}
-}
-
-func TestDeviceWithMegaflowBackend(t *testing.T) {
-	p := testPipeline()
-	mf := megaflow.New(16)
-	d := New(DefaultConfig(), MegaflowBackend{Cache: mf})
-	mf.Insert(p.MustProcess(key(1, 23)), 0)
-
-	res := d.Receive(key(5, 23), 64, 1)
-	if !res.Hit || res.Verdict.Kind != flow.VerdictDrop {
-		t.Fatalf("res = %+v", res)
-	}
-	if d.Stats().Dropped != 1 || d.Stats().TxPackets != 0 {
-		t.Errorf("stats = %+v", d.Stats())
-	}
-	if d.Backend().Name() != "megaflow(16)" {
-		t.Errorf("name %q", d.Backend().Name())
-	}
-	if d.Backend().Capacity() != 16 || d.Backend().Len() != 1 {
-		t.Error("capacity/len wrong")
-	}
-}
-
-func TestZeroConfigUsesDefaults(t *testing.T) {
-	d := New(Config{}, MegaflowBackend{Cache: megaflow.New(4)})
-	if d.Config().HitLatencyNs != 8620 || d.Config().LineRateGbps != 100 {
-		t.Errorf("config = %+v", d.Config())
-	}
-}
+import "testing"
 
 func TestResourceModel(t *testing.T) {
 	proto := EstimateResources(4, 8192)

@@ -1,17 +1,17 @@
-package gigaflow
+package sim
 
 // Ablation benchmarks for the design choices DESIGN.md calls out. Each
 // toggles one mechanism and reports the effect as benchmark metrics:
 //
-//	go test -bench=Ablation -v
+//	go test -run xxx -bench=Ablation -v ./internal/sim
 import (
 	"testing"
 
+	"gigaflow"
 	"gigaflow/internal/flow"
 	gfcache "gigaflow/internal/gigaflow"
 	"gigaflow/internal/pipebench"
 	"gigaflow/internal/pipelines"
-	"gigaflow/internal/sim"
 	"gigaflow/internal/traffic"
 )
 
@@ -26,7 +26,7 @@ func ablationWorkload(b *testing.B, ctxs int) (*pipebench.Workload, []traffic.Pa
 	if err != nil {
 		b.Fatal(err)
 	}
-	return w, sim.BuildTrace(w, 20000, traffic.HighLocality, 3)
+	return w, BuildTrace(w, 20000, traffic.HighLocality, 3)
 }
 
 // BenchmarkAblation_EvictionPolicy compares LRU eviction against
@@ -35,17 +35,14 @@ func ablationWorkload(b *testing.B, ctxs int) (*pipebench.Workload, []traffic.Pa
 func BenchmarkAblation_EvictionPolicy(b *testing.B) {
 	w, trace := ablationWorkload(b, 0)
 	run := func(noLRU bool) float64 {
-		c := gfcache.New(w.Pipeline, gfcache.Config{NumTables: 4, TableCapacity: 512, NoLRUEviction: noLRU})
+		vs := gigaflow.NewVSwitch(w.Pipeline, gigaflow.CacheConfig{NumTables: 4, TableCapacity: 512, NoLRUEviction: noLRU})
 		for i := range trace {
-			if r := c.Lookup(trace[i].Key, trace[i].Time); !r.Hit {
-				tr, err := w.Pipeline.Process(trace[i].Key)
-				if err != nil {
-					b.Fatal(err)
-				}
-				c.Insert(tr, trace[i].Time) // rejection is an acceptable outcome
+			// A rejected install is an acceptable outcome, and not an error.
+			if _, err := vs.Process(trace[i].Key, trace[i].Time); err != nil {
+				b.Fatal(err)
 			}
 		}
-		st := c.Stats()
+		st := vs.Cache().Stats()
 		return 100 * st.HitRate()
 	}
 	lru, reject := run(false), run(true)
@@ -60,23 +57,21 @@ func BenchmarkAblation_EvictionPolicy(b *testing.B) {
 // on a zero-sharing workload: adaptation should cut entry consumption
 // (whole traversals need 1 entry instead of K) without losing hits.
 func BenchmarkAblation_AdaptiveFallback(b *testing.B) {
-	p := buildNoSharePipelineRoot(3000)
+	p := buildNoSharePipeline(3000)
 	run := func(adaptive bool) (hitPct float64, entries int) {
-		c := gfcache.New(p, gfcache.Config{
+		vs := gigaflow.NewVSwitch(p, gigaflow.CacheConfig{
 			NumTables: 3, TableCapacity: 8192, Adaptive: adaptive,
-			AdaptiveTuning: gfcache.AdaptiveConfig{WarmupInstalls: 200, Alpha: 0.05},
+			AdaptiveTuning: gigaflow.AdaptiveTuning{WarmupInstalls: 200, Alpha: 0.05},
 		})
 		for rep := 0; rep < 2; rep++ {
 			for i := uint64(0); i < 3000; i++ {
-				k := noShareKeyRoot(i)
-				if r := c.Lookup(k, int64(i)); !r.Hit {
-					tr := p.MustProcess(k)
-					c.Insert(tr, int64(i))
+				if _, err := vs.Process(noShareKey(i), int64(i)); err != nil {
+					b.Fatal(err)
 				}
 			}
 		}
-		st := c.Stats()
-		return 100 * st.HitRate(), c.Len()
+		st := vs.Cache().Stats()
+		return 100 * st.HitRate(), vs.CacheEntries()
 	}
 	offHit, offEntries := run(false)
 	onHit, onEntries := run(true)
@@ -101,11 +96,11 @@ func BenchmarkAblation_AdaptiveFallback(b *testing.B) {
 func BenchmarkAblation_ContextDiversity(b *testing.B) {
 	for _, ctxs := range []int{8, 64, 512} {
 		w, trace := ablationWorkload(b, ctxs)
-		gf, err := sim.Run(w, trace, sim.Config{Kind: sim.Gigaflow, NumTables: 4, TableCapacity: 8192, Offloaded: true})
+		gf, err := Run(w, trace, Config{Kind: Gigaflow, NumTables: 4, TableCapacity: 8192, Offloaded: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		mf, err := sim.Run(w, trace, sim.Config{Kind: sim.Megaflow, MegaflowCapacity: 32768, Offloaded: true})
+		mf, err := Run(w, trace, Config{Kind: Megaflow, MegaflowCapacity: 32768, Offloaded: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -165,21 +160,21 @@ func BenchmarkAblation_EthTypeExclusion(b *testing.B) {
 
 // --- zero-sharing fixture shared with the adaptive ablation ---
 
-func buildNoSharePipelineRoot(n uint64) *Pipeline {
-	p := NewPipeline("noshare")
-	p.AddTable(0, "a", NewFieldSet(FieldEthDst))
-	p.AddTable(1, "b", NewFieldSet(FieldIPDst))
-	p.AddTable(2, "c", NewFieldSet(FieldTpSrc))
+func buildNoSharePipeline(n uint64) *gigaflow.Pipeline {
+	p := gigaflow.NewPipeline("noshare")
+	p.AddTable(0, "a", flow.NewFieldSet(flow.FieldEthDst))
+	p.AddTable(1, "b", flow.NewFieldSet(flow.FieldIPDst))
+	p.AddTable(2, "c", flow.NewFieldSet(flow.FieldTpSrc))
 	for i := uint64(0); i < n; i++ {
-		p.MustAddRule(0, MatchAll().WithField(FieldEthDst, i), 10, nil, 1)
-		p.MustAddRule(1, MatchAll().WithField(FieldIPDst, i), 10, nil, 2)
-		p.MustAddRule(2, MatchAll().WithField(FieldTpSrc, i), 10, []Action{Output(1)}, NoTable)
+		p.MustAddRule(0, flow.MatchAll().WithField(flow.FieldEthDst, i), 10, nil, 1)
+		p.MustAddRule(1, flow.MatchAll().WithField(flow.FieldIPDst, i), 10, nil, 2)
+		p.MustAddRule(2, flow.MatchAll().WithField(flow.FieldTpSrc, i), 10, []flow.Action{flow.Output(1)}, gigaflow.NoTable)
 	}
 	return p
 }
 
-func noShareKeyRoot(i uint64) Key {
-	return Key{}.With(FieldEthDst, i).With(FieldIPDst, i).With(FieldTpSrc, i)
+func noShareKey(i uint64) flow.Key {
+	return flow.Key{}.With(flow.FieldEthDst, i).With(flow.FieldIPDst, i).With(flow.FieldTpSrc, i)
 }
 
 // BenchmarkAblation_PreciseUnwildcarding compares OVS's tuple-union
@@ -198,12 +193,12 @@ func BenchmarkAblation_PreciseUnwildcarding(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		trace := sim.BuildTrace(w, 15000, traffic.HighLocality, 3)
-		gf, err := sim.Run(w, trace, sim.Config{Kind: sim.Gigaflow, NumTables: 4, TableCapacity: 8192, Offloaded: true})
+		trace := BuildTrace(w, 15000, traffic.HighLocality, 3)
+		gf, err := Run(w, trace, Config{Kind: Gigaflow, NumTables: 4, TableCapacity: 8192, Offloaded: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		mf, err := sim.Run(w, trace, sim.Config{Kind: sim.Megaflow, MegaflowCapacity: 32768, Offloaded: true})
+		mf, err := Run(w, trace, Config{Kind: Megaflow, MegaflowCapacity: 32768, Offloaded: true})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,9 +1,11 @@
-// Package sim is the end-to-end simulator: it drives a packet trace
-// through a SmartNIC-hosted cache (Gigaflow or Megaflow) with a software
-// slowpath running the full vSwitch pipeline, charging latency and CPU
-// cycles from a model calibrated to the paper's testbed measurements. It
-// reproduces the evaluation's end-to-end figures (hit rate, misses,
-// entries, latency, CPU breakdown, dynamic workloads, core scaling).
+// Package sim is the end-to-end simulator: a driver and an observer of
+// the datapath the service ships. It feeds a packet trace to a
+// gigaflow.VSwitch (Gigaflow or Megaflow main cache, as a SmartNIC would
+// host it) at the trace's virtual time, and charges latency and CPU cycles
+// for what the switch's own counters say it did, from a model calibrated
+// to the paper's testbed measurements. It reproduces the evaluation's
+// end-to-end figures (hit rate, misses, entries, latency, CPU breakdown,
+// dynamic workloads, core scaling).
 package sim
 
 // CostModel holds the calibrated latency/cycle constants. All latencies

@@ -3,9 +3,8 @@ package sim
 import (
 	"fmt"
 
+	"gigaflow"
 	"gigaflow/internal/flow"
-	"gigaflow/internal/gigaflow"
-	"gigaflow/internal/megaflow"
 	"gigaflow/internal/pipebench"
 	"gigaflow/internal/traffic"
 )
@@ -53,51 +52,45 @@ type RevalResult struct {
 	TimeMs  float64
 }
 
-// RevalidationExperiment fills a Gigaflow (numTables×tableCap) and a
-// Megaflow (mfCap) cache with the workload's flows, perturbs the pipeline
+// RevalidationExperiment feeds the workload's flows to a Gigaflow
+// (numTables×tableCap) and a Megaflow (mfCap) switch, perturbs the pipeline
 // (forcing every entry to be re-derived), and measures full-cache
 // revalidation cost under the model.
 func RevalidationExperiment(w *pipebench.Workload, numFlows int, numTables, tableCap, mfCap int, m CostModel) (gfRes, mfRes RevalResult, err error) {
 	if m.CPUGHz == 0 {
 		m = DefaultCostModel()
 	}
-	gf := gigaflow.New(w.Pipeline, gigaflow.Config{NumTables: numTables, TableCapacity: tableCap})
-	mf := megaflow.New(mfCap)
 	trace := BuildTrace(w, numFlows, traffic.HighLocality, 7)
-	for i := range trace {
-		pkt := &trace[i]
-		if r := gf.Lookup(pkt.Key, pkt.Time); !r.Hit {
-			tr, perr := w.Pipeline.Process(pkt.Key)
-			if perr != nil {
-				return gfRes, mfRes, perr
+	feed := func(cfg Config) (*gigaflow.VSwitch, error) {
+		v := newSwitch(w, cfg)
+		for i := range trace {
+			if _, err := v.Process(trace[i].Key, trace[i].Time); err != nil {
+				return nil, err
 			}
-			gf.Insert(tr, pkt.Time)
-			mf.Insert(tr, pkt.Time)
-		} else if _, ok := mf.Lookup(pkt.Key, pkt.Time); !ok {
-			tr, perr := w.Pipeline.Process(pkt.Key)
-			if perr != nil {
-				return gfRes, mfRes, perr
-			}
-			mf.Insert(tr, pkt.Time)
 		}
+		return v, nil
+	}
+	gf, err := feed(Config{Kind: Gigaflow, NumTables: numTables, TableCapacity: tableCap})
+	if err != nil {
+		return gfRes, mfRes, err
+	}
+	mf, err := feed(Config{Kind: Megaflow, MegaflowCapacity: mfCap})
+	if err != nil {
+		return gfRes, mfRes, err
 	}
 
 	// Perturb the pipeline: any rule change bumps the version, forcing a
 	// full revalidation pass over both caches.
 	perturbPipeline(w)
 
-	gfEntries, mfEntries := gf.Len(), mf.Len()
-	gfEv, gfWork := gf.Revalidate()
-	mfEv, mfWork := mf.Revalidate(w.Pipeline)
-
-	toMs := func(work int) float64 {
-		return float64(m.CyclesToNs(int64(work)*m.CyclesPerRevalStep)) / 1e6
+	reval := func(label string, v *gigaflow.VSwitch) RevalResult {
+		r := RevalResult{Label: label, Entries: v.CacheEntries()}
+		r.Evicted, r.Work = v.Revalidate()
+		r.TimeMs = float64(m.CyclesToNs(int64(r.Work)*m.CyclesPerRevalStep)) / 1e6
+		return r
 	}
-	gfRes = RevalResult{Label: fmt.Sprintf("gigaflow(%dx%d)", numTables, tableCap),
-		Entries: gfEntries, Evicted: gfEv, Work: gfWork, TimeMs: toMs(gfWork)}
-	mfRes = RevalResult{Label: fmt.Sprintf("megaflow(%d)", mfCap),
-		Entries: mfEntries, Evicted: mfEv, Work: mfWork, TimeMs: toMs(mfWork)}
-	return gfRes, mfRes, nil
+	return reval(fmt.Sprintf("gigaflow(%dx%d)", numTables, tableCap), gf),
+		reval(fmt.Sprintf("megaflow(%d)", mfCap), mf), nil
 }
 
 // perturbPipeline bumps the pipeline version with a benign rule so that

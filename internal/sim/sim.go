@@ -3,9 +3,8 @@ package sim
 import (
 	"fmt"
 
+	"gigaflow"
 	"gigaflow/internal/flow"
-	"gigaflow/internal/gigaflow"
-	"gigaflow/internal/megaflow"
 	"gigaflow/internal/pipebench"
 	"gigaflow/internal/stats"
 	"gigaflow/internal/traffic"
@@ -166,8 +165,32 @@ func (r *Result) HitRate() float64 {
 	return float64(r.Hits) / float64(r.Packets)
 }
 
-// Run drives the trace through a fresh cache of the configured kind backed
-// by the workload's pipeline slowpath.
+// newSwitch builds the datapath under test the way service.New builds a
+// shard's: a VSwitch with the Microflow tier and conntrack off, the main
+// cache chosen by option, idle expiry by WithMaxIdle.
+func newSwitch(w *pipebench.Workload, cfg Config) *gigaflow.VSwitch {
+	opts := []gigaflow.VSwitchOption{gigaflow.WithMaxIdle(cfg.MaxIdleNs)}
+	if cfg.Kind == Megaflow {
+		opts = append(opts, gigaflow.WithMegaflowBackend(cfg.MegaflowCapacity))
+	}
+	return gigaflow.NewVSwitch(w.Pipeline, gigaflow.CacheConfig{
+		NumTables:     cfg.NumTables,
+		TableCapacity: cfg.TableCapacity,
+		Scheme:        cfg.Scheme,
+		Seed:          cfg.Seed,
+	}, opts...)
+}
+
+// cacheWork is the main cache's cumulative lookup and install work, as its
+// own counters report it: TSS tuples probed, and for Gigaflow the LTM
+// tables consulted and the rules composed (created or found shared).
+type cacheWork struct{ tuples, tables, rules uint64 }
+
+// Run drives the trace through a fresh VSwitch of the configured kind —
+// the datapath the service ships — and observes it: the simulator owns
+// virtual time, the trace and the cost model, and charges each packet
+// from ProcessResult.CacheHit and the change in counters the switch and
+// its cache keep.
 func Run(w *pipebench.Workload, trace []traffic.Packet, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if len(trace) == 0 {
@@ -176,28 +199,40 @@ func Run(w *pipebench.Workload, trace []traffic.Packet, cfg Config) (*Result, er
 	res := &Result{Config: cfg, Capacity: cfg.MegaflowCapacity, PerCore: make([]CoreLoad, cfg.Cores)}
 	res.Series.Name = cfg.Label()
 
-	var gf *gigaflow.Cache
-	var mf *megaflow.Cache
+	m := cfg.Model
+	v := newSwitch(w, cfg)
+	gf, mf := v.Cache(), v.Megaflow()
+	// Per kind, chosen once: how the cache's work is read and what a
+	// NuevoMatch search of it would cost. The packet loop asks which cache
+	// it drives only where the cost model itself differs.
+	var work func() cacheWork
+	var nmCycles func(k flow.Key, tables int64) int64
 	var nm *nmIndex
-	if cfg.Kind == Gigaflow {
-		gf = gigaflow.New(w.Pipeline, gigaflow.Config{
-			NumTables:     cfg.NumTables,
-			TableCapacity: cfg.TableCapacity,
-			Scheme:        cfg.Scheme,
-			Seed:          cfg.Seed,
-		})
+	if gf != nil {
 		res.Capacity = gf.Capacity()
+		work = func() cacheWork {
+			st := gf.Stats()
+			return cacheWork{st.TupleProbes, st.TablesProbed, st.EntriesCreated + st.SharedReuse}
+		}
+		// NM replaces each LTM table's scan with model work; tables with
+		// fewer live tuples than that stay on TSS.
+		nmCycles = func(_ flow.Key, tables int64) int64 { return tables * gfNMCostPerTable * m.CyclesPerNMUnit }
 	} else {
-		mf = megaflow.New(cfg.MegaflowCapacity)
+		res.MeanSharing = 1
+		work = func() cacheWork { return cacheWork{tuples: mf.TupleProbes()} }
 		if cfg.Search == NM {
 			nm = newNMIndex(0)
 		}
+		// NuevoMatch is a hybrid: rules live in learned iSets only where
+		// that beats scanning them in the TSS remainder.
+		nmCycles = func(k flow.Key, _ int64) int64 {
+			rmiUnits, deltaProbes := nm.lookupCost(k)
+			return rmiUnits*m.CyclesPerNMUnit + deltaProbes*m.CyclesPerTupleProbe
+		}
 	}
 
-	m := cfg.Model
 	var lastExpire, lastSample int64
 	var windowHits, windowTotal uint64
-	var prevGFProbes, prevMFProbes, prevGFTables uint64
 	var totalBytes uint64
 
 	for i := range trace {
@@ -207,49 +242,26 @@ func Run(w *pipebench.Workload, trace []traffic.Packet, cfg Config) (*Result, er
 
 		if cfg.MaxIdleNs > 0 && now-lastExpire >= cfg.ExpireEveryNs {
 			lastExpire = now
-			if gf != nil {
-				gf.ExpireIdle(now, cfg.MaxIdleNs)
-			} else {
-				mf.ExpireIdle(now, cfg.MaxIdleNs)
-			}
+			v.ExpireIdle(now)
 		}
 
-		// Cache lookup.
-		var hit bool
-		var swCycles int64 // CPU cycles spent searching in software mode
-		if gf != nil {
-			r := gf.Lookup(pkt.Key, now)
-			hit = r.Hit
-			st := gf.Stats()
-			tssProbes := int64(st.TupleProbes - prevGFProbes)
-			tables := int64(st.TablesProbed - prevGFTables)
-			prevGFProbes, prevGFTables = st.TupleProbes, st.TablesProbed
-			swCycles = tssProbes * m.CyclesPerTupleProbe
-			if cfg.Search == NM {
-				// NM replaces each LTM table's scan with model work;
-				// tables with fewer live tuples than that stay on TSS.
-				if nmCycles := tables * gfNMCostPerTable * m.CyclesPerNMUnit; nmCycles < swCycles {
-					swCycles = nmCycles
-				}
-			}
-		} else {
-			_, ok := mf.Lookup(pkt.Key, now)
-			hit = ok
-			tssProbes := int64(mf.TupleProbes() - prevMFProbes)
-			prevMFProbes = mf.TupleProbes()
-			swCycles = tssProbes * m.CyclesPerTupleProbe
-			if cfg.Search == NM {
-				// NuevoMatch is a hybrid: rules live in learned iSets
-				// only where that beats scanning them in the TSS
-				// remainder, so its cost never exceeds plain TSS.
-				rmiUnits, deltaProbes := nm.lookupCost(pkt.Key)
-				if nmCycles := rmiUnits*m.CyclesPerNMUnit + deltaProbes*m.CyclesPerTupleProbe; nmCycles < swCycles {
-					swCycles = nmCycles
-				}
+		// Snapshots bracket exactly one Process: the Peek below probes the
+		// Megaflow classifier too, and must fall outside them.
+		before, beforeStats := work(), v.Stats()
+		r, err := v.Process(pkt.Key, now)
+		if err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
+		}
+		after := work()
+
+		// CPU cycles spent searching in software mode; NuevoMatch never
+		// costs more than the plain TSS it falls back to.
+		swCycles := int64(after.tuples-before.tuples) * m.CyclesPerTupleProbe
+		if cfg.Search == NM {
+			if c := nmCycles(pkt.Key, int64(after.tables-before.tables)); c < swCycles {
+				swCycles = c
 			}
 		}
-
-		res.Packets++
 		var latency int64
 		if cfg.Offloaded {
 			latency = m.HWHitNs
@@ -257,63 +269,50 @@ func Run(w *pipebench.Workload, trace []traffic.Packet, cfg Config) (*Result, er
 			latency = m.SwCacheBaseNs + m.CyclesToNs(swCycles)
 		}
 
-		if hit {
-			res.Hits++
+		if r.CacheHit {
 			windowHits++
 		} else {
-			res.Misses++
 			// Slowpath: full pipeline traversal, cache-rule generation,
 			// installation. Charged to the flow's RSS core.
-			core := int(rssHash(pkt.Key) % uint64(cfg.Cores))
-			tr, err := w.Pipeline.Process(pkt.Key)
-			if err != nil {
-				return nil, fmt.Errorf("sim: slowpath: %v", err)
-			}
+			d := v.Stats().Sub(beforeStats)
 			var br CycleBreakdown
-			br.Pipeline = int64(tr.TuplesProbed)*m.CyclesPerTupleProbe + int64(tr.Len())*m.CyclesPerTableVisit
+			br.Pipeline = int64(d.SlowpathTupleProbes)*m.CyclesPerTupleProbe + int64(d.SlowpathSteps)*m.CyclesPerTableVisit
 			if gf != nil {
-				n := int64(tr.Len())
+				n := int64(d.SlowpathSteps)
 				br.Partition = n * n * int64(cfg.NumTables) * m.CyclesPerDPCell
-				entries, err := gf.Insert(tr, now)
-				if err != nil {
-					res.InsertFailures++
-				} else {
-					br.RuleGen = int64(len(entries)) * m.CyclesPerRuleGen
-				}
+				br.RuleGen = int64(after.rules-before.rules) * m.CyclesPerRuleGen
 			} else {
 				br.RuleGen = m.CyclesPerRuleGen
-				if e := mf.Insert(tr, now); e == nil {
-					res.InsertFailures++
-				} else if nm != nil {
+				if nm != nil && d.InstallErrs == 0 {
+					// A key that just missed matches only its own new entry.
+					e, _ := mf.Peek(pkt.Key)
 					nm.noteInsert(e, mf)
 				}
 			}
 			res.Cycles.Add(br)
-			res.PerCore[core].Misses++
-			res.PerCore[core].Cycles += br.Total()
+			core := &res.PerCore[rssHash(pkt.Key)%uint64(cfg.Cores)]
+			core.Misses++
+			core.Cycles += br.Total()
 			if cfg.Offloaded {
-				latency += m.PuntNs + m.SlowBaseNs + m.CyclesToNs(br.Total())
-			} else {
-				latency += m.SlowBaseNs + m.CyclesToNs(br.Total())
+				latency += m.PuntNs
 			}
+			latency += m.SlowBaseNs + m.CyclesToNs(br.Total())
 		}
 		res.Latency.Add(float64(latency))
 
 		windowTotal++
 		if cfg.SampleEveryNs > 0 && now-lastSample >= cfg.SampleEveryNs {
-			if windowTotal > 0 {
-				res.Series.Add(float64(now)/1e9, float64(windowHits)/float64(windowTotal))
-			}
+			res.Series.Add(float64(now)/1e9, float64(windowHits)/float64(windowTotal))
 			windowHits, windowTotal = 0, 0
 			lastSample = now
 		}
 	}
 
+	st := v.Stats()
+	res.Packets, res.Hits, res.Misses, res.InsertFailures = st.Packets, st.CacheHits, st.CacheMisses, st.InstallErrs
+	res.Entries, res.Coverage = v.CacheEntries(), v.Coverage()
 	if gf != nil {
-		st := gf.Stats()
-		res.Stalls = st.Stalls
-		res.Entries = gf.Len()
-		res.Coverage = gf.Coverage()
+		res.Stalls = gf.Stats().Stalls
 		if n := gf.Len(); n > 0 {
 			var installs uint64
 			for _, e := range gf.AllEntries() {
@@ -321,10 +320,6 @@ func Run(w *pipebench.Workload, trace []traffic.Packet, cfg Config) (*Result, er
 			}
 			res.MeanSharing = float64(installs) / float64(n)
 		}
-	} else {
-		res.Entries = mf.Len()
-		res.Coverage = uint64(mf.Len())
-		res.MeanSharing = 1
 	}
 	res.Throughput = computeThroughput(res, totalBytes, cfg.LineRateGbps, m)
 	return res, nil

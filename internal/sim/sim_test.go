@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"gigaflow/internal/pipebench"
 	"gigaflow/internal/pipelines"
+	"gigaflow/internal/telemetry"
 	"gigaflow/internal/traffic"
 )
 
@@ -280,5 +282,30 @@ func TestThroughputModel(t *testing.T) {
 	}
 	if mf8.Throughput.SlowpathPps < 7*mf.Throughput.SlowpathPps {
 		t.Errorf("8 cores should ~8x slowpath capacity: %v vs %v", mf8.Throughput.SlowpathPps, mf.Throughput.SlowpathPps)
+	}
+}
+
+func TestCollectMetricsKinds(t *testing.T) {
+	// Coverage rises and falls with the entries that carry it: the live
+	// switch exports it as a gauge, and a run must not disagree.
+	w := workload(t, pipelines.PSC, 100)
+	res, err := Run(w, BuildTrace(w, 500, traffic.HighLocality, 31), Config{Kind: Gigaflow, Offloaded: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	res.CollectMetrics(reg)
+	var out strings.Builder
+	if err := reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# TYPE gigaflow_cache_coverage gauge",
+		"# TYPE gigaflow_cache_entries gauge",
+		"# TYPE gigaflow_cache_misses_total counter",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("metrics lack %q", want)
+		}
 	}
 }

@@ -24,7 +24,7 @@ func (r *Result) CollectMetrics(reg *telemetry.Registry) {
 	c("gigaflow_cache_stalls_total", "Misses that matched a partial entry chain.", r.Stalls)
 	c("gigaflow_slowpath_traversals_total", "Full pipeline traversals.", r.Misses)
 	c("gigaflow_install_errors_total", "Traversals that could not be cached.", r.InsertFailures)
-	c("gigaflow_cache_coverage", "Rule-space coverage (installed traversals).", r.Coverage)
+	g("gigaflow_cache_coverage", "Rule-space coverage (installed traversals).", float64(r.Coverage))
 	g("gigaflow_cache_entries", "Cache entries in use.", float64(r.Entries))
 	g("gigaflow_cache_capacity", "Cache entry limit.", float64(r.Capacity))
 	g("gigaflow_hit_rate", "Cache hit rate over the run.", r.HitRate())

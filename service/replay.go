@@ -196,7 +196,7 @@ func (s *Service) Replay(ctx context.Context, r *pcap.Reader, cfg ReplayConfig) 
 	if err != nil {
 		return rep, err
 	}
-	rep.Stats = statsDelta(before, after)
+	rep.Stats = after.Sub(before)
 	// Every job flushed its decode tally before its results, and the
 	// closing Stats ran behind every job: the counters are complete.
 	proto, degraded := s.frames.decodeCounts()
@@ -216,20 +216,4 @@ func (rep ReplayReport) String() string {
 	return fmt.Sprintf("%d frames (%d bytes) in %v: %d submitted, %d queue drops, %d rejected, %d decode errors, hit rate %.2f%%",
 		rep.Frames, rep.Bytes, rep.Elapsed.Round(time.Millisecond),
 		rep.Submitted, rep.QueueDrops, rep.Rejected, rep.DecodeErrors, 100*rep.HitRate())
-}
-
-// statsDelta subtracts two cumulative VSwitchStats snapshots.
-func statsDelta(before, after gigaflow.VSwitchStats) gigaflow.VSwitchStats {
-	return gigaflow.VSwitchStats{
-		Packets:       after.Packets - before.Packets,
-		MicroflowHits: after.MicroflowHits - before.MicroflowHits,
-		CacheHits:     after.CacheHits - before.CacheHits,
-		CacheMisses:   after.CacheMisses - before.CacheMisses,
-		Slowpath:      after.Slowpath - before.Slowpath,
-		Installs:      after.Installs - before.Installs,
-		InstallErrs:   after.InstallErrs - before.InstallErrs,
-		CtFastpath:    after.CtFastpath - before.CtFastpath,
-		CtGuardFails:  after.CtGuardFails - before.CtGuardFails,
-		CtInvalidated: after.CtInvalidated - before.CtInvalidated,
-	}
 }

@@ -969,16 +969,7 @@ func (s *Service) Stats(ctx context.Context) (gigaflow.VSwitchStats, error) {
 	}
 	var out gigaflow.VSwitchStats
 	for _, st := range per {
-		out.Packets += st.Packets
-		out.MicroflowHits += st.MicroflowHits
-		out.CacheHits += st.CacheHits
-		out.CacheMisses += st.CacheMisses
-		out.Slowpath += st.Slowpath
-		out.Installs += st.Installs
-		out.InstallErrs += st.InstallErrs
-		out.CtFastpath += st.CtFastpath
-		out.CtGuardFails += st.CtGuardFails
-		out.CtInvalidated += st.CtInvalidated
+		out = out.Add(st)
 	}
 	return out, nil
 }

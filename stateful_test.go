@@ -719,9 +719,11 @@ func TestConnectionWalksOncePerDirection(t *testing.T) {
 		want  VSwitchStats
 	}{
 		{"tcp", packet.IPProtoTCP, tcp, VSwitchStats{Packets: 12, MicroflowHits: 8, CacheHits: 2,
-			CacheMisses: 2, Slowpath: 2, Installs: 2, CtFastpath: 8, CtGuardFails: 2}},
+			CacheMisses: 2, Slowpath: 2, Installs: 2, SlowpathSteps: 5, SlowpathTupleProbes: 6,
+			CtFastpath: 8, CtGuardFails: 2}},
 		{"udp", packet.IPProtoUDP, udp, VSwitchStats{Packets: 8, MicroflowHits: 5, CacheHits: 1,
-			CacheMisses: 2, Slowpath: 2, Installs: 2, CtFastpath: 5, CtGuardFails: 1}},
+			CacheMisses: 2, Slowpath: 2, Installs: 2, SlowpathSteps: 5, SlowpathTupleProbes: 6,
+			CtFastpath: 5, CtGuardFails: 1}},
 	} {
 		for _, backend := range []string{"gigaflow", "megaflow"} {
 			t.Run(tc.name+"/"+backend, func(t *testing.T) {

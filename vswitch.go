@@ -110,10 +110,44 @@ type VSwitchStats struct {
 	Installs      uint64 `json:"installs"`
 	InstallErrs   uint64 `json:"install_errs"`
 
+	// What the slow path walked, summed over the traversals it handed to
+	// the cache: pipeline tables visited and TSS tuples probed in them.
+	SlowpathSteps       uint64 `json:"slowpath_steps"`
+	SlowpathTupleProbes uint64 `json:"slowpath_tuple_probes"`
+
 	// Conntrack-mode counters; always zero when tracking is disabled.
 	CtFastpath    uint64 `json:"ct_fastpath,omitempty"`    // microflow hits served under the epoch guard
 	CtGuardFails  uint64 `json:"ct_guard_fails,omitempty"` // microflow entries dropped by the guard
 	CtInvalidated uint64 `json:"ct_invalidated,omitempty"` // main-cache entries removed because their connection died, was replaced on its tuple, or was bound since
+}
+
+// fields lists every counter: the one place a new one is added for Add and
+// Sub — hence for the service's per-shard sum, a replay's delta and the
+// simulator's per-packet charge — to carry it.
+func (s *VSwitchStats) fields() [12]*uint64 {
+	return [...]*uint64{
+		&s.Packets, &s.MicroflowHits, &s.CacheHits, &s.CacheMisses, &s.Slowpath,
+		&s.Installs, &s.InstallErrs, &s.SlowpathSteps, &s.SlowpathTupleProbes,
+		&s.CtFastpath, &s.CtGuardFails, &s.CtInvalidated,
+	}
+}
+
+// Add returns s + o, counter by counter.
+func (s VSwitchStats) Add(o VSwitchStats) VSwitchStats {
+	of := o.fields()
+	for i, f := range s.fields() {
+		*f += *of[i]
+	}
+	return s
+}
+
+// Sub returns s − o, counter by counter: the events between two snapshots.
+func (s VSwitchStats) Sub(o VSwitchStats) VSwitchStats {
+	of := o.fields()
+	for i, f := range s.fields() {
+		*f -= *of[i]
+	}
+	return s
 }
 
 // HitRate reports the main cache's hit rate over the packets that reached
@@ -512,6 +546,8 @@ func (v *VSwitch) processMiss(k, kt *Key, conn *conntrack.Conn, dir conntrack.Di
 // written to *o. It returns the flight-record flags the install earned.
 func (v *VSwitch) install(k *Key, tr *Traversal, now int64, conn *conntrack.Conn, dir conntrack.Dir,
 	tb *telemetry.TraceBuilder, o *ProcessResult) (flags uint8) {
+	v.stats.SlowpathSteps += uint64(tr.Len())
+	v.stats.SlowpathTupleProbes += uint64(tr.TuplesProbed)
 	tb.Begin("partition+install")
 	ok, evicted := v.main.Install(tr, now)
 	tb.End(ok)
@@ -634,6 +670,8 @@ func (v *VSwitch) CollectMetrics(reg *telemetry.Registry, worker string) {
 	c("gigaflow_cache_hits_total", "Main-cache (Gigaflow/Megaflow) hits.", s.CacheHits)
 	c("gigaflow_cache_misses_total", "Main-cache misses (slowpath punts).", s.CacheMisses)
 	c("gigaflow_slowpath_traversals_total", "Full pipeline traversals executed.", s.Slowpath)
+	c("gigaflow_slowpath_tables_total", "Pipeline tables visited by the traversals handed to the cache.", s.SlowpathSteps)
+	c("gigaflow_slowpath_tuple_probes_total", "TSS tuples probed by the traversals handed to the cache.", s.SlowpathTupleProbes)
 	c("gigaflow_installs_total", "Traversals compiled and installed into the cache.", s.Installs)
 	c("gigaflow_install_errors_total", "Traversals that could not be installed.", s.InstallErrs)
 	g("gigaflow_cache_entries", "Installed main-cache entries.", float64(v.CacheEntries()))
