@@ -273,7 +273,9 @@ func Run(w *pipebench.Workload, trace []traffic.Packet, cfg Config) (*Result, er
 			windowHits++
 		} else {
 			// Slowpath: full pipeline traversal, cache-rule generation,
-			// installation. Charged to the flow's RSS core.
+			// installation. Charged to the core the service would shard the
+			// flow to (the base rule of its shardOfKey, bit-identical to
+			// packet.RSSHash on the wire).
 			d := v.Stats().Sub(beforeStats)
 			var br CycleBreakdown
 			br.Pipeline = int64(d.SlowpathTupleProbes)*m.CyclesPerTupleProbe + int64(d.SlowpathSteps)*m.CyclesPerTableVisit
@@ -290,7 +292,7 @@ func Run(w *pipebench.Workload, trace []traffic.Packet, cfg Config) (*Result, er
 				}
 			}
 			res.Cycles.Add(br)
-			core := &res.PerCore[rssHash(pkt.Key)%uint64(cfg.Cores)]
+			core := &res.PerCore[pkt.Key.SymHash()%uint64(cfg.Cores)]
 			core.Misses++
 			core.Cycles += br.Total()
 			if cfg.Offloaded {
@@ -323,19 +325,4 @@ func Run(w *pipebench.Workload, trace []traffic.Packet, cfg Config) (*Result, er
 	}
 	res.Throughput = computeThroughput(res, totalBytes, cfg.LineRateGbps, m)
 	return res, nil
-}
-
-// rssHash mimics NIC RSS: a hash over the 5-tuple spreading flows across
-// cores (FNV-1a over the tuple lanes).
-func rssHash(k flow.Key) uint64 {
-	h := uint64(14695981039346656037)
-	for _, f := range []flow.FieldID{flow.FieldIPSrc, flow.FieldIPDst, flow.FieldIPProto, flow.FieldTpSrc, flow.FieldTpDst} {
-		v := k.Get(f)
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
-		}
-	}
-	return h
 }
