@@ -62,9 +62,10 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 ## docs-check: README.md, EXPERIMENTS.md, DESIGN.md and the verify skill
-## may only name make targets, gigabench experiments and files that exist —
-## and they, and the Go comments of the service and root packages, only
-## gigaflow_… metrics the code registers.
+## may only name make targets, gigabench experiments, files and
+## Benchmark…/Test…/Fuzz… functions that exist — and they, and the Go
+## comments of the service and root packages, only gigaflow_… metrics the
+## code registers.
 docs-check:
 	@sh scripts/docs-check.sh "$(GO)"
 

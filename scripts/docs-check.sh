@@ -5,9 +5,10 @@
 # *.md / cmd/… / examples/… / results/… path is in the tree (or is a
 # generated file .gitignore names), and every gigaflow_… metric name — in
 # the documents or in a Go comment of the service or root package — is one
-# the code registers. CHANGES.md and ROADMAP.md are history and are not
-# read. Run from the repository root: make docs-check (the one argument is
-# the go command to use).
+# the code registers, and every backticked Benchmark… / Test… / Fuzz… name
+# in the three documents is a function some _test.go defines. CHANGES.md
+# and ROADMAP.md are history and are not read. Run from the repository
+# root: make docs-check (the one argument is the go command to use).
 docs="README.md EXPERIMENTS.md DESIGN.md .claude/skills/verify/SKILL.md"
 status=0
 bad() {
@@ -53,6 +54,13 @@ for m in $metrics; do
 	echo "$registered" | grep -qx -e "$m" -e "$(echo "$m" | sed -E 's/_(count|sum|bucket)$//')" && continue
 	at=$(grep -nE "(^|[^a-z0-9_])$m([^a-z0-9_]|\$)" README.md DESIGN.md EXPERIMENTS.md $gosrc | cut -d: -f1,2 | tr '\n' ' ')
 	bad "\`$m\`: no such metric (${at% })"
+done
+
+# A test cited by name is how a document says "this is checked": the name
+# must still be a function. Only a name that opens its code span is read.
+defined=$(grep -rhoE --include='*_test.go' '^func (Benchmark|Test|Fuzz)[A-Za-z0-9_]*' . | awk '{print $2}' | sort -u)
+for n in $(grep -ohE '`(Benchmark|Test|Fuzz)[A-Za-z0-9_]+' README.md EXPERIMENTS.md DESIGN.md | tr -d '`' | sort -u); do
+	echo "$defined" | grep -qx "$n" || bad "\`$n\`: no _test.go defines it"
 done
 
 exit $status
