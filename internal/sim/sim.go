@@ -202,9 +202,10 @@ func Run(w *pipebench.Workload, trace []traffic.Packet, cfg Config) (*Result, er
 	m := cfg.Model
 	v := newSwitch(w, cfg)
 	gf, mf := v.Cache(), v.Megaflow()
-	// Per kind, chosen once: how the cache's work is read and what a
-	// NuevoMatch search of it would cost. The packet loop asks which cache
-	// it drives only where the cost model itself differs.
+	// Per kind, chosen once: how the cache's work is read and, under
+	// Search == NM, what a NuevoMatch search of it would cost. The packet
+	// loop asks which cache it drives only where the cost model itself
+	// differs.
 	var work func() cacheWork
 	var nmCycles func(k flow.Key, tables int64) int64
 	var nm *nmIndex
@@ -214,20 +215,22 @@ func Run(w *pipebench.Workload, trace []traffic.Packet, cfg Config) (*Result, er
 			st := gf.Stats()
 			return cacheWork{st.TupleProbes, st.TablesProbed, st.EntriesCreated + st.SharedReuse}
 		}
-		// NM replaces each LTM table's scan with model work; tables with
-		// fewer live tuples than that stay on TSS.
-		nmCycles = func(_ flow.Key, tables int64) int64 { return tables * gfNMCostPerTable * m.CyclesPerNMUnit }
+		if cfg.Search == NM {
+			// NM replaces each LTM table's scan with model work; tables
+			// with fewer live tuples than that stay on TSS.
+			nmCycles = func(_ flow.Key, tables int64) int64 { return tables * gfNMCostPerTable * m.CyclesPerNMUnit }
+		}
 	} else {
 		res.MeanSharing = 1
 		work = func() cacheWork { return cacheWork{tuples: mf.TupleProbes()} }
 		if cfg.Search == NM {
+			// NuevoMatch is a hybrid: rules live in learned iSets only
+			// where that beats scanning them in the TSS remainder.
 			nm = newNMIndex(0)
-		}
-		// NuevoMatch is a hybrid: rules live in learned iSets only where
-		// that beats scanning them in the TSS remainder.
-		nmCycles = func(k flow.Key, _ int64) int64 {
-			rmiUnits, deltaProbes := nm.lookupCost(k)
-			return rmiUnits*m.CyclesPerNMUnit + deltaProbes*m.CyclesPerTupleProbe
+			nmCycles = func(k flow.Key, _ int64) int64 {
+				rmiUnits, deltaProbes := nm.lookupCost(k)
+				return rmiUnits*m.CyclesPerNMUnit + deltaProbes*m.CyclesPerTupleProbe
+			}
 		}
 	}
 
@@ -257,7 +260,7 @@ func Run(w *pipebench.Workload, trace []traffic.Packet, cfg Config) (*Result, er
 		// CPU cycles spent searching in software mode; NuevoMatch never
 		// costs more than the plain TSS it falls back to.
 		swCycles := int64(after.tuples-before.tuples) * m.CyclesPerTupleProbe
-		if cfg.Search == NM {
+		if nmCycles != nil {
 			if c := nmCycles(pkt.Key, int64(after.tables-before.tables)); c < swCycles {
 				swCycles = c
 			}
@@ -273,9 +276,7 @@ func Run(w *pipebench.Workload, trace []traffic.Packet, cfg Config) (*Result, er
 			windowHits++
 		} else {
 			// Slowpath: full pipeline traversal, cache-rule generation,
-			// installation. Charged to the core the service would shard the
-			// flow to (the base rule of its shardOfKey, bit-identical to
-			// packet.RSSHash on the wire).
+			// installation.
 			d := v.Stats().Sub(beforeStats)
 			var br CycleBreakdown
 			br.Pipeline = int64(d.SlowpathTupleProbes)*m.CyclesPerTupleProbe + int64(d.SlowpathSteps)*m.CyclesPerTableVisit
@@ -292,6 +293,9 @@ func Run(w *pipebench.Workload, trace []traffic.Packet, cfg Config) (*Result, er
 				}
 			}
 			res.Cycles.Add(br)
+			// Charged to the core the service would shard the flow to: the
+			// base rule of its shardOfKey, bit-identical to packet.RSSHash
+			// on the wire.
 			core := &res.PerCore[pkt.Key.SymHash()%uint64(cfg.Cores)]
 			core.Misses++
 			core.Cycles += br.Total()
@@ -315,12 +319,12 @@ func Run(w *pipebench.Workload, trace []traffic.Packet, cfg Config) (*Result, er
 	res.Entries, res.Coverage = v.CacheEntries(), v.Coverage()
 	if gf != nil {
 		res.Stalls = gf.Stats().Stalls
-		if n := gf.Len(); n > 0 {
+		if res.Entries > 0 {
 			var installs uint64
 			for _, e := range gf.AllEntries() {
 				installs += e.Installs
 			}
-			res.MeanSharing = float64(installs) / float64(n)
+			res.MeanSharing = float64(installs) / float64(res.Entries)
 		}
 	}
 	res.Throughput = computeThroughput(res, totalBytes, cfg.LineRateGbps, m)
