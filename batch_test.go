@@ -6,6 +6,7 @@ import (
 
 	gfcache "gigaflow/internal/gigaflow"
 	"gigaflow/internal/megaflow"
+	"gigaflow/internal/microflow"
 	"gigaflow/internal/telemetry"
 )
 
@@ -28,6 +29,18 @@ type replayOutcome struct {
 	flight  []telemetry.FlightRecord // newest first; identity fields only
 }
 
+// thrashPrefix is three observation windows of a 32-entry Microflow tier
+// (4 096 packets each, the policy's floor) round robin over four
+// capacities of flows: the first closes without a hit and the tier
+// bypasses for the other two (DESIGN.md §10.3).
+func thrashPrefix() []Key {
+	keys := make([]Key, 3*4096)
+	for i := range keys {
+		keys[i] = demoKey(uint64(i%64), []uint64{80, 22}[i/64%2])
+	}
+	return keys
+}
+
 // TestProcessBatchMatchesSequential drives the same tape through the
 // switch one packet at a time (ProcessMeta) and in mixed-size batches
 // (ProcessBatchMeta), each with the tracer off and with every packet
@@ -45,10 +58,15 @@ func TestProcessBatchMatchesSequential(t *testing.T) {
 	// Mixed stateless traffic: flows revisited at once (microflow hits),
 	// fresh flows of cached megaflows (main-cache hits), and cold flows
 	// (slowpath). More flows than the microflow tier holds, visited in a
-	// cycle, force LRU churn too.
+	// cycle, force LRU churn too. Ahead of them, thrashPrefix: every
+	// replay crosses into the tier's bypass and out of it in mid-batch,
+	// and the mixed traffic arrives at a tier that has just come back.
 	var demoTape []ctEvent
+	for _, k := range thrashPrefix() {
+		demoTape = append(demoTape, ctEvent{k: k, now: int64(len(demoTape))})
+	}
 	for i, ports := 0, []uint64{80, 22}; i < 300; i++ {
-		demoTape = append(demoTape, ctEvent{k: demoKey(uint64(i/2*7%41), ports[i/2%2]), now: int64(i)})
+		demoTape = append(demoTape, ctEvent{k: demoKey(uint64(i/2*7%41), ports[i/2%2]), now: int64(len(demoTape))})
 	}
 	const maxIdle = 500_000
 	ctTape := statefulTape(t, 24, 3000, maxIdle)
@@ -133,6 +151,9 @@ func TestProcessBatchMatchesSequential(t *testing.T) {
 		want := replay(false, false)
 		if want.stats.MicroflowHits == 0 && uf > 0 || want.stats.CacheHits == 0 || want.stats.CacheMisses == 0 {
 			t.Fatalf("tape does not reach every tier: %+v", want.stats)
+		}
+		if uf > 0 && !ct && want.uf.(microflow.Stats).Bypassed != 2*4096 {
+			t.Fatalf("tape does not take the microflow tier through a bypass period: %+v", want.uf)
 		}
 		if recorded && want.seq != uint64(len(tape)) {
 			t.Fatalf("%d flight records for %d packets", want.seq, len(tape))
@@ -221,11 +242,13 @@ func TestProcessBatchVisibility(t *testing.T) {
 }
 
 // TestProcessBatchThrashZeroAlloc: a working set eight times the
-// Microflow tier, every packet served by the main cache and memoized over
-// the tier's least recently used entry — the paper's operating point —
-// must run allocation-free on both backends. Memoizing into a full tier
-// reuses the evicted entry's storage. The single-packet entry points are
-// held to the same: main-cache hit and microflow hit, inline and park.
+// Microflow tier, every packet served by the main cache — the paper's
+// operating point — must run allocation-free on both backends, on both
+// sides of the tier's thrash policy: while the tier is active every packet
+// is memoized over its least recently used entry, whose storage the new
+// entry reuses, and while it bypasses every packet's memo is declined.
+// The single-packet entry points are held to the same: main-cache hit and
+// microflow hit, inline and park.
 func TestProcessBatchThrashZeroAlloc(t *testing.T) {
 	const ufCap = 16
 	for _, backend := range []string{"gigaflow", "megaflow"} {
@@ -243,9 +266,13 @@ func TestProcessBatchThrashZeroAlloc(t *testing.T) {
 			errs := make([]error, len(keys))
 			vs.ProcessBatch(keys, out, errs, 0) // install, fill the tier
 			before := vs.Stats()
-			evicted := vs.Microflow().Stats().EvictLRU
+			ufBefore := vs.Microflow().Stats()
 
-			const runs = 20
+			// 101 batches of 128 after the first: the tier's 4 096-packet
+			// window closes in the 32nd batch of the tape without a hit,
+			// the 8 192 packets after it are declined, and the last 768
+			// are memoized again.
+			const runs = 100
 			if allocs := testing.AllocsPerRun(runs, func() {
 				vs.ProcessBatch(keys, out, errs, 1)
 			}); allocs != 0 {
@@ -258,8 +285,15 @@ func TestProcessBatchThrashZeroAlloc(t *testing.T) {
 			if after.CacheHits-before.CacheHits != pkts || after.MicroflowHits != before.MicroflowHits {
 				t.Errorf("not every packet was a main-cache hit: before %+v, after %+v", before, after)
 			}
-			if got := vs.Microflow().Stats().EvictLRU - evicted; got != pkts {
-				t.Errorf("%d evictions over %d memoized packets", got, pkts)
+			uf := vs.Microflow().Snapshot()
+			evicted, bypassed := uf.EvictLRU-ufBefore.EvictLRU, uf.Bypassed-ufBefore.Bypassed
+			if evicted+bypassed != pkts || bypassed != 2*4096 {
+				t.Errorf("%d evictions and %d declined memos over %d packets, want %d and %d",
+					evicted, bypassed, pkts, pkts-2*4096, 2*4096)
+			}
+			// The legs below need their memos kept.
+			if uf.Bypassing {
+				t.Fatal("the tier is still bypassing")
 			}
 
 			// A single packet is a batch of one through the same loop: it

@@ -13,6 +13,13 @@
 // entry when its full 64-bit hash matches. Inserting into a full tier
 // recycles the LRU tail's entry in place: one backshift delete from the
 // index, one slot write, no allocation.
+//
+// Thrash policy. A tier fed flows it will not see again before it has
+// evicted them is pure cost: every packet pays a probe and an evicting
+// insert, and the slab streams through the CPU cache ahead of the main
+// cache's own lines. The tier therefore watches itself (observe) and steps
+// aside while that is so; the policy and its constants are stated once,
+// beside thrashRatio.
 package microflow
 
 import (
@@ -54,11 +61,12 @@ type Entry struct {
 // Stats counts cache events.
 type Stats struct {
 	Hits     uint64 `json:"hits"`
-	Misses   uint64 `json:"misses"`
+	Misses   uint64 `json:"misses"` // probes that found nothing; a bypassing tier does not probe
 	Inserts  uint64 `json:"inserts"`
 	EvictLRU uint64 `json:"evict_lru"`
 	Expired  uint64 `json:"expired"`
-	Invalid  uint64 `json:"invalidated"` // removed by Invalidate
+	Invalid  uint64 `json:"invalidated"` // removed by Invalidate, or one at a time by Remove/Drop (the conntrack guard)
+	Bypassed uint64 `json:"bypassed"`    // memoize requests declined while the tier was bypassing
 }
 
 // Snapshot bundles the cache's counters and occupancy for telemetry
@@ -66,13 +74,57 @@ type Stats struct {
 // goroutine driving the cache.
 type Snapshot struct {
 	Stats
-	Len      int `json:"len"`
-	Capacity int `json:"capacity"`
+	Len       int  `json:"len"`
+	Capacity  int  `json:"capacity"`
+	Bypassing bool `json:"bypassing"` // the thrash detector has the tier stepped aside right now
 }
 
 const (
 	chunkShift = 8
 	chunkSize  = 1 << chunkShift // entries per slab chunk (≈60 KiB)
+)
+
+// The thrash policy, whole. The tier counts one event for every hit a
+// lookup returns and every memoize request it receives — so a packet that
+// ends in the tier is one event however many times it was probed on the
+// way (a parked packet is probed twice, served or memoized once). Events
+// are grouped into windows of W = max(2 × capacity, minWindow). A window
+// that closes holding fewer than W/thrashRatio hits is a thrashing one:
+// the tier then bypasses for the next W << b memoize requests, b being
+// the number of thrashing windows in a row, capped at maxBackoff. While
+// it bypasses, every lookup misses without hashing and every memoize
+// request is declined and counted in Stats.Bypassed; nothing else about
+// the tier changes, and neither counts as an event. After that it
+// observes one more window. A window that closes with W/thrashRatio hits
+// or more sets b back to zero. Invalidate returns the tier to active with
+// an empty window and b = 0.
+//
+// Declining is safe because a memo is only ever a shortcut to a result
+// the main cache or the pipeline gives anyway, and what the tier keeps
+// while it bypasses stays valid by the same rules as ever (Invalidate on
+// a rule change, the conntrack guard on a hit).
+const (
+	// thrashRatio: 1 hit in 64 events. A tier miss costs a probe and an
+	// evicting insert, about what the main-cache hit behind it costs, so
+	// the tier stops paying for itself somewhere in the tens of percent;
+	// 1/64 is far below any workload that reuses flows at all (the lowest
+	// hit ratio the benchmark records on a tier that hits is 0.67) and
+	// leaves the contested middle to an admission policy. The detector
+	// only decides the case that is not in doubt.
+	thrashRatio = 64
+	// minWindow: the floor on W. A ratio of 1/64 means nothing over a
+	// handful of events; at 64² events the thrashing line is 64 hits, so
+	// a few chance hits or misses cannot move a window across it. Tiers
+	// under 2 048 entries are observed over the floor. The other term of
+	// W, two capacities, gives every reuse distance the tier could serve
+	// room to show: the tier may spend the first capacity's worth of
+	// events filling, and reuse shows in the second.
+	minWindow = thrashRatio * thrashRatio
+	// maxBackoff: the bypass period doubles from 2 windows to at most 16.
+	// Starting at 2, a passing scan costs little; capped at 16, a tier
+	// that thrashes for good pays for 1 packet in 17, and a workload that
+	// turns cacheable is noticed within 16 windows.
+	maxBackoff = 4
 )
 
 // slot is one cell of the open-addressing index. hash==0 means empty;
@@ -95,6 +147,13 @@ type Cache struct {
 	lruTail  uint32
 	lastHash uint64
 	stats    Stats
+
+	// Thrash detector: see thrashRatio.
+	window  uint64 // W, events per observation window
+	events  uint64 // events in the current window
+	winHits uint64 // of which hits
+	backoff uint64 // b, thrashing windows in a row, at most maxBackoff
+	bypass  uint64 // memoize requests left to decline; non-zero is "bypassing"
 }
 
 // New creates a microflow cache holding at most capacity entries.
@@ -106,7 +165,7 @@ func New(capacity int) *Cache {
 	for n*3/4 < capacity {
 		n <<= 1
 	}
-	return &Cache{capacity: capacity, index: make([]slot, n)}
+	return &Cache{capacity: capacity, index: make([]slot, n), window: uint64(max(2*capacity, minWindow))}
 }
 
 // Len reports the number of cached entries.
@@ -125,7 +184,28 @@ func (c *Cache) LastHash() uint64 { return c.lastHash }
 
 // Snapshot captures the cache's current telemetry view.
 func (c *Cache) Snapshot() Snapshot {
-	return Snapshot{Stats: c.stats, Len: c.Len(), Capacity: c.capacity}
+	return Snapshot{Stats: c.stats, Len: c.Len(), Capacity: c.capacity, Bypassing: c.bypass != 0}
+}
+
+// observe counts one event into the current window, a hit when hit is 1,
+// and closes the window on its last event: see thrashRatio.
+//
+//gf:hotpath
+func (c *Cache) observe(hit uint64) {
+	c.winHits += hit
+	c.events++
+	if c.events < c.window {
+		return
+	}
+	if c.winHits*thrashRatio < c.window {
+		if c.backoff < maxBackoff {
+			c.backoff++
+		}
+		c.bypass = c.window << c.backoff
+	} else {
+		c.backoff = 0
+	}
+	c.events, c.winHits = 0, 0
 }
 
 // at resolves a non-zero ref to its entry.
@@ -155,7 +235,8 @@ func (c *Cache) find(k *flow.Key, h uint64) (*Entry, uint32) {
 	}
 }
 
-// Lookup finds the entry for exactly k.
+// Lookup finds the entry for exactly k. A bypassing tier (see thrashRatio)
+// reports a miss without looking.
 //
 //gf:hotpath
 func (c *Cache) Lookup(k flow.Key, now int64) (*Entry, bool) {
@@ -177,6 +258,9 @@ func (c *Cache) Find(k *flow.Key, now int64) (*Entry, bool) {
 //
 //gf:hotpath
 func (c *Cache) lookupStats(k *flow.Key, now int64, s *Stats) (*Entry, bool) {
+	if c.bypass != 0 {
+		return nil, false
+	}
 	c.lastHash = flowtable.HashKey(k)
 	e, ref := c.find(k, c.lastHash)
 	if e == nil {
@@ -187,6 +271,7 @@ func (c *Cache) lookupStats(k *flow.Key, now int64, s *Stats) (*Entry, bool) {
 	e.LastHit = now
 	c.touch(e, ref)
 	s.Hits++
+	c.observe(1)
 	return e, true
 }
 
@@ -222,7 +307,8 @@ func (b *BatchLookup) Flush() {
 
 // Insert memoizes the result of processing k. An existing entry for k is
 // overwritten. Into a full tier it evicts the least recently used entry
-// and reuses its storage, allocating nothing.
+// and reuses its storage, allocating nothing. A bypassing tier (see
+// thrashRatio) declines: nothing is stored and the result is nil.
 //
 //gf:hotpath
 func (c *Cache) Insert(k, final flow.Key, v flow.Verdict, now int64) *Entry {
@@ -246,15 +332,24 @@ func (c *Cache) InsertCt(k, final flow.Key, v flow.Verdict, now int64,
 func (c *Cache) MemoizeCt(k, final *flow.Key, v flow.Verdict, now int64,
 	conn *conntrack.Conn, epoch uint64, dir conntrack.Dir) *Entry {
 	e := c.Memoize(k, final, v, now)
-	e.Ct, e.CtEpoch, e.CtDir = conn, epoch, dir
+	if e != nil {
+		e.Ct, e.CtEpoch, e.CtDir = conn, epoch, dir
+	}
 	return e
 }
 
 // Memoize is the body of Insert and InsertCt, reading both keys in
-// place. The entry comes back bound to no connection.
+// place. The entry comes back bound to no connection, or nil from a
+// bypassing tier.
 //
 //gf:hotpath
 func (c *Cache) Memoize(k, final *flow.Key, v flow.Verdict, now int64) *Entry {
+	if c.bypass != 0 {
+		c.bypass--
+		c.stats.Bypassed++
+		return nil
+	}
+	c.observe(0)
 	h := flowtable.HashKey(k)
 	if old, ref := c.find(k, h); old != nil {
 		old.Final, old.Verdict, old.LastHit = *final, v, now
@@ -331,7 +426,9 @@ func (c *Cache) ExpireIdle(now, maxIdle int64) int {
 // Invalidate drops every entry; called when pipeline rules change, since
 // exact-match entries carry no wildcard against which to revalidate
 // incrementally. The index and the slab's chunks are retained (the tier
-// is capacity-pinned) and refilled from the first chunk again.
+// is capacity-pinned) and refilled from the first chunk again. The thrash
+// detector starts over with it — an emptied tier has no history to be
+// judged on — so a rule update also returns a bypassing tier to active.
 func (c *Cache) Invalidate() int {
 	n := c.count
 	clear(c.index)
@@ -341,6 +438,7 @@ func (c *Cache) Invalidate() int {
 		clear(ch)
 	}
 	c.count, c.used, c.free, c.lruHead, c.lruTail = 0, 0, 0, 0, 0
+	c.events, c.winHits, c.backoff, c.bypass = 0, 0, 0, 0
 	c.stats.Invalid += uint64(n)
 	return n
 }

@@ -102,6 +102,11 @@ func TestCapacityChurn(t *testing.T) {
 			t.Errorf("recent key %d missing", i)
 		}
 	}
+	// 1 000 events: inside the first observation window, so every insert
+	// above was a real one.
+	if st := c.Stats(); st.Bypassed != 0 || st.EvictLRU != 992 {
+		t.Errorf("churn did not stay on the active side: %+v", st)
+	}
 }
 
 func TestBadCapacityPanics(t *testing.T) {
@@ -239,8 +244,11 @@ func TestFullTierZeroAlloc(t *testing.T) {
 	if c.Stats().EvictLRU < 1000 {
 		t.Fatalf("inserts did not evict: %+v", c.Stats())
 	}
+	// 40 runs, not more: with the fill and the thousand inserts above that
+	// is 3 771 memoize requests and no hit, and the 4 096th would close a
+	// thrashing window — this test measures the recycle, not the bypass.
 	now := int64(0)
-	if allocs := testing.AllocsPerRun(100, func() {
+	if allocs := testing.AllocsPerRun(40, func() {
 		now += 100
 		if n := c.ExpireIdle(now, 10); n != 64 {
 			t.Fatalf("expired %d of 64", n)
@@ -251,5 +259,116 @@ func TestFullTierZeroAlloc(t *testing.T) {
 		next++
 	}); allocs != 0 {
 		t.Errorf("ExpireIdle/Remove/refill allocates %.1f/op, want 0", allocs)
+	}
+	if st := c.Stats(); st.Bypassed != 0 {
+		t.Errorf("the tier stepped aside under the measurement: %+v", st)
+	}
+}
+
+// packet drives c the way the datapath does: probe, and memoize on a miss.
+func packet(c *Cache, flowID uint64, now int64) (hit bool) {
+	if _, ok := c.Lookup(mk(flowID), now); ok {
+		return true
+	}
+	c.Insert(mk(flowID), mk(flowID), flow.Verdict{}, now)
+	return false
+}
+
+// TestThrashBypassSchedule walks a tier through the whole thrash policy
+// and holds it to the schedule event by event: observation windows of W
+// separated by bypass periods of 2W, 4W, 8W, 16W, 16W under a working set
+// that cannot hit; a hot set found again at the first window after the
+// period in force; the back-off collapsed by that one healthy window; and
+// Invalidate ending a bypass at once.
+func TestThrashBypassSchedule(t *testing.T) {
+	for _, tc := range []struct{ capacity, window int }{
+		{1, minWindow}, {1024, minWindow}, {2048, 4096}, {2049, 4098}, {4096, 8192},
+	} {
+		if got := New(tc.capacity).window; got != uint64(tc.window) {
+			t.Errorf("capacity %d: window %d, want %d", tc.capacity, got, tc.window)
+		}
+	}
+
+	const capacity = 4096
+	const W = 2 * capacity
+	c := New(capacity)
+	now, next := int64(0), uint64(0)
+	// cold sends n packets of flows never seen before; hot sends n round
+	// robin over half a capacity of flows of its own.
+	cold := func(n int) {
+		for i := 0; i < n; i++ {
+			now++
+			next++
+			if packet(c, 1<<32|next, now) {
+				t.Fatalf("packet %d: a new flow hit", now)
+			}
+		}
+	}
+	hot := func(n int) (hits int) {
+		for i := 0; i < n; i++ {
+			now++
+			next++
+			if packet(c, next%(capacity/2), now) {
+				hits++
+			}
+		}
+		return hits
+	}
+	expect := func(what string, bypassing bool, bypassed, evicted uint64) {
+		t.Helper()
+		s := c.Snapshot()
+		if s.Bypassing != bypassing || s.Bypassed != bypassed || s.EvictLRU != evicted {
+			t.Fatalf("%s: bypassing=%v bypassed=%d evicted=%d, want %v %d %d",
+				what, s.Bypassing, s.Bypassed, s.EvictLRU, bypassing, bypassed, evicted)
+		}
+	}
+
+	var bypassed, inserted uint64
+	for round, periods := range []uint64{2, 4, 8, 16, 16} {
+		cold(W - 1)
+		inserted += W - 1
+		expect("one event short of a window", false, bypassed, inserted-capacity)
+		cold(1)
+		inserted++
+		expect("window closed", true, bypassed, inserted-capacity)
+		cold(int(periods*W) - 1)
+		bypassed += periods*W - 1
+		expect("one request short of the period", true, bypassed, inserted-capacity)
+		cold(1)
+		bypassed++
+		expect("period over", false, bypassed, inserted-capacity)
+		if st := c.Stats(); st.Hits != 0 || st.Misses != inserted || st.Inserts != inserted {
+			t.Fatalf("round %d: %+v", round, st)
+		}
+	}
+
+	// Into the sixth bypass period, and the traffic turns cacheable half
+	// way through it: nothing is learnt until the period is over, then
+	// the hot set is admitted in one pass and hits from the second.
+	cold(W)
+	cold(8 * W)
+	if hits := hot(8 * W); hits != 0 {
+		t.Fatalf("%d hits from a bypassing tier", hits)
+	}
+	expect("hot set, period over", false, bypassed+16*W, inserted+W-capacity)
+	if hits := hot(W); hits != W-capacity/2 {
+		t.Fatalf("%d hits in the first window on the hot set, want %d", hits, W-capacity/2)
+	}
+	// That window was healthy, so the back-off is gone: the next time the
+	// tier thrashes it steps aside for two windows, not sixteen.
+	cold(W)
+	cold(2 * W)
+	expect("after a healthy window, period over", false, bypassed+18*W, inserted+2*W+capacity/2-capacity)
+
+	// Invalidate in mid-bypass: active at once, and judged afresh.
+	cold(W)
+	cold(W)
+	expect("mid-bypass", true, bypassed+19*W, inserted+3*W+capacity/2-capacity)
+	c.Invalidate()
+	if c.Snapshot().Bypassing {
+		t.Fatal("Invalidate left the tier bypassing")
+	}
+	if hits := hot(W); hits != W-capacity/2 {
+		t.Fatalf("%d hits in the window after Invalidate, want %d", hits, W-capacity/2)
 	}
 }

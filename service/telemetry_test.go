@@ -153,6 +153,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"gigaflow_uptime_seconds",
 		"gigaflow_submit_latency_ns_count",
 		"gigaflow_microflow_entries",
+		`gigaflow_microflow_bypassed_total{worker="0"} 0`,
+		`gigaflow_microflow_bypassing{worker="0"} 0`,
 	}
 	for _, want := range wants {
 		if !strings.Contains(out, want) {

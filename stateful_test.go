@@ -620,6 +620,9 @@ func TestRecycledMemoServesWithoutGuard(t *testing.T) {
 	if after.CtFastpath != before.CtFastpath || after.CtGuardFails != before.CtGuardFails {
 		t.Errorf("hit went through the conntrack guard: before %+v, after %+v", before, after)
 	}
+	if uf := vs.Microflow().Stats(); uf.Bypassed != 0 || uf.EvictLRU == 0 {
+		t.Errorf("the tier recycled nothing, or stepped aside: %+v", uf)
+	}
 }
 
 // TestConntrackOffBitIdentical: with conntrack disabled the stateful

@@ -687,7 +687,13 @@ func (v *VSwitch) CollectMetrics(reg *telemetry.Registry, worker string) {
 		c("gigaflow_microflow_inserts_total", "Exact-match entries memoized.", us.Inserts)
 		c("gigaflow_microflow_evictions_total", "Exact-match entries evicted by LRU.", us.EvictLRU)
 		c("gigaflow_microflow_expired_total", "Exact-match entries removed by idle expiry.", us.Expired)
-		c("gigaflow_microflow_invalidated_total", "Exact-match entries dropped by revalidation.", us.Invalid)
+		c("gigaflow_microflow_invalidated_total", "Exact-match entries dropped by revalidation, or one at a time by the conntrack guard.", us.Invalid)
+		c("gigaflow_microflow_bypassed_total", "Memoize requests declined while the tier was stepping aside from a working set it cannot hit.", us.Bypassed)
+		bypassing := 0.0
+		if us.Bypassing {
+			bypassing = 1
+		}
+		g("gigaflow_microflow_bypassing", "1 while the exact-match tier is stepping aside (probes miss unhashed, memos declined), else 0.", bypassing)
 	}
 
 	if v.ct != nil {
