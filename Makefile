@@ -148,12 +148,19 @@ bench-pairs:
 ## probe-before-build install against the build-then-dedupe original, and
 ## FuzzEpochValid through the connection table against a model of which
 ## stamps a connection's death, tuple reuse or NAT binding has outdated.
+## FuzzOracle is the whole-datapath oracle: each entry names a cell of its
+## matrix and a seed, and replays that seed's op tape through the cell and
+## the first of its group against the never-cached Reference walk, with
+## the ledger checked; the corpus holds a cell for every axis value and
+## the cell and seed that caught each mutation the oracle is known to
+## catch (results/pr25/README.md).
 fuzz-regress:
 	$(GO) test -run 'FuzzDecode|FuzzRSSHash' ./internal/packet
 	$(GO) test -run 'FuzzEpochValid' ./internal/conntrack
 	$(GO) test -run 'FuzzMicroflowOps' ./internal/microflow
 	$(GO) test -run 'FuzzOpsDifferential' ./internal/flowtable
 	$(GO) test -run 'FuzzInsertOps' ./internal/gigaflow
+	$(GO) test -run 'FuzzOracle' ./service
 
 ## fuzz: actively fuzz the frame decoder for a short burst. New crashers
 ## land in internal/packet/testdata/fuzz/FuzzDecode — check them in.

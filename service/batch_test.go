@@ -63,20 +63,11 @@ func TestSubmitBatchOfOne(t *testing.T) {
 // ONE message, so a blocking batch far larger than the queue depth still
 // completes — queue depth bounds messages, not packets.
 func TestSubmitBatchLargerThanQueue(t *testing.T) {
-	s, err := New(buildPipeline(), Config{
+	s, ctx := start(t, buildPipeline(), Config{
 		Workers:    2,
 		QueueDepth: 2,
 		Cache:      gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := s.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-
+	}), context.Background()
 	const n = 500
 	b := NewBatch(n)
 	for i := 0; i < n; i++ {
@@ -219,7 +210,6 @@ func TestConcurrentBatchSubmitters(t *testing.T) {
 		batchLen   = 33 // deliberately not a divisor-friendly size
 	)
 	var wg sync.WaitGroup
-	errCh := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -230,24 +220,18 @@ func TestConcurrentBatchSubmitters(t *testing.T) {
 				for i := 0; i < batchLen; i++ {
 					b.Add(key(uint64((g*batches+n*7+i)%200), 80))
 				}
-				if err := s.SubmitBatch(ctx, b); err != nil {
-					errCh <- err
-					return
+				err := s.SubmitBatch(ctx, b)
+				for i := 0; err == nil && i < batchLen; i++ {
+					err = b.Result(i).Err
 				}
-				for i := 0; i < batchLen; i++ {
-					if err := b.Result(i).Err; err != nil {
-						errCh <- err
-						return
-					}
+				if err != nil {
+					t.Error(err)
+					return
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
 	st, err := s.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -16,19 +16,11 @@ import (
 // rather than slowpath traversal cost.
 func benchService(b *testing.B, flows int) (*Service, []gigaflow.Key) {
 	b.Helper()
-	s, err := New(buildPipeline(), Config{
+	s, ctx := start(b, buildPipeline(), Config{
 		Workers:           1,
 		Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 1024},
 		MicroflowCapacity: 4 * flows,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := s.Start(ctx); err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { s.Close() })
+	}), context.Background()
 	keys := make([]gigaflow.Key, flows)
 	for i := range keys {
 		keys[i] = key(uint64(i), 80)
@@ -87,19 +79,11 @@ func BenchmarkSubmitFrameBatch(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			s, err := New(perFlowPipeline(flows), Config{
+			s, ctx := start(b, perFlowPipeline(flows), Config{
 				Workers:           workers,
 				Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 1024},
 				MicroflowCapacity: 8 * flows,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			if err := s.Start(ctx); err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
+			}), context.Background()
 			batch := NewBatch(flows)
 			if err := s.SubmitFrameBatch(ctx, frames, batch); err != nil { // warm
 				b.Fatal(err)

@@ -15,22 +15,6 @@ import (
 	wire "gigaflow/internal/packet"
 )
 
-// within fails the test if fn has not returned after d: the hang
-// detector for calls that used to block on a dead worker's queue.
-func within(t *testing.T, d time.Duration, what string, fn func()) {
-	t.Helper()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		fn()
-	}()
-	select {
-	case <-done:
-	case <-time.After(d):
-		t.Fatalf("%s still blocked after %v", what, d)
-	}
-}
-
 // TestControlOpsOnStoppedService: every control operation on a service
 // that is not running returns at once with the lifecycle error — before
 // Start, after Close, and after the context Start was given is cancelled
@@ -153,18 +137,11 @@ func TestUpcallStatsOnStoppedService(t *testing.T) {
 func TestBlockingSeesOwnEarlierNonblocking(t *testing.T) {
 	const rounds = 1000
 	for _, workers := range []int{1, 2} {
-		s, err := New(perFlowPipeline(rounds), Config{
+		s, ctx := start(t, perFlowPipeline(rounds), Config{
 			Workers:           workers,
 			Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 4096},
 			MicroflowCapacity: 64,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := context.Background()
-		if err := s.Start(ctx); err != nil {
-			t.Fatal(err)
-		}
+		}), context.Background()
 		for r := 0; r < rounds; r++ {
 			k := perFlowKey(r)
 			var release chan struct{}
@@ -210,272 +187,6 @@ func TestBlockingSeesOwnEarlierNonblocking(t *testing.T) {
 		if st.Packets != 2*rounds || st.CacheMisses != rounds {
 			t.Errorf("workers=%d: %d packets, %d misses; want %d and %d", workers, st.Packets, st.CacheMisses, 2*rounds, rounds)
 		}
-		s.Close()
-	}
-}
-
-// TestQueuedMatchesInline runs one frame tape — cold flows, repeats,
-// degraded and refused frames, several shards — through identical
-// services by every way in: each of the four entry points, blocking on an
-// idle service (the single submitter runs its own shares), blocking with
-// every shard marked busy (every share crosses a worker queue), and
-// Nonblocking with the results streamed back. Same runJob under all of
-// them: per-packet results, decoded keys and aggregate stats must be
-// identical, in synchronous and in upcall mode. A last leg sends a TCP
-// handshake and close as single nonblocking frames through a conntrack
-// service: the flag bytes arrive with them.
-func TestQueuedMatchesInline(t *testing.T) {
-	const flows = 96
-	var tape []Frame
-	for round := 0; round < 4; round++ {
-		for i := 0; i < flows; i++ {
-			data := wire.Encode(perFlowKey((i * 7) % flows))
-			switch {
-			case i%31 == 5:
-				data = data[:20] // IPv4 header cut short: submitter-side fallback
-			case i%41 == 7:
-				data = data[:9] // no Ethernet header: refused
-			}
-			tape = append(tape, Frame{InPort: uint16(i % 3), Data: data})
-		}
-	}
-	// What the key entry points are handed: the key and flags a frame
-	// decodes to. They have no way to refuse a frame, so the test answers a
-	// short one with the ErrShortFrame the frame entry points give it.
-	keys, flags, short := make([]gigaflow.Key, len(tape)), make([]uint8, len(tape)), make([]bool, len(tape))
-	for i, f := range tape {
-		var info wire.Info
-		keys[i], info = wire.Decode(f.Data, f.InPort)
-		flags[i], short[i] = info.TCPFlags, info.Err == wire.ErrShortFrame
-	}
-
-	type way struct {
-		entry       string // the entry point the tape goes through
-		nonblocking bool   // Nonblocking() + WithResponse, else blocking
-		busy        bool   // blocking only: no share is run in place
-	}
-	type outcome struct {
-		res   []Result
-		keys  []gigaflow.Key // blocking SubmitFrameBatch only: what the shards decoded
-		stats gigaflow.VSwitchStats
-		n     int
-	}
-	run := func(cfg Config, v way) outcome {
-		t.Helper()
-		s, err := New(perFlowPipeline(flows), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := context.Background()
-		if err := s.Start(ctx); err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		if v.busy {
-			// A phantom in-flight message per shard: tryRun never finds the
-			// shard idle, the worker serves its queue as usual.
-			for _, w := range s.workers {
-				w.inflight.Add(1)
-			}
-		}
-		var opts []SubmitOption
-		resp := make(chan Result, 32)
-		if v.nonblocking {
-			opts = []SubmitOption{Nonblocking(), WithResponse(resp)}
-		}
-		var out outcome
-		b := NewBatch(32)
-		// send puts tape[lo:hi] through the entry point in one call (the
-		// single entry points are handed one frame at a time) and returns
-		// what the call itself reported per frame.
-		send := func(lo, hi int) []Result {
-			res := make([]Result, hi-lo)
-			switch v.entry {
-			case "Submit":
-				if res[0].Err = ErrShortFrame; !short[lo] {
-					res[0], _ = s.Submit(ctx, keys[lo], opts...)
-				}
-			case "SubmitFrame":
-				res[0], _ = s.SubmitFrame(ctx, tape[lo].InPort, tape[lo].Data, opts...)
-			case "SubmitBatch":
-				b.Reset()
-				for i := lo; i < hi; i++ {
-					if !short[i] {
-						b.AddMeta(keys[i], flags[i])
-					}
-				}
-				if err := s.SubmitBatch(ctx, b, opts...); err != nil {
-					t.Fatalf("%+v: %v", v, err)
-				}
-				for i, n := lo, 0; i < hi; i++ {
-					if res[i-lo].Err = ErrShortFrame; !short[i] {
-						res[i-lo] = b.Result(n)
-						n++
-					}
-				}
-			case "SubmitFrameBatch":
-				if err := s.SubmitFrameBatch(ctx, tape[lo:hi], b, opts...); err != nil {
-					t.Fatalf("%+v: %v", v, err)
-				}
-				for i := range res {
-					res[i] = b.Result(i)
-					if !v.nonblocking {
-						out.keys = append(out.keys, b.Key(i))
-					}
-				}
-			}
-			return res
-		}
-		chunk := 32
-		if v.entry == "Submit" || v.entry == "SubmitFrame" {
-			chunk = 1
-		}
-		for lo := 0; lo < len(tape); lo += chunk {
-			res := send(lo, lo+chunk)
-			// A nonblocking call reported only what it enqueued; the verdicts
-			// are on resp, one shard's in order, the shards' interleaved. No
-			// rule rewrites a field, so a result's Final names its flow: it
-			// answers the earliest unanswered request of that flow.
-			for i := range res {
-				if !v.nonblocking || res[i].Err != nil {
-					continue
-				}
-				select {
-				case r := <-resp:
-					at := -1
-					for j := range res {
-						if res[j] == (Result{}) && keys[lo+j] == r.Final {
-							at = j
-							break
-						}
-					}
-					if at < 0 {
-						t.Fatalf("%+v: frames %d-%d: a result nobody asked for: %+v", v, lo, lo+chunk, r)
-					}
-					res[at] = r
-				case <-time.After(5 * time.Second):
-					t.Fatalf("%+v: frames %d-%d: %d results never arrived", v, lo, lo+chunk, len(res)-i)
-				}
-			}
-			out.res = append(out.res, res...)
-		}
-		// And the key path, one blocking request per call.
-		for i := 0; i < flows; i++ {
-			r, err := s.Submit(ctx, perFlowKey(i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			out.res = append(out.res, r)
-		}
-		if out.stats, err = s.Stats(ctx); err != nil {
-			t.Fatal(err)
-		}
-		out.n = s.CacheEntries()
-		return out
-	}
-	modes := map[string]Config{
-		"sync": {
-			Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 1024},
-			MicroflowCapacity: 64,
-		},
-		"upcall": {
-			Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 1024},
-			MicroflowCapacity: 64,
-			Upcall:            UpcallConfig{Workers: 1, Queue: 4096},
-		},
-	}
-	for mode, cfg := range modes {
-		for _, workers := range []int{1, 3} {
-			cfg.Workers = workers
-			want := run(cfg, way{entry: "SubmitFrameBatch"})
-			if want.stats.Packets == 0 || want.stats.CacheMisses == 0 || want.stats.MicroflowHits == 0 {
-				t.Fatalf("%s workers=%d: the tape does not exercise misses and hits: %+v", mode, workers, want.stats)
-			}
-			for _, entry := range []string{"Submit", "SubmitFrame", "SubmitBatch", "SubmitFrameBatch"} {
-				for _, v := range []way{{entry, false, false}, {entry, false, true}, {entry, true, false}} {
-					got := run(cfg, v)
-					if len(got.res) != len(want.res) {
-						t.Fatalf("%s workers=%d %+v: %d results, want %d", mode, workers, v, len(got.res), len(want.res))
-					}
-					for i := range want.res {
-						if got.res[i] != want.res[i] {
-							t.Fatalf("%s workers=%d %+v: packet %d: %+v, want %+v", mode, workers, v, i, got.res[i], want.res[i])
-						}
-					}
-					for i := range got.keys {
-						if got.keys[i] != want.keys[i] {
-							t.Fatalf("%s workers=%d %+v: frame %d decoded to %v, want %v", mode, workers, v, i, got.keys[i], want.keys[i])
-						}
-					}
-					if got.stats != want.stats || got.n != want.n {
-						t.Errorf("%s workers=%d %+v: stats diverge:\n got  %+v (%d entries)\n want %+v (%d entries)",
-							mode, workers, v, got.stats, got.n, want.stats, want.n)
-					}
-				}
-			}
-		}
-	}
-
-	// The conntrack leg. Only a frame's flag byte can close a connection or
-	// reopen its tuple: were it lost on the way in, the FIN would leave the
-	// connection established and the second SYN would find it there.
-	s, err := New(perFlowPipeline(flows), Config{
-		Workers:           3,
-		Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 1024},
-		MicroflowCapacity: 64,
-		Conntrack:         ConntrackConfig{Enable: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := s.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	fwd := perFlowKey(1)
-	rpl := fwd.With(gigaflow.FieldIPSrc, fwd.Get(gigaflow.FieldIPDst)).With(gigaflow.FieldIPDst, fwd.Get(gigaflow.FieldIPSrc)).
-		With(gigaflow.FieldTpSrc, fwd.Get(gigaflow.FieldTpDst)).With(gigaflow.FieldTpDst, fwd.Get(gigaflow.FieldTpSrc))
-	resp := make(chan Result, 1)
-	sendTCP := func(k gigaflow.Key, tcpFlags uint8) {
-		t.Helper()
-		frame := wire.Encode(k)
-		frame[47] = tcpFlags // Ethernet 14 + IPv4 20 + 13 bytes into the TCP header
-		if _, err := s.SubmitFrame(ctx, 0, frame, Nonblocking(), WithResponse(resp)); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case <-resp:
-		case <-time.After(5 * time.Second):
-			t.Fatal("a nonblocking SubmitFrame was never answered")
-		}
-	}
-	conns := func() (live int, created uint64) {
-		t.Helper()
-		shards, err := s.ShardStats(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, sh := range shards {
-			live, created = live+sh.CtLive, created+sh.CtCreated
-		}
-		return live, created
-	}
-	sendTCP(fwd, wire.TCPSyn)
-	sendTCP(rpl, wire.TCPSyn|wire.TCPAck)
-	for i := 0; i < 4; i++ {
-		sendTCP(fwd, wire.TCPAck)
-	}
-	if st, err := s.Stats(ctx); err != nil || st.CtFastpath == 0 {
-		t.Errorf("established segment: CtFastpath = %d, %v; want memoised hits under the guard", st.CtFastpath, err)
-	}
-	if live, created := conns(); live != 1 || created != 1 {
-		t.Errorf("after the handshake: %d live, %d created; want 1 and 1", live, created)
-	}
-	sendTCP(fwd, wire.TCPFin|wire.TCPAck)
-	sendTCP(fwd, wire.TCPSyn)
-	if live, created := conns(); live != 1 || created != 2 {
-		t.Errorf("after FIN and a second SYN: %d live, %d created; want the tuple reopened as a second connection (1 and 2)", live, created)
 	}
 }
 
@@ -499,15 +210,7 @@ func TestShardOwnershipUnderRace(t *testing.T) {
 			if async {
 				cfg.Upcall = UpcallConfig{Workers: 2, Queue: 8}
 			}
-			s, err := New(perFlowPipeline(256), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx := context.Background()
-			if err := s.Start(ctx); err != nil {
-				t.Fatal(err)
-			}
-
+			s, ctx := start(t, perFlowPipeline(256), cfg), context.Background()
 			var wg sync.WaitGroup
 			var verdicts, refusals atomic.Int64
 			closed := make(chan struct{})
@@ -611,11 +314,7 @@ func TestShardOwnershipUnderRace(t *testing.T) {
 			// Close once every kind of caller has demonstrably overlapped:
 			// some blocking requests have their verdicts while the others
 			// are still at it.
-			for deadline := time.Now().Add(10 * time.Second); verdicts.Load() < 256; time.Sleep(time.Millisecond) {
-				if time.Now().After(deadline) {
-					t.Fatalf("workers=%d async=%v: only %d blocking requests processed in 10s", workers, async, verdicts.Load())
-				}
-			}
+			await(t, "256 blocking verdicts", func() bool { return verdicts.Load() >= 256 })
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -680,19 +379,12 @@ func TestSubmitFrameBatchZeroAlloc(t *testing.T) {
 		workers int
 		ct      bool
 	}{{1, false}, {2, false}, {1, true}} {
-		s, err := New(perFlowPipeline(flows), Config{
+		s, ctx := start(t, perFlowPipeline(flows), Config{
 			Workers:           tc.workers,
 			Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 1024},
 			MicroflowCapacity: 8 * flows,
 			Conntrack:         ConntrackConfig{Enable: tc.ct},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := context.Background()
-		if err := s.Start(ctx); err != nil {
-			t.Fatal(err)
-		}
+		}), context.Background()
 		b := NewBatch(flows)
 		submit := func() {
 			if err := s.SubmitFrameBatch(ctx, frames, b); err != nil {
@@ -720,6 +412,5 @@ func TestSubmitFrameBatchZeroAlloc(t *testing.T) {
 		if st, err := s.Stats(ctx); err != nil || (st.CtFastpath > 0) != tc.ct {
 			t.Errorf("%+v: CtFastpath = %d, %v; the guard must run exactly when tracking is on", tc, st.CtFastpath, err)
 		}
-		s.Close()
 	}
 }

@@ -87,7 +87,8 @@ type ReplayReport struct {
 // reports what happened. The service must be started. In non-blocking
 // mode the report's Stats and decode counts are still complete: the
 // final stats snapshot runs as a control op behind every submitted frame
-// on each worker's FIFO queue, so it observes all of them.
+// on each worker's FIFO queue, once no packet is left parked behind an
+// upcall, so it observes all of them.
 //
 // On context cancellation every batch already handed to the workers is
 // drained before Replay returns (SubmitFrameBatch gathers its in-flight
@@ -192,6 +193,22 @@ func (s *Service) Replay(ctx context.Context, r *pcap.Reader, cfg ReplayConfig) 
 		return rep, err
 	}
 	rep.Elapsed = time.Since(start)
+	// A packet parked behind an upcall is still in flight when its job has
+	// run: wait until the offload has handed every one back.
+	for !cfg.Blocking && s.eng != nil {
+		us, err := s.UpcallStats(ctx)
+		if err != nil {
+			return rep, err
+		}
+		if us.ParkedPackets == 0 {
+			break
+		}
+		select {
+		case <-ctx.Done():
+			return rep, ctx.Err()
+		case <-time.After(time.Millisecond):
+		}
+	}
 	after, err := s.Stats(ctx)
 	if err != nil {
 		return rep, err

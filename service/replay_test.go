@@ -4,152 +4,43 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
-	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
 	"gigaflow"
-	wire "gigaflow/internal/packet"
 	"gigaflow/internal/pcap"
-	"gigaflow/internal/traffic"
 )
 
-// replayPipeline matches on the wire-representable fields so every
-// synthesized key is reachable from its encoded frame.
-func replayPipeline() *gigaflow.Pipeline {
-	p := gigaflow.NewPipeline("replay")
-	p.AddTable(0, "l2", gigaflow.NewFieldSet(gigaflow.FieldEthDst))
-	p.AddTable(1, "l3", gigaflow.NewFieldSet(gigaflow.FieldIPDst))
-	p.AddTable(2, "l4", gigaflow.NewFieldSet(gigaflow.FieldTpDst))
-	p.MustAddRule(0, gigaflow.MustParseMatch("eth_dst=02:00:00:00:00:01"), 10, nil, 1)
-	for i := 0; i < 8; i++ {
-		p.MustAddRule(1, gigaflow.MustParseMatch(fmt.Sprintf("ip_dst=10.1.0.%d", i)), 10, nil, 2)
-	}
-	p.MustAddRule(2, gigaflow.MustParseMatch("tp_dst=443"), 10,
-		[]gigaflow.Action{gigaflow.Output(1)}, gigaflow.NoTable)
-	p.MustAddRule(2, gigaflow.MustParseMatch("tp_dst=80"), 10,
-		[]gigaflow.Action{gigaflow.Output(2)}, gigaflow.NoTable)
-	return p
-}
-
-// replayTrace synthesizes a wire-faithful CAIDA-style trace: every key
-// is fully representable as a TCP frame (in_port and metadata zero).
-func replayTrace(t *testing.T) []traffic.Packet {
+// capture is a pcap of n whole frames of the svc tape, frame i stamped
+// at(i) ns.
+func capture(t *testing.T, n int, at func(i int) int64) *bytes.Buffer {
 	t.Helper()
-	sample := func(ruleIdx int, rng *rand.Rand) gigaflow.Key {
-		var k gigaflow.Key
-		k.Set(gigaflow.FieldEthSrc, 0x020000000000|uint64(rng.Intn(1<<20)))
-		k.Set(gigaflow.FieldEthDst, 0x020000000001)
-		k.Set(gigaflow.FieldEthType, wire.EtherTypeIPv4)
-		k.Set(gigaflow.FieldIPSrc, uint64(0x0a000000+rng.Intn(1<<14)))
-		k.Set(gigaflow.FieldIPDst, uint64(0x0a010000+ruleIdx))
-		k.Set(gigaflow.FieldIPProto, wire.IPProtoTCP)
-		k.Set(gigaflow.FieldTpSrc, uint64(1024+rng.Intn(60000)))
-		if rng.Intn(2) == 0 {
-			k.Set(gigaflow.FieldTpDst, 443)
-		} else {
-			k.Set(gigaflow.FieldTpDst, 80)
-		}
-		return k
-	}
-	cfg := traffic.Config{Seed: 4, NumFlows: 120, MaxPackets: 30}
-	flows := traffic.GenerateFlows(cfg, traffic.UniformPicker(8), sample)
-	pkts := traffic.Expand(cfg, flows)
-	if len(pkts) < 200 {
-		t.Fatalf("trace too small: %d packets", len(pkts))
-	}
-	return pkts
-}
-
-func newReplayService(t *testing.T) *Service {
-	t.Helper()
-	s, err := New(replayPipeline(), Config{
-		Workers:           2,
-		Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 512},
-		MicroflowCapacity: 256,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return s
-}
-
-// TestReplayRoundTripMatchesDirectSubmission is the end-to-end loop the
-// tentpole promises: synthesize a trace, serialize it to pcap through
-// the traffic bridge, replay the bytes through one service, submit the
-// original keys directly to an identically configured second service,
-// and require identical VSwitchStats from both.
-func TestReplayRoundTripMatchesDirectSubmission(t *testing.T) {
-	pkts := replayTrace(t)
+	spec := svc
+	spec.damage, spec.rules = false, 0
+	tape, _ := genTape(spec, 1, Config{})
 	var buf bytes.Buffer
-	if err := pcap.WriteTrace(&buf, pkts); err != nil {
-		t.Fatal(err)
-	}
-
-	ctx := context.Background()
-
-	replaySvc := newReplayService(t)
-	r, err := pcap.NewReader(&buf)
+	w, err := pcap.NewWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := replaySvc.Replay(ctx, r, ReplayConfig{Blocking: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Frames != len(pkts) || rep.Submitted != len(pkts) {
-		t.Fatalf("replay covered %d/%d of %d packets", rep.Submitted, rep.Frames, len(pkts))
-	}
-	if rep.DecodeErrors != 0 || rep.Rejected != 0 || rep.QueueDrops != 0 {
-		t.Fatalf("lossless blocking replay dropped frames: %+v", rep)
-	}
-	if rep.PerProto[wire.ProtoTCP] != len(pkts) {
-		t.Fatalf("per-proto accounting = %v", rep.PerProto)
-	}
-
-	directSvc := newReplayService(t)
-	for _, p := range pkts {
-		if _, err := directSvc.Submit(ctx, p.Key); err != nil {
+	for i := 0; i < n; i++ {
+		if err := w.WritePacket(at(i), tape[i].frame); err != nil {
 			t.Fatal(err)
 		}
 	}
-	direct, err := directSvc.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if rep.Stats != direct {
-		t.Fatalf("byte-level replay diverged from direct key submission:\nreplay %+v\ndirect %+v",
-			rep.Stats, direct)
-	}
-	if rep.Stats.Packets != uint64(len(pkts)) {
-		t.Fatalf("stats cover %d packets, want %d", rep.Stats.Packets, len(pkts))
-	}
-	if rep.HitRate() <= 0 {
-		t.Fatal("replayed trace produced no cache hits")
-	}
+	return &buf
 }
+
+// replayConfig is the service the replay tests replay into.
+var replayConfig = Config{Workers: 2, Cache: gigaflow.CacheConfig{NumTables: 3, TableCapacity: 512}, MicroflowCapacity: 256}
 
 // TestReplayTimedPacing checks trace-timestamp pacing: a two-packet
 // trace 80ms apart at Speedup 1 cannot finish faster than the gap.
 func TestReplayTimedPacing(t *testing.T) {
-	k := gigaflow.MustParseKey("eth_dst=02:00:00:00:00:01,eth_type=0x0800")
-	pkts := []traffic.Packet{
-		{Key: k, Time: 0, Size: 60},
-		{Key: k, Time: 80_000_000, Size: 60},
-	}
-	var buf bytes.Buffer
-	if err := pcap.WriteTrace(&buf, pkts); err != nil {
-		t.Fatal(err)
-	}
-	s := newReplayService(t)
-	r, err := pcap.NewReader(&buf)
+	buf := capture(t, 2, func(i int) int64 { return int64(i) * 80_000_000 })
+	s := start(t, buildPipeline(), replayConfig)
+	r, err := pcap.NewReader(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,13 +58,8 @@ func TestReplayTimedPacing(t *testing.T) {
 
 // TestReplayLimit stops after N records.
 func TestReplayLimit(t *testing.T) {
-	pkts := replayTrace(t)
-	var buf bytes.Buffer
-	if err := pcap.WriteTrace(&buf, pkts); err != nil {
-		t.Fatal(err)
-	}
-	s := newReplayService(t)
-	r, err := pcap.NewReader(&buf)
+	s := start(t, buildPipeline(), replayConfig)
+	r, err := pcap.NewReader(capture(t, 200, func(int) int64 { return 0 }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,13 +75,10 @@ func TestReplayLimit(t *testing.T) {
 // TestReplayTruncatedCapture replays what exists before a mid-record
 // cut and reports the truncation instead of failing.
 func TestReplayTruncatedCapture(t *testing.T) {
-	pkts := replayTrace(t)[:10]
-	var buf bytes.Buffer
-	if err := pcap.WriteTrace(&buf, pkts); err != nil {
-		t.Fatal(err)
-	}
+	const n = 10
+	buf := capture(t, n, func(int) int64 { return 0 })
 	cut := buf.Bytes()[:buf.Len()-7]
-	s := newReplayService(t)
+	s := start(t, buildPipeline(), replayConfig)
 	r, err := pcap.NewReader(bytes.NewReader(cut))
 	if err != nil {
 		t.Fatal(err)
@@ -207,50 +90,8 @@ func TestReplayTruncatedCapture(t *testing.T) {
 	if !rep.Truncated {
 		t.Fatal("truncation not reported")
 	}
-	if rep.Frames != len(pkts)-1 {
-		t.Fatalf("replayed %d frames, want %d", rep.Frames, len(pkts)-1)
-	}
-}
-
-// TestReplayBatchSizeEquivalence replays the same capture bytes at batch
-// size 1 (per-packet submission, exactly the pre-batching behaviour) and
-// at the default batch size into identically configured services: the
-// VSwitch counter deltas must be identical. This is the "batching never
-// changes behaviour" contract at the replay layer.
-func TestReplayBatchSizeEquivalence(t *testing.T) {
-	pkts := replayTrace(t)
-	var buf bytes.Buffer
-	if err := pcap.WriteTrace(&buf, pkts); err != nil {
-		t.Fatal(err)
-	}
-	capture := buf.Bytes()
-
-	ctx := context.Background()
-	replayAt := func(batchSize int) ReplayReport {
-		t.Helper()
-		s := newReplayService(t)
-		r, err := pcap.NewReader(bytes.NewReader(capture))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := s.Replay(ctx, r, ReplayConfig{Blocking: true, BatchSize: batchSize})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-
-	one := replayAt(1)
-	batched := replayAt(DefaultBatchSize)
-	if one.Stats != batched.Stats {
-		t.Fatalf("batch size changed replay behaviour:\nbatch=1  %+v\nbatch=%d %+v",
-			one.Stats, DefaultBatchSize, batched.Stats)
-	}
-	if one.Frames != batched.Frames || one.Submitted != batched.Submitted {
-		t.Fatalf("frame accounting diverged: %+v vs %+v", one, batched)
-	}
-	if one.Stats.Packets != uint64(len(pkts)) {
-		t.Fatalf("stats cover %d packets, want %d", one.Stats.Packets, len(pkts))
+	if rep.Frames != n-1 {
+		t.Fatalf("replayed %d frames, want %d", rep.Frames, n-1)
 	}
 }
 
@@ -260,40 +101,19 @@ func TestReplayBatchSizeEquivalence(t *testing.T) {
 // gathered (no pending result), the service still closes cleanly, and no
 // goroutine leaks past shutdown.
 func TestReplayCancelDrainsInFlight(t *testing.T) {
-	pkts := replayTrace(t)
-	// Re-time the trace: the first half plays instantly, then a 10s gap
-	// the cancellation interrupts.
-	for i := range pkts {
-		if i < len(pkts)/2 {
-			pkts[i].Time = 0
-		} else {
-			pkts[i].Time = 10_000_000_000
-		}
-	}
-	var buf bytes.Buffer
-	if err := pcap.WriteTrace(&buf, pkts); err != nil {
-		t.Fatal(err)
-	}
+	// The first half plays instantly, then a 10s gap the cancellation
+	// interrupts.
+	const n = 200
+	buf := capture(t, n, func(i int) int64 { return int64(i/(n/2)) * 10_000_000_000 })
 
 	baseline := runtime.NumGoroutine()
-	s, err := New(replayPipeline(), Config{
-		Workers:           2,
-		Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 512},
-		MicroflowCapacity: 256,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
+	s := start(t, buildPipeline(), replayConfig)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
-	r, err := pcap.NewReader(&buf)
+	r, err := pcap.NewReader(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +127,7 @@ func TestReplayCancelDrainsInFlight(t *testing.T) {
 	}
 	// Everything flushed before the pacing wait was fully gathered: the
 	// report's submission accounting covers every frame it read.
-	if rep.Submitted+rep.QueueDrops+rep.Rejected < len(pkts)/2 {
+	if rep.Submitted+rep.QueueDrops+rep.Rejected < n/2 {
 		t.Fatalf("first half of the trace not accounted for: %+v", rep)
 	}
 

@@ -93,7 +93,9 @@ type UpcallConfig struct {
 	// blocking the worker on the pipeline traversal; concurrent misses
 	// of the same flow coalesce onto one traversal, and parked packets
 	// are released in arrival order per flow, so results and stats are
-	// indistinguishable from inline processing.
+	// indistinguishable from inline processing — as long as no cache tier
+	// evicts: a batch's parked misses reach an LRU tier after the batch's
+	// hits, so once one evicts, which flows it keeps can differ.
 	Workers int
 	// Queue bounds the shared miss queue (default 1024). A fresh miss
 	// that finds it full is handled per Overflow; packets of
@@ -275,6 +277,9 @@ func (c Config) validate() error {
 	}
 	if c.TraceSample < 0 {
 		return fmt.Errorf("service: negative TraceSample (%d)", c.TraceSample)
+	}
+	if c.TraceBuffer < 0 {
+		return fmt.Errorf("service: negative TraceBuffer (%d)", c.TraceBuffer)
 	}
 	if err := c.Expiry.validate(); err != nil {
 		return err

@@ -31,6 +31,7 @@ func TestConfigValidation(t *testing.T) {
 		{"expiry without maxidle", Config{Expiry: ExpiryConfig{Every: time.Second}}, "MaxIdle is 0"},
 		{"negative microflow", Config{MicroflowCapacity: -1}, "MicroflowCapacity"},
 		{"negative trace sample", Config{TraceSample: -1}, "TraceSample"},
+		{"negative trace buffer", Config{TraceBuffer: -1}, "TraceBuffer"},
 		{"megaflow cap on gigaflow backend", Config{MegaflowCapacity: 100}, "BackendGigaflow"},
 		{"gigaflow cache on megaflow backend",
 			Config{Backend: BackendMegaflow, Cache: gigaflow.CacheConfig{NumTables: 4}},
@@ -63,19 +64,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestMegaflowBackend(t *testing.T) {
-	s, err := New(buildPipeline(), Config{
-		Workers:          2,
-		Backend:          BackendMegaflow,
-		MegaflowCapacity: 1024,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := s.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s, ctx := start(t, buildPipeline(), Config{Workers: 2, Backend: BackendMegaflow, MegaflowCapacity: 1024}), context.Background()
 	if _, err := s.Submit(ctx, key(1, 80)); err != nil {
 		t.Fatal(err)
 	}
@@ -91,14 +80,7 @@ func TestMegaflowBackend(t *testing.T) {
 func startTelemetryService(t *testing.T, cfg Config) (*Service, string) {
 	t.Helper()
 	cfg.TelemetryAddr = "127.0.0.1:0"
-	s, err := New(buildPipeline(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
+	s := start(t, buildPipeline(), cfg)
 	addr := s.TelemetryAddr()
 	if addr == "" {
 		t.Fatal("TelemetryAddr empty after Start")
@@ -129,12 +111,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256},
 		MicroflowCapacity: 64,
 	})
-	ctx := context.Background()
-	for i := 0; i < 20; i++ {
-		if _, err := s.Submit(ctx, key(uint64(i%4), 80)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	submitN(t, s, 20, 4)
 
 	out := httpGet(t, base+"/metrics")
 	wants := []string{
@@ -201,12 +178,7 @@ func TestTracesEndpoint(t *testing.T) {
 		TraceSample: 1, // trace every packet
 		TraceBuffer: 16,
 	})
-	ctx := context.Background()
-	for i := 0; i < 5; i++ {
-		if _, err := s.Submit(ctx, key(1, 80)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	submitN(t, s, 5, 1)
 
 	out := httpGet(t, base+"/traces?n=3")
 	var doc struct {
@@ -251,12 +223,7 @@ func TestCacheEndpoint(t *testing.T) {
 		Workers: 2,
 		Cache:   gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256},
 	})
-	ctx := context.Background()
-	for i := 0; i < 10; i++ {
-		if _, err := s.Submit(ctx, key(uint64(i), 80)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	submitN(t, s, 10, 10)
 
 	out := httpGet(t, base+"/cache")
 	var doc struct {
@@ -305,12 +272,7 @@ func TestShardsEndpoint(t *testing.T) {
 		Workers: 2,
 		Cache:   gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256},
 	})
-	ctx := context.Background()
-	for i := 0; i < 10; i++ {
-		if _, err := s.Submit(ctx, key(uint64(i), 80)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	submitN(t, s, 10, 10)
 
 	out := httpGet(t, base+"/shards")
 	var doc struct {
@@ -354,12 +316,8 @@ func TestDebugEndpointsServed(t *testing.T) {
 // and, where the endpoint lists records, a ?n= that is not a number is a
 // 400, not "n = 0, the whole ring".
 func TestJSONEndpoints(t *testing.T) {
-	s, ctx := startService(t, 2)
-	for i := 0; i < 10; i++ {
-		if _, err := s.Submit(ctx, key(uint64(i%4), 80)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	s, _ := startService(t, 2)
+	submitN(t, s, 10, 4)
 	h := s.TelemetryHandler()
 	for _, tc := range []struct {
 		path   string
@@ -402,12 +360,7 @@ func TestLatencyEndpoint(t *testing.T) {
 		Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256},
 		MicroflowCapacity: 64,
 	})
-	ctx := context.Background()
-	for i := 0; i < 20; i++ {
-		if _, err := s.Submit(ctx, key(uint64(i%4), 80)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	submitN(t, s, 20, 4)
 
 	out := httpGet(t, base+"/latency")
 	var doc struct {
@@ -459,12 +412,7 @@ func TestFlightEndpoint(t *testing.T) {
 		Cache:   gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256},
 		Latency: LatencyConfig{FlightRecords: 64},
 	})
-	ctx := context.Background()
-	for i := 0; i < 10; i++ {
-		if _, err := s.Submit(ctx, key(uint64(i%2), 80)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	submitN(t, s, 10, 2)
 
 	out := httpGet(t, base+"/debug/flight?n=6")
 	var doc struct {

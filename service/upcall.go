@@ -221,6 +221,13 @@ func (s *Service) handleUpcalls(ctx context.Context, batch []*upcall.Miss[parked
 // pending-table state and overflow/stale counts gathered on the workers'
 // own goroutines, plus the shared queue and engine counters. Enabled is
 // false (and the rest zero) when the service runs synchronously.
+//
+// With nothing pending, and no shutdown sweep having failed parked
+// packets, two identities hold: every flow that missed was completed or
+// overflowed, Flows = Completed + OverflowInline + OverflowDrops; and every
+// parked packet was handed back — a completion releases its initiator and
+// its followers (a stale one too), an overflow its one packet —
+// Released = Completed + Deduped + OverflowInline + OverflowDrops.
 type UpcallStats struct {
 	Enabled bool `json:"enabled"`
 	// PendingFlows counts flows with a traversal in flight;

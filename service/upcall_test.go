@@ -11,10 +11,8 @@ import (
 	"gigaflow/internal/telemetry"
 )
 
-// upcallConfig is the async twin of a plain config: identical datapath,
-// offload enabled. One engine worker keeps completion order equal to
-// park order, which the per-packet equality tests rely on; concurrency
-// is exercised separately.
+// upcallConfig is a config with the offload on. One engine worker keeps
+// completion order equal to park order.
 func upcallConfig(backend Backend, workers, engineWorkers int) Config {
 	cfg := Config{
 		Workers:           workers,
@@ -30,119 +28,12 @@ func upcallConfig(backend Backend, workers, engineWorkers int) Config {
 	return cfg
 }
 
-func startCfg(t *testing.T, cfg Config) *Service {
-	t.Helper()
-	s, err := New(buildPipeline(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return s
-}
-
-// TestUpcallMatchesInline drives identical traffic through a synchronous
-// service and an async-offload one (same sharding, same backend) and
-// requires identical per-packet results and aggregate VSwitchStats. The
-// traffic mixes warm flows, cold flows, and same-flow packets split
-// across the park/release boundary (duplicates inside one batch of a
-// cold flow), on both backends. One engine worker makes completion
-// order deterministic, so equality is exact, packet by packet.
-func TestUpcallMatchesInline(t *testing.T) {
-	for _, backend := range []Backend{BackendGigaflow, BackendMegaflow} {
-		t.Run(backend.String(), func(t *testing.T) {
-			inCfg := upcallConfig(backend, 2, 1)
-			inCfg.Upcall = UpcallConfig{}
-			inline := startCfg(t, inCfg)
-			async := startCfg(t, upcallConfig(backend, 2, 1))
-
-			ports := []uint64{80, 22}
-			var keys []gigaflow.Key
-			for i := 0; i < 200; i++ {
-				k := key(uint64(i*7%41), ports[i%2])
-				keys = append(keys, k)
-				if i%5 == 0 {
-					// Same-flow duplicates inside one submission: when the
-					// flow is cold these split across the park boundary and
-					// ride one traversal.
-					keys = append(keys, k, k)
-				}
-			}
-
-			ctx := context.Background()
-			bIn, bAs := NewBatch(64), NewBatch(64)
-			chunks := []int{1, 7, 32, 3, 64, 5, 2, 50}
-			for lo, c := 0, 0; lo < len(keys); c++ {
-				n := chunks[c%len(chunks)]
-				if lo+n > len(keys) {
-					n = len(keys) - lo
-				}
-				bIn.Reset()
-				bAs.Reset()
-				for _, k := range keys[lo : lo+n] {
-					bIn.Add(k)
-					bAs.Add(k)
-				}
-				if err := inline.SubmitBatch(ctx, bIn); err != nil {
-					t.Fatal(err)
-				}
-				if err := async.SubmitBatch(ctx, bAs); err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < n; i++ {
-					ri, ra := bIn.Result(i), bAs.Result(i)
-					if ri != ra {
-						t.Fatalf("packet %d: async %+v != inline %+v", lo+i, ra, ri)
-					}
-				}
-				lo += n
-			}
-
-			si, err := inline.Stats(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sa, err := async.Stats(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if si != sa {
-				t.Errorf("VSwitchStats diverge: async %+v, inline %+v", sa, si)
-			}
-
-			us, err := async.UpcallStats(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !us.Enabled || us.Flows == 0 || us.Deduped == 0 {
-				t.Errorf("offload did not engage: %+v", us)
-			}
-			if us.PendingFlows != 0 || us.ParkedPackets != 0 {
-				t.Errorf("work left pending after blocking submissions: %+v", us)
-			}
-			if us.Released != us.Deduped+us.Completed-us.Stale {
-				// Released = all parked packets handed back: one initiator per
-				// completion that consumed or discarded a traversal, plus the
-				// deduped followers. (Stale here only counts discarded
-				// traversals, which still release their initiator.)
-				t.Logf("released %d, deduped %d, completed %d, stale %d",
-					us.Released, us.Deduped, us.Completed, us.Stale)
-			}
-			if ui, _ := inline.UpcallStats(ctx); ui.Enabled {
-				t.Errorf("synchronous service reports offload enabled")
-			}
-		})
-	}
-}
-
 // TestUpcallOrdering pins in-order per-flow release: in a batch holding
 // several packets of one cold flow, exactly the first is the slow-path
 // initiator and every later one observes its install, both positionally
 // and in WithResponse stream order — indistinguishable from inline.
 func TestUpcallOrdering(t *testing.T) {
-	s := startCfg(t, upcallConfig(BackendGigaflow, 1, 2))
+	s := start(t, buildPipeline(), upcallConfig(BackendGigaflow, 1, 2))
 	ctx := context.Background()
 
 	kA, kB := key(1, 80), key(2, 22) // different ports: no wildcard overlap
@@ -167,7 +58,7 @@ func TestUpcallOrdering(t *testing.T) {
 	// Response-channel order for one flow must be initiator first, then
 	// followers, regardless of the engine's concurrency. A fresh service:
 	// the wildcard entries installed above would otherwise cover kC.
-	s = startCfg(t, upcallConfig(BackendGigaflow, 1, 2))
+	s = start(t, buildPipeline(), upcallConfig(BackendGigaflow, 1, 2))
 	kC := key(3, 80)
 	resp := make(chan Result, 3)
 	b.Reset()
@@ -178,16 +69,8 @@ func TestUpcallOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		select {
-		case r := <-resp:
-			if r.Err != nil {
-				t.Fatalf("response %d: %v", i, r.Err)
-			}
-			if wantHit := i > 0; r.CacheHit != wantHit {
-				t.Fatalf("response %d: CacheHit=%v, want %v", i, r.CacheHit, wantHit)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("response %d never arrived", i)
+		if r := recv(t, resp, "a response"); r.Err != nil || r.CacheHit != (i > 0) {
+			t.Fatalf("response %d: %+v, want a hit exactly after the first", i, r)
 		}
 	}
 }
@@ -201,7 +84,7 @@ func TestUpcallOverflowDrop(t *testing.T) {
 	cfg := upcallConfig(BackendGigaflow, 1, 1)
 	cfg.Upcall.Queue = 1
 	cfg.Upcall.Overflow = OverflowDrop
-	s := startCfg(t, cfg)
+	s := start(t, buildPipeline(), cfg)
 	ctx := context.Background()
 	w := s.workers[0]
 
@@ -212,12 +95,7 @@ func TestUpcallOverflowDrop(t *testing.T) {
 	}
 	// Wait until the engine has dequeued the first miss (and is now
 	// blocked on slowMu), so the queue slot is free again.
-	for deadline := time.Now().Add(5 * time.Second); s.eng.Drained() != 1; {
-		if time.Now().After(deadline) {
-			t.Fatal("engine never picked up the first miss")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	await(t, "the engine's dequeue of the first miss", func() bool { return s.eng.Drained() == 1 })
 	b := NewBatch(7)
 	for h := uint64(2); h <= 8; h++ {
 		b.Add(key(h, 80))
@@ -228,27 +106,15 @@ func TestUpcallOverflowDrop(t *testing.T) {
 
 	// The six drops happen synchronously in the worker's scan: flow 2
 	// refills the queue, flows 3-8 overflow.
-	drops := 0
 	for i := 0; i < 6; i++ {
-		select {
-		case r := <-resp:
-			if !errors.Is(r.Err, ErrUpcallOverflow) {
-				t.Fatalf("expected ErrUpcallOverflow, got %+v", r)
-			}
-			drops++
-		case <-time.After(5 * time.Second):
-			t.Fatalf("drop %d never reported (got %d)", i, drops)
+		if r := recv(t, resp, "a drop"); !errors.Is(r.Err, ErrUpcallOverflow) {
+			t.Fatalf("expected ErrUpcallOverflow, got %+v", r)
 		}
 	}
 	w.slowMu.Unlock()
 	for i := 0; i < 2; i++ {
-		select {
-		case r := <-resp:
-			if r.Err != nil || r.Verdict.Port != 1 {
-				t.Fatalf("survivor %d: %+v", i, r)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("survivor %d never completed", i)
+		if r := recv(t, resp, "a survivor"); r.Err != nil || r.Verdict.Port != 1 {
+			t.Fatalf("survivor %d: %+v", i, r)
 		}
 	}
 
@@ -258,35 +124,6 @@ func TestUpcallOverflowDrop(t *testing.T) {
 	}
 	if us.OverflowDrops != 6 || us.Overflows != 6 || us.Completed != 2 {
 		t.Errorf("stats: %+v, want 6 drops / 6 queue overflows / 2 completions", us)
-	}
-}
-
-// TestUpcallOverflowInline checks the default policy: a full queue falls
-// back to the inline slow path, so every packet still gets its verdict.
-func TestUpcallOverflowInline(t *testing.T) {
-	cfg := upcallConfig(BackendGigaflow, 1, 1)
-	cfg.Upcall.Queue = 1
-	s := startCfg(t, cfg)
-	ctx := context.Background()
-
-	b := NewBatch(32)
-	for h := uint64(1); h <= 32; h++ {
-		b.Add(key(h, 80))
-	}
-	if err := s.SubmitBatch(ctx, b); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 32; i++ {
-		if r := b.Result(i); r.Err != nil || r.Verdict.Port != 1 {
-			t.Fatalf("packet %d: %+v", i, r)
-		}
-	}
-	st, err := s.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Packets != 32 {
-		t.Errorf("stats: %+v", st)
 	}
 }
 
@@ -317,29 +154,15 @@ func TestUpcallShutdownParked(t *testing.T) {
 	b := NewBatch(1)
 	b.Add(key(2, 80))
 	go func() { blocked <- s.SubmitBatch(ctx, b) }()
-	for deadline := time.Now().Add(5 * time.Second); ; {
+	await(t, "both packets parked", func() bool {
 		us, err := s.UpcallStats(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if us.ParkedPackets == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("packets never parked: %+v", us)
-		}
-		time.Sleep(time.Millisecond)
-	}
+		return err == nil && us.ParkedPackets == 2
+	})
 
 	closed := make(chan error, 1)
 	go func() { closed <- s.Close() }()
-	select {
-	case r := <-resp:
-		if !errors.Is(r.Err, ErrClosed) {
-			t.Fatalf("parked packet got %+v, want ErrClosed", r)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("parked packet never failed at shutdown")
+	if r := recv(t, resp, "the parked packet's failure at shutdown"); !errors.Is(r.Err, ErrClosed) {
+		t.Fatalf("parked packet got %+v, want ErrClosed", r)
 	}
 	select {
 	case <-blocked:
@@ -388,15 +211,7 @@ func holPipeline(hosts int) *gigaflow.Pipeline {
 // never stall the datapath behind it. Releasing the lock completes the
 // cold flow as the miss it was.
 func TestUpcallWarmFlowNotBlocked(t *testing.T) {
-	s, err := New(holPipeline(2), upcallConfig(BackendGigaflow, 1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := s.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
+	s, ctx := start(t, holPipeline(2), upcallConfig(BackendGigaflow, 1, 1)), context.Background()
 	warm, cold := key(0, 80), key(1, 80)
 	if _, err := s.Submit(ctx, warm); err != nil {
 		t.Fatal(err)
@@ -435,13 +250,8 @@ func TestUpcallWarmFlowNotBlocked(t *testing.T) {
 	}
 
 	release()
-	select {
-	case r := <-resp:
-		if r.Err != nil || r.CacheHit || r.Verdict.Port != 1 {
-			t.Errorf("cold flow: %+v; want a miss forwarded to port 1", r)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cold flow never completed after the engine was released")
+	if r := recv(t, resp, "the cold flow's completion"); r.Err != nil || r.CacheHit || r.Verdict.Port != 1 {
+		t.Errorf("cold flow: %+v; want a miss forwarded to port 1", r)
 	}
 }
 
@@ -454,16 +264,7 @@ func TestUpcallWarmFlowNotBlocked(t *testing.T) {
 // LatNs, and ParkNs must fit in the window from submission to the moment
 // the engine was seen to have dequeued.
 func TestUpcallParkNsExcludesTraversal(t *testing.T) {
-	s, err := New(holPipeline(2), upcallConfig(BackendGigaflow, 1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := s.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-
+	s, ctx := start(t, holPipeline(2), upcallConfig(BackendGigaflow, 1, 1)), context.Background()
 	w := s.workers[0]
 	w.slowMu.Lock()
 	resp := make(chan Result, 1)
@@ -482,13 +283,8 @@ func TestUpcallParkNsExcludesTraversal(t *testing.T) {
 	hold := 20*time.Millisecond + window
 	time.Sleep(hold)
 	w.slowMu.Unlock()
-	select {
-	case r := <-resp:
-		if r.Err != nil || r.CacheHit {
-			t.Fatalf("cold flow: %+v; want a completed miss", r)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cold flow never completed after the engine was released")
+	if r := recv(t, resp, "the cold flow's completion"); r.Err != nil || r.CacheHit {
+		t.Fatalf("cold flow: %+v; want a completed miss", r)
 	}
 
 	var recs []telemetry.FlightRecord
