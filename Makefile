@@ -153,7 +153,7 @@ bench-pairs:
 ## the first of its group against the never-cached Reference walk, with
 ## the ledger checked; the corpus holds a cell for every axis value and
 ## the cell and seed that caught each mutation the oracle is known to
-## catch (results/pr25/README.md).
+## catch (results/pr25/README.md, results/pr26/README.md).
 fuzz-regress:
 	$(GO) test -run 'FuzzDecode|FuzzRSSHash' ./internal/packet
 	$(GO) test -run 'FuzzEpochValid' ./internal/conntrack

@@ -36,9 +36,9 @@ func missWorldSetup() {
 // TestMissPathAllocBudget holds the inline slow path to its allocation
 // contract in the steady state — PSC ruleset, every cache tier full, every
 // install evicting: a miss allocates at most three objects per cache entry
-// it creates (the entry, its commit, and for Megaflow its classifier node)
-// and nothing at all when every segment of its traversal is already
-// resident; a hit allocates nothing. Packets go through ProcessBatchMeta
+// it creates (the entry, its commit, and for Megaflow its classifier node);
+// a hit allocates nothing, the overflow fallback's lookup of a flow an
+// earlier packet installed included. Packets go through ProcessBatchMeta
 // one at a time so each one's allocations can be read off the runtime's
 // malloc counter. The walk, the partition and the probes run on scratch the
 // switch and the cache own; before they did, a miss here cost 30–45
@@ -62,7 +62,7 @@ func missWorldSetup() {
 // objects, so that leg's total has no room for one foreign object. The
 // product is deterministic, so every packet is read twice, on two
 // switches driven identically, and the lesser reading is the packet's: a
-// foreign allocation would have to land on both. The all-shared miss is
+// foreign allocation would have to land on both. The fallback's lookup is
 // read as the least of five for the same reason, and hits are still held
 // only to one allocating hit in a hundred (a hit path that allocates does
 // so on every one).
@@ -165,30 +165,27 @@ func TestMissPathAllocBudget(t *testing.T) {
 					misses, entries, allocs, 3*entries, grew, misses/100)
 			}
 
-			// A miss whose every segment is resident: re-run the slow path
-			// for a flow the cache already serves, as the upcall overflow
-			// fallback does.
-			if vs.Cache() == nil {
-				return // a Megaflow miss always installs its one entry
-			}
+			// The upcall overflow fallback on a flow an earlier packet of its
+			// batch installed: Process, the flow's microflow memo dropped so
+			// the main cache answers, finds it resident — a hit that creates
+			// and allocates nothing.
 			k := keys[len(keys)-1]
-			if !vs.Cache().Peek(k).Hit {
-				t.Fatal("the last flow processed should be resident")
-			}
 			c0, least := created(vs), ^uint64(0)
 			for try := 0; try < 5; try++ {
+				vs.Microflow().Remove(k)
+				s0 := vs.Stats()
 				runtime.ReadMemStats(&m0)
-				_, err := vs.ProcessMissInline(k, now)
+				_, err := vs.Process(k, now)
 				runtime.ReadMemStats(&m1)
-				if err != nil || created(vs) != c0 {
-					t.Fatalf("all-shared miss: err %v, %d entries created", err, created(vs)-c0)
+				if err != nil || created(vs) != c0 || vs.Stats().CacheHits != s0.CacheHits+1 {
+					t.Fatalf("resident flow: err %v, %d entries created, %+v", err, created(vs)-c0, vs.Stats().Sub(s0))
 				}
 				if n := m1.Mallocs - m0.Mallocs; n < least {
 					least = n
 				}
 			}
 			if least != 0 {
-				t.Errorf("a miss sharing every segment allocated %d objects, want 0", least)
+				t.Errorf("the fallback's lookup of a resident flow allocated %d objects, want 0", least)
 			}
 		})
 	}

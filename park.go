@@ -11,7 +11,8 @@ import (
 // caller, who parks the packet and enqueues an upcall; a dedicated
 // engine runs the traversal off the datapath goroutine, and the caller
 // finishes the miss later through CompleteMiss (fresh traversal) or by
-// replaying the packet through Process (failed or stale traversal).
+// replaying the packet through Process (failed or stale traversal, or no
+// room to defer it at all).
 //
 // Accounting discipline — the reason async totals match inline exactly:
 // a parked packet is counted NOWHERE at park time, not even in
@@ -47,29 +48,6 @@ func (v *VSwitch) ProcessPark(k Key, now int64) (res ProcessResult, parked bool,
 //gf:hotpath
 func (v *VSwitch) ProcessBatchPark(keys []Key, out []ProcessResult, errs []error, parked []bool, now int64) {
 	v.run(keys, nil, out, errs, parked[:len(keys)], now)
-}
-
-// ProcessMissInline finishes a packet that ProcessPark/ProcessBatchPark
-// parked but that cannot be deferred after all — the upcall queue
-// overflow fallback. It performs the inline slow-path punt the packet
-// skipped, with full accounting, exactly as if Process had never parked
-// it. On a conntrack switch, which parks nothing, the packet takes the
-// whole loop: a stateful miss cannot be resolved without tracking it. No
-// parked packet exists there to finish, so the call is Process(k, now)
-// and nothing more — the result may be a cache hit, counted and
-// flight-recorded as one.
-// Cold by definition; not part of the certified hot path.
-func (v *VSwitch) ProcessMissInline(k Key, now int64) (ProcessResult, error) {
-	if v.ct != nil {
-		return v.Process(k, now)
-	}
-	v.stats.Packets++
-	if v.rec != nil {
-		v.rec.BeginBatch(now)
-	}
-	var o ProcessResult
-	err := v.processMiss(&k, &k, nil, conntrack.DirForward, telemetry.TierSlowpath, now, nil, &o)
-	return o, err
 }
 
 // CompleteMiss finishes a parked miss whose traversal the upcall engine

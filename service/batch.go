@@ -332,7 +332,9 @@ func applyOpts(opts []SubmitOption) submitOpts {
 // verdict, and a packet whose target worker queue is full is dropped with
 // ErrQueueFull (counted against that worker) instead of blocking. Unlike
 // blocking submission it does not require a started service — packets
-// simply queue until workers exist to drain them.
+// simply queue until workers exist to drain them. A call that starts
+// after Close has returned enqueues nothing: every request fails with
+// ErrClosed, and so does the call.
 func Nonblocking() SubmitOption {
 	return func(o submitOpts) submitOpts { o.nonblocking = true; return o }
 }
@@ -394,7 +396,8 @@ func only(b *Batch, err error) (Result, error) {
 // With Nonblocking: requests are enqueued without waiting; a request
 // whose worker queue is full gets ErrQueueFull in its Result.Err, the
 // rest have Result.Err nil with verdicts unreported (use WithResponse to
-// stream them). The batch may be reused immediately.
+// stream them); after Close every request gets ErrClosed. The batch may
+// be reused immediately.
 func (s *Service) SubmitBatch(ctx context.Context, b *Batch, opts ...SubmitOption) error {
 	return s.submit(ctx, b, applyOpts(opts))
 }
@@ -407,13 +410,15 @@ func (s *Service) submit(ctx context.Context, b *Batch, o submitOpts) error {
 	if !b.framed {
 		b.place(s)
 	}
+	// Only a nonblocking call may queue before Start; nothing may after
+	// Close, when no worker will read a queue again.
+	if err := s.running(); err != nil && !(o.nonblocking && err == ErrNotStarted) {
+		b.fail(err)
+		return err
+	}
 	if o.nonblocking {
 		s.submitNonblocking(b, o.resp)
 		return nil
-	}
-	if err := s.running(); err != nil {
-		b.fail(err)
-		return err
 	}
 	return s.submitBlocking(ctx, b)
 }

@@ -156,9 +156,11 @@ func TestErrorTaxonomy(t *testing.T) {
 		t.Errorf("Close before Start = %v, want ErrNotStarted", err)
 	}
 
-	// Nonblocking is exempt from the lifecycle check; the queue (depth 1)
-	// accepts one packet and then reports ErrQueueFull.
-	if _, err := s.Submit(ctx, key(1, 80), Nonblocking()); err != nil {
+	// Nonblocking may queue before Start; the queue (depth 1) accepts one
+	// packet, served once the service starts, and then reports
+	// ErrQueueFull.
+	resp := make(chan Result, 1)
+	if _, err := s.Submit(ctx, key(1, 80), Nonblocking(), WithResponse(resp)); err != nil {
 		t.Errorf("first nonblocking enqueue = %v", err)
 	}
 	if _, err := s.Submit(ctx, key(1, 80), Nonblocking()); !errors.Is(err, ErrQueueFull) {
@@ -167,6 +169,9 @@ func TestErrorTaxonomy(t *testing.T) {
 
 	if err := s.Start(ctx); err != nil {
 		t.Fatal(err)
+	}
+	if r := recv(t, resp, "the packet queued before Start"); r.Err != nil || r.Verdict.Port != 1 {
+		t.Errorf("packet queued before Start: %+v", r)
 	}
 	if err := s.Start(ctx); !errors.Is(err, ErrStarted) {
 		t.Errorf("second Start = %v, want ErrStarted", err)
@@ -238,78 +243,5 @@ func TestConcurrentBatchSubmitters(t *testing.T) {
 	}
 	if want := uint64(goroutines * batches * batchLen); st.Packets != want {
 		t.Fatalf("processed %d packets, want %d", st.Packets, want)
-	}
-}
-
-// TestSubmitBatchNonblocking: enqueue-only semantics with per-index
-// ErrQueueFull once a worker queue is full, and WithResponse streaming
-// of processed results.
-func TestSubmitBatchNonblocking(t *testing.T) {
-	// Unstarted service: jobs pile up in the queue unserved, making the
-	// overflow deterministic. One batch = one message per worker.
-	s, err := New(buildPipeline(), Config{Workers: 1, QueueDepth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	b := NewBatch(4)
-	for i := 0; i < 4; i++ {
-		b.Add(key(uint64(i), 80))
-	}
-	if err := s.SubmitBatch(ctx, b, Nonblocking()); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := b.Result(i).Err; err != nil {
-			t.Fatalf("request %d of the queued batch: %v", i, err)
-		}
-	}
-	if err := s.SubmitBatch(ctx, b, Nonblocking()); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := b.Result(i).Err; !errors.Is(err, ErrQueueFull) {
-			t.Fatalf("request %d of the overflow batch: %v, want ErrQueueFull", i, err)
-		}
-	}
-
-	// Started service with room: WithResponse streams every result.
-	s2, ctx2 := startService(t, 2)
-	resp := make(chan Result, 8)
-	b2 := NewBatch(8)
-	for i := 0; i < 8; i++ {
-		b2.Add(key(uint64(i), 80))
-	}
-	if err := s2.SubmitBatch(ctx2, b2, Nonblocking(), WithResponse(resp)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		r := <-resp
-		if r.Err != nil {
-			t.Fatalf("streamed result %d: %v", i, r.Err)
-		}
-		if r.Verdict.Port != 1 {
-			t.Fatalf("streamed result %d: verdict %+v", i, r.Verdict)
-		}
-	}
-}
-
-// TestNonblockingSingleSubmit: the nonblocking single-packet path keeps
-// the old TrySubmit contract — fills the queue exactly, then reports
-// ErrQueueFull, and a short frame is a decode rejection.
-func TestNonblockingSingleSubmit(t *testing.T) {
-	s, err := New(buildPipeline(), Config{Workers: 1, QueueDepth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := s.Submit(ctx, key(1, 80), Nonblocking()); err != nil {
-		t.Errorf("Submit into an empty queue = %v", err)
-	}
-	if _, err := s.Submit(ctx, key(1, 80), Nonblocking()); !errors.Is(err, ErrQueueFull) {
-		t.Errorf("Submit into a full queue = %v, want ErrQueueFull", err)
-	}
-	if _, err := s.SubmitFrame(ctx, 0, []byte{1, 2}, Nonblocking()); !errors.Is(err, ErrShortFrame) {
-		t.Errorf("SubmitFrame(short) = %v, want ErrShortFrame", err)
 	}
 }

@@ -13,8 +13,7 @@ import (
 var (
 	// ErrNotStarted rejects blocking work on a service that has not been
 	// started: with no workers draining the queues, the call could only
-	// hang. Nonblocking submissions are exempt — they enqueue without a
-	// consumer, which the drop-accounting tests rely on.
+	// hang. Nonblocking submissions are exempt: they queue until Start.
 	ErrNotStarted = errors.New("service: not started")
 
 	// ErrStarted rejects a second Start.

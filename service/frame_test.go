@@ -2,11 +2,9 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"gigaflow"
 	wire "gigaflow/internal/packet"
@@ -97,119 +95,6 @@ func TestFrameTelemetryCounters(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("missing %q in /metrics output", want)
 		}
-	}
-}
-
-// TestNonblockingDropAccounting fills a worker queue on purpose (the
-// service is built but never started, so nothing drains) and checks the
-// overload contract: accepted packets fit the queue exactly, rejections
-// increment the drop counter, nothing deadlocks, and no Result is ever
-// delivered for a rejected packet.
-func TestNonblockingDropAccounting(t *testing.T) {
-	const depth = 4
-	s, err := New(buildPipeline(), Config{
-		Workers:    1,
-		QueueDepth: depth,
-		Cache:      gigaflow.CacheConfig{NumTables: 3, TableCapacity: 256},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const offered = depth + 6
-	resp := make(chan Result, offered)
-	accepted := 0
-	for i := 0; i < offered; i++ {
-		if _, err := s.Submit(context.Background(), key(1, 80), Nonblocking(), WithResponse(resp)); err == nil {
-			accepted++
-		}
-	}
-	if accepted != depth {
-		t.Fatalf("accepted %d, want queue depth %d", accepted, depth)
-	}
-	if got := s.workers[0].drops.Load(); got != offered-depth {
-		t.Fatalf("drops = %d, want %d", got, offered-depth)
-	}
-
-	// The drop counter surfaces in the registry.
-	s.collectServiceMetrics()
-	drops := s.reg.CounterVec("gigaflow_queue_full_drops_total",
-		"Nonblocking submissions dropped because the worker queue was full.", "worker")
-	if got := drops.With("0").Value(); got != offered-depth {
-		t.Fatalf("registry drops = %d, want %d", got, offered-depth)
-	}
-
-	// Start the service: exactly the accepted packets produce Results —
-	// rejected submissions must never surface on the channel.
-	ctx := context.Background()
-	if err := s.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	for i := 0; i < accepted; i++ {
-		if r := recv(t, resp, "an accepted packet's result"); r.Err != nil {
-			t.Fatal(r.Err)
-		}
-	}
-	select {
-	case r := <-resp:
-		t.Fatalf("unexpected extra result %+v for a dropped packet", r)
-	case <-time.After(50 * time.Millisecond):
-	}
-}
-
-// TestNonblockingFrameDropAccounting exercises the same overload path
-// through the byte-level frontend, including the short-frame rejection
-// (which must not count as a queue drop).
-func TestNonblockingFrameDropAccounting(t *testing.T) {
-	const depth = 2
-	s, err := New(buildPipeline(), Config{
-		Workers:    1,
-		QueueDepth: depth,
-		Cache:      gigaflow.CacheConfig{NumTables: 3, TableCapacity: 256},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := wire.Encode(wireKey(1, 80))
-	resp := make(chan Result, depth)
-	accepted, rejected := 0, 0
-	for i := 0; i < depth+3; i++ {
-		if _, err := s.SubmitFrame(context.Background(), 0, frame, Nonblocking(), WithResponse(resp)); err == nil {
-			accepted++
-		} else {
-			rejected++
-		}
-	}
-	if accepted != depth || rejected != 3 {
-		t.Fatalf("accepted %d rejected %d, want %d/%d", accepted, rejected, depth, 3)
-	}
-	if got := s.workers[0].drops.Load(); got != 3 {
-		t.Fatalf("queue drops = %d, want 3", got)
-	}
-	// Short frames are decode rejections, not queue drops.
-	if _, err := s.SubmitFrame(context.Background(), 0, frame[:5], Nonblocking(), WithResponse(resp)); err == nil {
-		t.Fatal("short frame accepted")
-	}
-	if got := s.workers[0].drops.Load(); got != 3 {
-		t.Fatalf("short frame counted as queue drop (drops = %d)", got)
-	}
-	if got := s.frames.errs[wire.ErrShortFrame].Value(); got != 1 {
-		t.Fatalf("short frame not counted as decode error (= %d)", got)
-	}
-
-	ctx := context.Background()
-	if err := s.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	for i := 0; i < accepted; i++ {
-		recv(t, resp, "a queued frame's result")
-	}
-	select {
-	case <-resp:
-		t.Fatal("dropped frame produced a result")
-	case <-time.After(50 * time.Millisecond):
 	}
 }
 

@@ -2,9 +2,11 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"path"
 	"reflect"
 	"slices"
@@ -33,9 +35,10 @@ import (
 type opKind uint8
 
 const (
-	opPacket opKind = iota
-	opSweep         // the idle sweep, at the op's virtual time (VSwitch cells)
-	opRules         // a rule update: flip, on every replica
+	opPacket    opKind = iota
+	opSweep            // the idle sweep, at the op's virtual time (VSwitch cells)
+	opRules            // a rule update: flip, on every replica
+	opRulesFail        // a rule update whose function flips and then fails
 )
 
 // op is one step of a tape. A packet travels as frame; k and flags are
@@ -59,7 +62,7 @@ type tapeSpec struct {
 	thrash   int  // > 0: lead with three windows round robin over 4×thrash flows
 	sweep    bool // an idle sweep every 500 packets
 	damage   bool // every eighth frame damaged, each of packetOp's ways in turn
-	rules    int  // rule updates, spread evenly
+	rules    int  // rule updates, spread evenly; every second one fails
 	lateBind bool // the tape must bind connections that are already established
 }
 
@@ -83,10 +86,11 @@ func genTape(spec tapeSpec, seed uint64, cfg Config) ([]op, coverage) {
 	for i := 0; spec.thrash > 0 && i < 3*4096; i++ {
 		tape = append(tape, packetOp(spec.flow(i%(4*spec.thrash)), 0, int64(i), 0))
 	}
-	now, prev := int64(len(tape)), 0
+	now, prev, updates := int64(len(tape)), 0, 0
 	for i := 0; i < spec.packets; i++ {
 		if spec.rules > 0 && i > 0 && i%(spec.packets/(spec.rules+1)) == 0 {
-			tape = append(tape, op{kind: opRules})
+			tape = append(tape, op{kind: opRules + opKind(updates%2)})
+			updates++
 			o.flip()
 		}
 		var damage uint64
@@ -219,6 +223,14 @@ func flip(p *gigaflow.Pipeline) error {
 	return nil
 }
 
+var errFlip = errors.New("the update failed after its change")
+
+// failFlip is opRulesFail's update function: flip, and then an error.
+func failFlip(p *gigaflow.Pipeline) error {
+	flip(p)
+	return errFlip
+}
+
 // oracle is the never-cached walk a cell is held to: one Reference per
 // shard, over that shard's sub-range of every NAT pool, fed what the
 // service routes to the shard.
@@ -306,18 +318,22 @@ type vsDriver struct {
 	sizes    []int // one at a time through the single-packet entry points, else in batches
 	recorded bool  // latency recorder on: flight records and histograms compared
 	traced   bool  // every packet sampled
-	park     bool  // ProcessPark or ProcessBatchPark, the second chance, CompleteMiss, the ProcessMissInline fallback
+	park     bool  // ProcessPark or ProcessBatchPark, the second chance, CompleteMiss, the Process fallback
 }
 
 // fault is the trouble a cell runs into, as data: each field names the op
-// it lands on (0: none).
+// it lands on, or the length of a window (0: none).
 type fault struct {
-	closeAt  int // Close the service before this op
+	closeAt  int // Close the service before this op; the calls after it alternate blocking and Nonblocking
 	cancelAt int // the call carrying this op gets a cancelled context
 	// wedge holds every shard's slow-path lock over the wedge packet ops
 	// before the first rule update, which go in Nonblocking; the update
 	// lands while the engine walks what they parked.
 	wedge int
+	// stall holds every shard's worker in a control op over the stall
+	// packet ops before the first rule update, which go in Nonblocking
+	// into queues nothing drains; it lets go before the update.
+	stall int
 }
 
 // cell is one way of running a tape; the cells of a group run one tape
@@ -369,8 +385,9 @@ type outcome struct {
 	seq     uint64
 	hist    [telemetry.NumTiers]uint64
 	flight  []telemetry.FlightRecord // newest first; identity fields only
-	ooph    [2]int                   // park mode on a conntrack switch: ProcessMissInline, CompleteMiss calls that came back hits
+	ooph    int                      // park mode on a conntrack switch: CompleteMiss calls that came back hits
 	frames  *frameMetrics            // frame entry points: every frame decoded, tallied one at a time
+	fates   [fates]int               // service cells: the ledger as the results tell it
 }
 
 // each cuts tape into calls: a control op alone, runs of packets into
@@ -543,8 +560,7 @@ func (c *cell) tame(o *outcome, cov coverage) string {
 		need(cov.rstInNew > 0 && cov.responderReopen > 0, "RST in New and responder reopen")
 		need(!c.tape.lateBind || cov.lateBind > 0, "late bind")
 	}
-	need(!c.driver.park || !c.cfg.Conntrack.Enable || o.ooph[0] > 0 && o.ooph[1] > 0,
-		"ProcessMissInline and CompleteMiss hits on a conntrack switch")
+	need(!c.driver.park || !c.cfg.Conntrack.Enable || o.ooph > 0, "CompleteMiss hits on a conntrack switch")
 	if c.entry != viaVSwitch && c.fault.closeAt == 0 {
 		need(u.Enabled == (up.Workers > 0), "offload engaged exactly when configured")
 		need(up.Workers == 0 || u.Flows > 0, "upcalls")
@@ -555,6 +571,7 @@ func (c *cell) tame(o *outcome, cov coverage) string {
 		need(up.Queue != 1 || up.Overflow != OverflowInline || u.OverflowInline > 0, "inline overflow")
 		need(up.Queue != 1 || up.Overflow != OverflowDrop || u.OverflowDrops > 0, "overflow drops")
 		need(c.fault.wedge == 0 || u.Stale > 0, "stale walk")
+		need(c.fault.stall == 0 || o.fates[queueFull] > 0, "queue-full drops")
 	}
 	if f := o.frames; f != nil && c.tape.damage {
 		need(f.vlan.Value() > 0 && f.frags.Value() > 0 && f.errs[wire.ErrShortFrame].Value() > 0 &&
@@ -578,7 +595,7 @@ func (c *cell) expect(tape []op, flagless bool) []step {
 		switch x := &tape[i]; x.kind {
 		case opSweep:
 			o.sweep(x.now, c.cfg.Conntrack.MaxIdle)
-		case opRules:
+		case opRules, opRulesFail:
 			o.flip()
 		default:
 			want[i].res, _ = o.walk(x, flagless)
@@ -611,25 +628,13 @@ func (c *cell) drive(t *testing.T, tape []op, want []step) *outcome {
 	}
 	out, errs, parked := make([]gigaflow.ProcessResult, n), make([]error, n), make([]bool, n)
 	o := &outcome{}
-	// outOfProtocol makes a ProcessMissInline or CompleteMiss call on a
-	// switch that parks nothing: it must be Process, down to an ordinary
-	// flight record. It counts the call if it came back a hit.
-	outOfProtocol := func(hits *int, call func()) {
-		misses := vs.Stats().CacheMisses
-		if call(); vs.Stats().CacheMisses == misses {
-			*hits++
-		}
-		if r := vs.Recorder().Recent(1)[0]; r.Flags&telemetry.FlightDeferred != 0 || r.ParkNs != 0 {
-			t.Fatalf("a conntrack switch logged a deferred completion: %+v", r)
-		}
-	}
 	calls := 0
 	each(tape, d.sizes, func(i int) bool { return tape[i].now != tape[i-1].now }, func(lo, hi int) {
 		now := tape[hi-1].now
 		switch {
 		case tape[lo].kind == opSweep:
 			vs.ExpireIdle(now)
-		case tape[lo].kind == opRules:
+		case tape[lo].kind != opPacket:
 			flip(vs.Pipeline())
 			vs.Revalidate()
 		case !d.park && len(d.sizes) == 1:
@@ -638,16 +643,18 @@ func (c *cell) drive(t *testing.T, tape []op, want []step) *outcome {
 			vs.ProcessBatchMeta(keys[lo:lo], nil, nil, nil, now) // an empty batch is a no-op
 			vs.ProcessBatchMeta(keys[lo:hi], flags[lo:hi], out[lo:hi], errs[lo:hi], now)
 		case ct && hi-lo == 1:
-			// One packet through each park-mode entry point in turn: a switch
-			// that parks nothing takes the whole loop for each.
-			switch calls++; calls % 3 {
-			case 0:
+			// A switch that parks nothing takes the whole loop for each
+			// park-mode entry point in turn: CompleteMiss there must be
+			// Process, down to an ordinary flight record, and may hit.
+			if calls++; calls%2 == 0 {
 				out[lo], parked[lo], errs[lo] = vs.ProcessPark(keys[lo], now)
-			case 1:
-				outOfProtocol(&o.ooph[0], func() { out[lo], errs[lo] = vs.ProcessMissInline(keys[lo], now) })
-			default:
-				tr := vs.Pipeline().MustProcess(keys[lo])
-				outOfProtocol(&o.ooph[1], func() { out[lo], errs[lo] = vs.CompleteMiss(keys[lo], tr, now, 100, 50) })
+				break
+			}
+			misses, tr := vs.Stats().CacheMisses, vs.Pipeline().MustProcess(keys[lo])
+			out[lo], errs[lo] = vs.CompleteMiss(keys[lo], tr, now, 100, 50)
+			o.ooph += btoi(vs.Stats().CacheMisses == misses)
+			if r := vs.Recorder().Recent(1)[0]; r.Flags&telemetry.FlightDeferred != 0 || r.ParkNs != 0 {
+				t.Fatalf("a conntrack switch logged a deferred completion: %+v", r)
 			}
 		default:
 			if hi-lo == 1 {
@@ -663,8 +670,10 @@ func (c *cell) drive(t *testing.T, tape []op, want []step) *outcome {
 					out[i], still, errs[i] = vs.ProcessPark(keys[i], now)
 				}
 				switch calls += btoi(still); {
-				case still && calls%3 == 0:
-					out[i], errs[i] = vs.ProcessMissInline(keys[i], now) // the overflow fallback
+				case still && calls%3 == 0 && hi-lo > 1:
+					// The overflow fallback. (Its second probe would read in the
+					// tiers' stats, which the single driver holds to inline's.)
+					out[i], errs[i] = vs.Process(keys[i], now)
 				case still: // the engine walked it
 					out[i], errs[i] = vs.CompleteMiss(keys[i], vs.Pipeline().MustProcess(keys[i]), now, 100, 50)
 				}
@@ -727,7 +736,10 @@ type svcRun struct {
 	pending        []int                    // nonblocking ops handed in, verdicts not yet filed
 	lost           int                      // of their verdicts, overflow drops, which name no op
 	closed, wedged bool
-	handed         int
+	from, to       int           // the wedge or stall window: ops [from, to)
+	held           chan struct{} // closed to let stalled workers go
+	queued         []int         // per shard, the shares a stall's window queued
+	handed, calls  int
 	fate, counted  [fates]int    // the ledger as the results tell it, and the service's counters
 	frames         *frameMetrics // every frame decoded, tallied one at a time
 }
@@ -747,6 +759,7 @@ func (c *cell) runService(t *testing.T, tape []op) *outcome {
 		resp: make(chan Result, len(tape)), out: &outcome{res: make([]Result, len(tape))},
 		exp: make([]gigaflow.ProcessResult, len(tape)), frames: newFrameMetrics(telemetry.NewRegistry())}
 	defer func() { // before the service is closed
+		r.release()
 		for _, w := range s.workers {
 			if r.wedged {
 				w.slowMu.Unlock()
@@ -760,12 +773,12 @@ func (c *cell) runService(t *testing.T, tape []op) *outcome {
 	if c.entry == viaReplay {
 		sizes, r.out.res = []int{len(tape)}, nil // a call per run of packets, which Replay batches
 	}
-	f, from, to := c.fault, 0, 0
-	if f.wedge > 0 {
-		to = slices.IndexFunc(tape, func(x op) bool { return x.kind == opRules })
-		from = to - f.wedge
+	f := c.fault
+	if n := max(f.wedge, f.stall); n > 0 {
+		r.to = slices.IndexFunc(tape, func(x op) bool { return x.kind == opRules })
+		r.from = r.to - n
 	}
-	each(tape, sizes, func(i int) bool { return i == f.closeAt || i == f.cancelAt || i == from || i == to }, func(lo, hi int) {
+	each(tape, sizes, func(i int) bool { return i == f.closeAt || i == f.cancelAt || i == r.from || i == r.to }, func(lo, hi int) {
 		switch {
 		case lo == f.closeAt && lo > 0:
 			r.snapshot() // a closed service answers no question
@@ -773,22 +786,23 @@ func (c *cell) runService(t *testing.T, tape []op) *outcome {
 				t.Fatal(err)
 			}
 			r.closed = true
-		case lo == from && to > 0:
+		case lo == r.from && f.wedge > 0:
 			for _, w := range s.workers {
 				w.slowMu.Lock()
 			}
 			r.wedged = true
-		case lo == to && to > 0:
+		case lo == r.from && f.stall > 0 && c.entry != viaReplay:
+			r.stall() // Replay's reader stalls the shards itself, past its opening Stats
+		case lo == r.to && f.wedge > 0:
 			r.unwedge()
 			return
+		case lo == r.to && f.stall > 0:
+			r.release()
+			r.collect(true)
 		}
-		switch tape[lo].kind {
-		case opRules:
-			if err := s.UpdateRules(context.Background(), flip); err == nil {
-				r.o.flip()
-			} else if !r.closed {
-				t.Fatal(err)
-			}
+		switch k := tape[lo].kind; k {
+		case opRules, opRulesFail:
+			r.update(k)
 		case opPacket:
 			r.send(lo, hi)
 		}
@@ -809,8 +823,9 @@ func (r *svcRun) send(lo, hi int) {
 		ctx, stop = context.WithCancel(ctx)
 		stop()
 	}
-	nonblocking := c.nonblocking || r.wedged
-	if c.entry == viaReplay {
+	window := lo >= r.from && lo < r.to
+	nonblocking := c.nonblocking || window || r.closed && r.calls%2 == 1
+	if r.calls++; c.entry == viaReplay {
 		r.replay(ctx, lo, hi, nonblocking)
 		return
 	}
@@ -818,12 +833,18 @@ func (r *svcRun) send(lo, hi int) {
 	if nonblocking {
 		opts = []SubmitOption{Nonblocking(), WithResponse(r.resp)}
 	}
+	var refused []bool
+	if r.held != nil {
+		refused = r.refused(lo, hi)
+	}
 	for i, res := range r.call(ctx, r.tape[lo:hi], opts, nonblocking) {
 		at, x, e := lo+i, &r.tape[lo+i], res.Err
 		if r.out.res[at] = res; x.short && !c.entry.frames() {
 			continue // a key entry point cannot hand it over
 		}
-		r.handed++
+		if r.handed++; refused != nil && !x.short && errors.Is(e, ErrQueueFull) != refused[i] {
+			r.t.Fatalf("op %d: %v; a stalled shard queues %d shares and refuses the rest", at, e, r.s.cfg.QueueDepth)
+		}
 		fate := served
 		switch {
 		case x.short && errors.Is(e, ErrShortFrame):
@@ -836,8 +857,8 @@ func (r *svcRun) send(lo, hi int) {
 			fate = queueFull
 		case c.cfg.Upcall.Overflow == OverflowDrop && errors.Is(e, ErrUpcallOverflow):
 			fate = overflow
-		case e != nil || x.short:
-			r.t.Fatalf("op %d: %v", at, e)
+		case e != nil || x.short || r.closed:
+			r.t.Fatalf("op %d: %v (service closed: %v)", at, e, r.closed)
 		case nonblocking:
 			r.exp[at], _ = r.o.walk(x, c.flagless())
 			r.pending = append(r.pending, at)
@@ -853,8 +874,71 @@ func (r *svcRun) send(lo, hi int) {
 			r.tally(x)
 		}
 	}
-	if nonblocking && !r.wedged {
+	if nonblocking && !window {
 		r.collect(true)
+	}
+}
+
+// refused is which of tape[lo:hi] a call meets stalled shards with full
+// queues: the call's share for a shard is queued while the shard holds
+// fewer than QueueDepth, and refused whole after.
+func (r *svcRun) refused(lo, hi int) []bool {
+	out, share := make([]bool, hi-lo), map[int]bool{} // shard: its share refused
+	for i := lo; i < hi; i++ {
+		if x := &r.tape[i]; !x.short {
+			w := r.o.route(&x.k)
+			full, seen := share[w]
+			if !seen {
+				full = r.queued[w] == r.s.cfg.QueueDepth
+				share[w], r.queued[w] = full, r.queued[w]+btoi(!full)
+			}
+			out[i-lo] = full
+		}
+	}
+	return out
+}
+
+// stall holds every shard's worker in a control op until release, and
+// returns once each is held: the window's calls then meet queues that
+// nothing drains.
+func (r *svcRun) stall() {
+	held, in := make(chan struct{}), make(chan struct{}, len(r.s.workers))
+	r.held, r.queued = held, make([]int, len(r.s.workers))
+	for _, w := range r.s.workers {
+		if err := r.s.post(context.Background(), w, packet{control: func(int, *worker) { in <- struct{}{}; <-held }}); err != nil {
+			r.t.Fatal(err)
+		}
+	}
+	for range r.s.workers {
+		select {
+		case <-in:
+		case <-time.After(5 * time.Second):
+			r.t.Fatal("a worker never took the stall")
+		}
+	}
+}
+
+// release lets stalled workers go.
+func (r *svcRun) release() {
+	if r.held != nil {
+		close(r.held)
+		r.held = nil
+	}
+}
+
+// update applies a rule update of the tape to the service and — once the
+// replicas have flipped, failing or not — to the oracle.
+func (r *svcRun) update(k opKind) {
+	fn, want := flip, error(nil)
+	if k == opRulesFail {
+		fn, want = failFlip, errFlip
+	}
+	switch err := r.s.UpdateRules(context.Background(), fn); {
+	case r.closed && errors.Is(err, ErrClosed):
+	case !errors.Is(err, want):
+		r.t.Fatalf("rule update: %v, want %v", err, want)
+	default:
+		r.o.flip()
 	}
 }
 
@@ -993,21 +1077,25 @@ func (r *svcRun) unwedge() {
 }
 
 // snapshot reads what the group comparison and the ledger need as the
-// service exports it: every shard's /cache document (its tiers, its
-// queue-full drops), /shards, and the offload counters.
+// service exports it: every shard's tiers as /cache shows them, /shards,
+// the queue-full drops /metrics counts, and the offload counters.
 func (r *svcRun) snapshot() {
 	ctx, s := context.Background(), r.s
-	tel, drops := make([]gigaflow.VSwitchTelemetry, len(s.workers)), make([]uint64, len(s.workers))
-	if err := s.eachShard(ctx, func(i int, w *worker) { tel[i], drops[i] = w.vs.Telemetry(), w.drops.Load() }); err != nil {
+	tel := make([]gigaflow.VSwitchTelemetry, len(s.workers))
+	if err := s.eachShard(ctx, func(i int, w *worker) { tel[i] = w.vs.Telemetry() }); err != nil {
 		r.t.Fatal(err)
 	}
 	shards, err := s.ShardStats(ctx)
+	if err == nil {
+		err = s.Collect(ctx)
+	}
 	if err != nil {
 		r.t.Fatal(err)
 	}
+	full := s.reg.CounterVec("gigaflow_queue_full_drops_total", "", "worker")
 	for i, sh := range shards {
 		r.out.stats = r.out.stats.Add(tel[i].Stats)
-		r.counted[queueFull] += int(drops[i])
+		r.counted[queueFull] += int(full.With(s.workers[i].label).Value())
 		bad := sh.Packets != tel[i].Stats.Packets
 		if ct := tel[i].Conntrack; ct != nil {
 			ref := ctView(r.o.refs[i].Conntrack().Stats())
@@ -1044,9 +1132,13 @@ func (r *svcRun) ledger() {
 		t.Errorf("left parked: %+v", u)
 	}
 	if u.Enabled && !r.closed && (u.Released != u.Completed+u.Deduped+u.OverflowInline+u.OverflowDrops ||
-		u.Flows != u.Completed+u.OverflowInline+u.OverflowDrops) {
+		u.Flows != u.Completed+u.OverflowInline+u.OverflowDrops || u.Overflows != u.OverflowInline+u.OverflowDrops) {
 		t.Errorf("upcall ledger: %+v", u)
 	}
+	if n := len(r.resp); n > 0 {
+		t.Errorf("%d verdicts streamed back for requests that were never served", n)
+	}
+	r.out.fates = r.fate
 	if !r.c.entry.frames() {
 		return
 	}
@@ -1079,34 +1171,67 @@ func (r *svcRun) tally(x *op) {
 func (r *svcRun) replay(ctx context.Context, lo, hi int, nonblocking bool) {
 	var buf bytes.Buffer
 	pw, _ := pcap.NewWriter(&buf)
-	want := ReplayReport{Frames: hi - lo}
 	for _, x := range r.tape[lo:hi] {
 		pw.WritePacket(0, x.frame)
-		if want.Bytes += len(x.frame); x.short {
-			want.Rejected++
-			continue
-		}
-		_, info := wire.Decode(x.frame, 0)
-		want.Submitted++
-		want.PerProto[info.Proto]++
-		want.DecodeErrors += btoi(info.Err != wire.ErrOK)
 	}
-	rd, _ := pcap.NewReader(&buf)
-	rep, err := r.s.Replay(ctx, rd, ReplayConfig{Blocking: !nonblocking, BatchSize: r.c.batch})
+	src, stalled := io.Reader(&buf), lo == r.from && r.c.fault.stall > 0
+	if stalled {
+		// Stall the shards when Replay reads its first record, its opening
+		// Stats behind it (NewReader reads the 24-byte file header), and
+		// let them go at the capture's end.
+		data := buf.Bytes()
+		src = io.MultiReader(bytes.NewReader(data[:24]), hook(r.stall), bytes.NewReader(data[24:]), hook(r.release))
+	}
+	rd, _ := pcap.NewReader(src)
+	size := cmp.Or(r.c.batch, DefaultBatchSize)
+	rep, err := r.s.Replay(ctx, rd, ReplayConfig{Blocking: !nonblocking, BatchSize: size})
 	if r.closed && errors.Is(err, ErrClosed) {
 		return // nothing read, nothing handed in
 	} else if err != nil {
 		r.t.Fatal(err)
 	}
+	want := ReplayReport{Frames: hi - lo}
+	for b := lo; b < hi; b += size {
+		var refused []bool
+		if stalled {
+			refused = r.refused(b, min(b+size, hi))
+		}
+		for i := b; i < min(b+size, hi); i++ {
+			x := &r.tape[i]
+			_, routable := wire.RSSTuple(x.frame)
+			switch want.Bytes += len(x.frame); {
+			case x.short:
+				want.Rejected++
+			case refused != nil && refused[i-b]:
+				want.QueueDrops++
+				if routable {
+					continue // its shard never decoded it
+				}
+			default:
+				want.Submitted++
+				r.o.walk(x, false)
+			}
+			r.tally(x)
+			if _, info := wire.Decode(x.frame, 0); !x.short {
+				want.PerProto[info.Proto]++
+				want.DecodeErrors += btoi(info.Err != wire.ErrOK)
+			}
+		}
+	}
 	if want.Stats, want.Elapsed = rep.Stats, rep.Elapsed; rep != want || rep.Stats.Packets != uint64(want.Submitted) {
 		r.t.Fatalf("replay of ops %d–%d: %+v, %d packets in its stats; want %+v", lo, hi-1, rep, rep.Stats.Packets, want)
 	}
 	r.handed, r.fate[served], r.fate[short] = r.handed+rep.Frames, r.fate[served]+rep.Submitted, r.fate[short]+rep.Rejected
-	for i := lo; i < hi; i++ {
-		if r.tally(&r.tape[i]); !r.tape[i].short {
-			r.o.walk(&r.tape[i], false)
-		}
-	}
+	r.fate[queueFull] += rep.QueueDrops
+}
+
+// hook is a reader that runs its function and ends: spliced into a
+// stream, it acts when the stream's reader gets that far.
+type hook func()
+
+func (h hook) Read([]byte) (int, error) {
+	h()
+	return 0, io.EOF
 }
 
 // The tapes the matrix draws on.
@@ -1189,6 +1314,11 @@ var cells = func() []cell {
 	for _, n := range []int{1, 2, 4} {
 		add("perflow/shards", fmt.Sprint(n), cell{tape: whole, cfg: shards(sync, n), entry: viaSubmitFrameBatch, batch: 32})
 	}
+	// A one-slot upcall queue: most cold flows take the inline fallback, and
+	// so does a repeat in the same share while the engine has not caught
+	// up. No flow's install covers another's here, so the peers agree.
+	add("perflow/shards", "overflow-inline/3", cell{tape: whole, cfg: upcall(shards(sync, 3), UpcallConfig{Workers: 1, Queue: 1}),
+		entry: viaSubmitBatch, batch: 32})
 	// Every way in, inline and offloaded, a group per shard count. No tier
 	// evicts here (see parks).
 	for _, n := range []int{1, 3} {
@@ -1229,9 +1359,19 @@ var cells = func() []cell {
 		add(g, "upcall/SubmitFrame/busy", cell{tape: svc, cfg: up, entry: viaSubmitFrame, busy: true})
 	}
 
-	// Faults, each cell alone.
-	alone("upcall/overflow-inline", cell{tape: svc, cfg: upcall(shards(two, 1), UpcallConfig{Workers: 1, Queue: 1}),
-		entry: viaSubmitBatch, batch: 32})
+	// Faults, each cell alone. Stalled workers, a cell per entry point on
+	// 1–3 shards, sync and upcall in turn: the 96 ops before the first rule
+	// update meet queues two shares deep. 96 is three whole Replay batches;
+	// a partial one would be flushed after the release, racing the workers.
+	stalled := sync
+	stalled.QueueDepth = 2
+	for i, e := range []entry{viaSubmit, viaSubmitFrame, viaSubmitBatch, viaSubmitFrameBatch, viaReplay} {
+		cfg := shards(stalled, 1+i%3)
+		if i%2 == 1 {
+			cfg = upcall(cfg, UpcallConfig{Workers: 1, Queue: 4096})
+		}
+		alone("stall/"+string(e), cell{tape: perflow, cfg: cfg, entry: e, batch: 32, fault: fault{stall: 96}})
+	}
 	// Cold at the start, and at op 50 a rule update that turns every
 	// verdict: what the window parked was walked under the rules it replaces.
 	wedged := svc

@@ -271,7 +271,7 @@ func TestShardOwnershipUnderRace(t *testing.T) {
 					for i := 0; i < 8; i++ {
 						b.Add(perFlowKey((n*8 + i) % 256))
 					}
-					if err := s.SubmitBatch(ctx, b, Nonblocking(), WithResponse(resp)); err != nil {
+					if err := s.SubmitBatch(ctx, b, Nonblocking(), WithResponse(resp)); err != nil && !errors.Is(err, ErrClosed) {
 						t.Errorf("nonblocking submitter: %v", err)
 						return
 					}

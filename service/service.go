@@ -19,8 +19,9 @@
 // the run-to-completion datapath thread the paper patches: the thread
 // holding the burst classifies it, and no packet pays a queue hop or a
 // wake-up. A busy shard's share is queued as before. Rule updates are
-// deterministic functions applied to every replica under its owner lock,
-// so replicas never diverge.
+// deterministic functions applied to every replica under its owner lock
+// and revalidated there, failing or not, so replicas never diverge and no
+// cache outlives the rules it was filled under.
 package service
 
 import (
@@ -92,10 +93,13 @@ type UpcallConfig struct {
 	// main-cache miss parks the packet and enqueues an upcall instead of
 	// blocking the worker on the pipeline traversal; concurrent misses
 	// of the same flow coalesce onto one traversal, and parked packets
-	// are released in arrival order per flow, so results and stats are
-	// indistinguishable from inline processing — as long as no cache tier
-	// evicts: a batch's parked misses reach an LRU tier after the batch's
-	// hits, so once one evicts, which flows it keeps can differ.
+	// are released in arrival order per flow, so results and VSwitch
+	// stats are indistinguishable from inline processing, OverflowInline's
+	// fallback included. Each tier's own stats are too while no miss
+	// meets a full queue and no cache tier evicts: the fallback probes a
+	// parked packet's tiers a second time, and a batch's parked misses
+	// reach an LRU tier after the batch's hits, so once one evicts, which
+	// flows it keeps can differ.
 	Workers int
 	// Queue bounds the shared miss queue (default 1024). A fresh miss
 	// that finds it full is handled per Overflow; packets of
@@ -863,11 +867,12 @@ func (w *worker) parkJob(j *batchJob, now int64) (finished bool) {
 
 // drain completes work still queued at shutdown so blocking submitters
 // are never stranded (see refuse). The loop stops as soon as the queue
-// is momentarily empty — late nonblocking submissions after that point
-// are dropped with the queue, exactly like packets lost in a NIC ring at
-// teardown — and then the pending-flow table is swept so parked packets
-// whose completions never arrived fail with ErrClosed too. The owner
-// lock is taken per message, never across the receive.
+// is momentarily empty — nonblocking submissions racing Close past that
+// point are dropped with the queue, exactly like packets lost in a NIC
+// ring at teardown (one that starts after Close has returned is refused
+// with ErrClosed) — and then the pending-flow table is swept so parked
+// packets whose completions never arrived fail with ErrClosed too. The
+// owner lock is taken per message, never across the receive.
 func (w *worker) drain() {
 	for {
 		select {
@@ -938,9 +943,10 @@ func (s *Service) eachShard(ctx context.Context, fn func(i int, w *worker)) erro
 // UpdateRules applies a deterministic mutation to every shard's pipeline
 // replica (under the shard's owner lock) and revalidates its cache
 // immediately. The function is called once per replica and must perform
-// the same logical change each time; an error from any replica is
-// returned (replicas that already applied it keep the change and a
-// consistent revalidated cache).
+// the same logical change each time, also when it fails: a failing fn's
+// partial change stays, and is revalidated like a whole one, so every
+// replica keeps the same rules and a cache consistent with them. The
+// first error is returned.
 func (s *Service) UpdateRules(ctx context.Context, fn func(p *gigaflow.Pipeline) error) error {
 	errs := make([]error, len(s.workers))
 	err := s.eachShard(ctx, func(i int, w *worker) {
@@ -949,9 +955,7 @@ func (s *Service) UpdateRules(ctx context.Context, fn func(p *gigaflow.Pipeline)
 		// uncontended in synchronous mode.)
 		w.slowMu.Lock()
 		errs[i] = fn(w.vs.Pipeline())
-		if errs[i] == nil {
-			w.vs.Revalidate()
-		}
+		w.vs.Revalidate()
 		w.slowMu.Unlock()
 	})
 	if err != nil {

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -539,25 +538,6 @@ func TestConcurrentScrape(t *testing.T) {
 	scrapers.Wait()
 	close(stop)
 	<-producerDone
-}
-
-func TestNonblockingDropsCounted(t *testing.T) {
-	s, err := New(buildPipeline(), Config{Workers: 1, QueueDepth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Not started: the worker drains nothing, so the second nonblocking
-	// Submit to the same (only) worker must fail.
-	ctx := context.Background()
-	if _, err := s.Submit(ctx, key(1, 80), Nonblocking()); err != nil {
-		t.Fatalf("first nonblocking Submit should fit the queue: %v", err)
-	}
-	if _, err := s.Submit(ctx, key(1, 80), Nonblocking()); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("second nonblocking Submit = %v, want ErrQueueFull", err)
-	}
-	if got := s.workers[0].drops.Load(); got != 1 {
-		t.Errorf("drops = %d, want 1", got)
-	}
 }
 
 func TestServeTelemetryConflict(t *testing.T) {

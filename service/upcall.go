@@ -46,9 +46,11 @@ import (
 type OverflowPolicy uint8
 
 const (
-	// OverflowInline (the default) falls back to the inline slow path:
-	// the worker runs the traversal itself, exactly as in synchronous
-	// mode. Backpressure degrades latency, never correctness.
+	// OverflowInline (the default) falls back to the inline path: the
+	// worker processes the packet itself, exactly as in synchronous mode
+	// — looked up again first, since an earlier packet of its batch may
+	// have installed its flow meanwhile. Backpressure degrades latency,
+	// never correctness or the counts.
 	OverflowInline OverflowPolicy = iota
 	// OverflowDrop fails the packet with ErrUpcallOverflow — the
 	// upcall-ring drop of a real datapath, for deployments that prefer
@@ -88,14 +90,16 @@ func (w *worker) parkOne(k gigaflow.Key, p parked, now int64) bool {
 }
 
 // parkFallback finishes a missed packet the upcall queue refused,
-// according to the shard's overflow policy.
+// according to the shard's overflow policy. A parked packet was counted
+// nowhere, so the inline fallback is the whole loop — what inline mode
+// would have run.
 func (w *worker) parkFallback(k gigaflow.Key, now int64) (gigaflow.ProcessResult, error) {
 	if w.overflow == OverflowDrop {
 		w.ovDrop++
 		return gigaflow.ProcessResult{}, ErrUpcallOverflow
 	}
 	w.ovInline++
-	return w.vs.ProcessMissInline(k, now)
+	return w.vs.Process(k, now)
 }
 
 // complete applies one engine-completed miss under the owner lock:
@@ -223,11 +227,13 @@ func (s *Service) handleUpcalls(ctx context.Context, batch []*upcall.Miss[parked
 // false (and the rest zero) when the service runs synchronously.
 //
 // With nothing pending, and no shutdown sweep having failed parked
-// packets, two identities hold: every flow that missed was completed or
-// overflowed, Flows = Completed + OverflowInline + OverflowDrops; and every
+// packets, three identities hold: every flow that missed was completed or
+// overflowed, Flows = Completed + OverflowInline + OverflowDrops; every
 // parked packet was handed back — a completion releases its initiator and
 // its followers (a stale one too), an overflow its one packet —
-// Released = Completed + Deduped + OverflowInline + OverflowDrops.
+// Released = Completed + Deduped + OverflowInline + OverflowDrops; and
+// every refusal of the queue took exactly one fallback,
+// Overflows = OverflowInline + OverflowDrops.
 type UpcallStats struct {
 	Enabled bool `json:"enabled"`
 	// PendingFlows counts flows with a traversal in flight;

@@ -75,58 +75,6 @@ func TestUpcallOrdering(t *testing.T) {
 	}
 }
 
-// TestUpcallOverflowDrop drives the queue into deterministic overflow by
-// blocking the engine on the worker's slow-path lock (held directly by
-// the test): the first miss is in the engine's hands, the second fills
-// the depth-1 queue, and every further miss must drop with
-// ErrUpcallOverflow. Unlocking releases the two survivors.
-func TestUpcallOverflowDrop(t *testing.T) {
-	cfg := upcallConfig(BackendGigaflow, 1, 1)
-	cfg.Upcall.Queue = 1
-	cfg.Upcall.Overflow = OverflowDrop
-	s := start(t, buildPipeline(), cfg)
-	ctx := context.Background()
-	w := s.workers[0]
-
-	w.slowMu.Lock()
-	resp := make(chan Result, 8)
-	if _, err := s.Submit(ctx, key(1, 80), Nonblocking(), WithResponse(resp)); err != nil {
-		t.Fatal(err)
-	}
-	// Wait until the engine has dequeued the first miss (and is now
-	// blocked on slowMu), so the queue slot is free again.
-	await(t, "the engine's dequeue of the first miss", func() bool { return s.eng.Drained() == 1 })
-	b := NewBatch(7)
-	for h := uint64(2); h <= 8; h++ {
-		b.Add(key(h, 80))
-	}
-	if err := s.SubmitBatch(ctx, b, Nonblocking(), WithResponse(resp)); err != nil {
-		t.Fatal(err)
-	}
-
-	// The six drops happen synchronously in the worker's scan: flow 2
-	// refills the queue, flows 3-8 overflow.
-	for i := 0; i < 6; i++ {
-		if r := recv(t, resp, "a drop"); !errors.Is(r.Err, ErrUpcallOverflow) {
-			t.Fatalf("expected ErrUpcallOverflow, got %+v", r)
-		}
-	}
-	w.slowMu.Unlock()
-	for i := 0; i < 2; i++ {
-		if r := recv(t, resp, "a survivor"); r.Err != nil || r.Verdict.Port != 1 {
-			t.Fatalf("survivor %d: %+v", i, r)
-		}
-	}
-
-	us, err := s.UpcallStats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if us.OverflowDrops != 6 || us.Overflows != 6 || us.Completed != 2 {
-		t.Errorf("stats: %+v, want 6 drops / 6 queue overflows / 2 completions", us)
-	}
-}
-
 // TestUpcallShutdownParked proves shutdown is hang-proof with packets
 // parked and the engine wedged mid-traversal: Close must fail the parked
 // packets with ErrClosed (unblocking their submitters) and still return
