@@ -36,7 +36,7 @@ func TestProcessBatchThrashZeroAlloc(t *testing.T) {
 			}
 			out := make([]ProcessResult, len(keys))
 			errs := make([]error, len(keys))
-			vs.ProcessBatch(keys, out, errs, 0) // install, fill the tier
+			vs.ProcessBatchMeta(keys, nil, out, errs, 0) // install, fill the tier
 			before := vs.Stats()
 			ufBefore := vs.Microflow().Stats()
 
@@ -46,9 +46,9 @@ func TestProcessBatchThrashZeroAlloc(t *testing.T) {
 			// are memoized again.
 			const runs = 100
 			if allocs := testing.AllocsPerRun(runs, func() {
-				vs.ProcessBatch(keys, out, errs, 1)
+				vs.ProcessBatchMeta(keys, nil, out, errs, 1)
 			}); allocs != 0 {
-				t.Errorf("ProcessBatch over %d keys on a %d-entry tier allocates %.1f/batch, want 0",
+				t.Errorf("ProcessBatchMeta over %d keys on a %d-entry tier allocates %.1f/batch, want 0",
 					len(keys), ufCap, allocs)
 			}
 			// AllocsPerRun calls the function once more, to warm up.

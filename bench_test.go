@@ -40,11 +40,11 @@ func BenchmarkVSwitchProcessBatch(b *testing.B) {
 	}
 	out := make([]ProcessResult, batch)
 	errs := make([]error, batch)
-	vs.ProcessBatch(keys, out, errs, 0) // warm the cache
+	vs.ProcessBatchMeta(keys, nil, out, errs, 0) // warm the cache
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vs.ProcessBatch(keys, out, errs, int64(i))
+		vs.ProcessBatchMeta(keys, nil, out, errs, int64(i))
 	}
 }
 
@@ -80,11 +80,11 @@ func benchProcessBatchRec(b *testing.B, rec *telemetry.LatencyRecorder) {
 	}
 	out := make([]ProcessResult, batch)
 	errs := make([]error, batch)
-	vs.ProcessBatch(keys, out, errs, 0) // warm the cache
+	vs.ProcessBatchMeta(keys, nil, out, errs, 0) // warm the cache
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vs.ProcessBatch(keys, out, errs, int64(i))
+		vs.ProcessBatchMeta(keys, nil, out, errs, int64(i))
 	}
 }
 

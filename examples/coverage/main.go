@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"gigaflow"
+	"gigaflow/internal/sim"
 )
 
 func main() {
@@ -79,7 +80,7 @@ func main() {
 	fmt.Println("SmartNIC resource model (scaled from the paper's Alveo U250 prototype):")
 	fmt.Printf("%8s %10s %8s %8s %8s %9s\n", "tables", "cap/table", "LUT%", "FF%", "BRAM%", "power W")
 	for _, cfg := range [][2]int{{1, 32768}, {4, 8192}, {4, 32768}, {8, 65536}} {
-		r := gigaflow.EstimateResources(cfg[0], cfg[1])
+		r := sim.EstimateResources(cfg[0], cfg[1])
 		note := ""
 		if !r.Feasible {
 			note = "  (exceeds the 75 W PCIe budget or chip resources)"

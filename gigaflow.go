@@ -22,10 +22,8 @@ import (
 	gfcache "gigaflow/internal/gigaflow"
 	"gigaflow/internal/megaflow"
 	"gigaflow/internal/microflow"
-	"gigaflow/internal/nic"
 	"gigaflow/internal/ofp"
 	"gigaflow/internal/pipeline"
-	"gigaflow/internal/pipelines"
 	"gigaflow/internal/telemetry"
 )
 
@@ -179,11 +177,6 @@ type MicroflowCache = microflow.Cache
 // NewMicroflowCache creates a Microflow cache with the given entry limit.
 func NewMicroflowCache(capacity int) *MicroflowCache { return microflow.New(capacity) }
 
-// SmartNIC model ---------------------------------------------------------
-
-// EstimateResources models the FPGA cost of an LTM configuration (§5).
-var EstimateResources = nic.EstimateResources
-
 // Telemetry --------------------------------------------------------------
 
 // MetricsRegistry is a concurrent metrics registry (atomic counters,
@@ -206,15 +199,3 @@ func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
 // NewTracer creates a tracer sampling 1-in-sampleEvery packets (0
 // disables) with a ring of buffer recent traces.
 func NewTracer(sampleEvery, buffer int) *Tracer { return telemetry.NewTracer(sampleEvery, buffer) }
-
-// Pipeline models --------------------------------------------------------
-
-// PipelineSpec describes one of the paper's real-world pipelines (Table 1).
-type PipelineSpec = pipelines.Spec
-
-// StandardPipelines returns the five Table 1 pipeline models
-// (OFD, PSC, OLS, ANT, OTL).
-func StandardPipelines() []*PipelineSpec { return pipelines.All() }
-
-// PipelineByName resolves a Table 1 pipeline by abbreviation.
-var PipelineByName = pipelines.ByName

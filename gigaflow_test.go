@@ -163,22 +163,6 @@ func TestVSwitchIdleExpiry(t *testing.T) {
 	}
 }
 
-func TestStandardPipelinesExposed(t *testing.T) {
-	if len(StandardPipelines()) != 5 {
-		t.Error("expected the five Table 1 pipelines")
-	}
-	if s, ok := PipelineByName("OLS"); !ok || s.NumTables() != 30 {
-		t.Error("PipelineByName broken")
-	}
-}
-
-func TestResourceEstimateExposed(t *testing.T) {
-	r := EstimateResources(4, 8192)
-	if !r.Feasible || r.PowerW != 38 {
-		t.Errorf("prototype estimate = %+v", r)
-	}
-}
-
 func TestVSwitchMicroflowTier(t *testing.T) {
 	vs := NewVSwitch(buildDemoPipeline(), CacheConfig{NumTables: 3, TableCapacity: 64},
 		WithMicroflow(128))

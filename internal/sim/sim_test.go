@@ -309,3 +309,21 @@ func TestCollectMetricsKinds(t *testing.T) {
 		}
 	}
 }
+
+func TestResourceModel(t *testing.T) {
+	proto := EstimateResources(4, 8192)
+	if proto.LUTPct != 47 || proto.FFPct != 33 || proto.BRAMPct != 49 || proto.PowerW != 38 || !proto.Feasible {
+		t.Errorf("the prototype configuration must reproduce §5's feasible report: %+v", proto)
+	}
+	small := EstimateResources(1, 1024)
+	if small.LUTPct >= proto.LUTPct || small.PowerW >= proto.PowerW {
+		t.Error("smaller cache must cost less")
+	}
+	huge := EstimateResources(8, 262144)
+	if huge.Feasible {
+		t.Errorf("8x256K should blow the envelope: %+v", huge)
+	}
+	if huge.PowerW <= proto.PowerW {
+		t.Error("bigger cache must cost more power")
+	}
+}

@@ -39,11 +39,11 @@ func (v *VSwitch) ProcessPark(k Key, now int64) (res ProcessResult, parked bool,
 	return o.out[0], o.parked[0], o.err[0]
 }
 
-// ProcessBatchPark is ProcessBatch in park mode: packet i's miss sets
-// parked[i] instead of running the slow path, with out[i] zeroed and no
-// counters touched for it. out, errs, and parked must all be at least
-// len(keys) long. Hits, memoization, and in-batch visibility of earlier
-// packets' microflow entries are identical to ProcessBatch.
+// ProcessBatchPark is a flagless ProcessBatchMeta in park mode: packet
+// i's miss sets parked[i] instead of running the slow path, with out[i]
+// zeroed and no counters touched for it. out, errs, and parked must all
+// be at least len(keys) long. Hits, memoization, and in-batch visibility
+// of earlier packets' microflow entries are identical to ProcessBatchMeta.
 //
 //gf:hotpath
 func (v *VSwitch) ProcessBatchPark(keys []Key, out []ProcessResult, errs []error, parked []bool, now int64) {

@@ -796,7 +796,7 @@ func (w *worker) refuse(m packet) {
 // lock, on whichever goroutine holds it — the worker's for a queued job,
 // the submitter's for one run in place; there is no other body. Entries
 // that arrived as raw frames are decoded first, straight into the key
-// slots the batch scan reads; then a single ProcessBatch call covers
+// slots the batch scan reads; then a single ProcessBatchMeta call covers
 // every key — one VSwitch stats flush and one counter flush per cache
 // tier for the whole share — writing each result into the slot
 // Batch.Result reads. now is the message's single wall-clock stamp,

@@ -25,10 +25,6 @@ const collectTimeout = 2 * time.Second
 // /cache, or Collect call; registry reads are always safe.
 func (s *Service) Registry() *telemetry.Registry { return s.reg }
 
-// Tracer returns the service's traversal tracer (shared by all workers).
-// Sampling can be retuned at runtime with Tracer().SetSampling.
-func (s *Service) Tracer() *telemetry.Tracer { return s.tracer }
-
 // Collect refreshes the registry from every shard's cache state, under
 // each shard's owner lock (cache internals are single-threaded). The
 // HTTP handlers call this before rendering; expose it for embedders that

@@ -19,9 +19,9 @@ type ConntrackTable = conntrack.Table
 //
 // Conntrack changes which entry points make sense: feed TCP flags via
 // ProcessMeta/ProcessBatchMeta so the state machine sees handshakes and
-// closes. The plain Process/ProcessBatch paths still work (flags read as
-// zero — every TCP connection then looks like a half-open flow that
-// establishes on the first reply and never closes).
+// closes. Process and a nil flags slice still work (flags read as zero —
+// every TCP connection then looks like a half-open flow that establishes
+// on the first reply and never closes).
 func WithConntrack(maxConns int) VSwitchOption {
 	return func(v *VSwitch) { v.ct = conntrack.NewTable(maxConns) }
 }

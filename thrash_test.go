@@ -24,7 +24,7 @@ import (
 // walk's — a memo is only ever a shortcut, so declining one changes who
 // serves the packet and never what it is served — and the tape leaves the
 // same VSwitchStats, microflow.Stats and main-cache Stats whether it runs
-// through ProcessBatch in 64s, through Process one packet at a time, or
+// through ProcessBatchMeta in 64s, through Process one packet at a time, or
 // through the park protocol (ProcessPark, then CompleteMiss): the policy
 // counts packets that end in the tier, not probes, and a parked packet is
 // probed twice and memoized once.
@@ -90,7 +90,7 @@ func TestMicroflowStepsAside(t *testing.T) {
 			errs := make([]error, 64)
 			for ; lo < hi; lo += 64 {
 				n := min(64, hi-lo)
-				vs.ProcessBatch(tape[lo:lo+n], out[lo:lo+n], errs, int64(lo+n-1))
+				vs.ProcessBatchMeta(tape[lo:lo+n], nil, out[lo:lo+n], errs, int64(lo+n-1))
 				for i, err := range errs[:n] {
 					if err != nil {
 						t.Fatalf("packet %d: %v", lo+i, err)

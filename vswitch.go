@@ -312,24 +312,18 @@ func (v *VSwitch) ProcessMeta(k Key, tcpFlags uint8, now int64) (ProcessResult, 
 	return o.out[0], o.err[0]
 }
 
-// ProcessBatch handles len(keys) packets at virtual time now, writing
+// ProcessBatchMeta handles len(keys) packets at virtual time now, writing
 // packet i's result to out[i] and its error to errs[i]; out and errs must
-// be at least len(keys) long. It is semantically identical to calling
-// Process(keys[i], now) in order — packets are processed strictly
-// in sequence through the full hierarchy, so a miss's installed rules and
-// Microflow memoization are visible to later packets in the same batch and
-// every counter matches a sequential replay exactly. What a batch saves is
-// the per-call cost: one recorder batch, one clock read for its hit runs.
-//
-//gf:hotpath
-func (v *VSwitch) ProcessBatch(keys []Key, out []ProcessResult, errs []error, now int64) {
-	v.run(keys, nil, out, errs, nil, now)
-}
-
-// ProcessBatchMeta is ProcessBatch with per-packet TCP flag bytes for the
-// conntrack state machine; flags may be nil (all packets read as
+// be at least len(keys) long. flags carries each packet's TCP flag byte
+// for the conntrack state machine; it may be nil (all packets read as
 // flagless) and is otherwise indexed in step with keys. See ProcessMeta
-// for the conntrack semantics.
+// for the conntrack semantics. It is semantically identical to calling
+// ProcessMeta(keys[i], flags[i], now) in order — packets are processed
+// strictly in sequence through the full hierarchy, so a miss's installed
+// rules and Microflow memoization are visible to later packets in the
+// same batch and every counter matches a sequential replay exactly. What
+// a batch saves is the per-call cost: one recorder batch, one clock read
+// for its hit runs.
 //
 //gf:hotpath
 func (v *VSwitch) ProcessBatchMeta(keys []Key, flags []uint8, out []ProcessResult, errs []error, now int64) {
