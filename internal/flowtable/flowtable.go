@@ -12,8 +12,8 @@
 // fused mask+hash probe: the indices of the mask's non-zero words are
 // precomputed at construction, and one pass over only those words masks
 // the probe key and folds it through an inline wyhash-style multiply mix
-// at the same time. The masked words are retained in a scratch buffer so
-// candidate comparison reuses them instead of re-deriving the masked key.
+// at the same time; a candidate whose stored hash matches is compared on
+// those words alone.
 //
 // Layout and policy:
 //
@@ -32,10 +32,9 @@
 //     revalidation sweeps built on it stay replay-deterministic.
 //
 // Lookup is allocation-free (enforced by gflint's hotalloc analyzer via
-// the //gf:hotpath annotations). Tables are not safe for concurrent use:
-// even Lookup writes the probe scratch buffer. Every tier in this
-// repository is single-goroutine by design (one core drives the slowpath),
-// so the shared scratch costs nothing.
+// the //gf:hotpath annotations) and writes nothing, so a table nobody is
+// changing may be read from many goroutines at once — the pipeline every
+// service shard walks. Put, Delete and Reset need the table to themselves.
 package flowtable
 
 import (
@@ -75,10 +74,6 @@ type Table[V any] struct {
 	// probe touches only these. nwords is the live prefix length.
 	words  [flow.NumFields]uint8
 	nwords int
-	// probe is the scratch buffer the fused hash pass fills with the
-	// masked words of the key being looked up; candidate comparison reads
-	// it back instead of re-masking.
-	probe  [flow.NumFields]uint64
 	slots  []slot[V]
 	count  int
 	growAt int // count threshold that triggers doubling (3/4 load)
@@ -118,18 +113,15 @@ func (t *Table[V]) Cap() int { return len(t.slots) }
 func (t *Table[V]) Mask() flow.Mask { return t.mask }
 
 // probeHash is the fused mask+hash pass: one loop over the mask's
-// non-zero words masks the key, records each masked word in the probe
-// scratch, and folds it through the wyhash-style mix. No 80-byte Apply
-// copy, no second full-key hash.
+// non-zero words masks the key and folds each masked word through the
+// wyhash-style mix. No 80-byte Apply copy, no second full-key hash.
 //
 //gf:hotpath
 func (t *Table[V]) probeHash(k *flow.Key) uint64 {
 	h := uint64(hashInit)
 	for i := 0; i < t.nwords; i++ {
 		w := t.words[i]
-		mw := k[w] & t.mask[w]
-		t.probe[i] = mw
-		hi, lo := bits.Mul64(mw^hashMul, h)
+		hi, lo := bits.Mul64((k[w]&t.mask[w])^hashMul, h)
 		h = hi ^ lo
 	}
 	if h == 0 {
@@ -156,13 +148,13 @@ func HashKey(k *flow.Key) uint64 {
 	return h
 }
 
-// probeEqual reports whether a stored (normalized) key equals the masked
-// words captured by the last probeHash call.
+// probeEqual reports whether a stored (normalized) key equals *k under
+// the table mask, comparing only the mask's non-zero words.
 //
 //gf:hotpath
-func (t *Table[V]) probeEqual(sk *flow.Key) bool {
+func (t *Table[V]) probeEqual(sk, k *flow.Key) bool {
 	for i := 0; i < t.nwords; i++ {
-		if sk[t.words[i]] != t.probe[i] {
+		if w := t.words[i]; sk[w] != k[w]&t.mask[w] {
 			return false
 		}
 	}
@@ -184,7 +176,7 @@ func (t *Table[V]) Find(k *flow.Key) *V {
 		if s.hash == 0 {
 			return nil
 		}
-		if s.hash == h && t.probeEqual(&s.key) {
+		if s.hash == h && t.probeEqual(&s.key, k) {
 			return &s.val
 		}
 	}
@@ -220,27 +212,16 @@ func (t *Table[V]) Put(k flow.Key, v V) (replaced bool) {
 		s := &t.slots[i]
 		if s.hash == 0 {
 			s.hash = h
-			s.key = t.normalizedProbeKey()
+			s.key = k.Apply(t.mask)
 			s.val = v
 			t.count++
 			return false
 		}
-		if s.hash == h && t.probeEqual(&s.key) {
+		if s.hash == h && t.probeEqual(&s.key, &k) {
 			s.val = v
 			return true
 		}
 	}
-}
-
-// normalizedProbeKey reconstructs the masked key from the probe scratch
-// filled by the last probeHash call — the canonical representative stored
-// in the slot.
-func (t *Table[V]) normalizedProbeKey() flow.Key {
-	var nk flow.Key
-	for i := 0; i < t.nwords; i++ {
-		nk[t.words[i]] = t.probe[i]
-	}
-	return nk
 }
 
 // Delete removes the entry for k, reporting whether one existed. Removal
@@ -257,7 +238,7 @@ func (t *Table[V]) Delete(k flow.Key) bool {
 		if s.hash == 0 {
 			return false
 		}
-		if s.hash == h && t.probeEqual(&s.key) {
+		if s.hash == h && t.probeEqual(&s.key, &k) {
 			break
 		}
 		i = (i + 1) & m

@@ -77,6 +77,7 @@ type Cache struct {
 	lruHead     *Entry
 	lruTail     *Entry
 	stats       Stats
+	probes      uint64 // TSS tuples probed by lookups (TupleProbes)
 	// hit is the entry the last Find matched (nil after a miss): the
 	// one-entry hit path DropStale validates.
 	hit *Entry
@@ -119,10 +120,10 @@ func (c *Cache) Stats() Stats { return c.stats }
 // is proportional to it.
 func (c *Cache) NumMasks() int { return c.cls.NumTuples() }
 
-// TupleProbes reports the cumulative TSS tuple probes across all lookups —
-// the software search work a CPU-resident cache would spend (Fig. 17's
-// TSS cost).
-func (c *Cache) TupleProbes() uint64 { return c.cls.Probes }
+// TupleProbes reports the cumulative TSS tuple probes of every counted
+// lookup (Peek is not one) — the software search work a CPU-resident
+// cache would spend (Fig. 17's TSS cost).
+func (c *Cache) TupleProbes() uint64 { return c.probes }
 
 // Snapshot bundles the cache's counters and occupancy for telemetry
 // export. Not safe for concurrent use with cache mutation; call from the
@@ -189,7 +190,8 @@ func (c *Cache) Lookup(k flow.Key, now int64) (*Entry, bool) {
 //
 //gf:hotpath
 func (c *Cache) lookupStats(k *flow.Key, now int64, s *Stats) (*Entry, bool) {
-	ent, _, ok := c.cls.LookupValue(k)
+	ent, probes, ok := c.cls.LookupValue(k)
+	c.probes += uint64(probes)
 	if !ok {
 		s.Misses++
 		return nil, false

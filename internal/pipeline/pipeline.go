@@ -119,8 +119,7 @@ type NATTarget struct {
 
 // SetNATPool installs (or replaces) the NAT pool dnat/snat actions name
 // by id. Pools are pipeline configuration like rules: setting one bumps
-// Version, and they serialize through the ofp text format so replicated
-// pipelines carry them.
+// Version, and they serialize through the ofp text format.
 func (p *Pipeline) SetNATPool(id uint16, targets []NATTarget) {
 	if p.pools == nil {
 		p.pools = make(map[uint16][]NATTarget)
@@ -132,6 +131,24 @@ func (p *Pipeline) SetNATPool(id uint16, targets []NATTarget) {
 // NATPool returns the targets of pool id (nil when undefined). Callers
 // must not mutate the returned slice.
 func (p *Pipeline) NATPool(id uint16) []NATTarget { return p.pools[id] }
+
+// NATShard returns shard's contiguous sub-range of pool id split over
+// shards: len/shards targets, plus one of the remainder for each of the
+// first len%shards shards, so the sub-ranges cover the pool exactly and
+// overlap nowhere. With shards ≤ 1 it is the whole pool. Callers must not
+// mutate the returned slice.
+func (p *Pipeline) NATShard(id uint16, shard, shards int) []NATTarget {
+	pool := p.pools[id]
+	if shards <= 1 {
+		return pool
+	}
+	n, extra := len(pool)/shards, len(pool)%shards
+	lo := shard*n + min(shard, extra)
+	if shard < extra {
+		n++
+	}
+	return pool[lo : lo+n]
+}
 
 // NATPoolIDs returns the defined pool IDs in ascending order.
 func (p *Pipeline) NATPoolIDs() []uint16 {
@@ -170,6 +187,16 @@ func (p *Pipeline) SetStart(id int) {
 		panic(fmt.Sprintf("pipeline %s: unknown start table %d", p.Name, id))
 	}
 	p.Start = id
+}
+
+// Settle readies every table for concurrent reads: the tuple order a
+// rule change left stale, which the next walk would otherwise rebuild, is
+// rebuilt now, so walks write nothing to the pipeline until it is next
+// changed. Call it before sharing a pipeline between goroutines.
+func (p *Pipeline) Settle() {
+	for _, t := range p.tables {
+		t.cls.Settle()
+	}
 }
 
 // Table returns the table with the given ID, or nil.

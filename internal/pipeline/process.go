@@ -173,7 +173,7 @@ func (p *Pipeline) processInto(tr *Traversal, start int, key *flow.Key, maxSteps
 		var entry *tss.Entry[*Rule]
 		var probes int
 		if p.PreciseWildcards {
-			entry, probes = t.cls.LookupWildPreciseInto(k, &step.Wildcard)
+			entry, probes = t.cls.LookupWildPreciseInto(k, &step.Wildcard, &tr.probed)
 		} else {
 			entry, probes = t.cls.LookupWildInto(k, &step.Wildcard)
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"gigaflow/internal/flow"
+	"gigaflow/internal/tss"
 )
 
 // Step records one table lookup of a traversal.
@@ -82,6 +83,9 @@ type Traversal struct {
 	// acts is the arena the resolved actions of CtDep steps are appended
 	// to; their Acts slices alias it.
 	acts []flow.Action
+	// probed is the scratch a PreciseWildcards lookup records its tuple
+	// visits in, so walking a pipeline writes nothing to it.
+	probed tss.Probed[*Rule]
 }
 
 // reset readies tr for a walk of p from key, keeping its storage.

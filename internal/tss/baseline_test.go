@@ -10,16 +10,13 @@ import (
 // differential-test reference and benchmark baseline: tuples are Go maps
 // keyed by the Apply-masked key, so every probe pays the 80-byte copy and
 // a second full-key hash. Its observable behaviour — lookup winners,
-// wildcard masks, probe counts, Lookups/Probes counters — must stay
-// bit-identical to Classifier's.
+// wildcard masks, probe counts — must stay bit-identical to
+// Classifier's.
 type mapRef[T any] struct {
 	tuples map[flow.Mask]*mapRefTuple[T]
 	order  []*mapRefTuple[T]
 	dirty  bool
 	count  int
-
-	Probes  uint64
-	Lookups uint64
 }
 
 type mapRefTuple[T any] struct {
@@ -110,7 +107,6 @@ func (c *mapRef[T]) Lookup(k flow.Key) (*Entry[T], int) {
 	if c.dirty {
 		c.rebuildOrder()
 	}
-	c.Lookups++
 	var best *Entry[T]
 	probes := 0
 	for _, tp := range c.order {
@@ -124,7 +120,6 @@ func (c *mapRef[T]) Lookup(k flow.Key) (*Entry[T], int) {
 			}
 		}
 	}
-	c.Probes += uint64(probes)
 	return best, probes
 }
 
@@ -132,7 +127,6 @@ func (c *mapRef[T]) LookupWild(k flow.Key) (*Entry[T], flow.Mask, int) {
 	if c.dirty {
 		c.rebuildOrder()
 	}
-	c.Lookups++
 	var best *Entry[T]
 	var wild flow.Mask
 	probes := 0
@@ -148,7 +142,6 @@ func (c *mapRef[T]) LookupWild(k flow.Key) (*Entry[T], flow.Mask, int) {
 			}
 		}
 	}
-	c.Probes += uint64(probes)
 	return best, wild, probes
 }
 
@@ -156,7 +149,6 @@ func (c *mapRef[T]) LookupWildPrecise(k flow.Key) (*Entry[T], flow.Mask, int) {
 	if c.dirty {
 		c.rebuildOrder()
 	}
-	c.Lookups++
 	var best *Entry[T]
 	probes := 0
 	var probed []*mapRefTuple[T]
@@ -172,7 +164,6 @@ func (c *mapRef[T]) LookupWildPrecise(k flow.Key) (*Entry[T], flow.Mask, int) {
 			}
 		}
 	}
-	c.Probes += uint64(probes)
 
 	var wild flow.Mask
 	bestPrio := -1 << 62

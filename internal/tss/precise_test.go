@@ -7,6 +7,13 @@ import (
 	"gigaflow/internal/flow"
 )
 
+// LookupWildPrecise is LookupWildPreciseInto by value, with a fresh
+// scratch: the form these tests read best.
+func (c *Classifier[T]) LookupWildPrecise(k flow.Key) (e *Entry[T], wild flow.Mask, probes int) {
+	e, probes = c.LookupWildPreciseInto(&k, &wild, &Probed[T]{})
+	return e, wild, probes
+}
+
 // preciseFixture builds a classifier with nested prefixes and port rules —
 // the mixed-priority geometry where minimal-bit unwildcarding matters.
 func preciseFixture() *Classifier[int] {

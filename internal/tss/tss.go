@@ -12,8 +12,12 @@
 // and stops as soon as the best match found so far outranks every
 // remaining tuple — the same staged-lookup optimisation OVS applies. The
 // per-lookup cost is O(M) hash probes in the worst case, M being the
-// number of distinct masks; the classifier reports probe counts so the
-// simulator can charge CPU cycles accordingly.
+// number of distinct masks; every lookup returns its probe count so the
+// caller can charge CPU cycles accordingly.
+//
+// A lookup writes nothing to the classifier once its tuple order is
+// settled (Settle, or the first lookup after a mutation), so a settled
+// classifier may be read from many goroutines at once.
 package tss
 
 import (
@@ -70,15 +74,12 @@ type Classifier[T any] struct {
 	order []*tuple[T]
 	dirty bool
 	count int
-	// probed is the reusable scratch LookupWildPrecise records its pass-1
-	// tuple visits into (one entry per probe, bounded by NumTuples).
-	probed []*tuple[T]
-
-	// Probes counts cumulative tuple hash probes across all lookups, and
-	// Lookups the number of Lookup calls; both feed the CPU cost model.
-	Probes  uint64
-	Lookups uint64
 }
+
+// Probed is the caller-owned scratch LookupWildPreciseInto records its
+// pass-1 tuple visits into, so the lookup writes nothing to the
+// classifier. The zero value is ready; it grows to the longest visit.
+type Probed[T any] struct{ tuples []*tuple[T] }
 
 // New returns an empty classifier.
 func New[T any]() *Classifier[T] {
@@ -193,6 +194,15 @@ func (c *Classifier[T]) unlink(m *flow.Match, priority int, only *Entry[T]) bool
 	return true
 }
 
+// Settle rebuilds the tuple order a mutation left stale, which the next
+// lookup would otherwise do: after it, lookups write nothing until the
+// classifier is mutated again.
+func (c *Classifier[T]) Settle() {
+	if c.dirty {
+		c.rebuildOrder()
+	}
+}
+
 // rebuildOrder refreshes the priority-descending tuple ordering.
 //
 //gf:hotpath-safe runs only on the first lookup after a rule change; sorting here keeps steady-state lookups allocation-free
@@ -224,7 +234,6 @@ func (c *Classifier[T]) find(k *flow.Key) (*bucket[T], int) {
 	if c.dirty {
 		c.rebuildOrder()
 	}
-	c.Lookups++
 	var best *bucket[T]
 	probes := 0
 	for _, tp := range c.order {
@@ -236,7 +245,6 @@ func (c *Classifier[T]) find(k *flow.Key) (*bucket[T], int) {
 			best = b
 		}
 	}
-	c.Probes += uint64(probes)
 	return best, probes
 }
 
@@ -288,7 +296,6 @@ func (c *Classifier[T]) LookupWildInto(k *flow.Key, wild *flow.Mask) (*Entry[T],
 	if c.dirty {
 		c.rebuildOrder()
 	}
-	c.Lookups++
 	var best *Entry[T]
 	*wild = flow.Mask{}
 	probes := 0
@@ -304,11 +311,10 @@ func (c *Classifier[T]) LookupWildInto(k *flow.Key, wild *flow.Mask) (*Entry[T],
 			best = b.head
 		}
 	}
-	c.Probes += uint64(probes)
 	return best, probes
 }
 
-// LookupWildPrecise is LookupWild with minimal-bit dependency
+// LookupWildPreciseInto is LookupWildInto with minimal-bit dependency
 // unwildcarding — the strategy of the paper's §4.2.3 example, where a
 // packet matching a /16 route under /24 and /32 shadows gets wildcard
 // 255.255.240.0 rather than a full /32. Instead of charging every probed
@@ -323,40 +329,27 @@ func (c *Classifier[T]) LookupWildInto(k *flow.Key, wild *flow.Mask) (*Entry[T],
 // cheap variant; this one exists to model classifiers that spend the
 // effort (and for the mask-diversity ablation).
 //
-// Pass-1 tuple visits are recorded in a classifier-owned scratch buffer,
-// and pass 2 walks each visited tuple's table with a value iterator, so
-// the whole lookup is allocation-free.
+// Pass 1 records the tuples it visits in the caller's scratch, and pass 2
+// walks each visited tuple's table with a value iterator, so with a reused
+// scratch the whole lookup is allocation-free.
 //
 //gf:hotpath
-func (c *Classifier[T]) LookupWildPrecise(k flow.Key) (e *Entry[T], wild flow.Mask, probes int) {
-	e, probes = c.LookupWildPreciseInto(&k, &wild)
-	return e, wild, probes
-}
-
-// LookupWildPreciseInto is LookupWildPrecise with the key by pointer and
-// the wildcard written into *wild, like LookupWildInto.
-//
-//gf:hotpath
-func (c *Classifier[T]) LookupWildPreciseInto(k *flow.Key, wild *flow.Mask) (*Entry[T], int) {
+func (c *Classifier[T]) LookupWildPreciseInto(k *flow.Key, wild *flow.Mask, scratch *Probed[T]) (*Entry[T], int) {
 	if c.dirty {
 		c.rebuildOrder()
 	}
-	c.Lookups++
 	// Pass 1: find the winning entry and the tuples that were probed.
 	var best *Entry[T]
-	probes := 0
-	c.probed = c.probed[:0]
+	scratch.tuples = scratch.tuples[:0]
 	for _, tp := range c.order {
 		if best != nil && best.Priority >= tp.maxPrio {
 			break
 		}
-		probes++
-		c.probed = append(c.probed, tp)
+		scratch.tuples = append(scratch.tuples, tp)
 		if b := tp.table.Find(k); b != nil && (best == nil || b.prio > best.Priority) {
 			best = b.head
 		}
 	}
-	c.Probes += uint64(probes)
 
 	*wild = flow.Mask{}
 	bestPrio := -1 << 62
@@ -371,7 +364,7 @@ func (c *Classifier[T]) LookupWildPreciseInto(k *flow.Key, wild *flow.Mask) (*En
 	// the winner's exact predicate differ only in priority and cannot be
 	// distinguished — nor need they be, since bucket order resolves them
 	// identically for every covered key.)
-	for _, tp := range c.probed {
+	for _, tp := range scratch.tuples {
 		if tp.maxPrio < bestPrio {
 			continue
 		}
@@ -389,7 +382,7 @@ func (c *Classifier[T]) LookupWildPreciseInto(k *flow.Key, wild *flow.Mask) (*En
 			}
 		}
 	}
-	return best, probes
+	return best, len(scratch.tuples)
 }
 
 // bitRef names one bit of one field.
@@ -462,7 +455,7 @@ func (c *Classifier[T]) Entries() []*Entry[T] {
 	return out
 }
 
-// Clear removes all entries but keeps accumulated lookup statistics.
+// Clear removes all entries.
 func (c *Classifier[T]) Clear() {
 	c.tuples = make(map[flow.Mask]*tuple[T])
 	c.order = nil

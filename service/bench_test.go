@@ -3,10 +3,13 @@ package service
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"gigaflow"
 	wire "gigaflow/internal/packet"
+	"gigaflow/internal/pipebench"
+	"gigaflow/internal/pipelines"
 )
 
 // benchService builds a warmed 1-worker service over the test pipeline:
@@ -94,6 +97,37 @@ func BenchmarkSubmitFrameBatch(b *testing.B) {
 				if err := s.SubmitFrameBatch(ctx, frames, batch); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkNewRetainedHeap reports the live heap a service.New holds on
+// the paper-scale PSC ruleset at 1, 2 and 4 workers: HeapAlloc after a
+// forced GC with the service alive, minus the same just before New, as
+// the benchmark's heap_mb measures it. The pipeline is the part that could
+// grow with the shard count; the cache budgets are totals, split across
+// workers.
+func BenchmarkNewRetainedHeap(b *testing.B) {
+	pw, err := pipebench.Generate(pipebench.PaperConfig(pipelines.PSC, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprint("workers=", workers), func(b *testing.B) {
+			var ms runtime.MemStats
+			for i := 0; i < b.N; i++ {
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				before := ms.HeapAlloc
+				s, err := New(pw.Pipeline, Config{Workers: workers})
+				if err != nil {
+					b.Fatal(err)
+				}
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				runtime.KeepAlive(s)
+				b.ReportMetric(float64(ms.HeapAlloc-before)/(1<<20), "MiB")
 			}
 		})
 	}

@@ -37,7 +37,7 @@ type opKind uint8
 const (
 	opPacket    opKind = iota
 	opSweep            // the idle sweep, at the op's virtual time (VSwitch cells)
-	opRules            // a rule update: flip, on every replica
+	opRules            // a rule update: flip, once on the service's pipeline
 	opRulesFail        // a rule update whose function flips and then fails
 )
 
@@ -248,12 +248,11 @@ func newOracle(mk func() *gigaflow.Pipeline, cfg Config) *oracle {
 	if err != nil {
 		panic(err)
 	}
-	parts, _ := partitionNATPools(mk(), s.cfg)
 	o := &oracle{route: s.shardOfKey}
 	for w := range s.workers {
 		p := mk()
-		for id, sub := range parts {
-			p.SetNATPool(id, sub[w])
+		for _, id := range p.NATPoolIDs() {
+			p.SetNATPool(id, p.NATShard(id, w, len(s.workers)))
 		}
 		o.pipes = append(o.pipes, p)
 		o.refs = append(o.refs, gigaflow.NewReference(p, cfg.Conntrack.Enable, 0))
@@ -326,9 +325,9 @@ type vsDriver struct {
 type fault struct {
 	closeAt  int // Close the service before this op; the calls after it alternate blocking and Nonblocking
 	cancelAt int // the call carrying this op gets a cancelled context
-	// wedge holds every shard's slow-path lock over the wedge packet ops
-	// before the first rule update, which go in Nonblocking; the update
-	// lands while the engine walks what they parked.
+	// wedge holds the service's rules lock over the wedge packet ops
+	// before the first rule update, which go in Nonblocking, so the engine
+	// walks nothing they park; the update lands while it walks them.
 	wedge int
 	// stall holds every shard's worker in a control op over the stall
 	// packet ops before the first rule update, which go in Nonblocking
@@ -760,10 +759,8 @@ func (c *cell) runService(t *testing.T, tape []op) *outcome {
 		exp: make([]gigaflow.ProcessResult, len(tape)), frames: newFrameMetrics(telemetry.NewRegistry())}
 	defer func() { // before the service is closed
 		r.release()
-		for _, w := range s.workers {
-			if r.wedged {
-				w.slowMu.Unlock()
-			}
+		if r.wedged {
+			s.rules.Unlock()
 		}
 	}()
 	for _, w := range s.workers {
@@ -787,9 +784,7 @@ func (c *cell) runService(t *testing.T, tape []op) *outcome {
 			}
 			r.closed = true
 		case lo == r.from && f.wedge > 0:
-			for _, w := range s.workers {
-				w.slowMu.Lock()
-			}
+			s.rules.Lock()
 			r.wedged = true
 		case lo == r.from && f.stall > 0 && c.entry != viaReplay:
 			r.stall() // Replay's reader stalls the shards itself, past its opening Stats
@@ -926,8 +921,8 @@ func (r *svcRun) release() {
 	}
 }
 
-// update applies a rule update of the tape to the service and — once the
-// replicas have flipped, failing or not — to the oracle.
+// update applies a rule update of the tape to the service and — once its
+// pipeline has flipped, failing or not — to the oracle.
 func (r *svcRun) update(k opKind) {
 	fn, want := flip, error(nil)
 	if k == opRulesFail {
@@ -1025,10 +1020,11 @@ func (r *svcRun) collect(wait bool) {
 }
 
 // unwedge ends the wedge at the first rule update, which lands while the
-// engine walks what the window parked: every shard is held, the update
-// queued to it, the engine let go, and the shards released only once it
-// has handed back a completion — walked under the rules the update is
-// about to replace.
+// engine walks what the window parked: the update holds every shard —
+// so no completion is applied before it — and waits for the rules lock
+// behind the engine, which has taken a parked flow and waits for it too.
+// Let go, the engine walks first, under the rules the update is about to
+// replace.
 func (r *svcRun) unwedge() {
 	ctx, s := context.Background(), r.s
 	us, err := s.UpcallStats(ctx) // behind every job of the window: its hits are answered
@@ -1036,36 +1032,31 @@ func (r *svcRun) unwedge() {
 		r.t.Fatal(err)
 	}
 	r.collect(false)
-	queued := int64(len(s.workers) * (1 + btoi(r.c.busy))) // the update, and busy's phantoms
+	idle := int64(len(s.workers) * btoi(r.c.busy)) // busy's phantoms
 	inflight := func() (n int64) {
 		for _, w := range s.workers {
 			n += w.inflight.Load()
 		}
 		return n
 	}
-	for _, w := range s.workers {
-		w.own.Lock()
-	}
-	held := true
-	defer func() {
+	held := func() bool {
 		for _, w := range s.workers {
-			if held {
+			if w.own.TryLock() {
 				w.own.Unlock()
+				return false
 			}
 		}
-	}()
+		return true
+	}
 	done := make(chan error, 1)
 	go func() { done <- s.UpdateRules(ctx, flip) }()
-	await(r.t, "the rule update to be queued", func() bool { return inflight() >= queued })
-	for _, w := range s.workers {
-		w.slowMu.Unlock()
-	}
+	// Every shard held, with the update's barrier served in between: the
+	// update, not the barrier, holds them.
+	await(r.t, "the update to hold every shard and the engine a parked flow", func() bool {
+		return held() && inflight() == idle && held() && (s.upq.Depth() < us.PendingFlows || us.PendingFlows == 0)
+	})
+	s.rules.Unlock()
 	r.wedged = false
-	await(r.t, "a completion behind it", func() bool { return us.ParkedPackets == 0 || inflight() > queued })
-	held = false
-	for _, w := range s.workers {
-		w.own.Unlock()
-	}
 	if err := <-done; err != nil {
 		r.t.Fatal(err)
 	}

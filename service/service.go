@@ -3,11 +3,12 @@
 // architecture), rule updates with immediate revalidation (§4.3.1),
 // periodic idle-entry expiry (§4.3.2), and graceful shutdown.
 //
-// The underlying pipeline and caches are deliberately single-threaded (as
-// in the paper, where one CPU core runs the slowpath), so the service is
-// shared-nothing: each shard owns a full replica of the pipeline and its
-// own cache shard, and every flow is RSS-hashed to exactly one shard —
-// the same spreading a NIC performs before delivering to per-core queues.
+// The caches are deliberately single-threaded (as in the paper, where one
+// CPU core runs the slowpath), so each shard owns its own cache shard and
+// every flow is RSS-hashed to exactly one shard — the same spreading a NIC
+// performs before delivering to per-core queues. The rules are not
+// sharded: every shard, and the upcall engine, walks the service's one
+// pipeline, which a walk only reads.
 //
 // What makes a shard single-threaded is ownership, not a goroutine: every
 // shard has an owner lock, and whoever holds it may touch the shard's
@@ -18,10 +19,10 @@
 // takes the lock and runs its share itself, on its own goroutine, like
 // the run-to-completion datapath thread the paper patches: the thread
 // holding the burst classifies it, and no packet pays a queue hop or a
-// wake-up. A busy shard's share is queued as before. Rule updates are
-// deterministic functions applied to every replica under its owner lock
-// and revalidated there, failing or not, so replicas never diverge and no
-// cache outlives the rules it was filled under.
+// wake-up. A busy shard's share is queued as before. A rule update changes
+// the one pipeline once, holding every owner lock and the lock the engine
+// walks under, and revalidates every shard's cache before letting go,
+// failing or not, so no cache outlives the rules it was filled under.
 package service
 
 import (
@@ -174,14 +175,15 @@ func (c LatencyConfig) validate() error {
 // both directions of a 5-tuple land on the same worker, so its private
 // table sees the whole conversation with no cross-shard locks.
 //
-// NAT pipelines scale past one worker through pool partitioning: New
-// splits every NAT pool into disjoint per-shard sub-ranges (each pool
-// therefore needs at least Workers targets), so a shard only ever binds
-// connections to endpoints it owns, and replies — which arrive on the
-// translated tuple, outside the forward direction's symmetric hash —
-// are routed to the owning shard by an endpoint→shard map consulted
-// before the hash. Pool endpoints must be disjoint from the client
-// endpoint space for that routing to be unambiguous.
+// NAT pipelines scale past one worker through pool partitioning: each
+// shard binds connections only inside its own disjoint sub-range of every
+// NAT pool (so each pool needs at least Workers targets, in New and after
+// every UpdateRules), so a shard only ever binds to endpoints it owns, and
+// replies — which arrive on the translated tuple, outside the forward
+// direction's symmetric hash — are routed to the owning shard by an
+// endpoint→shard map consulted before the hash. Pool endpoints must be
+// disjoint from the client endpoint space for that routing to be
+// unambiguous.
 type ConntrackConfig struct {
 	// Enable turns connection tracking on.
 	Enable bool
@@ -380,7 +382,7 @@ type respMsg struct {
 	r  Result
 }
 
-// worker is one shard: a pipeline replica, a cache shard, and the
+// worker is one shard: a cache shard over the service's pipeline, and the
 // goroutine that serves its input queue.
 type worker struct {
 	// own is the shard's owner lock: vs, rec, tally, procPark, stopped and
@@ -417,13 +419,10 @@ type worker struct {
 	drops atomic.Uint64 // nonblocking rejections due to a full queue
 	skips atomic.Uint64 // expiry sweeps skipped due to a full queue
 
-	// Asynchronous offload state (Config.Upcall.Workers > 0). pending and
-	// the counters below are owner-lock state; slowMu is the one lock
-	// shared with the engine, taken only around pipeline traversals and
-	// rule mutations — never on the cache-hit path.
+	// Asynchronous offload state (Config.Upcall.Workers > 0), all of it
+	// owner-lock state.
 	async    bool
 	overflow OverflowPolicy
-	slowMu   sync.Mutex
 	pending  *upcall.Table[parked]
 	upq      *upcall.Queue[parked]
 
@@ -451,14 +450,21 @@ type natEndpoint struct {
 type Service struct {
 	cfg     Config
 	workers []*worker
+	// pipe is the pipeline every shard and the upcall engine walk. Walks
+	// only read it; UpdateRules changes it holding every owner lock and
+	// rules, which the engine read-locks around its walks (a shard's own
+	// walks run under its owner lock).
+	pipe  *gigaflow.Pipeline
+	rules sync.RWMutex
 	// natOwner routes NAT'd reply traffic: with conntrack enabled,
 	// Workers > 1, and NAT pools defined, it maps every pool endpoint to
-	// the shard whose partitioned sub-pool owns it. A reply arrives on
+	// the shard whose sub-range of the pool holds it. A reply arrives on
 	// the translated tuple — outside the forward direction's symmetric
-	// hash — but its source endpoint is the bound backend, which only
-	// the owning shard can have picked, so the map finds the shard that
-	// holds the connection. Nil otherwise (pure symmetric sharding).
-	natOwner map[natEndpoint]int
+	// hash — but its source endpoint is the bound backend, which only the
+	// owning shard can have picked, so the map finds the shard that holds
+	// the connection. Unset when conntrack is off or Workers is 1 (pure
+	// symmetric sharding); UpdateRules publishes a new one.
+	natOwner atomic.Pointer[map[natEndpoint]int]
 
 	// Asynchronous offload (Config.Upcall.Workers > 0): the shared miss
 	// queue and the engine draining it. Nil when running synchronously.
@@ -480,10 +486,12 @@ type Service struct {
 	done   sync.WaitGroup
 }
 
-// New builds a service around a pipeline. Each worker receives its own
-// replica (cloned through the textual program format), so the original may
-// be retained or discarded freely by the caller; post-start rule changes
-// must go through UpdateRules.
+// New builds a service around a pipeline. The service clones it once,
+// through the textual program format, and every shard and the upcall
+// engine walk that one copy, so the original may be retained or discarded
+// freely by the caller; post-start rule changes must go through
+// UpdateRules. With conntrack on and Workers > 1, every NAT pool needs at
+// least Workers targets.
 func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -499,48 +507,30 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 		"End-to-end Submit latency (enqueue to result) in nanoseconds.")
 	s.frames = newFrameMetrics(s.reg)
 
-	natParts, err := partitionNATPools(p, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if natParts != nil {
-		s.natOwner = make(map[natEndpoint]int)
-		for _, parts := range natParts {
-			for w, sub := range parts {
-				for _, t := range sub {
-					ep := natEndpoint{t.IP, t.Port}
-					if prev, dup := s.natOwner[ep]; dup && prev != w {
-						return nil, fmt.Errorf(
-							"service: NAT endpoint %d:%d appears in differently-owned pool partitions (shards %d and %d)",
-							t.IP, t.Port, prev, w)
-					}
-					s.natOwner[ep] = w
-				}
-			}
-		}
-	}
-
 	var program strings.Builder
 	if err := gigaflow.DumpPipeline(&program, p); err != nil {
 		return nil, err
 	}
+	pipe, err := gigaflow.LoadPipelineString(program.String())
+	if err != nil {
+		return nil, err
+	}
+	pipe.SetStart(p.Start)
+	pipe.Settle()
+	s.pipe = pipe
+	if err := s.routeNAT(); err != nil {
+		return nil, err
+	}
 	for i := 0; i < cfg.Workers; i++ {
-		replica, err := gigaflow.LoadPipelineString(program.String())
-		if err != nil {
-			return nil, err
-		}
-		replica.SetStart(p.Start)
-		// Shard i's replica sees only its own sub-range of every NAT
-		// pool, so its bindings stay inside the endpoints it owns.
-		for id, parts := range natParts {
-			replica.SetNATPool(id, parts[i])
-		}
 		opts := []gigaflow.VSwitchOption{gigaflow.WithTracer(s.tracer)}
 		if cfg.Expiry.MaxIdle > 0 {
 			opts = append(opts, gigaflow.WithMaxIdle(cfg.Expiry.MaxIdle.Nanoseconds()))
 		}
 		if cfg.Conntrack.Enable {
-			opts = append(opts, gigaflow.WithConntrack(shareOf(cfg.Conntrack.MaxConns, cfg.Workers, i)))
+			// Shard i binds only inside its own sub-range of every NAT pool,
+			// so its bindings stay on the endpoints it owns.
+			opts = append(opts, gigaflow.WithConntrack(shareOf(cfg.Conntrack.MaxConns, cfg.Workers, i)),
+				gigaflow.WithNATShard(i, cfg.Workers))
 			if cfg.Conntrack.MaxIdle > 0 {
 				opts = append(opts, gigaflow.WithConntrackMaxIdle(cfg.Conntrack.MaxIdle.Nanoseconds()))
 			}
@@ -571,12 +561,8 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 			w.async = true
 			w.overflow = cfg.Upcall.Overflow
 			w.pending = upcall.NewTable[parked]()
-			// The engine traverses this shard's pipeline replica from its
-			// own goroutine; the shard's inline traversals (overflow
-			// fallback, follower replays, rule updates) take the same lock.
-			opts = append(opts, gigaflow.WithSlowpathLock(&w.slowMu))
 		}
-		w.vs = gigaflow.NewVSwitch(replica, perWorker, opts...)
+		w.vs = gigaflow.NewVSwitch(pipe, perWorker, opts...)
 		s.workers = append(s.workers, w)
 	}
 	if cfg.Upcall.Workers > 0 {
@@ -940,33 +926,37 @@ func (s *Service) eachShard(ctx context.Context, fn func(i int, w *worker)) erro
 	return nil
 }
 
-// UpdateRules applies a deterministic mutation to every shard's pipeline
-// replica (under the shard's owner lock) and revalidates its cache
-// immediately. The function is called once per replica and must perform
-// the same logical change each time, also when it fails: a failing fn's
-// partial change stays, and is revalidated like a whole one, so every
-// replica keeps the same rules and a cache consistent with them. The
-// first error is returned.
+// UpdateRules changes the service's rules: fn is called once, on the
+// pipeline every shard walks, and every shard's cache is revalidated
+// against the result before any packet sees it. What was queued to a shard
+// before the call is served under the old rules first. fn runs holding
+// every shard's owner lock and the engine's traversal lock, so no walk
+// overlaps it; a failing fn's partial change stays and is revalidated
+// like a whole one. With conntrack on and Workers > 1, the NAT pools fn
+// leaves are split between the shards anew and replies routed by the new
+// split; a pool left with fewer targets than Workers is reported as New
+// reports it. fn's error comes first.
 func (s *Service) UpdateRules(ctx context.Context, fn func(p *gigaflow.Pipeline) error) error {
-	errs := make([]error, len(s.workers))
-	err := s.eachShard(ctx, func(i int, w *worker) {
-		// Rule mutation and revalidation race the upcall engine's
-		// traversals of this replica; slowMu excludes them. (Held
-		// uncontended in synchronous mode.)
-		w.slowMu.Lock()
-		errs[i] = fn(w.vs.Pipeline())
-		w.vs.Revalidate()
-		w.slowMu.Unlock()
-	})
-	if err != nil {
+	if err := s.eachShard(ctx, func(int, *worker) {}); err != nil {
 		return err
 	}
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
+	for _, w := range s.workers {
+		w.own.Lock()
 	}
-	return nil
+	s.rules.Lock()
+	err := fn(s.pipe)
+	s.pipe.Settle()
+	if natErr := s.routeNAT(); err == nil {
+		err = natErr
+	}
+	for _, w := range s.workers {
+		w.vs.Revalidate()
+	}
+	s.rules.Unlock()
+	for _, w := range s.workers {
+		w.own.Unlock()
+	}
+	return err
 }
 
 // Stats aggregates all shards' counters, each snapshotted under its
@@ -1042,40 +1032,41 @@ func shareOf(total, n, i int) int {
 	return share
 }
 
-// partitionNATPools splits every NAT pool of p into Workers disjoint
-// contiguous sub-ranges — worker w gets len/W targets plus one unit of
-// the remainder for the first len%W workers, so the sub-ranges cover the
-// pool exactly. A shard holding only its own sub-range can never bind a
-// connection to an endpoint another shard owns, which is what makes the
-// natOwner reply-routing map well defined. Returns nil (no partitioning,
-// no owner map) when conntrack is off, no pools exist, or Workers is 1 —
-// the single worker keeps the full pool with zero routing overhead.
-func partitionNATPools(p *gigaflow.Pipeline, cfg Config) (map[uint16][][]gigaflow.NATTarget, error) {
-	ids := p.NATPoolIDs()
-	if !cfg.Conntrack.Enable || len(ids) == 0 || cfg.Workers == 1 {
-		return nil, nil
+// routeNAT rebuilds and publishes natOwner from the pipeline's NAT pools,
+// each split over the shards as their switches split it (WithNATShard). A
+// shard binds only inside its own sub-range, so an endpoint names exactly
+// one shard. It reports a pool too small to give every shard a target and
+// an endpoint two shards' sub-ranges share (two pools holding it split
+// differently), but publishes the map either way. Nothing is routed when
+// conntrack is off or Workers is 1: the single worker keeps the whole pool
+// with zero routing overhead.
+func (s *Service) routeNAT() error {
+	n := s.cfg.Workers
+	if !s.cfg.Conntrack.Enable || n == 1 {
+		return nil
 	}
-	parts := make(map[uint16][][]gigaflow.NATTarget, len(ids))
-	for _, id := range ids {
-		pool := p.NATPool(id)
-		if len(pool) < cfg.Workers {
-			return nil, fmt.Errorf(
+	owner := make(map[natEndpoint]int)
+	var errs []error
+	for _, id := range s.pipe.NATPoolIDs() {
+		if pool := s.pipe.NATPool(id); len(pool) < n {
+			errs = append(errs, fmt.Errorf(
 				"service: NAT pool %d has %d targets but Workers is %d — per-shard partitioning needs at least one target per worker",
-				id, len(pool), cfg.Workers)
+				id, len(pool), n))
 		}
-		sub := make([][]gigaflow.NATTarget, cfg.Workers)
-		off := 0
-		for w := 0; w < cfg.Workers; w++ {
-			n := len(pool) / cfg.Workers
-			if w < len(pool)%cfg.Workers {
-				n++
+		for w := 0; w < n; w++ {
+			for _, t := range s.pipe.NATShard(id, w, n) {
+				ep := natEndpoint{t.IP, t.Port}
+				if prev, dup := owner[ep]; dup && prev != w {
+					errs = append(errs, fmt.Errorf(
+						"service: NAT endpoint %d:%d appears in differently-owned pool partitions (shards %d and %d)",
+						t.IP, t.Port, prev, w))
+				}
+				owner[ep] = w
 			}
-			sub[w] = pool[off : off+n]
-			off += n
 		}
-		parts[id] = sub
 	}
-	return parts, nil
+	s.natOwner.Store(&owner)
+	return errors.Join(errs...)
 }
 
 // shardOfKey routes a decoded key to its owning worker. The base rule is
@@ -1095,11 +1086,11 @@ func (s *Service) shardOfKey(k *gigaflow.Key) int {
 	if len(s.workers) == 1 {
 		return 0 // nothing to choose: no hash, no modulo
 	}
-	if s.natOwner != nil {
-		if w, ok := s.natOwner[natEndpoint{k.Get(gigaflow.FieldIPSrc), k.Get(gigaflow.FieldTpSrc)}]; ok {
+	if owner := s.natOwner.Load(); owner != nil {
+		if w, ok := (*owner)[natEndpoint{k.Get(gigaflow.FieldIPSrc), k.Get(gigaflow.FieldTpSrc)}]; ok {
 			return w
 		}
-		if w, ok := s.natOwner[natEndpoint{k.Get(gigaflow.FieldIPDst), k.Get(gigaflow.FieldTpDst)}]; ok {
+		if w, ok := (*owner)[natEndpoint{k.Get(gigaflow.FieldIPDst), k.Get(gigaflow.FieldTpDst)}]; ok {
 			return w
 		}
 	}
@@ -1115,11 +1106,11 @@ func (s *Service) shardOfTuple(t *wire.Tuple) int {
 	if len(s.workers) == 1 {
 		return 0
 	}
-	if s.natOwner != nil {
-		if w, ok := s.natOwner[natEndpoint{t.SrcIP, t.SrcPort}]; ok {
+	if owner := s.natOwner.Load(); owner != nil {
+		if w, ok := (*owner)[natEndpoint{t.SrcIP, t.SrcPort}]; ok {
 			return w
 		}
-		if w, ok := s.natOwner[natEndpoint{t.DstIP, t.DstPort}]; ok {
+		if w, ok := (*owner)[natEndpoint{t.DstIP, t.DstPort}]; ok {
 			return w
 		}
 	}

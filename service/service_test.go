@@ -164,11 +164,23 @@ func TestConcurrentSubmitters(t *testing.T) {
 	}
 }
 
-func TestUpdateRulesRevalidatesAllReplicas(t *testing.T) {
+// TestUpdateRulesRevalidatesAllShards: every shard walks the one pipeline
+// New cloned, and a rule update calls its function once, on that pipeline,
+// and revalidates every shard's cache against it.
+func TestUpdateRulesRevalidatesAllShards(t *testing.T) {
 	s, ctx := startService(t, 3)
+	for _, w := range s.workers {
+		if w.vs.Pipeline() != s.pipe {
+			t.Fatalf("shard %d walks its own pipeline", w.idx)
+		}
+	}
 	submitN(t, s, 32, 32) // warm flows across workers
-	// Flip port 80 to a new output on every replica.
+	// Flip port 80 to a new output.
+	calls := 0
 	err := s.UpdateRules(ctx, func(p *gigaflow.Pipeline) error {
+		if calls++; p != s.pipe {
+			t.Error("the update was handed another pipeline than the shards walk")
+		}
 		for _, r := range p.Table(2).Rules() {
 			if r.Match.Key.Get(gigaflow.FieldTpDst) == 80 {
 				p.DeleteRule(r)
@@ -180,6 +192,9 @@ func TestUpdateRulesRevalidatesAllReplicas(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("the update function ran %d times, want once", calls)
 	}
 	// Every flow must now observe the new rule, on every worker shard.
 	for h := uint64(0); h < 32; h++ {

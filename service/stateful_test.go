@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -362,5 +363,61 @@ func TestConnectionWalksOncePerDirection(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestUpdateRulesSwapsNATPool: a rule update that replaces the DNAT pool
+// of a two-shard conntrack service leaves the new pool split between the
+// shards — each binds only inside its own half — and routes a reply from a
+// new backend to the shard that holds its connection. Every verdict, both
+// ways, is the one its connection's shard's Reference gives over that
+// shard's half of the new pool.
+func TestUpdateRulesSwapsNATPool(t *testing.T) {
+	const shards = 2
+	s, ctx := start(t, natLBPipeline(wire.IPProtoTCP), Config{Workers: shards, Conntrack: ConntrackConfig{Enable: true}}), context.Background()
+	swap := func(p *gigaflow.Pipeline) error {
+		targets := make([]gigaflow.NATTarget, poolN)
+		for i := range targets {
+			targets[i] = gigaflow.NATTarget{IP: backendIP(poolN + i), Port: 9000 + uint64(i)}
+			rule(p, 2, fmt.Sprintf("ip_dst=%d", backendIP(poolN+i)), 10, gigaflow.NoTable, gigaflow.Output(uint16(200+i)))
+		}
+		p.SetNATPool(1, targets)
+		return nil
+	}
+	if err := s.UpdateRules(ctx, swap); err != nil {
+		t.Fatal(err)
+	}
+	refs := make([]*gigaflow.Reference, shards)
+	for w := range refs {
+		p := natLBPipeline(wire.IPProtoTCP)
+		swap(p)
+		p.SetNATPool(1, p.NATPool(1)[w*poolN/shards:(w+1)*poolN/shards])
+		refs[w] = gigaflow.NewReference(p, true, 0)
+	}
+	b := NewBatch(1)
+	send := func(ref *gigaflow.Reference, k gigaflow.Key, flags uint8, now int64) {
+		t.Helper()
+		b.Reset()
+		b.AddMeta(k, flags)
+		if err := s.SubmitBatch(ctx, b); err != nil {
+			t.Fatal(err)
+		}
+		got := b.Result(0)
+		want, err := ref.ProcessMeta(k, flags, now)
+		if err != nil || got.Err != nil || got.Verdict != want.Verdict || got.Final != want.Final || want.Verdict.Kind != gigaflow.VerdictOutput {
+			t.Fatalf("key %s: %+v, Reference %+v", k, got, want)
+		}
+	}
+	for c := 0; c < 32; c++ {
+		fwd := ctKey(c, wire.IPProtoTCP)
+		ref := refs[s.shardOfKey(&fwd)] // the connection's shard
+		send(ref, fwd, wire.TCPSyn, int64(4*c))
+		rpl, ok := replyKeyFor(ref.Conntrack(), fwd)
+		if !ok {
+			t.Fatalf("client %d: no connection after its SYN", c)
+		}
+		send(ref, rpl, wire.TCPSyn|wire.TCPAck, int64(4*c+1))
+		send(ref, fwd, wire.TCPAck, int64(4*c+2))
+		send(ref, rpl, wire.TCPAck, int64(4*c+3))
 	}
 }

@@ -8,13 +8,12 @@
 // packet arrives in a job) is appended to the flow's pending-table entry,
 // and — for the first packet of the flow only — the entry is enqueued on
 // the shared upcall queue. Engine goroutines drain the queue in batches,
-// run each flow's traversal against the owning worker's pipeline replica
-// (serialized with that worker's own inline slow path through
-// worker.slowMu), and post the completed misses back onto the worker's
-// input queue as a control op. The worker then installs the rules,
-// releases every packet parked behind the flow in arrival order, and
-// answers the submitters — so a warm flow behind a cold storm is never
-// head-of-line blocked by another flow's traversal.
+// run each flow's traversal against the service's pipeline (read-locking
+// Service.rules, which a rule update write-locks), and post the completed
+// misses back onto the worker's input queue as a control op. The worker
+// then installs the rules, releases every packet parked behind the flow in
+// arrival order, and answers the submitters — so a warm flow behind a cold
+// storm is never head-of-line blocked by another flow's traversal.
 //
 // Equivalence with inline processing is a hard invariant: a parked
 // packet is counted nowhere at park time; the completion counts the
@@ -180,19 +179,17 @@ func (w *worker) sweepParked() {
 }
 
 // handleUpcalls is the engine handler: it runs each miss's pipeline
-// traversal against the owning worker's replica — under that worker's
-// slow-path lock, excluding the worker's own inline traversals and rule
-// updates — then posts the completed misses back to their workers as
-// control ops, grouped so each worker receives one message per batch. A
-// send that would block past shutdown is abandoned; the worker's drain
-// sweeps the corresponding pending entries.
+// traversal — under the rules read lock, excluding rule updates — then
+// posts the completed misses back to their workers as control ops,
+// grouped so each worker receives one message per batch. A send that would
+// block past shutdown is abandoned; the worker's drain sweeps the
+// corresponding pending entries.
 func (s *Service) handleUpcalls(ctx context.Context, batch []*upcall.Miss[parked]) {
 	for _, m := range batch {
-		w := s.workers[m.Shard]
 		t0 := time.Now()
-		w.slowMu.Lock()
-		tr, err := w.vs.Pipeline().Process(m.Key)
-		w.slowMu.Unlock()
+		s.rules.RLock()
+		tr, err := s.pipe.Process(m.Key)
+		s.rules.RUnlock()
 		m.TraverseNs = time.Since(t0).Nanoseconds()
 		m.Traversal = tr
 		m.Err = err

@@ -89,9 +89,8 @@ func TestUpcallShutdownParked(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	w := s.workers[0]
 
-	w.slowMu.Lock()
+	s.rules.Lock()
 	resp := make(chan Result, 1)
 	if _, err := s.Submit(ctx, key(1, 80), Nonblocking(), WithResponse(resp)); err != nil {
 		t.Fatal(err)
@@ -121,7 +120,7 @@ func TestUpcallShutdownParked(t *testing.T) {
 		t.Fatal("blocking submitter still stuck after shutdown")
 	}
 
-	w.slowMu.Unlock() // release the engine so Close can join it
+	s.rules.Unlock() // release the engine so Close can join it
 	select {
 	case err := <-closed:
 		if err != nil {
@@ -153,8 +152,8 @@ func holPipeline(hosts int) *gigaflow.Pipeline {
 }
 
 // TestUpcallWarmFlowNotBlocked is head-of-line blocking as a property:
-// with the engine wedged mid-traversal (the test holds the shard's
-// slow-path lock) and a cold flow parked behind it, a warm flow's
+// with the engine wedged mid-traversal (the test holds the service's
+// rules lock) and a cold flow parked behind it, a warm flow's
 // blocking Submit is still served from the cache — parking a miss must
 // never stall the datapath behind it. Releasing the lock completes the
 // cold flow as the miss it was.
@@ -165,13 +164,12 @@ func TestUpcallWarmFlowNotBlocked(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w := s.workers[0]
-	w.slowMu.Lock()
+	s.rules.Lock()
 	wedged := true
 	release := func() {
 		if wedged {
 			wedged = false
-			w.slowMu.Unlock()
+			s.rules.Unlock()
 		}
 	}
 	defer release() // a failed assertion must not leave Close waiting on the engine
@@ -207,30 +205,29 @@ func TestUpcallWarmFlowNotBlocked(t *testing.T) {
 // keeps its two components apart — ParkNs the wait from enqueue to the
 // engine's dequeue, LatNs the traversal span — as /debug/flight promises.
 // The engine dequeues the miss at once and is then held inside the
-// traversal span (the test holds the shard's slow-path lock, as
+// traversal span (the test holds the service's rules lock, as
 // TestUpcallShutdownParked does) for at least 20 ms: that wait belongs to
 // LatNs, and ParkNs must fit in the window from submission to the moment
 // the engine was seen to have dequeued.
 func TestUpcallParkNsExcludesTraversal(t *testing.T) {
 	s, ctx := start(t, holPipeline(2), upcallConfig(BackendGigaflow, 1, 1)), context.Background()
-	w := s.workers[0]
-	w.slowMu.Lock()
+	s.rules.Lock()
 	resp := make(chan Result, 1)
 	submitted := time.Now()
 	if _, err := s.Submit(ctx, key(1, 80), Nonblocking(), WithResponse(resp)); err != nil {
-		w.slowMu.Unlock()
+		s.rules.Unlock()
 		t.Fatal(err)
 	}
 	for deadline := submitted.Add(5 * time.Second); s.eng.Drained() == 0; time.Sleep(100 * time.Microsecond) {
 		if time.Now().After(deadline) {
-			w.slowMu.Unlock()
+			s.rules.Unlock()
 			t.Fatal("the engine never dequeued the miss")
 		}
 	}
 	window := time.Since(submitted) // enqueue and dequeue both happened inside it
 	hold := 20*time.Millisecond + window
 	time.Sleep(hold)
-	w.slowMu.Unlock()
+	s.rules.Unlock()
 	if r := recv(t, resp, "the cold flow's completion"); r.Err != nil || r.CacheHit {
 		t.Fatalf("cold flow: %+v; want a completed miss", r)
 	}

@@ -26,6 +26,15 @@ func WithConntrack(maxConns int) VSwitchOption {
 	return func(v *VSwitch) { v.ct = conntrack.NewTable(maxConns) }
 }
 
+// WithNATShard makes the switch shard shard of shards that share one
+// pipeline: a connection it tracks is bound only to an endpoint in the
+// shard's own contiguous sub-range of the pool (Pipeline.NATShard), so no
+// two shards bind the same backend and a reply's source endpoint names the
+// shard that holds its connection.
+func WithNATShard(shard, shards int) VSwitchOption {
+	return func(v *VSwitch) { v.res.shard, v.res.shards = shard, shards }
+}
+
 // WithConntrackMaxIdle enables idle expiry of tracked connections on the
 // ExpireIdle sweep, independent of the cache tiers' max-idle. Expired
 // connections are epoch-poisoned, so cache entries that depended on them
@@ -103,6 +112,9 @@ type ctResolver struct {
 	pipe *Pipeline
 	conn *conntrack.Conn
 	dir  conntrack.Dir
+	// shard of shards is the sub-range of every pool new bindings are made
+	// from (Pipeline.NATShard); shards ≤ 1 binds from the whole pool.
+	shard, shards int
 	// buf backs every returned resolution (at most ct_nat's four
 	// rewrites); the traversal copies it out before resolving again.
 	buf [4]Action
@@ -172,11 +184,12 @@ func (r *ctResolver) rewrite2(ipField FieldID, ip uint64, portField FieldID, por
 	return r.buf[:2]
 }
 
-// pick selects this connection's backend from a NAT pool: deterministic
-// in the connection's tuple and generation (BindHash), so a replayed
-// trace binds identically, while a reused tuple may rebind.
+// pick selects this connection's backend from the resolver's sub-range of
+// a NAT pool: deterministic in the connection's tuple and generation
+// (BindHash), so a replayed trace binds identically, while a reused tuple
+// may rebind.
 func (r *ctResolver) pick(pool uint16) (NATTarget, bool) {
-	targets := r.pipe.NATPool(pool)
+	targets := r.pipe.NATShard(pool, r.shard, r.shards)
 	if len(targets) == 0 {
 		return NATTarget{}, false
 	}

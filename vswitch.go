@@ -2,7 +2,6 @@ package gigaflow
 
 import (
 	"fmt"
-	"sync"
 
 	"gigaflow/internal/conntrack"
 	"gigaflow/internal/flow"
@@ -54,6 +53,8 @@ type backend interface {
 //
 // VSwitch is not safe for concurrent use; drive it from one goroutine (the
 // paper's configurations dedicate a single CPU core to the slowpath).
+// Switches on other goroutines may walk the same pipeline once it is
+// settled (Pipeline.Settle), while nobody changes its rules.
 type VSwitch struct {
 	pipe *Pipeline
 	main backend          // the main cache: Gigaflow, or the Megaflow baseline
@@ -69,7 +70,6 @@ type VSwitch struct {
 	ctMaxIdle int64                      // conntrack idle expiry, independent of the cache tiers'
 	tracer    *telemetry.Tracer          // optional traversal tracer (sampled)
 	rec       *telemetry.LatencyRecorder // optional latency attribution + flight ring
-	slowMu    *sync.Mutex                // optional slow-path traversal lock (async upcall mode)
 	stats     VSwitchStats
 
 	// trav is the one traversal every inline miss refills and res the
@@ -214,19 +214,6 @@ func WithTracer(t *telemetry.Tracer) VSwitchOption {
 // the recorder is single-threaded; give each VSwitch its own.
 func WithLatencyRecorder(r *telemetry.LatencyRecorder) VSwitchOption {
 	return func(v *VSwitch) { v.rec = r }
-}
-
-// WithSlowpathLock serializes every inline pipeline traversal this
-// VSwitch performs (miss punts, overflow fallbacks, follower replays)
-// against mu. The pipeline's TSS classifier keeps mutable per-lookup
-// state, so when an external upcall engine traverses the same pipeline
-// replica from its own goroutine, both sides must hold the same lock;
-// the engine locks mu around its traversals, the VSwitch locks it here.
-// The cache tiers and counters stay single-threaded on the goroutine
-// driving the switch — only the traversal is contended. A nil mu (the
-// default) keeps the slow path lock-free for strictly synchronous use.
-func WithSlowpathLock(mu *sync.Mutex) VSwitchOption {
-	return func(v *VSwitch) { v.slowMu = mu }
 }
 
 // NewVSwitch builds a vSwitch around a pipeline with a Gigaflow cache of
@@ -499,7 +486,7 @@ func (v *VSwitch) closeCold(tb *telemetry.TraceBuilder, tier telemetry.Tier, has
 // are certified on their own (Pipeline.ProcessInto and the gfcache
 // functions it feeds).
 //
-//gf:hotpath-safe the slow-path boundary: takes the upcall engine's traversal lock and wraps a pipeline error, neither of which a hit may do
+//gf:hotpath-safe the slow-path boundary: wraps a pipeline error, which a hit may not do
 func (v *VSwitch) processMiss(k, kt *Key, conn *conntrack.Conn, dir conntrack.Dir,
 	tier telemetry.Tier, now int64, tb *telemetry.TraceBuilder, o *ProcessResult) error {
 	if v.rec != nil {
@@ -508,9 +495,6 @@ func (v *VSwitch) processMiss(k, kt *Key, conn *conntrack.Conn, dir conntrack.Di
 	v.stats.CacheMisses++
 	v.stats.Slowpath++
 	tb.Begin("slowpath")
-	if v.slowMu != nil {
-		v.slowMu.Lock() // exclude concurrent upcall-engine traversals
-	}
 	tr := &v.trav
 	var err error
 	if v.ct != nil {
@@ -518,9 +502,6 @@ func (v *VSwitch) processMiss(k, kt *Key, conn *conntrack.Conn, dir conntrack.Di
 		err = v.pipe.ProcessInto(tr, kt, &v.res)
 	} else {
 		err = v.pipe.ProcessInto(tr, kt, nil)
-	}
-	if v.slowMu != nil {
-		v.slowMu.Unlock()
 	}
 	tb.End(err == nil)
 	flags := telemetry.FlightMiss
