@@ -162,20 +162,11 @@ const (
 	SchemeProfile  = gfcache.SchemeProfile
 )
 
-// NewCache creates a Gigaflow cache bound to a pipeline.
-func NewCache(p *Pipeline, cfg CacheConfig) *Cache { return gfcache.New(p, cfg) }
-
 // MegaflowCache is the single-lookup wildcard cache baseline.
 type MegaflowCache = megaflow.Cache
 
-// NewMegaflowCache creates a Megaflow cache with the given entry limit.
-func NewMegaflowCache(capacity int) *MegaflowCache { return megaflow.New(capacity) }
-
 // MicroflowCache is the exact-match first-level cache.
 type MicroflowCache = microflow.Cache
-
-// NewMicroflowCache creates a Microflow cache with the given entry limit.
-func NewMicroflowCache(capacity int) *MicroflowCache { return microflow.New(capacity) }
 
 // Telemetry --------------------------------------------------------------
 

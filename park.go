@@ -6,9 +6,9 @@ import (
 )
 
 // Park-mode processing: the VSwitch half of the asynchronous slow-path
-// offload (internal/upcall). In park mode a main-cache miss is not
-// punted to the pipeline inline — the lookup chain reports it to the
-// caller, who parks the packet and enqueues an upcall; a dedicated
+// offload (the other half is service/upcall.go). In park mode a main-cache
+// miss is not punted to the pipeline inline — the lookup chain reports it
+// to the caller, who parks the packet and enqueues an upcall; a dedicated
 // engine runs the traversal off the datapath goroutine, and the caller
 // finishes the miss later through CompleteMiss (fresh traversal) or by
 // replaying the packet through Process (failed or stale traversal, or no

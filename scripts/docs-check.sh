@@ -2,7 +2,7 @@
 # docs-check: the living documents may only name what exists. Every
 # `make <target>` is a Makefile target, every `gigabench -exp <id>` is an
 # id `gigabench -list` prints, and every backticked root-relative *.json /
-# *.md / cmd/… / examples/… / results/… path is in the tree (or is a
+# *.md / cmd/… / examples/… / internal/… / results/… path is in the tree (or is a
 # generated file .gitignore names), and every gigaflow_… metric name — in
 # the documents or in a Go comment of the service or root package — is one
 # the code registers, and every backticked Benchmark… / Test… / Fuzz… name
@@ -34,9 +34,10 @@ for id in $(grep -ohE 'gigabench -exp [a-z0-9]+' $docs | awk '{print $3}' | sort
 done
 
 # Words of single-line inline code; globs, brace lists and the prN
-# placeholder name no one file.
-paths=$(grep -ohE '`[^`]+`' $docs | tr -d '`' | tr ' \t' '\n\n' | sed -e 's|^\./||' -e 's|[,.;:)]*$||' |
-	grep -E '^([A-Za-z0-9_-]+\.(json|md)|(cmd|examples|results)/[^ ]*)$' | grep -vE '[*{}<>]|prN' | sort -u)
+# placeholder name no one file. An internal/… package path may carry an
+# exported symbol (internal/gigaflow.Cache names internal/gigaflow).
+paths=$(grep -ohE '`[^`]+`' $docs | tr -d '`' | tr ' \t' '\n\n' | sed -E -e 's|^\./||' -e 's|[,.;:)]*$||' -e 's|^(internal/[^.]*)\.[A-Z].*$|\1|' |
+	grep -E '^([A-Za-z0-9_-]+\.(json|md)|(cmd|examples|internal|results)/[^ ]*)$' | grep -vE '[*{}<>]|prN' | sort -u)
 for p in $paths; do
 	[ -e "$p" ] || grep -qxF "$p" .gitignore || bad "\`$p\`: no such file"
 done

@@ -1053,7 +1053,7 @@ func (r *svcRun) unwedge() {
 	// Every shard held, with the update's barrier served in between: the
 	// update, not the barrier, holds them.
 	await(r.t, "the update to hold every shard and the engine a parked flow", func() bool {
-		return held() && inflight() == idle && held() && (s.upq.Depth() < us.PendingFlows || us.PendingFlows == 0)
+		return held() && inflight() == idle && held() && (len(s.eng.q) < us.PendingFlows || us.PendingFlows == 0)
 	})
 	s.rules.Unlock()
 	r.wedged = false
@@ -1096,9 +1096,15 @@ func (r *svcRun) snapshot() {
 			r.t.Errorf("shard %d: %+v %+v, Reference %+v", i, sh, tel[i].Conntrack, r.o.refs[i].Conntrack())
 		}
 	}
-	r.out.tel, r.out.entries = tel, s.CacheEntries()
+	r.out.tel = tel
+	for _, sh := range shards {
+		r.out.entries += sh.CacheEntries
+	}
 	if r.out.upcall, err = s.UpcallStats(ctx); err != nil {
 		r.t.Fatal(err)
+	}
+	if u := r.out.upcall; u.Batches > u.Drained || u.Drained > DefaultBatchSize*u.Batches {
+		r.t.Errorf("engine drained %d misses in %d batches: a batch holds 1 to %d", u.Drained, u.Batches, DefaultBatchSize)
 	}
 	r.out.upcall.Drained, r.out.upcall.Batches = 0, 0 // when the engine woke is its own business
 	r.counted[served], r.counted[overflow] = int(r.out.stats.Packets), int(r.out.upcall.OverflowDrops)

@@ -19,7 +19,7 @@ import (
 // that is not running returns at once with the lifecycle error — before
 // Start, after Close, and after the context Start was given is cancelled
 // — where it used to queue a closure to a worker that would never run it
-// (CacheEntries, which takes no context, blocked forever). The cancelled
+// (a context-free cache-entry count blocked forever). The cancelled
 // leg serves telemetry: that server outlives the workers until Close, and
 // must not keep the service looking alive to callers meanwhile.
 func TestControlOpsOnStoppedService(t *testing.T) {
@@ -43,9 +43,6 @@ func TestControlOpsOnStoppedService(t *testing.T) {
 			check := func(want error) {
 				t.Helper()
 				within(t, 5*time.Second, "control ops", func() {
-					if n := s.CacheEntries(); n != 0 {
-						t.Errorf("CacheEntries = %d, want 0 (%v)", n, want)
-					}
 					if _, err := s.Stats(ctx); !errors.Is(err, want) {
 						t.Errorf("Stats: %v, want %v", err, want)
 					}
@@ -83,7 +80,7 @@ func TestControlOpsOnStoppedService(t *testing.T) {
 			if _, err := s.Submit(ctx, key(1, 80)); err != nil {
 				t.Fatal(err)
 			}
-			if n := s.CacheEntries(); n == 0 {
+			if n := cacheEntries(t, s); n == 0 {
 				t.Error("running service reports no cache entries after a miss")
 			}
 			if tc.cancel {
@@ -335,9 +332,9 @@ func TestShardOwnershipUnderRace(t *testing.T) {
 					t.Errorf("workers=%d async=%v shard %d: %d packets != %d+%d hits + %d misses",
 						workers, async, w.idx, st.Packets, st.MicroflowHits, st.CacheHits, st.CacheMisses)
 				}
-				if w.pending != nil && (w.pending.Len() != 0 || w.pending.Parked() != 0) {
+				if len(w.pending) != 0 || w.up.ParkedPackets != 0 {
 					t.Errorf("workers=%d async=%v shard %d: %d flows / %d packets still parked after Close",
-						workers, async, w.idx, w.pending.Len(), w.pending.Parked())
+						workers, async, w.idx, len(w.pending), w.up.ParkedPackets)
 				}
 				w.own.Unlock()
 			}

@@ -37,7 +37,6 @@ import (
 	"gigaflow"
 	wire "gigaflow/internal/packet"
 	"gigaflow/internal/telemetry"
-	"gigaflow/internal/upcall"
 )
 
 // Backend selects the main-cache architecture the workers run.
@@ -403,7 +402,7 @@ type worker struct {
 	fm    *frameMetrics              // shared frame accounting (atomic counters)
 	tally frameTally                 // this shard's share of one job's frames, flushed to fm per job
 	in    chan packet
-	idx   int    // shard index = upcall.Miss.Shard
+	idx   int    // shard index = miss.shard
 	label string // shard index, precomputed for metric labels
 
 	procPark []bool // ProcessBatchPark's parked flags, grown to the largest job seen
@@ -419,17 +418,14 @@ type worker struct {
 	drops atomic.Uint64 // nonblocking rejections due to a full queue
 	skips atomic.Uint64 // expiry sweeps skipped due to a full queue
 
-	// Asynchronous offload state (Config.Upcall.Workers > 0), all of it
-	// owner-lock state.
-	async    bool
+	// Asynchronous offload state (Config.Upcall.Workers > 0; eng is nil
+	// otherwise). Apart from the shared eng, all of it is owner-lock state:
+	// the pending-flow table, at most one miss per flow, and the shard's
+	// offload counters.
+	eng      *engine
 	overflow OverflowPolicy
-	pending  *upcall.Table[parked]
-	upq      *upcall.Queue[parked]
-
-	ovInline  uint64 // full-queue misses traversed inline
-	ovDrop    uint64 // full-queue misses dropped (OverflowDrop)
-	stale     uint64 // engine traversals discarded
-	completed uint64 // flow completions applied
+	pending  map[gigaflow.Key]*miss
+	up       UpcallStats
 }
 
 // Lifecycle states, tracked in Service.state so the submission hot path
@@ -466,10 +462,9 @@ type Service struct {
 	// symmetric sharding); UpdateRules publishes a new one.
 	natOwner atomic.Pointer[map[natEndpoint]int]
 
-	// Asynchronous offload (Config.Upcall.Workers > 0): the shared miss
-	// queue and the engine draining it. Nil when running synchronously.
-	upq *upcall.Queue[parked]
-	eng *upcall.Engine[parked]
+	// eng is the asynchronous offload's shared miss queue; nil unless
+	// Config.Upcall.Workers > 0.
+	eng *engine
 
 	reg     *telemetry.Registry
 	tracer  *telemetry.Tracer
@@ -521,6 +516,9 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 	if err := s.routeNAT(); err != nil {
 		return nil, err
 	}
+	if cfg.Upcall.Workers > 0 {
+		s.eng = &engine{q: make(chan *miss, cfg.Upcall.Queue)}
+	}
 	for i := 0; i < cfg.Workers; i++ {
 		opts := []gigaflow.VSwitchOption{gigaflow.WithTracer(s.tracer)}
 		if cfg.Expiry.MaxIdle > 0 {
@@ -556,23 +554,14 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 			in:    make(chan packet, cfg.QueueDepth),
 			idx:   i,
 			label: fmt.Sprintf("%d", i),
+			eng:   s.eng,
 		}
-		if cfg.Upcall.Workers > 0 {
-			w.async = true
+		if s.eng != nil {
 			w.overflow = cfg.Upcall.Overflow
-			w.pending = upcall.NewTable[parked]()
+			w.pending = make(map[gigaflow.Key]*miss)
 		}
 		w.vs = gigaflow.NewVSwitch(pipe, perWorker, opts...)
 		s.workers = append(s.workers, w)
-	}
-	if cfg.Upcall.Workers > 0 {
-		s.upq = upcall.NewQueue[parked](cfg.Upcall.Queue)
-		// An engine goroutine drains up to DefaultBatchSize queued misses
-		// per wakeup, batching their traversals and completions.
-		s.eng = upcall.NewEngine(s.upq, cfg.Upcall.Workers, DefaultBatchSize, s.handleUpcalls)
-		for _, w := range s.workers {
-			w.upq = s.upq
-		}
 	}
 	return s, nil
 }
@@ -593,7 +582,10 @@ func (s *Service) Start(ctx context.Context) error {
 	s.started.Store(time.Now().UnixNano())
 	ctx, s.cancel = context.WithCancel(ctx)
 	if s.eng != nil {
-		s.eng.Start(ctx)
+		for i := 0; i < s.cfg.Upcall.Workers; i++ {
+			s.eng.wg.Add(1)
+			go s.runEngine(ctx)
+		}
 	}
 	for _, w := range s.workers {
 		s.done.Add(1)
@@ -807,7 +799,7 @@ func (w *worker) runJob(j *batchJob, now int64) (finished bool) {
 		// that has its verdicts reads its frames in /metrics.
 		w.fm.flush(&w.tally)
 	}
-	if w.async {
+	if w.eng != nil {
 		return w.parkJob(j, now)
 	}
 	w.vs.ProcessBatchMeta(blk.keys, blk.metas, blk.out, blk.errs, now)
@@ -973,20 +965,6 @@ func (s *Service) Stats(ctx context.Context) (gigaflow.VSwitchStats, error) {
 	return out, nil
 }
 
-// CacheEntries sums cache entries across shards, each counted under its
-// owner lock; 0 on a service that is not running.
-func (s *Service) CacheEntries() int {
-	per := make([]int, len(s.workers))
-	if err := s.eachShard(context.Background(), func(i int, w *worker) { per[i] = w.vs.CacheEntries() }); err != nil {
-		return 0
-	}
-	total := 0
-	for _, n := range per {
-		total += n
-	}
-	return total
-}
-
 // Close stops the workers, the telemetry server, and waits for them to
 // exit. Work still queued is drained: control ops run, packets and jobs
 // complete with ErrClosed. Errors: ErrNotStarted before Start, ErrClosed
@@ -1010,7 +988,7 @@ func (s *Service) Close() error {
 	s.cancel()
 	<-s.term // the Start watcher closes term once every worker has exited
 	if s.eng != nil {
-		s.eng.Wait() // engine goroutines exit on the same cancellation
+		s.eng.wg.Wait() // engine goroutines exit on the same cancellation
 	}
 	return nil
 }

@@ -93,6 +93,20 @@ func recv(t *testing.T, ch <-chan Result, what string) Result {
 	}
 }
 
+// cacheEntries sums the shards' cache entries as ShardStats reports them.
+func cacheEntries(t *testing.T, s *Service) int {
+	t.Helper()
+	shards, err := s.ShardStats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, sh := range shards {
+		n += sh.CacheEntries
+	}
+	return n
+}
+
 func startService(t *testing.T, workers int) (*Service, context.Context) {
 	t.Helper()
 	cfg := Config{Workers: workers, Cache: gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256}}
@@ -159,7 +173,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 	if st.CacheHits == 0 {
 		t.Error("no cache hits under repeated flows")
 	}
-	if s.CacheEntries() == 0 {
+	if cacheEntries(t, s) == 0 {
 		t.Error("caches empty")
 	}
 }
@@ -217,7 +231,7 @@ func TestIdleExpiryTicker(t *testing.T) {
 	if _, err := s.Submit(ctx, key(1, 80)); err != nil {
 		t.Fatal(err)
 	}
-	await(t, "idle expiry", func() bool { return s.CacheEntries() == 0 })
+	await(t, "idle expiry", func() bool { return cacheEntries(t, s) == 0 })
 }
 
 func TestLifecycleErrors(t *testing.T) {

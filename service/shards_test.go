@@ -112,8 +112,8 @@ func TestShardStats(t *testing.T) {
 	if packets != 32 {
 		t.Errorf("shard packets sum to %d, want 32", packets)
 	}
-	if entries != s.CacheEntries() {
-		t.Errorf("shard cache entries sum to %d, want %d", entries, s.CacheEntries())
+	if want := cacheEntries(t, s); entries != want {
+		t.Errorf("shard cache entries sum to %d, want %d", entries, want)
 	}
 	if busy < 2 {
 		t.Errorf("only %d of 4 shards saw traffic — hash looks degenerate", busy)

@@ -58,19 +58,19 @@ func (s *Service) collectServiceMetrics() {
 		drops.With(w.label).Set(w.drops.Load())
 		skips.With(w.label).Set(w.skips.Load())
 	}
-	if s.upq != nil {
+	if s.eng != nil {
 		s.reg.Gauge("gigaflow_upcall_queue_depth",
-			"Misses waiting in the shared upcall queue.").Set(float64(s.upq.Depth()))
+			"Misses waiting in the shared upcall queue.").Set(float64(len(s.eng.q)))
 		s.reg.Gauge("gigaflow_upcall_queue_capacity",
-			"Upcall queue length limit.").Set(float64(s.upq.Cap()))
+			"Upcall queue length limit.").Set(float64(cap(s.eng.q)))
 		s.reg.Counter("gigaflow_upcall_enqueued_total",
-			"Misses accepted onto the upcall queue.").Set(s.upq.Enqueued())
+			"Misses accepted onto the upcall queue.").Set(s.eng.enqueued.Load())
 		s.reg.Counter("gigaflow_upcall_queue_overflows_total",
-			"Misses refused by a full upcall queue.").Set(s.upq.Overflows())
+			"Misses refused by a full upcall queue.").Set(s.eng.overflows.Load())
 		s.reg.Counter("gigaflow_upcall_drained_total",
-			"Misses drained by the upcall engine.").Set(s.eng.Drained())
+			"Misses drained by the upcall engine.").Set(s.eng.drained.Load())
 		s.reg.Counter("gigaflow_upcall_batches_total",
-			"Engine drain batches executed.").Set(s.eng.Batches())
+			"Engine drain batches executed.").Set(s.eng.batches.Load())
 	}
 	s.reg.Gauge("gigaflow_workers", "Forwarding workers.").Set(float64(len(s.workers)))
 	s.reg.Counter("gigaflow_traces_sampled_total",
@@ -295,20 +295,16 @@ func serveJSON(def int, snapshot func(ctx context.Context, n int) (any, error)) 
 
 // telemetryServer owns the HTTP listener started from Config.TelemetryAddr.
 type telemetryServer struct {
-	ln  net.Listener
-	srv *http.Server
-	// served is closed when startTelemetry's goroutine exits; nil under
-	// ServeTelemetry, where the goroutine is the caller's.
-	served chan struct{}
+	ln     net.Listener
+	srv    *http.Server
+	served chan struct{} // closed when startTelemetry's goroutine exits
 }
 
 func (t *telemetryServer) stop() {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	_ = t.srv.Shutdown(ctx)
-	if t.served != nil {
-		<-t.served
-	}
+	<-t.served
 }
 
 // startTelemetry begins serving the introspection endpoints on addr;
@@ -340,24 +336,4 @@ func (s *Service) TelemetryAddr() string {
 		return ""
 	}
 	return s.tsrv.ln.Addr().String()
-}
-
-// ServeTelemetry serves the introspection endpoints on a caller-provided
-// listener, blocking until the listener fails or Close shuts the server
-// down. It is the manual alternative to Config.TelemetryAddr for embedders
-// that manage their own listeners.
-func (s *Service) ServeTelemetry(ln net.Listener) error {
-	srv := &http.Server{Handler: s.TelemetryHandler()}
-	s.mu.Lock()
-	if s.tsrv != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("service: telemetry already serving on %s", s.tsrv.ln.Addr())
-	}
-	s.tsrv = &telemetryServer{ln: ln, srv: srv}
-	s.mu.Unlock()
-	err := srv.Serve(ln)
-	if err == http.ErrServerClosed {
-		return nil
-	}
-	return err
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -40,6 +39,9 @@ func TestConfigValidation(t *testing.T) {
 		{"negative megaflow cap",
 			Config{Backend: BackendMegaflow, MegaflowCapacity: -1}, "MegaflowCapacity"},
 		{"unknown backend", Config{Backend: Backend(99)}, "unknown Backend"},
+		{"negative upcall workers", Config{Upcall: UpcallConfig{Workers: -1}}, "Upcall.Workers"},
+		{"negative upcall queue", Config{Upcall: UpcallConfig{Workers: 1, Queue: -1}}, "Upcall.Queue"},
+		{"upcall knobs without workers", Config{Upcall: UpcallConfig{Queue: 8}}, "Upcall.Workers is 0"},
 		{"megaflow backend ok", Config{Backend: BackendMegaflow, MegaflowCapacity: 1024}, ""},
 	}
 	for _, c := range cases {
@@ -538,16 +540,4 @@ func TestConcurrentScrape(t *testing.T) {
 	scrapers.Wait()
 	close(stop)
 	<-producerDone
-}
-
-func TestServeTelemetryConflict(t *testing.T) {
-	s, _ := startTelemetryService(t, Config{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	if err := s.ServeTelemetry(ln); err == nil {
-		t.Error("ServeTelemetry must refuse a second server")
-	}
 }

@@ -1,19 +1,28 @@
-// Asynchronous slow-path offload: the service half of the upcall
-// subsystem (internal/upcall holds the mechanism — pending-flow table,
-// bounded miss queue, drain engine).
+// Asynchronous slow-path offload (Config.Upcall.Workers > 0): the whole of
+// it — the per-shard pending-flow table, the shared bounded miss queue, the
+// engine goroutines draining it, and the completions they hand back.
 //
-// With Config.Upcall.Workers set, a worker no longer runs the pipeline
-// traversal for a main-cache miss inline. The packet is parked: its
-// delivery context (its job and its slot in the job's share — every
-// packet arrives in a job) is appended to the flow's pending-table entry,
-// and — for the first packet of the flow only — the entry is enqueued on
-// the shared upcall queue. Engine goroutines drain the queue in batches,
-// run each flow's traversal against the service's pipeline (read-locking
-// Service.rules, which a rule update write-locks), and post the completed
-// misses back onto the worker's input queue as a control op. The worker
-// then installs the rules, releases every packet parked behind the flow in
-// arrival order, and answers the submitters — so a warm flow behind a cold
-// storm is never head-of-line blocked by another flow's traversal.
+// A worker does not run the pipeline traversal for a main-cache miss
+// inline. The packet is parked: its delivery context (its job and its slot
+// in the job's share — every packet arrives in a job) is appended to the
+// flow's pending-table entry, and — for the first packet of the flow only —
+// the entry is enqueued on the shared upcall queue. Engine goroutines drain
+// the queue in batches of up to DefaultBatchSize, run each flow's traversal
+// against the service's pipeline (read-locking Service.rules, which a rule
+// update write-locks), and post the completed misses back onto the worker's
+// input queue as one control op per shard. The worker then installs the
+// rules, releases every packet parked behind the flow in arrival order, and
+// answers the submitters — so a warm flow behind a cold storm is never
+// head-of-line blocked by another flow's traversal.
+//
+// Ownership: the pending table and the shard's counters are owner-lock
+// state, like the rest of the shard. A miss's key, shard and parkedNs are
+// fixed at park time, and its parked slice belongs to the owner lock (the
+// engine never reads it, so followers keep appending while the traversal is
+// in flight); dequeuedNs, traverseNs, tr and err are written by the engine
+// before the hand-off, which the worker's input queue orders. The queue is
+// the one structure many goroutines write: a buffered channel and atomic
+// counters.
 //
 // Equivalence with inline processing is a hard invariant: a parked
 // packet is counted nowhere at park time; the completion counts the
@@ -32,11 +41,12 @@ package service
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"gigaflow"
 	"gigaflow/internal/telemetry"
-	"gigaflow/internal/upcall"
 )
 
 // OverflowPolicy selects what a worker does with a fresh miss when the
@@ -72,20 +82,59 @@ type parked struct {
 	idx int
 }
 
+// miss is one flow's pending upcall: the packets parked behind it, in
+// arrival order (parked[0] created the upcall), and — once the engine has
+// run it — the traversal.
+type miss struct {
+	key        gigaflow.Key
+	shard      int   // the worker that parked it; completions route back to it
+	parkedNs   int64 // wall clock at park; with dequeuedNs, the queue wait
+	dequeuedNs int64
+	traverseNs int64
+	parked     []parked
+	tr         *gigaflow.Traversal
+	err        error
+}
+
+// engine is the shared upcall queue — many shard producers, Upcall.Workers
+// engine consumers — with its counters and the engine goroutines. A send
+// never blocks: a full queue is the shard's signal to apply its overflow
+// policy rather than stall behind the slow path.
+type engine struct {
+	q         chan *miss    // holds Upcall.Queue misses: past that, the overflow policy applies
+	enqueued  atomic.Uint64 // misses accepted
+	overflows atomic.Uint64 // misses a full queue refused
+	drained   atomic.Uint64 // misses handed to handleUpcalls
+	batches   atomic.Uint64 // handleUpcalls calls
+	wg        sync.WaitGroup
+}
+
 // parkOne parks a missed packet behind its flow's pending entry,
 // enqueueing an upcall if the flow was not already pending. It reports
 // false when the flow needs an upcall but the queue is full — the caller
-// applies the overflow policy; the aborted park leaves no state behind.
+// applies the overflow policy. The refused miss still counts as a flow
+// whose one packet was released.
 func (w *worker) parkOne(k gigaflow.Key, p parked, now int64) bool {
-	m, created := w.pending.Park(k, w.idx, now, p)
-	if !created {
-		return true // follower: rides the traversal already in flight
-	}
-	if w.upq.TryEnqueue(m) {
+	if m := w.pending[k]; m != nil {
+		m.parked = append(m.parked, p) // follower: rides the traversal in flight
+		w.up.Deduped++
+		w.up.ParkedPackets++
 		return true
 	}
-	w.pending.Remove(k)
-	return false
+	w.up.Flows++
+	m := &miss{key: k, shard: w.idx, parkedNs: now, parked: make([]parked, 1, 4)}
+	m.parked[0] = p
+	select {
+	case w.eng.q <- m:
+		w.eng.enqueued.Add(1)
+		w.pending[k] = m
+		w.up.ParkedPackets++
+		return true
+	default:
+		w.eng.overflows.Add(1)
+		w.up.Released++
+		return false
+	}
 }
 
 // parkFallback finishes a missed packet the upcall queue refused,
@@ -94,11 +143,23 @@ func (w *worker) parkOne(k gigaflow.Key, p parked, now int64) bool {
 // would have run.
 func (w *worker) parkFallback(k gigaflow.Key, now int64) (gigaflow.ProcessResult, error) {
 	if w.overflow == OverflowDrop {
-		w.ovDrop++
+		w.up.OverflowDrops++
 		return gigaflow.ProcessResult{}, ErrUpcallOverflow
 	}
-	w.ovInline++
+	w.up.OverflowInline++
 	return w.vs.Process(k, now)
+}
+
+// release takes flow k's pending entry out of the table (nil if absent),
+// handing its parked packets to the caller.
+func (w *worker) release(k gigaflow.Key) *miss {
+	m := w.pending[k]
+	if m != nil {
+		delete(w.pending, k)
+		w.up.ParkedPackets -= len(m.parked)
+		w.up.Released += uint64(len(m.parked))
+	}
+	return m
 }
 
 // complete applies one engine-completed miss under the owner lock:
@@ -106,27 +167,26 @@ func (w *worker) parkFallback(k gigaflow.Key, now int64) (gigaflow.ProcessResult
 // CompleteMiss, or inline replay when the traversal failed, went stale,
 // or lost the race to a covering install), replay the followers through
 // the normal hot path, and deliver every result in arrival order.
-func (w *worker) complete(m *upcall.Miss[parked], now int64) {
-	if w.pending.Remove(m.Key) == nil {
-		// Already swept by a shutdown drain; the payloads were failed
+func (w *worker) complete(m *miss, now int64) {
+	if w.release(m.key) == nil {
+		// Already swept by a shutdown drain; the packets were failed
 		// with ErrClosed and must not be answered twice.
-		w.stale++
+		w.up.Stale++
 		return
 	}
-	pp := m.Payloads
-	w.completed++
+	pp := m.parked
+	w.up.Completed++
 
-	fresh := m.Err == nil && m.Traversal != nil &&
-		m.Traversal.Version == w.vs.Pipeline().Version
+	fresh := m.err == nil && m.tr != nil && m.tr.Version == w.vs.Pipeline().Version
 	if !fresh {
 		// Failed or stale traversal: every parked packet replays the
 		// inline path, traversing again — identical to what each would
 		// have done had it never parked under the current rules.
-		if m.Err == nil {
-			w.stale++
+		if m.err == nil {
+			w.up.Stale++
 		}
 		for _, p := range pp {
-			res, err := w.vs.Process(m.Key, now)
+			res, err := w.vs.Process(m.key, now)
 			w.deliver(p, res, err)
 		}
 		return
@@ -136,15 +196,15 @@ func (w *worker) complete(m *upcall.Miss[parked], now int64) {
 	// completion may have installed a wildcard entry covering it —
 	// inline, this packet would have hit that entry, so only a
 	// still-missing flow consumes its traversal.
-	res, still, err := w.vs.ProcessPark(m.Key, now)
+	res, still, err := w.vs.ProcessPark(m.key, now)
 	if still {
-		res, err = w.vs.CompleteMiss(m.Key, m.Traversal, now, m.TraverseNs, m.DequeuedNs-m.EnqueuedNs)
+		res, err = w.vs.CompleteMiss(m.key, m.tr, now, m.traverseNs, m.dequeuedNs-m.parkedNs)
 	} else {
-		w.stale++
+		w.up.Stale++
 	}
 	w.deliver(pp[0], res, err)
 	for _, p := range pp[1:] {
-		res, err := w.vs.Process(m.Key, now)
+		res, err := w.vs.Process(m.key, now)
 		w.deliver(p, res, err)
 	}
 }
@@ -168,40 +228,68 @@ func (w *worker) deliver(p parked, res gigaflow.ProcessResult, err error) {
 // submitters waiting on parked packets always unblock before the
 // service's term channel closes.
 func (w *worker) sweepParked() {
-	if w.pending == nil {
-		return
-	}
-	w.pending.Drain(func(m *upcall.Miss[parked]) {
-		for _, p := range m.Payloads {
+	for k := range w.pending {
+		for _, p := range w.release(k).parked {
 			w.deliver(p, gigaflow.ProcessResult{}, ErrClosed)
 		}
-	})
+	}
 }
 
-// handleUpcalls is the engine handler: it runs each miss's pipeline
-// traversal — under the rules read lock, excluding rule updates — then
-// posts the completed misses back to their workers as control ops,
-// grouped so each worker receives one message per batch. A send that would
-// block past shutdown is abandoned; the worker's drain sweeps the
-// corresponding pending entries.
-func (s *Service) handleUpcalls(ctx context.Context, batch []*upcall.Miss[parked]) {
+// runEngine is one engine goroutine: block for a miss, gather the rest of
+// the burst up to DefaultBatchSize (one wake-up amortized across it),
+// stamp the dequeue time and run the batch. Misses still queued when ctx
+// is cancelled are abandoned — the shards sweep their pending tables and
+// fail those packets themselves.
+func (s *Service) runEngine(ctx context.Context) {
+	defer s.eng.wg.Done()
+	batch := make([]*miss, 0, DefaultBatchSize)
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case m := <-s.eng.q:
+			batch = append(batch[:0], m)
+		gather:
+			for len(batch) < DefaultBatchSize {
+				select {
+				case m := <-s.eng.q:
+					batch = append(batch, m)
+				default:
+					break gather
+				}
+			}
+			now := time.Now().UnixNano()
+			for _, m := range batch {
+				m.dequeuedNs = now
+			}
+			s.eng.drained.Add(uint64(len(batch)))
+			s.eng.batches.Add(1)
+			s.handleUpcalls(ctx, batch)
+		}
+	}
+}
+
+// handleUpcalls runs each miss's pipeline traversal — under the rules read
+// lock, excluding rule updates — then posts the completed misses back to
+// their workers as control ops, grouped so each worker receives one
+// message per batch. A send that would block past shutdown is abandoned;
+// the worker's drain sweeps the corresponding pending entries.
+func (s *Service) handleUpcalls(ctx context.Context, batch []*miss) {
 	for _, m := range batch {
 		t0 := time.Now()
 		s.rules.RLock()
-		tr, err := s.pipe.Process(m.Key)
+		m.tr, m.err = s.pipe.Process(m.key)
 		s.rules.RUnlock()
-		m.TraverseNs = time.Since(t0).Nanoseconds()
-		m.Traversal = tr
-		m.Err = err
+		m.traverseNs = time.Since(t0).Nanoseconds()
 	}
 	for i, m := range batch {
 		if m == nil {
 			continue
 		}
-		group := make([]*upcall.Miss[parked], 0, len(batch)-i)
+		group := make([]*miss, 0, len(batch)-i)
 		group = append(group, m)
 		for j := i + 1; j < len(batch); j++ {
-			if batch[j] != nil && batch[j].Shard == m.Shard {
+			if batch[j] != nil && batch[j].shard == m.shard {
 				group = append(group, batch[j])
 				batch[j] = nil
 			}
@@ -212,7 +300,7 @@ func (s *Service) handleUpcalls(ctx context.Context, batch []*upcall.Miss[parked
 				w.complete(c, now)
 			}
 		}
-		if s.post(ctx, s.workers[m.Shard], packet{control: apply}) != nil {
+		if s.post(ctx, s.workers[m.shard], packet{control: apply}) != nil {
 			return
 		}
 	}
@@ -260,22 +348,21 @@ type UpcallStats struct {
 	Batches    uint64 `json:"batches"`
 }
 
+// shardUpcallStats is the shard's share of UpcallStats, read under the
+// owner lock; the shared queue and engine fields stay zero.
+func (w *worker) shardUpcallStats() UpcallStats {
+	st := w.up
+	st.PendingFlows = len(w.pending)
+	return st
+}
+
 // UpcallStats gathers the offload counters; see the UpcallStats type.
 func (s *Service) UpcallStats(ctx context.Context) (UpcallStats, error) {
-	if s.upq == nil {
+	if s.eng == nil {
 		return UpcallStats{}, nil
 	}
 	per := make([]UpcallStats, len(s.workers))
-	err := s.eachShard(ctx, func(i int, w *worker) {
-		st := w.pending.Stats()
-		per[i] = UpcallStats{
-			PendingFlows: w.pending.Len(), ParkedPackets: w.pending.Parked(),
-			Flows: st.Upcalls, Deduped: st.Deduped, Released: st.Released,
-			OverflowInline: w.ovInline, OverflowDrops: w.ovDrop,
-			Stale: w.stale, Completed: w.completed,
-		}
-	})
-	if err != nil {
+	if err := s.eachShard(ctx, func(i int, w *worker) { per[i] = w.shardUpcallStats() }); err != nil {
 		return UpcallStats{}, err
 	}
 	out := UpcallStats{Enabled: true}
@@ -290,12 +377,12 @@ func (s *Service) UpcallStats(ctx context.Context) (UpcallStats, error) {
 		out.Stale += st.Stale
 		out.Completed += st.Completed
 	}
-	out.QueueDepth = s.upq.Depth()
-	out.QueueCap = s.upq.Cap()
-	out.Enqueued = s.upq.Enqueued()
-	out.Overflows = s.upq.Overflows()
-	out.Drained = s.eng.Drained()
-	out.Batches = s.eng.Batches()
+	out.QueueDepth = len(s.eng.q)
+	out.QueueCap = cap(s.eng.q)
+	out.Enqueued = s.eng.enqueued.Load()
+	out.Overflows = s.eng.overflows.Load()
+	out.Drained = s.eng.drained.Load()
+	out.Batches = s.eng.batches.Load()
 	return out, nil
 }
 
@@ -303,23 +390,23 @@ func (s *Service) UpcallStats(ctx context.Context) (UpcallStats, error) {
 // registry; called from Collect's control op, under the owner lock.
 // No-op for synchronous shards.
 func (w *worker) collectUpcallMetrics(reg *telemetry.Registry) {
-	if w.pending == nil {
+	if w.eng == nil {
 		return
 	}
 	c := func(name, help string, val uint64) {
 		reg.CounterVec(name, help, "worker").With(w.label).Set(val)
 	}
-	g := func(name, help string, val float64) {
-		reg.GaugeVec(name, help, "worker").With(w.label).Set(val)
+	g := func(name, help string, val int) {
+		reg.GaugeVec(name, help, "worker").With(w.label).Set(float64(val))
 	}
-	st := w.pending.Stats()
-	c("gigaflow_upcall_flows_total", "Upcalls created (one per unique missed flow).", st.Upcalls)
+	st := w.shardUpcallStats()
+	c("gigaflow_upcall_flows_total", "Upcalls created (one per unique missed flow).", st.Flows)
 	c("gigaflow_upcall_deduped_total", "Parked packets coalesced onto an existing pending flow.", st.Deduped)
 	c("gigaflow_upcall_released_total", "Parked packets handed back to their submitters.", st.Released)
-	c("gigaflow_upcall_overflow_inline_total", "Misses processed inline because the upcall queue was full.", w.ovInline)
-	c("gigaflow_upcall_overflow_drops_total", "Misses dropped because the upcall queue was full.", w.ovDrop)
-	c("gigaflow_upcall_stale_total", "Engine traversals discarded (rule update, covering install, or shutdown).", w.stale)
-	c("gigaflow_upcall_completed_total", "Flow completions applied.", w.completed)
-	g("gigaflow_upcall_pending_flows", "Flows with a traversal in flight.", float64(w.pending.Len()))
-	g("gigaflow_upcall_parked_packets", "Packets parked behind pending flows.", float64(w.pending.Parked()))
+	c("gigaflow_upcall_overflow_inline_total", "Misses processed inline because the upcall queue was full.", st.OverflowInline)
+	c("gigaflow_upcall_overflow_drops_total", "Misses dropped because the upcall queue was full.", st.OverflowDrops)
+	c("gigaflow_upcall_stale_total", "Engine traversals discarded (rule update, covering install, or shutdown).", st.Stale)
+	c("gigaflow_upcall_completed_total", "Flow completions applied.", st.Completed)
+	g("gigaflow_upcall_pending_flows", "Flows with a traversal in flight.", st.PendingFlows)
+	g("gigaflow_upcall_parked_packets", "Packets parked behind pending flows.", st.ParkedPackets)
 }

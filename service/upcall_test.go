@@ -54,6 +54,10 @@ func TestUpcallOrdering(t *testing.T) {
 				i, r.CacheHit, wantHit)
 		}
 	}
+	// One upcall per flow, each drained and completed once.
+	if us, err := s.UpcallStats(ctx); err != nil || us.Flows != 2 || us.Enqueued != 2 || us.Drained != 2 || us.Completed != 2 || us.Stale != 0 {
+		t.Errorf("upcall stats %+v, %v; want 2 flows enqueued, drained and completed once each", us, err)
+	}
 
 	// Response-channel order for one flow must be initiator first, then
 	// followers, regardless of the engine's concurrency. A fresh service:
@@ -76,11 +80,15 @@ func TestUpcallOrdering(t *testing.T) {
 }
 
 // TestUpcallShutdownParked proves shutdown is hang-proof with packets
-// parked and the engine wedged mid-traversal: Close must fail the parked
-// packets with ErrClosed (unblocking their submitters) and still return
-// once the engine is released.
+// parked and the engine wedged mid-traversal: Close must fail every parked
+// packet, followers included, with ErrClosed (unblocking their submitters),
+// leave the pending tables empty, and still return once the engine is
+// released. Wedged, the engine holds the first flow and the queue the
+// second, so the queue's counters read exactly; the queue bound is the
+// default.
 func TestUpcallShutdownParked(t *testing.T) {
 	cfg := upcallConfig(BackendGigaflow, 1, 1)
+	cfg.Upcall.Queue = 0
 	s, err := New(buildPipeline(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -91,29 +99,42 @@ func TestUpcallShutdownParked(t *testing.T) {
 	ctx := context.Background()
 
 	s.rules.Lock()
-	resp := make(chan Result, 1)
-	if _, err := s.Submit(ctx, key(1, 80), Nonblocking(), WithResponse(resp)); err != nil {
+	resp := make(chan Result, 2)
+	b := NewBatch(2)
+	b.Add(key(1, 80))
+	b.Add(key(1, 80)) // a follower of the first
+	if err := s.SubmitBatch(ctx, b, Nonblocking(), WithResponse(resp)); err != nil {
 		t.Fatal(err)
 	}
+	upcalls := func() UpcallStats {
+		us, err := s.UpcallStats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return us
+	}
+	await(t, "the engine to take the first flow", func() bool { return upcalls().Drained == 1 })
 	// A blocking submitter parked behind a second flow, to prove it
 	// unblocks at Close.
 	blocked := make(chan error, 1)
-	b := NewBatch(1)
-	b.Add(key(2, 80))
-	go func() { blocked <- s.SubmitBatch(ctx, b) }()
-	await(t, "both packets parked", func() bool {
-		us, err := s.UpcallStats(ctx)
-		return err == nil && us.ParkedPackets == 2
-	})
+	b2 := NewBatch(1)
+	b2.Add(key(2, 80))
+	go func() { blocked <- s.SubmitBatch(ctx, b2) }()
+	await(t, "three packets parked", func() bool { return upcalls().ParkedPackets == 3 })
+	if us := upcalls(); us.PendingFlows != 2 || us.Deduped != 1 || us.Enqueued != 2 || us.QueueDepth != 1 || us.QueueCap != 1024 {
+		t.Errorf("upcall stats %+v; want 2 flows pending, 1 follower, 2 enqueued, 1 of 1024 queued", us)
+	}
 
 	closed := make(chan error, 1)
 	go func() { closed <- s.Close() }()
-	if r := recv(t, resp, "the parked packet's failure at shutdown"); !errors.Is(r.Err, ErrClosed) {
-		t.Fatalf("parked packet got %+v, want ErrClosed", r)
+	for i := 0; i < 2; i++ {
+		if r := recv(t, resp, "a parked packet's failure at shutdown"); !errors.Is(r.Err, ErrClosed) {
+			t.Fatalf("parked packet got %+v, want ErrClosed", r)
+		}
 	}
 	select {
 	case <-blocked:
-		if got := b.Result(0).Err; !errors.Is(got, ErrClosed) {
+		if got := b2.Result(0).Err; !errors.Is(got, ErrClosed) {
 			t.Fatalf("blocked submitter's request got %v, want ErrClosed", got)
 		}
 	case <-time.After(5 * time.Second):
@@ -128,6 +149,11 @@ func TestUpcallShutdownParked(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close hung waiting for the engine")
+	}
+	// The workers have exited: shard state is quiescent.
+	if w := s.workers[0]; len(w.pending) != 0 || w.up.ParkedPackets != 0 || w.up.Released != 3 {
+		t.Errorf("after Close: %d flows and %d packets parked, %d released; want 0, 0, 3",
+			len(w.pending), w.up.ParkedPackets, w.up.Released)
 	}
 }
 
@@ -153,13 +179,14 @@ func holPipeline(hosts int) *gigaflow.Pipeline {
 
 // TestUpcallWarmFlowNotBlocked is head-of-line blocking as a property:
 // with the engine wedged mid-traversal (the test holds the service's
-// rules lock) and a cold flow parked behind it, a warm flow's
+// rules lock) and three cold flows parked behind it, a warm flow's
 // blocking Submit is still served from the cache — parking a miss must
-// never stall the datapath behind it. Releasing the lock completes the
-// cold flow as the miss it was.
+// never stall the datapath behind it. Releasing the lock completes each
+// cold flow as the miss it was, and the engine has drained every miss
+// once, at least two of the cold ones in one batch.
 func TestUpcallWarmFlowNotBlocked(t *testing.T) {
-	s, ctx := start(t, holPipeline(2), upcallConfig(BackendGigaflow, 1, 1)), context.Background()
-	warm, cold := key(0, 80), key(1, 80)
+	s, ctx := start(t, holPipeline(4), upcallConfig(BackendGigaflow, 1, 1)), context.Background()
+	warm := key(0, 80)
 	if _, err := s.Submit(ctx, warm); err != nil {
 		t.Fatal(err)
 	}
@@ -174,20 +201,24 @@ func TestUpcallWarmFlowNotBlocked(t *testing.T) {
 	}
 	defer release() // a failed assertion must not leave Close waiting on the engine
 
-	resp := make(chan Result, 1)
-	if _, err := s.Submit(ctx, cold, Nonblocking(), WithResponse(resp)); err != nil {
+	resp := make(chan Result, 3)
+	cold := NewBatch(3)
+	for h := uint64(1); h <= 3; h++ {
+		cold.Add(key(h, 80))
+	}
+	if err := s.SubmitBatch(ctx, cold, Nonblocking(), WithResponse(resp)); err != nil {
 		t.Fatal(err)
 	}
 	// A shard with a message in flight runs nothing in place, so this
-	// Submit queues behind the cold packet: it is served after the worker
-	// has handled — parked — that miss, or not at all.
-	within(t, 5*time.Second, "warm flow's Submit behind a parked miss", func() {
+	// Submit queues behind the cold packets: it is served after the worker
+	// has handled — parked — those misses, or not at all.
+	within(t, 5*time.Second, "warm flow's Submit behind parked misses", func() {
 		if res, err := s.Submit(ctx, warm); err != nil || res.Err != nil || !res.CacheHit {
-			t.Errorf("warm flow behind a parked miss: %+v, %v; want a cache hit", res, err)
+			t.Errorf("warm flow behind parked misses: %+v, %v; want a cache hit", res, err)
 		}
 	})
-	if us, err := s.UpcallStats(ctx); err != nil || us.ParkedPackets != 1 {
-		t.Errorf("upcall stats %+v, %v; want the cold packet parked", us, err)
+	if us, err := s.UpcallStats(ctx); err != nil || us.ParkedPackets != 3 {
+		t.Errorf("upcall stats %+v, %v; want the cold packets parked", us, err)
 	}
 	select {
 	case r := <-resp:
@@ -196,8 +227,13 @@ func TestUpcallWarmFlowNotBlocked(t *testing.T) {
 	}
 
 	release()
-	if r := recv(t, resp, "the cold flow's completion"); r.Err != nil || r.CacheHit || r.Verdict.Port != 1 {
-		t.Errorf("cold flow: %+v; want a miss forwarded to port 1", r)
+	for i := 0; i < 3; i++ {
+		if r := recv(t, resp, "a cold flow's completion"); r.Err != nil || r.CacheHit || r.Verdict.Port != 1 {
+			t.Errorf("cold flow: %+v; want a miss forwarded to port 1", r)
+		}
+	}
+	if us, err := s.UpcallStats(ctx); err != nil || us.Drained != 4 || us.Batches > 3 {
+		t.Errorf("upcall stats %+v, %v; want 4 misses drained in at most 3 batches", us, err)
 	}
 }
 
@@ -218,7 +254,7 @@ func TestUpcallParkNsExcludesTraversal(t *testing.T) {
 		s.rules.Unlock()
 		t.Fatal(err)
 	}
-	for deadline := submitted.Add(5 * time.Second); s.eng.Drained() == 0; time.Sleep(100 * time.Microsecond) {
+	for deadline := submitted.Add(5 * time.Second); s.eng.drained.Load() == 0; time.Sleep(100 * time.Microsecond) {
 		if time.Now().After(deadline) {
 			s.rules.Unlock()
 			t.Fatal("the engine never dequeued the miss")
@@ -243,8 +279,8 @@ func TestUpcallParkNsExcludesTraversal(t *testing.T) {
 		if lat := time.Duration(r.LatNs); lat < hold {
 			t.Errorf("LatNs = %v, want the %v the engine waited inside the traversal span", lat, hold)
 		}
-		if park := time.Duration(r.ParkNs); park > window {
-			t.Errorf("ParkNs = %v, want at most the %v between submission and dequeue: it contains the traversal (LatNs %v)",
+		if park := time.Duration(r.ParkNs); park <= 0 || park > window {
+			t.Errorf("ParkNs = %v, want above 0 and at most the %v between submission and dequeue (LatNs %v)",
 				park, window, time.Duration(r.LatNs))
 		}
 		return
