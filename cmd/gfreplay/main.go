@@ -19,6 +19,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -140,10 +141,20 @@ func main() {
 
 	if *metrics {
 		fmt.Println("--- telemetry ---")
-		if err := s.Registry().WritePrometheus(os.Stdout); err != nil {
+		if err := dumpMetrics(ctx, os.Stdout, s); err != nil {
 			fail(err)
 		}
 	}
+}
+
+// dumpMetrics writes the service's registry as Prometheus text, after
+// refreshing it from every shard: the per-worker series — packets, cache
+// tiers, latency — exist only once Collect has run.
+func dumpMetrics(ctx context.Context, w io.Writer, s *service.Service) error {
+	if err := s.Collect(ctx); err != nil {
+		return err
+	}
+	return s.Registry().WritePrometheus(w)
 }
 
 func resolution(r *pcap.Reader) string {

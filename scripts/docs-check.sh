@@ -5,8 +5,10 @@
 # *.md / cmd/… / examples/… / internal/… / results/… path is in the tree (or is a
 # generated file .gitignore names), and every gigaflow_… metric name — in
 # the documents or in a Go comment of the service or root package — is one
-# the code registers, and every backticked Benchmark… / Test… / Fuzz… name
-# in the three documents is a function some _test.go defines. CHANGES.md
+# the code registers, every backticked Benchmark… / Test… / Fuzz… name
+# in the three documents is a function some _test.go defines, and every
+# backticked service config path there ends in a field the service
+# declares. CHANGES.md
 # and ROADMAP.md are history and are not read. Run from the repository
 # root: make docs-check (the one argument is the go command to use).
 docs="README.md EXPERIMENTS.md DESIGN.md .claude/skills/verify/SKILL.md"
@@ -62,6 +64,17 @@ done
 defined=$(grep -rhoE --include='*_test.go' '^func (Benchmark|Test|Fuzz)[A-Za-z0-9_]*' . | awk '{print $2}' | sort -u)
 for n in $(grep -ohE '`(Benchmark|Test|Fuzz)[A-Za-z0-9_]+' README.md EXPERIMENTS.md DESIGN.md | tr -d '`' | sort -u); do
 	echo "$defined" | grep -qx "$n" || bad "\`$n\`: no _test.go defines it"
+done
+
+# A config path is Config.… or starts at one of its sections, Expiry (gone
+# since PR 30) included; every field after its root must be one
+# service/service.go declares, so a deleted knob cannot outlive its code
+# in the prose.
+for f in $(grep -ohE '`[^`]+`' README.md EXPERIMENTS.md DESIGN.md | tr -d '`' | tr ' \t' '\n\n' | sed -E 's|[,.;:)]*$||' |
+	grep -E '^(Config|Expiry|Upcall|Latency|Conntrack)(\.[A-Z][A-Za-z0-9]*)+$' | sort -u); do
+	for field in $(echo "${f#*.}" | tr . ' '); do
+		grep -qE "^[[:space:]]+$field[[:space:]]" service/service.go || { bad "\`$f\`: service config has no field $field"; break; }
+	done
 done
 
 exit $status

@@ -206,7 +206,7 @@ func (b *Batch) AddMeta(k gigaflow.Key, meta uint8) {
 // Result returns request i's result, assembled from where the shard
 // wrote it. A blocking submission fills it in completely; a nonblocking
 // one records only the enqueue outcome in Err (nil, or ErrQueueFull for
-// a dropped packet). A frame refused at ingest carries its *FrameError. A
+// a dropped packet). A frame refused at ingest carries ErrShortFrame. A
 // request that was never submitted reads as the zero Result.
 //
 //gf:hotpath
@@ -438,7 +438,7 @@ func (s *Service) submitBlocking(ctx context.Context, b *Batch) error {
 		return err
 	}
 	start := time.Now()
-	waiting, callErr := s.dispatch(ctx, b, start.UnixNano())
+	waiting, callErr := s.dispatch(ctx, b, s.clock())
 	for waiting > 0 {
 		select {
 		case j := <-b.done:

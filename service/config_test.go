@@ -26,11 +26,9 @@ func TestConntrackConfigValidation(t *testing.T) {
 		{"ct excludes upcall offload",
 			Config{Upcall: UpcallConfig{Workers: 1}, Conntrack: ConntrackConfig{Enable: true}},
 			"mutually exclusive"},
-		// Expiry.Every needs something to expire — a ct MaxIdle alone
-		// satisfies it.
+		// The idle sweep runs for a ct MaxIdle alone.
 		{"expiry driven by ct idle alone",
-			Config{Expiry: ExpiryConfig{Every: time.Second},
-				Conntrack: ConntrackConfig{Enable: true, MaxIdle: time.Minute}}, ""},
+			Config{Conntrack: ConntrackConfig{Enable: true, MaxIdle: time.Minute}}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

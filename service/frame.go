@@ -145,9 +145,8 @@ type Frame struct {
 // submitter-side decode plus key-hash routing, which lands on the same
 // shard the wire hash would have and preserves the degraded-frame
 // semantics bit for bit; of those, frames too short for an Ethernet
-// header are never submitted and carry the *FrameError in Result.Err
-// (matching ErrBadFrame and the specific sentinel, e.g. ErrShortFrame),
-// so a mixed batch reports per-index outcomes.
+// header are never submitted and carry ErrShortFrame in Result.Err, so a
+// mixed batch reports per-index outcomes.
 //
 // A blocking submission reads each frame's bytes in place until it
 // returns; a nonblocking one copies them before returning. Either way
@@ -167,8 +166,8 @@ func (s *Service) SubmitFrameBatch(ctx context.Context, frames []Frame, b *Batch
 // closes. Frames with decode defects degrade to the longest well-formed
 // prefix of the key and are still forwarded (the pipeline decides their
 // fate); only a frame too short to carry an Ethernet header is rejected,
-// with ErrShortFrame (a *FrameError matching ErrBadFrame). Decode
-// outcomes are counted in the metrics registry either way.
+// with ErrShortFrame. Decode outcomes are counted in the metrics registry
+// either way.
 func (s *Service) SubmitFrame(ctx context.Context, inPort uint16, frame []byte, opts ...SubmitOption) (Result, error) {
 	b := batchPool.Get().(*Batch)
 	one := [1]Frame{{InPort: inPort, Data: frame}}

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,9 +26,10 @@ import (
 // and whichever way it came in, it must get the verdict a never-cached
 // pipeline walk (gigaflow.Reference) gives. One seeded generator writes an
 // op tape — packets in frames, whole and damaged; TCP handshakes, closes
-// and resets; rule updates; idle sweeps — and every cell of the matrix
-// replays it, through the VSwitch's own entry points on virtual time or
-// into a service by one of its entry points, with faults declared as data.
+// and resets; rule updates; idle sweeps and idle gaps — and every cell of
+// the matrix replays it, through the VSwitch's own entry points on virtual
+// time or into a service by one of its entry points, on a clock the tape
+// moves, with faults declared as data.
 // Every packet is held to the Reference, the cells of a group to each
 // other, and every service tape to the ledger. DESIGN.md "The oracle"
 // says what the matrix leaves out, and why.
@@ -37,6 +39,7 @@ type opKind uint8
 const (
 	opPacket    opKind = iota
 	opSweep            // the idle sweep, at the op's virtual time (VSwitch cells)
+	opTick             // the service clock jumps to the op's virtual time, and every shard is read (service cells)
 	opRules            // a rule update: flip, once on the service's pipeline
 	opRulesFail        // a rule update whose function flips and then fails
 )
@@ -61,6 +64,7 @@ type tapeSpec struct {
 	packets  int
 	thrash   int  // > 0: lead with three windows round robin over 4×thrash flows
 	sweep    bool // an idle sweep every 500 packets
+	ticks    int  // > 0: a tick every ticks packets and one at the end, each after an idle gap < 2×sweepEvery
 	damage   bool // every eighth frame damaged, each of packetOp's ways in turn
 	rules    int  // rule updates, spread evenly; every second one fails
 	lateBind bool // the tape must bind connections that are already established
@@ -86,8 +90,19 @@ func genTape(spec tapeSpec, seed uint64, cfg Config) ([]op, coverage) {
 	for i := 0; spec.thrash > 0 && i < 3*4096; i++ {
 		tape = append(tape, packetOp(spec.flow(i%(4*spec.thrash)), 0, int64(i), 0))
 	}
-	now, prev, updates := int64(len(tape)), 0, 0
+	// The virtual clock: a stateless tape's runs a nanosecond an op, a
+	// stateful one's a random step a packet, and a tick adds an idle gap.
+	now, idle, prev, updates := int64(len(tape)), int64(0), 0, 0
+	tick := func() {
+		gap := int64(rng.next() % uint64(2*sweepEvery))
+		idle, now = idle+gap, now+gap
+		tape = append(tape, op{kind: opTick, now: now})
+		o.tick(now)
+	}
 	for i := 0; i < spec.packets; i++ {
+		if spec.ticks > 0 && i > 0 && i%spec.ticks == 0 {
+			tick()
+		}
 		if spec.rules > 0 && i > 0 && i%(spec.packets/(spec.rules+1)) == 0 {
 			tape = append(tape, op{kind: opRules + opKind(updates%2)})
 			updates++
@@ -101,7 +116,8 @@ func genTape(spec tapeSpec, seed uint64, cfg Config) ([]op, coverage) {
 			if rng.next()%3 != 0 {
 				prev = int(rng.next() % uint64(spec.flows))
 			}
-			tape = append(tape, packetOp(spec.flow(prev), uint8(rng.next()), int64(len(tape)), damage))
+			now = int64(len(tape)) + idle
+			tape = append(tape, packetOp(spec.flow(prev), uint8(rng.next()), now, damage))
 			continue
 		}
 		// Handshakes, data, closes and resets from either side, tuple reuse
@@ -165,6 +181,9 @@ func genTape(spec tapeSpec, seed uint64, cfg Config) ([]op, coverage) {
 		if k == rpl && ct.Stats().Reopened != reopened {
 			cov.responderReopen++
 		}
+	}
+	if spec.ticks > 0 {
+		tick() // a last gap: only the observers' messages see it
 	}
 	return tape, cov
 }
@@ -233,11 +252,13 @@ func failFlip(p *gigaflow.Pipeline) error {
 
 // oracle is the never-cached walk a cell is held to: one Reference per
 // shard, over that shard's sub-range of every NAT pool, fed what the
-// service routes to the shard.
+// service routes to the shard, and swept when the service's shard is.
 type oracle struct {
-	pipes []*gigaflow.Pipeline
-	refs  []*gigaflow.Reference
-	route func(*gigaflow.Key) int
+	pipes   []*gigaflow.Pipeline
+	refs    []*gigaflow.Reference
+	route   func(*gigaflow.Key) int
+	ctIdle  int64   // Conntrack.MaxIdle
+	sweepAt []int64 // per shard, as worker.sweepAt
 }
 
 // newOracle lays an oracle out as a service on cfg lays out its shards,
@@ -248,8 +269,9 @@ func newOracle(mk func() *gigaflow.Pipeline, cfg Config) *oracle {
 	if err != nil {
 		panic(err)
 	}
-	o := &oracle{route: s.shardOfKey}
+	o := &oracle{route: s.shardOfKey, ctIdle: cfg.Conntrack.MaxIdle.Nanoseconds()}
 	for w := range s.workers {
+		o.sweepAt = append(o.sweepAt, sweepEvery.Nanoseconds())
 		p := mk()
 		for _, id := range p.NATPoolIDs() {
 			p.SetNATPool(id, p.NATShard(id, w, len(s.workers)))
@@ -273,6 +295,18 @@ func (o *oracle) walk(x *op, flagless bool) (gigaflow.ProcessResult, error) {
 func (o *oracle) sweep(now int64, maxIdle time.Duration) {
 	for _, r := range o.refs {
 		r.ExpireIdle(now, maxIdle.Nanoseconds())
+	}
+}
+
+// tick is a message stamped now at every shard: a shard whose sweep is
+// due sweeps first, by the service's rule. A service cell's clock moves
+// only at ticks, so no other message can find a sweep due.
+func (o *oracle) tick(now int64) {
+	for w, r := range o.refs {
+		if now >= o.sweepAt[w] {
+			r.ExpireIdle(now, o.ctIdle)
+			o.sweepAt[w] = now + sweepEvery.Nanoseconds()
+		}
 	}
 }
 
@@ -455,6 +489,18 @@ func runGroup(t *testing.T, g []cell, seed uint64, strict bool) {
 				tape[i].now = tape[hi-1].now
 			}
 		})
+	} else {
+		// A service cell's clock moves only at ticks, where every shard is
+		// read: every op up to the next tick carries the tick's stamp,
+		// whatever calls a cell cuts them into, so the cells' shards sweep
+		// at the same ops.
+		stamp := int64(0)
+		for i := range tape {
+			if tape[i].kind == opTick {
+				stamp = tape[i].now
+			}
+			tape[i].now = stamp
+		}
 	}
 	var want [2][]step // the Reference's, with TCP flags and without
 	outs := make([]*outcome, len(g))
@@ -491,8 +537,9 @@ func runGroup(t *testing.T, g []cell, seed uint64, strict bool) {
 		if j := firstDiff(a.res, b.res); j >= 0 && b.res != nil {
 			t.Fatalf("%s: op %d: %+v, %s %+v", c.name, j, b.res[j], base.name, a.res[j])
 		}
-		if a.stats != b.stats || a.entries != b.entries {
-			t.Errorf("%s: %+v (%d entries), %s %+v (%d)", c.name, b.stats, b.entries, base.name, a.stats, a.entries)
+		if a.stats != b.stats || a.entries != b.entries || expired(a.tel) != expired(b.tel) {
+			t.Errorf("%s: %+v (%d entries, %d expired), %s %+v (%d, %d)", c.name, b.stats, b.entries, expired(b.tel),
+				base.name, a.stats, a.entries, expired(a.tel))
 		}
 		// Parking probes a missed packet again and dedups by the batch (a
 		// nonblocking Replay does not wait between batches at all).
@@ -555,11 +602,12 @@ func (c *cell) tame(o *outcome, cov coverage) string {
 	if c.cfg.Conntrack.Enable && !c.flagless() {
 		need(c.cfg.MicroflowCapacity == 0 || st.CtFastpath > 0 && st.CtGuardFails > 0, "microflow guard serving and failing")
 		need(ct.Transitions > 0 && ct.Reopened > 0, "transitions and reopens")
-		need(!c.tape.sweep || ct.Expired > 0, "expiry")
+		need(!c.tape.sweep && c.tape.ticks == 0 || ct.Expired > 0, "expiry")
 		need(cov.rstInNew > 0 && cov.responderReopen > 0, "RST in New and responder reopen")
 		need(!c.tape.lateBind || cov.lateBind > 0, "late bind")
 	}
 	need(!c.driver.park || !c.cfg.Conntrack.Enable || o.ooph > 0, "CompleteMiss hits on a conntrack switch")
+	need(c.tape.ticks == 0 || c.cfg.MaxIdle == 0 || expired(o.tel) > 0, "idle cache entries expired")
 	if c.entry != viaVSwitch && c.fault.closeAt == 0 {
 		need(u.Enabled == (up.Workers > 0), "offload engaged exactly when configured")
 		need(up.Workers == 0 || u.Flows > 0, "upcalls")
@@ -567,8 +615,7 @@ func (c *cell) tame(o *outcome, cov coverage) string {
 		// warms every flow first.
 		batched := (c.entry == viaSubmitBatch || c.entry == viaSubmitFrameBatch) && c.batch != 1 && c.tape.thrash == 0
 		need(up.Workers == 0 || !batched || u.Deduped > 0, "deduplicated followers")
-		need(up.Queue != 1 || up.Overflow != OverflowInline || u.OverflowInline > 0, "inline overflow")
-		need(up.Queue != 1 || up.Overflow != OverflowDrop || u.OverflowDrops > 0, "overflow drops")
+		need(up.Queue != 1 || u.OverflowInline > 0, "inline overflow")
 		need(c.fault.wedge == 0 || u.Stale > 0, "stale walk")
 		need(c.fault.stall == 0 || o.fates[queueFull] > 0, "queue-full drops")
 	}
@@ -577,6 +624,22 @@ func (c *cell) tame(o *outcome, cov coverage) string {
 			f.decoded[wire.ProtoNonIPv4].Value() > 0, "frames of every damaged kind")
 	}
 	return strings.Join(missing, ", ")
+}
+
+// expired counts the entries idle expiry took from every shard's tiers.
+func expired(tel []gigaflow.VSwitchTelemetry) (n uint64) {
+	for _, t := range tel {
+		if t.Gigaflow != nil {
+			n += t.Gigaflow.Expired
+		}
+		if t.Megaflow != nil {
+			n += t.Megaflow.Expired
+		}
+		if t.Microflow != nil {
+			n += t.Microflow.Expired
+		}
+	}
+	return n
 }
 
 // step is what the Reference says of an op, and its connection table
@@ -709,12 +772,10 @@ func (c *cell) drive(t *testing.T, tape []op, want []step) *outcome {
 	return o
 }
 
-// What became of a request handed to a service — the ledger's columns,
-// those up to overflow once it reached its shard.
+// What became of a request handed to a service — the ledger's columns.
 const (
 	served    = iota // a verdict: Stats.Packets
 	short            // too short for Ethernet: the short_frame decode errors
-	overflow         // its miss met a full upcall queue under OverflowDrop: UpcallStats.OverflowDrops
 	queueFull        // Nonblocking into a full worker queue: the queue-full drops
 	closed           // after Close (no counter)
 	cancelled        // a cancelled context (no counter)
@@ -733,7 +794,7 @@ type svcRun struct {
 	out            *outcome
 	exp            []gigaflow.ProcessResult // what the oracle expects of each pending op
 	pending        []int                    // nonblocking ops handed in, verdicts not yet filed
-	lost           int                      // of their verdicts, overflow drops, which name no op
+	clock          atomic.Int64             // the service clock
 	closed, wedged bool
 	from, to       int           // the wedge or stall window: ops [from, to)
 	held           chan struct{} // closed to let stalled workers go
@@ -753,10 +814,11 @@ func (c *cell) runService(t *testing.T, tape []op) *outcome {
 		}
 		return nil
 	}
-	s := start(t, c.tape.pipe(), c.cfg)
-	r := &svcRun{t: t, c: c, s: s, o: newOracle(c.tape.pipe, c.cfg), tape: tape, b: NewBatch(64),
+	r := &svcRun{t: t, c: c, o: newOracle(c.tape.pipe, c.cfg), tape: tape, b: NewBatch(64),
 		resp: make(chan Result, len(tape)), out: &outcome{res: make([]Result, len(tape))},
 		exp: make([]gigaflow.ProcessResult, len(tape)), frames: newFrameMetrics(telemetry.NewRegistry())}
+	s := startOn(t, c.tape.pipe(), c.cfg, r.clock.Load)
+	r.s = s
 	defer func() { // before the service is closed
 		r.release()
 		if r.wedged {
@@ -798,6 +860,8 @@ func (c *cell) runService(t *testing.T, tape []op) *outcome {
 		switch k := tape[lo].kind; k {
 		case opRules, opRulesFail:
 			r.update(k)
+		case opTick:
+			r.tick(tape[lo].now)
 		case opPacket:
 			r.send(lo, hi)
 		}
@@ -850,8 +914,6 @@ func (r *svcRun) send(lo, hi int) {
 			fate = cancelled
 		case nonblocking && errors.Is(e, ErrQueueFull):
 			fate = queueFull
-		case c.cfg.Upcall.Overflow == OverflowDrop && errors.Is(e, ErrUpcallOverflow):
-			fate = overflow
 		case e != nil || x.short || r.closed:
 			r.t.Fatalf("op %d: %v (service closed: %v)", at, e, r.closed)
 		case nonblocking:
@@ -865,7 +927,7 @@ func (r *svcRun) send(lo, hi int) {
 		r.fate[fate] += btoi(fate != served || !nonblocking)
 		// A frame the RSS extractor takes is decoded on its shard, if it gets
 		// there.
-		if _, routable := wire.RSSTuple(x.frame); c.entry.frames() && (!routable || fate <= overflow) {
+		if _, routable := wire.RSSTuple(x.frame); c.entry.frames() && (!routable || fate <= short) {
 			r.tally(x)
 		}
 	}
@@ -919,6 +981,20 @@ func (r *svcRun) release() {
 		close(r.held)
 		r.held = nil
 	}
+}
+
+// tick moves the service clock to now and reads every shard's stats: each
+// shard serves a message stamped now, sweeping first if it is due, and so
+// does its Reference.
+func (r *svcRun) tick(now int64) {
+	if r.closed {
+		return
+	}
+	r.clock.Store(now)
+	if _, err := r.s.Stats(context.Background()); err != nil {
+		r.t.Fatal(err)
+	}
+	r.o.tick(now)
 }
 
 // update applies a rule update of the tape to the service and — once its
@@ -988,7 +1064,7 @@ func (r *svcRun) call(ctx context.Context, ops []op, opts []SubmitOption, nonblo
 // the earliest pending op the oracle expects it of: a flow's verdicts keep
 // its order. Without wait it takes only what has arrived.
 func (r *svcRun) collect(wait bool) {
-	for len(r.pending) > r.lost {
+	for len(r.pending) > 0 {
 		var res Result
 		select {
 		case res = <-r.resp:
@@ -996,12 +1072,7 @@ func (r *svcRun) collect(wait bool) {
 			if !wait {
 				return
 			}
-			res = recv(r.t, r.resp, fmt.Sprint(len(r.pending)-r.lost, " verdicts"))
-		}
-		if r.c.cfg.Upcall.Overflow == OverflowDrop && errors.Is(res.Err, ErrUpcallOverflow) {
-			r.lost++
-			r.fate[overflow]++
-			continue
+			res = recv(r.t, r.resp, fmt.Sprint(len(r.pending), " verdicts"))
 		}
 		at := slices.IndexFunc(r.pending, func(i int) bool {
 			return res.Err == nil && res.Verdict == r.exp[i].Verdict && res.Final == r.exp[i].Final
@@ -1013,10 +1084,6 @@ func (r *svcRun) collect(wait bool) {
 		r.pending = slices.Delete(r.pending, at, at+1)
 		r.fate[served]++
 	}
-	for _, i := range r.pending { // what is left was dropped by the full upcall queue
-		r.out.res[i] = Result{Err: ErrUpcallOverflow}
-	}
-	r.pending, r.lost = r.pending[:0], 0
 }
 
 // unwedge ends the wedge at the first rule update, which lands while the
@@ -1107,7 +1174,7 @@ func (r *svcRun) snapshot() {
 		r.t.Errorf("engine drained %d misses in %d batches: a batch holds 1 to %d", u.Drained, u.Batches, DefaultBatchSize)
 	}
 	r.out.upcall.Drained, r.out.upcall.Batches = 0, 0 // when the engine woke is its own business
-	r.counted[served], r.counted[overflow] = int(r.out.stats.Packets), int(r.out.upcall.OverflowDrops)
+	r.counted[served] = int(r.out.stats.Packets)
 }
 
 // ledger checks that every packet handed to the service was served,
@@ -1122,14 +1189,14 @@ func (r *svcRun) ledger() {
 		sum += n
 	}
 	if r.handed != sum || r.counted != r.fate {
-		t.Errorf("ledger: %d handed in; served, short, overflow-dropped, queue-full, closed, cancelled: %v by the counters, %v by the results",
+		t.Errorf("ledger: %d handed in; served, short, queue-full, closed, cancelled: %v by the counters, %v by the results",
 			r.handed, r.counted, r.fate)
 	}
 	if u.ParkedPackets != 0 || u.PendingFlows != 0 {
 		t.Errorf("left parked: %+v", u)
 	}
-	if u.Enabled && !r.closed && (u.Released != u.Completed+u.Deduped+u.OverflowInline+u.OverflowDrops ||
-		u.Flows != u.Completed+u.OverflowInline+u.OverflowDrops || u.Overflows != u.OverflowInline+u.OverflowDrops) {
+	if u.Enabled && !r.closed && (u.Released != u.Completed+u.Deduped+u.OverflowInline ||
+		u.Flows != u.Completed+u.OverflowInline || u.Overflows != u.OverflowInline) {
 		t.Errorf("upcall ledger: %+v", u)
 	}
 	if n := len(r.resp); n > 0 {
@@ -1268,7 +1335,7 @@ var cells = func() []cell {
 			{"state-nat", stateful(stateNATPipeline, 48, 12000), 4096, 192},
 			{"late-bind", stateful(lateBindPipeline, 48, 12000), 4096, 192},
 		} {
-			cfg := Config{Backend: be, MicroflowCapacity: v.uf, Expiry: ExpiryConfig{MaxIdle: maxIdle}}
+			cfg := Config{Backend: be, MicroflowCapacity: v.uf, MaxIdle: maxIdle}
 			if be == BackendGigaflow {
 				cfg.Cache = gigaflow.CacheConfig{NumTables: 4, TableCapacity: v.size}
 			} else {
@@ -1375,22 +1442,28 @@ var cells = func() []cell {
 	wedged.packets, wedged.rules = 300, 5
 	alone("upcall/wedged", cell{tape: wedged, cfg: upcall(two, UpcallConfig{Workers: 1, Queue: 4096}),
 		entry: viaSubmitBatch, fault: fault{wedge: 50}})
-	alone("upcall/overflow-drop/wedged", cell{tape: wedged, cfg: upcall(two, UpcallConfig{Workers: 1, Queue: 1, Overflow: OverflowDrop}),
-		entry: viaSubmitFrameBatch, batch: 32, fault: fault{wedge: 50}})
 	alone("close", cell{tape: perflow, cfg: upcall(shards(sync, 2), UpcallConfig{Workers: 1, Queue: 4096}),
 		entry: viaSubmitFrameBatch, batch: 32, fault: fault{closeAt: 250}})
 	alone("cancel", cell{tape: perflow, cfg: shards(sync, 2), entry: viaSubmitBatch, batch: 32, fault: fault{cancelAt: 100}})
-	expiry := two // the real ticker: hits depend on the clock, verdicts do not
-	expiry.Expiry = ExpiryConfig{MaxIdle: time.Millisecond, Every: 2 * time.Millisecond}
-	alone("expiry", cell{tape: svc, cfg: expiry, entry: viaSubmitFrameBatch, batch: 32})
+	// Idle gaps between ticks: an entry idle across a due sweep goes, and
+	// its flow misses again. Every cell sweeps at the same ops, so they
+	// agree to the hit.
+	expiry, gaps := two, svc
+	expiry.MaxIdle, gaps.ticks = time.Second, 50
+	add("expiry", "SubmitFrameBatch", cell{tape: gaps, cfg: expiry, entry: viaSubmitFrameBatch, batch: 32})
+	add("expiry", "SubmitBatch/busy", cell{tape: gaps, cfg: expiry, entry: viaSubmitBatch, busy: true})
+	add("expiry", "upcall/SubmitFrame/nonblocking", cell{tape: gaps, cfg: upcall(expiry, UpcallConfig{Workers: 1, Queue: 4096}),
+		entry: viaSubmitFrame, nonblocking: true})
 
-	// Conntrack, a Reference per shard: a group per shard count.
+	// Conntrack, a Reference per shard: a group per shard count. Idle gaps
+	// between ticks expire connections, on the service's shards and the
+	// References alike.
 	ct := func(n int) Config {
 		return Config{Workers: n, Cache: gigaflow.CacheConfig{NumTables: 4, TableCapacity: 4 * 1024},
-			MicroflowCapacity: 192, Conntrack: ConntrackConfig{Enable: true}}
+			MicroflowCapacity: 192, Conntrack: ConntrackConfig{Enable: true, MaxIdle: time.Second}}
 	}
 	lb := stateful(statefulPipeline, 24, 1500)
-	lb.damage = true
+	lb.damage, lb.ticks = true, 50
 	for _, n := range []int{1, 2, 4} {
 		g := fmt.Sprint("ct/lb/", n)
 		add(g, "SubmitFrameBatch", cell{tape: lb, cfg: ct(n), entry: viaSubmitFrameBatch, batch: 32})
@@ -1404,7 +1477,7 @@ var cells = func() []cell {
 	alone("ct/lb/Submit/2", cell{tape: lb, cfg: ct(2), entry: viaSubmit})
 	for _, mk := range []func() *gigaflow.Pipeline{stateNATPipeline, lateBindPipeline} {
 		spec := stateful(mk, 24, 1500)
-		spec.damage = true
+		spec.damage, spec.ticks = true, 50
 		alone("ct/"+mk().Name+"/2", cell{tape: spec, cfg: ct(2), entry: viaSubmitFrameBatch, batch: 32})
 	}
 	alone("ct/upcall", cell{tape: lb, cfg: upcall(ct(1), UpcallConfig{Workers: 1}), entry: viaSubmitFrameBatch})

@@ -190,11 +190,12 @@ func TestBlockingSeesOwnEarlierNonblocking(t *testing.T) {
 // TestShardOwnershipUnderRace hammers one service from every kind of
 // caller at once — blocking submitters (which run their own shares when
 // the shard is idle), a nonblocking submitter streaming responses, rule
-// updates, stats and telemetry snapshots, the expiry ticker — and closes
-// it mid-flight. Under -race this is the proof that everything touching
-// a shard's state holds its owner lock. Every blocking request gets
-// exactly one outcome, nobody hangs, nothing stays parked, and every
-// shard's counters still add up.
+// updates, stats and telemetry snapshots — on a service clock that races
+// ahead a quarter of sweepEvery a read, so shards sweep idle entries all
+// along — and closes it mid-flight. Under -race this is the proof that
+// everything touching a shard's state holds its owner lock. Every
+// blocking request gets exactly one outcome, nobody hangs, nothing stays
+// parked, every shard's counters still add up, and idle entries expired.
 func TestShardOwnershipUnderRace(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		for _, async := range []bool{false, true} {
@@ -202,12 +203,14 @@ func TestShardOwnershipUnderRace(t *testing.T) {
 				Workers:           workers,
 				Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 64},
 				MicroflowCapacity: 32,
-				Expiry:            ExpiryConfig{Every: time.Millisecond, MaxIdle: 2 * time.Millisecond},
+				MaxIdle:           sweepEvery / 2,
 			}
 			if async {
 				cfg.Upcall = UpcallConfig{Workers: 2, Queue: 8}
 			}
-			s, ctx := start(t, perFlowPipeline(256), cfg), context.Background()
+			var clock atomic.Int64
+			tick := func() int64 { return clock.Add(sweepEvery.Nanoseconds() / 4) }
+			s, ctx := startOn(t, perFlowPipeline(256), cfg, tick), context.Background()
 			var wg sync.WaitGroup
 			var verdicts, refusals atomic.Int64
 			closed := make(chan struct{})
@@ -323,6 +326,7 @@ func TestShardOwnershipUnderRace(t *testing.T) {
 			}
 			// The workers have exited (Close waited for them); shard state is
 			// quiescent and safe to read directly.
+			var expired uint64
 			for _, w := range s.workers {
 				if !w.own.TryLock() {
 					t.Fatalf("workers=%d async=%v: shard %d's owner lock is still held after Close", workers, async, w.idx)
@@ -336,7 +340,11 @@ func TestShardOwnershipUnderRace(t *testing.T) {
 					t.Errorf("workers=%d async=%v shard %d: %d flows / %d packets still parked after Close",
 						workers, async, w.idx, len(w.pending), w.up.ParkedPackets)
 				}
+				expired += w.vs.Cache().Stats().Expired + w.vs.Microflow().Stats().Expired
 				w.own.Unlock()
+			}
+			if expired == 0 {
+				t.Errorf("workers=%d async=%v: no shard swept an idle entry", workers, async)
 			}
 			t.Logf("workers=%d async=%v: %d verdicts, %d refused at shutdown, %d/%d nonblocking answered",
 				workers, async, verdicts.Load(), refusals.Load(), len(resp), accepted)

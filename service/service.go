@@ -1,7 +1,7 @@
 // Package service wraps gigaflow.VSwitch in the runtime scaffolding a
 // deployment needs: RSS-sharded forwarding state (OVS's PMD-thread
 // architecture), rule updates with immediate revalidation (§4.3.1),
-// periodic idle-entry expiry (§4.3.2), and graceful shutdown.
+// idle-entry expiry (§4.3.2), and graceful shutdown.
 //
 // The caches are deliberately single-threaded (as in the paper, where one
 // CPU core runs the slowpath), so each shard owns its own cache shard and
@@ -29,6 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,33 +58,10 @@ func (b Backend) String() string {
 	return "gigaflow"
 }
 
-// ExpiryConfig configures the periodic idle sweep (one section of Config).
-type ExpiryConfig struct {
-	// Every triggers idle-entry sweeps at this interval (default 500ms;
-	// requires MaxIdle, or an enabled Conntrack section with its own
-	// MaxIdle, so the sweep has something to evict).
-	Every time.Duration
-	// MaxIdle expires cache entries idle longer than this (0 disables
-	// cache-entry expiry).
-	MaxIdle time.Duration
-}
-
-func (c ExpiryConfig) validate() error {
-	if c.MaxIdle < 0 {
-		return fmt.Errorf("service: negative Expiry.MaxIdle (%v)", c.MaxIdle)
-	}
-	if c.Every < 0 {
-		return fmt.Errorf("service: negative Expiry.Every (%v)", c.Every)
-	}
-	return nil
-}
-
-func (c ExpiryConfig) withDefaults() ExpiryConfig {
-	if c.Every == 0 {
-		c.Every = 500 * time.Millisecond
-	}
-	return c
-}
+// sweepEvery is the idle sweep's period on the service clock: a shard
+// sweeps at the start of the first message it serves this long or longer
+// after its last sweep.
+const sweepEvery = 500 * time.Millisecond
 
 // UpcallConfig configures the asynchronous slow-path offload (one
 // section of Config).
@@ -94,7 +72,7 @@ type UpcallConfig struct {
 	// blocking the worker on the pipeline traversal; concurrent misses
 	// of the same flow coalesce onto one traversal, and parked packets
 	// are released in arrival order per flow, so results and VSwitch
-	// stats are indistinguishable from inline processing, OverflowInline's
+	// stats are indistinguishable from inline processing, the full-queue
 	// fallback included. Each tier's own stats are too while no miss
 	// meets a full queue and no cache tier evicts: the fallback probes a
 	// parked packet's tiers a second time, and a batch's parked misses
@@ -102,13 +80,9 @@ type UpcallConfig struct {
 	// flows it keeps can differ.
 	Workers int
 	// Queue bounds the shared miss queue (default 1024). A fresh miss
-	// that finds it full is handled per Overflow; packets of
+	// that finds it full is traversed inline, on the shard; packets of
 	// already-pending flows never touch the queue.
 	Queue int
-	// Overflow selects the full-queue policy: OverflowInline (default)
-	// traverses on the worker, OverflowDrop fails the packet with
-	// ErrUpcallOverflow.
-	Overflow OverflowPolicy
 }
 
 func (c UpcallConfig) validate() error {
@@ -118,12 +92,7 @@ func (c UpcallConfig) validate() error {
 	if c.Queue < 0 {
 		return fmt.Errorf("service: negative Upcall.Queue (%d)", c.Queue)
 	}
-	switch c.Overflow {
-	case OverflowInline, OverflowDrop:
-	default:
-		return fmt.Errorf("service: unknown Upcall.Overflow (%d)", c.Overflow)
-	}
-	if c.Workers == 0 && (c.Queue != 0 || c.Overflow != OverflowInline) {
+	if c.Workers == 0 && c.Queue != 0 {
 		return errors.New("service: upcall knobs set but Upcall.Workers is 0 (offload disabled)")
 	}
 	return nil
@@ -191,8 +160,8 @@ type ConntrackConfig struct {
 	// with Enable). Under pressure the least recently seen connection is
 	// evicted.
 	MaxConns int
-	// MaxIdle expires connections idle longer than this on the Expiry
-	// sweep (0 keeps connections forever). Expired connections are
+	// MaxIdle expires connections idle longer than this on the idle sweep
+	// (0 keeps connections forever). Expired connections are
 	// epoch-poisoned, so cache entries that depended on them die lazily.
 	MaxIdle time.Duration
 }
@@ -218,7 +187,7 @@ func (c ConntrackConfig) withDefaults() ConntrackConfig {
 }
 
 // Config parameterises a Service. Cross-cutting knobs are top-level;
-// subsystem knobs live in the nested sections (Expiry, Upcall, Latency,
+// subsystem knobs live in the nested sections (Upcall, Latency,
 // Conntrack), each with its own defaults and validation.
 type Config struct {
 	// Workers is the number of forwarding workers (default 1). The cache
@@ -239,9 +208,13 @@ type Config struct {
 	MicroflowCapacity int
 	// QueueDepth is each worker's input queue length (default 1024).
 	QueueDepth int
+	// MaxIdle expires cache entries idle longer than this (0 disables
+	// cache-entry expiry). A shard sweeps at the start of the first
+	// message it serves 500 ms or more after its last sweep, before the
+	// message itself; Conntrack.MaxIdle expires connections on the same
+	// sweep.
+	MaxIdle time.Duration
 
-	// Expiry configures the periodic idle sweep.
-	Expiry ExpiryConfig
 	// Upcall configures the asynchronous slow-path offload. Mutually
 	// exclusive with Conntrack.Enable: the offload's parked slowpath is
 	// stateless.
@@ -286,8 +259,8 @@ func (c Config) validate() error {
 	if c.TraceBuffer < 0 {
 		return fmt.Errorf("service: negative TraceBuffer (%d)", c.TraceBuffer)
 	}
-	if err := c.Expiry.validate(); err != nil {
-		return err
+	if c.MaxIdle < 0 {
+		return fmt.Errorf("service: negative MaxIdle (%v)", c.MaxIdle)
 	}
 	if err := c.Upcall.validate(); err != nil {
 		return err
@@ -297,10 +270,6 @@ func (c Config) validate() error {
 	}
 	if err := c.Conntrack.validate(); err != nil {
 		return err
-	}
-	if c.Expiry.Every > 0 && c.Expiry.MaxIdle == 0 &&
-		!(c.Conntrack.Enable && c.Conntrack.MaxIdle > 0) {
-		return errors.New("service: Expiry.Every set but MaxIdle is 0 (expiry would never evict)")
 	}
 	if c.Conntrack.Enable && c.Upcall.Workers > 0 {
 		return errors.New("service: Conntrack and the Upcall offload are mutually exclusive: a conntrack switch resolves every miss inline, so the upcall workers would never receive work (lifting this takes a parked record that carries the tracked key, the connection's epoch and the direction)")
@@ -350,7 +319,6 @@ func (c Config) withDefaults() Config {
 	if c.TraceBuffer <= 0 {
 		c.TraceBuffer = 256
 	}
-	c.Expiry = c.Expiry.withDefaults()
 	c.Upcall = c.Upcall.withDefaults()
 	c.Conntrack = c.Conntrack.withDefaults()
 	return c
@@ -368,7 +336,7 @@ type Result struct {
 // are two kinds: a job — one share of a batch, the only form in which
 // packets reach a shard, a single packet being a share of one — or a
 // control function run under the shard's owner lock (rule update,
-// snapshot, expiry, a group of engine-completed upcalls to apply).
+// snapshot, a group of engine-completed upcalls to apply).
 type packet struct {
 	job     *batchJob
 	control func(i int, w *worker)
@@ -384,10 +352,11 @@ type respMsg struct {
 // worker is one shard: a cache shard over the service's pipeline, and the
 // goroutine that serves its input queue.
 type worker struct {
-	// own is the shard's owner lock: vs, rec, tally, procPark, stopped and
-	// the async offload state below are touched only while holding it. The
-	// worker goroutine takes it around every queued message; a blocking
-	// submitter takes it — TryLock, never waiting — to run its own share.
+	// own is the shard's owner lock: vs, rec, tally, procPark, sweepAt,
+	// stopped and the async offload state below are touched only while
+	// holding it. The worker goroutine takes it around every queued
+	// message; a blocking submitter takes it — TryLock, never waiting — to
+	// run its own share.
 	own sync.Mutex
 	// inflight counts messages sent to in whose run has not finished:
 	// incremented before the send, decremented after the message has run
@@ -406,7 +375,11 @@ type worker struct {
 	label string // shard index, precomputed for metric labels
 
 	procPark []bool // ProcessBatchPark's parked flags, grown to the largest job seen
-	stopped  bool   // drain has begun: a share run from here on fails with ErrClosed
+	// sweepAt is the stamp from which the next message the shard serves
+	// sweeps first: sweepEvery past the last sweep, never when nothing
+	// expires.
+	sweepAt int64
+	stopped bool // drain has begun: a share run from here on fails with ErrClosed
 
 	// What the message being served must tell other goroutines, collected
 	// under the owner lock and sent once it is released. Only the worker
@@ -416,16 +389,14 @@ type worker struct {
 	fin   []*batchJob
 
 	drops atomic.Uint64 // nonblocking rejections due to a full queue
-	skips atomic.Uint64 // expiry sweeps skipped due to a full queue
 
 	// Asynchronous offload state (Config.Upcall.Workers > 0; eng is nil
 	// otherwise). Apart from the shared eng, all of it is owner-lock state:
 	// the pending-flow table, at most one miss per flow, and the shard's
 	// offload counters.
-	eng      *engine
-	overflow OverflowPolicy
-	pending  map[gigaflow.Key]*miss
-	up       UpcallStats
+	eng     *engine
+	pending map[gigaflow.Key]*miss
+	up      UpcallStats
 }
 
 // Lifecycle states, tracked in Service.state so the submission hot path
@@ -466,6 +437,12 @@ type Service struct {
 	// Config.Upcall.Workers > 0.
 	eng *engine
 
+	// clock stamps everything that ages a cache: a job, a share run in
+	// place, a batch of upcall completions, and the idle sweep each of them
+	// may run first (unix ns). It is time.Now; a test may replace it before
+	// Start. Latency, ParkNs and traversal timings read the real clock.
+	clock func() int64
+
 	reg     *telemetry.Registry
 	tracer  *telemetry.Tracer
 	latency *telemetry.Histogram
@@ -497,6 +474,7 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 		reg:    telemetry.NewRegistry(),
 		tracer: telemetry.NewTracer(cfg.TraceSample, cfg.TraceBuffer),
 		term:   make(chan struct{}),
+		clock:  func() int64 { return time.Now().UnixNano() },
 	}
 	s.latency = s.reg.Histogram("gigaflow_submit_latency_ns",
 		"End-to-end Submit latency (enqueue to result) in nanoseconds.")
@@ -519,10 +497,14 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 	if cfg.Upcall.Workers > 0 {
 		s.eng = &engine{q: make(chan *miss, cfg.Upcall.Queue)}
 	}
+	sweepAt := int64(math.MaxInt64)
+	if cfg.MaxIdle > 0 || cfg.Conntrack.MaxIdle > 0 {
+		sweepAt = sweepEvery.Nanoseconds()
+	}
 	for i := 0; i < cfg.Workers; i++ {
 		opts := []gigaflow.VSwitchOption{gigaflow.WithTracer(s.tracer)}
-		if cfg.Expiry.MaxIdle > 0 {
-			opts = append(opts, gigaflow.WithMaxIdle(cfg.Expiry.MaxIdle.Nanoseconds()))
+		if cfg.MaxIdle > 0 {
+			opts = append(opts, gigaflow.WithMaxIdle(cfg.MaxIdle.Nanoseconds()))
 		}
 		if cfg.Conntrack.Enable {
 			// Shard i binds only inside its own sub-range of every NAT pool,
@@ -549,15 +531,15 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 			opts = append(opts, gigaflow.WithLatencyRecorder(rec))
 		}
 		w := &worker{
-			rec:   rec,
-			fm:    s.frames,
-			in:    make(chan packet, cfg.QueueDepth),
-			idx:   i,
-			label: fmt.Sprintf("%d", i),
-			eng:   s.eng,
+			rec:     rec,
+			fm:      s.frames,
+			in:      make(chan packet, cfg.QueueDepth),
+			idx:     i,
+			label:   fmt.Sprintf("%d", i),
+			sweepAt: sweepAt,
+			eng:     s.eng,
 		}
 		if s.eng != nil {
-			w.overflow = cfg.Upcall.Overflow
 			w.pending = make(map[gigaflow.Key]*miss)
 		}
 		w.vs = gigaflow.NewVSwitch(pipe, perWorker, opts...)
@@ -566,9 +548,9 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// Start launches the workers and the expiry ticker. Cancel ctx or call
-// Close to stop. Errors: ErrStarted on a second Start, ErrClosed after
-// Close.
+// Start launches the workers (and the upcall engine, when configured).
+// Cancel ctx or call Close to stop. Errors: ErrStarted on a second Start,
+// ErrClosed after Close.
 func (s *Service) Start(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -590,11 +572,6 @@ func (s *Service) Start(ctx context.Context) error {
 	for _, w := range s.workers {
 		s.done.Add(1)
 		go s.runWorker(ctx, w)
-	}
-	if s.cfg.Expiry.MaxIdle > 0 ||
-		(s.cfg.Conntrack.Enable && s.cfg.Conntrack.MaxIdle > 0) {
-		s.done.Add(1)
-		go s.runExpiry(ctx)
 	}
 	// The watcher closes term once every worker has exited — whether the
 	// shutdown came from Close or from the caller cancelling ctx — so
@@ -620,7 +597,7 @@ func (s *Service) runWorker(ctx context.Context, w *worker) {
 			w.drain()
 			return
 		case m := <-w.in:
-			w.serve(m, false)
+			w.serve(m, s.clock(), false)
 		}
 	}
 }
@@ -685,25 +662,41 @@ func (w *worker) tryRun(j *batchJob, now int64) bool {
 		j.blk.settle(ErrClosed)
 		j.finished = true
 	} else {
+		w.due(now)
 		j.finished = w.runJob(j, now)
 	}
 	w.own.Unlock()
 	return true
 }
 
-// serve runs one queued message under the owner lock and then — lock
-// released — sends what it produced: results to response channels,
+// due opens a message stamped now: a shard whose last idle sweep is
+// sweepEvery or more behind the stamp sweeps first, so whatever the
+// message does or reads finds the caches as a sweep just before it would
+// leave them. Every observer reaches a shard through a message, so expiry
+// is a function of the messages' stamps, not of goroutine scheduling.
+//
+//gf:hotpath-safe one compare per message; the sweep itself runs at most once per sweepEvery
+func (w *worker) due(now int64) {
+	if now >= w.sweepAt {
+		w.vs.ExpireIdle(now)
+		w.sweepAt = now + sweepEvery.Nanoseconds()
+	}
+}
+
+// serve runs one queued message stamped now under the owner lock and then
+// — lock released — sends what it produced: results to response channels,
 // finished jobs to their submitters, the control acknowledgement. The
 // in-flight count drops last, so a submitter that sees the shard idle
 // sees everything it queued earlier fully delivered. closing is drain's
-// mode: work fails with ErrClosed and no send may wait.
-func (w *worker) serve(m packet, closing bool) {
+// mode: work fails with ErrClosed, nothing sweeps and no send may wait.
+func (w *worker) serve(m packet, now int64, closing bool) {
 	w.own.Lock()
 	if closing {
 		w.stopped = true
 		w.refuse(m)
 	} else {
-		w.run(m)
+		w.due(now)
+		w.run(m, now)
 	}
 	w.own.Unlock()
 	w.flush(closing)
@@ -743,14 +736,14 @@ func (w *worker) reply(ch chan<- Result, res *gigaflow.ProcessResult, err error)
 	}
 }
 
-// run executes one queued message under the owner lock. A job's wall
-// clock is read once and stamps every packet of the share, so the share
-// ages caches identically and the latency recorder anchors its flight
+// run executes one queued message under the owner lock. The message's
+// one stamp covers every packet of a job's share, so the share ages
+// caches identically and the latency recorder anchors its flight
 // timestamps on the same stamp that touched the cache entries.
-func (w *worker) run(m packet) {
+func (w *worker) run(m packet, now int64) {
 	if m.control != nil {
 		m.control(w.idx, w)
-	} else if w.runJob(m.job, time.Now().UnixNano()) && m.job.done != nil {
+	} else if w.runJob(m.job, now) && m.job.done != nil {
 		w.fin = append(w.fin, m.job)
 	}
 }
@@ -813,11 +806,11 @@ func (w *worker) runJob(j *batchJob, now int64) (finished bool) {
 
 // parkJob is runJob's scan in async offload mode: hits resolve in the
 // batch scan; misses park behind their flows and answer later via
-// complete. j.pending starts at 1 for the scan itself so a completion
-// can never finish the job mid-scan (impossible today — completions need
-// the owner lock this scan holds — but cheap to make structural); the
-// scan's own unit is released at the end, finishing the job if nothing
-// parked.
+// complete, or — a fresh miss the full upcall queue refuses — run inline.
+// j.pending starts at 1 for the scan itself so a completion can never
+// finish the job mid-scan (impossible today — completions need the owner
+// lock this scan holds — but cheap to make structural); the scan's own
+// unit is released at the end, finishing the job if nothing parked.
 //
 //gf:hotpath-safe async offload: parking a miss allocates its pending-flow entry and feeds the upcall queue by design
 func (w *worker) parkJob(j *batchJob, now int64) (finished bool) {
@@ -831,11 +824,16 @@ func (w *worker) parkJob(j *batchJob, now int64) (finished bool) {
 	j.pending = 1
 	for i := 0; i < n; i++ {
 		if parks[i] {
-			if w.parkOne(blk.keys[i], parked{job: j, idx: i}, now) {
+			if w.parkOne(blk.keys[i], parked{job: j, idx: i}) {
 				j.pending++
 				continue
 			}
-			blk.out[i], blk.errs[i] = w.parkFallback(blk.keys[i], now)
+			// The queue is full: traverse inline, as synchronous mode would.
+			// A parked packet was counted nowhere, so this is the whole loop,
+			// looked up again first — an earlier packet of the share may have
+			// installed its flow meanwhile.
+			w.up.OverflowInline++
+			blk.out[i], blk.errs[i] = w.vs.Process(blk.keys[i], now)
 		}
 		w.reply(j.resp, &blk.out[i], blk.errs[i])
 	}
@@ -855,7 +853,7 @@ func (w *worker) drain() {
 	for {
 		select {
 		case m := <-w.in:
-			w.serve(m, true)
+			w.serve(m, 0, true)
 		default:
 			w.own.Lock()
 			w.stopped = true
@@ -863,27 +861,6 @@ func (w *worker) drain() {
 			w.own.Unlock()
 			w.flush(true)
 			return
-		}
-	}
-}
-
-func (s *Service) runExpiry(ctx context.Context) {
-	defer s.done.Done()
-	ticker := time.NewTicker(s.cfg.Expiry.Every)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			now := time.Now().UnixNano()
-			expire := func(_ int, w *worker) { w.vs.ExpireIdle(now) }
-			for _, w := range s.workers {
-				// A full queue skips this sweep; the next tick retries.
-				if !w.offer(packet{control: expire}) {
-					w.skips.Add(1)
-				}
-			}
 		}
 	}
 }
@@ -1047,9 +1024,25 @@ func (s *Service) routeNAT() error {
 	return errors.Join(errs...)
 }
 
-// shardOfKey routes a decoded key to its owning worker. The base rule is
-// the endpoint-symmetric 5-tuple hash — both directions of a connection
-// land on one shard, and it is bit-identical to the wire-bytes RSS hash
+// shardOfKey routes a decoded key to its owning worker: the shard
+// shardOfTuple picks for the key's 5-tuple.
+//
+//gf:hotpath
+func (s *Service) shardOfKey(k *gigaflow.Key) int {
+	if len(s.workers) == 1 {
+		return 0 // nothing to choose: not even the tuple to build
+	}
+	t := wire.Tuple{
+		SrcIP: k.Get(gigaflow.FieldIPSrc), DstIP: k.Get(gigaflow.FieldIPDst), Proto: k.Get(gigaflow.FieldIPProto),
+		SrcPort: k.Get(gigaflow.FieldTpSrc), DstPort: k.Get(gigaflow.FieldTpDst),
+	}
+	return s.shardOfTuple(&t)
+}
+
+// shardOfTuple routes a 5-tuple — extracted from a frame's bytes, or
+// read from a decoded key — to its owning worker. The base rule is the
+// endpoint-symmetric 5-tuple hash: both directions of a connection land on
+// one shard, and Tuple.SymHash is bit-identical to Key.SymHash
 // (flow.SymHash5 under both), so key-routed and wire-routed packets of a
 // flow always agree. With partitioned NAT pools the hash is preceded by
 // the owner map: a NAT'd reply arrives on the translated tuple, whose
@@ -1060,29 +1053,9 @@ func (s *Service) routeNAT() error {
 // traffic).
 //
 //gf:hotpath
-func (s *Service) shardOfKey(k *gigaflow.Key) int {
-	if len(s.workers) == 1 {
-		return 0 // nothing to choose: no hash, no modulo
-	}
-	if owner := s.natOwner.Load(); owner != nil {
-		if w, ok := (*owner)[natEndpoint{k.Get(gigaflow.FieldIPSrc), k.Get(gigaflow.FieldTpSrc)}]; ok {
-			return w
-		}
-		if w, ok := (*owner)[natEndpoint{k.Get(gigaflow.FieldIPDst), k.Get(gigaflow.FieldTpDst)}]; ok {
-			return w
-		}
-	}
-	return int(k.SymHash() % uint64(len(s.workers)))
-}
-
-// shardOfTuple is shardOfKey for a wire-extracted 5-tuple: same owner-map
-// precedence, same symmetric hash, so a frame routed from its raw bytes
-// lands exactly where its decoded key would have.
-//
-//gf:hotpath
 func (s *Service) shardOfTuple(t *wire.Tuple) int {
 	if len(s.workers) == 1 {
-		return 0
+		return 0 // nothing to choose: no hash, no modulo
 	}
 	if owner := s.natOwner.Load(); owner != nil {
 		if w, ok := (*owner)[natEndpoint{t.SrcIP, t.SrcPort}]; ok {

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -33,8 +34,18 @@ func key(host, port uint64) gigaflow.Key {
 // test ends, if the test has not closed it.
 func start(tb testing.TB, p *gigaflow.Pipeline, cfg Config) *Service {
 	tb.Helper()
+	return startOn(tb, p, cfg, nil)
+}
+
+// startOn is start with the service clock replaced by clock (nil keeps
+// the wall clock): every stamp that ages the caches reads it.
+func startOn(tb testing.TB, p *gigaflow.Pipeline, cfg Config, clock func() int64) *Service {
+	tb.Helper()
 	s, err := New(p, cfg)
 	if err == nil {
+		if clock != nil {
+			s.clock = clock
+		}
 		err = s.Start(context.Background())
 	}
 	if err != nil {
@@ -222,16 +233,51 @@ func TestUpdateRulesRevalidatesAllShards(t *testing.T) {
 	}
 }
 
+// TestIdleExpiryTicker: a shard sweeps at the start of the first message
+// it serves sweepEvery or more after its last sweep, on the service clock,
+// and not a nanosecond before, however long an entry has been idle —
+// whether the message is a control op (the ShardStats that observes the
+// sweep), a share its submitter runs in place, or a queued job.
 func TestIdleExpiryTicker(t *testing.T) {
-	s, ctx := start(t, buildPipeline(), Config{
+	var clock atomic.Int64
+	s, ctx := startOn(t, perFlowPipeline(2), Config{
 		Workers: 1,
 		Cache:   gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 64},
-		Expiry:  ExpiryConfig{MaxIdle: time.Millisecond, Every: 5 * time.Millisecond},
-	}), context.Background()
-	if _, err := s.Submit(ctx, key(1, 80)); err != nil {
+		MaxIdle: time.Millisecond,
+	}, clock.Load), context.Background()
+	every := sweepEvery.Nanoseconds()
+	miss := func(what string, flow int) {
+		t.Helper()
+		if r, err := s.Submit(ctx, perFlowKey(flow)); err != nil || r.CacheHit {
+			t.Fatalf("%s: %+v, %v; want a miss", what, r, err)
+		}
+	}
+	miss("first packet", 0)
+	flow := cacheEntries(t, s) // a flow's entries
+	clock.Store(every - 1)
+	if n := cacheEntries(t, s); n != flow {
+		t.Fatalf("%d entries, want %d: the shard swept before its first sweep was due", n, flow)
+	}
+	clock.Store(every)
+	if n := cacheEntries(t, s); n != 0 {
+		t.Fatalf("%d entries idle for %v survived a due sweep", n, sweepEvery)
+	}
+	miss("in place, after the sweep", 0)
+	clock.Add(every - 1)
+	miss("another flow, before the next sweep is due", 1)
+	if n := cacheEntries(t, s); n != 2*flow {
+		t.Fatalf("%d entries, want %d: a share run in place swept before its sweep was due", n, 2*flow)
+	}
+	clock.Add(1)
+	miss("in place, once the next sweep is due", 0)
+	clock.Add(every)
+	resp := make(chan Result, 1)
+	if _, err := s.Submit(ctx, perFlowKey(0), Nonblocking(), WithResponse(resp)); err != nil {
 		t.Fatal(err)
 	}
-	await(t, "idle expiry", func() bool { return cacheEntries(t, s) == 0 })
+	if r := recv(t, resp, "the queued verdict"); r.Err != nil || r.CacheHit {
+		t.Fatalf("queued, once the next sweep is due: %+v; want a miss", r)
+	}
 }
 
 func TestLifecycleErrors(t *testing.T) {

@@ -50,13 +50,10 @@ func (s *Service) collectServiceMetrics() {
 		"Worker input queue length limit.", "worker")
 	drops := s.reg.CounterVec("gigaflow_queue_full_drops_total",
 		"Nonblocking submissions dropped because the worker queue was full.", "worker")
-	skips := s.reg.CounterVec("gigaflow_expiry_skips_total",
-		"Idle-expiry sweeps skipped because the worker queue was full.", "worker")
 	for _, w := range s.workers {
 		depth.With(w.label).Set(float64(len(w.in)))
 		capacity.With(w.label).Set(float64(cap(w.in)))
 		drops.With(w.label).Set(w.drops.Load())
-		skips.With(w.label).Set(w.skips.Load())
 	}
 	if s.eng != nil {
 		s.reg.Gauge("gigaflow_upcall_queue_depth",

@@ -25,8 +25,7 @@ func TestConfigValidation(t *testing.T) {
 		{"zero value ok", Config{}, ""},
 		{"negative workers", Config{Workers: -1}, "Workers"},
 		{"negative queue", Config{QueueDepth: -5}, "QueueDepth"},
-		{"negative maxidle", Config{Expiry: ExpiryConfig{MaxIdle: -time.Second}}, "MaxIdle"},
-		{"expiry without maxidle", Config{Expiry: ExpiryConfig{Every: time.Second}}, "MaxIdle is 0"},
+		{"negative maxidle", Config{MaxIdle: -time.Second}, "MaxIdle"},
 		{"negative microflow", Config{MicroflowCapacity: -1}, "MicroflowCapacity"},
 		{"negative trace sample", Config{TraceSample: -1}, "TraceSample"},
 		{"negative trace buffer", Config{TraceBuffer: -1}, "TraceBuffer"},

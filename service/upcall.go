@@ -49,32 +49,6 @@ import (
 	"gigaflow/internal/telemetry"
 )
 
-// OverflowPolicy selects what a worker does with a fresh miss when the
-// upcall queue is full. Followers of an already-pending flow never
-// touch the queue, so neither policy can reorder packets within a flow.
-type OverflowPolicy uint8
-
-const (
-	// OverflowInline (the default) falls back to the inline path: the
-	// worker processes the packet itself, exactly as in synchronous mode
-	// — looked up again first, since an earlier packet of its batch may
-	// have installed its flow meanwhile. Backpressure degrades latency,
-	// never correctness or the counts.
-	OverflowInline OverflowPolicy = iota
-	// OverflowDrop fails the packet with ErrUpcallOverflow — the
-	// upcall-ring drop of a real datapath, for deployments that prefer
-	// shedding cold flows over stalling the worker.
-	OverflowDrop
-)
-
-// String names the policy.
-func (p OverflowPolicy) String() string {
-	if p == OverflowDrop {
-		return "drop"
-	}
-	return "inline"
-}
-
 // parked is one parked packet's delivery context: where its result goes
 // once the flow's traversal completes — entry idx of its job's share.
 type parked struct {
@@ -98,10 +72,10 @@ type miss struct {
 
 // engine is the shared upcall queue — many shard producers, Upcall.Workers
 // engine consumers — with its counters and the engine goroutines. A send
-// never blocks: a full queue is the shard's signal to apply its overflow
-// policy rather than stall behind the slow path.
+// never blocks: a full queue is the shard's signal to traverse the miss
+// itself rather than stall behind the slow path.
 type engine struct {
-	q         chan *miss    // holds Upcall.Queue misses: past that, the overflow policy applies
+	q         chan *miss    // holds Upcall.Queue misses: past that, a fresh miss is traversed inline
 	enqueued  atomic.Uint64 // misses accepted
 	overflows atomic.Uint64 // misses a full queue refused
 	drained   atomic.Uint64 // misses handed to handleUpcalls
@@ -112,9 +86,9 @@ type engine struct {
 // parkOne parks a missed packet behind its flow's pending entry,
 // enqueueing an upcall if the flow was not already pending. It reports
 // false when the flow needs an upcall but the queue is full — the caller
-// applies the overflow policy. The refused miss still counts as a flow
-// whose one packet was released.
-func (w *worker) parkOne(k gigaflow.Key, p parked, now int64) bool {
+// traverses it inline. The refused miss still counts as a flow whose one
+// packet was released.
+func (w *worker) parkOne(k gigaflow.Key, p parked) bool {
 	if m := w.pending[k]; m != nil {
 		m.parked = append(m.parked, p) // follower: rides the traversal in flight
 		w.up.Deduped++
@@ -122,7 +96,7 @@ func (w *worker) parkOne(k gigaflow.Key, p parked, now int64) bool {
 		return true
 	}
 	w.up.Flows++
-	m := &miss{key: k, shard: w.idx, parkedNs: now, parked: make([]parked, 1, 4)}
+	m := &miss{key: k, shard: w.idx, parkedNs: time.Now().UnixNano(), parked: make([]parked, 1, 4)}
 	m.parked[0] = p
 	select {
 	case w.eng.q <- m:
@@ -135,19 +109,6 @@ func (w *worker) parkOne(k gigaflow.Key, p parked, now int64) bool {
 		w.up.Released++
 		return false
 	}
-}
-
-// parkFallback finishes a missed packet the upcall queue refused,
-// according to the shard's overflow policy. A parked packet was counted
-// nowhere, so the inline fallback is the whole loop — what inline mode
-// would have run.
-func (w *worker) parkFallback(k gigaflow.Key, now int64) (gigaflow.ProcessResult, error) {
-	if w.overflow == OverflowDrop {
-		w.up.OverflowDrops++
-		return gigaflow.ProcessResult{}, ErrUpcallOverflow
-	}
-	w.up.OverflowInline++
-	return w.vs.Process(k, now)
 }
 
 // release takes flow k's pending entry out of the table (nil if absent),
@@ -295,7 +256,7 @@ func (s *Service) handleUpcalls(ctx context.Context, batch []*miss) {
 			}
 		}
 		apply := func(_ int, w *worker) {
-			now := time.Now().UnixNano()
+			now := s.clock()
 			for _, c := range group {
 				w.complete(c, now)
 			}
@@ -313,12 +274,11 @@ func (s *Service) handleUpcalls(ctx context.Context, batch []*miss) {
 //
 // With nothing pending, and no shutdown sweep having failed parked
 // packets, three identities hold: every flow that missed was completed or
-// overflowed, Flows = Completed + OverflowInline + OverflowDrops; every
-// parked packet was handed back — a completion releases its initiator and
-// its followers (a stale one too), an overflow its one packet —
-// Released = Completed + Deduped + OverflowInline + OverflowDrops; and
-// every refusal of the queue took exactly one fallback,
-// Overflows = OverflowInline + OverflowDrops.
+// overflowed, Flows = Completed + OverflowInline; every parked packet was
+// handed back — a completion releases its initiator and its followers (a
+// stale one too), an overflow its one packet — Released = Completed +
+// Deduped + OverflowInline; and every refusal of the queue took the
+// inline fallback, Overflows = OverflowInline.
 type UpcallStats struct {
 	Enabled bool `json:"enabled"`
 	// PendingFlows counts flows with a traversal in flight;
@@ -331,12 +291,11 @@ type UpcallStats struct {
 	Flows    uint64 `json:"flows"`
 	Deduped  uint64 `json:"deduped"`
 	Released uint64 `json:"released"`
-	// OverflowInline / OverflowDrops count misses the full queue pushed
-	// through the fallback paths; Stale counts engine traversals
-	// discarded (rule update, covering install, or shutdown sweep won
-	// the race); Completed counts flow completions applied.
+	// OverflowInline counts misses the full queue sent down the inline
+	// path; Stale counts engine traversals discarded (rule update,
+	// covering install, or shutdown sweep won the race); Completed counts
+	// flow completions applied.
 	OverflowInline uint64 `json:"overflow_inline"`
-	OverflowDrops  uint64 `json:"overflow_drops"`
 	Stale          uint64 `json:"stale"`
 	Completed      uint64 `json:"completed"`
 	// Shared queue and engine counters.
@@ -373,7 +332,6 @@ func (s *Service) UpcallStats(ctx context.Context) (UpcallStats, error) {
 		out.Deduped += st.Deduped
 		out.Released += st.Released
 		out.OverflowInline += st.OverflowInline
-		out.OverflowDrops += st.OverflowDrops
 		out.Stale += st.Stale
 		out.Completed += st.Completed
 	}
@@ -404,7 +362,6 @@ func (w *worker) collectUpcallMetrics(reg *telemetry.Registry) {
 	c("gigaflow_upcall_deduped_total", "Parked packets coalesced onto an existing pending flow.", st.Deduped)
 	c("gigaflow_upcall_released_total", "Parked packets handed back to their submitters.", st.Released)
 	c("gigaflow_upcall_overflow_inline_total", "Misses processed inline because the upcall queue was full.", st.OverflowInline)
-	c("gigaflow_upcall_overflow_drops_total", "Misses dropped because the upcall queue was full.", st.OverflowDrops)
 	c("gigaflow_upcall_stale_total", "Engine traversals discarded (rule update, covering install, or shutdown).", st.Stale)
 	c("gigaflow_upcall_completed_total", "Flow completions applied.", st.Completed)
 	g("gigaflow_upcall_pending_flows", "Flows with a traversal in flight.", st.PendingFlows)
