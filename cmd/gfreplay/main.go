@@ -1,7 +1,8 @@
 // Command gfreplay feeds raw packet bytes through the vSwitch service:
-// it reads a classic-pcap capture, decodes every frame into an LTM key,
-// and replays the trace against a Gigaflow (or Megaflow) cache, printing
-// hit rates, drops, and decode statistics.
+// it reads a classic-pcap capture and submits its frames, a batch at a
+// time, through Service.SubmitFrameBatch — each frame decoded on its
+// shard — against a Gigaflow (or Megaflow) cache, printing hit rates,
+// drops, and decode statistics.
 //
 // Without -rules it installs a built-in wire-demo pipeline whose rules
 // match only frame-representable fields, and -gen synthesizes a matching
@@ -17,46 +18,52 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
+	"time"
 
 	"gigaflow"
 	wire "gigaflow/internal/packet"
 	"gigaflow/internal/pcap"
 	"gigaflow/internal/stats"
+	"gigaflow/internal/telemetry"
 	"gigaflow/internal/traffic"
 	"gigaflow/service"
 )
 
 func main() {
 	var (
+		o         options
+		rc        replayConfig
 		pcapPath  = flag.String("pcap", "", "capture to replay")
 		genPath   = flag.String("gen", "", "synthesize a demo trace to this pcap file and exit")
 		rulesPath = flag.String("rules", "", "pipeline program file (default: built-in wire demo)")
-		backend   = flag.String("backend", "gigaflow", "cache backend (gigaflow|megaflow)")
-		workers   = flag.Int("workers", 1, "forwarding workers")
-		tables    = flag.Int("tables", 4, "Gigaflow tables")
-		capacity  = flag.Int("cap", 8192, "total main-cache entries (split across workers)")
-		microflow = flag.Int("microflow", 0, "per-worker microflow entries (0: disabled)")
-		queue     = flag.Int("queue", 1024, "worker queue depth")
 		inPort    = flag.Uint("inport", 0, "ingress port attributed to every frame")
-		timed     = flag.Bool("timed", false, "pace by trace timestamps instead of as-fast-as-possible")
-		speedup   = flag.Float64("speedup", 1, "timeline compression in -timed mode")
-		block     = flag.Bool("block", false, "wait for each frame's verdict (lossless replay)")
-		batch     = flag.Int("batch", service.DefaultBatchSize, "frames submitted per batch (1: per-packet submission)")
-		limit     = flag.Int("limit", 0, "stop after N records (0: all)")
 		flows     = flag.Int("flows", 5000, "unique flows in a -gen trace")
 		seed      = flag.Int64("seed", 1, "seed for -gen")
-		telem     = flag.String("telemetry", "", "serve /metrics and /debug endpoints on this address during the replay")
 		metrics   = flag.Bool("metrics", false, "dump the metrics registry (Prometheus text) after the report")
-		conntrack = flag.Bool("conntrack", false, "enable connection tracking (required for ct_state/NAT pipelines)")
-		ctMax     = flag.Int("ct-max", 0, "total live-connection budget across workers (0: conntrack default)")
-		ctIdle    = flag.Duration("ct-idle", 0, "expire connections idle longer than this (0: never)")
 	)
+	flag.StringVar(&o.backend, "backend", "gigaflow", "cache backend (gigaflow|megaflow)")
+	flag.IntVar(&o.workers, "workers", 1, "forwarding workers")
+	flag.IntVar(&o.tables, "tables", 4, "Gigaflow tables")
+	flag.IntVar(&o.capacity, "cap", 32768, "total main-cache entries, either backend (split across tables and workers)")
+	flag.IntVar(&o.microflow, "microflow", 0, "per-worker microflow entries (0: disabled)")
+	flag.IntVar(&o.queue, "queue", 1024, "worker queue depth")
+	flag.StringVar(&o.telemetry, "telemetry", "", "serve /metrics and /debug endpoints on this address during the replay")
+	flag.BoolVar(&o.conntrack, "conntrack", false, "enable connection tracking (required for ct_state/NAT pipelines)")
+	flag.IntVar(&o.ctMax, "ct-max", 0, "total live-connection budget across workers (0: conntrack default)")
+	flag.DurationVar(&o.ctIdle, "ct-idle", 0, "expire connections idle longer than this (0: never)")
+	flag.BoolVar(&rc.timed, "timed", false, "pace by trace timestamps instead of as-fast-as-possible")
+	flag.Float64Var(&rc.speedup, "speedup", 1, "timeline compression in -timed mode")
+	flag.BoolVar(&rc.blocking, "block", false, "wait for each frame's verdict (lossless replay)")
+	flag.IntVar(&rc.batch, "batch", 32, "frames submitted per batch (1: per-packet submission)")
+	flag.IntVar(&rc.limit, "limit", 0, "stop after N records (0: all)")
 	flag.Parse()
+	rc.inPort = uint16(*inPort)
 
 	if *genPath != "" {
 		if err := generate(*genPath, *flows, *seed); err != nil {
@@ -68,36 +75,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: gfreplay -gen demo.pcap | gfreplay -pcap demo.pcap [flags]")
 		os.Exit(2)
 	}
+	cfg, err := serviceConfig(o)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "gfreplay: %v\n", err)
+		os.Exit(2)
+	}
 
 	p, err := loadPipeline(*rulesPath)
 	if err != nil {
 		fail(err)
-	}
-	cfg := service.Config{
-		Workers:           *workers,
-		MicroflowCapacity: *microflow * *workers,
-		QueueDepth:        *queue,
-		TelemetryAddr:     *telem,
-	}
-	if *conntrack {
-		cfg.Conntrack = service.ConntrackConfig{
-			Enable:   true,
-			MaxConns: *ctMax,
-			MaxIdle:  *ctIdle,
-		}
-	} else if *ctMax != 0 || *ctIdle != 0 {
-		fmt.Fprintln(os.Stderr, "gfreplay: -ct-max/-ct-idle require -conntrack")
-		os.Exit(2)
-	}
-	switch *backend {
-	case "gigaflow":
-		cfg.Cache = gigaflow.CacheConfig{NumTables: *tables, TableCapacity: *capacity}
-	case "megaflow":
-		cfg.Backend = service.BackendMegaflow
-		cfg.MegaflowCapacity = *capacity
-	default:
-		fmt.Fprintf(os.Stderr, "gfreplay: unknown backend %q\n", *backend)
-		os.Exit(2)
 	}
 	s, err := service.New(p, cfg)
 	if err != nil {
@@ -108,7 +94,7 @@ func main() {
 		fail(err)
 	}
 	defer s.Close()
-	if *telem != "" {
+	if o.telemetry != "" {
 		fmt.Fprintf(os.Stderr, "gfreplay: telemetry on http://%s/metrics\n", s.TelemetryAddr())
 	}
 
@@ -122,14 +108,7 @@ func main() {
 		fail(err)
 	}
 
-	rep, err := s.Replay(ctx, r, service.ReplayConfig{
-		InPort:    uint16(*inPort),
-		Timed:     *timed,
-		Speedup:   *speedup,
-		Blocking:  *block,
-		Limit:     *limit,
-		BatchSize: *batch,
-	})
+	rep, err := replay(ctx, s, r, rc)
 	if err != nil {
 		fail(err)
 	}
@@ -137,7 +116,7 @@ func main() {
 	fmt.Printf("pipeline    %s (%d tables, %d rules)\n", p.Name, p.NumTables(), p.NumRules())
 	fmt.Printf("capture     %s (%s resolution)\n", *pcapPath, resolution(r))
 	fmt.Printf("replay      %s\n\n", rep)
-	report(rep)
+	fmt.Println(rep.table())
 
 	if *metrics {
 		fmt.Println("--- telemetry ---")
@@ -145,6 +124,263 @@ func main() {
 			fail(err)
 		}
 	}
+}
+
+// options are the flags that shape the service.
+type options struct {
+	backend                                     string
+	workers, tables, capacity, microflow, queue int
+	telemetry                                   string
+	conntrack                                   bool
+	ctMax                                       int
+	ctIdle                                      time.Duration
+}
+
+// serviceConfig builds the service the flags ask for; an error is a usage
+// error. capacity is the main cache's total on either backend: a Gigaflow
+// cache splits it evenly across its tables.
+func serviceConfig(o options) (service.Config, error) {
+	cfg := service.Config{
+		Workers:           o.workers,
+		MicroflowCapacity: o.microflow * o.workers,
+		QueueDepth:        o.queue,
+		TelemetryAddr:     o.telemetry,
+	}
+	if o.conntrack {
+		cfg.Conntrack = service.ConntrackConfig{Enable: true, MaxConns: o.ctMax, MaxIdle: o.ctIdle}
+	} else if o.ctMax != 0 || o.ctIdle != 0 {
+		return cfg, errors.New("-ct-max/-ct-idle require -conntrack")
+	}
+	switch o.backend {
+	case "gigaflow":
+		if o.tables < 1 || o.capacity < o.tables {
+			return cfg, fmt.Errorf("-cap %d cannot give each of -tables %d an entry", o.capacity, o.tables)
+		}
+		cfg.Cache = gigaflow.CacheConfig{NumTables: o.tables, TableCapacity: o.capacity / o.tables}
+	case "megaflow":
+		cfg.Backend = service.BackendMegaflow
+		cfg.MegaflowCapacity = o.capacity
+	default:
+		return cfg, fmt.Errorf("unknown backend %q", o.backend)
+	}
+	return cfg, nil
+}
+
+// replayConfig is how replay feeds a capture to the service.
+type replayConfig struct {
+	inPort   uint16  // the ingress port every frame is attributed to
+	timed    bool    // submit each frame no earlier than its trace offset
+	speedup  float64 // timed: compresses (>1) or stretches (<1) the timeline
+	blocking bool    // wait for every batch's verdicts: no frame is dropped
+	limit    int     // stop after this many records (0: all)
+	batch    int     // frames per SubmitFrameBatch call
+}
+
+// report summarises one replay.
+type report struct {
+	frames, bytes int // pcap records read, and their captured bytes
+	submitted     int // frames that entered a worker queue
+	queueDrops    int // frames a full worker queue refused (nonblocking only)
+	rejected      int // frames too short for Ethernet, never submitted
+	pipelineErrs  int // blocking: frames whose walk returned a pipeline error
+	// decodeErrors (frames forwarded on a degraded key) and perProto are
+	// the change in the service's frame counters over the replay: a frame
+	// a full queue dropped was never decoded, and frames other goroutines
+	// submit meanwhile count, as they do in stats.
+	decodeErrors int
+	perProto     [wire.NumProtos]int
+	truncated    bool                  // the capture ended mid-record
+	stats        gigaflow.VSwitchStats // the service's counter delta over the replay
+	elapsed      time.Duration
+}
+
+// replay streams a capture through SubmitFrameBatch, cfg.batch records a
+// call, and reports what happened. The service must be started. In
+// nonblocking mode the report is still complete: the closing Stats runs
+// as a control op behind every submitted frame on each shard's FIFO queue,
+// once no packet is left parked behind an upcall.
+//
+// On cancellation every batch already handed to the shards is gathered
+// before replay returns (SubmitFrameBatch does so even when it fails), so
+// a cancelled replay leaks no goroutine and no pending result.
+func replay(ctx context.Context, s *service.Service, r *pcap.Reader, cfg replayConfig) (report, error) {
+	if cfg.speedup <= 0 {
+		cfg.speedup = 1
+	}
+	var rep report
+	before, err := s.Stats(ctx)
+	if err != nil {
+		return rep, err
+	}
+	protoBefore, degradedBefore := decodeCounts(s.Registry())
+
+	// r reuses its record buffer, so each frame's bytes are copied into an
+	// arena that lives until the flush (when it grows, the frames already
+	// in it keep the array they point into).
+	batch := service.NewBatch(cfg.batch)
+	frames := make([]service.Frame, 0, cfg.batch)
+	var arena []byte
+	var mode []service.SubmitOption
+	if !cfg.blocking {
+		mode = append(mode, service.Nonblocking())
+	}
+	flush := func() error {
+		if len(frames) == 0 {
+			return nil
+		}
+		if err := s.SubmitFrameBatch(ctx, frames, batch, mode...); err != nil {
+			return err
+		}
+		for i := range frames {
+			switch e := batch.Result(i).Err; {
+			case e == nil:
+				rep.submitted++
+			case errors.Is(e, service.ErrQueueFull):
+				rep.queueDrops++
+			case errors.Is(e, service.ErrShortFrame):
+				rep.rejected++
+			default:
+				// A per-packet pipeline error is a property of the ruleset,
+				// not the replay; count it and keep going.
+				rep.submitted++
+				rep.pipelineErrs++
+			}
+		}
+		frames, arena = frames[:0], arena[:0]
+		return nil
+	}
+
+	start := time.Now()
+	var traceStart int64
+	for cfg.limit <= 0 || rep.frames < cfg.limit {
+		rec, err := r.Next()
+		if errors.Is(err, io.ErrUnexpectedEOF) {
+			// An interrupted capture: replay what exists, as capture
+			// tooling does, and say so in the report.
+			rep.truncated = true
+			break
+		} else if errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			return rep, err
+		}
+		if cfg.timed {
+			if rep.frames == 0 {
+				traceStart = rec.TimeNs
+			}
+			offset := time.Duration(float64(rec.TimeNs-traceStart) / cfg.speedup)
+			if wait := time.Until(start.Add(offset)); wait > 0 {
+				// Flush before pacing so frames already read are not held
+				// past their trace slots by later ones.
+				if err := flush(); err != nil {
+					return rep, err
+				}
+				select {
+				case <-ctx.Done():
+					return rep, ctx.Err()
+				case <-time.After(wait):
+				}
+			}
+		}
+		rep.frames++
+		rep.bytes += len(rec.Frame)
+		off := len(arena)
+		arena = append(arena, rec.Frame...)
+		frames = append(frames, service.Frame{InPort: cfg.inPort, Data: arena[off:len(arena):len(arena)]})
+		if len(frames) >= cfg.batch {
+			if err := flush(); err != nil {
+				return rep, err
+			}
+		}
+	}
+	if err := flush(); err != nil {
+		return rep, err
+	}
+	rep.elapsed = time.Since(start)
+	// A packet parked behind an upcall is still in flight when its job has
+	// run: wait until the offload has handed every one back.
+	for !cfg.blocking {
+		us, err := s.UpcallStats(ctx)
+		if err != nil {
+			return rep, err
+		}
+		if !us.Enabled || us.ParkedPackets == 0 {
+			break
+		}
+		select {
+		case <-ctx.Done():
+			return rep, ctx.Err()
+		case <-time.After(time.Millisecond):
+		}
+	}
+	after, err := s.Stats(ctx)
+	if err != nil {
+		return rep, err
+	}
+	rep.stats = after.Sub(before)
+	// Every job flushed its decode tally before its results, and the
+	// closing Stats ran behind every job: the counters are complete.
+	proto, degraded := decodeCounts(s.Registry())
+	for p := range proto {
+		rep.perProto[p] = proto[p] - protoBefore[p]
+	}
+	rep.decodeErrors = degraded - degradedBefore
+	return rep, nil
+}
+
+// decodeCounts reads the service's frame counters as /metrics shows them:
+// frames decoded per protocol class, and how many decoded with a defect
+// yet were forwarded. A frame too short for Ethernet is counted as a
+// non-IPv4 short_frame defect; it was never forwarded, so both figures
+// leave it out.
+func decodeCounts(reg *telemetry.Registry) (perProto [wire.NumProtos]int, degraded int) {
+	decoded := reg.CounterVec("gigaflow_frames_decoded_total", "", "proto")
+	errs := reg.CounterVec("gigaflow_frame_decode_errors_total", "", "reason")
+	for p := range perProto {
+		perProto[p] = int(decoded.With(wire.Proto(p).String()).Value())
+	}
+	short := int(errs.With(wire.ErrShortFrame.String()).Value())
+	perProto[wire.ProtoNonIPv4] -= short
+	for e := 1; e < wire.NumErrCodes; e++ { // 0 is ErrOK, which has no series
+		degraded += int(errs.With(wire.ErrCode(e).String()).Value())
+	}
+	return perProto, degraded - short
+}
+
+// String renders a one-line summary.
+func (rep report) String() string {
+	return fmt.Sprintf("%d frames (%d bytes) in %v: %d submitted, %d queue drops, %d rejected, %d decode errors, hit rate %.2f%%",
+		rep.frames, rep.bytes, rep.elapsed.Round(time.Millisecond),
+		rep.submitted, rep.queueDrops, rep.rejected, rep.decodeErrors, 100*rep.stats.TotalHitRate())
+}
+
+// table renders the report's metric table.
+func (rep report) table() string {
+	t := &stats.Table{Headers: []string{"metric", "value"}}
+	t.AddRow("frames read", rep.frames)
+	t.AddRow("bytes read", rep.bytes)
+	t.AddRow("submitted", rep.submitted)
+	t.AddRow("queue drops", rep.queueDrops)
+	t.AddRow("rejected (short frame)", rep.rejected)
+	t.AddRow("decode errors (degraded)", rep.decodeErrors)
+	if rep.pipelineErrs > 0 {
+		t.AddRow("pipeline errors", rep.pipelineErrs)
+	}
+	for pr := wire.Proto(0); pr < wire.Proto(wire.NumProtos); pr++ {
+		if n := rep.perProto[pr]; n > 0 {
+			t.AddRow("proto "+pr.String(), n)
+		}
+	}
+	t.AddRow("packets processed", rep.stats.Packets)
+	t.AddRow("microflow hits", rep.stats.MicroflowHits)
+	t.AddRow("cache hits", rep.stats.CacheHits)
+	t.AddRow("cache misses", rep.stats.CacheMisses)
+	t.AddRow("slowpath traversals", rep.stats.Slowpath)
+	t.AddRow("hit rate", fmt.Sprintf("%.2f%%", 100*rep.stats.TotalHitRate()))
+	if rep.truncated {
+		t.AddRow("capture truncated", "yes (replayed everything before the cut)")
+	}
+	return t.Render()
 }
 
 // dumpMetrics writes the service's registry as Prometheus text, after
@@ -162,34 +398,6 @@ func resolution(r *pcap.Reader) string {
 		return "nanosecond"
 	}
 	return "microsecond"
-}
-
-func report(rep service.ReplayReport) {
-	t := &stats.Table{Headers: []string{"metric", "value"}}
-	t.AddRow("frames read", rep.Frames)
-	t.AddRow("bytes read", rep.Bytes)
-	t.AddRow("submitted", rep.Submitted)
-	t.AddRow("queue drops", rep.QueueDrops)
-	t.AddRow("rejected (short frame)", rep.Rejected)
-	t.AddRow("decode errors (degraded)", rep.DecodeErrors)
-	if rep.PipelineErrs > 0 {
-		t.AddRow("pipeline errors", rep.PipelineErrs)
-	}
-	for pr := wire.Proto(0); pr < wire.Proto(wire.NumProtos); pr++ {
-		if n := rep.PerProto[pr]; n > 0 {
-			t.AddRow("proto "+pr.String(), n)
-		}
-	}
-	t.AddRow("packets processed", rep.Stats.Packets)
-	t.AddRow("microflow hits", rep.Stats.MicroflowHits)
-	t.AddRow("cache hits", rep.Stats.CacheHits)
-	t.AddRow("cache misses", rep.Stats.CacheMisses)
-	t.AddRow("slowpath traversals", rep.Stats.Slowpath)
-	t.AddRow("hit rate", fmt.Sprintf("%.2f%%", 100*rep.HitRate()))
-	if rep.Truncated {
-		t.AddRow("capture truncated", "yes (replayed everything before the cut)")
-	}
-	fmt.Println(t.Render())
 }
 
 // loadPipeline reads an ovs-ofctl-style program, or falls back to the

@@ -6,9 +6,10 @@
 # generated file .gitignore names), and every gigaflow_… metric name — in
 # the documents or in a Go comment of the service or root package — is one
 # the code registers, every backticked Benchmark… / Test… / Fuzz… name
-# in the three documents is a function some _test.go defines, and every
+# in the three documents is a function some _test.go defines, every
 # backticked service config path there ends in a field the service
-# declares. CHANGES.md
+# declares, and every backticked Service.X / service.X in the four names
+# something non-test service code declares. CHANGES.md
 # and ROADMAP.md are history and are not read. Run from the repository
 # root: make docs-check (the one argument is the go command to use).
 docs="README.md EXPERIMENTS.md DESIGN.md .claude/skills/verify/SKILL.md"
@@ -75,6 +76,18 @@ for f in $(grep -ohE '`[^`]+`' README.md EXPERIMENTS.md DESIGN.md | tr -d '`' | 
 	for field in $(echo "${f#*.}" | tr . ' '); do
 		grep -qE "^[[:space:]]+$field[[:space:]]" service/service.go || { bad "\`$f\`: service config has no field $field"; break; }
 	done
+done
+
+# A backticked Service.X or service.X names a method, field or
+# declaration of non-test service/*.go, so a deleted name cannot outlive
+# its code in the prose. service.go is a file, and service.submit_ns and
+# its kin are BENCHMARK.json's per-layer metrics.
+svcgo=$(ls service/*.go | grep -v '_test\.go$')
+for f in $(grep -ohE '`[^`]+`' $docs | sed 's/service\.go//g' | grep -oE '[Ss]ervice\.[A-Za-z_][A-Za-z0-9_]*' | sort -u); do
+	grep -qF "\"$f\"" BENCHMARK.json && continue
+	n=${f#*.}
+	grep -qE "^func (\([^)]*\) )?$n[[(]|^(type|const|var) $n[[:space:][]|^[[:space:]]+$n([[:space:],]|\$)" $svcgo ||
+		bad "\`$f\`: non-test service/*.go declares no $n"
 done
 
 exit $status

@@ -1,6 +1,6 @@
 // Batched submission: the Batch type and the single internal submit path
-// every public entry point (Submit, SubmitFrame, SubmitBatch,
-// SubmitFrameBatch, and Replay) wraps.
+// every public entry point (Submit, SubmitFrame, SubmitBatch and
+// SubmitFrameBatch) wraps.
 //
 // A batch is grouped by RSS shard into at most one share per worker. A
 // share is a contiguous block of parallel arrays inside the batch — the
@@ -150,7 +150,7 @@ type batchJob struct {
 
 // Batch is a reusable collection of requests submitted as one unit.
 // Reset/Add refill it without reallocating, so a steady-state submitter
-// (Replay, the benchmarks) allocates nothing per batch.
+// (gfreplay's capture loop, the benchmarks) allocates nothing per batch.
 //
 // A Batch is not safe for concurrent use: it belongs to one submitting
 // goroutine and must not be read or modified while a SubmitBatch call on

@@ -48,18 +48,19 @@ func BenchmarkSubmit(b *testing.B) {
 	}
 }
 
-// BenchmarkSubmitBatch measures the batched blocking path at the default
-// batch size: the channel round-trip, stats update, and latency sample
-// are amortized over DefaultBatchSize packets.
+// BenchmarkSubmitBatch measures the batched blocking path at gfreplay's
+// default batch size: the channel round-trip, stats update, and latency
+// sample are amortized over 32 packets.
 func BenchmarkSubmitBatch(b *testing.B) {
+	const size = 32
 	s, keys := benchService(b, 64)
 	ctx := context.Background()
-	batch := NewBatch(DefaultBatchSize)
+	batch := NewBatch(size)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for sent := 0; sent < b.N; {
 		batch.Reset()
-		for n := 0; n < DefaultBatchSize && sent < b.N; n++ {
+		for n := 0; n < size && sent < b.N; n++ {
 			batch.Add(keys[sent%len(keys)])
 			sent++
 		}

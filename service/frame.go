@@ -103,23 +103,6 @@ func (m *frameMetrics) flush(t *frameTally) {
 	*t = frameTally{}
 }
 
-// decodeCounts reads what Replay reports as deltas: frames decoded per
-// protocol class, and how many of them decoded with a defect yet were
-// forwarded. A refused frame is tallied as a non-IPv4 short_frame defect;
-// it was never forwarded, so both figures leave it out.
-func (m *frameMetrics) decodeCounts() (perProto [wire.NumProtos]int, degraded int) {
-	for p := range perProto {
-		perProto[p] = int(m.decoded[p].Value())
-	}
-	perProto[wire.ProtoNonIPv4] -= int(m.errs[wire.ErrShortFrame].Value())
-	for e := 1; e < wire.NumErrCodes; e++ { // 0 is ErrOK, which has no counter
-		if wire.ErrCode(e) != wire.ErrShortFrame {
-			degraded += int(m.errs[e].Value())
-		}
-	}
-	return perProto, degraded
-}
-
 // Frame is one entry of a frame batch: a raw Ethernet frame and the
 // ingress port it arrived on. Per-entry ports let one batch carry
 // frames from multiple logical NIC queues without lying about

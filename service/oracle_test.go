@@ -1,12 +1,9 @@
 package service
 
 import (
-	"bytes"
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"path"
 	"reflect"
 	"slices"
@@ -18,7 +15,6 @@ import (
 	"gigaflow"
 	"gigaflow/internal/conntrack"
 	wire "gigaflow/internal/packet"
-	"gigaflow/internal/pcap"
 	"gigaflow/internal/telemetry"
 )
 
@@ -339,11 +335,10 @@ const (
 	viaSubmitFrame      entry = "SubmitFrame"
 	viaSubmitBatch      entry = "SubmitBatch"
 	viaSubmitFrameBatch entry = "SubmitFrameBatch"
-	viaReplay           entry = "Replay" // an in-memory pcap per run of packets between rule updates
 )
 
 func (e entry) frames() bool {
-	return e == viaSubmitFrame || e == viaSubmitFrameBatch || e == viaReplay
+	return e == viaSubmitFrame || e == viaSubmitFrameBatch
 }
 
 // vsDriver is one way of feeding a VSwitch.
@@ -409,7 +404,7 @@ func (c *cell) parks() bool {
 
 // outcome is what one replay of a tape leaves behind.
 type outcome struct {
-	res     []Result                    // service cells: one per op (nil for Replay, which reports totals)
+	res     []Result                    // service cells: one per op
 	vres    []gigaflow.ProcessResult    // VSwitch cells: one per op
 	tel     []gigaflow.VSwitchTelemetry // one per shard
 	stats   gigaflow.VSwitchStats
@@ -534,17 +529,16 @@ func runGroup(t *testing.T, g []cell, seed uint64, strict bool) {
 		if j := firstDiff(a.vres, b.vres); j >= 0 {
 			t.Fatalf("%s: op %d: %+v, %s %+v", c.name, j, b.vres[j], base.name, a.vres[j])
 		}
-		if j := firstDiff(a.res, b.res); j >= 0 && b.res != nil {
+		if j := firstDiff(a.res, b.res); j >= 0 {
 			t.Fatalf("%s: op %d: %+v, %s %+v", c.name, j, b.res[j], base.name, a.res[j])
 		}
 		if a.stats != b.stats || a.entries != b.entries || expired(a.tel) != expired(b.tel) {
 			t.Errorf("%s: %+v (%d entries, %d expired), %s %+v (%d, %d)", c.name, b.stats, b.entries, expired(b.tel),
 				base.name, a.stats, a.entries, expired(a.tel))
 		}
-		// Parking probes a missed packet again and dedups by the batch (a
-		// nonblocking Replay does not wait between batches at all).
+		// Parking probes a missed packet again and dedups by the batch.
 		if c.cfg == base.cfg && (!c.parks() && !base.parks() || slices.Equal(c.sizes(), base.sizes())) &&
-			!(c.entry == viaReplay && c.nonblocking) && (!reflect.DeepEqual(a.tel, b.tel) || a.upcall != b.upcall) {
+			(!reflect.DeepEqual(a.tel, b.tel) || a.upcall != b.upcall) {
 			t.Errorf("%s: tiers and offload\n%+v %+v\n%s:\n%+v %+v", c.name, b.tel, b.upcall, base.name, a.tel, a.upcall)
 		}
 		if !base.driver.recorded || !c.driver.recorded || c.driver.park {
@@ -613,7 +607,7 @@ func (c *cell) tame(o *outcome, cov coverage) string {
 		need(up.Workers == 0 || u.Flows > 0, "upcalls")
 		// Followers need a cold flow repeated within a batch; a thrash prefix
 		// warms every flow first.
-		batched := (c.entry == viaSubmitBatch || c.entry == viaSubmitFrameBatch) && c.batch != 1 && c.tape.thrash == 0
+		batched := (c.entry == viaSubmitBatch || c.entry == viaSubmitFrameBatch) && c.tape.thrash == 0
 		need(up.Workers == 0 || !batched || u.Deduped > 0, "deduplicated followers")
 		need(up.Queue != 1 || u.OverflowInline > 0, "inline overflow")
 		need(c.fault.wedge == 0 || u.Stale > 0, "stale walk")
@@ -828,16 +822,12 @@ func (c *cell) runService(t *testing.T, tape []op) *outcome {
 	for _, w := range s.workers {
 		w.inflight.Add(int64(btoi(c.busy))) // busy: tryRun never finds the shard idle
 	}
-	sizes := c.sizes()
-	if c.entry == viaReplay {
-		sizes, r.out.res = []int{len(tape)}, nil // a call per run of packets, which Replay batches
-	}
 	f := c.fault
 	if n := max(f.wedge, f.stall); n > 0 {
 		r.to = slices.IndexFunc(tape, func(x op) bool { return x.kind == opRules })
 		r.from = r.to - n
 	}
-	each(tape, sizes, func(i int) bool { return i == f.closeAt || i == f.cancelAt || i == r.from || i == r.to }, func(lo, hi int) {
+	each(tape, c.sizes(), func(i int) bool { return i == f.closeAt || i == f.cancelAt || i == r.from || i == r.to }, func(lo, hi int) {
 		switch {
 		case lo == f.closeAt && lo > 0:
 			r.snapshot() // a closed service answers no question
@@ -848,8 +838,8 @@ func (c *cell) runService(t *testing.T, tape []op) *outcome {
 		case lo == r.from && f.wedge > 0:
 			s.rules.Lock()
 			r.wedged = true
-		case lo == r.from && f.stall > 0 && c.entry != viaReplay:
-			r.stall() // Replay's reader stalls the shards itself, past its opening Stats
+		case lo == r.from && f.stall > 0:
+			r.stall()
 		case lo == r.to && f.wedge > 0:
 			r.unwedge()
 			return
@@ -884,10 +874,7 @@ func (r *svcRun) send(lo, hi int) {
 	}
 	window := lo >= r.from && lo < r.to
 	nonblocking := c.nonblocking || window || r.closed && r.calls%2 == 1
-	if r.calls++; c.entry == viaReplay {
-		r.replay(ctx, lo, hi, nonblocking)
-		return
-	}
+	r.calls++
 	var opts []SubmitOption
 	if nonblocking {
 		opts = []SubmitOption{Nonblocking(), WithResponse(r.resp)}
@@ -1170,8 +1157,8 @@ func (r *svcRun) snapshot() {
 	if r.out.upcall, err = s.UpcallStats(ctx); err != nil {
 		r.t.Fatal(err)
 	}
-	if u := r.out.upcall; u.Batches > u.Drained || u.Drained > DefaultBatchSize*u.Batches {
-		r.t.Errorf("engine drained %d misses in %d batches: a batch holds 1 to %d", u.Drained, u.Batches, DefaultBatchSize)
+	if u := r.out.upcall; u.Batches > u.Drained || u.Drained > drainBatch*u.Batches {
+		r.t.Errorf("engine drained %d misses in %d batches: a batch holds 1 to %d", u.Drained, u.Batches, drainBatch)
 	}
 	r.out.upcall.Drained, r.out.upcall.Batches = 0, 0 // when the engine woke is its own business
 	r.counted[served] = int(r.out.stats.Packets)
@@ -1227,75 +1214,6 @@ func (r *svcRun) tally(x *op) {
 	_, info := wire.Decode(x.frame, 0)
 	one.add(&info, len(x.frame))
 	r.frames.flush(&one)
-}
-
-// replay writes tape[lo:hi] into an in-memory pcap and replays it. A
-// replay reports totals, not verdicts: they are held to its frames, and
-// the oracle walks what it submitted, so later ops meet the right state.
-func (r *svcRun) replay(ctx context.Context, lo, hi int, nonblocking bool) {
-	var buf bytes.Buffer
-	pw, _ := pcap.NewWriter(&buf)
-	for _, x := range r.tape[lo:hi] {
-		pw.WritePacket(0, x.frame)
-	}
-	src, stalled := io.Reader(&buf), lo == r.from && r.c.fault.stall > 0
-	if stalled {
-		// Stall the shards when Replay reads its first record, its opening
-		// Stats behind it (NewReader reads the 24-byte file header), and
-		// let them go at the capture's end.
-		data := buf.Bytes()
-		src = io.MultiReader(bytes.NewReader(data[:24]), hook(r.stall), bytes.NewReader(data[24:]), hook(r.release))
-	}
-	rd, _ := pcap.NewReader(src)
-	size := cmp.Or(r.c.batch, DefaultBatchSize)
-	rep, err := r.s.Replay(ctx, rd, ReplayConfig{Blocking: !nonblocking, BatchSize: size})
-	if r.closed && errors.Is(err, ErrClosed) {
-		return // nothing read, nothing handed in
-	} else if err != nil {
-		r.t.Fatal(err)
-	}
-	want := ReplayReport{Frames: hi - lo}
-	for b := lo; b < hi; b += size {
-		var refused []bool
-		if stalled {
-			refused = r.refused(b, min(b+size, hi))
-		}
-		for i := b; i < min(b+size, hi); i++ {
-			x := &r.tape[i]
-			_, routable := wire.RSSTuple(x.frame)
-			switch want.Bytes += len(x.frame); {
-			case x.short:
-				want.Rejected++
-			case refused != nil && refused[i-b]:
-				want.QueueDrops++
-				if routable {
-					continue // its shard never decoded it
-				}
-			default:
-				want.Submitted++
-				r.o.walk(x, false)
-			}
-			r.tally(x)
-			if _, info := wire.Decode(x.frame, 0); !x.short {
-				want.PerProto[info.Proto]++
-				want.DecodeErrors += btoi(info.Err != wire.ErrOK)
-			}
-		}
-	}
-	if want.Stats, want.Elapsed = rep.Stats, rep.Elapsed; rep != want || rep.Stats.Packets != uint64(want.Submitted) {
-		r.t.Fatalf("replay of ops %d–%d: %+v, %d packets in its stats; want %+v", lo, hi-1, rep, rep.Stats.Packets, want)
-	}
-	r.handed, r.fate[served], r.fate[short] = r.handed+rep.Frames, r.fate[served]+rep.Submitted, r.fate[short]+rep.Rejected
-	r.fate[queueFull] += rep.QueueDrops
-}
-
-// hook is a reader that runs its function and ends: spliced into a
-// stream, it acts when the stream's reader gets that far.
-type hook func()
-
-func (h hook) Read([]byte) (int, error) {
-	h()
-	return 0, io.EOF
 }
 
 // The tapes the matrix draws on.
@@ -1383,15 +1301,15 @@ var cells = func() []cell {
 	// up. No flow's install covers another's here, so the peers agree.
 	add("perflow/shards", "overflow-inline/3", cell{tape: whole, cfg: upcall(shards(sync, 3), UpcallConfig{Workers: 1, Queue: 1}),
 		entry: viaSubmitBatch, batch: 32})
-	// Every way in, inline and offloaded, a group per shard count. No tier
-	// evicts here (see parks).
+	// Both batch entry points, keys and frames, inline and offloaded, a
+	// group per shard count. No tier evicts here (see parks).
 	for _, n := range []int{1, 3} {
 		for _, mode := range []string{"sync", "upcall"} {
 			cfg := shards(sync, n)
 			if mode == "upcall" {
 				cfg = upcall(cfg, UpcallConfig{Workers: 1, Queue: 4096})
 			}
-			for _, e := range []entry{viaSubmitFrameBatch, viaSubmit, viaSubmitFrame, viaSubmitBatch, viaReplay} {
+			for _, e := range []entry{viaSubmitFrameBatch, viaSubmitBatch} {
 				g, c := fmt.Sprint("perflow/", n), cell{tape: perflow, cfg: cfg, entry: e, batch: 32}
 				add(g, fmt.Sprintf("%s/%s/blocking", mode, e), c)
 				c.busy = true
@@ -1401,7 +1319,6 @@ var cells = func() []cell {
 			}
 		}
 	}
-	add("perflow/3", "sync/Replay/batch=1", cell{tape: perflow, cfg: shards(sync, 3), entry: viaReplay, batch: 1})
 	// A tier that thrashes: three windows round robin over four of its
 	// capacities, then the usual traffic.
 	thrash := perflow
@@ -1425,11 +1342,10 @@ var cells = func() []cell {
 
 	// Faults, each cell alone. Stalled workers, a cell per entry point on
 	// 1–3 shards, sync and upcall in turn: the 96 ops before the first rule
-	// update meet queues two shares deep. 96 is three whole Replay batches;
-	// a partial one would be flushed after the release, racing the workers.
+	// update meet queues two shares deep.
 	stalled := sync
 	stalled.QueueDepth = 2
-	for i, e := range []entry{viaSubmit, viaSubmitFrame, viaSubmitBatch, viaSubmitFrameBatch, viaReplay} {
+	for i, e := range []entry{viaSubmit, viaSubmitFrame, viaSubmitBatch, viaSubmitFrameBatch} {
 		cfg := shards(stalled, 1+i%3)
 		if i%2 == 1 {
 			cfg = upcall(cfg, UpcallConfig{Workers: 1, Queue: 4096})
@@ -1469,7 +1385,6 @@ var cells = func() []cell {
 		add(g, "SubmitFrameBatch", cell{tape: lb, cfg: ct(n), entry: viaSubmitFrameBatch, batch: 32})
 		add(g, "SubmitFrame/nonblocking", cell{tape: lb, cfg: ct(n), entry: viaSubmitFrame, nonblocking: true})
 		add(g, "SubmitBatch/busy", cell{tape: lb, cfg: ct(n), entry: viaSubmitBatch, busy: true})
-		add(g, "Replay", cell{tape: lb, cfg: ct(n), entry: viaReplay, batch: 32})
 	}
 	mf := ct(2)
 	mf.Backend, mf.Cache, mf.MegaflowCapacity = BackendMegaflow, gigaflow.CacheConfig{}, 4096

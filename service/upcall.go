@@ -7,7 +7,7 @@
 // in the job's share — every packet arrives in a job) is appended to the
 // flow's pending-table entry, and — for the first packet of the flow only —
 // the entry is enqueued on the shared upcall queue. Engine goroutines drain
-// the queue in batches of up to DefaultBatchSize, run each flow's traversal
+// the queue in batches of up to drainBatch misses, run each flow's traversal
 // against the service's pipeline (read-locking Service.rules, which a rule
 // update write-locks), and post the completed misses back onto the worker's
 // input queue as one control op per shard. The worker then installs the
@@ -48,6 +48,9 @@ import (
 	"gigaflow"
 	"gigaflow/internal/telemetry"
 )
+
+// drainBatch bounds the misses an engine goroutine takes per wake-up.
+const drainBatch = 32
 
 // parked is one parked packet's delivery context: where its result goes
 // once the flow's traversal completes — entry idx of its job's share.
@@ -197,13 +200,13 @@ func (w *worker) sweepParked() {
 }
 
 // runEngine is one engine goroutine: block for a miss, gather the rest of
-// the burst up to DefaultBatchSize (one wake-up amortized across it),
+// the burst up to drainBatch (one wake-up amortized across it),
 // stamp the dequeue time and run the batch. Misses still queued when ctx
 // is cancelled are abandoned — the shards sweep their pending tables and
 // fail those packets themselves.
 func (s *Service) runEngine(ctx context.Context) {
 	defer s.eng.wg.Done()
-	batch := make([]*miss, 0, DefaultBatchSize)
+	batch := make([]*miss, 0, drainBatch)
 	for {
 		select {
 		case <-ctx.Done():
@@ -211,7 +214,7 @@ func (s *Service) runEngine(ctx context.Context) {
 		case m := <-s.eng.q:
 			batch = append(batch[:0], m)
 		gather:
-			for len(batch) < DefaultBatchSize {
+			for len(batch) < drainBatch {
 				select {
 				case m := <-s.eng.q:
 					batch = append(batch, m)
