@@ -31,10 +31,11 @@ func main() {
 	var (
 		rulesPath = flag.String("rules", "", "pipeline program file (required)")
 		dump      = flag.Bool("dump", false, "print the normalized program and exit")
-		cache     = flag.String("cache", "gigaflow", "cache backend (gigaflow|megaflow)")
-		tables    = flag.Int("tables", 4, "Gigaflow tables")
-		capacity  = flag.Int("cap", 8192, "per-table capacity (gigaflow) or total (megaflow)")
+		o         options
 	)
+	flag.StringVar(&o.cache, "cache", "gigaflow", "cache backend (gigaflow|megaflow)")
+	flag.IntVar(&o.tables, "tables", 4, "Gigaflow tables")
+	flag.IntVar(&o.capacity, "cap", 32768, "total main-cache entries, either backend (split across Gigaflow's tables)")
 	flag.Parse()
 	if *rulesPath == "" {
 		fmt.Fprintln(os.Stderr, "gfctl: -rules is required")
@@ -56,14 +57,11 @@ func main() {
 		return
 	}
 
-	opts := []gigaflow.VSwitchOption{}
-	if *cache == "megaflow" {
-		opts = append(opts, gigaflow.WithMegaflowBackend(*capacity))
-	} else if *cache != "gigaflow" {
-		fmt.Fprintf(os.Stderr, "gfctl: unknown cache %q\n", *cache)
+	vs, err := newSwitch(p, o)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "gfctl: %v\n", err)
 		os.Exit(2)
 	}
-	vs := gigaflow.NewVSwitch(p, gigaflow.CacheConfig{NumTables: *tables, TableCapacity: *capacity}, opts...)
 
 	fmt.Fprintf(os.Stderr, "gfctl: %s loaded (%d tables, %d rules); reading keys from stdin\n",
 		p.Name, p.NumTables(), p.NumRules())
@@ -99,6 +97,31 @@ func main() {
 		fail(err)
 	}
 	command(vs, "!stats")
+}
+
+// options is the cache the command line asks for.
+type options struct {
+	cache            string
+	tables, capacity int
+}
+
+// newSwitch builds the switch the flags ask for over p; an error is a
+// usage error. capacity is the main cache's total on either backend: a
+// Gigaflow cache splits it evenly across its tables.
+func newSwitch(p *gigaflow.Pipeline, o options) (*gigaflow.VSwitch, error) {
+	switch o.cache {
+	case "gigaflow":
+		if o.tables < 1 || o.capacity < o.tables {
+			return nil, fmt.Errorf("-cap %d cannot give each of -tables %d an entry", o.capacity, o.tables)
+		}
+		return gigaflow.NewVSwitch(p, gigaflow.CacheConfig{NumTables: o.tables, TableCapacity: o.capacity / o.tables}), nil
+	case "megaflow":
+		if o.capacity < 1 {
+			return nil, fmt.Errorf("-cap %d: must be positive", o.capacity)
+		}
+		return gigaflow.NewVSwitch(p, gigaflow.CacheConfig{}, gigaflow.WithMegaflowBackend(o.capacity)), nil
+	}
+	return nil, fmt.Errorf("unknown cache %q", o.cache)
 }
 
 func command(vs *gigaflow.VSwitch, line string) {

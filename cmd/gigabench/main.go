@@ -30,60 +30,36 @@ import (
 )
 
 func main() {
-	var (
-		exp       = flag.String("exp", "", "experiment id (or 'all')")
-		list      = flag.Bool("list", false, "list experiment ids")
-		seed      = flag.Int64("seed", 1, "workload seed")
-		flows     = flag.Int("flows", 100000, "unique flows per trace")
-		chains    = flag.Int("chains", 0, "rule chains (0: paper default)")
-		gfTables  = flag.Int("gf-tables", 4, "Gigaflow tables (K)")
-		gfCap     = flag.Int("gf-cap", 8192, "Gigaflow per-table capacity")
-		mfCap     = flag.Int("mf-cap", 32768, "Megaflow capacity")
-		pipeNames = flag.String("pipelines", "", "comma-separated pipeline subset (e.g. PSC,OLS)")
-		telem     = flag.Bool("telemetry", false, "dump metrics (Prometheus text): per experiment at exit, or the run's after each report")
-
-		// One configuration (no -exp).
-		cache    = flag.String("cache", "gigaflow", "cache kind (gigaflow|megaflow)")
-		scheme   = flag.String("scheme", "dp", "partitioning scheme (dp|rnd|1-1|prof)")
-		search   = flag.String("search", "tss", "software search algorithm (tss|nm)")
-		offload  = flag.Bool("offload", true, "cache on the SmartNIC (false: CPU-resident)")
-		locality = flag.String("locality", "high", "traffic locality (high|low)")
-		cores    = flag.Int("cores", 1, "slowpath CPU cores")
-	)
+	var o options
+	exp := flag.String("exp", "", "experiment id (or 'all')")
+	list := flag.Bool("list", false, "list experiment ids")
+	flag.Int64Var(&o.seed, "seed", 1, "workload seed")
+	flag.IntVar(&o.flows, "flows", 100000, "unique flows per trace")
+	flag.IntVar(&o.chains, "chains", 0, "rule chains (0: paper default)")
+	flag.IntVar(&o.gfTables, "gf-tables", 4, "Gigaflow tables (K)")
+	flag.IntVar(&o.gfCap, "gf-cap", 8192, "Gigaflow per-table capacity")
+	flag.IntVar(&o.mfCap, "mf-cap", 32768, "Megaflow capacity")
+	flag.StringVar(&o.pipelines, "pipelines", "", "comma-separated pipeline subset (e.g. PSC,OLS)")
+	telem := flag.Bool("telemetry", false, "dump metrics (Prometheus text): per experiment at exit, or the run's after each report")
+	// One configuration (no -exp).
+	flag.StringVar(&o.cache, "cache", "gigaflow", "cache kind (gigaflow|megaflow)")
+	flag.StringVar(&o.scheme, "scheme", "dp", "partitioning scheme (dp|rnd|1-1|prof)")
+	flag.BoolVar(&o.offload, "offload", true, "cache on the SmartNIC (false: CPU-resident)")
+	flag.StringVar(&o.locality, "locality", "high", "traffic locality (high|low)")
+	flag.IntVar(&o.cores, "cores", 1, "slowpath CPU cores")
 	flag.Parse()
 
 	if *list {
 		fmt.Println(strings.Join(experiments.IDs, "\n"))
 		return
 	}
-	p := experiments.Params{
-		Seed:       *seed,
-		NumFlows:   *flows,
-		NumChains:  *chains,
-		GFTables:   *gfTables,
-		GFTableCap: *gfCap,
-		MFCap:      *mfCap,
-	}
-	if *pipeNames != "" {
-		for _, name := range strings.Split(*pipeNames, ",") {
-			spec, ok := pipelines.ByName(strings.TrimSpace(name))
-			if !ok {
-				fmt.Fprintf(os.Stderr, "gigabench: unknown pipeline %q\n", name)
-				os.Exit(2)
-			}
-			p.Pipelines = append(p.Pipelines, spec)
-		}
+	p, cfg, loc, err := configure(o)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "gigabench: %v\n", err)
+		os.Exit(2)
 	}
 
 	if *exp == "" {
-		cfg := sim.Config{
-			Kind:      choose("cache", *cache, map[string]sim.CacheKind{"gigaflow": sim.Gigaflow, "megaflow": sim.Megaflow}),
-			Scheme:    choose("scheme", *scheme, map[string]gigaflow.Scheme{"dp": gigaflow.SchemeDisjoint, "rnd": gigaflow.SchemeRandom, "1-1": gigaflow.SchemeOneToOne, "prof": gigaflow.SchemeProfile}),
-			Search:    choose("search", *search, map[string]sim.SearchAlgo{"tss": sim.TSS, "nm": sim.NM}),
-			Offloaded: *offload,
-			Cores:     *cores,
-		}
-		loc := choose("locality", *locality, map[string]traffic.Locality{"high": traffic.HighLocality, "low": traffic.LowLocality})
 		if err := experiments.Report(os.Stdout, p, cfg, loc, *telem); err != nil {
 			fmt.Fprintf(os.Stderr, "gigabench: %v\n", err)
 			os.Exit(1)
@@ -123,13 +99,66 @@ func main() {
 	}
 }
 
-// choose resolves a flag's value among its named choices; an unknown
-// value exits 2, as an unknown flag does.
-func choose[T any](name, value string, choices map[string]T) T {
+// options is the scale and the configuration gigabench's command line
+// asks for.
+type options struct {
+	seed                                  int64
+	flows, chains, gfTables, gfCap, mfCap int
+	pipelines                             string
+	cache, scheme, locality               string
+	offload                               bool
+	cores                                 int
+}
+
+// configure builds the experiments' scale and the one configuration
+// Report runs from the flags; an error is a usage error. Every size must
+// be positive, as the simulator would otherwise replace it with its
+// default or fail on it, and -chains 0 is the paper's default.
+func configure(o options) (p experiments.Params, cfg sim.Config, loc traffic.Locality, err error) {
+	for _, n := range []struct {
+		name  string
+		value int
+	}{{"flows", o.flows}, {"gf-tables", o.gfTables}, {"gf-cap", o.gfCap}, {"mf-cap", o.mfCap}, {"cores", o.cores}} {
+		if n.value < 1 {
+			return p, cfg, loc, fmt.Errorf("-%s %d: must be positive", n.name, n.value)
+		}
+	}
+	if o.chains < 0 {
+		return p, cfg, loc, fmt.Errorf("-chains %d: must not be negative", o.chains)
+	}
+	p = experiments.Params{
+		Seed:       o.seed,
+		NumFlows:   o.flows,
+		NumChains:  o.chains,
+		GFTables:   o.gfTables,
+		GFTableCap: o.gfCap,
+		MFCap:      o.mfCap,
+	}
+	if o.pipelines != "" {
+		for _, name := range strings.Split(o.pipelines, ",") {
+			spec, ok := pipelines.ByName(strings.TrimSpace(name))
+			if !ok {
+				return p, cfg, loc, fmt.Errorf("unknown pipeline %q", name)
+			}
+			p.Pipelines = append(p.Pipelines, spec)
+		}
+	}
+	cfg = sim.Config{Offloaded: o.offload, Cores: o.cores}
+	if cfg.Kind, err = choose("cache", o.cache, map[string]sim.CacheKind{"gigaflow": sim.Gigaflow, "megaflow": sim.Megaflow}); err != nil {
+		return p, cfg, loc, err
+	}
+	if cfg.Scheme, err = choose("scheme", o.scheme, map[string]gigaflow.Scheme{"dp": gigaflow.SchemeDisjoint, "rnd": gigaflow.SchemeRandom, "1-1": gigaflow.SchemeOneToOne, "prof": gigaflow.SchemeProfile}); err != nil {
+		return p, cfg, loc, err
+	}
+	loc, err = choose("locality", o.locality, map[string]traffic.Locality{"high": traffic.HighLocality, "low": traffic.LowLocality})
+	return p, cfg, loc, err
+}
+
+// choose resolves a flag's value among its named choices.
+func choose[T any](name, value string, choices map[string]T) (T, error) {
 	v, ok := choices[value]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "gigabench: unknown -%s %q\n", name, value)
-		os.Exit(2)
+		return v, fmt.Errorf("unknown -%s %q", name, value)
 	}
-	return v
+	return v, nil
 }

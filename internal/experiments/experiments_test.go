@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gigaflow/internal/pipelines"
+	"gigaflow/internal/sim"
 	"gigaflow/internal/traffic"
 )
 
@@ -140,14 +141,45 @@ func TestFig17Runs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 4 {
-		t.Fatalf("rows = %d", len(tab.Rows))
+	if len(tab.Rows) != 2 || tab.Headers[len(tab.Headers)-1] != "TSS probes/lookup" {
+		t.Fatalf("headers %v, rows %v", tab.Headers, tab.Rows)
 	}
-	out := tab.Render()
-	for _, want := range []string{"megaflow", "gigaflow", "TSS", "NM"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Fig 17 missing %q:\n%s", want, out)
+	mf, gf := tab.Rows[0], tab.Rows[1]
+	if !strings.HasPrefix(mf[0], "megaflow") || !strings.HasPrefix(gf[0], "gigaflow") {
+		t.Fatalf("unexpected row order: %v", tab.Rows)
+	}
+	// The figure's headline: a CPU-resident Gigaflow serves packets
+	// faster than a CPU-resident Megaflow.
+	var mfMean, gfMean, probes float64
+	for _, cell := range []struct {
+		s string
+		v *float64
+	}{{mf[2], &mfMean}, {gf[2], &gfMean}, {mf[4], &probes}} {
+		if _, err := fmtSscan(cell.s, cell.v); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if gfMean >= mfMean {
+		t.Errorf("gigaflow mean latency %v µs not below megaflow %v µs", gfMean, mfMean)
+	}
+	if probes <= 0 {
+		t.Errorf("megaflow probes/lookup %v", probes)
+	}
+}
+
+// TestReportLabelIsWhatRan: the report names the configuration the
+// simulator ran, not the one it was asked for before defaults.
+func TestReportLabelIsWhatRan(t *testing.T) {
+	p := Params{Seed: 1, NumFlows: 500, NumChains: 500, MFCap: -1, Pipelines: []*pipelines.Spec{pipelines.PSC}}
+	var out strings.Builder
+	if err := Report(&out, p, sim.Config{Kind: sim.Megaflow}, traffic.HighLocality, false); err != nil {
+		t.Fatal(err)
+	}
+	if want := "cache       megaflow(32768) offloaded=false\n"; !strings.Contains(out.String(), want) {
+		t.Errorf("report lacks %q:\n%s", want, out.String())
+	}
+	if !strings.Contains(out.String(), " / 32768 ") {
+		t.Errorf("report's capacity is not 32768:\n%s", out.String())
 	}
 }
 

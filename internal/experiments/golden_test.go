@@ -58,15 +58,15 @@ func TestGolden(t *testing.T) {
 	}
 
 	// The single-configuration report, twice: gigabench's defaults on PSC
-	// with the run's metrics, and the other cache, search, locality and
-	// offload choices on OLS with two cores.
+	// with the run's metrics, and the other cache, locality and offload
+	// choices on OLS with two cores.
 	var got strings.Builder
 	p.Pipelines = []*pipelines.Spec{pipelines.PSC}
 	if err := Report(&got, p, sim.Config{Kind: sim.Gigaflow, Offloaded: true}, traffic.HighLocality, true); err != nil {
 		t.Fatal(err)
 	}
 	p.Pipelines = []*pipelines.Spec{pipelines.OLS}
-	mf := sim.Config{Kind: sim.Megaflow, Search: sim.NM, Cores: 2}
+	mf := sim.Config{Kind: sim.Megaflow, Cores: 2}
 	if err := Report(&got, p, mf, traffic.LowLocality, false); err != nil {
 		t.Fatal(err)
 	}

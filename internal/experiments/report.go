@@ -16,8 +16,8 @@ import (
 // given: hit rate, misses, entries, coverage, sharing, latency
 // distribution, CPU-cycle breakdown and the throughput model, then, with
 // telem, the run's metrics registry as Prometheus text. cfg chooses the
-// cache kind, scheme, search, offload and cores; the cache sizes and the
-// seed come from p, as they do for every experiment.
+// cache kind, scheme, offload and cores; the cache sizes and the seed
+// come from p, as they do for every experiment.
 func Report(w io.Writer, p Params, cfg sim.Config, loc traffic.Locality, telem bool) error {
 	p = p.withDefaults()
 	for _, spec := range p.Pipelines {
@@ -48,7 +48,7 @@ func report(w io.Writer, p Params, spec *pipelines.Spec, cfg sim.Config, loc tra
 	fmt.Fprintf(w, "pipeline    %s (%d tables, %d traversals, %d rules installed)\n",
 		spec.Name, spec.NumTables(), spec.NumTraversals(), wl.Pipeline.NumRules())
 	fmt.Fprintf(w, "trace       %d flows, %d packets, %s locality\n", p.NumFlows, len(trace), loc)
-	fmt.Fprintf(w, "cache       %s offloaded=%v\n\n", cfg.Label(), cfg.Offloaded)
+	fmt.Fprintf(w, "cache       %s offloaded=%v\n\n", res.Config.Label(), res.Config.Offloaded)
 
 	t := &stats.Table{Headers: []string{"metric", "value"}}
 	t.AddRow("packets", res.Packets)

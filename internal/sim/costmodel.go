@@ -37,7 +37,6 @@ type CostModel struct {
 
 	// Per-unit cycle costs.
 	CyclesPerTupleProbe int64 // one TSS tuple hash probe (hash + compare)
-	CyclesPerNMUnit     int64 // one RQ-RMI work unit (model eval / window validation)
 	CyclesPerTableVisit int64 // per pipeline table visited (actions etc.)
 	CyclesPerDPCell     int64 // per dynamic-program cell in partitioning
 	CyclesPerRuleGen    int64 // per cache rule composed/installed
@@ -61,10 +60,6 @@ func DefaultCostModel() CostModel {
 		DPDKHostNs:          12610,
 		DPDKARMNs:           51260,
 		CyclesPerTupleProbe: 90,
-		// An RQ-RMI unit is a fused multiply-add plus a bounded-window
-		// touch — an order cheaper than hashing a 10-field key, which is
-		// NuevoMatch's entire advantage.
-		CyclesPerNMUnit:     18,
 		CyclesPerTableVisit: 260,
 		// Calibrated so the partition+rulegen overhead over the userspace
 		// pipeline reproduces Fig. 13's ordering: larger pipelines

@@ -26,10 +26,8 @@ type ConfigLatency struct {
 // LatencyTable returns the §6.3.6 per-configuration cache-hit latencies.
 // The offload rows are produced by the device model; the CPU rows are the
 // paper's measured constants for the corresponding OVS deployments.
-func LatencyTable(m CostModel) []ConfigLatency {
-	if m.CPUGHz == 0 {
-		m = DefaultCostModel()
-	}
+func LatencyTable() []ConfigLatency {
+	m := DefaultCostModel()
 	return []ConfigLatency{
 		{Name: "OVS/Gigaflow-Offload (FPGA)", LatencyNs: m.HWHitNs},
 		{Name: "OVS/Megaflow-Offload (FPGA)", LatencyNs: m.HWHitNs},
@@ -56,10 +54,7 @@ type RevalResult struct {
 // (numTables×tableCap) and a Megaflow (mfCap) switch, perturbs the pipeline
 // (forcing every entry to be re-derived), and measures full-cache
 // revalidation cost under the model.
-func RevalidationExperiment(w *pipebench.Workload, numFlows int, numTables, tableCap, mfCap int, m CostModel) (gfRes, mfRes RevalResult, err error) {
-	if m.CPUGHz == 0 {
-		m = DefaultCostModel()
-	}
+func RevalidationExperiment(w *pipebench.Workload, numFlows int, numTables, tableCap, mfCap int) (gfRes, mfRes RevalResult, err error) {
 	trace := BuildTrace(w, numFlows, traffic.HighLocality, 7)
 	feed := func(cfg Config) (*gigaflow.VSwitch, error) {
 		v := newSwitch(w, cfg)
@@ -83,6 +78,7 @@ func RevalidationExperiment(w *pipebench.Workload, numFlows int, numTables, tabl
 	// full revalidation pass over both caches.
 	perturbPipeline(w)
 
+	m := DefaultCostModel()
 	reval := func(label string, v *gigaflow.VSwitch) RevalResult {
 		r := RevalResult{Label: label, Entries: v.CacheEntries()}
 		r.Evicted, r.Work = v.Revalidate()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gigaflow"
-	"gigaflow/internal/flow"
 	"gigaflow/internal/pipebench"
 	"gigaflow/internal/stats"
 	"gigaflow/internal/traffic"
@@ -28,24 +27,6 @@ func (k CacheKind) String() string {
 	return "megaflow"
 }
 
-// SearchAlgo selects the software cache search algorithm (Fig. 17).
-type SearchAlgo uint8
-
-const (
-	// TSS is Tuple Space Search.
-	TSS SearchAlgo = iota
-	// NM is the NuevoMatch learned index.
-	NM
-)
-
-// String names the algorithm.
-func (s SearchAlgo) String() string {
-	if s == NM {
-		return "NM"
-	}
-	return "TSS"
-}
-
 // Config parameterises one simulation run.
 type Config struct {
 	Kind CacheKind
@@ -60,15 +41,9 @@ type Config struct {
 	MegaflowCapacity int
 
 	// Offloaded runs the cache on the SmartNIC (hits cost HWHitNs);
-	// otherwise the cache is CPU-resident and hits pay the software search
-	// cost of the selected algorithm (Fig. 17 mode).
+	// otherwise the cache is CPU-resident and hits pay its Tuple Space
+	// Search probes (Fig. 17 mode).
 	Offloaded bool
-	Search    SearchAlgo
-
-	// MaxIdleNs enables idle expiry (0 disables); sweeps run every
-	// ExpireEveryNs (default 1 s).
-	MaxIdleNs     int64
-	ExpireEveryNs int64
 
 	// SampleEveryNs emits a hit-rate time series point per interval
 	// (0 disables) — Fig. 18.
@@ -77,26 +52,11 @@ type Config struct {
 	// Cores spreads slowpath work across CPU cores by flow RSS hash
 	// (default 1) — Fig. 19.
 	Cores int
-
-	// LineRateGbps caps the throughput model (default 100, the paper's
-	// prototype).
-	LineRateGbps float64
-
-	Model CostModel
 }
 
 func (c Config) withDefaults() Config {
-	if c.Model.CPUGHz == 0 {
-		c.Model = DefaultCostModel()
-	}
 	if c.Cores <= 0 {
 		c.Cores = 1
-	}
-	if c.MaxIdleNs > 0 && c.ExpireEveryNs <= 0 {
-		c.ExpireEveryNs = 1_000_000_000
-	}
-	if c.LineRateGbps <= 0 {
-		c.LineRateGbps = 100
 	}
 	if c.Kind == Gigaflow {
 		if c.NumTables <= 0 {
@@ -112,12 +72,12 @@ func (c Config) withDefaults() Config {
 }
 
 // Label renders the configuration as the paper labels it, e.g.
-// "gigaflow(4x8192)/TSS".
+// "gigaflow(4x8192)".
 func (c Config) Label() string {
 	if c.Kind == Gigaflow {
-		return fmt.Sprintf("gigaflow(%dx%d)/%s", c.NumTables, c.TableCapacity, c.Search)
+		return fmt.Sprintf("gigaflow(%dx%d)", c.NumTables, c.TableCapacity)
 	}
-	return fmt.Sprintf("megaflow(%d)/%s", c.MegaflowCapacity, c.Search)
+	return fmt.Sprintf("megaflow(%d)", c.MegaflowCapacity)
 }
 
 // CoreLoad is one CPU core's slowpath share (Fig. 19).
@@ -145,6 +105,9 @@ type Result struct {
 	MeanSharing float64
 	// InsertFailures counts traversals that could not be cached.
 	InsertFailures uint64
+	// TupleProbes is the main cache's Tuple Space Search probes over the
+	// run: what a CPU-resident cache's lookups cost (Fig. 17).
+	TupleProbes uint64
 	// Latency is the per-packet end-to-end latency distribution (Fig. 12).
 	Latency stats.Histogram
 	// Cycles decomposes slowpath CPU work (Fig. 13).
@@ -166,10 +129,10 @@ func (r *Result) HitRate() float64 {
 }
 
 // newSwitch builds the datapath under test the way service.New builds a
-// shard's: a VSwitch with the Microflow tier and conntrack off, the main
-// cache chosen by option, idle expiry by WithMaxIdle.
+// shard's: a VSwitch with the Microflow tier, conntrack and idle expiry
+// off, the main cache chosen by option.
 func newSwitch(w *pipebench.Workload, cfg Config) *gigaflow.VSwitch {
-	opts := []gigaflow.VSwitchOption{gigaflow.WithMaxIdle(cfg.MaxIdleNs)}
+	var opts []gigaflow.VSwitchOption
 	if cfg.Kind == Megaflow {
 		opts = append(opts, gigaflow.WithMegaflowBackend(cfg.MegaflowCapacity))
 	}
@@ -182,9 +145,9 @@ func newSwitch(w *pipebench.Workload, cfg Config) *gigaflow.VSwitch {
 }
 
 // cacheWork is the main cache's cumulative lookup and install work, as its
-// own counters report it: TSS tuples probed, and for Gigaflow the LTM
-// tables consulted and the rules composed (created or found shared).
-type cacheWork struct{ tuples, tables, rules uint64 }
+// own counters report it: TSS tuples probed, and for Gigaflow the rules
+// composed (created or found shared).
+type cacheWork struct{ tuples, rules uint64 }
 
 // Run drives the trace through a fresh VSwitch of the configured kind —
 // the datapath the service ships — and observes it: the simulator owns
@@ -199,42 +162,24 @@ func Run(w *pipebench.Workload, trace []traffic.Packet, cfg Config) (*Result, er
 	res := &Result{Config: cfg, Capacity: cfg.MegaflowCapacity, PerCore: make([]CoreLoad, cfg.Cores)}
 	res.Series.Name = cfg.Label()
 
-	m := cfg.Model
+	m := DefaultCostModel()
 	v := newSwitch(w, cfg)
 	gf, mf := v.Cache(), v.Megaflow()
-	// Per kind, chosen once: how the cache's work is read and, under
-	// Search == NM, what a NuevoMatch search of it would cost. The packet
-	// loop asks which cache it drives only where the cost model itself
-	// differs.
+	// Per kind, chosen once: how the cache's work is read. The packet loop
+	// asks which cache it drives only where the cost model itself differs.
 	var work func() cacheWork
-	var nmCycles func(k flow.Key, tables int64) int64
-	var nm *nmIndex
 	if gf != nil {
 		res.Capacity = gf.Capacity()
 		work = func() cacheWork {
 			st := gf.Stats()
-			return cacheWork{st.TupleProbes, st.TablesProbed, st.EntriesCreated + st.SharedReuse}
-		}
-		if cfg.Search == NM {
-			// NM replaces each LTM table's scan with model work; tables
-			// with fewer live tuples than that stay on TSS.
-			nmCycles = func(_ flow.Key, tables int64) int64 { return tables * gfNMCostPerTable * m.CyclesPerNMUnit }
+			return cacheWork{st.TupleProbes, st.EntriesCreated + st.SharedReuse}
 		}
 	} else {
 		res.MeanSharing = 1
 		work = func() cacheWork { return cacheWork{tuples: mf.TupleProbes()} }
-		if cfg.Search == NM {
-			// NuevoMatch is a hybrid: rules live in learned iSets only
-			// where that beats scanning them in the TSS remainder.
-			nm = newNMIndex(0)
-			nmCycles = func(k flow.Key, _ int64) int64 {
-				rmiUnits, deltaProbes := nm.lookupCost(k)
-				return rmiUnits*m.CyclesPerNMUnit + deltaProbes*m.CyclesPerTupleProbe
-			}
-		}
 	}
 
-	var lastExpire, lastSample int64
+	var lastSample int64
 	var windowHits, windowTotal uint64
 	var totalBytes uint64
 
@@ -243,13 +188,6 @@ func Run(w *pipebench.Workload, trace []traffic.Packet, cfg Config) (*Result, er
 		now := pkt.Time
 		totalBytes += uint64(pkt.Size)
 
-		if cfg.MaxIdleNs > 0 && now-lastExpire >= cfg.ExpireEveryNs {
-			lastExpire = now
-			v.ExpireIdle(now)
-		}
-
-		// Snapshots bracket exactly one Process: the Peek below probes the
-		// Megaflow classifier too, and must fall outside them.
 		before, beforeStats := work(), v.Stats()
 		r, err := v.Process(pkt.Key, now)
 		if err != nil {
@@ -257,14 +195,8 @@ func Run(w *pipebench.Workload, trace []traffic.Packet, cfg Config) (*Result, er
 		}
 		after := work()
 
-		// CPU cycles spent searching in software mode; NuevoMatch never
-		// costs more than the plain TSS it falls back to.
+		// CPU cycles spent searching in software mode.
 		swCycles := int64(after.tuples-before.tuples) * m.CyclesPerTupleProbe
-		if nmCycles != nil {
-			if c := nmCycles(pkt.Key, int64(after.tables-before.tables)); c < swCycles {
-				swCycles = c
-			}
-		}
 		var latency int64
 		if cfg.Offloaded {
 			latency = m.HWHitNs
@@ -286,11 +218,6 @@ func Run(w *pipebench.Workload, trace []traffic.Packet, cfg Config) (*Result, er
 				br.RuleGen = int64(after.rules-before.rules) * m.CyclesPerRuleGen
 			} else {
 				br.RuleGen = m.CyclesPerRuleGen
-				if nm != nil && d.InstallErrs == 0 {
-					// A key that just missed matches only its own new entry.
-					e, _ := mf.Peek(pkt.Key)
-					nm.noteInsert(e, mf)
-				}
 			}
 			res.Cycles.Add(br)
 			// Charged to the core the service would shard the flow to: the
@@ -317,6 +244,7 @@ func Run(w *pipebench.Workload, trace []traffic.Packet, cfg Config) (*Result, er
 	st := v.Stats()
 	res.Packets, res.Hits, res.Misses, res.InsertFailures = st.Packets, st.CacheHits, st.CacheMisses, st.InstallErrs
 	res.Entries, res.Coverage = v.CacheEntries(), v.Coverage()
+	res.TupleProbes = work().tuples
 	if gf != nil {
 		res.Stalls = gf.Stats().Stalls
 		if res.Entries > 0 {
@@ -327,6 +255,6 @@ func Run(w *pipebench.Workload, trace []traffic.Packet, cfg Config) (*Result, er
 			res.MeanSharing = float64(installs) / float64(res.Entries)
 		}
 	}
-	res.Throughput = computeThroughput(res, totalBytes, cfg.LineRateGbps, m)
+	res.Throughput = computeThroughput(res, totalBytes, m)
 	return res, nil
 }

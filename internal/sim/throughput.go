@@ -27,8 +27,11 @@ type Throughput struct {
 	LineRateGbps float64
 }
 
+// lineRateGbps is the device line rate, the paper prototype's 100 G.
+const lineRateGbps = 100
+
 // computeThroughput derives the model from a finished run.
-func computeThroughput(res *Result, totalBytes uint64, lineRateGbps float64, m CostModel) Throughput {
+func computeThroughput(res *Result, totalBytes uint64, m CostModel) Throughput {
 	t := Throughput{LineRateGbps: lineRateGbps}
 	if res.Packets == 0 {
 		return t

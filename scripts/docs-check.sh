@@ -8,8 +8,10 @@
 # the code registers, every backticked Benchmark… / Test… / Fuzz… name
 # in the three documents is a function some _test.go defines, every
 # backticked service config path there ends in a field the service
-# declares, and every backticked Service.X / service.X in the four names
-# something non-test service code declares. CHANGES.md
+# declares, every backticked Service.X / service.X in the four names
+# something non-test service code declares, and every -flag a backticked
+# or fenced command line gives one of the repository's commands is a flag
+# that command defines. CHANGES.md
 # and ROADMAP.md are history and are not read. Run from the repository
 # root: make docs-check (the one argument is the go command to use).
 docs="README.md EXPERIMENTS.md DESIGN.md .claude/skills/verify/SKILL.md"
@@ -88,6 +90,42 @@ for f in $(grep -ohE '`[^`]+`' $docs | sed 's/service\.go//g' | grep -oE '[Ss]er
 	n=${f#*.}
 	grep -qE "^func (\([^)]*\) )?$n[[(]|^(type|const|var) $n[[:space:][]|^[[:space:]]+$n([[:space:],]|\$)" $svcgo ||
 		bad "\`$f\`: non-test service/*.go declares no $n"
+done
+
+# A command line is inline code, or a line of a fenced block, that names
+# one of the commands under cmd/ (bare, or as its ./cmd/<tool> path);
+# every -flag after the name, up to a pipe, a list separator or a comment,
+# must be one the command declares through the flag package in its
+# non-test sources (-h and -help the package defines itself).
+tools="gigabench gfreplay gfctl pipebench p4gen gflint"
+flags=$(awk -v tools="$tools" '
+	BEGIN { n = split(tools, t, " "); for (i = 1; i <= n; i++) tool[t[i]] = 1 }
+	FNR == 1 { fence = 0 }
+	/^[ \t]*```/ { fence = !fence; next }
+	function scan(line,    words, k, i, w, cur, name) {
+		sub(/#.*/, "", line)
+		cur = ""
+		k = split(line, words, /[ \t]+/)
+		for (i = 1; i <= k; i++) {
+			w = words[i]
+			if (w ~ /^(\||\|\||&&|;|>|2>)$/) { cur = ""; continue }
+			name = w; sub(/^(\.\/)?cmd\//, "", name)
+			if (name in tool && (name == w || w ~ /cmd\//)) { cur = name; continue }
+			if (cur != "" && w ~ /^--?[A-Za-z][A-Za-z0-9_-]*/) {
+				sub(/^--?/, "", w); sub(/[^A-Za-z0-9_-].*$/, "", w)
+				print cur "," w "," FILENAME ":" FNR
+			}
+		}
+	}
+	fence { scan($0); next }
+	{ rest = $0; while (match(rest, /`[^`]+`/)) { scan(substr(rest, RSTART + 1, RLENGTH - 2)); rest = substr(rest, RSTART + RLENGTH) } }
+' $docs | sort -u)
+for e in $flags; do
+	tool=${e%%,*} f=${e#*,} at=${e##*,}
+	f=${f%%,*}
+	[ "$f" = h ] || [ "$f" = help ] && continue
+	ls cmd/$tool/*.go | grep -v '_test\.go$' | xargs grep -qE "flag\.[A-Za-z0-9]+\((&[^,]+, *)?\"$f\"" ||
+		bad "\`$tool -$f\` ($at): cmd/$tool declares no flag $f"
 done
 
 exit $status
