@@ -103,7 +103,7 @@ func BenchmarkVSwitchProcessBatchRecorded(b *testing.B) {
 // the only added cost on the hit path must be one atomic load.
 func BenchmarkVSwitchCacheHitTraced(b *testing.B) {
 	vs := NewVSwitch(buildDemoPipeline(), CacheConfig{NumTables: 3, TableCapacity: 64},
-		WithTracer(NewTracer(0, 64)))
+		WithTracer(telemetry.NewTracer(0, 64)))
 	k := demoKey(1, 80)
 	if _, err := vs.Process(k, 0); err != nil {
 		b.Fatal(err)

@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"time"
@@ -63,7 +64,6 @@ func main() {
 	flag.IntVar(&rc.batch, "batch", 32, "frames submitted per batch (1: per-packet submission)")
 	flag.IntVar(&rc.limit, "limit", 0, "stop after N records (0: all)")
 	flag.Parse()
-	rc.inPort = uint16(*inPort)
 
 	if *genPath != "" {
 		if err := generate(*genPath, *flows, *seed); err != nil {
@@ -76,6 +76,9 @@ func main() {
 		os.Exit(2)
 	}
 	cfg, err := serviceConfig(o)
+	if err == nil {
+		rc, err = replayFlags(rc, *inPort)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gfreplay: %v\n", err)
 		os.Exit(2)
@@ -146,6 +149,16 @@ func serviceConfig(o options) (service.Config, error) {
 		QueueDepth:        o.queue,
 		TelemetryAddr:     o.telemetry,
 	}
+	switch {
+	case o.workers < 1:
+		return cfg, fmt.Errorf("-workers %d: at least one worker forwards", o.workers)
+	case o.microflow < 0:
+		return cfg, fmt.Errorf("-microflow %d is not a capacity", o.microflow)
+	case o.queue < 1:
+		return cfg, fmt.Errorf("-queue %d: a worker queue holds at least one message", o.queue)
+	case o.ctMax < 0:
+		return cfg, fmt.Errorf("-ct-max %d is not a budget", o.ctMax)
+	}
 	if o.conntrack {
 		cfg.Conntrack = service.ConntrackConfig{Enable: true, MaxConns: o.ctMax, MaxIdle: o.ctIdle}
 	} else if o.ctMax != 0 || o.ctIdle != 0 {
@@ -170,7 +183,7 @@ func serviceConfig(o options) (service.Config, error) {
 type replayConfig struct {
 	inPort   uint16  // the ingress port every frame is attributed to
 	timed    bool    // submit each frame no earlier than its trace offset
-	speedup  float64 // timed: compresses (>1) or stretches (<1) the timeline
+	speedup  float64 // timed: compresses (>1) or stretches (<1) the timeline; positive
 	blocking bool    // wait for every batch's verdicts: no frame is dropped
 	limit    int     // stop after this many records (0: all)
 	batch    int     // frames per SubmitFrameBatch call
@@ -194,6 +207,23 @@ type report struct {
 	elapsed      time.Duration
 }
 
+// replayFlags is the replay the flags ask for, every frame attributed to
+// inPort; an error is a usage error.
+func replayFlags(rc replayConfig, inPort uint) (replayConfig, error) {
+	switch {
+	case inPort > math.MaxUint16:
+		return rc, fmt.Errorf("-inport %d is not a port (0-65535)", inPort)
+	case rc.batch < 1:
+		return rc, fmt.Errorf("-batch %d: a batch holds at least one frame", rc.batch)
+	case !(rc.speedup > 0):
+		return rc, fmt.Errorf("-speedup %v: must be positive", rc.speedup)
+	case rc.limit < 0:
+		return rc, fmt.Errorf("-limit %d is not a record count", rc.limit)
+	}
+	rc.inPort = uint16(inPort)
+	return rc, nil
+}
+
 // replay streams a capture through SubmitFrameBatch, cfg.batch records a
 // call, and reports what happened. The service must be started. In
 // nonblocking mode the report is still complete: the closing Stats runs
@@ -204,9 +234,6 @@ type report struct {
 // before replay returns (SubmitFrameBatch does so even when it fails), so
 // a cancelled replay leaks no goroutine and no pending result.
 func replay(ctx context.Context, s *service.Service, r *pcap.Reader, cfg replayConfig) (report, error) {
-	if cfg.speedup <= 0 {
-		cfg.speedup = 1
-	}
 	var rep report
 	before, err := s.Stats(ctx)
 	if err != nil {

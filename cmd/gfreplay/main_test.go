@@ -77,7 +77,7 @@ func (h hook) Read([]byte) (int, error) {
 func TestReplayTimedPacing(t *testing.T) {
 	buf := capture(t, 2, func(i int) int64 { return int64(i) * 80_000_000 })
 	s := start(t, replayInto)
-	rep, err := replay(context.Background(), s, reader(t, buf), replayConfig{timed: true, blocking: true, batch: 32})
+	rep, err := replay(context.Background(), s, reader(t, buf), replayConfig{timed: true, speedup: 1, blocking: true, batch: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestReplayCancelDrainsInFlight(t *testing.T) {
 	defer cancel()
 	r := reader(t, io.MultiReader(bytes.NewReader(data[:split]), hook(cancel), bytes.NewReader(data[split:])))
 	begin := time.Now()
-	rep, err := replay(ctx, s, r, replayConfig{timed: true, blocking: true, batch: 32})
+	rep, err := replay(ctx, s, r, replayConfig{timed: true, speedup: 1, blocking: true, batch: 32})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled replay returned %v, want context.Canceled", err)
 	}
@@ -282,6 +282,50 @@ func TestServiceConfigCapacity(t *testing.T) {
 	o.backend, o.capacity = "gigaflow", 3
 	if _, err := serviceConfig(o); err == nil {
 		t.Error("-cap 3 -tables 4 accepted")
+	}
+}
+
+// TestFlagsOutOfRange: a flag out of its range is a usage error (exit 2),
+// never a panic, a silently different value or a run failure.
+func TestFlagsOutOfRange(t *testing.T) {
+	ok := options{backend: "gigaflow", workers: 1, tables: 4, capacity: 32768, queue: 1024}
+	if _, err := serviceConfig(ok); err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]func(*options){
+		"-workers 0 -microflow 1000": func(o *options) { o.workers, o.microflow = 0, 1000 },
+		"-workers -1":                func(o *options) { o.workers = -1 },
+		"-microflow -1":              func(o *options) { o.microflow = -1 },
+		"-queue 0":                   func(o *options) { o.queue = 0 },
+		"-queue -3":                  func(o *options) { o.queue = -3 },
+		"-conntrack -ct-max -1":      func(o *options) { o.conntrack, o.ctMax = true, -1 },
+	} {
+		o := ok
+		bad(&o)
+		if _, err := serviceConfig(o); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+
+	rc := replayConfig{speedup: 1, batch: 32}
+	if got, err := replayFlags(rc, 65535); err != nil || got.inPort != 65535 {
+		t.Fatalf("-inport 65535: %+v, %v", got, err)
+	}
+	if _, err := replayFlags(rc, 70000); err == nil {
+		t.Error("-inport 70000 accepted")
+	}
+	for name, bad := range map[string]func(*replayConfig){
+		"-batch -1":   func(rc *replayConfig) { rc.batch = -1 },
+		"-batch 0":    func(rc *replayConfig) { rc.batch = 0 },
+		"-speedup 0":  func(rc *replayConfig) { rc.speedup = 0 },
+		"-speedup -2": func(rc *replayConfig) { rc.speedup = -2 },
+		"-limit -1":   func(rc *replayConfig) { rc.limit = -1 },
+	} {
+		c := rc
+		bad(&c)
+		if _, err := replayFlags(c, 0); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Example telemetry starts a multi-worker service with the introspection
-// endpoints enabled, drives traffic through it, and prints the address to
-// scrape:
+// endpoints enabled, drives encoded frames through it, and prints the
+// address to scrape:
 //
 //	go run ./examples/telemetry
 //	curl localhost:9090/metrics
@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"gigaflow"
+	wire "gigaflow/internal/packet"
 	"gigaflow/service"
 )
 
@@ -71,10 +72,10 @@ func main() {
 			if i%17 == 0 {
 				port = 22
 			}
-			k := gigaflow.MustParseKey("eth_dst=02:00:00:00:00:01,eth_type=0x0800").
+			k := gigaflow.MustParseKey("eth_dst=02:00:00:00:00:01,eth_type=0x0800,ip_proto=6").
 				With(gigaflow.FieldIPDst, 0x0a000000|uint64(i%64)).
 				With(gigaflow.FieldTpDst, port)
-			if _, err := svc.Submit(ctx, k); err != nil && ctx.Err() == nil {
+			if _, err := svc.SubmitFrame(ctx, 0, wire.Encode(k)); err != nil && ctx.Err() == nil {
 				fmt.Fprintln(os.Stderr, err)
 			}
 			i++

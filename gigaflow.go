@@ -1,8 +1,8 @@
 // Package gigaflow is a from-scratch Go implementation of Gigaflow —
 // pipeline-aware sub-traversal caching for SmartNICs (Zulfiqar et al.,
 // ASPLOS 2025) — together with every substrate the system needs: a
-// programmable vSwitch pipeline engine, Microflow/Megaflow caches, TSS and
-// NuevoMatch-style classifiers, a SmartNIC resource model, ClassBench-style
+// programmable vSwitch pipeline engine, Microflow/Megaflow caches, a TSS
+// classifier, a SmartNIC resource model, ClassBench-style
 // ruleset and CAIDA-style traffic generators, the Pipebench workload tool,
 // five real-world pipeline models, and an end-to-end simulator
 // reproducing the paper's evaluation.
@@ -20,11 +20,8 @@ import (
 
 	"gigaflow/internal/flow"
 	gfcache "gigaflow/internal/gigaflow"
-	"gigaflow/internal/megaflow"
-	"gigaflow/internal/microflow"
 	"gigaflow/internal/ofp"
 	"gigaflow/internal/pipeline"
-	"gigaflow/internal/telemetry"
 )
 
 // Flow model -----------------------------------------------------------
@@ -71,16 +68,6 @@ const (
 	VerdictNone   = flow.VerdictNone
 	VerdictOutput = flow.VerdictOutput
 	VerdictDrop   = flow.VerdictDrop
-)
-
-// ct_state bits carried in FieldCtState (see internal/conntrack).
-const (
-	CtTrk = flow.CtTrk
-	CtNew = flow.CtNew
-	CtEst = flow.CtEst
-	CtRel = flow.CtRel
-	CtRpl = flow.CtRpl
-	CtCls = flow.CtCls
 )
 
 // Action constructors and flow helpers.
@@ -135,21 +122,11 @@ func DumpPipeline(w io.Writer, p *Pipeline) error { return ofp.Dump(w, p) }
 
 // Caches ----------------------------------------------------------------
 
-// Cache is the Gigaflow LTM cache (the paper's contribution): K
-// feed-forward ternary tables holding sub-traversal rules.
-type Cache = gfcache.Cache
-
 // CacheConfig parameterises a Gigaflow cache.
 type CacheConfig = gfcache.Config
 
-// CacheEntry is one LTM rule ⟨τ, M, ρ, α⟩.
-type CacheEntry = gfcache.Entry
-
 // AdaptiveTuning adjusts profile-guided adaptation (CacheConfig.Adaptive).
 type AdaptiveTuning = gfcache.AdaptiveConfig
-
-// Partition is an ordered split of a traversal into sub-traversals.
-type Partition = gfcache.Partition
 
 // Scheme selects the partitioning strategy.
 type Scheme = gfcache.Scheme
@@ -161,32 +138,3 @@ const (
 	SchemeOneToOne = gfcache.SchemeOneToOne
 	SchemeProfile  = gfcache.SchemeProfile
 )
-
-// MegaflowCache is the single-lookup wildcard cache baseline.
-type MegaflowCache = megaflow.Cache
-
-// MicroflowCache is the exact-match first-level cache.
-type MicroflowCache = microflow.Cache
-
-// Telemetry --------------------------------------------------------------
-
-// MetricsRegistry is a concurrent metrics registry (atomic counters,
-// gauges, log2 histograms) with Prometheus-text and JSON exposition.
-type MetricsRegistry = telemetry.Registry
-
-// Tracer samples per-packet traversal traces into a bounded ring; attach
-// to a VSwitch with WithTracer.
-type Tracer = telemetry.Tracer
-
-// TraversalTrace is one sampled packet's stage-by-stage record.
-type TraversalTrace = telemetry.Trace
-
-// TraceStage is one step within a TraversalTrace.
-type TraceStage = telemetry.Stage
-
-// NewMetricsRegistry creates an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
-
-// NewTracer creates a tracer sampling 1-in-sampleEvery packets (0
-// disables) with a ring of buffer recent traces.
-func NewTracer(sampleEvery, buffer int) *Tracer { return telemetry.NewTracer(sampleEvery, buffer) }

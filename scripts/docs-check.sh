@@ -8,12 +8,13 @@
 # the code registers, every backticked Benchmark… / Test… / Fuzz… name
 # in the three documents is a function some _test.go defines, every
 # backticked service config path there ends in a field the service
-# declares, every backticked Service.X / service.X in the four names
-# something non-test service code declares, and every -flag a backticked
-# or fenced command line gives one of the repository's commands is a flag
-# that command defines. CHANGES.md
-# and ROADMAP.md are history and are not read. Run from the repository
-# root: make docs-check (the one argument is the go command to use).
+# declares, every backticked Service.X / service.X / Batch.X in the four
+# names something non-test service code declares (a VSwitch.X, root
+# package code), and every -flag a backticked or fenced command line
+# gives one of the repository's commands is a flag that command defines.
+# CHANGES.md and ROADMAP.md are history and are not read. Run from the
+# repository root: make docs-check (the one argument is the go command
+# to use).
 docs="README.md EXPERIMENTS.md DESIGN.md .claude/skills/verify/SKILL.md"
 status=0
 bad() {
@@ -80,16 +81,24 @@ for f in $(grep -ohE '`[^`]+`' README.md EXPERIMENTS.md DESIGN.md | tr -d '`' | 
 	done
 done
 
-# A backticked Service.X or service.X names a method, field or
-# declaration of non-test service/*.go, so a deleted name cannot outlive
-# its code in the prose. service.go is a file, and service.submit_ns and
-# its kin are BENCHMARK.json's per-layer metrics.
+# A backticked Service.X, service.X or Batch.X names a method, field or
+# declaration of non-test service/*.go, and a VSwitch.X one of the
+# non-test root package, so a deleted name cannot outlive its code in
+# the prose. service.go is a file, and service.submit_ns and its kin are
+# BENCHMARK.json's per-layer metrics.
+declares() { # name file...
+	n=$1
+	shift
+	grep -qE "^func (\([^)]*\) )?$n[[(]|^(type|const|var) $n[[:space:][]|^[[:space:]]+$n([[:space:],]|\$)" "$@"
+}
 svcgo=$(ls service/*.go | grep -v '_test\.go$')
-for f in $(grep -ohE '`[^`]+`' $docs | sed 's/service\.go//g' | grep -oE '[Ss]ervice\.[A-Za-z_][A-Za-z0-9_]*' | sort -u); do
+rootgo=$(ls ./*.go | grep -v '_test\.go$')
+for f in $(grep -ohE '`[^`]+`' $docs | sed 's/service\.go//g' |
+	grep -oE '(^|[^A-Za-z0-9_])([Ss]ervice|Batch|VSwitch)\.[A-Za-z_][A-Za-z0-9_]*' | sed -E 's/^[^A-Za-z]//' | sort -u); do
 	grep -qF "\"$f\"" BENCHMARK.json && continue
-	n=${f#*.}
-	grep -qE "^func (\([^)]*\) )?$n[[(]|^(type|const|var) $n[[:space:][]|^[[:space:]]+$n([[:space:],]|\$)" $svcgo ||
-		bad "\`$f\`: non-test service/*.go declares no $n"
+	src=$svcgo pkg=service
+	[ "${f%%.*}" = VSwitch ] && src=$rootgo pkg=root
+	declares "${f#*.}" $src || bad "\`$f\`: non-test $pkg package code declares no ${f#*.}"
 done
 
 # A command line is inline code, or a line of a fenced block, that names

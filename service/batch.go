@@ -1,10 +1,9 @@
 // Batched submission: the Batch type and the single internal submit path
-// every public entry point (Submit, SubmitFrame, SubmitBatch and
-// SubmitFrameBatch) wraps.
+// both public entry points (SubmitFrameBatch and SubmitFrame) wrap.
 //
 // A batch is grouped by RSS shard into at most one share per worker. A
 // share is a contiguous block of parallel arrays inside the batch — the
-// keys the shard reads (or the frames it decodes into them) and the
+// frames the shard decodes, the keys it decodes them into and the
 // results it writes — and a job is nothing but a pointer to that block:
 // the shard decodes straight into the slot the cache lookup reads, and
 // VSwitch.ProcessBatchMeta writes each result straight into the slot
@@ -34,11 +33,11 @@ type frameRef struct {
 }
 
 // block is one shard's share of a batch as parallel arrays, all the same
-// length: what the shard reads (keys and metas — produced, for entries
-// with frame bytes, by its own decode) and what it writes (out, errs).
-// frames is empty for a batch built from keys and parallel to keys for
-// one built from frames. The four fixed arrays share one capacity, grown
-// together, so opening an entry is one bounds check and no zeroing.
+// length: what the shard reads (frames, and the keys and metas its own
+// decode produces from them — or the submitter's, for a frame the RSS
+// extractor refused) and what it writes (out, errs). The four fixed-size
+// arrays share one capacity, grown together, so opening an entry is one
+// bounds check and no zeroing; frames is appended alongside.
 type block struct {
 	keys   []gigaflow.Key
 	metas  []uint8 // per-key TCP flag bytes
@@ -47,18 +46,19 @@ type block struct {
 	frames []frameRef
 }
 
-// next opens one more entry at the end of the share and returns its
-// index. The entry may hold an earlier submission's key and result:
-// whoever fills it (Add's copy, the shard's DecodeInto, the batch scan)
-// overwrites every field.
+// next opens one more entry, for frame f, at the end of the share and
+// returns its index. The entry may hold an earlier submission's key and
+// result: whoever fills it (the submitter's or the shard's DecodeInto,
+// the batch scan) overwrites every field.
 //
 //gf:hotpath
-func (blk *block) next() int {
+func (blk *block) next(f frameRef) int {
 	n := len(blk.keys)
 	if n == cap(blk.keys) {
 		blk.grow()
 	}
 	blk.keys, blk.metas, blk.out, blk.errs = blk.keys[:n+1], blk.metas[:n+1], blk.out[:n+1], blk.errs[:n+1]
+	blk.frames = append(blk.frames, f)
 	return n
 }
 
@@ -101,9 +101,6 @@ func (blk *block) clone() *block {
 		metas: append([]uint8(nil), blk.metas...),
 		out:   make([]gigaflow.ProcessResult, n),
 		errs:  make([]error, n),
-	}
-	if len(blk.frames) == 0 {
-		return c
 	}
 	total := 0
 	for i := range blk.frames {
@@ -149,23 +146,16 @@ type batchJob struct {
 }
 
 // Batch is a reusable collection of requests submitted as one unit.
-// Reset/Add refill it without reallocating, so a steady-state submitter
-// (gfreplay's capture loop, the benchmarks) allocates nothing per batch.
+// Every SubmitFrameBatch empties and refills it without reallocating, so
+// a steady-state submitter (gfreplay's capture loop, the benchmarks)
+// allocates nothing per batch.
 //
 // A Batch is not safe for concurrent use: it belongs to one submitting
-// goroutine and must not be read or modified while a SubmitBatch call on
-// it is in flight.
+// goroutine and must not be read or modified while a SubmitFrameBatch
+// call on it is in flight.
 type Batch struct {
-	// What Add/AddMeta appended, in request order; a submission copies
-	// each key into the share of the shard that owns it. Unused by
-	// SubmitFrameBatch, which files frames under their shards as it reads
-	// them.
-	keys  []gigaflow.Key
-	metas []uint8
-
-	at     []slot  // request i's place in part; len(at) is the batch length
-	part   []block // part[w] is shard w's share of the current grouping
-	framed bool    // part was filled by SubmitFrameBatch's ingest, not from keys
+	at   []slot  // request i's place in part; len(at) is the batch length
+	part []block // part[w] is shard w's share of the current grouping
 
 	jobs []batchJob     // one per share, reused across submissions
 	done chan *batchJob // completion channel, reused across submissions
@@ -173,50 +163,22 @@ type Batch struct {
 
 // NewBatch creates an empty batch with room for capacity requests.
 func NewBatch(capacity int) *Batch {
-	return &Batch{
-		keys:  make([]gigaflow.Key, 0, capacity),
-		metas: make([]uint8, 0, capacity),
-		at:    make([]slot, 0, capacity),
-	}
-}
-
-// Reset empties the batch for reuse, keeping its buffers.
-func (b *Batch) Reset() {
-	b.keys, b.metas, b.at = b.keys[:0], b.metas[:0], b.at[:0]
-	b.part, b.framed = b.part[:0], false
+	return &Batch{at: make([]slot, 0, capacity)}
 }
 
 // Len reports the number of requests in the batch.
 func (b *Batch) Len() int { return len(b.at) }
 
-// Add appends a request for key k.
-func (b *Batch) Add(k gigaflow.Key) { b.AddMeta(k, 0) }
-
-// AddMeta appends a request for key k carrying per-packet metadata the
-// datapath consumes outside the key: today the TCP flag byte, which
-// drives the conntrack state machine when Config.Conntrack is enabled
-// (and is ignored otherwise). The frame entry points fill it from the
-// decoder.
-func (b *Batch) AddMeta(k gigaflow.Key, meta uint8) {
-	b.keys = append(b.keys, k)
-	b.metas = append(b.metas, meta)
-	b.at = append(b.at, slot{})
-}
-
 // Result returns request i's result, assembled from where the shard
 // wrote it. A blocking submission fills it in completely; a nonblocking
 // one records only the enqueue outcome in Err (nil, or ErrQueueFull for
-// a dropped packet). A frame refused at ingest carries ErrShortFrame. A
-// request that was never submitted reads as the zero Result.
+// a dropped packet). A frame refused at ingest carries ErrShortFrame.
 //
 //gf:hotpath
 func (b *Batch) Result(i int) Result {
 	at := b.at[i]
 	if at.blk == refused {
 		return Result{Err: ErrShortFrame}
-	}
-	if int(at.blk) >= len(b.part) {
-		return Result{}
 	}
 	blk := &b.part[at.blk]
 	o := &blk.out[at.idx]
@@ -229,15 +191,16 @@ func (b *Batch) Result(i int) Result {
 // decodes later, on the shard, and leaves it unspecified.
 func (b *Batch) Key(i int) gigaflow.Key {
 	at := b.at[i]
-	if at.blk == refused || int(at.blk) >= len(b.part) {
+	if at.blk == refused {
 		return gigaflow.Key{}
 	}
 	return b.part[at.blk].keys[at.idx]
 }
 
-// shape sizes the per-shard scratch for a service with nw shards and
-// empties every share.
+// shape empties the batch, keeping its buffers, and sizes the per-shard
+// scratch for a service with nw shards.
 func (b *Batch) shape(nw int) {
+	b.at = b.at[:0]
 	if cap(b.part) < nw {
 		b.part = make([]block, nw)
 		b.jobs = make([]batchJob, nw)
@@ -249,19 +212,6 @@ func (b *Batch) shape(nw int) {
 	}
 }
 
-// place groups a batch built from keys by shard: each key is copied once,
-// into the share of the shard that owns it, in request order.
-func (b *Batch) place(s *Service) {
-	b.shape(len(s.workers))
-	for i := range b.keys {
-		w := s.shardOfKey(&b.keys[i])
-		blk := &b.part[w]
-		idx := blk.next()
-		blk.keys[idx], blk.metas[idx] = b.keys[i], b.metas[i]
-		b.at[i] = slot{int32(w), int32(idx)}
-	}
-}
-
 // ingest groups frames by shard as it reads them: a frame the RSS
 // extractor accepts is filed — still undecoded, bytes in place — under
 // the shard its symmetric hash picks; one it refuses is decoded here and
@@ -270,7 +220,6 @@ func (b *Batch) place(s *Service) {
 //
 //gf:hotpath
 func (b *Batch) ingest(s *Service, frames []Frame) {
-	b.framed = true
 	var tally frameTally // the fallback decodes of this batch
 	var k gigaflow.Key
 	var info wire.Info
@@ -278,9 +227,7 @@ func (b *Batch) ingest(s *Service, frames []Frame) {
 		f := &frames[i]
 		if t, ok := wire.RSSTuple(f.Data); ok {
 			w := s.shardOfTuple(&t)
-			blk := &b.part[w]
-			b.at = append(b.at, slot{int32(w), int32(blk.next())})
-			blk.frames = append(blk.frames, frameRef{data: f.Data, inPort: f.InPort})
+			b.at = append(b.at, slot{int32(w), int32(b.part[w].next(frameRef{data: f.Data, inPort: f.InPort}))})
 			continue
 		}
 		wire.DecodeInto(f.Data, f.InPort, &k, &info)
@@ -291,10 +238,9 @@ func (b *Batch) ingest(s *Service, frames []Frame) {
 		}
 		w := s.shardOfKey(&k)
 		blk := &b.part[w]
-		idx := blk.next()
+		idx := blk.next(frameRef{}) // no bytes: decoded already
 		blk.keys[idx], blk.metas[idx] = k, info.TCPFlags
 		b.at = append(b.at, slot{int32(w), int32(idx)})
-		blk.frames = append(blk.frames, frameRef{inPort: f.InPort})
 	}
 	s.frames.flush(&tally)
 }
@@ -315,8 +261,8 @@ type submitOpts struct {
 // SubmitOption configures a single submission call. Options transform
 // the config by value rather than through a pointer: taking the
 // address of the per-call submitOpts would force it to escape to the
-// heap, putting one allocation on every Submit/SubmitBatch — the only
-// one the steady-state datapath would have.
+// heap, putting one allocation on every submission — the only one the
+// steady-state datapath would have.
 type SubmitOption func(submitOpts) submitOpts
 
 // applyOpts folds the call's options over a zero config.
@@ -348,23 +294,9 @@ func WithResponse(resp chan<- Result) SubmitOption {
 	return func(o submitOpts) submitOpts { o.resp = resp; return o }
 }
 
-// batchPool recycles single-request batches so the Submit and SubmitFrame
-// wrappers stay allocation-free at steady state.
+// batchPool recycles single-request batches so the SubmitFrame wrapper
+// stays allocation-free at steady state.
 var batchPool = sync.Pool{New: func() any { return NewBatch(1) }}
-
-// Submit processes one packet: a pooled batch of one through SubmitBatch.
-// By default it blocks until the verdict is available and returns it; with
-// Nonblocking it only enqueues (the returned Result carries no verdict;
-// pair with WithResponse to receive it asynchronously). Flows with the
-// same 5-tuple always reach the same worker. Errors: ErrNotStarted,
-// ErrClosed, ErrQueueFull (nonblocking), ctx.Err(), or the packet's own
-// pipeline error.
-func (s *Service) Submit(ctx context.Context, k gigaflow.Key, opts ...SubmitOption) (Result, error) {
-	b := batchPool.Get().(*Batch)
-	b.Reset()
-	b.Add(k)
-	return only(b, s.submit(ctx, b, applyOpts(opts)))
-}
 
 // only returns a submitted pooled batch's one result, and the batch to
 // the pool. The request's own error comes first: one that never ran
@@ -379,36 +311,10 @@ func only(b *Batch, err error) (Result, error) {
 	return r, r.Err
 }
 
-// SubmitBatch submits every request in b as one unit: the batch is
-// grouped into at most one share per worker, each shard processes its
-// share through the batched hot path, and per-request Results are read
-// back from b positionally.
-//
-// Blocking (default): returns after every request has its Result; order
-// within a worker is submission order — including relative to the same
-// goroutine's earlier nonblocking submissions and control operations —
-// and a request's error (pipeline failure) is in its Result.Err while
-// call-level failures (ErrNotStarted, ErrClosed, ctx.Err()) are returned.
-// Even on a call-level failure every share that reached a worker is
-// drained before returning, so b is always safe to reuse; requests that
-// never ran carry the call error in their Result.Err.
-//
-// With Nonblocking: requests are enqueued without waiting; a request
-// whose worker queue is full gets ErrQueueFull in its Result.Err, the
-// rest have Result.Err nil with verdicts unreported (use WithResponse to
-// stream them); after Close every request gets ErrClosed. The batch may
-// be reused immediately.
-func (s *Service) SubmitBatch(ctx context.Context, b *Batch, opts ...SubmitOption) error {
-	return s.submit(ctx, b, applyOpts(opts))
-}
-
 // submit is the single internal submission path.
 func (s *Service) submit(ctx context.Context, b *Batch, o submitOpts) error {
 	if len(b.at) == 0 {
 		return nil
-	}
-	if !b.framed {
-		b.place(s)
 	}
 	// Only a nonblocking call may queue before Start; nothing may after
 	// Close, when no worker will read a queue again.

@@ -18,11 +18,11 @@ func TestSubmitBatchEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := NewBatch(8)
-	if err := s.SubmitBatch(context.Background(), b); err != nil {
+	if err := s.SubmitFrameBatch(context.Background(), nil, b); err != nil {
 		t.Fatalf("empty batch on unstarted service: %v", err)
 	}
 	s2, ctx := startService(t, 2)
-	if err := s2.SubmitBatch(ctx, b); err != nil {
+	if err := s2.SubmitFrameBatch(ctx, nil, b); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
 	st, err := s2.Stats(ctx)
@@ -34,17 +34,17 @@ func TestSubmitBatchEmpty(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchOfOne: a single-request batch behaves exactly like
-// Submit.
+// TestSubmitBatchOfOne: a single-frame batch behaves exactly like
+// SubmitFrame.
 func TestSubmitBatchOfOne(t *testing.T) {
 	s, ctx := startService(t, 2)
-	direct, err := s.Submit(ctx, key(1, 80))
+	frame := frameOf(t, key(1, 80), 0)
+	direct, err := s.SubmitFrame(ctx, 0, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := NewBatch(1)
-	b.Add(key(1, 80))
-	if err := s.SubmitBatch(ctx, b); err != nil {
+	if err := s.SubmitFrameBatch(ctx, []Frame{{Data: frame}}, b); err != nil {
 		t.Fatal(err)
 	}
 	r := b.Result(0)
@@ -52,7 +52,7 @@ func TestSubmitBatchOfOne(t *testing.T) {
 		t.Fatal(r.Err)
 	}
 	if r.Verdict != direct.Verdict || r.Final != direct.Final {
-		t.Fatalf("batch-of-one result %+v != Submit result %+v", r, direct)
+		t.Fatalf("batch-of-one result %+v != SubmitFrame result %+v", r, direct)
 	}
 	if !r.CacheHit {
 		t.Error("second packet of the flow must hit")
@@ -69,11 +69,12 @@ func TestSubmitBatchLargerThanQueue(t *testing.T) {
 		Cache:      gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256},
 	}), context.Background()
 	const n = 500
-	b := NewBatch(n)
-	for i := 0; i < n; i++ {
-		b.Add(key(uint64(i%100), 80))
+	frames := make([]Frame, n)
+	for i := range frames {
+		frames[i] = Frame{Data: frameOf(t, key(uint64(i%100), 80), 0)}
 	}
-	if err := s.SubmitBatch(ctx, b); err != nil {
+	b := NewBatch(n)
+	if err := s.SubmitFrameBatch(ctx, frames, b); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
@@ -140,14 +141,15 @@ func TestErrorTaxonomy(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	frame := frameOf(t, key(1, 80), 0)
+	one := []Frame{{Data: frame}}
 
-	if _, err := s.Submit(ctx, key(1, 80)); !errors.Is(err, ErrNotStarted) {
-		t.Errorf("Submit before Start = %v, want ErrNotStarted", err)
+	if _, err := s.SubmitFrame(ctx, 0, frame); !errors.Is(err, ErrNotStarted) {
+		t.Errorf("SubmitFrame before Start = %v, want ErrNotStarted", err)
 	}
 	b := NewBatch(1)
-	b.Add(key(1, 80))
-	if err := s.SubmitBatch(ctx, b); !errors.Is(err, ErrNotStarted) {
-		t.Errorf("SubmitBatch before Start = %v, want ErrNotStarted", err)
+	if err := s.SubmitFrameBatch(ctx, one, b); !errors.Is(err, ErrNotStarted) {
+		t.Errorf("SubmitFrameBatch before Start = %v, want ErrNotStarted", err)
 	}
 	if err := s.Close(); !errors.Is(err, ErrNotStarted) {
 		t.Errorf("Close before Start = %v, want ErrNotStarted", err)
@@ -157,10 +159,10 @@ func TestErrorTaxonomy(t *testing.T) {
 	// packet, served once the service starts, and then reports
 	// ErrQueueFull.
 	resp := make(chan Result, 1)
-	if _, err := s.Submit(ctx, key(1, 80), Nonblocking(), WithResponse(resp)); err != nil {
+	if _, err := s.SubmitFrame(ctx, 0, frame, Nonblocking(), WithResponse(resp)); err != nil {
 		t.Errorf("first nonblocking enqueue = %v", err)
 	}
-	if _, err := s.Submit(ctx, key(1, 80), Nonblocking()); !errors.Is(err, ErrQueueFull) {
+	if _, err := s.SubmitFrame(ctx, 0, frame, Nonblocking()); !errors.Is(err, ErrQueueFull) {
 		t.Errorf("overflowing nonblocking enqueue = %v, want ErrQueueFull", err)
 	}
 
@@ -179,11 +181,11 @@ func TestErrorTaxonomy(t *testing.T) {
 	if err := s.Close(); !errors.Is(err, ErrClosed) {
 		t.Errorf("second Close = %v, want ErrClosed", err)
 	}
-	if _, err := s.Submit(ctx, key(1, 80)); !errors.Is(err, ErrClosed) {
-		t.Errorf("Submit after Close = %v, want ErrClosed", err)
+	if _, err := s.SubmitFrame(ctx, 0, frame); !errors.Is(err, ErrClosed) {
+		t.Errorf("SubmitFrame after Close = %v, want ErrClosed", err)
 	}
-	if err := s.SubmitBatch(ctx, b); !errors.Is(err, ErrClosed) {
-		t.Errorf("SubmitBatch after Close = %v, want ErrClosed", err)
+	if err := s.SubmitFrameBatch(ctx, one, b); !errors.Is(err, ErrClosed) {
+		t.Errorf("SubmitFrameBatch after Close = %v, want ErrClosed", err)
 	}
 	if err := s.Start(ctx); !errors.Is(err, ErrClosed) {
 		t.Errorf("Start after Close = %v, want ErrClosed", err)
@@ -205,18 +207,21 @@ func TestConcurrentBatchSubmitters(t *testing.T) {
 		batches    = 20
 		batchLen   = 33 // deliberately not a divisor-friendly size
 	)
+	hosts := make([][]byte, 200)
+	for h := range hosts {
+		hosts[h] = frameOf(t, key(uint64(h), 80), 0)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			b := NewBatch(batchLen)
+			b, frames := NewBatch(batchLen), make([]Frame, batchLen)
 			for n := 0; n < batches; n++ {
-				b.Reset()
-				for i := 0; i < batchLen; i++ {
-					b.Add(key(uint64((g*batches+n*7+i)%200), 80))
+				for i := range frames {
+					frames[i] = Frame{Data: hosts[(g*batches+n*7+i)%200]}
 				}
-				err := s.SubmitBatch(ctx, b)
+				err := s.SubmitFrameBatch(ctx, frames, b)
 				for i := 0; err == nil && i < batchLen; i++ {
 					err = b.Result(i).Err
 				}

@@ -12,59 +12,29 @@ import (
 	"gigaflow/internal/pipelines"
 )
 
-// benchService builds a warmed 1-worker service over the test pipeline:
-// every flow the benchmark submits is already resident in the microflow
-// cache, so the measurement isolates submission overhead (channel
-// crossings, result plumbing, per-packet vs per-batch bookkeeping)
-// rather than slowpath traversal cost.
-func benchService(b *testing.B, flows int) (*Service, []gigaflow.Key) {
-	b.Helper()
+// BenchmarkSubmitFrame measures the per-packet blocking submission path
+// over a warmed 1-worker service: every flow is already resident in the
+// microflow cache, so the measurement isolates submission overhead (the
+// pooled batch of one, decode, result plumbing) rather than slowpath
+// traversal cost. One op is one frame.
+func BenchmarkSubmitFrame(b *testing.B) {
+	const flows = 64
 	s, ctx := start(b, buildPipeline(), Config{
 		Workers:           1,
 		Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 1024},
 		MicroflowCapacity: 4 * flows,
 	}), context.Background()
-	keys := make([]gigaflow.Key, flows)
-	for i := range keys {
-		keys[i] = key(uint64(i), 80)
-		if _, err := s.Submit(ctx, keys[i]); err != nil {
+	frames := make([][]byte, flows)
+	for i := range frames {
+		frames[i] = frameOf(b, key(uint64(i), 80), 0)
+		if _, err := s.SubmitFrame(ctx, 0, frames[i]); err != nil { // warm
 			b.Fatal(err)
 		}
 	}
-	return s, keys
-}
-
-// BenchmarkSubmit measures the per-packet blocking submission path: one
-// channel round-trip and one result per packet.
-func BenchmarkSubmit(b *testing.B) {
-	s, keys := benchService(b, 64)
-	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Submit(ctx, keys[i%len(keys)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSubmitBatch measures the batched blocking path at gfreplay's
-// default batch size: the channel round-trip, stats update, and latency
-// sample are amortized over 32 packets.
-func BenchmarkSubmitBatch(b *testing.B) {
-	const size = 32
-	s, keys := benchService(b, 64)
-	ctx := context.Background()
-	batch := NewBatch(size)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for sent := 0; sent < b.N; {
-		batch.Reset()
-		for n := 0; n < size && sent < b.N; n++ {
-			batch.Add(keys[sent%len(keys)])
-			sent++
-		}
-		if err := s.SubmitBatch(ctx, batch); err != nil {
+		if _, err := s.SubmitFrame(ctx, 0, frames[i%flows]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -112,45 +112,65 @@ type Frame struct {
 	Data   []byte
 }
 
-// SubmitFrameBatch ingests raw frames into b — which it Resets first —
-// and submits them as a single batch with SubmitBatch's semantics. The
-// batch is index-aligned with frames: request i holds frame i's Result
-// (and, after a blocking submission, its decoded Key).
+// SubmitFrameBatch ingests raw frames into b — emptying it first — and
+// submits them as one unit: the batch is grouped into at most one
+// share per worker, each shard processes its share through the batched
+// hot path, and per-request Results are read back from b positionally.
+// The batch is index-aligned with frames: request i holds frame i's
+// Result (and, after a blocking submission, its decoded Key).
+//
+// Blocking (default): returns after every request has its Result; order
+// within a worker is submission order — including relative to the same
+// goroutine's earlier nonblocking submissions and control operations —
+// and a request's error (pipeline failure) is in its Result.Err while
+// call-level failures (ErrNotStarted, ErrClosed, ctx.Err()) are returned.
+// Even on a call-level failure every share that reached a worker is
+// drained before returning, so b is always safe to reuse; requests that
+// never ran carry the call error in their Result.Err.
+//
+// With Nonblocking: requests are enqueued without waiting; a request
+// whose worker queue is full gets ErrQueueFull in its Result.Err, the
+// rest have Result.Err nil with verdicts unreported (use WithResponse to
+// stream them); after Close every request gets ErrClosed. The batch may
+// be reused immediately.
 //
 // Ingestion is RSS-style: each frame's 5-tuple is extracted straight
 // from its L3/L4 header words (wire.RSSTuple) and the frame is filed —
 // still undecoded — under the shard the symmetric hash picks, so a
 // shard's share is one contiguous block of the batch and the full decode
 // runs on the shard, into the slot the cache lookup reads, in parallel
-// with every other shard's. A one-shard service skips the hash (the
-// extractor still validates the headers). Frames the extractor refuses
-// (non-IPv4, truncated headers, over-deep VLAN stacks) fall back to
-// submitter-side decode plus key-hash routing, which lands on the same
-// shard the wire hash would have and preserves the degraded-frame
-// semantics bit for bit; of those, frames too short for an Ethernet
-// header are never submitted and carry ErrShortFrame in Result.Err, so a
-// mixed batch reports per-index outcomes.
+// with every other shard's. The decode's TCP flag byte rides along as
+// the packet's metadata, so a conntrack-enabled service sees handshakes
+// and closes. A one-shard service skips the hash (the extractor still
+// validates the headers). Frames the extractor refuses (non-IPv4,
+// truncated headers, over-deep VLAN stacks) fall back to submitter-side
+// decode plus key-hash routing, which lands on the same shard the wire
+// hash would have and preserves the degraded-frame semantics bit for
+// bit; of those, frames too short for an Ethernet header are never
+// submitted and carry ErrShortFrame in Result.Err, so a mixed batch
+// reports per-index outcomes.
 //
 // A blocking submission reads each frame's bytes in place until it
 // returns; a nonblocking one copies them before returning. Either way
 // the caller may reuse its buffers as soon as the call is back.
 func (s *Service) SubmitFrameBatch(ctx context.Context, frames []Frame, b *Batch, opts ...SubmitOption) error {
-	b.Reset()
 	b.shape(len(s.workers))
 	b.ingest(s, frames)
 	return s.submit(ctx, b, applyOpts(opts))
 }
 
 // SubmitFrame submits one raw Ethernet frame received on inPort: a pooled
-// batch of one through SubmitFrameBatch, with Submit's semantics (blocking
-// by default; the Nonblocking and WithResponse options apply). The frame
-// is decoded on its shard and its TCP flag byte rides along as the
-// packet's metadata, so a conntrack-enabled service sees handshakes and
-// closes. Frames with decode defects degrade to the longest well-formed
-// prefix of the key and are still forwarded (the pipeline decides their
-// fate); only a frame too short to carry an Ethernet header is rejected,
-// with ErrShortFrame. Decode outcomes are counted in the metrics registry
-// either way.
+// batch of one through SubmitFrameBatch. By default it blocks until the
+// verdict is available and returns it; with Nonblocking it only enqueues
+// (the returned Result carries no verdict; pair with WithResponse to
+// receive it asynchronously). Flows with the same 5-tuple always reach
+// the same worker. Frames with decode defects degrade to the longest
+// well-formed prefix of the key and are still forwarded (the pipeline
+// decides their fate); only a frame too short to carry an Ethernet
+// header is rejected, with ErrShortFrame. Decode outcomes are counted in
+// the metrics registry either way. Errors: ErrNotStarted, ErrClosed,
+// ErrQueueFull (nonblocking), ctx.Err(), ErrShortFrame, or the packet's
+// own pipeline error.
 func (s *Service) SubmitFrame(ctx context.Context, inPort uint16, frame []byte, opts ...SubmitOption) (Result, error) {
 	b := batchPool.Get().(*Batch)
 	one := [1]Frame{{InPort: inPort, Data: frame}}

@@ -10,14 +10,12 @@ import (
 	wire "gigaflow/internal/packet"
 )
 
-// wireKey is the frame-representable analogue of the key() helper: the
-// service tests' pipeline matches eth_dst/ip_dst/tp_dst, and a real TCP
-// frame additionally carries eth_type/ip_proto/addresses.
+// wireKey is the key() helper with the source fields a real TCP frame
+// carries as well.
 func wireKey(host, port uint64) gigaflow.Key {
 	return key(host, port).
 		With(gigaflow.FieldEthSrc, 0x02aabbccddee).
 		With(gigaflow.FieldIPSrc, 0x0a000099).
-		With(gigaflow.FieldIPProto, wire.IPProtoTCP).
 		With(gigaflow.FieldTpSrc, 40000)
 }
 

@@ -41,8 +41,8 @@ const (
 )
 
 // op is one step of a tape. A packet travels as frame; k and flags are
-// what the frame decodes to: what the key entry points, the VSwitch and
-// the Reference are handed.
+// what the frame decodes to: what the VSwitch and the Reference are
+// handed.
 type op struct {
 	kind  opKind
 	frame []byte
@@ -190,10 +190,7 @@ func packetOp(k gigaflow.Key, flags uint8, now int64, damage uint64) op {
 	if damage == 6 {
 		k = k.With(gigaflow.FieldEthType, 0x0806) // not IPv4: decoded on the submitter
 	}
-	frame := wire.Encode(k)
-	if len(frame) > 47 && k.Get(gigaflow.FieldIPProto) == wire.IPProtoTCP {
-		frame[47] = flags // Ethernet 14 + IPv4 20 + 13 bytes into the TCP header
-	}
+	frame := encode(k, flags)
 	vlan := func(f []byte) []byte { return append(append(append([]byte{}, f[:12]...), 0x81, 0, 0, 0x2a), f[12:]...) }
 	switch damage {
 	case 1:
@@ -279,7 +276,7 @@ func newOracle(mk func() *gigaflow.Pipeline, cfg Config) *oracle {
 }
 
 // walk runs x through the Reference of its shard; flagless hands it over
-// without its TCP flags, as Submit and park mode do.
+// without its TCP flags, as park mode does.
 func (o *oracle) walk(x *op, flagless bool) (gigaflow.ProcessResult, error) {
 	flags := x.flags
 	if flagless {
@@ -331,15 +328,9 @@ type entry string
 
 const (
 	viaVSwitch          entry = "vswitch" // the cell's vsDriver, on virtual time
-	viaSubmit           entry = "Submit"  // carries no TCP flags
 	viaSubmitFrame      entry = "SubmitFrame"
-	viaSubmitBatch      entry = "SubmitBatch"
 	viaSubmitFrameBatch entry = "SubmitFrameBatch"
 )
-
-func (e entry) frames() bool {
-	return e == viaSubmitFrame || e == viaSubmitFrameBatch
-}
 
 // vsDriver is one way of feeding a VSwitch.
 type vsDriver struct {
@@ -385,7 +376,7 @@ func (c *cell) sizes() []int {
 	switch {
 	case c.entry == viaVSwitch:
 		return c.driver.sizes
-	case c.entry == viaSubmit || c.entry == viaSubmitFrame:
+	case c.entry == viaSubmitFrame:
 		return []int{1}
 	case c.batch == 0:
 		return mixedSizes
@@ -393,7 +384,7 @@ func (c *cell) sizes() []int {
 	return []int{c.batch}
 }
 
-func (c *cell) flagless() bool { return c.entry == viaSubmit || c.driver.park }
+func (c *cell) flagless() bool { return c.driver.park }
 
 // parks reports whether c parks misses. A parked packet is probed again
 // before its completion, and reaches the LRU tiers after the hits of its
@@ -414,7 +405,7 @@ type outcome struct {
 	hist    [telemetry.NumTiers]uint64
 	flight  []telemetry.FlightRecord // newest first; identity fields only
 	ooph    int                      // park mode on a conntrack switch: CompleteMiss calls that came back hits
-	frames  *frameMetrics            // frame entry points: every frame decoded, tallied one at a time
+	frames  *frameMetrics            // service cells: every frame decoded, tallied one at a time
 	fates   [fates]int               // service cells: the ledger as the results tell it
 }
 
@@ -607,7 +598,7 @@ func (c *cell) tame(o *outcome, cov coverage) string {
 		need(up.Workers == 0 || u.Flows > 0, "upcalls")
 		// Followers need a cold flow repeated within a batch; a thrash prefix
 		// warms every flow first.
-		batched := (c.entry == viaSubmitBatch || c.entry == viaSubmitFrameBatch) && c.tape.thrash == 0
+		batched := c.entry == viaSubmitFrameBatch && c.tape.thrash == 0
 		need(up.Workers == 0 || !batched || u.Deduped > 0, "deduplicated followers")
 		need(up.Queue != 1 || u.OverflowInline > 0, "inline overflow")
 		need(c.fault.wedge == 0 || u.Stale > 0, "stale walk")
@@ -885,9 +876,7 @@ func (r *svcRun) send(lo, hi int) {
 	}
 	for i, res := range r.call(ctx, r.tape[lo:hi], opts, nonblocking) {
 		at, x, e := lo+i, &r.tape[lo+i], res.Err
-		if r.out.res[at] = res; x.short && !c.entry.frames() {
-			continue // a key entry point cannot hand it over
-		}
+		r.out.res[at] = res
 		if r.handed++; refused != nil && !x.short && errors.Is(e, ErrQueueFull) != refused[i] {
 			r.t.Fatalf("op %d: %v; a stalled shard queues %d shares and refuses the rest", at, e, r.s.cfg.QueueDepth)
 		}
@@ -904,17 +893,17 @@ func (r *svcRun) send(lo, hi int) {
 		case e != nil || x.short || r.closed:
 			r.t.Fatalf("op %d: %v (service closed: %v)", at, e, r.closed)
 		case nonblocking:
-			r.exp[at], _ = r.o.walk(x, c.flagless())
+			r.exp[at], _ = r.o.walk(x, false)
 			r.pending = append(r.pending, at)
 		default:
-			if want, err := r.o.walk(x, c.flagless()); err != nil || res.Verdict != want.Verdict || res.Final != want.Final {
+			if want, err := r.o.walk(x, false); err != nil || res.Verdict != want.Verdict || res.Final != want.Final {
 				r.t.Fatalf("op %d (key %s): %+v, Reference %+v %v", at, x.k, res, want, err)
 			}
 		}
 		r.fate[fate] += btoi(fate != served || !nonblocking)
 		// A frame the RSS extractor takes is decoded on its shard, if it gets
 		// there.
-		if _, routable := wire.RSSTuple(x.frame); c.entry.frames() && (!routable || fate <= short) {
+		if _, routable := wire.RSSTuple(x.frame); !routable || fate <= short {
 			r.tally(x)
 		}
 	}
@@ -1006,29 +995,10 @@ func (r *svcRun) call(ctx context.Context, ops []op, opts []SubmitOption, nonblo
 	res, s, b := make([]Result, len(ops)), r.s, r.b
 	var err error
 	switch r.c.entry {
-	case viaSubmit:
-		if res[0].Err = ErrShortFrame; !ops[0].short {
-			res[0], err = s.Submit(ctx, ops[0].k, opts...)
-			res[0].Err = err
-		}
-		return res
 	case viaSubmitFrame:
 		res[0], err = s.SubmitFrame(ctx, 0, ops[0].frame, opts...)
 		res[0].Err = err
 		return res
-	case viaSubmitBatch:
-		b.Reset()
-		for _, x := range ops {
-			if !x.short {
-				b.AddMeta(x.k, x.flags)
-			}
-		}
-		err = s.SubmitBatch(ctx, b, opts...)
-		for i, n := 0, 0; i < len(ops); i++ {
-			if res[i].Err = ErrShortFrame; !ops[i].short {
-				res[i], n = b.Result(n), n+1
-			}
-		}
 	case viaSubmitFrameBatch:
 		frames := make([]Frame, len(ops))
 		for i := range ops {
@@ -1183,16 +1153,13 @@ func (r *svcRun) ledger() {
 		t.Errorf("left parked: %+v", u)
 	}
 	if u.Enabled && !r.closed && (u.Released != u.Completed+u.Deduped+u.OverflowInline ||
-		u.Flows != u.Completed+u.OverflowInline || u.Overflows != u.OverflowInline) {
+		u.Flows != u.Completed+u.OverflowInline) {
 		t.Errorf("upcall ledger: %+v", u)
 	}
 	if n := len(r.resp); n > 0 {
 		t.Errorf("%d verdicts streamed back for requests that were never served", n)
 	}
 	r.out.fates = r.fate
-	if !r.c.entry.frames() {
-		return
-	}
 	// Every frame counter reads what per-frame accounting of the frames does.
 	got, want := frameCounters(r.s.frames), frameCounters(r.frames)
 	for i := range got {
@@ -1300,23 +1267,21 @@ var cells = func() []cell {
 	// so does a repeat in the same share while the engine has not caught
 	// up. No flow's install covers another's here, so the peers agree.
 	add("perflow/shards", "overflow-inline/3", cell{tape: whole, cfg: upcall(shards(sync, 3), UpcallConfig{Workers: 1, Queue: 1}),
-		entry: viaSubmitBatch, batch: 32})
-	// Both batch entry points, keys and frames, inline and offloaded, a
-	// group per shard count. No tier evicts here (see parks).
+		entry: viaSubmitFrameBatch, batch: 32})
+	// The batch entry point, inline and offloaded, a group per shard count.
+	// No tier evicts here (see parks).
 	for _, n := range []int{1, 3} {
 		for _, mode := range []string{"sync", "upcall"} {
 			cfg := shards(sync, n)
 			if mode == "upcall" {
 				cfg = upcall(cfg, UpcallConfig{Workers: 1, Queue: 4096})
 			}
-			for _, e := range []entry{viaSubmitFrameBatch, viaSubmitBatch} {
-				g, c := fmt.Sprint("perflow/", n), cell{tape: perflow, cfg: cfg, entry: e, batch: 32}
-				add(g, fmt.Sprintf("%s/%s/blocking", mode, e), c)
-				c.busy = true
-				add(g, fmt.Sprintf("%s/%s/busy", mode, e), c)
-				c.busy, c.nonblocking = false, true
-				add(g, fmt.Sprintf("%s/%s/nonblocking", mode, e), c)
-			}
+			g, c := fmt.Sprint("perflow/", n), cell{tape: perflow, cfg: cfg, entry: viaSubmitFrameBatch, batch: 32}
+			add(g, mode+"/SubmitFrameBatch/blocking", c)
+			c.busy = true
+			add(g, mode+"/SubmitFrameBatch/busy", c)
+			c.busy, c.nonblocking = false, true
+			add(g, mode+"/SubmitFrameBatch/nonblocking", c)
 		}
 	}
 	// A tier that thrashes: three windows round robin over four of its
@@ -1334,40 +1299,40 @@ var cells = func() []cell {
 			cfg.Cache, cfg.MegaflowCapacity = gigaflow.CacheConfig{}, 1024
 		}
 		up := upcall(cfg, UpcallConfig{Workers: 1, Queue: 4096})
-		add(g, "sync/SubmitBatch", cell{tape: svc, cfg: cfg, entry: viaSubmitBatch})
-		add(g, "upcall/SubmitBatch", cell{tape: svc, cfg: up, entry: viaSubmitBatch})
+		add(g, "sync/SubmitFrameBatch", cell{tape: svc, cfg: cfg, entry: viaSubmitFrameBatch})
+		add(g, "upcall/SubmitFrameBatch", cell{tape: svc, cfg: up, entry: viaSubmitFrameBatch})
 		add(g, "upcall/SubmitFrameBatch/nonblocking", cell{tape: svc, cfg: up, entry: viaSubmitFrameBatch, batch: 32, nonblocking: true})
 		add(g, "upcall/SubmitFrame/busy", cell{tape: svc, cfg: up, entry: viaSubmitFrame, busy: true})
 	}
 
-	// Faults, each cell alone. Stalled workers, a cell per entry point on
-	// 1–3 shards, sync and upcall in turn: the 96 ops before the first rule
-	// update meet queues two shares deep.
+	// Faults, each cell alone. Stalled workers, a cell per entry point and
+	// mode on 1–3 shards: the 96 ops before the first rule update meet
+	// queues two shares deep.
 	stalled := sync
 	stalled.QueueDepth = 2
-	for i, e := range []entry{viaSubmit, viaSubmitFrame, viaSubmitBatch, viaSubmitFrameBatch} {
-		cfg := shards(stalled, 1+i%3)
+	for i, e := range []entry{viaSubmitFrame, viaSubmitFrame, viaSubmitFrameBatch, viaSubmitFrameBatch} {
+		cfg, mode := shards(stalled, 1+i%3), "sync"
 		if i%2 == 1 {
-			cfg = upcall(cfg, UpcallConfig{Workers: 1, Queue: 4096})
+			cfg, mode = upcall(cfg, UpcallConfig{Workers: 1, Queue: 4096}), "upcall"
 		}
-		alone("stall/"+string(e), cell{tape: perflow, cfg: cfg, entry: e, batch: 32, fault: fault{stall: 96}})
+		alone("stall/"+string(e)+"/"+mode, cell{tape: perflow, cfg: cfg, entry: e, batch: 32, fault: fault{stall: 96}})
 	}
 	// Cold at the start, and at op 50 a rule update that turns every
 	// verdict: what the window parked was walked under the rules it replaces.
 	wedged := svc
 	wedged.packets, wedged.rules = 300, 5
 	alone("upcall/wedged", cell{tape: wedged, cfg: upcall(two, UpcallConfig{Workers: 1, Queue: 4096}),
-		entry: viaSubmitBatch, fault: fault{wedge: 50}})
+		entry: viaSubmitFrameBatch, fault: fault{wedge: 50}})
 	alone("close", cell{tape: perflow, cfg: upcall(shards(sync, 2), UpcallConfig{Workers: 1, Queue: 4096}),
 		entry: viaSubmitFrameBatch, batch: 32, fault: fault{closeAt: 250}})
-	alone("cancel", cell{tape: perflow, cfg: shards(sync, 2), entry: viaSubmitBatch, batch: 32, fault: fault{cancelAt: 100}})
+	alone("cancel", cell{tape: perflow, cfg: shards(sync, 2), entry: viaSubmitFrameBatch, batch: 32, fault: fault{cancelAt: 100}})
 	// Idle gaps between ticks: an entry idle across a due sweep goes, and
 	// its flow misses again. Every cell sweeps at the same ops, so they
 	// agree to the hit.
 	expiry, gaps := two, svc
 	expiry.MaxIdle, gaps.ticks = time.Second, 50
 	add("expiry", "SubmitFrameBatch", cell{tape: gaps, cfg: expiry, entry: viaSubmitFrameBatch, batch: 32})
-	add("expiry", "SubmitBatch/busy", cell{tape: gaps, cfg: expiry, entry: viaSubmitBatch, busy: true})
+	add("expiry", "SubmitFrameBatch/busy", cell{tape: gaps, cfg: expiry, entry: viaSubmitFrameBatch, busy: true})
 	add("expiry", "upcall/SubmitFrame/nonblocking", cell{tape: gaps, cfg: upcall(expiry, UpcallConfig{Workers: 1, Queue: 4096}),
 		entry: viaSubmitFrame, nonblocking: true})
 
@@ -1384,12 +1349,12 @@ var cells = func() []cell {
 		g := fmt.Sprint("ct/lb/", n)
 		add(g, "SubmitFrameBatch", cell{tape: lb, cfg: ct(n), entry: viaSubmitFrameBatch, batch: 32})
 		add(g, "SubmitFrame/nonblocking", cell{tape: lb, cfg: ct(n), entry: viaSubmitFrame, nonblocking: true})
-		add(g, "SubmitBatch/busy", cell{tape: lb, cfg: ct(n), entry: viaSubmitBatch, busy: true})
+		add(g, "SubmitFrameBatch/busy", cell{tape: lb, cfg: ct(n), entry: viaSubmitFrameBatch, busy: true})
 	}
 	mf := ct(2)
 	mf.Backend, mf.Cache, mf.MegaflowCapacity = BackendMegaflow, gigaflow.CacheConfig{}, 4096
 	alone("ct/lb/megaflow/2", cell{tape: lb, cfg: mf, entry: viaSubmitFrameBatch, batch: 32})
-	alone("ct/lb/Submit/2", cell{tape: lb, cfg: ct(2), entry: viaSubmit})
+	alone("ct/lb/SubmitFrame/2", cell{tape: lb, cfg: ct(2), entry: viaSubmitFrame})
 	for _, mk := range []func() *gigaflow.Pipeline{stateNATPipeline, lateBindPipeline} {
 		spec := stateful(mk, 24, 1500)
 		spec.damage, spec.ticks = true, 50

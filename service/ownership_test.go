@@ -77,7 +77,7 @@ func TestControlOpsOnStoppedService(t *testing.T) {
 			if err := s.Start(startCtx); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.Submit(ctx, key(1, 80)); err != nil {
+			if _, err := s.SubmitFrame(ctx, 0, frameOf(t, key(1, 80), 0)); err != nil {
 				t.Fatal(err)
 			}
 			if n := cacheEntries(t, s); n == 0 {
@@ -140,7 +140,7 @@ func TestBlockingSeesOwnEarlierNonblocking(t *testing.T) {
 			MicroflowCapacity: 64,
 		}), context.Background()
 		for r := 0; r < rounds; r++ {
-			k := perFlowKey(r)
+			frame := frameOf(t, perFlowKey(r), 0)
 			var release chan struct{}
 			var updated chan error
 			if r%2 == 1 {
@@ -158,13 +158,13 @@ func TestBlockingSeesOwnEarlierNonblocking(t *testing.T) {
 				}()
 				<-entered // at least one shard is inside the control op
 			}
-			if _, err := s.Submit(ctx, k, Nonblocking()); err != nil {
+			if _, err := s.SubmitFrame(ctx, 0, frame, Nonblocking()); err != nil {
 				t.Fatalf("workers=%d round %d: nonblocking: %v", workers, r, err)
 			}
 			if release != nil {
 				close(release)
 			}
-			res, err := s.Submit(ctx, k)
+			res, err := s.SubmitFrame(ctx, 0, frame)
 			if err != nil {
 				t.Fatalf("workers=%d round %d: blocking: %v", workers, r, err)
 			}
@@ -211,6 +211,10 @@ func TestShardOwnershipUnderRace(t *testing.T) {
 			var clock atomic.Int64
 			tick := func() int64 { return clock.Add(sweepEvery.Nanoseconds() / 4) }
 			s, ctx := startOn(t, perFlowPipeline(256), cfg, tick), context.Background()
+			flows := make([][]byte, 256)
+			for i := range flows {
+				flows[i] = frameOf(t, perFlowKey(i), 0)
+			}
 			var wg sync.WaitGroup
 			var verdicts, refusals atomic.Int64
 			closed := make(chan struct{})
@@ -229,19 +233,11 @@ func TestShardOwnershipUnderRace(t *testing.T) {
 					b := NewBatch(16)
 					frames := make([]Frame, 16)
 					for n := 0; !stopped(); n++ {
-						var err error
-						if n%2 == 0 {
-							b.Reset()
-							for i := 0; i < 16; i++ {
-								b.Add(perFlowKey((g*61 + n*16 + i) % 256))
-							}
-							err = s.SubmitBatch(ctx, b)
-						} else {
-							for i := range frames {
-								frames[i] = Frame{Data: wire.Encode(perFlowKey((g*67 + n*16 + i) % 256))}
-							}
-							err = s.SubmitFrameBatch(ctx, frames, b)
+						stride := 61 + 6*(n%2) // two interleavings of the flows
+						for i := range frames {
+							frames[i] = Frame{Data: flows[(g*stride+n*16+i)%256]}
 						}
+						err := s.SubmitFrameBatch(ctx, frames, b)
 						if err != nil && !errors.Is(err, ErrClosed) {
 							t.Errorf("blocking submitter: %v", err)
 							return
@@ -265,13 +261,12 @@ func TestShardOwnershipUnderRace(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				b := NewBatch(8)
+				b, frames := NewBatch(8), make([]Frame, 8)
 				for n := 0; !stopped() && accepted < 1<<15; n++ {
-					b.Reset()
-					for i := 0; i < 8; i++ {
-						b.Add(perFlowKey((n*8 + i) % 256))
+					for i := range frames {
+						frames[i] = Frame{Data: flows[(n*8+i)%256]}
 					}
-					if err := s.SubmitBatch(ctx, b, Nonblocking(), WithResponse(resp)); err != nil && !errors.Is(err, ErrClosed) {
+					if err := s.SubmitFrameBatch(ctx, frames, b, Nonblocking(), WithResponse(resp)); err != nil && !errors.Is(err, ErrClosed) {
 						t.Errorf("nonblocking submitter: %v", err)
 						return
 					}
@@ -358,10 +353,10 @@ func TestShardOwnershipUnderRace(t *testing.T) {
 // queue and the other runs in place, and not with connection tracking
 // on, where every hit of these TCP flows runs the conntrack guard (the
 // pipeline is stateless: this is what tracking costs a user who never
-// writes a stateful rule). Nor do the single-packet wrappers, blocking
-// Submit and SubmitFrame, which are that batch path on a pooled batch of
-// one. And the message a busy shard's share crosses its queue in is
-// three words, whatever the share holds.
+// writes a stateful rule). Nor does the single-packet wrapper, blocking
+// SubmitFrame, which is that batch path on a pooled batch of one. And the
+// message a busy shard's share crosses its queue in is three words,
+// whatever the share holds.
 func TestSubmitFrameBatchZeroAlloc(t *testing.T) {
 	if n := unsafe.Sizeof(packet{}); n > 24 {
 		t.Errorf("a queued message is %d bytes, want at most 24 (a job pointer, a control function, its ack channel)", n)
@@ -401,10 +396,6 @@ func TestSubmitFrameBatchZeroAlloc(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(200, submit); n != 0 {
 			t.Errorf("%+v: %.2f allocs per steady-state SubmitFrameBatch, want 0", tc, n)
-		}
-		k := perFlowKey(0)
-		if n := testing.AllocsPerRun(200, func() { s.Submit(ctx, k) }); n != 0 && poolKeeps {
-			t.Errorf("%+v: %.2f allocs per steady-state Submit, want 0", tc, n)
 		}
 		if n := testing.AllocsPerRun(200, func() { s.SubmitFrame(ctx, 0, frames[0].Data) }); n != 0 && poolKeeps {
 			t.Errorf("%+v: %.2f allocs per steady-state SubmitFrame, want 0", tc, n)

@@ -477,7 +477,7 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 		clock:  func() int64 { return time.Now().UnixNano() },
 	}
 	s.latency = s.reg.Histogram("gigaflow_submit_latency_ns",
-		"End-to-end Submit latency (enqueue to result) in nanoseconds.")
+		"End-to-end blocking submission latency (enqueue to result) in nanoseconds.")
 	s.frames = newFrameMetrics(s.reg)
 
 	var program strings.Builder
@@ -765,11 +765,11 @@ func (w *worker) refuse(m packet) {
 
 // runJob processes one share on the shard that owns it, under the owner
 // lock, on whichever goroutine holds it — the worker's for a queued job,
-// the submitter's for one run in place; there is no other body. Entries
-// that arrived as raw frames are decoded first, straight into the key
-// slots the batch scan reads; then a single ProcessBatchMeta call covers
-// every key — one VSwitch stats flush and one counter flush per cache
-// tier for the whole share — writing each result into the slot
+// the submitter's for one run in place; there is no other body. Frames
+// are decoded first, straight into the key slots the batch scan reads
+// (bar those the submitter decoded); then a single ProcessBatchMeta call
+// covers every key — one VSwitch stats flush and one counter flush per
+// cache tier for the whole share — writing each result into the slot
 // Batch.Result reads. now is the message's single wall-clock stamp,
 // shared by every packet of the share. It reports whether the job is
 // finished; an async job that parked packets finishes later, in deliver.
@@ -777,21 +777,19 @@ func (w *worker) refuse(m packet) {
 //gf:hotpath
 func (w *worker) runJob(j *batchJob, now int64) (finished bool) {
 	blk := j.blk
-	if len(blk.frames) != 0 {
-		var info wire.Info
-		for i := range blk.frames {
-			fr := &blk.frames[i]
-			if fr.data == nil {
-				continue // decoded by the submitter (RSS extractor refused it)
-			}
-			wire.DecodeInto(fr.data, fr.inPort, &blk.keys[i], &info)
-			w.tally.add(&info, len(fr.data))
-			blk.metas[i] = info.TCPFlags
+	var info wire.Info
+	for i := range blk.frames {
+		fr := &blk.frames[i]
+		if fr.data == nil {
+			continue // decoded by the submitter (RSS extractor refused it)
 		}
-		// Once per job, and before its results are visible: a submitter
-		// that has its verdicts reads its frames in /metrics.
-		w.fm.flush(&w.tally)
+		wire.DecodeInto(fr.data, fr.inPort, &blk.keys[i], &info)
+		w.tally.add(&info, len(fr.data))
+		blk.metas[i] = info.TCPFlags
 	}
+	// Once per job, and before its results are visible: a submitter that
+	// has its verdicts reads its frames in /metrics.
+	w.fm.flush(&w.tally)
 	if w.eng != nil {
 		return w.parkJob(j, now)
 	}

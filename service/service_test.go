@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gigaflow"
+	wire "gigaflow/internal/packet"
 )
 
 func buildPipeline() *gigaflow.Pipeline {
@@ -25,9 +26,31 @@ func buildPipeline() *gigaflow.Pipeline {
 }
 
 func key(host, port uint64) gigaflow.Key {
-	return gigaflow.MustParseKey("eth_dst=02:00:00:00:00:01,eth_type=0x0800").
+	return gigaflow.MustParseKey("eth_dst=02:00:00:00:00:01,eth_type=0x0800,ip_proto=6").
 		With(gigaflow.FieldIPDst, 0x0a000000|host).
 		With(gigaflow.FieldTpDst, port)
+}
+
+// frameOf puts k in a wire frame whose TCP flag byte is flags, and fails
+// the test unless the frame decodes back to k and flags: a test that
+// submits the frame submits exactly the packet it names.
+func frameOf(tb testing.TB, k gigaflow.Key, flags uint8) []byte {
+	tb.Helper()
+	frame := encode(k, flags)
+	if dk, info := wire.Decode(frame, 0); dk != k || info.TCPFlags != flags {
+		tb.Fatalf("%s with flags %#x decodes to %s with flags %#x", k, flags, dk, info.TCPFlags)
+	}
+	return frame
+}
+
+// encode is wire.Encode with the TCP flag byte set to flags (a frame that
+// is not TCP carries none).
+func encode(k gigaflow.Key, flags uint8) []byte {
+	frame := wire.Encode(k)
+	if len(frame) > 47 && k.Get(gigaflow.FieldIPProto) == wire.IPProtoTCP {
+		frame[47] = flags // Ethernet 14 + IPv4 20 + 13 bytes into the TCP header
+	}
+	return frame
 }
 
 // start builds a service of p on cfg and starts it; it is closed when the
@@ -60,7 +83,7 @@ func startOn(tb testing.TB, p *gigaflow.Pipeline, cfg Config, clock func() int64
 func submitN(t *testing.T, s *Service, n, hosts int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if _, err := s.Submit(context.Background(), key(uint64(i%hosts), 80)); err != nil {
+		if _, err := s.SubmitFrame(context.Background(), 0, frameOf(t, key(uint64(i%hosts), 80), 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -126,7 +149,8 @@ func startService(t *testing.T, workers int) (*Service, context.Context) {
 
 func TestSubmitBasic(t *testing.T) {
 	s, ctx := startService(t, 2)
-	r, err := s.Submit(ctx, key(1, 80))
+	frame := frameOf(t, key(1, 80), 0)
+	r, err := s.SubmitFrame(ctx, 0, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +160,7 @@ func TestSubmitBasic(t *testing.T) {
 	if r.CacheHit {
 		t.Error("first packet cannot hit")
 	}
-	r, err = s.Submit(ctx, key(1, 80))
+	r, err = s.SubmitFrame(ctx, 0, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,17 +180,21 @@ func TestConcurrentSubmitters(t *testing.T) {
 	s, ctx := startService(t, 4)
 	const goroutines = 16
 	const perG = 200
+	var web, ssh [512][]byte // port 80 and 22 frames by host
+	for h := range web {
+		web[h], ssh[h] = frameOf(t, key(uint64(h), 80), 0), frameOf(t, key(uint64(h), 22), 0)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				port := uint64(80)
+				port, frame := uint64(80), web[(g*perG+i)%512]
 				if i%3 == 0 {
-					port = 22
+					port, frame = 22, ssh[(g*perG+i)%512]
 				}
-				if r, err := s.Submit(ctx, key(uint64(g*perG+i)%512, port)); err != nil || (r.Verdict.Kind == gigaflow.VerdictDrop) != (port == 22) {
+				if r, err := s.SubmitFrame(ctx, 0, frame); err != nil || (r.Verdict.Kind == gigaflow.VerdictDrop) != (port == 22) {
 					t.Errorf("port %d: %+v, %v", port, r, err)
 					return
 				}
@@ -223,7 +251,7 @@ func TestUpdateRulesRevalidatesAllShards(t *testing.T) {
 	}
 	// Every flow must now observe the new rule, on every worker shard.
 	for h := uint64(0); h < 32; h++ {
-		r, err := s.Submit(ctx, key(h, 80))
+		r, err := s.SubmitFrame(ctx, 0, frameOf(t, key(h, 80), 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +276,7 @@ func TestIdleExpiryTicker(t *testing.T) {
 	every := sweepEvery.Nanoseconds()
 	miss := func(what string, flow int) {
 		t.Helper()
-		if r, err := s.Submit(ctx, perFlowKey(flow)); err != nil || r.CacheHit {
+		if r, err := s.SubmitFrame(ctx, 0, frameOf(t, perFlowKey(flow), 0)); err != nil || r.CacheHit {
 			t.Fatalf("%s: %+v, %v; want a miss", what, r, err)
 		}
 	}
@@ -272,7 +300,7 @@ func TestIdleExpiryTicker(t *testing.T) {
 	miss("in place, once the next sweep is due", 0)
 	clock.Add(every)
 	resp := make(chan Result, 1)
-	if _, err := s.Submit(ctx, perFlowKey(0), Nonblocking(), WithResponse(resp)); err != nil {
+	if _, err := s.SubmitFrame(ctx, 0, frameOf(t, perFlowKey(0), 0), Nonblocking(), WithResponse(resp)); err != nil {
 		t.Fatal(err)
 	}
 	if r := recv(t, resp, "the queued verdict"); r.Err != nil || r.CacheHit {
@@ -307,7 +335,7 @@ func TestSubmitContextCancel(t *testing.T) {
 	s, _ := startService(t, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.Submit(ctx, key(1, 80)); err == nil {
+	if _, err := s.SubmitFrame(ctx, 0, frameOf(t, key(1, 80), 0)); err == nil {
 		t.Error("cancelled submit must fail")
 	}
 }

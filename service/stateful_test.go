@@ -394,17 +394,14 @@ func TestUpdateRulesSwapsNATPool(t *testing.T) {
 		p.SetNATPool(1, p.NATPool(1)[w*poolN/shards:(w+1)*poolN/shards])
 		refs[w] = gigaflow.NewReference(p, true, 0)
 	}
-	b := NewBatch(1)
 	send := func(ref *gigaflow.Reference, k gigaflow.Key, flags uint8, now int64) {
 		t.Helper()
-		b.Reset()
-		b.AddMeta(k, flags)
-		if err := s.SubmitBatch(ctx, b); err != nil {
+		got, err := s.SubmitFrame(ctx, 0, frameOf(t, k, flags))
+		if err != nil {
 			t.Fatal(err)
 		}
-		got := b.Result(0)
 		want, err := ref.ProcessMeta(k, flags, now)
-		if err != nil || got.Err != nil || got.Verdict != want.Verdict || got.Final != want.Final || want.Verdict.Kind != gigaflow.VerdictOutput {
+		if err != nil || got.Verdict != want.Verdict || got.Final != want.Final || want.Verdict.Kind != gigaflow.VerdictOutput {
 			t.Fatalf("key %s: %+v, Reference %+v", k, got, want)
 		}
 	}

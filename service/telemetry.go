@@ -62,8 +62,6 @@ func (s *Service) collectServiceMetrics() {
 			"Upcall queue length limit.").Set(float64(cap(s.eng.q)))
 		s.reg.Counter("gigaflow_upcall_enqueued_total",
 			"Misses accepted onto the upcall queue.").Set(s.eng.enqueued.Load())
-		s.reg.Counter("gigaflow_upcall_queue_overflows_total",
-			"Misses refused by a full upcall queue.").Set(s.eng.overflows.Load())
 		s.reg.Counter("gigaflow_upcall_drained_total",
 			"Misses drained by the upcall engine.").Set(s.eng.drained.Load())
 		s.reg.Counter("gigaflow_upcall_batches_total",

@@ -65,10 +65,11 @@ func TestConfigValidation(t *testing.T) {
 
 func TestMegaflowBackend(t *testing.T) {
 	s, ctx := start(t, buildPipeline(), Config{Workers: 2, Backend: BackendMegaflow, MegaflowCapacity: 1024}), context.Background()
-	if _, err := s.Submit(ctx, key(1, 80)); err != nil {
+	frame := frameOf(t, key(1, 80), 0)
+	if _, err := s.SubmitFrame(ctx, 0, frame); err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.Submit(ctx, key(1, 80))
+	r, err := s.SubmitFrame(ctx, 0, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +461,7 @@ func TestFlightEndpoint(t *testing.T) {
 
 func TestLatencyDisabled(t *testing.T) {
 	s, base := startTelemetryService(t, Config{Latency: LatencyConfig{Disable: true}})
-	if _, err := s.Submit(context.Background(), key(1, 80)); err != nil {
+	if _, err := s.SubmitFrame(context.Background(), 0, frameOf(t, key(1, 80), 0)); err != nil {
 		t.Fatal(err)
 	}
 	var lat struct {
@@ -495,6 +496,10 @@ func TestConcurrentScrape(t *testing.T) {
 		Latency:           LatencyConfig{FlightRecords: 128},
 	})
 	ctx := context.Background()
+	var web, tls [32][]byte // port 80 and 443 frames by host
+	for h := range web {
+		web[h], tls[h] = frameOf(t, key(uint64(h), 80), 0), frameOf(t, key(uint64(h), 443), 0)
+	}
 	stop := make(chan struct{})
 	producerDone := make(chan struct{})
 	go func() { // producer: singles and batches until the scrapers finish
@@ -505,14 +510,14 @@ func TestConcurrentScrape(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := s.Submit(ctx, key(uint64(i%32), 80)); err != nil {
+			if _, err := s.SubmitFrame(ctx, 0, web[i%32]); err != nil {
 				return
 			}
-			b := NewBatch(8)
-			for j := 0; j < 8; j++ {
-				b.Add(key(uint64((i+j)%32), 443))
+			frames := make([]Frame, 8)
+			for j := range frames {
+				frames[j] = Frame{Data: tls[(i+j)%32]}
 			}
-			if err := s.SubmitBatch(ctx, b); err != nil {
+			if err := s.SubmitFrameBatch(ctx, frames, NewBatch(8)); err != nil {
 				return
 			}
 		}

@@ -78,12 +78,11 @@ type miss struct {
 // never blocks: a full queue is the shard's signal to traverse the miss
 // itself rather than stall behind the slow path.
 type engine struct {
-	q         chan *miss    // holds Upcall.Queue misses: past that, a fresh miss is traversed inline
-	enqueued  atomic.Uint64 // misses accepted
-	overflows atomic.Uint64 // misses a full queue refused
-	drained   atomic.Uint64 // misses handed to handleUpcalls
-	batches   atomic.Uint64 // handleUpcalls calls
-	wg        sync.WaitGroup
+	q        chan *miss    // holds Upcall.Queue misses: past that, a fresh miss is traversed inline
+	enqueued atomic.Uint64 // misses accepted
+	drained  atomic.Uint64 // misses handed to handleUpcalls
+	batches  atomic.Uint64 // handleUpcalls calls
+	wg       sync.WaitGroup
 }
 
 // parkOne parks a missed packet behind its flow's pending entry,
@@ -108,7 +107,6 @@ func (w *worker) parkOne(k gigaflow.Key, p parked) bool {
 		w.up.ParkedPackets++
 		return true
 	default:
-		w.eng.overflows.Add(1)
 		w.up.Released++
 		return false
 	}
@@ -276,12 +274,11 @@ func (s *Service) handleUpcalls(ctx context.Context, batch []*miss) {
 // false (and the rest zero) when the service runs synchronously.
 //
 // With nothing pending, and no shutdown sweep having failed parked
-// packets, three identities hold: every flow that missed was completed or
-// overflowed, Flows = Completed + OverflowInline; every parked packet was
-// handed back — a completion releases its initiator and its followers (a
-// stale one too), an overflow its one packet — Released = Completed +
-// Deduped + OverflowInline; and every refusal of the queue took the
-// inline fallback, Overflows = OverflowInline.
+// packets, two identities hold: every flow that missed was completed or
+// overflowed, Flows = Completed + OverflowInline; and every parked packet
+// was handed back — a completion releases its initiator and its
+// followers (a stale one too), an overflow its one packet — Released =
+// Completed + Deduped + OverflowInline.
 type UpcallStats struct {
 	Enabled bool `json:"enabled"`
 	// PendingFlows counts flows with a traversal in flight;
@@ -294,8 +291,8 @@ type UpcallStats struct {
 	Flows    uint64 `json:"flows"`
 	Deduped  uint64 `json:"deduped"`
 	Released uint64 `json:"released"`
-	// OverflowInline counts misses the full queue sent down the inline
-	// path; Stale counts engine traversals discarded (rule update,
+	// OverflowInline counts misses the full queue refused, each sent down
+	// the inline path; Stale counts engine traversals discarded (rule update,
 	// covering install, or shutdown sweep won the race); Completed counts
 	// flow completions applied.
 	OverflowInline uint64 `json:"overflow_inline"`
@@ -305,7 +302,6 @@ type UpcallStats struct {
 	QueueDepth int    `json:"queue_depth"`
 	QueueCap   int    `json:"queue_capacity"`
 	Enqueued   uint64 `json:"enqueued"`
-	Overflows  uint64 `json:"overflows"`
 	Drained    uint64 `json:"drained"`
 	Batches    uint64 `json:"batches"`
 }
@@ -341,7 +337,6 @@ func (s *Service) UpcallStats(ctx context.Context) (UpcallStats, error) {
 	out.QueueDepth = len(s.eng.q)
 	out.QueueCap = cap(s.eng.q)
 	out.Enqueued = s.eng.enqueued.Load()
-	out.Overflows = s.eng.overflows.Load()
 	out.Drained = s.eng.drained.Load()
 	out.Batches = s.eng.batches.Load()
 	return out, nil

@@ -36,12 +36,9 @@ func TestUpcallOrdering(t *testing.T) {
 	s := start(t, buildPipeline(), upcallConfig(BackendGigaflow, 1, 2))
 	ctx := context.Background()
 
-	kA, kB := key(1, 80), key(2, 22) // different ports: no wildcard overlap
+	kA, kB := frameOf(t, key(1, 80), 0), frameOf(t, key(2, 22), 0) // different ports: no wildcard overlap
 	b := NewBatch(6)
-	for _, k := range []gigaflow.Key{kA, kB, kA, kB, kA, kB} {
-		b.Add(k)
-	}
-	if err := s.SubmitBatch(ctx, b); err != nil {
+	if err := s.SubmitFrameBatch(ctx, []Frame{{0, kA}, {0, kB}, {0, kA}, {0, kB}, {0, kA}, {0, kB}}, b); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
@@ -63,13 +60,9 @@ func TestUpcallOrdering(t *testing.T) {
 	// followers, regardless of the engine's concurrency. A fresh service:
 	// the wildcard entries installed above would otherwise cover kC.
 	s = start(t, buildPipeline(), upcallConfig(BackendGigaflow, 1, 2))
-	kC := key(3, 80)
+	kC := frameOf(t, key(3, 80), 0)
 	resp := make(chan Result, 3)
-	b.Reset()
-	b.Add(kC)
-	b.Add(kC)
-	b.Add(kC)
-	if err := s.SubmitBatch(ctx, b, Nonblocking(), WithResponse(resp)); err != nil {
+	if err := s.SubmitFrameBatch(ctx, []Frame{{0, kC}, {0, kC}, {0, kC}}, b, Nonblocking(), WithResponse(resp)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -100,10 +93,9 @@ func TestUpcallShutdownParked(t *testing.T) {
 
 	s.rules.Lock()
 	resp := make(chan Result, 2)
-	b := NewBatch(2)
-	b.Add(key(1, 80))
-	b.Add(key(1, 80)) // a follower of the first
-	if err := s.SubmitBatch(ctx, b, Nonblocking(), WithResponse(resp)); err != nil {
+	first := frameOf(t, key(1, 80), 0)
+	// The second packet is a follower of the first.
+	if err := s.SubmitFrameBatch(ctx, []Frame{{0, first}, {0, first}}, NewBatch(2), Nonblocking(), WithResponse(resp)); err != nil {
 		t.Fatal(err)
 	}
 	upcalls := func() UpcallStats {
@@ -117,9 +109,8 @@ func TestUpcallShutdownParked(t *testing.T) {
 	// A blocking submitter parked behind a second flow, to prove it
 	// unblocks at Close.
 	blocked := make(chan error, 1)
-	b2 := NewBatch(1)
-	b2.Add(key(2, 80))
-	go func() { blocked <- s.SubmitBatch(ctx, b2) }()
+	b2, second := NewBatch(1), frameOf(t, key(2, 80), 0)
+	go func() { blocked <- s.SubmitFrameBatch(ctx, []Frame{{0, second}}, b2) }()
 	await(t, "three packets parked", func() bool { return upcalls().ParkedPackets == 3 })
 	if us := upcalls(); us.PendingFlows != 2 || us.Deduped != 1 || us.Enqueued != 2 || us.QueueDepth != 1 || us.QueueCap != 1024 {
 		t.Errorf("upcall stats %+v; want 2 flows pending, 1 follower, 2 enqueued, 1 of 1024 queued", us)
@@ -180,14 +171,14 @@ func holPipeline(hosts int) *gigaflow.Pipeline {
 // TestUpcallWarmFlowNotBlocked is head-of-line blocking as a property:
 // with the engine wedged mid-traversal (the test holds the service's
 // rules lock) and three cold flows parked behind it, a warm flow's
-// blocking Submit is still served from the cache — parking a miss must
-// never stall the datapath behind it. Releasing the lock completes each
+// blocking SubmitFrame is still served from the cache — parking a miss
+// must never stall the datapath behind it. Releasing the lock completes each
 // cold flow as the miss it was, and the engine has drained every miss
 // once, at least two of the cold ones in one batch.
 func TestUpcallWarmFlowNotBlocked(t *testing.T) {
 	s, ctx := start(t, holPipeline(4), upcallConfig(BackendGigaflow, 1, 1)), context.Background()
-	warm := key(0, 80)
-	if _, err := s.Submit(ctx, warm); err != nil {
+	warm := frameOf(t, key(0, 80), 0)
+	if _, err := s.SubmitFrame(ctx, 0, warm); err != nil {
 		t.Fatal(err)
 	}
 
@@ -202,18 +193,18 @@ func TestUpcallWarmFlowNotBlocked(t *testing.T) {
 	defer release() // a failed assertion must not leave Close waiting on the engine
 
 	resp := make(chan Result, 3)
-	cold := NewBatch(3)
-	for h := uint64(1); h <= 3; h++ {
-		cold.Add(key(h, 80))
+	cold := make([]Frame, 3)
+	for h := range cold {
+		cold[h] = Frame{Data: frameOf(t, key(uint64(h+1), 80), 0)}
 	}
-	if err := s.SubmitBatch(ctx, cold, Nonblocking(), WithResponse(resp)); err != nil {
+	if err := s.SubmitFrameBatch(ctx, cold, NewBatch(3), Nonblocking(), WithResponse(resp)); err != nil {
 		t.Fatal(err)
 	}
 	// A shard with a message in flight runs nothing in place, so this
-	// Submit queues behind the cold packets: it is served after the worker
-	// has handled — parked — those misses, or not at all.
-	within(t, 5*time.Second, "warm flow's Submit behind parked misses", func() {
-		if res, err := s.Submit(ctx, warm); err != nil || res.Err != nil || !res.CacheHit {
+	// SubmitFrame queues behind the cold packets: it is served after the
+	// worker has handled — parked — those misses, or not at all.
+	within(t, 5*time.Second, "warm flow's SubmitFrame behind parked misses", func() {
+		if res, err := s.SubmitFrame(ctx, 0, warm); err != nil || res.Err != nil || !res.CacheHit {
 			t.Errorf("warm flow behind parked misses: %+v, %v; want a cache hit", res, err)
 		}
 	})
@@ -250,7 +241,7 @@ func TestUpcallParkNsExcludesTraversal(t *testing.T) {
 	s.rules.Lock()
 	resp := make(chan Result, 1)
 	submitted := time.Now()
-	if _, err := s.Submit(ctx, key(1, 80), Nonblocking(), WithResponse(resp)); err != nil {
+	if _, err := s.SubmitFrame(ctx, 0, frameOf(t, key(1, 80), 0), Nonblocking(), WithResponse(resp)); err != nil {
 		s.rules.Unlock()
 		t.Fatal(err)
 	}

@@ -7,10 +7,6 @@ import (
 	"gigaflow/internal/packet"
 )
 
-// ConntrackTable is the connection table backing the stateful datapath;
-// see internal/conntrack for the state machine and epoch protocol.
-type ConntrackTable = conntrack.Table
-
 // WithConntrack enables connection tracking: every TCP/UDP packet runs
 // the conntrack state machine, its ct_state bits are folded into the key
 // the main cache and slowpath match on, and stateful NAT actions
