@@ -142,7 +142,9 @@ bench-pairs:
 ## the f.Add seeds) through the fuzz targets in plain-test mode — fast,
 ## deterministic, part of ci. FuzzRSSHash doubles as the differential
 ## oracle: extractor output must agree with the full decoder on every
-## corpus input. FuzzMicroflowOps and FuzzOpsDifferential replay op tapes
+## corpus input. FuzzParseMatch and FuzzParseKey round-trip String through
+## the parser, which crosses every field's packed-key accessors.
+## FuzzMicroflowOps and FuzzOpsDifferential replay op tapes
 ## through the Microflow tier and the flow table against their map-backed
 ## reference models, FuzzInsertOps through the LTM cache's
 ## probe-before-build install against the build-then-dedupe original, and
@@ -155,6 +157,7 @@ bench-pairs:
 ## the cell and seed that caught each mutation the oracle is known to
 ## catch (results/pr25/README.md, results/pr26/README.md).
 fuzz-regress:
+	$(GO) test -run 'FuzzParseMatch|FuzzParseKey' ./internal/flow
 	$(GO) test -run 'FuzzDecode|FuzzRSSHash' ./internal/packet
 	$(GO) test -run 'FuzzEpochValid' ./internal/conntrack
 	$(GO) test -run 'FuzzMicroflowOps' ./internal/microflow

@@ -11,7 +11,7 @@ import (
 // the mask itself (two rules share a field only when they constrain it
 // identically).
 func fieldKey(m flow.Match, f flow.FieldID) string {
-	return fmt.Sprintf("%x/%x", m.Key[f], m.Mask[f])
+	return fmt.Sprintf("%x/%x", m.Key.Get(f), m.Mask.Get(f))
 }
 
 // tupleKey identifies a rule's match restricted to a field subset.

@@ -301,14 +301,14 @@ func (p *pools) draw(pers Personality, rng *rand.Rand, uniform bool) flow.Match 
 func SampleKey(r Rule, rng *rand.Rand) flow.Key {
 	k := r.Match.Key
 	for f := flow.FieldID(0); f < flow.NumFields; f++ {
-		free := r.Match.Mask[f] ^ f.MaxValue()
+		free := r.Match.Mask.Get(f) ^ f.MaxValue()
 		if free != 0 {
 			k = k.WithMasked(f, rng.Uint64(), free)
 		}
 	}
 	// Protocol and eth_type should look like real traffic even when the
 	// rule wildcards them.
-	if r.Match.Mask[flow.FieldIPProto] == 0 {
+	if r.Match.Mask.Get(flow.FieldIPProto) == 0 {
 		protos := []uint64{6, 17}
 		k = k.With(flow.FieldIPProto, protos[rng.Intn(2)])
 	}

@@ -163,8 +163,8 @@ func ApplyTo(k *Key, actions []Action) Verdict {
 func Commit(from, to Key) []Action {
 	var out []Action
 	for f := FieldID(0); f < NumFields; f++ {
-		if from[f] != to[f] {
-			out = append(out, SetField(f, to[f]))
+		if v := to.Get(f); from.Get(f) != v {
+			out = append(out, SetField(f, v))
 		}
 	}
 	return out

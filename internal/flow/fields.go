@@ -65,6 +65,41 @@ var fieldWidths = [NumFields]uint{
 	FieldCtState: 8,
 }
 
+// NumWords is the number of 64-bit words a Key or a Mask packs its fields
+// into: the field widths above sum to exactly 256 bits.
+const NumWords = 4
+
+// fieldWord and fieldShift place each field at a fixed bit offset within
+// one word of a packed Key or Mask. Fields ascend in (word, bit) order and
+// tile the four words with no gap or overlap, so the first differing bit
+// of two packed keys, scanned word by word from bit 0, lies in the first
+// differing field.
+//
+//	word 0: in_port@0 eth_src@16
+//	word 1: eth_dst@0 eth_type@48
+//	word 2: ip_src@0 ip_dst@32
+//	word 3: ip_proto@0 tp_src@8 tp_dst@24 metadata@40 ct_state@56
+var (
+	fieldWord = [NumFields]uint8{
+		FieldInPort: 0, FieldEthSrc: 0,
+		FieldEthDst: 1, FieldEthType: 1,
+		FieldIPSrc: 2, FieldIPDst: 2,
+		FieldIPProto: 3, FieldTpSrc: 3, FieldTpDst: 3, FieldMeta: 3, FieldCtState: 3,
+	}
+	fieldShift = [NumFields]uint8{
+		FieldInPort: 0, FieldEthSrc: 16,
+		FieldEthDst: 0, FieldEthType: 48,
+		FieldIPSrc: 0, FieldIPDst: 32,
+		FieldIPProto: 0, FieldTpSrc: 8, FieldTpDst: 24, FieldMeta: 40, FieldCtState: 56,
+	}
+	fieldMax = func() (m [NumFields]uint64) {
+		for f, w := range fieldWidths {
+			m[f] = 1<<w - 1
+		}
+		return m
+	}()
+)
+
 // fieldNames holds the canonical display name of each field.
 var fieldNames = [NumFields]string{
 	FieldInPort:  "in_port",
@@ -89,13 +124,7 @@ const HeaderFields = AllFields &^ (1 << FieldMeta) &^ (1 << FieldCtState)
 func (f FieldID) Width() uint { return fieldWidths[f] }
 
 // MaxValue reports the largest value representable in field f.
-func (f FieldID) MaxValue() uint64 {
-	w := fieldWidths[f]
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << w) - 1
-}
+func (f FieldID) MaxValue() uint64 { return fieldMax[f] }
 
 // Valid reports whether f names one of the NumFields header fields.
 func (f FieldID) Valid() bool { return f < NumFields }

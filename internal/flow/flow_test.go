@@ -113,8 +113,11 @@ func TestKeyDiff(t *testing.T) {
 		t.Errorf("self Diff = %v, want empty", got)
 	}
 	bits := a.DiffBits(b)
-	if bits[FieldIPDst] != 3 { // ...0.1 ^ ...0.2 = 3
-		t.Errorf("DiffBits ip_dst = %#x, want 3", bits[FieldIPDst])
+	if got := bits.Get(FieldIPDst); got != 3 { // ...0.1 ^ ...0.2 = 3
+		t.Errorf("DiffBits ip_dst = %#x, want 3", got)
+	}
+	if got := bits.Fields(); got != NewFieldSet(FieldIPDst) {
+		t.Errorf("DiffBits fields = %v, want {ip_dst}", got)
 	}
 }
 

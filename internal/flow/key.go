@@ -5,18 +5,26 @@ import (
 	"strings"
 )
 
-// Key is a concrete flow signature: one value per header field. Keys are
-// comparable and hashable (usable directly as Go map keys), which the
-// exact-match Microflow cache and the TSS hash buckets rely on.
-type Key [NumFields]uint64
+// Key is a concrete flow signature: one value per header field, packed at
+// fixed bit offsets into NumWords words (fields.go's layout). A word holds
+// several fields, so a field is read and written only through Get and Set;
+// whole-key work (Apply, Matches, hashing a key's words) goes word by word.
+// Keys are comparable and hashable (usable directly as Go map keys), which
+// the exact-match Microflow cache and the TSS hash buckets rely on.
+type Key [NumWords]uint64
 
-// Get returns the value of field f.
-func (k Key) Get(f FieldID) uint64 { return k[f] }
+// Get returns the value of field f: a shift and a mask of the word
+// holding it.
+//
+//gf:hotpath
+func (k Key) Get(f FieldID) uint64 {
+	return k[fieldWord[f]&(NumWords-1)] >> fieldShift[f] & fieldMax[f]
+}
 
 // With returns a copy of k with field f set to v (truncated to the field
 // width).
 func (k Key) With(f FieldID, v uint64) Key {
-	k[f] = v & f.MaxValue()
+	k.Set(f, v)
 	return k
 }
 
@@ -26,7 +34,7 @@ func (k Key) With(f FieldID, v uint64) Key {
 //
 //gf:hotpath
 func (k *Key) Set(f FieldID, v uint64) {
-	k[f] = v & f.MaxValue()
+	k.SetMasked(f, v, fieldMax[f])
 }
 
 // FlowHash mixes the 5-tuple (addresses, protocol, ports) into a 64-bit
@@ -39,11 +47,11 @@ func (k *Key) Set(f FieldID, v uint64) {
 func (k *Key) FlowHash() uint64 {
 	const prime = 0x100000001b3
 	h := uint64(0x9e3779b97f4a7c15)
-	h = (h ^ k[FieldIPSrc]) * prime
-	h = (h ^ k[FieldIPDst]) * prime
-	h = (h ^ k[FieldIPProto]) * prime
-	h = (h ^ k[FieldTpSrc]) * prime
-	h = (h ^ k[FieldTpDst]) * prime
+	h = (h ^ k.Get(FieldIPSrc)) * prime
+	h = (h ^ k.Get(FieldIPDst)) * prime
+	h = (h ^ k.Get(FieldIPProto)) * prime
+	h = (h ^ k.Get(FieldTpSrc)) * prime
+	h = (h ^ k.Get(FieldTpDst)) * prime
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 29
@@ -57,7 +65,7 @@ func (k *Key) FlowHash() uint64 {
 //
 //gf:hotpath
 func (k *Key) SymHash() uint64 {
-	return SymHash5(k[FieldIPSrc], k[FieldIPDst], k[FieldIPProto], k[FieldTpSrc], k[FieldTpDst])
+	return SymHash5(k.Get(FieldIPSrc), k.Get(FieldIPDst), k.Get(FieldIPProto), k.Get(FieldTpSrc), k.Get(FieldTpDst))
 }
 
 // SymHash5 is the symmetric 5-tuple mix backing Key.SymHash, factored
@@ -93,12 +101,14 @@ func (k Key) WithMasked(f FieldID, v, mask uint64) Key {
 	return k
 }
 
-// SetMasked is WithMasked in place.
+// SetMasked is WithMasked in place: one read-modify-write of the word
+// holding f.
 //
 //gf:hotpath
 func (k *Key) SetMasked(f FieldID, v, mask uint64) {
-	mask &= f.MaxValue()
-	k[f] = (k[f] &^ mask) | (v & mask)
+	w, s := fieldWord[f]&(NumWords-1), fieldShift[f]
+	mask &= fieldMax[f]
+	k[w] = k[w]&^(mask<<s) | (v&mask)<<s
 }
 
 // Apply returns k with every field ANDed against the mask, i.e. the
@@ -113,18 +123,14 @@ func (k Key) Apply(m Mask) Key {
 
 // Diff returns the set of fields on which a and b differ.
 func (a Key) Diff(b Key) FieldSet {
-	var s FieldSet
-	for i := range a {
-		if a[i] != b[i] {
-			s = s.Add(FieldID(i))
-		}
-	}
-	return s
+	return a.DiffBits(b).Fields()
 }
 
-// DiffBits returns, per field, the XOR of a and b: the exact bit positions
-// where the two keys disagree. Used by dependency unwildcarding to find a
-// distinguishing bit against a higher-priority rule.
+// DiffBits returns the XOR of a and b as a mask: the exact bit positions
+// where the two keys disagree. Its words are packed like a Key's, so a
+// field's bits are read through Mask.Get. Used by dependency
+// unwildcarding to find a distinguishing bit against a higher-priority
+// rule.
 func (a Key) DiffBits(b Key) Mask {
 	var m Mask
 	for i := range a {
@@ -142,7 +148,7 @@ func (a Key) Equal(b Key) bool { return a == b }
 func (k Key) String() string {
 	parts := make([]string, 0, NumFields)
 	for f := FieldID(0); f < NumFields; f++ {
-		parts = append(parts, fmt.Sprintf("%s=%s", f, FormatValue(f, k[f])))
+		parts = append(parts, fmt.Sprintf("%s=%s", f, FormatValue(f, k.Get(f))))
 	}
 	return strings.Join(parts, ",")
 }

@@ -6,20 +6,19 @@ import (
 )
 
 // Mask is a per-bit wildcard: a set bit means the corresponding key bit is
-// significant (matched); a clear bit is wildcarded. Masks are comparable,
-// which TSS exploits to group rules into tuples by identical mask.
-type Mask [NumFields]uint64
+// significant (matched); a clear bit is wildcarded. Its words are packed
+// like a Key's, so a field's bits are read and written through Get and
+// the With family. Masks are comparable, which TSS exploits to group rules
+// into tuples by identical mask.
+type Mask [NumWords]uint64
 
 // EmptyMask matches nothing about a packet — every bit wildcarded.
 var EmptyMask Mask
 
-// FullMask returns the mask with every bit of every field significant.
+// FullMask returns the mask with every bit of every field significant. The
+// fields tile all NumWords words, so that is every bit.
 func FullMask() Mask {
-	var m Mask
-	for f := FieldID(0); f < NumFields; f++ {
-		m[f] = f.MaxValue()
-	}
-	return m
+	return Mask{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
 }
 
 // ExactFields returns a mask that fully matches the given fields and
@@ -27,7 +26,7 @@ func FullMask() Mask {
 func ExactFields(fields ...FieldID) Mask {
 	var m Mask
 	for _, f := range fields {
-		m[f] = f.MaxValue()
+		m.OrField(f, f.MaxValue())
 	}
 	return m
 }
@@ -47,19 +46,30 @@ func PrefixMask(f FieldID, plen uint) uint64 {
 }
 
 // Get returns the mask bits of field f.
-func (m Mask) Get(f FieldID) uint64 { return m[f] }
+func (m Mask) Get(f FieldID) uint64 {
+	return m[fieldWord[f]&(NumWords-1)] >> fieldShift[f] & fieldMax[f]
+}
 
 // With returns a copy of m with field f's mask set to bits (truncated to
 // the field width).
 func (m Mask) With(f FieldID, bits uint64) Mask {
-	m[f] = bits & f.MaxValue()
+	w, s := fieldWord[f]&(NumWords-1), fieldShift[f]
+	m[w] = m[w]&^(fieldMax[f]<<s) | (bits&fieldMax[f])<<s
 	return m
 }
 
 // WithField returns a copy of m with field f fully significant.
 func (m Mask) WithField(f FieldID) Mask {
-	m[f] = f.MaxValue()
+	m.OrField(f, f.MaxValue())
 	return m
+}
+
+// OrField makes the given bits of field f significant in place (bits
+// beyond the field width are ignored): one OR into the word holding f.
+//
+//gf:hotpath
+func (m *Mask) OrField(f FieldID, bits uint64) {
+	m[fieldWord[f]&(NumWords-1)] |= (bits & fieldMax[f]) << fieldShift[f]
 }
 
 // Union returns the bitwise OR of the two masks: significant anywhere
@@ -97,7 +107,7 @@ func (m Mask) Without(o Mask) Mask {
 func (m Mask) WithoutFields(s FieldSet) Mask {
 	for f := FieldID(0); f < NumFields; f++ {
 		if s.Contains(f) {
-			m[f] = 0
+			m = m.With(f, 0)
 		}
 	}
 	return m
@@ -109,9 +119,9 @@ func (m Mask) IsEmpty() bool { return m == EmptyMask }
 // Fields returns the set of fields with at least one significant bit.
 func (m Mask) Fields() FieldSet {
 	var s FieldSet
-	for i, bits := range m {
-		if bits != 0 {
-			s = s.Add(FieldID(i))
+	for f := FieldID(0); f < NumFields; f++ {
+		if m.Get(f) != 0 {
+			s = s.Add(f)
 		}
 	}
 	return s
@@ -147,13 +157,14 @@ func (m Mask) String() string {
 	}
 	var parts []string
 	for f := FieldID(0); f < NumFields; f++ {
-		if m[f] == 0 {
+		bits := m.Get(f)
+		if bits == 0 {
 			continue
 		}
-		if m[f] == f.MaxValue() {
+		if bits == f.MaxValue() {
 			parts = append(parts, f.String())
 		} else {
-			parts = append(parts, fmt.Sprintf("%s/0x%x", f, m[f]))
+			parts = append(parts, fmt.Sprintf("%s/0x%x", f, bits))
 		}
 	}
 	return strings.Join(parts, ",")

@@ -35,7 +35,7 @@ func (m Match) Matches(k Key) bool {
 func (m Match) Normalize() Match { return NewMatch(m.Key, m.Mask) }
 
 // NormalizeInPlace is Normalize on the match itself: the form the install
-// paths use, where a 176-byte predicate travels by pointer.
+// paths use, where a 64-byte predicate travels by pointer.
 func (m *Match) NormalizeInPlace() {
 	for i := range m.Key {
 		m.Key[i] &= m.Mask[i]
@@ -55,7 +55,7 @@ func (m Match) WithField(f FieldID, v uint64) Match {
 // WithMaskedField returns m additionally requiring the bits of f under mask
 // to equal the corresponding bits of v.
 func (m Match) WithMaskedField(f FieldID, v, mask uint64) Match {
-	m.Mask = m.Mask.With(f, m.Mask[f]|mask&f.MaxValue())
+	m.Mask.OrField(f, mask)
 	m.Key = m.Key.WithMasked(f, v&mask, mask)
 	return m
 }
@@ -108,19 +108,20 @@ func (m Match) String() string {
 	}
 	out := ""
 	for f := FieldID(0); f < NumFields; f++ {
-		bits := m.Mask[f]
+		bits := m.Mask.Get(f)
 		if bits == 0 {
 			continue
 		}
 		if out != "" {
 			out += ","
 		}
+		v := FormatValue(f, m.Key.Get(f))
 		if bits == f.MaxValue() {
-			out += fmt.Sprintf("%s=%s", f, FormatValue(f, m.Key[f]))
+			out += fmt.Sprintf("%s=%s", f, v)
 		} else if (f == FieldIPSrc || f == FieldIPDst) && isPrefix(bits, f.Width()) {
-			out += fmt.Sprintf("%s=%s/%d", f, FormatValue(f, m.Key[f]), popcount(bits))
+			out += fmt.Sprintf("%s=%s/%d", f, v, popcount(bits))
 		} else {
-			out += fmt.Sprintf("%s=%s/0x%x", f, FormatValue(f, m.Key[f]), bits)
+			out += fmt.Sprintf("%s=%s/0x%x", f, v, bits)
 		}
 	}
 	return out

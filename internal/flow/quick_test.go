@@ -12,7 +12,7 @@ import (
 func (Key) Generate(r *rand.Rand, _ int) reflect.Value {
 	var k Key
 	for f := FieldID(0); f < NumFields; f++ {
-		k[f] = r.Uint64() & f.MaxValue()
+		k.Set(f, r.Uint64())
 	}
 	return reflect.ValueOf(k)
 }
@@ -24,11 +24,11 @@ func (Mask) Generate(r *rand.Rand, _ int) reflect.Value {
 		switch r.Intn(4) {
 		case 0: // wildcard
 		case 1: // exact
-			m[f] = f.MaxValue()
+			m = m.WithField(f)
 		case 2: // prefix
-			m[f] = PrefixMask(f, uint(r.Intn(int(f.Width())+1)))
+			m = m.With(f, PrefixMask(f, uint(r.Intn(int(f.Width())+1))))
 		case 3: // arbitrary ternary
-			m[f] = r.Uint64() & f.MaxValue()
+			m = m.With(f, r.Uint64())
 		}
 	}
 	return reflect.ValueOf(m)

@@ -60,7 +60,7 @@ func BenchmarkTableLookupMiss(b *testing.B) {
 
 // BenchmarkMapBaselineLookupHit is the pre-flowtable idiom every tier
 // used: Key.Apply(mask) copy, then a Go map probe hashing the full
-// 80-byte key.
+// 32-byte key.
 func BenchmarkMapBaselineLookupHit(b *testing.B) {
 	mask := flow.ExactFields(flow.FieldIPDst, flow.FieldTpDst)
 	hits, _ := benchKeys(1024)

@@ -7,8 +7,8 @@
 // tables — ultimately answers the same question: "which stored key equals
 // this packet's key on the bits my mask cares about?" (The exact-match
 // Microflow tier keeps its own hash-only index and borrows only HashKey.)
-// A Go map answers it the expensive way: copy the 80-byte key through Key.Apply(mask), then hash
-// all ten words again inside the map runtime. This table answers it with a
+// A Go map answers it the expensive way: copy the 32-byte key through Key.Apply(mask), then hash
+// all four words again inside the map runtime. This table answers it with a
 // fused mask+hash probe: the indices of the mask's non-zero words are
 // precomputed at construction, and one pass over only those words masks
 // the probe key and folds it through an inline wyhash-style multiply mix
@@ -72,7 +72,7 @@ type Table[V any] struct {
 	mask flow.Mask
 	// words holds the indices of the mask's non-zero words; the fused
 	// probe touches only these. nwords is the live prefix length.
-	words  [flow.NumFields]uint8
+	words  [flow.NumWords]uint8
 	nwords int
 	slots  []slot[V]
 	count  int
@@ -83,9 +83,9 @@ type Table[V any] struct {
 // sizeHint entries fit without growth (sizeHint <= 0 gets the minimum).
 func New[V any](mask flow.Mask, sizeHint int) *Table[V] {
 	t := &Table[V]{mask: mask}
-	for f := 0; f < flow.NumFields; f++ {
-		if mask[f] != 0 {
-			t.words[t.nwords] = uint8(f)
+	for w := range mask {
+		if mask[w] != 0 {
+			t.words[t.nwords] = uint8(w)
 			t.nwords++
 		}
 	}
@@ -114,7 +114,7 @@ func (t *Table[V]) Mask() flow.Mask { return t.mask }
 
 // probeHash is the fused mask+hash pass: one loop over the mask's
 // non-zero words masks the key and folds each masked word through the
-// wyhash-style mix. No 80-byte Apply copy, no second full-key hash.
+// wyhash-style mix. No 32-byte Apply copy, no second full-key hash.
 //
 //gf:hotpath
 func (t *Table[V]) probeHash(k *flow.Key) uint64 {

@@ -40,9 +40,9 @@ func refTableLookup(entries []*Entry, tag int, k flow.Key) (*Entry, int) {
 		if tuples[i].maxPrio != tuples[j].maxPrio {
 			return tuples[i].maxPrio > tuples[j].maxPrio
 		}
-		for w := range tuples[i].mask {
-			if tuples[i].mask[w] != tuples[j].mask[w] {
-				return tuples[i].mask[w] < tuples[j].mask[w]
+		for f := flow.FieldID(0); f < flow.NumFields; f++ {
+			if a, b := tuples[i].mask.Get(f), tuples[j].mask.Get(f); a != b {
+				return a < b
 			}
 		}
 		return false

@@ -22,8 +22,8 @@ const TagDone = -2
 //
 // Field order is layout: everything a hit reads or writes — the action α,
 // the counters, the LRU links — leads the struct, so it occupies the
-// entry's first two cache lines; the ~450 bytes only installation,
-// revalidation and introspection read follow.
+// entry's first 80 bytes; the 200 bytes only installation, revalidation
+// and introspection read follow (280 in all, TestPackedSizes).
 type Entry struct {
 	// Commit is the set-field part of α: the header rewrites accumulated
 	// across the sub-traversal.

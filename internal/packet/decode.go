@@ -18,24 +18,28 @@ func Decode(frame []byte, inPort uint16) (k flow.Key, info Info) {
 
 // DecodeInto is the decoder body: Decode writing through pointers, so a
 // caller that already owns the key's final resting place (a batch slot
-// the cache lookup will read) pays one write per field and no copy.
+// the cache lookup will read) pays one write per key word and no copy.
 //
 // *k and *info may hold a previous packet: DecodeInto overwrites both
-// completely — every key field and every Info field is assigned on every
+// completely — every key word and every Info field is assigned on every
 // path, whatever the frame — so storage is reused without being cleared.
+//
+// The decoder builds the key's packed words itself rather than through a
+// read-modify-write Set per field, at flow's bit offsets (internal/flow's
+// fieldWord/fieldShift): word 0 in_port@0 eth_src@16, word 1 eth_dst@0
+// eth_type@48, word 2 ip_src@0 ip_dst@32, word 3 ip_proto@0 tp_src@8
+// tp_dst@24. TestDecodeWordsMatchSetters pins the two against each other.
 //
 //gf:hotpath
 func DecodeInto(frame []byte, inPort uint16, k *flow.Key, info *Info) {
-	*k = flow.Key{}
 	*info = Info{Proto: ProtoNonIPv4}
-	k.Set(flow.FieldInPort, uint64(inPort))
-
 	if len(frame) < ethHeaderLen {
+		*k = flow.Key{uint64(inPort)}
 		info.Err = ErrShortFrame
 		return
 	}
-	k.Set(flow.FieldEthDst, be48(frame[0:]))
-	k.Set(flow.FieldEthSrc, be48(frame[6:]))
+	l2 := uint64(inPort) | be48(frame[6:])<<16
+	ethDst := be48(frame[0:])
 	ethType := be16(frame[12:])
 	off := ethHeaderLen
 
@@ -44,7 +48,7 @@ func DecodeInto(frame []byte, inPort uint16, k *flow.Key, info *Info) {
 	// retained in Info for accounting.
 	for tags := 0; tags < maxVLANTags && (ethType == EtherTypeVLAN || ethType == EtherTypeQinQ); tags++ {
 		if len(frame) < off+vlanTagLen {
-			k.Set(flow.FieldEthType, uint64(ethType))
+			*k = flow.Key{l2, ethDst | uint64(ethType)<<48}
 			info.Err = ErrVLANTruncated
 			info.HeaderLen = off
 			return
@@ -55,7 +59,7 @@ func DecodeInto(frame []byte, inPort uint16, k *flow.Key, info *Info) {
 		ethType = be16(frame[off+2:])
 		off += vlanTagLen
 	}
-	k.Set(flow.FieldEthType, uint64(ethType))
+	*k = flow.Key{l2, ethDst | uint64(ethType)<<48}
 	info.HeaderLen = off
 
 	if ethType == EtherTypeVLAN || ethType == EtherTypeQinQ {
@@ -98,9 +102,8 @@ func decodeIPv4(frame []byte, off int, k *flow.Key, info *Info) {
 		return
 	}
 	proto := frame[off+9]
-	k.Set(flow.FieldIPSrc, be32(frame[off+12:]))
-	k.Set(flow.FieldIPDst, be32(frame[off+16:]))
-	k.Set(flow.FieldIPProto, uint64(proto))
+	k[2] = be32(frame[off+12:]) | be32(frame[off+16:])<<32
+	k[3] = uint64(proto)
 	fragOff := be16(frame[off+6:]) & 0x1fff
 	info.Fragment = fragOff != 0
 	off += ihl
@@ -137,8 +140,7 @@ func decodeL4(frame []byte, off int, proto byte, k *flow.Key, info *Info) {
 			info.Err = ErrL4Truncated
 			return
 		}
-		k.Set(flow.FieldTpSrc, uint64(be16(frame[off:])))
-		k.Set(flow.FieldTpDst, uint64(be16(frame[off+2:])))
+		k[3] |= uint64(be16(frame[off:]))<<8 | uint64(be16(frame[off+2:]))<<24
 		info.HeaderLen = off + 4
 		// The TCP flag byte feeds the conntrack state machine. A header
 		// long enough for the ports but cut before byte 13 keeps the
@@ -153,8 +155,7 @@ func decodeL4(frame []byte, off int, proto byte, k *flow.Key, info *Info) {
 			info.Err = ErrL4Truncated
 			return
 		}
-		k.Set(flow.FieldTpSrc, uint64(frame[off]))
-		k.Set(flow.FieldTpDst, uint64(frame[off+1]))
+		k[3] |= uint64(frame[off])<<8 | uint64(frame[off+1])<<24
 		info.HeaderLen = off + 2
 	}
 }

@@ -229,15 +229,15 @@ func (w *Workload) repKey(ti, ri int, ctx l2ctx) flow.Key {
 	k = k.With(flow.FieldEthSrc, ctx.ethSrc)
 	k = k.With(flow.FieldEthDst, ctx.ethDst)
 	k = k.With(flow.FieldEthType, 0x0800)
-	if r.Match.Mask[flow.FieldIPProto] == 0 {
+	if r.Match.Mask.Get(flow.FieldIPProto) == 0 {
 		k = k.With(flow.FieldIPProto, 6)
 	}
 	// Fields the rule wildcards still need plausible representative values
 	// (stage templates may classify on them exactly).
-	if r.Match.Mask[flow.FieldTpSrc] == 0 {
+	if r.Match.Mask.Get(flow.FieldTpSrc) == 0 {
 		k = k.With(flow.FieldTpSrc, uint64(1024+ri%60000))
 	}
-	if r.Match.Mask[flow.FieldTpDst] == 0 {
+	if r.Match.Mask.Get(flow.FieldTpDst) == 0 {
 		k = k.With(flow.FieldTpDst, uint64(2048+(ri*31)%60000))
 	}
 	return k
@@ -280,30 +280,30 @@ func (w *Workload) installChain(ti, ri int, ctx l2ctx, rng *rand.Rand) bool {
 			switch {
 			case f == flow.FieldEthType:
 				m = m.WithField(f, 0x0800)
-			case isTupleField(f) && !rewritten.Contains(f) && rule.Match.Mask[f] != 0:
+			case isTupleField(f) && !rewritten.Contains(f) && rule.Match.Mask.Get(f) != 0:
 				// The ClassBench rule's constraint. IP prefixes are
 				// re-anchored to the table's canonical prefix length: real
 				// vSwitch tables classify at a stage-specific granularity
 				// (one or two masks per table), which is also what keeps
 				// TSS tuple counts — and megaflow unwildcarding — sane.
-				mask := rule.Match.Mask[f]
+				mask := rule.Match.Mask.Get(f)
 				if !w.cfg.NativePrefixes && (f == flow.FieldIPSrc || f == flow.FieldIPDst) {
 					mask = flow.PrefixMask(f, tablePrefixLen(tid, f))
 				}
-				m = m.WithMaskedField(f, rule.Match.Key[f], mask)
+				m = m.WithMaskedField(f, rule.Match.Key.Get(f), mask)
 			case isTupleField(f) && !rewritten.Contains(f):
 				// Rule wildcards this field: the stage template still
 				// classifies on it, so match the representative value
 				// broadly (top byte for IPs, exact otherwise).
 				if f == flow.FieldIPSrc || f == flow.FieldIPDst {
-					m = m.WithMaskedField(f, state[f], flow.PrefixMask(f, 8))
+					m = m.WithMaskedField(f, state.Get(f), flow.PrefixMask(f, 8))
 				} else {
-					m = m.WithField(f, state[f])
+					m = m.WithField(f, state.Get(f))
 				}
 			default:
 				// L2 context fields and rewritten fields: exact current
 				// value.
-				m = m.WithField(f, state[f])
+				m = m.WithField(f, state.Get(f))
 			}
 		}
 
@@ -388,8 +388,8 @@ func matchHash(tableID int, m flow.Match) uint64 {
 	}
 	mix(uint64(tableID))
 	for f := flow.FieldID(0); f < flow.NumFields; f++ {
-		mix(m.Key[f])
-		mix(m.Mask[f])
+		mix(m.Key.Get(f))
+		mix(m.Mask.Get(f))
 	}
 	return h
 }
@@ -433,15 +433,15 @@ func (w *Workload) SampleKey(ci int, rng *rand.Rand) flow.Key {
 	c := &w.Chains[ci]
 	k := c.Match.Key
 	for _, f := range []flow.FieldID{flow.FieldIPSrc, flow.FieldIPDst, flow.FieldTpSrc, flow.FieldTpDst} {
-		if free := c.Match.Mask[f] ^ f.MaxValue(); free != 0 {
+		if free := c.Match.Mask.Get(f) ^ f.MaxValue(); free != 0 {
 			k = k.WithMasked(f, rng.Uint64(), free)
 		}
 	}
 	// Non-5-tuple free bits stay at the representative's values: L2
 	// identity does not vary within a chain.
 	for _, f := range []flow.FieldID{flow.FieldInPort, flow.FieldEthSrc, flow.FieldEthDst, flow.FieldEthType, flow.FieldIPProto} {
-		if c.Match.Mask[f] == 0 {
-			k = k.With(f, c.Rep[f])
+		if c.Match.Mask.Get(f) == 0 {
+			k = k.With(f, c.Rep.Get(f))
 		}
 	}
 	return k

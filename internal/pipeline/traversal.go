@@ -237,21 +237,23 @@ func (tr *Traversal) ComposeInto(i, j int, c *Composed) {
 	var written flow.Mask
 	for s := i; s < j; s++ {
 		st := &tr.Steps[s]
-		for f := range omega {
-			omega[f] |= st.Wildcard[f] &^ written[f]
+		for w := range omega {
+			omega[w] |= st.Wildcard[w] &^ written[w]
 		}
 		for a := range st.Acts {
 			if act := &st.Acts[a]; act.Type == flow.ActionSetField {
-				written[act.Field] |= act.Mask
+				written.OrField(act.Field, act.Mask)
 			}
 		}
 	}
 	entry, post := &tr.Steps[i].Pre, &tr.Steps[j-1].Post
+	for w := range omega {
+		c.Match.Key[w] = entry[w] & omega[w]
+	}
 	c.Commit = c.Commit[:0]
 	for f := flow.FieldID(0); f < flow.NumFields; f++ {
-		c.Match.Key[f] = entry[f] & omega[f]
-		if written[f] != 0 {
-			c.Commit = append(c.Commit, flow.SetFieldMasked(f, post[f], written[f]))
+		if bits := written.Get(f); bits != 0 {
+			c.Commit = append(c.Commit, flow.SetFieldMasked(f, post.Get(f), bits))
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // mapRef is the pre-flowtable classifier, kept verbatim as the
 // differential-test reference and benchmark baseline: tuples are Go maps
-// keyed by the Apply-masked key, so every probe pays the 80-byte copy and
+// keyed by the Apply-masked key, so every probe pays the 32-byte copy and
 // a second full-key hash. Its observable behaviour — lookup winners,
 // wildcard masks, probe counts — must stay bit-identical to
 // Classifier's.
@@ -184,7 +184,7 @@ func (c *mapRef[T]) LookupWildPrecise(k flow.Key) (*Entry[T], flow.Mask, int) {
 					continue
 				}
 				if diffBit, ok := distinguishingBit(&k, &e.Match); ok {
-					wild[diffBit.field] |= diffBit.mask
+					wild[diffBit.word] |= diffBit.mask
 				}
 			}
 		}
@@ -193,9 +193,9 @@ func (c *mapRef[T]) LookupWildPrecise(k flow.Key) (*Entry[T], flow.Mask, int) {
 }
 
 func maskLess(a, b flow.Mask) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
+	for f := flow.FieldID(0); f < flow.NumFields; f++ {
+		if x, y := a.Get(f), b.Get(f); x != y {
+			return x < y
 		}
 	}
 	return false

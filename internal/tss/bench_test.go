@@ -90,7 +90,7 @@ func BenchmarkSlowpathColdSweep(b *testing.B) {
 }
 
 // BenchmarkMapBaselineSlowpathColdSweep is the same sweep on the
-// pre-flowtable backend: per tuple, an 80-byte Key.Apply copy plus a Go
+// pre-flowtable backend: per tuple, a 32-byte Key.Apply copy plus a Go
 // map probe hashing the full key.
 func BenchmarkMapBaselineSlowpathColdSweep(b *testing.B) {
 	_, ref, cold := buildSlowpath()

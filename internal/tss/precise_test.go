@@ -44,7 +44,7 @@ func TestLookupWildPreciseSection423Example(t *testing.T) {
 		t.Fatalf("both lookups must hit the /16: %v / %v", eu, ep)
 	}
 	// Union mode: ip_dst fully significant (the /32 tuple was probed).
-	if wildUnion[flow.FieldIPDst] != flow.FieldIPDst.MaxValue() {
+	if wildUnion.Get(flow.FieldIPDst) != flow.FieldIPDst.MaxValue() {
 		t.Fatalf("union wildcard = %s; expected exact ip_dst", wildUnion)
 	}
 	// Precise mode: strictly fewer significant bits, still covering /16.
@@ -94,7 +94,7 @@ func TestLookupWildPreciseSoundness(t *testing.T) {
 		e, wild, _ := c.LookupWildPrecise(k)
 		k2 := k
 		for f := flow.FieldID(0); f < flow.NumFields; f++ {
-			k2 = k2.WithMasked(f, rng.Uint64(), f.MaxValue()&^wild[f])
+			k2 = k2.WithMasked(f, rng.Uint64(), f.MaxValue()&^wild.Get(f))
 		}
 		e2, _ := c.Lookup(k2)
 		switch {

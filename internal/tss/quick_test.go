@@ -43,7 +43,7 @@ func TestLookupWildSoundness(t *testing.T) {
 		// Perturb k arbitrarily on bits NOT in wild.
 		k2 := k
 		for f := flow.FieldID(0); f < flow.NumFields; f++ {
-			free := f.MaxValue() &^ wild[f]
+			free := f.MaxValue() &^ wild.Get(f)
 			k2 = k2.WithMasked(f, rng.Uint64(), free)
 		}
 		e2, _ := c.Lookup(k2)
@@ -93,7 +93,7 @@ func TestLookupWildAfterChurn(t *testing.T) {
 		e, wild, _ := c.LookupWild(k)
 		k2 := k
 		for f := flow.FieldID(0); f < flow.NumFields; f++ {
-			k2 = k2.WithMasked(f, rng.Uint64(), f.MaxValue()&^wild[f])
+			k2 = k2.WithMasked(f, rng.Uint64(), f.MaxValue()&^wild.Get(f))
 		}
 		e2, _ := c.Lookup(k2)
 		if (e == nil) != (e2 == nil) || (e != nil && e.Priority != e2.Priority) {

@@ -7,7 +7,7 @@
 // flow key, whose slots hold the winning entry's priority and payload
 // beside the chain of entries with that predicate. Probing a tuple masks
 // and hashes the packet key in one pass over the mask's non-zero words —
-// no 80-byte Apply copy, no second full-key hash, no Go map overhead. A
+// no 32-byte Apply copy, no second full-key hash, no Go map overhead. A
 // lookup probes tuples in decreasing order of their maximum rule priority
 // and stops as soon as the best match found so far outranks every
 // remaining tuple — the same staged-lookup optimisation OVS applies. The
@@ -219,7 +219,7 @@ func (c *Classifier[T]) rebuildOrder() {
 			return cmp.Compare(b.maxPrio, a.maxPrio)
 		}
 		// Deterministic tie-break on mask bits for reproducible probe counts.
-		return slices.Compare(a.mask[:], b.mask[:])
+		return compareMasks(&a.mask, &b.mask)
 	})
 	c.dirty = false
 }
@@ -377,7 +377,7 @@ func (c *Classifier[T]) LookupWildPreciseInto(k *flow.Key, wild *flow.Mask, scra
 					continue
 				}
 				if diffBit, ok := distinguishingBit(k, &e.Match); ok {
-					wild[diffBit.field] |= diffBit.mask
+					wild[diffBit.word] |= diffBit.mask
 				}
 			}
 		}
@@ -385,20 +385,33 @@ func (c *Classifier[T]) LookupWildPreciseInto(k *flow.Key, wild *flow.Mask, scra
 	return best, len(scratch.tuples)
 }
 
-// bitRef names one bit of one field.
+// compareMasks orders two masks field by field, in canonical field order:
+// the tuple tie-break, kept independent of how fields pack into words.
+func compareMasks(a, b *flow.Mask) int {
+	for f := flow.FieldID(0); f < flow.NumFields; f++ {
+		if c := cmp.Compare(a.Get(f), b.Get(f)); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// bitRef names one bit of one packed key word.
 type bitRef struct {
-	field flow.FieldID
-	mask  uint64
+	word int
+	mask uint64
 }
 
 // distinguishingBit returns a significant bit of m on which k disagrees
-// with m's key. It exists whenever k does not match m.
+// with m's key. It exists whenever k does not match m. Fields ascend in
+// (word, bit) order, so the lowest differing bit of the first differing
+// word is the lowest differing bit of the first differing field.
 //
 //gf:hotpath
 func distinguishingBit(k *flow.Key, m *flow.Match) (bitRef, bool) {
-	for f := flow.FieldID(0); f < flow.NumFields; f++ {
-		if diff := (k[f] ^ m.Key[f]) & m.Mask[f]; diff != 0 {
-			return bitRef{field: f, mask: diff & -diff}, true
+	for w := range k {
+		if diff := (k[w] ^ m.Key[w]) & m.Mask[w]; diff != 0 {
+			return bitRef{word: w, mask: diff & -diff}, true
 		}
 	}
 	return bitRef{}, false
