@@ -143,7 +143,9 @@ bench-pairs:
 ## deterministic, part of ci. FuzzRSSHash doubles as the differential
 ## oracle: extractor output must agree with the full decoder on every
 ## corpus input. FuzzParseMatch and FuzzParseKey round-trip String through
-## the parser, which crosses every field's packed-key accessors.
+## the parser, which crosses every field's packed-key accessors, and
+## FuzzRewrite holds the cache entries' masked-overwrite commit to the
+## set-field action list it folds.
 ## FuzzMicroflowOps and FuzzOpsDifferential replay op tapes
 ## through the Microflow tier and the flow table against their map-backed
 ## reference models, FuzzInsertOps through the LTM cache's
@@ -157,7 +159,7 @@ bench-pairs:
 ## the cell and seed that caught each mutation the oracle is known to
 ## catch (results/pr25/README.md, results/pr26/README.md).
 fuzz-regress:
-	$(GO) test -run 'FuzzParseMatch|FuzzParseKey' ./internal/flow
+	$(GO) test -run 'FuzzParseMatch|FuzzParseKey|FuzzRewrite' ./internal/flow
 	$(GO) test -run 'FuzzDecode|FuzzRSSHash' ./internal/packet
 	$(GO) test -run 'FuzzEpochValid' ./internal/conntrack
 	$(GO) test -run 'FuzzMicroflowOps' ./internal/microflow

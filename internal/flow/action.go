@@ -137,9 +137,9 @@ func Apply(k Key, actions []Action) (Key, Verdict) {
 	return k, v
 }
 
-// ApplyTo is Apply rewriting *k in place: the form the cache hit paths
-// use, where one key is threaded through several commit lists and a
-// fresh copy per action would be waste.
+// ApplyTo is Apply rewriting *k in place: the form the pipeline walk uses
+// on each step's rule actions, where a fresh copy per action would be
+// waste. A cache entry's commit is a Rewrite instead.
 //
 //gf:hotpath
 func ApplyTo(k *Key, actions []Action) Verdict {

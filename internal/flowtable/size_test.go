@@ -26,8 +26,8 @@ func TestPackedSizes(t *testing.T) {
 		{"flow.Mask", unsafe.Sizeof(flow.Mask{}), 32},
 		{"flow.Match", unsafe.Sizeof(flow.Match{}), 64},
 		{"flowtable slot, 24-byte value", flowtable.SlotSize[[3]uint64](), 64},
-		{"gigaflow.Entry", unsafe.Sizeof(gigaflow.Entry{}), 280},
-		{"megaflow.Entry", unsafe.Sizeof(megaflow.Entry{}), 224},
+		{"gigaflow.Entry", unsafe.Sizeof(gigaflow.Entry{}), 320},
+		{"megaflow.Entry", unsafe.Sizeof(megaflow.Entry{}), 264},
 		{"microflow.Entry", unsafe.Sizeof(microflow.Entry{}), 128},
 		{"conntrack.Conn", unsafe.Sizeof(conntrack.Conn{}), 176},
 	} {

@@ -79,9 +79,12 @@ func k4Setup() {
 }
 
 // BenchmarkLookupK4 is one LTM lookup in the regime the end-to-end
-// benchmark's warm-ltm workload runs in: every key hits, after ≈3.5 table
-// probes of one tuple each, and consecutive keys share no entry, so the
-// walk pays its dependent loads from beyond the private caches.
+// benchmark's warm-ltm workload runs in: 200 000 keys, walked in order,
+// all hit 5 799 entries, each after 3.5 table probes of one tuple. A key's
+// hit path shares 0.19 of its 3.5 entries with the previous key's, on
+// average, and most of what a hit reads — slots and entry lines — was
+// last read hundreds to thousands of lookups before, so the figure tracks
+// how many cache lines a hit touches.
 func BenchmarkLookupK4(b *testing.B) {
 	k4.once.Do(k4Setup)
 	if k4.err != nil {

@@ -91,7 +91,7 @@ func refWalk(c *Cache, p *pipeline.Pipeline, k flow.Key) refResult {
 			continue
 		}
 		r.path = append(r.path, e)
-		cur, _ = flow.Apply(cur, e.Commit)
+		cur, _ = flow.Apply(cur, e.Commit.Actions())
 		if e.Terminal {
 			r.hit = true
 			r.verdict = e.Verdict

@@ -46,7 +46,7 @@ func refSameSemantics(a, b *Entry) bool {
 	return a.Tag == b.Tag && a.Priority == b.Priority && a.Match.Equal(b.Match) &&
 		a.NextTag == b.NextTag && a.Terminal == b.Terminal && a.Verdict == b.Verdict &&
 		a.CtConn == b.CtConn && a.CtEpoch == b.CtEpoch &&
-		flow.ActionsEqual(a.Commit, b.Commit)
+		a.Commit == b.Commit
 }
 
 func refInsertPartition(c *Cache, tr *pipeline.Traversal, part Partition, now int64) ([]*Entry, error) {
@@ -115,7 +115,7 @@ type entryState struct {
 	Tag, NextTag, Priority, Table int
 	Slot, NextSlot                int32
 	Match                         flow.Match
-	Commit                        []flow.Action
+	Commit                        flow.Rewrite
 	Terminal                      bool
 	Verdict                       flow.Verdict
 	Hits, Installs, Version       uint64
@@ -128,7 +128,7 @@ func stateOf(e *Entry) entryState {
 	return entryState{
 		Tag: e.Tag, NextTag: e.NextTag, Priority: e.Priority, Table: e.TableIndex(),
 		Slot: e.slot, NextSlot: e.nextSlot, Match: e.Match,
-		Commit:   append([]flow.Action{}, e.Commit...), // nil and empty commits are one state
+		Commit:   e.Commit,
 		Terminal: e.Terminal, Verdict: e.Verdict,
 		Hits: e.Hits, Installs: e.Installs, Version: e.Version,
 		LastHit: e.LastHit, Created: e.Created, Parent: e.Parent,

@@ -20,14 +20,18 @@ const TagDone = -2
 // exactly; the priority ρ equals the sub-traversal's span in pipeline
 // tables (Longest Traversal Matching).
 //
-// Field order is layout: everything a hit reads or writes — the action α,
-// the counters, the LRU links — leads the struct, so it occupies the
-// entry's first 80 bytes; the 200 bytes only installation, revalidation
-// and introspection read follow (280 in all, TestPackedSizes).
+// Field order is layout. The entry is 320 bytes, a size class the Go
+// allocator places on 64-byte boundaries, so each 64-byte line below is one
+// cache line. A hit reads the action α's rewrite from line 0 and
+// everything else it reads or writes — the next slot, the terminal flag
+// and verdict, the counters, the LRU links, and the conntrack epoch
+// DropStale checks — from line 1; the 192 bytes only installation,
+// revalidation and introspection read follow (TestEntryLayout,
+// TestPackedSizes).
 type Entry struct {
 	// Commit is the set-field part of α: the header rewrites accumulated
-	// across the sub-traversal.
-	Commit []flow.Action
+	// across the sub-traversal, as one masked overwrite of the key.
+	Commit flow.Rewrite
 	// nextSlot and slot are NextTag and Tag in the owning cache's dense
 	// tag numbering (tagSlots), resolved once at install: the hit path
 	// follows nextSlot and never reads the tags themselves.
@@ -42,6 +46,13 @@ type Entry struct {
 
 	table      *ltmTable
 	prev, next *Entry // per-table LRU
+
+	// CtConn and CtEpoch tie a connection-dependent entry (one whose
+	// sub-traversal resolved a NAT action) to the connection and NAT
+	// bindings it was resolved against; CtEpoch zero means
+	// connection-independent. The datapath validates the pair against the
+	// conntrack table on hit, reading CtConn only when CtEpoch is set.
+	CtEpoch uint64
 
 	// Tag is τ: the vSwitch pipeline table ID at which this sub-traversal
 	// starts. A packet matches the entry only while its metadata tag equals
@@ -66,13 +77,8 @@ type Entry struct {
 	// Installs counts how many slowpath traversals produced this entry —
 	// the sub-traversal sharing frequency of Fig. 11.
 	Installs uint64
-	// CtConn and CtEpoch tie a connection-dependent entry (one whose
-	// sub-traversal resolved a NAT action) to the connection and NAT
-	// bindings it was resolved against; CtEpoch zero means
-	// connection-independent. The datapath validates the pair against the
-	// conntrack table on hit.
-	CtConn  flow.Key
-	CtEpoch uint64
+	// CtConn is the connection tuple CtEpoch was stamped for.
+	CtConn flow.Key
 
 	Created int64
 }
@@ -83,7 +89,7 @@ func (e *Entry) String() string {
 	if e.Terminal {
 		next = e.Verdict.String()
 	}
-	return fmt.Sprintf("ltm{τ=%d ρ=%d %s -> %v, %s}", e.Tag, e.Priority, e.Match, e.Commit, next)
+	return fmt.Sprintf("ltm{τ=%d ρ=%d %s -> %v, %s}", e.Tag, e.Priority, e.Match, e.Commit.Actions(), next)
 }
 
 // TableIndex reports which LTM cache table (GF_k) holds the entry, or -1
@@ -588,7 +594,7 @@ func (c *Cache) find(k *flow.Key, now int64, s *Stats, final *flow.Key) (flow.Ve
 		}
 		t.stats.Hits++
 		c.path = append(c.path, e)
-		flow.ApplyTo(final, e.Commit)
+		e.Commit.Apply(final)
 		if e.Terminal {
 			for _, pe := range c.path {
 				pe.Hits++
@@ -688,7 +694,7 @@ func (c *Cache) Peek(k flow.Key) Result {
 			continue
 		}
 		path = append(path, e)
-		flow.ApplyTo(&k, e.Commit)
+		e.Commit.Apply(&k)
 		if e.Terminal {
 			return Result{Hit: true, Verdict: e.Verdict, Final: k, Path: path}
 		}
@@ -700,8 +706,7 @@ func (c *Cache) Peek(k flow.Key) Result {
 // candidate is one sub-traversal compiled to rule form in scratch: what
 // installation probes the target table with before it decides whether an
 // Entry has to exist, and what revalidation compares a resident entry
-// against. Match and Commit are the composed predicate and rewrites;
-// Commit's backing array is reused from one traversal to the next.
+// against. Match and Commit are the composed predicate and rewrite.
 type candidate struct {
 	pipeline.Composed
 	tag, nextTag int
@@ -751,16 +756,17 @@ func (cd *candidate) same(e *Entry) bool {
 	return e.Tag == cd.tag && e.Priority == cd.prio &&
 		e.NextTag == cd.nextTag && e.Terminal == cd.terminal && e.Verdict == cd.verdict &&
 		e.CtEpoch == cd.ctEpoch && e.CtConn == cd.ctConn &&
-		flow.ActionsEqual(e.Commit, cd.Commit) && e.Match.EqualTo(&cd.Match)
+		e.Commit == cd.Commit && e.Match.EqualTo(&cd.Match)
 }
 
 // materialise builds the Entry for a candidate that has to be installed:
-// the one point of the install path that allocates — the entry, and its
-// own copy of the commit when there is one.
+// the one point of the install path that allocates, one object: the entry,
+// which holds the commit by value and embeds its classifier node.
 //
 //gf:hotpath-safe fresh-entry materialisation: a miss allocates here, for the entries it adds to the cache and nothing else
 func (cd *candidate) materialise(tr *pipeline.Traversal, seg Segment, now int64) *Entry {
 	e := &Entry{
+		Commit:   cd.Commit,
 		Terminal: cd.terminal,
 		Verdict:  cd.verdict,
 		LastHit:  now,
@@ -774,9 +780,6 @@ func (cd *candidate) materialise(tr *pipeline.Traversal, seg Segment, now int64)
 		Created:  now,
 	}
 	e.Match, e.Priority = cd.Match, cd.prio
-	if len(cd.Commit) > 0 {
-		e.Commit = append(make([]flow.Action, 0, len(cd.Commit)), cd.Commit...)
-	}
 	return e
 }
 

@@ -22,7 +22,7 @@ import (
 // Entry is one cached megaflow rule.
 type Entry struct {
 	Match   flow.Match
-	Commit  []flow.Action // header rewrites accumulated over the traversal
+	Commit  flow.Rewrite // header rewrites accumulated over the traversal
 	Verdict flow.Verdict
 	// Parent is the flow signature whose traversal generated the entry;
 	// revalidation replays it through the pipeline.
@@ -216,7 +216,7 @@ func (c *Cache) Find(k *flow.Key, now int64, final *flow.Key) (flow.Verdict, boo
 		return flow.Verdict{}, false
 	}
 	*final = *k
-	flow.ApplyTo(final, ent.Commit)
+	ent.Commit.Apply(final)
 	return ent.Verdict, true
 }
 
@@ -284,8 +284,8 @@ func (c *Cache) Peek(k flow.Key) (*Entry, bool) {
 
 // Apply executes a cached entry against a key.
 func (e *Entry) Apply(k flow.Key) (flow.Key, flow.Verdict) {
-	out, _ := flow.Apply(k, e.Commit)
-	return out, e.Verdict
+	e.Commit.Apply(&k)
+	return k, e.Verdict
 }
 
 // Insert compiles a traversal into a megaflow entry and installs it.
@@ -311,6 +311,7 @@ func (c *Cache) Insert(tr *pipeline.Traversal, now int64) *Entry {
 	}
 	ent := &Entry{
 		Match:        *match,
+		Commit:       c.rule.Commit,
 		Verdict:      tr.Verdict,
 		Parent:       tr.Input,
 		TraversalLen: tr.Len(),
@@ -319,9 +320,6 @@ func (c *Cache) Insert(tr *pipeline.Traversal, now int64) *Entry {
 		CtEpoch:      tr.CtEpoch,
 		LastHit:      now,
 		Created:      now,
-	}
-	if len(c.rule.Commit) > 0 {
-		ent.Commit = append(make([]flow.Action, 0, len(c.rule.Commit)), c.rule.Commit...)
 	}
 	c.cls.Insert(&tss.Entry[*Entry]{Match: *match, Priority: 0, Value: ent})
 	c.pushFront(ent)
@@ -391,7 +389,7 @@ func (c *Cache) Revalidate(p *pipeline.Pipeline) (evicted int, work int) {
 		}
 		work += tr.Len()
 		tr.ComposeInto(0, tr.Len(), &c.rule)
-		if !c.rule.Match.EqualTo(&ent.Match) || !flow.ActionsEqual(c.rule.Commit, ent.Commit) || tr.Verdict != ent.Verdict {
+		if !c.rule.Match.EqualTo(&ent.Match) || c.rule.Commit != ent.Commit || tr.Verdict != ent.Verdict {
 			bad = append(bad, ent)
 		} else {
 			ent.Version = p.Version

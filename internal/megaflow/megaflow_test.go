@@ -198,6 +198,20 @@ func TestRevalidationEvictsStale(t *testing.T) {
 	if work != 0 {
 		t.Errorf("second revalidation should be free, work=%d", work)
 	}
+
+	// Change only a rewrite: the route both entries cross now sets another
+	// eth_dst. Their matches and verdicts stand, their commits do not.
+	c.Insert(p.MustProcess(key(1, 80)), 0)
+	route := flow.MustParseMatch("ip_dst=10.0.0.0/24")
+	for _, r := range p.Table(0).Rules() {
+		if r.Match.Equal(route) && !p.DeleteRule(r) {
+			t.Fatal("delete failed")
+		}
+	}
+	p.MustAddRule(0, route, 10, []flow.Action{flow.SetField(flow.FieldEthDst, 0xdd)}, 1)
+	if ev, _ = c.Revalidate(p); ev != 2 || c.Len() != 0 {
+		t.Errorf("rewrite change: evicted = %d, %d left; want 2, 0", ev, c.Len())
+	}
 }
 
 func TestMegaflowEntriesDisjoint(t *testing.T) {

@@ -188,7 +188,8 @@ func TestComposeRewriteShadowing(t *testing.T) {
 	if !match.Matches(other) {
 		t.Errorf("megaflow %s should match %s", match, other)
 	}
-	out, _ := flow.Apply(other, commit)
+	out := other
+	commit.Apply(&out)
 	if out.Get(flow.FieldEthDst) != 0xbbbbbbbbbbbb {
 		t.Error("commit must carry the rewrite")
 	}
@@ -240,7 +241,8 @@ func megaflowSound(t *testing.T, p *Pipeline, tr *Traversal, probe flow.Key) {
 	if got.Verdict != tr.Verdict {
 		t.Fatalf("probe verdict %v, want %v", got.Verdict, tr.Verdict)
 	}
-	want, _ := flow.Apply(probe, commit)
+	want := probe
+	commit.Apply(&want)
 	if got.FinalKey() != want {
 		t.Fatalf("probe final key %s, commit replay %s", got.FinalKey(), want)
 	}

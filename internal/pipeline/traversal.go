@@ -209,20 +209,19 @@ func (tr *Traversal) SegmentCtDep(i, j int) bool {
 //
 // Compose over the full range is precisely Megaflow-rule generation;
 // sub-ranges are Gigaflow's sub-traversal rules (ω_k, M_k, α_k of §4.2.3).
-func (tr *Traversal) Compose(i, j int) (match flow.Match, commit []flow.Action) {
+func (tr *Traversal) Compose(i, j int) (match flow.Match, commit flow.Rewrite) {
 	var c Composed
 	tr.ComposeInto(i, j, &c)
 	return c.Match, c.Commit
 }
 
 // Composed is one flattened range of a traversal, as Compose describes it:
-// the match predicate and the set-field commit. It is the scratch the
-// install paths compose every candidate rule into, copying out only what
-// they decide to keep; Commit's backing array is reused from one
-// ComposeInto to the next.
+// the match predicate and the commit, as one masked overwrite of every bit
+// the range writes. It is the scratch the install paths compose every
+// candidate rule into, copying out only what they decide to keep.
 type Composed struct {
 	Match  flow.Match
-	Commit []flow.Action
+	Commit flow.Rewrite
 }
 
 // ComposeInto is Compose writing into caller-owned scratch.
@@ -232,9 +231,8 @@ func (tr *Traversal) ComposeInto(i, j int, c *Composed) {
 	if i < 0 || j > len(tr.Steps) || i >= j {
 		tr.badRange(i, j)
 	}
-	omega := &c.Match.Mask
-	*omega = flow.Mask{}
-	var written flow.Mask
+	omega, written := &c.Match.Mask, &c.Commit.Mask
+	*omega, *written = flow.Mask{}, flow.Mask{}
 	for s := i; s < j; s++ {
 		st := &tr.Steps[s]
 		for w := range omega {
@@ -249,12 +247,7 @@ func (tr *Traversal) ComposeInto(i, j int, c *Composed) {
 	entry, post := &tr.Steps[i].Pre, &tr.Steps[j-1].Post
 	for w := range omega {
 		c.Match.Key[w] = entry[w] & omega[w]
-	}
-	c.Commit = c.Commit[:0]
-	for f := flow.FieldID(0); f < flow.NumFields; f++ {
-		if bits := written.Get(f); bits != 0 {
-			c.Commit = append(c.Commit, flow.SetFieldMasked(f, post.Get(f), bits))
-		}
+		c.Commit.Val[w] = post[w] & written[w]
 	}
 }
 
