@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build test race vet lint lint-json suppress-check fmt-check docs-check bench bench-e2e bench-compare bench-pairs fuzz fuzz-regress
+.PHONY: ci build test race vet lint lint-json suppress-check fmt-check docs docs-check bench bench-e2e bench-compare bench-pairs fuzz fuzz-regress
 
 ## ci: the standard verification gate — vet, build, race-enabled tests,
 ## the project linter, a gofmt cleanliness check, the suppression audit,
@@ -61,13 +61,21 @@ fmt-check:
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-## docs-check: README.md, EXPERIMENTS.md, DESIGN.md and the verify skill
-## may only name make targets, gigabench experiments, files and
-## Benchmark…/Test…/Fuzz… functions that exist — and they, and the Go
-## comments of the service and root packages, only gigaflow_… metrics the
-## code registers.
+## docs: regenerate README.md's reference tables — metrics, endpoints,
+## service.Config, command flags — from the code (TestDocs -update, like
+## TestGolden's). Commit the result: a stale table fails go test.
+docs:
+	$(GO) test -run '^TestDocs$$' ./service -update
+
+## docs-check: the documents name only what exists. The shell half
+## (scripts/docs-check.sh) checks make targets, gigabench experiments,
+## files, Benchmark…/Test…/Fuzz… functions and Service/Batch/VSwitch
+## names; TestDocs checks README's generated tables and every gigaflow_…
+## metric, Config path and command flag the documents (and the service and
+## root packages' Go comments) name.
 docs-check:
 	@sh scripts/docs-check.sh "$(GO)"
+	$(GO) test -run '^TestDocs$$' ./service
 
 ## bench: every micro-benchmark in the module (micro-costs and allocs/op;
 ## end-to-end and per-layer wall-clock numbers come from bench-e2e).

@@ -15,8 +15,8 @@ import (
 // TestPackedSizes pins what the packed 256-bit key buys every tier: a key
 // is four words, a ternary match eight, and a flow-table slot with a
 // three-word value one 64-byte cache line. The entry sizes move whenever
-// a field is added to or dropped from them; update the pin and the sizes
-// DESIGN.md §10 quotes together.
+// a field is added to or dropped from them; update the pin (DESIGN.md
+// "Main cache" quotes only the key's and the slot's).
 func TestPackedSizes(t *testing.T) {
 	for _, c := range []struct {
 		name      string

@@ -16,7 +16,7 @@ import (
 // heap-allocated entry per flow — kept as the differential-test
 // reference. Lookup results, entry state, eviction victims, LRU order and
 // every Stats counter of Cache must stay bit-identical to it. Its thrash
-// policy (refDetector) is written from the paragraph in DESIGN.md §10.3,
+// policy (refDetector) is written from the paragraph in DESIGN.md "Microflow",
 // not from Cache's counters.
 type refEntry struct {
 	Key     flow.Key

@@ -90,9 +90,9 @@ func BenchmarkAblation_AdaptiveFallback(b *testing.B) {
 }
 
 // BenchmarkAblation_ContextDiversity sweeps the L2-context pool size: the
-// workload-structure knob behind the cross-product (DESIGN.md §3). More
-// contexts multiply Megaflow demand while Gigaflow entry demand grows only
-// additively.
+// workload-structure knob behind the cross-product (DESIGN.md "Key design
+// decisions"). More contexts multiply Megaflow demand while Gigaflow entry
+// demand grows only additively.
 func BenchmarkAblation_ContextDiversity(b *testing.B) {
 	for _, ctxs := range []int{8, 64, 512} {
 		w, trace := ablationWorkload(b, ctxs)

@@ -10,7 +10,7 @@ import (
 // frameMetrics pre-resolves the byte-level ingestion counters into
 // arrays indexed by the codec's dense Proto and ErrCode enums, so
 // accounting never looks a label up on the packet path. Every series is
-// materialised up front so /metrics shows the full schema at zero.
+// materialised up front so a scrape shows the full schema at zero.
 type frameMetrics struct {
 	decoded [wire.NumProtos]*telemetry.Counter
 	errs    [wire.NumErrCodes]*telemetry.Counter
@@ -73,7 +73,7 @@ func (t *frameTally) add(info *wire.Info, n int) {
 }
 
 // flush folds a tally into the shared counters and empties it. Callers
-// flush before the submission the frames belong to completes, so /metrics
+// flush before the submission the frames belong to completes, so a scrape
 // reads the same totals after every completed submission as per-frame
 // accounting would give.
 //

@@ -67,17 +67,12 @@ const sweepEvery = 500 * time.Millisecond
 // section of Config).
 type UpcallConfig struct {
 	// Workers enables the offload with this many engine goroutines (0,
-	// the default, keeps misses inline). With the offload on, a
-	// main-cache miss parks the packet and enqueues an upcall instead of
-	// blocking the worker on the pipeline traversal; concurrent misses
-	// of the same flow coalesce onto one traversal, and parked packets
-	// are released in arrival order per flow, so results and VSwitch
-	// stats are indistinguishable from inline processing, the full-queue
-	// fallback included. Each tier's own stats are too while no miss
-	// meets a full queue and no cache tier evicts: the fallback probes a
-	// parked packet's tiers a second time, and a batch's parked misses
-	// reach an LRU tier after the batch's hits, so once one evicts, which
-	// flows it keeps can differ.
+	// the default, keeps misses inline): a main-cache miss parks its
+	// packet, same-flow misses share one traversal, and parked packets
+	// are released in arrival order, so results and VSwitch stats are
+	// those of inline processing, the full-queue fallback included. Each
+	// tier's own stats are too while no miss meets a full queue and no
+	// tier evicts (DESIGN.md "Upcall").
 	Workers int
 	// Queue bounds the shared miss queue (default 1024). A fresh miss
 	// that finds it full is traversed inline, on the shard; packets of
@@ -109,9 +104,9 @@ func (c UpcallConfig) withDefaults() UpcallConfig {
 // section of Config).
 type LatencyConfig struct {
 	// Disable turns off attribution (per-tier nanosecond histograms and
-	// the flight-recorder ring, served on /latency and /debug/flight).
-	// Attribution is on by default: its hot path adds two clock reads
-	// per batch and plain stores per packet.
+	// the flight-recorder ring, served by the latency and flight-recorder
+	// endpoints). Attribution is on by default: its hot path adds two
+	// clock reads per batch and plain stores per packet.
 	Disable bool
 	// FlightRecords sizes each worker's flight-recorder ring, rounded up
 	// to a power of two (default telemetry.DefaultFlightRecords, 1024).
@@ -136,22 +131,13 @@ func (c LatencyConfig) validate() error {
 }
 
 // ConntrackConfig configures connection tracking (one section of
-// Config). With Enable set, every worker runs a conntrack table in front
-// of its pipeline: ct_state bits are folded into the key the caches and
-// slowpath match on, and stateful NAT actions (dnat/snat/ct_nat) resolve
-// against per-connection bindings. Flows are sharded symmetrically —
-// both directions of a 5-tuple land on the same worker, so its private
-// table sees the whole conversation with no cross-shard locks.
-//
-// NAT pipelines scale past one worker through pool partitioning: each
-// shard binds connections only inside its own disjoint sub-range of every
-// NAT pool (so each pool needs at least Workers targets, in New and after
-// every UpdateRules), so a shard only ever binds to endpoints it owns, and
-// replies — which arrive on the translated tuple, outside the forward
-// direction's symmetric hash — are routed to the owning shard by an
-// endpoint→shard map consulted before the hash. Pool endpoints must be
-// disjoint from the client endpoint space for that routing to be
-// unambiguous.
+// Config): ct_state folded into the key, stateful NAT actions resolved
+// against per-connection bindings, both directions of a 5-tuple on one
+// shard (DESIGN.md "Conntrack" and "NAT"). Each shard binds only inside
+// its own sub-range of every NAT pool, so each pool needs at least
+// Workers targets, in New and after every UpdateRules; pool endpoints
+// must be disjoint from the client endpoint space, so that a translated
+// reply routes to the shard that bound it.
 type ConntrackConfig struct {
 	// Enable turns connection tracking on.
 	Enable bool
@@ -225,13 +211,11 @@ type Config struct {
 	Conntrack ConntrackConfig
 
 	// TelemetryAddr, when non-empty, serves the introspection endpoints
-	// (/metrics, /traces, /cache, /shards, /latency, /debug/flight,
-	// /debug/pprof, /debug/vars; see TelemetryHandler) on this address
-	// from Start until Close (e.g. "127.0.0.1:9090"; use port 0 to pick
-	// a free port, readable via Service.TelemetryAddr). Cancelling
-	// Start's context stops the workers but not this server: until Close
-	// it keeps serving the registry's last values and answers the
-	// per-shard endpoints with 503.
+	// (TelemetryHandler) on this address from Start until Close (e.g.
+	// "127.0.0.1:9090"; use port 0 to pick a free port, readable via
+	// Service.TelemetryAddr). Cancelling Start's context stops the
+	// workers but not this server: until Close it keeps serving the
+	// registry's last values and answers the per-shard endpoints with 503.
 	TelemetryAddr string
 	// TraceSample records a full traversal trace for one in N processed
 	// packets (0 disables tracing; the packet path then carries a single
@@ -788,7 +772,7 @@ func (w *worker) runJob(j *batchJob, now int64) (finished bool) {
 		blk.metas[i] = info.TCPFlags
 	}
 	// Once per job, and before its results are visible: a submitter that
-	// has its verdicts reads its frames in /metrics.
+	// has its verdicts reads its frames in a scrape.
 	w.fm.flush(&w.tally)
 	if w.eng != nil {
 		return w.parkJob(j, now)

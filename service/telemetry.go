@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"path"
 	"strconv"
 	"time"
 
@@ -21,8 +22,8 @@ import (
 const collectTimeout = 2 * time.Second
 
 // Registry returns the service's metrics registry. Counters and gauges
-// mirroring worker-owned cache state are refreshed on every /metrics,
-// /cache, or Collect call; registry reads are always safe.
+// mirroring worker-owned cache state are refreshed on every Collect, which
+// each metrics scrape makes; registry reads are always safe.
 func (s *Service) Registry() *telemetry.Registry { return s.reg }
 
 // Collect refreshes the registry from every shard's cache state, under
@@ -76,7 +77,7 @@ func (s *Service) collectServiceMetrics() {
 	}
 }
 
-// workerTelemetry is one worker's slice of the /cache introspection
+// workerTelemetry is one worker's slice of the cache introspection
 // document.
 type workerTelemetry struct {
 	Worker     string `json:"worker"`
@@ -86,7 +87,7 @@ type workerTelemetry struct {
 	gigaflow.VSwitchTelemetry
 }
 
-// cacheTelemetry is the /cache document: every shard's cache hierarchy,
+// cacheTelemetry is the cache document: every shard's cache hierarchy,
 // snapshotted under its owner lock (it lists no records, so no cap).
 func (s *Service) cacheTelemetry(ctx context.Context, _ int) (any, error) {
 	out := make([]workerTelemetry, len(s.workers))
@@ -105,14 +106,14 @@ func (s *Service) cacheTelemetry(ctx context.Context, _ int) (any, error) {
 	}{s.cfg.Backend.String(), out}, err
 }
 
-// workerLatency is one worker's slice of the /latency document: the
+// workerLatency is one worker's slice of the latency document: the
 // percentile ladder for every resolution tier.
 type workerLatency struct {
 	Worker string                               `json:"worker"`
 	Tiers  map[string]telemetry.LatencySnapshot `json:"tiers"`
 }
 
-// latencyDoc is the /latency response: per-worker and aggregate per-tier
+// latencyDoc is the latency document: per-worker and aggregate per-tier
 // latency ladders. Enabled is false (and the rest empty) when the
 // service was built with Config.Latency.Disable.
 type latencyDoc struct {
@@ -153,7 +154,7 @@ func (s *Service) latencyTelemetry(ctx context.Context, _ int) (any, error) {
 	return doc, nil
 }
 
-// workerFlight is one worker's slice of the /debug/flight document.
+// workerFlight is one worker's slice of the flight-recorder document.
 type workerFlight struct {
 	Worker   string                    `json:"worker"`
 	Seq      uint64                    `json:"seq"`
@@ -165,7 +166,7 @@ type workerFlight struct {
 	Captures []telemetry.FlightCapture `json:"captures,omitempty"`
 }
 
-// flightDoc is the /debug/flight response. Enabled is false (and Workers
+// flightDoc is the flight-recorder document. Enabled is false (and Workers
 // empty) when the service was built with Config.Latency.Disable.
 type flightDoc struct {
 	Enabled bool           `json:"enabled"`
@@ -195,16 +196,25 @@ func (s *Service) flightTelemetry(ctx context.Context, n int) (any, error) {
 	return flightDoc{Enabled: true, Workers: out}, err
 }
 
-// TelemetryHandler returns the introspection mux:
-//
-//	/metrics      Prometheus text (?format=json for JSON)
-//	/traces       recent sampled traversal traces (?n= caps the count)
-//	/cache        per-worker, per-table cache occupancy and counters
-//	/shards       per-shard packet/occupancy/conntrack-churn counters
-//	/latency      per-worker and aggregate per-tier latency ladders
-//	/debug/flight per-worker flight-recorder dump (?n= caps records)
-//	/debug/pprof  net/http/pprof profiles
-//	/debug/vars   expvar
+// endpoints is the introspection surface, one row per path:
+// TelemetryHandler mounts each row and links it from its index page, and
+// README's endpoint table is generated from it.
+var endpoints = []struct {
+	path, about string
+	handler     func(s *Service) http.HandlerFunc
+}{
+	{"/metrics", "Prometheus text exposition (0.0.4); ?format=json for JSON", func(s *Service) http.HandlerFunc { return s.serveMetrics }},
+	{"/traces", "recent sampled traversal traces, newest first (?n= caps)", func(s *Service) http.HandlerFunc { return serveJSON(0, s.traceTelemetry) }},
+	{"/cache", "per-worker, per-LTM-table cache snapshot", func(s *Service) http.HandlerFunc { return serveJSON(0, s.cacheTelemetry) }},
+	{"/shards", "per-shard packets, occupancy and conntrack churn counters", func(s *Service) http.HandlerFunc { return serveJSON(0, s.shardTelemetry) }},
+	{"/latency", "per-worker and aggregate per-tier latency ladders (p50/p90/p99/p999/max)", func(s *Service) http.HandlerFunc { return serveJSON(0, s.latencyTelemetry) }},
+	{"/debug/flight", "flight-recorder dump: recent per-packet records and spike captures (?n= caps, default 256)", func(s *Service) http.HandlerFunc { return serveJSON(256, s.flightTelemetry) }},
+	{"/debug/pprof/", "net/http/pprof profiles", func(*Service) http.HandlerFunc { return servePprof }},
+	{"/debug/vars", "expvar", func(*Service) http.HandlerFunc { return expvar.Handler().ServeHTTP }},
+}
+
+// TelemetryHandler returns the introspection mux: every row of endpoints,
+// and an index page linking them at /.
 func (s *Service) TelemetryHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -213,50 +223,55 @@ func (s *Service) TelemetryHandler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		fmt.Fprint(w, `<html><body><h1>gigaflow telemetry</h1><ul>
-<li><a href="/metrics">/metrics</a> (Prometheus; <a href="/metrics?format=json">json</a>)</li>
-<li><a href="/traces">/traces</a></li>
-<li><a href="/cache">/cache</a></li>
-<li><a href="/shards">/shards</a></li>
-<li><a href="/latency">/latency</a></li>
-<li><a href="/debug/flight">/debug/flight</a></li>
-<li><a href="/debug/pprof/">/debug/pprof/</a></li>
-<li><a href="/debug/vars">/debug/vars</a></li>
-</ul></body></html>`)
+		fmt.Fprint(w, "<html><body><h1>gigaflow telemetry</h1><ul>\n")
+		for _, e := range endpoints {
+			fmt.Fprintf(w, "<li><a href=%q>%s</a>: %s</li>\n", e.path, e.path, e.about)
+		}
+		fmt.Fprint(w, "</ul></body></html>")
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), collectTimeout)
-		defer cancel()
-		// A failed collect (wedged queue, shutdown race) still serves the
-		// registry's last values — stale beats unavailable for a scrape.
-		_ = s.Collect(ctx)
-		s.reg.Handler().ServeHTTP(w, r)
-	})
-	mux.HandleFunc("/traces", serveJSON(0, func(_ context.Context, n int) (any, error) {
-		return struct {
-			SampleEvery int               `json:"sample_every"`
-			Sampled     uint64            `json:"sampled_total"`
-			Traces      []telemetry.Trace `json:"traces"`
-		}{s.tracer.SampleEvery(), s.tracer.Sampled(), s.tracer.Recent(n)}, nil
-	}))
-	mux.HandleFunc("/cache", serveJSON(0, s.cacheTelemetry))
-	mux.HandleFunc("/shards", serveJSON(0, func(ctx context.Context, _ int) (any, error) {
-		shards, err := s.ShardStats(ctx)
-		return struct {
-			Workers   int         `json:"workers"`
-			Conntrack bool        `json:"conntrack"`
-			Shards    []ShardStat `json:"shards"`
-		}{len(s.workers), s.cfg.Conntrack.Enable, shards}, err
-	}))
-	mux.HandleFunc("/latency", serveJSON(0, s.latencyTelemetry))
-	mux.HandleFunc("/debug/flight", serveJSON(256, s.flightTelemetry))
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
+	for _, e := range endpoints {
+		mux.HandleFunc(e.path, e.handler(s))
+	}
 	return mux
+}
+
+// serveMetrics renders the registry after a collect. A failed collect
+// (wedged queue, shutdown race) still serves the registry's last values:
+// stale beats unavailable for a scrape.
+func (s *Service) serveMetrics(w http.ResponseWriter, r *http.Request) {
+	ctx, cancel := context.WithTimeout(r.Context(), collectTimeout)
+	defer cancel()
+	_ = s.Collect(ctx)
+	s.reg.Handler().ServeHTTP(w, r)
+}
+
+func (s *Service) traceTelemetry(_ context.Context, n int) (any, error) {
+	return struct {
+		SampleEvery int               `json:"sample_every"`
+		Sampled     uint64            `json:"sampled_total"`
+		Traces      []telemetry.Trace `json:"traces"`
+	}{s.tracer.SampleEvery(), s.tracer.Sampled(), s.tracer.Recent(n)}, nil
+}
+
+func (s *Service) shardTelemetry(ctx context.Context, _ int) (any, error) {
+	shards, err := s.ShardStats(ctx)
+	return struct {
+		Workers   int         `json:"workers"`
+		Conntrack bool        `json:"conntrack"`
+		Shards    []ShardStat `json:"shards"`
+	}{len(s.workers), s.cfg.Conntrack.Enable, shards}, err
+}
+
+// pprofNamed are net/http/pprof's handlers that serve no runtime profile;
+// its index serves every other name.
+var pprofNamed = map[string]http.HandlerFunc{"cmdline": pprof.Cmdline, "profile": pprof.Profile, "symbol": pprof.Symbol, "trace": pprof.Trace}
+
+func servePprof(w http.ResponseWriter, r *http.Request) {
+	if h := pprofNamed[path.Base(r.URL.Path)]; h != nil {
+		h(w, r)
+		return
+	}
+	pprof.Index(w, r)
 }
 
 // serveJSON makes the handler of one JSON introspection endpoint: it

@@ -523,15 +523,15 @@ func TestConcurrentScrape(t *testing.T) {
 		}
 	}()
 	var scrapers sync.WaitGroup
-	for _, ep := range []string{"/metrics", "/traces", "/cache", "/shards", "/latency", "/debug/flight?n=32"} {
-		ep := ep
+	for _, e := range endpoints {
+		ep := e.path
 		scrapers.Add(1)
 		go func() {
 			defer scrapers.Done()
 			for i := 0; i < 20; i++ {
 				body := httpGet(t, base+ep)
-				if strings.HasPrefix(ep, "/metrics") {
-					continue
+				if ep == "/metrics" || ep == "/debug/pprof/" {
+					continue // not JSON
 				}
 				var v interface{}
 				if err := json.Unmarshal([]byte(body), &v); err != nil {

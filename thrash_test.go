@@ -8,8 +8,8 @@ import (
 )
 
 // TestMicroflowStepsAside walks a switch through the Microflow tier's
-// thrash policy (DESIGN.md §10.3) from outside, in four phases on one
-// tape:
+// thrash policy (DESIGN.md "Microflow") from outside, in four phases on
+// one tape:
 //
 //	cold  round robin over four capacities of flows, which LRU cannot hit:
 //	      after the first observation window the tier bypasses, for 2, 4,
