@@ -69,8 +69,9 @@ docs:
 
 ## docs-check: the documents name only what exists. The shell half
 ## (scripts/docs-check.sh) checks make targets, gigabench experiments,
-## files, Benchmark…/Test…/Fuzz… functions and Service/Batch/VSwitch
-## names; TestDocs checks README's generated tables and every gigaflow_…
+## files and Benchmark…/Test…/Fuzz… functions; TestDocs checks README's
+## generated tables, every Service/Batch/VSwitch name the documents cite
+## (read from the declarations with go/parser), and every gigaflow_…
 ## metric, Config path and command flag the documents (and the service and
 ## root packages' Go comments) name.
 docs-check:

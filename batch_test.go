@@ -72,15 +72,15 @@ func TestProcessBatchThrashZeroAlloc(t *testing.T) {
 			// must not pay an allocation for the wrapping, inline or parked.
 			if allocs := testing.AllocsPerRun(runs, func() {
 				for _, k := range keys {
-					if r, err := vs.ProcessMeta(k, 0, 2); err != nil || !r.CacheHit || r.MicroflowHit {
-						t.Fatalf("ProcessMeta: %+v, %v", r, err)
+					if r, err := vs.Process(k, 2); err != nil || !r.CacheHit || r.MicroflowHit {
+						t.Fatalf("Process: %+v, %v", r, err)
 					}
 					if r, parked, err := vs.ProcessPark(k, 2); err != nil || parked || !r.MicroflowHit {
 						t.Fatalf("ProcessPark: %+v, parked %v, %v", r, parked, err)
 					}
 				}
 			}); allocs != 0 {
-				t.Errorf("ProcessMeta + ProcessPark over %d keys allocate %.1f, want 0", len(keys), allocs)
+				t.Errorf("Process + ProcessPark over %d keys allocate %.1f, want 0", len(keys), allocs)
 			}
 		})
 	}

@@ -171,7 +171,9 @@ func serviceConfig(o options) (service.Config, error) {
 		}
 		cfg.Cache = gigaflow.CacheConfig{NumTables: o.tables, TableCapacity: o.capacity / o.tables}
 	case "megaflow":
-		cfg.Backend = service.BackendMegaflow
+		if o.capacity < 1 {
+			return cfg, fmt.Errorf("-cap %d: a Megaflow cache holds at least one entry", o.capacity)
+		}
 		cfg.MegaflowCapacity = o.capacity
 	default:
 		return cfg, fmt.Errorf("unknown backend %q", o.backend)

@@ -299,6 +299,7 @@ func TestFlagsOutOfRange(t *testing.T) {
 		"-queue 0":                   func(o *options) { o.queue = 0 },
 		"-queue -3":                  func(o *options) { o.queue = -3 },
 		"-conntrack -ct-max -1":      func(o *options) { o.conntrack, o.ctMax = true, -1 },
+		"-backend megaflow -cap 0":   func(o *options) { o.backend, o.capacity = "megaflow", 0 },
 	} {
 		o := ok
 		bad(&o)

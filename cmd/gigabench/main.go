@@ -111,9 +111,10 @@ type options struct {
 }
 
 // configure builds the experiments' scale and the one configuration
-// Report runs from the flags; an error is a usage error. Every size must
-// be positive, as the simulator would otherwise replace it with its
-// default or fail on it, and -chains 0 is the paper's default.
+// Report runs from the flags, its cache sizes included; an error is a
+// usage error. Every size must be positive, as the simulator would
+// otherwise replace it with its default or fail on it, and -chains 0 is
+// the paper's default.
 func configure(o options) (p experiments.Params, cfg sim.Config, loc traffic.Locality, err error) {
 	for _, n := range []struct {
 		name  string
@@ -143,11 +144,16 @@ func configure(o options) (p experiments.Params, cfg sim.Config, loc traffic.Loc
 			p.Pipelines = append(p.Pipelines, spec)
 		}
 	}
-	cfg = sim.Config{Offloaded: o.offload, Cores: o.cores}
-	if cfg.Kind, err = choose("cache", o.cache, map[string]sim.CacheKind{"gigaflow": sim.Gigaflow, "megaflow": sim.Megaflow}); err != nil {
+	cfg = sim.Config{
+		Cache:     gigaflow.CacheConfig{NumTables: o.gfTables, TableCapacity: o.gfCap, Seed: o.seed},
+		Offloaded: o.offload,
+		Cores:     o.cores,
+	}
+	// -cache megaflow sets the Megaflow capacity, which is what chooses it.
+	if cfg.MegaflowCapacity, err = choose("cache", o.cache, map[string]int{"gigaflow": 0, "megaflow": o.mfCap}); err != nil {
 		return p, cfg, loc, err
 	}
-	if cfg.Scheme, err = choose("scheme", o.scheme, map[string]gigaflow.Scheme{"dp": gigaflow.SchemeDisjoint, "rnd": gigaflow.SchemeRandom, "1-1": gigaflow.SchemeOneToOne, "prof": gigaflow.SchemeProfile}); err != nil {
+	if cfg.Cache.Scheme, err = choose("scheme", o.scheme, map[string]gigaflow.Scheme{"dp": gigaflow.SchemeDisjoint, "rnd": gigaflow.SchemeRandom, "1-1": gigaflow.SchemeOneToOne, "prof": gigaflow.SchemeProfile}); err != nil {
 		return p, cfg, loc, err
 	}
 	loc, err = choose("locality", o.locality, map[string]traffic.Locality{"high": traffic.HighLocality, "low": traffic.LowLocality})

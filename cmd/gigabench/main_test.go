@@ -33,7 +33,11 @@ func TestConfigure(t *testing.T) {
 	if !reflect.DeepEqual(p, want) {
 		t.Errorf("params %+v, want %+v", p, want)
 	}
-	wantCfg := sim.Config{Kind: sim.Megaflow, Scheme: gigaflow.SchemeRandom, Cores: 2}
+	wantCfg := sim.Config{
+		Cache:            gigaflow.CacheConfig{NumTables: 4, TableCapacity: 8192, Scheme: gigaflow.SchemeRandom, Seed: 1},
+		MegaflowCapacity: 32768,
+		Cores:            2,
+	}
 	if cfg != wantCfg || loc != traffic.LowLocality {
 		t.Errorf("config %+v %v, want %+v low", cfg, loc, wantCfg)
 	}

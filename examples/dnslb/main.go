@@ -39,7 +39,7 @@ const (
 )
 
 func main() {
-	for _, backend := range []service.Backend{service.BackendGigaflow, service.BackendMegaflow} {
+	for _, backend := range []string{"gigaflow", "megaflow"} {
 		rep, err := run(backend, buildPipeline())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dnslb: %s: %v\n", backend, err)
@@ -171,7 +171,7 @@ type report struct {
 
 // run drives the scenario through a service over p, which is
 // buildPipeline() unless a test has broken it on purpose.
-func run(backend service.Backend, p *gigaflow.Pipeline) (report, error) {
+func run(backend string, p *gigaflow.Pipeline) (report, error) {
 	var rep report
 	pool := backends()
 	frames, err := queryFrames()
@@ -180,11 +180,10 @@ func run(backend service.Backend, p *gigaflow.Pipeline) (report, error) {
 	}
 	cfg := service.Config{
 		Workers:           1, // one shard: one NAT pool, so both backends bind alike
-		Backend:           backend,
 		MicroflowCapacity: 4 * clients,
 		Conntrack:         service.ConntrackConfig{Enable: true, MaxConns: 2 * clients},
 	}
-	if backend == service.BackendMegaflow {
+	if backend == "megaflow" {
 		cfg.MegaflowCapacity = 32768
 	} else {
 		cfg.Cache = gigaflow.CacheConfig{NumTables: 4, TableCapacity: 8192}

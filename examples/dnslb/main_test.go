@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"gigaflow"
-	"gigaflow/service"
 )
 
 // TestScenario pins what the scenario has always produced on both
@@ -14,7 +13,7 @@ import (
 // failure per client) and nothing in the main cache, and the pool hash
 // spreads 4000 clients 942/1008/1018/1032.
 func TestScenario(t *testing.T) {
-	for _, backend := range []service.Backend{service.BackendGigaflow, service.BackendMegaflow} {
+	for _, backend := range []string{"gigaflow", "megaflow"} {
 		rep, err := run(backend, buildPipeline())
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
@@ -46,7 +45,7 @@ func TestBrokenPipelineFails(t *testing.T) {
 		p := buildPipeline()
 		p.MustAddRule(tc.table, gigaflow.MustParseMatch(tc.match), 99,
 			[]gigaflow.Action{gigaflow.Output(tc.port)}, gigaflow.NoTable)
-		_, err := run(service.BackendGigaflow, p)
+		_, err := run("gigaflow", p)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: run returned %v, want an error containing %q", tc.name, err, tc.want)
 		}

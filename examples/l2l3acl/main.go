@@ -18,8 +18,7 @@ const (
 
 func main() {
 	p := buildPipeline()
-	vs := gigaflow.NewVSwitch(p, gigaflow.CacheConfig{NumTables: 4, TableCapacity: 4096},
-		gigaflow.WithMaxIdle(10*sec))
+	vs := gigaflow.NewVSwitch(p, gigaflow.CacheConfig{NumTables: 4, TableCapacity: 4096})
 
 	// Tenant traffic: web and ssh flows to two subnets.
 	var clock int64
@@ -73,7 +72,7 @@ func main() {
 
 	fmt.Println("\n== idle expiry: advance the clock 30s and sweep ==")
 	clock += 30 * sec
-	n := vs.ExpireIdle(clock)
+	n := vs.ExpireIdle(clock, 10*sec, 0) // entries idle over 10s; no connections to expire
 	fmt.Printf("%d idle sub-traversals expired; %d entries remain\n", n, vs.CacheEntries())
 
 	report(vs, "final")

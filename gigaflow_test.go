@@ -143,23 +143,36 @@ func TestVSwitchRevalidation(t *testing.T) {
 	}
 }
 
+// TestVSwitchIdleExpiry: each limit passed to ExpireIdle expires only
+// what it names, and 0 turns it off.
 func TestVSwitchIdleExpiry(t *testing.T) {
-	vs := NewVSwitch(buildDemoPipeline(), CacheConfig{NumTables: 3, TableCapacity: 64},
-		WithMaxIdle(100))
-	if _, err := vs.Process(demoKey(1, 80), 0); err != nil {
-		t.Fatal(err)
-	}
-	if n := vs.ExpireIdle(50); n != 0 {
-		t.Errorf("premature expiry: %d", n)
-	}
-	if n := vs.ExpireIdle(500); n == 0 {
-		t.Error("stale entries must expire")
-	}
-	// Without WithMaxIdle it is a no-op.
-	vs2 := NewVSwitch(buildDemoPipeline(), CacheConfig{NumTables: 3, TableCapacity: 64})
-	vs2.Process(demoKey(1, 80), 0)
-	if vs2.ExpireIdle(1<<60) != 0 {
-		t.Error("expiry without max-idle must be a no-op")
+	tcp := demoKey(1, 80).With(FieldIPProto, 6)
+	for _, tc := range []struct {
+		name                      string
+		now, maxIdle, connMaxIdle int64
+		entriesGone, connGone     bool
+	}{
+		{"within both limits", 50, 100, 100, false, false},
+		{"past both limits", 500, 100, 100, true, true},
+		{"no limits", 1 << 60, 0, 0, false, false},
+		{"entries only", 500, 100, 0, true, false},
+		{"connections only", 500, 0, 100, false, true},
+	} {
+		vs := NewVSwitch(buildDemoPipeline(), CacheConfig{NumTables: 3, TableCapacity: 64}, WithConntrack(0))
+		if _, err := vs.Process(tcp, 0); err != nil {
+			t.Fatal(err)
+		}
+		entries := vs.CacheEntries()
+		if entries == 0 || vs.Conntrack().Len() != 1 {
+			t.Fatalf("%s: %d entries and %d connections after one packet", tc.name, entries, vs.Conntrack().Len())
+		}
+		n := vs.ExpireIdle(tc.now, tc.maxIdle, tc.connMaxIdle)
+		if left := vs.CacheEntries(); (left == 0) != tc.entriesGone || n != entries-left {
+			t.Errorf("%s: %d of %d entries expired, %d left", tc.name, n, entries, left)
+		}
+		if gone := vs.Conntrack().Len() == 0; gone != tc.connGone {
+			t.Errorf("%s: connection expired %v, want %v", tc.name, gone, tc.connGone)
+		}
 	}
 }
 

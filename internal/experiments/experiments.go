@@ -8,6 +8,7 @@ package experiments
 import (
 	"fmt"
 
+	"gigaflow/internal/gigaflow"
 	"gigaflow/internal/pipebench"
 	"gigaflow/internal/pipelines"
 	"gigaflow/internal/sim"
@@ -35,10 +36,10 @@ func (p Params) withDefaults() Params {
 		p.NumFlows = 100000
 	}
 	if p.GFTables == 0 {
-		p.GFTables = 4
+		p.GFTables = gigaflow.DefaultNumTables
 	}
 	if p.GFTableCap == 0 {
-		p.GFTableCap = 8192
+		p.GFTableCap = gigaflow.DefaultTableCapacity
 	}
 	if p.MFCap == 0 {
 		p.MFCap = 32768
@@ -61,12 +62,12 @@ func (p Params) workloadFor(spec *pipelines.Spec) (*pipebench.Workload, error) {
 
 // gfConfig returns the Gigaflow simulator configuration.
 func (p Params) gfConfig() sim.Config {
-	return sim.Config{Kind: sim.Gigaflow, NumTables: p.GFTables, TableCapacity: p.GFTableCap, Offloaded: true, Seed: p.Seed}
+	return sim.Config{Cache: gigaflow.Config{NumTables: p.GFTables, TableCapacity: p.GFTableCap, Seed: p.Seed}, Offloaded: true}
 }
 
 // mfConfig returns the Megaflow simulator configuration.
 func (p Params) mfConfig() sim.Config {
-	return sim.Config{Kind: sim.Megaflow, MegaflowCapacity: p.MFCap, Offloaded: true, Seed: p.Seed}
+	return sim.Config{MegaflowCapacity: p.MFCap, Offloaded: true}
 }
 
 // Cell is one (pipeline, locality) end-to-end comparison.
@@ -201,7 +202,7 @@ func (e *EndToEnd) Fig13() *stats.Table {
 			}
 			per := func(v int64) float64 { return float64(v) / float64(r.Misses) }
 			over := 100 * float64(r.Cycles.Partition+r.Cycles.RuleGen) / float64(r.Cycles.Pipeline)
-			t.AddRow(c.Pipeline, r.Config.Kind.String(),
+			t.AddRow(c.Pipeline, r.Config.Name(),
 				per(r.Cycles.Pipeline), per(r.Cycles.Partition), per(r.Cycles.RuleGen), over)
 		}
 	}

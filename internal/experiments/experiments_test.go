@@ -168,14 +168,15 @@ func TestFig17Runs(t *testing.T) {
 }
 
 // TestReportLabelIsWhatRan: the report names the configuration the
-// simulator ran, not the one it was asked for before defaults.
+// simulator ran, not the one it was asked for before defaults: the zero
+// configuration is Gigaflow at the paper's shape.
 func TestReportLabelIsWhatRan(t *testing.T) {
-	p := Params{Seed: 1, NumFlows: 500, NumChains: 500, MFCap: -1, Pipelines: []*pipelines.Spec{pipelines.PSC}}
+	p := Params{Seed: 1, NumFlows: 500, NumChains: 500, Pipelines: []*pipelines.Spec{pipelines.PSC}}
 	var out strings.Builder
-	if err := Report(&out, p, sim.Config{Kind: sim.Megaflow}, traffic.HighLocality, false); err != nil {
+	if err := Report(&out, p, sim.Config{}, traffic.HighLocality, false); err != nil {
 		t.Fatal(err)
 	}
-	if want := "cache       megaflow(32768) offloaded=false\n"; !strings.Contains(out.String(), want) {
+	if want := "cache       gigaflow(4x8192) offloaded=false\n"; !strings.Contains(out.String(), want) {
 		t.Errorf("report lacks %q:\n%s", want, out.String())
 	}
 	if !strings.Contains(out.String(), " / 32768 ") {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"gigaflow/internal/gigaflow"
 	"gigaflow/internal/pipelines"
 	"gigaflow/internal/sim"
 	"gigaflow/internal/traffic"
@@ -62,11 +63,12 @@ func TestGolden(t *testing.T) {
 	// choices on OLS with two cores.
 	var got strings.Builder
 	p.Pipelines = []*pipelines.Spec{pipelines.PSC}
-	if err := Report(&got, p, sim.Config{Kind: sim.Gigaflow, Offloaded: true}, traffic.HighLocality, true); err != nil {
+	gf := sim.Config{Cache: gigaflow.Config{NumTables: 4, TableCapacity: 8192, Seed: p.Seed}, Offloaded: true}
+	if err := Report(&got, p, gf, traffic.HighLocality, true); err != nil {
 		t.Fatal(err)
 	}
 	p.Pipelines = []*pipelines.Spec{pipelines.OLS}
-	mf := sim.Config{Kind: sim.Megaflow, Cores: 2}
+	mf := sim.Config{MegaflowCapacity: 32768, Cores: 2}
 	if err := Report(&got, p, mf, traffic.LowLocality, false); err != nil {
 		t.Fatal(err)
 	}

@@ -81,8 +81,8 @@ func Fig16(p Params) (*stats.Table, error) {
 	}
 	for _, s := range schemes {
 		cfg := p.gfConfig()
-		cfg.Scheme = s.scheme
-		cfg.NumTables = s.tables
+		cfg.Cache.Scheme = s.scheme
+		cfg.Cache.NumTables = s.tables
 		res, err := sim.Run(w, trace, cfg)
 		if err != nil {
 			return nil, err
@@ -118,8 +118,8 @@ func Fig17(p Params) (*stats.Table, error) {
 		Headers: []string{"config", "hit%", "mean latency µs", "p99 µs", "TSS probes/lookup"},
 	}
 	for _, cfg := range []sim.Config{
-		{Kind: sim.Megaflow, MegaflowCapacity: p.MFCap},
-		{Kind: sim.Gigaflow, NumTables: p.GFTables, TableCapacity: p.GFTableCap},
+		{MegaflowCapacity: p.MFCap},
+		{Cache: gigaflow.Config{NumTables: p.GFTables, TableCapacity: p.GFTableCap}},
 	} {
 		res, err := sim.Run(w, trace, cfg)
 		if err != nil {

@@ -15,9 +15,9 @@ import (
 // writes the single-configuration report gigabench prints when no -exp is
 // given: hit rate, misses, entries, coverage, sharing, latency
 // distribution, CPU-cycle breakdown and the throughput model, then, with
-// telem, the run's metrics registry as Prometheus text. cfg chooses the
-// cache kind, scheme, offload and cores; the cache sizes and the seed
-// come from p, as they do for every experiment.
+// telem, the run's metrics registry as Prometheus text. cfg is the
+// configuration each run simulates; p gives the scale, the pipelines and
+// the workload seed.
 func Report(w io.Writer, p Params, cfg sim.Config, loc traffic.Locality, telem bool) error {
 	p = p.withDefaults()
 	for _, spec := range p.Pipelines {
@@ -34,12 +34,6 @@ func report(w io.Writer, p Params, spec *pipelines.Spec, cfg sim.Config, loc tra
 		return err
 	}
 	trace := sim.BuildTrace(wl, p.NumFlows, loc, p.Seed+2)
-	cfg.Seed = p.Seed
-	if cfg.Kind == sim.Gigaflow {
-		cfg.NumTables, cfg.TableCapacity = p.GFTables, p.GFTableCap
-	} else {
-		cfg.MegaflowCapacity = p.MFCap
-	}
 	res, err := sim.Run(wl, trace, cfg)
 	if err != nil {
 		return err

@@ -25,7 +25,7 @@ func Fig3(p Params) (*stats.Table, error) {
 	}
 	for k := 1; k <= p.GFTables; k++ {
 		cfg := p.gfConfig()
-		cfg.NumTables = k
+		cfg.Cache.NumTables = k
 		res, err := sim.Run(w, trace, cfg)
 		if err != nil {
 			return nil, err
@@ -65,8 +65,8 @@ func RunTableSweep(p Params) (*TableSweep, error) {
 			trace := sim.BuildTrace(w, p.NumFlows, loc, p.Seed+2)
 			for k := 2; k <= 5; k++ {
 				cfg := p.gfConfig()
-				cfg.NumTables = k
-				cfg.TableCapacity = 100000
+				cfg.Cache.NumTables = k
+				cfg.Cache.TableCapacity = 100000
 				res, err := sim.Run(w, trace, cfg)
 				if err != nil {
 					return nil, err
@@ -149,7 +149,7 @@ func Fig19(p Params) (*stats.Table, error) {
 					maxMisses = c.Misses
 				}
 			}
-			t.AddRow(cfg.Kind.String(), cores, maxMisses, float64(res.Cycles.Total())/1e6)
+			t.AddRow(cfg.Name(), cores, maxMisses, float64(res.Cycles.Total())/1e6)
 		}
 	}
 	return t, nil

@@ -334,6 +334,13 @@ func (s *Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
+// The paper's cache shape (§6: K = 4 tables of 8K entries), which a
+// configuration that leaves the shape at zero is given.
+const (
+	DefaultNumTables     = 4
+	DefaultTableCapacity = 8192
+)
+
 // Config parameterises a Gigaflow cache.
 type Config struct {
 	// NumTables is K, the number of feed-forward LTM tables (paper: 4).

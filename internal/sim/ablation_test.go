@@ -96,11 +96,11 @@ func BenchmarkAblation_AdaptiveFallback(b *testing.B) {
 func BenchmarkAblation_ContextDiversity(b *testing.B) {
 	for _, ctxs := range []int{8, 64, 512} {
 		w, trace := ablationWorkload(b, ctxs)
-		gf, err := Run(w, trace, Config{Kind: Gigaflow, NumTables: 4, TableCapacity: 8192, Offloaded: true})
+		gf, err := Run(w, trace, Config{Cache: gigaflow.CacheConfig{NumTables: 4, TableCapacity: 8192}, Offloaded: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		mf, err := Run(w, trace, Config{Kind: Megaflow, MegaflowCapacity: 32768, Offloaded: true})
+		mf, err := Run(w, trace, Config{MegaflowCapacity: 32768, Offloaded: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -194,11 +194,11 @@ func BenchmarkAblation_PreciseUnwildcarding(b *testing.B) {
 			b.Fatal(err)
 		}
 		trace := BuildTrace(w, 15000, traffic.HighLocality, 3)
-		gf, err := Run(w, trace, Config{Kind: Gigaflow, NumTables: 4, TableCapacity: 8192, Offloaded: true})
+		gf, err := Run(w, trace, Config{Cache: gigaflow.CacheConfig{NumTables: 4, TableCapacity: 8192}, Offloaded: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		mf, err := Run(w, trace, Config{Kind: Megaflow, MegaflowCapacity: 32768, Offloaded: true})
+		mf, err := Run(w, trace, Config{MegaflowCapacity: 32768, Offloaded: true})
 		if err != nil {
 			b.Fatal(err)
 		}

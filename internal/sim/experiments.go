@@ -65,11 +65,11 @@ func RevalidationExperiment(w *pipebench.Workload, numFlows int, numTables, tabl
 		}
 		return v, nil
 	}
-	gf, err := feed(Config{Kind: Gigaflow, NumTables: numTables, TableCapacity: tableCap})
+	gf, err := feed(Config{Cache: gigaflow.CacheConfig{NumTables: numTables, TableCapacity: tableCap}})
 	if err != nil {
 		return gfRes, mfRes, err
 	}
-	mf, err := feed(Config{Kind: Megaflow, MegaflowCapacity: mfCap})
+	mf, err := feed(Config{MegaflowCapacity: mfCap})
 	if err != nil {
 		return gfRes, mfRes, err
 	}

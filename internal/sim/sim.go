@@ -4,40 +4,19 @@ import (
 	"fmt"
 
 	"gigaflow"
+	gfcache "gigaflow/internal/gigaflow"
 	"gigaflow/internal/pipebench"
 	"gigaflow/internal/stats"
 	"gigaflow/internal/traffic"
 )
 
-// CacheKind selects the hardware-cache architecture under test.
-type CacheKind uint8
-
-const (
-	// Megaflow is the single-table wildcard cache baseline.
-	Megaflow CacheKind = iota
-	// Gigaflow is the K-table LTM sub-traversal cache.
-	Gigaflow
-)
-
-// String names the kind.
-func (k CacheKind) String() string {
-	if k == Gigaflow {
-		return "gigaflow"
-	}
-	return "megaflow"
-}
-
 // Config parameterises one simulation run.
 type Config struct {
-	Kind CacheKind
-
-	// Gigaflow shape (ignored for Megaflow).
-	NumTables     int
-	TableCapacity int
-	Scheme        gigaflow.Scheme
-	Seed          int64
-
-	// Megaflow capacity (ignored for Gigaflow).
+	// Cache configures the Gigaflow cache; a shape left at zero is the
+	// paper's 4×8192. Ignored when MegaflowCapacity is set.
+	Cache gigaflow.CacheConfig
+	// MegaflowCapacity, when positive, runs the Megaflow baseline of this
+	// many entries in place of Gigaflow.
 	MegaflowCapacity int
 
 	// Offloaded runs the cache on the SmartNIC (hits cost HWHitNs);
@@ -58,26 +37,30 @@ func (c Config) withDefaults() Config {
 	if c.Cores <= 0 {
 		c.Cores = 1
 	}
-	if c.Kind == Gigaflow {
-		if c.NumTables <= 0 {
-			c.NumTables = 4
-		}
-		if c.TableCapacity <= 0 {
-			c.TableCapacity = 8192
-		}
-	} else if c.MegaflowCapacity <= 0 {
-		c.MegaflowCapacity = 32768
+	if c.Cache.NumTables <= 0 {
+		c.Cache.NumTables = gfcache.DefaultNumTables
+	}
+	if c.Cache.TableCapacity <= 0 {
+		c.Cache.TableCapacity = gfcache.DefaultTableCapacity
 	}
 	return c
+}
+
+// Name names the cache the configuration runs: "gigaflow" or "megaflow".
+func (c Config) Name() string {
+	if c.MegaflowCapacity > 0 {
+		return "megaflow"
+	}
+	return "gigaflow"
 }
 
 // Label renders the configuration as the paper labels it, e.g.
 // "gigaflow(4x8192)".
 func (c Config) Label() string {
-	if c.Kind == Gigaflow {
-		return fmt.Sprintf("gigaflow(%dx%d)", c.NumTables, c.TableCapacity)
+	if c.MegaflowCapacity > 0 {
+		return fmt.Sprintf("megaflow(%d)", c.MegaflowCapacity)
 	}
-	return fmt.Sprintf("megaflow(%d)", c.MegaflowCapacity)
+	return fmt.Sprintf("gigaflow(%dx%d)", c.Cache.NumTables, c.Cache.TableCapacity)
 }
 
 // CoreLoad is one CPU core's slowpath share (Fig. 19).
@@ -130,18 +113,13 @@ func (r *Result) HitRate() float64 {
 
 // newSwitch builds the datapath under test the way service.New builds a
 // shard's: a VSwitch with the Microflow tier, conntrack and idle expiry
-// off, the main cache chosen by option.
+// off, and the main cache the capacity that is set chooses.
 func newSwitch(w *pipebench.Workload, cfg Config) *gigaflow.VSwitch {
 	var opts []gigaflow.VSwitchOption
-	if cfg.Kind == Megaflow {
+	if cfg.MegaflowCapacity > 0 {
 		opts = append(opts, gigaflow.WithMegaflowBackend(cfg.MegaflowCapacity))
 	}
-	return gigaflow.NewVSwitch(w.Pipeline, gigaflow.CacheConfig{
-		NumTables:     cfg.NumTables,
-		TableCapacity: cfg.TableCapacity,
-		Scheme:        cfg.Scheme,
-		Seed:          cfg.Seed,
-	}, opts...)
+	return gigaflow.NewVSwitch(w.Pipeline, cfg.Cache, opts...)
 }
 
 // cacheWork is the main cache's cumulative lookup and install work, as its
@@ -214,7 +192,7 @@ func Run(w *pipebench.Workload, trace []traffic.Packet, cfg Config) (*Result, er
 			br.Pipeline = int64(d.SlowpathTupleProbes)*m.CyclesPerTupleProbe + int64(d.SlowpathSteps)*m.CyclesPerTableVisit
 			if gf != nil {
 				n := int64(d.SlowpathSteps)
-				br.Partition = n * n * int64(cfg.NumTables) * m.CyclesPerDPCell
+				br.Partition = n * n * int64(cfg.Cache.NumTables) * m.CyclesPerDPCell
 				br.RuleGen = int64(after.rules-before.rules) * m.CyclesPerRuleGen
 			} else {
 				br.RuleGen = m.CyclesPerRuleGen

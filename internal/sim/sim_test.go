@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"gigaflow"
 	"gigaflow/internal/pipebench"
 	"gigaflow/internal/pipelines"
 	"gigaflow/internal/telemetry"
@@ -23,13 +24,13 @@ func TestRunGigaflowVsMegaflowHighLocality(t *testing.T) {
 	w := workload(t, pipelines.PSC, 400)
 	trace := BuildTrace(w, 5000, traffic.HighLocality, 3)
 
-	gfRes, err := Run(w, trace, Config{Kind: Gigaflow, NumTables: 4, TableCapacity: 2048, Offloaded: true})
+	gfRes, err := Run(w, trace, Config{Cache: gigaflow.CacheConfig{NumTables: 4, TableCapacity: 2048}, Offloaded: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A fresh workload is needed because Run installs nothing into the
 	// pipeline, so reuse is safe — but use a fresh megaflow run anyway.
-	mfRes, err := Run(w, trace, Config{Kind: Megaflow, MegaflowCapacity: 8192, Offloaded: true})
+	mfRes, err := Run(w, trace, Config{MegaflowCapacity: 8192, Offloaded: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestHitsAgreeWithSlowpath(t *testing.T) {
 	// simulation completes with hits+misses == packets.
 	w := workload(t, pipelines.OFD, 300)
 	trace := BuildTrace(w, 2000, traffic.HighLocality, 5)
-	res, err := Run(w, trace, Config{Kind: Gigaflow, Offloaded: true, NumTables: 4, TableCapacity: 4096})
+	res, err := Run(w, trace, Config{Cache: gigaflow.CacheConfig{NumTables: 4, TableCapacity: 4096}, Offloaded: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestHitsAgreeWithSlowpath(t *testing.T) {
 func TestOffloadLatencyStructure(t *testing.T) {
 	w := workload(t, pipelines.PSC, 200)
 	trace := BuildTrace(w, 1500, traffic.HighLocality, 9)
-	res, err := Run(w, trace, Config{Kind: Gigaflow, Offloaded: true})
+	res, err := Run(w, trace, Config{Offloaded: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestOffloadLatencyStructure(t *testing.T) {
 func TestCoreScalingSpreadsMisses(t *testing.T) {
 	w := workload(t, pipelines.PSC, 300)
 	trace := BuildTrace(w, 4000, traffic.LowLocality, 17)
-	res, err := Run(w, trace, Config{Kind: Megaflow, Offloaded: true, Cores: 4})
+	res, err := Run(w, trace, Config{MegaflowCapacity: 32768, Offloaded: true, Cores: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestCoreScalingSpreadsMisses(t *testing.T) {
 func TestTimeSeriesSampling(t *testing.T) {
 	w := workload(t, pipelines.PSC, 200)
 	trace := BuildTrace(w, 3000, traffic.HighLocality, 19)
-	res, err := Run(w, trace, Config{Kind: Gigaflow, Offloaded: true, SampleEveryNs: 5_000_000_000})
+	res, err := Run(w, trace, Config{Offloaded: true, SampleEveryNs: 5_000_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,28 +199,31 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestConfigLabels: the capacity that is set names the cache, and the
+// zero configuration is Gigaflow at the paper's shape.
 func TestConfigLabels(t *testing.T) {
-	c := Config{Kind: Gigaflow, NumTables: 4, TableCapacity: 8192}
-	if c.Label() != "gigaflow(4x8192)" {
-		t.Errorf("label %q", c.Label())
-	}
-	c = Config{Kind: Megaflow, MegaflowCapacity: 32768}
-	if c.Label() != "megaflow(32768)" {
-		t.Errorf("label %q", c.Label())
-	}
-	if Gigaflow.String() != "gigaflow" || Megaflow.String() != "megaflow" {
-		t.Error("names wrong")
+	for _, tc := range []struct {
+		c           Config
+		name, label string
+	}{
+		{Config{}.withDefaults(), "gigaflow", "gigaflow(4x8192)"},
+		{Config{Cache: gigaflow.CacheConfig{NumTables: 3, TableCapacity: 1024}}, "gigaflow", "gigaflow(3x1024)"},
+		{Config{MegaflowCapacity: 32768}, "megaflow", "megaflow(32768)"},
+	} {
+		if tc.c.Name() != tc.name || tc.c.Label() != tc.label {
+			t.Errorf("%+v: name %q label %q, want %q %q", tc.c, tc.c.Name(), tc.c.Label(), tc.name, tc.label)
+		}
 	}
 }
 
 func TestThroughputModel(t *testing.T) {
 	w := workload(t, pipelines.PSC, 400)
 	trace := BuildTrace(w, 6000, traffic.HighLocality, 29)
-	gf, err := Run(w, trace, Config{Kind: Gigaflow, Offloaded: true, NumTables: 4, TableCapacity: 2048})
+	gf, err := Run(w, trace, Config{Cache: gigaflow.CacheConfig{NumTables: 4, TableCapacity: 2048}, Offloaded: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mf, err := Run(w, trace, Config{Kind: Megaflow, MegaflowCapacity: 4096, Offloaded: true})
+	mf, err := Run(w, trace, Config{MegaflowCapacity: 4096, Offloaded: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +245,7 @@ func TestThroughputModel(t *testing.T) {
 			gf.Throughput.AggregateGbps, mf.Throughput.AggregateGbps)
 	}
 	// More cores buy proportionally more slowpath capacity.
-	mf8, err := Run(w, trace, Config{Kind: Megaflow, MegaflowCapacity: 4096, Offloaded: true, Cores: 8})
+	mf8, err := Run(w, trace, Config{MegaflowCapacity: 4096, Offloaded: true, Cores: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +258,7 @@ func TestCollectMetricsKinds(t *testing.T) {
 	// Coverage rises and falls with the entries that carry it: the live
 	// switch exports it as a gauge, and a run must not disagree.
 	w := workload(t, pipelines.PSC, 100)
-	res, err := Run(w, BuildTrace(w, 500, traffic.HighLocality, 31), Config{Kind: Gigaflow, Offloaded: true})
+	res, err := Run(w, BuildTrace(w, 500, traffic.HighLocality, 31), Config{Offloaded: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,11 @@
 #!/bin/sh
 # docs-check: README.md, EXPERIMENTS.md, DESIGN.md and the verify skill
 # may only name make targets, `gigabench -exp` ids, backticked
-# root-relative files (or files .gitignore names), Benchmark…/Test…/Fuzz…
-# functions, and Service.X / Batch.X / VSwitch.X names of non-test code
-# that exist. Metrics, Config paths and command flags are TestDocs'
-# (./service), which also generates README's reference tables. Run from
-# the repository root: make docs-check (argument: the go command to use).
+# root-relative files (or files .gitignore names) and Benchmark…/Test…/
+# Fuzz… functions that exist. Metrics, Config paths, command flags and
+# Service.X / Batch.X / VSwitch.X names are TestDocs' (./service), which
+# also generates README's reference tables. Run from the repository root:
+# make docs-check (argument: the go command to use).
 docs="README.md EXPERIMENTS.md DESIGN.md .claude/skills/verify/SKILL.md"
 status=0
 bad() {
@@ -44,24 +44,6 @@ done
 defined=$(grep -rhoE --include='*_test.go' '^func (Benchmark|Test|Fuzz)[A-Za-z0-9_]*' . | awk '{print $2}' | sort -u)
 for n in $(grep -ohE '`(Benchmark|Test|Fuzz)[A-Za-z0-9_]+' README.md EXPERIMENTS.md DESIGN.md | tr -d '`' | sort -u); do
 	echo "$defined" | grep -qx "$n" || bad "\`$n\`: no _test.go defines it"
-done
-
-# A backticked Service.X, service.X or Batch.X names a declaration of
-# non-test service/*.go, a VSwitch.X one of the root package. service.go
-# is a file, and service.submit_ns and kin are BENCHMARK.json's metrics.
-declares() { # name file...
-	n=$1
-	shift
-	grep -qE "^func (\([^)]*\) )?$n[[(]|^(type|const|var) $n[[:space:][]|^[[:space:]]+$n([[:space:],]|\$)" "$@"
-}
-svcgo=$(ls service/*.go | grep -v '_test\.go$')
-rootgo=$(ls ./*.go | grep -v '_test\.go$')
-for f in $(grep -ohE '`[^`]+`' $docs | sed 's/service\.go//g' |
-	grep -oE '(^|[^A-Za-z0-9_])([Ss]ervice|Batch|VSwitch)\.[A-Za-z_][A-Za-z0-9_]*' | sed -E 's/^[^A-Za-z]//' | sort -u); do
-	grep -qF "\"$f\"" BENCHMARK.json && continue
-	src=$svcgo pkg=service
-	[ "${f%%.*}" = VSwitch ] && src=$rootgo pkg=root
-	declares "${f#*.}" $src || bad "\`$f\`: non-test $pkg package code declares no ${f#*.}"
 done
 
 exit $status

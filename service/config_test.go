@@ -1,6 +1,7 @@
 package service
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -64,5 +65,58 @@ func TestConntrackDefaults(t *testing.T) {
 		if w.vs.Conntrack() == nil {
 			t.Fatalf("worker %d has no conntrack table", i)
 		}
+	}
+}
+
+// TestCacheChoice: the capacity that is set chooses the main cache. A
+// MegaflowCapacity gives every shard a Megaflow cache, the capacity split
+// across shards; without one every shard runs Gigaflow, at the 4×8192
+// default split when no shape is set; a MegaflowCapacity together with
+// any Cache field is refused.
+func TestCacheChoice(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		cache  string // the main cache every shard runs
+		shards []int  // each shard's main-cache capacity
+		err    string // error substring; "" means valid
+	}{
+		{"megaflow capacity set", Config{Workers: 3, MegaflowCapacity: 1000}, "megaflow", []int{334, 333, 333}, ""},
+		{"nothing set", Config{Workers: 3}, "gigaflow", []int{4 * 2731, 4 * 2731, 4 * 2730}, ""},
+		{"gigaflow shape set", Config{Workers: 2, Cache: gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256}},
+			"gigaflow", []int{3 * 384, 3 * 384}, ""},
+		{"megaflow capacity and a shape",
+			Config{MegaflowCapacity: 1000, Cache: gigaflow.CacheConfig{TableCapacity: 8192}}, "", nil, "MegaflowCapacity"},
+		{"megaflow capacity and a scheme",
+			Config{MegaflowCapacity: 1000, Cache: gigaflow.CacheConfig{Scheme: gigaflow.SchemeRandom}}, "", nil, "MegaflowCapacity"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(buildPipeline(), tc.cfg)
+			if tc.err != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.err) {
+					t.Fatalf("err = %v, want substring %q", err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var shards []int
+			for i, w := range s.workers {
+				cache, capacity := "megaflow", 0
+				if gf := w.vs.Cache(); gf != nil {
+					cache, capacity = "gigaflow", gf.Capacity()
+				} else {
+					capacity = w.vs.Megaflow().Capacity()
+				}
+				if cache != tc.cache {
+					t.Errorf("shard %d runs %s, want %s", i, cache, tc.cache)
+				}
+				shards = append(shards, capacity)
+			}
+			if !reflect.DeepEqual(shards, tc.shards) {
+				t.Errorf("shard capacities %v, want %v", shards, tc.shards)
+			}
+		})
 	}
 }

@@ -33,11 +33,17 @@ var docs = []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/
 // code, like TestGolden's files: a section that differs from what the
 // code declares fails here, and -update (make docs) rewrites it. Every
 // gigaflow_… metric, Config path and command -flag any of the documents
-// names must be one of the same sets.
+// names must be one of the same sets, and every Service.X, Batch.X,
+// service.X and VSwitch.X one a declaration of non-test code.
 func TestDocs(t *testing.T) {
 	metrics := liveMetrics(t)
 	config := configFields(t)
 	flags := commandFlags(t)
+	decls := map[string]map[string]bool{"service": goNames(t, "."), "gigaflow": goNames(t, "..")}
+	bench, err := os.ReadFile(filepath.Join("..", "BENCHMARK.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	sections := map[string]string{
 		"metrics":   renderMetrics(metrics),
 		"endpoints": renderEndpoints(),
@@ -92,6 +98,23 @@ func TestDocs(t *testing.T) {
 		for _, at := range commandLines(text, flags) {
 			if _, ok := flags[at.tool][at.name]; !ok && at.name != "h" && at.name != "help" {
 				t.Errorf("%s:%d: `%s -%s`: cmd/%s declares no such flag", doc, at.line, at.tool, at.name, at.tool)
+			}
+		}
+		for _, at := range apiNames(text) {
+			pkg, name := "service", at.name
+			switch typ, member, _ := strings.Cut(at.name, "."); typ {
+			case "VSwitch":
+				pkg = "gigaflow"
+			case "service":
+				// service.X is any name the package declares; BENCHMARK.json's
+				// service.submit_ns and kin are metrics.
+				if bytes.Contains(bench, []byte(strconv.Quote(at.name))) {
+					continue
+				}
+				name = member
+			}
+			if !decls[pkg][name] {
+				t.Errorf("%s:%d: `%s`: non-test %s package code declares no such name", doc, at.line, at.name, pkg)
 			}
 		}
 	}
@@ -176,7 +199,7 @@ func liveMetrics(t *testing.T) metricSet {
 	}{
 		{statefulPipeline(), Config{Workers: 2, MicroflowCapacity: 64, Conntrack: ConntrackConfig{Enable: true}}},
 		{buildPipeline(), Config{Upcall: UpcallConfig{Workers: 1}}},
-		{buildPipeline(), Config{Backend: BackendMegaflow, MicroflowCapacity: 64}},
+		{buildPipeline(), Config{MegaflowCapacity: 32768, MicroflowCapacity: 64}},
 	}
 	ctx := context.Background()
 	series := regexp.MustCompile(`^([a-z0-9_]+)(?:\{(.*)\})? `)
@@ -417,6 +440,77 @@ func metricNames(text string) []mention {
 		for _, m := range re.FindAllString(line, -1) {
 			if !strings.HasSuffix(m, "_") && !strings.HasSuffix(m, ".go") {
 				out = append(out, mention{name: m, line: i + 1})
+			}
+		}
+	}
+	return out
+}
+
+// goNames reads the declarations of the non-test Go files in dir: every
+// method and struct field under its type's name and its own (T.X) and
+// under its own alone, and every other top-level name.
+func goNames(t *testing.T, dir string) map[string]bool {
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	member := func(typ, name string) { names[typ+"."+name], names[name] = true, true }
+	fset := token.NewFileSet()
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					names[d.Name.Name] = true
+					continue
+				}
+				recv := d.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				member(types.ExprString(recv), d.Name.Name)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						names[spec.Name.Name] = true
+						if st, ok := spec.Type.(*ast.StructType); ok {
+							for _, field := range st.Fields.List {
+								for _, n := range field.Names {
+									member(spec.Name.Name, n.Name)
+								}
+							}
+						}
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
+}
+
+// apiNames finds the Service.X, Batch.X, service.X and VSwitch.X names in
+// inline code; service.go is a file.
+func apiNames(text string) []mention {
+	code := regexp.MustCompile("`[^`]+`")
+	name := regexp.MustCompile(`(?:^|[^A-Za-z0-9_])((?:[Ss]ervice|Batch|VSwitch)\.[A-Za-z_][A-Za-z0-9_]*)`)
+	var out []mention
+	for i, line := range strings.Split(text, "\n") {
+		for _, span := range code.FindAllString(line, -1) {
+			for _, m := range name.FindAllStringSubmatch(strings.ReplaceAll(span, "service.go", ""), -1) {
+				out = append(out, mention{name: m[1], line: i + 1})
 			}
 		}
 	}

@@ -126,7 +126,6 @@ func TestCapacitySplitExact(t *testing.T) {
 		const workers, total = 4, 1002
 		s, err := New(buildPipeline(), Config{
 			Workers:          workers,
-			Backend:          BackendMegaflow,
 			MegaflowCapacity: total,
 		})
 		if err != nil {

@@ -668,7 +668,7 @@ func (c *cell) drive(t *testing.T, tape []op, want []step) *outcome {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs, n, packets := s.workers[0].vs, len(tape), 0
+	vs, rec, n, packets := s.workers[0].vs, s.workers[0].rec, len(tape), 0
 	keys, flags := make([]gigaflow.Key, n), make([]uint8, n)
 	for i := range tape {
 		keys[i], flags[i], packets = tape[i].k, tape[i].flags, packets+btoi(tape[i].kind == opPacket)
@@ -680,12 +680,13 @@ func (c *cell) drive(t *testing.T, tape []op, want []step) *outcome {
 		now := tape[hi-1].now
 		switch {
 		case tape[lo].kind == opSweep:
-			vs.ExpireIdle(now)
+			vs.ExpireIdle(now, cfg.MaxIdle.Nanoseconds(), cfg.Conntrack.MaxIdle.Nanoseconds())
 		case tape[lo].kind != opPacket:
 			flip(vs.Pipeline())
 			vs.Revalidate()
-		case !d.park && len(d.sizes) == 1:
-			out[lo], errs[lo] = vs.ProcessMeta(keys[lo], flags[lo], now)
+		case !d.park && len(d.sizes) == 1 && !ct:
+			// Flags only matter to conntrack: a stateless single is Process.
+			out[lo], errs[lo] = vs.Process(keys[lo], now)
 		case !d.park:
 			vs.ProcessBatchMeta(keys[lo:lo], nil, nil, nil, now) // an empty batch is a no-op
 			vs.ProcessBatchMeta(keys[lo:hi], flags[lo:hi], out[lo:hi], errs[lo:hi], now)
@@ -700,7 +701,7 @@ func (c *cell) drive(t *testing.T, tape []op, want []step) *outcome {
 			misses, tr := vs.Stats().CacheMisses, vs.Pipeline().MustProcess(keys[lo])
 			out[lo], errs[lo] = vs.CompleteMiss(keys[lo], tr, now, 100, 50)
 			o.ooph += btoi(vs.Stats().CacheMisses == misses)
-			if r := vs.Recorder().Recent(1)[0]; r.Flags&telemetry.FlightDeferred != 0 || r.ParkNs != 0 {
+			if r := rec.Recent(1)[0]; r.Flags&telemetry.FlightDeferred != 0 || r.ParkNs != 0 {
 				t.Fatalf("a conntrack switch logged a deferred completion: %+v", r)
 			}
 		default:
@@ -739,7 +740,7 @@ func (c *cell) drive(t *testing.T, tape []op, want []step) *outcome {
 		}
 	})
 	o.vres, o.stats, o.entries, o.tel = out, vs.Stats(), vs.CacheEntries(), []gigaflow.VSwitchTelemetry{vs.Telemetry()}
-	if rec := vs.Recorder(); rec != nil {
+	if rec != nil {
 		if o.seq = rec.Seq(); o.seq != uint64(packets) {
 			t.Errorf("%d flight records for %d packets", o.seq, packets)
 		}
@@ -1205,7 +1206,7 @@ var cells = func() []cell {
 	stateful := func(mk func() *gigaflow.Pipeline, clients, packets int) tapeSpec {
 		return tapeSpec{pipe: mk, flows: clients, packets: packets, rules: 2, lateBind: mk().Name == "late-bind"}
 	}
-	for _, be := range []Backend{BackendGigaflow, BackendMegaflow} {
+	for _, be := range []string{"gigaflow", "megaflow"} {
 		plain, thrash := svc, svc
 		plain.damage, thrash.damage, thrash.thrash = false, false, 32
 		for _, v := range []struct {
@@ -1220,8 +1221,8 @@ var cells = func() []cell {
 			{"state-nat", stateful(stateNATPipeline, 48, 12000), 4096, 192},
 			{"late-bind", stateful(lateBindPipeline, 48, 12000), 4096, 192},
 		} {
-			cfg := Config{Backend: be, MicroflowCapacity: v.uf, MaxIdle: maxIdle}
-			if be == BackendGigaflow {
+			cfg := Config{MicroflowCapacity: v.uf, MaxIdle: maxIdle}
+			if be == "gigaflow" {
 				cfg.Cache = gigaflow.CacheConfig{NumTables: 4, TableCapacity: v.size}
 			} else {
 				cfg.MegaflowCapacity = max(128, v.size)
@@ -1293,9 +1294,9 @@ var cells = func() []cell {
 	alone("perflow/thrash/upcall", cell{tape: thrash, cfg: upcall(tcfg, UpcallConfig{Workers: 1, Queue: 4096}), entry: viaSubmitFrameBatch, batch: 32})
 
 	two := Config{Workers: 2, Cache: gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256}, MicroflowCapacity: 512}
-	for _, be := range []Backend{BackendGigaflow, BackendMegaflow} {
-		cfg, g := two, "svc/"+be.String()
-		if cfg.Backend = be; be == BackendMegaflow {
+	for _, be := range []string{"gigaflow", "megaflow"} {
+		cfg, g := two, "svc/"+be
+		if be == "megaflow" {
 			cfg.Cache, cfg.MegaflowCapacity = gigaflow.CacheConfig{}, 1024
 		}
 		up := upcall(cfg, UpcallConfig{Workers: 1, Queue: 4096})
@@ -1352,7 +1353,7 @@ var cells = func() []cell {
 		add(g, "SubmitFrameBatch/busy", cell{tape: lb, cfg: ct(n), entry: viaSubmitFrameBatch, busy: true})
 	}
 	mf := ct(2)
-	mf.Backend, mf.Cache, mf.MegaflowCapacity = BackendMegaflow, gigaflow.CacheConfig{}, 4096
+	mf.Cache, mf.MegaflowCapacity = gigaflow.CacheConfig{}, 4096
 	alone("ct/lb/megaflow/2", cell{tape: lb, cfg: mf, entry: viaSubmitFrameBatch, batch: 32})
 	alone("ct/lb/SubmitFrame/2", cell{tape: lb, cfg: ct(2), entry: viaSubmitFrame})
 	for _, mk := range []func() *gigaflow.Pipeline{stateNATPipeline, lateBindPipeline} {

@@ -102,7 +102,7 @@ func TestControlOpsOnStoppedService(t *testing.T) {
 // TestUpcallStatsOnStoppedService is the same contract for the offload
 // counters.
 func TestUpcallStatsOnStoppedService(t *testing.T) {
-	s, err := New(buildPipeline(), upcallConfig(BackendGigaflow, 1, 1))
+	s, err := New(buildPipeline(), upcallConfig(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

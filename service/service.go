@@ -36,27 +36,10 @@ import (
 	"time"
 
 	"gigaflow"
+	gfcache "gigaflow/internal/gigaflow"
 	wire "gigaflow/internal/packet"
 	"gigaflow/internal/telemetry"
 )
-
-// Backend selects the main-cache architecture the workers run.
-type Backend uint8
-
-const (
-	// BackendGigaflow is the K-table LTM sub-traversal cache (default).
-	BackendGigaflow Backend = iota
-	// BackendMegaflow is the single-lookup wildcard cache baseline.
-	BackendMegaflow
-)
-
-// String names the backend.
-func (b Backend) String() string {
-	if b == BackendMegaflow {
-		return "megaflow"
-	}
-	return "gigaflow"
-}
 
 // sweepEvery is the idle sweep's period on the service clock: a shard
 // sweeps at the start of the first message it serves this long or longer
@@ -179,14 +162,13 @@ type Config struct {
 	// Workers is the number of forwarding workers (default 1). The cache
 	// budget is split evenly between them.
 	Workers int
-	// Backend selects the main cache (default BackendGigaflow).
-	Backend Backend
 	// Cache configures the Gigaflow cache; TableCapacity is the TOTAL
 	// budget, divided across workers (defaults 4×8192). Setting any field
-	// with BackendMegaflow is a configuration error.
+	// together with MegaflowCapacity is a configuration error.
 	Cache gigaflow.CacheConfig
-	// MegaflowCapacity is the TOTAL Megaflow entry budget, divided across
-	// workers (default 32768). Only valid with BackendMegaflow.
+	// MegaflowCapacity, when set, runs the Megaflow baseline in place of
+	// Gigaflow: the TOTAL Megaflow entry budget, divided across workers
+	// (0 runs Gigaflow).
 	MegaflowCapacity int
 	// MicroflowCapacity fronts each worker's main cache with an
 	// exact-match Microflow tier; the TOTAL budget is divided across
@@ -218,11 +200,9 @@ type Config struct {
 	// registry's last values and answers the per-shard endpoints with 503.
 	TelemetryAddr string
 	// TraceSample records a full traversal trace for one in N processed
-	// packets (0 disables tracing; the packet path then carries a single
-	// branch and no allocations).
+	// packets into a ring of the last 256 (0 disables tracing; the packet
+	// path then carries a single branch and no allocations).
 	TraceSample int
-	// TraceBuffer bounds the ring of retained traces (default 256).
-	TraceBuffer int
 }
 
 // validate rejects nonsensical configurations instead of silently
@@ -240,9 +220,6 @@ func (c Config) validate() error {
 	if c.TraceSample < 0 {
 		return fmt.Errorf("service: negative TraceSample (%d)", c.TraceSample)
 	}
-	if c.TraceBuffer < 0 {
-		return fmt.Errorf("service: negative TraceBuffer (%d)", c.TraceBuffer)
-	}
 	if c.MaxIdle < 0 {
 		return fmt.Errorf("service: negative MaxIdle (%v)", c.MaxIdle)
 	}
@@ -258,24 +235,18 @@ func (c Config) validate() error {
 	if c.Conntrack.Enable && c.Upcall.Workers > 0 {
 		return errors.New("service: Conntrack and the Upcall offload are mutually exclusive: a conntrack switch resolves every miss inline, so the upcall workers would never receive work (lifting this takes a parked record that carries the tracked key, the connection's epoch and the direction)")
 	}
-	switch c.Backend {
-	case BackendGigaflow:
-		if c.MegaflowCapacity != 0 {
-			return errors.New("service: MegaflowCapacity set but Backend is BackendGigaflow")
-		}
-		if c.Cache.NumTables < 0 || c.Cache.TableCapacity < 0 {
-			return fmt.Errorf("service: negative Gigaflow cache shape (%d tables × %d)",
-				c.Cache.NumTables, c.Cache.TableCapacity)
-		}
-	case BackendMegaflow:
-		if c.Cache != (gigaflow.CacheConfig{}) {
-			return errors.New("service: Gigaflow Cache parameters set but Backend is BackendMegaflow")
-		}
-		if c.MegaflowCapacity < 0 {
-			return fmt.Errorf("service: negative MegaflowCapacity (%d)", c.MegaflowCapacity)
-		}
-	default:
-		return fmt.Errorf("service: unknown Backend (%d)", c.Backend)
+	if c.MegaflowCapacity < 0 {
+		return fmt.Errorf("service: negative MegaflowCapacity (%d)", c.MegaflowCapacity)
+	}
+	if c.MegaflowCapacity > 0 && c.Cache != (gigaflow.CacheConfig{}) {
+		return errors.New("service: Gigaflow Cache parameters set together with MegaflowCapacity, which runs Megaflow")
+	}
+	if c.Cache.NumTables < 0 || c.Cache.TableCapacity < 0 {
+		return fmt.Errorf("service: negative Gigaflow cache shape (%d tables × %d)",
+			c.Cache.NumTables, c.Cache.TableCapacity)
+	}
+	if c.Cache.Scheme > gigaflow.SchemeProfile {
+		return fmt.Errorf("service: unknown Cache.Scheme %v", c.Cache.Scheme)
 	}
 	return nil
 }
@@ -287,21 +258,13 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
 	}
-	switch c.Backend {
-	case BackendGigaflow:
+	if c.MegaflowCapacity == 0 {
 		if c.Cache.NumTables <= 0 {
-			c.Cache.NumTables = 4
+			c.Cache.NumTables = gfcache.DefaultNumTables
 		}
 		if c.Cache.TableCapacity <= 0 {
-			c.Cache.TableCapacity = 8192
+			c.Cache.TableCapacity = gfcache.DefaultTableCapacity
 		}
-	case BackendMegaflow:
-		if c.MegaflowCapacity <= 0 {
-			c.MegaflowCapacity = 32768
-		}
-	}
-	if c.TraceBuffer <= 0 {
-		c.TraceBuffer = 256
 	}
 	c.Upcall = c.Upcall.withDefaults()
 	c.Conntrack = c.Conntrack.withDefaults()
@@ -361,9 +324,11 @@ type worker struct {
 	procPark []bool // ProcessBatchPark's parked flags, grown to the largest job seen
 	// sweepAt is the stamp from which the next message the shard serves
 	// sweeps first: sweepEvery past the last sweep, never when nothing
-	// expires.
-	sweepAt int64
-	stopped bool // drain has begun: a share run from here on fails with ErrClosed
+	// expires. The sweep passes the limits Config.MaxIdle and
+	// Conntrack.MaxIdle set (ns; 0 turns one off).
+	sweepAt              int64
+	maxIdle, connMaxIdle int64
+	stopped              bool // drain has begun: a share run from here on fails with ErrClosed
 
 	// What the message being served must tell other goroutines, collected
 	// under the owner lock and sent once it is released. Only the worker
@@ -456,7 +421,7 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:    cfg,
 		reg:    telemetry.NewRegistry(),
-		tracer: telemetry.NewTracer(cfg.TraceSample, cfg.TraceBuffer),
+		tracer: telemetry.NewTracer(cfg.TraceSample, 0),
 		term:   make(chan struct{}),
 		clock:  func() int64 { return time.Now().UnixNano() },
 	}
@@ -487,21 +452,15 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		opts := []gigaflow.VSwitchOption{gigaflow.WithTracer(s.tracer)}
-		if cfg.MaxIdle > 0 {
-			opts = append(opts, gigaflow.WithMaxIdle(cfg.MaxIdle.Nanoseconds()))
-		}
 		if cfg.Conntrack.Enable {
 			// Shard i binds only inside its own sub-range of every NAT pool,
 			// so its bindings stay on the endpoints it owns.
 			opts = append(opts, gigaflow.WithConntrack(shareOf(cfg.Conntrack.MaxConns, cfg.Workers, i)),
 				gigaflow.WithNATShard(i, cfg.Workers))
-			if cfg.Conntrack.MaxIdle > 0 {
-				opts = append(opts, gigaflow.WithConntrackMaxIdle(cfg.Conntrack.MaxIdle.Nanoseconds()))
-			}
 		}
 		perWorker := cfg.Cache
 		perWorker.TableCapacity = shareOf(cfg.Cache.TableCapacity, cfg.Workers, i)
-		if cfg.Backend == BackendMegaflow {
+		if cfg.MegaflowCapacity > 0 {
 			opts = append(opts, gigaflow.WithMegaflowBackend(shareOf(cfg.MegaflowCapacity, cfg.Workers, i)))
 		}
 		if cfg.MicroflowCapacity > 0 {
@@ -515,13 +474,15 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 			opts = append(opts, gigaflow.WithLatencyRecorder(rec))
 		}
 		w := &worker{
-			rec:     rec,
-			fm:      s.frames,
-			in:      make(chan packet, cfg.QueueDepth),
-			idx:     i,
-			label:   fmt.Sprintf("%d", i),
-			sweepAt: sweepAt,
-			eng:     s.eng,
+			rec:         rec,
+			fm:          s.frames,
+			in:          make(chan packet, cfg.QueueDepth),
+			idx:         i,
+			label:       fmt.Sprintf("%d", i),
+			sweepAt:     sweepAt,
+			maxIdle:     cfg.MaxIdle.Nanoseconds(),
+			connMaxIdle: cfg.Conntrack.MaxIdle.Nanoseconds(),
+			eng:         s.eng,
 		}
 		if s.eng != nil {
 			w.pending = make(map[gigaflow.Key]*miss)
@@ -662,7 +623,7 @@ func (w *worker) tryRun(j *batchJob, now int64) bool {
 //gf:hotpath-safe one compare per message; the sweep itself runs at most once per sweepEvery
 func (w *worker) due(now int64) {
 	if now >= w.sweepAt {
-		w.vs.ExpireIdle(now)
+		w.vs.ExpireIdle(now, w.maxIdle, w.connMaxIdle)
 		w.sweepAt = now + sweepEvery.Nanoseconds()
 	}
 }

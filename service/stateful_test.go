@@ -183,6 +183,14 @@ func replyKeyFor(ct *conntrack.Table, fwd gigaflow.Key) (gigaflow.Key, bool) {
 		With(gigaflow.FieldTpDst, nk.Get(gigaflow.FieldTpSrc)), true
 }
 
+// processOne hands vs one packet with its TCP flags, as a batch of one.
+func processOne(vs *gigaflow.VSwitch, k gigaflow.Key, flags uint8, now int64) (gigaflow.ProcessResult, error) {
+	var out [1]gigaflow.ProcessResult
+	var errs [1]error
+	vs.ProcessBatchMeta([]gigaflow.Key{k}, []uint8{flags}, out[:], errs[:], now)
+	return out[0], errs[0]
+}
+
 // TestTransitionInvalidatesImmediately is the targeted half of the
 // invalidation proof: warm every tier against an established
 // connection, close it, and require the very next packets — microflow
@@ -192,21 +200,21 @@ func TestTransitionInvalidatesImmediately(t *testing.T) {
 		gigaflow.WithMicroflow(64), gigaflow.WithConntrack(0))
 	fwd := ctKey(1, wire.IPProtoTCP)
 
-	if _, err := vs.ProcessMeta(fwd, wire.TCPSyn, 1); err != nil {
+	if _, err := processOne(vs, fwd, wire.TCPSyn, 1); err != nil {
 		t.Fatal(err)
 	}
 	rk, ok := replyKeyFor(vs.Conntrack(), fwd)
 	if !ok {
 		t.Fatal("no connection after SYN")
 	}
-	if _, err := vs.ProcessMeta(rk, wire.TCPSyn|wire.TCPAck, 2); err != nil {
+	if _, err := processOne(vs, rk, wire.TCPSyn|wire.TCPAck, 2); err != nil {
 		t.Fatal(err)
 	}
 	// Warm: repeated data packets populate microflow + main cache.
 	var est gigaflow.ProcessResult
 	for i := 0; i < 4; i++ {
 		var err error
-		if est, err = vs.ProcessMeta(fwd, wire.TCPAck, int64(3+i)); err != nil {
+		if est, err = processOne(vs, fwd, wire.TCPAck, int64(3+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,7 +224,7 @@ func TestTransitionInvalidatesImmediately(t *testing.T) {
 
 	// FIN: the guard must force this packet through the full path (a
 	// FIN-flagged packet can never be served from a memo).
-	fin, err := vs.ProcessMeta(fwd, wire.TCPFin|wire.TCPAck, 10)
+	fin, err := processOne(vs, fwd, wire.TCPFin|wire.TCPAck, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +236,7 @@ func TestTransitionInvalidatesImmediately(t *testing.T) {
 	// the reply direction (its own cached entries) must observe closed →
 	// drop, with zero grace period.
 	for name, k := range map[string]gigaflow.Key{"forward": fwd, "reply": rk} {
-		r, err := vs.ProcessMeta(k, wire.TCPAck, 11)
+		r, err := processOne(vs, k, wire.TCPAck, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,14 +261,14 @@ func TestRecycledMemoServesWithoutGuard(t *testing.T) {
 	tcp := ctKey(1, wire.IPProtoTCP)
 	gre := ctKey(2, 47) // untracked protocol: no connection, ordinary memo
 
-	if _, err := vs.ProcessMeta(tcp, wire.TCPSyn, 1); err != nil {
+	if _, err := processOne(vs, tcp, wire.TCPSyn, 1); err != nil {
 		t.Fatal(err)
 	}
 	bound, ok := vs.Microflow().Lookup(tcp, 1)
 	if !ok || bound.Ct == nil {
 		t.Fatalf("SYN left no connection-bound memo: %+v, %v", bound, ok)
 	}
-	if _, err := vs.ProcessMeta(gre, 0, 2); err != nil { // evicts the TCP memo
+	if _, err := processOne(vs, gre, 0, 2); err != nil { // evicts the TCP memo
 		t.Fatal(err)
 	}
 	if e, ok := vs.Microflow().Lookup(gre, 2); !ok || e != bound || e.Ct != nil || e.CtEpoch != 0 || e.CtDir != 0 {
@@ -268,14 +276,14 @@ func TestRecycledMemoServesWithoutGuard(t *testing.T) {
 	}
 	// Move the TCP connection on: its epoch changes, so a leaked pointer
 	// would now fail the guard.
-	if _, err := vs.ProcessMeta(tcp, wire.TCPRst, 3); err != nil {
+	if _, err := processOne(vs, tcp, wire.TCPRst, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := vs.ProcessMeta(gre, 0, 4); err != nil {
+	if _, err := processOne(vs, gre, 0, 4); err != nil {
 		t.Fatal(err)
 	}
 	before := vs.Stats()
-	r, err := vs.ProcessMeta(gre, 0, 5)
+	r, err := processOne(vs, gre, 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,10 +340,10 @@ func TestConnectionWalksOncePerDirection(t *testing.T) {
 			CacheMisses: 2, Slowpath: 2, Installs: 2, SlowpathSteps: 5, SlowpathTupleProbes: 6,
 			CtFastpath: 5, CtGuardFails: 1}},
 	} {
-		for _, backend := range []Backend{BackendGigaflow, BackendMegaflow} {
-			t.Run(tc.name+"/"+backend.String(), func(t *testing.T) {
+		for _, backend := range []string{"gigaflow", "megaflow"} {
+			t.Run(tc.name+"/"+backend, func(t *testing.T) {
 				opts := []gigaflow.VSwitchOption{gigaflow.WithMicroflow(64), gigaflow.WithConntrack(0)}
-				if backend == BackendMegaflow {
+				if backend == "megaflow" {
 					opts = append(opts, gigaflow.WithMegaflowBackend(1024))
 				}
 				vs := gigaflow.NewVSwitch(natLBPipeline(tc.proto), gigaflow.CacheConfig{NumTables: 4, TableCapacity: 1024}, opts...)
@@ -349,7 +357,7 @@ func TestConnectionWalksOncePerDirection(t *testing.T) {
 							t.Fatalf("packet %d: no connection to reply on", i)
 						}
 					}
-					got, err := vs.ProcessMeta(k, p.flags, int64(i))
+					got, err := processOne(vs, k, p.flags, int64(i))
 					if err != nil {
 						t.Fatal(err)
 					}

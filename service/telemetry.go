@@ -100,10 +100,14 @@ func (s *Service) cacheTelemetry(ctx context.Context, _ int) (any, error) {
 			VSwitchTelemetry: w.vs.Telemetry(),
 		}
 	})
+	backend := "gigaflow"
+	if s.cfg.MegaflowCapacity > 0 {
+		backend = "megaflow"
+	}
 	return struct {
 		Backend string            `json:"backend"`
 		Workers []workerTelemetry `json:"workers"`
-	}{s.cfg.Backend.String(), out}, err
+	}{backend, out}, err
 }
 
 // workerLatency is one worker's slice of the latency document: the

@@ -28,20 +28,18 @@ func TestConfigValidation(t *testing.T) {
 		{"negative maxidle", Config{MaxIdle: -time.Second}, "MaxIdle"},
 		{"negative microflow", Config{MicroflowCapacity: -1}, "MicroflowCapacity"},
 		{"negative trace sample", Config{TraceSample: -1}, "TraceSample"},
-		{"negative trace buffer", Config{TraceBuffer: -1}, "TraceBuffer"},
-		{"megaflow cap on gigaflow backend", Config{MegaflowCapacity: 100}, "BackendGigaflow"},
 		{"gigaflow cache on megaflow backend",
-			Config{Backend: BackendMegaflow, Cache: gigaflow.CacheConfig{NumTables: 4}},
-			"BackendMegaflow"},
+			Config{MegaflowCapacity: 100, Cache: gigaflow.CacheConfig{NumTables: 4}},
+			"MegaflowCapacity"},
 		{"negative gigaflow shape",
 			Config{Cache: gigaflow.CacheConfig{NumTables: -1}}, "cache shape"},
-		{"negative megaflow cap",
-			Config{Backend: BackendMegaflow, MegaflowCapacity: -1}, "MegaflowCapacity"},
-		{"unknown backend", Config{Backend: Backend(99)}, "unknown Backend"},
+		// Every miss would fail to partition, so nothing would ever be cached.
+		{"unknown scheme", Config{Cache: gigaflow.CacheConfig{Scheme: 99}}, "Cache.Scheme"},
+		{"negative megaflow cap", Config{MegaflowCapacity: -1}, "MegaflowCapacity"},
 		{"negative upcall workers", Config{Upcall: UpcallConfig{Workers: -1}}, "Upcall.Workers"},
 		{"negative upcall queue", Config{Upcall: UpcallConfig{Workers: 1, Queue: -1}}, "Upcall.Queue"},
 		{"upcall knobs without workers", Config{Upcall: UpcallConfig{Queue: 8}}, "Upcall.Workers is 0"},
-		{"megaflow backend ok", Config{Backend: BackendMegaflow, MegaflowCapacity: 1024}, ""},
+		{"megaflow backend ok", Config{MegaflowCapacity: 1024}, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -64,7 +62,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestMegaflowBackend(t *testing.T) {
-	s, ctx := start(t, buildPipeline(), Config{Workers: 2, Backend: BackendMegaflow, MegaflowCapacity: 1024}), context.Background()
+	s, ctx := start(t, buildPipeline(), Config{Workers: 2, MegaflowCapacity: 1024}), context.Background()
 	frame := frameOf(t, key(1, 80), 0)
 	if _, err := s.SubmitFrame(ctx, 0, frame); err != nil {
 		t.Fatal(err)
@@ -177,7 +175,6 @@ func TestTracesEndpoint(t *testing.T) {
 		Workers:     1,
 		Cache:       gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256},
 		TraceSample: 1, // trace every packet
-		TraceBuffer: 16,
 	})
 	submitN(t, s, 5, 1)
 

@@ -13,19 +13,13 @@ import (
 
 // upcallConfig is a config with the offload on. One engine worker keeps
 // completion order equal to park order.
-func upcallConfig(backend Backend, workers, engineWorkers int) Config {
-	cfg := Config{
+func upcallConfig(workers, engineWorkers int) Config {
+	return Config{
 		Workers:           workers,
-		Backend:           backend,
+		Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256},
 		MicroflowCapacity: 512,
 		Upcall:            UpcallConfig{Workers: engineWorkers, Queue: 4096},
 	}
-	if backend == BackendMegaflow {
-		cfg.MegaflowCapacity = 1024
-	} else {
-		cfg.Cache = gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256}
-	}
-	return cfg
 }
 
 // TestUpcallOrdering pins in-order per-flow release: in a batch holding
@@ -33,7 +27,7 @@ func upcallConfig(backend Backend, workers, engineWorkers int) Config {
 // initiator and every later one observes its install, both positionally
 // and in WithResponse stream order — indistinguishable from inline.
 func TestUpcallOrdering(t *testing.T) {
-	s := start(t, buildPipeline(), upcallConfig(BackendGigaflow, 1, 2))
+	s := start(t, buildPipeline(), upcallConfig(1, 2))
 	ctx := context.Background()
 
 	kA, kB := frameOf(t, key(1, 80), 0), frameOf(t, key(2, 22), 0) // different ports: no wildcard overlap
@@ -59,7 +53,7 @@ func TestUpcallOrdering(t *testing.T) {
 	// Response-channel order for one flow must be initiator first, then
 	// followers, regardless of the engine's concurrency. A fresh service:
 	// the wildcard entries installed above would otherwise cover kC.
-	s = start(t, buildPipeline(), upcallConfig(BackendGigaflow, 1, 2))
+	s = start(t, buildPipeline(), upcallConfig(1, 2))
 	kC := frameOf(t, key(3, 80), 0)
 	resp := make(chan Result, 3)
 	if err := s.SubmitFrameBatch(ctx, []Frame{{0, kC}, {0, kC}, {0, kC}}, b, Nonblocking(), WithResponse(resp)); err != nil {
@@ -80,7 +74,7 @@ func TestUpcallOrdering(t *testing.T) {
 // second, so the queue's counters read exactly; the queue bound is the
 // default.
 func TestUpcallShutdownParked(t *testing.T) {
-	cfg := upcallConfig(BackendGigaflow, 1, 1)
+	cfg := upcallConfig(1, 1)
 	cfg.Upcall.Queue = 0
 	s, err := New(buildPipeline(), cfg)
 	if err != nil {
@@ -176,7 +170,7 @@ func holPipeline(hosts int) *gigaflow.Pipeline {
 // cold flow as the miss it was, and the engine has drained every miss
 // once, at least two of the cold ones in one batch.
 func TestUpcallWarmFlowNotBlocked(t *testing.T) {
-	s, ctx := start(t, holPipeline(4), upcallConfig(BackendGigaflow, 1, 1)), context.Background()
+	s, ctx := start(t, holPipeline(4), upcallConfig(1, 1)), context.Background()
 	warm := frameOf(t, key(0, 80), 0)
 	if _, err := s.SubmitFrame(ctx, 0, warm); err != nil {
 		t.Fatal(err)
@@ -237,7 +231,7 @@ func TestUpcallWarmFlowNotBlocked(t *testing.T) {
 // LatNs, and ParkNs must fit in the window from submission to the moment
 // the engine was seen to have dequeued.
 func TestUpcallParkNsExcludesTraversal(t *testing.T) {
-	s, ctx := start(t, holPipeline(2), upcallConfig(BackendGigaflow, 1, 1)), context.Background()
+	s, ctx := start(t, holPipeline(2), upcallConfig(1, 1)), context.Background()
 	s.rules.Lock()
 	resp := make(chan Result, 1)
 	submitted := time.Now()

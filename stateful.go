@@ -14,10 +14,10 @@ import (
 // bounds the table (0 = unbounded; LRU eviction under pressure).
 //
 // Conntrack changes which entry points make sense: feed TCP flags via
-// ProcessMeta/ProcessBatchMeta so the state machine sees handshakes and
-// closes. Process and a nil flags slice still work (flags read as zero —
-// every TCP connection then looks like a half-open flow that establishes
-// on the first reply and never closes).
+// ProcessBatchMeta so the state machine sees handshakes and closes.
+// Process and a nil flags slice still work (flags read as zero — every
+// TCP connection then looks like a half-open flow that establishes on the
+// first reply and never closes).
 func WithConntrack(maxConns int) VSwitchOption {
 	return func(v *VSwitch) { v.ct = conntrack.NewTable(maxConns) }
 }
@@ -29,14 +29,6 @@ func WithConntrack(maxConns int) VSwitchOption {
 // shard that holds its connection.
 func WithNATShard(shard, shards int) VSwitchOption {
 	return func(v *VSwitch) { v.res.shard, v.res.shards = shard, shards }
-}
-
-// WithConntrackMaxIdle enables idle expiry of tracked connections on the
-// ExpireIdle sweep, independent of the cache tiers' max-idle. Expired
-// connections are epoch-poisoned, so cache entries that depended on them
-// die lazily on their next hit.
-func WithConntrackMaxIdle(ns int64) VSwitchOption {
-	return func(v *VSwitch) { v.ctMaxIdle = ns }
 }
 
 // Conntrack returns the connection table, or nil when tracking is

@@ -66,11 +66,9 @@ type VSwitch struct {
 	tier     telemetry.Tier
 	tierName string
 
-	maxIdle   int64
-	ctMaxIdle int64                      // conntrack idle expiry, independent of the cache tiers'
-	tracer    *telemetry.Tracer          // optional traversal tracer (sampled)
-	rec       *telemetry.LatencyRecorder // optional latency attribution + flight ring
-	stats     VSwitchStats
+	tracer *telemetry.Tracer          // optional traversal tracer (sampled)
+	rec    *telemetry.LatencyRecorder // optional latency attribution + flight ring
+	stats  VSwitchStats
 
 	// trav is the one traversal every inline miss refills and res the
 	// resolver it walks with under conntrack: the switch is
@@ -81,14 +79,13 @@ type VSwitch struct {
 	trav Traversal
 	res  ctResolver
 	// kt holds the packet's key with ct_state folded in while the loop looks
-	// it up, and one the batch of one the single-packet entry points run.
+	// it up, and one is the batch of one that Process and ProcessPark run.
 	// Both live here rather than in a frame because the backend is reached
 	// through an interface, and what an interface call is handed lives on
 	// the heap.
 	kt  Key
 	one struct {
 		key    [1]Key
-		flag   [1]uint8
 		out    [1]ProcessResult
 		err    [1]error
 		parked [1]bool
@@ -176,12 +173,6 @@ func (s *VSwitchStats) TotalHitRate() float64 {
 // VSwitchOption configures a VSwitch.
 type VSwitchOption func(*VSwitch)
 
-// WithMaxIdle enables idle expiry of cache entries (§4.3.2); call
-// ExpireIdle periodically with the current virtual time.
-func WithMaxIdle(ns int64) VSwitchOption {
-	return func(v *VSwitch) { v.maxIdle = ns }
-}
-
 // WithMegaflowBackend makes the main cache a Megaflow cache of the given
 // capacity, in place of the Gigaflow cache — the baseline configuration,
 // useful for comparisons.
@@ -256,10 +247,6 @@ func (v *VSwitch) Microflow() *microflow.Cache { return v.uf }
 // Stats returns a snapshot of the counters.
 func (v *VSwitch) Stats() VSwitchStats { return v.stats }
 
-// Recorder returns the attached latency recorder, or nil. Its methods
-// must run on the goroutine driving the switch.
-func (v *VSwitch) Recorder() *telemetry.LatencyRecorder { return v.rec }
-
 // ProcessResult describes one packet's handling.
 type ProcessResult struct {
 	Verdict Verdict
@@ -274,43 +261,38 @@ type ProcessResult struct {
 // Process handles one packet at virtual time now (nanoseconds): Microflow
 // exact-match (if enabled), main cache lookup, slowpath on miss, rule
 // installation. Like every entry point it is a wrapper: the packet is a
-// batch of one through run, the one datapath loop.
+// batch of one through run, the one datapath loop, and carries no TCP
+// flags.
 //
 //gf:hotpath
 func (v *VSwitch) Process(k Key, now int64) (ProcessResult, error) {
-	return v.ProcessMeta(k, 0, now)
-}
-
-// ProcessMeta is Process with packet metadata the flow key does not
-// carry: the TCP flag byte, which drives the conntrack state machine
-// when connection tracking is enabled (and is ignored otherwise). With
-// conntrack on, the packet is tracked, its ct_state bits are folded into
-// the key the main cache and slowpath see, connection-dependent cache
-// entries are validated on every hit against the connection their tuple
-// now names and its NAT bindings, and memoized microflow results serve
-// only under the ctServe guard. With conntrack off the loop reduces
-// exactly to the stateless datapath.
-//
-//gf:hotpath
-func (v *VSwitch) ProcessMeta(k Key, tcpFlags uint8, now int64) (ProcessResult, error) {
 	o := &v.one
-	o.key[0], o.flag[0] = k, tcpFlags
-	v.run(o.key[:], o.flag[:], o.out[:], o.err[:], nil, now)
+	o.key[0] = k
+	v.run(o.key[:], nil, o.out[:], o.err[:], nil, now)
 	return o.out[0], o.err[0]
 }
 
 // ProcessBatchMeta handles len(keys) packets at virtual time now, writing
 // packet i's result to out[i] and its error to errs[i]; out and errs must
-// be at least len(keys) long. flags carries each packet's TCP flag byte
-// for the conntrack state machine; it may be nil (all packets read as
-// flagless) and is otherwise indexed in step with keys. See ProcessMeta
-// for the conntrack semantics. It is semantically identical to calling
-// ProcessMeta(keys[i], flags[i], now) in order — packets are processed
-// strictly in sequence through the full hierarchy, so a miss's installed
-// rules and Microflow memoization are visible to later packets in the
-// same batch and every counter matches a sequential replay exactly. What
-// a batch saves is the per-call cost: one recorder batch, one clock read
-// for its hit runs.
+// be at least len(keys) long. It is semantically identical to handing the
+// packets over one batch of one at a time, in order — packets are
+// processed strictly in sequence through the full hierarchy, so a miss's
+// installed rules and Microflow memoization are visible to later packets
+// in the same batch and every counter matches a sequential replay
+// exactly. What a batch saves is the per-call cost: one recorder batch,
+// one clock read for its hit runs.
+//
+// flags carries each packet's TCP flag byte, the packet metadata the flow
+// key does not carry; it may be nil (all packets read as flagless) and is
+// otherwise indexed in step with keys. The flags drive the conntrack state
+// machine when connection tracking is enabled and are ignored otherwise,
+// so a single packet with TCP flags enters here as a batch of one. With
+// conntrack on, each packet is tracked, its ct_state bits are folded into
+// the key the main cache and slowpath see, connection-dependent cache
+// entries are validated on every hit against the connection their tuple
+// now names and its NAT bindings, and memoized microflow results serve
+// only under the ctServe guard. With conntrack off the loop reduces
+// exactly to the stateless datapath.
 //
 //gf:hotpath
 func (v *VSwitch) ProcessBatchMeta(keys []Key, flags []uint8, out []ProcessResult, errs []error, now int64) {
@@ -562,23 +544,24 @@ func (v *VSwitch) Revalidate() (evicted, work int) {
 	return v.main.RevalidateAgainst(v.pipe)
 }
 
-// ExpireIdle evicts entries idle longer than the configured max-idle
-// (no-op unless WithMaxIdle was set). Returns the number evicted from the
-// main cache.
-func (v *VSwitch) ExpireIdle(now int64) int {
-	if v.ct != nil && v.ctMaxIdle > 0 {
+// ExpireIdle evicts what has been idle longer than its limit at virtual
+// time now, a limit of 0 turning that expiry off: tracked connections
+// idle past connMaxIdle, then Microflow and main-cache entries idle past
+// maxIdle (§4.3.2). Returns the number evicted from the main cache.
+func (v *VSwitch) ExpireIdle(now, maxIdle, connMaxIdle int64) int {
+	if v.ct != nil && connMaxIdle > 0 {
 		// Idle connections die first (epoch-poisoned), so cache entries
 		// that depended on them fail validation even before their own
 		// idle timers fire.
-		v.ct.ExpireIdle(now, v.ctMaxIdle)
+		v.ct.ExpireIdle(now, connMaxIdle)
 	}
-	if v.maxIdle <= 0 {
+	if maxIdle <= 0 {
 		return 0
 	}
 	if v.uf != nil {
-		v.uf.ExpireIdle(now, v.maxIdle)
+		v.uf.ExpireIdle(now, maxIdle)
 	}
-	return v.main.ExpireIdle(now, v.maxIdle)
+	return v.main.ExpireIdle(now, maxIdle)
 }
 
 // CacheEntries reports the number of installed cache entries.
