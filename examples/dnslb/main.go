@@ -7,9 +7,9 @@
 // client — the client only ever sees the VIP. The scenario exercises
 // every stateful-datapath feature at once: ct_state matching,
 // per-connection NAT bindings, matching on NAT-rewritten fields in a
-// later table, and the epoch protocol — the first reply establishes each
-// connection, which retires the query's exact-match memo but none of the
-// main-cache entries behind it.
+// later table, and held results — each direction's first walk is held on
+// its connection and serves the rest of the exchange, the reply that
+// establishes the connection included.
 //
 // Every packet is checked: a query must egress on its backend's port with
 // the backend's address written into it, a client must stay pinned to one
@@ -53,7 +53,6 @@ func main() {
 		fmt.Printf("microflow hit rate %.3f\n", float64(st.MicroflowHits)/float64(st.Packets))
 		fmt.Printf("ct_fastpath        %d\n", st.CtFastpath)
 		fmt.Printf("ct_guard_fails     %d\n", st.CtGuardFails)
-		fmt.Printf("ct_invalidated     %d\n", st.CtInvalidated)
 		for b, t := range backends() {
 			fmt.Printf("pool %d.%d.%d.%d:%d  %d clients\n",
 				t.IP>>24&0xff, t.IP>>16&0xff, t.IP>>8&0xff, t.IP&0xff, t.Port, rep.pinned[b])

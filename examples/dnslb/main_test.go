@@ -7,11 +7,11 @@ import (
 	"gigaflow"
 )
 
-// TestScenario pins what the scenario has always produced on both
-// backends: every connection costs one slow-path walk per direction
-// (2 of 8 packets), the first reply retires the query's memo (one guard
-// failure per client) and nothing in the main cache, and the pool hash
-// spreads 4000 clients 942/1008/1018/1032.
+// TestScenario pins what the scenario produces on both backends: every
+// connection costs one slow-path walk per direction (2 of 8 packets), every
+// other packet is served from the result its direction's walk left on the
+// connection (6 of 8), none is refused and nothing is invalidated, and
+// the pool hash spreads 4000 clients 942/1008/1018/1032.
 func TestScenario(t *testing.T) {
 	for _, backend := range []string{"gigaflow", "megaflow"} {
 		rep, err := run(backend, buildPipeline())
@@ -20,8 +20,8 @@ func TestScenario(t *testing.T) {
 		}
 		st := rep.stats
 		if st.Packets != 2*rounds*clients || st.TotalHitRate() != 0.75 ||
-			st.MicroflowHits*8 != st.Packets*5 ||
-			st.CtFastpath != 20000 || st.CtGuardFails != clients || st.CtInvalidated != 0 {
+			st.MicroflowHits*8 != st.Packets*6 ||
+			st.CtFastpath != 24000 || st.CtGuardFails != 0 || st.CtInvalidated != 0 {
 			t.Errorf("%s: stats %+v", backend, st)
 		}
 		if rep.pinned != [poolSize]int{942, 1008, 1018, 1032} {

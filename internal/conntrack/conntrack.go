@@ -1,9 +1,9 @@
 // Package conntrack is the stateful layer of the datapath: a 5-tuple
 // connection table with a TCP-flag-driven state machine, OVS-style
 // ct_state bits folded into the flow key for the pipeline and caches to
-// match on, per-connection NAT bindings, and the epoch protocol the
-// cache tiers use to retire cached results that depended on something
-// about a connection that has since changed.
+// match on, per-connection NAT bindings, the result each connection holds
+// for each direction once a pipeline walk has classified it, and the
+// epoch protocol that decides when a held result is still good.
 //
 // The table is built on internal/flowtable with a 5-tuple mask; every
 // connection registers its forward and reply tuples (plus the translated
@@ -11,42 +11,54 @@
 // and NATed return traffic — resolve to the same connection in one
 // masked probe.
 //
+// # Held results
+//
+// A connection-offload datapath keeps one entry per connection that holds
+// its rewrite and verdict; so does this one. Every tracked packet is
+// tracked first — the one exact lookup — and then served from
+// Conn.Served[dir], the whole-traversal rule (match, commit, verdict) the
+// last walk of a packet of that direction left there — or the exact form
+// of a shared cache entry's answer, when one served it — when Conn.Serves
+// says it still applies: the pipeline version it was walked under is the
+// current one, its stamp is no older than the connection's bindings, and
+// its match accepts the packet's key with ct_state folded in. A held
+// result is never shared with another connection, so nothing has to evict
+// it: it dies with its connection.
+//
 // # Epoch protocol
 //
 // The table keeps one monotonic epoch counter and stamps a connection
 // from it whenever something a cached result could depend on changes.
-// A connection carries two stamps, because the two cache tiers depend on
-// different things:
+// A connection carries two stamps:
 //
-//   - Conn.Epoch answers "same state?". It moves on creation, on every
-//     state transition, on a new NAT binding and on removal. The
-//     microflow memo is keyed without ct_state, so nothing in its match
-//     tells a New packet from an Established one: it records the epoch it
-//     was built under and serves only while the connection still carries
-//     exactly that epoch (compared through the memo's *Conn pointer).
 //   - Conn.bound answers "same connection and bindings?". It moves on
 //     creation, on a new NAT binding and on removal — not on a
-//     transition. A main-cache entry matches on the key with ct_state
-//     folded in, so a packet whose state bits matter to the rules the
-//     entry crossed misses by match; what the match cannot see is which
-//     connection the tuple now names and what it is bound to, and that
-//     is all a resolved NAT rewrite depends on. Such an entry records
-//     the (tuple, epoch) pair it was resolved under, and EpochValid is a
-//     single lookup: the tuple still resolves to a live connection whose
-//     bound stamp is no newer than the recorded epoch.
+//     transition. A held result's match carries its ct_state dependency,
+//     so a packet whose state bits matter to the rules the walk crossed
+//     is refused by match; what the match cannot see is what the
+//     connection was bound to when the walk resolved its NAT actions. The
+//     walk records the epoch of its first resolution (0 when it resolved
+//     none), and a held result serves only while that stamp is 0 or no
+//     older than bound. EpochValid asks the same of a (tuple, epoch) pair
+//     — a single lookup — for cache entries outside this package.
+//   - Conn.Epoch answers "same state?". It moves on creation, on every
+//     state transition, on a new NAT binding and on removal. It feeds the
+//     stamp a resolution reports and BindHash; the benchmark's shadow
+//     chain still guards its exact-match memo with it.
 //
 // Because the counter is global and monotonic, a stamp taken from an
 // earlier connection generation on a reused tuple, or before a binding
 // made later in the same pipeline walk, is older than the bound stamp it
 // is checked against and is rejected. Removing a connection re-stamps
-// both ("poisoning"), so even a memo holding a dangling *Conn pointer
-// fails its comparison.
+// both ("poisoning"), so even a holder of a dangling *Conn pointer fails
+// its comparison.
 package conntrack
 
 import (
 	"gigaflow/internal/flow"
 	"gigaflow/internal/flowtable"
 	"gigaflow/internal/packet"
+	"gigaflow/internal/pipeline"
 )
 
 // State is a connection's lifecycle state.
@@ -93,22 +105,26 @@ type NATBinding struct {
 }
 
 // Conn is one tracked connection. Fields are owned by the table; callers
-// treat connections as read-only handles.
+// treat connections as read-only handles, except Served, which the
+// datapath driving the table fills.
 type Conn struct {
 	// Orig is the forward-direction 5-tuple as first seen (pre-NAT).
 	Orig flow.Key
 	// reply is the tuple reply packets carry, updated when a NAT binding
 	// rewrites it.
 	reply flow.Key
+	// Served holds, per Dir, the result the last walk or cache hit of a
+	// packet in that direction left: see Served and Serves.
+	Served [2]Served
 	// State is the current lifecycle state.
 	State State
 	// Epoch is the stamp of the connection's last creation, transition,
-	// NAT binding or removal — "same state?", what a microflow memo is
-	// guarded by. See the package comment for the invalidation protocol.
+	// NAT binding or removal — "same state?". See the package comment for
+	// the invalidation protocol.
 	Epoch uint64
 	// bound is the stamp of the connection's creation, last NAT binding
-	// or removal — "same connection and bindings?", what EpochValid holds
-	// a main-cache entry's recorded epoch against. Transitions leave it
+	// or removal — "same connection and bindings?", what Serves and
+	// EpochValid hold a recorded stamp against. Transitions leave it
 	// alone; bound <= Epoch always.
 	bound uint64
 	// DNAT / SNAT are the connection's NAT bindings, if any.
@@ -126,6 +142,37 @@ type Conn struct {
 	lastMoved int64
 
 	prev, next *Conn // LRU list, most recent at front
+}
+
+// Served is the result a connection holds for one direction: a whole
+// pipeline walk of one of its packets composed into one rule, as a
+// Megaflow entry is — the match over the key the walk started from
+// (ct_state folded in), the commit that turns it into the final key, the
+// verdict — plus what the rule was computed under. A packet a shared,
+// connection-independent cache entry served leaves the exact form of the
+// same thing: its whole key as the match, its final key as the commit,
+// stamp 0. A zero Served holds nothing: its verdict is not terminal.
+type Served struct {
+	pipeline.Composed
+	Verdict flow.Verdict
+	// Epoch is the walk's stamp: the connection's epoch at the walk's
+	// first NAT resolution, 0 when no step resolved against it.
+	Epoch uint64
+	// Version is the pipeline version the rule was computed under.
+	Version uint64
+}
+
+// Serves reports whether s, one of c's held results, may serve a packet
+// whose key, ct_state folded in, is *kt, on a pipeline at version: it
+// holds a terminal verdict, was walked under that version, its stamp is 0
+// or no older than c's bindings (what EpochValid asks of a cache entry),
+// and its match accepts the key. A state transition is caught by the
+// match alone, wherever a rule the walk crossed read the state bits.
+//
+//gf:hotpath
+func (c *Conn) Serves(s *Served, kt *flow.Key, version uint64) bool {
+	return s.Verdict.Terminal() && s.Version == version &&
+		(s.Epoch == 0 || s.Epoch >= c.bound) && s.Match.MatchesKey(kt)
 }
 
 // repositionQuantum bounds how often a touch repositions a connection
@@ -272,10 +319,11 @@ func stateBits(s State, dir Dir) uint64 {
 
 // MayTransition reports whether a packet with the given direction and
 // TCP flags could move a connection in state s to another state — the
-// fast-path guard memoized entries use to decide whether a full Track
-// walk is needed. It is deliberately a superset of the transitions Track
+// guard an Epoch-bound memo uses to decide whether a full Track walk is
+// needed. It is deliberately a superset of the transitions Track
 // actually performs: a true return only costs a re-track, a false
-// return must be exact.
+// return must be exact. It stays for the benchmark's shadow chain until
+// ROADMAP item 15.
 //
 //gf:hotpath
 func MayTransition(s State, dir Dir, proto uint64, tcpFlags uint8) bool {
@@ -352,9 +400,9 @@ func (t *Table) TrackKey(k *flow.Key, tcpFlags uint8, now int64) (uint64, *Conn,
 	return stateBits(c.State, dir), c, dir
 }
 
-// transition moves c to state s and stamps a fresh epoch, invalidating
-// every microflow memo built against the old state. The bound stamp does
-// not move: main-cache entries tell the states apart by match.
+// transition moves c to state s and stamps a fresh epoch. The bound
+// stamp does not move: held results and cache entries tell the states
+// apart by match.
 //
 //gf:hotpath
 func (t *Table) transition(c *Conn, s State) {
@@ -418,8 +466,8 @@ func (t *Table) remove(c *Conn) {
 }
 
 // restamp moves both of c's stamps past every epoch handed out so far:
-// the connection's identity or bindings changed, so nothing cached
-// against it — memo or main-cache entry — may serve again.
+// the connection's identity or bindings changed, so nothing resolved
+// against it before — held result or cache entry — may serve again.
 func (t *Table) restamp(c *Conn) {
 	c.Epoch = t.newEpoch()
 	c.bound = c.Epoch
@@ -458,9 +506,7 @@ func (t *Table) SetSNAT(c *Conn, ip, port uint64) {
 // on a tuple that an earlier (pre-NAT) connection claimed as its own.
 // The displaced connection is removed, which poisons its epoch: cache
 // entries built under it must not keep serving once its tuple has been
-// taken over, and the microflow guard compares epochs through a direct
-// connection pointer, so unregistering the tuple alone would not
-// invalidate them.
+// taken over.
 func (t *Table) register(tuple flow.Key, ref connRef) {
 	if old, ok := t.conns.Lookup(tuple); ok && old.c != ref.c {
 		t.remove(old.c)
@@ -502,8 +548,8 @@ func (c *Conn) BindHash() uint64 {
 }
 
 // Touch refreshes c's LastSeen and LRU position without running the
-// state machine — the microflow fast path's way of keeping a connection
-// alive while its memoized entry absorbs the traffic.
+// state machine. It stays for the benchmark's shadow chain, whose memo
+// hits skip Track, until ROADMAP item 15.
 //
 //gf:hotpath
 func (t *Table) Touch(c *Conn, now int64) {
@@ -531,23 +577,16 @@ func (t *Table) touchLazy(c *Conn, now int64) {
 }
 
 // EpochValid reports whether tuple still resolves to the live connection
-// epoch was taken from, with the NAT bindings it had then — the validity
-// check for main-cache entries whose action was resolved against a
-// connection. State transitions since do not matter (the entry's match
-// carries its ct_state dependency); a removal, a tuple reuse or a later
-// binding does. One masked probe and a compare against the bound stamp.
+// epoch was taken from, with the NAT bindings it had then — what Serves
+// asks of a held result, for a cache entry that records a (tuple, epoch)
+// pair. State transitions since do not matter (the entry's match carries
+// its ct_state dependency); a removal, a tuple reuse or a later binding
+// does. One masked probe and a compare against the bound stamp. It stays
+// for the benchmark's shadow chain until ROADMAP item 15.
 //
 //gf:hotpath
 func (t *Table) EpochValid(tuple flow.Key, epoch uint64) bool {
-	return t.EpochValidKey(&tuple, epoch)
-}
-
-// EpochValidKey is EpochValid reading the tuple in place (a cache
-// entry's own field).
-//
-//gf:hotpath
-func (t *Table) EpochValidKey(tuple *flow.Key, epoch uint64) bool {
-	ref := t.conns.Find(tuple)
+	ref := t.conns.Find(&tuple)
 	return ref != nil && epoch >= ref.c.bound
 }
 

@@ -22,13 +22,15 @@ func ExactMatch(k Key) Match { return Match{Key: k, Mask: FullMask()} }
 func MatchAll() Match { return Match{} }
 
 // Matches reports whether k satisfies the predicate.
-func (m Match) Matches(k Key) bool {
-	for i := range k {
-		if (k[i]^m.Key[i])&m.Mask[i] != 0 {
-			return false
-		}
-	}
-	return true
+func (m Match) Matches(k Key) bool { return m.MatchesKey(&k) }
+
+// MatchesKey is Matches with both sides read in place: four words, no
+// branches.
+//
+//gf:hotpath
+func (m *Match) MatchesKey(k *Key) bool {
+	return (k[0]^m.Key[0])&m.Mask[0]|(k[1]^m.Key[1])&m.Mask[1]|
+		(k[2]^m.Key[2])&m.Mask[2]|(k[3]^m.Key[3])&m.Mask[3] == 0
 }
 
 // Normalize returns m with its key canonicalized under its mask.

@@ -7,7 +7,8 @@ import (
 
 // TestEntryLayout pins the LTM entry's cache-line layout, the one Entry's
 // comment describes: the rewrite a hit applies fills line 0, every other
-// field find, touch and DropStale read or write sits in line 1, and the
+// field find and touch read or write, and the conntrack epoch the
+// benchmark's shadow chain checks on a hit, sits in line 1, and the
 // entry is a whole number of 64-byte lines. The allocator's size class for
 // it places every entry on a 64-byte boundary, so each of those lines is
 // one cache line; the last check holds the allocator to that.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"gigaflow/internal/conntrack"
 	"gigaflow/internal/flow"
 	"gigaflow/internal/pipeline"
 	"gigaflow/internal/telemetry"
@@ -24,10 +23,10 @@ const TagDone = -2
 // allocator places on 64-byte boundaries, so each 64-byte line below is one
 // cache line. A hit reads the action α's rewrite from line 0 and
 // everything else it reads or writes — the next slot, the terminal flag
-// and verdict, the counters, the LRU links, and the conntrack epoch
-// DropStale checks — from line 1; the 192 bytes only installation,
-// revalidation and introspection read follow (TestEntryLayout,
-// TestPackedSizes).
+// and verdict, the counters, the LRU links, and the conntrack epoch the
+// benchmark's shadow chain checks — from line 1; the 192 bytes only
+// installation, revalidation and introspection read follow
+// (TestEntryLayout, TestPackedSizes).
 type Entry struct {
 	// Commit is the set-field part of α: the header rewrites accumulated
 	// across the sub-traversal, as one masked overwrite of the key.
@@ -50,8 +49,9 @@ type Entry struct {
 	// CtConn and CtEpoch tie a connection-dependent entry (one whose
 	// sub-traversal resolved a NAT action) to the connection and NAT
 	// bindings it was resolved against; CtEpoch zero means
-	// connection-independent. The datapath validates the pair against the
-	// conntrack table on hit, reading CtConn only when CtEpoch is set.
+	// connection-independent. The datapath installs no such traversal;
+	// they stay for the benchmark's shadow chain, which validates them on
+	// hit (reading CtConn only when CtEpoch is set), until ROADMAP item 15.
 	CtEpoch uint64
 
 	// Tag is τ: the vSwitch pipeline table ID at which this sub-traversal
@@ -575,7 +575,7 @@ func (c *Cache) result(k *flow.Key, now int64, s *Stats, r *Result) {
 // copied once, into *final, where every matched commit rewrites it. On a
 // hit *final is the flow state after all matched commits; on a miss it is
 // unspecified. The matched entries stay in the cache-owned hit path until
-// the next lookup, for DropStale and TraceHit.
+// the next lookup, for TraceHit.
 //
 //gf:hotpath
 func (c *Cache) Find(k *flow.Key, now int64, final *flow.Key) (flow.Verdict, bool) {
@@ -618,28 +618,6 @@ func (c *Cache) find(k *flow.Key, now int64, s *Stats, final *flow.Key) (flow.Ve
 		s.Stalls++
 	}
 	return flow.Verdict{}, false
-}
-
-// DropStale validates the last Find's hit path against the conntrack
-// table: the tuple of every connection-dependent entry on it must still
-// resolve to the live connection the entry was resolved against, bound as
-// it was then (conntrack.Table.EpochValid). A state transition since is
-// not staleness: each entry matched the packet's ct_state bits wherever a
-// rule it crossed read them. Stale entries are removed — the invalidation
-// protocol's eager half (the lazy half is epoch poisoning; see
-// internal/conntrack) — and counted in the result; a non-zero result
-// means the hit must not be used. Only entries on the hit path are ever
-// touched.
-//
-//gf:hotpath
-func (c *Cache) DropStale(ct *conntrack.Table) (removed int) {
-	for _, e := range c.path {
-		if e.CtEpoch != 0 && !ct.EpochValidKey(&e.CtConn, e.CtEpoch) {
-			c.Remove(e)
-			removed++
-		}
-	}
-	return removed
 }
 
 // TraceHit annotates a sampled packet's trace with the entries the last
@@ -917,11 +895,9 @@ func (c *Cache) probeSegments(tr *pipeline.Traversal, part Partition) {
 	}
 }
 
-// Remove evicts a connection-dependent entry whose epoch check failed —
-// the conntrack invalidation hook. No-op for an entry not currently
-// installed, however the caller came by it.
-//
-//gf:hotpath-safe conntrack invalidation is a rare cold event on the hit path
+// Remove evicts a connection-dependent entry whose epoch check failed.
+// No-op for an entry not currently installed, however the caller came by
+// it. It stays for the benchmark's shadow chain until ROADMAP item 15.
 func (c *Cache) Remove(e *Entry) {
 	if e.table != nil && e.table.remove(e) {
 		c.stats.CtInvalid++

@@ -12,7 +12,6 @@ package megaflow
 import (
 	"fmt"
 
-	"gigaflow/internal/conntrack"
 	"gigaflow/internal/flow"
 	"gigaflow/internal/pipeline"
 	"gigaflow/internal/telemetry"
@@ -35,7 +34,9 @@ type Entry struct {
 	// CtConn and CtEpoch tie a connection-dependent entry (one whose
 	// traversal resolved a NAT action) to the connection and NAT bindings
 	// it was resolved against; CtEpoch zero means connection-independent.
-	// The datapath validates the pair against the conntrack table on hit.
+	// The datapath installs no such traversal; they stay for the
+	// benchmark's shadow chain, which validates them on hit, until ROADMAP
+	// item 15.
 	CtConn  flow.Key
 	CtEpoch uint64
 
@@ -78,9 +79,6 @@ type Cache struct {
 	lruTail     *Entry
 	stats       Stats
 	probes      uint64 // TSS tuples probed by lookups (TupleProbes)
-	// hit is the entry the last Find matched (nil after a miss): the
-	// one-entry hit path DropStale validates.
-	hit *Entry
 	// rule is the scratch Insert and Revalidate compose a traversal into
 	// before deciding whether an entry has to be built or removed.
 	rule pipeline.Composed
@@ -205,38 +203,17 @@ func (c *Cache) lookupStats(k *flow.Key, now int64, s *Stats) (*Entry, bool) {
 
 // Find is Lookup in the datapath's form: the key is read in place and, on
 // a hit, the matched entry applied to a copy of it in *final; on a miss
-// *final is left alone. The matched entry is remembered until the next
-// Find, for DropStale.
+// *final is left alone.
 //
 //gf:hotpath
 func (c *Cache) Find(k *flow.Key, now int64, final *flow.Key) (flow.Verdict, bool) {
 	ent, ok := c.lookupStats(k, now, &c.stats)
-	c.hit = ent
 	if !ok {
 		return flow.Verdict{}, false
 	}
 	*final = *k
 	ent.Commit.Apply(final)
 	return ent.Verdict, true
-}
-
-// DropStale validates the entry the last Find matched against the
-// conntrack table: a connection-dependent entry's tuple must still
-// resolve to the live connection it was resolved against, bound as it
-// was then (conntrack.Table.EpochValid). A state transition since is not
-// staleness: the entry matched the packet's ct_state bits wherever a
-// rule it crossed read them. A stale entry is removed and reported as 1,
-// meaning the hit must not be used.
-//
-//gf:hotpath
-func (c *Cache) DropStale(ct *conntrack.Table) (removed int) {
-	ent := c.hit
-	if ent == nil || ent.CtEpoch == 0 || ct.EpochValidKey(&ent.CtConn, ent.CtEpoch) {
-		return 0
-	}
-	c.hit = nil
-	c.Remove(ent)
-	return 1
 }
 
 // TraceHit adds nothing to a sampled packet's trace: a Megaflow hit is one
@@ -342,11 +319,9 @@ func (c *Cache) removeEntry(ent *Entry) {
 	c.cls.DeleteMatch(&ent.Match, 0)
 }
 
-// Remove evicts a connection-dependent entry whose epoch check failed —
-// the conntrack invalidation hook. The entry must have come from this
-// cache's Lookup.
-//
-//gf:hotpath-safe conntrack invalidation is a rare cold event on the hit path
+// Remove evicts a connection-dependent entry whose epoch check failed.
+// The entry must have come from this cache's Lookup. It stays for the
+// benchmark's shadow chain until ROADMAP item 15.
 func (c *Cache) Remove(ent *Entry) {
 	c.removeEntry(ent)
 	c.stats.CtInvalid++

@@ -42,10 +42,10 @@ type Entry struct {
 	Hits    uint64
 	LastHit int64
 
-	// Ct, CtEpoch, and CtDir tie a conntrack-mode entry to the connection
-	// state it memoized: the entry only serves while the connection still
-	// carries CtEpoch and the packet cannot transition it (the datapath's
-	// fast-path guard). Nil Ct means the result is connection-independent.
+	// Ct, CtEpoch, and CtDir tie an InsertCt entry to the connection
+	// state it memoized; nil Ct means connection-independent. They stay
+	// for the benchmark's shadow chain until ROADMAP item 15: the datapath
+	// memoizes no tracked packet, so its entries never carry them.
 	Ct      *conntrack.Conn
 	CtEpoch uint64
 	CtDir   conntrack.Dir
@@ -65,7 +65,7 @@ type Stats struct {
 	Inserts  uint64 `json:"inserts"`
 	EvictLRU uint64 `json:"evict_lru"`
 	Expired  uint64 `json:"expired"`
-	Invalid  uint64 `json:"invalidated"` // removed by Invalidate, or one at a time by Remove/Drop (the conntrack guard)
+	Invalid  uint64 `json:"invalidated"` // removed by Invalidate, or one at a time by Remove
 	Bypassed uint64 `json:"bypassed"`    // memoize requests declined while the tier was bypassing
 }
 
@@ -101,8 +101,8 @@ const (
 //
 // Declining is safe because a memo is only ever a shortcut to a result
 // the main cache or the pipeline gives anyway, and what the tier keeps
-// while it bypasses stays valid by the same rules as ever (Invalidate on
-// a rule change, the conntrack guard on a hit).
+// while it bypasses stays valid by the same rule as ever (Invalidate on
+// a rule change).
 const (
 	// thrashRatio: 1 hit in 64 events. A tier miss costs a probe and an
 	// evicting insert, about what the main-cache hit behind it costs, so
@@ -315,23 +315,15 @@ func (c *Cache) Insert(k, final flow.Key, v flow.Verdict, now int64) *Entry {
 	return c.Memoize(&k, &final, v, now)
 }
 
-// InsertCt memoizes a conntrack-mode result bound to connection state:
-// the entry serves only while conn still carries epoch and a packet
-// cannot transition it (the datapath enforces the guard on hit). dir is
-// the memoized packet's direction relative to conn.
-//
-//gf:hotpath
+// InsertCt memoizes a result bound to connection state: the entry is
+// meant to serve only while conn still carries epoch and a packet cannot
+// transition it, a guard its caller enforces on hit. dir is the memoized
+// packet's direction relative to conn. It stays for the benchmark's
+// shadow chain until ROADMAP item 15; the datapath memoizes no tracked
+// packet.
 func (c *Cache) InsertCt(k, final flow.Key, v flow.Verdict, now int64,
 	conn *conntrack.Conn, epoch uint64, dir conntrack.Dir) *Entry {
-	return c.MemoizeCt(&k, &final, v, now, conn, epoch, dir)
-}
-
-// MemoizeCt is InsertCt reading both keys in place.
-//
-//gf:hotpath
-func (c *Cache) MemoizeCt(k, final *flow.Key, v flow.Verdict, now int64,
-	conn *conntrack.Conn, epoch uint64, dir conntrack.Dir) *Entry {
-	e := c.Memoize(k, final, v, now)
+	e := c.Memoize(&k, &final, v, now)
 	if e != nil {
 		e.Ct, e.CtEpoch, e.CtDir = conn, epoch, dir
 	}
@@ -388,19 +380,11 @@ func (c *Cache) Memoize(k, final *flow.Key, v flow.Verdict, now int64) *Entry {
 	return e
 }
 
-// Remove drops the entry for exactly k — the conntrack invalidation
-// hook: the datapath calls it when an entry's connection state moved on
-// (epoch mismatch or a possible transition), counting the removal as an
-// invalidation. Reports whether an entry was present.
-//
-//gf:hotpath
-func (c *Cache) Remove(k flow.Key) bool { return c.Drop(&k) }
-
-// Drop is the body of Remove, reading the key in place.
-//
-//gf:hotpath
-func (c *Cache) Drop(k *flow.Key) bool {
-	e, ref := c.find(k, flowtable.HashKey(k))
+// Remove drops the entry for exactly k, counting it as invalidated, and
+// reports whether one was present. It stays for the benchmark's shadow
+// chain, which drops a memo its guard refuses, until ROADMAP item 15.
+func (c *Cache) Remove(k flow.Key) bool {
+	e, ref := c.find(&k, flowtable.HashKey(&k))
 	if e == nil {
 		return false
 	}

@@ -21,8 +21,8 @@ const (
 	TierMegaflow
 	TierSlowpath
 	// TierConntrack attributes slow-path work forced by connection-state
-	// churn: the packet found a cached entry, but the entry's conntrack
-	// epoch was stale and the traversal had to be replayed.
+	// churn: the packet's connection held a result, but it was refused
+	// (conntrack.Conn.Serves) and the traversal had to be run again.
 	TierConntrack
 	// NumTiers sizes per-tier arrays.
 	NumTiers

@@ -9,8 +9,9 @@ import (
 // Stage is one step of a packet's traversal trace: a cache-tier lookup, a
 // per-LTM-table match, the slowpath pipeline walk, or rule installation.
 type Stage struct {
-	// Name identifies the stage: "microflow", "gigaflow", "megaflow",
-	// "ltm-table", "slowpath", "partition+install".
+	// Name identifies the stage: "conntrack" (tracking, and a tracked
+	// packet's held result: Hit when that served it), "microflow",
+	// "gigaflow", "megaflow", "ltm-table", "slowpath", "partition+install".
 	Name string `json:"name"`
 	// Table is the LTM cache table index for "ltm-table" stages; -1 on
 	// stages that are not per-table annotations (0 is a real index, so it

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 
+	"gigaflow/internal/conntrack"
+	"gigaflow/internal/packet"
 	"gigaflow/internal/pipebench"
 	"gigaflow/internal/pipelines"
 	"gigaflow/internal/traffic"
@@ -191,6 +193,122 @@ func TestMissPathAllocBudget(t *testing.T) {
 			if least != 0 {
 				t.Errorf("the fallback's lookup of a resident flow allocated %d objects, want 0", least)
 			}
+		})
+	}
+}
+
+// natLB is the load balancer of the benchmark's nat-conn workload: replies
+// (+trk+rpl) are un-NATed by ct_nat, forward packets to VIP:80 are pinned
+// to one of four backends by dnat and leave on that backend's port.
+func natLB() *Pipeline {
+	p := NewPipeline("natlb")
+	p.AddTable(0, "classify", NewFieldSet(FieldEthType, FieldIPProto, FieldIPDst, FieldTpDst, FieldCtState))
+	p.AddTable(1, "lb", NewFieldSet(FieldIPDst))
+	p.AddTable(2, "egress", NewFieldSet(FieldIPDst))
+	p.AddTable(3, "reverse", NewFieldSet(FieldIPSrc))
+	p.MustAddRule(0, MustParseMatch("eth_type=0x0800,ip_proto=6,ct_state=0x11/0x11"), 20, nil, 3)
+	p.MustAddRule(0, MustParseMatch("eth_type=0x0800,ip_proto=6,ip_dst=10.9.0.1,tp_dst=80,ct_state=0x01/0x11"), 10, nil, 1)
+	p.MustAddRule(0, MatchAll(), 1, []Action{Drop()}, NoTable)
+	p.MustAddRule(1, MatchAll(), 10, []Action{DNAT(1)}, 2)
+	pool := make([]NATTarget, 4)
+	for i := range pool {
+		pool[i] = NATTarget{IP: 0x0a140001 + uint64(i), Port: 8001 + uint64(i)}
+		p.MustAddRule(2, MatchAll().WithField(FieldIPDst, pool[i].IP), 10, []Action{Output(uint16(100 + i))}, NoTable)
+	}
+	p.MustAddRule(2, MatchAll(), 1, []Action{Drop()}, NoTable)
+	p.SetNATPool(1, pool)
+	p.MustAddRule(3, MatchAll(), 10, []Action{CtNAT(), Output(1)}, NoTable)
+	return p
+}
+
+// TestConnAllocBudget is TestMissPathAllocBudget's conntrack NAT case: in
+// the steady state — the connection table full, every new connection
+// evicting the oldest — a connection allocates exactly its conntrack.Conn,
+// on its first packet, and nothing else. Its two walks resolve a NAT
+// action, so they are held on the connection and install nothing in the
+// main cache; its other ten packets are served from what they left there.
+// Connections run one after another, twelve packets each (the benchmark's
+// SYN, SYN-ACK, ACK, eight data packets alternating direction, FIN), each
+// packet a batch of one with its TCP flags; as in TestMissPathAllocBudget,
+// every packet is read on two identically driven switches and the lesser
+// reading is its own.
+func TestConnAllocBudget(t *testing.T) {
+	const warm, measured = 512, 512
+	for _, backend := range []string{"gigaflow", "megaflow"} {
+		t.Run(backend, func(t *testing.T) {
+			opts := []VSwitchOption{WithMicroflow(256), WithConntrack(64)}
+			if backend == "megaflow" {
+				opts = append(opts, WithMegaflowBackend(1024))
+			}
+			cfg := CacheConfig{NumTables: 4, TableCapacity: 256}
+			sw := [2]*VSwitch{NewVSwitch(natLB(), cfg, opts...), NewVSwitch(natLB(), cfg, opts...)}
+			keys, flags := make([]Key, 1), make([]uint8, 1)
+			out, errs := make([]ProcessResult, 1), make([]error, 1)
+			var m0, m1 runtime.MemStats
+			now := int64(0)
+			// send runs one packet through both switches and reports the
+			// lesser of their allocation counts.
+			send := func(k Key, fl uint8) uint64 {
+				now++
+				least := ^uint64(0)
+				for _, vs := range sw {
+					keys[0], flags[0] = k, fl
+					runtime.ReadMemStats(&m0)
+					vs.ProcessBatchMeta(keys, flags, out, errs, now)
+					runtime.ReadMemStats(&m1)
+					if errs[0] != nil || out[0].Verdict.Kind != VerdictOutput {
+						t.Fatalf("packet %s: %+v, %v", k, out[0], errs[0])
+					}
+					least = min(least, m1.Mallocs-m0.Mallocs)
+				}
+				return least
+			}
+			vip := Key{}.With(FieldEthType, 0x0800).With(FieldIPProto, 6).With(FieldIPDst, 0x0a090001).With(FieldTpDst, 80)
+			// conn runs connection c's packets and reports what its first
+			// packet and the other eleven allocated.
+			conn := func(c uint64) (first, rest uint64) {
+				fwd := vip.With(FieldIPSrc, 0x0a800000+c).With(FieldTpSrc, 1024+c%4096)
+				first = send(fwd, packet.TCPSyn)
+				cn, _, ok := sw[0].Conntrack().Lookup(fwd)
+				if !ok {
+					t.Fatalf("connection %d: not tracked after its SYN", c)
+				}
+				nk := cn.NATKey(conntrack.DirForward)
+				rpl := fwd.With(FieldIPSrc, nk.Get(FieldIPDst)).With(FieldIPDst, nk.Get(FieldIPSrc)).
+					With(FieldTpSrc, nk.Get(FieldTpDst)).With(FieldTpDst, nk.Get(FieldTpSrc))
+				rest += send(rpl, packet.TCPSyn|packet.TCPAck)
+				rest += send(fwd, packet.TCPAck)
+				for i := 3; i < 11; i++ {
+					k := fwd
+					if i%2 == 0 {
+						k = rpl
+					}
+					rest += send(k, packet.TCPAck)
+				}
+				return first, rest + send(fwd, packet.TCPFin|packet.TCPAck)
+			}
+			for c := uint64(0); c < warm; c++ {
+				conn(c)
+			}
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			s0 := sw[0].Stats()
+			var firsts, rests, over uint64
+			for c := uint64(warm); c < warm+measured; c++ {
+				first, rest := conn(c)
+				firsts, rests = firsts+first, rests+rest
+				if first != 1 || rest != 0 {
+					over++
+				}
+			}
+			if over != 0 {
+				t.Errorf("%d of %d connections allocated other than 1 object on the first packet and 0 on the other eleven: %d and %d in all",
+					over, measured, firsts, rests)
+			}
+			d := sw[0].Stats().Sub(s0)
+			if d.CacheMisses != 2*measured || d.MicroflowHits != 10*measured || d.CtFastpath != 10*measured || d.Installs != 0 {
+				t.Errorf("not one walk per direction, held: %+v", d)
+			}
+			t.Logf("%d connections allocated %d objects on their first packets, %d on the rest", measured, firsts, rests)
 		})
 	}
 }

@@ -14,12 +14,12 @@ import (
 // is possible and its per-packet results define ground truth.
 //
 // Equivalence with the cached datapath is by construction, not by luck:
-// the epoch counter advances only on connection creation, state
-// transition, NAT binding, and removal, and the VSwitch's fast-path
-// guard forces exactly those packets through a full Track — so both
-// sides observe the same sequence of epoch-advancing events, the same
-// BindHash inputs, and therefore the same NAT backends, given the same
-// packet order and virtual clock.
+// the VSwitch tracks every packet it is handed, exactly as this walk does,
+// before any cache looks at it — so both sides run the same state
+// machine over the same packets, observe the same epoch-advancing events
+// and BindHash inputs, and therefore bind the same NAT backends and count
+// the same conntrack.Stats, given the same packet order and virtual
+// clock.
 //
 // Like the VSwitch, a Reference is single-goroutine.
 type Reference struct {

@@ -3,7 +3,6 @@ package gigaflow
 import (
 	"gigaflow/internal/conntrack"
 	"gigaflow/internal/flow"
-	"gigaflow/internal/microflow"
 	"gigaflow/internal/packet"
 )
 
@@ -35,55 +34,65 @@ func WithNATShard(shard, shards int) VSwitchOption {
 // disabled.
 func (v *VSwitch) Conntrack() *conntrack.Table { return v.ct }
 
-// ctServe is the conntrack fast-path guard for a microflow hit: the
-// memoized result may be served iff the connection it was built under
-// still carries the memoized epoch AND this packet cannot transition the
-// connection. Serving also refreshes the connection's LRU/LastSeen so it
-// stays alive while the microflow tier absorbs its traffic. Entries with
-// no connection (nil Ct) are connection-independent and always serve.
-//
-// A false return means the entry is stale or the packet is a potential
-// state-change; the caller drops the entry and takes the full path.
+// serveHeld serves a tracked packet from its connection's held result for
+// its direction — the first level of a tracked packet, one tuple lookup
+// (the tracking) away: when conntrack.Conn.Serves allows, the final key is
+// the held commit applied to kt, the key with ct_state folded in, and the
+// packet counts as a microflow hit. A held result that is there but
+// refused reports refused; the caller takes the packet on to the main
+// cache and the slow path, whose walk replaces it.
 //
 //gf:hotpath
-func (v *VSwitch) ctServe(e *microflow.Entry, k *Key, tcpFlags uint8, now int64) bool {
-	c := e.Ct
-	if c == nil {
-		return true
+func (v *VSwitch) serveHeld(c *conntrack.Conn, dir conntrack.Dir, kt *Key, o *ProcessResult) (served, refused bool) {
+	s := &c.Served[dir]
+	if !c.Serves(s, kt, v.pipe.Version) {
+		if refused = s.Verdict.Terminal(); refused {
+			v.stats.CtGuardFails++
+		}
+		return false, refused
 	}
-	if c.Epoch != e.CtEpoch ||
-		conntrack.MayTransition(c.State, e.CtDir, k.Get(flow.FieldIPProto), tcpFlags) {
-		return false
-	}
-	v.ct.Touch(c, now)
+	v.stats.MicroflowHits++
 	v.stats.CtFastpath++
-	return true
+	o.Final = *kt
+	s.Commit.Apply(&o.Final)
+	o.Verdict, o.CacheHit, o.MicroflowHit = s.Verdict, true, true
+	return true, false
 }
 
-// memoizeCt records a processed flow in the Microflow tier, when enabled;
-// with tracking off that is all it does. Under conntrack, results for
-// tracked connections are bound to the connection's current epoch (served
-// only under the ctServe guard), and ICMP results are never memoized —
-// their ct_rel bit flips as tracked host pairs come and go, and an exact
-// entry has no way to revalidate that. The insert is part of the certified
-// hot path: a full tier recycles its LRU entry in place, and a filling one
-// grows its slab behind the microflow package's own audited boundary.
+// hold keeps tr's whole walk in s, a connection's held result for one
+// direction: the traversal composed into one rule, as a Megaflow entry is,
+// stamped with what it was computed under.
+func hold(s *conntrack.Served, tr *Traversal) {
+	tr.ComposeInto(0, tr.Len(), &s.Composed)
+	s.Verdict, s.Epoch, s.Version = tr.Verdict, tr.CtEpoch, tr.Version
+}
+
+// holdHit keeps a main-cache hit in s, a connection's held result for one
+// direction, in exact form: *kt, the key with ct_state folded in, goes to
+// *final. The main cache installs connection-independent entries only, so
+// the result depends on no binding (stamp 0). It is stamped with the
+// version the main cache was last made current at, not the pipeline's: a
+// hit between a rule change and Revalidate is stale, and must not outlive
+// the revalidation.
 //
 //gf:hotpath
-func (v *VSwitch) memoizeCt(k, final *Key, verdict Verdict, now int64,
-	conn *conntrack.Conn, dir conntrack.Dir) {
-	if v.uf == nil {
-		return
-	}
-	if v.ct == nil {
-		v.uf.Memoize(k, final, verdict, now)
-		return
-	}
-	if conn != nil {
-		v.uf.MemoizeCt(k, final, verdict, now, conn, conn.Epoch, dir)
-		return
-	}
-	if k.Get(flow.FieldEthType) == packet.EtherTypeIPv4 &&
+func (v *VSwitch) holdHit(s *conntrack.Served, kt, final *Key, verdict Verdict) {
+	s.Match = flow.ExactMatch(*kt)
+	s.Commit = flow.Rewrite{Mask: flow.FullMask(), Val: *final}
+	s.Verdict, s.Epoch, s.Version = verdict, 0, v.current
+}
+
+// memoize records a processed flow that has no connection in the
+// Microflow tier, when enabled. Under conntrack ICMP results are never
+// memoized: their ct_rel bit flips as tracked host pairs come and go, and
+// an exact entry has no way to revalidate that. The insert is part of the
+// certified hot path: a full tier recycles its LRU entry in place, and a
+// filling one grows its slab behind the microflow package's own audited
+// boundary.
+//
+//gf:hotpath
+func (v *VSwitch) memoize(k, final *Key, verdict Verdict, now int64) {
+	if v.uf == nil || v.ct != nil && k.Get(flow.FieldEthType) == packet.EtherTypeIPv4 &&
 		k.Get(flow.FieldIPProto) == packet.IPProtoICMP {
 		return
 	}

@@ -24,10 +24,6 @@ type backend interface {
 	// refreshing what it matched. On a hit it leaves the rewritten key in
 	// *final and returns the verdict; on a miss *final is unspecified.
 	Find(k *Key, now int64, final *Key) (Verdict, bool)
-	// DropStale validates what the last Find matched against ct and
-	// removes the entries whose connection moved on, reporting how many:
-	// non-zero means the hit must not be used.
-	DropStale(ct *conntrack.Table) int
 	// TraceHit annotates a sampled packet's trace with what the last Find
 	// matched.
 	TraceHit(tb *telemetry.TraceBuilder)
@@ -65,6 +61,10 @@ type VSwitch struct {
 	// construction: the loop attributes every main-cache hit to them.
 	tier     telemetry.Tier
 	tierName string
+	// current is the pipeline version the main cache was last made
+	// current at — construction or the last Revalidate — which a held
+	// main-cache hit is stamped with.
+	current uint64
 
 	tracer *telemetry.Tracer          // optional traversal tracer (sampled)
 	rec    *telemetry.LatencyRecorder // optional latency attribution + flight ring
@@ -73,9 +73,9 @@ type VSwitch struct {
 	// trav is the one traversal every inline miss refills and res the
 	// resolver it walks with under conntrack: the switch is
 	// single-goroutine and a miss is done with its traversal — installed,
-	// memoized — before the next packet is looked at, so neither is ever
-	// allocated per packet. Traversals that outlive a call (the upcall
-	// engine's, handed to CompleteMiss) come from Pipeline.Process.
+	// memoized or held — before the next packet is looked at, so neither
+	// is ever allocated per packet. Traversals that outlive a call (the
+	// upcall engine's, handed to CompleteMiss) come from Pipeline.Process.
 	trav Traversal
 	res  ctResolver
 	// kt holds the packet's key with ct_state folded in while the loop looks
@@ -97,14 +97,17 @@ type VSwitch struct {
 // The cache hierarchy has two levels, counted separately: MicroflowHits
 // are exact-match first-level hits, CacheHits are main-cache (Gigaflow or
 // Megaflow) hits. Every packet is exactly one of MicroflowHits, CacheHits,
-// or CacheMisses.
+// or CacheMisses. On a conntrack switch the first level of a tracked
+// packet is its connection's held result (conntrack.Served), found by the
+// one exact tuple lookup tracking makes: a packet it serves is a
+// MicroflowHit, counted in CtFastpath too.
 type VSwitchStats struct {
 	Packets       uint64 `json:"packets"`
-	MicroflowHits uint64 `json:"microflow_hits"` // exact-match first-level hits (if enabled)
+	MicroflowHits uint64 `json:"microflow_hits"` // exact-match first-level hits: the Microflow tier's and held results'
 	CacheHits     uint64 `json:"cache_hits"`     // main-cache hits (excludes microflow)
 	CacheMisses   uint64 `json:"cache_misses"`
 	Slowpath      uint64 `json:"slowpath"` // traversals executed
-	Installs      uint64 `json:"installs"`
+	Installs      uint64 `json:"installs"` // traversals installed in the main cache; a held walk is not one
 	InstallErrs   uint64 `json:"install_errs"`
 
 	// What the slow path walked, summed over the traversals it handed to
@@ -113,9 +116,12 @@ type VSwitchStats struct {
 	SlowpathTupleProbes uint64 `json:"slowpath_tuple_probes"`
 
 	// Conntrack-mode counters; always zero when tracking is disabled.
-	CtFastpath    uint64 `json:"ct_fastpath,omitempty"`    // microflow hits served under the epoch guard
-	CtGuardFails  uint64 `json:"ct_guard_fails,omitempty"` // microflow entries dropped by the guard
-	CtInvalidated uint64 `json:"ct_invalidated,omitempty"` // main-cache entries removed because their connection died, was replaced on its tuple, or was bound since
+	CtFastpath   uint64 `json:"ct_fastpath,omitempty"`    // tracked packets served from their connection's held result
+	CtGuardFails uint64 `json:"ct_guard_fails,omitempty"` // held results refused (pipeline version, stamp or match); the packet went on to the main cache
+	// CtInvalidated is always 0: the datapath installs no
+	// connection-dependent entry, so none is ever invalidated. It stays
+	// for the benchmark's shadow chain until ROADMAP item 15.
+	CtInvalidated uint64 `json:"ct_invalidated,omitempty"`
 }
 
 // fields lists every counter: the one place a new one is added for Add and
@@ -211,7 +217,7 @@ func WithLatencyRecorder(r *telemetry.LatencyRecorder) VSwitchOption {
 // the given configuration — unless an option supplies another main cache
 // (WithMegaflowBackend), in which case cfg is not looked at.
 func NewVSwitch(p *Pipeline, cfg CacheConfig, opts ...VSwitchOption) *VSwitch {
-	v := &VSwitch{pipe: p}
+	v := &VSwitch{pipe: p, current: p.Version}
 	for _, o := range opts {
 		o(v)
 	}
@@ -277,22 +283,22 @@ func (v *VSwitch) Process(k Key, now int64) (ProcessResult, error) {
 // be at least len(keys) long. It is semantically identical to handing the
 // packets over one batch of one at a time, in order — packets are
 // processed strictly in sequence through the full hierarchy, so a miss's
-// installed rules and Microflow memoization are visible to later packets
-// in the same batch and every counter matches a sequential replay
-// exactly. What a batch saves is the per-call cost: one recorder batch,
-// one clock read for its hit runs.
+// installed rules, Microflow memoization and held results are visible to
+// later packets in the same batch and every counter matches a sequential
+// replay exactly. What a batch saves is the per-call cost: one recorder
+// batch, one clock read for its hit runs.
 //
 // flags carries each packet's TCP flag byte, the packet metadata the flow
 // key does not carry; it may be nil (all packets read as flagless) and is
 // otherwise indexed in step with keys. The flags drive the conntrack state
 // machine when connection tracking is enabled and are ignored otherwise,
 // so a single packet with TCP flags enters here as a batch of one. With
-// conntrack on, each packet is tracked, its ct_state bits are folded into
-// the key the main cache and slowpath see, connection-dependent cache
-// entries are validated on every hit against the connection their tuple
-// now names and its NAT bindings, and memoized microflow results serve
-// only under the ctServe guard. With conntrack off the loop reduces
-// exactly to the stateless datapath.
+// conntrack on, each packet is tracked first and its ct_state bits are
+// folded into the key every later stage sees; a packet of a tracked
+// protocol is then served from its connection's held result while
+// conntrack.Conn.Serves allows, and otherwise goes on to the main cache
+// and the slow path, whose walk it holds anew. With conntrack off the loop
+// reduces exactly to the stateless datapath.
 //
 //gf:hotpath
 func (v *VSwitch) ProcessBatchMeta(keys []Key, flags []uint8, out []ProcessResult, errs []error, now int64) {
@@ -300,15 +306,16 @@ func (v *VSwitch) ProcessBatchMeta(keys []Key, flags []uint8, out []ProcessResul
 }
 
 // run is the datapath: the one body every entry point wraps. Each packet
-// crosses the same stages in order — microflow probe under the conntrack
-// guard, connection tracking, main-cache lookup, epoch validation of what
-// it matched, memoization — and a packet no cache serves takes the miss
-// policy the caller chose: parked == nil resolves it inline (processMiss),
-// a non-nil parked reports it in parked[i], uncounted, for the caller to
-// finish through CompleteMiss. The stateful stages are not optional, so on
-// a conntrack switch a miss is always resolved inline: it needs its
-// connection, which only this goroutine may touch. So is a sampled
-// packet's, because a trace wants the whole traversal.
+// crosses the same stages in order — connection tracking, then the first
+// level (a tracked packet's held result, any other packet's Microflow
+// memo), the main-cache lookup, memoization — and a packet no cache
+// serves takes the miss policy the caller chose: parked == nil resolves it
+// inline (processMiss), a non-nil parked reports it in parked[i],
+// uncounted, for the caller to finish through CompleteMiss. The stateful
+// stages are not optional, so on a conntrack switch a miss is always
+// resolved inline: it needs its connection, which only this goroutine may
+// touch. So is a sampled packet's, because a trace wants the whole
+// traversal.
 //
 // Keys are read where the caller put them and results written where the
 // caller will read them: k and o point into keys and out, and the backend
@@ -335,10 +342,6 @@ func (v *VSwitch) run(keys []Key, flags []uint8, out []ProcessResult, errs []err
 	}
 	for i := range keys {
 		k, o := &keys[i], &out[i]
-		var fl uint8
-		if flags != nil {
-			fl = flags[i]
-		}
 		errs[i] = nil
 		if parked != nil {
 			parked[i] = false
@@ -350,44 +353,44 @@ func (v *VSwitch) run(keys []Key, flags []uint8, out []ProcessResult, errs []err
 				v.openTrace(tb, k)
 			}
 		}
-		tier, served := telemetry.TierMicroflow, false
+		kt, conn, dir := k, (*conntrack.Conn)(nil), conntrack.DirForward
+		tier, served, missTier := telemetry.TierMicroflow, false, telemetry.TierSlowpath
 		var hash uint64
-		if v.uf != nil {
+		if v.ct != nil {
+			var fl uint8
+			if flags != nil {
+				fl = flags[i]
+			}
+			tb.Begin("conntrack")
+			var bits uint64
+			bits, conn, dir = v.ct.TrackKey(k, fl, now)
+			v.kt = *k
+			v.kt.Set(flow.FieldCtState, bits)
+			kt = &v.kt
+			if conn != nil {
+				var refused bool
+				if served, refused = v.serveHeld(conn, dir, kt, o); served {
+					hash = kt.FlowHash()
+				} else if refused {
+					missTier = telemetry.TierConntrack
+				}
+			}
+			tb.End(served)
+		}
+		if conn == nil && v.uf != nil {
 			tb.Begin("microflow")
 			e, ok := v.uf.Find(k, now)
-			served = ok && (v.ct == nil || v.ctServe(e, k, fl, now))
-			tb.End(served)
-			if served {
+			tb.End(ok)
+			if served = ok; ok {
 				v.stats.MicroflowHits++
 				o.Final = e.Final // on its own: a tuple assignment copies the key twice
 				o.Verdict, o.CacheHit, o.MicroflowHit = e.Verdict, true, true
 				hash = v.uf.LastHash()
-			} else if ok {
-				// Stale or transition-capable: drop the memo, take the full path.
-				v.uf.Drop(k)
-				v.stats.CtGuardFails++
 			}
 		}
 		if !served {
-			kt, conn, dir := k, (*conntrack.Conn)(nil), conntrack.DirForward
-			if v.ct != nil {
-				tb.Begin("conntrack")
-				var bits uint64
-				bits, conn, dir = v.ct.TrackKey(k, fl, now)
-				v.kt = *k
-				v.kt.Set(flow.FieldCtState, bits)
-				kt = &v.kt
-				tb.End(conn != nil)
-			}
 			tb.Begin(v.tierName)
 			verdict, hit := v.main.Find(kt, now, &o.Final)
-			missTier := telemetry.TierSlowpath
-			if hit && v.ct != nil {
-				if n := v.main.DropStale(v.ct); n != 0 {
-					v.stats.CtInvalidated += uint64(n)
-					hit, missTier = false, telemetry.TierConntrack // stale entries revoked: replay
-				}
-			}
 			tb.End(hit)
 			if tb != nil {
 				v.main.TraceHit(tb)
@@ -407,7 +410,11 @@ func (v *VSwitch) run(keys []Key, flags []uint8, out []ProcessResult, errs []err
 			}
 			v.stats.CacheHits++
 			o.Verdict, o.CacheHit, o.MicroflowHit = verdict, true, false
-			v.memoizeCt(k, &o.Final, verdict, now, conn, dir)
+			if conn == nil {
+				v.memoize(k, &o.Final, verdict, now)
+			} else {
+				v.holdHit(&conn.Served[dir], kt, &o.Final, verdict)
+			}
 			tier, hash = v.tier, kt.FlowHash()
 		}
 		// A cache served it: a provisional flight record, timed with the hit
@@ -459,8 +466,8 @@ func (v *VSwitch) closeCold(tb *telemetry.TraceBuilder, tier telemetry.Tier, has
 // to *o. kt is the lookup key with ct_state folded in (k itself when
 // tracking is off), conn/dir the packet's tracked connection (nil when
 // tracking is off or the packet is untracked), tier the latency tier the
-// miss is attributed to (TierConntrack when a stale connection-dependent
-// entry forced the replay), and tb nil unless the packet is being traced.
+// miss is attributed to (TierConntrack when the connection's held result
+// was refused), and tb nil unless the packet is being traced.
 //
 // The traversal refills v.trav and the install probes the cache before it
 // builds anything, so a miss allocates for the entries it adds and
@@ -499,35 +506,41 @@ func (v *VSwitch) processMiss(k, kt *Key, conn *conntrack.Conn, dir conntrack.Di
 
 // install is the second half of a miss, the one body the inline miss and a
 // completed parked one share: the traversal's rules go into the main
-// cache, the install is counted, the flow is memoized and the result
-// written to *o. It returns the flight-record flags the install earned.
+// cache, the install is counted, the result is written to *o and the walk
+// kept for the packets after it — held on the packet's connection, or
+// memoized. It returns the flight-record flags the install earned.
+//
+// A walk that resolved a NAT action against the connection (CtEpoch set)
+// is good for that connection alone, so it is held and not installed: an
+// entry no other connection can hit would only wait in the main cache for
+// LRU to evict it. A walk whose binding came after an earlier step had
+// already resolved carries a stamp from before the binding (pipeline's
+// first-resolution rule); held all the same, it is refused on the next
+// packet, whose walk resolves every step under the binding.
 func (v *VSwitch) install(k *Key, tr *Traversal, now int64, conn *conntrack.Conn, dir conntrack.Dir,
 	tb *telemetry.TraceBuilder, o *ProcessResult) (flags uint8) {
 	v.stats.SlowpathSteps += uint64(tr.Len())
 	v.stats.SlowpathTupleProbes += uint64(tr.TuplesProbed)
-	tb.Begin("partition+install")
-	ok, evicted := v.main.Install(tr, now)
-	tb.End(ok)
-	if ok {
-		v.stats.Installs++
-		flags = telemetry.FlightInstall
-	} else {
-		v.stats.InstallErrs++
-		flags = telemetry.FlightInstallErr
-	}
-	if evicted {
-		flags |= telemetry.FlightEvict
+	if tr.CtEpoch == 0 {
+		tb.Begin("partition+install")
+		ok, evicted := v.main.Install(tr, now)
+		tb.End(ok)
+		if ok {
+			v.stats.Installs++
+			flags = telemetry.FlightInstall
+		} else {
+			v.stats.InstallErrs++
+			flags = telemetry.FlightInstallErr
+		}
+		if evicted {
+			flags |= telemetry.FlightEvict
+		}
 	}
 	o.Verdict, o.Final, o.CacheHit, o.MicroflowHit = tr.Verdict, tr.FinalKey(), false, false
-	// A walk that made a NAT binding after an earlier step had already
-	// resolved against the connection carries a stamp from before the
-	// binding (pipeline's first-resolution rule): the entries just
-	// installed fail validation on their first use, and the result is
-	// this packet's alone — the next walk resolves every step under the
-	// binding — so it is not memoized under the connection's new epoch
-	// either.
-	if conn == nil || tr.CtEpoch == 0 || tr.CtEpoch == conn.Epoch {
-		v.memoizeCt(k, &o.Final, tr.Verdict, now, conn, dir)
+	if conn != nil {
+		hold(&conn.Served[dir], tr)
+	} else {
+		v.memoize(k, &o.Final, tr.Verdict, now)
 	}
 	return flags
 }
@@ -541,6 +554,7 @@ func (v *VSwitch) Revalidate() (evicted, work int) {
 	if v.uf != nil {
 		v.uf.Invalidate()
 	}
+	v.current = v.pipe.Version
 	return v.main.RevalidateAgainst(v.pipe)
 }
 
@@ -645,7 +659,7 @@ func (v *VSwitch) CollectMetrics(reg *telemetry.Registry, worker string) {
 		c("gigaflow_microflow_inserts_total", "Exact-match entries memoized.", us.Inserts)
 		c("gigaflow_microflow_evictions_total", "Exact-match entries evicted by LRU.", us.EvictLRU)
 		c("gigaflow_microflow_expired_total", "Exact-match entries removed by idle expiry.", us.Expired)
-		c("gigaflow_microflow_invalidated_total", "Exact-match entries dropped by revalidation, or one at a time by the conntrack guard.", us.Invalid)
+		c("gigaflow_microflow_invalidated_total", "Exact-match entries dropped by revalidation.", us.Invalid)
 		c("gigaflow_microflow_bypassed_total", "Memoize requests declined while the tier was stepping aside from a working set it cannot hit.", us.Bypassed)
 		bypassing := 0.0
 		if us.Bypassing {
@@ -665,9 +679,8 @@ func (v *VSwitch) CollectMetrics(reg *telemetry.Registry, worker string) {
 		c("gigaflow_ct_evictions_total", "Connections evicted by table pressure.", cs.EvictLRU)
 		c("gigaflow_ct_displaced_total", "Connections removed by a tuple-registration clash.", cs.Displaced)
 		g("gigaflow_ct_connections", "Live tracked connections.", float64(v.ct.Len()))
-		c("gigaflow_ct_fastpath_total", "Microflow hits served under the conntrack epoch guard.", s.CtFastpath)
-		c("gigaflow_ct_guard_fails_total", "Microflow entries dropped by the conntrack guard.", s.CtGuardFails)
-		c("gigaflow_ct_invalidated_total", "Main-cache entries removed because their connection died, was replaced on its tuple, or was bound since.", s.CtInvalidated)
+		c("gigaflow_ct_fastpath_total", "Tracked packets served from their connection's held result.", s.CtFastpath)
+		c("gigaflow_ct_guard_fails_total", "Held results refused (pipeline version, stamp or match).", s.CtGuardFails)
 	}
 
 	if v.rec != nil {
