@@ -67,15 +67,13 @@ fmt-check:
 docs:
 	$(GO) test -run '^TestDocs$$' ./service -update
 
-## docs-check: the documents name only what exists. The shell half
-## (scripts/docs-check.sh) checks make targets, gigabench experiments,
-## files and Benchmark…/Test…/Fuzz… functions; TestDocs checks README's
-## generated tables, every Service/Batch/VSwitch name the documents cite
-## (read from the declarations with go/parser), and every gigaflow_…
-## metric, Config path and command flag the documents (and the service and
-## root packages' Go comments) name.
+## docs-check: the documents name only what exists. TestDocs checks
+## README's generated tables, every Service/Batch/VSwitch name the
+## documents cite (read from the declarations with go/parser), every
+## gigaflow_… metric, Config path and command flag the documents (and the
+## service and root packages' Go comments) name, and every make target,
+## gigabench experiment, file and Benchmark…/Test…/Fuzz… function.
 docs-check:
-	@sh scripts/docs-check.sh "$(GO)"
 	$(GO) test -run '^TestDocs$$' ./service
 
 ## bench: every micro-benchmark in the module (micro-costs and allocs/op;

@@ -9,9 +9,8 @@ import (
 // --- VSwitch hot-path benchmarks -------------------------------------
 //
 // These guard the telemetry integration: the cache-hit path must stay
-// allocation-free and within noise of its pre-telemetry cost, both with
-// tracing disabled (the default) and with a tracer attached but sampling
-// off.
+// allocation-free and within noise of its pre-telemetry cost, with the
+// latency recorder off and on.
 
 func BenchmarkVSwitchCacheHit(b *testing.B) {
 	vs := NewVSwitch(buildDemoPipeline(), CacheConfig{NumTables: 3, TableCapacity: 64})
@@ -97,22 +96,4 @@ func BenchmarkVSwitchProcessBatchRecorded(b *testing.B) {
 	b.Run("recorder=on", func(b *testing.B) {
 		benchProcessBatchRec(b, telemetry.NewLatencyRecorder(0, 0))
 	})
-}
-
-// BenchmarkVSwitchCacheHitTraced attaches a tracer with sampling disabled:
-// the only added cost on the hit path must be one atomic load.
-func BenchmarkVSwitchCacheHitTraced(b *testing.B) {
-	vs := NewVSwitch(buildDemoPipeline(), CacheConfig{NumTables: 3, TableCapacity: 64},
-		WithTracer(telemetry.NewTracer(0, 64)))
-	k := demoKey(1, 80)
-	if _, err := vs.Process(k, 0); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := vs.Process(k, int64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -9,6 +9,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"gigaflow"
 )
@@ -38,14 +40,14 @@ func buildPipeline(n uint64) *gigaflow.Pipeline {
 	return p
 }
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run plays both phases, writing the report to w, and returns whether the
+// cache was degraded at the end of each.
+func run(w io.Writer) (degraded [2]bool) {
 	const uniqueFlows = 2000
 	p := buildPipeline(uniqueFlows)
-	vs := gigaflow.NewVSwitch(p, gigaflow.CacheConfig{
-		NumTables: 3, TableCapacity: 8192,
-		Adaptive:       true,
-		AdaptiveTuning: gigaflow.AdaptiveTuning{Alpha: 0.05},
-	})
+	vs := gigaflow.NewVSwitch(p, gigaflow.CacheConfig{NumTables: 3, TableCapacity: 8192, Adaptive: true})
 	cache := vs.Cache()
 	process := func(k gigaflow.Key, now int64) {
 		if _, err := vs.Process(k, now); err != nil {
@@ -71,11 +73,11 @@ func main() {
 		if cache.Degraded() {
 			mode = "degraded (whole-traversal entries)"
 		}
-		fmt.Printf("%-34s sharing=%.3f  mode=%s  entries=%d\n",
+		fmt.Fprintf(w, "%-34s sharing=%.3f  mode=%s  entries=%d\n",
 			phase, cache.SharingEstimate(), mode, cache.Len())
 	}
 
-	fmt.Println("phase 1: zero-sharing traffic — every flow needs unique rules")
+	fmt.Fprintln(w, "phase 1: zero-sharing traffic — every flow needs unique rules")
 	now := int64(0)
 	for i := uint64(0); i < uniqueFlows; i++ {
 		now++
@@ -84,9 +86,10 @@ func main() {
 			report(fmt.Sprintf("  after %d unique flows", i+1))
 		}
 	}
+	degraded[0] = cache.Degraded()
 
-	fmt.Println("\nphase 2: a hot shared service appears — periodic probation")
-	fmt.Println("samples (§7's traffic sampling) notice the returning locality")
+	fmt.Fprintln(w, "\nphase 2: a hot shared service appears — periodic probation")
+	fmt.Fprintln(w, "samples (§7's traffic sampling) notice the returning locality")
 	for i := uint64(0); i < 3000; i++ {
 		now++
 		process(shared(i%97, i%200), now)
@@ -94,10 +97,12 @@ func main() {
 			report(fmt.Sprintf("  after %d shared-service flows", i+1))
 		}
 	}
+	degraded[1] = cache.Degraded()
 
 	st := cache.Stats()
-	fmt.Printf("\ntotals: %d traversals installed, %d entries created, %d shared reuses\n",
+	fmt.Fprintf(w, "\ntotals: %d traversals installed, %d entries created, %d shared reuses\n",
 		st.InsertedTraversals, st.EntriesCreated, st.SharedReuse)
-	fmt.Println("the cache switched itself to Megaflow behaviour under zero sharing")
-	fmt.Println("and back to sub-traversal partitioning when locality returned (§7).")
+	fmt.Fprintln(w, "the cache switched itself to Megaflow behaviour under zero sharing")
+	fmt.Fprintln(w, "and back to sub-traversal partitioning when locality returned (§7).")
+	return degraded
 }

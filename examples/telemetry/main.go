@@ -4,7 +4,7 @@
 //
 //	go run ./examples/telemetry
 //	curl localhost:9090/metrics
-//	curl localhost:9090/traces?n=3
+//	curl localhost:9090/latency
 //	curl localhost:9090/cache
 package main
 
@@ -23,7 +23,6 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9090", "telemetry listen address (use :0 for a free port)")
-	sample := flag.Int("trace-sample", 10, "trace 1 in N packets (0 disables)")
 	upcall := flag.Int("upcall-workers", 0, "async slow-path goroutines (0 processes misses inline)")
 	flag.Parse()
 
@@ -43,7 +42,6 @@ func main() {
 		Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 1024},
 		MicroflowCapacity: 256,
 		TelemetryAddr:     *addr,
-		TraceSample:       *sample,
 		Upcall:            service.UpcallConfig{Workers: *upcall},
 	})
 	if err != nil {

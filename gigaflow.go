@@ -125,9 +125,6 @@ func DumpPipeline(w io.Writer, p *Pipeline) error { return ofp.Dump(w, p) }
 // CacheConfig parameterises a Gigaflow cache.
 type CacheConfig = gfcache.Config
 
-// AdaptiveTuning adjusts profile-guided adaptation (CacheConfig.Adaptive).
-type AdaptiveTuning = gfcache.AdaptiveConfig
-
 // Scheme selects the partitioning strategy.
 type Scheme = gfcache.Scheme
 

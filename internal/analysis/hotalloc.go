@@ -23,10 +23,10 @@ import (
 //   - interface conversions that box a non-pointer value (pointers fit in
 //     the interface word; everything else escapes).
 //
-// Cold work — tracing a sampled packet, compiling a slowpath miss — must
-// be factored into separate functions behind a //gf:hotpath-safe boundary
-// rather than waived: the hot function stays small enough to read at a
-// glance and the invariant stays machine-checked.
+// Cold work, such as compiling a slowpath miss, must be factored into
+// separate functions behind a //gf:hotpath-safe boundary rather than
+// waived: the hot function stays small enough to read at a glance and
+// the invariant stays machine-checked.
 //
 // HotAlloc is intra-procedural: it checks annotated bodies only. Its
 // interprocedural twin hotcall applies the same allocation rules (plus

@@ -29,11 +29,10 @@ import (
 //     method the call graph cannot resolve is reported, not ignored.
 //
 // The traversal stops at //gf:hotpath-safe boundaries: functions a hot
-// root may call but that are cold inside (slowpath compilation, sampled
-// tracing, run capture). The annotation requires a reason and every
-// crossing is surfaced in the HOTPATH.md certification report, so each
-// exemption is a reviewed, auditable decision rather than a silent
-// suppression.
+// root may call but that are cold inside (slowpath compilation, run
+// capture). The annotation requires a reason and every crossing is
+// surfaced in the HOTPATH.md certification report, so each exemption is
+// a reviewed, auditable decision rather than a silent suppression.
 var HotCall = &Analyzer{
 	Name: "hotcall",
 	Doc:  "everything transitively reachable from //gf:hotpath must be allocation- and block-free",

@@ -11,8 +11,8 @@ import (
 // LockDiscipline enforces the service's shard-ownership design: the fast
 // path takes one uncontended lock per job (the shard's owner lock, by
 // TryLock from a submitter or Lock from the shard's worker) and none per
-// packet, and the few other locks that exist (registry families, tracer
-// ring, service lifecycle) are held briefly and released on every path.
+// packet, and the few other locks that exist (registry families, the
+// service lifecycle) are held briefly and released on every path.
 // Two rules, checked per function over sync.Mutex / sync.RWMutex
 // (including embedded) lock sites:
 //

@@ -67,10 +67,6 @@ type Config struct {
 	Personality Personality
 	Seed        int64
 	NumRules    int
-	// PoolScale shrinks (<1) or grows (>1) the field-value pools relative
-	// to the personality default; smaller pools mean more sub-tuple
-	// sharing. Zero means 1.
-	PoolScale float64
 }
 
 // pools holds the correlated populations rules are drawn from. Rules are
@@ -108,12 +104,8 @@ func Generate(cfg Config) []Rule {
 	if cfg.NumRules <= 0 {
 		return nil
 	}
-	scale := cfg.PoolScale
-	if scale <= 0 {
-		scale = 1
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	p := buildPools(cfg.Personality, cfg.NumRules, scale, rng)
+	p := buildPools(cfg.Personality, cfg.NumRules, rng)
 
 	seen := make(map[flow.Match]bool, cfg.NumRules)
 	rules := make([]Rule, 0, cfg.NumRules)
@@ -136,9 +128,8 @@ func Generate(cfg Config) []Rule {
 
 // buildPools sizes the value populations. Pool sizes grow sublinearly with
 // the ruleset so sharing increases with scale, as in real filter sets.
-func buildPools(pers Personality, n int, scale float64, rng *rand.Rand) *pools {
-	sz := func(base int) int {
-		v := int(float64(base) * scale)
+func buildPools(pers Personality, n int, rng *rand.Rand) *pools {
+	sz := func(v int) int {
 		if v < 2 {
 			v = 2
 		}

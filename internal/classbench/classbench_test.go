@@ -125,18 +125,6 @@ func TestSampleKeyMatchesItsRule(t *testing.T) {
 	}
 }
 
-func TestPoolScaleControlsSharing(t *testing.T) {
-	lo := Generate(Config{Personality: ACL, Seed: 9, NumRules: 8000})
-	hi := Generate(Config{Personality: ACL, Seed: 9, NumRules: 8000, PoolScale: 4})
-	if len(lo) != 8000 || len(hi) != 8000 {
-		t.Fatalf("generation fell short: %d / %d", len(lo), len(hi))
-	}
-	shLo, shHi := Sharing(lo), Sharing(hi)
-	if shLo[2] <= shHi[2] {
-		t.Errorf("smaller pools must share more: %.2f vs %.2f", shLo[2], shHi[2])
-	}
-}
-
 func TestGenerateEdgeCases(t *testing.T) {
 	if rules := Generate(Config{NumRules: 0}); rules != nil {
 		t.Error("zero rules should yield nil")

@@ -11,46 +11,28 @@ package gigaflow
 // of partitioned sub-traversals. When sharing recovers, partitioning
 // resumes — per-install, with no reconfiguration.
 
-// AdaptiveConfig tunes profile-guided adaptation; enabled via
-// Config.Adaptive.
-type AdaptiveConfig struct {
-	// MinSharing is the sharing-rate threshold below which inserts fall
-	// back to whole-traversal entries (default 0.15: at least ~1 in 7
-	// recent sub-traversals was reused).
-	MinSharing float64
-	// Alpha is the EWMA weight of each new install observation
-	// (default 0.01: roughly a 100-install horizon).
-	Alpha float64
-	// WarmupInstalls are always partitioned, to gather a signal before
-	// judging (default 500).
-	WarmupInstalls uint64
-	// SampleEvery keeps 1 in SampleEvery inserts partitioned while
-	// degraded (default 8) — the paper's periodic traffic sampling, which
-	// lets the estimate recover when sharing returns. Only partitioned
-	// inserts feed the estimator; whole-traversal installs measure
-	// nothing about sub-traversal sharing.
-	SampleEvery uint64
-}
-
-func (a AdaptiveConfig) withDefaults() AdaptiveConfig {
-	if a.MinSharing == 0 {
-		a.MinSharing = 0.15
-	}
-	if a.Alpha == 0 {
-		a.Alpha = 0.01
-	}
-	if a.WarmupInstalls == 0 {
-		a.WarmupInstalls = 500
-	}
-	if a.SampleEvery == 0 {
-		a.SampleEvery = 8
-	}
-	return a
-}
+// The adaptation's thresholds.
+const (
+	// adaptMinSharing is the sharing rate below which inserts fall back to
+	// whole-traversal entries: at least ~1 in 7 recent sub-traversals
+	// reused.
+	adaptMinSharing = 0.15
+	// adaptAlpha is the EWMA weight of each new install observation:
+	// roughly a 20-install horizon.
+	adaptAlpha = 0.05
+	// adaptWarmup installs are always partitioned, to gather a signal
+	// before judging.
+	adaptWarmup = 500
+	// adaptSampleEvery keeps 1 in adaptSampleEvery inserts partitioned
+	// while degraded — the paper's periodic traffic sampling, which lets
+	// the estimate recover when sharing returns. Only partitioned inserts
+	// feed the estimator; whole-traversal installs measure nothing about
+	// sub-traversal sharing.
+	adaptSampleEvery = 8
+)
 
 // adaptState is the cache's live sharing estimate.
 type adaptState struct {
-	cfg      AdaptiveConfig
 	sharing  float64 // EWMA of per-(partitioned-)install sharing fraction
 	installs uint64  // total inserts seen (partitioned or not)
 	observed uint64  // partitioned inserts folded into the estimate
@@ -63,20 +45,20 @@ func (a *adaptState) observe(reused, total int) {
 		return
 	}
 	frac := float64(reused) / float64(total)
-	a.sharing = (1-a.cfg.Alpha)*a.sharing + a.cfg.Alpha*frac
+	a.sharing = (1-adaptAlpha)*a.sharing + adaptAlpha*frac
 	a.observed++
 }
 
 // degraded reports whether inserts should fall back to whole-traversal
 // (Megaflow-style) entries.
 func (a *adaptState) degraded() bool {
-	return a.observed >= a.cfg.WarmupInstalls && a.sharing < a.cfg.MinSharing
+	return a.observed >= adaptWarmup && a.sharing < adaptMinSharing
 }
 
 // sampleNow reports whether this degraded-mode insert is a probation
 // sample that must be partitioned anyway.
 func (a *adaptState) sampleNow() bool {
-	return a.installs%a.cfg.SampleEvery == 0
+	return a.installs%adaptSampleEvery == 0
 }
 
 // SharingEstimate exposes the EWMA sharing rate (for reports and tests).

@@ -32,14 +32,15 @@ func noShareKey(i uint64) flow.Key {
 }
 
 func TestAdaptiveFallsBackUnderZeroSharing(t *testing.T) {
-	p := buildNoSharePipeline(400)
-	c := New(p, Config{
-		NumTables: 3, TableCapacity: 4096, Adaptive: true,
-		// SampleEvery is huge so the whole-traversal assertion below is
-		// not perturbed by a probation sample.
-		AdaptiveTuning: AdaptiveConfig{WarmupInstalls: 100, MinSharing: 0.15, Alpha: 0.05, SampleEvery: 1 << 30},
-	})
-	for i := uint64(0); i < 400; i++ {
+	// Past the warm-up, and the insert after the loop is not a probation
+	// sample, which would be partitioned.
+	const n = adaptWarmup + 300
+	if (n+1)%adaptSampleEvery == 0 {
+		t.Fatalf("insert %d is a probation sample", n+1)
+	}
+	p := buildNoSharePipeline(n)
+	c := New(p, Config{NumTables: 3, TableCapacity: 4096, Adaptive: true})
+	for i := uint64(0); i < n; i++ {
 		tr := p.MustProcess(noShareKey(i))
 		if _, err := c.Insert(tr, int64(i)); err != nil {
 			t.Fatal(err)
@@ -55,7 +56,7 @@ func TestAdaptiveFallsBackUnderZeroSharing(t *testing.T) {
 	p.MustAddRule(1, flow.MatchAll().WithField(flow.FieldIPDst, 9000), 10, nil, 2)
 	p.MustAddRule(2, flow.MatchAll().WithField(flow.FieldTpSrc, 9000), 10, []flow.Action{flow.Output(1)}, pipeline.NoTable)
 	trNew := p.MustProcess(noShareKey(9000))
-	if _, err := c.Insert(trNew, 500); err != nil {
+	if _, err := c.Insert(trNew, n); err != nil {
 		t.Fatal(err)
 	}
 	if c.TableLen(0) != before0+1 || c.TableLen(1) != before1 {
@@ -70,12 +71,10 @@ func TestAdaptiveFallsBackUnderZeroSharing(t *testing.T) {
 
 func TestAdaptiveStaysPartitionedUnderSharing(t *testing.T) {
 	p := buildChainPipeline() // high-sharing pipeline from ltm_test
-	c := New(p, Config{
-		NumTables: 3, TableCapacity: 4096, Adaptive: true,
-		AdaptiveTuning: AdaptiveConfig{WarmupInstalls: 50, MinSharing: 0.15, Alpha: 0.05},
-	})
-	// Flows sharing MAC and subnet segments: sharing stays high.
-	for i := uint64(0); i < 300; i++ {
+	c := New(p, Config{NumTables: 3, TableCapacity: 4096, Adaptive: true})
+	// Flows sharing MAC and subnet segments, well past the warm-up:
+	// sharing stays high.
+	for i := uint64(0); i < 2*adaptWarmup; i++ {
 		port := uint64(1000)
 		if i%2 == 1 {
 			port = 2000
@@ -97,12 +96,10 @@ func TestAdaptiveRecovers(t *testing.T) {
 	// After degradation, renewed sharing must lift the cache back into
 	// partitioned mode: degraded single-segment inserts of recurring
 	// traversals dedupe against each other, raising the estimate.
-	p := buildNoSharePipeline(300)
-	c := New(p, Config{
-		NumTables: 3, TableCapacity: 8192, Adaptive: true,
-		AdaptiveTuning: AdaptiveConfig{WarmupInstalls: 50, MinSharing: 0.15, Alpha: 0.05},
-	})
-	for i := uint64(0); i < 300; i++ {
+	const n = adaptWarmup + 100
+	p := buildNoSharePipeline(n)
+	c := New(p, Config{NumTables: 3, TableCapacity: 8192, Adaptive: true})
+	for i := uint64(0); i < n; i++ {
 		c.Insert(p.MustProcess(noShareKey(i)), int64(i))
 	}
 	if !c.Degraded() {

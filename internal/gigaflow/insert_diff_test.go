@@ -71,17 +71,6 @@ func refInsertPartition(c *Cache, tr *pipeline.Traversal, part Partition, now in
 		entries[i] = cand
 		fresh[i] = true
 	}
-	if c.cfg.NoLRUEviction {
-		// All-or-nothing capacity precheck (LRU eviction otherwise
-		// guarantees room).
-		for i := range part {
-			if fresh[i] && c.tables[i].count >= c.tables[i].capacity &&
-				c.tables[i].get(entries[i].Tag, &entries[i].Match, entries[i].Priority) == nil {
-				c.stats.Rejected++
-				return nil, fmt.Errorf("gigaflow: table %d full (%d entries)", i, c.tables[i].count)
-			}
-		}
-	}
 	// Second pass: install.
 	for i := range part {
 		e := entries[i]
@@ -186,8 +175,8 @@ func checkSameCaches(t testing.TB, step int, got, ref *Cache) {
 // runInsertTape interprets tape as a sequence of cache operations applied
 // to two caches over one pipeline — one installing through InsertPartition,
 // one through the reference — and demands identical returns and identical
-// caches after every operation. The first three bytes pick K (1–4), a tiny
-// per-table capacity (1–4) and NoLRUEviction; the key space is a few dozen
+// caches after every operation. The first two bytes pick K (1–4) and a
+// tiny per-table capacity (1–4); the key space is a few dozen
 // flows, so every tape runs at and over capacity. Rule-toggle operations
 // change a rule's rewrite without revalidating, which is what leaves
 // conflicting (same predicate, different behaviour) entries behind.
@@ -201,7 +190,7 @@ func runInsertTape(t testing.TB, tape []byte) Stats {
 		return int(b)
 	}
 	p := buildRandomPipeline(nil)
-	cfg := Config{NumTables: 1 + next()%4, TableCapacity: 1 + next()%4, NoLRUEviction: next()%4 == 0}
+	cfg := Config{NumTables: 1 + next()%4, TableCapacity: 1 + next()%4}
 	got, ref := New(p, cfg), New(p, cfg)
 	key := func() flow.Key {
 		a, b := next(), next()

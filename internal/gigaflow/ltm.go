@@ -312,7 +312,7 @@ type Stats struct {
 	EntriesCreated     uint64 `json:"entries_created"`
 	SharedReuse        uint64 `json:"shared_reuse"`
 	Conflicts          uint64 `json:"conflicts"` // same ⟨τ,M,ρ⟩ with different actions; replaced
-	Rejected           uint64 `json:"rejected"`  // traversal not installed: target tables full
+	Rejected           uint64 `json:"rejected"`  // traversal not installed: no valid partition
 	EvictLRU           uint64 `json:"evict_lru"`
 	Expired            uint64 `json:"expired"`
 	Revoked            uint64 `json:"revoked"`
@@ -351,17 +351,11 @@ type Config struct {
 	Scheme Scheme
 	// Seed drives SchemeRandom.
 	Seed int64
-	// NoLRUEviction makes installs fail when a target table is full
-	// instead of evicting its least-recently-used entry.
-	NoLRUEviction bool
 	// Adaptive enables §7's traffic-profile-guided fallback: when the
-	// recent sub-traversal sharing rate drops below AdaptiveTuning's
-	// threshold, traversals are installed as single whole-traversal
-	// entries (Megaflow behaviour) until sharing recovers.
+	// recent sub-traversal sharing rate drops below a threshold,
+	// traversals are installed as single whole-traversal entries
+	// (Megaflow behaviour) until sharing recovers.
 	Adaptive bool
-	// AdaptiveTuning adjusts the adaptation thresholds; zero values take
-	// defaults.
-	AdaptiveTuning AdaptiveConfig
 }
 
 // Cache is the Gigaflow LTM cache: K capacity-bounded ternary tables in a
@@ -421,7 +415,7 @@ func New(p *pipeline.Pipeline, cfg Config) *Cache {
 		c.tables[i] = &ltmTable{idx: i, capacity: cfg.TableCapacity, slots: slots}
 	}
 	if cfg.Adaptive {
-		c.adapt = &adaptState{cfg: cfg.AdaptiveTuning.withDefaults()}
+		c.adapt = &adaptState{}
 	}
 	return c
 }
@@ -574,8 +568,7 @@ func (c *Cache) result(k *flow.Key, now int64, s *Stats, r *Result) {
 // Find is Lookup in the datapath's form: the key is read in place and
 // copied once, into *final, where every matched commit rewrites it. On a
 // hit *final is the flow state after all matched commits; on a miss it is
-// unspecified. The matched entries stay in the cache-owned hit path until
-// the next lookup, for TraceHit.
+// unspecified.
 //
 //gf:hotpath
 func (c *Cache) Find(k *flow.Key, now int64, final *flow.Key) (flow.Verdict, bool) {
@@ -620,17 +613,7 @@ func (c *Cache) find(k *flow.Key, now int64, s *Stats, final *flow.Key) (flow.Ve
 	return flow.Verdict{}, false
 }
 
-// TraceHit annotates a sampled packet's trace with the entries the last
-// Find matched, one ltm-table stage each.
-//
-//gf:hotpath-safe sampled packets only: appends one stage per matched table to the trace
-func (c *Cache) TraceHit(tb *telemetry.TraceBuilder) {
-	for _, e := range c.path {
-		tb.Note("ltm-table", e.TableIndex(), e.Tag, e.Priority)
-	}
-}
-
-// Tier names the cache in latency attribution, traces and telemetry.
+// Tier names the cache in latency attribution and telemetry.
 func (c *Cache) Tier() telemetry.Tier { return telemetry.TierGigaflow }
 
 // BatchLookup accumulates the cache-wide lookup counters (hits, misses,
@@ -772,11 +755,10 @@ func (cd *candidate) materialise(tr *pipeline.Traversal, seg Segment, now int64)
 // resulting LTM rules across the cache tables (segment j into table j).
 // Sub-traversals already present are reused rather than duplicated.
 // Returns the entries now backing the traversal, or an error when the
-// traversal cannot be installed (partitioning failure, or a full table
-// with eviction disabled). The returned slice aliases a buffer the cache
-// owns and, like Result.Path, is valid only until the next Insert or
-// InsertPartition; the traversal is only read, and may be refilled as
-// soon as Insert returns.
+// traversal cannot be partitioned. The returned slice aliases a buffer
+// the cache owns and, like Result.Path, is valid only until the next
+// Insert or InsertPartition; the traversal is only read, and may be
+// refilled as soon as Insert returns.
 //
 // With Config.Adaptive set and the recent sharing rate degraded, the
 // traversal is instead installed whole — a single Megaflow-style entry in
@@ -833,16 +815,6 @@ func (c *Cache) InsertPartition(tr *pipeline.Traversal, part Partition, now int6
 		return nil, err
 	}
 	c.probeSegments(tr, part)
-	if c.cfg.NoLRUEviction {
-		// All-or-nothing capacity precheck (LRU eviction otherwise
-		// guarantees room).
-		for i := range part {
-			if t := c.tables[i]; c.cands[i].old == nil && t.count >= t.capacity {
-				c.stats.Rejected++
-				return nil, fmt.Errorf("gigaflow: table %d full (%d entries)", i, t.count)
-			}
-		}
-	}
 	c.installed = c.installed[:0]
 	reused := 0
 	for i, seg := range part {

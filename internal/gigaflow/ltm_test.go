@@ -230,29 +230,6 @@ func TestMissLeavesNoTrace(t *testing.T) {
 	}
 }
 
-func TestCapacityRejectWithoutEviction(t *testing.T) {
-	p := buildChainPipeline()
-	c := New(p, Config{NumTables: 3, TableCapacity: 1, NoLRUEviction: true})
-	if _, err := c.Insert(p.MustProcess(chainKey(1, 5, 1000)), 0); err != nil {
-		t.Fatal(err)
-	}
-	// Fully shared traversal: fits without new entries.
-	if _, err := c.Insert(p.MustProcess(chainKey(1, 6, 1000)), 0); err != nil {
-		t.Fatalf("fully shared insert should succeed: %v", err)
-	}
-	// Needs a fresh L4 entry but GF2 is full: reject, nothing changes.
-	before := c.Len()
-	if _, err := c.Insert(p.MustProcess(chainKey(1, 7, 2000)), 0); err == nil {
-		t.Fatal("expected rejection")
-	}
-	if c.Len() != before {
-		t.Error("failed insert must not leave partial entries")
-	}
-	if c.Stats().Rejected != 1 {
-		t.Errorf("Rejected = %d", c.Stats().Rejected)
-	}
-}
-
 func TestLRUEviction(t *testing.T) {
 	p := buildChainPipeline()
 	c := New(p, Config{NumTables: 3, TableCapacity: 1})

@@ -131,49 +131,3 @@ func TestDifferentialAgainstLinearScan(t *testing.T) {
 		}
 	}
 }
-
-// TestDifferentialNoEvictRejects pins the Rejected counter: with LRU
-// eviction disabled, inserts beyond capacity must refuse and count,
-// leaving the resident set untouched.
-func TestDifferentialNoEvictRejects(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	p := diffPipeline()
-	c := New(4, WithNoLRUEviction())
-	var shadow Stats
-	var now int64
-	for step := 0; step < 500; step++ {
-		now++
-		k := diffKey(rng)
-		before := c.Entries()
-		want := scanMatch(t, before, k)
-		_, ok := c.Lookup(k, now)
-		if ok != (want != nil) {
-			t.Fatalf("step %d: Lookup ok=%v scan=%v", step, ok, want != nil)
-		}
-		if ok {
-			shadow.Hits++
-		} else {
-			shadow.Misses++
-			ent := c.Insert(p.MustProcess(k), now)
-			shadow.Inserts++
-			if len(before) >= 4 {
-				if ent != nil {
-					t.Fatalf("step %d: insert succeeded on a full no-evict cache", step)
-				}
-				shadow.Inserts--
-				shadow.Rejected++
-				if c.Len() != len(before) {
-					t.Fatalf("step %d: rejected insert changed Len", step)
-				}
-			} else if ent == nil {
-				t.Fatalf("step %d: insert failed below capacity", step)
-			}
-		}
-		if st := c.Stats(); st != shadow {
-			t.Fatalf("step %d: stats %+v, shadow %+v", step, st, shadow)
-		}
-	}
-	if shadow.Rejected == 0 {
-		t.Fatal("workload never exercised the Rejected path")
-	}
-}

@@ -53,7 +53,6 @@ type Stats struct {
 	Misses    uint64 `json:"misses"`
 	Inserts   uint64 `json:"inserts"`
 	Replaced  uint64 `json:"replaced"`   // insert found an identical predicate already cached
-	Rejected  uint64 `json:"rejected"`   // insert refused because the cache was full
 	EvictLRU  uint64 `json:"evict_lru"`  // removed by capacity pressure
 	Expired   uint64 `json:"expired"`    // removed by idle timeout
 	Revoked   uint64 `json:"revoked"`    // removed by revalidation
@@ -72,37 +71,23 @@ func (s *Stats) HitRate() float64 {
 
 // Cache is a capacity-bounded megaflow cache.
 type Cache struct {
-	capacity    int
-	evictOnFull bool
-	cls         *tss.Classifier[*Entry]
-	lruHead     *Entry
-	lruTail     *Entry
-	stats       Stats
-	probes      uint64 // TSS tuples probed by lookups (TupleProbes)
+	capacity int
+	cls      *tss.Classifier[*Entry]
+	lruHead  *Entry
+	lruTail  *Entry
+	stats    Stats
+	probes   uint64 // TSS tuples probed by lookups (TupleProbes)
 	// rule is the scratch Insert and Revalidate compose a traversal into
 	// before deciding whether an entry has to be built or removed.
 	rule pipeline.Composed
 }
 
-// Option configures a Cache.
-type Option func(*Cache)
-
-// WithNoLRUEviction makes inserts fail when the cache is full instead of
-// evicting the least-recently-used entry.
-func WithNoLRUEviction() Option {
-	return func(c *Cache) { c.evictOnFull = false }
-}
-
 // New creates a megaflow cache holding at most capacity entries.
-func New(capacity int, opts ...Option) *Cache {
+func New(capacity int) *Cache {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("megaflow: bad capacity %d", capacity))
 	}
-	c := &Cache{capacity: capacity, evictOnFull: true, cls: tss.New[*Entry]()}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
+	return &Cache{capacity: capacity, cls: tss.New[*Entry]()}
 }
 
 // Len reports the number of cached entries.
@@ -159,14 +144,13 @@ func (c *Cache) CollectMetrics(reg *telemetry.Registry, worker string) {
 	churn.With(worker, "expired").Set(ms.Expired)
 	churn.With(worker, "revoked").Set(ms.Revoked)
 	counter("gigaflow_megaflow_replaced_total", "Entries replaced by an equal-mask reinstall.", ms.Replaced)
-	counter("gigaflow_megaflow_rejected_total", "Installs rejected by the Megaflow cache.", ms.Rejected)
 	gauge("gigaflow_cache_capacity", "Total main-cache entry capacity.", float64(ms.Capacity))
 	gauge("gigaflow_megaflow_masks", "Distinct TSS tuples in the Megaflow cache.", float64(ms.Masks))
 	counter("gigaflow_tuple_probes_total", "TSS tuple probes across lookups.", ms.TupleProbes)
 	counter("gigaflow_reval_work_total", "Pipeline table lookups spent revalidating.", ms.RevalWork)
 }
 
-// Tier names the cache in latency attribution, traces and telemetry.
+// Tier names the cache in latency attribution and telemetry.
 func (c *Cache) Tier() telemetry.Tier { return telemetry.TierMegaflow }
 
 // Coverage reports the cache's rule-space coverage (Table 2): one complete
@@ -216,10 +200,6 @@ func (c *Cache) Find(k *flow.Key, now int64, final *flow.Key) (flow.Verdict, boo
 	return ent.Verdict, true
 }
 
-// TraceHit adds nothing to a sampled packet's trace: a Megaflow hit is one
-// entry, and the lookup stage already says whether it matched.
-func (c *Cache) TraceHit(*telemetry.TraceBuilder) {}
-
 // BatchLookup accumulates lookup counters locally so a packet batch
 // updates the cache-wide Stats once, in Flush, instead of once per
 // packet. The zero value is a no-op accumulator whose Lookup must not be
@@ -265,10 +245,9 @@ func (e *Entry) Apply(k flow.Key) (flow.Key, flow.Verdict) {
 	return k, e.Verdict
 }
 
-// Insert compiles a traversal into a megaflow entry and installs it.
-// Returns the entry, or nil when the cache is full and eviction is
-// disabled. The traversal is only read, and composed into scratch first:
-// a refused install builds nothing.
+// Insert compiles a traversal into a megaflow entry and installs it,
+// evicting the least-recently-used entry when the cache is full, and
+// returns the entry. The traversal is only read.
 func (c *Cache) Insert(tr *pipeline.Traversal, now int64) *Entry {
 	tr.ComposeInto(0, tr.Len(), &c.rule)
 	match := &c.rule.Match
@@ -279,10 +258,6 @@ func (c *Cache) Insert(tr *pipeline.Traversal, now int64) *Entry {
 		c.cls.DeleteMatch(match, 0)
 		c.stats.Replaced++
 	} else if c.cls.Len() >= c.capacity {
-		if !c.evictOnFull || c.lruTail == nil {
-			c.stats.Rejected++
-			return nil
-		}
 		c.removeEntry(c.lruTail)
 		c.stats.EvictLRU++
 	}
@@ -304,13 +279,12 @@ func (c *Cache) Insert(tr *pipeline.Traversal, now int64) *Entry {
 	return ent
 }
 
-// Install is Insert as the datapath calls it: it reports whether the
-// traversal was installed and whether installing it evicted a resident
-// entry by LRU.
+// Install is Insert as the datapath calls it: the traversal always goes
+// in, and evicted reports whether it pushed a resident entry out by LRU.
 func (c *Cache) Install(tr *pipeline.Traversal, now int64) (ok, evicted bool) {
 	lru := c.stats.EvictLRU
-	ent := c.Insert(tr, now)
-	return ent != nil, c.stats.EvictLRU > lru
+	c.Insert(tr, now)
+	return true, c.stats.EvictLRU > lru
 }
 
 // removeEntry unlinks and deletes an entry from both structures.

@@ -122,23 +122,6 @@ func TestLRUEvictionOnFull(t *testing.T) {
 	}
 }
 
-func TestNoEvictionOptionRejects(t *testing.T) {
-	p := testPipeline()
-	c := New(1, WithNoLRUEviction())
-	if c.Insert(p.MustProcess(key(1, 80)), 0) == nil {
-		t.Fatal("first insert must succeed")
-	}
-	if c.Insert(p.MustProcess(key(1, 443)), 1) != nil {
-		t.Fatal("insert into full cache must fail")
-	}
-	if c.Stats().Rejected != 1 {
-		t.Errorf("Rejected = %d", c.Stats().Rejected)
-	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d", c.Len())
-	}
-}
-
 func TestExpireIdle(t *testing.T) {
 	p := testPipeline()
 	c := New(16)

@@ -37,10 +37,6 @@ type Config struct {
 	// ClassbenchRules sizes the underlying 5-tuple rule pool (default
 	// 2×NumChains, min 1000).
 	ClassbenchRules int
-	// PoolScale scales the ClassBench field-value pools (see
-	// classbench.Config.PoolScale): smaller pools mean fewer distinct rule
-	// projections per table and therefore more sub-traversal sharing.
-	PoolScale float64
 	// Contexts is the number of L2 contexts per traversal (default 4);
 	// fewer contexts mean more early-table sharing, more contexts mean a
 	// larger cross-product of flow classes.
@@ -144,7 +140,6 @@ func Generate(cfg Config) (*Workload, error) {
 		Personality: cfg.Personality,
 		Seed:        cfg.Seed + 1,
 		NumRules:    cfg.ClassbenchRules,
-		PoolScale:   cfg.PoolScale,
 	})
 	if len(cbRules) == 0 {
 		return nil, fmt.Errorf("pipebench: classbench produced no rules")

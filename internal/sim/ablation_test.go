@@ -29,40 +29,13 @@ func ablationWorkload(b *testing.B, ctxs int) (*pipebench.Workload, []traffic.Pa
 	return w, BuildTrace(w, 20000, traffic.HighLocality, 3)
 }
 
-// BenchmarkAblation_EvictionPolicy compares LRU eviction against
-// reject-on-full under capacity pressure: LRU keeps hot sub-traversals
-// resident; rejection freezes whatever arrived first.
-func BenchmarkAblation_EvictionPolicy(b *testing.B) {
-	w, trace := ablationWorkload(b, 0)
-	run := func(noLRU bool) float64 {
-		vs := gigaflow.NewVSwitch(w.Pipeline, gigaflow.CacheConfig{NumTables: 4, TableCapacity: 512, NoLRUEviction: noLRU})
-		for i := range trace {
-			// A rejected install is an acceptable outcome, and not an error.
-			if _, err := vs.Process(trace[i].Key, trace[i].Time); err != nil {
-				b.Fatal(err)
-			}
-		}
-		st := vs.Cache().Stats()
-		return 100 * st.HitRate()
-	}
-	lru, reject := run(false), run(true)
-	b.Logf("tiny cache (4x512): LRU hit %.1f%% vs reject-on-full %.1f%%", lru, reject)
-	b.ReportMetric(lru, "lru_hit_%")
-	b.ReportMetric(reject, "reject_hit_%")
-	for i := 0; i < b.N; i++ {
-	}
-}
-
 // BenchmarkAblation_AdaptiveFallback measures §7's profile-guided fallback
 // on a zero-sharing workload: adaptation should cut entry consumption
 // (whole traversals need 1 entry instead of K) without losing hits.
 func BenchmarkAblation_AdaptiveFallback(b *testing.B) {
 	p := buildNoSharePipeline(3000)
 	run := func(adaptive bool) (hitPct float64, entries int) {
-		vs := gigaflow.NewVSwitch(p, gigaflow.CacheConfig{
-			NumTables: 3, TableCapacity: 8192, Adaptive: adaptive,
-			AdaptiveTuning: gigaflow.AdaptiveTuning{WarmupInstalls: 200, Alpha: 0.05},
-		})
+		vs := gigaflow.NewVSwitch(p, gigaflow.CacheConfig{NumTables: 3, TableCapacity: 8192, Adaptive: adaptive})
 		for rep := 0; rep < 2; rep++ {
 			for i := uint64(0); i < 3000; i++ {
 				if _, err := vs.Process(noShareKey(i), int64(i)); err != nil {

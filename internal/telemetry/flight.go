@@ -13,7 +13,7 @@ const (
 	FlightInstall                      // slow path installed a cache entry
 	FlightInstallErr                   // install attempted and rejected
 	FlightEvict                        // the install evicted a resident entry
-	FlightTraced                       // packet was diverted to the sampling tracer
+	_                                  // unused: /debug/flight serves raw flags, so the bits after it keep their values
 	FlightEstimated                    // latency is a run estimate, not an exact stamp
 	FlightDeferred                     // miss resolved asynchronously by the upcall engine
 )
@@ -239,8 +239,8 @@ func (r *LatencyRecorder) closeRun(d int64) {
 	}
 }
 
-// ColdBegin marks the point where a packet leaves the hit path (slow-path
-// miss or tracer divert): it closes any open hit run and stamps the cold
+// ColdBegin marks the point where a packet leaves the hit path on a
+// slow-path miss: it closes any open hit run and stamps the cold
 // start. Idempotent until the matching Cold call. Cold paths are µs-scale,
 // so these two clock reads are noise there.
 func (r *LatencyRecorder) ColdBegin() {
@@ -258,10 +258,7 @@ func (r *LatencyRecorder) ColdBegin() {
 }
 
 // Cold records an exactly-timed cold event begun at the preceding
-// ColdBegin, attributed to tier with the given flags. FlightTraced
-// events land in the ring but are excluded from the tier histograms and
-// spike captures: a traced packet's latency includes the tracing work
-// itself, and folding that in would report the observer as the tail.
+// ColdBegin, attributed to tier with the given flags.
 func (r *LatencyRecorder) Cold(tier Tier, keyHash uint64, flags uint8) {
 	if !r.inCold {
 		r.ColdBegin() // defensive: a cold record without a begin times ~0
@@ -282,9 +279,6 @@ func (r *LatencyRecorder) Cold(tier Tier, keyHash uint64, flags uint8) {
 	r.seq++
 	r.inCold = false
 	r.runStart = d
-	if flags&FlightTraced != 0 {
-		return
-	}
 	r.hist[tier].Observe(lat)
 	if r.spikeNs > 0 && lat >= r.spikeNs {
 		r.capture(lat)

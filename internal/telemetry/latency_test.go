@@ -147,8 +147,7 @@ func TestFlightRecorderRunEstimation(t *testing.T) {
 }
 
 // TestFlightRecorderCold: cold events are stamped exactly, carry their
-// flags, and close the preceding hit run; traced events stay out of the
-// histograms.
+// flags, and close the preceding hit run.
 func TestFlightRecorderCold(t *testing.T) {
 	r := NewLatencyRecorder(64, 0)
 	r.BeginBatch(5000)
@@ -181,15 +180,9 @@ func TestFlightRecorderCold(t *testing.T) {
 		t.Errorf("microflow count = %d, want 1 (run closed by ColdBegin)", got)
 	}
 
-	// Traced events land in the ring but not the histograms.
-	before := r.Histogram(TierGigaflow).Count()
-	r.ColdBegin()
-	r.Cold(TierGigaflow, 7, FlightTraced)
-	if got := r.Histogram(TierGigaflow).Count(); got != before {
-		t.Errorf("traced event folded into histogram: %d -> %d", before, got)
-	}
-	if got := r.Recent(1)[0]; got.Flags&FlightTraced == 0 || got.KeyHash != 7 {
-		t.Errorf("traced record missing from ring: %+v", got)
+	// /debug/flight serves raw flags, so a flag keeps its bit.
+	if FlightEstimated != 1<<5 || FlightDeferred != 1<<6 {
+		t.Errorf("estimated %#x, deferred %#x: want 0x20 and 0x40", FlightEstimated, FlightDeferred)
 	}
 }
 

@@ -1,14 +1,11 @@
 // Package telemetry is the repo's stdlib-only observability layer: a
 // concurrent metrics registry (atomic counters, gauges, and log2-bucketed
 // histograms with label support, exposed in Prometheus text and JSON
-// formats) and a sampling per-packet traversal tracer keeping a bounded
-// ring of recent traces.
+// formats) and the per-tier latency recorder with its flight ring.
 //
 // The layer is built for a hot packet path: counters and gauges are single
-// atomic words, histograms are arrays of atomic buckets sharing
-// internal/stats.Histogram's log2 layout, and the tracer allocates only
-// for the 1-in-N packets actually sampled — with sampling disabled the
-// whole fast path costs one nil check.
+// atomic words, and histograms are arrays of atomic buckets sharing
+// internal/stats.Histogram's log2 layout.
 package telemetry
 
 import (

@@ -29,7 +29,6 @@ type Flow struct {
 	RuleIdx int   // index of the ruleset rule this flow targets
 	Packets int   // number of packets
 	Start   int64 // first-packet time, ns
-	GapMean int64 // mean inter-packet gap, ns
 }
 
 // Locality selects the rule-recurrence pattern of §6.1.
@@ -59,10 +58,6 @@ type Config struct {
 	// SpreadNs is the window over which flow start times are spread
 	// (default 60 s).
 	SpreadNs int64
-	// GapMeanNs is the mean intra-flow inter-packet gap (default 1 ms).
-	GapMeanNs int64
-	// ParetoAlpha shapes the flow-size tail (default 1.3; smaller = heavier).
-	ParetoAlpha float64
 	// MaxPackets caps a single flow's packet count (default 10000).
 	MaxPackets int
 }
@@ -70,12 +65,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.SpreadNs == 0 {
 		c.SpreadNs = 60_000_000_000
-	}
-	if c.GapMeanNs == 0 {
-		c.GapMeanNs = 1_000_000
-	}
-	if c.ParetoAlpha == 0 {
-		c.ParetoAlpha = 1.3
 	}
 	if c.MaxPackets == 0 {
 		c.MaxPackets = 10000
@@ -155,24 +144,33 @@ func GenerateFlows(cfg Config, picker *Picker, sample func(ruleIdx int, rng *ran
 			ID:      len(flows),
 			Key:     k,
 			RuleIdx: ri,
-			Packets: paretoCount(rng, cfg.ParetoAlpha, cfg.MaxPackets),
+			Packets: paretoCount(rng, cfg.MaxPackets),
 			Start:   rng.Int63n(cfg.SpreadNs),
-			GapMean: cfg.GapMeanNs,
 		}
 		flows = append(flows, f)
 	}
 	return flows
 }
 
-// paretoCount draws a flow size from a Pareto(α, x_m=1) distribution,
-// CAIDA's heavy-tailed flow-size character: most flows are mice, a few are
-// elephants.
-func paretoCount(rng *rand.Rand, alpha float64, maxPackets int) int {
+// paretoAlpha shapes the flow-size tail (smaller is heavier), and
+// gapMeanNs is the mean intra-flow inter-packet gap: 1 ms. paretoAlpha is
+// typed so that -1/paretoAlpha divides the float64 nearest 1.3, as the
+// division of a float64 variable does, and not the exact 13/10: the two
+// exponents differ in the last bit, and so may the flow sizes drawn.
+const (
+	paretoAlpha float64 = 1.3
+	gapMeanNs           = 1_000_000
+)
+
+// paretoCount draws a flow size from a Pareto(paretoAlpha, x_m=1)
+// distribution, CAIDA's heavy-tailed flow-size character: most flows are
+// mice, a few are elephants.
+func paretoCount(rng *rand.Rand, maxPackets int) int {
 	u := rng.Float64()
 	if u < 1e-12 {
 		u = 1e-12
 	}
-	n := int(math.Pow(u, -1/alpha))
+	n := int(math.Pow(u, -1/paretoAlpha))
 	if n < 1 {
 		n = 1
 	}
@@ -197,7 +195,7 @@ func Expand(cfg Config, flows []Flow) []Packet {
 		for i := 0; i < f.Packets; i++ {
 			size := 64 + rng.Intn(1437) // 64..1500 bytes
 			pkts = append(pkts, Packet{Key: f.Key, Time: t, Size: size, FlowID: f.ID})
-			gap := rng.ExpFloat64() * float64(f.GapMean)
+			gap := rng.ExpFloat64() * gapMeanNs
 			t += int64(gap) + 1
 		}
 	}

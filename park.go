@@ -24,12 +24,11 @@ import (
 // the first packet's miss installs before later packets of the flow are
 // processed.
 
-// ProcessPark is Process in park mode: hits (and sampled/traced
-// packets, which always run inline — tracing wants the whole traversal)
-// behave identically to Process, but a main-cache miss returns
-// parked=true with nothing counted and no slow-path work done. The
-// caller owns the miss from there. Park-mode calls carry no TCP flags,
-// like Process; on a conntrack switch nothing is ever parked (see run).
+// ProcessPark is Process in park mode: hits behave identically to
+// Process, but a main-cache miss returns parked=true with nothing counted
+// and no slow-path work done. The caller owns the miss from there.
+// Park-mode calls carry no TCP flags, like Process; on a conntrack switch
+// nothing is ever parked (see run).
 //
 //gf:hotpath
 func (v *VSwitch) ProcessPark(k Key, now int64) (res ProcessResult, parked bool, err error) {
@@ -88,7 +87,7 @@ func (v *VSwitch) CompleteMiss(k Key, tr *Traversal, now, travNs, parkNs int64) 
 		v.rec.BeginBatch(now)
 	}
 	var o ProcessResult
-	flags := telemetry.FlightMiss | v.install(&k, tr, now, nil, conntrack.DirForward, nil, &o)
+	flags := telemetry.FlightMiss | v.install(&k, tr, now, nil, conntrack.DirForward, &o)
 	if v.rec != nil {
 		v.rec.Deferred(telemetry.TierSlowpath, k.FlowHash(), flags, travNs, parkNs)
 	}

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"gigaflow"
+	"gigaflow/internal/experiments"
 )
 
 var update = flag.Bool("update", false, "rewrite README.md's generated reference sections (make docs)")
@@ -34,7 +35,10 @@ var docs = []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/
 // code declares fails here, and -update (make docs) rewrites it. Every
 // gigaflow_… metric, Config path and command -flag any of the documents
 // names must be one of the same sets, and every Service.X, Batch.X,
-// service.X and VSwitch.X one a declaration of non-test code.
+// service.X and VSwitch.X one a declaration of non-test code. So must
+// every make target, `gigabench -exp` id and backticked file they name,
+// and every Test…, Benchmark… or Fuzz… function they cite: a cited test
+// is how a document says "this is checked".
 func TestDocs(t *testing.T) {
 	metrics := liveMetrics(t)
 	config := configFields(t)
@@ -43,6 +47,11 @@ func TestDocs(t *testing.T) {
 	bench, err := os.ReadFile(filepath.Join("..", "BENCHMARK.json"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	targets, ignored, tests := makeTargets(t), gitignored(t), testFuncs(t)
+	exps := map[string]bool{"all": true}
+	for _, id := range experiments.IDs {
+		exps[id] = true
 	}
 	sections := map[string]string{
 		"metrics":   renderMetrics(metrics),
@@ -115,6 +124,26 @@ func TestDocs(t *testing.T) {
 			}
 			if !decls[pkg][name] {
 				t.Errorf("%s:%d: `%s`: non-test %s package code declares no such name", doc, at.line, at.name, pkg)
+			}
+		}
+		for _, at := range makeCalls(text) {
+			if !targets[at.name] {
+				t.Errorf("%s:%d: `make %s`: no such Makefile target", doc, at.line, at.name)
+			}
+		}
+		for _, at := range expIDs(text) {
+			if !exps[at.name] {
+				t.Errorf("%s:%d: `gigabench -exp %s`: not an experiment gigabench -list prints", doc, at.line, at.name)
+			}
+		}
+		for _, at := range filePaths(text) {
+			if _, err := os.Stat(filepath.Join("..", at.name)); err != nil && !ignored[at.name] {
+				t.Errorf("%s:%d: `%s`: no such file", doc, at.line, at.name)
+			}
+		}
+		for _, at := range testNames(text) {
+			if !tests[at.name] {
+				t.Errorf("%s:%d: `%s`: no _test.go defines it", doc, at.line, at.name)
 			}
 		}
 	}
@@ -578,6 +607,134 @@ func commandLines(text string, tools map[string]map[string]cmdFlag) []mention {
 		}
 		for _, span := range code.FindAllString(line, -1) {
 			scan(strings.Trim(span, "`"), i+1)
+		}
+	}
+	return out
+}
+
+// makeTargets reads the Makefile's rules: the names that open a line and
+// end in a colon.
+func makeTargets(t *testing.T) map[string]bool {
+	b, err := os.ReadFile(filepath.Join("..", "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`).FindAllStringSubmatch(string(b), -1) {
+		out[m[1]] = true
+	}
+	return out
+}
+
+// gitignored reads .gitignore's lines: a document may name what building
+// or running leaves behind.
+func gitignored(t *testing.T) map[string]bool {
+	b, err := os.ReadFile(filepath.Join("..", ".gitignore"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]bool{}
+	for _, line := range strings.Split(string(b), "\n") {
+		out[line] = true
+	}
+	return out
+}
+
+// testFuncs reads every _test.go file of the repository for the Test…,
+// Benchmark… and Fuzz… functions it defines.
+func testFuncs(t *testing.T) map[string]bool {
+	def := regexp.MustCompile(`(?m)^func ((?:Benchmark|Test|Fuzz)[A-Za-z0-9_]*)`)
+	out := map[string]bool{}
+	err := filepath.WalkDir("..", func(path string, d os.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != "..":
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		for _, m := range def.FindAllSubmatch(b, -1) {
+			out[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// makeCalls finds the make targets a document runs: inline code that
+// starts with make, or a line of a fenced block that does ("we make the"
+// in prose is neither).
+func makeCalls(text string) []mention {
+	inline := regexp.MustCompile("`make ([a-z][a-z0-9-]*)")
+	fenced := regexp.MustCompile(`^[ \t]*(?:\$ )?make ([a-z][a-z0-9-]*)`)
+	var out []mention
+	fence := false
+	for i, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(strings.TrimLeft(line, " \t"), "```") {
+			fence = !fence
+			continue
+		}
+		if fence {
+			if m := fenced.FindStringSubmatch(line); m != nil {
+				out = append(out, mention{name: m[1], line: i + 1})
+			}
+			continue
+		}
+		for _, m := range inline.FindAllStringSubmatch(line, -1) {
+			out = append(out, mention{name: m[1], line: i + 1})
+		}
+	}
+	return out
+}
+
+// expIDs finds the experiment ids given to gigabench -exp.
+func expIDs(text string) []mention {
+	re := regexp.MustCompile(`gigabench -exp ([a-z0-9]+)`)
+	var out []mention
+	for i, line := range strings.Split(text, "\n") {
+		for _, m := range re.FindAllStringSubmatch(line, -1) {
+			out = append(out, mention{name: m[1], line: i + 1})
+		}
+	}
+	return out
+}
+
+// filePaths finds the words of inline code that name a file from the
+// repository root: a top-level .json or .md file, or a path under cmd/,
+// examples/, internal/ or results/. Globs, brace lists, <placeholders>
+// and prN name no one file; an internal/… package path may carry an
+// exported symbol (internal/gigaflow.Cache names internal/gigaflow).
+func filePaths(text string) []mention {
+	code := regexp.MustCompile("`[^`]+`")
+	path := regexp.MustCompile(`^([A-Za-z0-9_-]+\.(json|md)|(cmd|examples|internal|results)/[^ ]*)$`)
+	symbol := regexp.MustCompile(`^(internal/[^.]*)\.[A-Z].*$`)
+	var out []mention
+	for i, line := range strings.Split(text, "\n") {
+		for _, span := range code.FindAllString(line, -1) {
+			for _, w := range strings.Fields(strings.Trim(span, "`")) {
+				w = symbol.ReplaceAllString(strings.TrimRight(strings.TrimPrefix(w, "./"), ",.;:)"), "$1")
+				if path.MatchString(w) && !strings.ContainsAny(w, "*{}<>") && !strings.Contains(w, "prN") {
+					out = append(out, mention{name: w, line: i + 1})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// testNames finds the Test…, Benchmark… and Fuzz… names that open a span
+// of inline code.
+func testNames(text string) []mention {
+	re := regexp.MustCompile("`((?:Benchmark|Test|Fuzz)[A-Za-z0-9_]+)")
+	var out []mention
+	for i, line := range strings.Split(text, "\n") {
+		for _, m := range re.FindAllStringSubmatch(line, -1) {
+			out = append(out, mention{name: m[1], line: i + 1})
 		}
 	}
 	return out

@@ -329,7 +329,6 @@ const (
 type vsDriver struct {
 	sizes    []int // one at a time through the single-packet entry points, else in batches
 	recorded bool  // latency recorder on: flight records and histograms compared
-	traced   bool  // every packet sampled
 	park     bool  // ProcessPark or ProcessBatchPark, the second chance, CompleteMiss, the Process fallback
 }
 
@@ -528,12 +527,8 @@ func runGroup(t *testing.T, g []cell, seed uint64, strict bool) {
 		if !base.driver.recorded || !c.driver.recorded || c.driver.park {
 			continue
 		}
-		hist := a.hist
-		if c.driver.traced {
-			hist = [telemetry.NumTiers]uint64{} // traced packets are kept out by design
-		}
-		if b.seq != a.seq || b.hist != hist {
-			t.Errorf("%s: %d flight records, per-tier counts %v; want %d, %v", c.name, b.seq, b.hist, a.seq, hist)
+		if b.seq != a.seq || b.hist != a.hist {
+			t.Errorf("%s: %d flight records, per-tier counts %v; want %d, %v", c.name, b.seq, b.hist, a.seq, a.hist)
 		}
 		if j := firstDiff(a.flight, b.flight); j >= 0 {
 			t.Fatalf("%s: flight record %d from newest: %+v, want %+v", c.name, j, b.flight[j], a.flight[j])
@@ -656,7 +651,6 @@ func (c *cell) drive(t *testing.T, tape []op, want []step) *outcome {
 	if d.recorded {
 		cfg.Latency.FlightRecords = len(tape)
 	}
-	cfg.TraceSample = btoi(d.traced)
 	s, err := New(c.tape.pipe(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -745,7 +739,7 @@ func (c *cell) drive(t *testing.T, tape []op, want []step) *outcome {
 		// replay's own.
 		for _, r := range rec.Recent(0) {
 			o.flight = append(o.flight, telemetry.FlightRecord{Tier: r.Tier, KeyHash: r.KeyHash,
-				Flags: r.Flags &^ (telemetry.FlightTraced | telemetry.FlightEstimated)})
+				Flags: r.Flags &^ telemetry.FlightEstimated})
 		}
 	}
 	return o
@@ -1231,7 +1225,6 @@ var cells = func() []cell {
 				{"recorded", vsDriver{sizes: []int{1}, recorded: true}},
 				{"single", vsDriver{sizes: []int{1}}},
 				{"batch", vsDriver{sizes: mixedSizes, recorded: true}},
-				{"traced", vsDriver{sizes: mixedSizes, recorded: true, traced: true}},
 				{"park", vsDriver{sizes: []int{1}, recorded: true, park: true}},
 				{"park-batch", vsDriver{sizes: []int{1, 1, 1, 7, 32, 3}, recorded: true, park: true}},
 			} {

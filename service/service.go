@@ -199,10 +199,6 @@ type Config struct {
 	// workers but not this server: until Close it keeps serving the
 	// registry's last values and answers the per-shard endpoints with 503.
 	TelemetryAddr string
-	// TraceSample records a full traversal trace for one in N processed
-	// packets into a ring of the last 256 (0 disables tracing; the packet
-	// path then carries a single branch and no allocations).
-	TraceSample int
 }
 
 // validate rejects nonsensical configurations instead of silently
@@ -216,9 +212,6 @@ func (c Config) validate() error {
 	}
 	if c.MicroflowCapacity < 0 {
 		return fmt.Errorf("service: negative MicroflowCapacity (%d)", c.MicroflowCapacity)
-	}
-	if c.TraceSample < 0 {
-		return fmt.Errorf("service: negative TraceSample (%d)", c.TraceSample)
 	}
 	if c.MaxIdle < 0 {
 		return fmt.Errorf("service: negative MaxIdle (%v)", c.MaxIdle)
@@ -393,7 +386,6 @@ type Service struct {
 	clock func() int64
 
 	reg     *telemetry.Registry
-	tracer  *telemetry.Tracer
 	latency *telemetry.Histogram
 	frames  *frameMetrics
 	started atomic.Int64 // start wall time (unix ns); 0 before Start
@@ -419,11 +411,10 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 	}
 	cfg = cfg.withDefaults()
 	s := &Service{
-		cfg:    cfg,
-		reg:    telemetry.NewRegistry(),
-		tracer: telemetry.NewTracer(cfg.TraceSample, 0),
-		term:   make(chan struct{}),
-		clock:  func() int64 { return time.Now().UnixNano() },
+		cfg:   cfg,
+		reg:   telemetry.NewRegistry(),
+		term:  make(chan struct{}),
+		clock: func() int64 { return time.Now().UnixNano() },
 	}
 	s.latency = s.reg.Histogram("gigaflow_submit_latency_ns",
 		"End-to-end blocking submission latency (enqueue to result) in nanoseconds.")
@@ -451,7 +442,7 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 		sweepAt = sweepEvery.Nanoseconds()
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		opts := []gigaflow.VSwitchOption{gigaflow.WithTracer(s.tracer)}
+		var opts []gigaflow.VSwitchOption
 		if cfg.Conntrack.Enable {
 			// Shard i binds only inside its own sub-range of every NAT pool,
 			// so its bindings stay on the endpoints it owns.

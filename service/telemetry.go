@@ -43,7 +43,7 @@ func (s *Service) Collect(ctx context.Context) error {
 }
 
 // collectServiceMetrics refreshes service-owned gauges readable from any
-// goroutine: queue state, drop counters, tracer and uptime stats.
+// goroutine: queue state, drop counters and uptime.
 func (s *Service) collectServiceMetrics() {
 	depth := s.reg.GaugeVec("gigaflow_queue_depth",
 		"Packets waiting in the worker's input queue.", "worker")
@@ -69,8 +69,6 @@ func (s *Service) collectServiceMetrics() {
 			"Engine drain batches executed.").Set(s.eng.batches.Load())
 	}
 	s.reg.Gauge("gigaflow_workers", "Forwarding workers.").Set(float64(len(s.workers)))
-	s.reg.Counter("gigaflow_traces_sampled_total",
-		"Traversal traces recorded by the sampler.").Set(s.tracer.Sampled())
 	if t := s.started.Load(); t > 0 {
 		s.reg.Gauge("gigaflow_uptime_seconds", "Seconds since Start.").
 			Set(time.Since(time.Unix(0, t)).Seconds())
@@ -208,7 +206,6 @@ var endpoints = []struct {
 	handler     func(s *Service) http.HandlerFunc
 }{
 	{"/metrics", "Prometheus text exposition (0.0.4); ?format=json for JSON", func(s *Service) http.HandlerFunc { return s.serveMetrics }},
-	{"/traces", "recent sampled traversal traces, newest first (?n= caps)", func(s *Service) http.HandlerFunc { return serveJSON(0, s.traceTelemetry) }},
 	{"/cache", "per-worker, per-LTM-table cache snapshot", func(s *Service) http.HandlerFunc { return serveJSON(0, s.cacheTelemetry) }},
 	{"/shards", "per-shard packets, occupancy and conntrack churn counters", func(s *Service) http.HandlerFunc { return serveJSON(0, s.shardTelemetry) }},
 	{"/latency", "per-worker and aggregate per-tier latency ladders (p50/p90/p99/p999/max)", func(s *Service) http.HandlerFunc { return serveJSON(0, s.latencyTelemetry) }},
@@ -247,14 +244,6 @@ func (s *Service) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	_ = s.Collect(ctx)
 	s.reg.Handler().ServeHTTP(w, r)
-}
-
-func (s *Service) traceTelemetry(_ context.Context, n int) (any, error) {
-	return struct {
-		SampleEvery int               `json:"sample_every"`
-		Sampled     uint64            `json:"sampled_total"`
-		Traces      []telemetry.Trace `json:"traces"`
-	}{s.tracer.SampleEvery(), s.tracer.Sampled(), s.tracer.Recent(n)}, nil
 }
 
 func (s *Service) shardTelemetry(ctx context.Context, _ int) (any, error) {

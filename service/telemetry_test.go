@@ -27,7 +27,6 @@ func TestConfigValidation(t *testing.T) {
 		{"negative queue", Config{QueueDepth: -5}, "QueueDepth"},
 		{"negative maxidle", Config{MaxIdle: -time.Second}, "MaxIdle"},
 		{"negative microflow", Config{MicroflowCapacity: -1}, "MicroflowCapacity"},
-		{"negative trace sample", Config{TraceSample: -1}, "TraceSample"},
 		{"gigaflow cache on megaflow backend",
 			Config{MegaflowCapacity: 100, Cache: gigaflow.CacheConfig{NumTables: 4}},
 			"MegaflowCapacity"},
@@ -170,52 +169,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-func TestTracesEndpoint(t *testing.T) {
-	s, base := startTelemetryService(t, Config{
-		Workers:     1,
-		Cache:       gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256},
-		TraceSample: 1, // trace every packet
-	})
-	submitN(t, s, 5, 1)
-
-	out := httpGet(t, base+"/traces?n=3")
-	var doc struct {
-		SampleEvery int `json:"sample_every"`
-		Sampled     int `json:"sampled_total"`
-		Traces      []struct {
-			Key      string `json:"key"`
-			CacheHit bool   `json:"cache_hit"`
-			Stages   []struct {
-				Name string `json:"name"`
-				Hit  bool   `json:"hit"`
-			} `json:"stages"`
-		} `json:"traces"`
-	}
-	if err := json.Unmarshal([]byte(out), &doc); err != nil {
-		t.Fatalf("traces JSON: %v\n%s", err, out)
-	}
-	if doc.SampleEvery != 1 || doc.Sampled != 5 {
-		t.Errorf("sample_every=%d sampled=%d, want 1 and 5", doc.SampleEvery, doc.Sampled)
-	}
-	if len(doc.Traces) != 3 {
-		t.Fatalf("got %d traces, want 3 (n=3)", len(doc.Traces))
-	}
-	// Newest first: the last packets are cache hits with a gigaflow stage.
-	newest := doc.Traces[0]
-	if !newest.CacheHit || newest.Key == "" {
-		t.Errorf("newest trace = %+v", newest)
-	}
-	found := false
-	for _, st := range newest.Stages {
-		if st.Name == "gigaflow" && st.Hit {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no gigaflow hit stage in %+v", newest.Stages)
-	}
-}
-
 func TestCacheEndpoint(t *testing.T) {
 	s, base := startTelemetryService(t, Config{
 		Workers: 2,
@@ -322,8 +275,6 @@ func TestJSONEndpoints(t *testing.T) {
 		status int
 		field  string // a top-level field of the endpoint's document
 	}{
-		{"/traces", http.StatusOK, "sampled_total"},
-		{"/traces?n=abc", http.StatusBadRequest, ""},
 		{"/cache", http.StatusOK, "backend"},
 		{"/shards", http.StatusOK, "shards"},
 		{"/latency", http.StatusOK, "total"},
@@ -489,7 +440,6 @@ func TestConcurrentScrape(t *testing.T) {
 		Workers:           2,
 		Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256},
 		MicroflowCapacity: 256,
-		TraceSample:       8,
 		Latency:           LatencyConfig{FlightRecords: 128},
 	})
 	ctx := context.Background()

@@ -18,15 +18,12 @@ import (
 // it — paths or single entries, partitions, how a commit is applied. See
 // DESIGN.md "The datapath core" for the contract.
 type backend interface {
-	// Tier names the cache in latency attribution, traces and telemetry.
+	// Tier names the cache in latency attribution and telemetry.
 	Tier() telemetry.Tier
 	// Find looks *k up at virtual time now, counting the lookup and
 	// refreshing what it matched. On a hit it leaves the rewritten key in
 	// *final and returns the verdict; on a miss *final is unspecified.
 	Find(k *Key, now int64, final *Key) (Verdict, bool)
-	// TraceHit annotates a sampled packet's trace with what the last Find
-	// matched.
-	TraceHit(tb *telemetry.TraceBuilder)
 	// Install compiles a successful traversal into the cache, reporting
 	// whether it went in and whether it evicted a resident entry by LRU.
 	Install(tr *Traversal, now int64) (ok, evicted bool)
@@ -66,9 +63,8 @@ type VSwitch struct {
 	// main-cache hit is stamped with.
 	current uint64
 
-	tracer *telemetry.Tracer          // optional traversal tracer (sampled)
-	rec    *telemetry.LatencyRecorder // optional latency attribution + flight ring
-	stats  VSwitchStats
+	rec   *telemetry.LatencyRecorder // optional latency attribution + flight ring
+	stats VSwitchStats
 
 	// trav is the one traversal every inline miss refills and res the
 	// resolver it walks with under conntrack: the switch is
@@ -194,14 +190,10 @@ func WithMicroflow(capacity int) VSwitchOption {
 	return func(v *VSwitch) { v.uf = microflow.New(capacity) }
 }
 
-// WithTracer attaches a sampling traversal tracer: 1-in-N processed
-// packets record every stage they touch (microflow lookup, per-LTM-table
-// matches, slowpath traversal, rule installation) with per-stage
-// nanosecond timings into the tracer's ring. Unsampled packets pay one
-// atomic increment; a nil tracer (or sampling disabled) costs a single
-// branch and no allocation.
-func WithTracer(t *telemetry.Tracer) VSwitchOption {
-	return func(v *VSwitch) { v.tracer = t }
+// WithTracer attaches nothing. It stays only for bench/replay.go's call,
+// which ROADMAP item 15 deletes together with it.
+func WithTracer(*telemetry.Tracer) VSwitchOption {
+	return func(*VSwitch) {}
 }
 
 // WithLatencyRecorder attaches a latency attribution layer: every packet
@@ -314,18 +306,12 @@ func (v *VSwitch) ProcessBatchMeta(keys []Key, flags []uint8, out []ProcessResul
 // uncounted, for the caller to finish through CompleteMiss. The stateful
 // stages are not optional, so on a conntrack switch a miss is always
 // resolved inline: it needs its connection, which only this goroutine may
-// touch. So is a sampled packet's, because a trace wants the whole
-// traversal.
+// touch.
 //
 // Keys are read where the caller put them and results written where the
 // caller will read them: k and o point into keys and out, and the backend
-// rewrites the key straight into o.Final. The 1-in-N sampled packet runs
-// the same statements with a non-nil trace builder, whose Begin and End
-// are no-ops on nil; it is stamped exactly and carries FlightTraced, and
-// is excluded from the tier latency histograms, where its own tracing
-// work would read as the tail. The body is allocation-free on every hit;
-// everything cold is behind a boundary (openTrace, closeCold,
-// processMiss).
+// rewrites the key straight into o.Final. The body is allocation-free on
+// every hit; the miss is behind a boundary (processMiss).
 //
 //gf:hotpath
 func (v *VSwitch) run(keys []Key, flags []uint8, out []ProcessResult, errs []error, parked []bool, now int64) {
@@ -347,12 +333,6 @@ func (v *VSwitch) run(keys []Key, flags []uint8, out []ProcessResult, errs []err
 			parked[i] = false
 		}
 		v.stats.Packets++
-		var tb *telemetry.TraceBuilder
-		if v.tracer != nil {
-			if tb = v.tracer.Start(); tb != nil {
-				v.openTrace(tb, k)
-			}
-		}
 		kt, conn, dir := k, (*conntrack.Conn)(nil), conntrack.DirForward
 		tier, served, missTier := telemetry.TierMicroflow, false, telemetry.TierSlowpath
 		var hash uint64
@@ -361,7 +341,6 @@ func (v *VSwitch) run(keys []Key, flags []uint8, out []ProcessResult, errs []err
 			if flags != nil {
 				fl = flags[i]
 			}
-			tb.Begin("conntrack")
 			var bits uint64
 			bits, conn, dir = v.ct.TrackKey(k, fl, now)
 			v.kt = *k
@@ -375,12 +354,9 @@ func (v *VSwitch) run(keys []Key, flags []uint8, out []ProcessResult, errs []err
 					missTier = telemetry.TierConntrack
 				}
 			}
-			tb.End(served)
 		}
 		if conn == nil && v.uf != nil {
-			tb.Begin("microflow")
 			e, ok := v.uf.Find(k, now)
-			tb.End(ok)
 			if served = ok; ok {
 				v.stats.MicroflowHits++
 				o.Final = e.Final // on its own: a tuple assignment copies the key twice
@@ -389,14 +365,9 @@ func (v *VSwitch) run(keys []Key, flags []uint8, out []ProcessResult, errs []err
 			}
 		}
 		if !served {
-			tb.Begin(v.tierName)
 			verdict, hit := v.main.Find(kt, now, &o.Final)
-			tb.End(hit)
-			if tb != nil {
-				v.main.TraceHit(tb)
-			}
 			if !hit {
-				if parked != nil && v.ct == nil && tb == nil {
+				if parked != nil && v.ct == nil {
 					// Park it. The packet's accounting is deferred to
 					// CompleteMiss (initiator) or its replay through Process
 					// (follower).
@@ -404,7 +375,7 @@ func (v *VSwitch) run(keys []Key, flags []uint8, out []ProcessResult, errs []err
 					parked[i] = true
 					*o = ProcessResult{}
 				} else {
-					errs[i] = v.processMiss(k, kt, conn, dir, missTier, now, tb, o)
+					errs[i] = v.processMiss(k, kt, conn, dir, missTier, now, o)
 				}
 				continue
 			}
@@ -418,46 +389,13 @@ func (v *VSwitch) run(keys []Key, flags []uint8, out []ProcessResult, errs []err
 			tier, hash = v.tier, kt.FlowHash()
 		}
 		// A cache served it: a provisional flight record, timed with the hit
-		// run it belongs to — or, for a sampled packet, the cold close.
-		if tb != nil {
-			v.closeCold(tb, tier, hash, 0, o, nil)
-		} else if v.rec != nil {
+		// run it belongs to.
+		if v.rec != nil {
 			v.rec.Hit(tier, hash)
 		}
 	}
 	if v.rec != nil {
 		v.rec.EndBatch()
-	}
-}
-
-// openTrace starts a sampled packet's trace: the packet leaves the hit
-// path here, so any open hit run closes and its flight record will be
-// stamped exactly.
-//
-//gf:hotpath-safe the sampled packet's open, once per 1-in-N packets: renders the key and reads the clock
-func (v *VSwitch) openTrace(tb *telemetry.TraceBuilder, k *Key) {
-	if v.rec != nil {
-		v.rec.ColdBegin()
-	}
-	tb.SetKey(k.String())
-}
-
-// closeCold closes a packet that left the hit path — a miss, or a sampled
-// packet wherever it was served: the trace, if there is one, is finished
-// and pushed, and the flight record stamped exactly.
-//
-//gf:hotpath-safe misses and sampled packets only: renders the verdict into the trace and reads the clock for the exact flight stamp
-func (v *VSwitch) closeCold(tb *telemetry.TraceBuilder, tier telemetry.Tier, hash uint64, flags uint8, o *ProcessResult, err error) {
-	if tb != nil {
-		flags |= telemetry.FlightTraced
-		verdict := ""
-		if err == nil {
-			verdict = o.Verdict.String()
-		}
-		tb.Finish(verdict, o.CacheHit, o.MicroflowHit, err)
-	}
-	if v.rec != nil {
-		v.rec.Cold(tier, hash, flags)
 	}
 }
 
@@ -467,7 +405,7 @@ func (v *VSwitch) closeCold(tb *telemetry.TraceBuilder, tier telemetry.Tier, has
 // tracking is off), conn/dir the packet's tracked connection (nil when
 // tracking is off or the packet is untracked), tier the latency tier the
 // miss is attributed to (TierConntrack when the connection's held result
-// was refused), and tb nil unless the packet is being traced.
+// was refused).
 //
 // The traversal refills v.trav and the install probes the cache before it
 // builds anything, so a miss allocates for the entries it adds and
@@ -477,13 +415,12 @@ func (v *VSwitch) closeCold(tb *telemetry.TraceBuilder, tier telemetry.Tier, has
 //
 //gf:hotpath-safe the slow-path boundary: wraps a pipeline error, which a hit may not do
 func (v *VSwitch) processMiss(k, kt *Key, conn *conntrack.Conn, dir conntrack.Dir,
-	tier telemetry.Tier, now int64, tb *telemetry.TraceBuilder, o *ProcessResult) error {
+	tier telemetry.Tier, now int64, o *ProcessResult) error {
 	if v.rec != nil {
-		v.rec.ColdBegin() // no-op for a sampled packet, cold since openTrace
+		v.rec.ColdBegin()
 	}
 	v.stats.CacheMisses++
 	v.stats.Slowpath++
-	tb.Begin("slowpath")
 	tr := &v.trav
 	var err error
 	if v.ct != nil {
@@ -492,15 +429,16 @@ func (v *VSwitch) processMiss(k, kt *Key, conn *conntrack.Conn, dir conntrack.Di
 	} else {
 		err = v.pipe.ProcessInto(tr, kt, nil)
 	}
-	tb.End(err == nil)
 	flags := telemetry.FlightMiss
 	if err != nil {
 		err = fmt.Errorf("gigaflow: slowpath: %w", err)
 		*o = ProcessResult{}
 	} else {
-		flags |= v.install(k, tr, now, conn, dir, tb, o)
+		flags |= v.install(k, tr, now, conn, dir, o)
 	}
-	v.closeCold(tb, tier, kt.FlowHash(), flags, o, err)
+	if v.rec != nil {
+		v.rec.Cold(tier, kt.FlowHash(), flags)
+	}
 	return err
 }
 
@@ -518,13 +456,11 @@ func (v *VSwitch) processMiss(k, kt *Key, conn *conntrack.Conn, dir conntrack.Di
 // first-resolution rule); held all the same, it is refused on the next
 // packet, whose walk resolves every step under the binding.
 func (v *VSwitch) install(k *Key, tr *Traversal, now int64, conn *conntrack.Conn, dir conntrack.Dir,
-	tb *telemetry.TraceBuilder, o *ProcessResult) (flags uint8) {
+	o *ProcessResult) (flags uint8) {
 	v.stats.SlowpathSteps += uint64(tr.Len())
 	v.stats.SlowpathTupleProbes += uint64(tr.TuplesProbed)
 	if tr.CtEpoch == 0 {
-		tb.Begin("partition+install")
 		ok, evicted := v.main.Install(tr, now)
-		tb.End(ok)
 		if ok {
 			v.stats.Installs++
 			flags = telemetry.FlightInstall
