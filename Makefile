@@ -152,11 +152,14 @@ bench-pairs:
 ## corpus input. FuzzParseMatch and FuzzParseKey round-trip String through
 ## the parser, which crosses every field's packed-key accessors, and
 ## FuzzRewrite holds the cache entries' masked-overwrite commit to the
-## set-field action list it folds.
+## set-field action list it folds. FuzzResumeWalk holds a walk resumed at
+## any step of a full walk of the five paper pipelines to that walk's
+## suffix, the premise a stalled miss resumes on.
 ## FuzzMicroflowOps and FuzzOpsDifferential replay op tapes
 ## through the Microflow tier and the flow table against their map-backed
 ## reference models, FuzzInsertOps through the LTM cache's
-## probe-before-build install against the build-then-dedupe original, and
+## probe-before-build install — at an offset too, as a resumed miss
+## installs its suffix — against the build-then-dedupe original, and
 ## FuzzEpochValid through the connection table against a model of which
 ## stamps a connection's death, tuple reuse or NAT binding has outdated.
 ## FuzzOracle is the whole-datapath oracle: each entry names a cell of its
@@ -167,6 +170,7 @@ bench-pairs:
 ## catch (results/pr25/README.md, results/pr26/README.md).
 fuzz-regress:
 	$(GO) test -run 'FuzzParseMatch|FuzzParseKey|FuzzRewrite' ./internal/flow
+	$(GO) test -run 'FuzzResumeWalk' ./internal/pipeline
 	$(GO) test -run 'FuzzDecode|FuzzRSSHash' ./internal/packet
 	$(GO) test -run 'FuzzEpochValid' ./internal/conntrack
 	$(GO) test -run 'FuzzMicroflowOps' ./internal/microflow

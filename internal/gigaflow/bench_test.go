@@ -138,6 +138,11 @@ func missBenchSetup() {
 // (partition,) rule generation and install — against each backend, timed
 // only for the keys the cache misses and reported per miss. Rule
 // generation is what the gigaflow figure leaves after walk and partition.
+// resumed is the gigaflow miss as a switch built WithStallResume takes it:
+// a miss the lookup stalled on walks from the stall with the key the
+// prefix rewrote and installs that suffix into the tables after the
+// prefix, any other the whole traversal; steps/miss is the pipeline
+// tables walked per miss.
 func BenchmarkMissSteadyState(b *testing.B) {
 	missBench.once.Do(missBenchSetup)
 	if missBench.err != nil {
@@ -166,28 +171,26 @@ func BenchmarkMissSteadyState(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			tr := trs[i%len(trs)]
-			if part := c.dp.partition(c.dp.stepFields(tr), 4, nil, nil); part == nil {
+			if part := c.dp.partition(c.dp.stepFields(tr), 4, nil, nil, suffix{}); part == nil {
 				b.Fatal("no partition")
 			}
 		}
 	})
 
 	// miss runs the Lookup-gated loop until b.N keys have missed: lookup is
-	// the backend's probe, install its compile-and-insert.
-	miss := func(b *testing.B, lookup func(*flow.Key, int64) bool, install func(*pipeline.Traversal, int64) error, created func() uint64) {
-		var tr pipeline.Traversal
-		one := func(i int) bool {
+	// the backend's probe, slow its walk and compile-and-insert of a key
+	// that missed, returning the pipeline tables it walked.
+	miss := func(b *testing.B, lookup func(*flow.Key, int64) bool, slow func(*flow.Key, int64) (int, error), created func() uint64) {
+		one := func(i int) (steps int, missed bool) {
 			k := &keys[i%len(keys)]
 			if lookup(k, int64(i)) {
-				return false
+				return 0, false
 			}
-			if err := p.ProcessInto(&tr, k, nil); err != nil {
+			steps, err := slow(k, int64(i))
+			if err != nil {
 				b.Fatal(err)
 			}
-			if err := install(&tr, int64(i)); err != nil {
-				b.Fatal(err)
-			}
-			return true
+			return steps, true
 		}
 		i := 0
 		for ; i < 2*len(keys); i++ { // fill the cache and reach the steady state
@@ -197,6 +200,7 @@ func BenchmarkMissSteadyState(b *testing.B) {
 		runtime.ReadMemStats(&m0)
 		c0 := created()
 		var spent time.Duration
+		steps := 0
 		b.ResetTimer()
 		for misses := 0; misses < b.N; i++ {
 			k := &keys[i%len(keys)]
@@ -204,13 +208,12 @@ func BenchmarkMissSteadyState(b *testing.B) {
 				continue
 			}
 			t0 := time.Now()
-			if err := p.ProcessInto(&tr, k, nil); err != nil {
-				b.Fatal(err)
-			}
-			if err := install(&tr, int64(i)); err != nil {
-				b.Fatal(err)
-			}
+			n, err := slow(k, int64(i))
 			spent += time.Since(t0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			steps += n
 			misses++
 		}
 		b.StopTimer()
@@ -220,13 +223,45 @@ func BenchmarkMissSteadyState(b *testing.B) {
 		b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/n, "allocs/miss")
 		b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/n, "B/miss")
 		b.ReportMetric(float64(created()-c0)/n, "entries/miss")
+		b.ReportMetric(float64(steps)/n, "steps/miss")
+	}
+	// whole is the miss that walks the whole pipeline and hands all of it
+	// to install.
+	var tr pipeline.Traversal
+	whole := func(install func(*pipeline.Traversal, int64) error) func(*flow.Key, int64) (int, error) {
+		return func(k *flow.Key, now int64) (int, error) {
+			if err := p.ProcessInto(&tr, k, nil); err != nil {
+				return 0, err
+			}
+			return tr.Len(), install(&tr, now)
+		}
 	}
 
 	b.Run("gigaflow", func(b *testing.B) {
 		c := New(p, Config{NumTables: 4, TableCapacity: 1024})
 		miss(b,
 			func(k *flow.Key, now int64) bool { return c.Lookup(*k, now).Hit },
-			func(tr *pipeline.Traversal, now int64) error { _, err := c.Insert(tr, now); return err },
+			whole(func(tr *pipeline.Traversal, now int64) error { _, err := c.Insert(tr, now); return err }),
+			func() uint64 { return c.Stats().EntriesCreated })
+	})
+
+	b.Run("resumed", func(b *testing.B) {
+		c := New(p, Config{NumTables: 4, TableCapacity: 1024})
+		var stalled flow.Key
+		full := whole(func(tr *pipeline.Traversal, now int64) error { _, err := c.Insert(tr, now); return err })
+		miss(b,
+			func(k *flow.Key, now int64) bool { _, hit := c.Find(k, now, &stalled); return hit },
+			func(k *flow.Key, now int64) (int, error) {
+				next, table, span := c.Stall()
+				if span == 0 {
+					return full(k, now)
+				}
+				if err := p.ProcessPartialInto(&tr, next, &stalled, p.MaxSteps-span); err != nil {
+					return 0, err
+				}
+				_, err := c.insert(&tr, suffix{table: table}, now)
+				return tr.Len(), err
+			},
 			func() uint64 { return c.Stats().EntriesCreated })
 	})
 
@@ -234,7 +269,7 @@ func BenchmarkMissSteadyState(b *testing.B) {
 		c := megaflow.New(4096)
 		miss(b,
 			func(k *flow.Key, now int64) bool { _, hit := c.Lookup(*k, now); return hit },
-			func(tr *pipeline.Traversal, now int64) error { c.Insert(tr, now); return nil },
+			whole(func(tr *pipeline.Traversal, now int64) error { c.Insert(tr, now); return nil }),
 			func() uint64 { return c.Stats().Inserts })
 	})
 }

@@ -15,8 +15,10 @@ import (
 // segment compiled to a heap Entry first, the survivors installed, the rest
 // dropped — kept as the differential reference for InsertPartition. Only
 // what the surrounding types forced has changed: Match and Priority live in
-// the embedded classifier node, get takes the predicate by pointer, and the
-// path signature the old entries carried is gone.
+// the embedded classifier node, get takes the predicate by pointer, the
+// path signature the old entries carried is gone, and a partition of the
+// steps from from.step on goes into the tables from from.table on, as a
+// resumed miss installs its suffix.
 func refBuildEntry(tr *pipeline.Traversal, seg Segment, now int64) *Entry {
 	match, commit := tr.Compose(seg.Start, seg.End)
 	e := &Entry{
@@ -49,8 +51,9 @@ func refSameSemantics(a, b *Entry) bool {
 		a.Commit == b.Commit
 }
 
-func refInsertPartition(c *Cache, tr *pipeline.Traversal, part Partition, now int64) ([]*Entry, error) {
-	if err := part.Validate(tr.Len(), len(c.tables)); err != nil {
+func refInsertPartition(c *Cache, tr *pipeline.Traversal, part Partition, from suffix, now int64) ([]*Entry, error) {
+	tables := c.tables[from.table:]
+	if err := part.validate(from.step, tr.Len(), len(tables)); err != nil {
 		c.stats.Rejected++
 		return nil, err
 	}
@@ -59,7 +62,7 @@ func refInsertPartition(c *Cache, tr *pipeline.Traversal, part Partition, now in
 	// First pass: dedupe against existing entries.
 	for i, seg := range part {
 		cand := refBuildEntry(tr, seg, now)
-		if old := c.tables[i].get(cand.Tag, &cand.Match, cand.Priority); old != nil {
+		if old := tables[i].get(cand.Tag, &cand.Match, cand.Priority); old != nil {
 			if refSameSemantics(old, cand) {
 				entries[i] = old
 				continue
@@ -79,7 +82,7 @@ func refInsertPartition(c *Cache, tr *pipeline.Traversal, part Partition, now in
 			c.stats.SharedReuse++
 			continue
 		}
-		t := c.tables[i]
+		t := tables[i]
 		if old := t.get(e.Tag, &e.Match, e.Priority); old != nil {
 			t.remove(old) // conflict replacement
 		} else if t.count >= t.capacity {
@@ -180,7 +183,12 @@ func checkSameCaches(t testing.TB, step int, got, ref *Cache) {
 // flows, so every tape runs at and over capacity. Rule-toggle operations
 // change a rule's rewrite without revalidating, which is what leaves
 // conflicting (same predicate, different behaviour) entries behind.
-func runInsertTape(t testing.TB, tape []byte) Stats {
+//
+// Bit 2 of the first byte, clear in every tape written before installs at
+// an offset existed, turns two of the eight install ops into one: the
+// steps of the traversal from a tape-chosen step on go into the tables
+// from a tape-chosen table on, as a resumed miss installs its suffix.
+func runInsertTape(t testing.TB, tape []byte) (s Stats, offset int) {
 	next := func() int {
 		if len(tape) == 0 {
 			return 0
@@ -190,7 +198,9 @@ func runInsertTape(t testing.TB, tape []byte) Stats {
 		return int(b)
 	}
 	p := buildRandomPipeline(nil)
-	cfg := Config{NumTables: 1 + next()%4, TableCapacity: 1 + next()%4}
+	shape := next()
+	offsets := shape&4 != 0
+	cfg := Config{NumTables: 1 + shape%4, TableCapacity: 1 + next()%4}
 	got, ref := New(p, cfg), New(p, cfg)
 	key := func() flow.Key {
 		a, b := next(), next()
@@ -216,29 +226,46 @@ func runInsertTape(t testing.TB, tape []byte) Stats {
 		switch op % 16 {
 		case 0, 1, 2, 3, 4, 5, 6, 7:
 			tr := p.MustProcess(key())
+			var from suffix
+			if offsets && op%16 >= 6 {
+				from = suffix{step: next() % tr.Len(), table: next() % cfg.NumTables}
+			}
 			var part Partition
 			switch cut := next(); cut % 4 {
 			case 0: // whole
-				part = Partition{{0, tr.Len()}}
+				part = Partition{{from.step, tr.Len()}}
 			case 1: // tape-chosen cuts, possibly more segments than tables
-				at := 0
-				for i := 1; i < tr.Len(); i++ {
-					if cut>>uint(i+1)&1 == 1 {
+				at := from.step
+				for i := at + 1; i < tr.Len(); i++ {
+					if cut>>uint(i-from.step+1)&1 == 1 {
 						part = append(part, Segment{at, i})
 						at = i
 					}
 				}
 				part = append(part, Segment{at, tr.Len()})
 			default:
-				part, _ = PartitionTraversal(tr, cfg.NumTables, SchemeDisjoint, nil)
+				if from == (suffix{}) {
+					part, _ = PartitionTraversal(tr, cfg.NumTables, SchemeDisjoint, nil)
+					break
+				}
+				var fields []flow.FieldSet
+				for i := from.step; i < tr.Len(); i++ {
+					fields = append(fields, tr.StepFields(i).Intersect(AnalysisFields))
+				}
+				for _, seg := range DisjointPartition(fields, cfg.NumTables-from.table) {
+					part = append(part, Segment{from.step + seg.Start, from.step + seg.End})
+				}
 			}
-			ge, gerr := got.InsertPartition(tr, part, now)
-			re, rerr := refInsertPartition(ref, tr, part, now)
+			ge, gerr := got.insertPartition(tr, part, from, now)
+			re, rerr := refInsertPartition(ref, tr, part, from, now)
+			if gerr == nil && from.table > 0 {
+				offset++
+			}
 			if (gerr == nil) != (rerr == nil) || gerr != nil && gerr.Error() != rerr.Error() {
-				t.Fatalf("step %d: InsertPartition(%v) error %v, reference %v", step, part, gerr, rerr)
+				t.Fatalf("step %d: insertPartition(%v, %+v) error %v, reference %v", step, part, from, gerr, rerr)
 			}
 			if g, r := statesOf(ge), statesOf(re); !reflect.DeepEqual(g, r) {
-				t.Fatalf("step %d: InsertPartition(%v) returned\n got %+v\n ref %+v", step, part, g, r)
+				t.Fatalf("step %d: insertPartition(%v, %+v) returned\n got %+v\n ref %+v", step, part, from, g, r)
 			}
 		case 8, 9, 10:
 			k := key()
@@ -273,7 +300,7 @@ func runInsertTape(t testing.TB, tape []byte) Stats {
 		}
 		checkSameCaches(t, step, got, ref)
 	}
-	return got.Stats()
+	return got.Stats(), offset
 }
 
 // TestInsertPartitionDifferential drives the probe-before-build
@@ -281,10 +308,12 @@ func runInsertTape(t testing.TB, tape []byte) Stats {
 // op tapes and demands they never differ.
 func TestInsertPartitionDifferential(t *testing.T) {
 	var sum Stats
+	offsets := 0
 	for seed := int64(1); seed <= 48; seed++ {
 		tape := make([]byte, 6000)
 		rand.New(rand.NewSource(seed)).Read(tape)
-		s := runInsertTape(t, tape)
+		s, n := runInsertTape(t, tape)
+		offsets += n
 		sum.SharedReuse += s.SharedReuse
 		sum.Conflicts += s.Conflicts
 		sum.EvictLRU += s.EvictLRU
@@ -295,8 +324,8 @@ func TestInsertPartitionDifferential(t *testing.T) {
 		sum.Hits += s.Hits
 	}
 	if sum.SharedReuse == 0 || sum.Conflicts == 0 || sum.EvictLRU == 0 || sum.Rejected == 0 ||
-		sum.Revoked == 0 || sum.Expired == 0 || sum.CtInvalid == 0 || sum.Hits == 0 {
-		t.Fatalf("the tapes leave a branch untaken: %+v", sum)
+		sum.Revoked == 0 || sum.Expired == 0 || sum.CtInvalid == 0 || sum.Hits == 0 || offsets == 0 {
+		t.Fatalf("the tapes leave a branch untaken: %+v, %d installs at an offset", sum, offsets)
 	}
 }
 
@@ -305,5 +334,5 @@ func TestInsertPartitionDifferential(t *testing.T) {
 func FuzzInsertOps(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{3, 1, 1, 0, 1, 5, 9, 2, 0, 1, 5, 9, 1, 11, 0, 1, 2, 0, 1, 5, 9, 2, 8, 1, 5, 9})
-	f.Fuzz(func(t *testing.T, tape []byte) { _ = runInsertTape(t, tape) })
+	f.Fuzz(func(t *testing.T, tape []byte) { runInsertTape(t, tape) })
 }

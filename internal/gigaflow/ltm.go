@@ -568,7 +568,7 @@ func (c *Cache) result(k *flow.Key, now int64, s *Stats, r *Result) {
 // Find is Lookup in the datapath's form: the key is read in place and
 // copied once, into *final, where every matched commit rewrites it. On a
 // hit *final is the flow state after all matched commits; on a miss it is
-// unspecified.
+// the flow state after the matched prefix, which Stall then describes.
 //
 //gf:hotpath
 func (c *Cache) Find(k *flow.Key, now int64, final *flow.Key) (flow.Verdict, bool) {
@@ -764,6 +764,15 @@ func (cd *candidate) materialise(tr *pipeline.Traversal, seg Segment, now int64)
 // traversal is instead installed whole — a single Megaflow-style entry in
 // GF₁ — per §7's profile-guided fallback.
 func (c *Cache) Insert(tr *pipeline.Traversal, now int64) ([]*Entry, error) {
+	return c.insert(tr, suffix{}, now)
+}
+
+// insert is Insert for the steps from from.step on, into the tables from
+// from.table on: a stalled miss's suffix, or, from the zero suffix, the
+// whole traversal. Only the schemes Stall resumes under — the disjoint and
+// profile dynamic programs — place a suffix; the others partition the
+// whole traversal, which a suffix install rejects.
+func (c *Cache) insert(tr *pipeline.Traversal, from suffix, now int64) ([]*Entry, error) {
 	partitioned := true
 	if c.adapt != nil {
 		c.adapt.installs++
@@ -772,12 +781,12 @@ func (c *Cache) Insert(tr *pipeline.Traversal, now int64) ([]*Entry, error) {
 	var part Partition
 	switch {
 	case !partitioned:
-		c.dp.part = append(c.dp.part[:0], Segment{Start: 0, End: tr.Len()})
+		c.dp.part = append(c.dp.part[:0], Segment{Start: from.step, End: tr.Len()})
 		part = c.dp.part
 	case c.cfg.Scheme == SchemeProfile:
-		part = c.profilePartition(tr)
+		part = c.profilePartition(tr, from)
 	case c.cfg.Scheme == SchemeDisjoint:
-		part = c.dp.partition(c.dp.stepFields(tr), len(c.tables), nil, nil)
+		part = c.dp.partition(c.dp.stepFields(tr), len(c.tables)-from.table, nil, nil, from)
 	default:
 		var err error
 		part, err = PartitionTraversal(tr, len(c.tables), c.cfg.Scheme, c.rng)
@@ -787,38 +796,71 @@ func (c *Cache) Insert(tr *pipeline.Traversal, now int64) ([]*Entry, error) {
 		}
 	}
 	c.observeInsert = partitioned
-	return c.InsertPartition(tr, part, now)
+	return c.insertPartition(tr, part, from, now)
 }
 
-// Install is Insert as the datapath calls it: it reports whether the
+// Install is Insert as the datapath calls it: steps [from, n) of tr go into
+// tables [table, K) — from = table = 0 for a whole traversal, a stall's
+// span and first table left for its suffix — and it reports whether the
 // traversal was installed and whether installing it evicted a resident
 // entry by LRU.
-func (c *Cache) Install(tr *pipeline.Traversal, now int64) (ok, evicted bool) {
+func (c *Cache) Install(tr *pipeline.Traversal, from, table int, now int64) (ok, evicted bool) {
 	lru := c.stats.EvictLRU
-	_, err := c.Insert(tr, now)
+	_, err := c.insert(tr, suffix{step: from, table: table}, now)
 	return err == nil, c.stats.EvictLRU > lru
+}
+
+// Stall reports where the last lookup's miss stopped, when the cache can
+// place the rest of its traversal on its own: next is the pipeline table
+// the matched prefix continues at (its last entry's NextTag), table the
+// first LTM table after that entry, and span the pipeline tables the
+// prefix spans — the step of a full walk that next and the lookup's
+// rewritten key start. span is 0 when the lookup hit or matched no entry,
+// in a configuration that places no suffix — adaptive mode, the RND and
+// 1-1 schemes — and when the prefix ends in the last table, which no
+// install leaves a non-terminal entry in.
+func (c *Cache) Stall() (next, table, span int) {
+	if len(c.path) == 0 || c.adapt != nil || c.cfg.Scheme != SchemeDisjoint && c.cfg.Scheme != SchemeProfile {
+		return 0, 0, 0
+	}
+	last := c.path[len(c.path)-1]
+	if table = last.table.idx + 1; last.Terminal || table == len(c.tables) {
+		return 0, 0, 0
+	}
+	for _, e := range c.path {
+		span += e.Priority
+	}
+	return last.NextTag, table, span
 }
 
 // InsertPartition installs a traversal under an explicit partition
 // (segment j goes to table j). Exposed for the Fig. 16 scheme comparison
 // and for tests. The result aliases the same cache-owned buffer as
 // Insert's.
+func (c *Cache) InsertPartition(tr *pipeline.Traversal, part Partition, now int64) ([]*Entry, error) {
+	return c.insertPartition(tr, part, suffix{}, now)
+}
+
+// insertPartition is InsertPartition for a partition of the steps from
+// from.step on, segment j going to table from.table+j; from.table must name
+// a table.
 //
 // Installation probes before it builds: every segment is composed into
 // scratch and looked up in its table, and an Entry is allocated only for
 // a segment whose predicate is absent or resident with different
 // behaviour — most segments of a missed traversal are shared, and they
 // cost a composition and a probe, nothing more.
-func (c *Cache) InsertPartition(tr *pipeline.Traversal, part Partition, now int64) ([]*Entry, error) {
-	if err := part.Validate(tr.Len(), len(c.tables)); err != nil {
+func (c *Cache) insertPartition(tr *pipeline.Traversal, part Partition, from suffix, now int64) ([]*Entry, error) {
+	tables := c.tables[from.table:]
+	if err := part.validate(from.step, tr.Len(), len(tables)); err != nil {
 		c.stats.Rejected++
 		return nil, err
 	}
-	c.probeSegments(tr, part)
+	c.probeSegments(tr, part, tables)
 	c.installed = c.installed[:0]
 	reused := 0
 	for i, seg := range part {
-		cd, t := &c.cands[i], c.tables[i]
+		cd, t := &c.cands[i], tables[i]
 		if cd.shared {
 			cd.old.Installs++
 			c.stats.SharedReuse++
@@ -846,18 +888,18 @@ func (c *Cache) InsertPartition(tr *pipeline.Traversal, part Partition, now int6
 	return c.installed, nil
 }
 
-// probeSegments is the probe half of InsertPartition: it composes segment
-// i of part into candidate i and looks its predicate up in table i,
+// probeSegments is the probe half of insertPartition: it composes segment
+// i of part into candidate i and looks its predicate up in tables[i],
 // recording the resident entry and whether it already does what the
 // candidate would. It allocates nothing and changes nothing but the
 // Conflicts counter.
 //
 //gf:hotpath
-func (c *Cache) probeSegments(tr *pipeline.Traversal, part Partition) {
+func (c *Cache) probeSegments(tr *pipeline.Traversal, part Partition, tables []*ltmTable) {
 	for i, seg := range part {
 		cd := &c.cands[i]
 		cd.compose(tr, seg)
-		cd.old = c.tables[i].get(cd.tag, &cd.Match, cd.prio)
+		cd.old = tables[i].get(cd.tag, &cd.Match, cd.prio)
 		cd.shared = cd.old != nil && cd.same(cd.old)
 		if cd.old != nil && !cd.shared {
 			// Same predicate, different behaviour: stale sibling from an

@@ -216,6 +216,45 @@ func TestStallIsAMiss(t *testing.T) {
 	if st.Misses != 1 || st.Stalls != 1 {
 		t.Errorf("stats = %+v", st)
 	}
+
+	// The stall continues at pipeline table 2, in GF1, two steps in: the
+	// suffix walked from there and installed there completes the chain.
+	x := chainKey(1, 9, 1000)
+	var final flow.Key
+	if _, hit := c.Find(&x, 2, &final); hit {
+		t.Fatal("stalled chain must be a miss")
+	}
+	next, table, span := c.Stall()
+	if next != 2 || table != 1 || span != 2 || final != x {
+		t.Fatalf("Stall() = %d, %d, %d with key %s; want 2, 1, 2 with %s", next, table, span, final, x)
+	}
+	suffix, err := p.ProcessPartial(next, final, p.MaxSteps-span)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, _ := c.Install(suffix, 0, table, 3); !ok {
+		t.Fatal("the suffix did not go in")
+	}
+	res = c.Lookup(x, 4)
+	if full := p.MustProcess(x); !res.Hit || len(res.Path) != 2 || res.Path[1].TableIndex() != 1 ||
+		res.Verdict != full.Verdict || res.Final != full.FinalKey() {
+		t.Fatalf("after the suffix install: %+v; the walk says %v, %s", res, full.Verdict, full.FinalKey())
+	}
+	if _, _, span := c.Stall(); span != 0 {
+		t.Errorf("a hit reports a stall spanning %d tables", span)
+	}
+
+	// Adaptive mode places no suffix.
+	c = New(p, Config{NumTables: 3, TableCapacity: 16, Adaptive: true})
+	if _, err := c.InsertPartition(b, Partition{{0, 2}, {2, 3}}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if c.Lookup(x, 1).Hit {
+		t.Fatal("stalled chain must be a miss")
+	}
+	if _, _, span := c.Stall(); span != 0 {
+		t.Errorf("adaptive mode reports a stall spanning %d tables", span)
+	}
 }
 
 func TestMissLeavesNoTrace(t *testing.T) {
@@ -227,6 +266,9 @@ func TestMissLeavesNoTrace(t *testing.T) {
 	}
 	if c.Stats().Misses != 1 || c.Stats().Stalls != 0 {
 		t.Errorf("stats = %+v", c.Stats())
+	}
+	if _, _, span := c.Stall(); span != 0 {
+		t.Errorf("a miss that matched nothing reports a stall spanning %d tables", span)
 	}
 }
 

@@ -16,12 +16,13 @@ import "gigaflow/internal/pipeline"
 // disjointness score (which is bounded by the traversal length).
 const reuseBonusWeight = pipeline.DefaultMaxSteps + 1
 
-// profilePartition computes the reuse-aware optimal partition of tr into
-// at most len(c.tables) segments: the DisjointPartition dynamic program
-// with a per-(segment, target-table) reuse bonus, so its complexity gains
-// a composition per candidate segment — O(N²·K) compositions.
-func (c *Cache) profilePartition(tr *pipeline.Traversal) Partition {
-	return c.dp.partition(c.dp.stepFields(tr), len(c.tables), c, tr)
+// profilePartition computes the reuse-aware optimal partition of tr's
+// steps from from.step on into the tables from from.table on: the
+// DisjointPartition dynamic program with a per-(segment, target-table)
+// reuse bonus, so its complexity gains a composition per candidate
+// segment — O(N²·K) compositions.
+func (c *Cache) profilePartition(tr *pipeline.Traversal, from suffix) Partition {
+	return c.dp.partition(c.dp.stepFields(tr), len(c.tables)-from.table, c, tr, from)
 }
 
 // segmentResident reports whether the LTM entry this segment would compile

@@ -281,11 +281,17 @@ func (c *Cache) Insert(tr *pipeline.Traversal, now int64) *Entry {
 
 // Install is Insert as the datapath calls it: the traversal always goes
 // in, and evicted reports whether it pushed a resident entry out by LRU.
-func (c *Cache) Install(tr *pipeline.Traversal, now int64) (ok, evicted bool) {
+// A Megaflow entry is a whole traversal, so the cache reports no Stall and
+// is only ever handed from = table = 0, which it does not read.
+func (c *Cache) Install(tr *pipeline.Traversal, from, table int, now int64) (ok, evicted bool) {
 	lru := c.stats.EvictLRU
 	c.Insert(tr, now)
 	return true, c.stats.EvictLRU > lru
 }
+
+// Stall reports no stall: a Megaflow lookup matches one whole-traversal
+// entry or nothing, so a miss leaves no prefix to resume from.
+func (c *Cache) Stall() (next, table, span int) { return 0, 0, 0 }
 
 // removeEntry unlinks and deletes an entry from both structures.
 func (c *Cache) removeEntry(ent *Entry) {

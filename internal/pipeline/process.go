@@ -171,13 +171,12 @@ func (p *Pipeline) processInto(tr *Traversal, start int, key *flow.Key, maxSteps
 		step := tr.nextStep()
 		step.TableID, step.Pre = cur, *k
 		var entry *tss.Entry[*Rule]
-		var probes int
 		if p.PreciseWildcards {
-			entry, probes = t.cls.LookupWildPreciseInto(k, &step.Wildcard, &tr.probed)
+			entry, step.Probes = t.cls.LookupWildPreciseInto(k, &step.Wildcard, &tr.probed)
 		} else {
-			entry, probes = t.cls.LookupWildInto(k, &step.Wildcard)
+			entry, step.Probes = t.cls.LookupWildInto(k, &step.Wildcard)
 		}
-		tr.TuplesProbed += probes
+		tr.TuplesProbed += step.Probes
 
 		acts, next := t.MissActions, t.MissNext
 		step.Rule = nil

@@ -31,6 +31,9 @@ type Step struct {
 	Acts []flow.Action
 	// Verdict is the terminal decision made at this step, if any.
 	Verdict flow.Verdict
+	// Probes is the TSS tuples this step's lookup probed: what a walk of a
+	// suffix of the traversal alone would count for it.
+	Probes int
 	// CtDep marks a step whose actions were resolved against a connection
 	// (a NAT binding): cache entries composed over it are only valid for
 	// that connection while its bindings stand.
@@ -72,7 +75,8 @@ type Traversal struct {
 	// stopped at a step limit instead of a terminal verdict; NoTable
 	// otherwise.
 	NextTable int
-	// TuplesProbed is the total TSS tuples probed, for CPU accounting.
+	// TuplesProbed is the total TSS tuples probed, for CPU accounting: the
+	// sum of the steps' Probes.
 	TuplesProbed int
 	// CtConn and CtEpoch identify the connection state any CtDep steps
 	// were resolved against: the connection's tuple and its epoch at

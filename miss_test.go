@@ -41,7 +41,9 @@ func missWorldSetup() {
 // creates on Gigaflow, the entry, which holds its commit and embeds its
 // classifier node, and two on Megaflow, the entry and its classifier node;
 // a hit allocates nothing, the overflow fallback's lookup of a flow an
-// earlier packet installed included. Packets go through ProcessBatchMeta
+// earlier packet installed included. The Gigaflow switch runs twice, the
+// second time as the service runs it (WithStallResume), where a stalled
+// miss walks and installs only its suffix. Packets go through ProcessBatchMeta
 // one at a time so each one's allocations can be read off the runtime's
 // malloc counter. The walk, the partition and the probes run on scratch the
 // switch and the cache own; before they did, a miss here cost 30–45
@@ -76,11 +78,14 @@ func TestMissPathAllocBudget(t *testing.T) {
 		t.Fatal(missWorld.err)
 	}
 	keys := missWorld.keys
-	for _, backend := range []string{"gigaflow", "megaflow"} {
+	for _, backend := range []string{"gigaflow", "gigaflow/resume", "megaflow"} {
 		t.Run(backend, func(t *testing.T) {
 			opts := []VSwitchOption{WithMicroflow(256)}
 			budget := uint64(1) // objects per created entry
-			if backend == "megaflow" {
+			switch backend {
+			case "gigaflow/resume": // the service's switch: a stalled miss walks and installs its suffix
+				opts = append(opts, WithStallResume())
+			case "megaflow":
 				opts = append(opts, WithMegaflowBackend(1024))
 				budget = 2
 			}
@@ -160,6 +165,9 @@ func TestMissPathAllocBudget(t *testing.T) {
 			}
 			if misses < uint64(len(keys))/4 || entries == 0 {
 				t.Fatalf("not a miss-heavy steady state: %d misses, %d entries over %d packets", misses, entries, len(keys))
+			}
+			if resumed := vs.Stats().Resumed; (backend == "gigaflow/resume") != (resumed > 0) {
+				t.Fatalf("%d misses resumed", resumed)
 			}
 			t.Logf("%d misses (%d all-shared, %d growing a classifier) created %d entries with %d allocations, worst miss %d; %d packets read differently on the two switches",
 				misses, shared, grew, entries, allocs, worst, foreign)

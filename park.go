@@ -52,7 +52,10 @@ func (v *VSwitch) ProcessBatchPark(keys []Key, out []ProcessResult, errs []error
 // CompleteMiss finishes a parked miss whose traversal the upcall engine
 // already ran: it installs the traversal's rules, memoizes the flow, and
 // counts the packet and its one slow-path traversal — processMiss with the
-// traversal done elsewhere; the install half is the same body. tr must be
+// traversal done elsewhere; the install half is the same body. With
+// WithStallResume, where the packet's second-chance lookup stalled, only
+// the traversal's suffix past the stall is installed and counted, as the
+// inline miss would have resumed (suffixAt). tr must be
 // a successful traversal of k computed against the current pipeline
 // version; the caller is responsible for replaying the packet through
 // Process instead when the traversal failed or a rule update made it
@@ -87,9 +90,31 @@ func (v *VSwitch) CompleteMiss(k Key, tr *Traversal, now, travNs, parkNs int64) 
 		v.rec.BeginBatch(now)
 	}
 	var o ProcessResult
-	flags := telemetry.FlightMiss | v.install(&k, tr, now, nil, conntrack.DirForward, &o)
+	from, table := v.suffixAt(tr)
+	flags := telemetry.FlightMiss | v.install(&k, tr, from, table, now, nil, conntrack.DirForward, &o)
 	if v.rec != nil {
 		v.rec.Deferred(telemetry.TierSlowpath, k.FlowHash(), flags, travNs, parkNs)
 	}
 	return o, nil
+}
+
+// suffixAt is where CompleteMiss installs a full traversal from: with
+// resuming on, the step and the cache table at which the packet's
+// second-chance lookup stalled — so a completed miss installs, and counts,
+// exactly what the same miss resumed inline would. The traversal must
+// continue there: its step at the prefix's span is in the table the prefix
+// names and enters it with the key the lookup stalled with. Otherwise, and
+// without a stall, it is 0, 0: the whole traversal.
+func (v *VSwitch) suffixAt(tr *Traversal) (from, table int) {
+	if !v.resume {
+		return 0, 0
+	}
+	next, table, span := v.main.Stall()
+	if span == 0 || span >= tr.Len() {
+		return 0, 0
+	}
+	if st := &tr.Steps[span]; st.TableID != next || st.Pre != v.stalled {
+		return 0, 0
+	}
+	return span, table
 }

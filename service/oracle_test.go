@@ -64,6 +64,7 @@ type tapeSpec struct {
 	damage   bool // every eighth frame damaged, each of packetOp's ways in turn
 	rules    int  // rule updates, spread evenly; every second one fails
 	lateBind bool // the tape must bind connections that are already established
+	stalls   bool // flows share a prefix of entries, so a cold flow's lookup stalls after it
 }
 
 // coverage counts the stateful events a tape was generated to contain and
@@ -378,6 +379,13 @@ func (c *cell) sizes() []int {
 
 func (c *cell) flagless() bool { return c.driver.park }
 
+// resumes reports whether c's misses must resume: the service resumes a
+// stalled miss on a Gigaflow switch without conntrack, inline and at an
+// upcall's completion alike, and a tape that stalls has stalled misses.
+func (c *cell) resumes() bool {
+	return c.tape.stalls && c.cfg.MegaflowCapacity == 0 && !c.cfg.Conntrack.Enable
+}
+
 // parks reports whether c parks misses. A parked packet is probed again
 // before its completion, and reaches the LRU tiers after the hits of its
 // batch: once a tier evicts, which flows it keeps can differ from inline.
@@ -495,6 +503,9 @@ func runGroup(t *testing.T, g []cell, seed uint64, strict bool) {
 			}
 			if miss := c.tame(outs[i], cov); strict && (i == 0 || c.entry != viaVSwitch) && miss != "" {
 				t.Errorf("tape too tame: no %s", miss)
+			}
+			if c.resumes() && outs[i] != nil && outs[i].stats.Resumed == 0 {
+				t.Errorf("no miss of a tape that stalls resumed")
 			}
 		}
 		if len(g) == 1 {
@@ -1179,8 +1190,31 @@ var (
 	// svc shares wildcard entries between flows: a cold flow's install can
 	// cover another that is parked.
 	svc = tapeSpec{pipe: buildPipeline, flow: func(id int) gigaflow.Key { return wireKey(uint64(id%64), []uint64{80, 22}[id/64%2]) },
-		flows: 128, packets: 600, damage: true, rules: 2}
+		flows: 128, packets: 600, damage: true, rules: 2, stalls: true}
+	// rewrite is svc over rewritePipeline, whose prefix commits what its
+	// last table matches: a stalled miss resumes right only from the key
+	// the prefix rewrote.
+	rewrite = tapeSpec{pipe: rewritePipeline, flow: svc.flow, flows: 128, packets: 600, rules: 2, stalls: true}
 )
+
+// rewritePipeline is buildPipeline with the metadata register set by the
+// first table and matched, with the port, by the last. Ports 80 and 22 go
+// out of ports 1 and 2; a packet that reached the last table without the
+// register set would miss there and be dropped.
+func rewritePipeline() *gigaflow.Pipeline {
+	p := gigaflow.NewPipeline("rewrite")
+	p.AddTable(0, "l2", gigaflow.NewFieldSet(gigaflow.FieldEthDst))
+	p.AddTable(1, "l3", gigaflow.NewFieldSet(gigaflow.FieldIPDst))
+	p.AddTable(2, "l4", gigaflow.NewFieldSet(gigaflow.FieldMeta, gigaflow.FieldTpDst))
+	p.MustAddRule(0, gigaflow.MustParseMatch("eth_dst=02:00:00:00:00:01"), 10,
+		[]gigaflow.Action{gigaflow.SetField(gigaflow.FieldMeta, 7)}, 1)
+	p.MustAddRule(1, gigaflow.MustParseMatch("ip_dst=10.0.0.0/16"), 10, nil, 2)
+	for i, port := range []uint64{80, 22} {
+		p.MustAddRule(2, gigaflow.MatchAll().WithField(gigaflow.FieldMeta, 7).WithField(gigaflow.FieldTpDst, port), 10,
+			[]gigaflow.Action{gigaflow.Output(uint16(1 + i))}, gigaflow.NoTable)
+	}
+	return p
+}
 
 // cells is the matrix: VSwitch cells, then the service's, in groups.
 var cells = func() []cell {
@@ -1203,6 +1237,7 @@ var cells = func() []cell {
 			uf   int
 		}{
 			{"stateless", plain, 64, 0}, {"stateless", plain, 64, 512}, {"stateless", thrash, 64, 32},
+			{"rewrite", rewrite, 64, 0},
 			{"lb", stateful(statefulPipeline, 24, 3000), 64, 0}, {"lb", stateful(statefulPipeline, 24, 3000), 64, 32},
 			{"lb", stateful(statefulPipeline, 48, 12000), 4096, 192},
 			{"state-nat", stateful(stateNATPipeline, 48, 12000), 4096, 192},

@@ -442,7 +442,9 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 		sweepAt = sweepEvery.Nanoseconds()
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		var opts []gigaflow.VSwitchOption
+		// A stalled miss resumes where the main cache stopped (a switch
+		// that cannot resume ignores the option: DESIGN.md §8).
+		opts := []gigaflow.VSwitchOption{gigaflow.WithStallResume()}
 		if cfg.Conntrack.Enable {
 			// Shard i binds only inside its own sub-range of every NAT pool,
 			// so its bindings stay on the endpoints it owns.

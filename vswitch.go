@@ -22,11 +22,20 @@ type backend interface {
 	Tier() telemetry.Tier
 	// Find looks *k up at virtual time now, counting the lookup and
 	// refreshing what it matched. On a hit it leaves the rewritten key in
-	// *final and returns the verdict; on a miss *final is unspecified.
+	// *final and returns the verdict; on a miss *final is the key after the
+	// matched prefix, which Stall describes.
 	Find(k *Key, now int64, final *Key) (Verdict, bool)
-	// Install compiles a successful traversal into the cache, reporting
+	// Stall reports where the last Find's miss stopped, if the cache can
+	// take the rest of the traversal on its own: the pipeline table the
+	// matched prefix continues at, the first cache table after it, and the
+	// pipeline tables the prefix spans — span 0 when there is no such
+	// prefix.
+	Stall() (next, table, span int)
+	// Install compiles steps [from, n) of a successful traversal into cache
+	// tables [table, K) — from = table = 0 for the whole traversal, which
+	// is all a backend whose Stall reports none is handed — reporting
 	// whether it went in and whether it evicted a resident entry by LRU.
-	Install(tr *Traversal, now int64) (ok, evicted bool)
+	Install(tr *Traversal, from, table int, now int64) (ok, evicted bool)
 	// RevalidateAgainst re-checks every entry against p's current rules,
 	// reporting entries evicted and pipeline lookups replayed.
 	RevalidateAgainst(p *Pipeline) (evicted, work int)
@@ -65,6 +74,13 @@ type VSwitch struct {
 
 	rec   *telemetry.LatencyRecorder // optional latency attribution + flight ring
 	stats VSwitchStats
+
+	// resume lets a stalled miss walk and install only the suffix the main
+	// cache does not hold (WithStallResume); stalled is the key a parked
+	// miss stalled with, which its completion checks the engine's walk
+	// against.
+	resume  bool
+	stalled Key
 
 	// trav is the one traversal every inline miss refills and res the
 	// resolver it walks with under conntrack: the switch is
@@ -107,9 +123,13 @@ type VSwitchStats struct {
 	InstallErrs   uint64 `json:"install_errs"`
 
 	// What the slow path walked, summed over the traversals it handed to
-	// the cache: pipeline tables visited and TSS tuples probed in them.
+	// the cache: pipeline tables visited and TSS tuples probed in them. A
+	// resumed miss counts its suffix alone.
 	SlowpathSteps       uint64 `json:"slowpath_steps"`
 	SlowpathTupleProbes uint64 `json:"slowpath_tuple_probes"`
+	// Resumed counts the misses that walked and installed only the suffix
+	// after a stalled prefix (WithStallResume).
+	Resumed uint64 `json:"resumed"`
 
 	// Conntrack-mode counters; always zero when tracking is disabled.
 	CtFastpath   uint64 `json:"ct_fastpath,omitempty"`    // tracked packets served from their connection's held result
@@ -123,10 +143,10 @@ type VSwitchStats struct {
 // fields lists every counter: the one place a new one is added for Add and
 // Sub — hence for the service's per-shard sum, a replay's delta and the
 // simulator's per-packet charge — to carry it.
-func (s *VSwitchStats) fields() [12]*uint64 {
+func (s *VSwitchStats) fields() [13]*uint64 {
 	return [...]*uint64{
 		&s.Packets, &s.MicroflowHits, &s.CacheHits, &s.CacheMisses, &s.Slowpath,
-		&s.Installs, &s.InstallErrs, &s.SlowpathSteps, &s.SlowpathTupleProbes,
+		&s.Installs, &s.InstallErrs, &s.SlowpathSteps, &s.SlowpathTupleProbes, &s.Resumed,
 		&s.CtFastpath, &s.CtGuardFails, &s.CtInvalidated,
 	}
 }
@@ -188,6 +208,17 @@ func WithMegaflowBackend(capacity int) VSwitchOption {
 // no wildcard to recheck incrementally.
 func WithMicroflow(capacity int) VSwitchOption {
 	return func(v *VSwitch) { v.uf = microflow.New(capacity) }
+}
+
+// WithStallResume lets a stalled miss resume where the main cache stopped,
+// beyond the paper: when the lookup matched a chain of entries and found
+// none for the next tag, the slow path walks the pipeline only from the
+// table that chain names, with the key as its commits rewrote it, and
+// installs only that suffix, into the cache tables after the chain's last.
+// A conntrack switch, the Megaflow backend and a cache that cannot place a
+// suffix (DESIGN.md §8) keep the full walk.
+func WithStallResume() VSwitchOption {
+	return func(v *VSwitch) { v.resume = true }
 }
 
 // WithTracer attaches nothing. It stays only for bench/replay.go's call,
@@ -373,6 +404,9 @@ func (v *VSwitch) run(keys []Key, flags []uint8, out []ProcessResult, errs []err
 					// (follower).
 					v.stats.Packets--
 					parked[i] = true
+					if v.resume {
+						v.stalled = o.Final
+					}
 					*o = ProcessResult{}
 				} else {
 					errs[i] = v.processMiss(k, kt, conn, dir, missTier, now, o)
@@ -400,12 +434,14 @@ func (v *VSwitch) run(keys []Key, flags []uint8, out []ProcessResult, errs []err
 }
 
 // processMiss is the inline miss policy: it punts a main-cache miss to the
-// slowpath — full pipeline traversal, then install — and writes the result
+// slowpath — pipeline traversal, then install — and writes the result
 // to *o. kt is the lookup key with ct_state folded in (k itself when
 // tracking is off), conn/dir the packet's tracked connection (nil when
 // tracking is off or the packet is untracked), tier the latency tier the
 // miss is attributed to (TierConntrack when the connection's held result
-// was refused).
+// was refused). o.Final holds the key as the lookup's matched prefix
+// rewrote it, which a resumed walk starts from (walkSuffix); any other
+// miss walks the whole pipeline.
 //
 // The traversal refills v.trav and the install probes the cache before it
 // builds anything, so a miss allocates for the entries it adds and
@@ -421,12 +457,12 @@ func (v *VSwitch) processMiss(k, kt *Key, conn *conntrack.Conn, dir conntrack.Di
 	}
 	v.stats.CacheMisses++
 	v.stats.Slowpath++
-	tr := &v.trav
+	tr, table := &v.trav, 0
 	var err error
 	if v.ct != nil {
 		v.res.ct, v.res.pipe, v.res.conn, v.res.dir = v.ct, v.pipe, conn, dir
 		err = v.pipe.ProcessInto(tr, kt, &v.res)
-	} else {
+	} else if table = v.walkSuffix(tr, &o.Final); table == 0 {
 		err = v.pipe.ProcessInto(tr, kt, nil)
 	}
 	flags := telemetry.FlightMiss
@@ -434,7 +470,7 @@ func (v *VSwitch) processMiss(k, kt *Key, conn *conntrack.Conn, dir conntrack.Di
 		err = fmt.Errorf("gigaflow: slowpath: %w", err)
 		*o = ProcessResult{}
 	} else {
-		flags |= v.install(k, tr, now, conn, dir, o)
+		flags |= v.install(k, tr, 0, table, now, conn, dir, o)
 	}
 	if v.rec != nil {
 		v.rec.Cold(tier, kt.FlowHash(), flags)
@@ -442,9 +478,31 @@ func (v *VSwitch) processMiss(k, kt *Key, conn *conntrack.Conn, dir conntrack.Di
 	return err
 }
 
+// walkSuffix is the resumed walk. When resuming is on and the main cache's
+// last Find stalled where the cache can place a suffix, it walks the
+// pipeline into tr from the table the matched prefix continues at, with
+// *stalled — the key as the prefix's commits rewrote it — and the step
+// budget the prefix left, and returns the first cache table after the
+// prefix. It returns 0 when there is nothing to resume and when the suffix
+// walk reached no verdict, for the full walk to run and report why.
+//
+//gf:hotpath
+func (v *VSwitch) walkSuffix(tr *Traversal, stalled *Key) (table int) {
+	if !v.resume {
+		return 0
+	}
+	next, table, span := v.main.Stall()
+	if span == 0 || v.pipe.ProcessPartialInto(tr, next, stalled, v.pipe.MaxSteps-span) != nil || !tr.Verdict.Terminal() {
+		return 0
+	}
+	return table
+}
+
 // install is the second half of a miss, the one body the inline miss and a
-// completed parked one share: the traversal's rules go into the main
-// cache, the install is counted, the result is written to *o and the walk
+// completed parked one share: the traversal's steps from from on go into
+// the main cache's tables from table on (0 and 0: all of it), the install
+// is counted — a suffix (table > 0) as a resumed miss, which walked and
+// probed for its steps alone — the result is written to *o and the walk
 // kept for the packets after it — held on the packet's connection, or
 // memoized. It returns the flight-record flags the install earned.
 //
@@ -455,12 +513,17 @@ func (v *VSwitch) processMiss(k, kt *Key, conn *conntrack.Conn, dir conntrack.Di
 // already resolved carries a stamp from before the binding (pipeline's
 // first-resolution rule); held all the same, it is refused on the next
 // packet, whose walk resolves every step under the binding.
-func (v *VSwitch) install(k *Key, tr *Traversal, now int64, conn *conntrack.Conn, dir conntrack.Dir,
+func (v *VSwitch) install(k *Key, tr *Traversal, from, table int, now int64, conn *conntrack.Conn, dir conntrack.Dir,
 	o *ProcessResult) (flags uint8) {
-	v.stats.SlowpathSteps += uint64(tr.Len())
-	v.stats.SlowpathTupleProbes += uint64(tr.TuplesProbed)
+	v.stats.SlowpathSteps += uint64(tr.Len() - from)
+	for i := from; i < tr.Len(); i++ {
+		v.stats.SlowpathTupleProbes += uint64(tr.Steps[i].Probes)
+	}
+	if table > 0 {
+		v.stats.Resumed++
+	}
 	if tr.CtEpoch == 0 {
-		ok, evicted := v.main.Install(tr, now)
+		ok, evicted := v.main.Install(tr, from, table, now)
 		if ok {
 			v.stats.Installs++
 			flags = telemetry.FlightInstall
@@ -577,9 +640,10 @@ func (v *VSwitch) CollectMetrics(reg *telemetry.Registry, worker string) {
 	c("gigaflow_microflow_hits_total", "Exact-match first-level cache hits.", s.MicroflowHits)
 	c("gigaflow_cache_hits_total", "Main-cache (Gigaflow/Megaflow) hits.", s.CacheHits)
 	c("gigaflow_cache_misses_total", "Main-cache misses (slowpath punts).", s.CacheMisses)
-	c("gigaflow_slowpath_traversals_total", "Full pipeline traversals executed.", s.Slowpath)
+	c("gigaflow_slowpath_traversals_total", "Slow-path traversals executed, whole or resumed at a stall.", s.Slowpath)
 	c("gigaflow_slowpath_tables_total", "Pipeline tables visited by the traversals handed to the cache.", s.SlowpathSteps)
 	c("gigaflow_slowpath_tuple_probes_total", "TSS tuples probed by the traversals handed to the cache.", s.SlowpathTupleProbes)
+	c("gigaflow_slowpath_resumed_total", "Misses that walked and installed only the suffix after the prefix the main cache held.", s.Resumed)
 	c("gigaflow_installs_total", "Traversals compiled and installed into the cache.", s.Installs)
 	c("gigaflow_install_errors_total", "Traversals that could not be installed.", s.InstallErrs)
 	g("gigaflow_cache_entries", "Installed main-cache entries.", float64(v.CacheEntries()))
