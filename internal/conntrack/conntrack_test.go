@@ -213,6 +213,66 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestEvictionKeepsLiveConnections pins what eviction must not break: a
+// full table of mostly closed connections, a rolling window of live ones,
+// and every live connection's next packet finds the *Conn it started
+// with. Closed connections stay until eviction takes them, so eviction
+// runs on every new connection once the table is full, and only an order
+// that keeps the recently seen connections spares the live ones.
+func TestEvictionKeepsLiveConnections(t *testing.T) {
+	const capacity, live, perConn, packets = 1024, 96, 12, 200_000
+	tb := NewTable(capacity)
+	var (
+		conns [live]*Conn
+		fwd   [live]flow.Key
+		ids   [live]uint64
+		sent  [live]int // packets of the slot's connection so far; negative staggers the first ones
+		next  uint64    // the newest connection's id
+		lost  int
+		now   int64
+	)
+	for s := range sent {
+		sent[s] = -(s % perConn)
+	}
+	for n := 0; n < packets; {
+		s := n % live
+		if sent[s] < 0 {
+			sent[s]++
+			n++
+			continue
+		}
+		k, flags := fwd[s], uint8(packet.TCPAck)
+		switch i := sent[s]; {
+		case i == 0:
+			next++
+			ids[s], fwd[s] = next, tuple(0x0a000000+next, 0x14000001, 1024+next%50000, 80)
+			k, flags = fwd[s], packet.TCPSyn
+		case i == 1:
+			k, flags = invert(k), packet.TCPSyn|packet.TCPAck
+		case i == perConn-1:
+			flags = packet.TCPFin | packet.TCPAck
+		case i%2 == 1:
+			k = invert(k)
+		}
+		now += 1_000
+		_, c, _ := tb.Track(k, flags, now)
+		if sent[s] != 0 && c != conns[s] {
+			if lost++; lost <= 3 {
+				t.Errorf("packet %d: connection %d's packet %d found another connection", n, ids[s], sent[s])
+			}
+		}
+		conns[s] = c // a lost connection counts once
+		if sent[s]++; sent[s] == perConn {
+			sent[s] = 0
+		}
+		n++
+	}
+	st := tb.Stats()
+	if lost != 0 || tb.Len() != capacity || st.EvictLRU < 10_000 {
+		t.Fatalf("%d live connections lost; %d resident, %d evicted (%+v)", lost, tb.Len(), st.EvictLRU, st)
+	}
+}
+
 func TestICMPRelated(t *testing.T) {
 	tb := NewTable(0)
 	icmp := tuple(1, 2, 3, 0).With(flow.FieldIPProto, packet.IPProtoICMP)

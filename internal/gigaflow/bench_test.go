@@ -171,7 +171,7 @@ func BenchmarkMissSteadyState(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			tr := trs[i%len(trs)]
-			if part := c.dp.partition(c.dp.stepFields(tr), 4, nil, nil, suffix{}); part == nil {
+			if part := c.dp.partition(c.dp.stepFields(tr), 4, nil, nil, 0); part == nil {
 				b.Fatal("no partition")
 			}
 		}
@@ -259,7 +259,7 @@ func BenchmarkMissSteadyState(b *testing.B) {
 				if err := p.ProcessPartialInto(&tr, next, &stalled, p.MaxSteps-span); err != nil {
 					return 0, err
 				}
-				_, err := c.insert(&tr, suffix{table: table}, now)
+				_, err := c.insert(&tr, table, now)
 				return tr.Len(), err
 			},
 			func() uint64 { return c.Stats().EntriesCreated })

@@ -16,9 +16,8 @@ import (
 // dropped — kept as the differential reference for InsertPartition. Only
 // what the surrounding types forced has changed: Match and Priority live in
 // the embedded classifier node, get takes the predicate by pointer, the
-// path signature the old entries carried is gone, and a partition of the
-// steps from from.step on goes into the tables from from.table on, as a
-// resumed miss installs its suffix.
+// path signature the old entries carried is gone, and a partition goes
+// into the tables from table on, as a resumed miss installs its suffix.
 func refBuildEntry(tr *pipeline.Traversal, seg Segment, now int64) *Entry {
 	match, commit := tr.Compose(seg.Start, seg.End)
 	e := &Entry{
@@ -51,9 +50,9 @@ func refSameSemantics(a, b *Entry) bool {
 		a.Commit == b.Commit
 }
 
-func refInsertPartition(c *Cache, tr *pipeline.Traversal, part Partition, from suffix, now int64) ([]*Entry, error) {
-	tables := c.tables[from.table:]
-	if err := part.validate(from.step, tr.Len(), len(tables)); err != nil {
+func refInsertPartition(c *Cache, tr *pipeline.Traversal, part Partition, table int, now int64) ([]*Entry, error) {
+	tables := c.tables[table:]
+	if err := part.Validate(tr.Len(), len(tables)); err != nil {
 		c.stats.Rejected++
 		return nil, err
 	}
@@ -186,8 +185,9 @@ func checkSameCaches(t testing.TB, step int, got, ref *Cache) {
 //
 // Bit 2 of the first byte, clear in every tape written before installs at
 // an offset existed, turns two of the eight install ops into one: the
-// steps of the traversal from a tape-chosen step on go into the tables
-// from a tape-chosen table on, as a resumed miss installs its suffix.
+// traversal from a tape-chosen step on goes into the tables from a
+// tape-chosen table on, as a resumed miss installs the suffix it walked
+// from its stall.
 func runInsertTape(t testing.TB, tape []byte) (s Stats, offset int) {
 	next := func() int {
 		if len(tape) == 0 {
@@ -226,46 +226,39 @@ func runInsertTape(t testing.TB, tape []byte) (s Stats, offset int) {
 		switch op % 16 {
 		case 0, 1, 2, 3, 4, 5, 6, 7:
 			tr := p.MustProcess(key())
-			var from suffix
+			from, table := 0, 0
 			if offsets && op%16 >= 6 {
-				from = suffix{step: next() % tr.Len(), table: next() % cfg.NumTables}
+				from, table = next()%tr.Len(), next()%cfg.NumTables
+				view := *tr
+				view.Input, view.Steps = tr.Steps[from].Pre, tr.Steps[from:]
+				tr = &view
 			}
 			var part Partition
 			switch cut := next(); cut % 4 {
 			case 0: // whole
-				part = Partition{{from.step, tr.Len()}}
+				part = Partition{{0, tr.Len()}}
 			case 1: // tape-chosen cuts, possibly more segments than tables
-				at := from.step
-				for i := at + 1; i < tr.Len(); i++ {
-					if cut>>uint(i-from.step+1)&1 == 1 {
+				at := 0
+				for i := 1; i < tr.Len(); i++ {
+					if cut>>uint(i+1)&1 == 1 {
 						part = append(part, Segment{at, i})
 						at = i
 					}
 				}
 				part = append(part, Segment{at, tr.Len()})
 			default:
-				if from == (suffix{}) {
-					part, _ = PartitionTraversal(tr, cfg.NumTables, SchemeDisjoint, nil)
-					break
-				}
-				var fields []flow.FieldSet
-				for i := from.step; i < tr.Len(); i++ {
-					fields = append(fields, tr.StepFields(i).Intersect(AnalysisFields))
-				}
-				for _, seg := range DisjointPartition(fields, cfg.NumTables-from.table) {
-					part = append(part, Segment{from.step + seg.Start, from.step + seg.End})
-				}
+				part, _ = PartitionTraversal(tr, cfg.NumTables-table, SchemeDisjoint, nil)
 			}
-			ge, gerr := got.insertPartition(tr, part, from, now)
-			re, rerr := refInsertPartition(ref, tr, part, from, now)
-			if gerr == nil && from.table > 0 {
+			ge, gerr := got.insertPartition(tr, part, table, now)
+			re, rerr := refInsertPartition(ref, tr, part, table, now)
+			if gerr == nil && table > 0 {
 				offset++
 			}
 			if (gerr == nil) != (rerr == nil) || gerr != nil && gerr.Error() != rerr.Error() {
-				t.Fatalf("step %d: insertPartition(%v, %+v) error %v, reference %v", step, part, from, gerr, rerr)
+				t.Fatalf("step %d: insertPartition(%v) of steps %d on into tables %d on: error %v, reference %v", step, part, from, table, gerr, rerr)
 			}
 			if g, r := statesOf(ge), statesOf(re); !reflect.DeepEqual(g, r) {
-				t.Fatalf("step %d: insertPartition(%v, %+v) returned\n got %+v\n ref %+v", step, part, from, g, r)
+				t.Fatalf("step %d: insertPartition(%v) of steps %d on into tables %d on returned\n got %+v\n ref %+v", step, part, from, table, g, r)
 			}
 		case 8, 9, 10:
 			k := key()

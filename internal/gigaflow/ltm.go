@@ -75,7 +75,11 @@ type Entry struct {
 	// Version is the pipeline version last validated against.
 	Version uint64
 	// Installs counts how many slowpath traversals produced this entry —
-	// the sub-traversal sharing frequency of Fig. 11.
+	// the sub-traversal sharing frequency of Fig. 11. A resumed miss
+	// (WithStallResume) installs only its suffix, so it neither produces
+	// nor deduplicates into the prefix entries it matched: installs per
+	// entry on a resuming switch read below Fig. 11's, which the simulator
+	// computes with the full walk.
 	Installs uint64
 	// CtConn is the connection tuple CtEpoch was stamped for.
 	CtConn flow.Key
@@ -764,15 +768,13 @@ func (cd *candidate) materialise(tr *pipeline.Traversal, seg Segment, now int64)
 // traversal is instead installed whole — a single Megaflow-style entry in
 // GF₁ — per §7's profile-guided fallback.
 func (c *Cache) Insert(tr *pipeline.Traversal, now int64) ([]*Entry, error) {
-	return c.insert(tr, suffix{}, now)
+	return c.insert(tr, 0, now)
 }
 
-// insert is Insert for the steps from from.step on, into the tables from
-// from.table on: a stalled miss's suffix, or, from the zero suffix, the
-// whole traversal. Only the schemes Stall resumes under — the disjoint and
-// profile dynamic programs — place a suffix; the others partition the
-// whole traversal, which a suffix install rejects.
-func (c *Cache) insert(tr *pipeline.Traversal, from suffix, now int64) ([]*Entry, error) {
+// insert is Insert into the tables from table on: a stalled miss's suffix,
+// walked from the stall, goes into the tables after the prefix the cache
+// already holds.
+func (c *Cache) insert(tr *pipeline.Traversal, table int, now int64) ([]*Entry, error) {
 	partitioned := true
 	if c.adapt != nil {
 		c.adapt.installs++
@@ -781,32 +783,32 @@ func (c *Cache) insert(tr *pipeline.Traversal, from suffix, now int64) ([]*Entry
 	var part Partition
 	switch {
 	case !partitioned:
-		c.dp.part = append(c.dp.part[:0], Segment{Start: from.step, End: tr.Len()})
+		c.dp.part = append(c.dp.part[:0], Segment{Start: 0, End: tr.Len()})
 		part = c.dp.part
 	case c.cfg.Scheme == SchemeProfile:
-		part = c.profilePartition(tr, from)
+		part = c.profilePartition(tr, table)
 	case c.cfg.Scheme == SchemeDisjoint:
-		part = c.dp.partition(c.dp.stepFields(tr), len(c.tables)-from.table, nil, nil, from)
+		part = c.dp.partition(c.dp.stepFields(tr), len(c.tables)-table, nil, nil, table)
 	default:
 		var err error
-		part, err = PartitionTraversal(tr, len(c.tables), c.cfg.Scheme, c.rng)
+		part, err = PartitionTraversal(tr, len(c.tables)-table, c.cfg.Scheme, c.rng)
 		if err != nil {
 			c.stats.Rejected++
 			return nil, err
 		}
 	}
 	c.observeInsert = partitioned
-	return c.insertPartition(tr, part, from, now)
+	return c.insertPartition(tr, part, table, now)
 }
 
-// Install is Insert as the datapath calls it: steps [from, n) of tr go into
-// tables [table, K) — from = table = 0 for a whole traversal, a stall's
-// span and first table left for its suffix — and it reports whether the
-// traversal was installed and whether installing it evicted a resident
-// entry by LRU.
-func (c *Cache) Install(tr *pipeline.Traversal, from, table int, now int64) (ok, evicted bool) {
+// Install is Insert as the datapath calls it: tr goes into tables
+// [table, K) — table 0 for a whole traversal, the first table after a
+// stall's prefix for the suffix walked from the stall — and it reports
+// whether the traversal was installed and whether installing it evicted a
+// resident entry by LRU.
+func (c *Cache) Install(tr *pipeline.Traversal, table int, now int64) (ok, evicted bool) {
 	lru := c.stats.EvictLRU
-	_, err := c.insert(tr, suffix{step: from, table: table}, now)
+	_, err := c.insert(tr, table, now)
 	return err == nil, c.stats.EvictLRU > lru
 }
 
@@ -838,21 +840,20 @@ func (c *Cache) Stall() (next, table, span int) {
 // and for tests. The result aliases the same cache-owned buffer as
 // Insert's.
 func (c *Cache) InsertPartition(tr *pipeline.Traversal, part Partition, now int64) ([]*Entry, error) {
-	return c.insertPartition(tr, part, suffix{}, now)
+	return c.insertPartition(tr, part, 0, now)
 }
 
-// insertPartition is InsertPartition for a partition of the steps from
-// from.step on, segment j going to table from.table+j; from.table must name
-// a table.
+// insertPartition is InsertPartition with segment j going to table
+// table+j; table must name a table.
 //
 // Installation probes before it builds: every segment is composed into
 // scratch and looked up in its table, and an Entry is allocated only for
 // a segment whose predicate is absent or resident with different
 // behaviour — most segments of a missed traversal are shared, and they
 // cost a composition and a probe, nothing more.
-func (c *Cache) insertPartition(tr *pipeline.Traversal, part Partition, from suffix, now int64) ([]*Entry, error) {
-	tables := c.tables[from.table:]
-	if err := part.validate(from.step, tr.Len(), len(tables)); err != nil {
+func (c *Cache) insertPartition(tr *pipeline.Traversal, part Partition, table int, now int64) ([]*Entry, error) {
+	tables := c.tables[table:]
+	if err := part.Validate(tr.Len(), len(tables)); err != nil {
 		c.stats.Rejected++
 		return nil, err
 	}

@@ -232,7 +232,7 @@ func TestStallIsAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := c.Install(suffix, 0, table, 3); !ok {
+	if ok, _ := c.Install(suffix, table, 3); !ok {
 		t.Fatal("the suffix did not go in")
 	}
 	res = c.Lookup(x, 4)

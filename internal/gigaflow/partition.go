@@ -35,18 +35,13 @@ type Partition []Segment
 // into at most maxSegments non-empty segments (maxSegments ≤ 0 disables the
 // limit).
 func (p Partition) Validate(n, maxSegments int) error {
-	return p.validate(0, n, maxSegments)
-}
-
-// validate is Validate for a partition of steps [from, n).
-func (p Partition) validate(from, n, maxSegments int) error {
 	if len(p) == 0 {
 		return fmt.Errorf("gigaflow: empty partition")
 	}
 	if maxSegments > 0 && len(p) > maxSegments {
 		return fmt.Errorf("gigaflow: %d segments exceeds limit %d", len(p), maxSegments)
 	}
-	at := from
+	at := 0
 	for i, s := range p {
 		if s.Start != at || s.End <= s.Start {
 			return fmt.Errorf("gigaflow: segment %d = [%d,%d) is not contiguous from %d", i, s.Start, s.End, at)
@@ -54,7 +49,7 @@ func (p Partition) validate(from, n, maxSegments int) error {
 		at = s.End
 	}
 	if at != n {
-		return fmt.Errorf("gigaflow: partition covers %d of %d steps", at-from, n-from)
+		return fmt.Errorf("gigaflow: partition covers %d of %d steps", at, n)
 	}
 	return nil
 }
@@ -144,14 +139,8 @@ func PartitionScore(fields []flow.FieldSet, p Partition) int {
 // (steps consumed, segments used); O(N²·K) worst case with N ≤ MaxSteps.
 func DisjointPartition(fields []flow.FieldSet, maxSegments int) Partition {
 	var dp partitioner
-	return dp.partition(fields, maxSegments, nil, nil, suffix{})
+	return dp.partition(fields, maxSegments, nil, nil, 0)
 }
-
-// suffix is where an install starts: the traversal's steps from step on go
-// into the cache tables from table on. The zero value is the whole
-// traversal into every table; a stalled miss resumes with step the span of
-// the prefix the cache already held and table the first one after it.
-type suffix struct{ step, table int }
 
 // partitioner is the scratch the partition dynamic program runs on: the
 // per-step field sets, the DP table, and the partition it hands back. A
@@ -187,14 +176,12 @@ func (dp *partitioner) stepFields(tr *pipeline.Traversal) []flow.FieldSet {
 // cache and the traversal supplied, SchemeProfile: there a segment whose
 // LTM entry is already resident in its target table of c earns
 // reuseBonusWeight on top of its disjointness score (profile.go), at the
-// price of one composition per candidate segment. It splits the steps
-// from from.step on, segment k going to table from.table+k, and numbers
-// the segments' steps as fields does. The returned partition aliases the
-// scratch and is valid until its next use.
+// price of one composition per candidate segment; segment k goes to table
+// table+k. The returned partition aliases the scratch and is valid until
+// its next use.
 //
 //gf:hotpath
-func (dp *partitioner) partition(fields []flow.FieldSet, maxSegments int, c *Cache, tr *pipeline.Traversal, from suffix) Partition {
-	fields = fields[from.step:]
+func (dp *partitioner) partition(fields []flow.FieldSet, maxSegments int, c *Cache, tr *pipeline.Traversal, table int) Partition {
 	n := len(fields)
 	if n == 0 || maxSegments <= 0 {
 		return nil
@@ -211,8 +198,8 @@ func (dp *partitioner) partition(fields []flow.FieldSet, maxSegments int, c *Cac
 	best[0] = dpCell{set: true}
 	for k := 1; k <= maxSegments; k++ {
 		for i := 0; i < n; i++ {
-			cell := best[(k-1)*row+i]
-			if !cell.set {
+			from := best[(k-1)*row+i]
+			if !from.set {
 				continue
 			}
 			// Grow the segment [i, j) one step at a time, tracking its
@@ -229,11 +216,11 @@ func (dp *partitioner) partition(fields []flow.FieldSet, maxSegments int, c *Cac
 					}
 					acc = acc.Union(step)
 				}
-				score := cell.score
+				score := from.score
 				if ok {
 					score += int32(j - i)
 				}
-				if c != nil && c.segmentResident(tr, Segment{from.step + i, from.step + j}, from.table+k-1) {
+				if c != nil && c.segmentResident(tr, Segment{i, j}, table+k-1) {
 					score += reuseBonusWeight
 				}
 				if cur := &best[k*row+j]; !cur.set || score > cur.score {
@@ -257,7 +244,7 @@ func (dp *partitioner) partition(fields []flow.FieldSet, maxSegments int, c *Cac
 	j := n
 	for k := bestK; k >= 1; k-- {
 		i := int(best[k*row+j].prev)
-		dp.part[k-1] = Segment{Start: from.step + i, End: from.step + j}
+		dp.part[k-1] = Segment{Start: i, End: j}
 		j = i
 	}
 	return dp.part
@@ -328,7 +315,7 @@ func PartitionTraversal(tr *pipeline.Traversal, maxSegments int, scheme Scheme, 
 	switch scheme {
 	case SchemeDisjoint:
 		var dp partitioner
-		p = dp.partition(dp.stepFields(tr), maxSegments, nil, nil, suffix{})
+		p = dp.partition(dp.stepFields(tr), maxSegments, nil, nil, 0)
 	case SchemeRandom:
 		if rng == nil {
 			return nil, fmt.Errorf("gigaflow: SchemeRandom requires an rng")

@@ -16,13 +16,12 @@ import "gigaflow/internal/pipeline"
 // disjointness score (which is bounded by the traversal length).
 const reuseBonusWeight = pipeline.DefaultMaxSteps + 1
 
-// profilePartition computes the reuse-aware optimal partition of tr's
-// steps from from.step on into the tables from from.table on: the
-// DisjointPartition dynamic program with a per-(segment, target-table)
-// reuse bonus, so its complexity gains a composition per candidate
-// segment — O(N²·K) compositions.
-func (c *Cache) profilePartition(tr *pipeline.Traversal, from suffix) Partition {
-	return c.dp.partition(c.dp.stepFields(tr), len(c.tables)-from.table, c, tr, from)
+// profilePartition computes the reuse-aware optimal partition of tr into
+// the tables from table on: the DisjointPartition dynamic program with a
+// per-(segment, target-table) reuse bonus, so its complexity gains a
+// composition per candidate segment — O(N²·K) compositions.
+func (c *Cache) profilePartition(tr *pipeline.Traversal, table int) Partition {
+	return c.dp.partition(c.dp.stepFields(tr), len(c.tables)-table, c, tr, table)
 }
 
 // segmentResident reports whether the LTM entry this segment would compile

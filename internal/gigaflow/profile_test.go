@@ -132,7 +132,7 @@ func TestProfilePartitionValidAlways(t *testing.T) {
 	for i := 0; i < 800; i++ {
 		k := randomChainKey(rng)
 		tr := p.MustProcess(k)
-		part := c.profilePartition(tr, suffix{})
+		part := c.profilePartition(tr, 0)
 		if err := part.Validate(tr.Len(), 4); err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}

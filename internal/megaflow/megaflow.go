@@ -282,8 +282,8 @@ func (c *Cache) Insert(tr *pipeline.Traversal, now int64) *Entry {
 // Install is Insert as the datapath calls it: the traversal always goes
 // in, and evicted reports whether it pushed a resident entry out by LRU.
 // A Megaflow entry is a whole traversal, so the cache reports no Stall and
-// is only ever handed from = table = 0, which it does not read.
-func (c *Cache) Install(tr *pipeline.Traversal, from, table int, now int64) (ok, evicted bool) {
+// is only ever handed table 0, which it does not read.
+func (c *Cache) Install(tr *pipeline.Traversal, table int, now int64) (ok, evicted bool) {
 	lru := c.stats.EvictLRU
 	c.Insert(tr, now)
 	return true, c.stats.EvictLRU > lru

@@ -34,57 +34,25 @@ type FlightRecord struct {
 	Flags  uint8 `json:"flags"`
 }
 
-// runInfo is one closed hit run in the side ring: records with sequence
-// numbers below endSeq (down to the previous run's endSeq) share ts as
-// their timestamp, perNs as their estimated latency, and batch as their
-// batch number (a run opens and closes within one worker message, so it
-// never spans batches).
-type runInfo struct {
-	endSeq uint64 // r.seq after the run's last record
-	ts     int64  // batch anchor (wall ns) the run ran under
-	perNs  int32  // span / packets, clamped
-	batch  uint32 // batch the run belongs to
-}
-
-// FlightCapture is a spike-triggered snapshot: when a packet's latency
-// crosses the recorder's threshold, the ring window leading up to and
-// including the spike is copied out, so a p999 outlier comes with the
-// events that surrounded it.
-type FlightCapture struct {
-	Seq       uint64         `json:"seq"`        // ring sequence at the trigger
-	TriggerNs int64          `json:"trigger_ns"` // the latency that tripped the capture
-	Batch     uint32         `json:"batch"`
-	Records   []FlightRecord `json:"records"` // oldest first, trigger last
-}
-
-const (
-	// DefaultFlightRecords is the per-worker ring size when the
-	// configuration leaves it zero. 1024 records is 32KB — deep enough
-	// for four capture windows, small enough that the ring's streaming
-	// stores don't evict the flow tables' hot cache lines (a 4096-record
-	// ring measurably slows the microflow hit path).
-	DefaultFlightRecords = 1024
-	// maxFlightCaptures bounds retained spike captures (oldest dropped).
-	maxFlightCaptures = 4
-	// captureWindow is how many trailing records a spike capture copies.
-	captureWindow = 256
-)
+// DefaultFlightRecords is the per-worker ring size. 1024 records is
+// 32KB: small enough that the ring's streaming stores don't evict the
+// flow tables' hot cache lines (a 4096-record ring measurably slows the
+// microflow hit path).
+const DefaultFlightRecords = 1024
 
 // LatencyRecorder attributes per-packet latency to resolution tiers and
 // keeps a flight ring of recent per-packet events. It is single-writer
 // by design: all state belongs to one worker goroutine, so the hot path
-// is plain loads and stores — no locks, no atomics. Dumps and spike
-// snapshots run as control ops on the owning goroutine, the same
-// discipline the /cache endpoint uses for cache internals.
+// is plain loads and stores — no locks, no atomics. Dumps run as control
+// ops on the owning goroutine, the same discipline the /cache endpoint
+// uses for cache internals.
 //
-// The ring is write-minimal: a hit stores only the per-packet facts
-// (key hash, batch, tier, flags). Its timestamp and latency are implied
-// by the run it belongs to, recorded once per closed run in a side ring
-// as deep as the record ring — every run contributes at least one
-// record, so a resident record's run entry is always still resident
-// too. Dumps and captures join the two rings back into full
-// FlightRecords (binary search on the run ring's end sequences); only
-// exactly-timed cold events store TS and LatNs inline.
+// A hit stores only the per-packet facts (key hash, tier, flags). Its
+// timestamp, latency and batch belong to the run it is part of and are
+// stamped into the run's slots when the run closes: a run's records are
+// always the newest in the ring, because every exactly-timed record
+// (Cold, Deferred) closes the open run before it is written. Every
+// resident record is therefore complete, and a dump is a plain copy.
 //
 // Clock discipline: a clock read costs ~25-55ns on commodity x86 — more
 // than a quarter of a warm microflow hit — so the recorder cannot stamp
@@ -97,22 +65,18 @@ const (
 // that are estimates anyway). Consecutive hits between reads form a
 // *run* whose measured span is shared uniformly across its packets;
 // those records and histogram observations carry FlightEstimated.
-// Misses and traced packets — the events that create the tail — are
+// Misses and upcall completions — the events that create the tail — are
 // stamped exactly. Record timestamps anchor at the caller-supplied wall
 // clock from BeginBatch and advance by monotonic offsets, so they are
 // ordered and drift-free within a batch.
 type LatencyRecorder struct {
-	base    time.Time // monotonic anchor for time.Since offsets
-	spikeNs int64
+	base time.Time // monotonic anchor for time.Since offsets
 
 	hist [NumTiers]LatencyHistogram
 
 	ring []FlightRecord // power-of-two, overwrite on wrap
 	mask uint64
 	seq  uint64 // total records ever written; next slot is seq&mask
-
-	runs     []runInfo // closed runs, same depth as ring, runCount&mask
-	runCount uint64
 
 	batch     uint32
 	anchor    int64 // caller's wall-clock now at BeginBatch
@@ -121,15 +85,13 @@ type LatencyRecorder struct {
 	pending   [NumTiers]uint32
 	inCold    bool
 	coldStart int64
-
-	spikes   uint64
-	captures []FlightCapture
 }
 
 // NewLatencyRecorder builds a recorder with the given ring size (rounded
-// up to a power of two; 0 means DefaultFlightRecords) and spike
-// threshold (0 disables spike captures).
-func NewLatencyRecorder(ringSize int, spike time.Duration) *LatencyRecorder {
+// up to a power of two; 0 means DefaultFlightRecords). The second
+// argument is ignored; it stays for the benchmark's call until ROADMAP
+// item 15.
+func NewLatencyRecorder(ringSize int, _ time.Duration) *LatencyRecorder {
 	if ringSize <= 0 {
 		ringSize = DefaultFlightRecords
 	}
@@ -139,12 +101,10 @@ func NewLatencyRecorder(ringSize int, spike time.Duration) *LatencyRecorder {
 	}
 	base := time.Now()
 	return &LatencyRecorder{
-		base:    base,
-		anchor:  base.UnixNano(), // wall and monotonic offset 0 correspond here
-		spikeNs: int64(spike),
-		ring:    make([]FlightRecord, size),
-		runs:    make([]runInfo, size),
-		mask:    uint64(size - 1),
+		base:   base,
+		anchor: base.UnixNano(), // wall and monotonic offset 0 correspond here
+		ring:   make([]FlightRecord, size),
+		mask:   uint64(size - 1),
 	}
 }
 
@@ -172,10 +132,8 @@ func (r *LatencyRecorder) BeginBatch(now int64) {
 }
 
 // Hit appends a provisional record for a cache hit. No clock read, and
-// no timestamp, latency, or batch store either: all three are implied
-// by the run entry written when the surrounding run closes, and joined
-// back in at dump time. The slot's TS, LatNs, and Batch are left stale
-// — resolve overwrites them in the dumped copy, never in the ring.
+// no timestamp, latency, or batch store either: closeRun stamps all
+// three, and scrubs ParkNs, when the surrounding run closes.
 //
 //gf:hotpath
 func (r *LatencyRecorder) Hit(tier Tier, keyHash uint64) {
@@ -213,11 +171,10 @@ func (r *LatencyRecorder) EndBatch() {
 }
 
 // closeRun shares the span since runStart uniformly across the pending
-// hit records and folds the estimate into the per-tier histograms. The
-// records themselves are not touched: one runInfo entry covers them
-// all, and dumps join it back in — O(1) regardless of run length. It is
-// reached only behind the EndBatch/ColdBegin clock boundaries, so it is
-// not itself a certification root.
+// hit records, stamps the estimate into the run's slots — the newest n,
+// of which only those still resident — and folds it into the per-tier
+// histograms. It is reached only behind the EndBatch/ColdBegin clock
+// boundaries, so it is not itself a certification root.
 func (r *LatencyRecorder) closeRun(d int64) {
 	n := uint64(r.pendingHits())
 	span := d - r.runStart
@@ -225,8 +182,11 @@ func (r *LatencyRecorder) closeRun(d int64) {
 		span = 0
 	}
 	per := span / int64(n)
-	r.runs[r.runCount&r.mask] = runInfo{endSeq: r.seq, ts: r.anchor, perNs: clampLat(per), batch: r.batch}
-	r.runCount++
+	lat := clampLat(per)
+	for seq := r.seq - min(n, uint64(len(r.ring))); seq != r.seq; seq++ {
+		s := &r.ring[seq&r.mask]
+		s.TS, s.LatNs, s.Batch, s.ParkNs = r.anchor, lat, r.batch, 0
+	}
 	for t := range r.pending {
 		if c := r.pending[t]; c != 0 {
 			r.hist[t].ObserveN(per, uint64(c))
@@ -234,9 +194,6 @@ func (r *LatencyRecorder) closeRun(d int64) {
 		}
 	}
 	r.runStart = d
-	if r.spikeNs > 0 && per >= r.spikeNs {
-		r.capture(per)
-	}
 }
 
 // ColdBegin marks the point where a packet leaves the hit path on a
@@ -280,9 +237,6 @@ func (r *LatencyRecorder) Cold(tier Tier, keyHash uint64, flags uint8) {
 	r.inCold = false
 	r.runStart = d
 	r.hist[tier].Observe(lat)
-	if r.spikeNs > 0 && lat >= r.spikeNs {
-		r.capture(lat)
-	}
 }
 
 // Deferred records a miss resolved asynchronously by the upcall engine:
@@ -318,74 +272,6 @@ func (r *LatencyRecorder) Deferred(tier Tier, keyHash uint64, flags uint8, latNs
 	r.inCold = false
 	r.runStart = d
 	r.hist[tier].Observe(latNs)
-	if r.spikeNs > 0 && latNs >= r.spikeNs {
-		r.capture(latNs)
-	}
-}
-
-// resolve fills the timestamp and latency of a copied estimated record
-// from the run ring: binary search for the first closed run whose
-// endSeq exceeds the record's sequence number. Cold records carry exact
-// values inline and pass through untouched. Dump-time only — never on
-// the packet path.
-func (r *LatencyRecorder) resolve(rec *FlightRecord, seq uint64) {
-	if rec.Flags&FlightEstimated == 0 {
-		return
-	}
-	lo := uint64(0)
-	if r.runCount > uint64(len(r.runs)) {
-		lo = r.runCount - uint64(len(r.runs))
-	}
-	hi := r.runCount
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if r.runs[mid&r.mask].endSeq > seq {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if lo == r.runCount {
-		// Record's run is still open. Control-op discipline makes this
-		// unreachable from dumps (EndBatch/ColdBegin close the run before
-		// the worker yields); defensively pin to the batch anchor.
-		rec.TS = r.anchor
-		rec.LatNs = 0
-		rec.Batch = r.batch
-		rec.ParkNs = 0
-		return
-	}
-	run := &r.runs[lo&r.mask]
-	rec.TS = run.ts
-	rec.LatNs = run.perNs
-	rec.Batch = run.batch
-	rec.ParkNs = 0 // hits never park; scrub whatever the reused slot held
-}
-
-// capture copies the ring window ending at the spiking record. Rare by
-// construction: only latencies past the configured threshold allocate.
-func (r *LatencyRecorder) capture(latNs int64) {
-	r.spikes++
-	n := r.seq
-	if n > captureWindow {
-		n = captureWindow
-	}
-	if n > uint64(len(r.ring)) {
-		n = uint64(len(r.ring))
-	}
-	recs := make([]FlightRecord, n)
-	for i := uint64(0); i < n; i++ {
-		seq := r.seq - n + i
-		recs[i] = r.ring[seq&r.mask]
-		r.resolve(&recs[i], seq)
-	}
-	c := FlightCapture{Seq: r.seq, TriggerNs: latNs, Batch: r.batch, Records: recs}
-	if len(r.captures) >= maxFlightCaptures {
-		copy(r.captures, r.captures[1:])
-		r.captures[len(r.captures)-1] = c
-	} else {
-		r.captures = append(r.captures, c)
-	}
 }
 
 func clampLat(ns int64) int32 {
@@ -412,13 +298,6 @@ func (r *LatencyRecorder) RingSize() int { return len(r.ring) }
 // Batches reports how many attribution batches have been opened.
 func (r *LatencyRecorder) Batches() uint32 { return r.batch }
 
-// Spikes reports how many spike captures have fired.
-func (r *LatencyRecorder) Spikes() uint64 { return r.spikes }
-
-// SpikeThreshold reports the capture threshold in nanoseconds (0 when
-// disabled).
-func (r *LatencyRecorder) SpikeThreshold() int64 { return r.spikeNs }
-
 // Recent copies up to n of the newest resident records, newest first.
 // n <= 0 means everything resident in the ring.
 func (r *LatencyRecorder) Recent(n int) []FlightRecord {
@@ -430,19 +309,8 @@ func (r *LatencyRecorder) Recent(n int) []FlightRecord {
 		avail = uint64(n)
 	}
 	out := make([]FlightRecord, avail)
-	for i := uint64(0); i < avail; i++ {
-		seq := r.seq - 1 - i
-		out[i] = r.ring[seq&r.mask]
-		r.resolve(&out[i], seq)
+	for i := range out {
+		out[i] = r.ring[(r.seq-1-uint64(i))&r.mask]
 	}
-	return out
-}
-
-// Captures returns the retained spike captures, oldest first. The record
-// slices are immutable after capture; the returned header slice is a
-// copy.
-func (r *LatencyRecorder) Captures() []FlightCapture {
-	out := make([]FlightCapture, len(r.captures))
-	copy(out, r.captures)
 	return out
 }

@@ -248,36 +248,75 @@ func TestFlightRecorderParkScrub(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderSpike: a latency past the threshold snapshots the
-// ring window around the spike.
-func TestFlightRecorderSpike(t *testing.T) {
-	r := NewLatencyRecorder(16, time.Microsecond)
-	r.BeginBatch(1)
-	r.Hit(TierMicroflow, 1)
+// TestFlightRecorderStampsRuns: a closed run's records hold its own
+// values — the batch anchor, the run's span ÷ n, the batch and no park
+// time — however the run closed, whatever the slots held before, and
+// without touching the exactly-stamped records around it.
+func TestFlightRecorderStampsRuns(t *testing.T) {
+	r := NewLatencyRecorder(16, 0)
+	var want []FlightRecord // every record written, oldest first
+	open, before := 0, int64(0)
+	hits := func(n int) {
+		for i := 0; i < n; i++ {
+			k := uint64(len(want) + 1)
+			r.Hit(TierMicroflow, k)
+			want = append(want, FlightRecord{KeyHash: k, Tier: TierMicroflow, Flags: FlightEstimated})
+		}
+		open += n
+	}
+	// closed stamps the run that just closed into the model: the microflow
+	// histogram took span ÷ n once per record.
+	closed := func(anchor int64) {
+		sum := r.hist[TierMicroflow].sum
+		per := int32((sum - before) / int64(open))
+		for i := len(want) - open; i < len(want); i++ {
+			want[i].TS, want[i].LatNs, want[i].Batch = anchor, per, r.Batches()
+		}
+		open, before = 0, sum
+	}
+	exact := func() { want = append(want, r.Recent(1)[0]) }
+	check := func(what string) {
+		t.Helper()
+		got := r.Recent(0)
+		if len(got) != min(len(want), r.RingSize()) {
+			t.Fatalf("%s: %d records resident, want %d", what, len(got), min(len(want), r.RingSize()))
+		}
+		for i, g := range got {
+			if w := want[len(want)-1-i]; g != w {
+				t.Errorf("%s: record %d from newest = %+v, want %+v", what, i, g, w)
+			}
+		}
+	}
+
+	r.BeginBatch(1000)
+	hits(3)
+	r.EndBatch()
+	closed(1000)
+	r.BeginBatch(2000)
+	hits(2)
 	r.ColdBegin()
-	spin(5 * time.Microsecond)
-	r.Cold(TierSlowpath, 99, FlightMiss)
-	// Scheduler or cold-start jitter can push the hit run itself over the
-	// threshold too, so require at least the cold spike rather than
-	// exactly one capture.
-	if r.Spikes() < 1 {
-		t.Fatalf("Spikes = %d, want >= 1", r.Spikes())
-	}
-	caps := r.Captures()
-	if len(caps) == 0 {
-		t.Fatalf("no captures retained")
-	}
-	c := caps[len(caps)-1] // the cold spike fired last
-	if c.TriggerNs < int64(time.Microsecond) {
-		t.Errorf("TriggerNs = %d, want >= 1000", c.TriggerNs)
-	}
-	if len(c.Records) == 0 {
-		t.Fatalf("capture has no records")
-	}
-	last := c.Records[len(c.Records)-1]
-	if last.KeyHash != 99 || last.Tier != TierSlowpath {
-		t.Errorf("capture trigger record = %+v, want the spiking cold event", last)
-	}
+	closed(2000)
+	r.Cold(TierSlowpath, 100, FlightMiss)
+	exact()
+	hits(1)
+	r.Deferred(TierSlowpath, 101, FlightMiss, 300, 500)
+	closed(2000)
+	exact()
+	hits(2)
+	r.EndBatch()
+	closed(2000)
+	check("runs, cold and deferred")
+	r.BeginBatch(3000)
+	hits(9)
+	r.EndBatch()
+	closed(3000)
+	check("wrapped")
+	// Longer than the ring: its slots include the deferred record's.
+	r.BeginBatch(4000)
+	hits(20)
+	r.EndBatch()
+	closed(4000)
+	check("run longer than the ring")
 }
 
 func TestTierJSONRoundTrip(t *testing.T) {

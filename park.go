@@ -90,31 +90,38 @@ func (v *VSwitch) CompleteMiss(k Key, tr *Traversal, now, travNs, parkNs int64) 
 		v.rec.BeginBatch(now)
 	}
 	var o ProcessResult
-	from, table := v.suffixAt(tr)
-	flags := telemetry.FlightMiss | v.install(&k, tr, from, table, now, nil, conntrack.DirForward, &o)
+	tr, table := v.suffixAt(tr)
+	flags := telemetry.FlightMiss | v.install(&k, tr, table, now, nil, conntrack.DirForward, &o)
 	if v.rec != nil {
 		v.rec.Deferred(telemetry.TierSlowpath, k.FlowHash(), flags, travNs, parkNs)
 	}
 	return o, nil
 }
 
-// suffixAt is where CompleteMiss installs a full traversal from: with
-// resuming on, the step and the cache table at which the packet's
-// second-chance lookup stalled — so a completed miss installs, and counts,
-// exactly what the same miss resumed inline would. The traversal must
-// continue there: its step at the prefix's span is in the table the prefix
-// names and enters it with the key the lookup stalled with. Otherwise, and
-// without a stall, it is 0, 0: the whole traversal.
-func (v *VSwitch) suffixAt(tr *Traversal) (from, table int) {
+// suffixAt is what CompleteMiss installs of a full traversal: with
+// resuming on, a view of tr from the step at which the packet's
+// second-chance lookup stalled, and the cache table the stall names — so a
+// completed miss installs, and counts, exactly what the same miss resumed
+// inline would, whose walk starts there. The traversal must continue
+// there: its step at the prefix's span is in the table the prefix names
+// and enters it with the key the lookup stalled with. Otherwise, and
+// without a stall, it is tr itself and table 0. The view lives in the
+// switch, valid until the next completion.
+func (v *VSwitch) suffixAt(tr *Traversal) (*Traversal, int) {
 	if !v.resume {
-		return 0, 0
+		return tr, 0
 	}
 	next, table, span := v.main.Stall()
 	if span == 0 || span >= tr.Len() {
-		return 0, 0
+		return tr, 0
 	}
 	if st := &tr.Steps[span]; st.TableID != next || st.Pre != v.stalled {
-		return 0, 0
+		return tr, 0
 	}
-	return span, table
+	v.view = *tr
+	v.view.Input, v.view.Steps, v.view.TuplesProbed = tr.Steps[span].Pre, tr.Steps[span:], 0
+	for i := range v.view.Steps {
+		v.view.TuplesProbed += v.view.Steps[i].Probes
+	}
+	return &v.view, table
 }

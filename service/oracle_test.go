@@ -360,6 +360,7 @@ type cell struct {
 	nonblocking bool
 	busy        bool // a phantom message in flight on every shard: no share runs in place
 	fault       fault
+	queue       int // the upcall queue's depth, when not upcallQueue
 }
 
 var mixedSizes = []int{1, 7, 32, 3, 64, 5, 2, 100}
@@ -599,7 +600,7 @@ func (c *cell) tame(o *outcome, cov coverage) string {
 		// warms every flow first.
 		batched := c.entry == viaSubmitFrameBatch && c.tape.thrash == 0
 		need(up.Workers == 0 || !batched || u.Deduped > 0, "deduplicated followers")
-		need(up.Queue != 1 || u.OverflowInline > 0, "inline overflow")
+		need(c.queue != 1 || u.OverflowInline > 0, "inline overflow")
 		need(c.fault.wedge == 0 || u.Stale > 0, "stale walk")
 		need(c.fault.stall == 0 || o.fates[queueFull] > 0, "queue-full drops")
 	}
@@ -659,9 +660,6 @@ func (c *cell) expect(tape []op, flagless bool) []step {
 func (c *cell) drive(t *testing.T, tape []op, want []step) *outcome {
 	cfg, ct, d := c.cfg, c.cfg.Conntrack.Enable, c.driver
 	cfg.Latency = LatencyConfig{Disable: !d.recorded}
-	if d.recorded {
-		cfg.Latency.FlightRecords = len(tape)
-	}
 	s, err := New(c.tape.pipe(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -673,7 +671,7 @@ func (c *cell) drive(t *testing.T, tape []op, want []step) *outcome {
 	}
 	out, errs, parked := make([]gigaflow.ProcessResult, n), make([]error, n), make([]bool, n)
 	o := &outcome{}
-	calls := 0
+	calls, seen := 0, uint64(0)
 	each(tape, d.sizes, func(i int) bool { return tape[i].now != tape[i-1].now }, func(lo, hi int) {
 		now := tape[hi-1].now
 		switch {
@@ -736,6 +734,23 @@ func (c *cell) drive(t *testing.T, tape []op, want []step) *outcome {
 		if ct && vs.Conntrack().Stats() != want[hi-1].ct {
 			t.Fatalf("ops %d–%d: connection table %+v, Reference %+v", lo, hi-1, vs.Conntrack().Stats(), want[hi-1].ct)
 		}
+		// A record's identity: which tier resolved which flow, and how; when
+		// and whether exactly or as a run's estimate it was stamped is the
+		// replay's own. The ring is shorter than a tape, so each call's
+		// records are read as the newest ones it appended, oldest first.
+		if rec == nil || rec.Seq() == seen {
+			return
+		}
+		recs := rec.Recent(int(rec.Seq() - seen))
+		if uint64(len(recs)) != rec.Seq()-seen {
+			t.Fatalf("ops %d–%d: %d flight records appended, %d resident", lo, hi-1, rec.Seq()-seen, len(recs))
+		}
+		for j := len(recs) - 1; j >= 0; j-- {
+			r := recs[j]
+			o.flight = append(o.flight, telemetry.FlightRecord{Tier: r.Tier, KeyHash: r.KeyHash,
+				Flags: r.Flags &^ telemetry.FlightEstimated})
+		}
+		seen = rec.Seq()
 	})
 	o.vres, o.stats, o.entries, o.tel = out, vs.Stats(), vs.CacheEntries(), []gigaflow.VSwitchTelemetry{vs.Telemetry()}
 	if rec != nil {
@@ -745,13 +760,7 @@ func (c *cell) drive(t *testing.T, tape []op, want []step) *outcome {
 		for tier := range o.hist {
 			o.hist[tier] = rec.Histogram(telemetry.Tier(tier)).Count()
 		}
-		// A record's identity: which tier resolved which flow, and how; when
-		// and whether exactly or as a run's estimate it was stamped is the
-		// replay's own.
-		for _, r := range rec.Recent(0) {
-			o.flight = append(o.flight, telemetry.FlightRecord{Tier: r.Tier, KeyHash: r.KeyHash,
-				Flags: r.Flags &^ telemetry.FlightEstimated})
-		}
+		slices.Reverse(o.flight) // newest first, as the ring dumps them
 	}
 	return o
 }
@@ -801,7 +810,12 @@ func (c *cell) runService(t *testing.T, tape []op) *outcome {
 	r := &svcRun{t: t, c: c, o: newOracle(c.tape.pipe, c.cfg), tape: tape, b: NewBatch(64),
 		resp: make(chan Result, len(tape)), out: &outcome{res: make([]Result, len(tape))},
 		exp: make([]gigaflow.ProcessResult, len(tape)), frames: newFrameMetrics(telemetry.NewRegistry())}
-	s := startOn(t, c.tape.pipe(), c.cfg, r.clock.Load)
+	s := startOn(t, c.tape.pipe(), c.cfg, func(s *Service) {
+		s.clock = r.clock.Load
+		if c.queue > 0 {
+			s.eng.q = make(chan *miss, c.queue)
+		}
+	})
 	r.s = s
 	defer func() { // before the service is closed
 		r.release()
@@ -1288,15 +1302,15 @@ var cells = func() []cell {
 	// A one-slot upcall queue: most cold flows take the inline fallback, and
 	// so does a repeat in the same share while the engine has not caught
 	// up. No flow's install covers another's here, so the peers agree.
-	add("perflow/shards", "overflow-inline/3", cell{tape: whole, cfg: upcall(shards(sync, 3), UpcallConfig{Workers: 1, Queue: 1}),
-		entry: viaSubmitFrameBatch, batch: 32})
+	add("perflow/shards", "overflow-inline/3", cell{tape: whole, cfg: upcall(shards(sync, 3), UpcallConfig{Workers: 1}),
+		entry: viaSubmitFrameBatch, batch: 32, queue: 1})
 	// The batch entry point, inline and offloaded, a group per shard count.
 	// No tier evicts here (see parks).
 	for _, n := range []int{1, 3} {
 		for _, mode := range []string{"sync", "upcall"} {
 			cfg := shards(sync, n)
 			if mode == "upcall" {
-				cfg = upcall(cfg, UpcallConfig{Workers: 1, Queue: 4096})
+				cfg = upcall(cfg, UpcallConfig{Workers: 1})
 			}
 			g, c := fmt.Sprint("perflow/", n), cell{tape: perflow, cfg: cfg, entry: viaSubmitFrameBatch, batch: 32}
 			add(g, mode+"/SubmitFrameBatch/blocking", c)
@@ -1312,7 +1326,7 @@ var cells = func() []cell {
 	thrash.pipe, thrash.flows, thrash.packets, thrash.thrash = func() *gigaflow.Pipeline { return perFlowPipeline(128) }, 128, 300, 32
 	tcfg := Config{Cache: gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 512}, MicroflowCapacity: 32}
 	alone("perflow/thrash/sync", cell{tape: thrash, cfg: tcfg, entry: viaSubmitFrameBatch, batch: 32})
-	alone("perflow/thrash/upcall", cell{tape: thrash, cfg: upcall(tcfg, UpcallConfig{Workers: 1, Queue: 4096}), entry: viaSubmitFrameBatch, batch: 32})
+	alone("perflow/thrash/upcall", cell{tape: thrash, cfg: upcall(tcfg, UpcallConfig{Workers: 1}), entry: viaSubmitFrameBatch, batch: 32})
 
 	two := Config{Workers: 2, Cache: gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256}, MicroflowCapacity: 512}
 	for _, be := range []string{"gigaflow", "megaflow"} {
@@ -1320,7 +1334,7 @@ var cells = func() []cell {
 		if be == "megaflow" {
 			cfg.Cache, cfg.MegaflowCapacity = gigaflow.CacheConfig{}, 1024
 		}
-		up := upcall(cfg, UpcallConfig{Workers: 1, Queue: 4096})
+		up := upcall(cfg, UpcallConfig{Workers: 1})
 		add(g, "sync/SubmitFrameBatch", cell{tape: svc, cfg: cfg, entry: viaSubmitFrameBatch})
 		add(g, "upcall/SubmitFrameBatch", cell{tape: svc, cfg: up, entry: viaSubmitFrameBatch})
 		add(g, "upcall/SubmitFrameBatch/nonblocking", cell{tape: svc, cfg: up, entry: viaSubmitFrameBatch, batch: 32, nonblocking: true})
@@ -1335,7 +1349,7 @@ var cells = func() []cell {
 	for i, e := range []entry{viaSubmitFrame, viaSubmitFrame, viaSubmitFrameBatch, viaSubmitFrameBatch} {
 		cfg, mode := shards(stalled, 1+i%3), "sync"
 		if i%2 == 1 {
-			cfg, mode = upcall(cfg, UpcallConfig{Workers: 1, Queue: 4096}), "upcall"
+			cfg, mode = upcall(cfg, UpcallConfig{Workers: 1}), "upcall"
 		}
 		alone("stall/"+string(e)+"/"+mode, cell{tape: perflow, cfg: cfg, entry: e, batch: 32, fault: fault{stall: 96}})
 	}
@@ -1343,9 +1357,9 @@ var cells = func() []cell {
 	// verdict: what the window parked was walked under the rules it replaces.
 	wedged := svc
 	wedged.packets, wedged.rules = 300, 5
-	alone("upcall/wedged", cell{tape: wedged, cfg: upcall(two, UpcallConfig{Workers: 1, Queue: 4096}),
+	alone("upcall/wedged", cell{tape: wedged, cfg: upcall(two, UpcallConfig{Workers: 1}),
 		entry: viaSubmitFrameBatch, fault: fault{wedge: 50}})
-	alone("close", cell{tape: perflow, cfg: upcall(shards(sync, 2), UpcallConfig{Workers: 1, Queue: 4096}),
+	alone("close", cell{tape: perflow, cfg: upcall(shards(sync, 2), UpcallConfig{Workers: 1}),
 		entry: viaSubmitFrameBatch, batch: 32, fault: fault{closeAt: 250}})
 	alone("cancel", cell{tape: perflow, cfg: shards(sync, 2), entry: viaSubmitFrameBatch, batch: 32, fault: fault{cancelAt: 100}})
 	// Idle gaps between ticks: an entry idle across a due sweep goes, and
@@ -1355,7 +1369,7 @@ var cells = func() []cell {
 	expiry.MaxIdle, gaps.ticks = time.Second, 50
 	add("expiry", "SubmitFrameBatch", cell{tape: gaps, cfg: expiry, entry: viaSubmitFrameBatch, batch: 32})
 	add("expiry", "SubmitFrameBatch/busy", cell{tape: gaps, cfg: expiry, entry: viaSubmitFrameBatch, busy: true})
-	add("expiry", "upcall/SubmitFrame/nonblocking", cell{tape: gaps, cfg: upcall(expiry, UpcallConfig{Workers: 1, Queue: 4096}),
+	add("expiry", "upcall/SubmitFrame/nonblocking", cell{tape: gaps, cfg: upcall(expiry, UpcallConfig{Workers: 1}),
 		entry: viaSubmitFrame, nonblocking: true})
 
 	// Conntrack, a Reference per shard: a group per shard count. Idle gaps

@@ -206,11 +206,15 @@ func TestShardOwnershipUnderRace(t *testing.T) {
 				MaxIdle:           sweepEvery / 2,
 			}
 			if async {
-				cfg.Upcall = UpcallConfig{Workers: 2, Queue: 8}
+				cfg.Upcall = UpcallConfig{Workers: 2}
 			}
 			var clock atomic.Int64
-			tick := func() int64 { return clock.Add(sweepEvery.Nanoseconds() / 4) }
-			s, ctx := startOn(t, perFlowPipeline(256), cfg, tick), context.Background()
+			s, ctx := startOn(t, perFlowPipeline(256), cfg, func(s *Service) {
+				s.clock = func() int64 { return clock.Add(sweepEvery.Nanoseconds() / 4) }
+				if async {
+					s.eng.q = make(chan *miss, 8) // shallow, for the inline fallback under contention
+				}
+			}), context.Background()
 			flows := make([][]byte, 256)
 			for i := range flows {
 				flows[i] = frameOf(t, perFlowKey(i), 0)

@@ -57,60 +57,22 @@ type UpcallConfig struct {
 	// tier's own stats are too while no miss meets a full queue and no
 	// tier evicts (DESIGN.md "Upcall").
 	Workers int
-	// Queue bounds the shared miss queue (default 1024). A fresh miss
-	// that finds it full is traversed inline, on the shard; packets of
-	// already-pending flows never touch the queue.
-	Queue int
 }
 
-func (c UpcallConfig) validate() error {
-	if c.Workers < 0 {
-		return fmt.Errorf("service: negative Upcall.Workers (%d)", c.Workers)
-	}
-	if c.Queue < 0 {
-		return fmt.Errorf("service: negative Upcall.Queue (%d)", c.Queue)
-	}
-	if c.Workers == 0 && c.Queue != 0 {
-		return errors.New("service: upcall knobs set but Upcall.Workers is 0 (offload disabled)")
-	}
-	return nil
-}
-
-func (c UpcallConfig) withDefaults() UpcallConfig {
-	if c.Workers > 0 && c.Queue <= 0 {
-		c.Queue = 1024
-	}
-	return c
-}
+// upcallQueue bounds the shared miss queue. A fresh miss that finds it
+// full is traversed inline, on the shard; packets of already-pending
+// flows never touch the queue.
+const upcallQueue = 1024
 
 // LatencyConfig configures the per-worker latency attribution layer (one
 // section of Config).
 type LatencyConfig struct {
 	// Disable turns off attribution (per-tier nanosecond histograms and
-	// the flight-recorder ring, served by the latency and flight-recorder
-	// endpoints). Attribution is on by default: its hot path adds two
-	// clock reads per batch and plain stores per packet.
+	// the flight-recorder ring of telemetry.DefaultFlightRecords records,
+	// served by the latency and flight-recorder endpoints). Attribution is
+	// on by default: its hot path adds two clock reads per batch and plain
+	// stores per packet.
 	Disable bool
-	// FlightRecords sizes each worker's flight-recorder ring, rounded up
-	// to a power of two (default telemetry.DefaultFlightRecords, 1024).
-	FlightRecords int
-	// Spike, when set, snapshots a worker's flight ring whenever a
-	// packet's latency meets or exceeds it, so a tail spike comes with
-	// the events that surrounded it (0 disables spike captures).
-	Spike time.Duration
-}
-
-func (c LatencyConfig) validate() error {
-	if c.FlightRecords < 0 {
-		return fmt.Errorf("service: negative Latency.FlightRecords (%d)", c.FlightRecords)
-	}
-	if c.Spike < 0 {
-		return fmt.Errorf("service: negative Latency.Spike (%v)", c.Spike)
-	}
-	if c.Disable && (c.FlightRecords != 0 || c.Spike != 0) {
-		return errors.New("service: Latency.FlightRecords/Spike set but Latency.Disable turns attribution off")
-	}
-	return nil
 }
 
 // ConntrackConfig configures connection tracking (one section of
@@ -216,11 +178,8 @@ func (c Config) validate() error {
 	if c.MaxIdle < 0 {
 		return fmt.Errorf("service: negative MaxIdle (%v)", c.MaxIdle)
 	}
-	if err := c.Upcall.validate(); err != nil {
-		return err
-	}
-	if err := c.Latency.validate(); err != nil {
-		return err
+	if c.Upcall.Workers < 0 {
+		return fmt.Errorf("service: negative Upcall.Workers (%d)", c.Upcall.Workers)
 	}
 	if err := c.Conntrack.validate(); err != nil {
 		return err
@@ -259,7 +218,6 @@ func (c Config) withDefaults() Config {
 			c.Cache.TableCapacity = gfcache.DefaultTableCapacity
 		}
 	}
-	c.Upcall = c.Upcall.withDefaults()
 	c.Conntrack = c.Conntrack.withDefaults()
 	return c
 }
@@ -435,7 +393,7 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 		return nil, err
 	}
 	if cfg.Upcall.Workers > 0 {
-		s.eng = &engine{q: make(chan *miss, cfg.Upcall.Queue)}
+		s.eng = &engine{q: make(chan *miss, upcallQueue)}
 	}
 	sweepAt := int64(math.MaxInt64)
 	if cfg.MaxIdle > 0 || cfg.Conntrack.MaxIdle > 0 {
@@ -463,7 +421,7 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 		if !cfg.Latency.Disable {
 			// One recorder per worker: like the VSwitch it instruments, its
 			// state is single-writer and lives on the worker goroutine.
-			rec = telemetry.NewLatencyRecorder(cfg.Latency.FlightRecords, cfg.Latency.Spike)
+			rec = telemetry.NewLatencyRecorder(0, 0)
 			opts = append(opts, gigaflow.WithLatencyRecorder(rec))
 		}
 		w := &worker{

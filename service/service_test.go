@@ -60,14 +60,15 @@ func start(tb testing.TB, p *gigaflow.Pipeline, cfg Config) *Service {
 	return startOn(tb, p, cfg, nil)
 }
 
-// startOn is start with the service clock replaced by clock (nil keeps
-// the wall clock): every stamp that ages the caches reads it.
-func startOn(tb testing.TB, p *gigaflow.Pipeline, cfg Config, clock func() int64) *Service {
+// startOn is start with prep (when not nil) run on the service between
+// New and Start: where a test replaces the service clock, which every
+// stamp that ages the caches reads, or the upcall queue.
+func startOn(tb testing.TB, p *gigaflow.Pipeline, cfg Config, prep func(*Service)) *Service {
 	tb.Helper()
 	s, err := New(p, cfg)
 	if err == nil {
-		if clock != nil {
-			s.clock = clock
+		if prep != nil {
+			prep(s)
 		}
 		err = s.Start(context.Background())
 	}
@@ -272,7 +273,7 @@ func TestIdleExpiryTicker(t *testing.T) {
 		Workers: 1,
 		Cache:   gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 64},
 		MaxIdle: time.Millisecond,
-	}, clock.Load), context.Background()
+	}, func(s *Service) { s.clock = clock.Load }), context.Background()
 	every := sweepEvery.Nanoseconds()
 	miss := func(what string, flow int) {
 		t.Helper()

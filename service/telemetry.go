@@ -158,14 +158,11 @@ func (s *Service) latencyTelemetry(ctx context.Context, _ int) (any, error) {
 
 // workerFlight is one worker's slice of the flight-recorder document.
 type workerFlight struct {
-	Worker   string                    `json:"worker"`
-	Seq      uint64                    `json:"seq"`
-	RingSize int                       `json:"ring_size"`
-	Batches  uint32                    `json:"batches"`
-	SpikeNs  int64                     `json:"spike_ns"`
-	Spikes   uint64                    `json:"spikes"`
-	Records  []telemetry.FlightRecord  `json:"records"` // newest first
-	Captures []telemetry.FlightCapture `json:"captures,omitempty"`
+	Worker   string                   `json:"worker"`
+	Seq      uint64                   `json:"seq"`
+	RingSize int                      `json:"ring_size"`
+	Batches  uint32                   `json:"batches"`
+	Records  []telemetry.FlightRecord `json:"records"` // newest first
 }
 
 // flightDoc is the flight-recorder document. Enabled is false (and Workers
@@ -176,8 +173,7 @@ type flightDoc struct {
 }
 
 // flightTelemetry dumps up to n recent flight records per shard (n <= 0
-// means the whole ring), plus any retained spike captures, snapshotted
-// under each shard's owner lock.
+// means the whole ring), snapshotted under each shard's owner lock.
 func (s *Service) flightTelemetry(ctx context.Context, n int) (any, error) {
 	if s.cfg.Latency.Disable {
 		return flightDoc{}, nil
@@ -189,10 +185,7 @@ func (s *Service) flightTelemetry(ctx context.Context, n int) (any, error) {
 			Seq:      w.rec.Seq(),
 			RingSize: w.rec.RingSize(),
 			Batches:  w.rec.Batches(),
-			SpikeNs:  w.rec.SpikeThreshold(),
-			Spikes:   w.rec.Spikes(),
 			Records:  w.rec.Recent(n),
-			Captures: w.rec.Captures(),
 		}
 	})
 	return flightDoc{Enabled: true, Workers: out}, err
@@ -209,7 +202,7 @@ var endpoints = []struct {
 	{"/cache", "per-worker, per-LTM-table cache snapshot", func(s *Service) http.HandlerFunc { return serveJSON(0, s.cacheTelemetry) }},
 	{"/shards", "per-shard packets, occupancy and conntrack churn counters", func(s *Service) http.HandlerFunc { return serveJSON(0, s.shardTelemetry) }},
 	{"/latency", "per-worker and aggregate per-tier latency ladders (p50/p90/p99/p999/max)", func(s *Service) http.HandlerFunc { return serveJSON(0, s.latencyTelemetry) }},
-	{"/debug/flight", "flight-recorder dump: recent per-packet records and spike captures (?n= caps, default 256)", func(s *Service) http.HandlerFunc { return serveJSON(256, s.flightTelemetry) }},
+	{"/debug/flight", "flight-recorder dump: recent per-packet records (?n= caps, default 256)", func(s *Service) http.HandlerFunc { return serveJSON(256, s.flightTelemetry) }},
 	{"/debug/pprof/", "net/http/pprof profiles", func(*Service) http.HandlerFunc { return servePprof }},
 	{"/debug/vars", "expvar", func(*Service) http.HandlerFunc { return expvar.Handler().ServeHTTP }},
 }

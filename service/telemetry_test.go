@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"gigaflow"
+	"gigaflow/internal/telemetry"
 )
 
 func TestConfigValidation(t *testing.T) {
@@ -36,8 +37,6 @@ func TestConfigValidation(t *testing.T) {
 		{"unknown scheme", Config{Cache: gigaflow.CacheConfig{Scheme: 99}}, "Cache.Scheme"},
 		{"negative megaflow cap", Config{MegaflowCapacity: -1}, "MegaflowCapacity"},
 		{"negative upcall workers", Config{Upcall: UpcallConfig{Workers: -1}}, "Upcall.Workers"},
-		{"negative upcall queue", Config{Upcall: UpcallConfig{Workers: 1, Queue: -1}}, "Upcall.Queue"},
-		{"upcall knobs without workers", Config{Upcall: UpcallConfig{Queue: 8}}, "Upcall.Workers is 0"},
 		{"megaflow backend ok", Config{MegaflowCapacity: 1024}, ""},
 	}
 	for _, c := range cases {
@@ -359,7 +358,6 @@ func TestFlightEndpoint(t *testing.T) {
 	s, base := startTelemetryService(t, Config{
 		Workers: 1,
 		Cache:   gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256},
-		Latency: LatencyConfig{FlightRecords: 64},
 	})
 	submitN(t, s, 10, 2)
 
@@ -387,8 +385,8 @@ func TestFlightEndpoint(t *testing.T) {
 		t.Fatalf("enabled=%v workers=%d, want true/1", doc.Enabled, len(doc.Workers))
 	}
 	w := doc.Workers[0]
-	if w.Seq != 10 || w.RingSize != 64 || w.Batches != 10 {
-		t.Errorf("seq=%d ring=%d batches=%d, want 10/64/10", w.Seq, w.RingSize, w.Batches)
+	if w.Seq != 10 || w.RingSize != telemetry.DefaultFlightRecords || w.Batches != 10 {
+		t.Errorf("seq=%d ring=%d batches=%d, want 10/%d/10", w.Seq, w.RingSize, w.Batches, telemetry.DefaultFlightRecords)
 	}
 	if len(w.Records) != 6 {
 		t.Fatalf("got %d records, want 6 (n=6)", len(w.Records))
@@ -440,7 +438,6 @@ func TestConcurrentScrape(t *testing.T) {
 		Workers:           2,
 		Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256},
 		MicroflowCapacity: 256,
-		Latency:           LatencyConfig{FlightRecords: 128},
 	})
 	ctx := context.Background()
 	var web, tls [32][]byte // port 80 and 443 frames by host

@@ -78,7 +78,7 @@ type miss struct {
 // never blocks: a full queue is the shard's signal to traverse the miss
 // itself rather than stall behind the slow path.
 type engine struct {
-	q        chan *miss    // holds Upcall.Queue misses: past that, a fresh miss is traversed inline
+	q        chan *miss    // holds upcallQueue misses: past that, a fresh miss is traversed inline
 	enqueued atomic.Uint64 // misses accepted
 	drained  atomic.Uint64 // misses handed to handleUpcalls
 	batches  atomic.Uint64 // handleUpcalls calls

@@ -18,7 +18,7 @@ func upcallConfig(workers, engineWorkers int) Config {
 		Workers:           workers,
 		Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256},
 		MicroflowCapacity: 512,
-		Upcall:            UpcallConfig{Workers: engineWorkers, Queue: 4096},
+		Upcall:            UpcallConfig{Workers: engineWorkers},
 	}
 }
 
@@ -71,12 +71,10 @@ func TestUpcallOrdering(t *testing.T) {
 // packet, followers included, with ErrClosed (unblocking their submitters),
 // leave the pending tables empty, and still return once the engine is
 // released. Wedged, the engine holds the first flow and the queue the
-// second, so the queue's counters read exactly; the queue bound is the
-// default.
+// second, so the queue's counters read exactly; the queue bound is
+// upcallQueue.
 func TestUpcallShutdownParked(t *testing.T) {
-	cfg := upcallConfig(1, 1)
-	cfg.Upcall.Queue = 0
-	s, err := New(buildPipeline(), cfg)
+	s, err := New(buildPipeline(), upcallConfig(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

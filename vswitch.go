@@ -31,11 +31,13 @@ type backend interface {
 	// pipeline tables the prefix spans — span 0 when there is no such
 	// prefix.
 	Stall() (next, table, span int)
-	// Install compiles steps [from, n) of a successful traversal into cache
-	// tables [table, K) — from = table = 0 for the whole traversal, which
-	// is all a backend whose Stall reports none is handed — reporting
-	// whether it went in and whether it evicted a resident entry by LRU.
-	Install(tr *Traversal, from, table int, now int64) (ok, evicted bool)
+	// Install compiles a successful traversal into cache tables [table, K)
+	// — table 0 for a whole traversal, which is all a backend whose Stall
+	// reports none is handed; the first table after the prefix for a
+	// resumed miss's suffix, a traversal that starts at the stall —
+	// reporting whether it went in and whether it evicted a resident entry
+	// by LRU.
+	Install(tr *Traversal, table int, now int64) (ok, evicted bool)
 	// RevalidateAgainst re-checks every entry against p's current rules,
 	// reporting entries evicted and pipeline lookups replayed.
 	RevalidateAgainst(p *Pipeline) (evicted, work int)
@@ -78,9 +80,10 @@ type VSwitch struct {
 	// resume lets a stalled miss walk and install only the suffix the main
 	// cache does not hold (WithStallResume); stalled is the key a parked
 	// miss stalled with, which its completion checks the engine's walk
-	// against.
+	// against, and view the suffix of that walk it installs (suffixAt).
 	resume  bool
 	stalled Key
+	view    Traversal
 
 	// trav is the one traversal every inline miss refills and res the
 	// resolver it walks with under conntrack: the switch is
@@ -470,7 +473,7 @@ func (v *VSwitch) processMiss(k, kt *Key, conn *conntrack.Conn, dir conntrack.Di
 		err = fmt.Errorf("gigaflow: slowpath: %w", err)
 		*o = ProcessResult{}
 	} else {
-		flags |= v.install(k, tr, 0, table, now, conn, dir, o)
+		flags |= v.install(k, tr, table, now, conn, dir, o)
 	}
 	if v.rec != nil {
 		v.rec.Cold(tier, kt.FlowHash(), flags)
@@ -499,12 +502,12 @@ func (v *VSwitch) walkSuffix(tr *Traversal, stalled *Key) (table int) {
 }
 
 // install is the second half of a miss, the one body the inline miss and a
-// completed parked one share: the traversal's steps from from on go into
-// the main cache's tables from table on (0 and 0: all of it), the install
-// is counted — a suffix (table > 0) as a resumed miss, which walked and
-// probed for its steps alone — the result is written to *o and the walk
-// kept for the packets after it — held on the packet's connection, or
-// memoized. It returns the flight-record flags the install earned.
+// completed parked one share: the traversal goes into the main cache's
+// tables from table on, the install is counted — into tables past the
+// first (table > 0) as a resumed miss, which walked and probed for its
+// suffix alone — the result is written to *o and the walk kept for the
+// packets after it — held on the packet's connection, or memoized. It
+// returns the flight-record flags the install earned.
 //
 // A walk that resolved a NAT action against the connection (CtEpoch set)
 // is good for that connection alone, so it is held and not installed: an
@@ -513,17 +516,15 @@ func (v *VSwitch) walkSuffix(tr *Traversal, stalled *Key) (table int) {
 // already resolved carries a stamp from before the binding (pipeline's
 // first-resolution rule); held all the same, it is refused on the next
 // packet, whose walk resolves every step under the binding.
-func (v *VSwitch) install(k *Key, tr *Traversal, from, table int, now int64, conn *conntrack.Conn, dir conntrack.Dir,
+func (v *VSwitch) install(k *Key, tr *Traversal, table int, now int64, conn *conntrack.Conn, dir conntrack.Dir,
 	o *ProcessResult) (flags uint8) {
-	v.stats.SlowpathSteps += uint64(tr.Len() - from)
-	for i := from; i < tr.Len(); i++ {
-		v.stats.SlowpathTupleProbes += uint64(tr.Steps[i].Probes)
-	}
+	v.stats.SlowpathSteps += uint64(tr.Len())
+	v.stats.SlowpathTupleProbes += uint64(tr.TuplesProbed)
 	if table > 0 {
 		v.stats.Resumed++
 	}
 	if tr.CtEpoch == 0 {
-		ok, evicted := v.main.Install(tr, from, table, now)
+		ok, evicted := v.main.Install(tr, table, now)
 		if ok {
 			v.stats.Installs++
 			flags = telemetry.FlightInstall
@@ -703,6 +704,5 @@ func (v *VSwitch) CollectMetrics(reg *telemetry.Registry, worker string) {
 			lat.With(worker, tl, "max").Set(float64(ls.MaxNs))
 		}
 		c("gigaflow_flight_records_total", "Flight-recorder records written.", v.rec.Seq())
-		c("gigaflow_latency_spikes_total", "Flight-recorder spike captures triggered.", v.rec.Spikes())
 	}
 }
