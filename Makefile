@@ -154,7 +154,9 @@ bench-pairs:
 ## FuzzRewrite holds the cache entries' masked-overwrite commit to the
 ## set-field action list it folds. FuzzResumeWalk holds a walk resumed at
 ## any step of a full walk of the five paper pipelines to that walk's
-## suffix, the premise a stalled miss resumes on.
+## suffix, the premise a stalled miss resumes on. FuzzLoad round-trips
+## accepted programs through the ofp parser's dump and load, the path
+## service.New clones every pipeline through.
 ## FuzzMicroflowOps and FuzzOpsDifferential replay op tapes
 ## through the Microflow tier and the flow table against their map-backed
 ## reference models, FuzzInsertOps through the LTM cache's
@@ -171,6 +173,7 @@ bench-pairs:
 fuzz-regress:
 	$(GO) test -run 'FuzzParseMatch|FuzzParseKey|FuzzRewrite' ./internal/flow
 	$(GO) test -run 'FuzzResumeWalk' ./internal/pipeline
+	$(GO) test -run 'FuzzLoad' ./internal/ofp
 	$(GO) test -run 'FuzzDecode|FuzzRSSHash' ./internal/packet
 	$(GO) test -run 'FuzzEpochValid' ./internal/conntrack
 	$(GO) test -run 'FuzzMicroflowOps' ./internal/microflow

@@ -135,11 +135,6 @@ type Conn struct {
 	LastSeen int64
 	// Created is the connection's creation time (virtual ns).
 	Created int64
-	// lastMoved is the time of the connection's last LRU reposition.
-	// Touches reposition lazily — at most once per repositionQuantum —
-	// so the list order tracks LastSeen only to within the quantum;
-	// ExpireIdle compensates (see there). LastSeen itself is exact.
-	lastMoved int64
 
 	prev, next *Conn // LRU list, most recent at front
 }
@@ -174,14 +169,6 @@ func (c *Conn) Serves(s *Served, kt *flow.Key, version uint64) bool {
 	return s.Verdict.Terminal() && s.Version == version &&
 		(s.Epoch == 0 || s.Epoch >= c.bound) && s.Match.MatchesKey(kt)
 }
-
-// repositionQuantum bounds how often a touch repositions a connection
-// in the LRU list (virtual ns). Moving a node to the front is the
-// dominant per-hit cost of keeping a hot connection alive — three
-// nodes' pointers on random cache lines — and doing it on every packet
-// is wasted precision: the list only needs to be ordered well enough
-// for tail-first expiry and eviction scans.
-const repositionQuantum = 1 << 16
 
 // connRef resolves a tuple probe to its connection and the direction
 // that tuple represents.
@@ -376,7 +363,7 @@ func (t *Table) TrackKey(k *flow.Key, tcpFlags uint8, now int64) (uint64, *Conn,
 	}
 	t.stats.Hits++
 	c, dir := ref.c, ref.dir
-	t.touchLazy(c, now)
+	t.Touch(c, now)
 
 	switch c.State {
 	case StateNew:
@@ -418,21 +405,20 @@ func (t *Table) transition(c *Conn, s State) {
 //gf:hotpath-safe first-packet connection creation allocates by design
 func (t *Table) create(k flow.Key, now int64) *Conn {
 	if t.maxConns > 0 && t.count >= t.maxConns {
-		if victim := t.oldest(); victim != nil {
+		if victim := t.lruTail; victim != nil {
 			t.remove(victim)
 			t.stats.EvictLRU++
 		}
 	}
 	epoch := t.newEpoch()
 	c := &Conn{
-		Orig:      k,
-		reply:     invert(k),
-		State:     StateNew,
-		Epoch:     epoch,
-		bound:     epoch,
-		LastSeen:  now,
-		Created:   now,
-		lastMoved: now,
+		Orig:     k,
+		reply:    invert(k),
+		State:    StateNew,
+		Epoch:    epoch,
+		bound:    epoch,
+		LastSeen: now,
+		Created:  now,
 	}
 	t.register(c.Orig, connRef{c, DirForward})
 	t.register(c.reply, connRef{c, DirReply})
@@ -547,32 +533,14 @@ func (c *Conn) BindHash() uint64 {
 	return h
 }
 
-// Touch refreshes c's LastSeen and LRU position without running the
-// state machine. It stays for the benchmark's shadow chain, whose memo
-// hits skip Track, until ROADMAP item 15.
+// Touch refreshes c's LastSeen and moves it to the front of the LRU
+// list without running the state machine: Track's per-packet refresh,
+// also called by the benchmark's shadow chain, whose memo hits skip
+// Track, until ROADMAP item 15.
 //
 //gf:hotpath
 func (t *Table) Touch(c *Conn, now int64) {
-	t.touchLazy(c, now)
-}
-
-// touchLazy is the shared per-packet refresh for Track and Touch:
-// LastSeen is stamped exactly on every call, but the LRU reposition is
-// skipped while the connection moved within the last repositionQuantum.
-// A hot connection therefore repositions at most once per quantum
-// instead of once per packet, and because the decision depends only on
-// (lastMoved, now), two tables fed the same packet sequence keep
-// identical list orders regardless of which entry point refreshed each
-// packet — what keeps the cached datapath and the Reference oracle's
-// expiry and eviction in lockstep.
-//
-//gf:hotpath
-func (t *Table) touchLazy(c *Conn, now int64) {
 	c.LastSeen = now
-	if now-c.lastMoved < repositionQuantum {
-		return
-	}
-	c.lastMoved = now
 	t.touch(c)
 }
 
@@ -605,53 +573,19 @@ func (t *Table) Lookup(k flow.Key) (*Conn, Dir, bool) {
 // ExpireIdle removes connections whose last packet is older than maxIdle
 // (virtual ns) and returns how many died. Removed connections are
 // epoch-poisoned, so the caches lazily drop entries that depended on
-// them.
-//
-// Lazy repositioning means list order tracks LastSeen only to within
-// repositionQuantum, so the sweep cannot just stop at the first fresh
-// tail: a connection refreshed moments ago could sit in front of one
-// that expired. Instead it walks tailward while now-lastMoved exceeds
-// maxIdle — every expired connection satisfies that (LastSeen >=
-// lastMoved), and the first node inside the bound proves everything
-// fresher than it is alive — removing exactly the connections whose
-// LastSeen is stale. The set removed is therefore identical to an
-// eagerly-ordered table's, and connections visited but kept are within
-// one quantum of expiring, so the scan stays short.
+// them. The list is in LastSeen order, so the sweep stops at the first
+// connection from the tail that is still fresh.
 func (t *Table) ExpireIdle(now, maxIdle int64) int {
 	if maxIdle <= 0 {
 		return 0
 	}
 	n := 0
-	for cur := t.lruTail; cur != nil && now-cur.lastMoved > maxIdle; {
-		prev := cur.prev
-		if now-cur.LastSeen > maxIdle {
-			t.remove(cur)
-			t.stats.Expired++
-			n++
-		}
-		cur = prev
+	for t.lruTail != nil && now-t.lruTail.LastSeen > maxIdle {
+		t.remove(t.lruTail)
+		t.stats.Expired++
+		n++
 	}
 	return n
-}
-
-// oldest returns the connection with the smallest LastSeen — the LRU
-// eviction victim. The list is ordered by lastMoved, and every
-// connection's LastSeen lies within repositionQuantum of its lastMoved,
-// so the true oldest must sit among the tail nodes whose lastMoved is
-// within one quantum of the tail's; the scan is bounded by that zone
-// and eviction is a slow-path (creation) event.
-func (t *Table) oldest() *Conn {
-	victim := t.lruTail
-	if victim == nil {
-		return nil
-	}
-	bound := victim.lastMoved + repositionQuantum
-	for cur := victim.prev; cur != nil && cur.lastMoved <= bound; cur = cur.prev {
-		if cur.LastSeen < victim.LastSeen {
-			victim = cur
-		}
-	}
-	return victim
 }
 
 // addPair bumps the host-pair refcount backing ct_rel.

@@ -429,27 +429,26 @@ func TestTupleClashDisplaces(t *testing.T) {
 	}
 }
 
-// TestLazyTouchExpiryExact: lazy LRU repositioning must not let a
-// recently-refreshed connection sitting at the tail shield an expired
-// one behind it. The shield window is precise: a's position (lastMoved)
-// is a quantum stale while its LastSeen is fresh, so a sits at the tail
-// in front of the expired b — a naive stop-at-first-fresh-tail sweep
-// would keep b alive.
+// TestLazyTouchExpiryExact: a connection refreshed after another went
+// idle must not shield it. a is created first and refreshed after b, so
+// a table that left a's list position behind its LastSeen would keep a
+// at the tail in front of the expired b — and a stop-at-first-fresh-tail
+// sweep would keep b alive.
 func TestLazyTouchExpiryExact(t *testing.T) {
 	const (
-		q       = repositionQuantum
+		q       = 1 << 16
 		maxIdle = 4 * q
 		now     = 5*q - 1
 	)
 	tb := NewTable(0)
 	a := udp(tuple(1, 9, 1, 1))
 	b := udp(tuple(2, 9, 2, 2))
-	_, ca, _ := tb.Track(a, 0, 0) // a: lastMoved=0, tail
+	_, ca, _ := tb.Track(a, 0, 0) // a: the tail
 	tb.Track(b, 0, 1)             // b: in front of a, then idles
-	tb.Track(a, 0, q-1)           // sub-quantum touch: LastSeen moves, position does not
+	tb.Track(a, 0, q-1)           // a refreshed
 
-	// At the sweep, a is the tail with now-LastSeen == maxIdle (alive)
-	// but now-lastMoved > maxIdle; b behind it has now-LastSeen > maxIdle.
+	// At the sweep a has now-LastSeen == maxIdle (alive), b
+	// now-LastSeen > maxIdle.
 	if n := tb.ExpireIdle(now, maxIdle); n != 1 {
 		t.Fatalf("expired %d connections, want exactly 1 (idle b)", n)
 	}

@@ -145,7 +145,6 @@ type Cache struct {
 	free     uint32 // head of the free list
 	lruHead  uint32
 	lruTail  uint32
-	lastHash uint64
 	stats    Stats
 
 	// Thrash detector: see thrashRatio.
@@ -176,11 +175,6 @@ func (c *Cache) Capacity() int { return c.capacity }
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// LastHash returns the key hash of the most recent Lookup: the flow
-// identifier latency attribution logs for a microflow hit. Only
-// meaningful immediately after the lookup, on the driving goroutine.
-func (c *Cache) LastHash() uint64 { return c.lastHash }
 
 // Snapshot captures the cache's current telemetry view.
 func (c *Cache) Snapshot() Snapshot {
@@ -261,8 +255,7 @@ func (c *Cache) lookupStats(k *flow.Key, now int64, s *Stats) (*Entry, bool) {
 	if c.bypass != 0 {
 		return nil, false
 	}
-	c.lastHash = flowtable.HashKey(k)
-	e, ref := c.find(k, c.lastHash)
+	e, ref := c.find(k, flowtable.HashKey(k))
 	if e == nil {
 		s.Misses++
 		return nil, false

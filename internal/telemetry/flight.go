@@ -6,25 +6,24 @@ import (
 )
 
 // Flight-record flags. A record carries the union of what happened to
-// its packet; FlightEstimated marks latencies shared out of a hit-run
-// span rather than stamped exactly.
+// its packet's miss.
 const (
 	FlightMiss       uint8 = 1 << iota // resolved on the slow path
 	FlightInstall                      // slow path installed a cache entry
 	FlightInstallErr                   // install attempted and rejected
 	FlightEvict                        // the install evicted a resident entry
-	_                                  // unused: /debug/flight serves raw flags, so the bits after it keep their values
-	FlightEstimated                    // latency is a run estimate, not an exact stamp
-	FlightDeferred                     // miss resolved asynchronously by the upcall engine
+	_                                  // bits 4 and 5 unused: /debug/flight serves raw flags, so the bits after them keep their values
+	_
+	FlightDeferred // miss resolved asynchronously by the upcall engine
 )
 
-// FlightRecord is one packet's entry in the flight-recorder ring: 32
+// FlightRecord is one miss's entry in the flight-recorder ring: 32
 // bytes, fixed layout, no pointers, so a ring of thousands costs one
 // allocation at construction and nothing per packet.
 type FlightRecord struct {
-	TS      int64  `json:"ts"`       // wall-clock ns: the batch anchor (estimated hits) or anchor + monotonic offset (cold events)
-	KeyHash uint64 `json:"key_hash"` // flow id: microflow probe hash on warm hits, FlowHash elsewhere
-	LatNs   int32  `json:"lat_ns"`   // per-packet latency, clamped at ~2.1s
+	TS      int64  `json:"ts"`       // wall-clock ns: the batch anchor plus the monotonic offset at the record's stamp
+	KeyHash uint64 `json:"key_hash"` // flow id: FlowHash of the missed key (ct_state folded in on a conntrack switch)
+	LatNs   int32  `json:"lat_ns"`   // the miss's latency, clamped at ~2.1s
 	Batch   uint32 `json:"batch"`    // worker-local batch sequence number
 	// ParkNs is the queue-wait a FlightDeferred miss spent parked between
 	// upcall enqueue and engine dequeue, separated from the traversal time
@@ -34,25 +33,22 @@ type FlightRecord struct {
 	Flags  uint8 `json:"flags"`
 }
 
-// DefaultFlightRecords is the per-worker ring size. 1024 records is
-// 32KB: small enough that the ring's streaming stores don't evict the
-// flow tables' hot cache lines (a 4096-record ring measurably slows the
-// microflow hit path).
+// DefaultFlightRecords is the per-worker ring size: the last 1 024
+// misses, 32KB.
 const DefaultFlightRecords = 1024
 
 // LatencyRecorder attributes per-packet latency to resolution tiers and
-// keeps a flight ring of recent per-packet events. It is single-writer
-// by design: all state belongs to one worker goroutine, so the hot path
-// is plain loads and stores — no locks, no atomics. Dumps run as control
-// ops on the owning goroutine, the same discipline the /cache endpoint
-// uses for cache internals.
+// keeps a flight ring of recent misses. It is single-writer by design:
+// all state belongs to one worker goroutine, so the hot path is plain
+// loads and stores — no locks, no atomics. Dumps run as control ops on
+// the owning goroutine, the same discipline the /cache endpoint uses for
+// cache internals.
 //
-// A hit stores only the per-packet facts (key hash, tier, flags). Its
-// timestamp, latency and batch belong to the run it is part of and are
-// stamped into the run's slots when the run closes: a run's records are
-// always the newest in the ring, because every exactly-timed record
-// (Cold, Deferred) closes the open run before it is written. Every
-// resident record is therefore complete, and a dump is a plain copy.
+// A hit is one increment: it joins its tier's share of the open hit run
+// and writes no record. Only misses — the events that create the tail —
+// take a ring slot, each stamped exactly: an inline miss (ColdBegin, then
+// Cold) or an upcall completion (Deferred). Every record is therefore one
+// counted miss, and the ring holds the last RingSize of them.
 //
 // Clock discipline: a clock read costs ~25-55ns on commodity x86 — more
 // than a quarter of a warm microflow hit — so the recorder cannot stamp
@@ -63,12 +59,10 @@ const DefaultFlightRecords = 1024
 // (clamped so it never regresses past the last real read; the error is
 // bounded by wall-clock adjustment during one batch gap, on latencies
 // that are estimates anyway). Consecutive hits between reads form a
-// *run* whose measured span is shared uniformly across its packets;
-// those records and histogram observations carry FlightEstimated.
-// Misses and upcall completions — the events that create the tail — are
-// stamped exactly. Record timestamps anchor at the caller-supplied wall
-// clock from BeginBatch and advance by monotonic offsets, so they are
-// ordered and drift-free within a batch.
+// *run* whose measured span is shared uniformly across its packets in
+// the tier histograms. Record timestamps anchor at the caller-supplied
+// wall clock from BeginBatch and advance by monotonic offsets, so they
+// are ordered and drift-free within a batch.
 type LatencyRecorder struct {
 	base time.Time // monotonic anchor for time.Since offsets
 
@@ -83,7 +77,6 @@ type LatencyRecorder struct {
 	anchorOff int64 // monotonic offset at BeginBatch
 	runStart  int64 // monotonic offset where the current hit run began
 	pending   [NumTiers]uint32
-	inCold    bool
 	coldStart int64
 }
 
@@ -128,20 +121,13 @@ func (r *LatencyRecorder) BeginBatch(now int64) {
 	r.anchor = now
 	r.anchorOff = off
 	r.runStart = off
-	r.inCold = false
 }
 
-// Hit appends a provisional record for a cache hit. No clock read, and
-// no timestamp, latency, or batch store either: closeRun stamps all
-// three, and scrubs ParkNs, when the surrounding run closes.
+// Hit counts a cache hit into its tier's share of the open run: no clock
+// read and no record. closeRun times it with the rest of the run.
 //
 //gf:hotpath
-func (r *LatencyRecorder) Hit(tier Tier, keyHash uint64) {
-	s := &r.ring[r.seq&r.mask]
-	s.KeyHash = keyHash
-	s.Tier = tier
-	s.Flags = FlightEstimated
-	r.seq++
+func (r *LatencyRecorder) Hit(tier Tier) {
 	r.pending[tier]++
 }
 
@@ -171,22 +157,15 @@ func (r *LatencyRecorder) EndBatch() {
 }
 
 // closeRun shares the span since runStart uniformly across the pending
-// hit records, stamps the estimate into the run's slots — the newest n,
-// of which only those still resident — and folds it into the per-tier
-// histograms. It is reached only behind the EndBatch/ColdBegin clock
-// boundaries, so it is not itself a certification root.
+// hits and folds it into the per-tier histograms. It is reached only
+// behind the EndBatch/ColdBegin clock boundaries, so it is not itself a
+// certification root.
 func (r *LatencyRecorder) closeRun(d int64) {
-	n := uint64(r.pendingHits())
 	span := d - r.runStart
 	if span < 0 {
 		span = 0
 	}
-	per := span / int64(n)
-	lat := clampLat(per)
-	for seq := r.seq - min(n, uint64(len(r.ring))); seq != r.seq; seq++ {
-		s := &r.ring[seq&r.mask]
-		s.TS, s.LatNs, s.Batch, s.ParkNs = r.anchor, lat, r.batch, 0
-	}
+	per := span / int64(r.pendingHits())
 	for t := range r.pending {
 		if c := r.pending[t]; c != 0 {
 			r.hist[t].ObserveN(per, uint64(c))
@@ -197,46 +176,20 @@ func (r *LatencyRecorder) closeRun(d int64) {
 }
 
 // ColdBegin marks the point where a packet leaves the hit path on a
-// slow-path miss: it closes any open hit run and stamps the cold
-// start. Idempotent until the matching Cold call. Cold paths are µs-scale,
-// so these two clock reads are noise there.
+// slow-path miss: it closes any open hit run and stamps the cold start.
+// Cold paths are µs-scale, so its clock read and Cold's are noise there.
 func (r *LatencyRecorder) ColdBegin() {
-	if r.inCold {
-		return
-	}
-	d := int64(time.Since(r.base))
+	r.coldStart = int64(time.Since(r.base))
 	if r.pendingHits() != 0 {
-		r.closeRun(d)
-	} else {
-		r.runStart = d
+		r.closeRun(r.coldStart)
 	}
-	r.coldStart = d
-	r.inCold = true
 }
 
-// Cold records an exactly-timed cold event begun at the preceding
-// ColdBegin, attributed to tier with the given flags.
+// Cold records an inline miss begun at the preceding ColdBegin,
+// attributed to tier with the given flags.
 func (r *LatencyRecorder) Cold(tier Tier, keyHash uint64, flags uint8) {
-	if !r.inCold {
-		r.ColdBegin() // defensive: a cold record without a begin times ~0
-	}
 	d := int64(time.Since(r.base))
-	lat := d - r.coldStart
-	if lat < 0 {
-		lat = 0
-	}
-	s := &r.ring[r.seq&r.mask]
-	s.TS = r.anchor + (d - r.anchorOff)
-	s.KeyHash = keyHash
-	s.LatNs = clampLat(lat)
-	s.Batch = r.batch
-	s.ParkNs = 0 // ring slots are reused; a prior Deferred occupant left one
-	s.Tier = tier
-	s.Flags = flags
-	r.seq++
-	r.inCold = false
-	r.runStart = d
-	r.hist[tier].Observe(lat)
+	r.record(d, tier, keyHash, flags, d-r.coldStart, 0)
 }
 
 // Deferred records a miss resolved asynchronously by the upcall engine:
@@ -254,22 +207,23 @@ func (r *LatencyRecorder) Deferred(tier Tier, keyHash uint64, flags uint8, latNs
 	if r.pendingHits() != 0 {
 		r.closeRun(d)
 	}
-	if latNs < 0 {
-		latNs = 0
+	r.record(d, tier, keyHash, flags|FlightDeferred, latNs, parkNs)
+}
+
+// record writes a miss stamped at monotonic offset d into the next ring
+// slot, and its latency into the tier's histogram; the next hit run
+// starts at d.
+func (r *LatencyRecorder) record(d int64, tier Tier, keyHash uint64, flags uint8, latNs, parkNs int64) {
+	r.ring[r.seq&r.mask] = FlightRecord{
+		TS:      r.anchor + (d - r.anchorOff),
+		KeyHash: keyHash,
+		LatNs:   clampLat(latNs),
+		Batch:   r.batch,
+		ParkNs:  clampLat(parkNs),
+		Tier:    tier,
+		Flags:   flags,
 	}
-	if parkNs < 0 {
-		parkNs = 0
-	}
-	s := &r.ring[r.seq&r.mask]
-	s.TS = r.anchor + (d - r.anchorOff)
-	s.KeyHash = keyHash
-	s.LatNs = clampLat(latNs)
-	s.Batch = r.batch
-	s.ParkNs = clampLat(parkNs)
-	s.Tier = tier
-	s.Flags = flags | FlightDeferred
 	r.seq++
-	r.inCold = false
 	r.runStart = d
 	r.hist[tier].Observe(latNs)
 }
@@ -289,7 +243,8 @@ func clampLat(ns int64) int32 {
 // Histogram returns the per-tier histogram. Owner-goroutine only.
 func (r *LatencyRecorder) Histogram(t Tier) *LatencyHistogram { return &r.hist[t] }
 
-// Seq reports the total number of records ever written.
+// Seq reports the total number of records ever written: the misses
+// recorded.
 func (r *LatencyRecorder) Seq() uint64 { return r.seq }
 
 // RingSize reports the ring capacity (a power of two).

@@ -8,8 +8,8 @@ import (
 )
 
 // Tier identifies the datapath level that resolved a packet: which cache
-// hit, or the slow path on a full miss. Latency histograms and flight
-// records are attributed per tier because the tiers differ by orders of
+// hit, or the slow path on a full miss. Latency histograms (and a miss's
+// flight record) are attributed per tier because the tiers differ by orders of
 // magnitude (a microflow hit is ~100ns, a slow-path traversal is ~µs) —
 // a blended distribution would hide exactly the tail the cache hierarchy
 // exists to shrink.

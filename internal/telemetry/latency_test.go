@@ -59,7 +59,13 @@ func TestLatencyHistogramObserveNMergeReset(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderWrapOrdering drives more records than the ring holds
+// miss records one inline miss of flow k: ColdBegin, then Cold.
+func miss(r *LatencyRecorder, k uint64) {
+	r.ColdBegin()
+	r.Cold(TierSlowpath, k, FlightMiss)
+}
+
+// TestFlightRecorderWrapOrdering drives more misses than the ring holds
 // and checks overwrite-on-wrap semantics and newest-first dumps.
 func TestFlightRecorderWrapOrdering(t *testing.T) {
 	r := NewLatencyRecorder(8, 0)
@@ -70,7 +76,8 @@ func TestFlightRecorderWrapOrdering(t *testing.T) {
 	for b := 0; b < batches; b++ {
 		r.BeginBatch(int64(1000 * (b + 1)))
 		for i := 0; i < perBatch; i++ {
-			r.Hit(TierMicroflow, uint64(b*perBatch+i))
+			r.Hit(TierMicroflow)
+			miss(r, uint64(b*perBatch+i))
 		}
 		r.EndBatch()
 	}
@@ -88,8 +95,8 @@ func TestFlightRecorderWrapOrdering(t *testing.T) {
 		if rec.KeyHash != wantHash {
 			t.Errorf("recs[%d].KeyHash = %d, want %d", i, rec.KeyHash, wantHash)
 		}
-		if rec.Flags&FlightEstimated == 0 {
-			t.Errorf("recs[%d] missing FlightEstimated", i)
+		if rec.Tier != TierSlowpath || rec.Flags != FlightMiss {
+			t.Errorf("recs[%d] = %+v, want a slow-path miss", i, rec)
 		}
 		if rec.LatNs < 0 {
 			t.Errorf("recs[%d].LatNs = %d, want >= 0", i, rec.LatNs)
@@ -112,37 +119,24 @@ func TestFlightRecorderWrapOrdering(t *testing.T) {
 }
 
 // TestFlightRecorderRunEstimation: hits in one run share a uniform
-// latency estimate anchored at the batch's wall clock.
+// latency estimate in the tier histograms and write no record.
 func TestFlightRecorderRunEstimation(t *testing.T) {
 	r := NewLatencyRecorder(64, 0)
-	const anchor = int64(1_000_000)
-	r.BeginBatch(anchor)
-	r.Hit(TierMicroflow, 1)
-	r.Hit(TierMicroflow, 2)
-	r.Hit(TierGigaflow, 3)
+	r.BeginBatch(1_000_000)
+	r.Hit(TierMicroflow)
+	r.Hit(TierMicroflow)
+	r.Hit(TierGigaflow)
+	spin(time.Microsecond)
 	r.EndBatch()
-	recs := r.Recent(0)
-	if len(recs) != 3 {
-		t.Fatalf("got %d records, want 3", len(recs))
+	if r.Seq() != 0 || len(r.Recent(0)) != 0 {
+		t.Fatalf("hits wrote %d records, want none", r.Seq())
 	}
-	for i, rec := range recs[1:] {
-		if rec.LatNs != recs[0].LatNs {
-			t.Errorf("run latencies differ: recs[%d]=%d vs %d", i+1, rec.LatNs, recs[0].LatNs)
-		}
+	mf, gf := r.Histogram(TierMicroflow), r.Histogram(TierGigaflow)
+	if mf.Count() != 2 || gf.Count() != 1 {
+		t.Fatalf("microflow, gigaflow counts = %d, %d, want 2, 1", mf.Count(), gf.Count())
 	}
-	for _, rec := range recs {
-		if rec.TS < anchor {
-			t.Errorf("TS %d before anchor %d", rec.TS, anchor)
-		}
-		if rec.Batch != 1 {
-			t.Errorf("Batch = %d, want 1", rec.Batch)
-		}
-	}
-	if got := r.Histogram(TierMicroflow).Count(); got != 2 {
-		t.Errorf("microflow count = %d, want 2", got)
-	}
-	if got := r.Histogram(TierGigaflow).Count(); got != 1 {
-		t.Errorf("gigaflow count = %d, want 1", got)
+	if mf.sum != 2*gf.sum || gf.sum < int64(time.Microsecond)/3 {
+		t.Errorf("microflow sum %d, gigaflow sum %d: want one estimate ≥ 1µs÷3 per hit", mf.sum, gf.sum)
 	}
 }
 
@@ -151,27 +145,27 @@ func TestFlightRecorderRunEstimation(t *testing.T) {
 func TestFlightRecorderCold(t *testing.T) {
 	r := NewLatencyRecorder(64, 0)
 	r.BeginBatch(5000)
-	r.Hit(TierMicroflow, 1)
+	r.Hit(TierMicroflow)
 	r.ColdBegin()
 	spin(time.Microsecond)
 	r.Cold(TierSlowpath, 42, FlightMiss|FlightInstall)
 	r.EndBatch() // no trailing hits: must be a no-op
 	recs := r.Recent(0)
-	if len(recs) != 2 {
-		t.Fatalf("got %d records, want 2", len(recs))
+	if len(recs) != 1 {
+		t.Fatalf("got %d records, want 1", len(recs))
 	}
-	cold := recs[0] // newest first
+	cold := recs[0]
 	if cold.Tier != TierSlowpath || cold.KeyHash != 42 {
 		t.Fatalf("cold record = %+v", cold)
 	}
 	if cold.Flags != FlightMiss|FlightInstall {
 		t.Errorf("cold flags = %#x, want miss|install", cold.Flags)
 	}
-	if cold.Flags&FlightEstimated != 0 {
-		t.Errorf("cold record must not be estimated")
-	}
 	if cold.LatNs < int32(time.Microsecond) {
 		t.Errorf("cold LatNs = %d, want >= 1000 (spun 1µs)", cold.LatNs)
+	}
+	if cold.TS < 5000 || cold.Batch != 1 {
+		t.Errorf("cold TS %d, batch %d: want at or after the anchor 5000, batch 1", cold.TS, cold.Batch)
 	}
 	if got := r.Histogram(TierSlowpath).Count(); got != 1 {
 		t.Errorf("slowpath count = %d, want 1", got)
@@ -181,8 +175,8 @@ func TestFlightRecorderCold(t *testing.T) {
 	}
 
 	// /debug/flight serves raw flags, so a flag keeps its bit.
-	if FlightEstimated != 1<<5 || FlightDeferred != 1<<6 {
-		t.Errorf("estimated %#x, deferred %#x: want 0x20 and 0x40", FlightEstimated, FlightDeferred)
+	if FlightDeferred != 1<<6 {
+		t.Errorf("deferred %#x: want 0x40", FlightDeferred)
 	}
 }
 
@@ -193,14 +187,14 @@ func TestFlightRecorderCold(t *testing.T) {
 func TestFlightRecorderDeferred(t *testing.T) {
 	r := NewLatencyRecorder(64, 0)
 	r.BeginBatch(9000)
-	r.Hit(TierMicroflow, 1)
+	r.Hit(TierMicroflow)
 	r.Deferred(TierSlowpath, 77, FlightMiss|FlightInstall, 2500, 40000)
 	r.EndBatch() // no trailing hits: must be a no-op
 	recs := r.Recent(0)
-	if len(recs) != 2 {
-		t.Fatalf("got %d records, want 2", len(recs))
+	if len(recs) != 1 {
+		t.Fatalf("got %d records, want 1", len(recs))
 	}
-	def := recs[0] // newest first
+	def := recs[0]
 	if def.Tier != TierSlowpath || def.KeyHash != 77 {
 		t.Fatalf("deferred record = %+v", def)
 	}
@@ -226,97 +220,62 @@ func TestFlightRecorderDeferred(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderParkScrub: ring slots are reused, so records written
-// over an old Deferred occupant must not inherit its ParkNs — neither
-// exactly-stamped cold events nor run-resolved hits.
+// TestFlightRecorderParkScrub: ring slots are reused, so an inline miss
+// written over an old Deferred occupant must not inherit its ParkNs.
 func TestFlightRecorderParkScrub(t *testing.T) {
 	r := NewLatencyRecorder(2, 0) // two slots: everything wraps fast
 	r.BeginBatch(1000)
 	r.Deferred(TierSlowpath, 1, FlightMiss, 100, 9999)
 	r.Deferred(TierSlowpath, 2, FlightMiss, 100, 9999)
-	// Slot 0 is reused by a cold event.
-	r.ColdBegin()
-	r.Cold(TierSlowpath, 3, FlightMiss)
-	if got := r.Recent(1)[0]; got.ParkNs != 0 {
-		t.Errorf("cold record inherited ParkNs=%d from the reused slot", got.ParkNs)
+	// Both slots are reused by inline misses, hits between them.
+	for k := uint64(3); k <= 4; k++ {
+		r.Hit(TierMicroflow)
+		miss(r, k)
+		if got := r.Recent(1)[0]; got.KeyHash != k || got.ParkNs != 0 {
+			t.Errorf("miss %d: %+v, want its own record with no ParkNs", k, got)
+		}
 	}
-	// Slot 1 is reused by a hit; its dump-time resolution must scrub too.
-	r.Hit(TierMicroflow, 4)
 	r.EndBatch()
-	if got := r.Recent(1)[0]; got.ParkNs != 0 || got.Flags&FlightEstimated == 0 {
-		t.Errorf("resolved hit inherited ParkNs: %+v", got)
-	}
 }
 
-// TestFlightRecorderStampsRuns: a closed run's records hold its own
-// values — the batch anchor, the run's span ÷ n, the batch and no park
-// time — however the run closed, whatever the slots held before, and
-// without touching the exactly-stamped records around it.
-func TestFlightRecorderStampsRuns(t *testing.T) {
-	r := NewLatencyRecorder(16, 0)
-	var want []FlightRecord // every record written, oldest first
-	open, before := 0, int64(0)
-	hits := func(n int) {
-		for i := 0; i < n; i++ {
-			k := uint64(len(want) + 1)
-			r.Hit(TierMicroflow, k)
-			want = append(want, FlightRecord{KeyHash: k, Tier: TierMicroflow, Flags: FlightEstimated})
+// TestFlightRingKeepsColdEvents: hits take no ring slot, so a ring far
+// shorter than the hit stream still holds the newest misses, Seq counts
+// the misses alone, and the histograms still count every hit.
+func TestFlightRingKeepsColdEvents(t *testing.T) {
+	const size, hitsPer, colds = 16, 12, 40 // 480 hits: 30× the ring
+	r := NewLatencyRecorder(size, 0)
+	for c := 0; c < colds; c++ {
+		r.BeginBatch(int64(1000 * (c + 1)))
+		for i := 0; i < hitsPer; i++ {
+			r.Hit(Tier(i % 2)) // microflow and gigaflow in turn
 		}
-		open += n
+		if c%2 == 0 {
+			miss(r, uint64(c+1))
+		} else {
+			r.Deferred(TierSlowpath, uint64(c+1), FlightMiss, 100, 50)
+		}
+		r.Hit(TierMicroflow)
+		r.EndBatch()
 	}
-	// closed stamps the run that just closed into the model: the microflow
-	// histogram took span ÷ n once per record.
-	closed := func(anchor int64) {
-		sum := r.hist[TierMicroflow].sum
-		per := int32((sum - before) / int64(open))
-		for i := len(want) - open; i < len(want); i++ {
-			want[i].TS, want[i].LatNs, want[i].Batch = anchor, per, r.Batches()
-		}
-		open, before = 0, sum
+	if r.Seq() != colds {
+		t.Errorf("Seq = %d, want the %d misses", r.Seq(), colds)
 	}
-	exact := func() { want = append(want, r.Recent(1)[0]) }
-	check := func(what string) {
-		t.Helper()
-		got := r.Recent(0)
-		if len(got) != min(len(want), r.RingSize()) {
-			t.Fatalf("%s: %d records resident, want %d", what, len(got), min(len(want), r.RingSize()))
-		}
-		for i, g := range got {
-			if w := want[len(want)-1-i]; g != w {
-				t.Errorf("%s: record %d from newest = %+v, want %+v", what, i, g, w)
-			}
+	recs := r.Recent(0)
+	if len(recs) != size {
+		t.Fatalf("%d records resident, want %d", len(recs), size)
+	}
+	for i, rec := range recs {
+		if want := uint64(colds - i); rec.KeyHash != want || rec.Tier != TierSlowpath || rec.Flags&FlightMiss == 0 {
+			t.Errorf("record %d from newest = %+v, want miss %d", i, rec, want)
 		}
 	}
-
-	r.BeginBatch(1000)
-	hits(3)
-	r.EndBatch()
-	closed(1000)
-	r.BeginBatch(2000)
-	hits(2)
-	r.ColdBegin()
-	closed(2000)
-	r.Cold(TierSlowpath, 100, FlightMiss)
-	exact()
-	hits(1)
-	r.Deferred(TierSlowpath, 101, FlightMiss, 300, 500)
-	closed(2000)
-	exact()
-	hits(2)
-	r.EndBatch()
-	closed(2000)
-	check("runs, cold and deferred")
-	r.BeginBatch(3000)
-	hits(9)
-	r.EndBatch()
-	closed(3000)
-	check("wrapped")
-	// Longer than the ring: its slots include the deferred record's.
-	r.BeginBatch(4000)
-	hits(20)
-	r.EndBatch()
-	closed(4000)
-	check("run longer than the ring")
+	mf, gf := r.Histogram(TierMicroflow).Count(), r.Histogram(TierGigaflow).Count()
+	if want := uint64(colds * (hitsPer/2 + 1)); mf != want || gf != colds*hitsPer/2 {
+		t.Errorf("microflow, gigaflow counts = %d, %d, want %d, %d", mf, gf, want, colds*hitsPer/2)
+	}
+	if got := r.Histogram(TierSlowpath).Count(); got != colds {
+		t.Errorf("slowpath count = %d, want %d", got, colds)
+	}
 }
 
 func TestTierJSONRoundTrip(t *testing.T) {

@@ -659,15 +659,17 @@ func (c *cell) expect(tape []op, flagless bool) []step {
 // connection table after every call, to want.
 func (c *cell) drive(t *testing.T, tape []op, want []step) *outcome {
 	cfg, ct, d := c.cfg, c.cfg.Conntrack.Enable, c.driver
-	cfg.Latency = LatencyConfig{Disable: !d.recorded}
 	s, err := New(c.tape.pipe(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs, rec, n, packets := s.workers[0].vs, s.workers[0].rec, len(tape), 0
+	vs, rec, n := s.workers[0].vs, s.workers[0].rec, len(tape)
+	if !d.recorded {
+		vs, rec = s.newSwitch(0), nil // the same shard without a recorder
+	}
 	keys, flags := make([]gigaflow.Key, n), make([]uint8, n)
 	for i := range tape {
-		keys[i], flags[i], packets = tape[i].k, tape[i].flags, packets+btoi(tape[i].kind == opPacket)
+		keys[i], flags[i] = tape[i].k, tape[i].flags
 	}
 	out, errs, parked := make([]gigaflow.ProcessResult, n), make([]error, n), make([]bool, n)
 	o := &outcome{}
@@ -734,10 +736,10 @@ func (c *cell) drive(t *testing.T, tape []op, want []step) *outcome {
 		if ct && vs.Conntrack().Stats() != want[hi-1].ct {
 			t.Fatalf("ops %d–%d: connection table %+v, Reference %+v", lo, hi-1, vs.Conntrack().Stats(), want[hi-1].ct)
 		}
-		// A record's identity: which tier resolved which flow, and how; when
-		// and whether exactly or as a run's estimate it was stamped is the
-		// replay's own. The ring is shorter than a tape, so each call's
-		// records are read as the newest ones it appended, oldest first.
+		// A record's identity: which tier missed which flow, and how; when it
+		// was stamped is the replay's own. The ring is shorter than a tape,
+		// so each call's records are read as the newest ones it appended,
+		// oldest first.
 		if rec == nil || rec.Seq() == seen {
 			return
 		}
@@ -747,15 +749,15 @@ func (c *cell) drive(t *testing.T, tape []op, want []step) *outcome {
 		}
 		for j := len(recs) - 1; j >= 0; j-- {
 			r := recs[j]
-			o.flight = append(o.flight, telemetry.FlightRecord{Tier: r.Tier, KeyHash: r.KeyHash,
-				Flags: r.Flags &^ telemetry.FlightEstimated})
+			o.flight = append(o.flight, telemetry.FlightRecord{Tier: r.Tier, KeyHash: r.KeyHash, Flags: r.Flags})
 		}
 		seen = rec.Seq()
 	})
 	o.vres, o.stats, o.entries, o.tel = out, vs.Stats(), vs.CacheEntries(), []gigaflow.VSwitchTelemetry{vs.Telemetry()}
 	if rec != nil {
-		if o.seq = rec.Seq(); o.seq != uint64(packets) {
-			t.Errorf("%d flight records for %d packets", o.seq, packets)
+		// Every record is one counted miss.
+		if o.seq = rec.Seq(); o.seq != o.stats.CacheMisses {
+			t.Errorf("%d flight records for %d misses", o.seq, o.stats.CacheMisses)
 		}
 		for tier := range o.hist {
 			o.hist[tier] = rec.Histogram(telemetry.Tier(tier)).Count()
@@ -1109,8 +1111,8 @@ func (r *svcRun) unwedge() {
 // the queue-full drops /metrics counts, and the offload counters.
 func (r *svcRun) snapshot() {
 	ctx, s := context.Background(), r.s
-	tel := make([]gigaflow.VSwitchTelemetry, len(s.workers))
-	if err := s.eachShard(ctx, func(i int, w *worker) { tel[i] = w.vs.Telemetry() }); err != nil {
+	tel, seq := make([]gigaflow.VSwitchTelemetry, len(s.workers)), make([]uint64, len(s.workers))
+	if err := s.eachShard(ctx, func(i int, w *worker) { tel[i], seq[i] = w.vs.Telemetry(), w.rec.Seq() }); err != nil {
 		r.t.Fatal(err)
 	}
 	shards, err := s.ShardStats(ctx)
@@ -1131,6 +1133,9 @@ func (r *svcRun) snapshot() {
 		}
 		if bad {
 			r.t.Errorf("shard %d: %+v %+v, Reference %+v", i, sh, tel[i].Conntrack, r.o.refs[i].Conntrack())
+		}
+		if seq[i] != tel[i].Stats.CacheMisses { // every record is one counted miss
+			r.t.Errorf("shard %d: %d flight records for %d misses", i, seq[i], tel[i].Stats.CacheMisses)
 		}
 	}
 	r.out.tel = tel

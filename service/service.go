@@ -64,17 +64,6 @@ type UpcallConfig struct {
 // flows never touch the queue.
 const upcallQueue = 1024
 
-// LatencyConfig configures the per-worker latency attribution layer (one
-// section of Config).
-type LatencyConfig struct {
-	// Disable turns off attribution (per-tier nanosecond histograms and
-	// the flight-recorder ring of telemetry.DefaultFlightRecords records,
-	// served by the latency and flight-recorder endpoints). Attribution is
-	// on by default: its hot path adds two clock reads per batch and plain
-	// stores per packet.
-	Disable bool
-}
-
 // ConntrackConfig configures connection tracking (one section of
 // Config): ct_state folded into the key, stateful NAT actions resolved
 // against per-connection bindings, both directions of a 5-tuple on one
@@ -118,8 +107,8 @@ func (c ConntrackConfig) withDefaults() ConntrackConfig {
 }
 
 // Config parameterises a Service. Cross-cutting knobs are top-level;
-// subsystem knobs live in the nested sections (Upcall, Latency,
-// Conntrack), each with its own defaults and validation.
+// subsystem knobs live in the nested sections (Upcall, Conntrack), each
+// with its own defaults and validation.
 type Config struct {
 	// Workers is the number of forwarding workers (default 1). The cache
 	// budget is split evenly between them.
@@ -149,8 +138,6 @@ type Config struct {
 	// exclusive with Conntrack.Enable: the offload's parked slowpath is
 	// stateless.
 	Upcall UpcallConfig
-	// Latency configures the latency attribution layer.
-	Latency LatencyConfig
 	// Conntrack configures connection tracking.
 	Conntrack ConntrackConfig
 
@@ -265,9 +252,9 @@ type worker struct {
 	inflight atomic.Int64
 
 	vs    *gigaflow.VSwitch
-	rec   *telemetry.LatencyRecorder // nil when Config.Latency.Disable
-	fm    *frameMetrics              // shared frame accounting (atomic counters)
-	tally frameTally                 // this shard's share of one job's frames, flushed to fm per job
+	rec   *telemetry.LatencyRecorder
+	fm    *frameMetrics // shared frame accounting (atomic counters)
+	tally frameTally    // this shard's share of one job's frames, flushed to fm per job
 	in    chan packet
 	idx   int    // shard index = miss.shard
 	label string // shard index, precomputed for metric labels
@@ -400,30 +387,9 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 		sweepAt = sweepEvery.Nanoseconds()
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		// A stalled miss resumes where the main cache stopped (a switch
-		// that cannot resume ignores the option: DESIGN.md §8).
-		opts := []gigaflow.VSwitchOption{gigaflow.WithStallResume()}
-		if cfg.Conntrack.Enable {
-			// Shard i binds only inside its own sub-range of every NAT pool,
-			// so its bindings stay on the endpoints it owns.
-			opts = append(opts, gigaflow.WithConntrack(shareOf(cfg.Conntrack.MaxConns, cfg.Workers, i)),
-				gigaflow.WithNATShard(i, cfg.Workers))
-		}
-		perWorker := cfg.Cache
-		perWorker.TableCapacity = shareOf(cfg.Cache.TableCapacity, cfg.Workers, i)
-		if cfg.MegaflowCapacity > 0 {
-			opts = append(opts, gigaflow.WithMegaflowBackend(shareOf(cfg.MegaflowCapacity, cfg.Workers, i)))
-		}
-		if cfg.MicroflowCapacity > 0 {
-			opts = append(opts, gigaflow.WithMicroflow(shareOf(cfg.MicroflowCapacity, cfg.Workers, i)))
-		}
-		var rec *telemetry.LatencyRecorder
-		if !cfg.Latency.Disable {
-			// One recorder per worker: like the VSwitch it instruments, its
-			// state is single-writer and lives on the worker goroutine.
-			rec = telemetry.NewLatencyRecorder(0, 0)
-			opts = append(opts, gigaflow.WithLatencyRecorder(rec))
-		}
+		// One recorder per worker: like the VSwitch it instruments, its
+		// state is single-writer and lives on the worker goroutine.
+		rec := telemetry.NewLatencyRecorder(0, 0)
 		w := &worker{
 			rec:         rec,
 			fm:          s.frames,
@@ -438,10 +404,34 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 		if s.eng != nil {
 			w.pending = make(map[gigaflow.Key]*miss)
 		}
-		w.vs = gigaflow.NewVSwitch(pipe, perWorker, opts...)
+		w.vs = s.newSwitch(i, gigaflow.WithLatencyRecorder(rec))
 		s.workers = append(s.workers, w)
 	}
 	return s, nil
+}
+
+// newSwitch builds shard i's VSwitch on the service's pipeline, with the
+// shard's share of every budget, resuming stalled misses, plus extra.
+func (s *Service) newSwitch(i int, extra ...gigaflow.VSwitchOption) *gigaflow.VSwitch {
+	cfg := s.cfg
+	// A stalled miss resumes where the main cache stopped (a switch that
+	// cannot resume ignores the option: DESIGN.md §8).
+	opts := []gigaflow.VSwitchOption{gigaflow.WithStallResume()}
+	if cfg.Conntrack.Enable {
+		// Shard i binds only inside its own sub-range of every NAT pool, so
+		// its bindings stay on the endpoints it owns.
+		opts = append(opts, gigaflow.WithConntrack(shareOf(cfg.Conntrack.MaxConns, cfg.Workers, i)),
+			gigaflow.WithNATShard(i, cfg.Workers))
+	}
+	perWorker := cfg.Cache
+	perWorker.TableCapacity = shareOf(cfg.Cache.TableCapacity, cfg.Workers, i)
+	if cfg.MegaflowCapacity > 0 {
+		opts = append(opts, gigaflow.WithMegaflowBackend(shareOf(cfg.MegaflowCapacity, cfg.Workers, i)))
+	}
+	if cfg.MicroflowCapacity > 0 {
+		opts = append(opts, gigaflow.WithMicroflow(shareOf(cfg.MicroflowCapacity, cfg.Workers, i)))
+	}
+	return gigaflow.NewVSwitch(s.pipe, perWorker, append(opts, extra...)...)
 }
 
 // Start launches the workers (and the upcall engine, when configured).

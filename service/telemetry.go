@@ -116,20 +116,15 @@ type workerLatency struct {
 }
 
 // latencyDoc is the latency document: per-worker and aggregate per-tier
-// latency ladders. Enabled is false (and the rest empty) when the
-// service was built with Config.Latency.Disable.
+// latency ladders.
 type latencyDoc struct {
-	Enabled bool                                 `json:"enabled"`
-	Workers []workerLatency                      `json:"workers,omitempty"`
-	Total   map[string]telemetry.LatencySnapshot `json:"total,omitempty"`
+	Workers []workerLatency                      `json:"workers"`
+	Total   map[string]telemetry.LatencySnapshot `json:"total"`
 }
 
 // latencyTelemetry snapshots every shard's latency histograms under its
 // owner lock and merges them into an aggregate ladder.
 func (s *Service) latencyTelemetry(ctx context.Context, _ int) (any, error) {
-	if s.cfg.Latency.Disable {
-		return latencyDoc{}, nil
-	}
 	hists := make([][telemetry.NumTiers]telemetry.LatencyHistogram, len(s.workers))
 	err := s.eachShard(ctx, func(i int, w *worker) {
 		for t := telemetry.Tier(0); t < telemetry.NumTiers; t++ {
@@ -139,7 +134,7 @@ func (s *Service) latencyTelemetry(ctx context.Context, _ int) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	doc := latencyDoc{Enabled: true}
+	var doc latencyDoc
 	var total [telemetry.NumTiers]telemetry.LatencyHistogram
 	for i, w := range s.workers {
 		wl := workerLatency{Worker: w.label, Tiers: make(map[string]telemetry.LatencySnapshot, telemetry.NumTiers)}
@@ -165,19 +160,15 @@ type workerFlight struct {
 	Records  []telemetry.FlightRecord `json:"records"` // newest first
 }
 
-// flightDoc is the flight-recorder document. Enabled is false (and Workers
-// empty) when the service was built with Config.Latency.Disable.
+// flightDoc is the flight-recorder document.
 type flightDoc struct {
-	Enabled bool           `json:"enabled"`
-	Workers []workerFlight `json:"workers,omitempty"`
+	Workers []workerFlight `json:"workers"`
 }
 
-// flightTelemetry dumps up to n recent flight records per shard (n <= 0
-// means the whole ring), snapshotted under each shard's owner lock.
+// flightTelemetry dumps up to n of the newest flight records — misses —
+// per shard (n <= 0 means the whole ring), snapshotted under each shard's
+// owner lock.
 func (s *Service) flightTelemetry(ctx context.Context, n int) (any, error) {
-	if s.cfg.Latency.Disable {
-		return flightDoc{}, nil
-	}
 	out := make([]workerFlight, len(s.workers))
 	err := s.eachShard(ctx, func(i int, w *worker) {
 		out[i] = workerFlight{
@@ -188,7 +179,7 @@ func (s *Service) flightTelemetry(ctx context.Context, n int) (any, error) {
 			Records:  w.rec.Recent(n),
 		}
 	})
-	return flightDoc{Enabled: true, Workers: out}, err
+	return flightDoc{Workers: out}, err
 }
 
 // endpoints is the introspection surface, one row per path:
@@ -202,7 +193,7 @@ var endpoints = []struct {
 	{"/cache", "per-worker, per-LTM-table cache snapshot", func(s *Service) http.HandlerFunc { return serveJSON(0, s.cacheTelemetry) }},
 	{"/shards", "per-shard packets, occupancy and conntrack churn counters", func(s *Service) http.HandlerFunc { return serveJSON(0, s.shardTelemetry) }},
 	{"/latency", "per-worker and aggregate per-tier latency ladders (p50/p90/p99/p999/max)", func(s *Service) http.HandlerFunc { return serveJSON(0, s.latencyTelemetry) }},
-	{"/debug/flight", "flight-recorder dump: recent per-packet records (?n= caps, default 256)", func(s *Service) http.HandlerFunc { return serveJSON(256, s.flightTelemetry) }},
+	{"/debug/flight", "flight-recorder dump: the newest misses, one record each (?n= caps, default 256)", func(s *Service) http.HandlerFunc { return serveJSON(256, s.flightTelemetry) }},
 	{"/debug/pprof/", "net/http/pprof profiles", func(*Service) http.HandlerFunc { return servePprof }},
 	{"/debug/vars", "expvar", func(*Service) http.HandlerFunc { return expvar.Handler().ServeHTTP }},
 }

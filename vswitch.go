@@ -232,9 +232,10 @@ func WithTracer(*telemetry.Tracer) VSwitchOption {
 
 // WithLatencyRecorder attaches a latency attribution layer: every packet
 // is timed (exactly on cold paths, run-estimated on hit runs — see
-// telemetry.LatencyRecorder), attributed to the tier that resolved it,
-// and logged into the recorder's flight ring. Like the VSwitch itself
-// the recorder is single-threaded; give each VSwitch its own.
+// telemetry.LatencyRecorder) and attributed to the tier that resolved it,
+// and every miss is logged into the recorder's flight ring. Like the
+// VSwitch itself the recorder is single-threaded; give each VSwitch its
+// own.
 func WithLatencyRecorder(r *telemetry.LatencyRecorder) VSwitchOption {
 	return func(v *VSwitch) { v.rec = r }
 }
@@ -369,7 +370,6 @@ func (v *VSwitch) run(keys []Key, flags []uint8, out []ProcessResult, errs []err
 		v.stats.Packets++
 		kt, conn, dir := k, (*conntrack.Conn)(nil), conntrack.DirForward
 		tier, served, missTier := telemetry.TierMicroflow, false, telemetry.TierSlowpath
-		var hash uint64
 		if v.ct != nil {
 			var fl uint8
 			if flags != nil {
@@ -382,9 +382,7 @@ func (v *VSwitch) run(keys []Key, flags []uint8, out []ProcessResult, errs []err
 			kt = &v.kt
 			if conn != nil {
 				var refused bool
-				if served, refused = v.serveHeld(conn, dir, kt, o); served {
-					hash = kt.FlowHash()
-				} else if refused {
+				if served, refused = v.serveHeld(conn, dir, kt, o); refused {
 					missTier = telemetry.TierConntrack
 				}
 			}
@@ -395,7 +393,6 @@ func (v *VSwitch) run(keys []Key, flags []uint8, out []ProcessResult, errs []err
 				v.stats.MicroflowHits++
 				o.Final = e.Final // on its own: a tuple assignment copies the key twice
 				o.Verdict, o.CacheHit, o.MicroflowHit = e.Verdict, true, true
-				hash = v.uf.LastHash()
 			}
 		}
 		if !served {
@@ -423,12 +420,11 @@ func (v *VSwitch) run(keys []Key, flags []uint8, out []ProcessResult, errs []err
 			} else {
 				v.holdHit(&conn.Served[dir], kt, &o.Final, verdict)
 			}
-			tier, hash = v.tier, kt.FlowHash()
+			tier = v.tier
 		}
-		// A cache served it: a provisional flight record, timed with the hit
-		// run it belongs to.
+		// A cache served it: one more hit in the run it belongs to.
 		if v.rec != nil {
-			v.rec.Hit(tier, hash)
+			v.rec.Hit(tier)
 		}
 	}
 	if v.rec != nil {
@@ -703,6 +699,5 @@ func (v *VSwitch) CollectMetrics(reg *telemetry.Registry, worker string) {
 			lat.With(worker, tl, "0.999").Set(ls.P999)
 			lat.With(worker, tl, "max").Set(float64(ls.MaxNs))
 		}
-		c("gigaflow_flight_records_total", "Flight-recorder records written.", v.rec.Seq())
 	}
 }
