@@ -3,10 +3,12 @@ GO ?= go
 .PHONY: ci build test race vet lint lint-json suppress-check fmt-check docs docs-check bench bench-e2e bench-compare bench-pairs fuzz fuzz-regress
 
 ## ci: the standard verification gate — vet, build, race-enabled tests,
-## the project linter, a gofmt cleanliness check, the suppression audit,
-## the documents checked against the tree, and the checked-in fuzz corpus
-## replayed as regression tests. Run before every commit.
-ci: vet build race lint suppress-check fmt-check docs-check fuzz-regress
+## the project linter, a gofmt cleanliness check and the suppression
+## audit. Run before every commit. The race step is every test of the
+## module, so it also checks the documents against the tree (TestDocs,
+## docs-check) and replays every checked-in fuzz corpus (fuzz-regress);
+## those two targets run the same checks alone, without -race.
+ci: vet build race lint suppress-check fmt-check
 
 build:
 	$(GO) build ./...
@@ -146,18 +148,18 @@ bench-pairs:
 	! echo "$$table" | grep -E '$(or $(W),.)' | grep -qE 'exceeds|missing'
 
 ## fuzz-regress: replay the checked-in seed corpora (testdata/fuzz and
-## the f.Add seeds) through the fuzz targets in plain-test mode — fast,
-## deterministic, part of ci. FuzzRSSHash doubles as the differential
-## oracle: extractor output must agree with the full decoder on every
-## corpus input. FuzzParseMatch and FuzzParseKey round-trip String through
-## the parser, which crosses every field's packed-key accessors, and
-## FuzzRewrite holds the cache entries' masked-overwrite commit to the
-## set-field action list it folds. FuzzResumeWalk holds a walk resumed at
-## any step of a full walk of the five paper pipelines to that walk's
-## suffix, the premise a stalled miss resumes on. FuzzLoad round-trips
-## accepted programs through the ofp parser's dump and load, the path
-## service.New clones every pipeline through.
-## FuzzMicroflowOps and FuzzOpsDifferential replay op tapes
+## the f.Add seeds) through every Fuzz… target of the module in plain-test
+## mode — fast and deterministic; ci's race step runs the same replay.
+## FuzzRSSHash doubles as the differential oracle: extractor output must
+## agree with the full decoder on every corpus input. FuzzParseMatch and
+## FuzzParseKey round-trip String through the parser, which crosses every
+## field's packed-key accessors, and FuzzRewrite holds the cache entries'
+## masked-overwrite commit to the set-field action list it folds.
+## FuzzResumeWalk holds a walk resumed at any step of a full walk of the
+## five paper pipelines to that walk's suffix, the premise a stalled miss
+## resumes on. FuzzLoad round-trips accepted programs through the ofp
+## parser's dump and load, the path service.New clones every pipeline
+## through. FuzzMicroflowOps and FuzzOpsDifferential replay op tapes
 ## through the Microflow tier and the flow table against their map-backed
 ## reference models, FuzzInsertOps through the LTM cache's
 ## probe-before-build install — at an offset too, as a resumed miss
@@ -171,15 +173,7 @@ bench-pairs:
 ## the cell and seed that caught each mutation the oracle is known to
 ## catch (results/pr25/README.md, results/pr26/README.md).
 fuzz-regress:
-	$(GO) test -run 'FuzzParseMatch|FuzzParseKey|FuzzRewrite' ./internal/flow
-	$(GO) test -run 'FuzzResumeWalk' ./internal/pipeline
-	$(GO) test -run 'FuzzLoad' ./internal/ofp
-	$(GO) test -run 'FuzzDecode|FuzzRSSHash' ./internal/packet
-	$(GO) test -run 'FuzzEpochValid' ./internal/conntrack
-	$(GO) test -run 'FuzzMicroflowOps' ./internal/microflow
-	$(GO) test -run 'FuzzOpsDifferential' ./internal/flowtable
-	$(GO) test -run 'FuzzInsertOps' ./internal/gigaflow
-	$(GO) test -run 'FuzzOracle' ./service
+	$(GO) test -run '^Fuzz' ./...
 
 ## fuzz: actively fuzz the frame decoder for a short burst. New crashers
 ## land in internal/packet/testdata/fuzz/FuzzDecode — check them in.

@@ -836,9 +836,9 @@ func (c *Cache) Stall() (next, table, span int) {
 }
 
 // InsertPartition installs a traversal under an explicit partition
-// (segment j goes to table j). Exposed for the Fig. 16 scheme comparison
-// and for tests. The result aliases the same cache-owned buffer as
-// Insert's.
+// (segment j goes to table j). Only tests call it, to pin a partition;
+// Fig. 16 compares its schemes through sim.Config's Cache.Scheme. The
+// result aliases the same cache-owned buffer as Insert's.
 func (c *Cache) InsertPartition(tr *pipeline.Traversal, part Partition, now int64) ([]*Entry, error) {
 	return c.insertPartition(tr, part, 0, now)
 }

@@ -24,8 +24,9 @@ type ConfigLatency struct {
 }
 
 // LatencyTable returns the §6.3.6 per-configuration cache-hit latencies.
-// The offload rows are produced by the device model; the CPU rows are the
-// paper's measured constants for the corresponding OVS deployments.
+// The offload rows are the cost model's hardware hit latency
+// (CostModel.HWHitNs); the CPU rows are the paper's measured constants for
+// the corresponding OVS deployments.
 func LatencyTable() []ConfigLatency {
 	m := DefaultCostModel()
 	return []ConfigLatency{

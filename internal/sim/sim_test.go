@@ -86,8 +86,12 @@ func TestHitsAgreeWithSlowpath(t *testing.T) {
 	if res.Hits+res.Misses != res.Packets {
 		t.Errorf("hits %d + misses %d != packets %d", res.Hits, res.Misses, res.Packets)
 	}
-	if res.Latency.N() != res.Packets {
-		t.Errorf("latency samples %d != packets %d", res.Latency.N(), res.Packets)
+	var samples uint64
+	for _, c := range res.Latency.Buckets() {
+		samples += c
+	}
+	if samples != res.Packets {
+		t.Errorf("latency samples %d != packets %d", samples, res.Packets)
 	}
 }
 

@@ -7,33 +7,20 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
-// Summary accumulates a stream of float64 observations with O(1) memory
-// (Welford's algorithm for mean/variance).
+// Summary accumulates the count and running mean of a stream of float64
+// observations with O(1) memory (Welford's update).
 type Summary struct {
-	n        uint64
-	mean, m2 float64
-	min, max float64
+	n    uint64
+	mean float64
 }
 
 // Add records one observation.
 func (s *Summary) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	d := x - s.mean
 	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
 }
 
 // N reports the number of observations.
@@ -41,28 +28,6 @@ func (s *Summary) N() uint64 { return s.n }
 
 // Mean reports the running mean (0 when empty).
 func (s *Summary) Mean() float64 { return s.mean }
-
-// Var reports the sample variance (0 for fewer than two observations).
-func (s *Summary) Var() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// Std reports the sample standard deviation.
-func (s *Summary) Std() float64 { return math.Sqrt(s.Var()) }
-
-// Min reports the smallest observation (0 when empty).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max reports the largest observation (0 when empty).
-func (s *Summary) Max() float64 { return s.max }
-
-// String renders "mean ± std (n=...)".
-func (s *Summary) String() string {
-	return fmt.Sprintf("%.3g ± %.2g (n=%d)", s.Mean(), s.Std(), s.n)
-}
 
 // NumBuckets is the number of log2 histogram buckets shared by Histogram
 // and the concurrent telemetry histograms built on the same layout.
@@ -111,17 +76,8 @@ func (h *Histogram) Add(x float64) {
 	h.buckets[BucketIndex(x)]++
 }
 
-// N reports the number of observations.
-func (h *Histogram) N() uint64 { return h.sum.N() }
-
 // Mean reports the mean observation.
 func (h *Histogram) Mean() float64 { return h.sum.Mean() }
-
-// Std reports the standard deviation.
-func (h *Histogram) Std() float64 { return h.sum.Std() }
-
-// Max reports the largest observation.
-func (h *Histogram) Max() float64 { return h.sum.Max() }
 
 // Sum reports the sum of all observations.
 func (h *Histogram) Sum() float64 { return h.sum.Mean() * float64(h.sum.N()) }
@@ -275,14 +231,4 @@ func Ratio(a, b float64) string {
 		return "n/a"
 	}
 	return fmt.Sprintf("%.1f%%", 100*a/b)
-}
-
-// SortedKeys returns map keys in sorted order, for deterministic reports.
-func SortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

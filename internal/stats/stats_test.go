@@ -9,7 +9,7 @@ import (
 
 func TestSummaryBasics(t *testing.T) {
 	var s Summary
-	if s.Mean() != 0 || s.Std() != 0 || s.N() != 0 {
+	if s.Mean() != 0 || s.N() != 0 {
 		t.Error("empty summary not zero")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -20,16 +20,6 @@ func TestSummaryBasics(t *testing.T) {
 	}
 	if math.Abs(s.Mean()-5) > 1e-12 {
 		t.Errorf("mean = %v", s.Mean())
-	}
-	// Sample variance of this classic set is 32/7.
-	if math.Abs(s.Var()-32.0/7) > 1e-12 {
-		t.Errorf("var = %v", s.Var())
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("min/max = %v/%v", s.Min(), s.Max())
-	}
-	if !strings.Contains(s.String(), "n=8") {
-		t.Errorf("String = %q", s.String())
 	}
 }
 
@@ -57,13 +47,22 @@ func TestSummaryMatchesNaive(t *testing.T) {
 	}
 }
 
+// count sums h's buckets: the number of observations it holds.
+func count(h *Histogram) uint64 {
+	var n uint64
+	for _, c := range h.Buckets() {
+		n += c
+	}
+	return n
+}
+
 func TestHistogramQuantiles(t *testing.T) {
 	var h Histogram
 	for i := 1; i <= 1000; i++ {
 		h.Add(float64(i))
 	}
-	if h.N() != 1000 {
-		t.Errorf("N = %d", h.N())
+	if n := count(&h); n != 1000 {
+		t.Errorf("count = %d", n)
 	}
 	if math.Abs(h.Mean()-500.5) > 1e-9 {
 		t.Errorf("mean = %v", h.Mean())
@@ -76,8 +75,8 @@ func TestHistogramQuantiles(t *testing.T) {
 	if p99 < p50 {
 		t.Errorf("p99 %v < p50 %v", p99, p50)
 	}
-	if h.Max() != 1000 {
-		t.Errorf("max = %v", h.Max())
+	if got := h.Sum(); math.Abs(got-500500) > 1e-6 {
+		t.Errorf("sum = %v, want 500500", got)
 	}
 }
 
@@ -88,7 +87,7 @@ func TestHistogramEdge(t *testing.T) {
 	}
 	h.Add(0)
 	h.Add(0.5)
-	if h.N() != 2 {
+	if h.Buckets()[0] != 2 {
 		t.Error("sub-1 values must land in bucket 0")
 	}
 	if q := h.Quantile(0.5); q < 0 || q > 1 {
@@ -186,12 +185,8 @@ func TestHistogramSumBuckets(t *testing.T) {
 		t.Errorf("Sum = %v, want 55", got)
 	}
 	b := h.Buckets()
-	var n uint64
-	for _, c := range b {
-		n += c
-	}
-	if n != h.N() {
-		t.Errorf("bucket counts sum to %d, want %d", n, h.N())
+	if n := count(&h); n != 10 {
+		t.Errorf("bucket counts sum to %d, want 10", n)
 	}
 	// 1 → bucket 0; 2,3 → bucket 1; 4..7 → bucket 2; 8,9,10 → bucket 3.
 	if b[0] != 1 || b[1] != 2 || b[2] != 4 || b[3] != 3 {
@@ -233,13 +228,5 @@ func TestRatio(t *testing.T) {
 	}
 	if Ratio(1, 0) != "n/a" {
 		t.Errorf("got %q", Ratio(1, 0))
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	got := SortedKeys(m)
-	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
-		t.Errorf("got %v", got)
 	}
 }

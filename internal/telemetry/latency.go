@@ -43,21 +43,6 @@ func (t Tier) String() string {
 // /latency documents readable without a legend.
 func (t Tier) MarshalJSON() ([]byte, error) { return json.Marshal(t.String()) }
 
-// UnmarshalJSON accepts a tier name (the MarshalJSON form).
-func (t *Tier) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	for i, name := range tierNames {
-		if name == s {
-			*t = Tier(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("telemetry: unknown tier %q", s)
-}
-
 // LatencyHistogram is a log-linear histogram of nanosecond latencies
 // (stats.LatBucketIndex layout: 16 linear sub-buckets per octave, ≤6.25%
 // relative quantile error). It is deliberately not concurrency-safe:
@@ -126,9 +111,6 @@ func (h *LatencyHistogram) Merge(o *LatencyHistogram) {
 		h.max = o.max
 	}
 }
-
-// Reset clears the histogram.
-func (h *LatencyHistogram) Reset() { *h = LatencyHistogram{} }
 
 // LatencySnapshot is a JSON-ready percentile ladder computed from a
 // LatencyHistogram at snapshot time.

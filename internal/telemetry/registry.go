@@ -1,7 +1,7 @@
 // Package telemetry is the repo's stdlib-only observability layer: a
 // concurrent metrics registry (atomic counters, gauges, and log2-bucketed
-// histograms with label support, exposed in Prometheus text and JSON
-// formats) and the per-tier latency recorder with its flight ring.
+// histograms with label support, exposed in the Prometheus text format)
+// and the per-tier latency recorder with its flight ring.
 //
 // The layer is built for a hot packet path: counters and gauges are single
 // atomic words, and histograms are arrays of atomic buckets sharing
@@ -9,11 +9,9 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -220,19 +218,6 @@ type Gauge struct{ bits atomic.Uint64 }
 //gf:hotpath
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adds delta (CAS loop).
-//
-//gf:hotpath
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
 // Value reads the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -295,23 +280,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 	s.Sum = math.Float64frombits(h.sumBits.Load())
 	return s
-}
-
-// Count reports the number of observations.
-func (h *Histogram) Count() uint64 { return h.Snapshot().Count }
-
-// Mean reports the mean observation (0 when empty).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
-}
-
-// Quantile estimates the q-quantile from the buckets using the shared
-// bucket-midpoint math in stats.QuantileOf.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	return stats.QuantileOf(s.Buckets[:], s.Count, q, stats.BucketBounds)
 }
 
 // --- Exposition -------------------------------------------------------
@@ -424,74 +392,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// jsonSeries is one series in the JSON exposition.
-type jsonSeries struct {
-	Labels map[string]string `json:"labels,omitempty"`
-	Value  *float64          `json:"value,omitempty"`
-	Count  *uint64           `json:"count,omitempty"`
-	Sum    *float64          `json:"sum,omitempty"`
-	Mean   *float64          `json:"mean,omitempty"`
-	P50    *float64          `json:"p50,omitempty"`
-	P99    *float64          `json:"p99,omitempty"`
-}
-
-// jsonFamily is one metric family in the JSON exposition.
-type jsonFamily struct {
-	Name   string       `json:"name"`
-	Help   string       `json:"help"`
-	Type   string       `json:"type"`
-	Series []jsonSeries `json:"series"`
-}
-
-// WriteJSON renders the registry as a JSON array of metric families;
-// histograms are summarised as count/sum/mean/p50/p99.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	var out []jsonFamily
-	for _, f := range r.snapshotFamilies() {
-		jf := jsonFamily{Name: f.name, Help: f.help, Type: f.kind.String()}
-		keys, ms := f.sortedSeries()
-		for i, k := range keys {
-			var js jsonSeries
-			if len(f.labels) > 0 {
-				values := strings.Split(k, seriesSep)
-				js.Labels = make(map[string]string, len(f.labels))
-				for li, lk := range f.labels {
-					js.Labels[lk] = values[li]
-				}
-			}
-			switch m := ms[i].(type) {
-			case *Counter:
-				v := float64(m.Value())
-				js.Value = &v
-			case *Gauge:
-				v := m.Value()
-				js.Value = &v
-			case *Histogram:
-				s := m.Snapshot()
-				mean, p50, p99 := s.Mean(), s.Quantile(0.5), s.Quantile(0.99)
-				js.Count, js.Sum, js.Mean, js.P50, js.P99 = &s.Count, &s.Sum, &mean, &p50, &p99
-			}
-			jf.Series = append(jf.Series, js)
-		}
-		out = append(out, jf)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// Handler serves the registry: Prometheus text by default, JSON with
-// ?format=json.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			r.WriteJSON(w)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		r.WritePrometheus(w)
-	})
 }

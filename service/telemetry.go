@@ -98,14 +98,9 @@ func (s *Service) cacheTelemetry(ctx context.Context, _ int) (any, error) {
 			VSwitchTelemetry: w.vs.Telemetry(),
 		}
 	})
-	backend := "gigaflow"
-	if s.cfg.MegaflowCapacity > 0 {
-		backend = "megaflow"
-	}
 	return struct {
-		Backend string            `json:"backend"`
 		Workers []workerTelemetry `json:"workers"`
-	}{backend, out}, err
+	}{out}, err
 }
 
 // workerLatency is one worker's slice of the latency document: the
@@ -189,7 +184,7 @@ var endpoints = []struct {
 	path, about string
 	handler     func(s *Service) http.HandlerFunc
 }{
-	{"/metrics", "Prometheus text exposition (0.0.4); ?format=json for JSON", func(s *Service) http.HandlerFunc { return s.serveMetrics }},
+	{"/metrics", "Prometheus text exposition (0.0.4)", func(s *Service) http.HandlerFunc { return s.serveMetrics }},
 	{"/cache", "per-worker, per-LTM-table cache snapshot", func(s *Service) http.HandlerFunc { return serveJSON(0, s.cacheTelemetry) }},
 	{"/shards", "per-shard packets, occupancy and conntrack churn counters", func(s *Service) http.HandlerFunc { return serveJSON(0, s.shardTelemetry) }},
 	{"/latency", "per-worker and aggregate per-tier latency ladders (p50/p90/p99/p999/max)", func(s *Service) http.HandlerFunc { return serveJSON(0, s.latencyTelemetry) }},
@@ -227,7 +222,8 @@ func (s *Service) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), collectTimeout)
 	defer cancel()
 	_ = s.Collect(ctx)
-	s.reg.Handler().ServeHTTP(w, r)
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	s.reg.WritePrometheus(w)
 }
 
 func (s *Service) shardTelemetry(ctx context.Context, _ int) (any, error) {
