@@ -23,7 +23,7 @@ vet:
 	$(GO) vet ./...
 
 ## lint: gflint, the project-specific analyzer suite (hotalloc, hotcall,
-## goroleak, atomicmix, lockdiscipline, detrand). Separate from vet so
+## goroleak, atomicmix, lockdiscipline, detrand, deadcode). Separate from vet so
 ## generic and project-invariant failures are distinguishable. Builds the
 ## binary once (the suite shares one type-checked program; `go run` would
 ## rebuild per invocation), prints the per-analyzer coverage summary, and

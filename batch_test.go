@@ -38,7 +38,7 @@ func TestProcessBatchThrashZeroAlloc(t *testing.T) {
 			errs := make([]error, len(keys))
 			vs.ProcessBatchMeta(keys, nil, out, errs, 0) // install, fill the tier
 			before := vs.Stats()
-			ufBefore := vs.Microflow().Stats()
+			ufBefore := vs.Microflow().Snapshot().Stats
 
 			// 101 batches of 128 after the first: the tier's 4 096-packet
 			// window closes in the 32nd batch of the tape without a hit,

@@ -27,9 +27,9 @@ func TestNewSwitchCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gf.Cache().Capacity() != 32768 || gf.Cache().NumTables() != 4 || mf.Megaflow().Capacity() != 32768 {
+	if gf.Cache().Capacity() != 32768 || gf.Cache().NumTables() != 4 || mf.Megaflow().Snapshot().Capacity != 32768 {
 		t.Errorf("-cap 32768: gigaflow %d over %d tables, megaflow %d",
-			gf.Cache().Capacity(), gf.Cache().NumTables(), mf.Megaflow().Capacity())
+			gf.Cache().Capacity(), gf.Cache().NumTables(), mf.Megaflow().Snapshot().Capacity)
 	}
 	for _, o := range []options{
 		{cache: "gigaflow", tables: 0, capacity: 32768},

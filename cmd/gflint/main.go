@@ -4,8 +4,10 @@
 // block-free), goroleak (every goroutine has a termination path, every
 // WaitGroup.Add a matching Done), atomicmix (no mixed atomic/plain field
 // access), lockdiscipline (locks released on all paths, no channel ops
-// under a lock), and detrand (simulation code uses injected seeded
-// randomness and virtual time only).
+// under a lock), detrand (simulation code uses injected seeded
+// randomness and virtual time only), and deadcode (every declaration is
+// referenced by non-test code or by another package's test; it runs on
+// whole-module loads only, and is silent for pattern-limited runs).
 //
 // Usage:
 //

@@ -47,7 +47,8 @@ func capture(t *testing.T, n int, at func(i int) int64) *bytes.Buffer {
 	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < n; i++ {
-		if err := w.WritePacket(at(i), wire.Encode(demoKey(i, rng))); err != nil {
+		f := wire.Encode(demoKey(i, rng))
+		if err := w.WriteRecord(at(i), f, len(f)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -203,7 +204,7 @@ func TestReplayMatchesPerFrame(t *testing.T) {
 			frame = frame[:20] // IPv4 header cut short: forwarded degraded
 		}
 		frames = append(frames, frame)
-		if err := w.WritePacket(rec.TimeNs, frame); err != nil {
+		if err := w.WriteRecord(rec.TimeNs, frame, len(frame)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,14 +1,17 @@
 // Package analysis is gflint's engine: a stdlib-only static-analysis
 // driver (go/ast, go/parser, go/types — no x/tools) that loads every
 // package in the module and runs a suite of project-specific analyzers
-// enforcing Gigaflow's hot-path, concurrency, and determinism invariants.
+// enforcing Gigaflow's hot-path, concurrency, determinism and dead-code
+// invariants.
 //
 // The invariants it checks live at the heart of the paper's results: the
 // packet fast path must stay allocation-free (hotalloc), worker counters
 // must never mix atomic and plain access (atomicmix), locks must be
 // released on every path and never held across channel operations
-// (lockdiscipline), and simulation code must draw randomness only from
-// injected seeded sources so runs replay bit-for-bit (detrand).
+// (lockdiscipline), simulation code must draw randomness only from
+// injected seeded sources so runs replay bit-for-bit (detrand), and every
+// declaration must be reached by shipped code or another package's test
+// (deadcode).
 //
 // Individual findings can be waived inline with
 //
@@ -54,7 +57,7 @@ type Analyzer struct {
 
 // Analyzers returns the full gflint suite.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{HotAlloc, HotCall, GoroLeak, AtomicMix, LockDiscipline, DetRand}
+	return []*Analyzer{HotAlloc, HotCall, GoroLeak, AtomicMix, LockDiscipline, DetRand, DeadCode}
 }
 
 // AnalyzersNamed selects analyzers from the suite by name.

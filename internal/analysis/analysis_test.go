@@ -95,6 +95,35 @@ func TestDetRandFixture(t *testing.T) {
 		filepath.Join("detrand", "outside")), []*Analyzer{DetRand})
 }
 
+// TestDeadCodeFixture loads the fixture's three packages, which are its
+// whole program: lib declares a name per case, user (with a test) and the
+// main package tool reference them.
+func TestDeadCodeFixture(t *testing.T) {
+	prog := loadFixture(t,
+		filepath.Join("deadcode", "internal", "lib"),
+		filepath.Join("deadcode", "internal", "user"),
+		filepath.Join("deadcode", "cmd", "tool"))
+	prog.whole = true
+	checkGolden(t, prog, []*Analyzer{DeadCode})
+}
+
+// TestDeadCodeSilentOnPartialProgram: a pattern-limited load has not seen
+// the packages that reference a name, so deadcode reports nothing — not
+// for the fixture's lib alone, whose users are unloaded, nor for one
+// module package.
+func TestDeadCodeSilentOnPartialProgram(t *testing.T) {
+	lib := loadFixture(t, filepath.Join("deadcode", "internal", "lib"))
+	flow, err := LoadDirs(filepath.Join("..", ".."), filepath.Join("internal", "flow"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prog := range []*Program{lib, flow} {
+		if findings := Run(prog, []*Analyzer{DeadCode}); len(findings) != 0 {
+			t.Errorf("%s: %d finding(s) on a partial program:\n%s", prog.Pkgs[0].Path, len(findings), findingsText(findings))
+		}
+	}
+}
+
 func TestSuppressFixture(t *testing.T) {
 	checkGolden(t, loadFixture(t, "suppress"), []*Analyzer{HotAlloc})
 }
@@ -125,8 +154,8 @@ func TestModuleClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
-	if len(prog.Pkgs) == 0 {
-		t.Fatal("module loaded zero packages")
+	if len(prog.Pkgs) == 0 || !prog.whole {
+		t.Fatal("module loaded zero packages, or not as the whole module")
 	}
 	if findings := Run(prog, Analyzers()); len(findings) > 0 {
 		t.Errorf("module has %d finding(s):\n%s", len(findings), findingsText(findings))

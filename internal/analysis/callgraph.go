@@ -44,16 +44,11 @@ type Function struct {
 	Lit  *ast.FuncLit  // function literal, nil otherwise
 	init []ast.Expr    // package-level var initializer expressions
 
-	obj  *types.Func // declared object (nil for literals and inits)
 	name string
 
 	calls []Call
 	gos   []*ast.GoStmt
 }
-
-// Obj returns the declared *types.Func, or nil for literals and
-// package-initializer pseudo-functions.
-func (f *Function) Obj() *types.Func { return f.obj }
 
 // Name returns a stable display name: "Process" or "(*VSwitch).Process"
 // for declarations, "func@file.go:12" for literals, "init@file.go" for
@@ -177,18 +172,6 @@ type implSet struct {
 // order.
 func (g *CallGraph) Functions() []*Function { return g.funcs }
 
-// FuncDecl resolves a declared function object to its Function node, or
-// nil when the object is not declared in the loaded packages.
-func (g *CallGraph) FuncDecl(obj *types.Func) *Function {
-	if obj == nil {
-		return nil
-	}
-	return g.byObj[obj.Origin()]
-}
-
-// FuncLit resolves a literal to its Function node.
-func (g *CallGraph) FuncLit(lit *ast.FuncLit) *Function { return g.byLit[lit] }
-
 // Functions lazily builds and caches the module-wide function index.
 func (p *Program) Functions() []*Function {
 	return p.CallGraph().Functions()
@@ -241,7 +224,6 @@ func (g *CallGraph) collectFunctions() {
 				}
 				fn := &Function{Pkg: pkg, Decl: fd, name: declName(pkg, fd)}
 				if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					fn.obj = obj
 					g.byObj[obj.Origin()] = fn
 				}
 				g.funcs = append(g.funcs, fn)
@@ -475,42 +457,55 @@ func (g *CallGraph) implementors(ifaceType types.Type, method *types.Func) implS
 		return s
 	}
 	var s implSet
-	for _, pkg := range g.prog.Pkgs {
-		scope := pkg.Types.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok || types.IsInterface(named) {
-				continue
-			}
-			var recv types.Type
-			switch {
-			case types.Implements(named, iface):
-				recv = named
-			case types.Implements(types.NewPointer(named), iface):
-				recv = types.NewPointer(named)
-			default:
-				continue
-			}
-			m, _, _ := types.LookupFieldOrMethod(recv, true, method.Pkg(), method.Name())
-			impl, ok := m.(*types.Func)
-			if !ok {
-				continue
-			}
-			if target := g.byObj[impl.Origin()]; target != nil {
-				s.funcs = append(s.funcs, target)
-			} else {
-				s.ext = append(s.ext, impl)
-			}
+	for _, named := range namedTypes(g.prog) {
+		impl := implMethod(named, iface, method)
+		if impl == nil {
+			continue
+		}
+		if target := g.byObj[impl.Origin()]; target != nil {
+			s.funcs = append(s.funcs, target)
+		} else {
+			s.ext = append(s.ext, impl)
 		}
 	}
 	sort.Slice(s.funcs, func(i, j int) bool { return s.funcs[i].Pos() < s.funcs[j].Pos() })
 	sort.Slice(s.ext, func(i, j int) bool { return s.ext[i].FullName() < s.ext[j].FullName() })
 	g.implCache[key] = s
 	return s
+}
+
+// namedTypes returns the program's named non-interface types: the
+// candidates for implementing an interface.
+func namedTypes(prog *Program) []*types.Named {
+	var out []*types.Named
+	for _, pkg := range prog.Pkgs {
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if named, ok := tn.Type().(*types.Named); ok && !types.IsInterface(named) {
+					out = append(out, named)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// implMethod returns the method that an interface method dispatches to on
+// named or *named, whichever implements iface, or nil when neither does.
+func implMethod(named *types.Named, iface *types.Interface, method *types.Func) *types.Func {
+	var recv types.Type
+	switch {
+	case types.Implements(named, iface):
+		recv = named
+	case types.Implements(types.NewPointer(named), iface):
+		recv = types.NewPointer(named)
+	default:
+		return nil
+	}
+	m, _, _ := types.LookupFieldOrMethod(recv, true, method.Pkg(), method.Name())
+	impl, _ := m.(*types.Func)
+	return impl
 }
 
 // sigMatches reports whether a candidate function's signature (receiver
@@ -546,11 +541,4 @@ func externalPath(fn *types.Func) string {
 		return ""
 	}
 	return fn.Pkg().Path()
-}
-
-// shortPos renders a position relative to the file's base name, for
-// messages that reference another site.
-func shortPos(fset *token.FileSet, pos token.Pos) string {
-	p := fset.Position(pos)
-	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
 }

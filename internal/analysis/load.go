@@ -34,11 +34,18 @@ type Program struct {
 	// from genuinely external code.
 	Module string
 
+	// whole marks a program of every package of the module (LoadModule),
+	// the only one deadcode runs on.
+	whole bool
+	ld    *loader
+
 	// Shared analyzer infrastructure, built once on demand: the function
-	// index and call graph (Functions/CallGraph) and the hot-path
-	// certification (certification). Analyzers must not mutate them.
+	// index and call graph (Functions/CallGraph), the hot-path
+	// certification (certification) and the objects other packages'
+	// tests reference (testRefs). Analyzers must not mutate them.
 	graph *CallGraph
 	cert  *certification
+	tests *testRefs
 }
 
 // LoadModule loads and type-checks every package under the module rooted
@@ -75,7 +82,11 @@ func LoadModule(root string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return LoadDirs(root, rels...)
+	prog, err := LoadDirs(root, rels...)
+	if prog != nil {
+		prog.whole = true
+	}
+	return prog, err
 }
 
 // LoadDirs loads and type-checks the packages in the given
@@ -99,7 +110,7 @@ func LoadDirs(root string, rels ...string) (*Program, error) {
 		loading: make(map[string]bool),
 	}
 	l.std = importer.ForCompiler(l.fset, "source", nil)
-	prog := &Program{Fset: l.fset, Module: modPath}
+	prog := &Program{Fset: l.fset, Module: modPath, ld: l}
 	seen := make(map[string]bool)
 	for _, rel := range rels {
 		path := l.importPath(rel)
@@ -185,7 +196,7 @@ func (l *loader) load(path string) (*Package, error) {
 	if path != l.module {
 		dir = filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(path, l.module+"/")))
 	}
-	files, err := l.parseDir(dir)
+	files, err := l.parseDir(dir, false)
 	if err != nil {
 		return nil, err
 	}
@@ -209,8 +220,10 @@ func (l *loader) load(path string) (*Package, error) {
 	return pkg, nil
 }
 
-// parseDir parses every non-test Go file of the single package in dir.
-func (l *loader) parseDir(dir string) ([]*ast.File, error) {
+// parseDir parses every non-test Go file of the single package in dir,
+// or with tests every _test.go file (which may hold two packages: the
+// package's own and its external _test package).
+func (l *loader) parseDir(dir string, tests bool) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -219,13 +232,17 @@ func (l *loader) parseDir(dir string) ([]*ast.File, error) {
 	pkgName := ""
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") != tests ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
+		}
+		if tests {
+			files = append(files, f)
+			continue
 		}
 		if pkgName == "" {
 			pkgName = f.Name.Name

@@ -285,24 +285,3 @@ func (p *pools) draw(pers Personality, rng *rand.Rand, uniform bool) flow.Match 
 	}
 	return m
 }
-
-// SampleKey synthesises a concrete flow key matching rule r, with
-// unconstrained bits drawn from rng. The traffic generator uses it to turn
-// selected rules into packets.
-func SampleKey(r Rule, rng *rand.Rand) flow.Key {
-	k := r.Match.Key
-	for f := flow.FieldID(0); f < flow.NumFields; f++ {
-		free := r.Match.Mask.Get(f) ^ f.MaxValue()
-		if free != 0 {
-			k = k.WithMasked(f, rng.Uint64(), free)
-		}
-	}
-	// Protocol and eth_type should look like real traffic even when the
-	// rule wildcards them.
-	if r.Match.Mask.Get(flow.FieldIPProto) == 0 {
-		protos := []uint64{6, 17}
-		k = k.With(flow.FieldIPProto, protos[rng.Intn(2)])
-	}
-	k = k.With(flow.FieldEthType, 0x0800)
-	return k
-}

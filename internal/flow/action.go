@@ -157,30 +157,6 @@ func ApplyTo(k *Key, actions []Action) Verdict {
 	return Verdict{}
 }
 
-// Commit computes the set-field actions that transform `from` into `to`:
-// the "commit" of §4.2.3, recording the differences between the flow at the
-// start and end of a sub-traversal.
-func Commit(from, to Key) []Action {
-	var out []Action
-	for f := FieldID(0); f < NumFields; f++ {
-		if v := to.Get(f); from.Get(f) != v {
-			out = append(out, SetField(f, v))
-		}
-	}
-	return out
-}
-
-// WrittenFields returns the set of fields the action list may modify.
-func WrittenFields(actions []Action) FieldSet {
-	var s FieldSet
-	for _, a := range actions {
-		if a.Type == ActionSetField {
-			s = s.Add(a.Field)
-		}
-	}
-	return s
-}
-
 // ActionsEqual reports whether two action lists are element-wise identical.
 func ActionsEqual(a, b []Action) bool {
 	if len(a) != len(b) {

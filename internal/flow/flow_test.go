@@ -103,24 +103,6 @@ func TestKeyWithMasked(t *testing.T) {
 	}
 }
 
-func TestKeyDiff(t *testing.T) {
-	a := MustParseKey("ip_dst=10.0.0.1,tp_dst=80")
-	b := MustParseKey("ip_dst=10.0.0.2,tp_dst=80")
-	if got := a.Diff(b); got != NewFieldSet(FieldIPDst) {
-		t.Errorf("Diff = %v, want {ip_dst}", got)
-	}
-	if got := a.Diff(a); !got.Empty() {
-		t.Errorf("self Diff = %v, want empty", got)
-	}
-	bits := a.DiffBits(b)
-	if got := bits.Get(FieldIPDst); got != 3 { // ...0.1 ^ ...0.2 = 3
-		t.Errorf("DiffBits ip_dst = %#x, want 3", got)
-	}
-	if got := bits.Fields(); got != NewFieldSet(FieldIPDst) {
-		t.Errorf("DiffBits fields = %v, want {ip_dst}", got)
-	}
-}
-
 func TestPrefixMask(t *testing.T) {
 	if got := PrefixMask(FieldIPDst, 24); got != 0xffffff00 {
 		t.Errorf("/24 = %#x", got)
@@ -143,19 +125,8 @@ func TestMaskOps(t *testing.T) {
 	if u.Fields() != NewFieldSet(FieldEthSrc, FieldEthDst, FieldIPDst) {
 		t.Errorf("union fields = %v", u.Fields())
 	}
-	i := a.Intersect(b)
-	if i.Fields() != NewFieldSet(FieldEthDst) {
-		t.Errorf("intersect fields = %v", i.Fields())
-	}
-	w := u.Without(a)
-	if w.Fields() != NewFieldSet(FieldIPDst) {
-		t.Errorf("without fields = %v", w.Fields())
-	}
 	if !u.Covers(a) || !u.Covers(b) || a.Covers(u) {
 		t.Error("Covers wrong")
-	}
-	if got := u.WithoutFields(NewFieldSet(FieldEthSrc, FieldIPDst)); got.Fields() != NewFieldSet(FieldEthDst) {
-		t.Errorf("WithoutFields = %v", got.Fields())
 	}
 	if FullMask().BitCount() != 16+48+48+16+32+32+8+16+16+16+8 {
 		t.Errorf("FullMask BitCount = %d", FullMask().BitCount())
@@ -173,16 +144,16 @@ func TestMatchBasics(t *testing.T) {
 	m := MustParseMatch("eth_type=0x0800,ip_dst=10.0.0.0/24")
 	hit := MustParseKey("eth_type=0x0800,ip_dst=10.0.0.42,tp_dst=443")
 	miss := MustParseKey("eth_type=0x0800,ip_dst=10.0.1.42")
-	if !m.Matches(hit) {
+	if !m.MatchesKey(&hit) {
 		t.Errorf("%s should match %s", m, hit)
 	}
-	if m.Matches(miss) {
+	if m.MatchesKey(&miss) {
 		t.Errorf("%s should not match %s", m, miss)
 	}
-	if m.Fields() != NewFieldSet(FieldEthType, FieldIPDst) {
-		t.Errorf("Fields = %v", m.Fields())
+	if m.Mask.Fields() != NewFieldSet(FieldEthType, FieldIPDst) {
+		t.Errorf("Fields = %v", m.Mask.Fields())
 	}
-	if !MatchAll().Matches(hit) {
+	if all := MatchAll(); !all.MatchesKey(&hit) {
 		t.Error("MatchAll should match anything")
 	}
 }
@@ -195,40 +166,18 @@ func TestMatchNormalization(t *testing.T) {
 		t.Errorf("not normalized: %s", m)
 	}
 	m2 := NewMatch(MustParseKey("ip_dst=10.0.0.1"), m.Mask)
-	if !m.Equal(m2) {
+	if !m.EqualTo(&m2) {
 		t.Error("predicates equal under mask must compare Equal")
-	}
-}
-
-func TestMatchSubsumesOverlaps(t *testing.T) {
-	wide := MustParseMatch("ip_dst=10.0.0.0/8")
-	narrow := MustParseMatch("ip_dst=10.1.0.0/16")
-	other := MustParseMatch("ip_dst=11.0.0.0/8")
-	if !wide.Subsumes(narrow) {
-		t.Error("10/8 should subsume 10.1/16")
-	}
-	if narrow.Subsumes(wide) {
-		t.Error("10.1/16 should not subsume 10/8")
-	}
-	if !wide.Overlaps(narrow) || wide.Overlaps(other) {
-		t.Error("Overlaps wrong")
-	}
-	disjointFields := MustParseMatch("tp_dst=80")
-	if !wide.Overlaps(disjointFields) {
-		t.Error("matches on disjoint fields always overlap")
-	}
-	if !wide.Subsumes(wide) {
-		t.Error("Subsumes must be reflexive")
 	}
 }
 
 func TestExactMatch(t *testing.T) {
 	k := MustParseKey("in_port=3,eth_type=0x0800,ip_src=1.2.3.4")
 	m := ExactMatch(k)
-	if !m.Matches(k) {
+	if !m.MatchesKey(&k) {
 		t.Error("exact match must match its own key")
 	}
-	if m.Matches(k.With(FieldTpSrc, 1)) {
+	if k2 := k.With(FieldTpSrc, 1); m.MatchesKey(&k2) {
 		t.Error("exact match must reject any differing bit")
 	}
 }
@@ -273,33 +222,6 @@ func TestSetFieldMasked(t *testing.T) {
 	}
 }
 
-func TestCommit(t *testing.T) {
-	from := MustParseKey("ip_dst=10.0.0.1,tp_dst=80,eth_dst=aa:aa:aa:aa:aa:aa")
-	to := from.With(FieldEthDst, MustParseKey("eth_dst=bb:bb:bb:bb:bb:bb").Get(FieldEthDst)).
-		With(FieldTpDst, 8080)
-	acts := Commit(from, to)
-	got, v := Apply(from, acts)
-	if got != to {
-		t.Errorf("commit replay = %s, want %s", got, to)
-	}
-	if v.Terminal() {
-		t.Error("commit must not contain terminal actions")
-	}
-	if len(acts) != 2 {
-		t.Errorf("commit should have 2 actions, got %d: %v", len(acts), acts)
-	}
-	if len(Commit(from, from)) != 0 {
-		t.Error("identity commit must be empty")
-	}
-}
-
-func TestWrittenFields(t *testing.T) {
-	acts := []Action{SetField(FieldEthDst, 1), Output(2), SetField(FieldTpDst, 3)}
-	if got := WrittenFields(acts); got != NewFieldSet(FieldEthDst, FieldTpDst) {
-		t.Errorf("WrittenFields = %v", got)
-	}
-}
-
 func TestActionsEqual(t *testing.T) {
 	a := []Action{SetField(FieldEthDst, 1), Output(2)}
 	b := []Action{SetField(FieldEthDst, 1), Output(2)}
@@ -326,7 +248,7 @@ func TestParseFormatsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("re-parse of %q (from %q): %v", m.String(), s, err)
 		}
-		if !m.Equal(m2) {
+		if !m.EqualTo(&m2) {
 			t.Errorf("round trip changed %q -> %q", s, m2)
 		}
 	}

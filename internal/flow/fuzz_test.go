@@ -28,7 +28,7 @@ func FuzzParseMatch(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted %q but cannot re-parse its String %q: %v", s, m.String(), err)
 		}
-		if !m.Equal(rt) {
+		if !m.EqualTo(&rt) {
 			t.Fatalf("round trip changed %q: %q -> %q", s, m.String(), rt.String())
 		}
 	})

@@ -69,8 +69,9 @@ func (k *Key) SymHash() uint64 {
 }
 
 // SymHash5 is the symmetric 5-tuple mix backing Key.SymHash, factored
-// out so the wire-bytes RSS extractor (internal/packet.RSSHash) produces
-// bit-identical shard assignments without building a Key: any caller
+// out so the wire-bytes RSS extractor (internal/packet.RSSTuple and
+// Tuple.SymHash) produces bit-identical shard assignments without
+// building a Key: any caller
 // holding the five tuple values — from a decoded key or straight from
 // L3/L4 header words — lands a flow's two directions on the same shard.
 //
@@ -120,28 +121,6 @@ func (k Key) Apply(m Mask) Key {
 	}
 	return out
 }
-
-// Diff returns the set of fields on which a and b differ.
-func (a Key) Diff(b Key) FieldSet {
-	return a.DiffBits(b).Fields()
-}
-
-// DiffBits returns the XOR of a and b as a mask: the exact bit positions
-// where the two keys disagree. Its words are packed like a Key's, so a
-// field's bits are read through Mask.Get. Used by dependency
-// unwildcarding to find a distinguishing bit against a higher-priority
-// rule.
-func (a Key) DiffBits(b Key) Mask {
-	var m Mask
-	for i := range a {
-		m[i] = a[i] ^ b[i]
-	}
-	return m
-}
-
-// Equal reports whether a and b agree on every field. (Keys are comparable;
-// this exists for symmetry and call-site readability.)
-func (a Key) Equal(b Key) bool { return a == b }
 
 // String renders the key as a comma-separated field=value list with
 // MAC/IP-style formatting for address fields.

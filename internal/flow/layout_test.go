@@ -74,7 +74,7 @@ func TestKeyAccessorsIsolated(t *testing.T) {
 	}
 }
 
-// TestMaskAccessorsIsolated: With, WithField, WithoutFields and OrField on
+// TestMaskAccessorsIsolated: With, WithField and OrField on
 // one field change that field alone.
 func TestMaskAccessorsIsolated(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
@@ -84,7 +84,6 @@ func TestMaskAccessorsIsolated(t *testing.T) {
 
 		checkIsolated(t, "Mask.With", f, m, m.With(f, bits), bits&f.MaxValue())
 		checkIsolated(t, "WithField", f, m, m.WithField(f), f.MaxValue())
-		checkIsolated(t, "WithoutFields", f, m, m.WithoutFields(NewFieldSet(f)), 0)
 		or := m
 		or.OrField(f, bits)
 		checkIsolated(t, "OrField", f, m, or, (m.Get(f)|bits)&f.MaxValue())

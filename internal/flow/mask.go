@@ -83,36 +83,6 @@ func (m Mask) Union(o Mask) Mask {
 	return out
 }
 
-// Intersect returns the bitwise AND of the two masks.
-func (m Mask) Intersect(o Mask) Mask {
-	var out Mask
-	for i := range m {
-		out[i] = m[i] & o[i]
-	}
-	return out
-}
-
-// Without returns m with the bits of o cleared (m AND NOT o).
-func (m Mask) Without(o Mask) Mask {
-	var out Mask
-	for i := range m {
-		out[i] = m[i] &^ o[i]
-	}
-	return out
-}
-
-// WithoutFields returns m with every bit of the given fields cleared. Used
-// for rewrite shadowing: fields written earlier in a (sub-)traversal are
-// struck from its externally visible match mask.
-func (m Mask) WithoutFields(s FieldSet) Mask {
-	for f := FieldID(0); f < NumFields; f++ {
-		if s.Contains(f) {
-			m = m.With(f, 0)
-		}
-	}
-	return m
-}
-
 // IsEmpty reports whether the mask wildcards everything.
 func (m Mask) IsEmpty() bool { return m == EmptyMask }
 

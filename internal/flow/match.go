@@ -21,11 +21,8 @@ func ExactMatch(k Key) Match { return Match{Key: k, Mask: FullMask()} }
 // MatchAll is the fully wildcarded match.
 func MatchAll() Match { return Match{} }
 
-// Matches reports whether k satisfies the predicate.
-func (m Match) Matches(k Key) bool { return m.MatchesKey(&k) }
-
-// MatchesKey is Matches with both sides read in place: four words, no
-// branches.
+// MatchesKey reports whether k satisfies the predicate, both sides read
+// in place: four words, no branches.
 //
 //gf:hotpath
 func (m *Match) MatchesKey(k *Key) bool {
@@ -44,9 +41,6 @@ func (m *Match) NormalizeInPlace() {
 	}
 }
 
-// Fields returns the set of fields the match constrains.
-func (m Match) Fields() FieldSet { return m.Mask.Fields() }
-
 // WithField returns m additionally requiring field f to equal v exactly.
 func (m Match) WithField(f FieldID, v uint64) Match {
 	m.Key = m.Key.With(f, v)
@@ -62,37 +56,8 @@ func (m Match) WithMaskedField(f FieldID, v, mask uint64) Match {
 	return m
 }
 
-// Subsumes reports whether every key matched by o is also matched by m
-// (m is the more general predicate). Requires both normalized.
-func (m Match) Subsumes(o Match) bool {
-	if !o.Mask.Covers(m.Mask) {
-		return false
-	}
-	for i := range m.Key {
-		if (m.Key[i]^o.Key[i])&m.Mask[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Overlaps reports whether some key satisfies both m and o: on every bit
-// significant to both, the two keys must agree.
-func (m Match) Overlaps(o Match) bool {
-	for i := range m.Key {
-		common := m.Mask[i] & o.Mask[i]
-		if (m.Key[i]^o.Key[i])&common != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports whether the two matches are identical predicates; neither
-// needs to be normalized.
-func (m Match) Equal(o Match) bool { return m.EqualTo(&o) }
-
-// EqualTo is Equal with both predicates by pointer.
+// EqualTo reports whether the two matches are identical predicates;
+// neither needs to be normalized.
 func (m *Match) EqualTo(o *Match) bool {
 	for i := range m.Mask {
 		if m.Mask[i] != o.Mask[i] || (m.Key[i]^o.Key[i])&m.Mask[i] != 0 {

@@ -91,8 +91,8 @@ func runDiffOps(t *testing.T, mask flow.Mask, seed int64, steps int) []flow.Key 
 				t.Fatalf("seed %d step %d: Lookup=(%d,%v) model=(%d,%v)", seed, step, gotV, gotOK, wantV, wantOK)
 			}
 		}
-		if tb.Len() != len(ref.entries) {
-			t.Fatalf("seed %d step %d: Len=%d model=%d", seed, step, tb.Len(), len(ref.entries))
+		if tb.count != len(ref.entries) {
+			t.Fatalf("seed %d step %d: Len=%d model=%d", seed, step, tb.count, len(ref.entries))
 		}
 	}
 	// Full-content check: iterate the table, compare against the model.
@@ -185,8 +185,8 @@ func FuzzOpsDifferential(f *testing.F) {
 					t.Fatalf("op %d: Lookup=(%d,%v) model=(%d,%v)", i, gotV, gotOK, wantV, wantOK)
 				}
 			}
-			if tb.Len() != len(ref.entries) {
-				t.Fatalf("op %d: Len=%d model=%d", i, tb.Len(), len(ref.entries))
+			if tb.count != len(ref.entries) {
+				t.Fatalf("op %d: Len=%d model=%d", i, tb.count, len(ref.entries))
 			}
 		}
 	})

@@ -34,7 +34,7 @@
 // Lookup is allocation-free (enforced by gflint's hotalloc analyzer via
 // the //gf:hotpath annotations) and writes nothing, so a table nobody is
 // changing may be read from many goroutines at once — the pipeline every
-// service shard walks. Put, Delete and Reset need the table to themselves.
+// service shard walks. Put and Delete need the table to themselves.
 package flowtable
 
 import (
@@ -103,15 +103,6 @@ func (t *Table[V]) init(n int) {
 	t.growAt = n * 3 / 4
 }
 
-// Len reports the number of stored entries.
-func (t *Table[V]) Len() int { return t.count }
-
-// Cap reports the current slot count (capacity before collisions).
-func (t *Table[V]) Cap() int { return len(t.slots) }
-
-// Mask returns the wildcard mask keys are compared under.
-func (t *Table[V]) Mask() flow.Mask { return t.mask }
-
 // probeHash is the fused mask+hash pass: one loop over the mask's
 // non-zero words masks the key and folds each masked word through the
 // wyhash-style mix. No 32-byte Apply copy, no second full-key hash.
@@ -165,7 +156,7 @@ func (t *Table[V]) probeEqual(sk, k *flow.Key) bool {
 // or nil. It is the hot probe shared by every tier: fused mask+hash, then
 // a linear scan with stored-hash early reject. The key travels by pointer
 // and the value is handed back in place, so a probe copies neither; the
-// pointer is valid until the next Put, Delete or Reset.
+// pointer is valid until the next Put or Delete.
 //
 //gf:hotpath
 func (t *Table[V]) Find(k *flow.Key) *V {
@@ -191,13 +182,6 @@ func (t *Table[V]) Lookup(k flow.Key) (V, bool) {
 	}
 	var zero V
 	return zero, false
-}
-
-// Contains reports whether a value is stored for k.
-//
-//gf:hotpath
-func (t *Table[V]) Contains(k flow.Key) bool {
-	return t.Find(&k) != nil
 }
 
 // Put stores v for k (masked), replacing any existing value; it reports
@@ -281,15 +265,6 @@ func (t *Table[V]) grow() {
 		t.slots[i] = *s
 		t.count++
 	}
-}
-
-// Reset drops every entry but keeps the current allocation, so a bounded
-// cache can invalidate wholesale without disturbing its steady-state size.
-func (t *Table[V]) Reset() {
-	for i := range t.slots {
-		t.slots[i] = slot[V]{}
-	}
-	t.count = 0
 }
 
 // Iter returns a slot-order iterator. The order is deterministic: it

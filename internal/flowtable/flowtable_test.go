@@ -27,8 +27,8 @@ func TestPutLookupDelete(t *testing.T) {
 	if v, ok := tb.Lookup(exactKey(1, 2)); !ok || v != 20 {
 		t.Fatalf("Lookup = %d,%v want 20,true", v, ok)
 	}
-	if tb.Len() != 1 {
-		t.Fatalf("Len = %d want 1", tb.Len())
+	if tb.count != 1 {
+		t.Fatalf("Len = %d want 1", tb.count)
 	}
 	if !tb.Delete(exactKey(1, 2)) {
 		t.Fatal("delete of present key failed")
@@ -36,8 +36,8 @@ func TestPutLookupDelete(t *testing.T) {
 	if tb.Delete(exactKey(1, 2)) {
 		t.Fatal("double delete succeeded")
 	}
-	if tb.Len() != 0 {
-		t.Fatalf("Len = %d want 0", tb.Len())
+	if tb.count != 0 {
+		t.Fatalf("Len = %d want 0", tb.count)
 	}
 }
 
@@ -58,8 +58,8 @@ func TestMaskedComparison(t *testing.T) {
 	if replaced := tb.Put(flow.Key{}.With(flow.FieldIPDst, 10<<24|7), "ten2"); !replaced {
 		t.Fatal("equivalent masked key did not replace")
 	}
-	if tb.Len() != 1 {
-		t.Fatalf("Len = %d want 1", tb.Len())
+	if tb.count != 1 {
+		t.Fatalf("Len = %d want 1", tb.count)
 	}
 }
 
@@ -67,8 +67,8 @@ func TestEmptyMaskSingleBucket(t *testing.T) {
 	tb := New[int](flow.EmptyMask, 0)
 	tb.Put(exactKey(1, 1), 7)
 	tb.Put(exactKey(2, 2), 9) // same (empty) masked key: replaces
-	if tb.Len() != 1 {
-		t.Fatalf("Len = %d want 1", tb.Len())
+	if tb.count != 1 {
+		t.Fatalf("Len = %d want 1", tb.count)
 	}
 	if v, ok := tb.Lookup(exactKey(3, 3)); !ok || v != 9 {
 		t.Fatalf("empty-mask lookup = %d,%v want 9,true", v, ok)
@@ -81,8 +81,8 @@ func TestGrowthPreservesEntries(t *testing.T) {
 	for i := uint64(0); i < n; i++ {
 		tb.Put(exactKey(i, i%7), i)
 	}
-	if tb.Len() != n {
-		t.Fatalf("Len = %d want %d", tb.Len(), n)
+	if tb.count != n {
+		t.Fatalf("Len = %d want %d", tb.count, n)
 	}
 	for i := uint64(0); i < n; i++ {
 		if v, ok := tb.Lookup(exactKey(i, i%7)); !ok || v != i {
@@ -93,12 +93,12 @@ func TestGrowthPreservesEntries(t *testing.T) {
 
 func TestSizeHintAvoidsGrowth(t *testing.T) {
 	tb := New[int](flow.FullMask(), 1000)
-	c := tb.Cap()
+	c := len(tb.slots)
 	for i := 0; i < 1000; i++ {
 		tb.Put(exactKey(uint64(i), 0), i)
 	}
-	if tb.Cap() != c {
-		t.Fatalf("table grew from %d to %d slots despite size hint", c, tb.Cap())
+	if len(tb.slots) != c {
+		t.Fatalf("table grew from %d to %d slots despite size hint", c, len(tb.slots))
 	}
 }
 
@@ -119,33 +119,14 @@ func TestBackshiftDeletionKeepsChainsReachable(t *testing.T) {
 			tb.Put(exactKey(id, id), step)
 			live[id] = step
 		}
-		if tb.Len() != len(live) {
-			t.Fatalf("step %d: Len=%d model=%d", step, tb.Len(), len(live))
+		if tb.count != len(live) {
+			t.Fatalf("step %d: Len=%d model=%d", step, tb.count, len(live))
 		}
 	}
 	for id, want := range live {
 		if v, ok := tb.Lookup(exactKey(id, id)); !ok || v != want {
 			t.Fatalf("key %d: got %d,%v want %d,true", id, v, ok, want)
 		}
-	}
-}
-
-func TestResetKeepsAllocation(t *testing.T) {
-	tb := New[int](flow.FullMask(), 0)
-	for i := 0; i < 100; i++ {
-		tb.Put(exactKey(uint64(i), 0), i)
-	}
-	c := tb.Cap()
-	tb.Reset()
-	if tb.Len() != 0 || tb.Cap() != c {
-		t.Fatalf("Reset: Len=%d Cap=%d want 0,%d", tb.Len(), tb.Cap(), c)
-	}
-	if _, ok := tb.Lookup(exactKey(1, 0)); ok {
-		t.Fatal("lookup hit after Reset")
-	}
-	tb.Put(exactKey(1, 0), 1)
-	if tb.Len() != 1 {
-		t.Fatal("table unusable after Reset")
 	}
 }
 

@@ -51,7 +51,7 @@ func TestAdaptiveFallsBackUnderZeroSharing(t *testing.T) {
 	}
 	// Degraded inserts are whole traversals: 1 entry each in table 0. Add
 	// a fresh 3-step flow and install it.
-	before0, before1 := c.TableLen(0), c.TableLen(1)
+	before0, before1 := c.tables[0].count, c.tables[1].count
 	p.MustAddRule(0, flow.MatchAll().WithField(flow.FieldEthDst, 9000), 10, nil, 1)
 	p.MustAddRule(1, flow.MatchAll().WithField(flow.FieldIPDst, 9000), 10, nil, 2)
 	p.MustAddRule(2, flow.MatchAll().WithField(flow.FieldTpSrc, 9000), 10, []flow.Action{flow.Output(1)}, pipeline.NoTable)
@@ -59,12 +59,12 @@ func TestAdaptiveFallsBackUnderZeroSharing(t *testing.T) {
 	if _, err := c.Insert(trNew, n); err != nil {
 		t.Fatal(err)
 	}
-	if c.TableLen(0) != before0+1 || c.TableLen(1) != before1 {
+	if c.tables[0].count != before0+1 || c.tables[1].count != before1 {
 		t.Errorf("degraded insert should add exactly one whole-traversal entry to table 0: %d->%d, %d->%d",
-			before0, c.TableLen(0), before1, c.TableLen(1))
+			before0, c.tables[0].count, before1, c.tables[1].count)
 	}
 	// And the whole-traversal entry must serve lookups.
-	if res := c.Peek(noShareKey(9000)); !res.Hit || len(res.Path) != 1 {
+	if res := lookup(c, noShareKey(9000), 0); !res.Hit || len(res.Path) != 1 {
 		t.Errorf("whole-traversal entry broken: %+v", res)
 	}
 }

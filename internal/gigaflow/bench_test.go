@@ -37,7 +37,7 @@ func BenchmarkCacheLookupHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := c.Lookup(keys[i%len(keys)], int64(i)); !res.Hit {
+		if res := lookup(c, keys[i%len(keys)], int64(i)); !res.Hit {
 			b.Fatal("miss")
 		}
 	}
@@ -64,7 +64,7 @@ func k4Setup() {
 	}
 	k4.cache = New(pw.Pipeline, Config{NumTables: 4, TableCapacity: 8192})
 	for _, f := range pw.Flows(traffic.Config{Seed: 1, NumFlows: 200000}, traffic.HighLocality) {
-		if !k4.cache.Lookup(f.Key, 0).Hit {
+		if !lookup(k4.cache, f.Key, 0).Hit {
 			tr, err := pw.Pipeline.Process(f.Key)
 			if err == nil {
 				_, err = k4.cache.Insert(tr, 0)
@@ -239,8 +239,9 @@ func BenchmarkMissSteadyState(b *testing.B) {
 
 	b.Run("gigaflow", func(b *testing.B) {
 		c := New(p, Config{NumTables: 4, TableCapacity: 1024})
+		var final flow.Key
 		miss(b,
-			func(k *flow.Key, now int64) bool { return c.Lookup(*k, now).Hit },
+			func(k *flow.Key, now int64) bool { _, hit := c.Find(k, now, &final); return hit },
 			whole(func(tr *pipeline.Traversal, now int64) error { _, err := c.Insert(tr, now); return err }),
 			func() uint64 { return c.Stats().EntriesCreated })
 	})
@@ -267,8 +268,9 @@ func BenchmarkMissSteadyState(b *testing.B) {
 
 	b.Run("megaflow", func(b *testing.B) {
 		c := megaflow.New(4096)
+		var final flow.Key
 		miss(b,
-			func(k *flow.Key, now int64) bool { _, hit := c.Lookup(*k, now); return hit },
+			func(k *flow.Key, now int64) bool { _, hit := c.Find(k, now, &final); return hit },
 			whole(func(tr *pipeline.Traversal, now int64) error { c.Insert(tr, now); return nil }),
 			func() uint64 { return c.Stats().Inserts })
 	})

@@ -26,7 +26,7 @@ func TestSameSeedRunsAreIdentical(t *testing.T) {
 				uint64(wl.Intn(2))<<16|uint64(wl.Intn(100)),
 				uint64(1000+1000*wl.Intn(2)),
 			)
-			if res := c.Lookup(k, now); !res.Hit {
+			if res := lookup(c, k, now); !res.Hit {
 				if _, err := c.Insert(p.MustProcess(k), now); err != nil {
 					t.Fatalf("insert: %v", err)
 				}

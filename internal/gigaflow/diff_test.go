@@ -56,7 +56,7 @@ func refTableLookup(entries []*Entry, tag int, k flow.Key) (*Entry, int) {
 		probes++
 		var cand *Entry
 		for _, e := range tp.entries {
-			if e.Match.Matches(k) && (cand == nil || e.Priority > cand.Priority) {
+			if e.Match.MatchesKey(&k) && (cand == nil || e.Priority > cand.Priority) {
 				cand = e
 			}
 		}
@@ -146,7 +146,7 @@ func TestDifferentialAgainstReferenceWalk(t *testing.T) {
 				now++
 				k := diffChainKey(rng)
 				want := refWalk(c, p, k)
-				res := c.Lookup(k, now)
+				res := lookup(c, k, now)
 				if res.Hit != want.hit {
 					t.Fatalf("K=%d seed %d step %d: Lookup(%s).Hit=%v, reference %v",
 						numTables, seed, step, k, res.Hit, want.hit)
@@ -198,35 +198,5 @@ func TestDifferentialAgainstReferenceWalk(t *testing.T) {
 				t.Fatalf("K=%d seed %d: workload too tame: %+v", numTables, seed, shadow)
 			}
 		}
-	}
-}
-
-// TestPeekAgreesWithReferenceWalk covers the side-effect-free probe path
-// against the same reference.
-func TestPeekAgreesWithReferenceWalk(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	p := diffChainPipeline()
-	c := New(p, Config{NumTables: 3, TableCapacity: 1024})
-	var now int64
-	for i := 0; i < 300; i++ {
-		now++
-		k := diffChainKey(rng)
-		if tr, err := p.Process(k); err == nil {
-			if _, err := c.Insert(tr, now); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	stats := c.Stats()
-	for i := 0; i < 500; i++ {
-		k := diffChainKey(rng)
-		want := refWalk(c, p, k)
-		res := c.Peek(k)
-		if res.Hit != want.hit || (res.Hit && (res.Verdict != want.verdict || res.Final != want.final)) {
-			t.Fatalf("Peek(%s) = %+v, reference %+v", k, res, want)
-		}
-	}
-	if c.Stats() != stats {
-		t.Fatal("Peek mutated stats")
 	}
 }

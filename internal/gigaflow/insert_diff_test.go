@@ -13,7 +13,7 @@ import (
 // refBuildEntry, refSameSemantics and refInsertPartition are the install
 // path as it stood before installation probed before it built — every
 // segment compiled to a heap Entry first, the survivors installed, the rest
-// dropped — kept as the differential reference for InsertPartition. Only
+// dropped — kept as the differential reference for insertPartition. Only
 // what the surrounding types forced has changed: Match and Priority live in
 // the embedded classifier node, get takes the predicate by pointer, the
 // path signature the old entries carried is gone, and a partition goes
@@ -44,7 +44,7 @@ func refBuildEntry(tr *pipeline.Traversal, seg Segment, now int64) *Entry {
 }
 
 func refSameSemantics(a, b *Entry) bool {
-	return a.Tag == b.Tag && a.Priority == b.Priority && a.Match.Equal(b.Match) &&
+	return a.Tag == b.Tag && a.Priority == b.Priority && a.Match.EqualTo(&b.Match) &&
 		a.NextTag == b.NextTag && a.Terminal == b.Terminal && a.Verdict == b.Verdict &&
 		a.CtConn == b.CtConn && a.CtEpoch == b.CtEpoch &&
 		a.Commit == b.Commit
@@ -117,7 +117,7 @@ type entryState struct {
 
 func stateOf(e *Entry) entryState {
 	return entryState{
-		Tag: e.Tag, NextTag: e.NextTag, Priority: e.Priority, Table: e.TableIndex(),
+		Tag: e.Tag, NextTag: e.NextTag, Priority: e.Priority, Table: tableIndex(e),
 		Slot: e.slot, NextSlot: e.nextSlot, Match: e.Match,
 		Commit:   e.Commit,
 		Terminal: e.Terminal, Verdict: e.Verdict,
@@ -175,7 +175,7 @@ func checkSameCaches(t testing.TB, step int, got, ref *Cache) {
 }
 
 // runInsertTape interprets tape as a sequence of cache operations applied
-// to two caches over one pipeline — one installing through InsertPartition,
+// to two caches over one pipeline — one installing through insertPartition,
 // one through the reference — and demands identical returns and identical
 // caches after every operation. The first two bytes pick K (1–4) and a
 // tiny per-table capacity (1–4); the key space is a few dozen
@@ -262,7 +262,7 @@ func runInsertTape(t testing.TB, tape []byte) (s Stats, offset int) {
 			}
 		case 8, 9, 10:
 			k := key()
-			g, r := got.Lookup(k, now), ref.Lookup(k, now)
+			g, r := lookup(got, k, now), lookup(ref, k, now)
 			if g.Hit != r.Hit || g.Verdict != r.Verdict || g.Final != r.Final ||
 				!reflect.DeepEqual(statesOf(g.Path), statesOf(r.Path)) {
 				t.Fatalf("step %d: Lookup(%s) = %+v, reference %+v", step, k, g, r)
@@ -297,7 +297,7 @@ func runInsertTape(t testing.TB, tape []byte) (s Stats, offset int) {
 }
 
 // TestInsertPartitionDifferential drives the probe-before-build
-// InsertPartition and the build-then-dedupe original through seeded random
+// insertPartition and the build-then-dedupe original through seeded random
 // op tapes and demands they never differ.
 func TestInsertPartitionDifferential(t *testing.T) {
 	var sum Stats

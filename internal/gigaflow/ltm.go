@@ -96,16 +96,6 @@ func (e *Entry) String() string {
 	return fmt.Sprintf("ltm{τ=%d ρ=%d %s -> %v, %s}", e.Tag, e.Priority, e.Match, e.Commit.Actions(), next)
 }
 
-// TableIndex reports which LTM cache table (GF_k) holds the entry, or -1
-// for an entry not currently installed — never installed, or since
-// evicted, expired, revoked or replaced.
-func (e *Entry) TableIndex() int {
-	if e.table == nil {
-		return -1
-	}
-	return e.table.idx
-}
-
 // TableStats counts per-LTM-table cache events, the per-table view the
 // telemetry layer exports (occupancy and capacity live alongside them in
 // TableSnapshot).
@@ -375,9 +365,9 @@ type Cache struct {
 	stats     Stats
 	adapt     *adaptState
 	// path is the reusable match-path buffer handed out as Result.Path.
-	// Sized to K at construction so the hot-path Lookup never grows it.
+	// Sized to K at construction so the hot-path lookup never grows it.
 	path []*Entry
-	// observeInsert marks whether the in-flight InsertPartition should
+	// observeInsert marks whether the in-flight insertPartition should
 	// feed the adaptive estimator (partitioned inserts only).
 	observeInsert bool
 
@@ -436,17 +426,11 @@ func (c *Cache) Len() int {
 	return n
 }
 
-// TableLen reports the entry count of table i.
-func (c *Cache) TableLen(i int) int { return c.tables[i].count }
-
 // Capacity reports the total entry capacity (K × per-table).
 func (c *Cache) Capacity() int { return c.cfg.NumTables * c.cfg.TableCapacity }
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// Config returns the cache configuration.
-func (c *Cache) Config() Config { return c.cfg }
 
 // TableSnapshot describes one LTM table for introspection: counters plus
 // occupancy.
@@ -540,39 +524,14 @@ type Result struct {
 	Path    []*Entry // entries matched, in table order
 }
 
-// Lookup walks the K feed-forward tables with LTM semantics: in each table
+// Find walks the K feed-forward tables with LTM semantics: in each table
 // the packet may match at most one entry (highest ρ among entries with the
 // current tag), applying its rewrites and tag update; tables whose entries
 // do not carry the current tag are skipped. The lookup hits iff a terminal
-// entry fires.
-//
-// Result.Path aliases a buffer owned by the cache and is only valid until
-// the next Lookup; callers that need to keep it must copy. The cache is
-// single-goroutine by design (the paper dedicates one core to the
-// slowpath), so the shared buffer is safe.
-//
-//gf:hotpath
-func (c *Cache) Lookup(k flow.Key, now int64) (r Result) {
-	c.result(&k, now, &c.stats, &r)
-	return r
-}
-
-// result runs one lookup and reports it in *r, built in place, for the
-// callers that want the by-value form.
-//
-//gf:hotpath
-func (c *Cache) result(k *flow.Key, now int64, s *Stats, r *Result) {
-	r.Verdict, r.Hit = c.find(k, now, s, &r.Final)
-	if !r.Hit {
-		r.Final = flow.Key{}
-	}
-	r.Path = c.path
-}
-
-// Find is Lookup in the datapath's form: the key is read in place and
-// copied once, into *final, where every matched commit rewrites it. On a
-// hit *final is the flow state after all matched commits; on a miss it is
-// the flow state after the matched prefix, which Stall then describes.
+// entry fires. The key is read in place and copied once, into *final,
+// where every matched commit rewrites it. On a hit *final is the flow
+// state after all matched commits; on a miss it is the flow state after
+// the matched prefix, which Stall then describes.
 //
 //gf:hotpath
 func (c *Cache) Find(k *flow.Key, now int64, final *flow.Key) (flow.Verdict, bool) {
@@ -622,9 +581,12 @@ func (c *Cache) Tier() telemetry.Tier { return telemetry.TierGigaflow }
 
 // BatchLookup accumulates the cache-wide lookup counters (hits, misses,
 // stalls, probe totals) locally so a packet batch updates Stats once, in
-// Flush, instead of once per packet. Results alias the same cache-owned
-// Path buffer as Lookup. The zero value is a no-op accumulator whose
-// Lookup must not be called; obtain usable values from Cache.BatchLookup.
+// Flush, instead of once per packet. A Result's Path aliases a buffer
+// owned by the cache, valid only until the next lookup; the cache is
+// single-goroutine by design (the paper dedicates one core to the
+// slowpath), so the shared buffer is safe. The zero value is a no-op
+// accumulator whose Lookup must not be called; obtain usable values from
+// Cache.BatchLookup.
 type BatchLookup struct {
 	c     *Cache
 	delta Stats
@@ -633,11 +595,15 @@ type BatchLookup struct {
 // BatchLookup starts a batched lookup sequence against c.
 func (c *Cache) BatchLookup() BatchLookup { return BatchLookup{c: c} }
 
-// Lookup is Cache.Lookup with counters deferred to Flush.
+// Lookup is one lookup (Find's walk, reported as a Result) with counters
+// deferred to Flush.
 //
 //gf:hotpath
 func (b *BatchLookup) Lookup(k flow.Key, now int64) (r Result) {
-	b.c.result(&k, now, &b.delta, &r)
+	if r.Verdict, r.Hit = b.c.find(&k, now, &b.delta, &r.Final); !r.Hit {
+		r.Final = flow.Key{}
+	}
+	r.Path = b.c.path
 	return r
 }
 
@@ -656,25 +622,6 @@ func (b *BatchLookup) Flush() {
 	b.delta = Stats{}
 }
 
-// Peek is Lookup without statistics or LRU side effects.
-func (c *Cache) Peek(k flow.Key) Result {
-	slot := c.startSlot
-	var path []*Entry
-	for _, t := range c.tables {
-		e, _ := t.lookup(slot, &k)
-		if e == nil {
-			continue
-		}
-		path = append(path, e)
-		e.Commit.Apply(&k)
-		if e.Terminal {
-			return Result{Hit: true, Verdict: e.Verdict, Final: k, Path: path}
-		}
-		slot = e.nextSlot
-	}
-	return Result{Path: path}
-}
-
 // candidate is one sub-traversal compiled to rule form in scratch: what
 // installation probes the target table with before it decides whether an
 // Entry has to exist, and what revalidation compares a resident entry
@@ -690,14 +637,14 @@ type candidate struct {
 
 	// old is the resident entry holding this predicate in the target table
 	// (nil when none) and shared whether it is behaviourally identical, so
-	// that nothing needs installing; the probe half of InsertPartition
+	// that nothing needs installing; the probe half of insertPartition
 	// fills them.
 	old    *Entry
 	shared bool
 }
 
 // compose compiles Steps[seg] of tr into the candidate. tr may be a
-// partial traversal (ProcessPartial): a range ending where it stopped
+// partial traversal (ProcessPartialInto): a range ending where it stopped
 // continues at its NextTable.
 //
 //gf:hotpath
@@ -761,7 +708,7 @@ func (cd *candidate) materialise(tr *pipeline.Traversal, seg Segment, now int64)
 // Returns the entries now backing the traversal, or an error when the
 // traversal cannot be partitioned. The returned slice aliases a buffer
 // the cache owns and, like Result.Path, is valid only until the next
-// Insert or InsertPartition; the traversal is only read, and may be
+// Insert or insertPartition; the traversal is only read, and may be
 // refilled as soon as Insert returns.
 //
 // With Config.Adaptive set and the recent sharing rate degraded, the
@@ -835,16 +782,9 @@ func (c *Cache) Stall() (next, table, span int) {
 	return last.NextTag, table, span
 }
 
-// InsertPartition installs a traversal under an explicit partition
-// (segment j goes to table j). Only tests call it, to pin a partition;
-// Fig. 16 compares its schemes through sim.Config's Cache.Scheme. The
-// result aliases the same cache-owned buffer as Insert's.
-func (c *Cache) InsertPartition(tr *pipeline.Traversal, part Partition, now int64) ([]*Entry, error) {
-	return c.insertPartition(tr, part, 0, now)
-}
-
-// insertPartition is InsertPartition with segment j going to table
-// table+j; table must name a table.
+// insertPartition installs a traversal under an explicit partition, with
+// segment j going to table table+j; table must name a table. The result
+// aliases the same cache-owned buffer as Insert's.
 //
 // Installation probes before it builds: every segment is composed into
 // scratch and looked up in its table, and an Entry is allocated only for
@@ -885,7 +825,7 @@ func (c *Cache) insertPartition(tr *pipeline.Traversal, part Partition, table in
 	if c.adapt != nil && c.observeInsert {
 		c.adapt.observe(reused, len(part))
 	}
-	c.observeInsert = false // consumed; direct InsertPartition calls never observe
+	c.observeInsert = false // consumed; direct insertPartition calls never observe
 	return c.installed, nil
 }
 

@@ -29,6 +29,24 @@ func buildChainPipeline() *pipeline.Pipeline {
 	return p
 }
 
+// lookup runs one counted lookup as a batch of one and reports it with
+// its matched path.
+func lookup(c *Cache, k flow.Key, now int64) Result {
+	b := c.BatchLookup()
+	defer b.Flush()
+	return b.Lookup(k, now)
+}
+
+// tableIndex reports which LTM table holds e, or -1 for an entry not
+// currently installed — never installed, or since evicted, expired,
+// revoked or replaced.
+func tableIndex(e *Entry) int {
+	if e.table == nil {
+		return -1
+	}
+	return e.table.idx
+}
+
 func chainKey(mac, ipLow, sport uint64) flow.Key {
 	return flow.Key{}.
 		With(flow.FieldEthDst, mac).
@@ -48,7 +66,7 @@ func TestInsertAndExactHit(t *testing.T) {
 	if len(entries) != 3 {
 		t.Fatalf("installed %d entries, want 3 (disjoint singletons)", len(entries))
 	}
-	res := c.Lookup(k, 1)
+	res := lookup(c, k, 1)
 	if !res.Hit {
 		t.Fatal("expected hit")
 	}
@@ -72,7 +90,7 @@ func TestWildcardHitWithinMegaflow(t *testing.T) {
 	c := New(p, Config{NumTables: 3, TableCapacity: 16})
 	c.Insert(p.MustProcess(chainKey(1, 5, 1000)), 0)
 	// Different host in the same /24: every sub-traversal is shared.
-	res := c.Lookup(chainKey(1, 77, 1000), 1)
+	res := lookup(c, chainKey(1, 77, 1000), 1)
 	if !res.Hit || res.Verdict.Port != 1 {
 		t.Fatalf("res = %+v", res)
 	}
@@ -90,7 +108,7 @@ func TestCrossProductPurplePath(t *testing.T) {
 	c.Insert(p.MustProcess(b), 0)
 
 	purple := chainKey(1, 0x10000+99, 2000) // A's MAC, B's /24, B's port
-	res := c.Lookup(purple, 1)
+	res := lookup(c, purple, 1)
 	if !res.Hit {
 		t.Fatal("cross-product flow must hit")
 	}
@@ -146,14 +164,14 @@ func TestLTMPicksLongestSpan(t *testing.T) {
 	c := New(p, Config{NumTables: 3, TableCapacity: 16})
 	a := chainKey(1, 5, 1000)
 	tr := p.MustProcess(a)
-	if _, err := c.InsertPartition(tr, Partition{{0, 2}, {2, 3}}, 0); err != nil {
+	if _, err := c.insertPartition(tr, Partition{{0, 2}, {2, 3}}, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	tr2 := p.MustProcess(chainKey(1, 6, 1000))
-	if _, err := c.InsertPartition(tr2, Partition{{0, 3}}, 0); err != nil {
+	if _, err := c.insertPartition(tr2, Partition{{0, 3}}, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	res := c.Lookup(chainKey(1, 7, 1000), 1)
+	res := lookup(c, chainKey(1, 7, 1000), 1)
 	if !res.Hit || res.Verdict.Port != 1 {
 		t.Fatalf("res = %+v", res)
 	}
@@ -169,18 +187,18 @@ func TestTagSkipAcrossTables(t *testing.T) {
 	c := New(p, Config{NumTables: 3, TableCapacity: 16})
 
 	a := p.MustProcess(chainKey(1, 5, 1000))
-	if _, err := c.InsertPartition(a, Partition{{0, 1}, {1, 2}, {2, 3}}, 0); err != nil {
+	if _, err := c.insertPartition(a, Partition{{0, 1}, {1, 2}, {2, 3}}, 0, 0); err != nil {
 		t.Fatal(err) // A's tp_src=1000 segment lands in GF2 with tag 2
 	}
 	b := p.MustProcess(chainKey(1, 6, 2000))
-	if _, err := c.InsertPartition(b, Partition{{0, 2}, {2, 3}}, 0); err != nil {
+	if _, err := c.insertPartition(b, Partition{{0, 2}, {2, 3}}, 0, 0); err != nil {
 		t.Fatal(err) // B's [L2,L3] segment (ρ=2) in GF0, tp_src=2000 in GF1
 	}
 
 	// X matches B's ρ=2 GF0 entry (beats A's ρ=1), then misses B's GF1
 	// entry (tp_src differs), and must skip to A's GF2 entry via the tag.
 	x := chainKey(1, 9, 1000)
-	res := c.Lookup(x, 1)
+	res := lookup(c, x, 1)
 	if !res.Hit || res.Verdict.Port != 1 {
 		t.Fatalf("res = %+v", res)
 	}
@@ -201,11 +219,11 @@ func TestStallIsAMiss(t *testing.T) {
 	p := buildChainPipeline()
 	c := New(p, Config{NumTables: 3, TableCapacity: 16})
 	b := p.MustProcess(chainKey(1, 6, 2000))
-	if _, err := c.InsertPartition(b, Partition{{0, 2}, {2, 3}}, 0); err != nil {
+	if _, err := c.insertPartition(b, Partition{{0, 2}, {2, 3}}, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Matches B's GF0 segment but nothing completes the chain.
-	res := c.Lookup(chainKey(1, 9, 1000), 1)
+	res := lookup(c, chainKey(1, 9, 1000), 1)
 	if res.Hit {
 		t.Fatal("stalled chain must be a miss")
 	}
@@ -228,15 +246,15 @@ func TestStallIsAMiss(t *testing.T) {
 	if next != 2 || table != 1 || span != 2 || final != x {
 		t.Fatalf("Stall() = %d, %d, %d with key %s; want 2, 1, 2 with %s", next, table, span, final, x)
 	}
-	suffix, err := p.ProcessPartial(next, final, p.MaxSteps-span)
-	if err != nil {
+	var suffix pipeline.Traversal
+	if err := p.ProcessPartialInto(&suffix, next, &final, p.MaxSteps-span); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := c.Install(suffix, table, 3); !ok {
+	if ok, _ := c.Install(&suffix, table, 3); !ok {
 		t.Fatal("the suffix did not go in")
 	}
-	res = c.Lookup(x, 4)
-	if full := p.MustProcess(x); !res.Hit || len(res.Path) != 2 || res.Path[1].TableIndex() != 1 ||
+	res = lookup(c, x, 4)
+	if full := p.MustProcess(x); !res.Hit || len(res.Path) != 2 || tableIndex(res.Path[1]) != 1 ||
 		res.Verdict != full.Verdict || res.Final != full.FinalKey() {
 		t.Fatalf("after the suffix install: %+v; the walk says %v, %s", res, full.Verdict, full.FinalKey())
 	}
@@ -246,10 +264,10 @@ func TestStallIsAMiss(t *testing.T) {
 
 	// Adaptive mode places no suffix.
 	c = New(p, Config{NumTables: 3, TableCapacity: 16, Adaptive: true})
-	if _, err := c.InsertPartition(b, Partition{{0, 2}, {2, 3}}, 0); err != nil {
+	if _, err := c.insertPartition(b, Partition{{0, 2}, {2, 3}}, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if c.Lookup(x, 1).Hit {
+	if lookup(c, x, 1).Hit {
 		t.Fatal("stalled chain must be a miss")
 	}
 	if _, _, span := c.Stall(); span != 0 {
@@ -260,7 +278,7 @@ func TestStallIsAMiss(t *testing.T) {
 func TestMissLeavesNoTrace(t *testing.T) {
 	p := buildChainPipeline()
 	c := New(p, Config{NumTables: 3, TableCapacity: 16})
-	res := c.Lookup(chainKey(1, 5, 1000), 0)
+	res := lookup(c, chainKey(1, 5, 1000), 0)
 	if res.Hit || len(res.Path) != 0 {
 		t.Fatalf("res = %+v", res)
 	}
@@ -284,10 +302,10 @@ func TestLRUEviction(t *testing.T) {
 	if c.Stats().EvictLRU != 3 {
 		t.Errorf("EvictLRU = %d", c.Stats().EvictLRU)
 	}
-	if res := c.Lookup(chainKey(1, 5, 1000), 2); res.Hit {
+	if res := lookup(c, chainKey(1, 5, 1000), 2); res.Hit {
 		t.Error("evicted flow still hits")
 	}
-	if res := c.Lookup(chainKey(2, 0x10000+5, 2000), 2); !res.Hit {
+	if res := lookup(c, chainKey(2, 0x10000+5, 2000), 2); !res.Hit {
 		t.Error("new flow should hit")
 	}
 }
@@ -298,16 +316,16 @@ func TestExpireIdleSelective(t *testing.T) {
 	c.Insert(p.MustProcess(chainKey(1, 5, 1000)), 0)
 	c.Insert(p.MustProcess(chainKey(1, 6, 2000)), 0) // shares GF0+GF1
 	// Keep the first flow's chain warm.
-	c.Lookup(chainKey(1, 5, 1000), 100)
+	lookup(c, chainKey(1, 5, 1000), 100)
 	// Only the tp_src=2000 sub-traversal is stale: selective eviction.
 	n := c.ExpireIdle(150, 100)
 	if n != 1 {
 		t.Fatalf("expired %d, want 1", n)
 	}
-	if res := c.Lookup(chainKey(1, 5, 1000), 151); !res.Hit {
+	if res := lookup(c, chainKey(1, 5, 1000), 151); !res.Hit {
 		t.Error("warm chain must survive")
 	}
-	if res := c.Lookup(chainKey(1, 6, 2000), 151); res.Hit {
+	if res := lookup(c, chainKey(1, 6, 2000), 151); res.Hit {
 		t.Error("stale sub-traversal should be gone")
 	}
 }
@@ -344,15 +362,15 @@ func TestRevalidationSelective(t *testing.T) {
 	if work == 0 {
 		t.Error("revalidation must do work after a version bump")
 	}
-	if res := c.Peek(chainKey(1, 5, 1000)); !res.Hit || res.Verdict.Port != 1 {
+	if res := lookup(c, chainKey(1, 5, 1000), 0); !res.Hit || res.Verdict.Port != 1 {
 		t.Error("unaffected chain must survive")
 	}
-	if res := c.Peek(chainKey(1, 6, 2000)); res.Hit {
+	if res := lookup(c, chainKey(1, 6, 2000), 0); res.Hit {
 		t.Error("stale chain must not hit")
 	}
 	// Reinsert after slowpath reprocessing: new verdict visible.
 	c.Insert(p.MustProcess(chainKey(1, 6, 2000)), 1)
-	if res := c.Peek(chainKey(1, 6, 2000)); !res.Hit || res.Verdict.Port != 9 {
+	if res := lookup(c, chainKey(1, 6, 2000), 0); !res.Hit || res.Verdict.Port != 9 {
 		t.Errorf("res = %+v", res)
 	}
 }
@@ -395,7 +413,7 @@ func TestCoverageGrowsMultiplicatively(t *testing.T) {
 	for _, mac := range []uint64{1, 2} {
 		for _, ip := range []uint64{7, 0x10000 + 7} {
 			for _, port := range []uint64{1000, 2000} {
-				if res := c.Peek(chainKey(mac, ip, port)); res.Hit {
+				if res := lookup(c, chainKey(mac, ip, port), 0); res.Hit {
 					hits++
 				}
 			}
@@ -430,7 +448,7 @@ func TestHitSoundnessRandomized(t *testing.T) {
 		c := New(p, Config{NumTables: 4, TableCapacity: 4096, Scheme: scheme, Seed: 9})
 		for i := 0; i < 1500; i++ {
 			k := randomChainKey(rng)
-			if res := c.Lookup(k, int64(i)); res.Hit {
+			if res := lookup(c, k, int64(i)); res.Hit {
 				tr := p.MustProcess(k)
 				if res.Verdict != tr.Verdict || res.Final != tr.FinalKey() {
 					t.Fatalf("scheme %v: hit diverges for %s: cache %v/%s slow %v/%s",
@@ -505,13 +523,13 @@ func TestEntryString(t *testing.T) {
 			t.Error("empty entry string")
 		}
 	}
-	if c.TableLen(0) != 1 || c.Capacity() != 48 || c.NumTables() != 3 {
+	if c.tables[0].count != 1 || c.Capacity() != 48 || c.NumTables() != 3 {
 		t.Error("accessors wrong")
 	}
 	if len(c.Entries(0)) != 1 {
 		t.Error("Entries(0) wrong")
 	}
-	if c.Config().TableCapacity != 16 {
+	if c.cfg.TableCapacity != 16 {
 		t.Error("Config() wrong")
 	}
 }
@@ -556,14 +574,11 @@ func TestArbitraryTableIDs(t *testing.T) {
 				for _, sport := range []uint64{1000, 2000} {
 					now++
 					k := chainKey(mac, ip, sport)
-					r := c.Lookup(k, now)
+					r := lookup(c, k, now)
 					if tr := p.MustProcess(k); !r.Hit && tr.Verdict.Terminal() {
 						if _, err := c.Insert(tr, now); err != nil {
 							t.Fatalf("ids %d/%d/%d: insert: %v", l2, l3, l4, err)
 						}
-					}
-					if pk := c.Peek(k); pk.Hit != c.Lookup(k, now).Hit {
-						t.Fatalf("ids %d/%d/%d: Peek and Lookup disagree", l2, l3, l4)
 					}
 					r.Path = nil // entry pointers differ between runs
 					o.results = append(o.results, r)
@@ -616,15 +631,15 @@ func TestStaleRemoveLeavesReplacementAlone(t *testing.T) {
 	}
 	a, b, d := chainKey(1, 5, 1000), chainKey(2, 5, 1000), chainKey(1, 0x10005, 2000)
 	stale := insert(a, 1)
-	if stale.TableIndex() != 0 {
-		t.Fatalf("resident entry reports table %d", stale.TableIndex())
+	if tableIndex(stale) != 0 {
+		t.Fatalf("resident entry reports table %d", tableIndex(stale))
 	}
 	insert(b, 2)
 	insert(d, 3) // table full: evicts a's entry, the LRU tail
-	if stale.TableIndex() != -1 {
-		t.Fatalf("evicted entry still reports table %d, want -1", stale.TableIndex())
+	if tableIndex(stale) != -1 {
+		t.Fatalf("evicted entry still reports table %d, want -1", tableIndex(stale))
 	}
-	if c.Lookup(a, 4).Hit {
+	if lookup(c, a, 4).Hit {
 		t.Fatal("a's entry should be gone")
 	}
 	live := insert(a, 5) // the same predicate again, a fresh entry (evicts b's)
@@ -638,7 +653,7 @@ func TestStaleRemoveLeavesReplacementAlone(t *testing.T) {
 	if got := c.Stats(); got != before {
 		t.Errorf("stale Remove moved the counters:\n got %+v\nwant %+v", got, before)
 	}
-	if live.TableIndex() != 0 || !c.Lookup(a, 6).Hit {
+	if tableIndex(live) != 0 || !lookup(c, a, 6).Hit {
 		t.Error("stale Remove took the live replacement out of the table")
 	}
 	// The table must keep evicting for real.
@@ -658,16 +673,16 @@ func TestStaleRemoveLeavesReplacementAlone(t *testing.T) {
 	live = insert(a, 50)
 	c.Remove(live)
 	c.Remove(live)
-	if c.Stats().CtInvalid != 1 || live.TableIndex() != -1 {
-		t.Errorf("double Remove: CtInvalid %d, table %d", c.Stats().CtInvalid, live.TableIndex())
+	if c.Stats().CtInvalid != 1 || tableIndex(live) != -1 {
+		t.Errorf("double Remove: CtInvalid %d, table %d", c.Stats().CtInvalid, tableIndex(live))
 	}
 	gone := c.AllEntries()
 	if n := c.ExpireIdle(1000, 1); n != len(gone) {
 		t.Fatalf("ExpireIdle removed %d of %d", n, len(gone))
 	}
 	for _, e := range gone {
-		if e.TableIndex() != -1 {
-			t.Errorf("expired entry reports table %d", e.TableIndex())
+		if tableIndex(e) != -1 {
+			t.Errorf("expired entry reports table %d", tableIndex(e))
 		}
 		c.Remove(e)
 	}
@@ -676,7 +691,7 @@ func TestStaleRemoveLeavesReplacementAlone(t *testing.T) {
 	}
 	revoked := insert(a, 2000)
 	p.MustAddRule(0, flow.MustParseMatch("eth_dst=00:00:00:00:00:01"), 20, []flow.Action{flow.Drop()}, pipeline.NoTable)
-	if n, _ := c.Revalidate(); n != 1 || revoked.TableIndex() != -1 {
-		t.Errorf("Revalidate revoked %d, entry reports table %d", n, revoked.TableIndex())
+	if n, _ := c.Revalidate(); n != 1 || tableIndex(revoked) != -1 {
+		t.Errorf("Revalidate revoked %d, entry reports table %d", n, tableIndex(revoked))
 	}
 }

@@ -108,33 +108,10 @@ func cohesive(acc, next flow.FieldSet) bool {
 	return acc.Empty() || next.Empty() || acc.Overlaps(next)
 }
 
-// SegmentScore implements the §4.2.2 scoring rule: a sub-traversal whose
-// tables share match fields (chain-overlapping, i.e. it never crosses a
-// disjoint-field boundary) scores its length; one combining disjoint field
-// sets scores 0.
-func SegmentScore(fields []flow.FieldSet, s Segment) int {
-	acc := fields[s.Start]
-	for i := s.Start + 1; i < s.End; i++ {
-		if !cohesive(acc, fields[i]) {
-			return 0
-		}
-		acc = acc.Union(fields[i])
-	}
-	return s.Len()
-}
-
-// PartitionScore is the sum of SegmentScore over the partition.
-func PartitionScore(fields []flow.FieldSet, p Partition) int {
-	total := 0
-	for _, s := range p {
-		total += SegmentScore(fields, s)
-	}
-	return total
-}
-
 // DisjointPartition computes the optimal partition of a traversal with the
 // given per-step field sets into at most maxSegments sub-traversals,
-// maximising PartitionScore with ties broken toward fewer segments (longer
+// maximising the §4.2.2 score — the summed length of the cohesive
+// segments — with ties broken toward fewer segments (longer
 // sub-traversals need fewer cache entries, §4.2.2). Dynamic program over
 // (steps consumed, segments used); O(N²·K) worst case with N ≤ MaxSteps.
 func DisjointPartition(fields []flow.FieldSet, maxSegments int) Partition {

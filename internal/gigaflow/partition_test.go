@@ -16,6 +16,31 @@ var (
 	fSTP  = flow.NewFieldSet(flow.FieldTpSrc)
 )
 
+// SegmentScore is the §4.2.2 scoring rule, the spec the partitioners'
+// dynamic programme is checked against: a sub-traversal whose tables
+// share match fields (chain-overlapping, i.e. it never crosses a
+// disjoint-field boundary) scores its length; one combining disjoint field
+// sets scores 0.
+func SegmentScore(fields []flow.FieldSet, s Segment) int {
+	acc := fields[s.Start]
+	for i := s.Start + 1; i < s.End; i++ {
+		if !cohesive(acc, fields[i]) {
+			return 0
+		}
+		acc = acc.Union(fields[i])
+	}
+	return s.Len()
+}
+
+// PartitionScore is the sum of SegmentScore over the partition.
+func PartitionScore(fields []flow.FieldSet, p Partition) int {
+	total := 0
+	for _, s := range p {
+		total += SegmentScore(fields, s)
+	}
+	return total
+}
+
 func TestAnalysisFieldsExcludesGlue(t *testing.T) {
 	if AnalysisFields.Contains(flow.FieldEthType) || AnalysisFields.Contains(flow.FieldMeta) {
 		t.Errorf("AnalysisFields must exclude eth_type and metadata: %v", AnalysisFields)

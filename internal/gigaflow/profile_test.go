@@ -13,7 +13,7 @@ func TestProfilePartitionPrefersResidentSegments(t *testing.T) {
 	// [L4]. Plain disjoint DP would split all three stages (they are
 	// pairwise disjoint, singletons score higher).
 	trA := p.MustProcess(chainKey(1, 5, 1000))
-	if _, err := c.InsertPartition(trA, Partition{{0, 2}, {2, 3}}, 0); err != nil {
+	if _, err := c.insertPartition(trA, Partition{{0, 2}, {2, 3}}, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 2 {
@@ -60,7 +60,7 @@ func TestProfilePartitionFallsBackToDisjoint(t *testing.T) {
 		t.Fatalf("cold profile partition (%d segs) differs from DP (%d segs)", len(ep), len(ed))
 	}
 	for i := range ep {
-		if !ep[i].Match.Equal(ed[i].Match) || ep[i].Tag != ed[i].Tag {
+		if !ep[i].Match.EqualTo(&ed[i].Match) || ep[i].Tag != ed[i].Tag {
 			t.Errorf("segment %d differs: %v vs %v", i, ep[i], ed[i])
 		}
 	}
@@ -74,7 +74,7 @@ func TestProfileHitSoundness(t *testing.T) {
 	c := New(p, Config{NumTables: 4, TableCapacity: 4096, Scheme: SchemeProfile})
 	for i := 0; i < 1200; i++ {
 		k := randomChainKey(rng)
-		if res := c.Lookup(k, int64(i)); res.Hit {
+		if res := lookup(c, k, int64(i)); res.Hit {
 			tr := p.MustProcess(k)
 			if res.Verdict != tr.Verdict || res.Final != tr.FinalKey() {
 				t.Fatalf("profile-scheme hit diverges for %s", k)
@@ -102,7 +102,7 @@ func TestProfileReducesEntriesVsDP(t *testing.T) {
 		rng := rand.New(rand.NewSource(79))
 		for i := 0; i < 3000; i++ {
 			k := randomChainKey(rng)
-			if res := c.Lookup(k, int64(i)); !res.Hit {
+			if res := lookup(c, k, int64(i)); !res.Hit {
 				c.Insert(p.MustProcess(k), int64(i))
 			}
 		}

@@ -16,7 +16,7 @@ func BenchmarkCacheLookupHit(b *testing.B) {
 	keys := make([]flow.Key, 256)
 	for i := range keys {
 		k := diffKey(rng)
-		if _, ok := c.Peek(k); !ok {
+		if ok := peek(c, k); !ok {
 			c.Insert(p.MustProcess(k), 0)
 		}
 		keys[i] = k
@@ -24,7 +24,7 @@ func BenchmarkCacheLookupHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := c.Lookup(keys[i%len(keys)], int64(i)); !ok {
+		if _, ok := lookup(c, keys[i%len(keys)], int64(i)); !ok {
 			b.Fatal("miss")
 		}
 	}

@@ -43,7 +43,7 @@ func scanMatch(t *testing.T, entries []*Entry, k flow.Key) *Entry {
 	t.Helper()
 	var found *Entry
 	for _, e := range entries {
-		if e.Match.Matches(k) {
+		if e.Match.MatchesKey(&k) {
 			if found != nil {
 				t.Fatalf("disjointness violated: key %s matches %v and %v", k, found.Match, e.Match)
 			}
@@ -67,12 +67,12 @@ func TestDifferentialAgainstLinearScan(t *testing.T) {
 		var now int64
 		for step := 0; step < 4000; step++ {
 			now++
-			resident := c.Entries()
+			resident := entries(c)
 			switch op := rng.Intn(30); {
 			case op < 24: // lookup; install the traversal on a miss
 				k := diffKey(rng)
 				want := scanMatch(t, resident, k)
-				e, ok := c.Lookup(k, now)
+				e, ok := lookup(c, k, now)
 				if ok != (want != nil) || e != want {
 					t.Fatalf("seed %d step %d: Lookup(%s) = (%v,%v), linear scan %v",
 						seed, step, k, e, ok, want)
@@ -82,7 +82,7 @@ func TestDifferentialAgainstLinearScan(t *testing.T) {
 				} else {
 					shadow.Misses++
 					tr := p.MustProcess(k)
-					if len(resident) >= c.Capacity() {
+					if len(resident) >= c.capacity {
 						shadow.EvictLRU++
 					}
 					if ent := c.Insert(tr, now); ent == nil {
@@ -90,7 +90,7 @@ func TestDifferentialAgainstLinearScan(t *testing.T) {
 					}
 					shadow.Inserts++
 					// The fresh entry must win an immediate re-scan.
-					if got := scanMatch(t, c.Entries(), k); got == nil {
+					if got := scanMatch(t, entries(c), k); got == nil {
 						t.Fatalf("seed %d step %d: inserted megaflow does not cover %s", seed, step, k)
 					}
 				}
@@ -122,7 +122,7 @@ func TestDifferentialAgainstLinearScan(t *testing.T) {
 				t.Fatalf("seed %d step %d: stats %+v, shadow %+v", seed, step, st, shadow)
 			}
 			masks := map[flow.Mask]bool{}
-			for _, e := range c.Entries() {
+			for _, e := range entries(c) {
 				masks[e.Match.Mask] = true
 			}
 			if c.NumMasks() != len(masks) {

@@ -60,15 +60,6 @@ type Stats struct {
 	CtInvalid uint64 `json:"ct_invalid"` // removed by conntrack epoch invalidation
 }
 
-// HitRate returns Hits / (Hits+Misses), or 0 when idle.
-func (s *Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // Cache is a capacity-bounded megaflow cache.
 type Cache struct {
 	capacity int
@@ -93,9 +84,6 @@ func New(capacity int) *Cache {
 // Len reports the number of cached entries.
 func (c *Cache) Len() int { return c.cls.Len() }
 
-// Capacity reports the entry limit.
-func (c *Cache) Capacity() int { return c.capacity }
-
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
@@ -103,9 +91,9 @@ func (c *Cache) Stats() Stats { return c.stats }
 // is proportional to it.
 func (c *Cache) NumMasks() int { return c.cls.NumTuples() }
 
-// TupleProbes reports the cumulative TSS tuple probes of every counted
-// lookup (Peek is not one) — the software search work a CPU-resident
-// cache would spend (Fig. 17's TSS cost).
+// TupleProbes reports the cumulative TSS tuple probes of every lookup —
+// the software search work a CPU-resident cache would spend (Fig. 17's
+// TSS cost).
 func (c *Cache) TupleProbes() uint64 { return c.probes }
 
 // Snapshot bundles the cache's counters and occupancy for telemetry
@@ -157,16 +145,9 @@ func (c *Cache) Tier() telemetry.Tier { return telemetry.TierMegaflow }
 // traversal per entry, so the entry count.
 func (c *Cache) Coverage() uint64 { return uint64(c.Len()) }
 
-// Lookup finds the entry matching k, updating hit/miss statistics and LRU
-// position. The second result reports whether the lookup hit.
-//
-//gf:hotpath
-func (c *Cache) Lookup(k flow.Key, now int64) (*Entry, bool) {
-	return c.lookupStats(&k, now, &c.stats)
-}
-
-// lookupStats is the Lookup body with its counter destination injected:
-// &c.stats for single lookups, a batch-local accumulator for BatchLookup.
+// lookupStats finds the entry matching k, updating hit/miss statistics
+// and LRU position, with its counter destination injected: &c.stats for
+// single lookups, a batch-local accumulator for BatchLookup.
 // Entry hit counts and LRU position always update per packet; only the
 // cache-wide counters are redirected.
 //
@@ -185,9 +166,9 @@ func (c *Cache) lookupStats(k *flow.Key, now int64, s *Stats) (*Entry, bool) {
 	return ent, true
 }
 
-// Find is Lookup in the datapath's form: the key is read in place and, on
-// a hit, the matched entry applied to a copy of it in *final; on a miss
-// *final is left alone.
+// Find looks k up in the datapath's form: the key is read in place and,
+// on a hit, the matched entry applied to a copy of it in *final; on a
+// miss *final is left alone.
 //
 //gf:hotpath
 func (c *Cache) Find(k *flow.Key, now int64, final *flow.Key) (flow.Verdict, bool) {
@@ -212,7 +193,7 @@ type BatchLookup struct {
 // BatchLookup starts a batched lookup sequence against c.
 func (c *Cache) BatchLookup() BatchLookup { return BatchLookup{c: c} }
 
-// Lookup is Cache.Lookup with counters deferred to Flush.
+// Lookup finds the entry matching k, with counters deferred to Flush.
 //
 //gf:hotpath
 func (b *BatchLookup) Lookup(k flow.Key, now int64) (*Entry, bool) {
@@ -228,15 +209,6 @@ func (b *BatchLookup) Flush() {
 	b.c.stats.Hits += b.delta.Hits
 	b.c.stats.Misses += b.delta.Misses
 	b.delta = Stats{}
-}
-
-// Peek is Lookup without statistics or LRU side effects.
-func (c *Cache) Peek(k flow.Key) (*Entry, bool) {
-	e, _ := c.cls.Lookup(k)
-	if e == nil {
-		return nil, false
-	}
-	return e.Value, true
 }
 
 // Apply executes a cached entry against a key.
@@ -363,13 +335,6 @@ func (c *Cache) Revalidate(p *pipeline.Pipeline) (evicted int, work int) {
 // interface gives it (the Gigaflow cache's Revalidate takes no pipeline).
 func (c *Cache) RevalidateAgainst(p *pipeline.Pipeline) (evicted, work int) {
 	return c.Revalidate(p)
-}
-
-// Entries returns all cached entries in unspecified order.
-func (c *Cache) Entries() []*Entry {
-	out := make([]*Entry, 0, c.cls.Len())
-	c.cls.Range(func(e *tss.Entry[*Entry]) bool { out = append(out, e.Value); return true })
-	return out
 }
 
 // --- LRU list maintenance ---

@@ -40,7 +40,7 @@ func BenchmarkLookupHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := c.Lookup(hits[i%len(hits)], int64(i)); !ok {
+		if _, ok := find(c, hits[i%len(hits)], int64(i)); !ok {
 			b.Fatal("miss")
 		}
 	}
@@ -54,7 +54,7 @@ func BenchmarkLookupMiss(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := c.Lookup(misses[i%len(misses)], int64(i)); ok {
+		if _, ok := find(c, misses[i%len(misses)], int64(i)); ok {
 			b.Fatal("unexpected hit")
 		}
 	}
@@ -79,10 +79,10 @@ func BenchmarkInsertThrash(b *testing.B) {
 		k := &keys[i%len(keys)]
 		c.Insert(*k, *k, v, int64(i))
 		if i%(thrashRatio/4) == 0 {
-			c.Lookup(*k, int64(i))
+			find(c, *k, int64(i))
 		}
 	}
-	if st := c.Stats(); st.EvictLRU != uint64(b.N) || st.Bypassed != 0 {
+	if st := c.stats; st.EvictLRU != uint64(b.N) || st.Bypassed != 0 {
 		b.Fatalf("%d evictions and %d declined in %d inserts", st.EvictLRU, st.Bypassed, b.N)
 	}
 }
@@ -109,7 +109,7 @@ func BenchmarkBypassedPacket(b *testing.B) {
 		}
 		c.Memoize(k, k, v, int64(i))
 	}
-	if got := c.Stats().Bypassed; got != uint64(b.N) {
+	if got := c.stats.Bypassed; got != uint64(b.N) {
 		b.Fatalf("%d declined in %d requests", got, b.N)
 	}
 }

@@ -231,8 +231,8 @@ func checkAgainst(t testing.TB, got *Cache, ref *refCache) {
 	if got.Len() != len(ref.entries) {
 		t.Fatalf("Len=%d ref=%d", got.Len(), len(ref.entries))
 	}
-	if got.Stats() != ref.stats {
-		t.Fatalf("stats %+v ref %+v", got.Stats(), ref.stats)
+	if got.stats != ref.stats {
+		t.Fatalf("stats %+v ref %+v", got.stats, ref.stats)
 	}
 	if g, r := got.Snapshot().Bypassing, ref.det.declining > 0; g != r {
 		t.Fatalf("bypassing=%v ref=%v (stats %+v)", g, r, ref.stats)
@@ -320,7 +320,7 @@ func runOpTape(t testing.TB, tape []byte) refDetector {
 		switch op % 16 {
 		case 0, 1, 2, 3, 4, 5:
 			k := key()
-			ge, gok := got.Lookup(k, now)
+			ge, gok := find(got, k, now)
 			re, rok := ref.Lookup(k, now)
 			if gok != rok || gok && !sameEntry(ge, re) {
 				t.Fatalf("step %d: Lookup(%v) = %+v, %v; ref %+v, %v", step, k, ge, gok, re, rok)

@@ -32,7 +32,7 @@ import (
 
 // Entry is one exact-match cache entry: the memoized result of processing
 // a specific flow signature. The cache owns the storage and reuses it
-// after the entry is evicted or removed; a pointer obtained from Lookup
+// after the entry is evicted or removed; a pointer obtained from Find
 // or Insert is good until the next call that can evict (Insert, InsertCt)
 // or remove (Remove, ExpireIdle, Invalidate).
 type Entry struct {
@@ -170,12 +170,6 @@ func New(capacity int) *Cache {
 // Len reports the number of cached entries.
 func (c *Cache) Len() int { return c.count }
 
-// Capacity reports the entry limit.
-func (c *Cache) Capacity() int { return c.capacity }
-
-// Stats returns a snapshot of the counters.
-func (c *Cache) Stats() Stats { return c.stats }
-
 // Snapshot captures the cache's current telemetry view.
 func (c *Cache) Snapshot() Snapshot {
 	return Snapshot{Stats: c.stats, Len: c.Len(), Capacity: c.capacity, Bypassing: c.bypass != 0}
@@ -229,23 +223,16 @@ func (c *Cache) find(k *flow.Key, h uint64) (*Entry, uint32) {
 	}
 }
 
-// Lookup finds the entry for exactly k. A bypassing tier (see thrashRatio)
-// reports a miss without looking.
-//
-//gf:hotpath
-func (c *Cache) Lookup(k flow.Key, now int64) (*Entry, bool) {
-	return c.lookupStats(&k, now, &c.stats)
-}
-
-// Find is Lookup reading the key in place: the form the datapath uses,
-// whose keys already sit in a batch it owns.
+// Find finds the entry for exactly k, read in place: the form the
+// datapath uses, whose keys already sit in a batch it owns. A bypassing
+// tier (see thrashRatio) reports a miss without looking.
 //
 //gf:hotpath
 func (c *Cache) Find(k *flow.Key, now int64) (*Entry, bool) {
 	return c.lookupStats(k, now, &c.stats)
 }
 
-// lookupStats is the Lookup body with its counter destination injected:
+// lookupStats is the lookup body with its counter destination injected:
 // &c.stats for single lookups, a batch-local accumulator for BatchLookup.
 // Entry hit counts and LRU position are per-entry state and always update
 // per packet; only the cache-wide counters are redirected.
@@ -280,7 +267,7 @@ type BatchLookup struct {
 // BatchLookup starts a batched lookup sequence against c.
 func (c *Cache) BatchLookup() BatchLookup { return BatchLookup{c: c} }
 
-// Lookup is Cache.Lookup with counters deferred to Flush.
+// Lookup is Find with counters deferred to Flush.
 //
 //gf:hotpath
 func (b *BatchLookup) Lookup(k flow.Key, now int64) (*Entry, bool) {

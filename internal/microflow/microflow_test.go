@@ -11,19 +11,22 @@ import (
 
 func mk(port uint64) flow.Key { return flow.Key{}.With(flow.FieldTpDst, port) }
 
+// find is Find on a key passed by value.
+func find(c *Cache, k flow.Key, now int64) (*Entry, bool) { return c.Find(&k, now) }
+
 func TestExactHitAndMiss(t *testing.T) {
 	c := New(4)
 	final := mk(80).With(flow.FieldEthDst, 0xbb)
 	c.Insert(mk(80), final, flow.Verdict{Kind: flow.VerdictOutput, Port: 3}, 0)
 
-	e, ok := c.Lookup(mk(80), 1)
+	e, ok := find(c, mk(80), 1)
 	if !ok || e.Final != final || e.Verdict.Port != 3 {
 		t.Fatalf("hit = %v, %v", e, ok)
 	}
-	if _, ok := c.Lookup(mk(81), 1); ok {
+	if _, ok := find(c, mk(81), 1); ok {
 		t.Error("exact cache must miss on any difference")
 	}
-	st := c.Stats()
+	st := c.stats
 	if st.Hits != 1 || st.Misses != 1 || st.Inserts != 1 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -36,7 +39,7 @@ func TestInsertOverwrites(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d", c.Len())
 	}
-	e, _ := c.Lookup(mk(80), 2)
+	e, _ := find(c, mk(80), 2)
 	if e.Verdict.Port != 2 {
 		t.Error("overwrite not visible")
 	}
@@ -46,16 +49,16 @@ func TestLRU(t *testing.T) {
 	c := New(2)
 	c.Insert(mk(1), mk(1), flow.Verdict{}, 0)
 	c.Insert(mk(2), mk(2), flow.Verdict{}, 1)
-	c.Lookup(mk(1), 2)                        // 2 becomes LRU
+	find(c, mk(1), 2)                         // 2 becomes LRU
 	c.Insert(mk(3), mk(3), flow.Verdict{}, 3) // evicts 2
-	if _, ok := c.Lookup(mk(2), 4); ok {
+	if _, ok := find(c, mk(2), 4); ok {
 		t.Error("LRU entry should be gone")
 	}
-	if _, ok := c.Lookup(mk(1), 4); !ok {
+	if _, ok := find(c, mk(1), 4); !ok {
 		t.Error("recently used entry should survive")
 	}
-	if c.Stats().EvictLRU != 1 {
-		t.Errorf("EvictLRU = %d", c.Stats().EvictLRU)
+	if c.stats.EvictLRU != 1 {
+		t.Errorf("EvictLRU = %d", c.stats.EvictLRU)
 	}
 }
 
@@ -66,7 +69,7 @@ func TestExpireIdle(t *testing.T) {
 	if n := c.ExpireIdle(100, 60); n != 1 {
 		t.Fatalf("expired %d", n)
 	}
-	if _, ok := c.Lookup(mk(2), 100); !ok {
+	if _, ok := find(c, mk(2), 100); !ok {
 		t.Error("fresh entry expired")
 	}
 }
@@ -83,7 +86,7 @@ func TestInvalidate(t *testing.T) {
 	}
 	// Cache must remain usable.
 	c.Insert(mk(3), mk(3), flow.Verdict{}, 1)
-	if _, ok := c.Lookup(mk(3), 2); !ok {
+	if _, ok := find(c, mk(3), 2); !ok {
 		t.Error("cache broken after Invalidate")
 	}
 }
@@ -98,13 +101,13 @@ func TestCapacityChurn(t *testing.T) {
 	}
 	// The 8 most recent keys must all be present.
 	for i := 992; i < 1000; i++ {
-		if _, ok := c.Lookup(mk(uint64(i)), 2000); !ok {
+		if _, ok := find(c, mk(uint64(i)), 2000); !ok {
 			t.Errorf("recent key %d missing", i)
 		}
 	}
 	// 1 000 events: inside the first observation window, so every insert
 	// above was a real one.
-	if st := c.Stats(); st.Bypassed != 0 || st.EvictLRU != 992 {
+	if st := c.stats; st.Bypassed != 0 || st.EvictLRU != 992 {
 		t.Errorf("churn did not stay on the active side: %+v", st)
 	}
 }
@@ -142,8 +145,8 @@ func TestRecycledEntryCarriesNothingOver(t *testing.T) {
 	}
 	bound := func(c *Cache) *Entry {
 		c.InsertCt(mk(1), mk(1), flow.Verdict{}, 0, &conn, 7, conntrack.DirReply)
-		c.Lookup(mk(1), 1)
-		e, _ := c.Lookup(mk(1), 2)
+		find(c, mk(1), 1)
+		e, _ := find(c, mk(1), 2)
 		if e.Hits != 2 || e.Ct != &conn || e.CtEpoch != 7 || e.CtDir != conntrack.DirReply {
 			t.Fatalf("conntrack-bound entry = %+v", e)
 		}
@@ -190,7 +193,7 @@ func TestInvalidateRefillMatchesFresh(t *testing.T) {
 			case 0:
 				c.Remove(k)
 			case 1, 2:
-				c.Lookup(k, int64(i))
+				find(c, k, int64(i))
 			default:
 				c.Insert(k, k, flow.Verdict{}, int64(i))
 			}
@@ -200,11 +203,11 @@ func TestInvalidateRefillMatchesFresh(t *testing.T) {
 	drive(used, 1)
 	used.ExpireIdle(4*capacity, capacity)
 	used.Invalidate()
-	base := used.Stats()
+	base := used.stats
 	drive(used, 2)
 	drive(fresh, 2)
 
-	got, want := used.Stats(), fresh.Stats()
+	got, want := used.stats, fresh.stats
 	got.Hits -= base.Hits
 	got.Misses -= base.Misses
 	got.Inserts -= base.Inserts
@@ -241,8 +244,8 @@ func TestFullTierZeroAlloc(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("Insert into a full tier allocates %.1f/op, want 0", allocs)
 	}
-	if c.Stats().EvictLRU < 1000 {
-		t.Fatalf("inserts did not evict: %+v", c.Stats())
+	if c.stats.EvictLRU < 1000 {
+		t.Fatalf("inserts did not evict: %+v", c.stats)
 	}
 	// 40 runs, not more: with the fill and the thousand inserts above that
 	// is 3 771 memoize requests and no hit, and the 4 096th would close a
@@ -260,14 +263,14 @@ func TestFullTierZeroAlloc(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("ExpireIdle/Remove/refill allocates %.1f/op, want 0", allocs)
 	}
-	if st := c.Stats(); st.Bypassed != 0 {
+	if st := c.stats; st.Bypassed != 0 {
 		t.Errorf("the tier stepped aside under the measurement: %+v", st)
 	}
 }
 
 // packet drives c the way the datapath does: probe, and memoize on a miss.
 func packet(c *Cache, flowID uint64, now int64) (hit bool) {
-	if _, ok := c.Lookup(mk(flowID), now); ok {
+	if _, ok := find(c, mk(flowID), now); ok {
 		return true
 	}
 	c.Insert(mk(flowID), mk(flowID), flow.Verdict{}, now)
@@ -337,7 +340,7 @@ func TestThrashBypassSchedule(t *testing.T) {
 		cold(1)
 		bypassed++
 		expect("period over", false, bypassed, inserted-capacity)
-		if st := c.Stats(); st.Hits != 0 || st.Misses != inserted || st.Inserts != inserted {
+		if st := c.stats; st.Hits != 0 || st.Misses != inserted || st.Inserts != inserted {
 			t.Fatalf("round %d: %+v", round, st)
 		}
 	}

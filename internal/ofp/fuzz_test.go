@@ -20,7 +20,7 @@ func FuzzLoad(f *testing.F) {
 		if err != nil {
 			return
 		}
-		text := DumpString(p)
+		text := dump(p)
 		re, err := LoadString(text)
 		if err != nil {
 			t.Fatalf("accepted program cannot be re-loaded: %v\n--- original\n%s\n--- dump\n%s", err, s, text)

@@ -414,13 +414,6 @@ func Dump(w io.Writer, p *pipeline.Pipeline) error {
 	return bw.Flush()
 }
 
-// DumpString is Dump into a string.
-func DumpString(p *pipeline.Pipeline) string {
-	var b strings.Builder
-	Dump(&b, p) // strings.Builder writes cannot fail
-	return b.String()
-}
-
 func formatMiss(t *pipeline.Table) string {
 	if t.MissNext != pipeline.NoTable {
 		return fmt.Sprintf("goto(%d)", t.MissNext)

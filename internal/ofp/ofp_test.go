@@ -9,6 +9,13 @@ import (
 	"gigaflow/internal/pipelines"
 )
 
+// dump is Dump into a string.
+func dump(p *pipeline.Pipeline) string {
+	var b strings.Builder
+	Dump(&b, p) // strings.Builder writes cannot fail
+	return b.String()
+}
+
 const demo = `
 # A miniature L2/L3/ACL program.
 pipeline demo
@@ -66,7 +73,7 @@ func TestRoundTripBehaviour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := DumpString(orig)
+	text := dump(orig)
 	re, err := LoadString(text)
 	if err != nil {
 		t.Fatalf("re-load failed: %v\n%s", err, text)
@@ -88,7 +95,7 @@ func TestRoundTripBehaviour(t *testing.T) {
 		}
 	}
 	// Dump must be stable (idempotent on re-loaded pipelines).
-	if DumpString(re) != text {
+	if dump(re) != text {
 		t.Error("dump not round-trip stable")
 	}
 }
@@ -98,7 +105,7 @@ func TestRoundTripStandardPipelines(t *testing.T) {
 	for _, spec := range pipelines.All() {
 		p := spec.Build()
 		p.MustAddRule(spec.Tables[0].ID, flow.MatchAll(), 1, []flow.Action{flow.Drop()}, pipeline.NoTable)
-		re, err := LoadString(DumpString(p))
+		re, err := LoadString(dump(p))
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
@@ -113,7 +120,7 @@ func TestMaskedSetFieldRoundTrip(t *testing.T) {
 	p.AddTable(0, "t", flow.AllFields)
 	p.MustAddRule(0, flow.MatchAll(), 1,
 		[]flow.Action{flow.SetFieldMasked(flow.FieldIPDst, 0xc0a80000, 0xffff0000), flow.Output(3)}, pipeline.NoTable)
-	re, err := LoadString(DumpString(p))
+	re, err := LoadString(dump(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +225,7 @@ func TestNATPoolRoundTrip(t *testing.T) {
 		t.Fatalf("pool target 2 = %+v", pool[2])
 	}
 
-	text := DumpString(orig)
+	text := dump(orig)
 	re, err := LoadString(text)
 	if err != nil {
 		t.Fatalf("re-load failed: %v\n%s", err, text)
@@ -249,7 +256,7 @@ func TestNATPoolRoundTrip(t *testing.T) {
 		t.Fatalf("table 2 actions = %+v", acts)
 	}
 
-	if DumpString(re) != text {
+	if dump(re) != text {
 		t.Error("dump not round-trip stable")
 	}
 }

@@ -34,14 +34,6 @@ type DNSQuery struct {
 	name     [dnsMaxName]byte
 }
 
-// Name returns the question name as a string. It allocates; call it off
-// the packet path.
-func (q *DNSQuery) Name() string { return string(q.name[:q.nameLen]) }
-
-// NameBytes returns the question name without copying. The slice aliases
-// the query's internal buffer.
-func (q *DNSQuery) NameBytes() []byte { return q.name[:q.nameLen] }
-
 // UDPPayload returns the UDP payload of a frame whose Decode reported a
 // clean (or degraded-but-portful) UDP parse. info must be the Info that
 // Decode returned for this frame: the payload starts one half-header

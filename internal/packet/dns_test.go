@@ -24,15 +24,12 @@ func TestDNSRoundTrip(t *testing.T) {
 			t.Fatalf("%q: decode failed", name)
 		}
 		want := strings.Trim(strings.ReplaceAll(name, "..", "."), ".")
-		if q.Name() != want {
-			t.Errorf("%q: name = %q, want %q", name, q.Name(), want)
+		if string(q.name[:q.nameLen]) != want {
+			t.Errorf("%q: name = %q, want %q", name, string(q.name[:q.nameLen]), want)
 		}
 		if q.ID != 0x1234 || q.Response || q.Opcode != 0 ||
 			q.QType != DNSTypeA || q.QClass != DNSClassIN {
 			t.Errorf("%q: decoded %+v", name, q)
-		}
-		if !bytes.Equal(q.NameBytes(), []byte(want)) {
-			t.Errorf("%q: NameBytes diverges from Name", name)
 		}
 	}
 }
@@ -55,8 +52,8 @@ func TestDNSCompressionPointer(t *testing.T) {
 	if !ok {
 		t.Fatal("pointer-compressed question must decode")
 	}
-	if q.Name() != "www.example.com" {
-		t.Fatalf("name = %q", q.Name())
+	if string(q.name[:q.nameLen]) != "www.example.com" {
+		t.Fatalf("name = %q", string(q.name[:q.nameLen]))
 	}
 	if !q.Response || q.QType != DNSTypeA {
 		t.Fatalf("decoded %+v", q)
@@ -134,8 +131,8 @@ func TestUDPPayloadExtraction(t *testing.T) {
 		t.Fatalf("payload round-trip failed (ok=%v, %d vs %d bytes)", ok, len(pl), len(dns))
 	}
 	q, ok := DecodeDNS(pl)
-	if !ok || q.Name() != "svc.gigaflow.test" {
-		t.Fatalf("DNS through the frame: %v %q", ok, q.Name())
+	if !ok || string(q.name[:q.nameLen]) != "svc.gigaflow.test" {
+		t.Fatalf("DNS through the frame: %v %q", ok, string(q.name[:q.nameLen]))
 	}
 
 	// The UDP length and IP total length fields must account for the

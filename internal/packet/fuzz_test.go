@@ -121,7 +121,7 @@ func FuzzDecodeDNS(f *testing.F) {
 			t.Fatal("ok with no question section")
 		}
 		// Every label in the decoded presentation form obeys the label cap.
-		for _, label := range bytes.Split(q.NameBytes(), []byte{'.'}) {
+		for _, label := range bytes.Split(q.name[:q.nameLen], []byte{'.'}) {
 			if len(label) > dnsMaxLabel {
 				t.Fatalf("label %q exceeds 63 octets", label)
 			}
@@ -129,10 +129,10 @@ func FuzzDecodeDNS(f *testing.F) {
 		// Round-trip: re-encoding the decoded question yields a message
 		// that decodes to the same name and type (for plain A/IN queries).
 		if !q.Response && q.QType == DNSTypeA && q.QClass == DNSClassIN && q.nameLen > 0 {
-			re := AppendDNSQuery(nil, q.ID, q.Name())
+			re := AppendDNSQuery(nil, q.ID, string(q.name[:q.nameLen]))
 			q2, ok2 := DecodeDNS(re)
-			if !ok2 || q2.Name() != q.Name() {
-				t.Fatalf("re-encode of %q failed (%v, %q)", q.Name(), ok2, q2.Name())
+			if !ok2 || string(q2.name[:q2.nameLen]) != string(q.name[:q.nameLen]) {
+				t.Fatalf("re-encode of %q failed (%v, %q)", string(q.name[:q.nameLen]), ok2, string(q2.name[:q2.nameLen]))
 			}
 		}
 	})

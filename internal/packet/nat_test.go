@@ -107,7 +107,7 @@ func TestPatchTupleUDP(t *testing.T) {
 		if !ok {
 			t.Fatal("payload lost")
 		}
-		if q, ok := DecodeDNS(pl); !ok || q.Name() != "vip.gigaflow.test" {
+		if q, ok := DecodeDNS(pl); !ok || string(q.name[:q.nameLen]) != "vip.gigaflow.test" {
 			t.Fatal("payload corrupted by patch")
 		}
 	})

@@ -110,16 +110,3 @@ func RSSTuple(frame []byte) (Tuple, bool) {
 	// Other transports have no port concept; the tuple is complete.
 	return t, true
 }
-
-// RSSHash is the one-call form of RSSTuple + Tuple.SymHash: the
-// symmetric shard hash of a frame's 5-tuple, read straight from the
-// wire bytes. ok is RSSTuple's ok.
-//
-//gf:hotpath
-func RSSHash(frame []byte) (uint64, bool) {
-	t, ok := RSSTuple(frame)
-	if !ok {
-		return 0, false
-	}
-	return t.SymHash(), true
-}

@@ -15,8 +15,8 @@ import (
 //     that decides whether a frame is decoded on its shard worker or
 //     falls back to submitter-side decode.
 //  2. On success, the extracted 5-tuple matches the decoded key's
-//     field values exactly, so RSSHash == Key.SymHash and wire-hash
-//     routing agrees with key-hash routing bit for bit.
+//     field values exactly, so the tuple's SymHash == Key.SymHash and
+//     wire-hash routing agrees with key-hash routing bit for bit.
 //  3. The hash is endpoint-symmetric: hashing with src/dst swapped
 //     (both IP and port) lands on the same shard.
 //
@@ -54,9 +54,6 @@ func FuzzRSSHash(f *testing.F) {
 			t.Fatalf("RSSTuple ok=%v but Decode gave proto=%v err=%v", ok, info.Proto, info.Err)
 		}
 		if !ok {
-			if h, hok := RSSHash(frame); hok || h != 0 {
-				t.Fatalf("RSSHash disagreed with RSSTuple: (%d, %v)", h, hok)
-			}
 			return
 		}
 
@@ -73,9 +70,8 @@ func FuzzRSSHash(f *testing.F) {
 		}
 
 		// Therefore the wire hash equals the key's symmetric hash.
-		h, hok := RSSHash(frame)
-		if !hok || h != k.SymHash() {
-			t.Fatalf("RSSHash = (%d, %v), key SymHash = %d", h, hok, k.SymHash())
+		if h := tup.SymHash(); h != k.SymHash() {
+			t.Fatalf("RSSTuple SymHash = %d, key SymHash = %d", h, k.SymHash())
 		}
 
 		// Endpoint symmetry: swapping src and dst (IP and port together)
@@ -109,32 +105,37 @@ func TestRSSHashSymmetricOnWire(t *testing.T) {
 		With(flow.FieldIPDst, fwdKey.Get(flow.FieldIPSrc)).
 		With(flow.FieldTpSrc, fwdKey.Get(flow.FieldTpDst)).
 		With(flow.FieldTpDst, fwdKey.Get(flow.FieldTpSrc))
-	fwd, fok := RSSHash(Encode(fwdKey))
-	rev, rok := RSSHash(Encode(revKey))
+	fwd, fok := RSSTuple(Encode(fwdKey))
+	rev, rok := RSSTuple(Encode(revKey))
 	if !fok || !rok {
 		t.Fatal("clean TCP frames must extract")
 	}
-	if fwd != rev {
-		t.Fatalf("wire hash not symmetric: fwd %d, rev %d", fwd, rev)
+	if fwd.SymHash() != rev.SymHash() {
+		t.Fatalf("wire hash not symmetric: fwd %d, rev %d", fwd.SymHash(), rev.SymHash())
 	}
 	// And a different flow must (for this pair) shard differently, or
 	// the symmetric hash would be degenerate.
-	other, _ := RSSHash(Encode(fwdKey.With(flow.FieldTpSrc, fwdKey.Get(flow.FieldTpSrc)+1)))
-	if other == fwd {
+	other, _ := RSSTuple(Encode(fwdKey.With(flow.FieldTpSrc, fwdKey.Get(flow.FieldTpSrc)+1)))
+	if other.SymHash() == fwd.SymHash() {
 		t.Fatal("distinct flows collided — hash looks degenerate")
 	}
 }
+
+// hashSink keeps the benchmarks' hashes live.
+var hashSink uint64
 
 // TestRSSTupleZeroAlloc: the extractor is //gf:hotpath and must not
 // allocate — gflint proves it statically, this proves it dynamically.
 func TestRSSTupleZeroAlloc(t *testing.T) {
 	frame := Encode(tcpKey())
 	if n := testing.AllocsPerRun(200, func() {
-		if _, ok := RSSHash(frame); !ok {
+		tup, ok := RSSTuple(frame)
+		if !ok {
 			t.Fatal("extraction failed")
 		}
+		hashSink = tup.SymHash()
 	}); n != 0 {
-		t.Fatalf("RSSHash allocates %.1f/op, want 0", n)
+		t.Fatalf("RSSTuple+SymHash allocates %.1f/op, want 0", n)
 	}
 }
 
@@ -143,9 +144,11 @@ func BenchmarkRSSHash(b *testing.B) {
 	b.ReportAllocs()
 	b.SetBytes(int64(len(frame)))
 	for i := 0; i < b.N; i++ {
-		if _, ok := RSSHash(frame); !ok {
+		tup, ok := RSSTuple(frame)
+		if !ok {
 			b.Fatal("extraction failed")
 		}
+		hashSink = tup.SymHash()
 	}
 }
 
@@ -154,8 +157,10 @@ func BenchmarkRSSHashVLAN(b *testing.B) {
 	b.ReportAllocs()
 	b.SetBytes(int64(len(frame)))
 	for i := 0; i < b.N; i++ {
-		if _, ok := RSSHash(frame); !ok {
+		tup, ok := RSSTuple(frame)
+		if !ok {
 			b.Fatal("extraction failed")
 		}
+		hashSink = tup.SymHash()
 	}
 }

@@ -19,8 +19,8 @@ import (
 // the record's original length, with the encoded headers as the
 // captured bytes — exactly how a snap-length-limited live capture of
 // those packets would look.
-func WriteTrace(w io.Writer, pkts []traffic.Packet, opts ...WriterOption) error {
-	pw, err := NewWriter(w, opts...)
+func WriteTrace(w io.Writer, pkts []traffic.Packet) error {
+	pw, err := NewWriter(w)
 	if err != nil {
 		return err
 	}

@@ -3,7 +3,7 @@
 // per-packet records) using only the standard library. Both byte
 // orders and both timestamp resolutions — the original microsecond
 // magic and the 0xa1b23c4d nanosecond variant — are understood on
-// read; writing defaults to little-endian nanosecond files, the
+// read; the writer emits little-endian nanosecond files, the
 // highest-fidelity form for the repo's virtual-time traces.
 //
 // The reader streams: each Next decodes one record into a buffer
@@ -57,13 +57,12 @@ type Record struct {
 
 // Reader streams records from a classic pcap file.
 type Reader struct {
-	r        io.Reader
-	bo       binary.ByteOrder
-	nanos    bool
-	snapLen  uint32
-	linkType uint32
-	hdr      [recordHeaderLen]byte
-	buf      []byte
+	r       io.Reader
+	bo      binary.ByteOrder
+	nanos   bool
+	snapLen uint32
+	hdr     [recordHeaderLen]byte
+	buf     []byte
 }
 
 // NewReader parses the global header, auto-detecting byte order and
@@ -93,7 +92,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 		}
 	}
 	pr.snapLen = pr.bo.Uint32(hdr[16:20])
-	pr.linkType = pr.bo.Uint32(hdr[20:24])
 	if pr.snapLen == 0 || pr.snapLen > DefaultSnapLen {
 		// A zero or absurd snaplen must not let a corrupt record
 		// header demand an arbitrary allocation below.
@@ -104,12 +102,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 
 // Nanosecond reports whether the file uses the nanosecond magic.
 func (r *Reader) Nanosecond() bool { return r.nanos }
-
-// LinkType reports the file's declared link type (1 = Ethernet).
-func (r *Reader) LinkType() uint32 { return r.linkType }
-
-// SnapLen reports the file's per-record capture limit.
-func (r *Reader) SnapLen() uint32 { return r.snapLen }
 
 // Next returns the next record, or io.EOF at a clean end of stream. A
 // record cut off mid-way surfaces io.ErrUnexpectedEOF; a record header
@@ -148,91 +140,44 @@ func (r *Reader) Next() (Record, error) {
 	return Record{TimeNs: ts, Frame: r.buf, OrigLen: int(origLen)}, nil
 }
 
-// WriterOption customises a Writer.
-type WriterOption func(*Writer)
-
-// WithByteOrder selects the file's byte order (default little-endian,
-// the order virtually all producers emit).
-func WithByteOrder(bo binary.ByteOrder) WriterOption {
-	return func(w *Writer) { w.bo = bo }
-}
-
-// WithMicrosecond writes the original microsecond format instead of
-// the nanosecond variant, for consumers predating it. Timestamps are
-// truncated to microsecond resolution.
-func WithMicrosecond() WriterOption {
-	return func(w *Writer) { w.nanos = false }
-}
-
-// WithSnapLen overrides the declared snap length. Frames longer than
-// the snap length are truncated on write, as a live capture would.
-func WithSnapLen(n uint32) WriterOption {
-	return func(w *Writer) {
-		if n > 0 {
-			w.snapLen = n
-		}
-	}
-}
-
-// Writer emits a classic pcap stream.
+// Writer emits a classic pcap stream in one format: little-endian,
+// nanosecond resolution, Ethernet link type, snap length DefaultSnapLen.
 type Writer struct {
-	w       io.Writer
-	bo      binary.ByteOrder
-	nanos   bool
-	snapLen uint32
-	hdr     [recordHeaderLen]byte
+	w   io.Writer
+	hdr [recordHeaderLen]byte
 }
 
-// NewWriter writes the global header and returns a record writer. The
-// default format is little-endian, nanosecond resolution, Ethernet
-// link type, snap length DefaultSnapLen.
-func NewWriter(w io.Writer, opts ...WriterOption) (*Writer, error) {
-	pw := &Writer{w: w, bo: binary.LittleEndian, nanos: true, snapLen: DefaultSnapLen}
-	for _, o := range opts {
-		o(pw)
-	}
+// NewWriter writes the global header and returns a record writer.
+func NewWriter(w io.Writer) (*Writer, error) {
 	var hdr [fileHeaderLen]byte
-	magic := uint32(MagicMicros)
-	if pw.nanos {
-		magic = MagicNanos
-	}
-	pw.bo.PutUint32(hdr[0:4], magic)
-	pw.bo.PutUint16(hdr[4:6], 2) // version 2.4
-	pw.bo.PutUint16(hdr[6:8], 4)
+	le := binary.LittleEndian
+	le.PutUint32(hdr[0:4], MagicNanos)
+	le.PutUint16(hdr[4:6], 2) // version 2.4
+	le.PutUint16(hdr[6:8], 4)
 	// thiszone and sigfigs stay zero, as every producer writes them.
-	pw.bo.PutUint32(hdr[16:20], pw.snapLen)
-	pw.bo.PutUint32(hdr[20:24], LinkTypeEthernet)
+	le.PutUint32(hdr[16:20], DefaultSnapLen)
+	le.PutUint32(hdr[20:24], LinkTypeEthernet)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return nil, err
 	}
-	return pw, nil
-}
-
-// WritePacket writes one record whose on-wire length equals the frame
-// length.
-func (w *Writer) WritePacket(tsNs int64, frame []byte) error {
-	return w.WriteRecord(tsNs, frame, len(frame))
+	return &Writer{w: w}, nil
 }
 
 // WriteRecord writes one record with an explicit original length,
 // which callers use when the captured bytes are a truncation (or, for
 // synthesized traces, a minimal reconstruction) of a longer frame.
 func (w *Writer) WriteRecord(tsNs int64, frame []byte, origLen int) error {
-	if len(frame) > int(w.snapLen) {
-		frame = frame[:w.snapLen]
+	if len(frame) > DefaultSnapLen {
+		frame = frame[:DefaultSnapLen]
 	}
 	if origLen < len(frame) {
 		origLen = len(frame)
 	}
-	sec := tsNs / 1_000_000_000
-	frac := tsNs % 1_000_000_000
-	if !w.nanos {
-		frac /= 1000
-	}
-	w.bo.PutUint32(w.hdr[0:4], uint32(sec))
-	w.bo.PutUint32(w.hdr[4:8], uint32(frac))
-	w.bo.PutUint32(w.hdr[8:12], uint32(len(frame)))
-	w.bo.PutUint32(w.hdr[12:16], uint32(origLen))
+	le := binary.LittleEndian
+	le.PutUint32(w.hdr[0:4], uint32(tsNs/1_000_000_000))
+	le.PutUint32(w.hdr[4:8], uint32(tsNs%1_000_000_000))
+	le.PutUint32(w.hdr[8:12], uint32(len(frame)))
+	le.PutUint32(w.hdr[12:16], uint32(origLen))
 	if _, err := w.w.Write(w.hdr[:]); err != nil {
 		return err
 	}

@@ -28,28 +28,55 @@ func testFrames() [][]byte {
 	return [][]byte{packet.Encode(a), packet.Encode(b), packet.Encode(c)}
 }
 
-func roundTrip(t *testing.T, opts ...WriterOption) {
+// reencode rewrites a capture from the Writer's format (little-endian,
+// nanosecond) into the given byte order and timestamp resolution: the
+// other forms of classic pcap that producers write and Reader accepts.
+func reencode(capture []byte, bo binary.ByteOrder, micros bool) []byte {
+	le := binary.LittleEndian
+	out := append([]byte(nil), capture...)
+	magic := uint32(MagicNanos)
+	if micros {
+		magic = MagicMicros
+	}
+	bo.PutUint32(out[0:4], magic)
+	bo.PutUint16(out[4:6], le.Uint16(capture[4:6]))
+	bo.PutUint16(out[6:8], le.Uint16(capture[6:8]))
+	for off := 8; off < fileHeaderLen; off += 4 {
+		bo.PutUint32(out[off:], le.Uint32(capture[off:]))
+	}
+	for off := fileHeaderLen; off < len(out); off += recordHeaderLen + int(le.Uint32(capture[off+8:])) {
+		for w := off; w < off+recordHeaderLen; w += 4 {
+			bo.PutUint32(out[w:], le.Uint32(capture[w:]))
+		}
+		if micros {
+			bo.PutUint32(out[off+4:], le.Uint32(capture[off+4:])/1000)
+		}
+	}
+	return out
+}
+
+func roundTrip(t *testing.T, bo binary.ByteOrder, micros bool) {
 	t.Helper()
 	frames := testFrames()
 	times := []int64{0, 1_500_000_000, 86_400_000_000_123}
 
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, opts...)
+	w, err := NewWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, f := range frames {
-		if err := w.WritePacket(times[i], f); err != nil {
+		if err := w.WriteRecord(times[i], f, len(f)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if lt := binary.LittleEndian.Uint32(buf.Bytes()[20:24]); lt != LinkTypeEthernet {
+		t.Fatalf("link type = %d", lt)
+	}
 
-	r, err := NewReader(&buf)
+	r, err := NewReader(bytes.NewReader(reencode(buf.Bytes(), bo, micros)))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r.LinkType() != LinkTypeEthernet {
-		t.Fatalf("link type = %d", r.LinkType())
 	}
 	for i, f := range frames {
 		rec, err := r.Next()
@@ -75,19 +102,13 @@ func roundTrip(t *testing.T, opts ...WriterOption) {
 	}
 }
 
-func TestRoundTripLittleEndianNanos(t *testing.T) { roundTrip(t) }
+func TestRoundTripLittleEndianNanos(t *testing.T) { roundTrip(t, binary.LittleEndian, false) }
 
-func TestRoundTripBigEndianNanos(t *testing.T) {
-	roundTrip(t, WithByteOrder(binary.BigEndian))
-}
+func TestRoundTripBigEndianNanos(t *testing.T) { roundTrip(t, binary.BigEndian, false) }
 
-func TestRoundTripLittleEndianMicros(t *testing.T) {
-	roundTrip(t, WithMicrosecond())
-}
+func TestRoundTripLittleEndianMicros(t *testing.T) { roundTrip(t, binary.LittleEndian, true) }
 
-func TestRoundTripBigEndianMicros(t *testing.T) {
-	roundTrip(t, WithByteOrder(binary.BigEndian), WithMicrosecond())
-}
+func TestRoundTripBigEndianMicros(t *testing.T) { roundTrip(t, binary.BigEndian, true) }
 
 func TestReaderRejectsGarbage(t *testing.T) {
 	_, err := NewReader(bytes.NewReader(bytes.Repeat([]byte{0x42}, 64)))
@@ -106,7 +127,8 @@ func TestReaderTruncatedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WritePacket(0, testFrames()[0]); err != nil {
+	f := testFrames()[0]
+	if err := w.WriteRecord(0, f, len(f)); err != nil {
 		t.Fatal(err)
 	}
 	cut := buf.Bytes()[:buf.Len()-5]
@@ -125,7 +147,8 @@ func TestReaderRejectsCorruptLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WritePacket(0, testFrames()[0]); err != nil {
+	f := testFrames()[0]
+	if err := w.WriteRecord(0, f, len(f)); err != nil {
 		t.Fatal(err)
 	}
 	// Forge the record's incl_len into an absurd value: the reader must
@@ -142,12 +165,12 @@ func TestReaderRejectsCorruptLength(t *testing.T) {
 
 func TestWriterSnapLenTruncates(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, WithSnapLen(20))
+	w, err := NewWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := testFrames()[0]
-	if err := w.WritePacket(7, frame); err != nil {
+	frame := bytes.Repeat(testFrames()[0], DefaultSnapLen/len(testFrames()[0])+1)
+	if err := w.WriteRecord(7, frame, len(frame)); err != nil {
 		t.Fatal(err)
 	}
 	r, err := NewReader(&buf)
@@ -158,13 +181,13 @@ func TestWriterSnapLenTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Frame) != 20 {
-		t.Fatalf("captured %d bytes, want snaplen 20", len(rec.Frame))
+	if len(rec.Frame) != DefaultSnapLen {
+		t.Fatalf("captured %d bytes, want snaplen %d", len(rec.Frame), DefaultSnapLen)
 	}
 	if rec.OrigLen != len(frame) {
 		t.Fatalf("orig len = %d, want %d", rec.OrigLen, len(frame))
 	}
-	if !bytes.Equal(rec.Frame, frame[:20]) {
+	if !bytes.Equal(rec.Frame, frame[:DefaultSnapLen]) {
 		t.Fatal("truncated bytes differ")
 	}
 }
@@ -177,7 +200,7 @@ func TestReaderReusesBuffer(t *testing.T) {
 	}
 	frames := testFrames()
 	for i, f := range frames {
-		if err := w.WritePacket(int64(i), f); err != nil {
+		if err := w.WriteRecord(int64(i), f, len(f)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -218,10 +241,10 @@ func traceKeySample(ruleIdx int, rng *rand.Rand) flow.Key {
 func TestWriteTraceRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		opts []WriterOption
+		bo   binary.ByteOrder
 	}{
-		{"little_endian", nil},
-		{"big_endian", []WriterOption{WithByteOrder(binary.BigEndian)}},
+		{"little_endian", binary.LittleEndian},
+		{"big_endian", binary.BigEndian},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := traffic.Config{Seed: 11, NumFlows: 40, MaxPackets: 20}
@@ -232,10 +255,10 @@ func TestWriteTraceRoundTrip(t *testing.T) {
 			}
 
 			var buf bytes.Buffer
-			if err := WriteTrace(&buf, pkts, tc.opts...); err != nil {
+			if err := WriteTrace(&buf, pkts); err != nil {
 				t.Fatal(err)
 			}
-			r, err := NewReader(&buf)
+			r, err := NewReader(bytes.NewReader(reencode(buf.Bytes(), tc.bo, false)))
 			if err != nil {
 				t.Fatal(err)
 			}

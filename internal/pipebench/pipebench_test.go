@@ -47,7 +47,7 @@ func TestRepresentativesTerminate(t *testing.T) {
 			if tr.Verdict != c.Verdict {
 				t.Fatalf("%s chain %d: verdict drifted", spec.Name, i)
 			}
-			if !c.Match.Matches(c.Rep) {
+			if !c.Match.MatchesKey(&c.Rep) {
 				t.Fatalf("%s chain %d: composed match does not cover its representative", spec.Name, i)
 			}
 		}
@@ -111,7 +111,7 @@ func TestSampleKeyMatchesChain(t *testing.T) {
 	for ci := range w.Chains {
 		for i := 0; i < 3; i++ {
 			k := w.SampleKey(ci, rng)
-			if !w.Chains[ci].Match.Matches(k) {
+			if !w.Chains[ci].Match.MatchesKey(&k) {
 				t.Fatalf("chain %d: sampled key %s escapes composed match %s", ci, k, w.Chains[ci].Match)
 			}
 			tr, err := w.Pipeline.Process(k)

@@ -70,9 +70,9 @@ func snapshot(tr *Traversal) *Traversal {
 	return &c
 }
 
-// Process, ProcessResolve and ProcessPartial hand out traversals the caller
-// may keep: the park/upcall path and the benchmark's replay hold up to 64
-// at once. Nothing a later walk does — through the allocating forms or
+// Process and ProcessResolve hand out traversals the caller may keep, as
+// does ProcessPartialInto into a fresh one: the park/upcall path and the
+// benchmark's replay hold up to 64 at once. Nothing a later walk does — through the allocating forms or
 // through ProcessInto on a scratch traversal, with a resolver that reuses
 // its buffer — may reach into one, resolved NAT actions included.
 func TestProcessReturnsIndependentTraversals(t *testing.T) {
@@ -91,7 +91,9 @@ func TestProcessReturnsIndependentTraversals(t *testing.T) {
 		case 1:
 			held[i], err = p.Process(key(i))
 		default:
-			held[i], err = p.ProcessPartial(0, key(i), 1)
+			k := key(i)
+			held[i] = new(Traversal)
+			err = p.ProcessPartialInto(held[i], 0, &k, 1)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -139,7 +141,8 @@ func TestProcessIntoMatchesProcess(t *testing.T) {
 			var ferr, serr error
 			if i%3 == 0 {
 				start, steps := rng.Intn(p.NumTables()), 1+rng.Intn(3)
-				fresh, ferr = p.ProcessPartial(start, k, steps)
+				fresh = new(Traversal)
+				ferr = p.ProcessPartialInto(fresh, start, &k, steps)
 				serr = p.ProcessPartialInto(&scratch, start, &k, steps)
 			} else {
 				fresh, ferr = p.Process(k)

@@ -128,22 +128,14 @@ func (p *Pipeline) ProcessInto(tr *Traversal, key *flow.Key, res Resolver) error
 	return nil
 }
 
-// ProcessPartial runs key through the pipeline starting at table `start`
-// for at most maxSteps lookups. Unlike Process, hitting the step limit is
-// not an error: the traversal is returned with a non-terminal verdict and
-// NextTable set to the table that would have been visited next. Gigaflow's
-// revalidator uses this to re-derive a sub-traversal from its table tag
-// (§4.3.1) without replaying the whole pipeline.
-func (p *Pipeline) ProcessPartial(start int, key flow.Key, maxSteps int) (*Traversal, error) {
-	tr := new(Traversal)
-	if err := p.ProcessPartialInto(tr, start, &key, maxSteps); err != nil {
-		return nil, err
-	}
-	return tr, nil
-}
-
-// ProcessPartialInto is ProcessPartial refilling a caller-owned traversal,
-// under ProcessInto's ownership rules.
+// ProcessPartialInto runs key through the pipeline starting at table
+// `start` for at most maxSteps lookups, refilling a caller-owned
+// traversal under ProcessInto's ownership rules. Unlike Process, hitting
+// the step limit is not an error: the traversal is left with a
+// non-terminal verdict and NextTable set to the table that would have
+// been visited next. Gigaflow's revalidator uses this to re-derive a
+// sub-traversal from its table tag (§4.3.1) without replaying the whole
+// pipeline, and a stalled miss to walk only its suffix.
 //
 //gf:hotpath
 func (p *Pipeline) ProcessPartialInto(tr *Traversal, start int, key *flow.Key, maxSteps int) error {

@@ -40,9 +40,6 @@ type Step struct {
 	CtDep bool
 }
 
-// Actions returns the actions executed at this step.
-func (s *Step) Actions() []flow.Action { return s.Acts }
-
 // RuleID returns the matched rule's ID, or -1 on a miss step.
 func (s *Step) RuleID() int64 {
 	if s.Rule == nil {
@@ -55,8 +52,8 @@ func (s *Step) RuleID() int64 {
 // packet's walk through the pipeline. It is the unit both cache compilers
 // consume.
 //
-// A traversal owns its storage. Process, ProcessResolve and ProcessPartial
-// return a fresh one the caller may keep for as long as it likes;
+// A traversal owns its storage. Process and ProcessResolve return a fresh
+// one the caller may keep for as long as it likes;
 // ProcessInto and ProcessPartialInto refill one the caller owns, reusing
 // its Steps array and action arena, so everything read from it — Steps,
 // a step's resolved Acts — is valid only until it is refilled. The zero

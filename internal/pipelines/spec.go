@@ -128,13 +128,11 @@ var (
 	fPort    = flow.NewFieldSet(flow.FieldInPort)
 	fEthSrc  = flow.NewFieldSet(flow.FieldEthSrc)
 	fEthDst  = flow.NewFieldSet(flow.FieldEthDst)
-	fEth     = flow.NewFieldSet(flow.FieldEthSrc, flow.FieldEthDst, flow.FieldEthType)
 	fEthType = flow.NewFieldSet(flow.FieldEthType)
 	fIPDst   = flow.NewFieldSet(flow.FieldEthType, flow.FieldIPDst)
 	fIPSrc   = flow.NewFieldSet(flow.FieldEthType, flow.FieldIPSrc)
 	fIPPair  = flow.NewFieldSet(flow.FieldEthType, flow.FieldIPSrc, flow.FieldIPDst)
 	fProto   = flow.NewFieldSet(flow.FieldIPProto)
-	fL4      = flow.NewFieldSet(flow.FieldIPProto, flow.FieldTpSrc, flow.FieldTpDst)
 	fTpDst   = flow.NewFieldSet(flow.FieldIPProto, flow.FieldTpDst)
 	fTpSrc   = flow.NewFieldSet(flow.FieldIPProto, flow.FieldTpSrc)
 	f5Tuple  = flow.NewFieldSet(flow.FieldIPSrc, flow.FieldIPDst, flow.FieldIPProto, flow.FieldTpSrc, flow.FieldTpDst)

@@ -199,8 +199,8 @@ func Run(w *pipebench.Workload, trace []traffic.Packet, cfg Config) (*Result, er
 			}
 			res.Cycles.Add(br)
 			// Charged to the core the service would shard the flow to: the
-			// base rule of its shardOfKey, bit-identical to packet.RSSHash
-			// on the wire.
+			// base rule of its shardOfKey, bit-identical on the wire to
+			// packet.RSSTuple's Tuple.SymHash.
 			core := &res.PerCore[pkt.Key.SymHash()%uint64(cfg.Cores)]
 			core.Misses++
 			core.Cycles += br.Total()

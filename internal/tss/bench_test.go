@@ -83,7 +83,7 @@ func BenchmarkSlowpathColdSweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if e, _ := cls.Lookup(cold[i%len(cold)]); e != nil {
+		if e, _ := lookup(cls, cold[i%len(cold)]); e != nil {
 			b.Fatal("unexpected hit")
 		}
 	}

@@ -59,7 +59,7 @@ func TestDifferentialAgainstMapBackedClassifier(t *testing.T) {
 				}
 				if gr {
 					for i, old := range live {
-						if old.Match.Equal(e.Match) && old.Priority == e.Priority {
+						if old.Match.EqualTo(&e.Match) && old.Priority == e.Priority {
 							live[i] = e
 							break
 						}
@@ -79,14 +79,14 @@ func TestDifferentialAgainstMapBackedClassifier(t *testing.T) {
 				live = live[:len(live)-1]
 			case op < 7: // Lookup
 				k := diffKey(rng)
-				ge, gp := got.Lookup(k)
+				ge, gp := lookup(got, k)
 				re, rp := ref.Lookup(k)
 				if ge != re || gp != rp {
 					t.Fatalf("seed %d step %d: Lookup(%s) = (%v,%d) ref (%v,%d)", seed, step, k, ge, gp, re, rp)
 				}
 			case op < 9: // LookupWild
 				k := diffKey(rng)
-				ge, gw, gp := got.LookupWild(k)
+				ge, gw, gp := lookupWild(got, k)
 				re, rw, rp := ref.LookupWild(k)
 				if ge != re || gw != rw || gp != rp {
 					t.Fatalf("seed %d step %d: LookupWild(%s) = (%v,%v,%d) ref (%v,%v,%d)",
@@ -135,7 +135,7 @@ func TestRangeDeterministicOrder(t *testing.T) {
 			})
 			if i%7 == 0 {
 				k := diffKey(rng)
-				if e, _ := c.Lookup(k); e != nil && rng.Intn(2) == 0 {
+				if e, _ := lookup(c, k); e != nil && rng.Intn(2) == 0 {
 					c.Delete(e.Match, e.Priority)
 				}
 			}
@@ -147,7 +147,7 @@ func TestRangeDeterministicOrder(t *testing.T) {
 		t.Fatalf("same-seed builds enumerate %d vs %d entries", len(a), len(b))
 	}
 	for i := range a {
-		if a[i].Value != b[i].Value || !a[i].Match.Equal(b[i].Match) || a[i].Priority != b[i].Priority {
+		if a[i].Value != b[i].Value || !a[i].Match.EqualTo(&b[i].Match) || a[i].Priority != b[i].Priority {
 			t.Fatalf("Range order diverged at %d: %v/%d vs %v/%d", i, a[i].Match, a[i].Value, b[i].Match, b[i].Value)
 		}
 	}
@@ -173,9 +173,9 @@ func TestLookupPathsZeroAlloc(t *testing.T) {
 	var wild flow.Mask
 	c.LookupWildPreciseInto(&hit, &wild, &scratch) // grow the scratch before counting
 	if allocs := testing.AllocsPerRun(500, func() {
-		c.Lookup(hit)
-		c.Lookup(miss)
-		c.LookupWild(miss)
+		lookup(c, hit)
+		lookup(c, miss)
+		lookupWild(c, miss)
 		c.LookupWildPreciseInto(&hit, &wild, &scratch)
 		c.LookupWildPreciseInto(&miss, &wild, &scratch)
 	}); allocs != 0 {

@@ -38,7 +38,7 @@ func TestLookupWildPreciseSection423Example(t *testing.T) {
 	c := preciseFixture()
 	k := flow.MustParseKey("ip_dst=192.168.21.27,tp_dst=8080,ip_proto=17")
 
-	eu, wildUnion, _ := c.LookupWild(k)
+	eu, wildUnion, _ := lookupWild(c, k)
 	ep, wildPrecise, _ := c.LookupWildPrecise(k)
 	if eu == nil || ep == nil || eu.Value != 3 || ep.Value != 3 {
 		t.Fatalf("both lookups must hit the /16: %v / %v", eu, ep)
@@ -56,10 +56,10 @@ func TestLookupWildPreciseSection423Example(t *testing.T) {
 	}
 	// And it must still exclude the shadowed rules' packets.
 	m := flow.NewMatch(k, wildPrecise)
-	if m.Matches(flow.MustParseKey("ip_dst=192.168.14.15,tp_dst=8080,ip_proto=17")) {
+	if k := flow.MustParseKey("ip_dst=192.168.14.15,tp_dst=8080,ip_proto=17"); m.MatchesKey(&k) {
 		t.Error("precise megaflow swallows the /32 rule's packet")
 	}
-	if m.Matches(flow.MustParseKey("ip_dst=192.168.14.99,tp_dst=8080,ip_proto=17")) {
+	if k := flow.MustParseKey("ip_dst=192.168.14.99,tp_dst=8080,ip_proto=17"); m.MatchesKey(&k) {
 		t.Error("precise megaflow swallows the /24 rule's packets")
 	}
 }
@@ -96,7 +96,7 @@ func TestLookupWildPreciseSoundness(t *testing.T) {
 		for f := flow.FieldID(0); f < flow.NumFields; f++ {
 			k2 = k2.WithMasked(f, rng.Uint64(), f.MaxValue()&^wild.Get(f))
 		}
-		e2, _ := c.Lookup(k2)
+		e2, _ := lookup(c, k2)
 		switch {
 		case e == nil && e2 != nil:
 			t.Fatalf("k=%s missed but covered k2=%s hit %v (wild=%s)", k, k2, e2.Match, wild)
@@ -118,7 +118,7 @@ func TestLookupWildPreciseNeverNarrowerThanUnionIsWrong(t *testing.T) {
 			With(flow.FieldIPDst, 0xc0a80000|uint64(rng.Intn(1<<16))).
 			With(flow.FieldTpDst, uint64(rng.Intn(1000))).
 			With(flow.FieldIPProto, uint64(rng.Intn(3)))
-		_, wu, _ := c.LookupWild(k)
+		_, wu, _ := lookupWild(c, k)
 		_, wp, _ := c.LookupWildPrecise(k)
 		if !wu.Covers(wp) {
 			t.Fatalf("precise wildcard %s has bits outside union %s", wp, wu)
@@ -141,13 +141,13 @@ func TestLookupWildPreciseOnMiss(t *testing.T) {
 		"ip_dst=192.1.1.1", "tp_dst=80", "tp_dst=443,ip_proto=6",
 	} {
 		pk := flow.MustParseKey(probe)
-		if m.Matches(pk) {
-			if e2, _ := c.Lookup(pk); e2 != nil {
+		if m.MatchesKey(&pk) {
+			if e2, _ := lookup(c, pk); e2 != nil {
 				t.Errorf("miss megaflow %s covers %s which hits %v", m, probe, e2.Match)
 			}
 		}
 	}
-	if e2, _ := c.Lookup(flow.MustParseKey("ip_dst=10.9.9.8,tp_dst=9999")); e2 != nil {
+	if e2, _ := lookup(c, flow.MustParseKey("ip_dst=10.9.9.8,tp_dst=9999")); e2 != nil {
 		t.Error("sanity: nearby key should also miss")
 	}
 }

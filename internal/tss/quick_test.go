@@ -38,7 +38,7 @@ func TestLookupWildSoundness(t *testing.T) {
 
 	for trial := 0; trial < 4000; trial++ {
 		k := randKey()
-		e, wild, _ := c.LookupWild(k)
+		e, wild, _ := lookupWild(c, k)
 
 		// Perturb k arbitrarily on bits NOT in wild.
 		k2 := k
@@ -46,7 +46,7 @@ func TestLookupWildSoundness(t *testing.T) {
 			free := f.MaxValue() &^ wild.Get(f)
 			k2 = k2.WithMasked(f, rng.Uint64(), free)
 		}
-		e2, _ := c.Lookup(k2)
+		e2, _ := lookup(c, k2)
 		switch {
 		case e == nil && e2 != nil:
 			t.Fatalf("k=%s missed but masked-equal k2=%s hit %v (wild=%s)", k, k2, e2.Match, wild)
@@ -90,12 +90,12 @@ func TestLookupWildAfterChurn(t *testing.T) {
 		k := flow.Key{}.
 			With(flow.FieldIPDst, uint64(rng.Intn(4))<<24|uint64(rng.Intn(1<<16))).
 			With(flow.FieldTpDst, uint64(rng.Intn(3)))
-		e, wild, _ := c.LookupWild(k)
+		e, wild, _ := lookupWild(c, k)
 		k2 := k
 		for f := flow.FieldID(0); f < flow.NumFields; f++ {
 			k2 = k2.WithMasked(f, rng.Uint64(), f.MaxValue()&^wild.Get(f))
 		}
-		e2, _ := c.Lookup(k2)
+		e2, _ := lookup(c, k2)
 		if (e == nil) != (e2 == nil) || (e != nil && e.Priority != e2.Priority) {
 			t.Fatalf("step %d: wildcard soundness violated", step)
 		}

@@ -248,20 +248,8 @@ func (c *Classifier[T]) find(k *flow.Key) (*bucket[T], int) {
 	return best, probes
 }
 
-// Lookup returns the highest-priority entry matching k, along with the
-// number of tuples probed. Returns nil when nothing matches.
-//
-//gf:hotpath
-func (c *Classifier[T]) Lookup(k flow.Key) (*Entry[T], int) {
-	b, probes := c.find(&k)
-	if b == nil {
-		return nil, probes
-	}
-	return b.head, probes
-}
-
-// LookupValue is Lookup for callers that want only the winning entry's
-// payload: the key travels by pointer and the payload comes from the
+// LookupValue returns the payload of the highest-priority entry matching
+// *k, along with the number of tuples probed: the payload comes from the
 // table slot the probe loaded, so no Entry is touched. ok is false when
 // nothing matches.
 //
@@ -274,22 +262,14 @@ func (c *Classifier[T]) LookupValue(k *flow.Key) (v T, probes int, ok bool) {
 	return b.val, probes, true
 }
 
-// LookupWild is Lookup plus megaflow-style wildcard tracking: it returns
-// the union of the masks of every tuple probed. Any packet equal to k on
-// the returned mask's bits is guaranteed to classify to the same entry
-// (OVS's rule: each tuple the search visits contributes its whole mask to
-// the unwildcarded set, which also subsumes the per-rule dependency bits of
-// §4.2.3 since every higher-priority rule lives in a visited tuple).
-//
-//gf:hotpath
-func (c *Classifier[T]) LookupWild(k flow.Key) (e *Entry[T], wild flow.Mask, probes int) {
-	e, probes = c.LookupWildInto(&k, &wild)
-	return e, wild, probes
-}
-
-// LookupWildInto is LookupWild with the key by pointer and the wildcard
-// written into *wild (whatever it held is overwritten): the form the
-// pipeline walk uses to build a traversal step in place.
+// LookupWildInto is the lookup plus megaflow-style wildcard tracking: it
+// writes into *wild (whatever it held is overwritten) the union of the
+// masks of every tuple probed. Any packet equal to k on that mask's bits
+// is guaranteed to classify to the same entry (OVS's rule: each tuple the
+// search visits contributes its whole mask to the unwildcarded set, which
+// also subsumes the per-rule dependency bits of §4.2.3 since every
+// higher-priority rule lives in a visited tuple). The pipeline walk uses
+// it to build a traversal step in place.
 //
 //gf:hotpath
 func (c *Classifier[T]) LookupWildInto(k *flow.Key, wild *flow.Mask) (*Entry[T], int) {
@@ -323,7 +303,7 @@ func (c *Classifier[T]) LookupWildInto(k *flow.Key, wild *flow.Mask) (*Entry[T],
 // bit on which the key provably differs from that rule.
 //
 // The result is a strictly wider (never narrower) wildcard than
-// LookupWild's, with the same guarantee: any key equal to k on the
+// LookupWildInto's, with the same guarantee: any key equal to k on the
 // returned mask's bits classifies identically. The price is O(entries in
 // outranking tuples) per lookup instead of O(tuples) — OVS chose the
 // cheap variant; this one exists to model classifiers that spend the
@@ -359,7 +339,7 @@ func (c *Classifier[T]) LookupWildPreciseInto(k *flow.Key, wild *flow.Mask, scra
 	}
 	// Pass 2: one distinguishing bit against every rule that ranks at or
 	// above the match and did not fire for k. Equal-priority rules must be
-	// excluded too: Lookup resolves equal-priority ties by tuple order, so
+	// excluded too: a lookup resolves equal-priority ties by tuple order, so
 	// a covered key newly matching one could steal the tie. (Rules sharing
 	// the winner's exact predicate differ only in priority and cannot be
 	// distinguished — nor need they be, since bucket order resolves them
@@ -466,14 +446,6 @@ func (c *Classifier[T]) Entries() []*Entry[T] {
 	out := make([]*Entry[T], 0, c.count)
 	c.Range(func(e *Entry[T]) bool { out = append(out, e); return true })
 	return out
-}
-
-// Clear removes all entries.
-func (c *Classifier[T]) Clear() {
-	c.tuples = make(map[flow.Mask]*tuple[T])
-	c.order = nil
-	c.dirty = false
-	c.count = 0
 }
 
 // String summarises the classifier shape.

@@ -11,25 +11,42 @@ func entry(match string, prio, val int) *Entry[int] {
 	return &Entry[int]{Match: flow.MustParseMatch(match), Priority: prio, Value: val}
 }
 
+// lookup returns the highest-priority entry matching k (nil when nothing
+// matches) and the number of tuples probed.
+func lookup[T any](c *Classifier[T], k flow.Key) (*Entry[T], int) {
+	b, probes := c.find(&k)
+	if b == nil {
+		return nil, probes
+	}
+	return b.head, probes
+}
+
+// lookupWild is LookupWildInto with the key and the wildcard by value.
+func lookupWild[T any](c *Classifier[T], k flow.Key) (*Entry[T], flow.Mask, int) {
+	var wild flow.Mask
+	e, probes := c.LookupWildInto(&k, &wild)
+	return e, wild, probes
+}
+
 func TestLookupPicksHighestPriority(t *testing.T) {
 	c := New[int]()
 	c.Insert(entry("ip_dst=10.0.0.0/8", 100, 1))
 	c.Insert(entry("ip_dst=10.1.0.0/16", 200, 2))
 	c.Insert(entry("ip_dst=10.1.2.0/24", 300, 3))
 
-	e, _ := c.Lookup(flow.MustParseKey("ip_dst=10.1.2.3"))
+	e, _ := lookup(c, flow.MustParseKey("ip_dst=10.1.2.3"))
 	if e == nil || e.Value != 3 {
 		t.Fatalf("got %v, want value 3", e)
 	}
-	e, _ = c.Lookup(flow.MustParseKey("ip_dst=10.1.9.9"))
+	e, _ = lookup(c, flow.MustParseKey("ip_dst=10.1.9.9"))
 	if e == nil || e.Value != 2 {
 		t.Fatalf("got %v, want value 2", e)
 	}
-	e, _ = c.Lookup(flow.MustParseKey("ip_dst=10.9.9.9"))
+	e, _ = lookup(c, flow.MustParseKey("ip_dst=10.9.9.9"))
 	if e == nil || e.Value != 1 {
 		t.Fatalf("got %v, want value 1", e)
 	}
-	e, _ = c.Lookup(flow.MustParseKey("ip_dst=11.0.0.1"))
+	e, _ = lookup(c, flow.MustParseKey("ip_dst=11.0.0.1"))
 	if e != nil {
 		t.Fatalf("expected miss, got %v", e)
 	}
@@ -46,7 +63,7 @@ func TestInsertReplaceSamePredicateAndPriority(t *testing.T) {
 	if c.Len() != 1 {
 		t.Errorf("Len = %d, want 1", c.Len())
 	}
-	e, _ := c.Lookup(flow.MustParseKey("tp_dst=80"))
+	e, _ := lookup(c, flow.MustParseKey("tp_dst=80"))
 	if e.Value != 2 {
 		t.Errorf("replacement not visible: %v", e.Value)
 	}
@@ -59,14 +76,14 @@ func TestSamePredicateDifferentPriorities(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())
 	}
-	e, _ := c.Lookup(flow.MustParseKey("tp_dst=80"))
+	e, _ := lookup(c, flow.MustParseKey("tp_dst=80"))
 	if e.Value != 2 {
 		t.Errorf("want higher-priority value 2, got %d", e.Value)
 	}
 	if !c.Delete(flow.MustParseMatch("tp_dst=80"), 9) {
 		t.Fatal("delete failed")
 	}
-	e, _ = c.Lookup(flow.MustParseKey("tp_dst=80"))
+	e, _ = lookup(c, flow.MustParseKey("tp_dst=80"))
 	if e == nil || e.Value != 1 {
 		t.Errorf("after delete want value 1, got %v", e)
 	}
@@ -88,7 +105,7 @@ func TestDelete(t *testing.T) {
 	if c.Len() != 1 || c.NumTuples() != 1 {
 		t.Errorf("Len=%d NumTuples=%d, want 1,1", c.Len(), c.NumTuples())
 	}
-	e, _ := c.Lookup(flow.MustParseKey("ip_dst=10.1.1.1,tp_dst=80"))
+	e, _ := lookup(c, flow.MustParseKey("ip_dst=10.1.1.1,tp_dst=80"))
 	if e == nil || e.Value != 2 {
 		t.Errorf("remaining rule not found: %v", e)
 	}
@@ -101,7 +118,7 @@ func TestDeleteRestoresMaxPriorityEarlyExit(t *testing.T) {
 	c.Insert(entry("ip_dst=10.0.0.0/8", 50, 3))
 	c.Delete(flow.MustParseMatch("tp_dst=80"), 100)
 	// tp tuple's max priority must now be 1, so the /8 rule should win.
-	e, _ := c.Lookup(flow.MustParseKey("ip_dst=10.0.0.1,tp_dst=81"))
+	e, _ := lookup(c, flow.MustParseKey("ip_dst=10.0.0.1,tp_dst=81"))
 	if e == nil || e.Value != 3 {
 		t.Fatalf("got %v, want value 3", e)
 	}
@@ -128,7 +145,7 @@ func TestEarlyExitProbeCount(t *testing.T) {
 	c.Insert(entry("ip_dst=10.0.0.0/8", 1, 2))
 	c.Insert(entry("ip_dst=10.0.0.0/16", 2, 3))
 	c.Insert(entry("ip_dst=10.0.0.0/24", 3, 4))
-	e, probes := c.Lookup(flow.MustParseKey("ip_dst=10.0.0.1"))
+	e, probes := lookup(c, flow.MustParseKey("ip_dst=10.0.0.1"))
 	if e.Value != 1 {
 		t.Fatalf("wrong winner %v", e)
 	}
@@ -136,7 +153,7 @@ func TestEarlyExitProbeCount(t *testing.T) {
 		t.Errorf("staged lookup should probe only the top tuple, probed %d", probes)
 	}
 	// A miss must probe all tuples.
-	_, probes = c.Lookup(flow.MustParseKey("ip_dst=99.0.0.1"))
+	_, probes = lookup(c, flow.MustParseKey("ip_dst=99.0.0.1"))
 	if probes != c.NumTuples() {
 		t.Errorf("miss probed %d of %d tuples", probes, c.NumTuples())
 	}
@@ -145,8 +162,8 @@ func TestEarlyExitProbeCount(t *testing.T) {
 func TestStatsAccumulate(t *testing.T) {
 	c := New[int]()
 	c.Insert(entry("tp_dst=80", 1, 1))
-	_, hit := c.Lookup(flow.MustParseKey("tp_dst=80"))
-	_, miss := c.Lookup(flow.MustParseKey("tp_dst=81"))
+	_, hit := lookup(c, flow.MustParseKey("tp_dst=80"))
+	_, miss := lookup(c, flow.MustParseKey("tp_dst=81"))
 	if hit != 1 || miss != 1 {
 		t.Errorf("probes = %d, %d; want one each", hit, miss)
 	}
@@ -167,25 +184,12 @@ func TestRangeAndEntries(t *testing.T) {
 	}
 }
 
-func TestClear(t *testing.T) {
-	c := New[int]()
-	c.Insert(entry("tp_dst=80", 1, 1))
-	c.Lookup(flow.MustParseKey("tp_dst=80"))
-	c.Clear()
-	if c.Len() != 0 || c.NumTuples() != 0 {
-		t.Error("Clear left rules behind")
-	}
-	if e, _ := c.Lookup(flow.MustParseKey("tp_dst=80")); e != nil {
-		t.Error("lookup hit after Clear")
-	}
-}
-
 // linearScan is the reference classifier: check every rule, pick the
 // highest priority match (first inserted wins ties, matching bucket order).
 func linearScan(rules []*Entry[int], k flow.Key) *Entry[int] {
 	var best *Entry[int]
 	for _, r := range rules {
-		if r.Match.Matches(k) && (best == nil || r.Priority > best.Priority) {
+		if r.Match.MatchesKey(&k) && (best == nil || r.Priority > best.Priority) {
 			best = r
 		}
 	}
@@ -221,7 +225,7 @@ func TestAgainstLinearScanRandomized(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		k := randKey()
 		want := linearScan(rules, k)
-		got, _ := c.Lookup(k)
+		got, _ := lookup(c, k)
 		switch {
 		case want == nil && got != nil:
 			t.Fatalf("key %s: tss hit %v, linear miss", k, got.Match)
@@ -262,7 +266,7 @@ func TestRandomizedInsertDeleteConsistency(t *testing.T) {
 	}
 	// Final sanity: every live rule is still reachable.
 	for _, e := range live {
-		got, _ := c.Lookup(e.Match.Key)
+		got, _ := lookup(c, e.Match.Key)
 		if got == nil {
 			t.Fatalf("live rule %v unreachable", e.Match)
 		}
@@ -282,7 +286,7 @@ func BenchmarkLookupHit(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Lookup(keys[i%len(keys)])
+		lookup(c, keys[i%len(keys)])
 	}
 }
 
@@ -321,7 +325,7 @@ func TestBucketHeadCopyTracksChain(t *testing.T) {
 		t.Helper()
 		checkBuckets(t, c, when)
 		v, _, hit := c.LookupValue(&k)
-		if e, _ := c.Lookup(k); hit != ok || (e != nil) != ok || (ok && (v != val || e.Value != val)) {
+		if e, _ := lookup(c, k); hit != ok || (e != nil) != ok || (ok && (v != val || e.Value != val)) {
 			t.Fatalf("%s: LookupValue = %d,%v; Lookup = %v; want %d,%v", when, v, hit, e, val, ok)
 		}
 	}
@@ -413,7 +417,7 @@ func TestByPointerAgreesWithByValue(t *testing.T) {
 		var wild flow.Mask
 		wild[0] = ^uint64(0) // LookupWildInto must overwrite, not accumulate
 		ep, pp := byPtr.LookupWildInto(&k, &wild)
-		ev, wv, pv := byVal.LookupWild(k)
+		ev, wv, pv := lookupWild(byVal, k)
 		if (ep == nil) != (ev == nil) || ep != nil && ep.Value != ev.Value || wild != wv || pp != pv {
 			t.Fatalf("step %d: LookupWildInto = %v, %v, %d; LookupWild = %v, %v, %d", step, ep, wild, pp, ev, wv, pv)
 		}
@@ -446,13 +450,13 @@ func TestRemoveChecksIdentity(t *testing.T) {
 		t.Fatal("Remove took out the entry that replaced its argument")
 	}
 	k := flow.MustParseKey("ip_dst=10.1.2.3")
-	if e, _ := c.Lookup(k); e != b || c.Len() != 2 {
+	if e, _ := lookup(c, k); e != b || c.Len() != 2 {
 		t.Fatalf("after a refused Remove: Lookup = %v, Len = %d", e, c.Len())
 	}
 	if !c.Remove(b) || c.Remove(b) {
 		t.Fatal("Remove of the resident entry must succeed exactly once")
 	}
-	if e, _ := c.Lookup(k); e != lower || c.Len() != 1 {
+	if e, _ := lookup(c, k); e != lower || c.Len() != 1 {
 		t.Fatalf("after Remove: Lookup = %v, Len = %d", e, c.Len())
 	}
 	if !c.Remove(lower) || c.Len() != 0 || c.NumTuples() != 0 {

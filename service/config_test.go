@@ -107,7 +107,7 @@ func TestCacheChoice(t *testing.T) {
 				if gf := w.vs.Cache(); gf != nil {
 					cache, capacity = "gigaflow", gf.Capacity()
 				} else {
-					capacity = w.vs.Megaflow().Capacity()
+					capacity = w.vs.Megaflow().Snapshot().Capacity
 				}
 				if cache != tc.cache {
 					t.Errorf("shard %d runs %s, want %s", i, cache, tc.cache)

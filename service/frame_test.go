@@ -113,7 +113,7 @@ func TestCapacitySplitExact(t *testing.T) {
 		sumCache, sumMicro := 0, 0
 		for _, w := range s.workers {
 			sumCache += w.vs.Cache().Capacity()
-			sumMicro += w.vs.Microflow().Capacity()
+			sumMicro += w.vs.Microflow().Snapshot().Capacity
 		}
 		if sumCache != tables*total {
 			t.Errorf("summed Gigaflow capacity = %d, want %d (remainder dropped)", sumCache, tables*total)
@@ -133,7 +133,7 @@ func TestCapacitySplitExact(t *testing.T) {
 		}
 		sum := 0
 		for _, w := range s.workers {
-			sum += w.vs.Megaflow().Capacity()
+			sum += w.vs.Megaflow().Snapshot().Capacity
 		}
 		if sum != total {
 			t.Errorf("summed Megaflow capacity = %d, want %d", sum, total)

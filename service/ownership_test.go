@@ -339,7 +339,7 @@ func TestShardOwnershipUnderRace(t *testing.T) {
 					t.Errorf("workers=%d async=%v shard %d: %d flows / %d packets still parked after Close",
 						workers, async, w.idx, len(w.pending), w.up.ParkedPackets)
 				}
-				expired += w.vs.Cache().Stats().Expired + w.vs.Microflow().Stats().Expired
+				expired += w.vs.Cache().Stats().Expired + w.vs.Microflow().Snapshot().Stats.Expired
 				w.own.Unlock()
 			}
 			if expired == 0 {

@@ -268,7 +268,7 @@ func TestRecycledMemoServesWithoutGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	uf := vs.Microflow()
-	if st := uf.Stats(); st.Hits+st.Misses+st.Inserts != 0 || uf.Len() != 0 {
+	if st := uf.Snapshot().Stats; st.Hits+st.Misses+st.Inserts != 0 || uf.Len() != 0 {
 		t.Fatalf("a tracked packet reached the Microflow tier: %+v, %d entries", st, uf.Len())
 	}
 	if c, _, ok := vs.Conntrack().Lookup(tcp); !ok || !c.Served[conntrack.DirForward].Verdict.Terminal() {
@@ -277,14 +277,14 @@ func TestRecycledMemoServesWithoutGuard(t *testing.T) {
 	if _, err := processOne(vs, gre, 0, 2); err != nil {
 		t.Fatal(err)
 	}
-	memo, ok := uf.Lookup(gre, 2)
+	memo, ok := uf.Find(&gre, 2)
 	if !ok {
 		t.Fatal("untracked flow not memoized")
 	}
 	if _, err := processOne(vs, esp, 0, 3); err != nil { // recycles the GRE memo's storage
 		t.Fatal(err)
 	}
-	if e, ok := uf.Lookup(esp, 3); !ok || e != memo || e.Ct != nil || e.CtEpoch != 0 || e.CtDir != 0 {
+	if e, ok := uf.Find(&esp, 3); !ok || e != memo || e.Ct != nil || e.CtEpoch != 0 || e.CtDir != 0 {
 		t.Fatalf("memo in reused storage = %+v, %v (GRE entry was %p)", e, ok, memo)
 	}
 	// Move the TCP connection on between the untracked packets.
@@ -303,7 +303,7 @@ func TestRecycledMemoServesWithoutGuard(t *testing.T) {
 	if after.CtFastpath != before.CtFastpath || after.CtGuardFails != before.CtGuardFails {
 		t.Errorf("hit went through a connection: before %+v, after %+v", before, after)
 	}
-	if st := uf.Stats(); st.Bypassed != 0 || st.EvictLRU != 1 || st.Inserts != 2 {
+	if st := uf.Snapshot().Stats; st.Bypassed != 0 || st.EvictLRU != 1 || st.Inserts != 2 {
 		t.Errorf("the tier did not recycle exactly once, or stepped aside: %+v", st)
 	}
 }

@@ -143,10 +143,10 @@ func TestMicroflowStepsAside(t *testing.T) {
 		// to memoize.
 		at := 0
 		upTo := func(hi int) (hits, bypassed uint64) {
-			h0, b0 := vs.Stats().MicroflowHits, uf.Stats().Bypassed
+			h0, b0 := vs.Stats().MicroflowHits, uf.Snapshot().Stats.Bypassed
 			d.run(vs, at, hi, out)
 			at = hi
-			return vs.Stats().MicroflowHits - h0, uf.Stats().Bypassed - b0
+			return vs.Stats().MicroflowHits - h0, uf.Snapshot().Stats.Bypassed - b0
 		}
 
 		// (a) Cold. The first window is observed in full; of the 25 that
@@ -158,7 +158,7 @@ func TestMicroflowStepsAside(t *testing.T) {
 		if hits != 0 || bypassed != 22*W || bypassed*100 < 85*(coldA-W) {
 			t.Fatalf("%s: cold: %d hits, %d of %d packets declined", d.name, hits, bypassed, coldA-W)
 		}
-		if got := uf.Stats().EvictLRU; got != 4*W-ufCap {
+		if got := uf.Snapshot().Stats.EvictLRU; got != 4*W-ufCap {
 			t.Fatalf("%s: cold: %d evictions over four observed windows, want %d", d.name, got, 4*W-ufCap)
 		}
 
@@ -203,7 +203,7 @@ func TestMicroflowStepsAside(t *testing.T) {
 				t.Fatalf("%s: packet %d: %+v, Reference %+v", d.name, i, out[i], want[i])
 			}
 		}
-		o := outcome{stats: vs.Stats(), uf: uf.Stats(), main: vs.Cache().Stats()}
+		o := outcome{stats: vs.Stats(), uf: uf.Snapshot().Stats, main: vs.Cache().Stats()}
 		if d.name == drivers[0].name {
 			first = o
 			if o.stats.CacheMisses == 0 || o.stats.CacheHits == 0 || o.stats.MicroflowHits == 0 || o.uf.Bypassed == 0 {
