@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: ci build test race vet lint lint-json suppress-check fmt-check docs docs-check bench bench-e2e bench-compare bench-pairs fuzz fuzz-regress
+.PHONY: ci build test race vet lint lint-json suppress-check fmt-check docs docs-check bench bench-smoke bench-e2e bench-compare bench-pairs fuzz fuzz-regress
 
 ## ci: the standard verification gate — vet, build, race-enabled tests,
-## the project linter, a gofmt cleanliness check and the suppression
-## audit. Run before every commit. The race step is every test of the
-## module, so it also checks the documents against the tree (TestDocs,
-## docs-check) and replays every checked-in fuzz corpus (fuzz-regress);
-## those two targets run the same checks alone, without -race.
-ci: vet build race lint suppress-check fmt-check
+## the project linter, a gofmt cleanliness check, the suppression audit
+## and one iteration of every benchmark. Run before every commit. The race
+## step is every test of the module, so it also checks the documents
+## against the tree (TestDocs, docs-check) and replays every checked-in
+## fuzz corpus (fuzz-regress); those two targets run the same checks
+## alone, without -race.
+ci: vet build race lint suppress-check fmt-check bench-smoke
 
 build:
 	$(GO) build ./...
@@ -83,6 +84,12 @@ docs-check:
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./...
 
+## bench-smoke: every Benchmark… of the module run once (-benchtime 1x),
+## so a benchmark that no longer builds, fails its own checks or panics
+## fails CI; it measures nothing (≈20 s on 2 vCPUs).
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
 ## bench-e2e: one end-to-end run of the repository's benchmark (bench/,
 ## BENCHMARK.json) per workload, tracing off. Set OUT=<file.jsonl> to
 ## append each run as a record for bench-compare, SEED=<n> for another
@@ -150,8 +157,8 @@ bench-pairs:
 ## fuzz-regress: replay the checked-in seed corpora (testdata/fuzz and
 ## the f.Add seeds) through every Fuzz… target of the module in plain-test
 ## mode — fast and deterministic; ci's race step runs the same replay.
-## FuzzRSSHash doubles as the differential oracle: extractor output must
-## agree with the full decoder on every corpus input. FuzzParseMatch and
+## FuzzRSSHash holds the RSS extractor, which only bench/'s packet.rss
+## stage still times, to the full decoder on every corpus input. FuzzParseMatch and
 ## FuzzParseKey round-trip String through the parser, which crosses every
 ## field's packed-key accessors, and FuzzRewrite holds the cache entries'
 ## masked-overwrite commit to the set-field action list it folds.

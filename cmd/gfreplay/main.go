@@ -1,7 +1,7 @@
 // Command gfreplay feeds raw packet bytes through the vSwitch service:
 // it reads a classic-pcap capture and submits its frames, a batch at a
-// time, through Service.SubmitFrameBatch — each frame decoded on its
-// shard — against a Gigaflow (or Megaflow) cache, printing hit rates,
+// time, through Service.SubmitFrameBatch — each frame decoded once, by
+// the call — against a Gigaflow (or Megaflow) cache, printing hit rates,
 // drops, and decode statistics.
 //
 // Without -rules it installs a built-in wire-demo pipeline whose rules
@@ -347,8 +347,8 @@ func replay(ctx context.Context, s *service.Service, r *pcap.Reader, cfg replayC
 		return rep, err
 	}
 	rep.stats = after.Sub(before)
-	// Every job flushed its decode tally before its results, and the
-	// closing Stats ran behind every job: the counters are complete.
+	// Every call counted its frames before submitting them: the counters
+	// are complete.
 	proto, degraded := decodeCounts(s.Registry())
 	for p := range proto {
 		rep.perProto[p] = proto[p] - protoBefore[p]

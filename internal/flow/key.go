@@ -69,11 +69,9 @@ func (k *Key) SymHash() uint64 {
 }
 
 // SymHash5 is the symmetric 5-tuple mix backing Key.SymHash, factored
-// out so the wire-bytes RSS extractor (internal/packet.RSSTuple and
-// Tuple.SymHash) produces bit-identical shard assignments without
-// building a Key: any caller
-// holding the five tuple values — from a decoded key or straight from
-// L3/L4 header words — lands a flow's two directions on the same shard.
+// out so the wire-bytes RSS extractor's Tuple.SymHash (internal/packet)
+// gives bit-identical values without building a Key: any caller holding
+// the five tuple values lands a flow's two directions on the same shard.
 //
 //gf:hotpath
 func SymHash5(srcIP, dstIP, proto, srcPort, dstPort uint64) uint64 {

@@ -30,11 +30,8 @@ func (m *Match) MatchesKey(k *Key) bool {
 		(k[2]^m.Key[2])&m.Mask[2]|(k[3]^m.Key[3])&m.Mask[3] == 0
 }
 
-// Normalize returns m with its key canonicalized under its mask.
-func (m Match) Normalize() Match { return NewMatch(m.Key, m.Mask) }
-
-// NormalizeInPlace is Normalize on the match itself: the form the install
-// paths use, where a 64-byte predicate travels by pointer.
+// NormalizeInPlace canonicalizes m's key under its mask, in place: a
+// 64-byte predicate travels by pointer.
 func (m *Match) NormalizeInPlace() {
 	for i := range m.Key {
 		m.Key[i] &= m.Mask[i]

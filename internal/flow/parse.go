@@ -106,7 +106,8 @@ func ParseMatch(s string) (Match, error) {
 		}
 		m = m.WithMaskedField(f, v, bits)
 	}
-	return m.Normalize(), nil
+	m.NormalizeInPlace()
+	return m, nil
 }
 
 // MustParseMatch is ParseMatch that panics on error; for tests and

@@ -2,16 +2,15 @@ package packet
 
 import "gigaflow/internal/flow"
 
-// RSS-style 5-tuple extraction: the ingestion front-end needs only a
-// shard assignment, not a full key, so it reads the handful of L3/L4
-// header words a NIC's RSS engine would and defers the complete Decode
-// to the owning shard worker. Extraction succeeds exactly when Decode
+// RSS-style 5-tuple extraction: it reads only the handful of L3/L4 header
+// words a NIC's RSS engine would. Extraction succeeds exactly when Decode
 // would yield a clean IPv4 L3/L4 key (Info.Err == ErrOK and a non-L2
 // protocol class): anything else — short frames, truncated or
 // inconsistent headers, over-deep VLAN stacks, non-IPv4 ethertypes —
-// reports !ok and the caller falls back to submitter-side Decode plus
-// key-hash routing, preserving the degraded-frame semantics bit for
-// bit. FuzzRSSHash holds the two code paths to that equivalence.
+// reports !ok. FuzzRSSHash holds it to Decode. No shipped path calls it
+// (the service decodes each frame once and routes by its key); it stays,
+// with Tuple and Tuple.SymHash, for the benchmark's packet.rss stage
+// until ROADMAP item 15.
 
 // Tuple is the symmetric-hash input extracted from wire bytes: the five
 // values Decode would place in the corresponding key fields. For ICMP
@@ -28,8 +27,7 @@ type Tuple struct {
 
 // SymHash is the tuple's endpoint-symmetric shard hash, bit-identical
 // to flow.Key.SymHash on the key Decode builds from the same frame —
-// both feed flow.SymHash5 — so wire-hash routing and key-hash routing
-// agree on every frame the extractor accepts.
+// both feed flow.SymHash5 — on every frame the extractor accepts.
 //
 //gf:hotpath
 func (t Tuple) SymHash() uint64 {
@@ -43,10 +41,8 @@ func (t Tuple) SymHash() uint64 {
 // never panics.
 //
 // The validation mirrors Decode step for step (same VLAN-stack budget,
-// same IHL and truncation checks, same fragment rule) because the two
-// must agree on which frames are cleanly decodable: a frame RSSTuple
-// accepts is decoded on the shard worker it hashes to, and a frame it
-// rejects is decoded by the submitter.
+// same IHL and truncation checks, same fragment rule), so the two agree
+// on which frames are cleanly decodable.
 //
 //gf:hotpath
 func RSSTuple(frame []byte) (Tuple, bool) {

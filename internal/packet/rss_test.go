@@ -11,19 +11,17 @@ import (
 // the full decoder, for every input the fuzzer can produce:
 //
 //  1. RSSTuple succeeds iff Decode yields a clean IPv4 L3/L4 key
-//     (Info.Err == ErrOK and a non-L2 protocol class) — the boundary
-//     that decides whether a frame is decoded on its shard worker or
-//     falls back to submitter-side decode.
+//     (Info.Err == ErrOK and a non-L2 protocol class).
 //  2. On success, the extracted 5-tuple matches the decoded key's
-//     field values exactly, so the tuple's SymHash == Key.SymHash and
-//     wire-hash routing agrees with key-hash routing bit for bit.
+//     field values exactly, so the tuple's SymHash == Key.SymHash.
 //  3. The hash is endpoint-symmetric: hashing with src/dst swapped
 //     (both IP and port) lands on the same shard.
 //
 // The seed corpus under testdata/fuzz/FuzzRSSHash pins the same frame
 // shapes FuzzDecode covers (clean TCP/UDP/ICMP, VLAN and QinQ stacks,
 // fragments, truncations, garbage); `make ci` replays it in regression
-// mode.
+// mode. The extractor, and this target with it, stays only for the
+// benchmark's packet.rss stage until ROADMAP item 15.
 func FuzzRSSHash(f *testing.F) {
 	tcp := Encode(tcpKey())
 	f.Add(tcp)

@@ -302,7 +302,7 @@ func (w *Workload) installChain(ti, ri int, ctx l2ctx, rng *rand.Rand) bool {
 			}
 		}
 
-		m = m.Normalize()
+		m.NormalizeInPlace()
 		var acts []flow.Action
 		if pos == 0 {
 			acts = append(acts, flow.SetField(flow.FieldMeta, metaVal))

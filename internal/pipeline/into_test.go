@@ -163,7 +163,7 @@ func TestProcessIntoMatchesProcess(t *testing.T) {
 			}
 			match, commit := fresh.Compose(a, b)
 			scratch.ComposeInto(a, b, &rule)
-			if match != rule.Match || commit != rule.Commit || !reflect.DeepEqual(match, match.Normalize()) {
+			if match != rule.Match || commit != rule.Commit || !reflect.DeepEqual(match, flow.NewMatch(match.Key, match.Mask)) {
 				t.Fatalf("round %d key %d: ComposeInto(%d,%d) = %v %v, Compose = %v %v", round, i, a, b, rule.Match, rule.Commit, match, commit)
 			}
 		}

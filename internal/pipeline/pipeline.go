@@ -83,8 +83,8 @@ func (t *Table) Rules() []*Rule {
 // FindRule returns the rule with exactly the given match predicate and
 // priority, if installed.
 func (t *Table) FindRule(m flow.Match, priority int) (*Rule, bool) {
-	e, ok := t.cls.Get(m, priority)
-	if !ok {
+	e := t.cls.GetMatch(&m, priority)
+	if e == nil {
 		return nil, false
 	}
 	return e.Value, true
@@ -235,7 +235,7 @@ func (p *Pipeline) AddRule(tableID int, match flow.Match, priority int, actions 
 		}
 	}
 	p.nextID++
-	r := &Rule{ID: p.nextID, TableID: tableID, Match: match.Normalize(), Priority: priority, Actions: actions, Next: next}
+	r := &Rule{ID: p.nextID, TableID: tableID, Match: flow.NewMatch(match.Key, match.Mask), Priority: priority, Actions: actions, Next: next}
 	t.cls.Insert(&tss.Entry[*Rule]{Match: r.Match, Priority: r.Priority, Value: r})
 	p.Version++
 	return r, nil
@@ -256,10 +256,10 @@ func (p *Pipeline) DeleteRule(r *Rule) bool {
 	if t == nil {
 		return false
 	}
-	if e, ok := t.cls.Get(r.Match, r.Priority); !ok || e.Value != r {
+	if e := t.cls.GetMatch(&r.Match, r.Priority); e == nil || e.Value != r {
 		return false
 	}
-	if t.cls.Delete(r.Match, r.Priority) {
+	if t.cls.DeleteMatch(&r.Match, r.Priority) {
 		p.Version++
 		return true
 	}

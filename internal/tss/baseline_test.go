@@ -34,7 +34,7 @@ func (c *mapRef[T]) Len() int       { return c.count }
 func (c *mapRef[T]) NumTuples() int { return len(c.tuples) }
 
 func (c *mapRef[T]) Insert(e *Entry[T]) (replaced bool) {
-	e.Match = e.Match.Normalize()
+	e.Match.NormalizeInPlace()
 	tp := c.tuples[e.Match.Mask]
 	if tp == nil {
 		tp = &mapRefTuple[T]{mask: e.Match.Mask, entries: make(map[flow.Key][]*Entry[T])}
@@ -63,7 +63,7 @@ func (c *mapRef[T]) Insert(e *Entry[T]) (replaced bool) {
 }
 
 func (c *mapRef[T]) Delete(m flow.Match, priority int) bool {
-	m = m.Normalize()
+	m.NormalizeInPlace()
 	tp := c.tuples[m.Mask]
 	if tp == nil {
 		return false

@@ -70,7 +70,7 @@ func TestDifferentialAgainstMapBackedClassifier(t *testing.T) {
 			case op == 3 && len(live) > 0: // delete
 				i := rng.Intn(len(live))
 				e := live[i]
-				gr := got.Delete(e.Match, e.Priority)
+				gr := got.DeleteMatch(&e.Match, e.Priority)
 				rr := ref.Delete(e.Match, e.Priority)
 				if gr != rr {
 					t.Fatalf("seed %d step %d: Delete=%v ref=%v", seed, step, gr, rr)
@@ -136,7 +136,7 @@ func TestRangeDeterministicOrder(t *testing.T) {
 			if i%7 == 0 {
 				k := diffKey(rng)
 				if e, _ := lookup(c, k); e != nil && rng.Intn(2) == 0 {
-					c.Delete(e.Match, e.Priority)
+					c.DeleteMatch(&e.Match, e.Priority)
 				}
 			}
 		}

@@ -75,13 +75,13 @@ func TestLookupWildAfterChurn(t *testing.T) {
 		switch {
 		case len(live) == 0 || rng.Intn(3) > 0:
 			e := mkRule(step)
-			if _, ok := c.Get(e.Match, e.Priority); !ok {
+			if c.GetMatch(&e.Match, e.Priority) == nil {
 				c.Insert(e)
 				live = append(live, e)
 			}
 		default:
 			i := rng.Intn(len(live))
-			c.Delete(live[i].Match, live[i].Priority)
+			c.DeleteMatch(&live[i].Match, live[i].Priority)
 			live = append(live[:i], live[i+1:]...)
 		}
 		if step%10 != 0 {

@@ -133,14 +133,9 @@ func (c *Classifier[T]) Insert(e *Entry[T]) (replaced bool) {
 	return false
 }
 
-// Delete removes the entry with the given match and priority, reporting
-// whether one was found.
-func (c *Classifier[T]) Delete(m flow.Match, priority int) bool {
-	return c.unlink(&m, priority, nil)
-}
-
-// DeleteMatch is Delete with the predicate by pointer; *m need not be
-// normalized and is not modified.
+// DeleteMatch removes the entry with predicate *m and the given priority,
+// reporting whether one was found; *m need not be normalized and is not
+// modified.
 func (c *Classifier[T]) DeleteMatch(m *flow.Match, priority int) bool {
 	return c.unlink(m, priority, nil)
 }
@@ -397,14 +392,9 @@ func distinguishingBit(k *flow.Key, m *flow.Match) (bitRef, bool) {
 	return bitRef{}, false
 }
 
-// Get returns the entry with exactly the given match and priority, if any.
-func (c *Classifier[T]) Get(m flow.Match, priority int) (*Entry[T], bool) {
-	e := c.GetMatch(&m, priority)
-	return e, e != nil
-}
-
-// GetMatch is Get with the predicate by pointer, nil when absent; *m need
-// not be normalized and is not modified.
+// GetMatch returns the entry with exactly predicate *m and the given
+// priority, nil when absent; *m need not be normalized and is not
+// modified.
 func (c *Classifier[T]) GetMatch(m *flow.Match, priority int) *Entry[T] {
 	tp := c.tuples[m.Mask]
 	if tp == nil {

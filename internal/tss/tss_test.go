@@ -11,6 +11,12 @@ func entry(match string, prio, val int) *Entry[int] {
 	return &Entry[int]{Match: flow.MustParseMatch(match), Priority: prio, Value: val}
 }
 
+// pred parses a match predicate for the by-pointer calls.
+func pred(match string) *flow.Match {
+	m := flow.MustParseMatch(match)
+	return &m
+}
+
 // lookup returns the highest-priority entry matching k (nil when nothing
 // matches) and the number of tuples probed.
 func lookup[T any](c *Classifier[T], k flow.Key) (*Entry[T], int) {
@@ -80,7 +86,7 @@ func TestSamePredicateDifferentPriorities(t *testing.T) {
 	if e.Value != 2 {
 		t.Errorf("want higher-priority value 2, got %d", e.Value)
 	}
-	if !c.Delete(flow.MustParseMatch("tp_dst=80"), 9) {
+	if !c.DeleteMatch(pred("tp_dst=80"), 9) {
 		t.Fatal("delete failed")
 	}
 	e, _ = lookup(c, flow.MustParseKey("tp_dst=80"))
@@ -93,13 +99,13 @@ func TestDelete(t *testing.T) {
 	c := New[int]()
 	c.Insert(entry("ip_dst=10.0.0.0/8", 1, 1))
 	c.Insert(entry("tp_dst=80", 2, 2))
-	if !c.Delete(flow.MustParseMatch("ip_dst=10.0.0.0/8"), 1) {
+	if !c.DeleteMatch(pred("ip_dst=10.0.0.0/8"), 1) {
 		t.Fatal("delete existing failed")
 	}
-	if c.Delete(flow.MustParseMatch("ip_dst=10.0.0.0/8"), 1) {
+	if c.DeleteMatch(pred("ip_dst=10.0.0.0/8"), 1) {
 		t.Fatal("double delete succeeded")
 	}
-	if c.Delete(flow.MustParseMatch("ip_dst=99.0.0.0/8"), 1) {
+	if c.DeleteMatch(pred("ip_dst=99.0.0.0/8"), 1) {
 		t.Fatal("delete of absent rule succeeded")
 	}
 	if c.Len() != 1 || c.NumTuples() != 1 {
@@ -116,7 +122,7 @@ func TestDeleteRestoresMaxPriorityEarlyExit(t *testing.T) {
 	c.Insert(entry("tp_dst=80", 100, 1))
 	c.Insert(entry("tp_dst=81", 1, 2)) // same tuple, low priority
 	c.Insert(entry("ip_dst=10.0.0.0/8", 50, 3))
-	c.Delete(flow.MustParseMatch("tp_dst=80"), 100)
+	c.DeleteMatch(pred("tp_dst=80"), 100)
 	// tp tuple's max priority must now be 1, so the /8 rule should win.
 	e, _ := lookup(c, flow.MustParseKey("ip_dst=10.0.0.1,tp_dst=81"))
 	if e == nil || e.Value != 3 {
@@ -127,14 +133,14 @@ func TestDeleteRestoresMaxPriorityEarlyExit(t *testing.T) {
 func TestGet(t *testing.T) {
 	c := New[int]()
 	c.Insert(entry("tp_dst=80", 7, 42))
-	if e, ok := c.Get(flow.MustParseMatch("tp_dst=80"), 7); !ok || e.Value != 42 {
-		t.Errorf("Get = %v, %v", e, ok)
+	if e := c.GetMatch(pred("tp_dst=80"), 7); e == nil || e.Value != 42 {
+		t.Errorf("GetMatch = %v", e)
 	}
-	if _, ok := c.Get(flow.MustParseMatch("tp_dst=80"), 8); ok {
-		t.Error("Get with wrong priority succeeded")
+	if c.GetMatch(pred("tp_dst=80"), 8) != nil {
+		t.Error("GetMatch with wrong priority succeeded")
 	}
-	if _, ok := c.Get(flow.MustParseMatch("tp_src=80"), 7); ok {
-		t.Error("Get with wrong match succeeded")
+	if c.GetMatch(pred("tp_src=80"), 7) != nil {
+		t.Error("GetMatch with wrong match succeeded")
 	}
 }
 
@@ -253,7 +259,7 @@ func TestRandomizedInsertDeleteConsistency(t *testing.T) {
 			next++
 		} else {
 			for id, e := range live {
-				if !c.Delete(e.Match, e.Priority) {
+				if !c.DeleteMatch(&e.Match, e.Priority) {
 					t.Fatalf("step %d: delete of live rule failed", step)
 				}
 				delete(live, id)
@@ -345,13 +351,13 @@ func TestBucketHeadCopyTracksChain(t *testing.T) {
 	want("replace head of a chain", 91, true)
 	ins(7, 71)
 	want("replace a middle entry", 91, true)
-	c.Delete(m, 7)
+	c.DeleteMatch(&m, 7)
 	want("delete a middle entry", 91, true)
-	c.Delete(m, 9)
+	c.DeleteMatch(&m, 9)
 	want("delete the head", 51, true)
-	c.Delete(m, 3)
+	c.DeleteMatch(&m, 3)
 	want("delete the tail", 51, true)
-	c.Delete(m, 5)
+	c.DeleteMatch(&m, 5)
 	want("delete the last entry", 0, false)
 	if c.Len() != 0 || c.NumTuples() != 0 {
 		t.Fatalf("classifier not empty: %d entries, %d tuples", c.Len(), c.NumTuples())
@@ -360,9 +366,9 @@ func TestBucketHeadCopyTracksChain(t *testing.T) {
 
 // The install paths hand predicates over by pointer and un-normalized (a
 // composed key still carries bits outside its mask until Insert strips
-// them). GetMatch and DeleteMatch must find exactly what Get and Delete
-// find for the same predicate by value, must not modify it, and the
-// wildcard-tracking lookups must agree with their by-value forms.
+// them). GetMatch and DeleteMatch must find exactly what they find for the
+// predicate's normalized copy, must not modify either, and the
+// wildcard-tracking lookups must agree with their by-value helpers.
 func TestByPointerAgreesWithByValue(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	masks := []flow.Mask{
@@ -378,57 +384,58 @@ func TestByPointerAgreesWithByValue(t *testing.T) {
 		}
 		return m
 	}
-	byPtr, byVal := New[int](), New[int]()
+	// raw is fed dirty predicates, clean their normalized copies.
+	raw, clean := New[int](), New[int]()
 	for step := 0; step < 4000; step++ {
 		m, prio := dirty(), rng.Intn(3)
+		n := flow.NewMatch(m.Key, m.Mask)
 		switch rng.Intn(4) {
 		case 0, 1:
-			rp := byPtr.Insert(&Entry[int]{Match: m, Priority: prio, Value: step})
-			rv := byVal.Insert(&Entry[int]{Match: m, Priority: prio, Value: step})
-			if rp != rv {
-				t.Fatalf("step %d: Insert replaced %v vs %v", step, rp, rv)
+			rr := raw.Insert(&Entry[int]{Match: m, Priority: prio, Value: step})
+			rc := clean.Insert(&Entry[int]{Match: n, Priority: prio, Value: step})
+			if rr != rc {
+				t.Fatalf("step %d: Insert replaced %v vs %v", step, rr, rc)
 			}
 		case 2:
-			keep := m
-			gp := byPtr.GetMatch(&m, prio)
-			gv, ok := byVal.Get(m, prio)
-			if (gp != nil) != ok || ok && (gp.Value != gv.Value || gp.Priority != gv.Priority || gp.Match != gv.Match) {
-				t.Fatalf("step %d: GetMatch(%v, %d) = %+v, Get = %+v, %v", step, m, prio, gp, gv, ok)
+			keepM, keepN := m, n
+			gr, gc := raw.GetMatch(&m, prio), clean.GetMatch(&n, prio)
+			if (gr != nil) != (gc != nil) || gr != nil && (gr.Value != gc.Value || gr.Priority != gc.Priority || gr.Match != gc.Match) {
+				t.Fatalf("step %d: GetMatch(%v, %d) = %+v, normalized %+v", step, m, prio, gr, gc)
 			}
-			if ok && gp.Match != m.Normalize() {
-				t.Fatalf("step %d: found %v for predicate %v", step, gp.Match, m.Normalize())
+			if gr != nil && gr.Match != n {
+				t.Fatalf("step %d: found %v for predicate %v", step, gr.Match, n)
 			}
-			if m != keep {
+			if m != keepM || n != keepN {
 				t.Fatalf("step %d: GetMatch modified its argument", step)
 			}
 		default:
-			keep := m
-			if dp, dv := byPtr.DeleteMatch(&m, prio), byVal.Delete(m, prio); dp != dv {
-				t.Fatalf("step %d: DeleteMatch(%v, %d) = %v, Delete = %v", step, m, prio, dp, dv)
+			keepM, keepN := m, n
+			if dr, dc := raw.DeleteMatch(&m, prio), clean.DeleteMatch(&n, prio); dr != dc {
+				t.Fatalf("step %d: DeleteMatch(%v, %d) = %v, normalized %v", step, m, prio, dr, dc)
 			}
-			if m != keep {
+			if m != keepM || n != keepN {
 				t.Fatalf("step %d: DeleteMatch modified its argument", step)
 			}
 		}
-		if byPtr.Len() != byVal.Len() || byPtr.NumTuples() != byVal.NumTuples() {
-			t.Fatalf("step %d: %v vs %v", step, byPtr, byVal)
+		if raw.Len() != clean.Len() || raw.NumTuples() != clean.NumTuples() {
+			t.Fatalf("step %d: %v vs %v", step, raw, clean)
 		}
 		k := dirty().Key
 		var wild flow.Mask
 		wild[0] = ^uint64(0) // LookupWildInto must overwrite, not accumulate
-		ep, pp := byPtr.LookupWildInto(&k, &wild)
-		ev, wv, pv := lookupWild(byVal, k)
+		ep, pp := raw.LookupWildInto(&k, &wild)
+		ev, wv, pv := lookupWild(clean, k)
 		if (ep == nil) != (ev == nil) || ep != nil && ep.Value != ev.Value || wild != wv || pp != pv {
-			t.Fatalf("step %d: LookupWildInto = %v, %v, %d; LookupWild = %v, %v, %d", step, ep, wild, pp, ev, wv, pv)
+			t.Fatalf("step %d: LookupWildInto = %v, %v, %d; lookupWild = %v, %v, %d", step, ep, wild, pp, ev, wv, pv)
 		}
 		wild[1] = ^uint64(0)
-		ep, pp = byPtr.LookupWildPreciseInto(&k, &wild, &Probed[int]{})
-		ev, wv, pv = byVal.LookupWildPrecise(k)
+		ep, pp = raw.LookupWildPreciseInto(&k, &wild, &Probed[int]{})
+		ev, wv, pv = clean.LookupWildPrecise(k)
 		if (ep == nil) != (ev == nil) || ep != nil && ep.Value != ev.Value || wild != wv || pp != pv {
 			t.Fatalf("step %d: LookupWildPreciseInto = %v, %v, %d; LookupWildPrecise = %v, %v, %d", step, ep, wild, pp, ev, wv, pv)
 		}
 	}
-	if byPtr.Len() == 0 {
+	if raw.Len() == 0 {
 		t.Fatal("degenerate run: classifier ended empty")
 	}
 }

@@ -1,11 +1,11 @@
 // Batched submission: the Batch type and the single internal submit path
 // both public entry points (SubmitFrameBatch and SubmitFrame) wrap.
 //
-// A batch is grouped by RSS shard into at most one share per worker. A
-// share is a contiguous block of parallel arrays inside the batch — the
-// frames the shard decodes, the keys it decodes them into and the
-// results it writes — and a job is nothing but a pointer to that block:
-// the shard decodes straight into the slot the cache lookup reads, and
+// Ingest decodes every frame once, on the submitter, and files its key
+// under the shard the key picks, so a batch is grouped into at most one
+// share per worker. A share is a contiguous block of parallel arrays
+// inside the batch — the keys the cache lookup reads and the results it
+// writes — and a job is nothing but a pointer to that block:
 // VSwitch.ProcessBatchMeta writes each result straight into the slot
 // Batch.Result reads. A blocking submitter runs its (last) share itself,
 // under the shard's owner lock, whenever that shard is idle; a busy
@@ -22,43 +22,29 @@ import (
 	wire "gigaflow/internal/packet"
 )
 
-// frameRef is one wire-routed entry of a share: the frame's bytes and
-// ingress port, decoded on the owning shard. A blocking share reads the
-// caller's bytes in place (the submitter does not return before the share
-// has run); a nonblocking job owns a copy. Nil data marks an entry whose
-// key the submitter already decoded (a frame the RSS extractor refused).
-type frameRef struct {
-	data   []byte
-	inPort uint16
-}
-
 // block is one shard's share of a batch as parallel arrays, all the same
-// length: what the shard reads (frames, and the keys and metas its own
-// decode produces from them — or the submitter's, for a frame the RSS
-// extractor refused) and what it writes (out, errs). The four fixed-size
-// arrays share one capacity, grown together, so opening an entry is one
-// bounds check and no zeroing; frames is appended alongside.
+// length: what the shard reads (the keys ingest decoded, and their TCP
+// flag bytes) and what it writes (out, errs). The four arrays share one
+// capacity, grown together, so opening an entry is one bounds check and
+// no zeroing.
 type block struct {
-	keys   []gigaflow.Key
-	metas  []uint8 // per-key TCP flag bytes
-	out    []gigaflow.ProcessResult
-	errs   []error
-	frames []frameRef
+	keys  []gigaflow.Key
+	metas []uint8 // per-key TCP flag bytes
+	out   []gigaflow.ProcessResult
+	errs  []error
 }
 
-// next opens one more entry, for frame f, at the end of the share and
-// returns its index. The entry may hold an earlier submission's key and
-// result: whoever fills it (the submitter's or the shard's DecodeInto,
-// the batch scan) overwrites every field.
+// next opens one more entry at the end of the share and returns its
+// index. The entry may hold an earlier submission's key and result:
+// whoever fills it (ingest, the batch scan) overwrites every field.
 //
 //gf:hotpath
-func (blk *block) next(f frameRef) int {
+func (blk *block) next() int {
 	n := len(blk.keys)
 	if n == cap(blk.keys) {
 		blk.grow()
 	}
 	blk.keys, blk.metas, blk.out, blk.errs = blk.keys[:n+1], blk.metas[:n+1], blk.out[:n+1], blk.errs[:n+1]
-	blk.frames = append(blk.frames, f)
 	return n
 }
 
@@ -79,7 +65,6 @@ func (blk *block) grow() {
 // reset empties the share, keeping its arrays.
 func (blk *block) reset() {
 	blk.keys, blk.metas, blk.out, blk.errs = blk.keys[:0], blk.metas[:0], blk.out[:0], blk.errs[:0]
-	blk.frames = blk.frames[:0]
 }
 
 // settle gives every entry of the share the same outcome without running
@@ -91,31 +76,17 @@ func (blk *block) settle(err error) {
 	}
 }
 
-// clone copies the share's inputs — keys, metas, and frame bytes, the
-// latter into one arena the copy owns — into a block a nonblocking job
-// can keep after the submitter has returned and reused the batch.
+// clone copies the share's inputs — keys and metas — into a block a
+// nonblocking job can keep after the submitter has returned and reused
+// the batch.
 func (blk *block) clone() *block {
 	n := len(blk.keys)
-	c := &block{
+	return &block{
 		keys:  append([]gigaflow.Key(nil), blk.keys...),
 		metas: append([]uint8(nil), blk.metas...),
 		out:   make([]gigaflow.ProcessResult, n),
 		errs:  make([]error, n),
 	}
-	total := 0
-	for i := range blk.frames {
-		total += len(blk.frames[i].data)
-	}
-	arena := make([]byte, 0, total) // sized first: the refs below alias it
-	c.frames = make([]frameRef, n)
-	for i, f := range blk.frames {
-		if f.data != nil {
-			off := len(arena)
-			arena = append(arena, f.data...)
-			c.frames[i] = frameRef{data: arena[off:len(arena):len(arena)], inPort: f.inPort}
-		}
-	}
-	return c
 }
 
 // slot locates one request's storage: entry idx of share blk. A negative
@@ -185,10 +156,9 @@ func (b *Batch) Result(i int) Result {
 	return Result{Verdict: o.Verdict, Final: o.Final, CacheHit: o.CacheHit, Err: blk.errs[at.idx]}
 }
 
-// Key returns the flow key request i was processed under. After a
-// blocking SubmitFrameBatch this is the key the owning shard decoded from
-// frame i (zero for a refused frame); a nonblocking frame submission
-// decodes later, on the shard, and leaves it unspecified.
+// Key returns the flow key request i was submitted under: the key ingest
+// decoded from frame i, after a blocking or a nonblocking submission
+// alike (zero for a refused frame).
 func (b *Batch) Key(i int) gigaflow.Key {
 	at := b.at[i]
 	if at.blk == refused {
@@ -212,24 +182,19 @@ func (b *Batch) shape(nw int) {
 	}
 }
 
-// ingest groups frames by shard as it reads them: a frame the RSS
-// extractor accepts is filed — still undecoded, bytes in place — under
-// the shard its symmetric hash picks; one it refuses is decoded here and
-// filed by key hash, or, when too short for an Ethernet header, refused
-// outright. The batch must be freshly shaped for s.
+// ingest is the one place a frame is parsed: it decodes every frame
+// into its key, tallies it, and files the key and its TCP flag byte under
+// the shard shardOfKey picks — or, for a frame too short for an Ethernet
+// header, refuses it outright. The frame counters are flushed once, before
+// anything is submitted. The batch must be freshly shaped for s.
 //
 //gf:hotpath
 func (b *Batch) ingest(s *Service, frames []Frame) {
-	var tally frameTally // the fallback decodes of this batch
+	var tally frameTally
 	var k gigaflow.Key
 	var info wire.Info
 	for i := range frames {
 		f := &frames[i]
-		if t, ok := wire.RSSTuple(f.Data); ok {
-			w := s.shardOfTuple(&t)
-			b.at = append(b.at, slot{int32(w), int32(b.part[w].next(frameRef{data: f.Data, inPort: f.InPort}))})
-			continue
-		}
 		wire.DecodeInto(f.Data, f.InPort, &k, &info)
 		tally.add(&info, len(f.Data))
 		if info.Err == wire.ErrShortFrame {
@@ -238,7 +203,7 @@ func (b *Batch) ingest(s *Service, frames []Frame) {
 		}
 		w := s.shardOfKey(&k)
 		blk := &b.part[w]
-		idx := blk.next(frameRef{}) // no bytes: decoded already
+		idx := blk.next()
 		blk.keys[idx], blk.metas[idx] = k, info.TCPFlags
 		b.at = append(b.at, slot{int32(w), int32(idx)})
 	}

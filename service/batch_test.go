@@ -131,6 +131,24 @@ func TestSubmitFrameBatchMixed(t *testing.T) {
 	if st.Packets != 3 {
 		t.Fatalf("processed %d packets, want 3 (refused frames never submitted)", st.Packets)
 	}
+
+	// A nonblocking call reports the same per-index refusals, and every
+	// submitted request's key is the one its frame decodes to.
+	nb := NewBatch(len(frames))
+	if err := s.SubmitFrameBatch(ctx, frames, nb, Nonblocking()); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range frames {
+		if err := nb.Result(i).Err; (i%2 == 1) != errors.Is(err, ErrShortFrame) || i%2 == 0 && err != nil {
+			t.Errorf("nonblocking frame %d: err = %v", i, err)
+		}
+		if i%2 == 1 {
+			continue
+		}
+		if want, _ := wire.Decode(f.Data, f.InPort); nb.Key(i) != want {
+			t.Errorf("nonblocking frame %d: Key = %s, want %s", i, nb.Key(i), want)
+		}
+	}
 }
 
 // TestErrorTaxonomy pins the sentinel contract: every lifecycle and

@@ -43,15 +43,15 @@ func BenchmarkSubmitFrame(b *testing.B) {
 // BenchmarkSubmitFrameBatch measures the wire path the repository's
 // benchmark drives: blocking 64-frame SubmitFrameBatch over flows that
 // are all resident in the microflow tier. At one worker the submitter
-// runs the whole batch in place; at two, one share crosses a worker
-// queue and the other runs in place. One op is one frame.
+// runs the whole batch in place; at two or four, every share but the last
+// crosses a worker queue and the last runs in place. One op is one frame.
 func BenchmarkSubmitFrameBatch(b *testing.B) {
 	const flows = 64
 	frames := make([]Frame, flows)
 	for i := range frames {
 		frames[i] = Frame{Data: wire.Encode(perFlowKey(i))}
 	}
-	for _, workers := range []int{1, 2} {
+	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			s, ctx := start(b, perFlowPipeline(flows), Config{
 				Workers:           workers,

@@ -44,10 +44,10 @@ func newFrameMetrics(reg *telemetry.Registry) *frameMetrics {
 	return m
 }
 
-// frameTally is frame accounting held in plain words by whoever decodes
-// a run of frames — a shard worker for one job, a submitter for one
-// batch's fallback decodes — so the process-shared atomic counters are
-// touched once per run and counter, not three or more times per frame.
+// frameTally is one call's frame accounting, held in plain words by the
+// submitter whose ingest decodes the frames, so the process-shared atomic
+// counters are touched once per call and counter, not three or more times
+// per frame.
 type frameTally struct {
 	frames, bytes, vlan, frags uint64
 	decoded                    [wire.NumProtos]uint64
@@ -72,10 +72,9 @@ func (t *frameTally) add(info *wire.Info, n int) {
 	}
 }
 
-// flush folds a tally into the shared counters and empties it. Callers
-// flush before the submission the frames belong to completes, so a scrape
-// reads the same totals after every completed submission as per-frame
-// accounting would give.
+// flush folds a tally into the shared counters and empties it. Ingest
+// flushes before it submits anything, so a scrape reads the same totals
+// after every call as per-frame accounting would give.
 //
 //gf:hotpath
 func (m *frameMetrics) flush(t *frameTally) {
@@ -117,7 +116,7 @@ type Frame struct {
 // share per worker, each shard processes its share through the batched
 // hot path, and per-request Results are read back from b positionally.
 // The batch is index-aligned with frames: request i holds frame i's
-// Result (and, after a blocking submission, its decoded Key).
+// Result (and its decoded Key).
 //
 // Blocking (default): returns after every request has its Result; order
 // within a worker is submission order — including relative to the same
@@ -134,25 +133,19 @@ type Frame struct {
 // stream them); after Close every request gets ErrClosed. The batch may
 // be reused immediately.
 //
-// Ingestion is RSS-style: each frame's 5-tuple is extracted straight
-// from its L3/L4 header words (wire.RSSTuple) and the frame is filed —
-// still undecoded — under the shard the symmetric hash picks, so a
-// shard's share is one contiguous block of the batch and the full decode
-// runs on the shard, into the slot the cache lookup reads, in parallel
-// with every other shard's. The decode's TCP flag byte rides along as
-// the packet's metadata, so a conntrack-enabled service sees handshakes
-// and closes. A one-shard service skips the hash (the extractor still
-// validates the headers). Frames the extractor refuses (non-IPv4,
-// truncated headers, over-deep VLAN stacks) fall back to submitter-side
-// decode plus key-hash routing, which lands on the same shard the wire
-// hash would have and preserves the degraded-frame semantics bit for
-// bit; of those, frames too short for an Ethernet header are never
-// submitted and carry ErrShortFrame in Result.Err, so a mixed batch
-// reports per-index outcomes.
+// Ingestion decodes each frame once, on the calling goroutine, into the
+// key its shard's cache lookup reads, and files it under the shard the
+// key's endpoint-symmetric hash picks (both directions of a flow share a
+// shard). The decode's TCP flag byte rides along as the packet's
+// metadata, so a conntrack-enabled service sees handshakes and closes.
+// Frames with decode defects degrade to the longest well-formed prefix
+// of the key and are still submitted; frames too short for an Ethernet
+// header are never submitted and carry ErrShortFrame in Result.Err, so a
+// mixed batch reports per-index outcomes. The frame counters count every
+// frame handed in exactly once, whatever becomes of its submission.
 //
-// A blocking submission reads each frame's bytes in place until it
-// returns; a nonblocking one copies them before returning. Either way
-// the caller may reuse its buffers as soon as the call is back.
+// The service reads frame bytes only during the call: the caller may
+// reuse its buffers as soon as the call is back.
 func (s *Service) SubmitFrameBatch(ctx context.Context, frames []Frame, b *Batch, opts ...SubmitOption) error {
 	b.shape(len(s.workers))
 	b.ingest(s, frames)

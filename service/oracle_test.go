@@ -189,7 +189,7 @@ func genTape(spec tapeSpec, seed uint64, cfg Config) ([]op, coverage) {
 // damage is set — and records what the frame decodes to.
 func packetOp(k gigaflow.Key, flags uint8, now int64, damage uint64) op {
 	if damage == 6 {
-		k = k.With(gigaflow.FieldEthType, 0x0806) // not IPv4: decoded on the submitter
+		k = k.With(gigaflow.FieldEthType, 0x0806) // not IPv4: a degraded key
 	}
 	frame := encode(k, flags)
 	vlan := func(f []byte) []byte { return append(append(append([]byte{}, f[:12]...), 0x81, 0, 0, 0x2a), f[12:]...) }
@@ -916,11 +916,7 @@ func (r *svcRun) send(lo, hi int) {
 			}
 		}
 		r.fate[fate] += btoi(fate != served || !nonblocking)
-		// A frame the RSS extractor takes is decoded on its shard, if it gets
-		// there.
-		if _, routable := wire.RSSTuple(x.frame); !routable || fate <= short {
-			r.tally(x)
-		}
+		r.tally(x) // ingest decodes and counts every frame handed in
 	}
 	if nonblocking && !window {
 		r.collect(true)
@@ -1193,7 +1189,7 @@ func frameCounters(m *frameMetrics) []*telemetry.Counter {
 	return append(cs, m.errs[1:]...) // errs[ErrOK] has no counter
 }
 
-// tally accounts x's frame as a decoding shard would, on its own.
+// tally accounts x's frame as ingest does, on its own.
 func (r *svcRun) tally(x *op) {
 	var one frameTally
 	_, info := wire.Decode(x.frame, 0)

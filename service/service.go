@@ -12,7 +12,7 @@
 //
 // What makes a shard single-threaded is ownership, not a goroutine: every
 // shard has an owner lock, and whoever holds it may touch the shard's
-// VSwitch, recorder, frame tally and upcall table — nobody else, ever. It
+// VSwitch, recorder and upcall table — nobody else, ever. It
 // is taken once per message and never per packet. Each shard has a worker
 // goroutine serving its input queue under that lock, but a blocking
 // submitter whose shard is idle — nothing queued or running, lock free —
@@ -37,7 +37,6 @@ import (
 
 	"gigaflow"
 	gfcache "gigaflow/internal/gigaflow"
-	wire "gigaflow/internal/packet"
 	"gigaflow/internal/telemetry"
 )
 
@@ -237,7 +236,7 @@ type respMsg struct {
 // worker is one shard: a cache shard over the service's pipeline, and the
 // goroutine that serves its input queue.
 type worker struct {
-	// own is the shard's owner lock: vs, rec, tally, procPark, sweepAt,
+	// own is the shard's owner lock: vs, rec, procPark, sweepAt,
 	// stopped and the async offload state below are touched only while
 	// holding it. The worker goroutine takes it around every queued
 	// message; a blocking submitter takes it — TryLock, never waiting — to
@@ -253,8 +252,6 @@ type worker struct {
 
 	vs    *gigaflow.VSwitch
 	rec   *telemetry.LatencyRecorder
-	fm    *frameMetrics // shared frame accounting (atomic counters)
-	tally frameTally    // this shard's share of one job's frames, flushed to fm per job
 	in    chan packet
 	idx   int    // shard index = miss.shard
 	label string // shard index, precomputed for metric labels
@@ -392,7 +389,6 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 		rec := telemetry.NewLatencyRecorder(0, 0)
 		w := &worker{
 			rec:         rec,
-			fm:          s.frames,
 			in:          make(chan packet, cfg.QueueDepth),
 			idx:         i,
 			label:       fmt.Sprintf("%d", i),
@@ -651,34 +647,20 @@ func (w *worker) refuse(m packet) {
 
 // runJob processes one share on the shard that owns it, under the owner
 // lock, on whichever goroutine holds it — the worker's for a queued job,
-// the submitter's for one run in place; there is no other body. Frames
-// are decoded first, straight into the key slots the batch scan reads
-// (bar those the submitter decoded); then a single ProcessBatchMeta call
-// covers every key — one VSwitch stats flush and one counter flush per
-// cache tier for the whole share — writing each result into the slot
-// Batch.Result reads. now is the message's single wall-clock stamp,
-// shared by every packet of the share. It reports whether the job is
-// finished; an async job that parked packets finishes later, in deliver.
+// the submitter's for one run in place; there is no other body. A single
+// ProcessBatchMeta call covers every key ingest decoded — one VSwitch
+// stats flush and one counter flush per cache tier for the whole share —
+// writing each result into the slot Batch.Result reads. now is the
+// message's single wall-clock stamp, shared by every packet of the share.
+// It reports whether the job is finished; an async job that parked
+// packets finishes later, in deliver.
 //
 //gf:hotpath
 func (w *worker) runJob(j *batchJob, now int64) (finished bool) {
-	blk := j.blk
-	var info wire.Info
-	for i := range blk.frames {
-		fr := &blk.frames[i]
-		if fr.data == nil {
-			continue // decoded by the submitter (RSS extractor refused it)
-		}
-		wire.DecodeInto(fr.data, fr.inPort, &blk.keys[i], &info)
-		w.tally.add(&info, len(fr.data))
-		blk.metas[i] = info.TCPFlags
-	}
-	// Once per job, and before its results are visible: a submitter that
-	// has its verdicts reads its frames in a scrape.
-	w.fm.flush(&w.tally)
 	if w.eng != nil {
 		return w.parkJob(j, now)
 	}
+	blk := j.blk
 	w.vs.ProcessBatchMeta(blk.keys, blk.metas, blk.out, blk.errs, now)
 	if j.resp != nil {
 		for i := range blk.out {
@@ -908,48 +890,30 @@ func (s *Service) routeNAT() error {
 	return errors.Join(errs...)
 }
 
-// shardOfKey routes a decoded key to its owning worker: the shard
-// shardOfTuple picks for the key's 5-tuple.
+// shardOfKey routes a decoded key to its owning worker. The base rule is
+// the endpoint-symmetric 5-tuple hash, Key.SymHash: both directions of a
+// connection land on one shard. With partitioned NAT pools the hash is
+// preceded by the owner map: a NAT'd reply arrives on the translated
+// tuple, whose hash knows nothing of the forward direction, but its source
+// endpoint is the bound backend — owned by exactly one shard. The source
+// side is checked first (replies FROM a backend), then the destination
+// (already translated keys flowing toward one, e.g. re-submissions of
+// rewritten traffic).
 //
 //gf:hotpath
 func (s *Service) shardOfKey(k *gigaflow.Key) int {
 	if len(s.workers) == 1 {
-		return 0 // nothing to choose: not even the tuple to build
-	}
-	t := wire.Tuple{
-		SrcIP: k.Get(gigaflow.FieldIPSrc), DstIP: k.Get(gigaflow.FieldIPDst), Proto: k.Get(gigaflow.FieldIPProto),
-		SrcPort: k.Get(gigaflow.FieldTpSrc), DstPort: k.Get(gigaflow.FieldTpDst),
-	}
-	return s.shardOfTuple(&t)
-}
-
-// shardOfTuple routes a 5-tuple — extracted from a frame's bytes, or
-// read from a decoded key — to its owning worker. The base rule is the
-// endpoint-symmetric 5-tuple hash: both directions of a connection land on
-// one shard, and Tuple.SymHash is bit-identical to Key.SymHash
-// (flow.SymHash5 under both), so key-routed and wire-routed packets of a
-// flow always agree. With partitioned NAT pools the hash is preceded by
-// the owner map: a NAT'd reply arrives on the translated tuple, whose
-// hash knows nothing of the forward direction, but its source endpoint
-// is the bound backend — owned by exactly one shard. The source side is
-// checked first (replies FROM a backend), then the destination (already
-// translated keys flowing toward one, e.g. re-submissions of rewritten
-// traffic).
-//
-//gf:hotpath
-func (s *Service) shardOfTuple(t *wire.Tuple) int {
-	if len(s.workers) == 1 {
 		return 0 // nothing to choose: no hash, no modulo
 	}
 	if owner := s.natOwner.Load(); owner != nil {
-		if w, ok := (*owner)[natEndpoint{t.SrcIP, t.SrcPort}]; ok {
+		if w, ok := (*owner)[natEndpoint{k.Get(gigaflow.FieldIPSrc), k.Get(gigaflow.FieldTpSrc)}]; ok {
 			return w
 		}
-		if w, ok := (*owner)[natEndpoint{t.DstIP, t.DstPort}]; ok {
+		if w, ok := (*owner)[natEndpoint{k.Get(gigaflow.FieldIPDst), k.Get(gigaflow.FieldTpDst)}]; ok {
 			return w
 		}
 	}
-	return int(t.SymHash() % uint64(len(s.workers)))
+	return int(k.SymHash() % uint64(len(s.workers)))
 }
 
 // ShardStat is one worker shard's live-occupancy snapshot: how many

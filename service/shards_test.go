@@ -167,7 +167,7 @@ func TestSubmitFrameBatchConcurrent(t *testing.T) {
 	wg.Wait()
 
 	// Not one frame lost or double-counted across the concurrent
-	// submitter-side and shard-side decodes.
+	// submitters' decodes.
 	if got, want := s.frames.frames.Value(), uint64(submitters*perBatch*batches); got != want {
 		t.Errorf("frames counter = %d, want %d", got, want)
 	}
