@@ -128,8 +128,8 @@ func command(vs *gigaflow.VSwitch, line string) {
 	switch line {
 	case "!stats":
 		st := vs.Stats()
-		fmt.Printf("packets=%d hits=%d misses=%d slowpath=%d installs=%d hit-rate=%.1f%% entries=%d\n",
-			st.Packets, st.CacheHits, st.CacheMisses, st.Slowpath, st.Installs,
+		fmt.Printf("packets=%d hits=%d misses=%d installs=%d hit-rate=%.1f%% entries=%d\n",
+			st.Packets, st.CacheHits, st.CacheMisses, st.Installs,
 			100*st.HitRate(), vs.CacheEntries())
 	case "!coverage":
 		fmt.Printf("coverage=%d megaflow-equivalent rules over %d entries\n", vs.Coverage(), vs.CacheEntries())

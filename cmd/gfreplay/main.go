@@ -230,7 +230,7 @@ func replayFlags(rc replayConfig, inPort uint) (replayConfig, error) {
 // call, and reports what happened. The service must be started. In
 // nonblocking mode the report is still complete: the closing Stats runs
 // as a control op behind every submitted frame on each shard's FIFO queue,
-// once no packet is left parked behind an upcall.
+// and is repeated until it has counted every one of them.
 //
 // On cancellation every batch already handed to the shards is gathered
 // before replay returns (SubmitFrameBatch does so even when it fails), so
@@ -326,23 +326,17 @@ func replay(ctx context.Context, s *service.Service, r *pcap.Reader, cfg replayC
 		return rep, err
 	}
 	rep.elapsed = time.Since(start)
-	// A packet parked behind an upcall is still in flight when its job has
-	// run: wait until the offload has handed every one back.
-	for !cfg.blocking {
-		us, err := s.UpcallStats(ctx)
-		if err != nil {
-			return rep, err
-		}
-		if !us.Enabled || us.ParkedPackets == 0 {
-			break
-		}
+	// A packet parked behind an upcall is counted only when its flow's walk
+	// completes, after its job has run: wait until every submitted frame is.
+	after, err := s.Stats(ctx)
+	for err == nil && after.Packets-before.Packets < uint64(rep.submitted) {
 		select {
 		case <-ctx.Done():
 			return rep, ctx.Err()
 		case <-time.After(time.Millisecond):
 		}
+		after, err = s.Stats(ctx)
 	}
-	after, err := s.Stats(ctx)
 	if err != nil {
 		return rep, err
 	}
@@ -404,7 +398,6 @@ func (rep report) table() string {
 	t.AddRow("microflow hits", rep.stats.MicroflowHits)
 	t.AddRow("cache hits", rep.stats.CacheHits)
 	t.AddRow("cache misses", rep.stats.CacheMisses)
-	t.AddRow("slowpath traversals", rep.stats.Slowpath)
 	t.AddRow("hit rate", fmt.Sprintf("%.2f%%", 100*rep.stats.TotalHitRate()))
 	if rep.truncated {
 		t.AddRow("capture truncated", "yes (replayed everything before the cut)")

@@ -100,5 +100,5 @@ func buildPipeline() *gigaflow.Pipeline {
 func report(vs *gigaflow.VSwitch, label string) {
 	st := vs.Stats()
 	fmt.Printf("[%s] packets=%d hits=%d slowpath=%d entries=%d coverage=%d\n",
-		label, st.Packets, st.CacheHits, st.Slowpath, vs.CacheEntries(), vs.Coverage())
+		label, st.Packets, st.CacheHits, st.CacheMisses, vs.CacheEntries(), vs.Coverage())
 }

@@ -63,7 +63,7 @@ func main() {
 
 	st := vs.Stats()
 	fmt.Printf("\n%d packets, %d slowpath traversals, hit rate %.0f%%\n",
-		st.Packets, st.Slowpath, 100*st.HitRate())
+		st.Packets, st.CacheMisses, 100*st.HitRate())
 	fmt.Printf("cache entries: %d  rule-space coverage: %d megaflow-equivalents\n",
 		vs.CacheEntries(), vs.Coverage())
 }

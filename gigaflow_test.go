@@ -57,7 +57,7 @@ func TestVSwitchEndToEnd(t *testing.T) {
 	}
 
 	st := vs.Stats()
-	if st.Packets != 2 || st.CacheHits != 1 || st.Slowpath != 1 || st.Installs != 1 {
+	if st.Packets != 2 || st.CacheHits != 1 || st.CacheMisses != 1 || st.Installs != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 	if st.HitRate() != 0.5 {

@@ -4,9 +4,9 @@ package packet
 const (
 	dnsHeaderLen = 12
 	dnsMaxLabel  = 63
-	// dnsMaxName bounds the decoded presentation-form name (labels joined
-	// by dots). RFC 1035 caps the wire form at 255 octets; the dotted text
-	// form fits in the same budget.
+	// dnsMaxName bounds a question name's presentation form (labels
+	// joined by dots). RFC 1035 caps the wire form at 255 octets; the
+	// dotted text form fits in the same budget.
 	dnsMaxName = 255
 	// dnsMaxJumps bounds how many compression pointers one name may chase.
 	// Legitimate messages need a handful; a loop would chase forever.
@@ -21,8 +21,7 @@ const (
 )
 
 // DNSQuery is the decoded header plus first question of a DNS message.
-// The question name is held in a fixed buffer in presentation form
-// ("www.example.com", no trailing dot) so decoding never allocates.
+// The question name is validated, not kept.
 type DNSQuery struct {
 	ID       uint16
 	Response bool  // QR bit: true for responses
@@ -30,8 +29,6 @@ type DNSQuery struct {
 	QDCount  uint16
 	QType    uint16
 	QClass   uint16
-	nameLen  int
-	name     [dnsMaxName]byte
 }
 
 // UDPPayload returns the UDP payload of a frame whose Decode reported a
@@ -74,8 +71,8 @@ func DecodeDNS(payload []byte) (q DNSQuery, ok bool) {
 	// may appear even in questions in hostile input; chase them with a
 	// bounded jump budget so loops terminate.
 	off := dnsHeaderLen
-	jumps := 0
-	afterPtr := -1 // offset of the fixed fields once a pointer is chased
+	jumps, nameLen := 0, 0 // nameLen: the presentation form's length so far
+	afterPtr := -1         // offset of the fixed fields once a pointer is chased
 	for {
 		if off >= len(payload) {
 			return q, false
@@ -115,19 +112,12 @@ func DecodeDNS(payload []byte) (q DNSQuery, ok bool) {
 			if n > dnsMaxLabel || off+1+n > len(payload) {
 				return q, false
 			}
-			need := n
-			if q.nameLen > 0 {
-				need++ // joining dot
+			if nameLen > 0 {
+				nameLen++ // joining dot
 			}
-			if q.nameLen+need > dnsMaxName {
+			if nameLen += n; nameLen > dnsMaxName {
 				return q, false
 			}
-			if q.nameLen > 0 {
-				q.name[q.nameLen] = '.'
-				q.nameLen++
-			}
-			copy(q.name[q.nameLen:], payload[off+1:off+1+n])
-			q.nameLen += n
 			off += 1 + n
 		}
 	}

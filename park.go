@@ -17,7 +17,7 @@ import (
 // Accounting discipline — the reason async totals match inline exactly:
 // a parked packet is counted NOWHERE at park time, not even in
 // Stats.Packets. The flow's one traversal is accounted once, by
-// CompleteMiss (Packets, CacheMisses, Slowpath, Installs/InstallErrs),
+// CompleteMiss (Packets, CacheMisses, Installs/InstallErrs),
 // exactly as processMiss would have; every other packet that parked
 // behind the same pending flow is replayed through Process after the
 // install and counts as the cache hit it would have been inline, where
@@ -85,7 +85,6 @@ func (v *VSwitch) CompleteMiss(k Key, tr *Traversal, now, travNs, parkNs int64) 
 	}
 	v.stats.Packets++
 	v.stats.CacheMisses++
-	v.stats.Slowpath++
 	if v.rec != nil {
 		v.rec.BeginBatch(now)
 	}

@@ -41,35 +41,67 @@ func BenchmarkSubmitFrame(b *testing.B) {
 }
 
 // BenchmarkSubmitFrameBatch measures the wire path the repository's
-// benchmark drives: blocking 64-frame SubmitFrameBatch over flows that
-// are all resident in the microflow tier. At one worker the submitter
-// runs the whole batch in place; at two or four, every share but the last
-// crosses a worker queue and the last runs in place. One op is one frame.
+// benchmark drives: blocking 64-frame SubmitFrameBatch calls. At one
+// worker the submitter runs the whole batch in place; at two or four,
+// every share but the last crosses a worker queue and the last runs in
+// place. One op is one frame.
+//
+// Two cases bound the work a share carries. In hit, 64 flows are all
+// resident in the microflow tier. In miss, 4 096 flows of a per-flow
+// pipeline cycle through a main cache of 64 entries a table with no
+// microflow tier, so every frame walks the pipeline and installs.
+// misses/frame reports the share of frames that missed.
 func BenchmarkSubmitFrameBatch(b *testing.B) {
-	const flows = 64
-	frames := make([]Frame, flows)
-	for i := range frames {
-		frames[i] = Frame{Data: wire.Encode(perFlowKey(i))}
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			s, ctx := start(b, perFlowPipeline(flows), Config{
-				Workers:           workers,
-				Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 1024},
-				MicroflowCapacity: 8 * flows,
-			}), context.Background()
-			batch := NewBatch(flows)
-			if err := s.SubmitFrameBatch(ctx, frames, batch); err != nil { // warm
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for sent := 0; sent < b.N; sent += flows {
-				if err := s.SubmitFrameBatch(ctx, frames, batch); err != nil {
+	const batchLen = 64
+	for _, tc := range []struct {
+		name  string
+		flows int
+		cfg   Config
+	}{
+		{"hit", batchLen, Config{
+			Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 1024},
+			MicroflowCapacity: 8 * batchLen,
+		}},
+		{"miss", 4096, Config{Cache: gigaflow.CacheConfig{NumTables: 3, TableCapacity: 64}}},
+	} {
+		frames := make([]Frame, tc.flows)
+		for i := range frames {
+			frames[i] = Frame{Data: wire.Encode(perFlowKey(i))}
+		}
+		p := perFlowPipeline(tc.flows)
+		for _, workers := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(b *testing.B) {
+				cfg := tc.cfg
+				cfg.Workers = workers
+				s, ctx := start(b, p, cfg), context.Background()
+				batch := NewBatch(batchLen)
+				next := func(sent int) []Frame {
+					at := sent % tc.flows
+					return frames[at : at+batchLen]
+				}
+				if err := s.SubmitFrameBatch(ctx, next(0), batch); err != nil { // warm
 					b.Fatal(err)
 				}
-			}
-		})
+				before, err := s.Stats(ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				sent := 0
+				for ; sent < b.N; sent += batchLen {
+					if err := s.SubmitFrameBatch(ctx, next(sent+batchLen), batch); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				after, err := s.Stats(ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(after.Sub(before).CacheMisses)/float64(sent), "misses/frame")
+			})
+		}
 	}
 }
 

@@ -401,7 +401,7 @@ type outcome struct {
 	tel     []gigaflow.VSwitchTelemetry // one per shard
 	stats   gigaflow.VSwitchStats
 	entries int
-	upcall  UpcallStats
+	upcall  offload
 	seq     uint64
 	hist    [telemetry.NumTiers]uint64
 	flight  []telemetry.FlightRecord // newest first; identity fields only
@@ -889,7 +889,7 @@ func (r *svcRun) send(lo, hi int) {
 	if r.held != nil {
 		refused = r.refused(lo, hi)
 	}
-	for i, res := range r.call(ctx, r.tape[lo:hi], opts, nonblocking) {
+	for i, res := range r.call(ctx, r.tape[lo:hi], opts) {
 		at, x, e := lo+i, &r.tape[lo+i], res.Err
 		r.out.res[at] = res
 		if r.handed++; refused != nil && !x.short && errors.Is(e, ErrQueueFull) != refused[i] {
@@ -1002,7 +1002,9 @@ func (r *svcRun) update(k opKind) {
 
 // call makes the entry point's one call for ops and returns what it
 // reported for each: the verdict, or for Nonblocking the enqueue outcome.
-func (r *svcRun) call(ctx context.Context, ops []op, opts []SubmitOption, nonblocking bool) []Result {
+// Every frame ingest did not refuse carries the tape's key, whatever
+// became of its submission.
+func (r *svcRun) call(ctx context.Context, ops []op, opts []SubmitOption) []Result {
 	res, s, b := make([]Result, len(ops)), r.s, r.b
 	var err error
 	switch r.c.entry {
@@ -1017,8 +1019,8 @@ func (r *svcRun) call(ctx context.Context, ops []op, opts []SubmitOption, nonblo
 		}
 		err = s.SubmitFrameBatch(ctx, frames, b, opts...)
 		for i := range ops {
-			if res[i] = b.Result(i); !nonblocking && res[i].Err == nil && b.Key(i) != ops[i].k {
-				r.t.Fatalf("frame %d decoded on its shard to %s, want %s", i, b.Key(i), ops[i].k)
+			if res[i] = b.Result(i); !ops[i].short && b.Key(i) != ops[i].k {
+				r.t.Fatalf("frame %d decoded to %s, want %s", i, b.Key(i), ops[i].k)
 			}
 		}
 	}
@@ -1062,10 +1064,7 @@ func (r *svcRun) collect(wait bool) {
 // replace.
 func (r *svcRun) unwedge() {
 	ctx, s := context.Background(), r.s
-	us, err := s.UpcallStats(ctx) // behind every job of the window: its hits are answered
-	if err != nil {
-		r.t.Fatal(err)
-	}
+	us := readOffload(r.t, s) // behind every job of the window: its hits are answered
 	r.collect(false)
 	idle := int64(len(s.workers) * btoi(r.c.busy)) // busy's phantoms
 	inflight := func() (n int64) {
@@ -1104,7 +1103,7 @@ func (r *svcRun) unwedge() {
 
 // snapshot reads what the group comparison and the ledger need as the
 // service exports it: every shard's tiers as /cache shows them, /shards,
-// the queue-full drops /metrics counts, and the offload counters.
+// and the queue-full drops and the offload counters as /metrics counts them.
 func (r *svcRun) snapshot() {
 	ctx, s := context.Background(), r.s
 	tel, seq := make([]gigaflow.VSwitchTelemetry, len(s.workers)), make([]uint64, len(s.workers))
@@ -1112,12 +1111,10 @@ func (r *svcRun) snapshot() {
 		r.t.Fatal(err)
 	}
 	shards, err := s.ShardStats(ctx)
-	if err == nil {
-		err = s.Collect(ctx)
-	}
 	if err != nil {
 		r.t.Fatal(err)
 	}
+	r.out.upcall = readOffload(r.t, s) // its Collect refreshes the drops read below
 	full := s.reg.CounterVec("gigaflow_queue_full_drops_total", "", "worker")
 	for i, sh := range shards {
 		r.out.stats = r.out.stats.Add(tel[i].Stats)
@@ -1137,9 +1134,6 @@ func (r *svcRun) snapshot() {
 	r.out.tel = tel
 	for _, sh := range shards {
 		r.out.entries += sh.CacheEntries
-	}
-	if r.out.upcall, err = s.UpcallStats(ctx); err != nil {
-		r.t.Fatal(err)
 	}
 	if u := r.out.upcall; u.Batches > u.Drained || u.Drained > drainBatch*u.Batches {
 		r.t.Errorf("engine drained %d misses in %d batches: a batch holds 1 to %d", u.Drained, u.Batches, drainBatch)

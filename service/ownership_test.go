@@ -99,30 +99,6 @@ func TestControlOpsOnStoppedService(t *testing.T) {
 	}
 }
 
-// TestUpcallStatsOnStoppedService is the same contract for the offload
-// counters.
-func TestUpcallStatsOnStoppedService(t *testing.T) {
-	s, err := New(buildPipeline(), upcallConfig(1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	within(t, 5*time.Second, "UpcallStats before Start", func() {
-		if _, err := s.UpcallStats(ctx); !errors.Is(err, ErrNotStarted) {
-			t.Errorf("UpcallStats: %v, want ErrNotStarted", err)
-		}
-	})
-	if err := s.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	within(t, 5*time.Second, "UpcallStats after Close", func() {
-		if _, err := s.UpcallStats(ctx); !errors.Is(err, ErrClosed) {
-			t.Errorf("UpcallStats: %v, want ErrClosed", err)
-		}
-	})
-}
-
 // TestBlockingSeesOwnEarlierNonblocking is the order guarantee a queue
 // gave for free and the run-in-place path has to earn: one goroutine
 // submits a cold flow Nonblocking and then the same flow blocking, and
@@ -299,7 +275,7 @@ func TestShardOwnershipUnderRace(t *testing.T) {
 					case 1:
 						_, err = s.Stats(ctx)
 					case 2:
-						_, err = s.UpcallStats(ctx)
+						err = s.Collect(ctx)
 					case 3:
 						h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/cache", nil))
 					}

@@ -280,7 +280,7 @@ type worker struct {
 	// offload counters.
 	eng     *engine
 	pending map[gigaflow.Key]*miss
-	up      UpcallStats
+	up      upcallCounts
 }
 
 // Lifecycle states, tracked in Service.state so the submission hot path

@@ -172,7 +172,7 @@ func TestSubmitBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Packets != 2 || st.CacheHits != 1 || st.Slowpath != 1 {
+	if st.Packets != 2 || st.CacheHits != 1 || st.CacheMisses != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 }

@@ -526,9 +526,9 @@ func TestConnectionWalksOncePerDirection(t *testing.T) {
 		want  gigaflow.VSwitchStats
 	}{
 		{"tcp", wire.IPProtoTCP, tcp, gigaflow.VSwitchStats{Packets: 12, MicroflowHits: 10,
-			CacheMisses: 2, Slowpath: 2, SlowpathSteps: 5, SlowpathTupleProbes: 6, CtFastpath: 10}},
+			CacheMisses: 2, SlowpathSteps: 5, SlowpathTupleProbes: 6, CtFastpath: 10}},
 		{"udp", wire.IPProtoUDP, udp, gigaflow.VSwitchStats{Packets: 8, MicroflowHits: 6,
-			CacheMisses: 2, Slowpath: 2, SlowpathSteps: 5, SlowpathTupleProbes: 6, CtFastpath: 6}},
+			CacheMisses: 2, SlowpathSteps: 5, SlowpathTupleProbes: 6, CtFastpath: 6}},
 	} {
 		for _, backend := range []string{"gigaflow", "megaflow"} {
 			t.Run(tc.name+"/"+backend, func(t *testing.T) {

@@ -61,8 +61,6 @@ func (s *Service) collectServiceMetrics() {
 			"Misses waiting in the shared upcall queue.").Set(float64(len(s.eng.q)))
 		s.reg.Gauge("gigaflow_upcall_queue_capacity",
 			"Upcall queue length limit.").Set(float64(cap(s.eng.q)))
-		s.reg.Counter("gigaflow_upcall_enqueued_total",
-			"Misses accepted onto the upcall queue.").Set(s.eng.enqueued.Load())
 		s.reg.Counter("gigaflow_upcall_drained_total",
 			"Misses drained by the upcall engine.").Set(s.eng.drained.Load())
 		s.reg.Counter("gigaflow_upcall_batches_total",

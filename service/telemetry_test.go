@@ -118,7 +118,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"gigaflow_cache_hits_total",
 		"gigaflow_cache_misses_total",
 		"gigaflow_microflow_hits_total",
-		"gigaflow_slowpath_traversals_total",
 		`gigaflow_table_hits_total{worker="0",table="0"}`,
 		`gigaflow_table_occupancy{worker="0",table="0"}`,
 		"gigaflow_queue_depth",

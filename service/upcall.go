@@ -76,13 +76,35 @@ type miss struct {
 // engine is the shared upcall queue — many shard producers, Upcall.Workers
 // engine consumers — with its counters and the engine goroutines. A send
 // never blocks: a full queue is the shard's signal to traverse the miss
-// itself rather than stall behind the slow path.
+// itself rather than stall behind the slow path. The misses it accepted
+// are the shards' Flows − OverflowInline.
 type engine struct {
-	q        chan *miss    // holds upcallQueue misses: past that, a fresh miss is traversed inline
-	enqueued atomic.Uint64 // misses accepted
-	drained  atomic.Uint64 // misses handed to handleUpcalls
-	batches  atomic.Uint64 // handleUpcalls calls
-	wg       sync.WaitGroup
+	q       chan *miss    // holds upcallQueue misses: past that, a fresh miss is traversed inline
+	drained atomic.Uint64 // misses handed to handleUpcalls
+	batches atomic.Uint64 // handleUpcalls calls
+	wg      sync.WaitGroup
+}
+
+// upcallCounts is a shard's offload counters: owner-lock state that only
+// collectUpcallMetrics renders, as the gigaflow_upcall_* series.
+//
+// With nothing pending, and no shutdown sweep having failed parked
+// packets, two identities hold: every flow that missed was completed or
+// overflowed, Flows = Completed + OverflowInline; and every parked packet
+// was handed back — a completion releases its initiator and its
+// followers (a stale one too), an overflow its one packet — Released =
+// Completed + Deduped + OverflowInline.
+type upcallCounts struct {
+	ParkedPackets int // packets waiting behind the flows in the pending table
+	// Flows counts upcalls created (one per unique missed flow), Deduped
+	// the packets that coalesced onto an existing pending flow, and
+	// Released the parked packets handed back to their submitters.
+	Flows, Deduped, Released uint64
+	// OverflowInline counts misses the full queue refused, each sent down
+	// the inline path; Stale counts engine traversals discarded (rule update,
+	// covering install, or shutdown sweep won the race); Completed counts
+	// flow completions applied.
+	OverflowInline, Stale, Completed uint64
 }
 
 // parkOne parks a missed packet behind its flow's pending entry,
@@ -102,7 +124,6 @@ func (w *worker) parkOne(k gigaflow.Key, p parked) bool {
 	m.parked[0] = p
 	select {
 	case w.eng.q <- m:
-		w.eng.enqueued.Add(1)
 		w.pending[k] = m
 		w.up.ParkedPackets++
 		return true
@@ -244,17 +265,13 @@ func (s *Service) handleUpcalls(ctx context.Context, batch []*miss) {
 		s.rules.RUnlock()
 		m.traverseNs = time.Since(t0).Nanoseconds()
 	}
-	for i, m := range batch {
-		if m == nil {
+	groups := make([][]*miss, len(s.workers))
+	for _, m := range batch {
+		groups[m.shard] = append(groups[m.shard], m)
+	}
+	for i, group := range groups {
+		if len(group) == 0 {
 			continue
-		}
-		group := make([]*miss, 0, len(batch)-i)
-		group = append(group, m)
-		for j := i + 1; j < len(batch); j++ {
-			if batch[j] != nil && batch[j].shard == m.shard {
-				group = append(group, batch[j])
-				batch[j] = nil
-			}
 		}
 		apply := func(_ int, w *worker) {
 			now := s.clock()
@@ -262,84 +279,10 @@ func (s *Service) handleUpcalls(ctx context.Context, batch []*miss) {
 				w.complete(c, now)
 			}
 		}
-		if s.post(ctx, s.workers[m.shard], packet{control: apply}) != nil {
+		if s.post(ctx, s.workers[i], packet{control: apply}) != nil {
 			return
 		}
 	}
-}
-
-// UpcallStats snapshots the asynchronous offload's counters: per-worker
-// pending-table state and overflow/stale counts gathered on the workers'
-// own goroutines, plus the shared queue and engine counters. Enabled is
-// false (and the rest zero) when the service runs synchronously.
-//
-// With nothing pending, and no shutdown sweep having failed parked
-// packets, two identities hold: every flow that missed was completed or
-// overflowed, Flows = Completed + OverflowInline; and every parked packet
-// was handed back — a completion releases its initiator and its
-// followers (a stale one too), an overflow its one packet — Released =
-// Completed + Deduped + OverflowInline.
-type UpcallStats struct {
-	Enabled bool `json:"enabled"`
-	// PendingFlows counts flows with a traversal in flight;
-	// ParkedPackets the packets waiting behind them.
-	PendingFlows  int `json:"pending_flows"`
-	ParkedPackets int `json:"parked_packets"`
-	// Flows counts upcalls created (one per unique missed flow), Deduped
-	// the packets that coalesced onto an existing pending flow, and
-	// Released the parked packets handed back to their submitters.
-	Flows    uint64 `json:"flows"`
-	Deduped  uint64 `json:"deduped"`
-	Released uint64 `json:"released"`
-	// OverflowInline counts misses the full queue refused, each sent down
-	// the inline path; Stale counts engine traversals discarded (rule update,
-	// covering install, or shutdown sweep won the race); Completed counts
-	// flow completions applied.
-	OverflowInline uint64 `json:"overflow_inline"`
-	Stale          uint64 `json:"stale"`
-	Completed      uint64 `json:"completed"`
-	// Shared queue and engine counters.
-	QueueDepth int    `json:"queue_depth"`
-	QueueCap   int    `json:"queue_capacity"`
-	Enqueued   uint64 `json:"enqueued"`
-	Drained    uint64 `json:"drained"`
-	Batches    uint64 `json:"batches"`
-}
-
-// shardUpcallStats is the shard's share of UpcallStats, read under the
-// owner lock; the shared queue and engine fields stay zero.
-func (w *worker) shardUpcallStats() UpcallStats {
-	st := w.up
-	st.PendingFlows = len(w.pending)
-	return st
-}
-
-// UpcallStats gathers the offload counters; see the UpcallStats type.
-func (s *Service) UpcallStats(ctx context.Context) (UpcallStats, error) {
-	if s.eng == nil {
-		return UpcallStats{}, nil
-	}
-	per := make([]UpcallStats, len(s.workers))
-	if err := s.eachShard(ctx, func(i int, w *worker) { per[i] = w.shardUpcallStats() }); err != nil {
-		return UpcallStats{}, err
-	}
-	out := UpcallStats{Enabled: true}
-	for _, st := range per {
-		out.PendingFlows += st.PendingFlows
-		out.ParkedPackets += st.ParkedPackets
-		out.Flows += st.Flows
-		out.Deduped += st.Deduped
-		out.Released += st.Released
-		out.OverflowInline += st.OverflowInline
-		out.Stale += st.Stale
-		out.Completed += st.Completed
-	}
-	out.QueueDepth = len(s.eng.q)
-	out.QueueCap = cap(s.eng.q)
-	out.Enqueued = s.eng.enqueued.Load()
-	out.Drained = s.eng.drained.Load()
-	out.Batches = s.eng.batches.Load()
-	return out, nil
 }
 
 // collectUpcallMetrics mirrors the shard's offload counters into the
@@ -355,13 +298,13 @@ func (w *worker) collectUpcallMetrics(reg *telemetry.Registry) {
 	g := func(name, help string, val int) {
 		reg.GaugeVec(name, help, "worker").With(w.label).Set(float64(val))
 	}
-	st := w.shardUpcallStats()
+	st := &w.up
 	c("gigaflow_upcall_flows_total", "Upcalls created (one per unique missed flow).", st.Flows)
 	c("gigaflow_upcall_deduped_total", "Parked packets coalesced onto an existing pending flow.", st.Deduped)
 	c("gigaflow_upcall_released_total", "Parked packets handed back to their submitters.", st.Released)
 	c("gigaflow_upcall_overflow_inline_total", "Misses processed inline because the upcall queue was full.", st.OverflowInline)
 	c("gigaflow_upcall_stale_total", "Engine traversals discarded (rule update, covering install, or shutdown).", st.Stale)
 	c("gigaflow_upcall_completed_total", "Flow completions applied.", st.Completed)
-	g("gigaflow_upcall_pending_flows", "Flows with a traversal in flight.", st.PendingFlows)
+	g("gigaflow_upcall_pending_flows", "Flows with a traversal in flight.", len(w.pending))
 	g("gigaflow_upcall_parked_packets", "Packets parked behind pending flows.", st.ParkedPackets)
 }

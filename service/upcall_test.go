@@ -22,6 +22,46 @@ func upcallConfig(workers, engineWorkers int) Config {
 	}
 }
 
+// offload is the upcall offload as /metrics shows it: every per-worker
+// gigaflow_upcall_* series summed over the workers, and the engine's own.
+// Enabled is the queue having a capacity, which only a configured offload
+// sets.
+type offload struct {
+	Enabled                                                    bool
+	PendingFlows, ParkedPackets                                int
+	Flows, Deduped, Released, OverflowInline, Stale, Completed uint64
+	QueueDepth, QueueCap                                       int
+	Drained, Batches                                           uint64
+}
+
+// readOffload refreshes s's registry (Collect: a control op behind every
+// job already queued on each shard) and reads the offload from it.
+func readOffload(tb testing.TB, s *Service) offload {
+	tb.Helper()
+	if err := s.Collect(context.Background()); err != nil {
+		tb.Fatal(err)
+	}
+	var u offload
+	for _, w := range s.workers {
+		c := func(name string) uint64 { return s.reg.CounterVec(name, "", "worker").With(w.label).Value() }
+		g := func(name string) int { return int(s.reg.GaugeVec(name, "", "worker").With(w.label).Value()) }
+		u.PendingFlows += g("gigaflow_upcall_pending_flows")
+		u.ParkedPackets += g("gigaflow_upcall_parked_packets")
+		u.Flows += c("gigaflow_upcall_flows_total")
+		u.Deduped += c("gigaflow_upcall_deduped_total")
+		u.Released += c("gigaflow_upcall_released_total")
+		u.OverflowInline += c("gigaflow_upcall_overflow_inline_total")
+		u.Stale += c("gigaflow_upcall_stale_total")
+		u.Completed += c("gigaflow_upcall_completed_total")
+	}
+	u.QueueDepth = int(s.reg.Gauge("gigaflow_upcall_queue_depth", "").Value())
+	u.QueueCap = int(s.reg.Gauge("gigaflow_upcall_queue_capacity", "").Value())
+	u.Enabled = u.QueueCap > 0
+	u.Drained = s.reg.Counter("gigaflow_upcall_drained_total", "").Value()
+	u.Batches = s.reg.Counter("gigaflow_upcall_batches_total", "").Value()
+	return u
+}
+
 // TestUpcallOrdering pins in-order per-flow release: in a batch holding
 // several packets of one cold flow, exactly the first is the slow-path
 // initiator and every later one observes its install, both positionally
@@ -46,8 +86,8 @@ func TestUpcallOrdering(t *testing.T) {
 		}
 	}
 	// One upcall per flow, each drained and completed once.
-	if us, err := s.UpcallStats(ctx); err != nil || us.Flows != 2 || us.Enqueued != 2 || us.Drained != 2 || us.Completed != 2 || us.Stale != 0 {
-		t.Errorf("upcall stats %+v, %v; want 2 flows enqueued, drained and completed once each", us, err)
+	if us := readOffload(t, s); us.Flows != 2 || us.OverflowInline != 0 || us.Drained != 2 || us.Completed != 2 || us.Stale != 0 {
+		t.Errorf("upcall stats %+v; want 2 flows enqueued, drained and completed once each", us)
 	}
 
 	// Response-channel order for one flow must be initiator first, then
@@ -90,13 +130,7 @@ func TestUpcallShutdownParked(t *testing.T) {
 	if err := s.SubmitFrameBatch(ctx, []Frame{{0, first}, {0, first}}, NewBatch(2), Nonblocking(), WithResponse(resp)); err != nil {
 		t.Fatal(err)
 	}
-	upcalls := func() UpcallStats {
-		us, err := s.UpcallStats(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return us
-	}
+	upcalls := func() offload { return readOffload(t, s) }
 	await(t, "the engine to take the first flow", func() bool { return upcalls().Drained == 1 })
 	// A blocking submitter parked behind a second flow, to prove it
 	// unblocks at Close.
@@ -104,7 +138,7 @@ func TestUpcallShutdownParked(t *testing.T) {
 	b2, second := NewBatch(1), frameOf(t, key(2, 80), 0)
 	go func() { blocked <- s.SubmitFrameBatch(ctx, []Frame{{0, second}}, b2) }()
 	await(t, "three packets parked", func() bool { return upcalls().ParkedPackets == 3 })
-	if us := upcalls(); us.PendingFlows != 2 || us.Deduped != 1 || us.Enqueued != 2 || us.QueueDepth != 1 || us.QueueCap != 1024 {
+	if us := upcalls(); us.PendingFlows != 2 || us.Deduped != 1 || us.Flows-us.OverflowInline != 2 || us.QueueDepth != 1 || us.QueueCap != 1024 {
 		t.Errorf("upcall stats %+v; want 2 flows pending, 1 follower, 2 enqueued, 1 of 1024 queued", us)
 	}
 
@@ -200,8 +234,8 @@ func TestUpcallWarmFlowNotBlocked(t *testing.T) {
 			t.Errorf("warm flow behind parked misses: %+v, %v; want a cache hit", res, err)
 		}
 	})
-	if us, err := s.UpcallStats(ctx); err != nil || us.ParkedPackets != 3 {
-		t.Errorf("upcall stats %+v, %v; want the cold packets parked", us, err)
+	if us := readOffload(t, s); us.ParkedPackets != 3 {
+		t.Errorf("upcall stats %+v; want the cold packets parked", us)
 	}
 	select {
 	case r := <-resp:
@@ -215,8 +249,8 @@ func TestUpcallWarmFlowNotBlocked(t *testing.T) {
 			t.Errorf("cold flow: %+v; want a miss forwarded to port 1", r)
 		}
 	}
-	if us, err := s.UpcallStats(ctx); err != nil || us.Drained != 4 || us.Batches > 3 {
-		t.Errorf("upcall stats %+v, %v; want 4 misses drained in at most 3 batches", us, err)
+	if us := readOffload(t, s); us.Drained != 4 || us.Batches > 3 {
+		t.Errorf("upcall stats %+v; want 4 misses drained in at most 3 batches", us)
 	}
 }
 

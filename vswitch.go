@@ -120,9 +120,8 @@ type VSwitchStats struct {
 	Packets       uint64 `json:"packets"`
 	MicroflowHits uint64 `json:"microflow_hits"` // exact-match first-level hits: the Microflow tier's and held results'
 	CacheHits     uint64 `json:"cache_hits"`     // main-cache hits (excludes microflow)
-	CacheMisses   uint64 `json:"cache_misses"`
-	Slowpath      uint64 `json:"slowpath"` // traversals executed
-	Installs      uint64 `json:"installs"` // traversals installed in the main cache; a held walk is not one
+	CacheMisses   uint64 `json:"cache_misses"`   // each one slow-path traversal, whole or resumed at a stall
+	Installs      uint64 `json:"installs"`       // traversals installed in the main cache; a held walk is not one
 	InstallErrs   uint64 `json:"install_errs"`
 
 	// What the slow path walked, summed over the traversals it handed to
@@ -146,9 +145,9 @@ type VSwitchStats struct {
 // fields lists every counter: the one place a new one is added for Add and
 // Sub — hence for the service's per-shard sum, a replay's delta and the
 // simulator's per-packet charge — to carry it.
-func (s *VSwitchStats) fields() [13]*uint64 {
+func (s *VSwitchStats) fields() [12]*uint64 {
 	return [...]*uint64{
-		&s.Packets, &s.MicroflowHits, &s.CacheHits, &s.CacheMisses, &s.Slowpath,
+		&s.Packets, &s.MicroflowHits, &s.CacheHits, &s.CacheMisses,
 		&s.Installs, &s.InstallErrs, &s.SlowpathSteps, &s.SlowpathTupleProbes, &s.Resumed,
 		&s.CtFastpath, &s.CtGuardFails, &s.CtInvalidated,
 	}
@@ -455,7 +454,6 @@ func (v *VSwitch) processMiss(k, kt *Key, conn *conntrack.Conn, dir conntrack.Di
 		v.rec.ColdBegin()
 	}
 	v.stats.CacheMisses++
-	v.stats.Slowpath++
 	tr, table := &v.trav, 0
 	var err error
 	if v.ct != nil {
@@ -637,7 +635,6 @@ func (v *VSwitch) CollectMetrics(reg *telemetry.Registry, worker string) {
 	c("gigaflow_microflow_hits_total", "Exact-match first-level cache hits.", s.MicroflowHits)
 	c("gigaflow_cache_hits_total", "Main-cache (Gigaflow/Megaflow) hits.", s.CacheHits)
 	c("gigaflow_cache_misses_total", "Main-cache misses (slowpath punts).", s.CacheMisses)
-	c("gigaflow_slowpath_traversals_total", "Slow-path traversals executed, whole or resumed at a stall.", s.Slowpath)
 	c("gigaflow_slowpath_tables_total", "Pipeline tables visited by the traversals handed to the cache.", s.SlowpathSteps)
 	c("gigaflow_slowpath_tuple_probes_total", "TSS tuples probed by the traversals handed to the cache.", s.SlowpathTupleProbes)
 	c("gigaflow_slowpath_resumed_total", "Misses that walked and installed only the suffix after the prefix the main cache held.", s.Resumed)
