@@ -348,10 +348,19 @@ func TestDumpMetrics(t *testing.T) {
 	}
 	for _, series := range []string{
 		`gigaflow_packets_total{worker="0"}`, `gigaflow_packets_total{worker="1"}`,
-		"gigaflow_cache_entries", "gigaflow_latency_ns", "gigaflow_frames_total",
+		"gigaflow_cache_entries", "gigaflow_latency_ns", "gigaflow_frames_decoded_total",
 	} {
 		if !strings.Contains(out.String(), series) {
 			t.Errorf("the dump has no %s series", series)
 		}
+	}
+	// Summed over proto, the decoded series count every frame submitted.
+	perProto, _ := decodeCounts(s.Registry())
+	total := 0
+	for _, n := range perProto {
+		total += n
+	}
+	if total != 8 {
+		t.Errorf("decoded frames sum to %d, want 8", total)
 	}
 }

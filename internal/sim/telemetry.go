@@ -22,7 +22,6 @@ func (r *Result) CollectMetrics(reg *telemetry.Registry) {
 	c("gigaflow_cache_hits_total", "Main-cache hits.", r.Hits)
 	c("gigaflow_cache_misses_total", "Main-cache misses.", r.Misses)
 	c("gigaflow_cache_stalls_total", "Misses that matched a partial entry chain.", r.Stalls)
-	c("gigaflow_slowpath_traversals_total", "Full pipeline traversals.", r.Misses)
 	c("gigaflow_install_errors_total", "Traversals that could not be cached.", r.InsertFailures)
 	g("gigaflow_cache_coverage", "Rule-space coverage (installed traversals).", float64(r.Coverage))
 	g("gigaflow_cache_entries", "Cache entries in use.", float64(r.Entries))

@@ -101,7 +101,6 @@ const refused = -1
 type batchJob struct {
 	blk  *block
 	done chan *batchJob // blocking: signalled once when a queued (or parked) job's results are all in
-	resp chan<- Result  // nonblocking: optional per-result fan-out
 
 	// pending refcounts outstanding work in async offload mode: 1 for the
 	// batch scan plus 1 per parked packet, each released on delivery, so
@@ -220,7 +219,6 @@ func (b *Batch) fail(err error) {
 // submitOpts collects per-call submission options.
 type submitOpts struct {
 	nonblocking bool
-	resp        chan<- Result
 }
 
 // SubmitOption configures a single submission call. Options transform
@@ -248,15 +246,6 @@ func applyOpts(opts []SubmitOption) submitOpts {
 // ErrClosed, and so does the call.
 func Nonblocking() SubmitOption {
 	return func(o submitOpts) submitOpts { o.nonblocking = true; return o }
-}
-
-// WithResponse directs every processed Result of a nonblocking submission
-// to resp (dropped packets produce no send). The channel must have
-// capacity for all results routed to it — the worker's send is blocking.
-// It has no effect on blocking submissions, whose results land in the
-// Batch (or the returned Result) already.
-func WithResponse(resp chan<- Result) SubmitOption {
-	return func(o submitOpts) submitOpts { o.resp = resp; return o }
 }
 
 // batchPool recycles single-request batches so the SubmitFrame wrapper
@@ -288,7 +277,7 @@ func (s *Service) submit(ctx context.Context, b *Batch, o submitOpts) error {
 		return err
 	}
 	if o.nonblocking {
-		s.submitNonblocking(b, o.resp)
+		s.submitNonblocking(b)
 		return nil
 	}
 	return s.submitBlocking(ctx, b)
@@ -389,13 +378,13 @@ func (s *Service) dispatch(ctx context.Context, b *Batch, now int64) (waiting in
 // reuse the batch the moment we return, so a nonblocking job cannot view
 // its storage — and records the enqueue outcome per request. A full
 // queue drops that worker's whole share.
-func (s *Service) submitNonblocking(b *Batch, resp chan<- Result) {
+func (s *Service) submitNonblocking(b *Batch) {
 	for w := range b.part {
 		blk := &b.part[w]
 		if len(blk.keys) == 0 {
 			continue
 		}
-		if s.workers[w].offer(packet{job: &batchJob{blk: blk.clone(), resp: resp}}) {
+		if s.workers[w].offer(packet{job: &batchJob{blk: blk.clone()}}) {
 			blk.settle(nil)
 		} else {
 			s.workers[w].drops.Add(uint64(len(blk.keys)))

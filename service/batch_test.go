@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 
 	"gigaflow"
@@ -176,8 +175,7 @@ func TestErrorTaxonomy(t *testing.T) {
 	// Nonblocking may queue before Start; the queue (depth 1) accepts one
 	// packet, served once the service starts, and then reports
 	// ErrQueueFull.
-	resp := make(chan Result, 1)
-	if _, err := s.SubmitFrame(ctx, 0, frame, Nonblocking(), WithResponse(resp)); err != nil {
+	if _, err := s.SubmitFrame(ctx, 0, frame, Nonblocking()); err != nil {
 		t.Errorf("first nonblocking enqueue = %v", err)
 	}
 	if _, err := s.SubmitFrame(ctx, 0, frame, Nonblocking()); !errors.Is(err, ErrQueueFull) {
@@ -187,8 +185,9 @@ func TestErrorTaxonomy(t *testing.T) {
 	if err := s.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if r := recv(t, resp, "the packet queued before Start"); r.Err != nil || r.Verdict.Port != 1 {
-		t.Errorf("packet queued before Start: %+v", r)
+	// Stats queues behind the packet on the one shard, so it sees it served.
+	if st, err := s.Stats(ctx); err != nil || st.Packets != 1 {
+		t.Errorf("packet queued before Start: served %d, %v; want 1", st.Packets, err)
 	}
 	if err := s.Start(ctx); !errors.Is(err, ErrStarted) {
 		t.Errorf("second Start = %v, want ErrStarted", err)
@@ -212,50 +211,5 @@ func TestErrorTaxonomy(t *testing.T) {
 	// Frame rejection comes before the service state is looked at.
 	if _, err = s.SubmitFrame(ctx, 0, []byte{1, 2, 3}); !errors.Is(err, ErrShortFrame) {
 		t.Errorf("short frame err = %v, want ErrShortFrame", err)
-	}
-}
-
-// TestConcurrentBatchSubmitters hammers the batched blocking path from
-// many goroutines (run under -race in make ci): every batch must come
-// back fully resolved, and the aggregate packet count must be exact.
-func TestConcurrentBatchSubmitters(t *testing.T) {
-	s, ctx := startService(t, 4)
-	const (
-		goroutines = 8
-		batches    = 20
-		batchLen   = 33 // deliberately not a divisor-friendly size
-	)
-	hosts := make([][]byte, 200)
-	for h := range hosts {
-		hosts[h] = frameOf(t, key(uint64(h), 80), 0)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			b, frames := NewBatch(batchLen), make([]Frame, batchLen)
-			for n := 0; n < batches; n++ {
-				for i := range frames {
-					frames[i] = Frame{Data: hosts[(g*batches+n*7+i)%200]}
-				}
-				err := s.SubmitFrameBatch(ctx, frames, b)
-				for i := 0; err == nil && i < batchLen; i++ {
-					err = b.Result(i).Err
-				}
-				if err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	st, err := s.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := uint64(goroutines * batches * batchLen); st.Packets != want {
-		t.Fatalf("processed %d packets, want %d", st.Packets, want)
 	}
 }

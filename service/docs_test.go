@@ -547,18 +547,19 @@ func apiNames(text string) []mention {
 }
 
 // configPaths finds the words of inline code that are a Config path:
-// Config.… or a path from one of its sections. Expiry was a section until
-// its one remaining field became Config.MaxIdle, so a path through it is
-// stale too. The path is returned from Config, without the Config.
+// Config.… or a path from one of its sections, or a section's bare name.
+// Expiry and Latency were sections (Expiry until its one remaining field
+// became Config.MaxIdle), so a name or path through either is stale too.
+// The path is returned from Config, without the Config.
 func configPaths(text string) []mention {
 	code := regexp.MustCompile("`[^`]+`")
-	path := regexp.MustCompile(`^(Config|Expiry|Upcall|Latency|Conntrack)(\.[A-Z][A-Za-z0-9]*)+$`)
+	path := regexp.MustCompile(`^(Config|Expiry|Upcall|Latency|Conntrack)(\.[A-Z][A-Za-z0-9]*)*$`)
 	var out []mention
 	for i, line := range strings.Split(text, "\n") {
 		for _, span := range code.FindAllString(line, -1) {
 			for _, w := range strings.Fields(strings.Trim(span, "`")) {
 				w = strings.TrimRight(w, ",.;:)")
-				if path.MatchString(w) {
+				if path.MatchString(w) && w != "Config" {
 					out = append(out, mention{name: strings.TrimPrefix(w, "Config."), line: i + 1})
 				}
 			}

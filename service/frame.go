@@ -14,7 +14,6 @@ import (
 type frameMetrics struct {
 	decoded [wire.NumProtos]*telemetry.Counter
 	errs    [wire.NumErrCodes]*telemetry.Counter
-	frames  *telemetry.Counter
 	bytes   *telemetry.Counter
 	vlan    *telemetry.Counter
 	frags   *telemetry.Counter
@@ -22,8 +21,6 @@ type frameMetrics struct {
 
 func newFrameMetrics(reg *telemetry.Registry) *frameMetrics {
 	m := &frameMetrics{
-		frames: reg.Counter("gigaflow_frames_total",
-			"Wire-format frames submitted through SubmitFrame/SubmitFrameBatch."),
 		bytes: reg.Counter("gigaflow_frame_bytes_total",
 			"Bytes of wire-format frames submitted."),
 		vlan: reg.Counter("gigaflow_frames_vlan_total",
@@ -49,16 +46,15 @@ func newFrameMetrics(reg *telemetry.Registry) *frameMetrics {
 // counters are touched once per call and counter, not three or more times
 // per frame.
 type frameTally struct {
-	frames, bytes, vlan, frags uint64
-	decoded                    [wire.NumProtos]uint64
-	errs                       [wire.NumErrCodes]uint64
+	bytes, vlan, frags uint64
+	decoded            [wire.NumProtos]uint64 // every frame counts under one proto
+	errs               [wire.NumErrCodes]uint64
 }
 
 // add accounts one decoded frame of n wire bytes.
 //
 //gf:hotpath
 func (t *frameTally) add(info *wire.Info, n int) {
-	t.frames++
 	t.bytes += uint64(n)
 	t.decoded[info.Proto]++
 	if info.Err != wire.ErrOK {
@@ -78,10 +74,9 @@ func (t *frameTally) add(info *wire.Info, n int) {
 //
 //gf:hotpath
 func (m *frameMetrics) flush(t *frameTally) {
-	if t.frames == 0 {
+	if t.decoded == ([wire.NumProtos]uint64{}) {
 		return
 	}
-	m.frames.Add(t.frames)
 	m.bytes.Add(t.bytes)
 	for p, n := range t.decoded {
 		if n != 0 {
@@ -129,9 +124,9 @@ type Frame struct {
 //
 // With Nonblocking: requests are enqueued without waiting; a request
 // whose worker queue is full gets ErrQueueFull in its Result.Err, the
-// rest have Result.Err nil with verdicts unreported (use WithResponse to
-// stream them); after Close every request gets ErrClosed. The batch may
-// be reused immediately.
+// rest have Result.Err nil: enqueued, and no verdict comes back (the
+// shard's counters and Stats show what it did). After Close every
+// request gets ErrClosed. The batch may be reused immediately.
 //
 // Ingestion decodes each frame once, on the calling goroutine, into the
 // key its shard's cache lookup reads, and files it under the shard the
@@ -154,16 +149,15 @@ func (s *Service) SubmitFrameBatch(ctx context.Context, frames []Frame, b *Batch
 
 // SubmitFrame submits one raw Ethernet frame received on inPort: a pooled
 // batch of one through SubmitFrameBatch. By default it blocks until the
-// verdict is available and returns it; with Nonblocking it only enqueues
-// (the returned Result carries no verdict; pair with WithResponse to
-// receive it asynchronously). Flows with the same 5-tuple always reach
-// the same worker. Frames with decode defects degrade to the longest
-// well-formed prefix of the key and are still forwarded (the pipeline
-// decides their fate); only a frame too short to carry an Ethernet
-// header is rejected, with ErrShortFrame. Decode outcomes are counted in
-// the metrics registry either way. Errors: ErrNotStarted, ErrClosed,
-// ErrQueueFull (nonblocking), ctx.Err(), ErrShortFrame, or the packet's
-// own pipeline error.
+// verdict is available and returns it; with Nonblocking it only enqueues,
+// and the returned Result carries no verdict. Flows with the same 5-tuple
+// always reach the same worker. Frames with decode defects degrade to the
+// longest well-formed prefix of the key and are still forwarded (the
+// pipeline decides their fate); only a frame too short to carry an
+// Ethernet header is rejected, with ErrShortFrame. Decode outcomes are
+// counted in the metrics registry either way. Errors: ErrNotStarted,
+// ErrClosed, ErrQueueFull (nonblocking), ctx.Err(), ErrShortFrame, or the
+// packet's own pipeline error.
 func (s *Service) SubmitFrame(ctx context.Context, inPort uint16, frame []byte, opts ...SubmitOption) (Result, error) {
 	b := batchPool.Get().(*Batch)
 	one := [1]Frame{{InPort: inPort, Data: frame}}

@@ -165,7 +165,7 @@ func TestBlockingSeesOwnEarlierNonblocking(t *testing.T) {
 
 // TestShardOwnershipUnderRace hammers one service from every kind of
 // caller at once — blocking submitters (which run their own shares when
-// the shard is idle), a nonblocking submitter streaming responses, rule
+// the shard is idle), a nonblocking submitter, rule
 // updates, stats and telemetry snapshots — on a service clock that races
 // ahead a quarter of sweepEvery a read, so shards sweep idle entries all
 // along — and closes it mid-flight. Under -race this is the proof that
@@ -236,7 +236,6 @@ func TestShardOwnershipUnderRace(t *testing.T) {
 					}
 				}(g)
 			}
-			resp := make(chan Result, 1<<16)
 			var accepted int64
 			wg.Add(1)
 			go func() {
@@ -246,7 +245,7 @@ func TestShardOwnershipUnderRace(t *testing.T) {
 					for i := range frames {
 						frames[i] = Frame{Data: flows[(n*8+i)%256]}
 					}
-					if err := s.SubmitFrameBatch(ctx, frames, b, Nonblocking(), WithResponse(resp)); err != nil && !errors.Is(err, ErrClosed) {
+					if err := s.SubmitFrameBatch(ctx, frames, b, Nonblocking()); err != nil && !errors.Is(err, ErrClosed) {
 						t.Errorf("nonblocking submitter: %v", err)
 						return
 					}
@@ -296,9 +295,6 @@ func TestShardOwnershipUnderRace(t *testing.T) {
 			close(closed)
 			within(t, 10*time.Second, "callers after Close", wg.Wait)
 
-			if n := int64(len(resp)); n > accepted {
-				t.Errorf("workers=%d async=%v: %d responses for %d accepted nonblocking requests", workers, async, n, accepted)
-			}
 			// The workers have exited (Close waited for them); shard state is
 			// quiescent and safe to read directly.
 			var expired uint64
@@ -321,8 +317,8 @@ func TestShardOwnershipUnderRace(t *testing.T) {
 			if expired == 0 {
 				t.Errorf("workers=%d async=%v: no shard swept an idle entry", workers, async)
 			}
-			t.Logf("workers=%d async=%v: %d verdicts, %d refused at shutdown, %d/%d nonblocking answered",
-				workers, async, verdicts.Load(), refusals.Load(), len(resp), accepted)
+			t.Logf("workers=%d async=%v: %d verdicts, %d refused at shutdown, %d nonblocking accepted",
+				workers, async, verdicts.Load(), refusals.Load(), accepted)
 		}
 	}
 }

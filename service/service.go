@@ -227,12 +227,6 @@ type packet struct {
 	ack     chan<- struct{} // control ops: signalled once the function has run
 }
 
-// respMsg is one Result bound for a WithResponse channel.
-type respMsg struct {
-	ch chan<- Result
-	r  Result
-}
-
 // worker is one shard: a cache shard over the service's pipeline, and the
 // goroutine that serves its input queue.
 type worker struct {
@@ -265,12 +259,11 @@ type worker struct {
 	maxIdle, connMaxIdle int64
 	stopped              bool // drain has begun: a share run from here on fails with ErrClosed
 
-	// What the message being served must tell other goroutines, collected
-	// under the owner lock and sent once it is released. Only the worker
-	// goroutine fills and flushes these: a submitter running its own share
-	// has no response channel and learns of completion by return value.
-	resps []respMsg
-	fin   []*batchJob
+	// fin collects the queued jobs the message being served finished,
+	// under the owner lock, for flush to signal once it is released. Only
+	// the worker goroutine fills and flushes it: a submitter running its
+	// own share learns of completion by return value.
+	fin []*batchJob
 
 	drops atomic.Uint64 // nonblocking rejections due to a full queue
 
@@ -566,11 +559,11 @@ func (w *worker) due(now int64) {
 }
 
 // serve runs one queued message stamped now under the owner lock and then
-// — lock released — sends what it produced: results to response channels,
-// finished jobs to their submitters, the control acknowledgement. The
-// in-flight count drops last, so a submitter that sees the shard idle
-// sees everything it queued earlier fully delivered. closing is drain's
-// mode: work fails with ErrClosed, nothing sweeps and no send may wait.
+// — lock released — sends what it produced: finished jobs to their
+// submitters, the control acknowledgement. The in-flight count drops
+// last, so a submitter that sees the shard idle sees everything it queued
+// earlier fully delivered. closing is drain's mode: work fails with
+// ErrClosed and nothing sweeps.
 func (w *worker) serve(m packet, now int64, closing bool) {
 	w.own.Lock()
 	if closing {
@@ -581,41 +574,21 @@ func (w *worker) serve(m packet, now int64, closing bool) {
 		w.run(m, now)
 	}
 	w.own.Unlock()
-	w.flush(closing)
+	w.flush()
 	if m.ack != nil {
 		m.ack <- struct{}{} // buffered for every shard by eachShard
 	}
 	w.inflight.Add(-1)
 }
 
-// flush sends the collected results and completion signals, in the order
-// they were produced. try makes response sends give up on a full channel
-// (shutdown: a fire-and-forget submitter may be gone); done channels are
-// buffered for every share of their batch and never block.
-func (w *worker) flush(try bool) {
-	for i := range w.resps {
-		m := &w.resps[i]
-		if !try {
-			m.ch <- m.r
-			continue
-		}
-		select {
-		case m.ch <- m.r:
-		default:
-		}
-	}
+// flush sends the collected completion signals, in the order they were
+// produced. Done channels are buffered for every share of their batch and
+// never block.
+func (w *worker) flush() {
 	for _, j := range w.fin {
 		j.done <- j
 	}
-	w.resps, w.fin = w.resps[:0], w.fin[:0]
-}
-
-// reply queues one packet's result for its response channel, if it has
-// one.
-func (w *worker) reply(ch chan<- Result, res *gigaflow.ProcessResult, err error) {
-	if ch != nil {
-		w.resps = append(w.resps, respMsg{ch, Result{Verdict: res.Verdict, Final: res.Final, CacheHit: res.CacheHit, Err: err}})
-	}
+	w.fin = w.fin[:0]
 }
 
 // run executes one queued message under the owner lock. The message's
@@ -662,11 +635,6 @@ func (w *worker) runJob(j *batchJob, now int64) (finished bool) {
 	}
 	blk := j.blk
 	w.vs.ProcessBatchMeta(blk.keys, blk.metas, blk.out, blk.errs, now)
-	if j.resp != nil {
-		for i := range blk.out {
-			w.reply(j.resp, &blk.out[i], blk.errs[i])
-		}
-	}
 	return true
 }
 
@@ -701,7 +669,6 @@ func (w *worker) parkJob(j *batchJob, now int64) (finished bool) {
 			w.up.OverflowInline++
 			blk.out[i], blk.errs[i] = w.vs.Process(blk.keys[i], now)
 		}
-		w.reply(j.resp, &blk.out[i], blk.errs[i])
 	}
 	j.pending--
 	return j.pending == 0
@@ -725,7 +692,7 @@ func (w *worker) drain() {
 			w.stopped = true
 			w.sweepParked()
 			w.own.Unlock()
-			w.flush(true)
+			w.flush()
 			return
 		}
 	}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -116,18 +117,6 @@ func await(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// recv is the next result on ch; the test fails if none comes within 5 s.
-func recv(t *testing.T, ch <-chan Result, what string) Result {
-	t.Helper()
-	select {
-	case r := <-ch:
-		return r
-	case <-time.After(5 * time.Second):
-		t.Fatalf("%s never arrived", what)
-		return Result{}
-	}
-}
-
 // cacheEntries sums the shards' cache entries as ShardStats reports them.
 func cacheEntries(t *testing.T, s *Service) int {
 	t.Helper()
@@ -177,27 +166,90 @@ func TestSubmitBasic(t *testing.T) {
 	}
 }
 
+// TestConcurrentSubmitters, TestConcurrentBatchSubmitters and
+// TestSubmitFrameBatchConcurrent run many blocking submitters at once
+// against four shards (under -race in make ci) through SubmitFrame,
+// SubmitFrameBatch, and both at once. concurrentSubmitters holds every
+// check: each request gets its own verdict — port 22 drops, port 80
+// forwards, and every eighth frame, too short for Ethernet, is refused at
+// its index — and no packet or decoded frame is lost or counted twice.
 func TestConcurrentSubmitters(t *testing.T) {
-	s, ctx := startService(t, 4)
-	const goroutines = 16
-	const perG = 200
+	concurrentSubmitters(t, func(int) bool { return false })
+}
+
+func TestConcurrentBatchSubmitters(t *testing.T) {
+	concurrentSubmitters(t, func(int) bool { return true })
+}
+
+// TestSubmitFrameBatchConcurrent interleaves the two entry points on the
+// same shards: the even submitters batch, the odd ones send frame by frame.
+func TestSubmitFrameBatchConcurrent(t *testing.T) {
+	concurrentSubmitters(t, func(g int) bool { return g%2 == 0 })
+}
+
+// concurrentSubmitters runs eight submitters; batched(g) picks whether
+// submitter g calls SubmitFrameBatch or SubmitFrame.
+func concurrentSubmitters(t *testing.T, batched func(g int) bool) {
+	const goroutines, calls, perCall = 8, 25, 33 // 33: not a divisor-friendly size
+
 	var web, ssh [512][]byte // port 80 and 22 frames by host
 	for h := range web {
 		web[h], ssh[h] = frameOf(t, key(uint64(h), 80), 0), frameOf(t, key(uint64(h), 22), 0)
 	}
+	short := func(i int) bool { return i%8 == 7 }
+	served := 0
+	for i := 0; i < perCall; i++ {
+		if !short(i) {
+			served++
+		}
+	}
+	s, ctx := startService(t, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				port, frame := uint64(80), web[(g*perG+i)%512]
-				if i%3 == 0 {
-					port, frame = 22, ssh[(g*perG+i)%512]
+			b, frames, res := NewBatch(perCall), make([]Frame, perCall), make([]Result, perCall)
+			for n := 0; n < calls; n++ {
+				for i := range frames {
+					j := (g*calls+n)*perCall + i
+					switch {
+					case short(i):
+						frames[i] = Frame{Data: web[0][:10]}
+					case j%3 == 0:
+						frames[i] = Frame{Data: ssh[j%512]}
+					default:
+						frames[i] = Frame{Data: web[j%512]}
+					}
 				}
-				if r, err := s.SubmitFrame(ctx, 0, frame); err != nil || (r.Verdict.Kind == gigaflow.VerdictDrop) != (port == 22) {
-					t.Errorf("port %d: %+v, %v", port, r, err)
-					return
+				if batched(g) {
+					if err := s.SubmitFrameBatch(ctx, frames, b); err != nil {
+						t.Error(err)
+						return
+					}
+					for i := range res {
+						res[i] = b.Result(i)
+					}
+				} else {
+					for i, f := range frames {
+						r, err := s.SubmitFrame(ctx, f.InPort, f.Data)
+						if r.Err == nil {
+							r.Err = err
+						}
+						res[i] = r
+					}
+				}
+				for i, r := range res {
+					j := (g*calls+n)*perCall + i
+					if short(i) {
+						if !errors.Is(r.Err, ErrShortFrame) {
+							t.Errorf("short frame %d: %v, want ErrShortFrame", i, r.Err)
+							return
+						}
+					} else if r.Err != nil || (r.Verdict.Kind == gigaflow.VerdictDrop) != (j%3 == 0) {
+						t.Errorf("frame %d (port 22: %t): %+v", i, j%3 == 0, r)
+						return
+					}
 				}
 			}
 		}(g)
@@ -207,8 +259,11 @@ func TestConcurrentSubmitters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Packets != goroutines*perG {
-		t.Errorf("packets = %d, want %d", st.Packets, goroutines*perG)
+	if want := uint64(goroutines * calls * served); st.Packets != want {
+		t.Errorf("packets = %d, want %d", st.Packets, want)
+	}
+	if got, want := framesDecoded(s), uint64(goroutines*calls*perCall); got != want {
+		t.Errorf("decoded frames = %d, want %d", got, want)
 	}
 	if st.CacheHits == 0 {
 		t.Error("no cache hits under repeated flows")
@@ -300,13 +355,10 @@ func TestIdleExpiryTicker(t *testing.T) {
 	clock.Add(1)
 	miss("in place, once the next sweep is due", 0)
 	clock.Add(every)
-	resp := make(chan Result, 1)
-	if _, err := s.SubmitFrame(ctx, 0, frameOf(t, perFlowKey(0), 0), Nonblocking(), WithResponse(resp)); err != nil {
-		t.Fatal(err)
-	}
-	if r := recv(t, resp, "the queued verdict"); r.Err != nil || r.CacheHit {
-		t.Fatalf("queued, once the next sweep is due: %+v; want a miss", r)
-	}
+	// A shard held busy runs no share in place: the blocking call queues it.
+	s.workers[0].inflight.Add(1)
+	miss("queued, once the next sweep is due", 0)
+	s.workers[0].inflight.Add(-1)
 }
 
 func TestLifecycleErrors(t *testing.T) {

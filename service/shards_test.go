@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"gigaflow"
@@ -117,58 +116,5 @@ func TestShardStats(t *testing.T) {
 	}
 	if busy < 2 {
 		t.Errorf("only %d of 4 shards saw traffic — hash looks degenerate", busy)
-	}
-}
-
-// TestSubmitFrameBatchConcurrent hammers the wire-path ingestion from
-// many submitter goroutines at once — shard-local decode means
-// frameMetrics is updated concurrently by workers AND submitters (the
-// fallback path), which must be race-free and must not lose counts.
-// Run with -race to make the check meaningful.
-func TestSubmitFrameBatchConcurrent(t *testing.T) {
-	const submitters, perBatch, batches = 8, 32, 25
-	s, ctx := start(t, perFlowPipeline(64), Config{
-		Workers:    4,
-		Cache:      gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 1024},
-		QueueDepth: 4096,
-	}), context.Background()
-	arp := wire.Encode(perFlowKey(0).With(gigaflow.FieldEthType, 0x0806))
-	var wg sync.WaitGroup
-	for g := 0; g < submitters; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			b := NewBatch(perBatch)
-			frames := make([]Frame, perBatch)
-			for n := 0; n < batches; n++ {
-				for i := range frames {
-					switch i % 8 {
-					case 6:
-						frames[i] = Frame{Data: arp} // extractor fallback, still forwarded
-					case 7:
-						frames[i] = Frame{Data: arp[:10]} // rejected: short frame
-					default:
-						frames[i] = Frame{Data: wire.Encode(perFlowKey((g*perBatch + i) % 64))}
-					}
-				}
-				if err := s.SubmitFrameBatch(ctx, frames, b); err != nil {
-					t.Error(err)
-					return
-				}
-				for i := 0; i < b.Len(); i++ {
-					if err := b.Result(i).Err; (err == nil) == (i%8 == 7) { // only the short frames are rejected
-						t.Errorf("frame %d: %v", i, err)
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	// Not one frame lost or double-counted across the concurrent
-	// submitters' decodes.
-	if got, want := s.frames.frames.Value(), uint64(submitters*perBatch*batches); got != want {
-		t.Errorf("frames counter = %d, want %d", got, want)
 	}
 }

@@ -193,13 +193,12 @@ func (w *worker) complete(m *miss, now int64) {
 }
 
 // deliver routes a parked packet's result back to its submitter: into
-// its job's slot (finishing the job when it was the last outstanding
-// packet) and down the job's response channel, if there is one. The sends
-// themselves happen in flush, once the owner lock is released.
+// its job's slot, finishing the job when it was the last outstanding
+// packet. The completion signal is sent in flush, once the owner lock is
+// released.
 func (w *worker) deliver(p parked, res gigaflow.ProcessResult, err error) {
 	j := p.job
 	j.blk.out[p.idx], j.blk.errs[p.idx] = res, err
-	w.reply(j.resp, &res, err)
 	j.pending--
 	if j.pending == 0 && j.done != nil {
 		w.fin = append(w.fin, j)

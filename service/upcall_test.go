@@ -64,8 +64,8 @@ func readOffload(tb testing.TB, s *Service) offload {
 
 // TestUpcallOrdering pins in-order per-flow release: in a batch holding
 // several packets of one cold flow, exactly the first is the slow-path
-// initiator and every later one observes its install, both positionally
-// and in WithResponse stream order — indistinguishable from inline.
+// initiator and every later one observes its install, position by
+// position — indistinguishable from inline.
 func TestUpcallOrdering(t *testing.T) {
 	s := start(t, buildPipeline(), upcallConfig(1, 2))
 	ctx := context.Background()
@@ -89,21 +89,6 @@ func TestUpcallOrdering(t *testing.T) {
 	if us := readOffload(t, s); us.Flows != 2 || us.OverflowInline != 0 || us.Drained != 2 || us.Completed != 2 || us.Stale != 0 {
 		t.Errorf("upcall stats %+v; want 2 flows enqueued, drained and completed once each", us)
 	}
-
-	// Response-channel order for one flow must be initiator first, then
-	// followers, regardless of the engine's concurrency. A fresh service:
-	// the wildcard entries installed above would otherwise cover kC.
-	s = start(t, buildPipeline(), upcallConfig(1, 2))
-	kC := frameOf(t, key(3, 80), 0)
-	resp := make(chan Result, 3)
-	if err := s.SubmitFrameBatch(ctx, []Frame{{0, kC}, {0, kC}, {0, kC}}, b, Nonblocking(), WithResponse(resp)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if r := recv(t, resp, "a response"); r.Err != nil || r.CacheHit != (i > 0) {
-			t.Fatalf("response %d: %+v, want a hit exactly after the first", i, r)
-		}
-	}
 }
 
 // TestUpcallShutdownParked proves shutdown is hang-proof with packets
@@ -124,19 +109,18 @@ func TestUpcallShutdownParked(t *testing.T) {
 	ctx := context.Background()
 
 	s.rules.Lock()
-	resp := make(chan Result, 2)
-	first := frameOf(t, key(1, 80), 0)
-	// The second packet is a follower of the first.
-	if err := s.SubmitFrameBatch(ctx, []Frame{{0, first}, {0, first}}, NewBatch(2), Nonblocking(), WithResponse(resp)); err != nil {
-		t.Fatal(err)
+	// Blocking submitters parked behind two flows, to prove they unblock
+	// at Close; the first's second packet is a follower of its first.
+	park := func(frames ...Frame) (*Batch, chan error) {
+		b, blocked := NewBatch(len(frames)), make(chan error, 1)
+		go func() { blocked <- s.SubmitFrameBatch(ctx, frames, b) }()
+		return b, blocked
 	}
+	first := frameOf(t, key(1, 80), 0)
+	b1, blocked1 := park(Frame{0, first}, Frame{0, first})
 	upcalls := func() offload { return readOffload(t, s) }
 	await(t, "the engine to take the first flow", func() bool { return upcalls().Drained == 1 })
-	// A blocking submitter parked behind a second flow, to prove it
-	// unblocks at Close.
-	blocked := make(chan error, 1)
-	b2, second := NewBatch(1), frameOf(t, key(2, 80), 0)
-	go func() { blocked <- s.SubmitFrameBatch(ctx, []Frame{{0, second}}, b2) }()
+	b2, blocked2 := park(Frame{0, frameOf(t, key(2, 80), 0)})
 	await(t, "three packets parked", func() bool { return upcalls().ParkedPackets == 3 })
 	if us := upcalls(); us.PendingFlows != 2 || us.Deduped != 1 || us.Flows-us.OverflowInline != 2 || us.QueueDepth != 1 || us.QueueCap != 1024 {
 		t.Errorf("upcall stats %+v; want 2 flows pending, 1 follower, 2 enqueued, 1 of 1024 queued", us)
@@ -144,18 +128,20 @@ func TestUpcallShutdownParked(t *testing.T) {
 
 	closed := make(chan error, 1)
 	go func() { closed <- s.Close() }()
-	for i := 0; i < 2; i++ {
-		if r := recv(t, resp, "a parked packet's failure at shutdown"); !errors.Is(r.Err, ErrClosed) {
-			t.Fatalf("parked packet got %+v, want ErrClosed", r)
+	for _, c := range []struct {
+		b       *Batch
+		blocked chan error
+	}{{b1, blocked1}, {b2, blocked2}} {
+		select {
+		case <-c.blocked:
+			for i := 0; i < c.b.Len(); i++ {
+				if got := c.b.Result(i).Err; !errors.Is(got, ErrClosed) {
+					t.Fatalf("parked packet got %v, want ErrClosed", got)
+				}
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("blocking submitter still stuck after shutdown")
 		}
-	}
-	select {
-	case <-blocked:
-		if got := b2.Result(0).Err; !errors.Is(got, ErrClosed) {
-			t.Fatalf("blocked submitter's request got %v, want ErrClosed", got)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("blocking submitter still stuck after shutdown")
 	}
 
 	s.rules.Unlock() // release the engine so Close can join it
@@ -218,17 +204,18 @@ func TestUpcallWarmFlowNotBlocked(t *testing.T) {
 	}
 	defer release() // a failed assertion must not leave Close waiting on the engine
 
-	resp := make(chan Result, 3)
-	cold := make([]Frame, 3)
+	// A shard held busy runs nothing in place: the cold batch queues, and
+	// so does the warm flow's SubmitFrame, behind it: it is served after
+	// the worker has handled — parked — those misses, or not at all.
+	w := s.workers[0]
+	w.inflight.Add(1)
+	defer w.inflight.Add(-1)
+	cold, cb, coldDone := make([]Frame, 3), NewBatch(3), make(chan error, 1)
 	for h := range cold {
 		cold[h] = Frame{Data: frameOf(t, key(uint64(h+1), 80), 0)}
 	}
-	if err := s.SubmitFrameBatch(ctx, cold, NewBatch(3), Nonblocking(), WithResponse(resp)); err != nil {
-		t.Fatal(err)
-	}
-	// A shard with a message in flight runs nothing in place, so this
-	// SubmitFrame queues behind the cold packets: it is served after the
-	// worker has handled — parked — those misses, or not at all.
+	go func() { coldDone <- s.SubmitFrameBatch(ctx, cold, cb) }()
+	await(t, "the cold packets parked", func() bool { return readOffload(t, s).ParkedPackets == 3 })
 	within(t, 5*time.Second, "warm flow's SubmitFrame behind parked misses", func() {
 		if res, err := s.SubmitFrame(ctx, 0, warm); err != nil || res.Err != nil || !res.CacheHit {
 			t.Errorf("warm flow behind parked misses: %+v, %v; want a cache hit", res, err)
@@ -238,14 +225,19 @@ func TestUpcallWarmFlowNotBlocked(t *testing.T) {
 		t.Errorf("upcall stats %+v; want the cold packets parked", us)
 	}
 	select {
-	case r := <-resp:
-		t.Errorf("cold flow completed with the engine wedged: %+v", r)
+	case err := <-coldDone:
+		t.Errorf("cold flows completed with the engine wedged: %v", err)
 	default:
 	}
 
 	release()
-	for i := 0; i < 3; i++ {
-		if r := recv(t, resp, "a cold flow's completion"); r.Err != nil || r.CacheHit || r.Verdict.Port != 1 {
+	within(t, 5*time.Second, "the cold flows' completions", func() {
+		if err := <-coldDone; err != nil {
+			t.Error(err)
+		}
+	})
+	for i := 0; i < cb.Len(); i++ {
+		if r := cb.Result(i); r.Err != nil || r.CacheHit || r.Verdict.Port != 1 {
 			t.Errorf("cold flow: %+v; want a miss forwarded to port 1", r)
 		}
 	}
@@ -265,9 +257,8 @@ func TestUpcallWarmFlowNotBlocked(t *testing.T) {
 func TestUpcallParkNsExcludesTraversal(t *testing.T) {
 	s, ctx := start(t, holPipeline(2), upcallConfig(1, 1)), context.Background()
 	s.rules.Lock()
-	resp := make(chan Result, 1)
 	submitted := time.Now()
-	if _, err := s.SubmitFrame(ctx, 0, frameOf(t, key(1, 80), 0), Nonblocking(), WithResponse(resp)); err != nil {
+	if _, err := s.SubmitFrame(ctx, 0, frameOf(t, key(1, 80), 0), Nonblocking()); err != nil {
 		s.rules.Unlock()
 		t.Fatal(err)
 	}
@@ -281,9 +272,10 @@ func TestUpcallParkNsExcludesTraversal(t *testing.T) {
 	hold := 20*time.Millisecond + window
 	time.Sleep(hold)
 	s.rules.Unlock()
-	if r := recv(t, resp, "the cold flow's completion"); r.Err != nil || r.CacheHit {
-		t.Fatalf("cold flow: %+v; want a completed miss", r)
-	}
+	await(t, "the cold flow's completion", func() bool {
+		st, err := s.Stats(ctx)
+		return err == nil && st.Packets == 1 && st.CacheMisses == 1
+	})
 
 	var recs []telemetry.FlightRecord
 	if err := s.eachShard(ctx, func(_ int, w *worker) { recs = w.rec.Recent(0) }); err != nil {
