@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: ci build test race vet lint lint-json suppress-check fmt-check docs docs-check bench bench-smoke bench-e2e bench-compare bench-pairs fuzz fuzz-regress
+.PHONY: ci build test race vet lint lint-json fmt-check docs docs-check bench bench-smoke bench-e2e bench-compare bench-pairs fuzz fuzz-regress
 
 ## ci: the standard verification gate — vet, build, race-enabled tests,
-## the project linter, a gofmt cleanliness check, the suppression audit
-## and one iteration of every benchmark. Run before every commit. The race
-## step is every test of the module, so it also checks the documents
-## against the tree (TestDocs, docs-check) and replays every checked-in
-## fuzz corpus (fuzz-regress); those two targets run the same checks
-## alone, without -race.
-ci: vet build race lint suppress-check fmt-check bench-smoke
+## the project linter, a gofmt cleanliness check and one iteration of
+## every benchmark. Run before every commit. The race step is every test
+## of the module, so it also checks the documents against the tree
+## (TestDocs, docs-check), replays every checked-in fuzz corpus
+## (fuzz-regress) — those two targets run the same checks alone, without
+## -race — and audits suppressions: TestModuleClean fails on any
+## //gflint:ignore outside the testdata fixtures.
+ci: vet build race lint fmt-check bench-smoke
 
 build:
 	$(GO) build ./...
@@ -44,18 +45,6 @@ lint-json:
 	$(GO) build -o $$tmp/gflint ./cmd/gflint && \
 	$$tmp/gflint -json ./... > gflint.json; \
 	status=$$?; echo "wrote gflint.json"; exit $$status
-
-## suppress-check: audit //gflint:ignore suppressions. Production code
-## carries none (TestModuleClean enforces zero); any that ever appear
-## must name an analyzer and a reason — a bare ignore fails here. The
-## testdata fixtures are exempt: they exercise the directive itself.
-suppress-check:
-	@out=$$(grep -rn --include='*.go' '//gflint:ignore' . | grep -v '/testdata/' | \
-		grep -vE '//.*//gflint:ignore' | grep -v '".*//gflint:ignore' | \
-		grep -vE '//gflint:ignore [a-z]+ [^ ]+'); \
-	if [ -n "$$out" ]; then \
-		echo "reason-less //gflint:ignore (format: //gflint:ignore <analyzer> <reason>):"; \
-		echo "$$out"; exit 1; fi
 
 ## fmt-check: testdata fixtures are excluded — they intentionally contain
 ## findings and `// want` annotations laid out for the analyzer tests.

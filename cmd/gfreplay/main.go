@@ -53,7 +53,6 @@ func main() {
 	flag.IntVar(&o.tables, "tables", 4, "Gigaflow tables")
 	flag.IntVar(&o.capacity, "cap", 32768, "total main-cache entries, either backend (split across tables and workers)")
 	flag.IntVar(&o.microflow, "microflow", 0, "per-worker microflow entries (0: disabled)")
-	flag.IntVar(&o.queue, "queue", 1024, "worker queue depth")
 	flag.StringVar(&o.telemetry, "telemetry", "", "serve /metrics and /debug endpoints on this address during the replay")
 	flag.BoolVar(&o.conntrack, "conntrack", false, "enable connection tracking (required for ct_state/NAT pipelines)")
 	flag.IntVar(&o.ctMax, "ct-max", 0, "total live-connection budget across workers (0: conntrack default)")
@@ -131,12 +130,12 @@ func main() {
 
 // options are the flags that shape the service.
 type options struct {
-	backend                                     string
-	workers, tables, capacity, microflow, queue int
-	telemetry                                   string
-	conntrack                                   bool
-	ctMax                                       int
-	ctIdle                                      time.Duration
+	backend                              string
+	workers, tables, capacity, microflow int
+	telemetry                            string
+	conntrack                            bool
+	ctMax                                int
+	ctIdle                               time.Duration
 }
 
 // serviceConfig builds the service the flags ask for; an error is a usage
@@ -146,7 +145,6 @@ func serviceConfig(o options) (service.Config, error) {
 	cfg := service.Config{
 		Workers:           o.workers,
 		MicroflowCapacity: o.microflow * o.workers,
-		QueueDepth:        o.queue,
 		TelemetryAddr:     o.telemetry,
 	}
 	switch {
@@ -154,8 +152,6 @@ func serviceConfig(o options) (service.Config, error) {
 		return cfg, fmt.Errorf("-workers %d: at least one worker forwards", o.workers)
 	case o.microflow < 0:
 		return cfg, fmt.Errorf("-microflow %d is not a capacity", o.microflow)
-	case o.queue < 1:
-		return cfg, fmt.Errorf("-queue %d: a worker queue holds at least one message", o.queue)
 	case o.ctMax < 0:
 		return cfg, fmt.Errorf("-ct-max %d is not a budget", o.ctMax)
 	}
@@ -198,10 +194,11 @@ type report struct {
 	queueDrops    int // frames a full worker queue refused (nonblocking only)
 	rejected      int // frames too short for Ethernet, never submitted
 	pipelineErrs  int // blocking: frames whose walk returned a pipeline error
-	// decodeErrors (frames forwarded on a degraded key) and perProto are
-	// the change in the service's frame counters over the replay: a frame
-	// a full queue dropped was never decoded, and frames other goroutines
-	// submit meanwhile count, as they do in stats.
+	// decodeErrors (defective decodes, each submitted on a degraded key)
+	// and perProto (decodes by protocol class), short frames aside, are the
+	// change in the service's frame counters over the replay. Ingest
+	// decodes every frame, so both count frames a full queue then refused,
+	// and frames other goroutines submit meanwhile, as stats does.
 	decodeErrors int
 	perProto     [wire.NumProtos]int
 	truncated    bool                  // the capture ended mid-record

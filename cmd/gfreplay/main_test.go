@@ -267,7 +267,7 @@ func TestReplayNonblockingUpcall(t *testing.T) {
 // TestServiceConfigCapacity: -cap is the main cache's total on either
 // backend.
 func TestServiceConfigCapacity(t *testing.T) {
-	o := options{backend: "gigaflow", workers: 2, tables: 4, capacity: 32768, queue: 1024}
+	o := options{backend: "gigaflow", workers: 2, tables: 4, capacity: 32768}
 	gf, err := serviceConfig(o)
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +289,7 @@ func TestServiceConfigCapacity(t *testing.T) {
 // TestFlagsOutOfRange: a flag out of its range is a usage error (exit 2),
 // never a panic, a silently different value or a run failure.
 func TestFlagsOutOfRange(t *testing.T) {
-	ok := options{backend: "gigaflow", workers: 1, tables: 4, capacity: 32768, queue: 1024}
+	ok := options{backend: "gigaflow", workers: 1, tables: 4, capacity: 32768}
 	if _, err := serviceConfig(ok); err != nil {
 		t.Fatal(err)
 	}
@@ -297,8 +297,6 @@ func TestFlagsOutOfRange(t *testing.T) {
 		"-workers 0 -microflow 1000": func(o *options) { o.workers, o.microflow = 0, 1000 },
 		"-workers -1":                func(o *options) { o.workers = -1 },
 		"-microflow -1":              func(o *options) { o.microflow = -1 },
-		"-queue 0":                   func(o *options) { o.queue = 0 },
-		"-queue -3":                  func(o *options) { o.queue = -3 },
 		"-conntrack -ct-max -1":      func(o *options) { o.conntrack, o.ctMax = true, -1 },
 		"-backend megaflow -cap 0":   func(o *options) { o.backend, o.capacity = "megaflow", 0 },
 	} {

@@ -2,6 +2,9 @@ package analysis
 
 import (
 	"fmt"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -147,10 +150,14 @@ func TestMalformedIgnoreDirective(t *testing.T) {
 }
 
 // TestModuleClean is `make lint` as a test: the whole module loads and
-// every analyzer runs with zero findings and zero suppressions in
-// non-test code.
+// every analyzer runs with zero findings, and the module carries no
+// //gflint:ignore — not in non-test code, and not in a _test.go file
+// either, which gflint never loads, so an ignore there would waive
+// nothing. The testdata fixtures, which exercise the directive, are
+// exempt.
 func TestModuleClean(t *testing.T) {
-	prog, err := LoadModule(filepath.Join("..", ".."))
+	root := filepath.Join("..", "..")
+	prog, err := LoadModule(root)
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
@@ -169,6 +176,30 @@ func TestModuleClean(t *testing.T) {
 				}
 			}
 		}
+	}
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_")):
+			return filepath.SkipDir
+		case !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, group := range f.Comments {
+			if hasDirective(group, ignoreDirective) {
+				t.Errorf("%s: //gflint:ignore in a test file, which gflint never loads: it waives nothing", fset.Position(group.Pos()))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -78,14 +78,12 @@ func (blk *block) settle(err error) {
 
 // clone copies the share's inputs — keys and metas — into a block a
 // nonblocking job can keep after the submitter has returned and reused
-// the batch.
+// the batch. It has no result arrays: nobody waits on the job, so the
+// shard writes its results into scratch of its own.
 func (blk *block) clone() *block {
-	n := len(blk.keys)
 	return &block{
 		keys:  append([]gigaflow.Key(nil), blk.keys...),
 		metas: append([]uint8(nil), blk.metas...),
-		out:   make([]gigaflow.ProcessResult, n),
-		errs:  make([]error, n),
 	}
 }
 
@@ -96,11 +94,12 @@ type slot struct{ blk, idx int32 }
 const refused = -1
 
 // batchJob is one shard's share of a submission, handed to the shard as a
-// pointer: runJob reads and writes the block in place. A blocking job
-// views the batch's own block; a nonblocking job owns a clone.
+// pointer: runJob reads the block in place. A blocking job views the
+// batch's own block, and runJob writes its results there; a nonblocking
+// job owns a clone of the inputs, and nobody waits on it (done is nil).
 type batchJob struct {
 	blk  *block
-	done chan *batchJob // blocking: signalled once when a queued (or parked) job's results are all in
+	done chan *batchJob // blocking: signalled once when a queued (or parked) job's results are all in; nil for a job nobody waits on
 
 	// pending refcounts outstanding work in async offload mode: 1 for the
 	// batch scan plus 1 per parked packet, each released on delivery, so

@@ -62,11 +62,10 @@ func TestSubmitBatchOfOne(t *testing.T) {
 // ONE message, so a blocking batch far larger than the queue depth still
 // completes — queue depth bounds messages, not packets.
 func TestSubmitBatchLargerThanQueue(t *testing.T) {
-	s, ctx := start(t, buildPipeline(), Config{
-		Workers:    2,
-		QueueDepth: 2,
-		Cache:      gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256},
-	}), context.Background()
+	s, ctx := startOn(t, buildPipeline(), Config{
+		Workers: 2,
+		Cache:   gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256},
+	}, func(s *Service) { shortQueues(s, 2) }), context.Background()
 	const n = 500
 	frames := make([]Frame, n)
 	for i := range frames {
@@ -153,10 +152,11 @@ func TestSubmitFrameBatchMixed(t *testing.T) {
 // TestErrorTaxonomy pins the sentinel contract: every lifecycle and
 // overload failure is matchable with errors.Is.
 func TestErrorTaxonomy(t *testing.T) {
-	s, err := New(buildPipeline(), Config{Workers: 1, QueueDepth: 1})
+	s, err := New(buildPipeline(), Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	shortQueues(s, 1)
 	ctx := context.Background()
 	frame := frameOf(t, key(1, 80), 0)
 	one := []Frame{{Data: frame}}

@@ -344,9 +344,13 @@ type fault struct {
 	wedge int
 	// stall holds every shard's worker in a control op over the stall
 	// packet ops before the first rule update, which go in Nonblocking
-	// into queues nothing drains; it lets go before the update.
+	// into queues nothing drains, stallQueue messages deep; it lets go
+	// before the update.
 	stall int
 }
+
+// stallQueue is the worker queue depth of a stall cell.
+const stallQueue = 2
 
 // cell is one way of running a tape; the cells of a group run one tape
 // and must agree with each other.
@@ -816,6 +820,9 @@ func (c *cell) runService(t *testing.T, tape []op) *outcome {
 		if c.queue > 0 {
 			s.eng.q = make(chan *miss, c.queue)
 		}
+		if c.fault.stall > 0 {
+			shortQueues(s, stallQueue)
+		}
 	})
 	r.s = s
 	defer func() { // before the service is closed
@@ -892,7 +899,7 @@ func (r *svcRun) send(lo, hi int) {
 		at, x, e := lo+i, &r.tape[lo+i], res.Err
 		r.out.res[at] = res
 		if r.handed++; refused != nil && !x.short && errors.Is(e, ErrQueueFull) != refused[i] {
-			r.t.Fatalf("op %d: %v; a stalled shard queues %d shares and refuses the rest", at, e, r.s.cfg.QueueDepth)
+			r.t.Fatalf("op %d: %v; a stalled shard queues %d shares and refuses the rest", at, e, stallQueue)
 		}
 		fate := served
 		switch {
@@ -923,7 +930,7 @@ func (r *svcRun) send(lo, hi int) {
 
 // refused is which of tape[lo:hi] a call meets stalled shards with full
 // queues: the call's share for a shard is queued while the shard holds
-// fewer than QueueDepth, and refused whole after.
+// fewer than stallQueue, and refused whole after.
 func (r *svcRun) refused(lo, hi int) []bool {
 	out, share := make([]bool, hi-lo), map[int]bool{} // shard: its share refused
 	for i := lo; i < hi; i++ {
@@ -931,7 +938,7 @@ func (r *svcRun) refused(lo, hi int) []bool {
 			w := r.o.route(&x.k)
 			full, seen := share[w]
 			if !seen {
-				full = r.queued[w] == r.s.cfg.QueueDepth
+				full = r.queued[w] == stallQueue
 				share[w], r.queued[w] = full, r.queued[w]+btoi(!full)
 			}
 			out[i-lo] = full
@@ -1338,10 +1345,8 @@ var cells = func() []cell {
 	// Faults, each cell alone. Stalled workers, a cell per entry point and
 	// mode on 1–3 shards: the 96 ops before the first rule update meet
 	// queues two shares deep.
-	stalled := sync
-	stalled.QueueDepth = 2
 	for i, e := range []entry{viaSubmitFrame, viaSubmitFrame, viaSubmitFrameBatch, viaSubmitFrameBatch} {
-		cfg, mode := shards(stalled, 1+i%3), "sync"
+		cfg, mode := shards(sync, 1+i%3), "sync"
 		if i%2 == 1 {
 			cfg, mode = upcall(cfg, UpcallConfig{Workers: 1}), "upcall"
 		}

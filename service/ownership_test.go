@@ -56,7 +56,7 @@ func TestControlOpsOnStoppedService(t *testing.T) {
 						t.Errorf("UpdateRules: %v, want %v", err, want)
 					}
 					h := s.TelemetryHandler()
-					for _, path := range []string{"/cache", "/latency", "/shards", "/debug/flight"} {
+					for _, path := range []string{"/cache", "/latency", "/debug/flight"} {
 						rec := httptest.NewRecorder()
 						h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 						if rec.Code != http.StatusServiceUnavailable {
@@ -96,6 +96,50 @@ func TestControlOpsOnStoppedService(t *testing.T) {
 			})
 			check(ErrClosed)
 		})
+	}
+}
+
+// TestStoppedShard drives one shard's shutdown on the test goroutine,
+// white-box: drain stops the shard before it serves what is queued, so a
+// queued control op still runs and a queued job fails whole with
+// ErrClosed; and a stopped shard neither sweeps nor runs a job handed to
+// it in place, however late the stamp.
+func TestStoppedShard(t *testing.T) {
+	s, err := New(perFlowPipeline(4), Config{MaxIdle: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := s.workers[0]
+	job := func(flow int) (*batchJob, *Batch) {
+		b := NewBatch(1)
+		b.shape(1)
+		b.ingest(s, []Frame{{Data: wire.Encode(perFlowKey(flow))}})
+		return &batchJob{blk: &b.part[0], done: make(chan *batchJob, 1)}, b
+	}
+	if j, b := job(0); !w.tryRun(j, 1) || !j.finished || b.Result(0).Err != nil || w.vs.CacheEntries() == 0 {
+		t.Fatalf("an idle shard's first share: ran %v, %+v, %d entries", j.finished, b.Result(0), w.vs.CacheEntries())
+	}
+	entries := w.vs.CacheEntries()
+
+	ran, ack := false, make(chan struct{}, 1)
+	queued, qb := job(1)
+	if !w.offer(packet{control: func(int, *worker) { ran = true }, ack: ack}) || !w.offer(packet{job: queued}) {
+		t.Fatal("a queue refused two messages")
+	}
+	w.drain()
+	if !ran || len(ack) != 1 {
+		t.Errorf("a control op queued at shutdown: ran %v, acknowledged %v; want both", ran, len(ack) == 1)
+	}
+	if len(queued.done) != 1 || !errors.Is(qb.Result(0).Err, ErrClosed) {
+		t.Errorf("a job queued at shutdown: signalled %v, %+v; want ErrClosed", len(queued.done) == 1, qb.Result(0))
+	}
+
+	late, lb := job(2)
+	if !w.tryRun(late, time.Hour.Nanoseconds()) || !late.finished || !errors.Is(lb.Result(0).Err, ErrClosed) {
+		t.Errorf("a share run in place on a stopped shard: finished %v, %+v; want ErrClosed", late.finished, lb.Result(0))
+	}
+	if n := w.vs.CacheEntries(); n != entries {
+		t.Errorf("a stopped shard's cache changed: %d entries, want %d", n, entries)
 	}
 }
 
@@ -384,5 +428,42 @@ func TestSubmitFrameBatchZeroAlloc(t *testing.T) {
 		if st, err := s.Stats(ctx); err != nil || (st.CtFastpath > 0) != tc.ct {
 			t.Errorf("%+v: CtFastpath = %d, %v; the guard must run exactly when tracking is on", tc, st.CtFastpath, err)
 		}
+	}
+}
+
+// TestSubmitFrameBatchNonblockingAllocs: a nonblocking share keeps only
+// what the shard reads — the job, its block, and the copies of the keys
+// and their flag bytes — and no result arrays, which nobody would read:
+// the shard writes the results into scratch of its own.
+func TestSubmitFrameBatchNonblockingAllocs(t *testing.T) {
+	const flows = 64
+	frames := make([]Frame, flows)
+	for i := range frames {
+		frames[i] = Frame{Data: wire.Encode(perFlowKey(i))}
+	}
+	s, ctx := start(t, perFlowPipeline(flows), Config{
+		Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 1024},
+		MicroflowCapacity: 8 * flows,
+	}), context.Background()
+	b := NewBatch(flows)
+	submit := func() {
+		if err := s.SubmitFrameBatch(ctx, frames, b, Nonblocking()); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Result(0).Err; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		submit() // install, memoise, size the batch and the shard's scratch
+	}
+	if _, err := s.Stats(ctx); err != nil { // behind the warm-up, on the one shard
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, submit); n > 4 {
+		t.Errorf("%.2f allocs per one-share nonblocking SubmitFrameBatch, want at most 4 (job, block, keys, metas)", n)
+	}
+	if st, err := s.Stats(ctx); err != nil || st.Packets != 205*flows {
+		t.Errorf("served %d packets, %v; want %d", st.Packets, err, 205*flows)
 	}
 }

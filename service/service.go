@@ -63,6 +63,9 @@ type UpcallConfig struct {
 // flows never touch the queue.
 const upcallQueue = 1024
 
+// workerQueue bounds each worker's input queue, in messages: jobs or control ops.
+const workerQueue = 1024
+
 // ConntrackConfig configures connection tracking (one section of
 // Config): ct_state folded into the key, stateful NAT actions resolved
 // against per-connection bindings, both directions of a 5-tuple on one
@@ -124,8 +127,6 @@ type Config struct {
 	// exact-match Microflow tier; the TOTAL budget is divided across
 	// workers (0 disables the tier).
 	MicroflowCapacity int
-	// QueueDepth is each worker's input queue length (default 1024).
-	QueueDepth int
 	// MaxIdle expires cache entries idle longer than this (0 disables
 	// cache-entry expiry). A shard sweeps at the start of the first
 	// message it serves 500 ms or more after its last sweep, before the
@@ -154,9 +155,6 @@ type Config struct {
 func (c Config) validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("service: negative Workers (%d)", c.Workers)
-	}
-	if c.QueueDepth < 0 {
-		return fmt.Errorf("service: negative QueueDepth (%d)", c.QueueDepth)
 	}
 	if c.MicroflowCapacity < 0 {
 		return fmt.Errorf("service: negative MicroflowCapacity (%d)", c.MicroflowCapacity)
@@ -192,9 +190,6 @@ func (c Config) validate() error {
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 1
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
 	}
 	if c.MegaflowCapacity == 0 {
 		if c.Cache.NumTables <= 0 {
@@ -250,14 +245,16 @@ type worker struct {
 	idx   int    // shard index = miss.shard
 	label string // shard index, precomputed for metric labels
 
-	procPark []bool // ProcessBatchPark's parked flags, grown to the largest job seen
+	procPark []bool                   // ProcessBatchPark's parked flags, grown to the largest job seen
+	out      []gigaflow.ProcessResult // where a job nobody waits on writes its results, grown alike
+	errs     []error
 	// sweepAt is the stamp from which the next message the shard serves
 	// sweeps first: sweepEvery past the last sweep, never when nothing
 	// expires. The sweep passes the limits Config.MaxIdle and
 	// Conntrack.MaxIdle set (ns; 0 turns one off).
 	sweepAt              int64
 	maxIdle, connMaxIdle int64
-	stopped              bool // drain has begun: a share run from here on fails with ErrClosed
+	stopped              bool // drain has begun: nothing sweeps, and a job run from here on fails with ErrClosed
 
 	// fin collects the queued jobs the message being served finished,
 	// under the owner lock, for flush to signal once it is released. Only
@@ -382,7 +379,7 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 		rec := telemetry.NewLatencyRecorder(0, 0)
 		w := &worker{
 			rec:         rec,
-			in:          make(chan packet, cfg.QueueDepth),
+			in:          make(chan packet, workerQueue),
 			idx:         i,
 			label:       fmt.Sprintf("%d", i),
 			sweepAt:     sweepAt,
@@ -472,7 +469,7 @@ func (s *Service) runWorker(ctx context.Context, w *worker) {
 			w.drain()
 			return
 		case m := <-w.in:
-			w.serve(m, s.clock(), false)
+			w.serve(m, s.clock())
 		}
 	}
 }
@@ -533,14 +530,29 @@ func (w *worker) tryRun(j *batchJob, now int64) bool {
 	if w.inflight.Load() != 0 || !w.own.TryLock() {
 		return false
 	}
-	if w.stopped {
-		j.blk.settle(ErrClosed)
-		j.finished = true
-	} else {
-		w.due(now)
-		j.finished = w.runJob(j, now)
-	}
+	j.finished = w.exec(packet{job: j}, now)
 	w.own.Unlock()
+	return true
+}
+
+// exec is the one body a message runs through, under the owner lock, on
+// whichever goroutine holds it: the due sweep unless the shard has
+// stopped, then the control op, or the job — through runJob, or failed
+// whole with ErrClosed on a stopped shard. The one stamp now covers every
+// packet of a job's share, cache ages and flight timestamps alike. It
+// reports whether a job is finished (a control op always is).
+func (w *worker) exec(m packet, now int64) (finished bool) {
+	if !w.stopped {
+		w.due(now)
+	}
+	switch {
+	case m.control != nil:
+		m.control(w.idx, w)
+	case w.stopped:
+		m.job.blk.settle(ErrClosed)
+	default:
+		return w.runJob(m.job, now)
+	}
 	return true
 }
 
@@ -562,16 +574,11 @@ func (w *worker) due(now int64) {
 // — lock released — sends what it produced: finished jobs to their
 // submitters, the control acknowledgement. The in-flight count drops
 // last, so a submitter that sees the shard idle sees everything it queued
-// earlier fully delivered. closing is drain's mode: work fails with
-// ErrClosed and nothing sweeps.
-func (w *worker) serve(m packet, now int64, closing bool) {
+// earlier fully delivered.
+func (w *worker) serve(m packet, now int64) {
 	w.own.Lock()
-	if closing {
-		w.stopped = true
-		w.refuse(m)
-	} else {
-		w.due(now)
-		w.run(m, now)
+	if w.exec(m, now) && m.job != nil && m.job.done != nil {
+		w.fin = append(w.fin, m.job)
 	}
 	w.own.Unlock()
 	w.flush()
@@ -591,51 +598,39 @@ func (w *worker) flush() {
 	w.fin = w.fin[:0]
 }
 
-// run executes one queued message under the owner lock. The message's
-// one stamp covers every packet of a job's share, so the share ages
-// caches identically and the latency recorder anchors its flight
-// timestamps on the same stamp that touched the cache entries.
-func (w *worker) run(m packet, now int64) {
-	if m.control != nil {
-		m.control(w.idx, w)
-	} else if w.runJob(m.job, now) && m.job.done != nil {
-		w.fin = append(w.fin, m.job)
-	}
-}
-
-// refuse is run for a message found queued at shutdown: control ops run
-// normally (they only touch shard state — and upcall completions the
-// engine already delivered give their submitters real results), while
-// jobs fail with ErrClosed.
-func (w *worker) refuse(m packet) {
-	if m.control != nil {
-		m.control(w.idx, w)
-		return
-	}
-	m.job.blk.settle(ErrClosed)
-	if m.job.done != nil {
-		w.fin = append(w.fin, m.job)
-	}
-}
-
-// runJob processes one share on the shard that owns it, under the owner
-// lock, on whichever goroutine holds it — the worker's for a queued job,
-// the submitter's for one run in place; there is no other body. A single
-// ProcessBatchMeta call covers every key ingest decoded — one VSwitch
-// stats flush and one counter flush per cache tier for the whole share —
-// writing each result into the slot Batch.Result reads. now is the
-// message's single wall-clock stamp, shared by every packet of the share.
-// It reports whether the job is finished; an async job that parked
-// packets finishes later, in deliver.
+// runJob processes one share on the shard that owns it, from exec. A
+// single ProcessBatchMeta call covers every key ingest decoded — one
+// VSwitch stats flush and one counter flush per cache tier for the whole
+// share — writing each result into the slot Batch.Result reads, or, for a
+// job nobody waits on, into the worker's scratch. now is the message's
+// single wall-clock stamp, shared by every packet of the share. It
+// reports whether the job is finished; an async job that parked packets
+// finishes later, in deliver.
 //
 //gf:hotpath
 func (w *worker) runJob(j *batchJob, now int64) (finished bool) {
 	if w.eng != nil {
 		return w.parkJob(j, now)
 	}
-	blk := j.blk
-	w.vs.ProcessBatchMeta(blk.keys, blk.metas, blk.out, blk.errs, now)
+	out, errs := w.results(j)
+	w.vs.ProcessBatchMeta(j.blk.keys, j.blk.metas, out, errs, now)
 	return true
+}
+
+// results is where job j's results go: its share's own arrays when
+// someone waits on the job, and otherwise the worker's scratch, which
+// nobody reads.
+//
+//gf:hotpath-safe a job nobody waits on writes into worker scratch, grown once to the largest share
+func (w *worker) results(j *batchJob) ([]gigaflow.ProcessResult, []error) {
+	if j.done != nil {
+		return j.blk.out, j.blk.errs
+	}
+	n := len(j.blk.keys)
+	if cap(w.out) < n {
+		w.out, w.errs = make([]gigaflow.ProcessResult, n), make([]error, n)
+	}
+	return w.out[:n], w.errs[:n]
 }
 
 // parkJob is runJob's scan in async offload mode: hits resolve in the
@@ -654,7 +649,8 @@ func (w *worker) parkJob(j *batchJob, now int64) (finished bool) {
 		w.procPark = make([]bool, n)
 	}
 	parks := w.procPark[:n]
-	w.vs.ProcessBatchPark(blk.keys, blk.out, blk.errs, parks, now)
+	out, errs := w.results(j)
+	w.vs.ProcessBatchPark(blk.keys, out, errs, parks, now)
 	j.pending = 1
 	for i := 0; i < n; i++ {
 		if parks[i] {
@@ -667,29 +663,34 @@ func (w *worker) parkJob(j *batchJob, now int64) (finished bool) {
 			// looked up again first — an earlier packet of the share may have
 			// installed its flow meanwhile.
 			w.up.OverflowInline++
-			blk.out[i], blk.errs[i] = w.vs.Process(blk.keys[i], now)
+			out[i], errs[i] = w.vs.Process(blk.keys[i], now)
 		}
 	}
 	j.pending--
 	return j.pending == 0
 }
 
-// drain completes work still queued at shutdown so blocking submitters
-// are never stranded (see refuse). The loop stops as soon as the queue
-// is momentarily empty — nonblocking submissions racing Close past that
-// point are dropped with the queue, exactly like packets lost in a NIC
-// ring at teardown (one that starts after Close has returned is refused
-// with ErrClosed) — and then the pending-flow table is swept so parked
-// packets whose completions never arrived fail with ErrClosed too. The
-// owner lock is taken per message, never across the receive.
+// drain stops the shard, then serves what is still queued so blocking
+// submitters are never stranded: on a stopped shard control ops run as
+// ever (they only touch shard state — and upcall completions the engine
+// already delivered give their submitters real results), while jobs fail
+// with ErrClosed. The loop stops as soon as the queue is momentarily
+// empty — nonblocking submissions racing Close past that point are
+// dropped with the queue, exactly like packets lost in a NIC ring at
+// teardown (one that starts after Close has returned is refused with
+// ErrClosed) — and then the pending-flow table is swept so parked packets
+// whose completions never arrived fail with ErrClosed too. The owner lock
+// is taken per message, never across the receive.
 func (w *worker) drain() {
+	w.own.Lock()
+	w.stopped = true
+	w.own.Unlock()
 	for {
 		select {
 		case m := <-w.in:
-			w.serve(m, 0, true)
+			w.serve(m, 0)
 		default:
 			w.own.Lock()
-			w.stopped = true
 			w.sweepParked()
 			w.own.Unlock()
 			w.flush()
@@ -888,14 +889,14 @@ func (s *Service) shardOfKey(k *gigaflow.Key) int {
 // the per-shard view of the churn story (live connections, idle expiry,
 // capacity eviction) that aggregate counters average away.
 type ShardStat struct {
-	Worker       int    `json:"worker"`
-	Packets      uint64 `json:"packets"`
-	CacheEntries int    `json:"cache_entries"`
-	Microflow    int    `json:"microflow_entries"`
-	CtLive       int    `json:"ct_live"`
-	CtCreated    uint64 `json:"ct_created"`
-	CtExpired    uint64 `json:"ct_expired"`
-	CtEvicted    uint64 `json:"ct_evicted"`
+	Worker       int
+	Packets      uint64
+	CacheEntries int
+	Microflow    int
+	CtLive       int
+	CtCreated    uint64
+	CtExpired    uint64
+	CtEvicted    uint64
 }
 
 // ShardStats snapshots every shard under its owner lock (the same

@@ -63,7 +63,8 @@ func start(tb testing.TB, p *gigaflow.Pipeline, cfg Config) *Service {
 
 // startOn is start with prep (when not nil) run on the service between
 // New and Start: where a test replaces the service clock, which every
-// stamp that ages the caches reads, or the upcall queue.
+// stamp that ages the caches reads, the upcall queue or the worker queues
+// (shortQueues).
 func startOn(tb testing.TB, p *gigaflow.Pipeline, cfg Config, prep func(*Service)) *Service {
 	tb.Helper()
 	s, err := New(p, cfg)
@@ -78,6 +79,14 @@ func startOn(tb testing.TB, p *gigaflow.Pipeline, cfg Config, prep func(*Service
 	}
 	tb.Cleanup(func() { s.Close() })
 	return s
+}
+
+// shortQueues gives every worker of s, which has not started, an input
+// queue n messages deep in place of workerQueue's.
+func shortQueues(s *Service, n int) {
+	for _, w := range s.workers {
+		w.in = make(chan packet, n)
+	}
 }
 
 // submitN submits n packets one at a time, blocking, cycling over the

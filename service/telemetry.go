@@ -184,7 +184,6 @@ var endpoints = []struct {
 }{
 	{"/metrics", "Prometheus text exposition (0.0.4)", func(s *Service) http.HandlerFunc { return s.serveMetrics }},
 	{"/cache", "per-worker, per-LTM-table cache snapshot", func(s *Service) http.HandlerFunc { return serveJSON(0, s.cacheTelemetry) }},
-	{"/shards", "per-shard packets, occupancy and conntrack churn counters", func(s *Service) http.HandlerFunc { return serveJSON(0, s.shardTelemetry) }},
 	{"/latency", "per-worker and aggregate per-tier latency ladders (p50/p90/p99/p999/max)", func(s *Service) http.HandlerFunc { return serveJSON(0, s.latencyTelemetry) }},
 	{"/debug/flight", "flight-recorder dump: the newest misses, one record each (?n= caps, default 256)", func(s *Service) http.HandlerFunc { return serveJSON(256, s.flightTelemetry) }},
 	{"/debug/pprof/", "net/http/pprof profiles", func(*Service) http.HandlerFunc { return servePprof }},
@@ -222,15 +221,6 @@ func (s *Service) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.Collect(ctx)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.reg.WritePrometheus(w)
-}
-
-func (s *Service) shardTelemetry(ctx context.Context, _ int) (any, error) {
-	shards, err := s.ShardStats(ctx)
-	return struct {
-		Workers   int         `json:"workers"`
-		Conntrack bool        `json:"conntrack"`
-		Shards    []ShardStat `json:"shards"`
-	}{len(s.workers), s.cfg.Conntrack.Enable, shards}, err
 }
 
 // pprofNamed are net/http/pprof's handlers that serve no runtime profile;

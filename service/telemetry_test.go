@@ -25,7 +25,6 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"zero value ok", Config{}, ""},
 		{"negative workers", Config{Workers: -1}, "Workers"},
-		{"negative queue", Config{QueueDepth: -5}, "QueueDepth"},
 		{"negative maxidle", Config{MaxIdle: -time.Second}, "MaxIdle"},
 		{"negative microflow", Config{MicroflowCapacity: -1}, "MicroflowCapacity"},
 		{"gigaflow cache on megaflow backend",
@@ -208,37 +207,6 @@ func TestCacheEndpoint(t *testing.T) {
 	}
 }
 
-func TestShardsEndpoint(t *testing.T) {
-	s, base := startTelemetryService(t, Config{
-		Workers: 2,
-		Cache:   gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256},
-	})
-	submitN(t, s, 10, 10)
-
-	out := httpGet(t, base+"/shards")
-	var doc struct {
-		Workers   int         `json:"workers"`
-		Conntrack bool        `json:"conntrack"`
-		Shards    []ShardStat `json:"shards"`
-	}
-	if err := json.Unmarshal([]byte(out), &doc); err != nil {
-		t.Fatalf("shards JSON: %v\n%s", err, out)
-	}
-	if doc.Workers != 2 || doc.Conntrack || len(doc.Shards) != 2 {
-		t.Fatalf("workers=%d conntrack=%v shards=%d", doc.Workers, doc.Conntrack, len(doc.Shards))
-	}
-	var packets uint64
-	for i, sh := range doc.Shards {
-		if sh.Worker != i {
-			t.Errorf("shard %d labeled worker %d", i, sh.Worker)
-		}
-		packets += sh.Packets
-	}
-	if packets != 10 {
-		t.Errorf("total packets = %d, want 10", packets)
-	}
-}
-
 func TestDebugEndpointsServed(t *testing.T) {
 	_, base := startTelemetryService(t, Config{})
 	if out := httpGet(t, base+"/debug/vars"); !strings.Contains(out, "memstats") {
@@ -266,7 +234,6 @@ func TestJSONEndpoints(t *testing.T) {
 		field  string // a top-level field of the endpoint's document
 	}{
 		{"/cache", http.StatusOK, "workers"},
-		{"/shards", http.StatusOK, "shards"},
 		{"/latency", http.StatusOK, "total"},
 		{"/debug/flight", http.StatusOK, "workers"},
 		{"/debug/flight?n=abc", http.StatusBadRequest, ""},

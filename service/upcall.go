@@ -194,19 +194,23 @@ func (w *worker) complete(m *miss, now int64) {
 
 // deliver routes a parked packet's result back to its submitter: into
 // its job's slot, finishing the job when it was the last outstanding
-// packet. The completion signal is sent in flush, once the owner lock is
+// packet. A job nobody waits on keeps no results; it only counts down.
+// The completion signal is sent in flush, once the owner lock is
 // released.
 func (w *worker) deliver(p parked, res gigaflow.ProcessResult, err error) {
 	j := p.job
-	j.blk.out[p.idx], j.blk.errs[p.idx] = res, err
 	j.pending--
-	if j.pending == 0 && j.done != nil {
+	if j.done == nil {
+		return
+	}
+	j.blk.out[p.idx], j.blk.errs[p.idx] = res, err
+	if j.pending == 0 {
 		w.fin = append(w.fin, j)
 	}
 }
 
 // sweepParked fails every packet still parked at shutdown with
-// ErrClosed, mirroring refuse's treatment of queued jobs, so blocking
+// ErrClosed, as a stopped shard fails queued jobs, so blocking
 // submitters waiting on parked packets always unblock before the
 // service's term channel closes.
 func (w *worker) sweepParked() {
