@@ -5,11 +5,15 @@
 // for each direction once a pipeline walk has classified it, and the
 // epoch protocol that decides when a held result is still good.
 //
-// The table is built on internal/flowtable with a 5-tuple mask; every
-// connection registers its forward and reply tuples (plus the translated
-// reply tuple once a NAT binding exists), so both directions of a flow —
-// and NATed return traffic — resolve to the same connection in one
-// masked probe.
+// The table has the microflow tier's layout (internal/slab): pointer-free
+// connections in slab chunks, named by uint32 ref, the LRU and free lists
+// threaded through them, so the garbage collector never scans them and a
+// create at capacity takes the evicted tail's storage. Both tuples of a
+// connection (the reply's translated once a NAT binding exists) sit in a
+// hash-only index of {hash, ref<<1 | dir} slots sized from MaxConns, so
+// both directions of a flow resolve to it in one probe. The host-pair
+// refcount behind ICMP's ct_rel is built at the first ICMP packet the
+// table tracks, from the live connections, and maintained from then on.
 //
 // # Held results
 //
@@ -50,8 +54,12 @@
 // earlier connection generation on a reused tuple, or before a binding
 // made later in the same pipeline walk, is older than the bound stamp it
 // is checked against and is rejected. Removing a connection re-stamps
-// both ("poisoning"), so even a holder of a dangling *Conn pointer fails
-// its comparison.
+// both ("poisoning"), and a later connection that takes its storage is
+// stamped afresh, so a *Conn's stamps only move forward: a holder of a
+// dangling pointer fails its comparison, whoever now lives there. A *Conn
+// is good until the next call that can remove a connection — a Track that
+// creates at capacity, a displacing SetDNAT or SetSNAT, ExpireIdle — and a
+// holder that keeps one longer keeps a stamp with it.
 package conntrack
 
 import (
@@ -59,6 +67,7 @@ import (
 	"gigaflow/internal/flowtable"
 	"gigaflow/internal/packet"
 	"gigaflow/internal/pipeline"
+	"gigaflow/internal/slab"
 )
 
 // State is a connection's lifecycle state.
@@ -104,20 +113,18 @@ type NATBinding struct {
 	Set  bool
 }
 
-// Conn is one tracked connection. Fields are owned by the table; callers
-// treat connections as read-only handles, except Served, which the
-// datapath driving the table fills.
+// Conn is one tracked connection, stored in the table's slab. Fields are
+// owned by the table; callers treat connections as read-only handles,
+// except Served, which the datapath driving the table fills.
 type Conn struct {
+	// What a tracked packet reads and writes comes first, in the first two
+	// cache lines: the tuples its probe compares, the stamps, the LRU links.
+
 	// Orig is the forward-direction 5-tuple as first seen (pre-NAT).
 	Orig flow.Key
 	// reply is the tuple reply packets carry, updated when a NAT binding
 	// rewrites it.
 	reply flow.Key
-	// Served holds, per Dir, the result the last walk or cache hit of a
-	// packet in that direction left: see Served and Serves.
-	Served [2]Served
-	// State is the current lifecycle state.
-	State State
 	// Epoch is the stamp of the connection's last creation, transition,
 	// NAT binding or removal — "same state?". See the package comment for
 	// the invalidation protocol.
@@ -127,16 +134,27 @@ type Conn struct {
 	// EpochValid hold a recorded stamp against. Transitions leave it
 	// alone; bound <= Epoch always.
 	bound uint64
-	// DNAT / SNAT are the connection's NAT bindings, if any.
-	DNAT NATBinding
-	SNAT NATBinding
+	// gen is the connection's creation stamp: its identity, where the
+	// storage it lives in is reused by later connections.
+	gen uint64
 	// LastSeen is the virtual time (ns) of the connection's most recent
 	// packet.
 	LastSeen int64
+	// prev and next are LRU neighbours, most recent at the front, while the
+	// connection is live; next doubles as the free-list link while it is
+	// not. self is the connection's own ref.
+	prev, next, self uint32
+	// State is the current lifecycle state.
+	State State
+
+	// DNAT / SNAT are the connection's NAT bindings, if any.
+	DNAT NATBinding
+	SNAT NATBinding
 	// Created is the connection's creation time (virtual ns).
 	Created int64
-
-	prev, next *Conn // LRU list, most recent at front
+	// Served holds, per Dir, the result the last walk or cache hit of a
+	// packet in that direction left: see Served and Serves.
+	Served [2]Served
 }
 
 // Served is the result a connection holds for one direction: a whole
@@ -170,13 +188,6 @@ func (c *Conn) Serves(s *Served, kt *flow.Key, version uint64) bool {
 		(s.Epoch == 0 || s.Epoch >= c.bound) && s.Match.MatchesKey(kt)
 }
 
-// connRef resolves a tuple probe to its connection and the direction
-// that tuple represents.
-type connRef struct {
-	c   *Conn
-	dir Dir
-}
-
 // Stats counts table activity. Monotonic except Active.
 type Stats struct {
 	// Created counts connection creations (including reopens).
@@ -201,7 +212,8 @@ type Stats struct {
 	Active uint64 `json:"active"`
 }
 
-// TupleMask is the 5-tuple mask connection probes match under.
+// TupleMask is the 5-tuple mask connection probes match under. It covers
+// key words 2 and 3 only, the two words the index hashes.
 var TupleMask = flow.ExactFields(
 	flow.FieldIPSrc, flow.FieldIPDst, flow.FieldIPProto,
 	flow.FieldTpSrc, flow.FieldTpDst)
@@ -211,15 +223,20 @@ var pairMask = flow.ExactFields(flow.FieldIPSrc, flow.FieldIPDst)
 // Table is the connection table. Not safe for concurrent use; each
 // datapath worker owns one, like the cache tiers.
 type Table struct {
-	conns *flowtable.Table[connRef]
+	conns slab.Slab[Conn]
+	// index finds a tuple's connection: each slot's ref is the
+	// connection's ref<<1 | the Dir that tuple is, its hash tupleHash's.
+	index slab.Index
+	free  uint32 // head of the free list
 	// pairs refcounts live (unordered) host pairs with at least one
-	// TCP/UDP connection, backing the ct_rel bit for ICMP.
+	// TCP/UDP connection, backing the ct_rel bit for ICMP; nil until the
+	// table tracks its first ICMP packet.
 	pairs     *flowtable.Table[int]
 	nextEpoch uint64
 	maxConns  int
 	count     int
-	lruHead   *Conn
-	lruTail   *Conn
+	lruHead   uint32
+	lruTail   uint32
 	stats     Stats
 }
 
@@ -231,11 +248,7 @@ func NewTable(maxConns int) *Table {
 	if hint <= 0 {
 		hint = 1024
 	}
-	return &Table{
-		conns:    flowtable.New[connRef](TupleMask, 2*hint),
-		pairs:    flowtable.New[int](pairMask, hint),
-		maxConns: maxConns,
-	}
+	return &Table{conns: slab.New[Conn](maxConns), index: slab.NewIndex(2 * hint), maxConns: maxConns}
 }
 
 // Len reports the number of live connections.
@@ -269,6 +282,46 @@ func invert(k flow.Key) flow.Key {
 	out.Set(flow.FieldTpSrc, k.Get(flow.FieldTpDst))
 	out.Set(flow.FieldTpDst, k.Get(flow.FieldTpSrc))
 	return out
+}
+
+// tupleHash is the index hash of k's 5-tuple: the fold of the two key
+// words TupleMask covers, masked.
+//
+//gf:hotpath
+func tupleHash(k *flow.Key) uint64 {
+	return flowtable.HashWords(k[2]&TupleMask[2], k[3]&TupleMask[3])
+}
+
+// sameTuple reports whether a and b carry the same 5-tuple.
+//
+//gf:hotpath
+func sameTuple(a, b *flow.Key) bool {
+	return (a[2]^b[2])&TupleMask[2] == 0 && (a[3]^b[3])&TupleMask[3] == 0
+}
+
+// find probes the index for the slot holding *k's 5-tuple, whose hash is
+// h: nil when no connection holds it. The slot's Ref names the connection
+// and the direction, ref<<1 | dir.
+//
+//gf:hotpath
+func (t *Table) find(k *flow.Key, h uint64) *slab.Slot {
+	m := t.index.Mask()
+	for i := h & m; ; i = (i + 1) & m {
+		s := &t.index.Slots[i]
+		if s.Hash == 0 {
+			return nil
+		}
+		if s.Hash == h {
+			c := t.conns.At(s.Ref >> 1)
+			tuple := &c.Orig
+			if Dir(s.Ref&1) == DirReply {
+				tuple = &c.reply
+			}
+			if sameTuple(tuple, k) {
+				return s
+			}
+		}
+	}
 }
 
 // pairKey canonicalizes the unordered host pair of k for the ct_rel
@@ -348,6 +401,9 @@ func (t *Table) TrackKey(k *flow.Key, tcpFlags uint8, now int64) (uint64, *Conn,
 	if !tracked(proto) {
 		bits := flow.CtTrk
 		if proto == packet.IPProtoICMP { // related iff a tracked pair exists
+			if t.pairs == nil {
+				t.buildPairs()
+			}
 			if _, ok := t.pairs.Lookup(pairKey(*k)); ok {
 				bits |= flow.CtRel
 			}
@@ -356,13 +412,14 @@ func (t *Table) TrackKey(k *flow.Key, tcpFlags uint8, now int64) (uint64, *Conn,
 	}
 
 	t.stats.Lookups++
-	ref := t.conns.Find(k)
-	if ref == nil {
-		c := t.create(*k, now)
+	h := tupleHash(k)
+	s := t.find(k, h)
+	if s == nil {
+		c := t.create(k, h, now)
 		return stateBits(c.State, DirForward), c, DirForward
 	}
 	t.stats.Hits++
-	c, dir := ref.c, ref.dir
+	c, dir := t.conns.At(s.Ref>>1), Dir(s.Ref&1)
 	t.Touch(c, now)
 
 	switch c.State {
@@ -380,7 +437,7 @@ func (t *Table) TrackKey(k *flow.Key, tcpFlags uint8, now int64) (uint64, *Conn,
 		if tcpFlags&packet.TCPSyn != 0 && tcpFlags&packet.TCPRst == 0 {
 			// A fresh handshake reuses the tuple: replace the dead
 			// connection with a new one whose initiator is this packet.
-			c = t.reopen(c, *k, now)
+			c = t.reopen(c, k, h, now)
 			return stateBits(c.State, DirForward), c, DirForward
 		}
 	}
@@ -398,57 +455,74 @@ func (t *Table) transition(c *Conn, s State) {
 	t.stats.Transitions++
 }
 
-// create allocates and registers a new connection for first-packet key k.
-// First packets are a slow-path event (the caches have never seen the
-// tuple either); allocation here is by design.
+// create registers a new connection for first-packet key *k, whose tuple
+// hash is h. At capacity it first evicts the least recently seen
+// connection, whose storage the new one then takes: once the table has
+// filled, a connection allocates nothing.
 //
-//gf:hotpath-safe first-packet connection creation allocates by design
-func (t *Table) create(k flow.Key, now int64) *Conn {
-	if t.maxConns > 0 && t.count >= t.maxConns {
-		if victim := t.lruTail; victim != nil {
-			t.remove(victim)
-			t.stats.EvictLRU++
-		}
+//gf:hotpath
+func (t *Table) create(k *flow.Key, h uint64, now int64) *Conn {
+	if t.maxConns > 0 && t.count >= t.maxConns && t.lruTail != 0 {
+		t.remove(t.conns.At(t.lruTail))
+		t.stats.EvictLRU++
 	}
+	c, ref := t.alloc()
 	epoch := t.newEpoch()
-	c := &Conn{
-		Orig:     k,
-		reply:    invert(k),
-		State:    StateNew,
-		Epoch:    epoch,
-		bound:    epoch,
-		LastSeen: now,
-		Created:  now,
-	}
-	t.register(c.Orig, connRef{c, DirForward})
-	t.register(c.reply, connRef{c, DirReply})
-	t.addPair(c.Orig)
+	// Field by field, every field: storage a connection takes keeps
+	// nothing of its previous life but its place in the slab.
+	c.Orig, c.reply, c.Served = *k, invert(*k), [2]Served{}
+	c.Epoch, c.bound, c.gen = epoch, epoch, epoch
+	c.DNAT, c.SNAT = NATBinding{}, NATBinding{}
+	c.LastSeen, c.Created = now, now
+	c.self, c.State = ref, StateNew
+	// Track found no connection holding *k: its tuple is free to index.
+	t.index.Insert(h, ref<<1|uint32(DirForward))
+	t.register(&c.reply, ref<<1|uint32(DirReply))
+	t.countPair(&c.Orig, 1)
 	t.pushFront(c)
 	t.count++
 	t.stats.Created++
 	return c
 }
 
+// alloc hands out storage for one more connection: the free list first,
+// then the slab's next never-used record.
+//
+//gf:hotpath
+func (t *Table) alloc() (*Conn, uint32) {
+	if ref := t.free; ref != 0 {
+		c := t.conns.At(ref)
+		t.free = c.next
+		return c, ref
+	}
+	return t.conns.Next()
+}
+
 // reopen replaces a closed connection whose tuple a new handshake is
 // reusing. The initiator of the new connection is the packet at hand, so
 // direction roles may swap relative to the old connection.
 //
-//gf:hotpath-safe tuple-reuse reopen allocates a fresh connection by design
-func (t *Table) reopen(old *Conn, k flow.Key, now int64) *Conn {
+//gf:hotpath
+func (t *Table) reopen(old *Conn, k *flow.Key, h uint64, now int64) *Conn {
 	t.remove(old)
 	t.stats.Reopened++
-	return t.create(k, now)
+	return t.create(k, h, now)
 }
 
-// remove unregisters c's tuples, drops it from the LRU, and poisons its
-// stamps so cached entries that still point at it fail validation.
+// remove unregisters c's tuples, drops it from the LRU, poisons its stamps
+// so cached entries that still point at it fail validation, and puts its
+// storage on the free list. A tuple c no longer holds — its reply tuple
+// re-registered onto its own forward one — is simply not found.
+//
+//gf:hotpath
 func (t *Table) remove(c *Conn) {
-	t.conns.Delete(c.Orig)
-	t.conns.Delete(c.reply)
-	t.dropPair(c.Orig)
+	t.index.Delete(tupleHash(&c.Orig), c.self<<1|uint32(DirForward))
+	t.index.Delete(tupleHash(&c.reply), c.self<<1|uint32(DirReply))
+	t.countPair(&c.Orig, -1)
 	t.unlink(c)
 	t.count--
 	t.restamp(c)
+	c.next, t.free = t.free, c.self
 }
 
 // restamp moves both of c's stamps past every epoch handed out so far:
@@ -469,9 +543,7 @@ func (t *Table) SetDNAT(c *Conn, ip, port uint64) {
 	}
 	c.DNAT = NATBinding{IP: ip, Port: port, Set: true}
 	t.restamp(c) // a new binding changes NAT semantics: invalidate pre-binding entries
-	t.conns.Delete(c.reply)
-	c.reply = invert(c.NATKey(DirForward))
-	t.register(c.reply, connRef{c, DirReply})
+	t.reregister(c)
 }
 
 // SetSNAT records c's source rewrite and re-registers the reply tuple
@@ -482,23 +554,38 @@ func (t *Table) SetSNAT(c *Conn, ip, port uint64) {
 	}
 	c.SNAT = NATBinding{IP: ip, Port: port, Set: true}
 	t.restamp(c) // see SetDNAT
-	t.conns.Delete(c.reply)
-	c.reply = invert(c.NATKey(DirForward))
-	t.register(c.reply, connRef{c, DirReply})
+	t.reregister(c)
 }
 
-// register maps tuple to ref, displacing any other connection still
-// holding that tuple — a tuple clash, e.g. a NAT re-registration landing
-// on a tuple that an earlier (pre-NAT) connection claimed as its own.
-// The displaced connection is removed, which poisons its epoch: cache
-// entries built under it must not keep serving once its tuple has been
-// taken over.
-func (t *Table) register(tuple flow.Key, ref connRef) {
-	if old, ok := t.conns.Lookup(tuple); ok && old.c != ref.c {
-		t.remove(old.c)
+// reregister moves c's reply registration to the tuple its bindings now
+// make replies carry.
+func (t *Table) reregister(c *Conn) {
+	t.index.Delete(tupleHash(&c.reply), c.self<<1|uint32(DirReply))
+	c.reply = invert(c.NATKey(DirForward))
+	t.register(&c.reply, c.self<<1|uint32(DirReply))
+}
+
+// register indexes *tuple under v (a connection's ref<<1 | Dir). A tuple
+// its own connection already holds — a reply that lands on the
+// connection's forward tuple — has its slot rewritten in place. Any other
+// connection still holding the tuple is displaced — a tuple clash, e.g. a
+// NAT re-registration landing on a tuple that an earlier (pre-NAT)
+// connection claimed as its own. The displaced connection is removed,
+// which poisons its epoch: cache entries built under it must not keep
+// serving once its tuple has been taken over.
+//
+//gf:hotpath
+func (t *Table) register(tuple *flow.Key, v uint32) {
+	h := tupleHash(tuple)
+	if s := t.find(tuple, h); s != nil {
+		if s.Ref>>1 == v>>1 {
+			s.Ref = v
+			return
+		}
+		t.remove(t.conns.At(s.Ref >> 1))
 		t.stats.Displaced++
 	}
-	t.conns.Put(tuple, ref)
+	t.index.Insert(h, v)
 }
 
 // NATKey returns the tuple a packet of direction dir carries after c's
@@ -541,7 +628,10 @@ func (c *Conn) BindHash() uint64 {
 //gf:hotpath
 func (t *Table) Touch(c *Conn, now int64) {
 	c.LastSeen = now
-	t.touch(c)
+	if t.lruHead != c.self {
+		t.unlink(c)
+		t.pushFront(c)
+	}
 }
 
 // EpochValid reports whether tuple still resolves to the live connection
@@ -554,8 +644,8 @@ func (t *Table) Touch(c *Conn, now int64) {
 //
 //gf:hotpath
 func (t *Table) EpochValid(tuple flow.Key, epoch uint64) bool {
-	ref := t.conns.Find(&tuple)
-	return ref != nil && epoch >= ref.c.bound
+	s := t.find(&tuple, tupleHash(&tuple))
+	return s != nil && epoch >= t.conns.At(s.Ref>>1).bound
 }
 
 // Lookup resolves a tuple to its connection and direction without
@@ -563,11 +653,11 @@ func (t *Table) EpochValid(tuple flow.Key, epoch uint64) bool {
 //
 //gf:hotpath
 func (t *Table) Lookup(k flow.Key) (*Conn, Dir, bool) {
-	ref, ok := t.conns.Lookup(k)
-	if !ok {
+	s := t.find(&k, tupleHash(&k))
+	if s == nil {
 		return nil, DirForward, false
 	}
-	return ref.c, ref.dir, true
+	return t.conns.At(s.Ref >> 1), Dir(s.Ref & 1), true
 }
 
 // ExpireIdle removes connections whose last packet is older than maxIdle
@@ -580,71 +670,68 @@ func (t *Table) ExpireIdle(now, maxIdle int64) int {
 		return 0
 	}
 	n := 0
-	for t.lruTail != nil && now-t.lruTail.LastSeen > maxIdle {
-		t.remove(t.lruTail)
+	for t.lruTail != 0 && now-t.conns.At(t.lruTail).LastSeen > maxIdle {
+		t.remove(t.conns.At(t.lruTail))
 		t.stats.Expired++
 		n++
 	}
 	return n
 }
 
-// addPair bumps the host-pair refcount backing ct_rel.
-func (t *Table) addPair(k flow.Key) {
-	pk := pairKey(k)
-	n, _ := t.pairs.Lookup(pk)
-	t.pairs.Put(pk, n+1)
+// buildPairs builds the host-pair refcount behind ct_rel from the live
+// connections; countPair maintains it from then on.
+//
+//gf:hotpath-safe builds the host-pair index once per table, at the first ICMP packet it tracks
+func (t *Table) buildPairs() {
+	t.pairs = flowtable.New[int](pairMask, t.count)
+	for ref := t.lruHead; ref != 0; ref = t.conns.At(ref).next {
+		t.countPair(&t.conns.At(ref).Orig, 1)
+	}
 }
 
-// dropPair decrements the host-pair refcount, clearing ct_rel for the
-// pair when its last connection dies.
-func (t *Table) dropPair(k flow.Key) {
-	pk := pairKey(k)
-	n, ok := t.pairs.Lookup(pk)
-	if !ok {
+// countPair moves the refcount of k's host pair by delta once the pair
+// index exists, clearing ct_rel for the pair when its last connection
+// dies.
+//
+//gf:hotpath-safe the pair index exists only in a table that has tracked ICMP, and grows with its connections
+func (t *Table) countPair(k *flow.Key, delta int) {
+	if t.pairs == nil {
 		return
 	}
-	if n <= 1 {
+	pk := pairKey(*k)
+	n, _ := t.pairs.Lookup(pk)
+	if n += delta; n <= 0 {
 		t.pairs.Delete(pk)
 		return
 	}
-	t.pairs.Put(pk, n-1)
+	t.pairs.Put(pk, n)
 }
 
 // LRU plumbing, most recently seen at the front.
 
 //gf:hotpath
-func (t *Table) touch(c *Conn) {
-	if t.lruHead == c {
-		return
-	}
-	t.unlink(c)
-	t.pushFront(c)
-}
-
-//gf:hotpath
 func (t *Table) pushFront(c *Conn) {
-	c.prev = nil
-	c.next = t.lruHead
-	if t.lruHead != nil {
-		t.lruHead.prev = c
+	c.prev, c.next = 0, t.lruHead
+	if t.lruHead != 0 {
+		t.conns.At(t.lruHead).prev = c.self
 	}
-	t.lruHead = c
-	if t.lruTail == nil {
-		t.lruTail = c
+	t.lruHead = c.self
+	if t.lruTail == 0 {
+		t.lruTail = c.self
 	}
 }
 
 //gf:hotpath
 func (t *Table) unlink(c *Conn) {
-	if c.prev != nil {
-		c.prev.next = c.next
-	} else if t.lruHead == c {
+	if c.prev != 0 {
+		t.conns.At(c.prev).next = c.next
+	} else if t.lruHead == c.self {
 		t.lruHead = c.next
 	}
-	if c.next != nil {
-		c.next.prev = c.prev
-	} else if t.lruTail == c {
+	if c.next != 0 {
+		t.conns.At(c.next).prev = c.prev
+	} else if t.lruTail == c.self {
 		t.lruTail = c.prev
 	}
-	c.prev, c.next = nil, nil
+	c.prev, c.next = 0, 0
 }

@@ -88,13 +88,14 @@ func TestTupleReuseReopens(t *testing.T) {
 	if c1.State != StateClosed {
 		t.Fatal("RST must close")
 	}
-	poison := c1.Epoch
+	poison, gen := c1.Epoch, c1.gen
 
 	// A fresh SYN on the same tuple — from the OLD responder side —
-	// starts a new connection whose initiator is that side.
+	// starts a new connection whose initiator is that side. It may take
+	// the old connection's storage, never its identity.
 	_, c2, dir := tb.Track(rev, packet.TCPSyn, 4)
-	if c2 == c1 {
-		t.Fatal("reopen must allocate a fresh connection")
+	if c2.gen == gen {
+		t.Fatal("reopen must create a fresh connection")
 	}
 	if dir != DirForward {
 		t.Fatal("reopening packet is the new connection's forward direction")

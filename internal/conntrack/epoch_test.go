@@ -119,15 +119,17 @@ func TestEpochValidLifecycle(t *testing.T) {
 			then: func(tb *Table, _ *Conn) { tb.Track(fwd, packet.TCPSyn, 10) }},
 		{name: "reopened by the responder", setup: closed,
 			then: func(tb *Table, c *Conn) {
+				gen := c.gen
 				_, c2, dir := tb.Track(rev, packet.TCPSyn, 10)
-				if c2 == c || dir != DirForward || c2.Orig != rev {
+				if c2.gen == gen || dir != DirForward || c2.Orig != rev {
 					t.Fatal("the responder's SYN did not open a connection of its own")
 				}
 			}},
 		{name: "expired, tuple reused", setup: established,
 			then: func(tb *Table, c *Conn) {
+				gen := c.gen
 				tb.ExpireIdle(1000, 100)
-				if _, c2, _ := tb.Track(fwd, packet.TCPSyn, 1001); c2 == c {
+				if _, c2, _ := tb.Track(fwd, packet.TCPSyn, 1001); c2.gen == gen {
 					t.Fatal("tuple reuse handed back the dead connection")
 				}
 			}},
@@ -173,28 +175,33 @@ func TestEpochValidLifecycle(t *testing.T) {
 
 // epochStamp is what the model remembers of one stamp: where it was taken
 // (the pair a cache entry records) and everything about the connection a
-// cached result could depend on, as it was then.
+// cached result could depend on, as it was then — the connection itself
+// by its storage and its generation, since storage outlives connections.
 type epochStamp struct {
 	tuple      flow.Key
 	epoch      uint64
 	conn       *Conn
+	gen        uint64
 	state      State
 	dnat, snat NATBinding
 }
 
 // runEpochTape interprets tape as operations on a connection table — Track
-// with any flag byte in either direction, NAT bindings, idle expiry, all
-// over a tuple space small enough that tables fill (the first byte picks
-// MaxConns), closed tuples reopen from either side and NAT registrations
-// land on other connections' tuples — and takes a stamp wherever the
-// datapath would: from the connection a packet tracked to, and on both
-// sides of a binding. After every operation each remembered stamp is held
-// against a model that knows nothing of epochs: a stamp is valid iff its
-// tuple still resolves to the very connection it was taken from (Conns are
-// never recycled, so the pointer is the identity) and that connection's
-// bindings are what they were. The memo's stamp is checked the same way:
-// a connection still carrying the stamped epoch must also be in the
-// stamped state. It returns what the tape reached.
+// with any flag byte in either direction, NAT bindings, idle expiry, ICMP
+// packets, all over a tuple space small enough that tables fill (the
+// first byte picks MaxConns), closed tuples reopen from either side and
+// NAT registrations land on other connections' tuples, their own
+// included — and takes a stamp wherever the datapath would: from the
+// connection a packet tracked to, and on both sides of a binding. After
+// every operation each remembered stamp is held against a model that
+// knows nothing of epochs: a stamp is valid iff its tuple still resolves
+// to the very connection it was taken from (the same generation: a later
+// connection may occupy its storage) and that connection's bindings are
+// what they were. The memo's stamp is checked the same way: storage still
+// carrying the stamped epoch must also hold the stamped connection, in
+// the stamped state. Every live connection must resolve from both its
+// tuples, and every ICMP packet's ct_rel bit is held against a scan of the
+// live connections' host pairs. It returns what the tape reached.
 func runEpochTape(t testing.TB, tape []byte) (cov epochCoverage) {
 	next := func() byte {
 		if len(tape) == 0 {
@@ -233,7 +240,7 @@ func runEpochTape(t testing.TB, tape []byte) (cov epochCoverage) {
 		if len(stamps) == 96 {
 			stamps = stamps[1:]
 		}
-		stamps = append(stamps, epochStamp{c.Orig, c.Epoch, c, c.State, c.DNAT, c.SNAT})
+		stamps = append(stamps, epochStamp{c.Orig, c.Epoch, c, c.gen, c.State, c.DNAT, c.SNAT})
 	}
 	var now int64
 	track := func(k flow.Key, flags uint8) {
@@ -242,6 +249,38 @@ func runEpochTape(t testing.TB, tape []byte) (cov epochCoverage) {
 		}
 		if _, c, _ := tb.Track(k, flags, now); c != nil {
 			take(c)
+			if c.State == StateClosed && flags&(packet.TCPFin|packet.TCPRst) != 0 {
+				cov.closing++
+			}
+		}
+	}
+	// icmp tracks an ICMP packet between k's hosts: related iff some live
+	// connection was first seen between them, in either direction.
+	icmp := func(k flow.Key) {
+		k = k.With(flow.FieldIPProto, packet.IPProtoICMP).With(flow.FieldTpSrc, 0).With(flow.FieldTpDst, 0)
+		bits, c, _ := tb.Track(k, 0, now)
+		related := false
+		for ref := tb.lruHead; ref != 0; ref = tb.conns.At(ref).next {
+			o := tb.conns.At(ref).Orig
+			src, dst := o.Get(flow.FieldIPSrc), o.Get(flow.FieldIPDst)
+			related = related || src == k.Get(flow.FieldIPSrc) && dst == k.Get(flow.FieldIPDst) ||
+				src == k.Get(flow.FieldIPDst) && dst == k.Get(flow.FieldIPSrc)
+		}
+		want := flow.CtTrk
+		if related {
+			want |= flow.CtRel
+		}
+		if c != nil || bits != want {
+			t.Fatalf("ICMP %v: ct_state %#x, connection %v; want %#x, none", k, bits, c, want)
+		}
+		if cov.related+cov.unrelated == 0 {
+			cov.first = cov.phase(tb)
+		}
+		cov.last = cov.phase(tb)
+		if related {
+			cov.related++
+		} else {
+			cov.unrelated++
 		}
 	}
 	for step := 0; len(tape) > 0; step++ {
@@ -277,19 +316,54 @@ func runEpochTape(t testing.TB, tape []byte) (cov epochCoverage) {
 		case 6:
 			tb.ExpireIdle(now, int64(next())<<(next()%3*8))
 		default:
-			if c, _, ok := tb.Lookup(key()); ok {
+			if k := key(); op&0x08 != 0 {
+				icmp(k)
+			} else if c, _, ok := tb.Lookup(k); ok {
 				take(c)
 			}
+		}
+		// Every live connection resolves from both its tuples, its reply
+		// tuple as the reply direction even where that is its forward
+		// tuple too (a NAT re-registration onto its own tuple), and the
+		// index holds those tuples and nothing else.
+		live, tuples := map[uint32]bool{}, 0
+		for ref := tb.lruHead; ref != 0; ref = tb.conns.At(ref).next {
+			c := tb.conns.At(ref)
+			live[ref], tuples = true, tuples+2
+			fwdDir := DirForward
+			if sameTuple(&c.Orig, &c.reply) {
+				fwdDir, tuples = DirReply, tuples-1
+			}
+			for _, want := range []struct {
+				tuple flow.Key
+				dir   Dir
+			}{{c.Orig, fwdDir}, {c.reply, DirReply}} {
+				if got, dir, ok := tb.Lookup(want.tuple); !ok || got != c || dir != want.dir {
+					t.Fatalf("step %d (op %d): %v resolves to %p/%v (found %v), want %p/%v",
+						step, op%8, want.tuple, got, dir, ok, c, want.dir)
+				}
+			}
+		}
+		for _, s := range tb.index.Slots {
+			if s.Hash != 0 && !live[s.Ref>>1] {
+				t.Fatalf("step %d (op %d): the index names connection %d, which is not live", step, op%8, s.Ref>>1)
+			}
+			if s.Hash != 0 {
+				tuples--
+			}
+		}
+		if tuples != 0 {
+			t.Fatalf("step %d (op %d): the index holds %d slots more than the live connections' tuples", step, op%8, -tuples)
 		}
 		for i := range stamps {
 			s := &stamps[i]
 			c, _, ok := tb.Lookup(s.tuple)
-			same := ok && c == s.conn && c.DNAT == s.dnat && c.SNAT == s.snat
+			same := ok && c.gen == s.gen && c.DNAT == s.dnat && c.SNAT == s.snat
 			if got := tb.EpochValid(s.tuple, s.epoch); got != same {
 				t.Fatalf("step %d (op %d): EpochValid(%v, %d) = %v, but same connection and bindings = %v\n  stamped %+v\n  now     %+v",
 					step, op%8, s.tuple, s.epoch, got, same, s, s.conn)
 			}
-			if s.conn.Epoch == s.epoch && !(same && s.conn.State == s.state) {
+			if s.conn.Epoch == s.epoch && !(same && s.conn.gen == s.gen && s.conn.State == s.state) {
 				t.Fatalf("step %d (op %d): connection still carries epoch %d but moved on\n  stamped %+v\n  now     %+v",
 					step, op%8, s.epoch, s, s.conn)
 			}
@@ -312,11 +386,25 @@ func runEpochTape(t testing.TB, tape []byte) (cov epochCoverage) {
 
 // epochCoverage counts the stamp checks a tape made by outcome — invalid,
 // valid although the connection has transitioned since (the case the bound
-// stamp exists for), valid on an unmoved connection — beside the table's
-// own counters.
+// stamp exists for), valid on an unmoved connection — and the ICMP packets
+// it checked by the model's ct_rel, beside the table's own counters. first
+// and last are how far the table had gone at the first and the last ICMP
+// packet.
 type epochCoverage struct {
 	invalid, survived, unmoved int
+	related, unrelated         int
+	closing                    int // tracked FIN/RST packets that left their connection closed
+	first, last                epochPhase
 	stats                      Stats
+}
+
+// epochPhase is how many connections a table had opened, closed, evicted
+// and expired so far.
+type epochPhase struct{ opened, closed, evicted, expired int }
+
+func (cov *epochCoverage) phase(tb *Table) epochPhase {
+	st := tb.Stats()
+	return epochPhase{int(st.Created), cov.closing, int(st.EvictLRU), int(st.Expired)}
 }
 
 // TestEpochValidOpTape drives runEpochTape with seeded random tapes, and
@@ -332,6 +420,18 @@ func TestEpochValidOpTape(t *testing.T) {
 		sum.invalid += cov.invalid
 		sum.survived += cov.survived
 		sum.unmoved += cov.unmoved
+		sum.related += cov.related
+		sum.unrelated += cov.unrelated
+		// first sums what the tables did before their first ICMP packet,
+		// last what they did between their first and their last.
+		sum.first.opened += cov.first.opened
+		sum.first.closed += cov.first.closed
+		sum.first.evicted += cov.first.evicted
+		sum.first.expired += cov.first.expired
+		sum.last.opened += cov.last.opened - cov.first.opened
+		sum.last.closed += cov.last.closed - cov.first.closed
+		sum.last.evicted += cov.last.evicted - cov.first.evicted
+		sum.last.expired += cov.last.expired - cov.first.expired
 		sum.stats.Transitions += cov.stats.Transitions
 		sum.stats.Reopened += cov.stats.Reopened
 		sum.stats.Expired += cov.stats.Expired
@@ -344,6 +444,17 @@ func TestEpochValidOpTape(t *testing.T) {
 	}
 	if st := sum.stats; st.Transitions == 0 || st.Reopened == 0 || st.Expired == 0 || st.EvictLRU == 0 || st.Displaced == 0 {
 		t.Errorf("tapes too tame: %+v", st)
+	}
+	// The pair index behind ct_rel is built at a table's first ICMP packet
+	// from the connections then live, and maintained after: connections
+	// must come and go on both sides of that point.
+	if sum.related == 0 || sum.unrelated == 0 {
+		t.Errorf("tapes too tame: %d related and %d unrelated ICMP packets", sum.related, sum.unrelated)
+	}
+	for _, p := range []epochPhase{sum.first, sum.last} {
+		if p.opened == 0 || p.closed == 0 || p.evicted == 0 || p.expired == 0 {
+			t.Errorf("tapes too tame around the first ICMP packet: before %+v, after %+v", sum.first, sum.last)
+		}
 	}
 }
 

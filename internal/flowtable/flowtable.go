@@ -6,9 +6,10 @@
 // classifier, the Gigaflow LTM's per-tag classifiers, the pipeline's own
 // tables — ultimately answers the same question: "which stored key equals
 // this packet's key on the bits my mask cares about?" (The exact-match
-// Microflow tier keeps its own hash-only index and borrows only HashKey.)
-// A Go map answers it the expensive way: copy the 32-byte key through Key.Apply(mask), then hash
-// all four words again inside the map runtime. This table answers it with a
+// tiers — the microflow cache and the connection table — keep hash-only
+// indexes of their own, from internal/slab, and borrow only the hash.)
+// A Go map answers it the expensive way: copy the 32-byte key through
+// Key.Apply(mask), then hash all four words again inside the map runtime. This table answers it with a
 // fused mask+hash probe: the indices of the mask's non-zero words are
 // precomputed at construction, and one pass over only those words masks
 // the probe key and folds it through an inline wyhash-style multiply mix
@@ -112,11 +113,25 @@ func (t *Table[V]) probeHash(k *flow.Key) uint64 {
 	h := uint64(hashInit)
 	for i := 0; i < t.nwords; i++ {
 		w := t.words[i]
-		hi, lo := bits.Mul64((k[w]&t.mask[w])^hashMul, h)
-		h = hi ^ lo
+		h = mix(h, k[w]&t.mask[w])
 	}
+	return nonzero(h)
+}
+
+// mix folds one word into the hash h.
+//
+//gf:hotpath
+func mix(h, w uint64) uint64 {
+	hi, lo := bits.Mul64(w^hashMul, h)
+	return hi ^ lo
+}
+
+// nonzero substitutes for a hash of 0, the empty-slot sentinel.
+//
+//gf:hotpath
+func nonzero(h uint64) uint64 {
 	if h == 0 {
-		h = hashInit // 0 is the empty-slot sentinel
+		return hashInit
 	}
 	return h
 }
@@ -130,14 +145,18 @@ func (t *Table[V]) probeHash(k *flow.Key) uint64 {
 func HashKey(k *flow.Key) uint64 {
 	h := uint64(hashInit)
 	for _, w := range k {
-		hi, lo := bits.Mul64(w^hashMul, h)
-		h = hi ^ lo
+		h = mix(h, w)
 	}
-	if h == 0 {
-		h = hashInit
-	}
-	return h
+	return nonzero(h)
 }
+
+// HashWords is probeHash for a mask with two non-zero words, without the
+// table: the fold of the two masked words a and b, in word order. The
+// connection table hashes a 5-tuple with it (words 2 and 3 under
+// conntrack.TupleMask), never building the masked key.
+//
+//gf:hotpath
+func HashWords(a, b uint64) uint64 { return nonzero(mix(mix(hashInit, a), b)) }
 
 // probeEqual reports whether a stored (normalized) key equals *k under
 // the table mask, comparing only the mask's non-zero words.
@@ -211,8 +230,8 @@ func (t *Table[V]) Put(k flow.Key, v V) (replaced bool) {
 // Delete removes the entry for k, reporting whether one existed. Removal
 // backshifts the probe chain: every displaced entry after the hole is
 // moved back unless that would skip past its home slot, so no tombstones
-// are left behind. microflow.Cache.unindex carries a copy of the backshift
-// loop over its own slot type; keep the two in step.
+// are left behind. slab.Index.Delete runs the same backshift loop over
+// hash-only slots; keep the two in step.
 func (t *Table[V]) Delete(k flow.Key) bool {
 	h := t.probeHash(&k)
 	m := uint64(len(t.slots) - 1)

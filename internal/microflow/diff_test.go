@@ -265,8 +265,8 @@ func checkAgainst(t testing.TB, got *Cache, ref *refCache) {
 		t.Fatalf("LRU list holds %d entries, Len=%d", n, got.Len())
 	}
 	slots := 0
-	for _, s := range got.index {
-		if s.hash != 0 {
+	for _, s := range got.index.Slots {
+		if s.Hash != 0 {
 			slots++
 		}
 	}
@@ -280,8 +280,8 @@ func checkAgainst(t testing.TB, got *Cache, ref *refCache) {
 		}
 		free++
 	}
-	if n+free != int(got.used) {
-		t.Fatalf("%d live + %d free entries, %d handed out", n, free, got.used)
+	if n+free != int(got.entries.Used()) {
+		t.Fatalf("%d live + %d free entries, %d handed out", n, free, got.entries.Used())
 	}
 }
 
@@ -306,7 +306,7 @@ func runOpTape(t testing.TB, tape []byte) refDetector {
 	b := int(next())
 	capacity := 1 + b%24
 	if b >= 232 {
-		capacity = chunkSize + b
+		capacity = 256 + b // a slab chunk holds 256 entries
 	}
 	got, ref := New(capacity), newRef(capacity)
 	var conns [4]conntrack.Conn

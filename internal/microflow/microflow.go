@@ -2,17 +2,16 @@
 // one entry per exact flow signature, capturing temporal locality. It
 // fronts the Megaflow (or Gigaflow) cache in the software slowpath.
 //
-// Layout. Entries live in a slab: fixed-size chunks allocated one at a
-// time as the tier fills, so an entry's address never changes and a tier
-// holding 2 000 flows does not pay for its full capacity. An entry is
-// named by its ref — slab index plus one, zero meaning none — and the LRU
-// list and the free list are threaded through the entries by ref. Keys
-// are found through a separate open-addressing index of {hash, ref}
-// slots, 16 bytes each and sized once from the capacity: the key is
-// stored once, in the entry, and a probe walks hashes only, touching an
-// entry when its full 64-bit hash matches. Inserting into a full tier
-// recycles the LRU tail's entry in place: one backshift delete from the
-// index, one slot write, no allocation.
+// Layout. Entries live in an internal/slab slab, named by uint32 ref, so
+// an entry's address never changes and a tier holding 2 000 flows does
+// not pay for its full capacity; the LRU list and the free list are
+// threaded through the entries by ref. Keys are found through the slab
+// package's hash-only index of {hash, ref} slots, sized once from the
+// capacity: the key is stored once, in the entry, and the tier's probe
+// walks hashes only, touching an entry when its full 64-bit hash matches.
+// Inserting into a full tier recycles the LRU tail's entry in place: one
+// backshift delete from the index, one slot write, no allocation. The
+// connection table (internal/conntrack) is built the same way.
 //
 // Thrash policy. A tier fed flows it will not see again before it has
 // evicted them is pure cost: every packet pays a probe and an evicting
@@ -28,6 +27,7 @@ import (
 	"gigaflow/internal/conntrack"
 	"gigaflow/internal/flow"
 	"gigaflow/internal/flowtable"
+	"gigaflow/internal/slab"
 )
 
 // Entry is one exact-match cache entry: the memoized result of processing
@@ -79,11 +79,6 @@ type Snapshot struct {
 	Bypassing bool `json:"bypassing"` // the thrash detector has the tier stepped aside right now
 }
 
-const (
-	chunkShift = 8
-	chunkSize  = 1 << chunkShift // entries per slab chunk (≈60 KiB)
-)
-
 // The thrash policy, whole. The tier counts one event for every hit a
 // lookup returns and every memoize request it receives — so a packet that
 // ends in the tier is one event however many times it was probed on the
@@ -127,21 +122,13 @@ const (
 	maxBackoff = 4
 )
 
-// slot is one cell of the open-addressing index. hash==0 means empty;
-// flowtable.HashKey never returns 0.
-type slot struct {
-	hash uint64
-	ref  uint32
-}
-
 // Cache is a capacity-bounded exact-match cache with LRU replacement. It
 // is not safe for concurrent use.
 type Cache struct {
 	capacity int
 	count    int
-	index    []slot // power-of-two, linear probing, at most 3/4 full
-	chunks   [][]Entry
-	used     uint32 // slab entries handed out at least once
+	index    slab.Index // flowtable.HashKey never returns 0, the empty slot's hash
+	entries  slab.Slab[Entry]
 	free     uint32 // head of the free list
 	lruHead  uint32
 	lruTail  uint32
@@ -160,11 +147,8 @@ func New(capacity int) *Cache {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("microflow: bad capacity %d", capacity))
 	}
-	n := 8
-	for n*3/4 < capacity {
-		n <<= 1
-	}
-	return &Cache{capacity: capacity, index: make([]slot, n), window: uint64(max(2*capacity, minWindow))}
+	return &Cache{capacity: capacity, index: slab.NewIndex(capacity), entries: slab.New[Entry](capacity),
+		window: uint64(max(2*capacity, minWindow))}
 }
 
 // Len reports the number of cached entries.
@@ -199,25 +183,22 @@ func (c *Cache) observe(hit uint64) {
 // at resolves a non-zero ref to its entry.
 //
 //gf:hotpath
-func (c *Cache) at(ref uint32) *Entry {
-	i := ref - 1
-	return &c.chunks[i>>chunkShift][i&(chunkSize-1)]
-}
+func (c *Cache) at(ref uint32) *Entry { return c.entries.At(ref) }
 
 // find probes the index for the entry holding exactly *k, whose hash is
 // h. It returns the entry and its ref, or nil and 0.
 //
 //gf:hotpath
 func (c *Cache) find(k *flow.Key, h uint64) (*Entry, uint32) {
-	m := uint64(len(c.index) - 1)
+	m := c.index.Mask()
 	for i := h & m; ; i = (i + 1) & m {
-		s := &c.index[i]
-		if s.hash == 0 {
+		s := &c.index.Slots[i]
+		if s.Hash == 0 {
 			return nil, 0
 		}
-		if s.hash == h {
-			if e := c.at(s.ref); e.Key == *k {
-				return e, s.ref
+		if s.Hash == h {
+			if e := c.at(s.Ref); e.Key == *k {
+				return e, s.Ref
 			}
 		}
 	}
@@ -336,7 +317,7 @@ func (c *Cache) Memoize(k, final *flow.Key, v flow.Verdict, now int64) *Entry {
 		// and comes straight back as the new entry.
 		ref = c.lruTail
 		e = c.at(ref)
-		c.unindex(e.hash, ref)
+		c.index.Delete(e.hash, ref)
 		c.unlink(e, ref)
 		c.stats.EvictLRU++
 	} else {
@@ -349,12 +330,7 @@ func (c *Cache) Memoize(k, final *flow.Key, v flow.Verdict, now int64) *Entry {
 	e.Hits, e.LastHit = 0, now
 	e.Ct, e.CtEpoch, e.CtDir = nil, 0, 0
 	e.hash = h
-	m := uint64(len(c.index) - 1)
-	i := h & m
-	for c.index[i].hash != 0 {
-		i = (i + 1) & m
-	}
-	c.index[i] = slot{hash: h, ref: ref}
+	c.index.Insert(h, ref)
 	c.pushFront(e, ref)
 	c.stats.Inserts++
 	return e
@@ -377,7 +353,7 @@ func (c *Cache) Remove(k flow.Key) bool {
 // slab in index order.
 func (c *Cache) ExpireIdle(now, maxIdle int64) int {
 	n := 0
-	for ref := uint32(1); ref <= c.used; ref++ {
+	for ref := uint32(1); ref <= c.entries.Used(); ref++ {
 		if e := c.at(ref); e.hash != 0 && now-e.LastHit > maxIdle {
 			c.release(e, ref)
 			c.stats.Expired++
@@ -395,21 +371,18 @@ func (c *Cache) ExpireIdle(now, maxIdle int64) int {
 // judged on — so a rule update also returns a bypassing tier to active.
 func (c *Cache) Invalidate() int {
 	n := c.count
-	clear(c.index)
-	// Clearing the slab that was in use drops the entries' connection
-	// pointers and marks the storage free.
-	for _, ch := range c.chunks[:(int(c.used)+chunkSize-1)>>chunkShift] {
-		clear(ch)
-	}
-	c.count, c.used, c.free, c.lruHead, c.lruTail = 0, 0, 0, 0, 0
+	c.index.Clear()
+	// Resetting the slab drops the entries' connection pointers and marks
+	// the storage free.
+	c.entries.Reset()
+	c.count, c.free, c.lruHead, c.lruTail = 0, 0, 0, 0
 	c.events, c.winHits, c.backoff, c.bypass = 0, 0, 0, 0
 	c.stats.Invalid += uint64(n)
 	return n
 }
 
 // alloc hands out slab storage for one more entry: the free list first,
-// then the next never-used position, growing the slab by a chunk when the
-// last one is full.
+// then the slab's next never-used record.
 //
 //gf:hotpath
 func (c *Cache) alloc() (*Entry, uint32) {
@@ -418,19 +391,7 @@ func (c *Cache) alloc() (*Entry, uint32) {
 		c.free = e.next
 		return e, ref
 	}
-	if int(c.used) == len(c.chunks)*chunkSize {
-		c.grow()
-	}
-	c.used++
-	return c.at(c.used), c.used
-}
-
-// grow appends one chunk to the slab.
-//
-//gf:hotpath-safe runs once per 256 entries while a tier fills for the first time, never again once it has reached its high-water mark
-func (c *Cache) grow() {
-	n := min(chunkSize, c.capacity-len(c.chunks)*chunkSize)
-	c.chunks = append(c.chunks, make([]Entry, n))
+	return c.entries.Next()
 }
 
 // release takes a live entry out of the index and the LRU list and puts
@@ -438,40 +399,11 @@ func (c *Cache) grow() {
 //
 //gf:hotpath
 func (c *Cache) release(e *Entry, ref uint32) {
-	c.unindex(e.hash, ref)
+	c.index.Delete(e.hash, ref)
 	c.unlink(e, ref)
 	*e = Entry{next: c.free}
 	c.free = ref
 	c.count--
-}
-
-// unindex deletes the slot naming ref, whose hash is h, from the index.
-// Removal backshifts the probe chain: every displaced slot after the hole
-// is moved back unless that would skip past its home slot, so no
-// tombstones are left behind. The backshift loop is flowtable.Table.Delete's,
-// over 16-byte hash-only slots; the wrap-around condition
-// (j-home)&m >= (j-i)&m must stay the same in both — fix one, fix the
-// other. FuzzMicroflowOps guards this copy, FuzzOpsDifferential that one.
-//
-//gf:hotpath
-func (c *Cache) unindex(h uint64, ref uint32) {
-	m := uint64(len(c.index) - 1)
-	i := h & m
-	for c.index[i].ref != ref {
-		i = (i + 1) & m
-	}
-	for j := i; ; {
-		j = (j + 1) & m
-		s := c.index[j]
-		if s.hash == 0 {
-			break
-		}
-		if home := s.hash & m; (j-home)&m >= (j-i)&m {
-			c.index[i] = s
-			i = j
-		}
-	}
-	c.index[i] = slot{}
 }
 
 //gf:hotpath

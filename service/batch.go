@@ -112,6 +112,9 @@ type batchJob struct {
 	// (it ran inline to completion, or its done signal was received);
 	// unfinished jobs take the call-level error.
 	finished bool
+	// closed is the shard's note that the job, or a packet of it, met the
+	// shard stopped and failed with ErrClosed: the call fails with it too.
+	closed bool
 }
 
 // Batch is a reusable collection of requests submitted as one unit.
@@ -321,6 +324,11 @@ func (s *Service) submitBlocking(ctx context.Context, b *Batch) error {
 				callErr = ErrClosed
 			}
 			waiting = 0
+		}
+	}
+	for w := range b.jobs {
+		if b.jobs[w].closed && callErr == nil {
+			callErr = ErrClosed // a share met its shard stopped
 		}
 	}
 	if callErr != nil {

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"gigaflow"
 	wire "gigaflow/internal/packet"
@@ -51,7 +53,15 @@ func BenchmarkSubmitFrame(b *testing.B) {
 // pipeline cycle through a main cache of 64 entries a table with no
 // microflow tier, so every frame walks the pipeline and installs.
 // misses/frame reports the share of frames that missed.
+//
+// capacity measures the box the shard counts run on: the same fixed
+// arithmetic — chains of dependent multiply-adds, capacityChain per op —
+// timed on one goroutine and then split evenly over GOMAXPROCS
+// goroutines. capacity_x is the first wall time over the second: the
+// speedup a perfectly parallel load gets here, beside which the two- and
+// four-worker figures read.
 func BenchmarkSubmitFrameBatch(b *testing.B) {
+	b.Run("capacity", benchCapacity)
 	const batchLen = 64
 	for _, tc := range []struct {
 		name  string
@@ -103,6 +113,48 @@ func BenchmarkSubmitFrameBatch(b *testing.B) {
 			})
 		}
 	}
+}
+
+// capacityChain is the multiply-adds in one op of
+// BenchmarkSubmitFrameBatch/capacity.
+const capacityChain = 4096
+
+// capacitySink keeps the capacity arithmetic from being optimised away.
+var capacitySink uint64
+
+// madd runs a chain of n dependent multiply-adds.
+func madd(n int) uint64 {
+	x := uint64(1)
+	for i := 0; i < n; i++ {
+		x = x*0x9e3779b97f4a7c15 + 1
+	}
+	return x
+}
+
+func benchCapacity(b *testing.B) {
+	procs := runtime.GOMAXPROCS(0)
+	work := b.N * capacityChain
+	sums := make([]uint64, procs)
+	b.ResetTimer()
+	t0 := time.Now()
+	capacitySink += madd(work)
+	serial := time.Since(t0)
+	t0 = time.Now()
+	var wg sync.WaitGroup
+	for g := range sums {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sums[g] = madd(work / procs)
+		}()
+	}
+	wg.Wait()
+	parallel := time.Since(t0)
+	b.StopTimer()
+	for _, x := range sums {
+		capacitySink += x
+	}
+	b.ReportMetric(float64(serial)/float64(parallel), "capacity_x")
 }
 
 // BenchmarkNewRetainedHeap reports the live heap a service.New holds on

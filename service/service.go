@@ -327,7 +327,7 @@ type Service struct {
 	term  chan struct{} // closed once every worker has exited
 
 	mu     sync.Mutex
-	cancel context.CancelFunc
+	cancel context.CancelFunc // stops the workers; nil before Start and once Close has run
 	done   sync.WaitGroup
 }
 
@@ -445,11 +445,13 @@ func (s *Service) Start(ctx context.Context) error {
 		s.done.Add(1)
 		go s.runWorker(ctx, w)
 	}
-	// The watcher closes term once every worker has exited — whether the
-	// shutdown came from Close or from the caller cancelling ctx — so
-	// batch submitters gathering completions always unblock.
+	// The watcher closes the service once every worker has exited —
+	// whether the shutdown came from Close or from the caller cancelling
+	// ctx, so both end in one state — and then closes term, so batch
+	// submitters gathering completions always unblock.
 	go func() {
 		s.done.Wait()
+		s.state.Store(stateClosed)
 		close(s.term)
 	}()
 	if s.cfg.TelemetryAddr != "" {
@@ -550,6 +552,7 @@ func (w *worker) exec(m packet, now int64) (finished bool) {
 		m.control(w.idx, w)
 	case w.stopped:
 		m.job.blk.settle(ErrClosed)
+		m.job.closed = true
 	default:
 		return w.runJob(m.job, now)
 	}
@@ -778,25 +781,28 @@ func (s *Service) Stats(ctx context.Context) (gigaflow.VSwitchStats, error) {
 
 // Close stops the workers, the telemetry server, and waits for them to
 // exit. Work still queued is drained: control ops run, packets and jobs
-// complete with ErrClosed. Errors: ErrNotStarted before Start, ErrClosed
-// on a second Close.
+// complete with ErrClosed. After the context given to Start is cancelled
+// the service is closed to every other call already, and Close stops
+// what is left: the telemetry server. Errors: ErrNotStarted before
+// Start, ErrClosed on a second Close.
 func (s *Service) Close() error {
 	s.mu.Lock()
-	switch s.state.Load() {
-	case stateNew:
+	cancel, tsrv := s.cancel, s.tsrv
+	if cancel == nil { // not started, or closed before
+		err := ErrClosed
+		if s.state.Load() == stateNew {
+			err = ErrNotStarted
+		}
 		s.mu.Unlock()
-		return ErrNotStarted
-	case stateClosed:
-		s.mu.Unlock()
-		return ErrClosed
+		return err
 	}
+	s.cancel = nil
 	s.state.Store(stateClosed)
-	tsrv := s.tsrv
 	s.mu.Unlock()
 	if tsrv != nil {
 		tsrv.stop()
 	}
-	s.cancel()
+	cancel()
 	<-s.term // the Start watcher closes term once every worker has exited
 	if s.eng != nil {
 		s.eng.wg.Wait() // engine goroutines exit on the same cancellation

@@ -393,6 +393,77 @@ func TestLifecycleErrors(t *testing.T) {
 	}
 }
 
+// TestCancelEndsLikeClose: cancelling the context Start was given ends
+// the service where Close ends it. Every entry point then fails with the
+// same error, and a blocking call records no submit latency for work that
+// never ran — where a blocking batch whose shard had stopped used to run
+// there, return no call error and record a sample.
+func TestCancelEndsLikeClose(t *testing.T) {
+	frame := frameOf(t, key(1, 80), 0)
+	frames := []Frame{{Data: frame}, {Data: frameOf(t, key(2, 443), 0)}}
+	calls := []struct {
+		name string
+		call func(s *Service) error
+	}{
+		{"SubmitFrame", func(s *Service) error {
+			_, err := s.SubmitFrame(context.Background(), 0, frame)
+			return err
+		}},
+		{"SubmitFrameBatch", func(s *Service) error {
+			b := NewBatch(len(frames))
+			err := s.SubmitFrameBatch(context.Background(), frames, b)
+			for i := range frames {
+				if r := b.Result(i); !errors.Is(r.Err, err) {
+					t.Errorf("SubmitFrameBatch: request %d failed with %v, the call with %v", i, r.Err, err)
+				}
+			}
+			return err
+		}},
+		{"SubmitFrameBatch nonblocking", func(s *Service) error {
+			return s.SubmitFrameBatch(context.Background(), frames, NewBatch(len(frames)), Nonblocking())
+		}},
+		{"Stats", func(s *Service) error {
+			_, err := s.Stats(context.Background())
+			return err
+		}},
+		{"UpdateRules", func(s *Service) error {
+			return s.UpdateRules(context.Background(), func(*gigaflow.Pipeline) error { return nil })
+		}},
+	}
+	for _, cancelled := range []bool{false, true} {
+		s, err := New(buildPipeline(), Config{Workers: 2, Cache: gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		if err := s.Start(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.SubmitFrame(ctx, 0, frame); err != nil {
+			t.Fatal(err)
+		}
+		if cancelled {
+			cancel()
+			within(t, 5*time.Second, "workers exiting after cancellation", func() { <-s.term })
+		} else if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		samples := s.latency.Snapshot().Count
+		for _, c := range calls {
+			if err := c.call(s); !errors.Is(err, ErrClosed) {
+				t.Errorf("cancelled %v: %s = %v, want ErrClosed", cancelled, c.name, err)
+			}
+		}
+		if n := s.latency.Snapshot().Count; n != samples {
+			t.Errorf("cancelled %v: %d submit latency samples for calls that ran nothing", cancelled, n-samples)
+		}
+		if err := s.Start(ctx); !errors.Is(err, ErrClosed) {
+			t.Errorf("cancelled %v: Start = %v, want ErrClosed", cancelled, err)
+		}
+		cancel()
+	}
+}
+
 func TestSubmitContextCancel(t *testing.T) {
 	s, _ := startService(t, 1)
 	ctx, cancel := context.WithCancel(context.Background())

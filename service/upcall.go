@@ -216,6 +216,7 @@ func (w *worker) deliver(p parked, res gigaflow.ProcessResult, err error) {
 func (w *worker) sweepParked() {
 	for k := range w.pending {
 		for _, p := range w.release(k).parked {
+			p.job.closed = true
 			w.deliver(p, gigaflow.ProcessResult{}, ErrClosed)
 		}
 	}
