@@ -40,40 +40,40 @@ func TestEpochValidLifecycle(t *testing.T) {
 		name     string
 		maxConns int
 		setup    func(tb *Table) *Conn
-		then     func(tb *Table, c *Conn)
+		then     func(t *testing.T, tb *Table, c *Conn) // t is the case's own: a failure ends it alone
 		valid    bool
 		memo     bool
 	}{
 		{name: "nothing happens", setup: syn,
-			then: func(*Table, *Conn) {}, valid: true, memo: true},
+			then: func(*testing.T, *Table, *Conn) {}, valid: true, memo: true},
 		{name: "data both ways", setup: established,
-			then: func(tb *Table, _ *Conn) {
+			then: func(_ *testing.T, tb *Table, _ *Conn) {
 				tb.Track(fwd, packet.TCPAck, 10)
 				tb.Track(rev, packet.TCPAck|packet.TCPPsh, 11)
 			}, valid: true, memo: true},
 		{name: "new to established", setup: syn,
-			then: func(tb *Table, c *Conn) {
+			then: func(t *testing.T, tb *Table, c *Conn) {
 				tb.Track(rev, packet.TCPSyn|packet.TCPAck, 10)
 				if c.State != StateEstablished {
 					t.Fatalf("state %v", c.State)
 				}
 			}, valid: true},
 		{name: "established to closed", setup: established,
-			then: func(tb *Table, c *Conn) {
+			then: func(t *testing.T, tb *Table, c *Conn) {
 				tb.Track(rev, packet.TCPFin|packet.TCPAck, 10)
 				if c.State != StateClosed {
 					t.Fatalf("state %v", c.State)
 				}
 			}, valid: true},
 		{name: "RST in new", setup: syn,
-			then: func(tb *Table, c *Conn) {
+			then: func(t *testing.T, tb *Table, c *Conn) {
 				tb.Track(fwd, packet.TCPRst, 10)
 				if c.State != StateClosed {
 					t.Fatalf("state %v", c.State)
 				}
 			}, valid: true},
 		{name: "all three transitions", setup: syn,
-			then: func(tb *Table, _ *Conn) {
+			then: func(_ *testing.T, tb *Table, _ *Conn) {
 				tb.Track(rev, packet.TCPSyn|packet.TCPAck, 10)
 				tb.Track(fwd, packet.TCPRst, 11)
 			}, valid: true},
@@ -82,43 +82,43 @@ func TestEpochValidLifecycle(t *testing.T) {
 		// walk makes a binding the stamp predates it, and the entries
 		// installed from that walk must fail on their first use.
 		{name: "DNAT binding later in the same walk", setup: syn,
-			then: func(tb *Table, c *Conn) { tb.SetDNAT(c, backendIP, 8443) }},
+			then: func(_ *testing.T, tb *Table, c *Conn) { tb.SetDNAT(c, backendIP, 8443) }},
 		{name: "SNAT binding later in the same walk", setup: syn,
-			then: func(tb *Table, c *Conn) { tb.SetSNAT(c, 0x0a090002, 4000) }},
+			then: func(_ *testing.T, tb *Table, c *Conn) { tb.SetSNAT(c, 0x0a090002, 4000) }},
 		{name: "late binding after a transition", setup: established,
-			then: func(tb *Table, c *Conn) { tb.SetDNAT(c, backendIP, 8443) }},
+			then: func(_ *testing.T, tb *Table, c *Conn) { tb.SetDNAT(c, backendIP, 8443) }},
 		{name: "second binding of the other kind",
 			setup: func(tb *Table) *Conn {
 				c := syn(tb)
 				tb.SetDNAT(c, backendIP, 8443)
 				return c
 			},
-			then: func(tb *Table, c *Conn) { tb.SetSNAT(c, 0x0a090002, 4000) }},
+			then: func(_ *testing.T, tb *Table, c *Conn) { tb.SetSNAT(c, 0x0a090002, 4000) }},
 		{name: "rebinding a bound connection is a no-op",
 			setup: func(tb *Table) *Conn {
 				c := syn(tb)
 				tb.SetDNAT(c, backendIP, 8443)
 				return c
 			},
-			then:  func(tb *Table, c *Conn) { tb.SetDNAT(c, backendIP+1, 8444) },
+			then:  func(_ *testing.T, tb *Table, c *Conn) { tb.SetDNAT(c, backendIP+1, 8444) },
 			valid: true, memo: true},
 		{name: "idle expiry", setup: established,
-			then: func(tb *Table, _ *Conn) {
+			then: func(t *testing.T, tb *Table, _ *Conn) {
 				if tb.ExpireIdle(1000, 100) != 1 {
 					t.Fatal("nothing expired")
 				}
 			}},
 		{name: "MaxConns eviction", maxConns: 1, setup: established,
-			then: func(tb *Table, _ *Conn) {
+			then: func(t *testing.T, tb *Table, _ *Conn) {
 				tb.Track(other, packet.TCPSyn, 10)
 				if tb.Stats().EvictLRU != 1 {
 					t.Fatal("nothing evicted")
 				}
 			}},
 		{name: "reopened by the initiator", setup: closed,
-			then: func(tb *Table, _ *Conn) { tb.Track(fwd, packet.TCPSyn, 10) }},
+			then: func(_ *testing.T, tb *Table, _ *Conn) { tb.Track(fwd, packet.TCPSyn, 10) }},
 		{name: "reopened by the responder", setup: closed,
-			then: func(tb *Table, c *Conn) {
+			then: func(t *testing.T, tb *Table, c *Conn) {
 				gen := c.gen
 				_, c2, dir := tb.Track(rev, packet.TCPSyn, 10)
 				if c2.gen == gen || dir != DirForward || c2.Orig != rev {
@@ -126,7 +126,7 @@ func TestEpochValidLifecycle(t *testing.T) {
 				}
 			}},
 		{name: "expired, tuple reused", setup: established,
-			then: func(tb *Table, c *Conn) {
+			then: func(t *testing.T, tb *Table, c *Conn) {
 				gen := c.gen
 				tb.ExpireIdle(1000, 100)
 				if _, c2, _ := tb.Track(fwd, packet.TCPSyn, 1001); c2.gen == gen {
@@ -141,7 +141,7 @@ func TestEpochValidLifecycle(t *testing.T) {
 				_, junk, _ := tb.Track(tuple(backendIP, clientIP, 8443, 2000), packet.TCPSyn, 1)
 				return junk
 			},
-			then: func(tb *Table, junk *Conn) {
+			then: func(t *testing.T, tb *Table, junk *Conn) {
 				c := syn(tb)
 				tb.SetDNAT(c, backendIP, 8443)
 				if got, _, _ := tb.Lookup(junk.Orig); got != c || tb.Stats().Displaced != 1 {
@@ -157,7 +157,7 @@ func TestEpochValidLifecycle(t *testing.T) {
 			if !tb.EpochValid(orig, epoch) {
 				t.Fatal("a stamp just taken does not validate")
 			}
-			tc.then(tb, c)
+			tc.then(t, tb, c)
 			if got := tb.EpochValid(orig, epoch); got != tc.valid {
 				t.Errorf("EpochValid = %v, want %v", got, tc.valid)
 			}

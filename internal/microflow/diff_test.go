@@ -9,6 +9,7 @@ import (
 
 	"gigaflow/internal/conntrack"
 	"gigaflow/internal/flow"
+	"gigaflow/internal/flowtable"
 )
 
 // refEntry / refCache are the original microflow cache — a Go map keyed
@@ -16,8 +17,8 @@ import (
 // heap-allocated entry per flow — kept as the differential-test
 // reference. Lookup results, entry state, eviction victims, LRU order and
 // every Stats counter of Cache must stay bit-identical to it. Its thrash
-// policy (refDetector) is written from the paragraph in DESIGN.md "Microflow",
-// not from Cache's counters.
+// policy (refDetector, and the miniature in refCache) is written from the
+// paragraphs in DESIGN.md "Microflow", not from Cache's counters.
 type refEntry struct {
 	Key     flow.Key
 	Final   flow.Key
@@ -33,6 +34,7 @@ type refEntry struct {
 
 type refCache struct {
 	capacity int
+	limit    int // capacity, or the miniature's K while it stands in
 	entries  map[flow.Key]*refEntry
 	lruHead  *refEntry
 	lruTail  *refEntry
@@ -43,19 +45,25 @@ type refCache struct {
 // refDetector is the thrash policy as DESIGN.md states it: it keeps the
 // open window as a log of its events and judges the log when it is full.
 type refDetector struct {
-	window    int    // max(2 × capacity, 4096)
+	window    int    // W = max(2 × capacity, 4096)
+	size      int    // events per window: W, or ⌈W/64⌉ while a miniature stands in
 	log       []bool // the open window's events, true for a hit
 	streak    int    // thrashing windows in a row
 	declining int    // memoize requests still to decline
 	// What a tape drove it through, for the tests that need a tape to
-	// have got somewhere.
-	thrashed, recovered, longest int
+	// have got somewhere: the first three count windows, the rest the
+	// miniature's moments — shrinking to it, a window it judged, growing
+	// back out of it, and Invalidate while it stood in.
+	thrashed, recovered, longest        int
+	shrunk, judged, grown, invalidMinis int
 }
 
-func (d *refDetector) event(hit bool) {
+// event logs one event and reports whether it closed a window, and one
+// with 1/64 hits or more.
+func (d *refDetector) event(hit bool) (closed, healthy bool) {
 	d.log = append(d.log, hit)
-	if len(d.log) < d.window {
-		return
+	if len(d.log) < d.size {
+		return false, false
 	}
 	hits := 0
 	for _, h := range d.log {
@@ -64,28 +72,50 @@ func (d *refDetector) event(hit bool) {
 		}
 	}
 	d.log = d.log[:0]
-	if hits*64 >= d.window {
+	if hits*64 >= d.size {
 		if d.streak > 0 {
 			d.recovered++
 		}
 		d.streak = 0
-		return
+		return true, true
 	}
 	d.streak = min(d.streak+1, 4)
 	d.declining = d.window << d.streak
 	d.thrashed++
 	d.longest = max(d.longest, d.streak)
+	return true, false
 }
 
 func (d *refDetector) reset() { d.log, d.streak, d.declining = d.log[:0], 0, 0 }
 
 func newRef(capacity int) *refCache {
-	return &refCache{capacity: capacity, entries: make(map[flow.Key]*refEntry, capacity),
-		det: refDetector{window: max(2*capacity, 4096)}}
+	w := max(2*capacity, 4096)
+	return &refCache{capacity: capacity, limit: capacity, entries: make(map[flow.Key]*refEntry, capacity),
+		det: refDetector{window: w, size: w}}
+}
+
+// miniature reports whether the tier has shrunk to its miniature.
+func (c *refCache) miniature() bool { return c.limit < c.capacity }
+
+// sampled reports whether k is in the miniature's 1-in-64 sample: its
+// hash's top six bits are zero.
+func sampled(k flow.Key) bool { return flowtable.HashKey(&k)>>58 == 0 }
+
+// event counts an event and, when it closes a healthy window of the
+// miniature, returns the tier to full size with what the miniature holds.
+func (c *refCache) event(hit bool) {
+	closed, healthy := c.det.event(hit)
+	if closed && c.miniature() {
+		c.det.judged++
+		if healthy {
+			c.limit, c.det.size = c.capacity, c.det.window
+			c.det.grown++
+		}
+	}
 }
 
 func (c *refCache) Lookup(k flow.Key, now int64) (*refEntry, bool) {
-	if c.det.declining > 0 {
+	if c.det.declining > 0 || c.miniature() && !sampled(k) {
 		return nil, false
 	}
 	e, ok := c.entries[k]
@@ -97,24 +127,35 @@ func (c *refCache) Lookup(k flow.Key, now int64) (*refEntry, bool) {
 	e.LastHit = now
 	c.touch(e)
 	c.stats.Hits++
-	c.det.event(true)
+	c.event(true)
 	return e, true
 }
 
 func (c *refCache) Insert(k, final flow.Key, v flow.Verdict, now int64) *refEntry {
 	if c.det.declining > 0 {
+		if c.capacity > 4096 && !c.miniature() {
+			c.stats.Shed += uint64(len(c.entries))
+			c.entries = map[flow.Key]*refEntry{}
+			c.lruHead, c.lruTail = nil, nil
+			c.limit, c.det.size = c.capacity/64, (c.det.window+63)/64
+			c.det.shrunk++
+		}
 		c.det.declining--
 		c.stats.Bypassed++
 		return nil
 	}
-	c.det.event(false)
+	if c.miniature() && !sampled(k) {
+		c.stats.Bypassed++
+		return nil
+	}
+	c.event(false)
 	if old, ok := c.entries[k]; ok {
 		old.Final, old.Verdict, old.LastHit = final, v, now
 		old.Ct, old.CtEpoch, old.CtDir = nil, 0, 0
 		c.touch(old)
 		return old
 	}
-	if len(c.entries) >= c.capacity {
+	if len(c.entries) >= c.limit {
 		if t := c.lruTail; t != nil {
 			c.remove(t)
 			c.stats.EvictLRU++
@@ -164,6 +205,10 @@ func (c *refCache) Invalidate() int {
 	n := len(c.entries)
 	c.entries = make(map[flow.Key]*refEntry, c.capacity)
 	c.lruHead, c.lruTail = nil, nil
+	if c.miniature() {
+		c.det.invalidMinis++
+	}
+	c.limit, c.det.size = c.capacity, c.det.window
 	c.det.reset()
 	c.stats.Invalid += uint64(n)
 	return n
@@ -219,14 +264,14 @@ func sameEntry(g *Entry, r *refEntry) bool {
 		g.Ct == r.Ct && g.CtEpoch == r.CtEpoch && g.CtDir == r.CtDir
 }
 
-// checkAgainst demands that got and ref hold the same entries in the same
-// LRU order with the same state — which pins every eviction victim, since
-// a wrong victim leaves a different resident set — that got's slab and
-// index are internally consistent, and that the two are on the same side
-// of the thrash policy: checked after every operation, the bypass flag and
-// Stats.Bypassed pin each window's closing event and each bypass period's
-// last declined request.
-func checkAgainst(t testing.TB, got *Cache, ref *refCache) {
+// checkCounters is the part of checkAgainst that does not walk the tier:
+// the two hold as many entries, every entry memoized is accounted for,
+// got's slab and index are sized for what the tier may hold, and the two
+// are on the same side of the thrash policy. Checked after every
+// operation, the bypass flag, the size and Stats.Bypassed and Shed pin
+// each window's closing event, each bypass period's last declined request
+// and each change of size.
+func checkCounters(t testing.TB, got *Cache, ref *refCache) {
 	t.Helper()
 	if got.Len() != len(ref.entries) {
 		t.Fatalf("Len=%d ref=%d", got.Len(), len(ref.entries))
@@ -234,9 +279,30 @@ func checkAgainst(t testing.TB, got *Cache, ref *refCache) {
 	if got.stats != ref.stats {
 		t.Fatalf("stats %+v ref %+v", got.stats, ref.stats)
 	}
+	if s := got.stats; s.Inserts != uint64(got.Len())+s.EvictLRU+s.Expired+s.Invalid+s.Shed {
+		t.Fatalf("%d inserted, %d held + %d evicted + %d expired + %d invalidated + %d shed",
+			s.Inserts, got.Len(), s.EvictLRU, s.Expired, s.Invalid, s.Shed)
+	}
 	if g, r := got.Snapshot().Bypassing, ref.det.declining > 0; g != r {
 		t.Fatalf("bypassing=%v ref=%v (stats %+v)", g, r, ref.stats)
 	}
+	slots := 8 // slab.NewIndex's size for the limit: the index never grows
+	for slots*3/4 < ref.limit {
+		slots <<= 1
+	}
+	if got.limit != ref.limit || len(got.index.Slots) != slots || got.entries.Chunks() > (ref.limit+255)/256 {
+		t.Fatalf("limit %d, %d index slots, %d slab chunks; ref limit %d, want %d slots and at most %d chunks",
+			got.limit, len(got.index.Slots), got.entries.Chunks(), ref.limit, slots, (ref.limit+255)/256)
+	}
+}
+
+// checkAgainst demands that got and ref hold the same entries in the same
+// LRU order with the same state — which pins every eviction victim, since
+// a wrong victim leaves a different resident set — that got's slab and
+// index are internally consistent, and what checkCounters demands.
+func checkAgainst(t testing.TB, got *Cache, ref *refCache) {
+	t.Helper()
+	checkCounters(t, got, ref)
 	n, prev := 0, uint32(0)
 	r := ref.lruHead
 	for id := got.lruHead; id != 0; id = got.at(id).next {
@@ -264,14 +330,14 @@ func checkAgainst(t testing.TB, got *Cache, ref *refCache) {
 	if n != got.Len() {
 		t.Fatalf("LRU list holds %d entries, Len=%d", n, got.Len())
 	}
-	slots := 0
+	held := 0
 	for _, s := range got.index.Slots {
 		if s.Hash != 0 {
-			slots++
+			held++
 		}
 	}
-	if slots != n {
-		t.Fatalf("index holds %d slots, Len=%d", slots, n)
+	if held != n {
+		t.Fatalf("index holds %d slots, Len=%d", held, n)
 	}
 	free := 0
 	for id := got.free; id != 0; id = got.at(id).next {
@@ -288,13 +354,27 @@ func checkAgainst(t testing.TB, got *Cache, ref *refCache) {
 // runOpTape interprets tape as a sequence of cache operations and applies
 // each to a Cache and to the reference, demanding identical results after
 // every one. The first byte picks the capacity — 1–24, or for bytes from
-// 232 up 488–511, which spans two slab chunks, the second one partial;
-// the key space is three times that, so a tape of any length runs at and
-// over capacity. Time moves by a tape-chosen step that is usually forward, sometimes
-// zero and sometimes backward, since neither cache may assume a clock. It
-// returns the model's detector, which records how far into the thrash
-// policy the tape went.
+// 232 up 488–511, which spans two slab chunks, the second one partial —
+// and runOps runs the rest. It returns the model's detector, which records
+// how far into the thrash policy the tape went.
 func runOpTape(t testing.TB, tape []byte) refDetector {
+	b := 0
+	if len(tape) > 0 {
+		b, tape = int(tape[0]), tape[1:]
+	}
+	capacity := 1 + b%24
+	if b >= 232 {
+		capacity = 256 + b // a slab chunk holds 256 entries
+	}
+	return runOps(t, capacity, tape).det
+}
+
+// runOps runs an op tape on a tier of the given capacity and returns the
+// model as the tape left it. The key space is three times the capacity,
+// so a tape of any length runs at and over capacity. Time moves by a
+// tape-chosen step that is usually forward, sometimes zero and sometimes
+// backward, since neither cache may assume a clock.
+func runOps(t testing.TB, capacity int, tape []byte) *refCache {
 	next := func() byte {
 		if len(tape) == 0 {
 			return 0
@@ -302,11 +382,6 @@ func runOpTape(t testing.TB, tape []byte) refDetector {
 		b := tape[0]
 		tape = tape[1:]
 		return b
-	}
-	b := int(next())
-	capacity := 1 + b%24
-	if b >= 232 {
-		capacity = 256 + b // a slab chunk holds 256 entries
 	}
 	got, ref := New(capacity), newRef(capacity)
 	var conns [4]conntrack.Conn
@@ -361,9 +436,16 @@ func runOpTape(t testing.TB, tape []byte) refDetector {
 				t.Fatalf("step %d: Invalidate = %d, ref %d", step, g, r)
 			}
 		}
-		checkAgainst(t, got, ref)
+		// A walk of a tier holding thousands of entries after every step
+		// would cost a big tape minutes under -race: above two chunks the
+		// walk comes every 64th step and at the end, the counters always.
+		if got.Len() <= 512 || step%64 == 0 || len(tape) == 0 {
+			checkAgainst(t, got, ref)
+		} else {
+			checkCounters(t, got, ref)
+		}
 	}
-	return ref.det
+	return ref
 }
 
 // TestDifferentialOpTape drives Cache and the original map-backed
@@ -390,10 +472,13 @@ type tapeWriter struct {
 	capacity int
 }
 
-// newTape starts a tape for capacity 1–24.
+// newTape starts a tape whose first byte is runOpTape's for capacity 1–24;
+// run hands the capacity to runOps itself, so it runs tapes for any.
 func newTape(capacity int) *tapeWriter {
 	return &tapeWriter{tape: []byte{byte(47 + capacity)}, capacity: capacity}
 }
+
+func (w *tapeWriter) run(t testing.TB) *refCache { return runOps(t, w.capacity, w.tape[1:]) }
 
 // op appends an operation code — the first of its kind from '`' (96, a
 // multiple of 16) up — a time step of +1 and, for flow ≥ 0, the two key
@@ -486,6 +571,14 @@ func TestDifferentialBypassTape(t *testing.T) {
 			det.thrashed, det.recovered, det.declining)
 	}
 
+	const capacity = minWindow + 64 // the smallest tier with a miniature of 65 entries
+	m := miniatureTape(capacity).run(t)
+	if d := m.det; d.shrunk != 2 || d.judged != 2 || d.grown != 1 || d.invalidMinis != 1 ||
+		m.stats.Shed != 2*capacity || m.stats.Hits == 0 || m.limit != capacity {
+		t.Errorf("miniature tape: shrunk %d, judged %d, grown %d, invalidated %d times, shed %d, %d hits, limit %d; want 2, 2, 1, 1, %d, some, %d",
+			d.shrunk, d.judged, d.grown, d.invalidMinis, m.stats.Shed, m.stats.Hits, m.limit, 2*capacity, capacity)
+	}
+
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		capacity := []int{1, 7, 16, 24}[seed-1]
@@ -553,6 +646,74 @@ func TestDifferentialBypassTape(t *testing.T) {
 				seed, det.thrashed, det.longest, det.recovered, det.declining, len(det.log), W-1)
 		}
 	}
+}
+
+// miniatureTape takes a tier of more than minWindow entries through its
+// miniature's four moments, with removals, idle sweeps and lookups of
+// flows outside the sample mixed in: the step aside, where a thrashing
+// window's tier sheds what it holds; a window in the miniature that
+// thrashes too; a window of reuse among sampled flows that returns the
+// tier to full size with the miniature's entries, which then serve hits;
+// and, after a second step aside, Invalidate while the miniature stands in.
+func miniatureTape(capacity int) *tapeWriter {
+	w := newTape(capacity)
+	W := 2 * capacity
+	inSample := func(f int) bool { return sampled(flow.Key{}.With(flow.FieldIPDst, uint64(f))) }
+	var hot, other []int // 32 flows below the capacity in the sample, and 64 outside it
+	for f := 0; len(hot) < 32 || len(other) < 64; f++ {
+		if inSample(f) {
+			hot = append(hot, f)
+		} else {
+			other = append(other, f)
+		}
+	}
+	// cold sends n packets round robin over flows the tier cannot hold, at
+	// distance 2C: in the miniature, distance 2C/64 over K = C/64 entries.
+	// It returns how many of them were in the sample.
+	next := 0
+	cold := func(n int) (inside int) {
+		for i := 0; i < n; i++ {
+			f := capacity + next%(2*capacity)
+			w.packet(f, false)
+			if inSample(f) {
+				inside++
+			}
+			if next++; next%997 == 0 {
+				w.lookup(other[next%64])
+				w.remove(f)
+			}
+		}
+		return inside
+	}
+	sampledEvents := (W + 63) / 64
+
+	cold(W)     // a window at full size without a hit
+	cold(2 * W) // the first request declined sheds C entries; the rest of the period
+	w.expire()  // on the miniature, empty yet
+	for inside := 0; inside < sampledEvents; {
+		inside += cold(1) // the miniature's window: sampled events only, no hit
+	}
+	cold(4 * W)
+	// Reuse in the sample: 32 hot flows memoized, then hit, with a flow
+	// outside the sample after each packet, which the miniature declines.
+	for i := 0; i < sampledEvents; i++ {
+		w.packet(hot[i%32], i >= 32)
+		w.packet(other[i%64], false)
+	}
+	// Full size again: the hot flows hit where the miniature put them, and
+	// flows outside the sample are memoized and hit too.
+	for i := 0; i < 64; i++ {
+		w.packet(hot[i%32], true)
+		w.packet(other[i%32], i >= 32)
+	}
+	w.expire()
+	cold(W)
+	cold(W / 2) // into the period, the miniature in place
+	w.invalidate()
+	for i := 0; i < 64; i++ {
+		w.packet(other[i%16], i >= 16) // full size: all admitted
+	}
+	return w
 }
 
 // FuzzMicroflowOps is runOpTape over fuzzer-chosen tapes; the checked-in

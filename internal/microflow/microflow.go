@@ -4,11 +4,14 @@
 //
 // Layout. Entries live in an internal/slab slab, named by uint32 ref, so
 // an entry's address never changes and a tier holding 2 000 flows does
-// not pay for its full capacity; the LRU list and the free list are
-// threaded through the entries by ref. Keys are found through the slab
-// package's hash-only index of {hash, ref} slots, sized once from the
-// capacity: the key is stored once, in the entry, and the tier's probe
-// walks hashes only, touching an entry when its full 64-bit hash matches.
+// not pay for its full capacity in entries; the LRU list and the free
+// list are threaded through the entries by ref. Keys are found through
+// the slab package's hash-only index of {hash, ref} slots, which is sized
+// from the capacity however few entries the tier holds — 1 MiB at 32 768
+// — because an index sized by occupancy would grow, and rehash, while the
+// tier fills, on the path of the packets that fill it. The key is stored
+// once, in the entry, and the tier's probe walks hashes only, touching an
+// entry when its full 64-bit hash matches.
 // Inserting into a full tier recycles the LRU tail's entry in place: one
 // backshift delete from the index, one slot write, no allocation. The
 // connection table (internal/conntrack) is built the same way.
@@ -17,8 +20,9 @@
 // evicted them is pure cost: every packet pays a probe and an evicting
 // insert, and the slab streams through the CPU cache ahead of the main
 // cache's own lines. The tier therefore watches itself (observe) and steps
-// aside while that is so; the policy and its constants are stated once,
-// beside thrashRatio.
+// aside while that is so, a large tier giving back its storage for a
+// sampled miniature of itself meanwhile (resize); the policy and its
+// constants are stated once, beside thrashRatio.
 package microflow
 
 import (
@@ -66,7 +70,8 @@ type Stats struct {
 	EvictLRU uint64 `json:"evict_lru"`
 	Expired  uint64 `json:"expired"`
 	Invalid  uint64 `json:"invalidated"` // removed by Invalidate, or one at a time by Remove
-	Bypassed uint64 `json:"bypassed"`    // memoize requests declined while the tier was bypassing
+	Bypassed uint64 `json:"bypassed"`    // memoize requests declined while the tier was bypassing, or outside its miniature's sample
+	Shed     uint64 `json:"shed"`        // entries dropped when the tier shrank to its miniature
 }
 
 // Snapshot bundles the cache's counters and occupancy for telemetry
@@ -88,11 +93,24 @@ type Snapshot struct {
 // the tier then bypasses for the next W << b memoize requests, b being
 // the number of thrashing windows in a row, capped at maxBackoff. While
 // it bypasses, every lookup misses without hashing and every memoize
-// request is declined and counted in Stats.Bypassed; nothing else about
-// the tier changes, and neither counts as an event. After that it
+// request is declined and counted in Stats.Bypassed; neither counts as an
+// event, and nothing else changes but as the miniature says. After that it
 // observes one more window. A window that closes with W/thrashRatio hits
-// or more sets b back to zero. Invalidate returns the tier to active with
-// an empty window and b = 0.
+// or more sets b back to zero. Invalidate returns the tier to active, at
+// full size, with an empty window and b = 0.
+//
+// The miniature. A tier of more than minWindow entries gives its storage
+// back while it steps aside: at the first request it declines after a
+// thrashing window at full size, it sheds every entry (Stats.Shed) and
+// shrinks to a miniature of capacity/thrashRatio entries that admits only
+// the 1 key in 64 whose hash has its top six bits zero; any other key's
+// lookup misses unprobed and its request is declined (Stats.Bypassed),
+// neither being an event. The miniature's windows hold ⌈W/64⌉ events,
+// judged by the same line; its bypass periods stay W << b. By SHARDS
+// (Waldspurger et al., FAST 2015) it tells reuse from thrashing as the
+// full tier would, and a window of it with reuse returns the tier to full
+// size, keeping its entries. A smaller tier keeps what it holds: its
+// miniature's windows would hold at most 128 events, the line 2 hits.
 //
 // Declining is safe because a memo is only ever a shortcut to a result
 // the main cache or the pipeline gives anyway, and what the tier keeps
@@ -113,19 +131,25 @@ const (
 	// under 2 048 entries are observed over the floor. The other term of
 	// W, two capacities, gives every reuse distance the tier could serve
 	// room to show: the tier may spend the first capacity's worth of
-	// events filling, and reuse shows in the second.
+	// events filling, and reuse shows in the second. A tier keeps a
+	// miniature only above minWindow entries.
 	minWindow = thrashRatio * thrashRatio
 	// maxBackoff: the bypass period doubles from 2 windows to at most 16.
 	// Starting at 2, a passing scan costs little; capped at 16, a tier
 	// that thrashes for good pays for 1 packet in 17, and a workload that
 	// turns cacheable is noticed within 16 windows.
 	maxBackoff = 4
+	// sampleShift: the miniature's keys are those whose hash shifted right
+	// by it is zero, 1 in thrashRatio.
+	sampleShift = 64 - 6
 )
 
 // Cache is a capacity-bounded exact-match cache with LRU replacement. It
 // is not safe for concurrent use.
 type Cache struct {
 	capacity int
+	limit    int // entries the tier may hold now: capacity, or mini while the miniature stands in
+	mini     int // the miniature's size; capacity itself for a tier too small to keep one
 	count    int
 	index    slab.Index // flowtable.HashKey never returns 0, the empty slot's hash
 	entries  slab.Slab[Entry]
@@ -135,7 +159,8 @@ type Cache struct {
 	stats    Stats
 
 	// Thrash detector: see thrashRatio.
-	window  uint64 // W, events per observation window
+	window  uint64 // W, events per observation window at full size, and the bypass period's unit
+	span    uint64 // events per window now: W, or ⌈W/64⌉ while the miniature stands in
 	events  uint64 // events in the current window
 	winHits uint64 // of which hits
 	backoff uint64 // b, thrashing windows in a row, at most maxBackoff
@@ -147,8 +172,13 @@ func New(capacity int) *Cache {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("microflow: bad capacity %d", capacity))
 	}
-	return &Cache{capacity: capacity, index: slab.NewIndex(capacity), entries: slab.New[Entry](capacity),
-		window: uint64(max(2*capacity, minWindow))}
+	w := uint64(max(2*capacity, minWindow))
+	c := &Cache{capacity: capacity, limit: capacity, mini: capacity, index: slab.NewIndex(capacity),
+		entries: slab.New[Entry](capacity), window: w, span: w}
+	if capacity > minWindow {
+		c.mini = capacity / thrashRatio
+	}
+	return c
 }
 
 // Len reports the number of cached entries.
@@ -160,24 +190,55 @@ func (c *Cache) Snapshot() Snapshot {
 }
 
 // observe counts one event into the current window, a hit when hit is 1,
-// and closes the window on its last event: see thrashRatio.
+// and closes the window on its last event (out of line, so this inlines).
 //
 //gf:hotpath
 func (c *Cache) observe(hit uint64) {
 	c.winHits += hit
 	c.events++
-	if c.events < c.window {
-		return
+	if c.events >= c.span {
+		c.closeWindow()
 	}
-	if c.winHits*thrashRatio < c.window {
+}
+
+// closeWindow judges the window just filled and opens the next.
+//
+//gf:hotpath
+func (c *Cache) closeWindow() {
+	if c.winHits*thrashRatio < c.span {
 		if c.backoff < maxBackoff {
 			c.backoff++
 		}
 		c.bypass = c.window << c.backoff
 	} else {
 		c.backoff = 0
+		if c.limit != c.capacity {
+			c.resize(c.capacity)
+		}
 	}
 	c.events, c.winHits = 0, 0
+}
+
+// resize gives the tier storage for n entries, capacity or mini: down, it
+// sheds every entry, keeping the slab's first chunks; up, it keeps the
+// miniature's entries, valid memos all. Either way the index is sized anew.
+//
+//gf:hotpath-safe runs once per change of size: when a thrashing tier first declines a request, and when its miniature shows reuse; never while the tier keeps its size
+func (c *Cache) resize(n int) {
+	if n < c.limit {
+		c.stats.Shed += uint64(c.count)
+		c.entries.Shrink(n)
+		c.count, c.free, c.lruHead, c.lruTail = 0, 0, 0, 0
+		c.span = (c.window + thrashRatio - 1) / thrashRatio
+	} else {
+		c.entries.Raise(n)
+		c.span = c.window
+	}
+	c.limit = n
+	c.index = slab.NewIndex(n)
+	for ref := c.lruHead; ref != 0; ref = c.at(ref).next {
+		c.index.Insert(c.at(ref).hash, ref)
+	}
 }
 
 // at resolves a non-zero ref to its entry.
@@ -223,7 +284,11 @@ func (c *Cache) lookupStats(k *flow.Key, now int64, s *Stats) (*Entry, bool) {
 	if c.bypass != 0 {
 		return nil, false
 	}
-	e, ref := c.find(k, flowtable.HashKey(k))
+	h := flowtable.HashKey(k)
+	if c.limit != c.capacity && h>>sampleShift != 0 {
+		return nil, false // outside the miniature's sample: not probed
+	}
+	e, ref := c.find(k, h)
 	if e == nil {
 		s.Misses++
 		return nil, false
@@ -298,12 +363,19 @@ func (c *Cache) InsertCt(k, final flow.Key, v flow.Verdict, now int64,
 //gf:hotpath
 func (c *Cache) Memoize(k, final *flow.Key, v flow.Verdict, now int64) *Entry {
 	if c.bypass != 0 {
+		if c.limit != c.mini {
+			c.resize(c.mini)
+		}
 		c.bypass--
 		c.stats.Bypassed++
 		return nil
 	}
-	c.observe(0)
 	h := flowtable.HashKey(k)
+	if c.limit != c.capacity && h>>sampleShift != 0 {
+		c.stats.Bypassed++ // outside the miniature's sample
+		return nil
+	}
+	c.observe(0)
 	if old, ref := c.find(k, h); old != nil {
 		old.Final, old.Verdict, old.LastHit = *final, v, now
 		old.Ct, old.CtEpoch, old.CtDir = nil, 0, 0
@@ -312,7 +384,7 @@ func (c *Cache) Memoize(k, final *flow.Key, v flow.Verdict, now int64) *Entry {
 	}
 	var e *Entry
 	var ref uint32
-	if c.count >= c.capacity {
+	if c.count >= c.limit {
 		// Recycle the LRU tail in place: it leaves the index and the list
 		// and comes straight back as the new entry.
 		ref = c.lruTail
@@ -368,7 +440,8 @@ func (c *Cache) ExpireIdle(now, maxIdle int64) int {
 // incrementally. The index and the slab's chunks are retained (the tier
 // is capacity-pinned) and refilled from the first chunk again. The thrash
 // detector starts over with it — an emptied tier has no history to be
-// judged on — so a rule update also returns a bypassing tier to active.
+// judged on — so a rule update also returns a bypassing tier to active,
+// and a tier whose miniature stands in to full size.
 func (c *Cache) Invalidate() int {
 	n := c.count
 	c.index.Clear()
@@ -377,6 +450,9 @@ func (c *Cache) Invalidate() int {
 	c.entries.Reset()
 	c.count, c.free, c.lruHead, c.lruTail = 0, 0, 0, 0
 	c.events, c.winHits, c.backoff, c.bypass = 0, 0, 0, 0
+	if c.limit != c.capacity {
+		c.resize(c.capacity)
+	}
 	c.stats.Invalid += uint64(n)
 	return n
 }

@@ -2,6 +2,7 @@ package microflow
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -373,5 +374,51 @@ func TestThrashBypassSchedule(t *testing.T) {
 	}
 	if hits := hot(W); hits != W-capacity/2 {
 		t.Fatalf("%d hits in the window after Invalidate, want %d", hits, W-capacity/2)
+	}
+}
+
+// TestMiniatureBounded drives a tier the size the service runs with by
+// round robin over four capacities of flows, which it cannot hit, through
+// the step aside and three windows in its miniature. From the first
+// declined request on, the tier holds at most capacity/64 entries in at
+// most as many slab chunks as they need, with an index sized for them, and
+// every packet allocates nothing: the miniature's storage is what the
+// full tier's first chunks were, and nothing is refilled per window.
+func TestMiniatureBounded(t *testing.T) {
+	const capacity = 32768
+	const K = capacity / thrashRatio
+	c := New(capacity)
+	next, now := uint64(0), int64(0)
+	send := func() {
+		now++
+		packet(c, next%(4*capacity), now)
+		next++
+	}
+	for c.stats.Bypassed == 0 {
+		send()
+	}
+	if c.stats.Shed != capacity || c.Len() != 0 {
+		t.Fatalf("the step aside shed %d entries and kept %d, want %d and 0", c.stats.Shed, c.Len(), capacity)
+	}
+	judged := 0
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for judged < 3 {
+		bypassing := c.Snapshot().Bypassing
+		send()
+		if !bypassing && c.Snapshot().Bypassing {
+			judged++ // a window of the miniature closed, thrashing
+		}
+		if c.Len() > K || c.limit != K || c.entries.Chunks() > (K+255)/256 || len(c.index.Slots) > 2*K {
+			t.Fatalf("packet %d: %d entries (limit %d), %d slab chunks, %d index slots; want at most %d, %d chunks, %d slots",
+				next, c.Len(), c.limit, c.entries.Chunks(), len(c.index.Slots), K, (K+255)/256, 2*K)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	if n := m1.Mallocs - m0.Mallocs; n != 0 {
+		t.Errorf("%d allocations over %d packets in the miniature, want 0", n, next)
+	}
+	if c.stats.Hits != 0 || c.stats.Shed != capacity {
+		t.Errorf("%+v: want no hit and the one step aside", c.stats)
 	}
 }

@@ -51,7 +51,7 @@ func (s *Slab[T]) Next() (*T, uint32) {
 
 // grow appends one chunk, cut short at the limit.
 //
-//gf:hotpath-safe runs once per 256 records while a slab fills for the first time, never again once it has reached its high-water mark
+//gf:hotpath-safe runs once per 256 records while a slab fills up to its limit, never again until Shrink has released chunks and Raise lets it refill them
 func (s *Slab[T]) grow() {
 	n := chunkSize
 	if s.limit > 0 {
@@ -67,6 +67,27 @@ func (s *Slab[T]) Reset() {
 	}
 	s.used = 0
 }
+
+// Chunks reports how many chunks the slab holds.
+func (s *Slab[T]) Chunks() int { return len(s.chunks) }
+
+// Shrink resets the slab (see Reset) and releases every chunk past those
+// that hold its first n records, whose whole chunks become its limit, so
+// Raise can later extend it chunk after chunk as before.
+func (s *Slab[T]) Shrink(n int) {
+	keep := (n + chunkSize - 1) >> chunkShift
+	for _, ch := range s.chunks[:min(keep, (int(s.used)+chunkSize-1)>>chunkShift)] {
+		clear(ch)
+	}
+	if keep < len(s.chunks) {
+		clear(s.chunks[keep:]) // the chunks array must not keep them reachable
+		s.chunks = s.chunks[:keep]
+	}
+	s.used, s.limit = 0, keep<<chunkShift
+}
+
+// Raise lifts the slab's limit to n records (0 is no limit), keeping refs.
+func (s *Slab[T]) Raise(n int) { s.limit = n }
 
 // Slot is one cell of an Index; Hash 0 marks it empty, so no key may hash
 // to 0.

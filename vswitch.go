@@ -655,6 +655,7 @@ func (v *VSwitch) CollectMetrics(reg *telemetry.Registry, worker string) {
 		c("gigaflow_microflow_expired_total", "Exact-match entries removed by idle expiry.", us.Expired)
 		c("gigaflow_microflow_invalidated_total", "Exact-match entries dropped by revalidation.", us.Invalid)
 		c("gigaflow_microflow_bypassed_total", "Memoize requests declined while the tier was stepping aside from a working set it cannot hit.", us.Bypassed)
+		c("gigaflow_microflow_shed_total", "Exact-match entries dropped when a thrashing tier shrank to its sampled miniature.", us.Shed)
 		bypassing := 0.0
 		if us.Bypassing {
 			bypassing = 1
