@@ -109,14 +109,23 @@ bench-compare:
 ## and even pairs parent first (with SEEDS=1-10 that is seed parity), the
 ## workloads interleaved per seed, and every run is appended to
 ## OUT/parent-NAME.jsonl or OUT/change-NAME.jsonl. It ends with the
-## bench-compare table of the two files (the rows of W alone when W is
-## set) and fails on an `exceeds`. Run nothing else on the box meanwhile.
+## bench-compare table of the two files (the rows of W's workloads alone
+## when W is set) and fails on an `exceeds` or `missing` among them, then
+## prints results/pairs.py's per-pair scores of the same rows: per
+## workload and metric, the pair-ratio median, the pairs the change read
+## lower in, and the parent's interquartile range. Run nothing else on the
+## box meanwhile.
 ##   make bench-pairs PARENT=<checkout> OUT=results/prN [W=<workload>] [SEEDS=1-10]
 ## SEEDS is a range a-b or a list ("1 1 1" repeats a seed); TRACE=1 takes
 ## the per-layer runs instead (no table: bench-compare's is end-to-end
 ## only); NAME names the pair of files, by default after the rest.
 SEEDS ?= 1-10
 TRACE ?= 0
+# W's workloads as one grep -E alternation, "." (every row) when W is
+# empty: W="warm-ltm cold-churn" selects warm-ltm|cold-churn.
+empty :=
+space := $(empty) $(empty)
+W_RE = $(or $(subst $(space),|,$(strip $(W))),.)
 NAME ?= $(if $(filter 1,$(TRACE)),traced-)$(if $(W),$(W)-)seeds-$(SEEDS)
 bench-pairs:
 	@test -n "$(PARENT)" -a -n "$(OUT)" || { echo "usage: make bench-pairs PARENT=<checkout> OUT=results/prN [W=<workload>] [SEEDS=1-10] [TRACE=1] [NAME=<files>]"; exit 2; }
@@ -140,8 +149,9 @@ bench-pairs:
 	done; \
 	if [ "$(TRACE)" = 1 ]; then exit 0; fi; \
 	table=$$(./.bench_build/gfbench -compare $$out/parent-$$name.jsonl $$out/change-$$name.jsonl) || true; \
-	echo "$$table" | grep -E 'verdict|$(or $(W),.)'; \
-	! echo "$$table" | grep -E '$(or $(W),.)' | grep -qE 'exceeds|missing'
+	echo "$$table" | grep -E 'verdict|$(W_RE)'; \
+	python3 results/pairs.py $$out/parent-$$name.jsonl $$out/change-$$name.jsonl | grep -E '$(W_RE)' || true; \
+	! echo "$$table" | grep -E '$(W_RE)' | grep -qE 'exceeds|missing'
 
 ## fuzz-regress: replay the checked-in seed corpora (testdata/fuzz and
 ## the f.Add seeds) through every Fuzz… target of the module in plain-test

@@ -26,7 +26,8 @@ func TestPackedSizes(t *testing.T) {
 		{"flow.Mask", unsafe.Sizeof(flow.Mask{}), 32},
 		{"flow.Match", unsafe.Sizeof(flow.Match{}), 64},
 		{"flowtable slot, 24-byte value", flowtable.SlotSize[[3]uint64](), 64},
-		{"gigaflow.Entry", unsafe.Sizeof(gigaflow.Entry{}), 320},
+		{"gigaflow.Entry", unsafe.Sizeof(gigaflow.Entry{}), 256},
+		{"gigaflow.ActionRow", unsafe.Sizeof(gigaflow.ActionRow{}), 80},
 		{"megaflow.Entry", unsafe.Sizeof(megaflow.Entry{}), 264},
 		{"microflow.Entry", unsafe.Sizeof(microflow.Entry{}), 128},
 		{"conntrack.Conn", unsafe.Sizeof(conntrack.Conn{}), 472}, // two held results of 152 bytes each

@@ -1,6 +1,7 @@
 package gigaflow
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -45,12 +46,13 @@ func BenchmarkCacheLookupHit(b *testing.B) {
 
 // k4 is the paper's operating point, built once per test binary: the PSC
 // ruleset, 200 000 flows, and a 4×8K cache holding the few thousand
-// sub-traversal entries that serve all of them.
+// sub-traversal entries that serve all of them. unique is the same cache
+// with an action of its own given to every entry (distinctRewrites).
 var k4 struct {
-	once  sync.Once
-	err   error
-	cache *Cache
-	keys  []flow.Key
+	once          sync.Once
+	err           error
+	cache, unique *Cache
+	keys          []flow.Key
 }
 
 func k4Setup() {
@@ -63,19 +65,59 @@ func k4Setup() {
 		return
 	}
 	k4.cache = New(pw.Pipeline, Config{NumTables: 4, TableCapacity: 8192})
+	k4.unique = New(pw.Pipeline, Config{NumTables: 4, TableCapacity: 8192})
 	for _, f := range pw.Flows(traffic.Config{Seed: 1, NumFlows: 200000}, traffic.HighLocality) {
-		if !lookup(k4.cache, f.Key, 0).Hit {
-			tr, err := pw.Pipeline.Process(f.Key)
-			if err == nil {
-				_, err = k4.cache.Insert(tr, 0)
-			}
-			if err != nil {
-				k4.err = err
-				return
+		for _, c := range []*Cache{k4.cache, k4.unique} {
+			if !lookup(c, f.Key, 0).Hit {
+				tr, err := pw.Pipeline.Process(f.Key)
+				if err == nil {
+					_, err = c.Insert(tr, 0)
+				}
+				if err != nil {
+					k4.err = err
+					return
+				}
 			}
 		}
 		k4.keys = append(k4.keys, f.Key)
 	}
+	k4.err = distinctRewrites(k4.unique)
+}
+
+// distinctRewrites gives every resident entry of c an action of its own:
+// its commit also writes the entry's ordinal into the key bits no resident
+// entry matches, so every lookup walks the entries it walked before and
+// the action table shares nothing. Each entry is reinstalled, which
+// reorders the LRU lists.
+func distinctRewrites(c *Cache) error {
+	es := c.AllEntries()
+	var free flow.Mask
+	for w := range free {
+		free[w] = ^uint64(0)
+		for _, e := range es {
+			free[w] &^= e.Match.Mask[w]
+		}
+	}
+	for i, e := range es {
+		t, a, n := e.table, e.Action(), uint64(i)
+		for w := range free {
+			for bits := free[w]; bits != 0; bits &= bits - 1 {
+				bit := bits & -bits
+				a.Commit.Mask[w] |= bit
+				a.Commit.Val[w] = a.Commit.Val[w]&^bit | bit*(n&1)
+				n >>= 1
+			}
+		}
+		if n != 0 {
+			return fmt.Errorf("%d unmatched key bits cannot tell %d entries apart", free.BitCount(), len(es))
+		}
+		t.remove(e)
+		t.insert(e, &a)
+	}
+	if rows := len(c.acts.rows) - len(c.acts.free); rows != len(es) {
+		return fmt.Errorf("%d entries carry %d distinct actions", len(es), rows)
+	}
+	return nil
 }
 
 // BenchmarkLookupK4 is one LTM lookup in the regime the end-to-end
@@ -84,24 +126,36 @@ func k4Setup() {
 // hit path shares 0.19 of its 3.5 entries with the previous key's, on
 // average, and most of what a hit reads — slots and entry lines — was
 // last read hundreds to thousands of lookups before, so the figure tracks
-// how many cache lines a hit touches.
+// how many cache lines a hit touches. shared is the cache as the flows
+// leave it, its entries carrying a few distinct actions (actions, beside
+// entries); unique-rewrites is the same cache with every entry's action
+// its own, where the action row a hit reads after each slot is as cold as
+// the slot.
 func BenchmarkLookupK4(b *testing.B) {
 	k4.once.Do(k4Setup)
 	if k4.err != nil {
 		b.Fatal(k4.err)
 	}
-	c, keys := k4.cache, k4.keys
-	bl := c.BatchLookup()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if res := bl.Lookup(keys[i%len(keys)], int64(i)); !res.Hit {
-			b.Fatal("miss")
-		}
+	for _, bc := range []struct {
+		name string
+		c    *Cache
+	}{{"shared", k4.cache}, {"unique-rewrites", k4.unique}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c, keys := bc.c, k4.keys
+			bl := c.BatchLookup()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if res := bl.Lookup(keys[i%len(keys)], int64(i)); !res.Hit {
+					b.Fatal("miss")
+				}
+			}
+			b.StopTimer()
+			bl.Flush()
+			b.ReportMetric(float64(c.Len()), "entries")
+			b.ReportMetric(float64(len(c.acts.rows)-len(c.acts.free)), "actions")
+		})
 	}
-	b.StopTimer()
-	bl.Flush()
-	b.ReportMetric(float64(c.Len()), "entries")
 }
 
 // missBench is BenchmarkMissSteadyState's world, built once per test

@@ -26,7 +26,7 @@ func (c *Cache) Coverage() uint64 {
 		tagTotals[i] = make(map[int]uint64)
 		for _, e := range c.tables[i].entries() {
 			var n uint64
-			if e.Terminal {
+			if e.act().Terminal {
 				n = 1
 			} else {
 				for j := i + 1; j < len(c.tables); j++ {

@@ -91,10 +91,11 @@ func refWalk(c *Cache, p *pipeline.Pipeline, k flow.Key) refResult {
 			continue
 		}
 		r.path = append(r.path, e)
-		cur, _ = flow.Apply(cur, e.Commit.Actions())
-		if e.Terminal {
+		a := e.Action()
+		cur, _ = flow.Apply(cur, a.Commit.Actions())
+		if a.Terminal {
 			r.hit = true
-			r.verdict = e.Verdict
+			r.verdict = a.Verdict
 			r.final = cur
 			return r
 		}

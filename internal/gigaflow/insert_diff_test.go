@@ -8,6 +8,7 @@ import (
 
 	"gigaflow/internal/flow"
 	"gigaflow/internal/pipeline"
+	"gigaflow/internal/slab"
 )
 
 // refBuildEntry, refSameSemantics and refInsertPartition are the install
@@ -15,14 +16,15 @@ import (
 // segment compiled to a heap Entry first, the survivors installed, the rest
 // dropped — kept as the differential reference for insertPartition. Only
 // what the surrounding types forced has changed: Match and Priority live in
-// the embedded classifier node, get takes the predicate by pointer, the
-// path signature the old entries carried is gone, and a partition goes
-// into the tables from table on, as a resumed miss installs its suffix.
-func refBuildEntry(tr *pipeline.Traversal, seg Segment, now int64) *Entry {
+// the embedded classifier node, the action goes to the action table beside
+// the entry, get takes the predicate by pointer, the path signature the old
+// entries carried is gone, and a partition goes into the tables from table
+// on, as a resumed miss installs its suffix.
+func refBuildEntry(tr *pipeline.Traversal, seg Segment, now int64) (*Entry, ActionRow) {
 	match, commit := tr.Compose(seg.Start, seg.End)
+	a := ActionRow{Commit: commit}
 	e := &Entry{
 		Tag:      tr.Steps[seg.Start].TableID,
-		Commit:   commit,
 		Parent:   tr.Steps[seg.Start].Pre,
 		Version:  tr.Version,
 		Installs: 1,
@@ -34,35 +36,39 @@ func refBuildEntry(tr *pipeline.Traversal, seg Segment, now int64) *Entry {
 		e.CtConn, e.CtEpoch = tr.CtConn, tr.CtEpoch
 	}
 	if seg.End == tr.Len() && tr.Verdict.Terminal() {
-		e.Terminal = true
-		e.Verdict = tr.Verdict
+		a.Terminal = true
+		a.Verdict = tr.Verdict
 		e.NextTag = TagDone
 	} else {
 		e.NextTag = tr.Steps[seg.End].TableID
 	}
-	return e
+	return e, a
 }
 
-func refSameSemantics(a, b *Entry) bool {
+func refSameSemantics(a, b *Entry, bAct *ActionRow) bool {
+	aAct := a.Action()
 	return a.Tag == b.Tag && a.Priority == b.Priority && a.Match.EqualTo(&b.Match) &&
-		a.NextTag == b.NextTag && a.Terminal == b.Terminal && a.Verdict == b.Verdict &&
+		a.NextTag == b.NextTag && aAct.Terminal == bAct.Terminal && aAct.Verdict == bAct.Verdict &&
 		a.CtConn == b.CtConn && a.CtEpoch == b.CtEpoch &&
-		a.Commit == b.Commit
+		aAct.Commit == bAct.Commit
 }
 
-func refInsertPartition(c *Cache, tr *pipeline.Traversal, part Partition, table int, now int64) ([]*Entry, error) {
+// refInsertPartition records in composed the action each entry it builds
+// was composed to, tag update resolved, for checkActions.
+func refInsertPartition(c *Cache, tr *pipeline.Traversal, part Partition, table int, now int64, composed map[*Entry]ActionRow) ([]*Entry, error) {
 	tables := c.tables[table:]
 	if err := part.Validate(tr.Len(), len(tables)); err != nil {
 		c.stats.Rejected++
 		return nil, err
 	}
 	entries := make([]*Entry, len(part))
+	acts := make([]ActionRow, len(part))
 	fresh := make([]bool, len(part))
 	// First pass: dedupe against existing entries.
 	for i, seg := range part {
-		cand := refBuildEntry(tr, seg, now)
+		cand, act := refBuildEntry(tr, seg, now)
 		if old := tables[i].get(cand.Tag, &cand.Match, cand.Priority); old != nil {
-			if refSameSemantics(old, cand) {
+			if refSameSemantics(old, cand, &act) {
 				entries[i] = old
 				continue
 			}
@@ -70,7 +76,7 @@ func refInsertPartition(c *Cache, tr *pipeline.Traversal, part Partition, table 
 			// earlier pipeline version; it will be replaced below.
 			c.stats.Conflicts++
 		}
-		entries[i] = cand
+		entries[i], acts[i] = cand, act
 		fresh[i] = true
 	}
 	// Second pass: install.
@@ -93,7 +99,8 @@ func refInsertPartition(c *Cache, tr *pipeline.Traversal, part Partition, table 
 			c.stats.EvictLRU++
 			t.stats.EvictLRU++
 		}
-		t.insert(e)
+		t.insert(e, &acts[i])
+		composed[e] = acts[i]
 		c.stats.EntriesCreated++
 		t.stats.Inserts++
 	}
@@ -116,11 +123,12 @@ type entryState struct {
 }
 
 func stateOf(e *Entry) entryState {
+	a := e.Action()
 	return entryState{
 		Tag: e.Tag, NextTag: e.NextTag, Priority: e.Priority, Table: tableIndex(e),
-		Slot: e.slot, NextSlot: e.nextSlot, Match: e.Match,
-		Commit:   e.Commit,
-		Terminal: e.Terminal, Verdict: e.Verdict,
+		Slot: e.slot, NextSlot: a.nextSlot, Match: e.Match,
+		Commit:   a.Commit,
+		Terminal: a.Terminal, Verdict: a.Verdict,
 		Hits: e.Hits, Installs: e.Installs, Version: e.Version,
 		LastHit: e.LastHit, Created: e.Created, Parent: e.Parent,
 		CtConn: e.CtConn, CtEpoch: e.CtEpoch,
@@ -138,8 +146,9 @@ func statesOf(es []*Entry) []entryState {
 // checkSameCaches demands that got and ref hold the same entries — same
 // census in the classifiers' order, same LRU order, same per-entry state —
 // with the same cache-wide and per-table counters; a wrong eviction victim
-// or a lost update leaves a different resident set.
-func checkSameCaches(t testing.TB, step int, got, ref *Cache) {
+// or a lost update leaves a different resident set. got's action table
+// must hold what its entries carry (checkActions).
+func checkSameCaches(t testing.TB, step int, got, ref *Cache, composed map[*Entry]ActionRow) {
 	t.Helper()
 	if got.Stats() != ref.Stats() {
 		t.Fatalf("step %d: stats %+v, reference %+v", step, got.Stats(), ref.Stats())
@@ -159,7 +168,7 @@ func checkSameCaches(t testing.TB, step int, got, ref *Cache) {
 			if !reflect.DeepEqual(stateOf(g), stateOf(r)) {
 				t.Fatalf("step %d: table %d LRU position %d: %+v, reference %+v", step, i, n, stateOf(g), stateOf(r))
 			}
-			if g.prev != prev || g.table != gt || g.Value != g {
+			if g.prev != prev || g.table != gt {
 				t.Fatalf("step %d: table %d LRU position %d: broken links on %v", step, i, n, g)
 			}
 			prev, n = g, n+1
@@ -171,6 +180,65 @@ func checkSameCaches(t testing.TB, step int, got, ref *Cache) {
 			t.Fatalf("step %d: table %d: %d entries on the LRU list, count %d, capacity %d, tail %v",
 				step, i, n, gt.count, gt.capacity, gt.lruTail)
 		}
+	}
+	checkActions(t, step, got, ref, composed)
+}
+
+// checkActions demands that got's action table hold exactly the distinct
+// actions of its resident entries: each entry names a row equal to the
+// action its sub-traversal composed to — recorded by the reference when it
+// built the entry's twin, the one at the same census position in ref —
+// every row's refcount is the number of resident entries naming it, no two
+// carried rows are equal, the index finds each carried row under its hash
+// and holds nothing else, and every row nobody carries is zero and free.
+func checkActions(t testing.TB, step int, got, ref *Cache, composed map[*Entry]ActionRow) {
+	t.Helper()
+	acts := &got.acts
+	users := make([]int32, len(acts.rows))
+	for i := range got.tables {
+		rs := ref.tables[i].entries()
+		for j, e := range got.tables[i].entries() {
+			if row, want := acts.rows[e.Value], composed[rs[j]]; row != want {
+				t.Fatalf("step %d: table %d entry %v names row %d = %+v; its sub-traversal composed to %+v", step, i, e, e.Value, row, want)
+			}
+			users[e.Value]++
+		}
+	}
+	carried := map[ActionRow]int{}
+	free := map[int32]bool{}
+	for _, id := range acts.free {
+		free[id] = true
+	}
+	for id, row := range acts.rows {
+		if acts.refs[id] != users[id] {
+			t.Fatalf("step %d: row %d %+v has refcount %d, %d resident users", step, id, row, acts.refs[id], users[id])
+		}
+		if users[id] == 0 {
+			if row != (ActionRow{}) || !free[int32(id)] {
+				t.Fatalf("step %d: row %d has no user but holds %+v, free %v", step, id, row, free[int32(id)])
+			}
+			continue
+		}
+		if other, dup := carried[row]; dup {
+			t.Fatalf("step %d: rows %d and %d both hold %+v", step, other, id, row)
+		}
+		carried[row] = id
+		found := false
+		for _, s := range acts.index.Slots {
+			found = found || s == slab.Slot{Hash: row.hash(), Ref: uint32(id) + 1}
+		}
+		if !found || free[int32(id)] {
+			t.Fatalf("step %d: carried row %d %+v: indexed %v, free %v", step, id, row, found, free[int32(id)])
+		}
+	}
+	indexed := 0
+	for _, s := range acts.index.Slots {
+		if s.Hash != 0 {
+			indexed++
+		}
+	}
+	if indexed != len(carried) || len(free) != len(acts.free) || len(carried)+len(free) != len(acts.rows) {
+		t.Fatalf("step %d: %d rows carried, %d indexed, %d free (%d listed), %d rows", step, len(carried), indexed, len(free), len(acts.free), len(acts.rows))
 	}
 }
 
@@ -202,6 +270,7 @@ func runInsertTape(t testing.TB, tape []byte) (s Stats, offset int) {
 	offsets := shape&4 != 0
 	cfg := Config{NumTables: 1 + shape%4, TableCapacity: 1 + next()%4}
 	got, ref := New(p, cfg), New(p, cfg)
+	composed := map[*Entry]ActionRow{}
 	key := func() flow.Key {
 		a, b := next(), next()
 		return flow.Key{}.
@@ -250,7 +319,7 @@ func runInsertTape(t testing.TB, tape []byte) (s Stats, offset int) {
 				part, _ = PartitionTraversal(tr, cfg.NumTables-table, SchemeDisjoint, nil)
 			}
 			ge, gerr := got.insertPartition(tr, part, table, now)
-			re, rerr := refInsertPartition(ref, tr, part, table, now)
+			re, rerr := refInsertPartition(ref, tr, part, table, now, composed)
 			if gerr == nil && table > 0 {
 				offset++
 			}
@@ -291,7 +360,7 @@ func runInsertTape(t testing.TB, tape []byte) (s Stats, offset int) {
 				ref.Remove(ref.tables[ti].entries()[n%len(es)])
 			}
 		}
-		checkSameCaches(t, step, got, ref)
+		checkSameCaches(t, step, got, ref, composed)
 	}
 	return got.Stats(), offset
 }

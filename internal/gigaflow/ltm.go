@@ -3,6 +3,7 @@ package gigaflow
 import (
 	"fmt"
 	"math/rand"
+	"unsafe"
 
 	"gigaflow/internal/flow"
 	"gigaflow/internal/pipeline"
@@ -17,28 +18,49 @@ const TagDone = -2
 // Entry is one LTM cache rule: ⟨M_k, ω_k, ρ_k, τ_k, α_k⟩ of §4.2.3. The
 // match is ternary over the flow fields; the table tag τ is matched
 // exactly; the priority ρ equals the sub-traversal's span in pipeline
-// tables (Longest Traversal Matching).
+// tables (Longest Traversal Matching). The action α is not held here: the
+// entry names a row of its cache's action table (ActionRow), which every
+// resident entry that does the same shares, and the table slot its
+// predicate probes to holds that name, so a hit applies α without loading
+// the entry.
 //
-// Field order is layout. The entry is 320 bytes, a size class the Go
+// Field order is layout. The entry is 256 bytes, a size class the Go
 // allocator places on 64-byte boundaries, so each 64-byte line below is one
-// cache line. A hit reads the action α's rewrite from line 0 and
-// everything else it reads or writes — the next slot, the terminal flag
-// and verdict, the counters, the LRU links, and the conntrack epoch the
-// benchmark's shadow chain checks — from line 1; the 192 bytes only
-// installation, revalidation and introspection read follow
-// (TestEntryLayout, TestPackedSizes).
+// cache line. Line 0 is the predicate and line 1 the rest of the classifier
+// node and the cold identity fields; a hit reads neither. Line 2 holds all
+// a terminal hit writes in each entry of its path — the counters and the
+// LRU links — with the conntrack epoch the benchmark's shadow chain checks
+// on a hit; line 3 holds what only revalidation and the shadow chain's
+// epoch check read (TestEntryLayout, TestPackedSizes).
 type Entry struct {
-	// Commit is the set-field part of α: the header rewrites accumulated
-	// across the sub-traversal, as one masked overwrite of the key.
-	Commit flow.Rewrite
-	// nextSlot and slot are NextTag and Tag in the owning cache's dense
-	// tag numbering (tagSlots), resolved once at install: the hit path
-	// follows nextSlot and never reads the tags themselves.
-	nextSlot, slot int32
-	// Terminal marks the traversal-ending sub-traversal; Verdict is its
-	// output/drop decision.
-	Terminal bool
-	Verdict  flow.Verdict
+	// The embedded classifier node carries Match — M_k over ω_k, the
+	// flow-state predicate at sub-traversal entry — Priority — ρ, the
+	// number of pipeline tables spanned; LTM picks the longest span among
+	// matching entries in a table — and Value, the id of the entry's row in
+	// the action table. Embedding it makes a resident entry one object
+	// holding one copy of its predicate, and leading the entry with it lets
+	// the node a lookup returns convert back to its entry (entryOf). Neither
+	// Match nor Priority nor Value may change while the entry is installed.
+	tss.Entry[int32]
+	// slot is Tag in the owning cache's dense tag numbering (tagSlots),
+	// resolved once at install.
+	slot int32
+	// Tag is τ: the vSwitch pipeline table ID at which this sub-traversal
+	// starts. A packet matches the entry only while its metadata tag equals
+	// Tag.
+	Tag int
+	// NextTag is the tag update in α: the pipeline table expected after
+	// this sub-traversal, or TagDone when Terminal.
+	NextTag int
+	// Version is the pipeline version last validated against.
+	Version uint64
+	// Installs counts how many slowpath traversals produced this entry —
+	// the sub-traversal sharing frequency of Fig. 11. A resumed miss
+	// (WithStallResume) installs only its suffix, so it neither produces
+	// nor deduplicates into the prefix entries it matched: installs per
+	// entry on a resuming switch read below Fig. 11's, which the simulator
+	// computes with the full walk.
+	Installs uint64
 
 	Hits    uint64
 	LastHit int64
@@ -54,46 +76,46 @@ type Entry struct {
 	// hit (reading CtConn only when CtEpoch is set), until ROADMAP item 15.
 	CtEpoch uint64
 
-	// Tag is τ: the vSwitch pipeline table ID at which this sub-traversal
-	// starts. A packet matches the entry only while its metadata tag equals
-	// Tag.
-	Tag int
-	// NextTag is the tag update in α: the pipeline table expected after
-	// this sub-traversal, or TagDone when Terminal.
-	NextTag int
-	// The embedded classifier node carries Match — M_k over ω_k, the
-	// flow-state predicate at sub-traversal entry — and Priority — ρ, the
-	// number of pipeline tables spanned; LTM picks the longest span among
-	// matching entries in a table. Embedding it makes a resident entry one
-	// object holding one copy of its predicate; Value points back at the
-	// entry and neither it nor Match nor Priority may change while the
-	// entry is installed.
-	tss.Entry[*Entry]
+	Created int64
+	_       [8]byte // fills line 2, so Parent and CtConn are line 3
+
 	// Parent is the flow state entering the sub-traversal when it was
 	// created; revalidation replays it from Tag for Priority steps.
 	Parent flow.Key
-	// Version is the pipeline version last validated against.
-	Version uint64
-	// Installs counts how many slowpath traversals produced this entry —
-	// the sub-traversal sharing frequency of Fig. 11. A resumed miss
-	// (WithStallResume) installs only its suffix, so it neither produces
-	// nor deduplicates into the prefix entries it matched: installs per
-	// entry on a resuming switch read below Fig. 11's, which the simulator
-	// computes with the full walk.
-	Installs uint64
 	// CtConn is the connection tuple CtEpoch was stamped for.
 	CtConn flow.Key
+}
 
-	Created int64
+// entryOf is the entry whose classifier node n is. Every node in an LTM
+// classifier is the first field of an Entry (ltmTable.insert inserts no
+// other), so the node's address is the entry's.
+//
+//gf:hotpath
+func entryOf(n *tss.Entry[int32]) *Entry { return (*Entry)(unsafe.Pointer(n)) }
+
+// act is the installed entry's row of the action table.
+//
+//gf:hotpath
+func (e *Entry) act() *ActionRow { return &e.table.acts.rows[e.Value] }
+
+// Action returns α, the row of the action table the entry names, or the
+// zero row once the entry is no longer installed: its row may since have
+// been freed or taken by another action.
+func (e *Entry) Action() ActionRow {
+	if e.table == nil {
+		return ActionRow{}
+	}
+	return *e.act()
 }
 
 // String renders the entry compactly.
 func (e *Entry) String() string {
+	a := e.Action()
 	next := fmt.Sprintf("tag:=%d", e.NextTag)
-	if e.Terminal {
-		next = e.Verdict.String()
+	if a.Terminal {
+		next = a.Verdict.String()
 	}
-	return fmt.Sprintf("ltm{τ=%d ρ=%d %s -> %v, %s}", e.Tag, e.Priority, e.Match, e.Commit.Actions(), next)
+	return fmt.Sprintf("ltm{τ=%d ρ=%d %s -> %v, %s}", e.Tag, e.Priority, e.Match, a.Commit.Actions(), next)
 }
 
 // TableStats counts per-LTM-table cache events, the per-table view the
@@ -134,12 +156,14 @@ func (s tagSlots) assign(tag int) int32 {
 type ltmTable struct {
 	idx      int
 	capacity int
-	// slots is the owning cache's tag numbering, shared by its tables.
+	// slots is the owning cache's tag numbering and acts its action table,
+	// both shared by its tables.
 	slots tagSlots
+	acts  *actions
 	// bySlot holds one classifier per resident tag, indexed by the tag's
 	// slot, so the lookup is a bounds check and a load. Nil where no entry
 	// carries the tag.
-	bySlot  []*tss.Classifier[*Entry]
+	bySlot  []*tss.Classifier[int32]
 	tags    int // non-nil bySlot elements
 	count   int
 	lruHead *Entry
@@ -151,7 +175,7 @@ type ltmTable struct {
 // nil.
 //
 //gf:hotpath
-func (t *ltmTable) classifier(slot int32) *tss.Classifier[*Entry] {
+func (t *ltmTable) classifier(slot int32) *tss.Classifier[int32] {
 	if uint(slot) >= uint(len(t.bySlot)) {
 		return nil
 	}
@@ -159,16 +183,16 @@ func (t *ltmTable) classifier(slot int32) *tss.Classifier[*Entry] {
 }
 
 // lookup probes the classifier group for the tag numbered slot, returning
-// the best match and the number of tuple probes spent.
+// the best match's action id and classifier node (nil when nothing
+// matches) and the number of tuple probes spent.
 //
 //gf:hotpath
-func (t *ltmTable) lookup(slot int32, k *flow.Key) (*Entry, int) {
+func (t *ltmTable) lookup(slot int32, k *flow.Key) (int32, *tss.Entry[int32], int) {
 	cls := t.classifier(slot)
 	if cls == nil {
-		return nil, 0
+		return 0, nil, 0
 	}
-	e, probes, _ := cls.LookupValue(k)
-	return e, probes
+	return cls.LookupValue(k)
 }
 
 // get returns the entry with exactly tag, predicate *m and priority, or
@@ -188,24 +212,26 @@ func (t *ltmTable) get(tag int, m *flow.Match, prio int) *Entry {
 	if n == nil {
 		return nil
 	}
-	return n.Value
+	return entryOf(n)
 }
 
-func (t *ltmTable) insert(e *Entry) {
-	e.slot, e.nextSlot = t.slots.assign(e.Tag), -1
-	if !e.Terminal {
-		e.nextSlot = t.slots.assign(e.NextTag)
+// insert installs e with action *a, whose nextSlot it resolves from
+// e.NextTag.
+func (t *ltmTable) insert(e *Entry, a *ActionRow) {
+	e.slot, a.nextSlot = t.slots.assign(e.Tag), -1
+	if !a.Terminal {
+		a.nextSlot = t.slots.assign(e.NextTag)
 	}
 	cls := t.classifier(e.slot)
 	if cls == nil {
-		cls = tss.New[*Entry]()
+		cls = tss.New[int32]()
 		for len(t.bySlot) <= int(e.slot) {
 			t.bySlot = append(t.bySlot, nil)
 		}
 		t.bySlot[e.slot] = cls
 		t.tags++
 	}
-	e.Value = e
+	e.Value = t.acts.intern(a)
 	cls.Insert(&e.Entry)
 	e.table = t
 	t.count++
@@ -224,6 +250,7 @@ func (t *ltmTable) remove(e *Entry) bool {
 	if cls == nil || !cls.Remove(&e.Entry) {
 		return false
 	}
+	t.acts.release(e.Value)
 	e.table = nil
 	t.count--
 	t.unlink(e)
@@ -281,9 +308,9 @@ func (t *ltmTable) appendEntries(out []*Entry, keep func(*Entry) bool) []*Entry 
 		if cls == nil {
 			continue
 		}
-		cls.Range(func(n *tss.Entry[*Entry]) bool {
-			if keep == nil || keep(n.Value) {
-				out = append(out, n.Value)
+		cls.Range(func(n *tss.Entry[int32]) bool {
+			if e := entryOf(n); keep == nil || keep(e) {
+				out = append(out, e)
 			}
 			return true
 		})
@@ -360,16 +387,17 @@ type Cache struct {
 	startTag int
 	// startSlot is startTag in the cache's tag numbering (see tagSlots).
 	startSlot int32
-	tables    []*ltmTable
-	rng       *rand.Rand
-	stats     Stats
-	adapt     *adaptState
-	// path is the reusable match-path buffer handed out as Result.Path.
-	// Sized to K at construction so the hot-path lookup never grows it.
-	path []*Entry
 	// observeInsert marks whether the in-flight insertPartition should
 	// feed the adaptive estimator (partitioned inserts only).
 	observeInsert bool
+	tables        []*ltmTable
+	acts          actions
+	rng           *rand.Rand
+	stats         Stats
+	adapt         *adaptState
+	// path is the reusable match-path buffer handed out as Result.Path.
+	// Sized to K at construction so the hot-path lookup never grows it.
+	path []*Entry
 
 	// Install scratch. The cache is single-goroutine and installs one
 	// traversal at a time, so one of each serves every miss: the
@@ -406,7 +434,7 @@ func New(p *pipeline.Pipeline, cfg Config) *Cache {
 	slots := tagSlots{}
 	c.startSlot = slots.assign(p.Start)
 	for i := range c.tables {
-		c.tables[i] = &ltmTable{idx: i, capacity: cfg.TableCapacity, slots: slots}
+		c.tables[i] = &ltmTable{idx: i, capacity: cfg.TableCapacity, slots: slots, acts: &c.acts}
 	}
 	if cfg.Adaptive {
 		c.adapt = &adaptState{}
@@ -543,31 +571,39 @@ func (c *Cache) Find(k *flow.Key, now int64, final *flow.Key) (flow.Verdict, boo
 // hit counts, entry hit counts, and LRU positions always update per
 // packet; only the cache-wide counters are redirected.
 //
+// In each table the walk makes one dependent load after the probed slot:
+// the slot names the winning entry's action row and node, and the row —
+// one of the few dozen a cache holds, which stay in L1 — carries the
+// rewrite and the next tag. The walk loads no entry; a terminal hit's
+// path update does, one line of each, and those loads do not depend on
+// each other.
+//
 //gf:hotpath
 func (c *Cache) find(k *flow.Key, now int64, s *Stats, final *flow.Key) (flow.Verdict, bool) {
-	slot := c.startSlot
+	slot, rows := c.startSlot, c.acts.rows
 	*final = *k
 	c.path = c.path[:0]
 	for _, t := range c.tables {
 		s.TablesProbed++
-		e, probes := t.lookup(slot, final)
+		id, n, probes := t.lookup(slot, final)
 		s.TupleProbes += uint64(probes)
-		if e == nil {
+		if n == nil {
 			continue
 		}
 		t.stats.Hits++
-		c.path = append(c.path, e)
-		e.Commit.Apply(final)
-		if e.Terminal {
+		c.path = append(c.path, entryOf(n))
+		a := &rows[id]
+		a.Commit.Apply(final)
+		if a.Terminal {
 			for _, pe := range c.path {
 				pe.Hits++
 				pe.LastHit = now
 				pe.table.touch(pe)
 			}
 			s.Hits++
-			return e.Verdict, true
+			return a.Verdict, true
 		}
-		slot = e.nextSlot
+		slot = a.nextSlot
 	}
 	s.Misses++
 	if len(c.path) > 0 {
@@ -672,22 +708,20 @@ func (cd *candidate) compose(tr *pipeline.Traversal, seg Segment) {
 //
 //gf:hotpath
 func (cd *candidate) same(e *Entry) bool {
+	a := e.act()
 	return e.Tag == cd.tag && e.Priority == cd.prio &&
-		e.NextTag == cd.nextTag && e.Terminal == cd.terminal && e.Verdict == cd.verdict &&
+		e.NextTag == cd.nextTag && a.Terminal == cd.terminal && a.Verdict == cd.verdict &&
 		e.CtEpoch == cd.ctEpoch && e.CtConn == cd.ctConn &&
-		e.Commit == cd.Commit && e.Match.EqualTo(&cd.Match)
+		a.Commit == cd.Commit && e.Match.EqualTo(&cd.Match)
 }
 
 // materialise builds the Entry for a candidate that has to be installed:
 // the one point of the install path that allocates, one object: the entry,
-// which holds the commit by value and embeds its classifier node.
+// which embeds its classifier node; its action goes to the action table.
 //
 //gf:hotpath-safe fresh-entry materialisation: a miss allocates here, for the entries it adds to the cache and nothing else
 func (cd *candidate) materialise(tr *pipeline.Traversal, seg Segment, now int64) *Entry {
 	e := &Entry{
-		Commit:   cd.Commit,
-		Terminal: cd.terminal,
-		Verdict:  cd.verdict,
 		LastHit:  now,
 		Tag:      cd.tag,
 		NextTag:  cd.nextTag,
@@ -773,7 +807,7 @@ func (c *Cache) Stall() (next, table, span int) {
 		return 0, 0, 0
 	}
 	last := c.path[len(c.path)-1]
-	if table = last.table.idx + 1; last.Terminal || table == len(c.tables) {
+	if table = last.table.idx + 1; last.act().Terminal || table == len(c.tables) {
 		return 0, 0, 0
 	}
 	for _, e := range c.path {
@@ -815,8 +849,8 @@ func (c *Cache) insertPartition(tr *pipeline.Traversal, part Partition, table in
 			c.stats.EvictLRU++
 			t.stats.EvictLRU++
 		}
-		e := cd.materialise(tr, seg, now)
-		t.insert(e)
+		e, a := cd.materialise(tr, seg, now), ActionRow{Commit: cd.Commit, Terminal: cd.terminal, Verdict: cd.verdict}
+		t.insert(e, &a)
 		c.stats.EntriesCreated++
 		t.stats.Inserts++
 		c.installed = append(c.installed, e)

@@ -153,9 +153,9 @@ func (c *Cache) Coverage() uint64 { return uint64(c.Len()) }
 //
 //gf:hotpath
 func (c *Cache) lookupStats(k *flow.Key, now int64, s *Stats) (*Entry, bool) {
-	ent, probes, ok := c.cls.LookupValue(k)
+	ent, n, probes := c.cls.LookupValue(k)
 	c.probes += uint64(probes)
-	if !ok {
+	if n == nil {
 		s.Misses++
 		return nil, false
 	}

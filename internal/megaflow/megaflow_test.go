@@ -30,8 +30,8 @@ func lookup(c *Cache, k flow.Key, now int64) (*Entry, bool) {
 // peek reports whether k hits, through the classifier alone: no counters,
 // no LRU move.
 func peek(c *Cache, k flow.Key) bool {
-	_, _, ok := c.cls.LookupValue(&k)
-	return ok
+	_, n, _ := c.cls.LookupValue(&k)
+	return n != nil
 }
 
 // entries lists the cached entries in unspecified order.

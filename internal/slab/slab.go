@@ -6,7 +6,9 @@
 // so a key is stored once, in its record. Each tier threads its own lists
 // through its records by ref and keeps its own probe loop over
 // Index.Slots, since only the tier can compare its keys; insertion,
-// deletion and growth live here, once.
+// deletion and growth live here, once. The LTM cache's action table
+// (internal/gigaflow) finds its rows through an Index too; its rows are a
+// flat slice the hit path indexes directly.
 package slab
 
 const (

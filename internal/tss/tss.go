@@ -244,17 +244,18 @@ func (c *Classifier[T]) find(k *flow.Key) (*bucket[T], int) {
 }
 
 // LookupValue returns the payload of the highest-priority entry matching
-// *k, along with the number of tuples probed: the payload comes from the
-// table slot the probe loaded, so no Entry is touched. ok is false when
-// nothing matches.
+// *k, that entry, and the number of tuples probed; n is nil when nothing
+// matches. Both come from the table slot the probe loaded, so no Entry is
+// touched: an owner that embeds its nodes gets back to its own record from
+// n without a load.
 //
 //gf:hotpath
-func (c *Classifier[T]) LookupValue(k *flow.Key) (v T, probes int, ok bool) {
+func (c *Classifier[T]) LookupValue(k *flow.Key) (v T, n *Entry[T], probes int) {
 	b, probes := c.find(k)
 	if b == nil {
-		return v, probes, false
+		return v, nil, probes
 	}
-	return b.val, probes, true
+	return b.val, b.head, probes
 }
 
 // LookupWildInto is the lookup plus megaflow-style wildcard tracking: it

@@ -330,9 +330,9 @@ func TestBucketHeadCopyTracksChain(t *testing.T) {
 	want := func(when string, val int, ok bool) {
 		t.Helper()
 		checkBuckets(t, c, when)
-		v, _, hit := c.LookupValue(&k)
-		if e, _ := lookup(c, k); hit != ok || (e != nil) != ok || (ok && (v != val || e.Value != val)) {
-			t.Fatalf("%s: LookupValue = %d,%v; Lookup = %v; want %d,%v", when, v, hit, e, val, ok)
+		v, n, _ := c.LookupValue(&k)
+		if e, _ := lookup(c, k); (n != nil) != ok || n != e || (ok && (v != val || e.Value != val)) {
+			t.Fatalf("%s: LookupValue = %d,%v; Lookup = %v; want %d,%v", when, v, n, e, val, ok)
 		}
 	}
 	ins := func(prio, val int) { c.Insert(&Entry[int]{Match: m, Priority: prio, Value: val}) }

@@ -1,4 +1,5 @@
-# Per-pair ratios of two bench-pairs record files: python3 pairs.py parent.jsonl change.jsonl.
+# Per-pair ratios of two bench-pairs record files: python3 results/pairs.py parent.jsonl change.jsonl
+# (make bench-pairs prints them after its compare table).
 # For each workload and end-to-end metric: the median of change/parent - 1 over
 # the seeds both sides ran, in how many pairs the change read lower, the
 # interquartile range of the parent's runs, the range of the ratios, and
