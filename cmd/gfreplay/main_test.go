@@ -247,13 +247,10 @@ func TestReplayMatchesPerFrame(t *testing.T) {
 	}
 }
 
-// TestReplayNonblockingUpcall: a nonblocking replay into a service that
-// parks misses behind upcalls reports every submitted frame in its stats;
-// it waits for the parked packets before its closing Stats.
-func TestReplayNonblockingUpcall(t *testing.T) {
-	cfg := replayInto
-	cfg.Upcall = service.UpcallConfig{Workers: 1}
-	s := start(t, cfg)
+// TestReplayNonblocking: a nonblocking replay reports every submitted
+// frame in its stats: its closing Stats runs behind every job it queued.
+func TestReplayNonblocking(t *testing.T) {
+	s := start(t, replayInto)
 	r := reader(t, capture(t, 400, func(int) int64 { return 0 }))
 	rep, err := replay(context.Background(), s, r, replayConfig{batch: 32})
 	if err != nil {

@@ -23,9 +23,23 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9090", "telemetry listen address (use :0 for a free port)")
-	upcall := flag.Int("upcall-workers", 0, "async slow-path goroutines (0 processes misses inline)")
 	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	svc, err := run(ctx, *addr, 0)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	svc.Close()
+}
 
+// run starts a two-worker service serving the introspection endpoints on
+// addr and drives a steady mix of flows through it, one frame a
+// millisecond, so every tier shows activity: frames of them, or until ctx
+// is done when frames is 0. It returns the service still running; the
+// caller closes it.
+func run(ctx context.Context, addr string, frames int) (*service.Service, error) {
 	p := gigaflow.NewPipeline("demo")
 	p.AddTable(0, "l2", gigaflow.NewFieldSet(gigaflow.FieldEthDst))
 	p.AddTable(1, "l3", gigaflow.NewFieldSet(gigaflow.FieldIPDst))
@@ -41,42 +55,35 @@ func main() {
 		Workers:           2,
 		Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 1024},
 		MicroflowCapacity: 256,
-		TelemetryAddr:     *addr,
-		Upcall:            service.UpcallConfig{Workers: *upcall},
+		TelemetryAddr:     addr,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return nil, err
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	if err := svc.Start(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return nil, err
 	}
-	defer svc.Close()
 	fmt.Printf("telemetry on http://%s (ctrl-c to stop)\n", svc.TelemetryAddr())
 
-	// Drive a steady mix of flows so every tier shows activity.
 	ticker := time.NewTicker(time.Millisecond)
 	defer ticker.Stop()
-	i := 0
-	for {
+	for i := 0; frames == 0 || i < frames; i++ {
 		select {
 		case <-ctx.Done():
-			return
+			return svc, nil
 		case <-ticker.C:
-			port := uint64(80)
-			if i%17 == 0 {
-				port = 22
-			}
-			k := gigaflow.MustParseKey("eth_dst=02:00:00:00:00:01,eth_type=0x0800,ip_proto=6").
-				With(gigaflow.FieldIPDst, 0x0a000000|uint64(i%64)).
-				With(gigaflow.FieldTpDst, port)
-			if _, err := svc.SubmitFrame(ctx, 0, wire.Encode(k)); err != nil && ctx.Err() == nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-			i++
+		}
+		port := uint64(80)
+		if i%17 == 0 {
+			port = 22
+		}
+		k := gigaflow.MustParseKey("eth_dst=02:00:00:00:00:01,eth_type=0x0800,ip_proto=6").
+			With(gigaflow.FieldIPDst, 0x0a000000|uint64(i%64)).
+			With(gigaflow.FieldTpDst, port)
+		if _, err := svc.SubmitFrame(ctx, 0, wire.Encode(k)); err != nil && ctx.Err() == nil {
+			svc.Close()
+			return nil, err
 		}
 	}
+	return svc, nil
 }

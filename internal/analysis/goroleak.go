@@ -7,7 +7,7 @@ import (
 	"go/types"
 )
 
-// GoroLeak checks goroutine lifecycles: the workers, upcall engines
+// GoroLeak checks goroutine lifecycles: the workers, the start watcher
 // and telemetry servers the service spawns must all terminate when the
 // service shuts down, or Close hangs on its WaitGroup and every test
 // leaks a goroutine.

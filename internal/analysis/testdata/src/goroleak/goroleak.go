@@ -99,7 +99,7 @@ func (p *pool) run(ctx context.Context, c chan int) {
 
 func (p *pool) wait() { p.wg.Wait() }
 
-// engine mirrors the upcall engine's goroutine lifecycle: Start Adds
+// engine is a pool of drain goroutines: Start Adds
 // once per drain goroutine, each drain defers the matching Done on the
 // same WaitGroup field and exits through the context arm; the inner
 // batch-gather loop escapes via a labeled break. All clean — no

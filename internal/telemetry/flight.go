@@ -14,7 +14,7 @@ const (
 	FlightEvict                        // the install evicted a resident entry
 	_                                  // bits 4 and 5 unused: /debug/flight serves raw flags, so the bits after them keep their values
 	_
-	FlightDeferred // miss resolved asynchronously by the upcall engine
+	FlightDeferred // parked miss completed through VSwitch.CompleteMiss, walked elsewhere
 )
 
 // FlightRecord is one miss's entry in the flight-recorder ring: 32
@@ -25,9 +25,9 @@ type FlightRecord struct {
 	KeyHash uint64 `json:"key_hash"` // flow id: FlowHash of the missed key (ct_state folded in on a conntrack switch)
 	LatNs   int32  `json:"lat_ns"`   // the miss's latency, clamped at ~2.1s
 	Batch   uint32 `json:"batch"`    // worker-local batch sequence number
-	// ParkNs is the queue-wait a FlightDeferred miss spent parked between
-	// upcall enqueue and engine dequeue, separated from the traversal time
-	// in LatNs; zero on every other record.
+	// ParkNs is the wait a FlightDeferred miss spent parked before its
+	// walk, separated from the traversal time in LatNs; zero on every
+	// other record.
 	ParkNs int32 `json:"park_ns,omitempty"`
 	Tier   Tier  `json:"tier"`
 	Flags  uint8 `json:"flags"`
@@ -47,7 +47,7 @@ const DefaultFlightRecords = 1024
 // A hit is one increment: it joins its tier's share of the open hit run
 // and writes no record. Only misses — the events that create the tail —
 // take a ring slot, each stamped exactly: an inline miss (ColdBegin, then
-// Cold) or an upcall completion (Deferred). Every record is therefore one
+// Cold) or a parked miss's completion (Deferred). Every record is therefore one
 // counted miss, and the ring holds the last RingSize of them.
 //
 // Clock discipline: a clock read costs ~25-55ns on commodity x86 — more
@@ -192,11 +192,12 @@ func (r *LatencyRecorder) Cold(tier Tier, keyHash uint64, flags uint8) {
 	r.record(d, tier, keyHash, flags, d-r.coldStart, 0)
 }
 
-// Deferred records a miss resolved asynchronously by the upcall engine:
-// latNs is the traversal span measured on the engine goroutine, parkNs
-// the queue wait between upcall enqueue and engine dequeue — the two
-// components /debug/flight separates so a deferred completion's tail is
-// attributable to the slow path or to queueing, never conflated. The
+// Deferred records a parked miss completed after its walk ran elsewhere
+// (VSwitch.CompleteMiss, which only the benchmark's shadow chain calls
+// until ROADMAP item 15): latNs is the traversal span measured where the
+// walk ran, parkNs the wait before it — the two components /debug/flight
+// separates so a deferred completion's tail is attributable to the slow
+// path or to waiting, never conflated. The
 // record is stamped exactly at the completion's delivery time (it closes
 // any open hit run first, like every cold event), carries
 // FlightDeferred on top of the caller's flags, and feeds latNs — the

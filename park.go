@@ -5,14 +5,14 @@ import (
 	"gigaflow/internal/telemetry"
 )
 
-// Park-mode processing: the VSwitch half of the asynchronous slow-path
-// offload (the other half is service/upcall.go). In park mode a main-cache
-// miss is not punted to the pipeline inline — the lookup chain reports it
-// to the caller, who parks the packet and enqueues an upcall; a dedicated
-// engine runs the traversal off the datapath goroutine, and the caller
-// finishes the miss later through CompleteMiss (fresh traversal) or by
-// replaying the packet through Process (failed or stale traversal, or no
-// room to defer it at all).
+// Park-mode processing. In park mode a main-cache miss is not punted to
+// the pipeline inline — the lookup chain reports it to the caller, who may
+// walk it elsewhere and finishes the miss later through CompleteMiss
+// (fresh traversal) or by replaying the packet through Process (failed or
+// stale traversal). The service walks every miss inline on the shard that
+// owns it (DESIGN.md §10) and parks nothing: this API stays only for the
+// benchmark's shadow chain (bench/replay.go's parkDriver) until ROADMAP
+// item 15, which deletes it together with that chain.
 //
 // Accounting discipline — the reason async totals match inline exactly:
 // a parked packet is counted NOWHERE at park time, not even in
@@ -28,7 +28,8 @@ import (
 // Process, but a main-cache miss returns parked=true with nothing counted
 // and no slow-path work done. The caller owns the miss from there.
 // Park-mode calls carry no TCP flags, like Process; on a conntrack switch
-// nothing is ever parked (see run).
+// nothing is ever parked (see run). It stays for the benchmark's shadow
+// chain until ROADMAP item 15.
 //
 //gf:hotpath
 func (v *VSwitch) ProcessPark(k Key, now int64) (res ProcessResult, parked bool, err error) {
@@ -43,14 +44,15 @@ func (v *VSwitch) ProcessPark(k Key, now int64) (res ProcessResult, parked bool,
 // zeroed and no counters touched for it. out, errs, and parked must all
 // be at least len(keys) long. Hits, memoization, and in-batch visibility
 // of earlier packets' microflow entries are identical to ProcessBatchMeta.
+// It stays for the benchmark's shadow chain until ROADMAP item 15.
 //
 //gf:hotpath
 func (v *VSwitch) ProcessBatchPark(keys []Key, out []ProcessResult, errs []error, parked []bool, now int64) {
 	v.run(keys, nil, out, errs, parked[:len(keys)], now)
 }
 
-// CompleteMiss finishes a parked miss whose traversal the upcall engine
-// already ran: it installs the traversal's rules, memoizes the flow, and
+// CompleteMiss finishes a parked miss whose traversal the caller already
+// ran: it installs the traversal's rules, memoizes the flow, and
 // counts the packet and its one slow-path traversal — processMiss with the
 // traversal done elsewhere; the install half is the same body. With
 // WithStallResume, where the packet's second-chance lookup stalled, only
@@ -72,13 +74,12 @@ func (v *VSwitch) ProcessBatchPark(keys []Key, out []ProcessResult, errs []error
 // miss and an install the inline switch never saw. Only a
 // still-missing flow consumes its traversal.
 //
-// travNs is the traversal span measured on the
-// engine goroutine and parkNs the upcall queue wait; the flight record
-// written for the completion carries both, flagged FlightDeferred.
+// travNs is the traversal span measured where the walk ran and parkNs the
+// wait before it; the flight record written for the completion carries
+// both, flagged FlightDeferred.
 //
 // Like every VSwitch method it must run on the goroutine driving the
-// switch — completions are delivered to the owning worker, never applied
-// from the engine.
+// switch. It stays for the benchmark's shadow chain until ROADMAP item 15.
 func (v *VSwitch) CompleteMiss(k Key, tr *Traversal, now, travNs, parkNs int64) (ProcessResult, error) {
 	if v.ct != nil {
 		return v.Process(k, now)
@@ -105,7 +106,8 @@ func (v *VSwitch) CompleteMiss(k Key, tr *Traversal, now, travNs, parkNs int64) 
 // there: its step at the prefix's span is in the table the prefix names
 // and enters it with the key the lookup stalled with. Otherwise, and
 // without a stall, it is tr itself and table 0. The view lives in the
-// switch, valid until the next completion.
+// switch, valid until the next completion. It stays with CompleteMiss until
+// ROADMAP item 15.
 func (v *VSwitch) suffixAt(tr *Traversal) (*Traversal, int) {
 	if !v.resume {
 		return tr, 0

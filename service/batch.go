@@ -99,14 +99,7 @@ const refused = -1
 // job owns a clone of the inputs, and nobody waits on it (done is nil).
 type batchJob struct {
 	blk  *block
-	done chan *batchJob // blocking: signalled once when a queued (or parked) job's results are all in; nil for a job nobody waits on
-
-	// pending refcounts outstanding work in async offload mode: 1 for the
-	// batch scan plus 1 per parked packet, each released on delivery, so
-	// the job finishes exactly once — when the last parked packet
-	// resolves (or at scan end if nothing parked). Touched only under the
-	// shard's owner lock; unused (0) in synchronous mode.
-	pending int
+	done chan *batchJob // blocking: signalled once when a queued job's results are all in; nil for a job nobody waits on
 
 	// finished is the submitter's note that the job's results are all in
 	// (it ran inline to completion, or its done signal was received);
@@ -368,9 +361,6 @@ func (s *Service) dispatch(ctx context.Context, b *Batch, now int64) (waiting in
 		}
 		j.blk, j.done = &b.part[w], b.done
 		if w == last && s.workers[w].tryRun(j, now) {
-			if !j.finished {
-				waiting++ // packets parked behind upcalls: completions signal done
-			}
 			break
 		}
 		if err = s.post(ctx, s.workers[w], packet{job: j}); err != nil {

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -112,6 +114,102 @@ func BenchmarkSubmitFrameBatch(b *testing.B) {
 				b.ReportMetric(float64(after.Sub(before).CacheMisses)/float64(sent), "misses/frame")
 			})
 		}
+	}
+}
+
+// BenchmarkColdStorm measures what a warm flow pays for other flows'
+// misses on its shard, where every miss is walked and installed inline. One
+// submitter sends blocking 64-frame batches of flows resident in the
+// microflow tier and times each call; a paced goroutine sends fresh flows
+// of a per-flow pipeline — each one a miss — to the same shard in blocking
+// calls of up to 16 frames, keeping them at cold% of all frames sent. One
+// op is one warm call. warm-p50-ns and warm-p99-ns are the warm calls'
+// latency quantiles; cold/s is the cold flows whose call returned per
+// second of the run, misses/cold the share of them that missed (1 when
+// every cold flow walked). The capacity case prints capacity_x, as in
+// BenchmarkSubmitFrameBatch. It is the baseline a miss offload must beat
+// (DESIGN.md §10).
+func BenchmarkColdStorm(b *testing.B) {
+	b.Run("capacity", benchCapacity)
+	const batchLen, coldBatch, coldFlows = 64, 16, 1 << 13
+	p := perFlowPipeline(batchLen + coldFlows)
+	warm := make([]Frame, batchLen)
+	for i := range warm {
+		warm[i] = Frame{Data: wire.Encode(perFlowKey(i))}
+	}
+	cold := make([]Frame, coldFlows)
+	for i := range cold {
+		cold[i] = Frame{Data: wire.Encode(perFlowKey(batchLen + i))}
+	}
+	for _, share := range []int{1, 5, 25} {
+		b.Run(fmt.Sprintf("cold=%d%%", share), func(b *testing.B) {
+			s, ctx := start(b, p, Config{
+				Workers:           1,
+				Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 1024},
+				MicroflowCapacity: 8 * batchLen,
+			}), context.Background()
+			batch := NewBatch(batchLen)
+			if err := s.SubmitFrameBatch(ctx, warm, batch); err != nil { // warm
+				b.Fatal(err)
+			}
+			before, err := s.Stats(ctx)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// The cold goroutine owes share/(100-share) cold frames per warm
+			// frame sent; each warm call wakes it to pay what it owes.
+			var warmSent atomic.Int64
+			wake, stop, coldDone := make(chan struct{}, 1), make(chan struct{}), make(chan int)
+			go func() {
+				cb, sent := NewBatch(coldBatch), 0
+				for {
+					select {
+					case <-stop:
+						coldDone <- sent
+						return
+					case <-wake:
+					}
+					for owed := int(warmSent.Load()*int64(share)/int64(100-share)) - sent; owed > 0; {
+						at := sent % coldFlows
+						n := min(owed, coldBatch, coldFlows-at)
+						if err := s.SubmitFrameBatch(ctx, cold[at:at+n], cb); err != nil {
+							b.Error(err)
+						}
+						sent, owed = sent+n, owed-n
+					}
+				}
+			}()
+			lat := make([]int64, b.N)
+			b.ResetTimer()
+			t0 := time.Now()
+			for i := range lat {
+				t := time.Now()
+				if err := s.SubmitFrameBatch(ctx, warm, batch); err != nil {
+					b.Fatal(err)
+				}
+				lat[i] = time.Since(t).Nanoseconds()
+				warmSent.Add(batchLen)
+				select {
+				case wake <- struct{}{}:
+				default:
+				}
+			}
+			close(stop)
+			coldSent := <-coldDone
+			elapsed := time.Since(t0)
+			b.StopTimer()
+			after, err := s.Stats(ctx)
+			if err != nil {
+				b.Fatal(err)
+			}
+			slices.Sort(lat)
+			b.ReportMetric(float64(lat[len(lat)/2]), "warm-p50-ns")
+			b.ReportMetric(float64(lat[len(lat)*99/100]), "warm-p99-ns")
+			b.ReportMetric(float64(coldSent)/elapsed.Seconds(), "cold/s")
+			if coldSent > 0 {
+				b.ReportMetric(float64(after.Sub(before).CacheMisses)/float64(coldSent), "misses/cold")
+			}
+		})
 	}
 }
 

@@ -24,9 +24,6 @@ func TestConntrackConfigValidation(t *testing.T) {
 			Config{Conntrack: ConntrackConfig{Enable: true, MaxIdle: -time.Second}}, "Conntrack.MaxIdle"},
 		{"knobs without enable",
 			Config{Conntrack: ConntrackConfig{MaxConns: 10}}, "Enable is false"},
-		{"ct excludes upcall offload",
-			Config{Upcall: UpcallConfig{Workers: 1}, Conntrack: ConntrackConfig{Enable: true}},
-			"mutually exclusive"},
 		// The idle sweep runs for a ct MaxIdle alone.
 		{"expiry driven by ct idle alone",
 			Config{Conntrack: ConntrackConfig{Enable: true, MaxIdle: time.Minute}}, ""},

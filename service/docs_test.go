@@ -216,10 +216,10 @@ func (m metricSet) has(name string) bool {
 	return false
 }
 
-// liveMetrics is the union of what three services register once they
-// have carried traffic and been collected: Gigaflow with the Microflow
-// tier and conntrack, Gigaflow with the upcall offload, and Megaflow.
-// A family two of them register must agree on kind, labels and help.
+// liveMetrics is the union of what two services register once they have
+// carried traffic and been collected: Gigaflow with the Microflow tier and
+// conntrack, and Megaflow. A family both register must agree on kind,
+// labels and help.
 func liveMetrics(t *testing.T) metricSet {
 	set := metricSet{}
 	services := []struct {
@@ -227,7 +227,6 @@ func liveMetrics(t *testing.T) metricSet {
 		cfg Config
 	}{
 		{statefulPipeline(), Config{Workers: 2, MicroflowCapacity: 64, Conntrack: ConntrackConfig{Enable: true}}},
-		{buildPipeline(), Config{Upcall: UpcallConfig{Workers: 1}}},
 		{buildPipeline(), Config{MegaflowCapacity: 32768, MicroflowCapacity: 64}},
 	}
 	ctx := context.Background()
@@ -548,8 +547,9 @@ func apiNames(text string) []mention {
 
 // configPaths finds the words of inline code that are a Config path:
 // Config.… or a path from one of its sections, or a section's bare name.
-// Expiry and Latency were sections (Expiry until its one remaining field
-// became Config.MaxIdle), so a name or path through either is stale too.
+// Expiry, Latency and Upcall were sections (Expiry until its one remaining
+// field became Config.MaxIdle, Upcall until the offload it configured was
+// deleted), so a name or path through any of them is stale too.
 // The path is returned from Config, without the Config.
 func configPaths(text string) []mention {
 	code := regexp.MustCompile("`[^`]+`")

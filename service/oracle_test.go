@@ -4,9 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -256,9 +260,8 @@ type oracle struct {
 }
 
 // newOracle lays an oracle out as a service on cfg lays out its shards,
-// building the service for its router (the offload moves no packet).
+// building the service for its router.
 func newOracle(mk func() *gigaflow.Pipeline, cfg Config) *oracle {
-	cfg.Upcall = UpcallConfig{}
 	s, err := New(mk(), cfg)
 	if err != nil {
 		panic(err)
@@ -338,10 +341,6 @@ type vsDriver struct {
 type fault struct {
 	closeAt  int // Close the service before this op; the calls after it alternate blocking and Nonblocking
 	cancelAt int // the call carrying this op gets a cancelled context
-	// wedge holds the service's rules lock over the wedge packet ops
-	// before the first rule update, which go in Nonblocking, so the engine
-	// walks nothing they park; the update lands while it walks them.
-	wedge int
 	// stall holds every shard's worker in a control op over the stall
 	// packet ops before the first rule update, which go in Nonblocking
 	// into queues nothing drains, stallQueue messages deep; it lets go
@@ -364,7 +363,6 @@ type cell struct {
 	nonblocking bool
 	busy        bool // a phantom message in flight on every shard: no share runs in place
 	fault       fault
-	queue       int // the upcall queue's depth, when not upcallQueue
 }
 
 var mixedSizes = []int{1, 7, 32, 3, 64, 5, 2, 100}
@@ -385,17 +383,18 @@ func (c *cell) sizes() []int {
 func (c *cell) flagless() bool { return c.driver.park }
 
 // resumes reports whether c's misses must resume: the service resumes a
-// stalled miss on a Gigaflow switch without conntrack, inline and at an
-// upcall's completion alike, and a tape that stalls has stalled misses.
+// stalled miss on a Gigaflow switch without conntrack, and a tape that
+// stalls has stalled misses.
 func (c *cell) resumes() bool {
 	return c.tape.stalls && c.cfg.MegaflowCapacity == 0 && !c.cfg.Conntrack.Enable
 }
 
-// parks reports whether c parks misses. A parked packet is probed again
-// before its completion, and reaches the LRU tiers after the hits of its
-// batch: once a tier evicts, which flows it keeps can differ from inline.
+// parks reports whether c's driver parks misses in batches. A parked
+// packet is probed again before its completion, and reaches the LRU tiers
+// after the hits of its batch: once a tier evicts, which flows it keeps can
+// differ from inline.
 func (c *cell) parks() bool {
-	return c.cfg.Upcall.Workers > 0 || c.driver.park && !c.cfg.Conntrack.Enable && len(c.driver.sizes) > 1
+	return c.driver.park && !c.cfg.Conntrack.Enable && len(c.driver.sizes) > 1
 }
 
 // outcome is what one replay of a tape leaves behind.
@@ -405,7 +404,6 @@ type outcome struct {
 	tel     []gigaflow.VSwitchTelemetry // one per shard
 	stats   gigaflow.VSwitchStats
 	entries int
-	upcall  offload
 	seq     uint64
 	hist    [telemetry.NumTiers]uint64
 	flight  []telemetry.FlightRecord // newest first; identity fields only
@@ -449,7 +447,7 @@ func TestOracle(t *testing.T) {
 // group, which it must agree with, on the seed's tape.
 func FuzzOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, name string, seed uint64) {
-		i := slices.IndexFunc(cells, func(c cell) bool { return path.Join(c.group, c.name) == name })
+		i := cellAt(name)
 		if i < 0 { // a name the fuzzer made up
 			i = 0
 			for _, b := range []byte(name) {
@@ -462,6 +460,38 @@ func FuzzOracle(f *testing.F) {
 		}
 		runGroup(t, g, seed, false)
 	})
+}
+
+// cellAt is the index of the cell whose test name is name, or -1.
+func cellAt(name string) int {
+	return slices.IndexFunc(cells, func(c cell) bool { return path.Join(c.group, c.name) == name })
+}
+
+// TestOracleCorpusNamesCells: every checked-in FuzzOracle entry names a
+// cell. FuzzOracle hashes a name it does not know onto some cell, so an
+// entry whose cell was renamed or deleted would keep passing while it no
+// longer runs what it was planted for.
+func TestOracleCorpusNamesCells(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzOracle")
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) == 0 {
+		t.Fatalf("%s: %d entries, %v", dir, len(entries), err)
+	}
+	quoted := regexp.MustCompile(`(?m)^string\(("(?:[^"\\]|\\.)*")\)$`)
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := quoted.FindSubmatch(data)
+		if m == nil {
+			t.Errorf("%s: no cell name", e.Name())
+			continue
+		}
+		if name, err := strconv.Unquote(string(m[1])); err != nil || cellAt(name) < 0 {
+			t.Errorf("%s: %s names no cell (%v)", e.Name(), m[1], err)
+		}
+	}
 }
 
 // runGroup runs a group's cells on one tape and holds each to the first;
@@ -538,10 +568,10 @@ func runGroup(t *testing.T, g []cell, seed uint64, strict bool) {
 			t.Errorf("%s: %+v (%d entries, %d expired), %s %+v (%d, %d)", c.name, b.stats, b.entries, expired(b.tel),
 				base.name, a.stats, a.entries, expired(a.tel))
 		}
-		// Parking probes a missed packet again and dedups by the batch.
+		// Parking probes a missed packet again.
 		if c.cfg == base.cfg && (!c.parks() && !base.parks() || slices.Equal(c.sizes(), base.sizes())) &&
-			(!reflect.DeepEqual(a.tel, b.tel) || a.upcall != b.upcall) {
-			t.Errorf("%s: tiers and offload\n%+v %+v\n%s:\n%+v %+v", c.name, b.tel, b.upcall, base.name, a.tel, a.upcall)
+			!reflect.DeepEqual(a.tel, b.tel) {
+			t.Errorf("%s: tiers\n%+v\n%s:\n%+v", c.name, b.tel, base.name, a.tel)
 		}
 		if !base.driver.recorded || !c.driver.recorded || c.driver.park {
 			continue
@@ -587,7 +617,7 @@ func (c *cell) tame(o *outcome, cov coverage) string {
 			ct.Transitions, ct.Reopened, ct.Expired = ct.Transitions+c.Transitions, ct.Reopened+c.Reopened, ct.Expired+c.Expired
 		}
 	}
-	st, u, up := o.stats, o.upcall, c.cfg.Upcall
+	st := o.stats
 	need(st.CacheHits > 0 && st.CacheMisses > 0, "main-cache hits and misses")
 	need(c.cfg.MicroflowCapacity == 0 || st.MicroflowHits > 0, "microflow hits")
 	need(c.tape.thrash == 0 || bypassed == 2*4096, "single bypass period")
@@ -600,17 +630,7 @@ func (c *cell) tame(o *outcome, cov coverage) string {
 	}
 	need(!c.driver.park || !c.cfg.Conntrack.Enable || o.ooph > 0, "CompleteMiss hits on a conntrack switch")
 	need(c.tape.ticks == 0 || c.cfg.MaxIdle == 0 || expired(o.tel) > 0, "idle cache entries expired")
-	if c.entry != viaVSwitch && c.fault.closeAt == 0 {
-		need(u.Enabled == (up.Workers > 0), "offload engaged exactly when configured")
-		need(up.Workers == 0 || u.Flows > 0, "upcalls")
-		// Followers need a cold flow repeated within a batch; a thrash prefix
-		// warms every flow first.
-		batched := c.entry == viaSubmitFrameBatch && c.tape.thrash == 0
-		need(up.Workers == 0 || !batched || u.Deduped > 0, "deduplicated followers")
-		need(c.queue != 1 || u.OverflowInline > 0, "inline overflow")
-		need(c.fault.wedge == 0 || u.Stale > 0, "stale walk")
-		need(c.fault.stall == 0 || o.fates[queueFull] > 0, "queue-full drops")
-	}
+	need(c.fault.stall == 0 || o.fates[queueFull] > 0, "queue-full drops")
 	if f := o.frames; f != nil && c.tape.damage {
 		need(f.vlan.Value() > 0 && f.frags.Value() > 0 && f.errs[wire.ErrShortFrame].Value() > 0 &&
 			f.decoded[wire.ProtoNonIPv4].Value() > 0, "frames of every damaged kind")
@@ -786,58 +806,43 @@ const (
 
 // svcRun is one service cell's replay in progress.
 type svcRun struct {
-	t              *testing.T
-	c              *cell
-	s              *Service
-	o              *oracle
-	tape           []op
-	b              *Batch
-	out            *outcome
-	clock          atomic.Int64 // the service clock
-	closed, wedged bool
-	from, to       int           // the wedge or stall window: ops [from, to)
-	held           chan struct{} // closed to let stalled workers go
-	queued         []int         // per shard, the shares a stall's window queued
-	handed, calls  int
-	fate, counted  [fates]int    // the ledger as the results tell it, and the service's counters
-	frames         *frameMetrics // every frame decoded, tallied one at a time
+	t             *testing.T
+	c             *cell
+	s             *Service
+	o             *oracle
+	tape          []op
+	b             *Batch
+	out           *outcome
+	clock         atomic.Int64 // the service clock
+	closed        bool
+	from, to      int           // the stall window: ops [from, to)
+	held          chan struct{} // closed to let stalled workers go
+	queued        []int         // per shard, the shares a stall's window queued
+	handed, calls int
+	fate, counted [fates]int    // the ledger as the results tell it, and the service's counters
+	frames        *frameMetrics // every frame decoded, tallied one at a time
 }
 
 // runService replays the tape into a service on c.cfg through c's entry
 // point, holds every verdict to the oracle, and checks the ledger.
 func (c *cell) runService(t *testing.T, tape []op) *outcome {
-	if c.cfg.Conntrack.Enable && c.cfg.Upcall.Workers > 0 {
-		// Not a configuration yet; the cell turns live when it is.
-		if _, err := New(c.tape.pipe(), c.cfg); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-			t.Fatalf("conntrack with the upcall offload: %v", err)
-		}
-		return nil
-	}
 	r := &svcRun{t: t, c: c, o: newOracle(c.tape.pipe, c.cfg), tape: tape, b: NewBatch(64),
 		out: &outcome{res: make([]Result, len(tape))}, frames: newFrameMetrics(telemetry.NewRegistry())}
 	s := startOn(t, c.tape.pipe(), c.cfg, func(s *Service) {
 		s.clock = r.clock.Load
-		if c.queue > 0 {
-			s.eng.q = make(chan *miss, c.queue)
-		}
 		if c.fault.stall > 0 {
 			shortQueues(s, stallQueue)
 		}
 	})
 	r.s = s
-	defer func() { // before the service is closed
-		r.release()
-		if r.wedged {
-			s.rules.Unlock()
-		}
-	}()
+	defer r.release() // before the service is closed
 	for _, w := range s.workers {
 		w.inflight.Add(int64(btoi(c.busy))) // busy: tryRun never finds the shard idle
 	}
 	f := c.fault
-	if n := max(f.wedge, f.stall); n > 0 {
+	if f.stall > 0 {
 		r.to = slices.IndexFunc(tape, func(x op) bool { return x.kind == opRules })
-		r.from = r.to - n
+		r.from = r.to - f.stall
 	}
 	each(tape, c.sizes(), func(i int) bool { return i == f.closeAt || i == f.cancelAt || i == r.from || i == r.to }, func(lo, hi int) {
 		switch {
@@ -847,14 +852,8 @@ func (c *cell) runService(t *testing.T, tape []op) *outcome {
 				t.Fatal(err)
 			}
 			r.closed = true
-		case lo == r.from && f.wedge > 0:
-			s.rules.Lock()
-			r.wedged = true
 		case lo == r.from && f.stall > 0:
 			r.stall()
-		case lo == r.to && f.wedge > 0:
-			r.unwedge()
-			return
 		case lo == r.to && f.stall > 0:
 			r.release()
 			r.settle()
@@ -1035,84 +1034,24 @@ func (r *svcRun) call(ctx context.Context, ops []op, opts []SubmitOption) []Resu
 	return res
 }
 
-// settle returns once the service has served every request it accepted
-// so far: a packet parked behind an upcall is counted only when its
-// flow's walk completes, after its job has run.
+// settle checks that the service has served every request it accepted so
+// far: Stats is a control op, behind every job queued to each shard.
 func (r *svcRun) settle() {
 	if r.closed {
 		return
 	}
-	await(r.t, fmt.Sprint(r.fate[served], " packets served"), func() bool {
-		st, err := r.s.Stats(context.Background())
-		if err != nil {
-			r.t.Fatal(err)
-		}
-		return st.Packets >= uint64(r.fate[served])
-	})
-}
-
-// unwedge ends the wedge at the first rule update, which lands while the
-// engine walks what the window parked: the update holds every shard —
-// so no completion is applied before it — and waits for the rules lock
-// behind the engine, which has taken a parked flow and waits for it too.
-// Let go, the engine walks first, under the rules the update is about to
-// replace.
-func (r *svcRun) unwedge() {
-	ctx, s := context.Background(), r.s
-	// Read behind every job of the window: its hits are served.
-	us := readOffload(r.t, s)
-	idle := int64(len(s.workers) * btoi(r.c.busy)) // busy's phantoms
-	inflight := func() (n int64) {
-		for _, w := range s.workers {
-			n += w.inflight.Load()
-		}
-		return n
-	}
-	held := func() bool {
-		for _, w := range s.workers {
-			if w.own.TryLock() {
-				w.own.Unlock()
-				return false
-			}
-		}
-		return true
-	}
-	done := make(chan error, 1)
-	go func() { done <- s.UpdateRules(ctx, flip) }()
-	// Every shard held, with the update's barrier served in between: the
-	// update, not the barrier, holds them.
-	await(r.t, "the update to hold every shard and the engine a parked flow", func() bool {
-		return held() && inflight() == idle && held() && (len(s.eng.q) < us.PendingFlows || us.PendingFlows == 0)
-	})
-	s.rules.Unlock()
-	r.wedged = false
-	if err := <-done; err != nil {
+	st, err := r.s.Stats(context.Background())
+	if err != nil {
 		r.t.Fatal(err)
 	}
-	r.o.flip()
-	r.settle()
-	// One blocking packet of each window flow: a completion that installed
-	// a walk from before the update would answer it under the old rules.
-	seen := map[gigaflow.Key]bool{}
-	for i := r.from; i < r.to; i++ {
-		x := r.tape[i]
-		if x.kind != opPacket || x.short || seen[x.k] {
-			continue
-		}
-		seen[x.k] = true
-		res := r.call(ctx, []op{x}, nil)[0]
-		if want, err := r.o.walk(&x, false); res.Err != nil || err != nil || res.Verdict != want.Verdict || res.Final != want.Final {
-			r.t.Fatalf("window flow %s after the update: %+v, Reference %+v %v", x.k, res, want, err)
-		}
-		r.handed++
-		r.fate[served]++
-		r.tally(&x)
+	if st.Packets != uint64(r.fate[served]) {
+		r.t.Fatalf("%d packets counted behind every queued job; %d served", st.Packets, r.fate[served])
 	}
 }
 
 // snapshot reads what the group comparison and the ledger need as the
 // service exports it: every shard's tiers as /cache shows them, /shards,
-// and the queue-full drops and the offload counters as /metrics counts them.
+// and the queue-full drops as /metrics counts them.
 func (r *svcRun) snapshot() {
 	ctx, s := context.Background(), r.s
 	tel, seq := make([]gigaflow.VSwitchTelemetry, len(s.workers)), make([]uint64, len(s.workers))
@@ -1123,7 +1062,9 @@ func (r *svcRun) snapshot() {
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	r.out.upcall = readOffload(r.t, s) // its Collect refreshes the drops read below
+	if err := s.Collect(ctx); err != nil { // refreshes the drops read below
+		r.t.Fatal(err)
+	}
 	full := s.reg.CounterVec("gigaflow_queue_full_drops_total", "", "worker")
 	for i, sh := range shards {
 		r.out.stats = r.out.stats.Add(tel[i].Stats)
@@ -1144,18 +1085,13 @@ func (r *svcRun) snapshot() {
 	for _, sh := range shards {
 		r.out.entries += sh.CacheEntries
 	}
-	if u := r.out.upcall; u.Batches > u.Drained || u.Drained > drainBatch*u.Batches {
-		r.t.Errorf("engine drained %d misses in %d batches: a batch holds 1 to %d", u.Drained, u.Batches, drainBatch)
-	}
-	r.out.upcall.Drained, r.out.upcall.Batches = 0, 0 // when the engine woke is its own business
 	r.counted[served] = int(r.out.stats.Packets)
 }
 
 // ledger checks that every packet handed to the service was served,
-// dropped or failed, exactly once, by the counters the service exports —
-// and that nothing is left parked.
+// dropped or failed, exactly once, by the counters the service exports.
 func (r *svcRun) ledger() {
-	t, u := r.t, r.out.upcall
+	t := r.t
 	r.counted[short] = int(r.s.frames.errs[wire.ErrShortFrame].Value())
 	r.counted[closed], r.counted[cancelled] = r.fate[closed], r.fate[cancelled]
 	sum := 0
@@ -1165,13 +1101,6 @@ func (r *svcRun) ledger() {
 	if r.handed != sum || r.counted != r.fate {
 		t.Errorf("ledger: %d handed in; served, short, queue-full, closed, cancelled: %v by the counters, %v by the results",
 			r.handed, r.counted, r.fate)
-	}
-	if u.ParkedPackets != 0 || u.PendingFlows != 0 {
-		t.Errorf("left parked: %+v", u)
-	}
-	if u.Enabled && !r.closed && (u.Released != u.Completed+u.Deduped+u.OverflowInline ||
-		u.Flows != u.Completed+u.OverflowInline) {
-		t.Errorf("upcall ledger: %+v", u)
 	}
 	r.out.fates = r.fate
 	// Every frame counter reads what per-frame accounting of the frames does.
@@ -1203,7 +1132,7 @@ var (
 	perflow = tapeSpec{pipe: func() *gigaflow.Pipeline { return perFlowPipeline(96) }, flow: perFlowKey,
 		flows: 96, packets: 400, damage: true, rules: 2}
 	// svc shares wildcard entries between flows: a cold flow's install can
-	// cover another that is parked.
+	// cover another's.
 	svc = tapeSpec{pipe: buildPipeline, flow: func(id int) gigaflow.Key { return wireKey(uint64(id%64), []uint64{80, 22}[id/64%2]) },
 		flows: 128, packets: 600, damage: true, rules: 2, stalls: true}
 	// rewrite is svc over rewritePipeline, whose prefix commits what its
@@ -1293,33 +1222,21 @@ var cells = func() []cell {
 	}
 
 	shards := func(cfg Config, n int) Config { cfg.Workers = n; return cfg }
-	upcall := func(cfg Config, u UpcallConfig) Config { cfg.Upcall = u; return cfg }
 	sync := Config{Cache: gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 1024}, MicroflowCapacity: 1024}
 	whole := perflow
 	whole.damage = false // a damaged frame's key hashes elsewhere than its flow's
 	for _, n := range []int{1, 2, 4} {
 		add("perflow/shards", fmt.Sprint(n), cell{tape: whole, cfg: shards(sync, n), entry: viaSubmitFrameBatch, batch: 32})
 	}
-	// A one-slot upcall queue: most cold flows take the inline fallback, and
-	// so does a repeat in the same share while the engine has not caught
-	// up. No flow's install covers another's here, so the peers agree.
-	add("perflow/shards", "overflow-inline/3", cell{tape: whole, cfg: upcall(shards(sync, 3), UpcallConfig{Workers: 1}),
-		entry: viaSubmitFrameBatch, batch: 32, queue: 1})
-	// The batch entry point, inline and offloaded, a group per shard count.
-	// No tier evicts here (see parks).
+	// The batch entry point blocking, behind a busy shard and nonblocking,
+	// a group per shard count.
 	for _, n := range []int{1, 3} {
-		for _, mode := range []string{"sync", "upcall"} {
-			cfg := shards(sync, n)
-			if mode == "upcall" {
-				cfg = upcall(cfg, UpcallConfig{Workers: 1})
-			}
-			g, c := fmt.Sprint("perflow/", n), cell{tape: perflow, cfg: cfg, entry: viaSubmitFrameBatch, batch: 32}
-			add(g, mode+"/SubmitFrameBatch/blocking", c)
-			c.busy = true
-			add(g, mode+"/SubmitFrameBatch/busy", c)
-			c.busy, c.nonblocking = false, true
-			add(g, mode+"/SubmitFrameBatch/nonblocking", c)
-		}
+		g, c := fmt.Sprint("perflow/", n), cell{tape: perflow, cfg: shards(sync, n), entry: viaSubmitFrameBatch, batch: 32}
+		add(g, "sync/SubmitFrameBatch/blocking", c)
+		c.busy = true
+		add(g, "sync/SubmitFrameBatch/busy", c)
+		c.busy, c.nonblocking = false, true
+		add(g, "sync/SubmitFrameBatch/nonblocking", c)
 	}
 	// A tier that thrashes: three windows round robin over four of its
 	// capacities, then the usual traffic.
@@ -1327,7 +1244,6 @@ var cells = func() []cell {
 	thrash.pipe, thrash.flows, thrash.packets, thrash.thrash = func() *gigaflow.Pipeline { return perFlowPipeline(128) }, 128, 300, 32
 	tcfg := Config{Cache: gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 512}, MicroflowCapacity: 32}
 	alone("perflow/thrash/sync", cell{tape: thrash, cfg: tcfg, entry: viaSubmitFrameBatch, batch: 32})
-	alone("perflow/thrash/upcall", cell{tape: thrash, cfg: upcall(tcfg, UpcallConfig{Workers: 1}), entry: viaSubmitFrameBatch, batch: 32})
 
 	two := Config{Workers: 2, Cache: gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256}, MicroflowCapacity: 512}
 	for _, be := range []string{"gigaflow", "megaflow"} {
@@ -1335,31 +1251,18 @@ var cells = func() []cell {
 		if be == "megaflow" {
 			cfg.Cache, cfg.MegaflowCapacity = gigaflow.CacheConfig{}, 1024
 		}
-		up := upcall(cfg, UpcallConfig{Workers: 1})
 		add(g, "sync/SubmitFrameBatch", cell{tape: svc, cfg: cfg, entry: viaSubmitFrameBatch})
-		add(g, "upcall/SubmitFrameBatch", cell{tape: svc, cfg: up, entry: viaSubmitFrameBatch})
-		add(g, "upcall/SubmitFrameBatch/nonblocking", cell{tape: svc, cfg: up, entry: viaSubmitFrameBatch, batch: 32, nonblocking: true})
-		add(g, "upcall/SubmitFrame/busy", cell{tape: svc, cfg: up, entry: viaSubmitFrame, busy: true})
+		add(g, "sync/SubmitFrameBatch/nonblocking", cell{tape: svc, cfg: cfg, entry: viaSubmitFrameBatch, batch: 32, nonblocking: true})
+		add(g, "sync/SubmitFrame/busy", cell{tape: svc, cfg: cfg, entry: viaSubmitFrame, busy: true})
 	}
 
-	// Faults, each cell alone. Stalled workers, a cell per entry point and
-	// mode on 1–3 shards: the 96 ops before the first rule update meet
-	// queues two shares deep.
-	for i, e := range []entry{viaSubmitFrame, viaSubmitFrame, viaSubmitFrameBatch, viaSubmitFrameBatch} {
-		cfg, mode := shards(sync, 1+i%3), "sync"
-		if i%2 == 1 {
-			cfg, mode = upcall(cfg, UpcallConfig{Workers: 1}), "upcall"
-		}
-		alone("stall/"+string(e)+"/"+mode, cell{tape: perflow, cfg: cfg, entry: e, batch: 32, fault: fault{stall: 96}})
+	// Faults, each cell alone. Stalled workers, a cell per entry point on
+	// 1 and 3 shards: the 96 ops before the first rule update meet queues
+	// two shares deep.
+	for i, e := range []entry{viaSubmitFrame, viaSubmitFrameBatch} {
+		alone("stall/"+string(e)+"/sync", cell{tape: perflow, cfg: shards(sync, 1+2*i), entry: e, batch: 32, fault: fault{stall: 96}})
 	}
-	// Cold at the start, and at op 50 a rule update that turns every
-	// verdict: what the window parked was walked under the rules it replaces.
-	wedged := svc
-	wedged.packets, wedged.rules = 300, 5
-	alone("upcall/wedged", cell{tape: wedged, cfg: upcall(two, UpcallConfig{Workers: 1}),
-		entry: viaSubmitFrameBatch, fault: fault{wedge: 50}})
-	alone("close", cell{tape: perflow, cfg: upcall(shards(sync, 2), UpcallConfig{Workers: 1}),
-		entry: viaSubmitFrameBatch, batch: 32, fault: fault{closeAt: 250}})
+	alone("close", cell{tape: perflow, cfg: shards(sync, 2), entry: viaSubmitFrameBatch, batch: 32, fault: fault{closeAt: 250}})
 	alone("cancel", cell{tape: perflow, cfg: shards(sync, 2), entry: viaSubmitFrameBatch, batch: 32, fault: fault{cancelAt: 100}})
 	// Idle gaps between ticks: an entry idle across a due sweep goes, and
 	// its flow misses again. Every cell sweeps at the same ops, so they
@@ -1368,8 +1271,6 @@ var cells = func() []cell {
 	expiry.MaxIdle, gaps.ticks = time.Second, 50
 	add("expiry", "SubmitFrameBatch", cell{tape: gaps, cfg: expiry, entry: viaSubmitFrameBatch, batch: 32})
 	add("expiry", "SubmitFrameBatch/busy", cell{tape: gaps, cfg: expiry, entry: viaSubmitFrameBatch, busy: true})
-	add("expiry", "upcall/SubmitFrame/nonblocking", cell{tape: gaps, cfg: upcall(expiry, UpcallConfig{Workers: 1}),
-		entry: viaSubmitFrame, nonblocking: true})
 
 	// Conntrack, a Reference per shard: a group per shard count. Idle gaps
 	// between ticks expire connections, on the service's shards and the
@@ -1395,6 +1296,5 @@ var cells = func() []cell {
 		spec.damage, spec.ticks = true, 50
 		alone("ct/"+mk().Name+"/2", cell{tape: spec, cfg: ct(2), entry: viaSubmitFrameBatch, batch: 32})
 	}
-	alone("ct/upcall", cell{tape: lb, cfg: upcall(ct(1), UpcallConfig{Workers: 1}), entry: viaSubmitFrameBatch})
 	return cs
 }()

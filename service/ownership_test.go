@@ -214,156 +214,143 @@ func TestBlockingSeesOwnEarlierNonblocking(t *testing.T) {
 // ahead a quarter of sweepEvery a read, so shards sweep idle entries all
 // along — and closes it mid-flight. Under -race this is the proof that
 // everything touching a shard's state holds its owner lock. Every
-// blocking request gets exactly one outcome, nobody hangs, nothing stays
-// parked, every shard's counters still add up, and idle entries expired.
+// blocking request gets exactly one outcome, nobody hangs, every shard's
+// counters still add up, and idle entries expired.
 func TestShardOwnershipUnderRace(t *testing.T) {
 	for _, workers := range []int{1, 3} {
-		for _, async := range []bool{false, true} {
-			cfg := Config{
-				Workers:           workers,
-				Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 64},
-				MicroflowCapacity: 32,
-				MaxIdle:           sweepEvery / 2,
+		cfg := Config{
+			Workers:           workers,
+			Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 64},
+			MicroflowCapacity: 32,
+			MaxIdle:           sweepEvery / 2,
+		}
+		var clock atomic.Int64
+		s, ctx := startOn(t, perFlowPipeline(256), cfg, func(s *Service) {
+			s.clock = func() int64 { return clock.Add(sweepEvery.Nanoseconds() / 4) }
+		}), context.Background()
+		flows := make([][]byte, 256)
+		for i := range flows {
+			flows[i] = frameOf(t, perFlowKey(i), 0)
+		}
+		var wg sync.WaitGroup
+		var verdicts, refusals atomic.Int64
+		closed := make(chan struct{})
+		stopped := func() bool {
+			select {
+			case <-closed:
+				return true
+			default:
+				return false
 			}
-			if async {
-				cfg.Upcall = UpcallConfig{Workers: 2}
-			}
-			var clock atomic.Int64
-			s, ctx := startOn(t, perFlowPipeline(256), cfg, func(s *Service) {
-				s.clock = func() int64 { return clock.Add(sweepEvery.Nanoseconds() / 4) }
-				if async {
-					s.eng.q = make(chan *miss, 8) // shallow, for the inline fallback under contention
-				}
-			}), context.Background()
-			flows := make([][]byte, 256)
-			for i := range flows {
-				flows[i] = frameOf(t, perFlowKey(i), 0)
-			}
-			var wg sync.WaitGroup
-			var verdicts, refusals atomic.Int64
-			closed := make(chan struct{})
-			stopped := func() bool {
-				select {
-				case <-closed:
-					return true
-				default:
-					return false
-				}
-			}
-			for g := 0; g < 4; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					b := NewBatch(16)
-					frames := make([]Frame, 16)
-					for n := 0; !stopped(); n++ {
-						stride := 61 + 6*(n%2) // two interleavings of the flows
-						for i := range frames {
-							frames[i] = Frame{Data: flows[(g*stride+n*16+i)%256]}
-						}
-						err := s.SubmitFrameBatch(ctx, frames, b)
-						if err != nil && !errors.Is(err, ErrClosed) {
-							t.Errorf("blocking submitter: %v", err)
-							return
-						}
-						for i := 0; i < b.Len(); i++ {
-							switch r := b.Result(i); {
-							case r.Err == nil && r.Verdict.Kind == gigaflow.VerdictOutput:
-								verdicts.Add(1)
-							case errors.Is(r.Err, ErrClosed):
-								refusals.Add(1)
-							default:
-								t.Errorf("request with no outcome: %+v (call error %v)", r, err)
-								return
-							}
-						}
-					}
-				}(g)
-			}
-			var accepted int64
+		}
+		for g := 0; g < 4; g++ {
 			wg.Add(1)
-			go func() {
+			go func(g int) {
 				defer wg.Done()
-				b, frames := NewBatch(8), make([]Frame, 8)
-				for n := 0; !stopped() && accepted < 1<<15; n++ {
+				b := NewBatch(16)
+				frames := make([]Frame, 16)
+				for n := 0; !stopped(); n++ {
+					stride := 61 + 6*(n%2) // two interleavings of the flows
 					for i := range frames {
-						frames[i] = Frame{Data: flows[(n*8+i)%256]}
+						frames[i] = Frame{Data: flows[(g*stride+n*16+i)%256]}
 					}
-					if err := s.SubmitFrameBatch(ctx, frames, b, Nonblocking()); err != nil && !errors.Is(err, ErrClosed) {
-						t.Errorf("nonblocking submitter: %v", err)
+					err := s.SubmitFrameBatch(ctx, frames, b)
+					if err != nil && !errors.Is(err, ErrClosed) {
+						t.Errorf("blocking submitter: %v", err)
 						return
 					}
 					for i := 0; i < b.Len(); i++ {
-						if b.Result(i).Err == nil {
-							accepted++
+						switch r := b.Result(i); {
+						case r.Err == nil && r.Verdict.Kind == gigaflow.VerdictOutput:
+							verdicts.Add(1)
+						case errors.Is(r.Err, ErrClosed):
+							refusals.Add(1)
+						default:
+							t.Errorf("request with no outcome: %+v (call error %v)", r, err)
+							return
 						}
 					}
 				}
-			}()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				h := s.TelemetryHandler()
-				for n := 0; !stopped(); n++ {
-					var err error
-					switch n % 4 {
-					case 0:
-						// Net no-op that still bumps the pipeline version, so
-						// traversals in flight at the engine go stale.
-						err = s.UpdateRules(ctx, func(p *gigaflow.Pipeline) error {
-							p.DeleteRule(p.MustAddRule(2, gigaflow.MustParseMatch("tp_src=9"), 1,
-								[]gigaflow.Action{gigaflow.Drop()}, gigaflow.NoTable))
-							return nil
-						})
-					case 1:
-						_, err = s.Stats(ctx)
-					case 2:
-						err = s.Collect(ctx)
-					case 3:
-						h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/cache", nil))
-					}
-					if err != nil && !errors.Is(err, ErrClosed) {
-						t.Errorf("control op %d: %v", n%4, err)
-						return
-					}
-				}
-			}()
-
-			// Close once every kind of caller has demonstrably overlapped:
-			// some blocking requests have their verdicts while the others
-			// are still at it.
-			await(t, "256 blocking verdicts", func() bool { return verdicts.Load() >= 256 })
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			close(closed)
-			within(t, 10*time.Second, "callers after Close", wg.Wait)
-
-			// The workers have exited (Close waited for them); shard state is
-			// quiescent and safe to read directly.
-			var expired uint64
-			for _, w := range s.workers {
-				if !w.own.TryLock() {
-					t.Fatalf("workers=%d async=%v: shard %d's owner lock is still held after Close", workers, async, w.idx)
-				}
-				st := w.vs.Stats()
-				if st.Packets != st.MicroflowHits+st.CacheHits+st.CacheMisses {
-					t.Errorf("workers=%d async=%v shard %d: %d packets != %d+%d hits + %d misses",
-						workers, async, w.idx, st.Packets, st.MicroflowHits, st.CacheHits, st.CacheMisses)
-				}
-				if len(w.pending) != 0 || w.up.ParkedPackets != 0 {
-					t.Errorf("workers=%d async=%v shard %d: %d flows / %d packets still parked after Close",
-						workers, async, w.idx, len(w.pending), w.up.ParkedPackets)
-				}
-				expired += w.vs.Cache().Stats().Expired + w.vs.Microflow().Snapshot().Stats.Expired
-				w.own.Unlock()
-			}
-			if expired == 0 {
-				t.Errorf("workers=%d async=%v: no shard swept an idle entry", workers, async)
-			}
-			t.Logf("workers=%d async=%v: %d verdicts, %d refused at shutdown, %d nonblocking accepted",
-				workers, async, verdicts.Load(), refusals.Load(), accepted)
+			}(g)
 		}
+		var accepted int64
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b, frames := NewBatch(8), make([]Frame, 8)
+			for n := 0; !stopped() && accepted < 1<<15; n++ {
+				for i := range frames {
+					frames[i] = Frame{Data: flows[(n*8+i)%256]}
+				}
+				if err := s.SubmitFrameBatch(ctx, frames, b, Nonblocking()); err != nil && !errors.Is(err, ErrClosed) {
+					t.Errorf("nonblocking submitter: %v", err)
+					return
+				}
+				for i := 0; i < b.Len(); i++ {
+					if b.Result(i).Err == nil {
+						accepted++
+					}
+				}
+			}
+		}()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h := s.TelemetryHandler()
+			for n := 0; !stopped(); n++ {
+				var err error
+				switch n % 4 {
+				case 0:
+					// Net no-op that still bumps the pipeline version.
+					err = s.UpdateRules(ctx, func(p *gigaflow.Pipeline) error {
+						p.DeleteRule(p.MustAddRule(2, gigaflow.MustParseMatch("tp_src=9"), 1,
+							[]gigaflow.Action{gigaflow.Drop()}, gigaflow.NoTable))
+						return nil
+					})
+				case 1:
+					_, err = s.Stats(ctx)
+				case 2:
+					err = s.Collect(ctx)
+				case 3:
+					h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/cache", nil))
+				}
+				if err != nil && !errors.Is(err, ErrClosed) {
+					t.Errorf("control op %d: %v", n%4, err)
+					return
+				}
+			}
+		}()
+
+		// Close once every kind of caller has demonstrably overlapped:
+		// some blocking requests have their verdicts while the others
+		// are still at it.
+		await(t, "256 blocking verdicts", func() bool { return verdicts.Load() >= 256 })
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		close(closed)
+		within(t, 10*time.Second, "callers after Close", wg.Wait)
+
+		// The workers have exited (Close waited for them); shard state is
+		// quiescent and safe to read directly.
+		var expired uint64
+		for _, w := range s.workers {
+			if !w.own.TryLock() {
+				t.Fatalf("workers=%d: shard %d's owner lock is still held after Close", workers, w.idx)
+			}
+			st := w.vs.Stats()
+			if st.Packets != st.MicroflowHits+st.CacheHits+st.CacheMisses {
+				t.Errorf("workers=%d shard %d: %d packets != %d+%d hits + %d misses",
+					workers, w.idx, st.Packets, st.MicroflowHits, st.CacheHits, st.CacheMisses)
+			}
+			expired += w.vs.Cache().Stats().Expired + w.vs.Microflow().Snapshot().Stats.Expired
+			w.own.Unlock()
+		}
+		if expired == 0 {
+			t.Errorf("workers=%d: no shard swept an idle entry", workers)
+		}
+		t.Logf("workers=%d: %d verdicts, %d refused at shutdown, %d nonblocking accepted",
+			workers, verdicts.Load(), refusals.Load(), accepted)
 	}
 }
 

@@ -7,12 +7,13 @@
 // CPU core runs the slowpath), so each shard owns its own cache shard and
 // every flow is RSS-hashed to exactly one shard — the same spreading a NIC
 // performs before delivering to per-core queues. The rules are not
-// sharded: every shard, and the upcall engine, walks the service's one
-// pipeline, which a walk only reads.
+// sharded: every shard walks the service's one pipeline, which a walk only
+// reads. A miss is walked, partitioned and installed on the shard that owns
+// it, inline (DESIGN.md §10).
 //
 // What makes a shard single-threaded is ownership, not a goroutine: every
 // shard has an owner lock, and whoever holds it may touch the shard's
-// VSwitch, recorder and upcall table — nobody else, ever. It
+// VSwitch and recorder — nobody else, ever. It
 // is taken once per message and never per packet. Each shard has a worker
 // goroutine serving its input queue under that lock, but a blocking
 // submitter whose shard is idle — nothing queued or running, lock free —
@@ -20,9 +21,9 @@
 // the run-to-completion datapath thread the paper patches: the thread
 // holding the burst classifies it, and no packet pays a queue hop or a
 // wake-up. A busy shard's share is queued as before. A rule update changes
-// the one pipeline once, holding every owner lock and the lock the engine
-// walks under, and revalidates every shard's cache before letting go,
-// failing or not, so no cache outlives the rules it was filled under.
+// the one pipeline once, holding every owner lock, and revalidates every
+// shard's cache before letting go, failing or not, so no cache outlives the
+// rules it was filled under.
 package service
 
 import (
@@ -44,24 +45,6 @@ import (
 // sweeps at the start of the first message it serves this long or longer
 // after its last sweep.
 const sweepEvery = 500 * time.Millisecond
-
-// UpcallConfig configures the asynchronous slow-path offload (one
-// section of Config).
-type UpcallConfig struct {
-	// Workers enables the offload with this many engine goroutines (0,
-	// the default, keeps misses inline): a main-cache miss parks its
-	// packet, same-flow misses share one traversal, and parked packets
-	// are released in arrival order, so results and VSwitch stats are
-	// those of inline processing, the full-queue fallback included. Each
-	// tier's own stats are too while no miss meets a full queue and no
-	// tier evicts (DESIGN.md "Upcall").
-	Workers int
-}
-
-// upcallQueue bounds the shared miss queue. A fresh miss that finds it
-// full is traversed inline, on the shard; packets of already-pending
-// flows never touch the queue.
-const upcallQueue = 1024
 
 // workerQueue bounds each worker's input queue, in messages: jobs or control ops.
 const workerQueue = 1024
@@ -109,8 +92,8 @@ func (c ConntrackConfig) withDefaults() ConntrackConfig {
 }
 
 // Config parameterises a Service. Cross-cutting knobs are top-level;
-// subsystem knobs live in the nested sections (Upcall, Conntrack), each
-// with its own defaults and validation.
+// connection tracking's live in its nested section (Conntrack), with its
+// own defaults and validation.
 type Config struct {
 	// Workers is the number of forwarding workers (default 1). The cache
 	// budget is split evenly between them.
@@ -134,10 +117,6 @@ type Config struct {
 	// sweep.
 	MaxIdle time.Duration
 
-	// Upcall configures the asynchronous slow-path offload. Mutually
-	// exclusive with Conntrack.Enable: the offload's parked slowpath is
-	// stateless.
-	Upcall UpcallConfig
 	// Conntrack configures connection tracking.
 	Conntrack ConntrackConfig
 
@@ -162,14 +141,8 @@ func (c Config) validate() error {
 	if c.MaxIdle < 0 {
 		return fmt.Errorf("service: negative MaxIdle (%v)", c.MaxIdle)
 	}
-	if c.Upcall.Workers < 0 {
-		return fmt.Errorf("service: negative Upcall.Workers (%d)", c.Upcall.Workers)
-	}
 	if err := c.Conntrack.validate(); err != nil {
 		return err
-	}
-	if c.Conntrack.Enable && c.Upcall.Workers > 0 {
-		return errors.New("service: Conntrack and the Upcall offload are mutually exclusive: a conntrack switch resolves every miss inline, so the upcall workers would never receive work (lifting this takes a parked record that carries the tracked key, the connection's epoch and the direction)")
 	}
 	if c.MegaflowCapacity < 0 {
 		return fmt.Errorf("service: negative MegaflowCapacity (%d)", c.MegaflowCapacity)
@@ -215,7 +188,7 @@ type Result struct {
 // are two kinds: a job — one share of a batch, the only form in which
 // packets reach a shard, a single packet being a share of one — or a
 // control function run under the shard's owner lock (rule update,
-// snapshot, a group of engine-completed upcalls to apply).
+// snapshot).
 type packet struct {
 	job     *batchJob
 	control func(i int, w *worker)
@@ -225,11 +198,10 @@ type packet struct {
 // worker is one shard: a cache shard over the service's pipeline, and the
 // goroutine that serves its input queue.
 type worker struct {
-	// own is the shard's owner lock: vs, rec, procPark, sweepAt,
-	// stopped and the async offload state below are touched only while
-	// holding it. The worker goroutine takes it around every queued
-	// message; a blocking submitter takes it — TryLock, never waiting — to
-	// run its own share.
+	// own is the shard's owner lock: vs, rec, out, errs, sweepAt and
+	// stopped are touched only while holding it. The worker goroutine takes
+	// it around every queued message; a blocking submitter takes it —
+	// TryLock, never waiting — to run its own share.
 	own sync.Mutex
 	// inflight counts messages sent to in whose run has not finished:
 	// incremented before the send, decremented after the message has run
@@ -242,12 +214,11 @@ type worker struct {
 	vs    *gigaflow.VSwitch
 	rec   *telemetry.LatencyRecorder
 	in    chan packet
-	idx   int    // shard index = miss.shard
+	idx   int    // shard index
 	label string // shard index, precomputed for metric labels
 
-	procPark []bool                   // ProcessBatchPark's parked flags, grown to the largest job seen
-	out      []gigaflow.ProcessResult // where a job nobody waits on writes its results, grown alike
-	errs     []error
+	out  []gigaflow.ProcessResult // where a job nobody waits on writes its results, grown to the largest job seen
+	errs []error
 	// sweepAt is the stamp from which the next message the shard serves
 	// sweeps first: sweepEvery past the last sweep, never when nothing
 	// expires. The sweep passes the limits Config.MaxIdle and
@@ -256,21 +227,7 @@ type worker struct {
 	maxIdle, connMaxIdle int64
 	stopped              bool // drain has begun: nothing sweeps, and a job run from here on fails with ErrClosed
 
-	// fin collects the queued jobs the message being served finished,
-	// under the owner lock, for flush to signal once it is released. Only
-	// the worker goroutine fills and flushes it: a submitter running its
-	// own share learns of completion by return value.
-	fin []*batchJob
-
 	drops atomic.Uint64 // nonblocking rejections due to a full queue
-
-	// Asynchronous offload state (Config.Upcall.Workers > 0; eng is nil
-	// otherwise). Apart from the shared eng, all of it is owner-lock state:
-	// the pending-flow table, at most one miss per flow, and the shard's
-	// offload counters.
-	eng     *engine
-	pending map[gigaflow.Key]*miss
-	up      upcallCounts
 }
 
 // Lifecycle states, tracked in Service.state so the submission hot path
@@ -291,12 +248,9 @@ type natEndpoint struct {
 type Service struct {
 	cfg     Config
 	workers []*worker
-	// pipe is the pipeline every shard and the upcall engine walk. Walks
-	// only read it; UpdateRules changes it holding every owner lock and
-	// rules, which the engine read-locks around its walks (a shard's own
-	// walks run under its owner lock).
-	pipe  *gigaflow.Pipeline
-	rules sync.RWMutex
+	// pipe is the pipeline every shard walks. Walks only read it, under
+	// their shard's owner lock; UpdateRules changes it holding every one.
+	pipe *gigaflow.Pipeline
 	// natOwner routes NAT'd reply traffic: with conntrack enabled,
 	// Workers > 1, and NAT pools defined, it maps every pool endpoint to
 	// the shard whose sub-range of the pool holds it. A reply arrives on
@@ -307,14 +261,10 @@ type Service struct {
 	// symmetric sharding); UpdateRules publishes a new one.
 	natOwner atomic.Pointer[map[natEndpoint]int]
 
-	// eng is the asynchronous offload's shared miss queue; nil unless
-	// Config.Upcall.Workers > 0.
-	eng *engine
-
 	// clock stamps everything that ages a cache: a job, a share run in
-	// place, a batch of upcall completions, and the idle sweep each of them
-	// may run first (unix ns). It is time.Now; a test may replace it before
-	// Start. Latency, ParkNs and traversal timings read the real clock.
+	// place, and the idle sweep each of them may run first (unix ns). It is
+	// time.Now; a test may replace it before Start. Latency and traversal
+	// timings read the real clock.
 	clock func() int64
 
 	reg     *telemetry.Registry
@@ -332,10 +282,9 @@ type Service struct {
 }
 
 // New builds a service around a pipeline. The service clones it once,
-// through the textual program format, and every shard and the upcall
-// engine walk that one copy, so the original may be retained or discarded
-// freely by the caller; post-start rule changes must go through
-// UpdateRules. With conntrack on and Workers > 1, every NAT pool needs at
+// through the textual program format, and every shard walks that one
+// copy, so the original may be retained or discarded freely by the caller;
+// post-start rule changes must go through UpdateRules. With conntrack on and Workers > 1, every NAT pool needs at
 // least Workers targets.
 func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 	if err := cfg.validate(); err != nil {
@@ -366,9 +315,6 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 	if err := s.routeNAT(); err != nil {
 		return nil, err
 	}
-	if cfg.Upcall.Workers > 0 {
-		s.eng = &engine{q: make(chan *miss, upcallQueue)}
-	}
 	sweepAt := int64(math.MaxInt64)
 	if cfg.MaxIdle > 0 || cfg.Conntrack.MaxIdle > 0 {
 		sweepAt = sweepEvery.Nanoseconds()
@@ -385,10 +331,6 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 			sweepAt:     sweepAt,
 			maxIdle:     cfg.MaxIdle.Nanoseconds(),
 			connMaxIdle: cfg.Conntrack.MaxIdle.Nanoseconds(),
-			eng:         s.eng,
-		}
-		if s.eng != nil {
-			w.pending = make(map[gigaflow.Key]*miss)
 		}
 		w.vs = s.newSwitch(i, gigaflow.WithLatencyRecorder(rec))
 		s.workers = append(s.workers, w)
@@ -420,7 +362,7 @@ func (s *Service) newSwitch(i int, extra ...gigaflow.VSwitchOption) *gigaflow.VS
 	return gigaflow.NewVSwitch(s.pipe, perWorker, append(opts, extra...)...)
 }
 
-// Start launches the workers (and the upcall engine, when configured).
+// Start launches the workers.
 // Cancel ctx or call Close to stop. Errors: ErrStarted on a second Start,
 // ErrClosed after Close.
 func (s *Service) Start(ctx context.Context) error {
@@ -435,12 +377,6 @@ func (s *Service) Start(ctx context.Context) error {
 	s.state.Store(stateRunning)
 	s.started.Store(time.Now().UnixNano())
 	ctx, s.cancel = context.WithCancel(ctx)
-	if s.eng != nil {
-		for i := 0; i < s.cfg.Upcall.Workers; i++ {
-			s.eng.wg.Add(1)
-			go s.runEngine(ctx)
-		}
-	}
 	for _, w := range s.workers {
 		s.done.Add(1)
 		go s.runWorker(ctx, w)
@@ -522,18 +458,18 @@ func (w *worker) offer(m packet) bool {
 
 // tryRun runs j on the calling goroutine if the shard is idle — every
 // message ever queued to it has been served, and nobody holds the owner
-// lock — and reports whether it did. It never waits: a busy shard's
-// share is queued instead. j.finished is set unless packets were parked
-// behind upcalls, whose completions will signal j.done. now stamps every
-// packet of the share, as a queued message's dequeue time would.
+// lock — and reports whether it did, finishing j. It never waits: a busy
+// shard's share is queued instead. now stamps every packet of the share,
+// as a queued message's dequeue time would.
 //
 //gf:hotpath-safe the one uncontended owner-lock acquisition a share pays; never per packet
 func (w *worker) tryRun(j *batchJob, now int64) bool {
 	if w.inflight.Load() != 0 || !w.own.TryLock() {
 		return false
 	}
-	j.finished = w.exec(packet{job: j}, now)
+	w.exec(packet{job: j}, now)
 	w.own.Unlock()
+	j.finished = true
 	return true
 }
 
@@ -541,9 +477,8 @@ func (w *worker) tryRun(j *batchJob, now int64) bool {
 // whichever goroutine holds it: the due sweep unless the shard has
 // stopped, then the control op, or the job — through runJob, or failed
 // whole with ErrClosed on a stopped shard. The one stamp now covers every
-// packet of a job's share, cache ages and flight timestamps alike. It
-// reports whether a job is finished (a control op always is).
-func (w *worker) exec(m packet, now int64) (finished bool) {
+// packet of a job's share, cache ages and flight timestamps alike.
+func (w *worker) exec(m packet, now int64) {
 	if !w.stopped {
 		w.due(now)
 	}
@@ -554,9 +489,8 @@ func (w *worker) exec(m packet, now int64) (finished bool) {
 		m.job.blk.settle(ErrClosed)
 		m.job.closed = true
 	default:
-		return w.runJob(m.job, now)
+		w.runJob(m.job, now)
 	}
-	return true
 }
 
 // due opens a message stamped now: a shard whose last idle sweep is
@@ -574,31 +508,22 @@ func (w *worker) due(now int64) {
 }
 
 // serve runs one queued message stamped now under the owner lock and then
-// — lock released — sends what it produced: finished jobs to their
-// submitters, the control acknowledgement. The in-flight count drops
-// last, so a submitter that sees the shard idle sees everything it queued
-// earlier fully delivered.
+// — lock released — signals its end: a job's submitter, if one waits, or
+// the control op's acknowledgement. Both channels are buffered for every
+// shard and never block. The in-flight count drops last, so a submitter
+// that sees the shard idle sees everything it queued earlier fully
+// delivered.
 func (w *worker) serve(m packet, now int64) {
 	w.own.Lock()
-	if w.exec(m, now) && m.job != nil && m.job.done != nil {
-		w.fin = append(w.fin, m.job)
-	}
+	w.exec(m, now)
 	w.own.Unlock()
-	w.flush()
+	if m.job != nil && m.job.done != nil {
+		m.job.done <- m.job
+	}
 	if m.ack != nil {
-		m.ack <- struct{}{} // buffered for every shard by eachShard
+		m.ack <- struct{}{}
 	}
 	w.inflight.Add(-1)
-}
-
-// flush sends the collected completion signals, in the order they were
-// produced. Done channels are buffered for every share of their batch and
-// never block.
-func (w *worker) flush() {
-	for _, j := range w.fin {
-		j.done <- j
-	}
-	w.fin = w.fin[:0]
 }
 
 // runJob processes one share on the shard that owns it, from exec. A
@@ -606,18 +531,12 @@ func (w *worker) flush() {
 // VSwitch stats flush and one counter flush per cache tier for the whole
 // share — writing each result into the slot Batch.Result reads, or, for a
 // job nobody waits on, into the worker's scratch. now is the message's
-// single wall-clock stamp, shared by every packet of the share. It
-// reports whether the job is finished; an async job that parked packets
-// finishes later, in deliver.
+// single wall-clock stamp, shared by every packet of the share.
 //
 //gf:hotpath
-func (w *worker) runJob(j *batchJob, now int64) (finished bool) {
-	if w.eng != nil {
-		return w.parkJob(j, now)
-	}
+func (w *worker) runJob(j *batchJob, now int64) {
 	out, errs := w.results(j)
 	w.vs.ProcessBatchMeta(j.blk.keys, j.blk.metas, out, errs, now)
-	return true
 }
 
 // results is where job j's results go: its share's own arrays when
@@ -636,54 +555,14 @@ func (w *worker) results(j *batchJob) ([]gigaflow.ProcessResult, []error) {
 	return w.out[:n], w.errs[:n]
 }
 
-// parkJob is runJob's scan in async offload mode: hits resolve in the
-// batch scan; misses park behind their flows and answer later via
-// complete, or — a fresh miss the full upcall queue refuses — run inline.
-// j.pending starts at 1 for the scan itself so a completion can never
-// finish the job mid-scan (impossible today — completions need the owner
-// lock this scan holds — but cheap to make structural); the scan's own
-// unit is released at the end, finishing the job if nothing parked.
-//
-//gf:hotpath-safe async offload: parking a miss allocates its pending-flow entry and feeds the upcall queue by design
-func (w *worker) parkJob(j *batchJob, now int64) (finished bool) {
-	blk := j.blk
-	n := len(blk.keys)
-	if cap(w.procPark) < n {
-		w.procPark = make([]bool, n)
-	}
-	parks := w.procPark[:n]
-	out, errs := w.results(j)
-	w.vs.ProcessBatchPark(blk.keys, out, errs, parks, now)
-	j.pending = 1
-	for i := 0; i < n; i++ {
-		if parks[i] {
-			if w.parkOne(blk.keys[i], parked{job: j, idx: i}) {
-				j.pending++
-				continue
-			}
-			// The queue is full: traverse inline, as synchronous mode would.
-			// A parked packet was counted nowhere, so this is the whole loop,
-			// looked up again first — an earlier packet of the share may have
-			// installed its flow meanwhile.
-			w.up.OverflowInline++
-			out[i], errs[i] = w.vs.Process(blk.keys[i], now)
-		}
-	}
-	j.pending--
-	return j.pending == 0
-}
-
 // drain stops the shard, then serves what is still queued so blocking
 // submitters are never stranded: on a stopped shard control ops run as
-// ever (they only touch shard state — and upcall completions the engine
-// already delivered give their submitters real results), while jobs fail
-// with ErrClosed. The loop stops as soon as the queue is momentarily
-// empty — nonblocking submissions racing Close past that point are
-// dropped with the queue, exactly like packets lost in a NIC ring at
-// teardown (one that starts after Close has returned is refused with
-// ErrClosed) — and then the pending-flow table is swept so parked packets
-// whose completions never arrived fail with ErrClosed too. The owner lock
-// is taken per message, never across the receive.
+// ever (they only touch shard state), while jobs fail with ErrClosed. The
+// loop stops as soon as the queue is momentarily empty — nonblocking
+// submissions racing Close past that point are dropped with the queue,
+// exactly like packets lost in a NIC ring at teardown (one that starts
+// after Close has returned is refused with ErrClosed). The owner lock is
+// taken per message, never across the receive.
 func (w *worker) drain() {
 	w.own.Lock()
 	w.stopped = true
@@ -693,10 +572,6 @@ func (w *worker) drain() {
 		case m := <-w.in:
 			w.serve(m, 0)
 		default:
-			w.own.Lock()
-			w.sweepParked()
-			w.own.Unlock()
-			w.flush()
 			return
 		}
 	}
@@ -736,12 +611,11 @@ func (s *Service) eachShard(ctx context.Context, fn func(i int, w *worker)) erro
 // pipeline every shard walks, and every shard's cache is revalidated
 // against the result before any packet sees it. What was queued to a shard
 // before the call is served under the old rules first. fn runs holding
-// every shard's owner lock and the engine's traversal lock, so no walk
-// overlaps it; a failing fn's partial change stays and is revalidated
-// like a whole one. With conntrack on and Workers > 1, the NAT pools fn
-// leaves are split between the shards anew and replies routed by the new
-// split; a pool left with fewer targets than Workers is reported as New
-// reports it. fn's error comes first.
+// every shard's owner lock, so no walk overlaps it; a failing fn's partial
+// change stays and is revalidated like a whole one. With conntrack on and
+// Workers > 1, the NAT pools fn leaves are split between the shards anew
+// and replies routed by the new split; a pool left with fewer targets than
+// Workers is reported as New reports it. fn's error comes first.
 func (s *Service) UpdateRules(ctx context.Context, fn func(p *gigaflow.Pipeline) error) error {
 	if err := s.eachShard(ctx, func(int, *worker) {}); err != nil {
 		return err
@@ -749,7 +623,6 @@ func (s *Service) UpdateRules(ctx context.Context, fn func(p *gigaflow.Pipeline)
 	for _, w := range s.workers {
 		w.own.Lock()
 	}
-	s.rules.Lock()
 	err := fn(s.pipe)
 	s.pipe.Settle()
 	if natErr := s.routeNAT(); err == nil {
@@ -758,7 +631,6 @@ func (s *Service) UpdateRules(ctx context.Context, fn func(p *gigaflow.Pipeline)
 	for _, w := range s.workers {
 		w.vs.Revalidate()
 	}
-	s.rules.Unlock()
 	for _, w := range s.workers {
 		w.own.Unlock()
 	}
@@ -804,9 +676,6 @@ func (s *Service) Close() error {
 	}
 	cancel()
 	<-s.term // the Start watcher closes term once every worker has exited
-	if s.eng != nil {
-		s.eng.wg.Wait() // engine goroutines exit on the same cancellation
-	}
 	return nil
 }
 

@@ -63,8 +63,7 @@ func start(tb testing.TB, p *gigaflow.Pipeline, cfg Config) *Service {
 
 // startOn is start with prep (when not nil) run on the service between
 // New and Start: where a test replaces the service clock, which every
-// stamp that ages the caches reads, the upcall queue or the worker queues
-// (shortQueues).
+// stamp that ages the caches reads, or the worker queues (shortQueues).
 func startOn(tb testing.TB, p *gigaflow.Pipeline, cfg Config, prep func(*Service)) *Service {
 	tb.Helper()
 	s, err := New(p, cfg)
@@ -428,6 +427,9 @@ func TestCancelEndsLikeClose(t *testing.T) {
 		}},
 		{"UpdateRules", func(s *Service) error {
 			return s.UpdateRules(context.Background(), func(*gigaflow.Pipeline) error { return nil })
+		}},
+		{"Collect", func(s *Service) error { // every /metrics scrape runs it
+			return s.Collect(context.Background())
 		}},
 	}
 	for _, cancelled := range []bool{false, true} {

@@ -31,10 +31,7 @@ func (s *Service) Registry() *telemetry.Registry { return s.reg }
 // HTTP handlers call this before rendering; expose it for embedders that
 // scrape the registry directly.
 func (s *Service) Collect(ctx context.Context) error {
-	err := s.eachShard(ctx, func(_ int, w *worker) {
-		w.vs.CollectMetrics(s.reg, w.label)
-		w.collectUpcallMetrics(s.reg)
-	})
+	err := s.eachShard(ctx, func(_ int, w *worker) { w.vs.CollectMetrics(s.reg, w.label) })
 	if err != nil {
 		return err
 	}
@@ -55,16 +52,6 @@ func (s *Service) collectServiceMetrics() {
 		depth.With(w.label).Set(float64(len(w.in)))
 		capacity.With(w.label).Set(float64(cap(w.in)))
 		drops.With(w.label).Set(w.drops.Load())
-	}
-	if s.eng != nil {
-		s.reg.Gauge("gigaflow_upcall_queue_depth",
-			"Misses waiting in the shared upcall queue.").Set(float64(len(s.eng.q)))
-		s.reg.Gauge("gigaflow_upcall_queue_capacity",
-			"Upcall queue length limit.").Set(float64(cap(s.eng.q)))
-		s.reg.Counter("gigaflow_upcall_drained_total",
-			"Misses drained by the upcall engine.").Set(s.eng.drained.Load())
-		s.reg.Counter("gigaflow_upcall_batches_total",
-			"Engine drain batches executed.").Set(s.eng.batches.Load())
 	}
 	s.reg.Gauge("gigaflow_workers", "Forwarding workers.").Set(float64(len(s.workers)))
 	if t := s.started.Load(); t > 0 {

@@ -35,7 +35,6 @@ func TestConfigValidation(t *testing.T) {
 		// Every miss would fail to partition, so nothing would ever be cached.
 		{"unknown scheme", Config{Cache: gigaflow.CacheConfig{Scheme: 99}}, "Cache.Scheme"},
 		{"negative megaflow cap", Config{MegaflowCapacity: -1}, "MegaflowCapacity"},
-		{"negative upcall workers", Config{Upcall: UpcallConfig{Workers: -1}}, "Upcall.Workers"},
 		{"megaflow backend ok", Config{MegaflowCapacity: 1024}, ""},
 	}
 	for _, c := range cases {

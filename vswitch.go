@@ -79,7 +79,7 @@ type VSwitch struct {
 
 	// resume lets a stalled miss walk and install only the suffix the main
 	// cache does not hold (WithStallResume); stalled is the key a parked
-	// miss stalled with, which its completion checks the engine's walk
+	// miss stalled with, which its completion checks the walk it is handed
 	// against, and view the suffix of that walk it installs (suffixAt).
 	resume  bool
 	stalled Key
@@ -89,8 +89,8 @@ type VSwitch struct {
 	// resolver it walks with under conntrack: the switch is
 	// single-goroutine and a miss is done with its traversal — installed,
 	// memoized or held — before the next packet is looked at, so neither
-	// is ever allocated per packet. Traversals that outlive a call (the
-	// upcall engine's, handed to CompleteMiss) come from Pipeline.Process.
+	// is ever allocated per packet. Traversals that outlive a call (a
+	// park-mode caller's, handed to CompleteMiss) come from Pipeline.Process.
 	trav Traversal
 	res  ctResolver
 	// kt holds the packet's key with ct_state folded in while the loop looks
