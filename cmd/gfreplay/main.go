@@ -24,6 +24,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"net"
+	"net/http"
 	"os"
 	"time"
 
@@ -47,13 +49,13 @@ func main() {
 		flows     = flag.Int("flows", 5000, "unique flows in a -gen trace")
 		seed      = flag.Int64("seed", 1, "seed for -gen")
 		metrics   = flag.Bool("metrics", false, "dump the metrics registry (Prometheus text) after the report")
+		telemetry = flag.String("telemetry", "", "serve /metrics and /debug endpoints on this address during the replay")
 	)
 	flag.StringVar(&o.backend, "backend", "gigaflow", "cache backend (gigaflow|megaflow)")
 	flag.IntVar(&o.workers, "workers", 1, "forwarding workers")
 	flag.IntVar(&o.tables, "tables", 4, "Gigaflow tables")
 	flag.IntVar(&o.capacity, "cap", 32768, "total main-cache entries, either backend (split across tables and workers)")
 	flag.IntVar(&o.microflow, "microflow", 0, "per-worker microflow entries (0: disabled)")
-	flag.StringVar(&o.telemetry, "telemetry", "", "serve /metrics and /debug endpoints on this address during the replay")
 	flag.BoolVar(&o.conntrack, "conntrack", false, "enable connection tracking (required for ct_state/NAT pipelines)")
 	flag.IntVar(&o.ctMax, "ct-max", 0, "total live-connection budget across workers (0: conntrack default)")
 	flag.DurationVar(&o.ctIdle, "ct-idle", 0, "expire connections idle longer than this (0: never)")
@@ -96,8 +98,13 @@ func main() {
 		fail(err)
 	}
 	defer s.Close()
-	if o.telemetry != "" {
-		fmt.Fprintf(os.Stderr, "gfreplay: telemetry on http://%s/metrics\n", s.TelemetryAddr())
+	if *telemetry != "" {
+		ln, err := net.Listen("tcp", *telemetry)
+		if err != nil {
+			fail(err)
+		}
+		go http.Serve(ln, s.TelemetryHandler())
+		fmt.Fprintf(os.Stderr, "gfreplay: telemetry on http://%s/metrics\n", ln.Addr())
 	}
 
 	f, err := os.Open(*pcapPath)
@@ -132,7 +139,6 @@ func main() {
 type options struct {
 	backend                              string
 	workers, tables, capacity, microflow int
-	telemetry                            string
 	conntrack                            bool
 	ctMax                                int
 	ctIdle                               time.Duration
@@ -145,7 +151,6 @@ func serviceConfig(o options) (service.Config, error) {
 	cfg := service.Config{
 		Workers:           o.workers,
 		MicroflowCapacity: o.microflow * o.workers,
-		TelemetryAddr:     o.telemetry,
 	}
 	switch {
 	case o.workers < 1:

@@ -7,12 +7,17 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"gigaflow"
 	"gigaflow/internal/sim"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run builds the demo, probes its coverage and prints the report to w.
+func run(w io.Writer) {
 	const (
 		macs    = 16
 		subnets = 16
@@ -52,10 +57,10 @@ func main() {
 		}
 	}
 
-	fmt.Printf("seeded %d flows -> %d cache entries\n", macs, vs.CacheEntries())
-	fmt.Printf("rule-space coverage: %d megaflow-equivalent rules (%d × %d × %d)\n",
+	fmt.Fprintf(w, "seeded %d flows -> %d cache entries\n", macs, vs.CacheEntries())
+	fmt.Fprintf(w, "rule-space coverage: %d megaflow-equivalent rules (%d × %d × %d)\n",
 		vs.Coverage(), macs, subnets, ports)
-	fmt.Printf("a Megaflow cache would need %d entries for the same coverage\n\n", macs*subnets*ports)
+	fmt.Fprintf(w, "a Megaflow cache would need %d entries for the same coverage\n\n", macs*subnets*ports)
 
 	// Prove the coverage is real: every combination hits in hardware.
 	probes, hits := 0, 0
@@ -73,19 +78,19 @@ func main() {
 			}
 		}
 	}
-	fmt.Printf("probed all %d combinations: %d hardware hits (%.1f%%)\n\n",
+	fmt.Fprintf(w, "probed all %d combinations: %d hardware hits (%.1f%%)\n\n",
 		probes, hits, 100*float64(hits)/float64(probes))
 
 	// What would this cache shape cost on the FPGA?
-	fmt.Println("SmartNIC resource model (scaled from the paper's Alveo U250 prototype):")
-	fmt.Printf("%8s %10s %8s %8s %8s %9s\n", "tables", "cap/table", "LUT%", "FF%", "BRAM%", "power W")
+	fmt.Fprintln(w, "SmartNIC resource model (scaled from the paper's Alveo U250 prototype):")
+	fmt.Fprintf(w, "%8s %10s %8s %8s %8s %9s\n", "tables", "cap/table", "LUT%", "FF%", "BRAM%", "power W")
 	for _, cfg := range [][2]int{{1, 32768}, {4, 8192}, {4, 32768}, {8, 65536}} {
 		r := sim.EstimateResources(cfg[0], cfg[1])
 		note := ""
 		if !r.Feasible {
 			note = "  (exceeds the 75 W PCIe budget or chip resources)"
 		}
-		fmt.Printf("%8d %10d %8.1f %8.1f %8.1f %9.1f%s\n",
+		fmt.Fprintf(w, "%8d %10d %8.1f %8.1f %8.1f %9.1f%s\n",
 			cfg[0], cfg[1], r.LUTPct, r.FFPct, r.BRAMPct, r.PowerW, note)
 	}
 }

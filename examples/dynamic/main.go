@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
 
 	"gigaflow"
 )
@@ -41,9 +43,9 @@ func buildPipeline(tenants, services int) *gigaflow.Pipeline {
 	return p
 }
 
-// run drives the two-wave workload against one vSwitch and returns the
-// windowed hit-rate series.
-func run(vs *gigaflow.VSwitch, label string) []float64 {
+// drive runs the two-wave workload against one vSwitch, prints its
+// final occupancy to w and returns the windowed hit-rate series.
+func drive(w io.Writer, vs *gigaflow.VSwitch, label string) []float64 {
 	const (
 		tenants  = 32
 		services = 64
@@ -79,11 +81,14 @@ func run(vs *gigaflow.VSwitch, label string) []float64 {
 			hits, total = 0, 0
 		}
 	}
-	fmt.Printf("%-28s entries=%-6d coverage=%d\n", label, vs.CacheEntries(), vs.Coverage())
+	fmt.Fprintf(w, "%-28s entries=%-6d coverage=%d\n", label, vs.CacheEntries(), vs.Coverage())
 	return series
 }
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run drives both caches and prints their hit-rate series to w.
+func run(w io.Writer) {
 	const cacheBudget = 2048 // total entries for either cache
 
 	gfVS := gigaflow.NewVSwitch(buildPipeline(32, 64),
@@ -92,18 +97,18 @@ func main() {
 		gigaflow.CacheConfig{NumTables: 4, TableCapacity: cacheBudget / 4},
 		gigaflow.WithMegaflowBackend(cacheBudget))
 
-	fmt.Println("two-wave workload: 16 tenants, then 32 tenants from t=60s")
-	fmt.Printf("equal cache budget: %d entries\n\n", cacheBudget)
-	gf := run(gfVS, "gigaflow (4 tables)")
-	mf := run(mfVS, "megaflow (single table)")
+	fmt.Fprintln(w, "two-wave workload: 16 tenants, then 32 tenants from t=60s")
+	fmt.Fprintf(w, "equal cache budget: %d entries\n\n", cacheBudget)
+	gf := drive(w, gfVS, "gigaflow (4 tables)")
+	mf := drive(w, mfVS, "megaflow (single table)")
 
-	fmt.Println("\nwindowed hit rate (%):")
-	fmt.Println("  t(s)   gigaflow   megaflow")
+	fmt.Fprintln(w, "\nwindowed hit rate (%):")
+	fmt.Fprintln(w, "  t(s)   gigaflow   megaflow")
 	for i := range gf {
 		marker := ""
 		if (i+1)*10 > 60 && i*10 <= 60 {
 			marker = "   <- second wave arrives"
 		}
-		fmt.Printf("  %3d    %6.1f     %6.1f%s\n", (i+1)*10, 100*gf[i], 100*mf[i], marker)
+		fmt.Fprintf(w, "  %3d    %6.1f     %6.1f%s\n", (i+1)*10, 100*gf[i], 100*mf[i], marker)
 	}
 }

@@ -7,6 +7,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"gigaflow"
 )
@@ -16,7 +18,10 @@ const (
 	sec   = int64(1_000_000_000)
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run plays the scenario, printing each phase to w.
+func run(w io.Writer) {
 	p := buildPipeline()
 	vs := gigaflow.NewVSwitch(p, gigaflow.CacheConfig{NumTables: 4, TableCapacity: 4096})
 
@@ -34,24 +39,24 @@ func main() {
 		return res
 	}
 
-	fmt.Println("== warm up: 20 web flows + 5 ssh flows ==")
+	fmt.Fprintln(w, "== warm up: 20 web flows + 5 ssh flows ==")
 	for h := uint64(1); h <= 20; h++ {
 		send(h, 80)
 	}
 	for h := uint64(1); h <= 5; h++ {
 		send(h, 22)
 	}
-	report(vs, "after warm-up")
+	report(w, vs, "after warm-up")
 
-	fmt.Println("\n== repeat traffic: everything should hit in hardware ==")
+	fmt.Fprintln(w, "\n== repeat traffic: everything should hit in hardware ==")
 	before := vs.Stats()
 	for h := uint64(1); h <= 20; h++ {
 		send(h, 80)
 	}
 	after := vs.Stats()
-	fmt.Printf("20 packets, %d hits\n", after.CacheHits-before.CacheHits)
+	fmt.Fprintf(w, "20 packets, %d hits\n", after.CacheHits-before.CacheHits)
 
-	fmt.Println("\n== policy change: block ssh (tp_dst=22) ==")
+	fmt.Fprintln(w, "\n== policy change: block ssh (tp_dst=22) ==")
 	// Find and replace the ssh-accept rule with a deny.
 	for _, r := range p.Table(3).Rules() {
 		if r.Match.Key.Get(gigaflow.FieldTpDst) == 22 {
@@ -62,20 +67,20 @@ func main() {
 		[]gigaflow.Action{gigaflow.Drop()}, gigaflow.NoTable)
 
 	evicted, work := vs.Revalidate()
-	fmt.Printf("revalidation: %d stale sub-traversals evicted with %d table lookups\n", evicted, work)
-	fmt.Printf("(web sub-traversals survive: only the ssh segment was re-derived)\n")
+	fmt.Fprintf(w, "revalidation: %d stale sub-traversals evicted with %d table lookups\n", evicted, work)
+	fmt.Fprintf(w, "(web sub-traversals survive: only the ssh segment was re-derived)\n")
 
 	res := send(3, 22)
-	fmt.Printf("ssh packet now: %s (cache hit: %v)\n", res.Verdict, res.CacheHit)
+	fmt.Fprintf(w, "ssh packet now: %s (cache hit: %v)\n", res.Verdict, res.CacheHit)
 	res = send(3, 80)
-	fmt.Printf("web packet still: %s (cache hit: %v)\n", res.Verdict, res.CacheHit)
+	fmt.Fprintf(w, "web packet still: %s (cache hit: %v)\n", res.Verdict, res.CacheHit)
 
-	fmt.Println("\n== idle expiry: advance the clock 30s and sweep ==")
+	fmt.Fprintln(w, "\n== idle expiry: advance the clock 30s and sweep ==")
 	clock += 30 * sec
 	n := vs.ExpireIdle(clock, 10*sec, 0) // entries idle over 10s; no connections to expire
-	fmt.Printf("%d idle sub-traversals expired; %d entries remain\n", n, vs.CacheEntries())
+	fmt.Fprintf(w, "%d idle sub-traversals expired; %d entries remain\n", n, vs.CacheEntries())
 
-	report(vs, "final")
+	report(w, vs, "final")
 }
 
 func buildPipeline() *gigaflow.Pipeline {
@@ -97,8 +102,8 @@ func buildPipeline() *gigaflow.Pipeline {
 	return p
 }
 
-func report(vs *gigaflow.VSwitch, label string) {
+func report(w io.Writer, vs *gigaflow.VSwitch, label string) {
 	st := vs.Stats()
-	fmt.Printf("[%s] packets=%d hits=%d slowpath=%d entries=%d coverage=%d\n",
+	fmt.Fprintf(w, "[%s] packets=%d hits=%d slowpath=%d entries=%d coverage=%d\n",
 		label, st.Packets, st.CacheHits, st.CacheMisses, vs.CacheEntries(), vs.Coverage())
 }

@@ -6,11 +6,16 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"gigaflow"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run walks the demo flows, printing each verdict and the totals to w.
+func run(w io.Writer) {
 	// A miniature L2 → L3 → ACL pipeline: forward by MAC, route /24
 	// prefixes (rewriting the source MAC), then filter by port.
 	p := gigaflow.NewPipeline("quickstart")
@@ -46,24 +51,24 @@ func main() {
 		if !res.CacheHit {
 			src = "miss (slowpath)"
 		}
-		fmt.Printf("%-34s -> %-10s %s\n", label, res.Verdict, src)
+		fmt.Fprintf(w, "%-34s -> %-10s %s\n", label, res.Verdict, src)
 	}
 
-	fmt.Println("two seed flows take the slowpath and install sub-traversals:")
+	fmt.Fprintln(w, "two seed flows take the slowpath and install sub-traversals:")
 	show("flow A: 10.0.1.5:80", key(1, 5, 80), 0)
 	show("flow B: 10.0.2.9:443", key(2, 9, 443), 1)
 
-	fmt.Println("\nrepeat packets hit in hardware:")
+	fmt.Fprintln(w, "\nrepeat packets hit in hardware:")
 	show("flow A again", key(1, 5, 80), 2)
 
-	fmt.Println("\nand so do flows the cache has NEVER seen, by recombining")
-	fmt.Println("cached sub-traversals (the purple paths of the paper's Fig. 5):")
+	fmt.Fprintln(w, "\nand so do flows the cache has NEVER seen, by recombining")
+	fmt.Fprintln(w, "cached sub-traversals (the purple paths of the paper's Fig. 5):")
 	show("new flow: 10.0.1.77:443", key(1, 77, 443), 3)
 	show("new flow: 10.0.2.42:80", key(2, 42, 80), 4)
 
 	st := vs.Stats()
-	fmt.Printf("\n%d packets, %d slowpath traversals, hit rate %.0f%%\n",
+	fmt.Fprintf(w, "\n%d packets, %d slowpath traversals, hit rate %.0f%%\n",
 		st.Packets, st.CacheMisses, 100*st.HitRate())
-	fmt.Printf("cache entries: %d  rule-space coverage: %d megaflow-equivalents\n",
+	fmt.Fprintf(w, "cache entries: %d  rule-space coverage: %d megaflow-equivalents\n",
 		vs.CacheEntries(), vs.Coverage())
 }

@@ -1,6 +1,6 @@
-// Example telemetry starts a multi-worker service with the introspection
-// endpoints enabled, drives encoded frames through it, and prints the
-// address to scrape:
+// Example telemetry starts a multi-worker service, serves its
+// introspection endpoints (Service.TelemetryHandler) on a listener of its
+// own, drives encoded frames through it, and prints the address to scrape:
 //
 //	go run ./examples/telemetry
 //	curl localhost:9090/metrics
@@ -12,6 +12,8 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"time"
@@ -26,7 +28,11 @@ func main() {
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	svc, err := run(ctx, *addr, 0)
+	ln, err := net.Listen("tcp", *addr)
+	var svc *service.Service
+	if err == nil {
+		svc, err = run(ctx, ln, 0)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -35,11 +41,11 @@ func main() {
 }
 
 // run starts a two-worker service serving the introspection endpoints on
-// addr and drives a steady mix of flows through it, one frame a
-// millisecond, so every tier shows activity: frames of them, or until ctx
-// is done when frames is 0. It returns the service still running; the
-// caller closes it.
-func run(ctx context.Context, addr string, frames int) (*service.Service, error) {
+// ln until ln is closed, and drives a steady mix of flows through it, one
+// frame a millisecond, so every tier shows activity: frames of them, or
+// until ctx is done when frames is 0. It returns the service still
+// running; the caller closes it.
+func run(ctx context.Context, ln net.Listener, frames int) (*service.Service, error) {
 	p := gigaflow.NewPipeline("demo")
 	p.AddTable(0, "l2", gigaflow.NewFieldSet(gigaflow.FieldEthDst))
 	p.AddTable(1, "l3", gigaflow.NewFieldSet(gigaflow.FieldIPDst))
@@ -55,7 +61,6 @@ func run(ctx context.Context, addr string, frames int) (*service.Service, error)
 		Workers:           2,
 		Cache:             gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 1024},
 		MicroflowCapacity: 256,
-		TelemetryAddr:     addr,
 	})
 	if err != nil {
 		return nil, err
@@ -63,7 +68,8 @@ func run(ctx context.Context, addr string, frames int) (*service.Service, error)
 	if err := svc.Start(ctx); err != nil {
 		return nil, err
 	}
-	fmt.Printf("telemetry on http://%s (ctrl-c to stop)\n", svc.TelemetryAddr())
+	go http.Serve(ln, svc.TelemetryHandler())
+	fmt.Printf("telemetry on http://%s (ctrl-c to stop)\n", ln.Addr())
 
 	ticker := time.NewTicker(time.Millisecond)
 	defer ticker.Stop()

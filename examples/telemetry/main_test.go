@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -14,12 +15,17 @@ import (
 // and every frame driven.
 func TestScrape(t *testing.T) {
 	const frames = 100
-	svc, err := run(context.Background(), "127.0.0.1:0", frames)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	svc, err := run(context.Background(), ln, frames)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	resp, err := http.Get("http://" + svc.TelemetryAddr() + "/metrics")
+	resp, err := http.Get("http://" + ln.Addr().String() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,10 +7,9 @@ import (
 	"go/types"
 )
 
-// GoroLeak checks goroutine lifecycles: the workers, the start watcher
-// and telemetry servers the service spawns must all terminate when the
-// service shuts down, or Close hangs on its WaitGroup and every test
-// leaks a goroutine.
+// GoroLeak checks goroutine lifecycles: the workers the service spawns
+// must all terminate when the service shuts down, or Close hangs waiting
+// for the last of them to close term and every test leaks a goroutine.
 //
 // Two rules, both module-wide over the call graph:
 //

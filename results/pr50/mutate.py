@@ -30,17 +30,19 @@ MUTATIONS = {
     11: [("service/service.go", "\tfor _, w := range s.workers {\n\t\tw.vs.Revalidate()\n\t}\n",
           "\tfor _, w := range s.workers {\n\t\tif err == nil {\n\t\t\tw.vs.Revalidate()\n\t\t}\n\t}\n")],
     12: [("service/service.go", "w.up.OverflowInline++", "w.up.OverflowInline += 2")],
-    13: [("service/service.go", "\tstopped              bool", "\tprev                 int64\n\tstopped              bool"),
+    13: [("service/service.go", "\tmaxIdle, connMaxIdle int64\n", "\tmaxIdle, connMaxIdle int64\n\tprev                 int64\n"),
          ("service/service.go", "w.vs.ExpireIdle(now, w.maxIdle, w.connMaxIdle)\n\t\tw.sweepAt = now + sweepEvery.Nanoseconds()\n\t}\n",
           "w.vs.ExpireIdle(w.prev, w.maxIdle, w.connMaxIdle)\n\t\tw.sweepAt = now + sweepEvery.Nanoseconds()\n\t}\n\tw.prev = now\n")],
-    14: [("service/service.go", "\tif !w.stopped {\n\t\tw.due(now)",
-          "\tif !w.stopped && m.control == nil {\n\t\tw.due(now)")],
+    14: [("service/service.go", "\tif !closed {\n\t\tw.due(now)",
+          "\tif !closed && m.control == nil {\n\t\tw.due(now)")],
     15: [("service/upcall.go", "\t\t\tnow := s.clock()\n", "\t\t\tnow := time.Now().UnixNano()\n")],
     16: [("vswitch.go", "table = v.walkSuffix(tr, &o.Final)", "table = v.walkSuffix(tr, kt)")],
     # The shutdown mutants of worker.exec and drain; each must fail some
-    # test of ./service (not necessarily the oracle).
-    17: [("service/service.go", "\tif !w.stopped {\n\t\tw.due(now)\n\t}\n", "\tw.due(now)\n")],
-    18: [("service/service.go", "\tcase w.stopped:\n\t\tm.job.blk.settle(ErrClosed)\n", "")],
+    # test of ./service (not necessarily the oracle): a closed service's
+    # shard sweeps (17), runs a job (18), or drain skips the queue's
+    # control ops (19).
+    17: [("service/service.go", "\tif !closed {\n\t\tw.due(now)\n\t}\n", "\tw.due(now)\n")],
+    18: [("service/service.go", "\tcase closed:\n\t\tm.job.blk.settle(ErrClosed)\n\t\tm.job.closed = true\n", "")],
     19: [("service/service.go", "\t\tcase m := <-w.in:\n\t\t\tw.serve(m, 0)\n",
           "\t\tcase m := <-w.in:\n\t\t\tif m.control != nil {\n\t\t\t\tcontinue\n\t\t\t}\n\t\t\tw.serve(m, 0)\n")],
 }

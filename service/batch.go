@@ -106,7 +106,7 @@ type batchJob struct {
 	// unfinished jobs take the call-level error.
 	finished bool
 	// closed is the shard's note that the job, or a packet of it, met the
-	// shard stopped and failed with ErrClosed: the call fails with it too.
+	// service closed and failed with ErrClosed: the call fails with it too.
 	closed bool
 }
 
@@ -321,7 +321,7 @@ func (s *Service) submitBlocking(ctx context.Context, b *Batch) error {
 	}
 	for w := range b.jobs {
 		if b.jobs[w].closed && callErr == nil {
-			callErr = ErrClosed // a share met its shard stopped
+			callErr = ErrClosed // a share met the service closed
 		}
 	}
 	if callErr != nil {
@@ -343,7 +343,7 @@ func (s *Service) submitBlocking(ctx context.Context, b *Batch) error {
 // the last is queued to its worker, so the shards run in parallel, and
 // the last is run right here when its shard is idle (queued too when it
 // is not). It returns how many shares will signal b.done, and the error
-// that stopped the fan-out early, if any. now stamps the share run here.
+// that ended the fan-out early, if any. now stamps the share run here.
 //
 //gf:hotpath
 func (s *Service) dispatch(ctx context.Context, b *Batch, now int64) (waiting int, err error) {

@@ -468,16 +468,19 @@ func cellAt(name string) int {
 }
 
 // TestOracleCorpusNamesCells: every checked-in FuzzOracle entry names a
-// cell. FuzzOracle hashes a name it does not know onto some cell, so an
-// entry whose cell was renamed or deleted would keep passing while it no
-// longer runs what it was planted for.
+// cell, and no two name the same cell and seed. FuzzOracle hashes a name
+// it does not know onto some cell, so an entry whose cell was renamed or
+// deleted would keep passing while it no longer runs what it was planted
+// for; a second entry of one cell and seed runs nothing the first does
+// not.
 func TestOracleCorpusNamesCells(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzOracle")
 	entries, err := os.ReadDir(dir)
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("%s: %d entries, %v", dir, len(entries), err)
 	}
-	quoted := regexp.MustCompile(`(?m)^string\(("(?:[^"\\]|\\.)*")\)$`)
+	quoted := regexp.MustCompile(`(?m)^string\(("(?:[^"\\]|\\.)*")\)\nuint64\((\d+)\)$`)
+	seen := map[string]string{} // cell and seed: the entry that names them
 	for _, e := range entries {
 		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
@@ -485,12 +488,17 @@ func TestOracleCorpusNamesCells(t *testing.T) {
 		}
 		m := quoted.FindSubmatch(data)
 		if m == nil {
-			t.Errorf("%s: no cell name", e.Name())
+			t.Errorf("%s: no cell name and seed", e.Name())
 			continue
 		}
 		if name, err := strconv.Unquote(string(m[1])); err != nil || cellAt(name) < 0 {
 			t.Errorf("%s: %s names no cell (%v)", e.Name(), m[1], err)
 		}
+		run := fmt.Sprintf("%s, seed %s", m[1], m[2])
+		if first, dup := seen[run]; dup {
+			t.Errorf("%s: %s is %s's already", e.Name(), run, first)
+		}
+		seen[run] = e.Name()
 	}
 }
 

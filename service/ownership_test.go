@@ -19,22 +19,20 @@ import (
 // that is not running returns at once with the lifecycle error — before
 // Start, after Close, and after the context Start was given is cancelled
 // — where it used to queue a closure to a worker that would never run it
-// (a context-free cache-entry count blocked forever). The cancelled
-// leg serves telemetry: that server outlives the workers until Close, and
-// must not keep the service looking alive to callers meanwhile.
+// (a context-free cache-entry count blocked forever). Once the cancelled
+// service is closed, Close reports ErrClosed like a second Close.
 func TestControlOpsOnStoppedService(t *testing.T) {
 	for _, tc := range []struct {
-		name, telemetryAddr string
-		cancel              bool
+		name   string
+		cancel bool
 	}{
-		{"Close", "", false},
-		{"cancelled ctx, telemetry on", "127.0.0.1:0", true},
+		{"Close", false},
+		{"cancelled ctx", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := New(buildPipeline(), Config{
-				Workers:       2,
-				Cache:         gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256},
-				TelemetryAddr: tc.telemetryAddr,
+				Workers: 2,
+				Cache:   gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -83,15 +81,17 @@ func TestControlOpsOnStoppedService(t *testing.T) {
 			if n := cacheEntries(t, s); n == 0 {
 				t.Error("running service reports no cache entries after a miss")
 			}
+			var closeErr error
 			if tc.cancel {
 				cancel()
 				// Until the workers have drained, an op may still be served.
 				within(t, 5*time.Second, "workers exiting after cancellation", func() { <-s.term })
 				check(ErrClosed)
+				closeErr = ErrClosed
 			}
 			within(t, 5*time.Second, "Close", func() {
-				if err := s.Close(); err != nil {
-					t.Error(err)
+				if err := s.Close(); !errors.Is(err, closeErr) {
+					t.Errorf("Close: %v, want %v", err, closeErr)
 				}
 			})
 			check(ErrClosed)
@@ -100,10 +100,11 @@ func TestControlOpsOnStoppedService(t *testing.T) {
 }
 
 // TestStoppedShard drives one shard's shutdown on the test goroutine,
-// white-box: drain stops the shard before it serves what is queued, so a
-// queued control op still runs and a queued job fails whole with
-// ErrClosed; and a stopped shard neither sweeps nor runs a job handed to
-// it in place, however late the stamp.
+// white-box, as a worker that sees its context done drives it: the
+// service is closed before drain serves what is queued, so a queued
+// control op still runs and a queued job fails whole with ErrClosed; and
+// a stopped shard neither sweeps nor runs a job handed to it in place,
+// however late the stamp.
 func TestStoppedShard(t *testing.T) {
 	s, err := New(perFlowPipeline(4), Config{MaxIdle: time.Second})
 	if err != nil {
@@ -126,6 +127,7 @@ func TestStoppedShard(t *testing.T) {
 	if !w.offer(packet{control: func(int, *worker) { ran = true }, ack: ack}) || !w.offer(packet{job: queued}) {
 		t.Fatal("a queue refused two messages")
 	}
+	s.state.Store(stateClosed)
 	w.drain()
 	if !ran || len(ack) != 1 {
 		t.Errorf("a control op queued at shutdown: ran %v, acknowledged %v; want both", ran, len(ack) == 1)

@@ -119,14 +119,6 @@ type Config struct {
 
 	// Conntrack configures connection tracking.
 	Conntrack ConntrackConfig
-
-	// TelemetryAddr, when non-empty, serves the introspection endpoints
-	// (TelemetryHandler) on this address from Start until Close (e.g.
-	// "127.0.0.1:9090"; use port 0 to pick a free port, readable via
-	// Service.TelemetryAddr). Cancelling Start's context stops the
-	// workers but not this server: until Close it keeps serving the
-	// registry's last values and answers the per-shard endpoints with 503.
-	TelemetryAddr string
 }
 
 // validate rejects nonsensical configurations instead of silently
@@ -198,8 +190,8 @@ type packet struct {
 // worker is one shard: a cache shard over the service's pipeline, and the
 // goroutine that serves its input queue.
 type worker struct {
-	// own is the shard's owner lock: vs, rec, out, errs, sweepAt and
-	// stopped are touched only while holding it. The worker goroutine takes
+	// own is the shard's owner lock: vs, rec, out, errs and sweepAt are
+	// touched only while holding it. The worker goroutine takes
 	// it around every queued message; a blocking submitter takes it —
 	// TryLock, never waiting — to run its own share.
 	own sync.Mutex
@@ -214,8 +206,9 @@ type worker struct {
 	vs    *gigaflow.VSwitch
 	rec   *telemetry.LatencyRecorder
 	in    chan packet
-	idx   int    // shard index
-	label string // shard index, precomputed for metric labels
+	idx   int           // shard index
+	label string        // shard index, precomputed for metric labels
+	state *atomic.Int32 // the service's lifecycle state: a closed service's shard sweeps nothing and fails every job
 
 	out  []gigaflow.ProcessResult // where a job nobody waits on writes its results, grown to the largest job seen
 	errs []error
@@ -225,7 +218,6 @@ type worker struct {
 	// Conntrack.MaxIdle set (ns; 0 turns one off).
 	sweepAt              int64
 	maxIdle, connMaxIdle int64
-	stopped              bool // drain has begun: nothing sweeps, and a job run from here on fails with ErrClosed
 
 	drops atomic.Uint64 // nonblocking rejections due to a full queue
 }
@@ -271,14 +263,15 @@ type Service struct {
 	latency *telemetry.Histogram
 	frames  *frameMetrics
 	started atomic.Int64 // start wall time (unix ns); 0 before Start
-	tsrv    *telemetryServer
 
-	state atomic.Int32  // stateNew → stateRunning → stateClosed
-	term  chan struct{} // closed once every worker has exited
+	// state turns closed when shutdown begins, by Close or by a worker that
+	// sees Start's context done; the last of the live workers closes term.
+	state atomic.Int32 // stateNew → stateRunning → stateClosed
+	term  chan struct{}
+	live  atomic.Int32
 
-	mu     sync.Mutex
-	cancel context.CancelFunc // stops the workers; nil before Start and once Close has run
-	done   sync.WaitGroup
+	mu     sync.Mutex         // serialises Start
+	cancel context.CancelFunc // stops the workers; set by Start before state turns running
 }
 
 // New builds a service around a pipeline. The service clones it once,
@@ -328,6 +321,7 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 			in:          make(chan packet, workerQueue),
 			idx:         i,
 			label:       fmt.Sprintf("%d", i),
+			state:       &s.state,
 			sweepAt:     sweepAt,
 			maxIdle:     cfg.MaxIdle.Nanoseconds(),
 			connMaxIdle: cfg.Conntrack.MaxIdle.Nanoseconds(),
@@ -342,7 +336,7 @@ func New(p *gigaflow.Pipeline, cfg Config) (*Service, error) {
 // shard's share of every budget, resuming stalled misses, plus extra.
 func (s *Service) newSwitch(i int, extra ...gigaflow.VSwitchOption) *gigaflow.VSwitch {
 	cfg := s.cfg
-	// A stalled miss resumes where the main cache stopped (a switch that
+	// A stalled miss resumes where the main cache left off (a switch that
 	// cannot resume ignores the option: DESIGN.md §8).
 	opts := []gigaflow.VSwitchOption{gigaflow.WithStallResume()}
 	if cfg.Conntrack.Enable {
@@ -374,37 +368,28 @@ func (s *Service) Start(ctx context.Context) error {
 	case stateClosed:
 		return ErrClosed
 	}
-	s.state.Store(stateRunning)
 	s.started.Store(time.Now().UnixNano())
 	ctx, s.cancel = context.WithCancel(ctx)
+	s.live.Store(int32(len(s.workers)))
+	s.state.Store(stateRunning) // publishes cancel and live to Close
 	for _, w := range s.workers {
-		s.done.Add(1)
 		go s.runWorker(ctx, w)
-	}
-	// The watcher closes the service once every worker has exited —
-	// whether the shutdown came from Close or from the caller cancelling
-	// ctx, so both end in one state — and then closes term, so batch
-	// submitters gathering completions always unblock.
-	go func() {
-		s.done.Wait()
-		s.state.Store(stateClosed)
-		close(s.term)
-	}()
-	if s.cfg.TelemetryAddr != "" {
-		if err := s.startTelemetry(s.cfg.TelemetryAddr); err != nil {
-			s.cancel()
-			return err
-		}
 	}
 	return nil
 }
 
+// runWorker serves w's queue until ctx is done — by Close or by the
+// caller, both end in one state: it closes the service, drains the queue
+// and exits, the last worker closing term.
 func (s *Service) runWorker(ctx context.Context, w *worker) {
-	defer s.done.Done()
 	for {
 		select {
 		case <-ctx.Done():
+			s.state.Store(stateClosed)
 			w.drain()
+			if s.live.Add(-1) == 0 {
+				close(s.term)
+			}
 			return
 		case m := <-w.in:
 			w.serve(m, s.clock())
@@ -474,18 +459,19 @@ func (w *worker) tryRun(j *batchJob, now int64) bool {
 }
 
 // exec is the one body a message runs through, under the owner lock, on
-// whichever goroutine holds it: the due sweep unless the shard has
-// stopped, then the control op, or the job — through runJob, or failed
-// whole with ErrClosed on a stopped shard. The one stamp now covers every
+// whichever goroutine holds it: the due sweep unless the service is
+// closed, then the control op, or the job — through runJob, or failed
+// whole with ErrClosed on a closed service. The one stamp now covers every
 // packet of a job's share, cache ages and flight timestamps alike.
 func (w *worker) exec(m packet, now int64) {
-	if !w.stopped {
+	closed := w.state.Load() == stateClosed
+	if !closed {
 		w.due(now)
 	}
 	switch {
 	case m.control != nil:
 		m.control(w.idx, w)
-	case w.stopped:
+	case closed:
 		m.job.blk.settle(ErrClosed)
 		m.job.closed = true
 	default:
@@ -555,18 +541,15 @@ func (w *worker) results(j *batchJob) ([]gigaflow.ProcessResult, []error) {
 	return w.out[:n], w.errs[:n]
 }
 
-// drain stops the shard, then serves what is still queued so blocking
-// submitters are never stranded: on a stopped shard control ops run as
-// ever (they only touch shard state), while jobs fail with ErrClosed. The
-// loop stops as soon as the queue is momentarily empty — nonblocking
+// drain serves what is still queued once the service is closed, so
+// blocking submitters are never stranded: exec runs control ops as ever
+// (they only touch shard state) and fails jobs with ErrClosed. The loop
+// stops as soon as the queue is momentarily empty — nonblocking
 // submissions racing Close past that point are dropped with the queue,
 // exactly like packets lost in a NIC ring at teardown (one that starts
 // after Close has returned is refused with ErrClosed). The owner lock is
 // taken per message, never across the receive.
 func (w *worker) drain() {
-	w.own.Lock()
-	w.stopped = true
-	w.own.Unlock()
 	for {
 		select {
 		case m := <-w.in:
@@ -651,32 +634,23 @@ func (s *Service) Stats(ctx context.Context) (gigaflow.VSwitchStats, error) {
 	return out, nil
 }
 
-// Close stops the workers, the telemetry server, and waits for them to
-// exit. Work still queued is drained: control ops run, packets and jobs
-// complete with ErrClosed. After the context given to Start is cancelled
-// the service is closed to every other call already, and Close stops
-// what is left: the telemetry server. Errors: ErrNotStarted before
-// Start, ErrClosed on a second Close.
+// Close stops the workers and returns once every one has exited. Work
+// still queued is drained: control ops run, jobs complete with ErrClosed.
+// Errors: ErrNotStarted before Start; ErrClosed when the service is
+// closed already — by an earlier Close, or by a worker that saw the
+// context given to Start done — returned, too, only once every worker has
+// exited.
 func (s *Service) Close() error {
-	s.mu.Lock()
-	cancel, tsrv := s.cancel, s.tsrv
-	if cancel == nil { // not started, or closed before
-		err := ErrClosed
-		if s.state.Load() == stateNew {
-			err = ErrNotStarted
-		}
-		s.mu.Unlock()
-		return err
+	switch st := s.state.Load(); {
+	case st == stateNew:
+		return ErrNotStarted
+	case st == stateRunning && s.state.CompareAndSwap(stateRunning, stateClosed):
+		s.cancel()
+		<-s.term
+		return nil
 	}
-	s.cancel = nil
-	s.state.Store(stateClosed)
-	s.mu.Unlock()
-	if tsrv != nil {
-		tsrv.stop()
-	}
-	cancel()
-	<-s.term // the Start watcher closes term once every worker has exited
-	return nil
+	<-s.term
+	return ErrClosed
 }
 
 // shareOf is worker i's slice of a total capacity budget split over n

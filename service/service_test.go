@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -396,7 +397,12 @@ func TestLifecycleErrors(t *testing.T) {
 // the service where Close ends it. Every entry point then fails with the
 // same error, and a blocking call records no submit latency for work that
 // never ran — where a blocking batch whose shard had stopped used to run
-// there, return no call error and record a sample.
+// there, return no call error and record a sample. Close after a
+// cancellation reports ErrClosed, like a second Close, and returns only
+// once every worker has exited: one shard is held in a control op while
+// the other sees the cancellation and refuses its frames, and let go only
+// after Close has been called. Either way no goroutine outlives the
+// shutdown.
 func TestCancelEndsLikeClose(t *testing.T) {
 	frame := frameOf(t, key(1, 80), 0)
 	frames := []Frame{{Data: frame}, {Data: frameOf(t, key(2, 443), 0)}}
@@ -433,6 +439,7 @@ func TestCancelEndsLikeClose(t *testing.T) {
 		}},
 	}
 	for _, cancelled := range []bool{false, true} {
+		goroutines := runtime.NumGoroutine()
 		s, err := New(buildPipeline(), Config{Workers: 2, Cache: gigaflow.CacheConfig{NumTables: 3, TableCapacity: 3 * 256}})
 		if err != nil {
 			t.Fatal(err)
@@ -445,10 +452,34 @@ func TestCancelEndsLikeClose(t *testing.T) {
 			t.Fatal(err)
 		}
 		if cancelled {
+			held, in := make(chan struct{}), make(chan struct{})
+			if err := s.post(context.Background(), s.workers[0], packet{control: func(int, *worker) { in <- struct{}{}; <-held }}); err != nil {
+				t.Fatal(err)
+			}
+			<-in
 			cancel()
-			within(t, 5*time.Second, "workers exiting after cancellation", func() { <-s.term })
+			// Shard 1 sees the cancellation: wait until it refuses a frame.
+			var own []byte
+			for host := uint64(3); own == nil; host++ {
+				if k := key(host, 80); s.shardOfKey(&k) == 1 {
+					own = frameOf(t, k, 0)
+				}
+			}
+			await(t, "shard 1 refusing a frame", func() bool {
+				_, err := s.SubmitFrame(context.Background(), 0, own)
+				return errors.Is(err, ErrClosed)
+			})
+			time.AfterFunc(time.Millisecond, func() { close(held) })
+			if err := s.Close(); !errors.Is(err, ErrClosed) {
+				t.Errorf("Close after cancellation = %v, want ErrClosed", err)
+			}
 		} else if err := s.Close(); err != nil {
 			t.Fatal(err)
+		}
+		select {
+		case <-s.term:
+		default:
+			t.Errorf("cancelled %v: Close returned before every worker exited", cancelled)
 		}
 		samples := s.latency.Snapshot().Count
 		for _, c := range calls {
@@ -463,6 +494,7 @@ func TestCancelEndsLikeClose(t *testing.T) {
 			t.Errorf("cancelled %v: Start = %v, want ErrClosed", cancelled, err)
 		}
 		cancel()
+		await(t, "every goroutine the service started exiting", func() bool { return runtime.NumGoroutine() <= goroutines })
 	}
 }
 

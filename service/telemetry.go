@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"path"
@@ -178,7 +177,8 @@ var endpoints = []struct {
 }
 
 // TelemetryHandler returns the introspection mux: every row of endpoints,
-// and an index page linking them at /.
+// and an index page linking them at /. The service owns no listener: the
+// caller serves the mux on one of its own.
 func (s *Service) TelemetryHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -249,49 +249,4 @@ func serveJSON(def int, snapshot func(ctx context.Context, n int) (any, error)) 
 		enc.SetIndent("", "  ")
 		enc.Encode(doc)
 	}
-}
-
-// telemetryServer owns the HTTP listener started from Config.TelemetryAddr.
-type telemetryServer struct {
-	ln     net.Listener
-	srv    *http.Server
-	served chan struct{} // closed when startTelemetry's goroutine exits
-}
-
-func (t *telemetryServer) stop() {
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	_ = t.srv.Shutdown(ctx)
-	<-t.served
-}
-
-// startTelemetry begins serving the introspection endpoints on addr;
-// called from Start when Config.TelemetryAddr is set. The server's
-// goroutine is joined by Close and is not one of those term waits on:
-// cancelling Start's ctx stops the workers, and control ops must then see
-// term close whether or not telemetry is still being served.
-func (s *Service) startTelemetry(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("service: telemetry listener: %w", err)
-	}
-	srv := &http.Server{Handler: s.TelemetryHandler()}
-	served := make(chan struct{})
-	s.tsrv = &telemetryServer{ln: ln, srv: srv, served: served}
-	go func() {
-		defer close(served)
-		_ = srv.Serve(ln) // ErrServerClosed on shutdown
-	}()
-	return nil
-}
-
-// TelemetryAddr reports the bound introspection address (useful with a
-// ":0" Config.TelemetryAddr), or "" when telemetry is not being served.
-func (s *Service) TelemetryAddr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.tsrv == nil {
-		return ""
-	}
-	return s.tsrv.ln.Addr().String()
 }

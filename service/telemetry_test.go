@@ -72,15 +72,15 @@ func TestMegaflowBackend(t *testing.T) {
 	}
 }
 
+// startTelemetryService starts a service of cfg and serves its
+// introspection endpoints over HTTP until the test ends; it returns the
+// server's base URL.
 func startTelemetryService(t *testing.T, cfg Config) (*Service, string) {
 	t.Helper()
-	cfg.TelemetryAddr = "127.0.0.1:0"
 	s := start(t, buildPipeline(), cfg)
-	addr := s.TelemetryAddr()
-	if addr == "" {
-		t.Fatal("TelemetryAddr empty after Start")
-	}
-	return s, "http://" + addr
+	srv := httptest.NewServer(s.TelemetryHandler())
+	t.Cleanup(srv.Close)
+	return s, srv.URL
 }
 
 func httpGet(t *testing.T, url string) string {
